@@ -65,9 +65,11 @@ cover:
 	./scripts/cover_gate.sh 80 coverage/mm.out coverage/blkio.out coverage/tenant.out
 
 # bench runs the data-plane benchmark harness: wire codec benchmarks plus
-# the live-TCP streaming and striped-read benchmarks, parsed into
-# BENCH_6.json, with the 0-allocs/op gate on the fast-path codecs and the
-# K4-vs-K1 stripe-scaling floor. The work-conserving QoS benchmark
+# the live-TCP streaming, striped-read and negotiation benchmarks, parsed
+# into BENCH_6.json, with the 0-allocs/op gate on the fast-path chunk
+# codecs, the 2-allocs/op gate on the per-open control codecs, the
+# per-holder allocation ceiling on a live negotiation and the K4-vs-K1
+# stripe-scaling floor. The work-conserving QoS benchmark
 # (borrowing tree vs flat baseline) lands in BENCH_9.json, gated on
 # strictly-above-flat utilization with zero assured-floor violations.
 # BENCH_TIME tunes the per-benchmark budget (CI uses a shorter one).
@@ -99,6 +101,7 @@ FUZZ_TIME ?= 10s
 fuzz-smoke:
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz '^FuzzRead$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz '^FuzzBinaryChunkRoundTrip$$' -fuzztime $(FUZZ_TIME)
+	$(GO) test ./internal/wire/ -run '^$$' -fuzz '^FuzzBinaryCtlRoundTrip$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz '^FuzzChecksumEquivalence$$' -fuzztime $(FUZZ_TIME)
 
 # gobonly builds the wire package with the binary fast path compiled out

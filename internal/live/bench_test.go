@@ -25,7 +25,7 @@ import (
 // kernel sockets, client-side checksum verify). The disk throttle is set
 // absurdly high so the codec and framing—not the QoS limiter—dominate.
 // The gob sub-benchmark pins every connection to the seed codec; fast is
-// the default build. Their ratio is the data-plane speedup BENCH_4.json
+// the default build. Their ratio is the data-plane speedup BENCH_6.json
 // records.
 func BenchmarkLiveStreamThroughput(b *testing.B) {
 	for _, mode := range []struct {
@@ -71,6 +71,67 @@ func BenchmarkLiveStreamThroughput(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkLiveNegotiate measures one whole negotiation over loopback TCP
+// — AccessHeld (lookup at the MM, one CFP per holder fanned out
+// concurrently, the Open at the winner) plus the release's Close — at 3, 8
+// and 16 holders of the requested file. "cold" has no metadata lease, so
+// every open pays the lookup round trip; "hot" arms a lease far longer
+// than the run, so the lookup is answered from the client's cache and the
+// open is 2·holders + 4 frames instead of 2·holders + 6. Soft admission
+// on fat RMs: nothing is refused, the data plane stays idle, and the
+// per-open control codec is what is being priced. scripts/bench.sh gates
+// allocs/op at 40 × holders + 100.
+func BenchmarkLiveNegotiate(b *testing.B) {
+	for _, holders := range []int{3, 8, 16} {
+		for _, lease := range []struct {
+			name string
+			ttl  time.Duration
+		}{{"cold", 0}, {"hot", time.Hour}} {
+			b.Run(fmt.Sprintf("H%d/%s", holders, lease.name), func(b *testing.B) {
+				caps := make([]units.BytesPerSec, holders)
+				rms := make([]ids.RMID, holders)
+				for i := range caps {
+					caps[i] = units.Mbps(1000)
+					rms[i] = ids.RMID(i + 1)
+				}
+				lc := startLiveCluster(b, caps,
+					map[ids.FileID][]ids.RMID{0: rms},
+					replication.DefaultConfig(replication.Static()), 100)
+				defer lc.shutdown()
+
+				client, err := dfsc.New(dfsc.Options{
+					ID:        1,
+					Mapper:    lc.mmCli,
+					Directory: lc.dir,
+					Scheduler: lc.sched,
+					Catalog:   lc.cat,
+					Policy:    selection.Full,
+					Scenario:  qos.Soft,
+					Rand:      rng.New(11),
+					Fanout:    dfsc.Fanout{Concurrent: true},
+					MetaTTL:   lease.ttl,
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				negotiate := func() {
+					out, release := client.AccessHeld(0)
+					if !out.OK {
+						b.Fatalf("open refused: %s", out.Reason)
+					}
+					release()
+				}
+				negotiate() // dial every pool, fill the lease
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					negotiate()
+				}
+			})
+		}
 	}
 }
 

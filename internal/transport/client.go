@@ -326,7 +326,11 @@ func (c *Client) Call(ctx context.Context, kind wire.Kind, payload any) (wire.Ms
 		return wire.Msg{}, err
 	}
 	msg, err := conn.W.CallContext(ctx, kind, payload)
-	err = Classify("call "+kind.String(), c.addr, err)
+	if err != nil {
+		// The op string is built on the failure path only: on success it
+		// would be one discarded allocation per call.
+		err = Classify("call "+kind.String(), c.addr, err)
+	}
 	c.Put(conn, err)
 	c.cfg.Metrics.CallLatency.Observe(time.Since(start).Seconds())
 	c.cfg.Metrics.countError(err)

@@ -6,7 +6,10 @@ import (
 	"net"
 	"testing"
 
+	"dfsqos/internal/ecnp"
+	"dfsqos/internal/selection"
 	"dfsqos/internal/trace"
+	"dfsqos/internal/units"
 )
 
 // discardRW is a ReadWriter that swallows writes (encode benchmarks).
@@ -245,6 +248,78 @@ func BenchmarkRoundTrip(b *testing.B) {
 				msg.Release()
 			}
 		})
+	}
+}
+
+// ctlBenchPayloads are the three frames that make up all but four of an
+// open's 2·holders + 6: the CFP and the Bid of every holder's round trip,
+// and the Open.
+var ctlBenchPayloads = []struct {
+	name    string
+	kind    Kind
+	payload any
+}{
+	{"CFP", KindCFP, ecnp.CFP{Request: 9, File: 1, Bitrate: units.Mbps(2), DurationSec: 300, Tenant: 4}},
+	{"Bid", KindBid, selection.Bid{RM: 7, Rem: units.Mbps(40), Trend: 1234.5, OccBias: 0.75, Req: units.Mbps(2),
+		HasReplica: true, Assured: units.Mbps(40), Ceil: units.Mbps(60), TenantShare: 0.125}},
+	{"OpenRequest", KindOpen, ecnp.OpenRequest{Request: 9, File: 1, Bitrate: units.Mbps(2), DurationSec: 300, Firm: true, Tenant: 4}},
+}
+
+// BenchmarkEncodeCtl measures putting one per-open control frame on the
+// wire. The payload is boxed into its interface once, outside the loop,
+// so the fast sub-benchmarks show the codec alone (0 allocs/op; a caller
+// that boxes per call pays 1 — scripts/bench.sh allows 2); gob builds an
+// encoder and re-describes the type on every frame.
+func BenchmarkEncodeCtl(b *testing.B) {
+	for _, p := range ctlBenchPayloads {
+		for _, mode := range []struct {
+			name string
+			fast bool
+		}{{"fast", true}, {"gob", false}} {
+			b.Run(p.name+"/"+mode.name, func(b *testing.B) {
+				c := NewConn(discardRW{})
+				c.SetFastPath(mode.fast)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := c.Write(p.kind, p.payload); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkDecodeCtl measures turning the same frames back into payload
+// values. The fast path's one allocation is the decoded struct's boxing
+// into Msg.Payload; gob compiles a decoder for the type on every frame.
+func BenchmarkDecodeCtl(b *testing.B) {
+	for _, p := range ctlBenchPayloads {
+		for _, mode := range []struct {
+			name string
+			fast bool
+		}{{"fast", true}, {"gob", false}} {
+			b.Run(p.name+"/"+mode.name, func(b *testing.B) {
+				var buf bytes.Buffer
+				w := NewConn(&buf)
+				w.SetFastPath(mode.fast)
+				if err := w.Write(p.kind, p.payload); err != nil {
+					b.Fatal(err)
+				}
+				r := NewConn(&loopRW{frame: buf.Bytes()})
+				r.SetAcceptBinary(true)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					msg, err := r.Read()
+					if err != nil {
+						b.Fatal(err)
+					}
+					benchSink += uint64(msg.Kind)
+				}
+			})
+		}
 	}
 }
 

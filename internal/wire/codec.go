@@ -1,13 +1,13 @@
-// Fast-path binary codec for the data plane and other high-frequency
-// frames. The frame header carries a one-byte codec tag, so every frame
-// independently declares how its body is encoded: gob (tag 0, the
-// stateless reflection codec every kind supports), binary v1 (tag 1, a
-// hand-rolled fixed-layout encoding for the hot kinds), or traced binary
-// (tag 2, the same layout with a 16-byte trace slot ahead of the kind).
-// All three codecs can interleave freely on one connection — the reader
-// dispatches per frame, and no codec keeps cross-frame state, so the
-// "stateless frame" recovery property of the original gob framing is
-// preserved.
+// Fast-path binary codec for the data plane, the per-open negotiation and
+// other high-frequency frames. The frame header carries a one-byte codec
+// tag, so every frame independently declares how its body is encoded: gob
+// (tag 0, the stateless reflection codec every kind supports), binary v1
+// (tag 1, a hand-rolled fixed-layout encoding for the hot kinds), or
+// traced binary (tag 2, the same layout with a 16-byte trace slot ahead of
+// the kind). All three codecs can interleave freely on one connection —
+// the reader dispatches per frame, and no codec keeps cross-frame state,
+// so the "stateless frame" recovery property of the original gob framing
+// is preserved.
 //
 // Binary v1 body layout (big-endian throughout):
 //
@@ -24,6 +24,23 @@
 //	  Error:      text (rest of body, UTF-8)
 //	  Heartbeat:  rm i32
 //	  Keepalive:  request i64
+//	  -- the seven bodies of one open's negotiation (2·holders + 6 frames
+//	  -- per open: the frames the control plane sends most) --
+//	  Lookup:     file i32                                   (wire.FileRef)
+//	  RMList:     rm i32 × n (rest of body; n = 0 decodes to a nil slice)
+//	  CFP:        request i64 | file i32 | bitrate f64 | durationSec f64 | tenant i32
+//	  Bid:        rm i32 | rem f64 | trend f64 | occBias f64 | req f64 |
+//	              hasReplica u8 | assured f64 | ceil f64 | tenantShare f64
+//	  Open:       request i64 | file i32 | bitrate f64 | durationSec f64 |
+//	              firm u8 | tenant i32                       (ecnp.OpenRequest)
+//	  OpenResult: ok u8 | reason (rest of body, UTF-8)
+//	  Close:      request i64                                (wire.CloseReq)
+//
+// An f64 is the value's IEEE-754 bit pattern (math.Float64bits), so a
+// negative Rem, a NaN and ±Inf arrive bit-exactly; a u8 bool is 0 or 1
+// and any other byte is a CodecError, as is a body of the wrong length.
+// Each decodes to the same value type gob would produce, so a receiver's
+// msg.Payload.(ecnp.CFP) does not care which codec carried the frame.
 //
 // Traced binary (tag 2) body layout:
 //
@@ -44,14 +61,26 @@
 // not it is traced, with a zero trace slot meaning "untraced", so the
 // data plane never branches per frame on trace presence.
 //
-// All other kinds stay on gob (which carries the trace slot and tenant
-// as optional Msg fields instead). To promote a kind to the fast path it
-// must be (a) high-frequency enough to matter, (b) fixed-layout (or
-// one-variable-tail like FileChunk/Error), and (c) versioned here: any
-// layout change bumps the codec tag (as the trace slot did, claiming tag
-// 2, and the tenant slot did, claiming tag 3) rather than mutating an
-// existing layout in place, so mixed-version peers fail with a typed
-// CodecError instead of silently misparsing.
+// All other kinds — registration, the RMs listing, replica bookkeeping,
+// replica offers and stores, the shard beat/mirror/handoff — stay on gob
+// (which carries the trace slot and tenant as optional Msg fields
+// instead): they are administrative, sent per RM or per replication, never
+// per open. To promote a kind to the fast path it must be (a)
+// high-frequency enough to matter, (b) fixed-layout (or one-variable-tail
+// like FileChunk/Error/RMList), and (c) versioned here. Two different
+// things can change:
+//
+//   - Adding a kind to binary v1 is not a layout change. No existing
+//     body moves; a reader that predates the kind rejects the frame with
+//     the typed "kind not covered by the binary codec" CodecError, exactly
+//     as it rejects any kind it never knew, and a writer talking to such a
+//     peer pins the connection to gob (SetFastPath(false)), which every
+//     kind still speaks. The seven negotiation bodies joined v1 this way.
+//   - Changing an existing kind's layout bumps the codec tag (as the trace
+//     slot did, claiming tag 2, and the tenant slot did, claiming tag 3)
+//     rather than mutating the layout in place, so mixed-version peers
+//     fail with a typed CodecError instead of silently misparsing. A field
+//     added to selection.Bid is this case.
 //
 // Buffer ownership: encode and decode both borrow scratch buffers from a
 // sync.Pool. On the read side, a fast-path FileChunk's Data slice points
@@ -62,12 +91,16 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"net"
 	"sync"
 	"sync/atomic"
 
+	"dfsqos/internal/ecnp"
 	"dfsqos/internal/ids"
+	"dfsqos/internal/selection"
 	"dfsqos/internal/trace"
+	"dfsqos/internal/units"
 )
 
 // Codec identifies a frame-body encoding (the one-byte tag in the frame
@@ -437,10 +470,92 @@ func appendBinary(b []byte, kind Kind, payload any) ([]byte, bool) {
 			return b[:start], false
 		}
 		b = binary.BigEndian.AppendUint64(b, uint64(p.Request))
+	case KindCFP:
+		p, ok := payload.(ecnp.CFP)
+		if !ok {
+			return b[:start], false
+		}
+		b = binary.BigEndian.AppendUint64(b, uint64(p.Request))
+		b = binary.BigEndian.AppendUint32(b, uint32(int32(p.File)))
+		b = appendFloat(b, float64(p.Bitrate))
+		b = appendFloat(b, p.DurationSec)
+		b = binary.BigEndian.AppendUint32(b, uint32(int32(p.Tenant)))
+	case KindBid:
+		p, ok := payload.(selection.Bid)
+		if !ok {
+			return b[:start], false
+		}
+		b = binary.BigEndian.AppendUint32(b, uint32(int32(p.RM)))
+		b = appendFloat(b, float64(p.Rem))
+		b = appendFloat(b, p.Trend)
+		b = appendFloat(b, p.OccBias)
+		b = appendFloat(b, float64(p.Req))
+		b = appendBool(b, p.HasReplica)
+		b = appendFloat(b, float64(p.Assured))
+		b = appendFloat(b, float64(p.Ceil))
+		b = appendFloat(b, p.TenantShare)
+	case KindOpen:
+		p, ok := payload.(ecnp.OpenRequest)
+		if !ok {
+			return b[:start], false
+		}
+		b = binary.BigEndian.AppendUint64(b, uint64(p.Request))
+		b = binary.BigEndian.AppendUint32(b, uint32(int32(p.File)))
+		b = appendFloat(b, float64(p.Bitrate))
+		b = appendFloat(b, p.DurationSec)
+		b = appendBool(b, p.Firm)
+		b = binary.BigEndian.AppendUint32(b, uint32(int32(p.Tenant)))
+	case KindOpenResult:
+		p, ok := payload.(ecnp.OpenResult)
+		if !ok {
+			return b[:start], false
+		}
+		b = appendBool(b, p.OK)
+		b = append(b, p.Reason...)
+	case KindClose:
+		p, ok := payload.(CloseReq)
+		if !ok {
+			return b[:start], false
+		}
+		b = binary.BigEndian.AppendUint64(b, uint64(p.Request))
+	case KindLookup:
+		p, ok := payload.(FileRef)
+		if !ok {
+			return b[:start], false
+		}
+		b = binary.BigEndian.AppendUint32(b, uint32(int32(p.File)))
+	case KindRMList:
+		p, ok := payload.(RMList)
+		if !ok {
+			return b[:start], false
+		}
+		for _, rm := range p.RMs {
+			b = binary.BigEndian.AppendUint32(b, uint32(int32(rm)))
+		}
 	default:
 		return b[:start], false
 	}
 	return b, true
+}
+
+// appendFloat appends f's IEEE-754 bit pattern, so negative values, NaN
+// payloads and ±Inf round-trip bit-exactly.
+func appendFloat(b []byte, f float64) []byte {
+	return binary.BigEndian.AppendUint64(b, math.Float64bits(f))
+}
+
+// floatAt reads the float64 appendFloat wrote at the start of p.
+func floatAt(p []byte) float64 {
+	return math.Float64frombits(binary.BigEndian.Uint64(p))
+}
+
+// appendBool appends v as one byte: 0 or 1, the only two the decoder
+// accepts.
+func appendBool(b []byte, v bool) []byte {
+	if v {
+		return append(b, 1)
+	}
+	return append(b, 0)
 }
 
 // decodeBinary parses a binary-v1 body. bp is the pooled buffer backing
@@ -458,6 +573,10 @@ func decodeBinary(body []byte, bp *[]byte) (msg Msg, retained bool, err error) {
 	badLen := func() (Msg, bool, error) {
 		return Msg{}, false, &CodecError{Codec: CodecBinary, Kind: kind,
 			Reason: fmt.Sprintf("payload length %d contradicts fixed layout", len(p))}
+	}
+	badBool := func(v byte) (Msg, bool, error) {
+		return Msg{}, false, &CodecError{Codec: CodecBinary, Kind: kind,
+			Reason: fmt.Sprintf("bool byte %d is neither 0 nor 1", v)}
 	}
 	switch kind {
 	case KindFileChunk:
@@ -521,6 +640,82 @@ func decodeBinary(body []byte, bp *[]byte) (msg Msg, retained bool, err error) {
 			return badLen()
 		}
 		return Msg{Kind: kind, Payload: Keepalive{Request: ids.RequestID(int64(binary.BigEndian.Uint64(p[:8])))}}, false, nil
+	case KindCFP:
+		if len(p) != 32 {
+			return badLen()
+		}
+		return Msg{Kind: kind, Payload: ecnp.CFP{
+			Request:     ids.RequestID(int64(binary.BigEndian.Uint64(p[:8]))),
+			File:        ids.FileID(int32(binary.BigEndian.Uint32(p[8:12]))),
+			Bitrate:     units.BytesPerSec(floatAt(p[12:20])),
+			DurationSec: floatAt(p[20:28]),
+			Tenant:      ids.TenantID(int32(binary.BigEndian.Uint32(p[28:32]))),
+		}}, false, nil
+	case KindBid:
+		if len(p) != 61 {
+			return badLen()
+		}
+		if p[36] > 1 {
+			return badBool(p[36])
+		}
+		return Msg{Kind: kind, Payload: selection.Bid{
+			RM:          ids.RMID(int32(binary.BigEndian.Uint32(p[:4]))),
+			Rem:         units.BytesPerSec(floatAt(p[4:12])),
+			Trend:       floatAt(p[12:20]),
+			OccBias:     floatAt(p[20:28]),
+			Req:         units.BytesPerSec(floatAt(p[28:36])),
+			HasReplica:  p[36] == 1,
+			Assured:     units.BytesPerSec(floatAt(p[37:45])),
+			Ceil:        units.BytesPerSec(floatAt(p[45:53])),
+			TenantShare: floatAt(p[53:61]),
+		}}, false, nil
+	case KindOpen:
+		if len(p) != 33 {
+			return badLen()
+		}
+		if p[28] > 1 {
+			return badBool(p[28])
+		}
+		return Msg{Kind: kind, Payload: ecnp.OpenRequest{
+			Request:     ids.RequestID(int64(binary.BigEndian.Uint64(p[:8]))),
+			File:        ids.FileID(int32(binary.BigEndian.Uint32(p[8:12]))),
+			Bitrate:     units.BytesPerSec(floatAt(p[12:20])),
+			DurationSec: floatAt(p[20:28]),
+			Firm:        p[28] == 1,
+			Tenant:      ids.TenantID(int32(binary.BigEndian.Uint32(p[29:33]))),
+		}}, false, nil
+	case KindOpenResult:
+		if len(p) < 1 {
+			return badLen()
+		}
+		if p[0] > 1 {
+			return badBool(p[0])
+		}
+		return Msg{Kind: kind, Payload: ecnp.OpenResult{OK: p[0] == 1, Reason: string(p[1:])}}, false, nil
+	case KindClose:
+		if len(p) != 8 {
+			return badLen()
+		}
+		return Msg{Kind: kind, Payload: CloseReq{Request: ids.RequestID(int64(binary.BigEndian.Uint64(p[:8])))}}, false, nil
+	case KindLookup:
+		if len(p) != 4 {
+			return badLen()
+		}
+		return Msg{Kind: kind, Payload: FileRef{File: ids.FileID(int32(binary.BigEndian.Uint32(p[:4])))}}, false, nil
+	case KindRMList:
+		if len(p)%4 != 0 {
+			return badLen()
+		}
+		// An empty list decodes to a nil slice, as gob's omitted-when-empty
+		// field does.
+		var rms []ids.RMID
+		if len(p) > 0 {
+			rms = make([]ids.RMID, len(p)/4)
+			for i := range rms {
+				rms[i] = ids.RMID(int32(binary.BigEndian.Uint32(p[4*i:])))
+			}
+		}
+		return Msg{Kind: kind, Payload: RMList{RMs: rms}}, false, nil
 	}
 	return Msg{}, false, &CodecError{Codec: CodecBinary, Kind: kind, Reason: "kind not covered by the binary codec"}
 }

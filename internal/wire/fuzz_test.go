@@ -3,7 +3,10 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"testing"
+
+	"dfsqos/internal/trace"
 )
 
 // frameBytes assembles a complete frame for the seed corpus.
@@ -64,6 +67,16 @@ func FuzzRead(f *testing.F) {
 	f.Add(frameBytes(CodecBinaryTraced, make([]byte, traceSize-1)))            // short trace slot
 	f.Add(frameBytes(CodecBinaryTenant, make([]byte, tenantSize+traceSize-1))) // short tenant+trace slots
 	f.Add(frameBytes(CodecBinaryTenant, make([]byte, tenantSize+traceSize)))   // slots but no kind
+	// The per-open bodies: one well-formed frame each under tags 1, 2 and
+	// 3, then the same body truncated, over-long and with a bad bool byte.
+	for _, tag := range []Codec{CodecBinary, CodecBinaryTraced, CodecBinaryTenant} {
+		for _, p := range ctlPayloads() {
+			f.Add(ctlFrame(tag, p))
+		}
+	}
+	for _, body := range hostileCtlBodies() {
+		f.Add(frameBytes(CodecBinary, body))
+	}
 
 	f.Fuzz(func(t *testing.T, stream []byte) {
 		c := NewConn(bytes.NewBuffer(stream))
@@ -76,6 +89,105 @@ func FuzzRead(f *testing.F) {
 				_ = ChecksumUpdate(ChecksumBasis, ch.Data) // touch every borrowed byte
 			}
 			msg.Release()
+		}
+	})
+}
+
+// ctlFrame encodes p through the real writer under the given tag.
+func ctlFrame(tag Codec, p ctlPayload) []byte {
+	var buf bytes.Buffer
+	if err := writeUnderTag(NewConn(&buf), tag, p.kind, p.payload); err != nil {
+		panic(err)
+	}
+	return buf.Bytes()
+}
+
+// hostileCtlBodies is every well-formed per-open binary-v1 body mangled
+// three ways: last byte cut off, one byte appended, and each byte that
+// could be a bool set to 2. (Variable-tail kinds accept some of these —
+// that is for the decoder to say, not the corpus.)
+func hostileCtlBodies() [][]byte {
+	var out [][]byte
+	for _, p := range ctlPayloads() {
+		body := ctlFrame(CodecBinary, p)[headerSize:]
+		out = append(out, body[:len(body)-1], append(bytes.Clone(body), 0))
+		for _, at := range []int{kindSize, kindSize + 28, kindSize + 36} { // OpenResult.OK, Open.Firm, Bid.HasReplica
+			if at < len(body) {
+				bad := bytes.Clone(body)
+				bad[at] = 2
+				out = append(out, bad)
+			}
+		}
+	}
+	return out
+}
+
+// FuzzBinaryCtlRoundTrip feeds arbitrary bodies to the binary decoder
+// under every tag and, when one decodes, writes the message back out: the
+// re-encoded frame must be byte-identical to the input (the layouts are
+// canonical — one value, one encoding), a rejected body must surface a
+// *CodecError and nothing else, and neither direction may panic.
+func FuzzBinaryCtlRoundTrip(f *testing.F) {
+	for _, tag := range []Codec{CodecBinary, CodecBinaryTraced, CodecBinaryTenant} {
+		for _, p := range ctlPayloads() {
+			f.Add(uint8(tag), ctlFrame(tag, p)[headerSize:])
+		}
+	}
+	for _, body := range hostileCtlBodies() {
+		f.Add(uint8(CodecBinary), body)
+		f.Add(uint8(CodecBinaryTraced), append(make([]byte, traceSize), body...))
+		f.Add(uint8(CodecBinaryTenant), append(make([]byte, tenantSize+traceSize), body...))
+	}
+	f.Add(uint8(CodecBinary), binaryBody(KindRegisterRM, []byte("not covered")))
+	f.Add(uint8(9), []byte{1, 2, 3})
+
+	f.Fuzz(func(t *testing.T, tag uint8, body []byte) {
+		if Codec(tag) == CodecGob || len(body) > MaxFrame {
+			return // gob has its own decoder; oversized frames are FuzzRead's
+		}
+		in := frameBytes(Codec(tag), body)
+		r := NewConn(bytes.NewBuffer(in))
+		r.SetAcceptBinary(true)
+		msg, err := r.Read()
+		if err != nil {
+			var ce *CodecError
+			if !errors.As(err, &ce) {
+				t.Fatalf("tag %d: rejection is %T (%v), want *CodecError", tag, err, err)
+			}
+			return
+		}
+		// Four well-formed inputs are not how the writer would frame the
+		// same message, so they are not expected to re-encode identically:
+		// a tag-2 frame without a valid span context (sent as tag 1), a
+		// tag-3 frame without a valid tenant (likewise) or with half a span
+		// context (sent with a zero trace slot), and a ranged ReadFile
+		// whose length says "whole file" (sent without the length).
+		switch Codec(tag) {
+		case CodecBinaryTraced:
+			if !msg.Trace.Valid() {
+				msg.Release()
+				return
+			}
+		case CodecBinaryTenant:
+			if !msg.Tenant.Valid() || (msg.Trace != trace.SpanContext{} && !msg.Trace.Valid()) {
+				msg.Release()
+				return
+			}
+		}
+		if rq, ok := msg.Payload.(*ReadFile); ok && rq.Length <= 0 {
+			msg.Release()
+			return
+		}
+		var out bytes.Buffer
+		w := NewConn(&out)
+		w.SetFastPath(true)
+		w.SetTenant(msg.Tenant)
+		if err := w.WriteTraced(msg.Trace, msg.Kind, msg.Payload); err != nil {
+			t.Fatalf("re-encoding %v: %v", msg.Kind, err)
+		}
+		msg.Release()
+		if !bytes.Equal(out.Bytes(), in) {
+			t.Fatalf("%v under tag %d re-encoded differently:\n in  %x\n out %x", msg.Kind, tag, in, out.Bytes())
 		}
 	})
 }

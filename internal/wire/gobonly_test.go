@@ -6,8 +6,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"reflect"
 	"testing"
 
+	"dfsqos/internal/ecnp"
 	"dfsqos/internal/trace"
 )
 
@@ -111,5 +113,60 @@ func TestGobOnlyBuildRejectsBinaryFrames(t *testing.T) {
 	}
 	if ce.Codec != CodecBinary {
 		t.Fatalf("misreported codec: %+v", ce)
+	}
+}
+
+// TestGobOnlyBuildKeepsNegotiationOnGob: the seven per-open kinds have a
+// binary layout in the default build; compiled gobonly, a default
+// connection still frames every one of them as gob — plain and traced —
+// and they round-trip with the same values.
+func TestGobOnlyBuildKeepsNegotiationOnGob(t *testing.T) {
+	for _, p := range ctlPayloads() {
+		for _, traced := range []bool{false, true} {
+			var buf bytes.Buffer
+			c := NewConn(&buf)
+			var err error
+			if traced {
+				err = c.WriteTraced(ctlTC, p.kind, p.payload)
+			} else {
+				err = c.Write(p.kind, p.payload)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := Codec(buf.Bytes()[4]); got != CodecGob {
+				t.Fatalf("gobonly %v (traced=%v) went out as %v", p.kind, traced, got)
+			}
+			msg, err := c.Read()
+			if err != nil {
+				t.Fatalf("%v: %v", p.kind, err)
+			}
+			want := p.payload
+			if l, ok := want.(RMList); ok && len(l.RMs) == 0 {
+				want = RMList{} // gob decodes an empty list to nil
+			}
+			if msg.Kind != p.kind || !bitEqual(reflect.ValueOf(msg.Payload), reflect.ValueOf(want)) {
+				t.Fatalf("%v mangled on gob:\n got %#v\nwant %#v", p.kind, msg.Payload, want)
+			}
+			if traced && msg.Trace != ctlTC {
+				t.Fatalf("%v: trace %+v", p.kind, msg.Trace)
+			}
+		}
+	}
+}
+
+// TestGobOnlyBuildRejectsBinaryNegotiationFrames: a fast-path peer's
+// binary CFP is refused with the typed error, like its chunks are.
+func TestGobOnlyBuildRejectsBinaryNegotiationFrames(t *testing.T) {
+	var buf bytes.Buffer
+	w := NewConn(&buf)
+	w.SetFastPath(true)
+	if err := w.Write(KindCFP, ecnp.CFP{Request: 1, File: 2}); err != nil {
+		t.Fatal(err)
+	}
+	_, err := NewConn(&buf).Read()
+	var ce *CodecError
+	if !errors.As(err, &ce) || ce.Codec != CodecBinary {
+		t.Fatalf("binary CFP in gobonly build: err = %v, want a binary CodecError", err)
 	}
 }

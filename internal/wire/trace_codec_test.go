@@ -86,12 +86,14 @@ func TestWriteChunkTracedRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWriteTracedGobEnvelope covers the kinds the binary codec does not:
-// the span context rides the gob envelope's Trace field.
+// TestWriteTracedGobEnvelope covers the kinds the binary codec does not
+// (the administrative ones — a shard mirror here): the span context
+// rides the gob envelope's Trace field.
 func TestWriteTracedGobEnvelope(t *testing.T) {
 	var buf bytes.Buffer
 	c := NewConn(&buf)
-	if err := c.WriteTraced(testTC, KindLookup, FileRef{File: 12}); err != nil {
+	mirror := ShardMirror{Op: "AddReplica", File: 12, RM: 3}
+	if err := c.WriteTraced(testTC, KindShardMirror, mirror); err != nil {
 		t.Fatal(err)
 	}
 	if got := Codec(buf.Bytes()[4]); got != CodecGob {
@@ -104,7 +106,7 @@ func TestWriteTracedGobEnvelope(t *testing.T) {
 	if msg.Trace != testTC {
 		t.Fatalf("trace = %+v, want %+v", msg.Trace, testTC)
 	}
-	if ref, ok := msg.Payload.(FileRef); !ok || ref.File != 12 {
+	if got, ok := msg.Payload.(ShardMirror); !ok || got != mirror {
 		t.Fatalf("payload mangled: %#v", msg.Payload)
 	}
 }
@@ -166,10 +168,10 @@ func TestMixedTracedUntracedInterleave(t *testing.T) {
 	if err := c.WriteTraced(testTC, KindFileEnd, FileEnd{Size: 2}); err != nil { // traced binary
 		t.Fatal(err)
 	}
-	if err := c.Write(KindLookup, FileRef{File: 3}); err != nil { // gob
+	if err := c.Write(KindCount, Count{N: 3}); err != nil { // gob
 		t.Fatal(err)
 	}
-	if err := c.WriteTraced(testTC, KindLookup, FileRef{File: 4}); err != nil { // traced gob
+	if err := c.WriteTraced(testTC, KindCount, Count{N: 4}); err != nil { // traced gob
 		t.Fatal(err)
 	}
 	if err := c.WriteChunkTraced(testTC, 5, []byte("x")); err != nil { // traced chunk

@@ -1,15 +1,14 @@
 // Package wire frames the ECNP protocol messages for TCP transport: each
 // frame is a 4-byte big-endian body length, a 1-byte codec tag, and the
 // body. The tag selects how the body is encoded — gob (tag 0, every
-// kind), the hand-rolled binary fast path (tag 1, the data-plane and
-// other high-frequency kinds), traced binary (tag 2, binary v1 with a
-// 16-byte request-trace slot), or tenant binary (tag 3, binary v1 with a
-// 4-byte tenant slot ahead of the trace slot; see codec.go). Frames are
-// independent
-// (stateless codec per frame), so a connection can be taken over after
-// any message boundary, a corrupted frame cannot poison decoder state,
-// and the codecs interleave freely on one connection. A frame-size cap
-// bounds memory against malformed peers.
+// kind), the hand-rolled binary fast path (tag 1: the data plane, the
+// per-open negotiation and other high-frequency kinds), traced binary
+// (tag 2, binary v1 with a 16-byte request-trace slot), or tenant binary
+// (tag 3, binary v1 with a 4-byte tenant slot ahead of the trace slot; see
+// codec.go). Frames are independent (stateless codec per frame), so a
+// connection can be taken over after any message boundary, a corrupted
+// frame cannot poison decoder state, and the codecs interleave freely on
+// one connection. A frame-size cap bounds memory against malformed peers.
 package wire
 
 import (
@@ -575,12 +574,13 @@ func (c *Conn) armWriteDeadlineLocked() {
 	}
 }
 
-// Write sends one message. Eligible kinds (the data plane and other
-// high-frequency messages) go out on the binary fast path unless the
-// connection is pinned to gob; everything else uses the stateless
-// per-frame gob codec. Either way the frame leaves as a single write —
-// header and body are assembled in one pooled buffer (chunks: one writev
-// via WriteChunk) — so a frame costs one syscall, not two.
+// Write sends one message. Eligible kinds (the data plane, the per-open
+// negotiation and other high-frequency messages) go out on the binary
+// fast path unless the connection is pinned to gob; everything else uses
+// the stateless per-frame gob codec. Either way the frame leaves as a
+// single write — header and body are assembled in one pooled buffer
+// (chunks: one writev via WriteChunk) — so a frame costs one syscall, not
+// two.
 func (c *Conn) Write(kind Kind, payload any) error {
 	if c.fastWrite.Load() {
 		if kind == KindFileChunk {

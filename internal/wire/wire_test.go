@@ -87,8 +87,9 @@ func TestRoundTripAllPayloads(t *testing.T) {
 }
 
 // TestBidRoundTripCarriesQoSFields pins the bid frame's full field set —
-// in particular the oversubscription-aware Assured/Ceil pair — through the
-// gob codec, so an RM's advertised ceiling survives the trip to the
+// in particular the oversubscription-aware Assured/Ceil pair — through
+// whichever codec the build selects (binary by default, gob under -tags
+// gobonly), so an RM's advertised ceiling survives the trip to the
 // requester's admission logic.
 func TestBidRoundTripCarriesQoSFields(t *testing.T) {
 	bid := selection.Bid{

@@ -2,7 +2,7 @@
 # bench.sh — reproducible data-plane benchmark run.
 #
 # Runs the wire codec benchmarks and the live-TCP streaming benchmark,
-# parses the `go test -bench` output into BENCH_4.json, and enforces the
+# parses the `go test -bench` output into BENCH_6.json, and enforces the
 # fast-path allocation ceiling: BenchmarkEncodeChunk/fast and
 # BenchmarkDecodeChunk/fast — and their trace-slot-carrying Traced
 # variants — must stay at (by default) 0 allocs/op. The zero-allocation
@@ -15,6 +15,16 @@
 # deliver at least STRIPE_FLOOR times the K1 (single-RM) throughput,
 # proving the K-wide scheduler actually aggregates per-replica bandwidth
 # instead of serializing behind one throttle.
+#
+# The per-open control plane has its own two gates. The fast sub-benchmarks
+# of BenchmarkEncodeCtl and BenchmarkDecodeCtl (CFP, Bid, OpenRequest) may
+# cost at most 2 allocs/op: the codec itself allocates nothing, and the one
+# allocation left is the payload struct's boxing into an interface.
+# BenchmarkLiveNegotiate (a whole AccessHeld + release over loopback at 3, 8
+# and 16 holders, metadata lease cold and hot) may cost at most
+# 40 x holders + 100 allocs/op — a CFP on gob costs 23 to encode plus 220 to
+# decode in the gob sub-benchmarks above, so one control kind slipping back
+# onto gob trips it.
 #
 # Finally it runs the work-conserving QoS benchmark (one stream against an
 # idle sibling's headroom, flat tree vs borrowing tree) into a second
@@ -45,12 +55,12 @@ trap 'rm -f "$RAW" "$RAW9"' EXIT
 
 echo "== wire codec benchmarks (benchtime=$BENCH_TIME)"
 go test ./internal/wire/ -run '^$' \
-	-bench 'BenchmarkEncodeChunk|BenchmarkDecodeChunk|BenchmarkRoundTrip|BenchmarkStreamThroughput|BenchmarkChecksum|BenchmarkEncodeRangedRead|BenchmarkDecodeRangedRead' \
+	-bench 'BenchmarkEncodeChunk|BenchmarkDecodeChunk|BenchmarkRoundTrip|BenchmarkStreamThroughput|BenchmarkChecksum|BenchmarkEncodeRangedRead|BenchmarkDecodeRangedRead|BenchmarkEncodeCtl|BenchmarkDecodeCtl' \
 	-benchmem -benchtime "$BENCH_TIME" | tee -a "$RAW"
 
 echo "== live TCP streaming benchmarks (benchtime=$BENCH_TIME)"
 go test ./internal/live/ -run '^$' \
-	-bench 'BenchmarkLiveStreamThroughput|BenchmarkLiveStripedReadThroughput' \
+	-bench 'BenchmarkLiveStreamThroughput|BenchmarkLiveStripedReadThroughput|BenchmarkLiveNegotiate' \
 	-benchmem -benchtime "$BENCH_TIME" | tee -a "$RAW"
 
 # Parse "BenchmarkName/sub-N  iters  ns/op  [MB/s]  [B/op]  [allocs/op]"
@@ -83,24 +93,43 @@ END {
 echo "== wrote $OUT"
 cat "$OUT"
 
+# alloc_gate NAME CEILING fails the run when benchmark NAME did not run or
+# reports more than CEILING allocs/op.
+fail=0
+alloc_gate() {
+	# The -N GOMAXPROCS suffix is absent when GOMAXPROCS=1, so it is optional.
+	aop="$(awk -v b="$1" '$1 ~ "^"b"(-[0-9]+)?$" && $(NF) == "allocs/op" { print $(NF-1) }' "$RAW")"
+	if [ -z "$aop" ]; then
+		echo "GATE: $1 did not run" >&2
+		fail=1
+	elif [ "$aop" -gt "$2" ]; then
+		echo "GATE: $1 at $aop allocs/op exceeds ceiling $2" >&2
+		fail=1
+	else
+		echo "GATE: $1 at $aop allocs/op (ceiling $2) ok"
+	fi
+}
+
 # Alloc regression gate on the fast-path chunk and ranged-read codecs:
 # untraced, traced, and tenant-tagged.
-fail=0
 for gated in "BenchmarkEncodeChunk/fast" "BenchmarkDecodeChunk/fast" \
 	"BenchmarkEncodeChunkTraced/fast" "BenchmarkDecodeChunkTraced/fast" \
 	"BenchmarkEncodeChunkTenant/fast" "BenchmarkDecodeChunkTenant/fast" \
 	"BenchmarkEncodeRangedRead/fast" "BenchmarkDecodeRangedRead/fast"; do
-	# The -N GOMAXPROCS suffix is absent when GOMAXPROCS=1, so it is optional.
-	aop="$(awk -v b="$gated" '$1 ~ "^"b"(-[0-9]+)?$" && $(NF) == "allocs/op" { print $(NF-1) }' "$RAW")"
-	if [ -z "$aop" ]; then
-		echo "GATE: $gated did not run" >&2
-		fail=1
-	elif [ "$aop" -gt "$ALLOC_CEILING" ]; then
-		echo "GATE: $gated at $aop allocs/op exceeds ceiling $ALLOC_CEILING" >&2
-		fail=1
-	else
-		echo "GATE: $gated at $aop allocs/op (ceiling $ALLOC_CEILING) ok"
-	fi
+	alloc_gate "$gated" "$ALLOC_CEILING"
+done
+
+# Per-open control plane: the fast control codecs at 2 allocs/op, then a
+# whole live negotiation at 40 x holders + 100.
+for payload in CFP Bid OpenRequest; do
+	alloc_gate "BenchmarkEncodeCtl/$payload/fast" 2
+	alloc_gate "BenchmarkDecodeCtl/$payload/fast" 2
+done
+for holders in 3 8 16; do
+	ceiling=$((40 * holders + 100))
+	for lease in cold hot; do
+		alloc_gate "BenchmarkLiveNegotiate/H$holders/$lease" "$ceiling"
+	done
 done
 
 # Stripe-scaling gate: K4 striped throughput must beat K1 by STRIPE_FLOOR.
