@@ -26,7 +26,7 @@ vet:
 	$(GO) vet ./...
 
 race:
-	$(GO) test -race -count=1 ./internal/wire/... ./internal/transport/... ./internal/live/... ./internal/dfsc/... ./internal/telemetry/... ./internal/monitor/... ./internal/mm/... ./internal/rm/... ./internal/faults/... ./internal/blkio/... ./internal/tenant/...
+	$(GO) test -race -count=1 ./internal/wire/... ./internal/transport/... ./internal/live/... ./internal/dfsc/... ./internal/telemetry/... ./internal/monitor/... ./internal/mm/... ./internal/rm/... ./internal/faults/... ./internal/blkio/... ./internal/tenant/... ./internal/vdisk/...
 
 # chaos replays the self-healing drills: deterministic fault scripts
 # (internal/faults) against live TCP deployments — mid-stream kill with

@@ -13,6 +13,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"log"
@@ -34,6 +35,7 @@ import (
 	"dfsqos/internal/selection"
 	"dfsqos/internal/units"
 	"dfsqos/internal/vdisk"
+	"dfsqos/internal/wire"
 )
 
 func main() {
@@ -161,12 +163,10 @@ func (d *liveData) ReadAt(rmID ids.RMID, file ids.FileID, p []byte, off int64) (
 	key := fmt.Sprintf("%v/%v", rmID, file)
 	data, ok := d.cache[key]
 	if !ok {
-		cli, found := d.dir.RMClient(rmID)
-		if !found {
-			return 0, fmt.Errorf("livecluster: %v unreachable", rmID)
-		}
+		// The whole file from offset 0, size- and checksum-verified.
 		var buf bytes.Buffer
-		if _, err := cli.ReadFile(file, &buf); err != nil {
+		sum := wire.ChecksumBasis
+		if _, err := d.dir.StreamAt(context.Background(), rmID, file, 0, 0, &buf, &sum); err != nil {
 			return 0, err
 		}
 		data = buf.Bytes()

@@ -51,7 +51,7 @@ func BenchmarkLiveStreamThroughput(b *testing.B) {
 			size := int64(lc.cat.File(0).Size)
 			// Warm the stream path once WITH integrity verification: the
 			// codec under measurement must produce checksum-clean bytes.
-			if _, err := served.ReadFile(0, io.Discard); err != nil {
+			if _, err := readWhole(served, 0, io.Discard); err != nil {
 				b.Fatal(err)
 			}
 			b.SetBytes(size)
@@ -62,7 +62,7 @@ func BenchmarkLiveStreamThroughput(b *testing.B) {
 			// FNV verify cost is identical in both modes and benchmarked
 			// separately (wire.BenchmarkChecksum).
 			for i := 0; i < b.N; i++ {
-				n, err := served.ReadFileAt(context.Background(), 0, 0, 0, io.Discard, nil)
+				n, err := served.ReadRange(context.Background(), 0, 0, 0, 0, io.Discard, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -188,7 +188,7 @@ func BenchmarkLiveWorkConservingThroughput(b *testing.B) {
 			throttled := time.Duration(float64(size) / float64(mode.steady) * float64(time.Second))
 			for {
 				start := time.Now()
-				if _, err := cli.ReadFileAt(context.Background(), 0, reqA, 0, io.Discard, nil); err != nil {
+				if _, err := cli.ReadRange(context.Background(), 0, reqA, 0, 0, io.Discard, nil); err != nil {
 					b.Fatal(err)
 				}
 				if time.Since(start) > throttled*3/4 {
@@ -200,7 +200,7 @@ func BenchmarkLiveWorkConservingThroughput(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				n, err := cli.ReadFileAt(context.Background(), 0, reqA, 0, io.Discard, nil)
+				n, err := cli.ReadRange(context.Background(), 0, reqA, 0, 0, io.Discard, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -223,7 +223,7 @@ func BenchmarkLiveWorkConservingThroughput(b *testing.B) {
 						return
 					default:
 					}
-					if _, err := cli.ReadFileAt(context.Background(), 0, reqA, 0, io.Discard, nil); err != nil {
+					if _, err := cli.ReadRange(context.Background(), 0, reqA, 0, 0, io.Discard, nil); err != nil {
 						b.Error(err)
 						return
 					}
@@ -233,7 +233,7 @@ func BenchmarkLiveWorkConservingThroughput(b *testing.B) {
 			var bBytes int64
 			start := time.Now()
 			for time.Since(start) < window {
-				n, err := cli.ReadFileAt(context.Background(), 0, reqB, 0, io.Discard, nil)
+				n, err := cli.ReadRange(context.Background(), 0, reqB, 0, 0, io.Discard, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -312,7 +312,7 @@ func BenchmarkLiveStripedReadThroughput(b *testing.B) {
 					defer wg.Done()
 					for {
 						start := time.Now()
-						if _, err := cli.ReadFileAt(context.Background(), 0, 0, 0, io.Discard, nil); err != nil {
+						if _, err := cli.ReadRange(context.Background(), 0, 0, 0, 0, io.Discard, nil); err != nil {
 							b.Error(err)
 							return
 						}

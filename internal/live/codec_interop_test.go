@@ -59,7 +59,7 @@ func TestLiveMixedCodecStreams(t *testing.T) {
 			t.Fatalf("%s: winner not reachable", tag)
 		}
 		var buf bytes.Buffer
-		n, err := served.ReadFile(0, &buf) // verifies size + checksum internally
+		n, err := readWhole(served, 0, &buf) // verifies size + checksum internally
 		if err != nil {
 			t.Fatalf("%s: stream: %v", tag, err)
 		}
@@ -112,7 +112,7 @@ func TestLiveMixedCodecStreams(t *testing.T) {
 	defer gobCli.Disconnect()
 	_, txG3, _, rxG3 := wire.CodecStats()
 	var buf bytes.Buffer
-	n, err := gobCli.ReadFile(1, &buf)
+	n, err := readWhole(gobCli, 1, &buf)
 	if err != nil {
 		t.Fatalf("gob-pinned stream: %v", err)
 	}

@@ -137,7 +137,7 @@ func TestLiveReplicationMovesRealBytes(t *testing.T) {
 		t.Fatal("RM2 unreachable")
 	}
 	var buf bytes.Buffer
-	n, err := cli.ReadFile(hot, &buf)
+	n, err := readWhole(cli, hot, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestLiveStoreFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	n, err := cli.ReadFile(2, &buf)
+	n, err := readWhole(cli, 2, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}

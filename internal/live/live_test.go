@@ -2,7 +2,12 @@ package live
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"fmt"
+	"io"
+	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -21,6 +26,7 @@ import (
 	"dfsqos/internal/simtime"
 	"dfsqos/internal/units"
 	"dfsqos/internal/vdisk"
+	"dfsqos/internal/wire"
 )
 
 // liveCluster spins up a real TCP deployment on localhost: one MM server,
@@ -177,7 +183,7 @@ func TestLiveControlPlaneEndToEnd(t *testing.T) {
 
 	// Data plane: stream the file and verify size + checksum.
 	var buf bytes.Buffer
-	n, err := served.ReadFile(0, &buf)
+	n, err := readWhole(served, 0, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +280,7 @@ func TestLiveThrottledDataPlane(t *testing.T) {
 	rmCli, _ := lc.dir.RMClient(1)
 	start := time.Now()
 	var buf bytes.Buffer
-	n, err := rmCli.ReadFile(99, &buf)
+	n, err := readWhole(rmCli, 99, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,6 +323,29 @@ func TestWallScheduler(t *testing.T) {
 	if cancel() {
 		t.Fatal("double cancel returned true")
 	}
+	// Zero-delay timers fire while After is still registering them (an
+	// RM's replication path schedules these); under `make race` this
+	// catches the callback reading its own timer unordered, and every
+	// fired timer must have left the set.
+	var done, callers sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		callers.Add(1)
+		go func() {
+			defer callers.Done()
+			for i := 0; i < 500; i++ {
+				done.Add(1)
+				s.After(0, func(simtime.Time) { done.Done() })
+			}
+		}()
+	}
+	callers.Wait()
+	done.Wait()
+	s.mu.Lock()
+	left := len(s.timers)
+	s.mu.Unlock()
+	if left != 0 {
+		t.Fatalf("%d fired timers still registered", left)
+	}
 }
 
 func TestWallSchedulerPanicsOnBadScale(t *testing.T) {
@@ -326,4 +355,59 @@ func TestWallSchedulerPanicsOnBadScale(t *testing.T) {
 		}
 	}()
 	NewWallScheduler(0)
+}
+
+// readWhole streams the whole file from c into w, verifying size and
+// checksum against the server's FileEnd.
+func readWhole(c *RMClient, file ids.FileID, w io.Writer) (int64, error) {
+	sum := wire.ChecksumBasis
+	return c.ReadRange(context.Background(), file, 0, 0, 0, w, &sum)
+}
+
+// TestLiveIngestRefusesOversizedDeclaration speaks the inbound-stream
+// protocol by hand: a WriteFile frame declaring more bytes than the disk
+// holds (or fewer than none) must be answered with a served error at once
+// — the RM sizes its receive buffer from that number, so it may not wait
+// for chunks first — and the same connection must then carry an
+// in-capacity upload through to its Ack.
+func TestLiveIngestRefusesOversizedDeclaration(t *testing.T) {
+	lc := startLiveCluster(t,
+		[]units.BytesPerSec{units.Mbps(50)},
+		nil,
+		replication.DefaultConfig(replication.Static()), 100)
+	defer lc.shutdown()
+	srv := lc.rmSrvs[0]
+
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// A server that believed the declaration sits waiting for chunks; the
+	// deadline turns that into a failure instead of a hang.
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	wc := wire.NewConn(conn)
+	for _, size := range []int64{int64(srv.disk.Capacity()) + 1, 1 << 39, -1} {
+		_, err := wc.Call(wire.KindWriteFile, wire.WriteFile{File: 2, SizeBytes: size})
+		var re wire.RemoteError
+		if !errors.As(err, &re) {
+			t.Fatalf("WriteFile declaring %d bytes: err = %v, want a served RemoteError", size, err)
+		}
+	}
+
+	payload := bytes.Repeat([]byte("in-capacity!"), 4096)
+	sum := wire.ChecksumUpdate(wire.ChecksumBasis, payload)
+	if err := wc.Write(wire.KindWriteFile, wire.WriteFile{File: 2, SizeBytes: int64(len(payload))}); err != nil {
+		t.Fatal(err)
+	}
+	if err := wc.WriteChunk(0, payload); err != nil {
+		t.Fatal(err)
+	}
+	reply, err := wc.Call(wire.KindFileEnd, wire.FileEnd{Size: int64(len(payload)), Checksum: sum})
+	if err != nil || reply.Kind != wire.KindAck {
+		t.Fatalf("upload after the refusals: reply %v, err %v, want Ack", reply.Kind, err)
+	}
+	if got, err := srv.disk.Checksum(FileName(2)); err != nil || got != sum {
+		t.Fatalf("stored checksum %x, err %v, want %x", got, err, sum)
+	}
 }

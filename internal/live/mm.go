@@ -2,12 +2,7 @@ package live
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"io"
-	"net"
-	"sync"
-	"time"
 
 	"dfsqos/internal/ecnp"
 	"dfsqos/internal/faults"
@@ -21,161 +16,18 @@ import (
 // connection; the mapper implementations are internally synchronized.
 // Both the single mm.Manager and the DHT-sharded mm.ShardedManager fit.
 type MMServer struct {
+	server
 	mgr ecnp.Mapper
-	ln  net.Listener
-
-	mu      sync.Mutex
-	closed  bool
-	conns   map[net.Conn]struct{}
-	wg      sync.WaitGroup
-	logf    func(string, ...any)
-	replyTO time.Duration
-	metrics *ServerMetrics
-	inj     faults.Injector
-	tracer  *trace.Tracer
 }
 
 // NewMMServer starts listening on addr ("127.0.0.1:0" for an ephemeral
 // port) and serves mgr until Close.
 func NewMMServer(mgr ecnp.Mapper, addr string) (*MMServer, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("live: mm listen: %w", err)
+	s := &MMServer{mgr: mgr}
+	if err := s.listen("mm", addr, s.handle); err != nil {
+		return nil, err
 	}
-	s := &MMServer{
-		mgr:     mgr,
-		ln:      ln,
-		conns:   make(map[net.Conn]struct{}),
-		logf:    func(string, ...any) {},
-		metrics: nopServerMetrics("mm"),
-	}
-	s.wg.Add(1)
-	go s.acceptLoop()
 	return s, nil
-}
-
-// SetLogger routes diagnostics (default: discard).
-func (s *MMServer) SetLogger(logf func(string, ...any)) {
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
-	s.logf = logf
-}
-
-// SetReplyTimeout arms a per-frame write deadline on every connection
-// accepted after the call, so a client that stops reading cannot wedge a
-// handler goroutine mid-reply. Zero (default) disables the bound.
-func (s *MMServer) SetReplyTimeout(d time.Duration) {
-	s.mu.Lock()
-	s.replyTO = d
-	s.mu.Unlock()
-}
-
-// SetMetrics routes request/error/deadline telemetry (default: no-op).
-// It applies to requests handled after the call.
-func (s *MMServer) SetMetrics(m *ServerMetrics) {
-	if m == nil {
-		m = nopServerMetrics("mm")
-	}
-	s.mu.Lock()
-	s.metrics = m
-	s.mu.Unlock()
-}
-
-// SetFaults arms a fault injector at faults.PointMMHandle (before each
-// request handler; detail is the message kind). Nil disables injection.
-func (s *MMServer) SetFaults(inj faults.Injector) {
-	s.mu.Lock()
-	s.inj = inj
-	s.mu.Unlock()
-}
-
-// SetTracer joins request traces arriving on the wire: every handled
-// message whose frame carries a span context opens a server-side child
-// span ("mm.<Kind>") recorded in tr's ring. Nil (the default) disables
-// server-side spans; untraced frames never open spans either way.
-func (s *MMServer) SetTracer(tr *trace.Tracer) {
-	s.mu.Lock()
-	s.tracer = tr
-	s.mu.Unlock()
-}
-
-func (s *MMServer) injector() faults.Injector {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.inj
-}
-
-func (s *MMServer) tr() *trace.Tracer {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.tracer
-}
-
-// Addr returns the listening address.
-func (s *MMServer) Addr() string { return s.ln.Addr().String() }
-
-// Close stops the listener and all active connections.
-func (s *MMServer) Close() error {
-	s.mu.Lock()
-	s.closed = true
-	err := s.ln.Close()
-	for c := range s.conns {
-		c.Close()
-	}
-	s.mu.Unlock()
-	s.wg.Wait()
-	return err
-}
-
-func (s *MMServer) acceptLoop() {
-	defer s.wg.Done()
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			return
-		}
-		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
-		s.wg.Add(1)
-		go s.serveConn(conn)
-	}
-}
-
-func (s *MMServer) serveConn(conn net.Conn) {
-	defer s.wg.Done()
-	defer func() {
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-		conn.Close()
-	}()
-	wc := wire.NewConn(conn)
-	s.mu.Lock()
-	wc.SetWriteTimeout(s.replyTO)
-	m := s.metrics
-	s.mu.Unlock()
-	for {
-		msg, err := wc.Read()
-		if err != nil {
-			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
-				s.logf("mm: read: %v", err)
-			}
-			return
-		}
-		m.request(msg.Kind)
-		if err := s.handle(wc, msg); err != nil {
-			m.failure(msg.Kind, err)
-			s.logf("mm: handle %v: %v", msg.Kind, err)
-			return
-		}
-	}
 }
 
 // beater is the optional liveness surface of a mapper. mm.Manager and

@@ -2,14 +2,11 @@ package live
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
-	"net"
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"dfsqos/internal/blkio"
 	"dfsqos/internal/ecnp"
@@ -31,19 +28,9 @@ func FileName(f ids.FileID) string { return fmt.Sprintf("%d.video", int32(f)) }
 // delegates to the embedded rm.RM (the same actor the simulation runs) and
 // the data plane streams file contents from a blkio-throttled virtual disk.
 type RMServer struct {
+	server
 	node *rm.RM
 	disk *vdisk.Disk
-	ln   net.Listener
-
-	mu      sync.Mutex
-	closed  bool
-	conns   map[net.Conn]struct{}
-	wg      sync.WaitGroup
-	logf    func(string, ...any)
-	replyTO time.Duration
-	metrics *ServerMetrics
-	inj     faults.Injector
-	tracer  *trace.Tracer
 
 	// Stream QoS state (EnableStreamQoS): one blkio group per admitted
 	// untenanted reservation (keyed by request ID) or one shared group per
@@ -64,81 +51,11 @@ type tenantQoS struct {
 
 // NewRMServer starts serving node and disk on addr.
 func NewRMServer(node *rm.RM, disk *vdisk.Disk, addr string) (*RMServer, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("live: rm listen: %w", err)
+	s := &RMServer{node: node, disk: disk}
+	if err := s.listen(fmt.Sprintf("rm%d", node.Info().ID), addr, s.handle); err != nil {
+		return nil, err
 	}
-	s := &RMServer{
-		node:    node,
-		disk:    disk,
-		ln:      ln,
-		conns:   make(map[net.Conn]struct{}),
-		logf:    func(string, ...any) {},
-		metrics: nopServerMetrics("rm"),
-	}
-	s.wg.Add(1)
-	go s.acceptLoop()
 	return s, nil
-}
-
-// SetLogger routes diagnostics (default: discard).
-func (s *RMServer) SetLogger(logf func(string, ...any)) {
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
-	s.logf = logf
-}
-
-// SetReplyTimeout arms a per-frame write deadline on connections accepted
-// after the call (see MMServer.SetReplyTimeout). Zero disables.
-func (s *RMServer) SetReplyTimeout(d time.Duration) {
-	s.mu.Lock()
-	s.replyTO = d
-	s.mu.Unlock()
-}
-
-// SetMetrics routes request/error/deadline telemetry (default: no-op).
-// It applies to requests handled after the call.
-func (s *RMServer) SetMetrics(m *ServerMetrics) {
-	if m == nil {
-		m = nopServerMetrics("rm")
-	}
-	s.mu.Lock()
-	s.metrics = m
-	s.mu.Unlock()
-}
-
-// SetFaults arms a fault injector on the server's hook sites
-// (faults.PointRMHandle before each control-plane handler,
-// faults.PointRMChunk before each data-plane chunk write). Nil (the
-// default) disables injection entirely.
-func (s *RMServer) SetFaults(inj faults.Injector) {
-	s.mu.Lock()
-	s.inj = inj
-	s.mu.Unlock()
-}
-
-// SetTracer joins request traces arriving on the wire: a handled message
-// whose frame carries a span context opens a server-side child span
-// ("rm.bid", "rm.open", "rm.stream", "rm.ingest", ...) recorded in tr's
-// ring, and a traced stream's chunks go back out carrying the stream
-// span's context. Nil (the default) disables server-side spans.
-func (s *RMServer) SetTracer(tr *trace.Tracer) {
-	s.mu.Lock()
-	s.tracer = tr
-	s.mu.Unlock()
-}
-
-func (s *RMServer) injector() faults.Injector {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.inj
-}
-
-func (s *RMServer) tr() *trace.Tracer {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.tracer
 }
 
 // rmSpanName maps a wire kind to its RM-side span name. The hot and
@@ -231,7 +148,7 @@ func (s *RMServer) EnableStreamQoS(ceilFrac float64) error {
 				WriteAssured: assured, WriteCeil: ceilFor(assured),
 			})
 			if err != nil {
-				s.logf("rm%d: stream qos group for %v: %v", s.node.Info().ID, req, err)
+				s.logf("%s: stream qos group for %v: %v", s.name, req, err)
 				return
 			}
 			s.qosMu.Lock()
@@ -276,7 +193,7 @@ func (s *RMServer) EnableStreamQoS(ceilFrac float64) error {
 				ReadAssured: remaining, ReadCeil: ceilFor(remaining),
 				WriteAssured: remaining, WriteCeil: ceilFor(remaining),
 			}); err != nil {
-				s.logf("rm%d: shrink tenant qos group %v: %v", s.node.Info().ID, tn, err)
+				s.logf("%s: shrink tenant qos group %v: %v", s.name, tn, err)
 			}
 		},
 	)
@@ -295,74 +212,8 @@ func (s *RMServer) qosGroup(req ids.RequestID) *blkio.Group {
 	return s.qosGroups[req]
 }
 
-// Addr returns the listening address.
-func (s *RMServer) Addr() string { return s.ln.Addr().String() }
-
 // Node exposes the embedded RM actor (stats, snapshots).
 func (s *RMServer) Node() *rm.RM { return s.node }
-
-// Close stops the server.
-func (s *RMServer) Close() error {
-	s.mu.Lock()
-	s.closed = true
-	err := s.ln.Close()
-	for c := range s.conns {
-		c.Close()
-	}
-	s.mu.Unlock()
-	s.wg.Wait()
-	return err
-}
-
-func (s *RMServer) acceptLoop() {
-	defer s.wg.Done()
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			return
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			return
-		}
-		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
-		s.wg.Add(1)
-		go s.serveConn(conn)
-	}
-}
-
-func (s *RMServer) serveConn(conn net.Conn) {
-	defer s.wg.Done()
-	defer func() {
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-		conn.Close()
-	}()
-	wc := wire.NewConn(conn)
-	s.mu.Lock()
-	wc.SetWriteTimeout(s.replyTO)
-	m := s.metrics
-	s.mu.Unlock()
-	for {
-		msg, err := wc.Read()
-		if err != nil {
-			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
-				s.logf("rm%d: read: %v", s.node.Info().ID, err)
-			}
-			return
-		}
-		m.request(msg.Kind)
-		if err := s.handle(wc, msg); err != nil {
-			m.failure(msg.Kind, err)
-			s.logf("rm%d: handle %v: %v", s.node.Info().ID, msg.Kind, err)
-			return
-		}
-	}
-}
 
 func (s *RMServer) handle(wc *wire.Conn, msg wire.Msg) error {
 	d := faults.Decide(s.injector(), faults.PointRMHandle, msg.Kind.String())
@@ -522,7 +373,7 @@ func (s *RMServer) streamFile(wc *wire.Conn, req wire.ReadFile, sp *trace.Span) 
 	}
 	rangeSum := wire.ChecksumBasis
 	inj := s.injector()
-	tc := sp.Context() // zero when untraced: chunks degrade to tag-1 frames
+	tc := sp.Context() // zero when untraced: chunks carry no trace slot
 	ctx := context.Background()
 	// Stream QoS: a reservation with its own blkio group is paced by its
 	// assured/ceil pair instead of the disk's shared default group.
@@ -594,8 +445,12 @@ func (s *RMServer) ingestFile(wc *wire.Conn, req wire.WriteFile, sp *trace.Span)
 	if s.disk == nil {
 		return wc.WriteError(fmt.Errorf("rm: no data plane configured"))
 	}
-	if req.SizeBytes < 0 || req.SizeBytes > 1<<40 {
-		return wc.WriteError(fmt.Errorf("rm: implausible inbound size %d", req.SizeBytes))
+	// The declared size comes off an untrusted 20-byte frame and sizes the
+	// receive buffer below, so it is bounded by what the disk could ever
+	// hold before a byte is allocated (WriteRaw would refuse more at the
+	// end of the stream anyway).
+	if req.SizeBytes < 0 || req.SizeBytes > int64(s.disk.Capacity()) {
+		return wc.WriteError(fmt.Errorf("rm: inbound size %d outside disk capacity %v", req.SizeBytes, s.disk.Capacity()))
 	}
 	sp.SetFile(req.File).SetBytes(req.SizeBytes)
 	data := make([]byte, 0, req.SizeBytes)
@@ -796,30 +651,35 @@ func (c *RMClient) stream(fn func(wc *wire.Conn) error) error {
 	return err
 }
 
-// ReadFile streams the whole file into w, verifying size and checksum.
-// It holds a dedicated pooled connection for the duration of the stream.
-func (c *RMClient) ReadFile(file ids.FileID, w io.Writer) (int64, error) {
-	sum := wire.ChecksumBasis
-	return c.ReadFileAt(context.Background(), file, 0, 0, w, &sum)
-}
-
-// ReadFileAt streams the file from offset into w, returning the bytes
-// delivered by this segment. A span context attached to ctx
-// (trace.NewContext) rides the opening ReadFile frame, so the serving
-// RM's "rm.stream" span becomes a child of the caller's segment span. A
-// non-zero req names the QoS reservation the stream rides (the server
-// renews its lease per chunk). sum is the running FNV-1a state carried
-// across failover segments: the caller seeds it with wire.ChecksumBasis
-// before the first segment, and because resumed segments are
-// byte-contiguous with their predecessors, the whole-file checksum in the
-// final FileEnd still verifies. A nil sum skips verification (an offset
-// read with no prior state cannot verify). It holds a dedicated pooled
+// ReadRange is the one file-stream call: it streams the byte range
+// [offset, offset+length) of the file into w — to EOF when length is 0 —
+// and returns the bytes delivered (on error, the resume point). A span
+// context on ctx (trace.NewContext) rides the opening ReadFile frame, so
+// the serving RM's "rm.stream" span becomes a child of the caller's
+// segment span; a non-zero req names the QoS reservation the stream rides
+// (the server renews its lease per chunk). It holds a dedicated pooled
 // connection for the duration of the stream.
-func (c *RMClient) ReadFileAt(ctx context.Context, file ids.FileID, req ids.RequestID, offset int64, w io.Writer, sum *uint64) (int64, error) {
+//
+// sum, when non-nil, is the running FNV-1a state the received bytes are
+// folded into and the FileEnd checksum is verified against (nil skips
+// verification). What that checksum covers follows the request:
+//
+//   - length > 0: FileEnd.Size is the absolute end of the range (clamped
+//     at EOF) and Checksum covers the range bytes only; seed sum with
+//     wire.ChecksumBasis per range. The stripe lanes read this way.
+//   - length 0: FileEnd carries the file's size and whole-file checksum,
+//     so sum is the state carried across failover segments — seeded with
+//     wire.ChecksumBasis before the first; resumed segments are
+//     byte-contiguous, so the final FileEnd still verifies. (An offset
+//     read with no prior state cannot verify: pass nil.)
+func (c *RMClient) ReadRange(ctx context.Context, file ids.FileID, req ids.RequestID, offset, length int64, w io.Writer, sum *uint64) (int64, error) {
+	if length < 0 {
+		return 0, fmt.Errorf("live: ReadRange length %d is negative", length)
+	}
 	pos := offset
 	err := c.stream(func(wc *wire.Conn) error {
 		if err := wc.WriteReadReq(trace.FromContext(ctx), wire.ReadFile{
-			File: file, ChunkSize: 128 * 1024, Offset: offset, Request: req,
+			File: file, ChunkSize: 128 * 1024, Offset: offset, Request: req, Length: length,
 		}); err != nil {
 			return err
 		}
@@ -839,10 +699,14 @@ func (c *RMClient) ReadFileAt(ctx context.Context, file ids.FileID, req ids.Requ
 					msg.Release()
 					return fmt.Errorf("live: out-of-order chunk at %d, want %d", off, pos)
 				}
+				n := len(chunk.Data)
+				if length > 0 && pos+int64(n) > offset+length {
+					msg.Release()
+					return fmt.Errorf("live: range overrun: chunk ends at %d, range ends at %d", pos+int64(n), offset+length)
+				}
 				// chunk.Data borrows the pooled frame buffer: consume it
 				// (sink write + running checksum), then Release so the
 				// stream loop recycles instead of allocating per chunk.
-				n := len(chunk.Data)
 				if _, err := w.Write(chunk.Data); err != nil {
 					msg.Release()
 					return err
@@ -871,84 +735,6 @@ func (c *RMClient) ReadFileAt(ctx context.Context, file ids.FileID, req ids.Requ
 				return wire.RemoteError{Text: "malformed error payload"}
 			default:
 				return fmt.Errorf("live: unexpected %v during stream", msg.Kind)
-			}
-		}
-	})
-	return pos - offset, err
-}
-
-// ReadRange streams exactly the byte range [offset, offset+length) of
-// the file into w (clamped at EOF by the server), returning the bytes
-// delivered. It is the stripe-lane data plane: the request goes out as a
-// ranged ReadFile (trailing length field on the binary fast path), and
-// the serving RM answers with a FileEnd whose Size is the absolute end
-// position of the range and whose Checksum covers only the range bytes.
-// sum, when non-nil, must be seeded with wire.ChecksumBasis: the range
-// checksum is verified against the server's and the folded state is left
-// in *sum so the caller can cross-check segments. A nil sum skips
-// verification. length must be positive. Like ReadFileAt, it holds a
-// dedicated pooled connection for the stream's duration and a span
-// context on ctx rides the opening frame.
-func (c *RMClient) ReadRange(ctx context.Context, file ids.FileID, req ids.RequestID, offset, length int64, w io.Writer, sum *uint64) (int64, error) {
-	if length <= 0 {
-		return 0, fmt.Errorf("live: ReadRange length %d must be positive", length)
-	}
-	pos := offset
-	err := c.stream(func(wc *wire.Conn) error {
-		if err := wc.WriteReadReq(trace.FromContext(ctx), wire.ReadFile{
-			File: file, ChunkSize: 128 * 1024, Offset: offset, Request: req, Length: length,
-		}); err != nil {
-			return err
-		}
-		for {
-			msg, err := wc.Read()
-			if err != nil {
-				return err
-			}
-			switch msg.Kind {
-			case wire.KindFileChunk:
-				chunk, ok := msg.Chunk()
-				if !ok {
-					return fmt.Errorf("live: malformed FileChunk")
-				}
-				if chunk.Offset != pos {
-					off := chunk.Offset
-					msg.Release()
-					return fmt.Errorf("live: out-of-order chunk at %d, want %d", off, pos)
-				}
-				n := len(chunk.Data)
-				if pos+int64(n) > offset+length {
-					msg.Release()
-					return fmt.Errorf("live: range overrun: chunk ends at %d, range ends at %d", pos+int64(n), offset+length)
-				}
-				if _, err := w.Write(chunk.Data); err != nil {
-					msg.Release()
-					return err
-				}
-				if sum != nil {
-					*sum = wire.ChecksumUpdate(*sum, chunk.Data)
-				}
-				msg.Release()
-				pos += int64(n)
-			case wire.KindFileEnd:
-				end, ok := msg.Payload.(wire.FileEnd)
-				if !ok {
-					return fmt.Errorf("live: malformed FileEnd")
-				}
-				if end.Size != pos {
-					return fmt.Errorf("live: range ended at %d bytes, server reports %d", pos, end.Size)
-				}
-				if sum != nil && end.Checksum != *sum {
-					return fmt.Errorf("live: range checksum mismatch")
-				}
-				return nil
-			case wire.KindError:
-				if e, ok := msg.Payload.(wire.Error); ok {
-					return wire.RemoteError{Text: e.Text}
-				}
-				return wire.RemoteError{Text: "malformed error payload"}
-			default:
-				return fmt.Errorf("live: unexpected %v during range stream", msg.Kind)
 			}
 		}
 	})
@@ -1135,23 +921,27 @@ func (d *Directory) RMClient(id ids.RMID) (*RMClient, bool) {
 // StreamAt implements the dfsc failover reader's data plane: it resolves
 // rmID and streams file from offset into w under reservation req,
 // threading the caller's running checksum state across segments (see
-// RMClient.ReadFileAt) and any span context carried by ctx onto the
-// stream's opening frame. It reports the bytes this segment delivered
-// even on error — that is the resume point.
+// RMClient.ReadRange, to-EOF form) and any span context carried by ctx
+// onto the stream's opening frame. It reports the bytes this segment
+// delivered even on error — that is the resume point.
 func (d *Directory) StreamAt(ctx context.Context, rmID ids.RMID, file ids.FileID, req ids.RequestID, offset int64, w io.Writer, sum *uint64) (int64, error) {
 	c, ok := d.RMClient(rmID)
 	if !ok {
 		return 0, fmt.Errorf("live: directory cannot resolve %v", rmID)
 	}
-	return c.ReadFileAt(ctx, file, req, offset, w, sum)
+	return c.ReadRange(ctx, file, req, offset, 0, w, sum)
 }
 
 // StreamRange implements the dfsc stripe scheduler's data plane
 // (dfsc.RangeStreamer): it resolves rmID and streams exactly the byte
 // range [offset, offset+length) of file into w under reservation req,
 // verifying the per-range checksum when sum is seeded with
-// wire.ChecksumBasis (see RMClient.ReadRange).
+// wire.ChecksumBasis (see RMClient.ReadRange). length must be positive: a
+// scheduler's empty segment must not turn into a read to EOF.
 func (d *Directory) StreamRange(ctx context.Context, rmID ids.RMID, file ids.FileID, req ids.RequestID, offset, length int64, w io.Writer, sum *uint64) (int64, error) {
+	if length <= 0 {
+		return 0, fmt.Errorf("live: StreamRange length %d must be positive", length)
+	}
 	c, ok := d.RMClient(rmID)
 	if !ok {
 		return 0, fmt.Errorf("live: directory cannot resolve %v", rmID)

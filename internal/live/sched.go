@@ -53,14 +53,17 @@ func (w *WallScheduler) After(d simtime.Duration, fn func(simtime.Time)) func() 
 		d = 0
 	}
 	wall := time.Duration(float64(d) / w.scale * float64(time.Second))
+	// The callback reads t, so t is assigned and registered under the lock
+	// the callback takes first: a zero-delay timer can fire before
+	// AfterFunc has returned.
 	var t *time.Timer
+	w.mu.Lock()
 	t = time.AfterFunc(wall, func() {
 		w.mu.Lock()
 		delete(w.timers, t)
 		w.mu.Unlock()
 		fn(w.Now())
 	})
-	w.mu.Lock()
 	w.timers[t] = struct{}{}
 	w.mu.Unlock()
 	return func() bool {

@@ -52,7 +52,7 @@ func TestChaosLeaseReclaimRemovesStreamQoSGroup(t *testing.T) {
 	// Request 2's stream dies mid-flight: the scripted drop tears the
 	// connection after the first chunk, so the client sees a transport
 	// error and never sends Close.
-	if _, err := cli.ReadFileAt(context.Background(), 0, 2, 0, io.Discard, nil); err == nil {
+	if _, err := cli.ReadRange(context.Background(), 0, 2, 0, 0, io.Discard, nil); err == nil {
 		t.Fatal("dropped stream completed cleanly")
 	}
 	if n := lc.nodes[1].ActiveReservations(); n != 2 {
@@ -85,7 +85,7 @@ func TestChaosLeaseReclaimRemovesStreamQoSGroup(t *testing.T) {
 	// its assured rate is one catalog bitrate, far under the 100 Mbit/s
 	// root, so a full-speed read must ride borrowed tokens.
 	sum := wire.ChecksumBasis
-	n, err := cli.ReadFileAt(context.Background(), 0, 1, 0, io.Discard, &sum)
+	n, err := cli.ReadRange(context.Background(), 0, 1, 0, 0, io.Discard, &sum)
 	if err != nil {
 		t.Fatalf("survivor stream after sweep: %v", err)
 	}

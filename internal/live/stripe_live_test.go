@@ -32,7 +32,7 @@ func TestLiveRangedReadOverTCP(t *testing.T) {
 		t.Fatal("RM 1 unreachable")
 	}
 	var whole bytes.Buffer
-	size, err := rmCli.ReadFile(0, &whole)
+	size, err := readWhole(rmCli, 0, &whole)
 	if err != nil {
 		t.Fatal(err)
 	}

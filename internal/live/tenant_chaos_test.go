@@ -77,7 +77,7 @@ func TestChaosAbusiveTenantKilledQuotaReclaimed(t *testing.T) {
 			t.Fatalf("victim open %v refused during the storm: %s", req, res.Reason)
 		}
 		t0 := time.Now()
-		n, err := cli.ReadFileAt(context.Background(), 1, req, 0, io.Discard, nil)
+		n, err := cli.ReadRange(context.Background(), 1, req, 0, 0, io.Discard, nil)
 		if err != nil {
 			t.Fatalf("victim read %v: %v", req, err)
 		}

@@ -12,9 +12,9 @@
 // A SpanContext is the wire-portable identity of a span: the trace ID
 // (an ids.RequestID) plus a process-unique span ID. It is small (16
 // bytes), valid only when both halves are non-zero, and travels in
-// both wire codecs: an optional field in the gob envelope and a fixed
-// 16-byte slot in the binary traced prelude (codec tag 2) so the hot
-// data plane stays zero-alloc.
+// both wire codecs: an optional field in the gob envelope and a 16-byte
+// slot in the binary header (present when its flags byte says so) so the
+// hot data plane stays zero-alloc.
 //
 // Spans are started with Tracer.StartRoot (client side, minting a new
 // trace from a request ID, subject to sampling) or Tracer.StartChild

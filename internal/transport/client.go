@@ -37,10 +37,10 @@ type Config struct {
 	// so instrumentation costs a few uncollected atomic ops.
 	Metrics *Metrics
 	// Tenant stamps every connection this client dials with a tenant
-	// identity: frames written on them carry the tenant slot (wire codec
-	// tag 3), so servers can attribute control calls and data streams to
-	// the tenant without any per-message field. Zero (the default) leaves
-	// connections untenanted.
+	// identity: frames written on them carry the tenant slot (flag bit 0
+	// of the binary header), so servers can attribute control calls and
+	// data streams to the tenant without any per-message field. Zero (the
+	// default) leaves connections untenanted.
 	Tenant ids.TenantID
 }
 

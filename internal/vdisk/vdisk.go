@@ -91,18 +91,35 @@ func (d *Disk) Provision(name string, size units.Size) error {
 	if size < 0 {
 		return fmt.Errorf("vdisk: negative size for %q", name)
 	}
+	return d.replace(name, &file{size: size, seed: seedOf(name)})
+}
+
+// replace installs f under name, taking the place of any file already
+// there. An overwrite is charged only the difference — the capacity check
+// runs against used − old + new — and nothing is touched unless it passes,
+// so a refused overwrite leaves the old contents and the accounting as
+// they were.
+func (d *Disk) replace(name string, f *file) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	used := d.used
 	if old, ok := d.files[name]; ok {
-		d.used -= old.size
+		used -= old.size
 	}
-	if d.used+size > d.capacity {
-		return fmt.Errorf("vdisk: provisioning %q (%v) overflows disk (%v of %v used)",
-			name, size, d.used, d.capacity)
+	if used+f.size > d.capacity {
+		return fmt.Errorf("vdisk: storing %q (%v) overflows disk (%v of %v used)",
+			name, f.size, d.used, d.capacity)
 	}
-	d.files[name] = &file{size: size, seed: seedOf(name)}
-	d.used += size
+	d.files[name] = f
+	d.used = used + f.size
 	return nil
+}
+
+// stored wraps a private copy of data as explicit file contents.
+func stored(data []byte) *file {
+	cp := make([]byte, len(data))
+	copy(cp, data)
+	return &file{size: units.Size(len(data)), data: cp}
 }
 
 // Write stores explicit contents under name, charging the write throttle.
@@ -110,20 +127,7 @@ func (d *Disk) Write(ctx context.Context, name string, data []byte) error {
 	if err := d.ctrl.Wait(ctx, d.group, blkio.Write, len(data)); err != nil {
 		return err
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	size := units.Size(len(data))
-	if old, ok := d.files[name]; ok {
-		d.used -= old.size
-	}
-	if d.used+size > d.capacity {
-		return fmt.Errorf("vdisk: writing %q (%v) overflows disk", name, size)
-	}
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	d.files[name] = &file{size: size, data: cp}
-	d.used += size
-	return nil
+	return d.replace(name, stored(data))
 }
 
 // Delete removes a file, reclaiming its space.
@@ -276,20 +280,7 @@ func (d *Disk) ReadAtRaw(name string, p []byte, off int64) (int, error) {
 // WriteRaw stores explicit contents without charging the write throttle,
 // for replica ingestion over the B_REV reserve.
 func (d *Disk) WriteRaw(name string, data []byte) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	size := units.Size(len(data))
-	if old, ok := d.files[name]; ok {
-		d.used -= old.size
-	}
-	if d.used+size > d.capacity {
-		return fmt.Errorf("vdisk: writing %q (%v) overflows disk", name, size)
-	}
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	d.files[name] = &file{size: size, data: cp}
-	d.used += size
-	return nil
+	return d.replace(name, stored(data))
 }
 
 // Checksum computes a cheap rolling checksum of the whole file without
@@ -297,16 +288,23 @@ func (d *Disk) WriteRaw(name string, data []byte) error {
 // per file — contents are immutable once created — so repeated streams of
 // the same file pay the full hash pass only once.
 func (d *Disk) Checksum(name string) (uint64, error) {
+	// The memo is read under the same lock its publisher writes it under:
+	// two cold readers of one file race otherwise.
 	d.mu.RLock()
 	f, ok := d.files[name]
+	var sum uint64
+	var memo bool
+	if ok {
+		sum, memo = f.sum, f.sumOK
+	}
 	d.mu.RUnlock()
 	if !ok {
 		return 0, fmt.Errorf("vdisk: %q not found", name)
 	}
-	if f.sumOK {
-		return f.sum, nil
+	if memo {
+		return sum, nil
 	}
-	var sum uint64 = 14695981039346656037
+	sum = 14695981039346656037
 	buf := make([]byte, 64*1024)
 	for off := int64(0); off < int64(f.size); off += int64(len(buf)) {
 		n := int64(len(buf))

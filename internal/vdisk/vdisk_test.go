@@ -228,3 +228,92 @@ func TestChecksumStability(t *testing.T) {
 		t.Fatal("checksum of missing file succeeded")
 	}
 }
+
+// TestRefusedOverwriteLeavesDiskUntouched fills a disk and then attempts,
+// through each of the three store paths, an overwrite that would overflow
+// it: the error must come back with Used unchanged and the old contents
+// still readable, and the freed-space arithmetic must still be exact
+// afterwards (an overwrite that fits to the byte is accepted, one byte
+// more is refused).
+func TestRefusedOverwriteLeavesDiskUntouched(t *testing.T) {
+	ctx := context.Background()
+	old := bytes.Repeat([]byte("old!"), 10)
+	stores := map[string]func(d *Disk, name string, n int) error{
+		"Provision": func(d *Disk, name string, n int) error { return d.Provision(name, units.Size(n)) },
+		"Write":     func(d *Disk, name string, n int) error { return d.Write(ctx, name, make([]byte, n)) },
+		"WriteRaw":  func(d *Disk, name string, n int) error { return d.WriteRaw(name, make([]byte, n)) },
+	}
+	for label, store := range stores {
+		ctrl, _ := fastController()
+		d, err := New(100, ctrl, "vm1", 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.WriteRaw("a", old); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Provision("b", 60); err != nil {
+			t.Fatal(err)
+		}
+		if d.Used() != 100 {
+			t.Fatalf("%s: Used = %v after filling the disk", label, d.Used())
+		}
+		if err := store(d, "a", 41); err == nil {
+			t.Fatalf("%s: overwrite overflowing the disk by one byte accepted", label)
+		}
+		if d.Used() != 100 {
+			t.Errorf("%s: Used = %v after a refused overwrite, want 100", label, d.Used())
+		}
+		got := make([]byte, len(old))
+		if _, err := d.ReadAtRaw("a", got, 0); (err != nil && err != io.EOF) || !bytes.Equal(got, old) {
+			t.Errorf("%s: old contents after a refused overwrite = %q, %v", label, got, err)
+		}
+		if err := store(d, "c", 1); err == nil {
+			t.Errorf("%s: full disk accepted a new file after a refused overwrite", label)
+		}
+		if err := store(d, "a", 40); err != nil {
+			t.Errorf("%s: exact-fit overwrite refused: %v", label, err)
+		}
+		if d.Used() != 100 {
+			t.Errorf("%s: Used = %v after the exact-fit overwrite, want 100", label, d.Used())
+		}
+	}
+}
+
+// TestChecksumConcurrentColdReaders hashes cold files from several
+// goroutines at once: the first finisher publishes the memo while the
+// others may still be reading it, which `make race` reports if the memo is
+// read outside the lock. The files are small and many because the race
+// detector only reports an access pair whose first stack it can still
+// reconstruct — a long hash pass between the read and the publish hides
+// it. All readers must agree on every sum.
+func TestChecksumConcurrentColdReaders(t *testing.T) {
+	d := newDisk(t)
+	const files, readers = 200, 4
+	for f := 0; f < files; f++ {
+		name := string(rune('a'+f%26)) + string(rune('a'+f/26))
+		d.Provision(name, 64)
+		var sums [readers]uint64
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for i := range sums {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				<-start
+				sum, err := d.Checksum(name)
+				if err != nil {
+					t.Error(err)
+				}
+				sums[i] = sum
+			}(i)
+		}
+		close(start)
+		wg.Wait()
+		for i, sum := range sums {
+			if sum != sums[0] {
+				t.Fatalf("%s: reader %d saw %x, reader 0 saw %x", name, i, sum, sums[0])
+			}
+		}
+	}
+}

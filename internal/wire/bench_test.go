@@ -8,7 +8,6 @@ import (
 
 	"dfsqos/internal/ecnp"
 	"dfsqos/internal/selection"
-	"dfsqos/internal/trace"
 	"dfsqos/internal/units"
 )
 
@@ -46,178 +45,64 @@ func chunkData() []byte {
 	return data
 }
 
+// codecModes are the two sub-cases of every codec benchmark: the binary
+// fast path and the gob baseline it replaced.
+var codecModes = []struct {
+	name string
+	fast bool
+}{{"fast", true}, {"gob", false}}
+
 // BenchmarkEncodeChunk measures the cost of putting one FileChunk frame on
-// the wire: the fast path must be 0 allocs/op (the bench gate pins this),
-// the gob sub-benchmark is the seed baseline it replaced.
+// the wire under each slot combination (no slots, trace, tenant, both).
+// Every fast sub-benchmark must be 0 allocs/op (scripts/bench.sh pins
+// this): neither tracing nor tenancy may put allocations back on the data
+// plane. The gob sub-benchmarks are the seed baseline.
 func BenchmarkEncodeChunk(b *testing.B) {
 	data := chunkData()
-	for _, mode := range []struct {
-		name string
-		fast bool
-	}{{"fast", true}, {"gob", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			c := NewConn(discardRW{})
-			c.SetFastPath(mode.fast)
-			b.SetBytes(benchChunk)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := c.WriteChunk(int64(i)*benchChunk, data); err != nil {
-					b.Fatal(err)
+	for _, s := range slotCases {
+		for _, mode := range codecModes {
+			b.Run(s.name+"/"+mode.name, func(b *testing.B) {
+				c := s.conn(discardRW{}, mode.fast)
+				b.SetBytes(benchChunk)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := c.WriteChunkTraced(s.tc, int64(i)*benchChunk, data); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }
 
-// BenchmarkDecodeChunk measures turning frame bytes back into a FileChunk.
-// The fast path borrows the pooled frame buffer (0 allocs/op with Release);
-// gob re-decodes through reflection each time.
+// BenchmarkDecodeChunk measures turning frame bytes back into a FileChunk
+// under each slot combination. The fast path borrows the pooled frame
+// buffer (0 allocs/op with Release, gated like the encoder); gob
+// re-decodes through reflection each time.
 func BenchmarkDecodeChunk(b *testing.B) {
 	data := chunkData()
-	for _, mode := range []struct {
-		name string
-		fast bool
-	}{{"fast", true}, {"gob", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			var buf bytes.Buffer
-			w := NewConn(&buf)
-			w.SetFastPath(mode.fast)
-			if err := w.WriteChunk(0, data); err != nil {
-				b.Fatal(err)
-			}
-			r := NewConn(&loopRW{frame: buf.Bytes()})
-			r.SetAcceptBinary(true)
-			b.SetBytes(benchChunk)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				msg, err := r.Read()
-				if err != nil {
+	for _, s := range slotCases {
+		for _, mode := range codecModes {
+			b.Run(s.name+"/"+mode.name, func(b *testing.B) {
+				var buf bytes.Buffer
+				if err := s.conn(&buf, mode.fast).WriteChunkTraced(s.tc, 0, data); err != nil {
 					b.Fatal(err)
 				}
-				msg.Release()
-			}
-		})
-	}
-}
-
-// BenchmarkEncodeChunkTraced is BenchmarkEncodeChunk with the 16-byte
-// trace slot on every frame (codec tag 2). The fast sub-benchmark is
-// gated at 0 allocs/op like its untraced sibling: tracing must not put
-// allocations back on the data plane.
-func BenchmarkEncodeChunkTraced(b *testing.B) {
-	data := chunkData()
-	tc := trace.SpanContext{Trace: 42, Span: 7}
-	for _, mode := range []struct {
-		name string
-		fast bool
-	}{{"fast", true}, {"gob", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			c := NewConn(discardRW{})
-			c.SetFastPath(mode.fast)
-			b.SetBytes(benchChunk)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := c.WriteChunkTraced(tc, int64(i)*benchChunk, data); err != nil {
-					b.Fatal(err)
+				r := NewConn(&loopRW{frame: buf.Bytes()})
+				r.SetAcceptBinary(true)
+				b.SetBytes(benchChunk)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					msg, err := r.Read()
+					if err != nil {
+						b.Fatal(err)
+					}
+					msg.Release()
 				}
-			}
-		})
-	}
-}
-
-// BenchmarkDecodeChunkTraced decodes traced chunk frames; the fast path
-// must stay 0 allocs/op (bench gate).
-func BenchmarkDecodeChunkTraced(b *testing.B) {
-	data := chunkData()
-	tc := trace.SpanContext{Trace: 42, Span: 7}
-	for _, mode := range []struct {
-		name string
-		fast bool
-	}{{"fast", true}, {"gob", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			var buf bytes.Buffer
-			w := NewConn(&buf)
-			w.SetFastPath(mode.fast)
-			if err := w.WriteChunkTraced(tc, 0, data); err != nil {
-				b.Fatal(err)
-			}
-			r := NewConn(&loopRW{frame: buf.Bytes()})
-			r.SetAcceptBinary(true)
-			b.SetBytes(benchChunk)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				msg, err := r.Read()
-				if err != nil {
-					b.Fatal(err)
-				}
-				msg.Release()
-			}
-		})
-	}
-}
-
-// BenchmarkEncodeChunkTenant is BenchmarkEncodeChunk on a
-// tenant-stamped connection: every frame carries the 4-byte tenant slot
-// plus the 16-byte trace slot (codec tag 3). The fast sub-benchmark is
-// gated at 0 allocs/op like its untagged siblings: tenancy must not put
-// allocations back on the data plane.
-func BenchmarkEncodeChunkTenant(b *testing.B) {
-	data := chunkData()
-	tc := trace.SpanContext{Trace: 42, Span: 7}
-	for _, mode := range []struct {
-		name string
-		fast bool
-	}{{"fast", true}, {"gob", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			c := NewConn(discardRW{})
-			c.SetFastPath(mode.fast)
-			c.SetTenant(3)
-			b.SetBytes(benchChunk)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := c.WriteChunkTraced(tc, int64(i)*benchChunk, data); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkDecodeChunkTenant decodes tenant-tagged chunk frames; the
-// fast path must stay 0 allocs/op (bench gate).
-func BenchmarkDecodeChunkTenant(b *testing.B) {
-	data := chunkData()
-	tc := trace.SpanContext{Trace: 42, Span: 7}
-	for _, mode := range []struct {
-		name string
-		fast bool
-	}{{"fast", true}, {"gob", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			var buf bytes.Buffer
-			w := NewConn(&buf)
-			w.SetFastPath(mode.fast)
-			w.SetTenant(3)
-			if err := w.WriteChunkTraced(tc, 0, data); err != nil {
-				b.Fatal(err)
-			}
-			r := NewConn(&loopRW{frame: buf.Bytes()})
-			r.SetAcceptBinary(true)
-			b.SetBytes(benchChunk)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				msg, err := r.Read()
-				if err != nil {
-					b.Fatal(err)
-				}
-				msg.Release()
-			}
-		})
+			})
+		}
 	}
 }
 
@@ -225,10 +110,7 @@ func BenchmarkDecodeChunkTenant(b *testing.B) {
 // the full per-frame codec cost without network effects.
 func BenchmarkRoundTrip(b *testing.B) {
 	data := chunkData()
-	for _, mode := range []struct {
-		name string
-		fast bool
-	}{{"fast", true}, {"gob", false}} {
+	for _, mode := range codecModes {
 		b.Run(mode.name, func(b *testing.B) {
 			var buf bytes.Buffer
 			c := NewConn(&buf)
@@ -272,10 +154,7 @@ var ctlBenchPayloads = []struct {
 // encoder and re-describes the type on every frame.
 func BenchmarkEncodeCtl(b *testing.B) {
 	for _, p := range ctlBenchPayloads {
-		for _, mode := range []struct {
-			name string
-			fast bool
-		}{{"fast", true}, {"gob", false}} {
+		for _, mode := range codecModes {
 			b.Run(p.name+"/"+mode.name, func(b *testing.B) {
 				c := NewConn(discardRW{})
 				c.SetFastPath(mode.fast)
@@ -296,10 +175,7 @@ func BenchmarkEncodeCtl(b *testing.B) {
 // into Msg.Payload; gob compiles a decoder for the type on every frame.
 func BenchmarkDecodeCtl(b *testing.B) {
 	for _, p := range ctlBenchPayloads {
-		for _, mode := range []struct {
-			name string
-			fast bool
-		}{{"fast", true}, {"gob", false}} {
+		for _, mode := range codecModes {
 			b.Run(p.name+"/"+mode.name, func(b *testing.B) {
 				var buf bytes.Buffer
 				w := NewConn(&buf)
@@ -328,10 +204,7 @@ func BenchmarkDecodeCtl(b *testing.B) {
 // and checksumming them — the shape of the RM data plane minus the kernel.
 func BenchmarkStreamThroughput(b *testing.B) {
 	data := chunkData()
-	for _, mode := range []struct {
-		name string
-		fast bool
-	}{{"fast", true}, {"gob", false}} {
+	for _, mode := range codecModes {
 		b.Run(mode.name, func(b *testing.B) {
 			cw, cr := net.Pipe()
 			w := NewConn(cw)

@@ -1,24 +1,24 @@
 // Fast-path binary codec for the data plane, the per-open negotiation and
-// other high-frequency frames. The frame header carries a one-byte codec
+// other high-frequency frames. The frame prelude carries a one-byte codec
 // tag, so every frame independently declares how its body is encoded: gob
-// (tag 0, the stateless reflection codec every kind supports), binary v1
-// (tag 1, a hand-rolled fixed-layout encoding for the hot kinds), or
-// traced binary (tag 2, the same layout with a 16-byte trace slot ahead of
-// the kind). All three codecs can interleave freely on one connection —
-// the reader dispatches per frame, and no codec keeps cross-frame state,
-// so the "stateless frame" recovery property of the original gob framing
-// is preserved.
+// (tag 0, the stateless reflection codec every kind supports) or binary
+// (tag 1, a hand-rolled fixed-layout encoding for the hot kinds). The two
+// interleave freely on one connection — the reader dispatches per frame,
+// and neither codec keeps cross-frame state, so the "stateless frame"
+// recovery property of the original gob framing is preserved.
 //
-// Binary v1 body layout (big-endian throughout):
+// Binary body layout (big-endian throughout):
 //
-//	[0:2]  uint16 kind
-//	[2:]   payload, fixed layout per kind:
+//	[0]    uint8 flags: bit 0 = tenant slot present, bit 1 = trace slot
+//	       present; any other bit set is a CodecError
+//	[..]   int32 tenant ID (ids.TenantID)            — only with bit 0
+//	[..]   int64 trace ID (ids.RequestID) | uint64 span ID — only with bit 1
+//	[..]   uint16 kind
+//	[..]   payload, fixed layout per kind:
 //	  FileChunk:  offset u64 | data (rest of body, length implicit)
 //	  FileEnd:    size u64 | checksum u64
-//	  ReadFile:   file i32 | chunkSize i64 | offset i64 | request i64 [| length i64]
-//	              (the trailing length is present only for ranged reads —
-//	              Length > 0 — so a whole-file request frames byte-identically
-//	              to the pre-ranged layout; the decoder accepts both lengths)
+//	  ReadFile:   file i32 | chunkSize i64 | offset i64 | request i64 | length i64
+//	              (length 0 = stream to EOF)
 //	  WriteFile:  file i32 | sizeBytes i64 | replication i64
 //	  Ack:        (empty)
 //	  Error:      text (rest of body, UTF-8)
@@ -36,51 +36,40 @@
 //	  OpenResult: ok u8 | reason (rest of body, UTF-8)
 //	  Close:      request i64                                (wire.CloseReq)
 //
+// A connection stamped with a tenant (Conn.SetTenant) sets bit 0 on every
+// binary frame it writes; a write carrying a valid span context sets bit 1.
+// An untenanted, untraced frame is the flags byte, the kind and the
+// payload — one byte more than the payload's own layout.
+//
 // An f64 is the value's IEEE-754 bit pattern (math.Float64bits), so a
 // negative Rem, a NaN and ±Inf arrive bit-exactly; a u8 bool is 0 or 1
 // and any other byte is a CodecError, as is a body of the wrong length.
 // Each decodes to the same value type gob would produce, so a receiver's
 // msg.Payload.(ecnp.CFP) does not care which codec carried the frame.
 //
-// Traced binary (tag 2) body layout:
-//
-//	[0:8]   int64 trace ID (ids.RequestID)
-//	[8:16]  uint64 span ID
-//	[16:]   a binary-v1 body (kind + payload as above)
-//
-// Tenant binary (tag 3) body layout — the tenant slot ahead of the trace
-// slot, claimed per the same versioning rule when tenancy landed:
-//
-//	[0:4]   int32 tenant ID (ids.TenantID)
-//	[4:12]  int64 trace ID (ids.RequestID; zero = untraced)
-//	[12:20] uint64 span ID (zero = untraced)
-//	[20:]   a binary-v1 body (kind + payload as above)
-//
-// A tag-3 frame always carries both slots: a connection stamped with a
-// tenant (Conn.SetTenant) sends every eligible frame as tag 3 whether or
-// not it is traced, with a zero trace slot meaning "untraced", so the
-// data plane never branches per frame on trace presence.
-//
 // All other kinds — registration, the RMs listing, replica bookkeeping,
 // replica offers and stores, the shard beat/mirror/handoff — stay on gob
-// (which carries the trace slot and tenant as optional Msg fields
+// (which carries the trace context and tenant as optional Msg fields
 // instead): they are administrative, sent per RM or per replication, never
 // per open. To promote a kind to the fast path it must be (a)
 // high-frequency enough to matter, (b) fixed-layout (or one-variable-tail
 // like FileChunk/Error/RMList), and (c) versioned here. Two different
 // things can change:
 //
-//   - Adding a kind to binary v1 is not a layout change. No existing
-//     body moves; a reader that predates the kind rejects the frame with
-//     the typed "kind not covered by the binary codec" CodecError, exactly
-//     as it rejects any kind it never knew, and a writer talking to such a
-//     peer pins the connection to gob (SetFastPath(false)), which every
-//     kind still speaks. The seven negotiation bodies joined v1 this way.
-//   - Changing an existing kind's layout bumps the codec tag (as the trace
-//     slot did, claiming tag 2, and the tenant slot did, claiming tag 3)
-//     rather than mutating the layout in place, so mixed-version peers
-//     fail with a typed CodecError instead of silently misparsing. A field
-//     added to selection.Bid is this case.
+//   - Adding a kind, or a flag bit with its slot, is not a layout change.
+//     No existing body moves; a reader that predates the addition rejects
+//     the frame with a typed CodecError ("kind not covered by the binary
+//     codec", "unknown flag bits"), exactly as it rejects any kind it never
+//     knew, and a writer talking to such a peer pins the connection to gob
+//     (SetFastPath(false)), which every kind still speaks. The seven
+//     negotiation bodies joined this way.
+//   - Changing an existing body's layout bumps the codec tag rather than
+//     mutating the layout in place, so mixed-version peers fail with a
+//     typed CodecError ("unknown codec tag") instead of silently
+//     misparsing. A field added to selection.Bid is this case. Tags 2 and
+//     3 — this same body behind a fixed trace slot and fixed tenant +
+//     trace slots, before the flags byte existed — are gone and rejected
+//     like any unknown tag.
 //
 // Buffer ownership: encode and decode both borrow scratch buffers from a
 // sync.Pool. On the read side, a fast-path FileChunk's Data slice points
@@ -107,17 +96,12 @@ import (
 // header).
 type Codec uint8
 
-// The wire codecs. CodecGob is the universal fallback; CodecBinary is
-// fast-path binary v1; CodecBinaryTraced is binary v1 carrying a
-// 16-byte trace slot ahead of the kind field; CodecBinaryTenant is
-// binary v1 carrying a 4-byte tenant slot and the 16-byte trace slot
-// (see below). Per the versioning rule, each slot got its own tag
-// instead of mutating v1's layout in place.
+// The wire codecs. CodecGob is the universal fallback; CodecBinary is the
+// fast path, whose flags byte says which optional slots (tenant, trace)
+// precede the kind field.
 const (
-	CodecGob          Codec = 0
-	CodecBinary       Codec = 1
-	CodecBinaryTraced Codec = 2
-	CodecBinaryTenant Codec = 3
+	CodecGob    Codec = 0
+	CodecBinary Codec = 1
 )
 
 // String implements fmt.Stringer for diagnostics.
@@ -127,10 +111,6 @@ func (c Codec) String() string {
 		return "gob"
 	case CodecBinary:
 		return "binary"
-	case CodecBinaryTraced:
-		return "binary-traced"
-	case CodecBinaryTenant:
-		return "binary-tenant"
 	}
 	return fmt.Sprintf("codec(%d)", uint8(c))
 }
@@ -193,27 +173,61 @@ const (
 	// length followed by the 1-byte codec tag. The length excludes the
 	// prelude itself.
 	headerSize = 5
-	// kindSize is the binary-codec kind field at the start of the body.
-	kindSize = 2
-	// traceSize is the fixed trace slot a CodecBinaryTraced body starts
-	// with: trace ID (int64, an ids.RequestID) + span ID (uint64), both
-	// big-endian. The slot precedes the kind field, so the rest of the
-	// body is exactly a binary-v1 body.
-	traceSize = 16
-	// tenantSize is the fixed tenant slot a CodecBinaryTenant body
-	// starts with: the tenant ID (int32), big-endian, ahead of the trace
-	// slot.
+	// flagsSize is the flags byte every binary body starts with.
+	flagsSize = 1
+	// tenantSize is the optional tenant slot: the tenant ID (int32).
 	tenantSize = 4
-	// chunkPrefixLen is everything in a binary FileChunk frame before
-	// the data bytes: header + kind + offset.
-	chunkPrefixLen = headerSize + kindSize + 8
-	// tracedChunkPrefixLen is the same prefix with the trace slot
-	// between the header and the kind field (tag 2 frames).
-	tracedChunkPrefixLen = headerSize + traceSize + kindSize + 8
-	// tenantChunkPrefixLen is the tag-3 prefix: tenant slot, then trace
-	// slot, then kind + offset.
-	tenantChunkPrefixLen = headerSize + tenantSize + traceSize + kindSize + 8
+	// traceSize is the optional trace slot: trace ID (int64, an
+	// ids.RequestID) + span ID (uint64).
+	traceSize = 16
+	// kindSize is the kind field; the payload follows it.
+	kindSize = 2
+	// maxChunkPrefixLen is everything in a binary FileChunk frame before
+	// the data bytes when both slots are present: prelude + flags + tenant
+	// + trace + kind + offset. An unslotted chunk's prefix is 16 bytes.
+	maxChunkPrefixLen = headerSize + flagsSize + tenantSize + traceSize + kindSize + 8
 )
+
+// The flag bits of a binary body's first byte.
+const (
+	flagTenant byte = 1 << 0
+	flagTrace  byte = 1 << 1
+	knownFlags      = flagTenant | flagTrace
+)
+
+// appendFramePrefix lays down what every binary frame starts with: the
+// prelude (length left zero for the caller to patch once the body is
+// complete), the flags byte, and the slots the flags announce — the tenant
+// slot when t is a real tenant, the trace slot when tc is a valid span
+// context. The kind field and payload follow. It is the single writer of
+// the header, shared by the control path (Write) and the chunk path
+// (WriteChunk).
+func appendFramePrefix(b []byte, t ids.TenantID, tc trace.SpanContext) []byte {
+	b = append(b, 0, 0, 0, 0, byte(CodecBinary), 0)
+	flagsAt := len(b) - 1
+	if t.Valid() {
+		b[flagsAt] |= flagTenant
+		b = binary.BigEndian.AppendUint32(b, uint32(int32(t)))
+	}
+	if tc.Valid() {
+		b[flagsAt] |= flagTrace
+		b = binary.BigEndian.AppendUint64(b, uint64(int64(tc.Trace)))
+		b = binary.BigEndian.AppendUint64(b, tc.Span)
+	}
+	return b
+}
+
+// sealFrame patches the body length into a fully assembled frame's
+// prelude; extra is the size of body bytes that travel outside frame (a
+// chunk's data slice). It refuses a body past MaxFrame.
+func sealFrame(frame []byte, extra int, kind Kind) error {
+	n := len(frame) - headerSize + extra
+	if n > MaxFrame {
+		return &FrameTooLargeError{Kind: kind, Size: int64(n), Cap: MaxFrame, Outgoing: true}
+	}
+	binary.BigEndian.PutUint32(frame[:4], uint32(n))
+	return nil
+}
 
 // bufPool recycles frame-sized scratch buffers across Write and Read.
 // Entries are *[]byte so Put does not allocate a slice header.
@@ -247,141 +261,78 @@ func putBuf(bp *[]byte) {
 // chunk. Msg.Release feeds it.
 var chunkPool = sync.Pool{New: func() any { return new(FileChunk) }}
 
-// readReqPool recycles the ReadFile structs ranged fast-path requests
-// decode into: a striped read issues one request per segment, so the
-// request decode must stay off the per-segment allocation budget the
-// same way chunks do. Msg.Release feeds it. Legacy 28-byte bodies keep
-// decoding to a plain ReadFile value (callers compare those payloads by
-// interface equality).
+// readReqPool recycles the ReadFile structs fast-path requests decode
+// into: a striped read issues one request per segment, so the request
+// decode must stay off the per-segment allocation budget the same way
+// chunks do. Msg.Release feeds it.
 var readReqPool = sync.Pool{New: func() any { return new(ReadFile) }}
 
 // chunkFrame is the reusable scratch for a single-writev chunk write: the
-// frame prefix (15 bytes untraced, 31 with the trace slot, 35 with the
-// tenant + trace slots) plus a two-element net.Buffers that lets the data
-// slice go to the kernel without being copied into a contiguous frame.
-// bufs is rebuilt from arr on every use because Buffers.WriteTo consumes
-// the slice it writes (advancing it to zero length AND zero capacity) —
-// an append into the consumed slice would reallocate per call.
+// frame prefix (16 bytes unslotted, up to 36 with the tenant and trace
+// slots) plus a two-element net.Buffers that lets the data slice go to the
+// kernel without being copied into a contiguous frame. bufs is rebuilt
+// from arr on every use because Buffers.WriteTo consumes the slice it
+// writes (advancing it to zero length AND zero capacity) — an append into
+// the consumed slice would reallocate per call.
 type chunkFrame struct {
-	prefix [tenantChunkPrefixLen]byte
+	prefix [maxChunkPrefixLen]byte
 	arr    [2][]byte
 	bufs   net.Buffers
 }
 
 var chunkFramePool = sync.Pool{New: func() any { return new(chunkFrame) }}
 
-// WriteChunk sends one FileChunk frame. On the fast path it is the
-// zero-allocation hot loop of every data stream: the 15-byte prefix and
-// the caller's data slice go out as a single writev (net.Buffers), so
+// WriteChunk sends one FileChunk frame: WriteChunkTraced with no span
+// context.
+func (c *Conn) WriteChunk(offset int64, data []byte) error {
+	return c.WriteChunkTraced(trace.SpanContext{}, offset, data)
+}
+
+// WriteChunkTraced sends one FileChunk frame carrying the span context tc
+// (zero: untraced), so the serving RM's stream span and the client's
+// segment span share one trace. On the fast path it is the zero-allocation
+// hot loop of every data stream: the prefix — 16 bytes, plus the tenant
+// and trace slots when present — is assembled in a pooled array and goes
+// out with the caller's data slice as a single writev (net.Buffers), so
 // each chunk costs one syscall and zero copies. data is only read, never
 // retained, so the caller may reuse its buffer immediately. With the fast
 // path disabled it degrades to the gob frame Write would produce.
-func (c *Conn) WriteChunk(offset int64, data []byte) error {
+func (c *Conn) WriteChunkTraced(tc trace.SpanContext, offset int64, data []byte) error {
 	if !c.fastWrite.Load() {
-		return c.writeGob(KindFileChunk, FileChunk{Offset: offset, Data: data})
-	}
-	if t := c.tenantID(); t.Valid() {
-		return c.writeChunkTenant(t, trace.SpanContext{}, offset, data)
-	}
-	body := kindSize + 8 + len(data)
-	if body > MaxFrame {
-		return &FrameTooLargeError{Kind: KindFileChunk, Size: int64(body), Cap: MaxFrame, Outgoing: true}
+		return c.writeGobMsg(Msg{Kind: KindFileChunk, Payload: FileChunk{Offset: offset, Data: data}, Trace: tc})
 	}
 	f := chunkFramePool.Get().(*chunkFrame)
-	binary.BigEndian.PutUint32(f.prefix[0:4], uint32(body))
-	f.prefix[4] = byte(CodecBinary)
-	binary.BigEndian.PutUint16(f.prefix[5:7], uint16(KindFileChunk))
-	binary.BigEndian.PutUint64(f.prefix[7:15], uint64(offset))
-	if err := c.writevChunk(f, f.prefix[:chunkPrefixLen], data); err != nil {
+	prefix := appendFramePrefix(f.prefix[:0], c.tenantID(), tc)
+	prefix = binary.BigEndian.AppendUint16(prefix, uint16(KindFileChunk))
+	prefix = binary.BigEndian.AppendUint64(prefix, uint64(offset))
+	if err := sealFrame(prefix, len(data), KindFileChunk); err != nil {
+		chunkFramePool.Put(f)
+		return err
+	}
+	if err := c.writevChunk(f, prefix, data); err != nil {
 		return err
 	}
 	codecMet.Load().txBinary.Inc()
 	return nil
 }
 
-// WriteChunkTraced is WriteChunk with the span context tc in the frame's
-// trace slot (codec tag 2), so the serving RM's stream span and the
-// client's segment span share one trace. A zero tc degrades to the
-// untraced WriteChunk; the traced path keeps the zero-allocation
-// single-writev contract (the trace slot lives in the pooled prefix).
-func (c *Conn) WriteChunkTraced(tc trace.SpanContext, offset int64, data []byte) error {
-	if !tc.Valid() {
-		return c.WriteChunk(offset, data)
-	}
-	if !c.fastWrite.Load() {
-		return c.writeGobMsg(Msg{Kind: KindFileChunk, Payload: FileChunk{Offset: offset, Data: data}, Trace: tc})
-	}
-	if t := c.tenantID(); t.Valid() {
-		return c.writeChunkTenant(t, tc, offset, data)
-	}
-	body := traceSize + kindSize + 8 + len(data)
-	if body > MaxFrame {
-		return &FrameTooLargeError{Kind: KindFileChunk, Size: int64(body), Cap: MaxFrame, Outgoing: true}
-	}
-	f := chunkFramePool.Get().(*chunkFrame)
-	binary.BigEndian.PutUint32(f.prefix[0:4], uint32(body))
-	f.prefix[4] = byte(CodecBinaryTraced)
-	binary.BigEndian.PutUint64(f.prefix[5:13], uint64(int64(tc.Trace)))
-	binary.BigEndian.PutUint64(f.prefix[13:21], tc.Span)
-	binary.BigEndian.PutUint16(f.prefix[21:23], uint16(KindFileChunk))
-	binary.BigEndian.PutUint64(f.prefix[23:31], uint64(offset))
-	if err := c.writevChunk(f, f.prefix[:tracedChunkPrefixLen], data); err != nil {
-		return err
-	}
-	codecMet.Load().txTraced.Inc()
-	return nil
-}
-
-// WriteReadReq sends one (possibly ranged) ReadFile request. It is the
-// per-segment control frame of a striped read, so the fast path keeps it
-// at zero allocations: the payload rides a pooled *ReadFile, and boxing a
-// pointer into the payload interface does not allocate the way boxing the
-// 5-field struct value would. A zero tc degrades to the untraced frame;
-// with the fast path disabled it degrades to the gob frame Write would
-// produce (gob sees the plain value — pointers need no registration).
+// WriteReadReq sends one ReadFile request. It is the per-segment control
+// frame of a striped read, so the fast path keeps it at zero allocations:
+// the payload rides a pooled *ReadFile, and boxing a pointer into the
+// payload interface does not allocate the way boxing the 5-field struct
+// value would. With the fast path disabled it degrades to the gob frame
+// Write would produce (gob sees the plain value — pointers need no
+// registration).
 func (c *Conn) WriteReadReq(tc trace.SpanContext, req ReadFile) error {
 	if !c.fastWrite.Load() {
-		if tc.Valid() {
-			return c.writeGobMsg(Msg{Kind: KindReadFile, Payload: req, Trace: tc})
-		}
-		return c.writeGob(KindReadFile, req)
+		return c.writeGobMsg(Msg{Kind: KindReadFile, Payload: req, Trace: tc})
 	}
 	rq := readReqPool.Get().(*ReadFile)
 	*rq = req
-	var err error
-	if tc.Valid() {
-		err = c.WriteTraced(tc, KindReadFile, rq)
-	} else {
-		err = c.Write(KindReadFile, rq)
-	}
+	err := c.WriteTraced(tc, KindReadFile, rq)
 	*rq = ReadFile{}
 	readReqPool.Put(rq)
 	return err
-}
-
-// writeChunkTenant sends one FileChunk frame under codec tag 3: the
-// tenant slot, the trace slot (zero when untraced), then the binary-v1
-// chunk body. Same pooled single-writev discipline as the untagged
-// paths, so a tenant-stamped connection's data plane stays at zero
-// allocations per chunk.
-func (c *Conn) writeChunkTenant(t ids.TenantID, tc trace.SpanContext, offset int64, data []byte) error {
-	body := tenantSize + traceSize + kindSize + 8 + len(data)
-	if body > MaxFrame {
-		return &FrameTooLargeError{Kind: KindFileChunk, Size: int64(body), Cap: MaxFrame, Outgoing: true}
-	}
-	f := chunkFramePool.Get().(*chunkFrame)
-	binary.BigEndian.PutUint32(f.prefix[0:4], uint32(body))
-	f.prefix[4] = byte(CodecBinaryTenant)
-	binary.BigEndian.PutUint32(f.prefix[5:9], uint32(int32(t)))
-	binary.BigEndian.PutUint64(f.prefix[9:17], uint64(int64(tc.Trace)))
-	binary.BigEndian.PutUint64(f.prefix[17:25], tc.Span)
-	binary.BigEndian.PutUint16(f.prefix[25:27], uint16(KindFileChunk))
-	binary.BigEndian.PutUint64(f.prefix[27:35], uint64(offset))
-	if err := c.writevChunk(f, f.prefix[:tenantChunkPrefixLen], data); err != nil {
-		return err
-	}
-	codecMet.Load().txTenant.Inc()
-	return nil
 }
 
 // writevChunk pushes prefix+data as a single writev under the write lock
@@ -405,8 +356,8 @@ func (c *Conn) writevChunk(f *chunkFrame, prefix, data []byte) error {
 	return nil
 }
 
-// appendBinary appends the binary-v1 body (kind + payload) for one
-// eligible (kind, payload) pair to b. It reports false when the pair is
+// appendBinary appends the kind field and payload for one eligible
+// (kind, payload) pair to b. It reports false when the pair is
 // not fast-path encodable, leaving b's length unchanged.
 func appendBinary(b []byte, kind Kind, payload any) ([]byte, bool) {
 	start := len(b)
@@ -434,12 +385,7 @@ func appendBinary(b []byte, kind Kind, payload any) ([]byte, bool) {
 		b = binary.BigEndian.AppendUint64(b, uint64(int64(p.ChunkSize)))
 		b = binary.BigEndian.AppendUint64(b, uint64(p.Offset))
 		b = binary.BigEndian.AppendUint64(b, uint64(p.Request))
-		// The length field is appended only for ranged reads, keeping
-		// whole-file request frames byte-identical to the pre-ranged
-		// layout (see the layout comment at the top of this file).
-		if p.Length > 0 {
-			b = binary.BigEndian.AppendUint64(b, uint64(p.Length))
-		}
+		b = binary.BigEndian.AppendUint64(b, uint64(p.Length))
 	case KindWriteFile:
 		p, ok := payload.(WriteFile)
 		if !ok {
@@ -558,7 +504,43 @@ func appendBool(b []byte, v bool) []byte {
 	return append(b, 0)
 }
 
-// decodeBinary parses a binary-v1 body. bp is the pooled buffer backing
+// decodeFrame parses one binary frame body: it peels the flags byte and
+// the slots it announces into the returned Msg's Tenant and Trace, then
+// hands the rest (kind + payload) to decodeBinary. An unknown flag bit or
+// a body that ends inside a slot is a typed *CodecError. bp and retained
+// are decodeBinary's.
+func decodeFrame(body []byte, bp *[]byte) (msg Msg, retained bool, err error) {
+	if len(body) < flagsSize {
+		return Msg{}, false, &CodecError{Codec: CodecBinary, Reason: "body shorter than flags byte"}
+	}
+	flags, rest := body[0], body[flagsSize:]
+	if flags&^knownFlags != 0 {
+		return Msg{}, false, &CodecError{Codec: CodecBinary, Reason: fmt.Sprintf("unknown flag bits %#02x", flags&^knownFlags)}
+	}
+	var tenant ids.TenantID
+	var tc trace.SpanContext
+	if flags&flagTenant != 0 {
+		if len(rest) < tenantSize {
+			return Msg{}, false, &CodecError{Codec: CodecBinary, Reason: "body shorter than tenant slot"}
+		}
+		tenant = ids.TenantID(int32(binary.BigEndian.Uint32(rest)))
+		rest = rest[tenantSize:]
+	}
+	if flags&flagTrace != 0 {
+		if len(rest) < traceSize {
+			return Msg{}, false, &CodecError{Codec: CodecBinary, Reason: "body shorter than trace slot"}
+		}
+		tc.Trace = ids.RequestID(int64(binary.BigEndian.Uint64(rest)))
+		tc.Span = binary.BigEndian.Uint64(rest[8:])
+		rest = rest[traceSize:]
+	}
+	msg, retained, err = decodeBinary(rest, bp)
+	msg.Tenant, msg.Trace = tenant, tc
+	return msg, retained, err
+}
+
+// decodeBinary parses the kind field and payload of a binary body (what
+// follows the flags byte and slots). bp is the pooled buffer backing
 // body; when the decoded payload borrows from it (FileChunk keeps its
 // Data in place instead of copying), the returned Msg carries the loan
 // and retained is true — the caller must NOT putBuf it, Msg.Release will.
@@ -596,24 +578,16 @@ func decodeBinary(body []byte, bp *[]byte) (msg Msg, retained bool, err error) {
 			Checksum: binary.BigEndian.Uint64(p[8:16]),
 		}}, false, nil
 	case KindReadFile:
-		switch len(p) {
-		case 28: // legacy whole-file layout: decode to a plain value
-			return Msg{Kind: kind, Payload: ReadFile{
-				File:      ids.FileID(int32(binary.BigEndian.Uint32(p[:4]))),
-				ChunkSize: int(int64(binary.BigEndian.Uint64(p[4:12]))),
-				Offset:    int64(binary.BigEndian.Uint64(p[12:20])),
-				Request:   ids.RequestID(int64(binary.BigEndian.Uint64(p[20:28]))),
-			}}, false, nil
-		case 36: // ranged layout with the trailing length field
-			rq := readReqPool.Get().(*ReadFile)
-			rq.File = ids.FileID(int32(binary.BigEndian.Uint32(p[:4])))
-			rq.ChunkSize = int(int64(binary.BigEndian.Uint64(p[4:12])))
-			rq.Offset = int64(binary.BigEndian.Uint64(p[12:20]))
-			rq.Request = ids.RequestID(int64(binary.BigEndian.Uint64(p[20:28])))
-			rq.Length = int64(binary.BigEndian.Uint64(p[28:36]))
-			return Msg{Kind: kind, Payload: rq, rreq: rq}, false, nil
+		if len(p) != 36 {
+			return badLen()
 		}
-		return badLen()
+		rq := readReqPool.Get().(*ReadFile)
+		rq.File = ids.FileID(int32(binary.BigEndian.Uint32(p[:4])))
+		rq.ChunkSize = int(int64(binary.BigEndian.Uint64(p[4:12])))
+		rq.Offset = int64(binary.BigEndian.Uint64(p[12:20]))
+		rq.Request = ids.RequestID(int64(binary.BigEndian.Uint64(p[20:28])))
+		rq.Length = int64(binary.BigEndian.Uint64(p[28:36]))
+		return Msg{Kind: kind, Payload: rq, rreq: rq}, false, nil
 	case KindWriteFile:
 		if len(p) != 20 {
 			return badLen()

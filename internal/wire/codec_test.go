@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"reflect"
 	"strings"
@@ -27,68 +28,175 @@ func writeRawFrame(buf *bytes.Buffer, codec Codec, body []byte) {
 	buf.Write(body)
 }
 
-// binaryBody assembles a binary-v1 body: kind field plus raw payload bytes.
-func binaryBody(kind Kind, payload []byte) []byte {
-	b := binary.BigEndian.AppendUint16(nil, uint16(kind))
-	return append(b, payload...)
+// slotCase is one way of filling a binary frame's two optional slots. The
+// four cases are the whole header space, so every test that is about the
+// header rather than about one payload runs over all of them.
+type slotCase struct {
+	name   string
+	tenant ids.TenantID
+	tc     trace.SpanContext
 }
 
-func TestFastPathFramesCarryBinaryTag(t *testing.T) {
-	// Every eligible kind must leave a fast-path connection with the
-	// binary codec tag and round-trip intact.
-	cases := []struct {
-		kind Kind
-		body any
-	}{
+var (
+	testTC     = trace.SpanContext{Trace: ids.RequestID(0x1122334455), Span: 0x99}
+	testTenant = ids.TenantID(42)
+
+	slotPlain       = slotCase{"plain", ids.NoneTenant, trace.SpanContext{}}
+	slotTrace       = slotCase{"trace", ids.NoneTenant, testTC}
+	slotTenant      = slotCase{"tenant", testTenant, trace.SpanContext{}}
+	slotTenantTrace = slotCase{"tenant-trace", testTenant, testTC}
+	slotCases       = []slotCase{slotPlain, slotTrace, slotTenant, slotTenantTrace}
+)
+
+// header is what a body written under s starts with: the flags byte and
+// the slots it announces. (The layout tests pin these bytes literally;
+// everything else forges input with the writer's own function.)
+func (s slotCase) header() []byte {
+	return appendFramePrefix(nil, s.tenant, s.tc)[headerSize:]
+}
+
+// body assembles a binary body under s: header, kind field, raw payload.
+func (s slotCase) body(kind Kind, payload []byte) []byte {
+	return append(binary.BigEndian.AppendUint16(s.header(), uint16(kind)), payload...)
+}
+
+// binaryBody is a slotless binary body: flags 0, kind field, raw payload.
+func binaryBody(kind Kind, payload []byte) []byte { return slotPlain.body(kind, payload) }
+
+// conn wraps rw in a connection stamped with s's tenant that writes the
+// given codec and accepts both, whatever the build's defaults are.
+func (s slotCase) conn(rw io.ReadWriter, fast bool) *Conn {
+	c := NewConn(rw)
+	c.SetFastPath(fast)
+	c.SetAcceptBinary(true)
+	c.SetTenant(s.tenant)
+	return c
+}
+
+// checkFrame fails the test unless frame left under the expected codec
+// tag and, on the fast path, starts with exactly s's flags and slots.
+func (s slotCase) checkFrame(t *testing.T, frame []byte, fast bool) {
+	t.Helper()
+	want := CodecGob
+	if fast {
+		want = CodecBinary
+	}
+	if got := Codec(frame[4]); got != want {
+		t.Fatalf("%s: frame went out as %v, want %v", s.name, got, want)
+	}
+	if fast && !bytes.HasPrefix(frame[headerSize:], s.header()) {
+		t.Fatalf("%s: body starts % x, want flags and slots % x", s.name, frame[headerSize:headerSize+len(s.header())], s.header())
+	}
+}
+
+// read decodes the one frame buffered on c's stream and checks that it
+// delivers s's tenant and span context and leaves nothing unread.
+func (s slotCase) read(t *testing.T, c *Conn, buf *bytes.Buffer, kind Kind) Msg {
+	t.Helper()
+	msg, err := c.Read()
+	if err != nil {
+		t.Fatalf("%s: %v: decode: %v", s.name, kind, err)
+	}
+	if msg.Kind != kind || msg.Tenant != s.tenant || msg.Trace != s.tc {
+		t.Fatalf("%s: decoded kind %v tenant %v trace %+v, want %v %v %+v",
+			s.name, msg.Kind, msg.Tenant, msg.Trace, kind, s.tenant, s.tc)
+	}
+	if buf.Len() != 0 {
+		t.Fatalf("%s: %v left %d bytes unread", s.name, kind, buf.Len())
+	}
+	return msg
+}
+
+// roundTrip writes (kind, payload) under s, on the fast path or pinned to
+// gob, and reads it back through checkFrame and read.
+func (s slotCase) roundTrip(t *testing.T, fast bool, kind Kind, payload any) Msg {
+	t.Helper()
+	var buf bytes.Buffer
+	c := s.conn(&buf, fast)
+	if err := c.WriteTraced(s.tc, kind, payload); err != nil {
+		t.Fatalf("%s: %v: %v", s.name, kind, err)
+	}
+	s.checkFrame(t, buf.Bytes(), fast)
+	return s.read(t, c, &buf, kind)
+}
+
+// chunkRoundTrip sends one chunk under s through the chunk writer and
+// checks offset, data, slots and the Release contract.
+func (s slotCase) chunkRoundTrip(t *testing.T, fast bool, offset int64, data []byte) {
+	t.Helper()
+	var buf bytes.Buffer
+	c := s.conn(&buf, fast)
+	if err := c.WriteChunkTraced(s.tc, offset, data); err != nil {
+		t.Fatalf("%s: WriteChunkTraced(%d, %d bytes): %v", s.name, offset, len(data), err)
+	}
+	s.checkFrame(t, buf.Bytes(), fast)
+	msg := s.read(t, c, &buf, KindFileChunk)
+	ch, ok := msg.Chunk()
+	if !ok || ch.Offset != offset || !bytes.Equal(ch.Data, data) {
+		t.Fatalf("%s: chunk mangled: %+v", s.name, msg.Payload)
+	}
+	msg.Release()
+	if fast && msg.Payload != nil {
+		t.Fatalf("%s: Release did not nil the payload", s.name)
+	}
+}
+
+// ctlPayload is one (kind, payload) pair.
+type ctlPayload struct {
+	kind    Kind
+	payload any
+}
+
+// fastPayloads is every fast-path kind but FileChunk (which has its own
+// writer): one value for each data-plane and liveness kind, then the
+// per-open set with its edge cases.
+func fastPayloads() []ctlPayload {
+	return append([]ctlPayload{
 		{KindFileEnd, FileEnd{Size: 1 << 40, Checksum: 0xfeedface}},
-		{KindReadFile, ReadFile{File: 7, ChunkSize: 65536, Offset: 1024, Request: 99}},
+		{KindReadFile, ReadFile{File: 7, ChunkSize: 128 << 10, Offset: 8192, Request: 42}},
+		{KindReadFile, ReadFile{File: 7, ChunkSize: 65536, Offset: 4096, Request: 99, Length: 131072}},
 		{KindWriteFile, WriteFile{File: 3, SizeBytes: 1 << 30, Replication: 12}},
 		{KindAck, Ack{}},
 		{KindError, Error{Text: "disk exploded"}},
 		{KindHeartbeat, Heartbeat{RM: 5}},
 		{KindKeepalive, Keepalive{Request: 41}},
+	}, ctlPayloads()...)
+}
+
+// samePayload compares a decoded payload with the value that was sent:
+// floats by bit pattern, a pooled *ReadFile by the value it points at, and
+// an empty RMList as the nil list both codecs decode it to.
+func samePayload(got, want any) bool {
+	if rq, ok := got.(*ReadFile); ok {
+		got = *rq
 	}
-	for _, tc := range cases {
-		var buf bytes.Buffer
-		c := NewConn(&buf)
-		c.SetFastPath(true)
-		if err := c.Write(tc.kind, tc.body); err != nil {
-			t.Fatalf("%v: %v", tc.kind, err)
-		}
-		if got := Codec(buf.Bytes()[4]); got != CodecBinary {
-			t.Errorf("%v went out as %v, want binary", tc.kind, got)
-		}
-		r := NewConn(&buf)
-		r.SetAcceptBinary(true) // decode must work even under a gobonly default
-		msg, err := r.Read()
-		if err != nil {
-			t.Fatalf("%v: decode: %v", tc.kind, err)
-		}
-		if msg.Kind != tc.kind {
-			t.Errorf("%v decoded as %v", tc.kind, msg.Kind)
-		}
-		if msg.Payload != tc.body {
-			t.Errorf("%v payload: got %+v want %+v", tc.kind, msg.Payload, tc.body)
-		}
+	if l, ok := want.(RMList); ok && len(l.RMs) == 0 {
+		want = RMList{}
 	}
-	// Negative offsets and ids survive the unsigned wire layout.
-	var buf bytes.Buffer
-	c := NewConn(&buf)
-	c.SetFastPath(true)
-	if err := c.WriteChunk(-1, []byte{9}); err != nil {
-		t.Fatal(err)
+	return bitEqual(reflect.ValueOf(got), reflect.ValueOf(want))
+}
+
+// runSlotRoundTrips round-trips every fast-path payload under s on the
+// fast path, one subtest per payload named by its kind plus suffix.
+func runSlotRoundTrips(t *testing.T, s slotCase, suffix string) {
+	for _, p := range fastPayloads() {
+		t.Run(p.kind.String()+suffix, func(t *testing.T) {
+			msg := s.roundTrip(t, true, p.kind, p.payload)
+			if !samePayload(msg.Payload, p.payload) {
+				t.Fatalf("payload = %#v, want %#v", msg.Payload, p.payload)
+			}
+			msg.Release()
+		})
 	}
-	r := NewConn(&buf)
-	r.SetAcceptBinary(true)
-	msg, err := r.Read()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ch, ok := msg.Chunk()
-	if !ok || ch.Offset != -1 || len(ch.Data) != 1 || ch.Data[0] != 9 {
-		t.Fatalf("negative-offset chunk mangled: %+v", msg.Payload)
-	}
-	msg.Release()
+}
+
+// TestFastPathFramesCarryBinaryTag: with no tenant and no trace, every
+// eligible kind leaves a fast-path connection under the binary tag with a
+// zero flags byte and round-trips intact; negative offsets survive the
+// unsigned chunk layout.
+func TestFastPathFramesCarryBinaryTag(t *testing.T) {
+	runSlotRoundTrips(t, slotPlain, "")
+	slotPlain.chunkRoundTrip(t, true, -1, []byte{9})
 }
 
 // TestIneligibleKindsStayOnGob: the administrative kinds (registration
@@ -223,16 +331,24 @@ func TestMixedCodecInterleave(t *testing.T) {
 	}
 }
 
+// TestUnknownCodecTagRejected: a tag the reader does not know — the
+// retired traced (2) and tenant (3) tags included — is a typed error
+// naming the tag, and the stream stays frame-synchronised behind it.
 func TestUnknownCodecTagRejected(t *testing.T) {
-	var buf bytes.Buffer
-	writeRawFrame(&buf, Codec(7), []byte{1, 2, 3})
-	_, err := NewConn(&buf).Read()
-	var ce *CodecError
-	if !errors.As(err, &ce) {
-		t.Fatalf("unknown tag not a CodecError: %v", err)
-	}
-	if ce.Codec != Codec(7) || !strings.Contains(ce.Reason, "unknown codec") {
-		t.Fatalf("misreported: %+v", ce)
+	for _, tag := range []Codec{2, 3, 7} {
+		var buf bytes.Buffer
+		writeRawFrame(&buf, tag, slotTenantTrace.body(KindAck, nil))
+		writeRawFrame(&buf, CodecBinary, binaryBody(KindAck, nil))
+		r := slotPlain.conn(&buf, true)
+		_, err := r.Read()
+		var ce *CodecError
+		if !errors.As(err, &ce) {
+			t.Fatalf("tag %d not a CodecError: %v", tag, err)
+		}
+		if ce.Codec != tag || !strings.Contains(ce.Reason, "unknown codec tag") {
+			t.Fatalf("tag %d misreported: %+v", tag, ce)
+		}
+		slotPlain.read(t, r, &buf, KindAck)
 	}
 }
 
@@ -243,11 +359,13 @@ func TestBinaryMalformedBodiesRejected(t *testing.T) {
 		kind Kind // expected in the CodecError, 0 when never decoded
 	}{
 		{"empty body", nil, 0},
-		{"one-byte body", []byte{0}, 0},
+		{"flags only", []byte{0}, 0},
+		{"half a kind field", []byte{0, 0}, 0},
 		{"chunk shorter than offset", binaryBody(KindFileChunk, []byte{1, 2, 3}), KindFileChunk},
 		{"fileend short", binaryBody(KindFileEnd, make([]byte, 15)), KindFileEnd},
 		{"fileend long", binaryBody(KindFileEnd, make([]byte, 17)), KindFileEnd},
-		{"readfile wrong len", binaryBody(KindReadFile, make([]byte, 27)), KindReadFile},
+		{"readfile short", binaryBody(KindReadFile, make([]byte, 35)), KindReadFile},
+		{"readfile without length field", binaryBody(KindReadFile, make([]byte, 28)), KindReadFile},
 		{"writefile wrong len", binaryBody(KindWriteFile, make([]byte, 19)), KindWriteFile},
 		{"ack with payload", binaryBody(KindAck, []byte{1}), KindAck},
 		{"heartbeat wrong len", binaryBody(KindHeartbeat, make([]byte, 5)), KindHeartbeat},
@@ -352,6 +470,16 @@ func TestCodecStatsObserveBothPaths(t *testing.T) {
 		t.Fatalf("counters did not all advance: tx %d→%d txGob %d→%d rx %d→%d rxGob %d→%d",
 			tx0, tx1, txg0, txg1, rx0, rx1, rxg0, rxg1)
 	}
+	// Slots do not change the series: a control frame and a chunk under
+	// each combination count as binary, two sent and two received.
+	for _, s := range slotCases {
+		tx0, _, rx0, _ := CodecStats()
+		s.roundTrip(t, true, KindFileEnd, FileEnd{})
+		s.chunkRoundTrip(t, true, 0, []byte("y"))
+		if tx1, _, rx1, _ := CodecStats(); tx1-tx0 != 2 || rx1-rx0 != 2 {
+			t.Errorf("%s: binary counters moved tx=%d rx=%d, want 2/2", s.name, tx1-tx0, rx1-rx0)
+		}
+	}
 }
 
 func TestChecksumUnrolledMatchesScalar(t *testing.T) {
@@ -404,58 +532,11 @@ func TestCodecString(t *testing.T) {
 	if CodecGob.String() != "gob" || CodecBinary.String() != "binary" {
 		t.Fatalf("codec names: %v %v", CodecGob, CodecBinary)
 	}
-	if got := Codec(9).String(); got != "codec(9)" {
-		t.Fatalf("unknown codec renders %q", got)
+	for _, unknown := range []Codec{2, 3, 9} { // 2 and 3 were once tags
+		if got, want := unknown.String(), fmt.Sprintf("codec(%d)", uint8(unknown)); got != want {
+			t.Fatalf("unknown codec renders %q, want %q", got, want)
+		}
 	}
-}
-
-// Fixed identities the per-open codec tests stamp on tag-2 and tag-3
-// frames (this file builds under gobonly too, where the traced and tenant
-// test files' fixtures are compiled out).
-var (
-	ctlTC     = trace.SpanContext{Trace: 0x0102030405, Span: 0x77}
-	ctlTenant = ids.TenantID(9)
-)
-
-// writeUnderTag writes (kind, payload) on c so that an eligible kind
-// leaves under the given codec tag: gob pins the connection to gob, tag 2
-// attaches a span context, tag 3 stamps a tenant.
-func writeUnderTag(c *Conn, tag Codec, kind Kind, payload any) error {
-	c.SetFastPath(tag != CodecGob)
-	switch tag {
-	case CodecBinaryTraced:
-		return c.WriteTraced(ctlTC, kind, payload)
-	case CodecBinaryTenant:
-		c.SetTenant(ctlTenant)
-	}
-	return c.Write(kind, payload)
-}
-
-// roundTripUnderTag sends one frame under tag and decodes it, failing the
-// test when the frame left under any other tag.
-func roundTripUnderTag(t *testing.T, tag Codec, kind Kind, payload any) Msg {
-	t.Helper()
-	var buf bytes.Buffer
-	w := NewConn(&buf)
-	if err := writeUnderTag(w, tag, kind, payload); err != nil {
-		t.Fatalf("%v under %v: %v", kind, tag, err)
-	}
-	if got := Codec(buf.Bytes()[4]); got != tag {
-		t.Fatalf("%v went out as %v, want %v", kind, got, tag)
-	}
-	r := NewConn(&buf)
-	r.SetAcceptBinary(true)
-	msg, err := r.Read()
-	if err != nil {
-		t.Fatalf("%v under %v: decode: %v", kind, tag, err)
-	}
-	if msg.Kind != kind {
-		t.Fatalf("%v under %v decoded as %v", kind, tag, msg.Kind)
-	}
-	if buf.Len() != 0 {
-		t.Fatalf("%v under %v left %d bytes unread", kind, tag, buf.Len())
-	}
-	return msg
 }
 
 // fillDistinct sets every field of the struct behind v to a distinct
@@ -497,9 +578,9 @@ func fillDistinct(t *testing.T, v reflect.Value, n *int) {
 
 // TestCtlCodecCoversEveryField is the field-coverage guard for the seven
 // per-open bodies: every exported field of each payload type, filled with
-// a distinct non-zero value, must survive tags 1, 2 and 3. A field added
-// to selection.Bid (or any of the others) without a codec update fails
-// here instead of silently zeroing on the wire.
+// a distinct non-zero value, must survive every slot combination. A field
+// added to selection.Bid (or any of the others) without a codec update
+// fails here instead of silently zeroing on the wire.
 func TestCtlCodecCoversEveryField(t *testing.T) {
 	cases := []struct {
 		kind    Kind
@@ -518,25 +599,13 @@ func TestCtlCodecCoversEveryField(t *testing.T) {
 		pv := reflect.ValueOf(tc.payload).Elem()
 		fillDistinct(t, pv, &n)
 		want := pv.Interface()
-		for _, tag := range []Codec{CodecBinary, CodecBinaryTraced, CodecBinaryTenant} {
-			msg := roundTripUnderTag(t, tag, tc.kind, want)
+		for _, s := range slotCases {
+			msg := s.roundTrip(t, true, tc.kind, want)
 			if !reflect.DeepEqual(msg.Payload, want) {
-				t.Errorf("%v under %v:\n got %#v\nwant %#v", tc.kind, tag, msg.Payload, want)
-			}
-			if tag == CodecBinaryTraced && msg.Trace != ctlTC {
-				t.Errorf("%v under %v: trace %+v", tc.kind, tag, msg.Trace)
-			}
-			if tag == CodecBinaryTenant && msg.Tenant != ctlTenant {
-				t.Errorf("%v under %v: tenant %v", tc.kind, tag, msg.Tenant)
+				t.Errorf("%v under %s:\n got %#v\nwant %#v", tc.kind, s.name, msg.Payload, want)
 			}
 		}
 	}
-}
-
-// ctlPayload is one (kind, payload) pair of the per-open protocol.
-type ctlPayload struct {
-	kind    Kind
-	payload any
 }
 
 // ctlPayloads is the per-open payload set the equivalence tests share:
@@ -607,18 +676,18 @@ func bitEqual(a, b reflect.Value) bool {
 // layout carries the sign bit (asserted at the end).
 func TestCtlGobBinaryEquivalence(t *testing.T) {
 	for _, p := range ctlPayloads() {
-		viaGob := roundTripUnderTag(t, CodecGob, p.kind, p.payload)
-		for _, tag := range []Codec{CodecBinary, CodecBinaryTraced, CodecBinaryTenant} {
-			viaBin := roundTripUnderTag(t, tag, p.kind, p.payload)
+		for _, s := range slotCases {
+			viaGob := s.roundTrip(t, false, p.kind, p.payload)
+			viaBin := s.roundTrip(t, true, p.kind, p.payload)
 			if !bitEqual(reflect.ValueOf(viaGob.Payload), reflect.ValueOf(viaBin.Payload)) {
-				t.Errorf("%v: gob and %v disagree:\n gob %#v\n bin %#v", p.kind, tag, viaGob.Payload, viaBin.Payload)
+				t.Errorf("%v under %s: gob and binary disagree:\n gob %#v\n bin %#v", p.kind, s.name, viaGob.Payload, viaBin.Payload)
+			}
+			if l, ok := viaGob.Payload.(RMList); ok && len(l.RMs) == 0 && l.RMs != nil {
+				t.Errorf("gob decoded an empty RMList to a non-nil slice; the binary codec mirrors nil")
 			}
 		}
-		if l, ok := viaGob.Payload.(RMList); ok && len(l.RMs) == 0 && l.RMs != nil {
-			t.Errorf("gob decoded an empty RMList to a non-nil slice; the binary codec mirrors nil")
-		}
 	}
-	negZero := roundTripUnderTag(t, CodecBinary, KindBid, selection.Bid{Trend: math.Copysign(0, -1)})
+	negZero := slotPlain.roundTrip(t, true, KindBid, selection.Bid{Trend: math.Copysign(0, -1)})
 	if !math.Signbit(negZero.Payload.(selection.Bid).Trend) {
 		t.Error("binary codec lost the sign of -0")
 	}

@@ -5,8 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"testing"
-
-	"dfsqos/internal/trace"
 )
 
 // frameBytes assembles a complete frame for the seed corpus.
@@ -34,48 +32,36 @@ func gobFrame(kind Kind, payload any) []byte {
 // tags, garbage gob, and malformed binary layouts must all surface as
 // errors while leaving the buffer pools consistent.
 func FuzzRead(f *testing.F) {
-	// Valid frames of both codecs.
+	chunk := append(binary.BigEndian.AppendUint64(nil, 16), "data bytes"...)
+	// Valid frames of both codecs; the binary ones under every header.
 	f.Add(gobFrame(KindCount, Count{N: 7}))
 	f.Add(gobFrame(KindFileChunk, FileChunk{Offset: 8, Data: []byte("abc")}))
-	f.Add(frameBytes(CodecBinary, binaryBody(KindFileChunk,
-		append(binary.BigEndian.AppendUint64(nil, 16), "data bytes"...))))
-	f.Add(frameBytes(CodecBinary, binaryBody(KindFileEnd, make([]byte, 16))))
-	f.Add(frameBytes(CodecBinary, binaryBody(KindAck, nil)))
-	f.Add(frameBytes(CodecBinary, binaryBody(KindError, []byte("boom"))))
-	// Traced (tag 2) and tenant (tag 3) frames: the slot(s) precede a
-	// plain binary-v1 body.
-	f.Add(frameBytes(CodecBinaryTraced, append(make([]byte, traceSize),
-		binaryBody(KindFileChunk, append(binary.BigEndian.AppendUint64(nil, 16), "data bytes"...))...)))
-	f.Add(frameBytes(CodecBinaryTraced, append(make([]byte, traceSize), binaryBody(KindAck, nil)...)))
-	f.Add(frameBytes(CodecBinaryTenant, append(make([]byte, tenantSize+traceSize),
-		binaryBody(KindFileChunk, append(binary.BigEndian.AppendUint64(nil, 16), "data bytes"...))...)))
-	f.Add(frameBytes(CodecBinaryTenant, append(make([]byte, tenantSize+traceSize), binaryBody(KindKeepalive, make([]byte, 8))...)))
+	for _, s := range slotCases {
+		f.Add(frameBytes(CodecBinary, s.body(KindFileChunk, chunk)))
+		for _, p := range fastPayloads() {
+			f.Add(slotFrame(s, p))
+		}
+	}
 	// Two valid frames back to back (multi-frame streams).
 	f.Add(append(gobFrame(KindAck, Ack{}),
-		frameBytes(CodecBinary, binaryBody(KindKeepalive, make([]byte, 8)))...))
+		frameBytes(CodecBinary, slotTenant.body(KindKeepalive, make([]byte, 8)))...))
 	// Hostile shapes.
 	f.Add([]byte{})
 	f.Add([]byte{0, 0})                                                        // short header
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0})                                   // oversized declared length
 	f.Add([]byte{0, 0, 1, 0, 0, 1, 2})                                         // truncated body
 	f.Add(frameBytes(Codec(200), []byte{1, 2, 3}))                             // unknown codec tag
+	f.Add(frameBytes(Codec(2), slotTrace.body(KindAck, nil)))                  // the retired traced tag
+	f.Add(frameBytes(Codec(3), slotTenantTrace.body(KindAck, nil)))            // the retired tenant tag
 	f.Add(frameBytes(CodecGob, []byte{1, 2, 3, 4}))                            // garbage gob
-	f.Add(frameBytes(CodecBinary, nil))                                        // binary body shorter than kind
+	f.Add(frameBytes(CodecBinary, nil))                                        // no flags byte
 	f.Add(frameBytes(CodecBinary, binaryBody(KindFileChunk, []byte{1})))       // short chunk
-	f.Add(frameBytes(CodecBinary, binaryBody(KindReadFile, make([]byte, 5))))  // wrong fixed len
+	f.Add(frameBytes(CodecBinary, binaryBody(KindReadFile, make([]byte, 28)))) // ReadFile without its length
 	f.Add(frameBytes(CodecBinary, binaryBody(Kind(60000), []byte("??"))))      // uncovered kind
-	f.Add(frameBytes(CodecBinaryTraced, make([]byte, traceSize-1)))            // short trace slot
-	f.Add(frameBytes(CodecBinaryTenant, make([]byte, tenantSize+traceSize-1))) // short tenant+trace slots
-	f.Add(frameBytes(CodecBinaryTenant, make([]byte, tenantSize+traceSize)))   // slots but no kind
-	// The per-open bodies: one well-formed frame each under tags 1, 2 and
-	// 3, then the same body truncated, over-long and with a bad bool byte.
-	for _, tag := range []Codec{CodecBinary, CodecBinaryTraced, CodecBinaryTenant} {
-		for _, p := range ctlPayloads() {
-			f.Add(ctlFrame(tag, p))
+	for _, s := range slotCases {
+		for _, body := range hostileBodies(s) {
+			f.Add(frameBytes(CodecBinary, body))
 		}
-	}
-	for _, body := range hostileCtlBodies() {
-		f.Add(frameBytes(CodecBinary, body))
 	}
 
 	f.Fuzz(func(t *testing.T, stream []byte) {
@@ -93,25 +79,32 @@ func FuzzRead(f *testing.F) {
 	})
 }
 
-// ctlFrame encodes p through the real writer under the given tag.
-func ctlFrame(tag Codec, p ctlPayload) []byte {
+// slotFrame encodes p through the real writer under s.
+func slotFrame(s slotCase, p ctlPayload) []byte {
 	var buf bytes.Buffer
-	if err := writeUnderTag(NewConn(&buf), tag, p.kind, p.payload); err != nil {
+	if err := s.conn(&buf, true).WriteTraced(s.tc, p.kind, p.payload); err != nil {
 		panic(err)
 	}
 	return buf.Bytes()
 }
 
-// hostileCtlBodies is every well-formed per-open binary-v1 body mangled
-// three ways: last byte cut off, one byte appended, and each byte that
-// could be a bool set to 2. (Variable-tail kinds accept some of these —
-// that is for the decoder to say, not the corpus.)
-func hostileCtlBodies() [][]byte {
+// hostileBodies is every well-formed fast-path body under s mangled: the
+// header cut at each length short of the kind field, then per payload the
+// last byte cut off, one byte appended, an undefined flag bit set, and
+// each byte that could be a bool set to 2. (Variable-tail kinds accept
+// some of these — that is for the decoder to say, not the corpus.)
+func hostileBodies(s slotCase) [][]byte {
 	var out [][]byte
-	for _, p := range ctlPayloads() {
-		body := ctlFrame(CodecBinary, p)[headerSize:]
-		out = append(out, body[:len(body)-1], append(bytes.Clone(body), 0))
-		for _, at := range []int{kindSize, kindSize + 28, kindSize + 36} { // OpenResult.OK, Open.Firm, Bid.HasReplica
+	pre := len(s.header()) + kindSize
+	for cut := 0; cut < pre; cut++ {
+		out = append(out, s.body(KindAck, nil)[:cut])
+	}
+	for _, p := range fastPayloads() {
+		body := slotFrame(s, p)[headerSize:]
+		badFlag := bytes.Clone(body)
+		badFlag[0] |= 0x80
+		out = append(out, body[:len(body)-1], append(bytes.Clone(body), 0), badFlag)
+		for _, at := range []int{pre, pre + 28, pre + 36} { // OpenResult.OK, Open.Firm, Bid.HasReplica
 			if at < len(body) {
 				bad := bytes.Clone(body)
 				bad[at] = 2
@@ -122,23 +115,23 @@ func hostileCtlBodies() [][]byte {
 	return out
 }
 
-// FuzzBinaryCtlRoundTrip feeds arbitrary bodies to the binary decoder
-// under every tag and, when one decodes, writes the message back out: the
+// FuzzBinaryCtlRoundTrip feeds arbitrary bodies to the frame decoder under
+// any tag and, when one decodes, writes the message back out: the
 // re-encoded frame must be byte-identical to the input (the layouts are
 // canonical — one value, one encoding), a rejected body must surface a
 // *CodecError and nothing else, and neither direction may panic.
 func FuzzBinaryCtlRoundTrip(f *testing.F) {
-	for _, tag := range []Codec{CodecBinary, CodecBinaryTraced, CodecBinaryTenant} {
-		for _, p := range ctlPayloads() {
-			f.Add(uint8(tag), ctlFrame(tag, p)[headerSize:])
+	for _, s := range slotCases {
+		for _, p := range fastPayloads() {
+			f.Add(uint8(CodecBinary), slotFrame(s, p)[headerSize:])
+		}
+		for _, body := range hostileBodies(s) {
+			f.Add(uint8(CodecBinary), body)
 		}
 	}
-	for _, body := range hostileCtlBodies() {
-		f.Add(uint8(CodecBinary), body)
-		f.Add(uint8(CodecBinaryTraced), append(make([]byte, traceSize), body...))
-		f.Add(uint8(CodecBinaryTenant), append(make([]byte, tenantSize+traceSize), body...))
-	}
 	f.Add(uint8(CodecBinary), binaryBody(KindRegisterRM, []byte("not covered")))
+	f.Add(uint8(2), slotTrace.body(KindAck, nil))
+	f.Add(uint8(3), slotTenantTrace.body(KindAck, nil))
 	f.Add(uint8(9), []byte{1, 2, 3})
 
 	f.Fuzz(func(t *testing.T, tag uint8, body []byte) {
@@ -156,25 +149,14 @@ func FuzzBinaryCtlRoundTrip(f *testing.F) {
 			}
 			return
 		}
-		// Four well-formed inputs are not how the writer would frame the
-		// same message, so they are not expected to re-encode identically:
-		// a tag-2 frame without a valid span context (sent as tag 1), a
-		// tag-3 frame without a valid tenant (likewise) or with half a span
-		// context (sent with a zero trace slot), and a ranged ReadFile
-		// whose length says "whole file" (sent without the length).
-		switch Codec(tag) {
-		case CodecBinaryTraced:
-			if !msg.Trace.Valid() {
-				msg.Release()
-				return
-			}
-		case CodecBinaryTenant:
-			if !msg.Tenant.Valid() || (msg.Trace != trace.SpanContext{} && !msg.Trace.Valid()) {
-				msg.Release()
-				return
-			}
+		if Codec(tag) != CodecBinary {
+			t.Fatalf("tag %d decoded as %v; only tags 0 and 1 exist", tag, msg.Kind)
 		}
-		if rq, ok := msg.Payload.(*ReadFile); ok && rq.Length <= 0 {
+		// Two well-formed inputs are not how the writer would frame the same
+		// message, so they are not expected to re-encode identically: a
+		// tenant slot holding no tenant and a trace slot holding half a span
+		// context or none (the writer omits both slots).
+		if (body[0]&flagTenant != 0 && !msg.Tenant.Valid()) || (body[0]&flagTrace != 0 && !msg.Trace.Valid()) {
 			msg.Release()
 			return
 		}
@@ -187,14 +169,14 @@ func FuzzBinaryCtlRoundTrip(f *testing.F) {
 		}
 		msg.Release()
 		if !bytes.Equal(out.Bytes(), in) {
-			t.Fatalf("%v under tag %d re-encoded differently:\n in  %x\n out %x", msg.Kind, tag, in, out.Bytes())
+			t.Fatalf("%v re-encoded differently:\n in  %x\n out %x", msg.Kind, in, out.Bytes())
 		}
 	})
 }
 
 // FuzzBinaryChunkRoundTrip drives the fast-path encoder and decoder
 // against each other: any (offset, data) pair must survive the writev
-// framing byte-for-byte.
+// framing byte-for-byte under every slot combination.
 func FuzzBinaryChunkRoundTrip(f *testing.F) {
 	f.Add(int64(0), []byte(nil))
 	f.Add(int64(1), []byte("x"))
@@ -202,29 +184,9 @@ func FuzzBinaryChunkRoundTrip(f *testing.F) {
 	f.Add(int64(1<<40), bytes.Repeat([]byte{0xa5}, 1024))
 
 	f.Fuzz(func(t *testing.T, offset int64, data []byte) {
-		var buf bytes.Buffer
-		w := NewConn(&buf)
-		w.SetFastPath(true)
-		if err := w.WriteChunk(offset, data); err != nil {
-			t.Fatalf("WriteChunk(%d, %d bytes): %v", offset, len(data), err)
+		for _, s := range slotCases {
+			s.chunkRoundTrip(t, true, offset, data)
 		}
-		r := NewConn(&buf)
-		r.SetAcceptBinary(true)
-		msg, err := r.Read()
-		if err != nil {
-			t.Fatalf("decode: %v", err)
-		}
-		ch, ok := msg.Chunk()
-		if !ok {
-			t.Fatalf("payload %T is not a chunk", msg.Payload)
-		}
-		if ch.Offset != offset {
-			t.Fatalf("offset %d → %d", offset, ch.Offset)
-		}
-		if !bytes.Equal(ch.Data, data) {
-			t.Fatalf("%d data bytes mangled", len(data))
-		}
-		msg.Release()
 	})
 }
 

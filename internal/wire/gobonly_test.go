@@ -43,7 +43,7 @@ func TestGobOnlyBuildEmitsGobFrames(t *testing.T) {
 
 // TestGobOnlyBuildCarriesTraceOnGob: a legacy build still propagates
 // span contexts — traced writes fall back to the gob envelope's Trace
-// field instead of the tag-2 fast path.
+// field instead of the fast path's trace slot.
 func TestGobOnlyBuildCarriesTraceOnGob(t *testing.T) {
 	tc := trace.SpanContext{Trace: 7, Span: 8}
 	var buf bytes.Buffer
@@ -69,50 +69,31 @@ func TestGobOnlyBuildCarriesTraceOnGob(t *testing.T) {
 	}
 }
 
-// TestGobOnlyBuildRejectsTracedBinaryFrames: the tag-2 traced fast path
-// is refused with the same typed error as tag 1.
-func TestGobOnlyBuildRejectsTracedBinaryFrames(t *testing.T) {
-	var buf bytes.Buffer
-	// Forge the traced binary keepalive a fast-path peer would send.
-	body := binary.BigEndian.AppendUint64(nil, 1) // trace id
-	body = binary.BigEndian.AppendUint64(body, 2) // span id
-	body = binary.BigEndian.AppendUint16(body, uint16(KindKeepalive))
-	body = binary.BigEndian.AppendUint64(body, 3)
-	var hdr [headerSize]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(body)))
-	hdr[4] = byte(CodecBinaryTraced)
-	buf.Write(hdr[:])
-	buf.Write(body)
-
-	_, err := NewConn(&buf).Read()
-	var ce *CodecError
-	if !errors.As(err, &ce) {
-		t.Fatalf("traced binary frame in gobonly build: err = %v, want CodecError", err)
-	}
-	if ce.Codec != CodecBinaryTraced {
-		t.Fatalf("misreported codec: %+v", ce)
-	}
-}
-
+// TestGobOnlyBuildRejectsBinaryFrames: the frames a fast-path peer would
+// send — a chunk and a keepalive under every slot combination — are each
+// refused with the typed error, and so are the retired tags 2 and 3.
 func TestGobOnlyBuildRejectsBinaryFrames(t *testing.T) {
 	var buf bytes.Buffer
-	// Forge the binary chunk frame a fast-path peer would send.
-	body := binary.BigEndian.AppendUint16(nil, uint16(KindFileChunk))
-	body = binary.BigEndian.AppendUint64(body, 0)
-	body = append(body, 'x')
-	var hdr [headerSize]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(body)))
-	hdr[4] = byte(CodecBinary)
-	buf.Write(hdr[:])
-	buf.Write(body)
-
-	_, err := NewConn(&buf).Read()
-	var ce *CodecError
-	if !errors.As(err, &ce) {
-		t.Fatalf("binary frame in gobonly build: err = %v, want CodecError", err)
+	var wantTags []Codec
+	for _, s := range slotCases {
+		writeRawFrame(&buf, CodecBinary, s.body(KindFileChunk, append(make([]byte, 8), 'x')))
+		writeRawFrame(&buf, CodecBinary, s.body(KindKeepalive, binary.BigEndian.AppendUint64(nil, 3)))
+		wantTags = append(wantTags, CodecBinary, CodecBinary)
 	}
-	if ce.Codec != CodecBinary {
-		t.Fatalf("misreported codec: %+v", ce)
+	writeRawFrame(&buf, Codec(2), slotTrace.body(KindAck, nil))
+	writeRawFrame(&buf, Codec(3), slotTenantTrace.body(KindAck, nil))
+	wantTags = append(wantTags, 2, 3)
+
+	r := NewConn(&buf)
+	for i, tag := range wantTags {
+		_, err := r.Read()
+		var ce *CodecError
+		if !errors.As(err, &ce) {
+			t.Fatalf("frame %d in gobonly build: err = %v, want CodecError", i, err)
+		}
+		if ce.Codec != tag {
+			t.Fatalf("frame %d: misreported codec: %+v, want tag %d", i, ce, tag)
+		}
 	}
 }
 
@@ -127,7 +108,7 @@ func TestGobOnlyBuildKeepsNegotiationOnGob(t *testing.T) {
 			c := NewConn(&buf)
 			var err error
 			if traced {
-				err = c.WriteTraced(ctlTC, p.kind, p.payload)
+				err = c.WriteTraced(testTC, p.kind, p.payload)
 			} else {
 				err = c.Write(p.kind, p.payload)
 			}
@@ -148,7 +129,7 @@ func TestGobOnlyBuildKeepsNegotiationOnGob(t *testing.T) {
 			if msg.Kind != p.kind || !bitEqual(reflect.ValueOf(msg.Payload), reflect.ValueOf(want)) {
 				t.Fatalf("%v mangled on gob:\n got %#v\nwant %#v", p.kind, msg.Payload, want)
 			}
-			if traced && msg.Trace != ctlTC {
+			if traced && msg.Trace != testTC {
 				t.Fatalf("%v: trace %+v", p.kind, msg.Trace)
 			}
 		}

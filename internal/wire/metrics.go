@@ -10,8 +10,8 @@ import (
 // children are resolved once so the per-frame cost is one atomic pointer
 // load plus one atomic increment.
 type codecCounters struct {
-	txBinary, txGob, txTraced, txTenant *telemetry.Counter
-	rxBinary, rxGob, rxTraced, rxTenant *telemetry.Counter
+	txBinary, txGob *telemetry.Counter
+	rxBinary, rxGob *telemetry.Counter
 }
 
 // codecMet is the process-wide sink. It starts as an unregistered (live
@@ -25,17 +25,13 @@ func init() { codecMet.Store(newCodecCounters(nil)) }
 // live, unregistered counters).
 func newCodecCounters(reg *telemetry.Registry) *codecCounters {
 	v := reg.NewCounterVec("dfsqos_wire_frames_total",
-		"Frames moved on wire connections, by direction (tx/rx) and codec (binary/gob/binary-traced/binary-tenant).",
+		"Frames moved on wire connections, by direction (tx/rx) and codec (binary/gob).",
 		"dir", "codec")
 	return &codecCounters{
 		txBinary: v.With("tx", "binary"),
 		txGob:    v.With("tx", "gob"),
-		txTraced: v.With("tx", "binary-traced"),
-		txTenant: v.With("tx", "binary-tenant"),
 		rxBinary: v.With("rx", "binary"),
 		rxGob:    v.With("rx", "gob"),
-		rxTraced: v.With("rx", "binary-traced"),
-		rxTenant: v.With("rx", "binary-tenant"),
 	}
 }
 
@@ -54,18 +50,4 @@ func RegisterCodecMetrics(reg *telemetry.Registry) {
 func CodecStats() (txBinary, txGob, rxBinary, rxGob uint64) {
 	m := codecMet.Load()
 	return m.txBinary.Value(), m.txGob.Value(), m.rxBinary.Value(), m.rxGob.Value()
-}
-
-// CodecTracedStats snapshots the traced-binary (codec tag 2) frame
-// counters.
-func CodecTracedStats() (txTraced, rxTraced uint64) {
-	m := codecMet.Load()
-	return m.txTraced.Value(), m.rxTraced.Value()
-}
-
-// CodecTenantStats snapshots the tenant-binary (codec tag 3) frame
-// counters.
-func CodecTenantStats() (txTenant, rxTenant uint64) {
-	m := codecMet.Load()
-	return m.txTenant.Value(), m.rxTenant.Value()
 }

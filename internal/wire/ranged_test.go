@@ -8,16 +8,13 @@ import (
 	"dfsqos/internal/trace"
 )
 
-// TestRangedReadFileRoundTrip proves the ranged request form (Length > 0)
+// TestRangedReadFileRoundTrip proves a ranged request (Length > 0)
 // round-trips on both codecs and surfaces through the ReadReq accessor,
 // which is the only way servers should extract it (the payload is a
 // pooled *ReadFile on the fast path and a plain value on gob).
 func TestRangedReadFileRoundTrip(t *testing.T) {
 	want := ReadFile{File: 7, ChunkSize: 65536, Offset: 4096, Request: 99, Length: 131072}
-	for _, mode := range []struct {
-		name string
-		fast bool
-	}{{"fast", true}, {"gob", false}} {
+	for _, mode := range codecModes {
 		var buf bytes.Buffer
 		c := NewConn(&buf)
 		c.SetFastPath(mode.fast)
@@ -51,47 +48,44 @@ func TestRangedReadFileRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRangedReadFileFrameCompat pins the interop contract: a whole-file
-// request (Length == 0) must frame byte-identically to the pre-ranged
-// 28-byte layout, so peers that predate the length field keep working.
-func TestRangedReadFileFrameCompat(t *testing.T) {
-	var plain, zero bytes.Buffer
-	for _, pair := range []struct {
-		buf *bytes.Buffer
-		req ReadFile
-	}{
-		{&plain, ReadFile{File: 3, ChunkSize: 1024, Offset: 512, Request: 8}},
-		{&zero, ReadFile{File: 3, ChunkSize: 1024, Offset: 512, Request: 8, Length: 0}},
-	} {
-		c := NewConn(pair.buf)
-		c.SetFastPath(true)
-		if err := c.Write(KindReadFile, pair.req); err != nil {
+// TestReadFileSingleLayout pins the one ReadFile layout: whole-file
+// (Length 0) and ranged requests frame to the same 36-byte payload, Length
+// always present, and the value form and the pooled pointer form WriteReadReq
+// sends are the same bytes.
+func TestReadFileSingleLayout(t *testing.T) {
+	whole := ReadFile{File: 3, ChunkSize: 1024, Offset: 512, Request: 8}
+	ranged := whole
+	ranged.Length = 256
+	for _, req := range []ReadFile{whole, ranged} {
+		var byValue, byPointer bytes.Buffer
+		if err := slotPlain.conn(&byValue, true).Write(KindReadFile, req); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if !bytes.Equal(plain.Bytes(), zero.Bytes()) {
-		t.Fatalf("Length==0 frame differs from legacy frame:\n%x\n%x", plain.Bytes(), zero.Bytes())
-	}
-	wantBody := headerSize + kindSize + 28
-	if plain.Len() != wantBody {
-		t.Fatalf("whole-file frame is %d bytes, want %d (legacy layout)", plain.Len(), wantBody)
-	}
-	var ranged bytes.Buffer
-	c := NewConn(&ranged)
-	c.SetFastPath(true)
-	if err := c.Write(KindReadFile, ReadFile{File: 3, ChunkSize: 1024, Offset: 512, Request: 8, Length: 256}); err != nil {
-		t.Fatal(err)
-	}
-	if ranged.Len() != wantBody+8 {
-		t.Fatalf("ranged frame is %d bytes, want %d (trailing length field)", ranged.Len(), wantBody+8)
+		if err := slotPlain.conn(&byPointer, true).WriteReadReq(trace.SpanContext{}, req); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(byValue.Bytes(), byPointer.Bytes()) {
+			t.Fatalf("Write and WriteReadReq frame %+v differently:\n%x\n%x", req, byValue.Bytes(), byPointer.Bytes())
+		}
+		if want := headerSize + flagsSize + kindSize + 36; byValue.Len() != want {
+			t.Fatalf("frame for %+v is %d bytes, want %d", req, byValue.Len(), want)
+		}
+		msg := slotPlain.read(t, slotPlain.conn(&byValue, true), &byValue, KindReadFile)
+		if got, ok := msg.ReadReq(); !ok || got != req {
+			t.Fatalf("decoded %+v ok=%v, want %+v", got, ok, req)
+		}
+		if _, pooled := msg.Payload.(*ReadFile); !pooled {
+			t.Fatalf("request decoded to %T, want the pooled *ReadFile", msg.Payload)
+		}
+		msg.Release()
 	}
 }
 
-// TestRangedReadFileMalformedLength proves the dual-length decode stays
-// strict: only 28- and 36-byte bodies are valid ReadFile layouts, and
-// anything between or beyond is a typed CodecError.
+// TestRangedReadFileMalformedLength proves the decode stays strict: only
+// a 36-byte payload is a ReadFile, and anything shorter or longer — the
+// length-less 28-byte form included — is a typed CodecError.
 func TestRangedReadFileMalformedLength(t *testing.T) {
-	for _, n := range []int{29, 35, 37} {
+	for _, n := range []int{0, 28, 29, 35, 37, 44} {
 		var buf bytes.Buffer
 		writeRawFrame(&buf, CodecBinary, binaryBody(KindReadFile, make([]byte, n)))
 		r := NewConn(&buf)
@@ -107,15 +101,13 @@ func TestRangedReadFileMalformedLength(t *testing.T) {
 	}
 }
 
-// BenchmarkEncodeRangedRead measures putting one ranged ReadFile request
-// on the wire — the per-segment control cost of a striped read. The fast
+// BenchmarkEncodeRangedRead measures putting one ReadFile request (the
+// single 36-byte layout) on the wire — the per-segment control cost of a
+// striped read. The fast
 // sub-benchmark is gated at 0 allocs/op by scripts/bench.sh.
 func BenchmarkEncodeRangedRead(b *testing.B) {
 	req := ReadFile{File: 7, ChunkSize: 128 * 1024, Offset: 1 << 20, Request: 42, Length: 1 << 20}
-	for _, mode := range []struct {
-		name string
-		fast bool
-	}{{"fast", true}, {"gob", false}} {
+	for _, mode := range codecModes {
 		b.Run(mode.name, func(b *testing.B) {
 			c := NewConn(discardRW{})
 			c.SetFastPath(mode.fast)
@@ -135,10 +127,7 @@ func BenchmarkEncodeRangedRead(b *testing.B) {
 // gated by scripts/bench.sh).
 func BenchmarkDecodeRangedRead(b *testing.B) {
 	req := ReadFile{File: 7, ChunkSize: 128 * 1024, Offset: 1 << 20, Request: 42, Length: 1 << 20}
-	for _, mode := range []struct {
-		name string
-		fast bool
-	}{{"fast", true}, {"gob", false}} {
+	for _, mode := range codecModes {
 		b.Run(mode.name, func(b *testing.B) {
 			var buf bytes.Buffer
 			w := NewConn(&buf)

@@ -1,10 +1,9 @@
 // Package wire frames the ECNP protocol messages for TCP transport: each
 // frame is a 4-byte big-endian body length, a 1-byte codec tag, and the
 // body. The tag selects how the body is encoded — gob (tag 0, every
-// kind), the hand-rolled binary fast path (tag 1: the data plane, the
-// per-open negotiation and other high-frequency kinds), traced binary
-// (tag 2, binary v1 with a 16-byte request-trace slot), or tenant binary
-// (tag 3, binary v1 with a 4-byte tenant slot ahead of the trace slot; see
+// kind) or the hand-rolled binary fast path (tag 1: the data plane, the
+// per-open negotiation and other high-frequency kinds, behind a flags
+// byte that announces the optional tenant and request-trace slots; see
 // codec.go). Frames are independent (stateless codec per frame), so a
 // connection can be taken over after any message boundary, a corrupted
 // frame cannot poison decoder state, and the codecs interleave freely on
@@ -119,21 +118,21 @@ type Msg struct {
 	// Trace is the span context this frame carries, if any: the zero
 	// value means "untraced". Gob frames encode it as an ordinary
 	// (omitted-when-zero) envelope field; fast-path frames carry it in
-	// the tag-2 trace slot (or tag 3's, when a tenant rides too).
-	// Servers join it with trace.Tracer.StartChild.
+	// the trace slot (flag bit 1). Servers join it with
+	// trace.Tracer.StartChild.
 	Trace trace.SpanContext
 
 	// Tenant is the tenant identity this frame was sent under: the zero
 	// value (ids.NoneTenant) means untenanted. Gob frames encode it as
 	// an (omitted-when-zero) envelope field; fast-path frames carry it
-	// in the tag-3 tenant slot. Connections stamp it with
+	// in the tenant slot (flag bit 0). Connections stamp it with
 	// Conn.SetTenant; servers read it for per-tenant accounting.
 	Tenant ids.TenantID
 
 	// pooled is the frame buffer this message's payload borrows from
 	// (fast-path FileChunk only: Data points into it); chunk is the
-	// pooled payload struct. rreq is the pooled ReadFile a ranged
-	// fast-path request decodes into. All are returned by Release.
+	// pooled payload struct. rreq is the pooled ReadFile a fast-path
+	// request decodes into. All are returned by Release.
 	pooled *[]byte
 	chunk  *FileChunk
 	rreq   *ReadFile
@@ -152,11 +151,10 @@ func (m *Msg) Chunk() (*FileChunk, bool) {
 	return nil, false
 }
 
-// ReadReq extracts a ReadFile payload regardless of codec or range form:
-// legacy whole-file frames decode to a ReadFile value, ranged fast-path
-// frames to a pooled *ReadFile (returned by Release — the copy handed
-// back here stays valid afterwards). It reports false for any other
-// payload.
+// ReadReq extracts a ReadFile payload regardless of codec: gob frames
+// decode to a ReadFile value, fast-path frames to a pooled *ReadFile
+// (returned by Release — the copy handed back here stays valid
+// afterwards). It reports false for any other payload.
 func (m *Msg) ReadReq() (ReadFile, bool) {
 	switch p := m.Payload.(type) {
 	case ReadFile:
@@ -271,10 +269,8 @@ type (
 		// Length, when positive, bounds the stream to [Offset,
 		// Offset+Length): the server replies with exactly that byte range
 		// (clamped at EOF) and a FileEnd whose checksum covers only the
-		// range. Zero or negative streams to EOF — the original
-		// whole-file semantics — and frames byte-identically to the
-		// pre-ranged layout, so old peers interoperate as long as no
-		// range is requested.
+		// range. Zero (or negative) streams to EOF and is answered with
+		// the whole-file checksum.
 		Length int64
 	}
 	// WriteFile opens an inbound data stream: the sender follows with
@@ -505,7 +501,7 @@ type Conn struct {
 	// one heap allocation per frame.
 	rhdr [headerSize]byte
 	// tenant, when non-zero, is the ids.TenantID stamped on every
-	// outgoing frame: fast-path frames switch to codec tag 3, gob frames
+	// outgoing frame: fast-path frames gain the tenant slot, gob frames
 	// carry it in the envelope. Per-connection (not per-call) because a
 	// client acts for exactly one tenant — stamping at dial time keeps
 	// every write path's signature and allocation profile unchanged.
@@ -533,7 +529,7 @@ func (c *Conn) SetFastPath(on bool) { c.fastWrite.Store(on) }
 func (c *Conn) SetAcceptBinary(on bool) { c.acceptBinary.Store(on) }
 
 // SetTenant stamps the tenant identity on every frame written from now
-// on: eligible fast-path frames switch to the tag-3 tenant codec and gob
+// on: eligible fast-path frames carry it in the tenant slot and gob
 // frames carry Msg.Tenant. ids.NoneTenant (the default) restores
 // untenanted framing. Safe to call concurrently with traffic.
 func (c *Conn) SetTenant(t ids.TenantID) { c.tenant.Store(int32(t)) }
@@ -574,36 +570,39 @@ func (c *Conn) armWriteDeadlineLocked() {
 	}
 }
 
-// Write sends one message. Eligible kinds (the data plane, the per-open
-// negotiation and other high-frequency messages) go out on the binary
-// fast path unless the connection is pinned to gob; everything else uses
-// the stateless per-frame gob codec. Either way the frame leaves as a
-// single write — header and body are assembled in one pooled buffer
-// (chunks: one writev via WriteChunk) — so a frame costs one syscall, not
-// two.
+// Write sends one message: WriteTraced with no span context.
 func (c *Conn) Write(kind Kind, payload any) error {
+	return c.WriteTraced(trace.SpanContext{}, kind, payload)
+}
+
+// WriteTraced sends one message carrying the span context tc (zero:
+// untraced), so the receiving server can join the sender's trace. Eligible
+// kinds (the data plane, the per-open negotiation and other
+// high-frequency messages) go out on the binary fast path unless the
+// connection is pinned to gob; everything else uses the stateless
+// per-frame gob codec, whose envelope carries tc and the stamped tenant as
+// fields. Either way the frame leaves as a single write — header and body
+// are assembled in one pooled buffer (chunks: one writev via
+// WriteChunkTraced) — so a frame costs one syscall, not two, and a
+// fast-path frame costs no allocation.
+func (c *Conn) WriteTraced(tc trace.SpanContext, kind Kind, payload any) error {
 	if c.fastWrite.Load() {
 		if kind == KindFileChunk {
 			switch p := payload.(type) {
 			case FileChunk:
-				return c.WriteChunk(p.Offset, p.Data)
+				return c.WriteChunkTraced(tc, p.Offset, p.Data)
 			case *FileChunk:
-				return c.WriteChunk(p.Offset, p.Data)
+				return c.WriteChunkTraced(tc, p.Offset, p.Data)
 			}
-		} else if t := c.tenantID(); t.Valid() {
-			return c.writeTenantFrame(t, trace.SpanContext{}, kind, payload)
 		} else {
-			bp := getBuf(64)
-			b := append((*bp)[:0], 0, 0, 0, 0, byte(CodecBinary))
+			bp := getBuf(96)
+			b := appendFramePrefix((*bp)[:0], c.tenantID(), tc)
 			if b2, ok := appendBinary(b, kind, payload); ok {
 				*bp = b2
-				n := len(b2) - headerSize
-				if n > MaxFrame {
-					putBuf(bp)
-					return &FrameTooLargeError{Kind: kind, Size: int64(n), Cap: MaxFrame, Outgoing: true}
+				err := sealFrame(b2, 0, kind)
+				if err == nil {
+					err = c.writeFrame(b2, kind)
 				}
-				binary.BigEndian.PutUint32(b2[:4], uint32(n))
-				err := c.writeFrame(b2, kind)
 				putBuf(bp)
 				if err == nil {
 					codecMet.Load().txBinary.Inc()
@@ -613,97 +612,16 @@ func (c *Conn) Write(kind Kind, payload any) error {
 			putBuf(bp)
 		}
 	}
-	return c.writeGob(kind, payload)
-}
-
-// WriteTraced is Write carrying the span context tc on the frame, so the
-// receiving server can join the sender's trace. A zero tc degrades to the
-// untraced Write. Fast-path-eligible kinds go out as traced binary frames
-// (codec tag 2, same pooled single-write discipline — zero allocations);
-// everything else rides the gob envelope's Trace field. Chunks route
-// through WriteChunkTraced.
-func (c *Conn) WriteTraced(tc trace.SpanContext, kind Kind, payload any) error {
-	if !tc.Valid() {
-		return c.Write(kind, payload)
-	}
-	if c.fastWrite.Load() {
-		if kind == KindFileChunk {
-			switch p := payload.(type) {
-			case FileChunk:
-				return c.WriteChunkTraced(tc, p.Offset, p.Data)
-			case *FileChunk:
-				return c.WriteChunkTraced(tc, p.Offset, p.Data)
-			}
-		} else if t := c.tenantID(); t.Valid() {
-			return c.writeTenantFrame(t, tc, kind, payload)
-		} else {
-			bp := getBuf(96)
-			b := append((*bp)[:0], 0, 0, 0, 0, byte(CodecBinaryTraced))
-			b = binary.BigEndian.AppendUint64(b, uint64(int64(tc.Trace)))
-			b = binary.BigEndian.AppendUint64(b, tc.Span)
-			if b2, ok := appendBinary(b, kind, payload); ok {
-				*bp = b2
-				n := len(b2) - headerSize
-				if n > MaxFrame {
-					putBuf(bp)
-					return &FrameTooLargeError{Kind: kind, Size: int64(n), Cap: MaxFrame, Outgoing: true}
-				}
-				binary.BigEndian.PutUint32(b2[:4], uint32(n))
-				err := c.writeFrame(b2, kind)
-				putBuf(bp)
-				if err == nil {
-					codecMet.Load().txTraced.Inc()
-				}
-				return err
-			}
-			putBuf(bp)
-		}
-	}
 	return c.writeGobMsg(Msg{Kind: kind, Payload: payload, Trace: tc})
-}
-
-// writeTenantFrame sends one tag-3 frame: the tenant slot, the trace
-// slot (zero when untraced), then the binary-v1 body. Kinds the binary
-// codec does not cover fall back to the gob envelope (writeGobMsg stamps
-// the tenant there). Chunks never reach here — WriteChunk and
-// WriteChunkTraced route them to writeChunkTenant.
-func (c *Conn) writeTenantFrame(t ids.TenantID, tc trace.SpanContext, kind Kind, payload any) error {
-	bp := getBuf(96)
-	b := append((*bp)[:0], 0, 0, 0, 0, byte(CodecBinaryTenant))
-	b = binary.BigEndian.AppendUint32(b, uint32(int32(t)))
-	b = binary.BigEndian.AppendUint64(b, uint64(int64(tc.Trace)))
-	b = binary.BigEndian.AppendUint64(b, tc.Span)
-	if b2, ok := appendBinary(b, kind, payload); ok {
-		*bp = b2
-		n := len(b2) - headerSize
-		if n > MaxFrame {
-			putBuf(bp)
-			return &FrameTooLargeError{Kind: kind, Size: int64(n), Cap: MaxFrame, Outgoing: true}
-		}
-		binary.BigEndian.PutUint32(b2[:4], uint32(n))
-		err := c.writeFrame(b2, kind)
-		putBuf(bp)
-		if err == nil {
-			codecMet.Load().txTenant.Inc()
-		}
-		return err
-	}
-	putBuf(bp)
-	return c.writeGobMsg(Msg{Kind: kind, Payload: payload, Trace: tc})
-}
-
-// writeGob sends one gob-framed message: the 5-byte header placeholder
-// and the gob body are built in a single pooled buffer (so the gob
-// encoder's output lands directly behind the header), then the whole
-// frame goes out as one write.
-func (c *Conn) writeGob(kind Kind, payload any) error {
-	return c.writeGobMsg(Msg{Kind: kind, Payload: payload})
 }
 
 // writeGobMsg frames msg (including any Trace field — gob omits it when
-// zero) as a gob frame. The connection's stamped tenant rides the
-// envelope's Tenant field, so a tenant-stamped peer is identified on
-// every codec, not just the fast path.
+// zero) as a gob frame: the 5-byte header placeholder and the gob body are
+// built in a single pooled buffer (so the gob encoder's output lands
+// directly behind the header), then the whole frame goes out as one write.
+// The connection's stamped tenant rides the envelope's Tenant field, so a
+// tenant-stamped peer is identified on every codec, not just the fast
+// path.
 func (c *Conn) writeGobMsg(msg Msg) error {
 	if !msg.Tenant.Valid() {
 		msg.Tenant = c.tenantID()
@@ -718,14 +636,11 @@ func (c *Conn) writeGobMsg(msg Msg) error {
 	}
 	b := buf.Bytes()
 	*bp = b[:0] // adopt the (possibly regrown) backing array for the pool
-	n := len(b) - headerSize
-	if n > MaxFrame {
-		putBuf(bp)
-		return &FrameTooLargeError{Kind: kind, Size: int64(n), Cap: MaxFrame, Outgoing: true}
-	}
-	binary.BigEndian.PutUint32(b[:4], uint32(n))
 	b[4] = byte(CodecGob)
-	err := c.writeFrame(b, kind)
+	err := sealFrame(b, 0, kind)
+	if err == nil {
+		err = c.writeFrame(b, kind)
+	}
 	putBuf(bp)
 	if err == nil {
 		codecMet.Load().txGob.Inc()
@@ -817,7 +732,7 @@ func (c *Conn) Read() (Msg, error) {
 			putBuf(bp)
 			return Msg{}, &CodecError{Codec: codec, Reason: "binary fast path not accepted by this endpoint"}
 		}
-		msg, retained, err := decodeBinary(body, bp)
+		msg, retained, err := decodeFrame(body, bp)
 		if !retained {
 			putBuf(bp)
 		}
@@ -826,68 +741,21 @@ func (c *Conn) Read() (Msg, error) {
 		}
 		codecMet.Load().rxBinary.Inc()
 		return msg, nil
-	case CodecBinaryTraced:
-		if !c.acceptBinary.Load() {
-			putBuf(bp)
-			return Msg{}, &CodecError{Codec: codec, Reason: "binary fast path not accepted by this endpoint"}
-		}
-		if len(body) < traceSize {
-			putBuf(bp)
-			return Msg{}, &CodecError{Codec: codec, Reason: "body shorter than trace slot"}
-		}
-		tc := trace.SpanContext{
-			Trace: ids.RequestID(int64(binary.BigEndian.Uint64(body[:8]))),
-			Span:  binary.BigEndian.Uint64(body[8:16]),
-		}
-		msg, retained, err := decodeBinary(body[traceSize:], bp)
-		if !retained {
-			putBuf(bp)
-		}
-		if err != nil {
-			return Msg{}, err
-		}
-		msg.Trace = tc
-		codecMet.Load().rxTraced.Inc()
-		return msg, nil
-	case CodecBinaryTenant:
-		if !c.acceptBinary.Load() {
-			putBuf(bp)
-			return Msg{}, &CodecError{Codec: codec, Reason: "binary fast path not accepted by this endpoint"}
-		}
-		if len(body) < tenantSize+traceSize {
-			putBuf(bp)
-			return Msg{}, &CodecError{Codec: codec, Reason: "body shorter than tenant and trace slots"}
-		}
-		ten := ids.TenantID(int32(binary.BigEndian.Uint32(body[:tenantSize])))
-		tc := trace.SpanContext{
-			Trace: ids.RequestID(int64(binary.BigEndian.Uint64(body[tenantSize : tenantSize+8]))),
-			Span:  binary.BigEndian.Uint64(body[tenantSize+8 : tenantSize+16]),
-		}
-		msg, retained, err := decodeBinary(body[tenantSize+traceSize:], bp)
-		if !retained {
-			putBuf(bp)
-		}
-		if err != nil {
-			return Msg{}, err
-		}
-		msg.Tenant = ten
-		msg.Trace = tc
-		codecMet.Load().rxTenant.Inc()
-		return msg, nil
 	default:
 		putBuf(bp)
 		return Msg{}, &CodecError{Codec: codec, Reason: "unknown codec tag"}
 	}
 }
 
-// Call performs a synchronous request/response round trip. A KindError
-// reply is surfaced as a RemoteError.
+// Call performs a synchronous request/response round trip: CallTraced
+// with no span context.
 func (c *Conn) Call(kind Kind, payload any) (Msg, error) {
 	return c.CallTraced(trace.SpanContext{}, kind, payload)
 }
 
-// CallTraced is Call with the span context tc stamped on the request
-// frame (see WriteTraced). A zero tc is exactly Call.
+// CallTraced performs a synchronous request/response round trip with the
+// span context tc (zero: untraced) stamped on the request frame (see
+// WriteTraced). A KindError reply is surfaced as a RemoteError.
 func (c *Conn) CallTraced(tc trace.SpanContext, kind Kind, payload any) (Msg, error) {
 	if err := c.WriteTraced(tc, kind, payload); err != nil {
 		return Msg{}, err

@@ -76,6 +76,9 @@ func TestRoundTripAllPayloads(t *testing.T) {
 		if fc, ok := reply.Chunk(); ok {
 			got = *fc // fast-path chunks arrive as pooled pointers
 		}
+		if rq, ok := reply.Payload.(*ReadFile); ok {
+			got = *rq // and so do fast-path read requests
+		}
 		if fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", p.body) {
 			t.Fatalf("%v payload mangled:\n got %+v\nwant %+v", p.kind, got, p.body)
 		}
@@ -208,6 +211,17 @@ func TestKindString(t *testing.T) {
 	}
 	if Kind(999).String() != "Kind(999)" {
 		t.Errorf("unknown kind renders %q", Kind(999).String())
+	}
+}
+
+// TestKindStringCoversEveryKind walks the whole Kind enum and demands an
+// interned name for each — a kind added without a kindNames entry fails
+// here instead of rendering "Kind(n)" in telemetry labels.
+func TestKindStringCoversEveryKind(t *testing.T) {
+	for k := KindError; k <= KindShardHandoff; k++ {
+		if name := k.String(); strings.HasPrefix(name, "Kind(") || name == "" {
+			t.Errorf("Kind %d has no kindNames entry (String() = %q)", uint16(k), name)
+		}
 	}
 }
 

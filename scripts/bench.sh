@@ -3,12 +3,13 @@
 #
 # Runs the wire codec benchmarks and the live-TCP streaming benchmark,
 # parses the `go test -bench` output into BENCH_6.json, and enforces the
-# fast-path allocation ceiling: BenchmarkEncodeChunk/fast and
-# BenchmarkDecodeChunk/fast — and their trace-slot-carrying Traced
-# variants — must stay at (by default) 0 allocs/op. The zero-allocation
-# property is the point of the fast path, and a regression here is a
-# silent per-chunk cost on every data stream; gating the traced variants
-# proves request tracing never bought observability with allocations.
+# fast-path allocation ceiling: the fast sub-benchmarks of
+# BenchmarkEncodeChunk and BenchmarkDecodeChunk must stay at (by default)
+# 0 allocs/op under every slot combination of the binary header (plain,
+# trace, tenant, tenant-trace). The zero-allocation property is the point
+# of the fast path, and a regression here is a silent per-chunk cost on
+# every data stream; gating the slotted variants proves neither request
+# tracing nor tenancy bought its feature with allocations.
 #
 # It also runs the striped-read scaling benchmark (K lanes over K
 # throttled replicas) and enforces the stripe-scaling floor: K4 must
@@ -110,14 +111,14 @@ alloc_gate() {
 	fi
 }
 
-# Alloc regression gate on the fast-path chunk and ranged-read codecs:
-# untraced, traced, and tenant-tagged.
-for gated in "BenchmarkEncodeChunk/fast" "BenchmarkDecodeChunk/fast" \
-	"BenchmarkEncodeChunkTraced/fast" "BenchmarkDecodeChunkTraced/fast" \
-	"BenchmarkEncodeChunkTenant/fast" "BenchmarkDecodeChunkTenant/fast" \
-	"BenchmarkEncodeRangedRead/fast" "BenchmarkDecodeRangedRead/fast"; do
-	alloc_gate "$gated" "$ALLOC_CEILING"
+# Alloc regression gate on the fast-path chunk codec under every slot
+# combination, and on the read-request codec.
+for slots in plain trace tenant tenant-trace; do
+	alloc_gate "BenchmarkEncodeChunk/$slots/fast" "$ALLOC_CEILING"
+	alloc_gate "BenchmarkDecodeChunk/$slots/fast" "$ALLOC_CEILING"
 done
+alloc_gate "BenchmarkEncodeRangedRead/fast" "$ALLOC_CEILING"
+alloc_gate "BenchmarkDecodeRangedRead/fast" "$ALLOC_CEILING"
 
 # Per-open control plane: the fast control codecs at 2 allocs/op, then a
 # whole live negotiation at 40 x holders + 100.
