@@ -2,10 +2,10 @@
 // client re-resolves the replica set through the MM, excludes the failed
 // RM, re-runs admission on the next-best bidder, and resumes the stream
 // from the exact byte where the previous segment ended — bounded retries
-// with jittered backoff between attempts. The running FNV-1a checksum is
-// carried across segments, so the whole-file integrity check in the final
-// FileEnd frame still holds even though the bytes arrived from several
-// replicas.
+// with jittered backoff between attempts. The running checksum state
+// (CRC-32C: wire.ChecksumUpdate) chains across segments, so the whole-file
+// integrity check in the final FileEnd frame still holds even though the
+// bytes arrived from several replicas.
 package dfsc
 
 import (
@@ -74,7 +74,8 @@ type ReadResult struct {
 	// Segments attributes every committed byte range to its serving RM,
 	// in file-offset order (which is also commit order).
 	Segments []SegmentInfo
-	// Checksum is the whole-file FNV-1a sum folded over the delivered
+	// Checksum is the whole-file CRC-32C sum (wire.ChecksumUpdate from
+	// wire.ChecksumBasis, in the low 32 bits) folded over the delivered
 	// bytes in offset order, verified against the server side: the final
 	// FileEnd checksum on the sequential path, per-range checksums on the
 	// striped path. Valid only when the read succeeded.

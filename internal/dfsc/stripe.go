@@ -3,10 +3,24 @@
 // negotiation admits the top-K bidders simultaneously (one reservation
 // per lane, reusing the existing CFP fan-out), and lanes pull contiguous
 // ranges concurrently — each verified by a per-range checksum from the
-// serving RM — while the committer folds the completed buffers into the
-// writer in offset order, maintaining one whole-file FNV-1a sum (FNV is
-// a serial recurrence, so segment sums cannot be combined out of order:
-// the committer re-folds the bytes as it writes them).
+// serving RM — while the committer writes the completed buffers to the
+// writer in offset order, folding them into one whole-file CRC-32C sum.
+// The committer re-folds the bytes it commits rather than combining the
+// lanes' range sums: a CRC combine is forty lines of GF(2) matrix code,
+// and with the fold in hardware (~20 GB/s, wire.ChecksumUpdate) the
+// in-order pass costs about 50 µs per MiB segment, a few percent of what
+// the segment costs to move — and it sums the bytes actually handed to
+// the writer, after they sat in a recycled buffer.
+//
+// The segment path allocates nothing in steady state. The board is a
+// fixed ring of slots indexed by segment number modulo the commit window
+// (every segment the board knows lies in [commit, commit+window), so no
+// two share a slot), segment bytes land in buffers drawn from a free
+// list (window + Width of them cover a healthy read), and the whole run
+// — ring, free list, buffers — is borrowed from a pool for the duration
+// of one read and released when it returns (the borrow/Release
+// discipline of the wire package's frame buffers), so back-to-back reads
+// reuse the same memory.
 //
 // Failover is the degenerate behavior the old reader already had: a lane
 // dying requeues its unfinished range for the surviving lanes and
@@ -18,7 +32,6 @@
 package dfsc
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -70,23 +83,51 @@ type StripeConfig struct {
 	Backoff time.Duration
 }
 
-// stripeSeg tracks one in-flight segment.
-type stripeSeg struct {
-	rm     ids.RMID  // lane the segment is assigned to
-	start  time.Time // assignment time, the hedge-eligibility clock
-	hedged bool      // a hedge copy is (or was) racing the original
+// slotState is where a board slot's segment stands.
+type slotState uint8
+
+const (
+	slotIdle     slotState = iota // unassigned, or requeued by a dead lane
+	slotInflight                  // a lane is fetching it
+	slotDone                      // fetched and verified, awaiting commit
+)
+
+// stripeSlot is the board's record of one segment. Segment idx lives in
+// slots[idx%window]; the board only holds segments in
+// [commit, commit+window), so the mapping never collides — but a lane
+// coming back with an old idx must check idx ≥ commit before it looks.
+type stripeSlot struct {
+	state  slotState
+	rm     ids.RMID  // in flight: the lane it is assigned to; done: the replica whose copy won
+	start  time.Time // in flight: assignment time, the hedge-eligibility clock
+	hedged bool      // in flight: a hedge copy is (or was) racing; done: the hedge's copy won
+	data   []byte    // done: the segment bytes, in a free-list buffer
 }
 
-// stripeDone is a completed segment buffer awaiting commit.
-type stripeDone struct {
-	data   []byte
-	rm     ids.RMID
-	hedged bool // the committed copy came from the hedge
+// segWriter receives one range into a segment buffer. StreamRange is
+// asked for at most cap(buf) bytes; a streamer that delivers more is
+// refused rather than allowed to grow the buffer.
+type segWriter struct{ buf []byte }
+
+func (w *segWriter) Write(p []byte) (int, error) {
+	if len(p) > cap(w.buf)-len(w.buf) {
+		return 0, fmt.Errorf("dfsc: range overruns its %d-byte segment buffer", cap(w.buf))
+	}
+	w.buf = append(w.buf, p...)
+	return len(p), nil
+}
+
+// laneIO is what a lane hands StreamRange by pointer for every segment;
+// it lives in the pooled run so those pointers cost no allocation.
+type laneIO struct {
+	w   segWriter
+	sum uint64
 }
 
 // stripeRun is the shared scheduler state: one mutex/cond pair guards
-// the segment board (unassigned cursor, requeue list, in-flight and
-// completed maps) plus the result accumulators lanes update.
+// the segment board (unassigned cursor, requeue list, slot ring, buffer
+// free list) plus the result accumulators lanes update. Runs are pooled:
+// borrowStripeRun hands one out sized for a read, release returns it.
 type stripeRun struct {
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -96,19 +137,96 @@ type stripeRun struct {
 	numSegs  int
 	window   int // commit-window width in segments, bounds buffering
 
-	next     int   // lowest never-assigned segment index
-	requeue  []int // segments returned by dead lanes, kept sorted
-	inflight map[int]*stripeSeg
-	done     map[int]*stripeDone
-	commit   int // next segment index the committer needs
+	next     int          // lowest never-assigned segment index
+	requeue  []int        // segments returned by dead lanes, kept sorted
+	slots    []stripeSlot // the board, indexed idx % window
+	inflight int          // slots in slotInflight
+	commit   int          // next segment index the committer needs
+
+	// free holds idle segment buffers, each of capacity bufBytes. A healthy
+	// read has at most window + Width out at once — the board's segments,
+	// one hedge copy per other lane, the one the committer is writing — and
+	// they are made on first use, so a short file never pays for the set.
+	free     [][]byte
+	bufBytes int64
+	io       []laneIO // one per lane goroutine
 
 	lanes     int // live lane goroutines
 	failovers int // shared MaxFailovers budget spent
 	exclude   map[ids.RMID]bool
-	err       error // terminal: no lane can finish the read
+	cause     error // the failure that killed the most recent lane
+	err       error // terminal: the read cannot finish
 
 	res ReadResult // RMs/Hedges accumulate here under mu
 }
+
+var stripeRuns = sync.Pool{New: func() any {
+	st := &stripeRun{exclude: make(map[ids.RMID]bool)}
+	st.cond = sync.NewCond(&st.mu)
+	return st
+}}
+
+// borrowStripeRun takes a run from the pool and sizes it for one read of
+// size bytes in segBytes segments over width lanes, keeping whatever the
+// previous borrower left that still fits.
+func borrowStripeRun(size, segBytes int64, width int) *stripeRun {
+	st := stripeRuns.Get().(*stripeRun)
+	st.size, st.segBytes = size, segBytes
+	st.numSegs = int((size + segBytes - 1) / segBytes)
+	st.window = 2*width + 2
+	if cap(st.slots) < st.window {
+		st.slots = make([]stripeSlot, st.window)
+	}
+	st.slots = st.slots[:st.window]
+	if bufBytes := min(segBytes, size); st.bufBytes != bufBytes {
+		st.bufBytes = bufBytes
+		clear(st.free)
+		st.free = st.free[:0]
+	}
+	if need := st.window + width; cap(st.free) < need {
+		st.free = append(make([][]byte, 0, need), st.free...)
+	}
+	if cap(st.io) < width {
+		st.io = make([]laneIO, width)
+	}
+	st.io = st.io[:width]
+	return st
+}
+
+// release resets the run and returns it to the pool. Buffers still on
+// the board (a failed read's uncommitted segments) go back to the free
+// list; res is dropped, not reused — the caller owns its slices.
+func (st *stripeRun) release() {
+	for i := range st.slots {
+		if st.slots[i].data != nil {
+			st.putBufLocked(st.slots[i].data)
+		}
+		st.slots[i] = stripeSlot{}
+	}
+	st.next, st.commit, st.inflight = 0, 0, 0
+	st.requeue = st.requeue[:0]
+	st.lanes, st.failovers = 0, 0
+	clear(st.exclude)
+	st.cause, st.err = nil, nil
+	st.res = ReadResult{}
+	stripeRuns.Put(st)
+}
+
+func (st *stripeRun) slot(idx int) *stripeSlot { return &st.slots[idx%st.window] }
+
+// getBufLocked returns an empty segment buffer. Caller holds st.mu.
+func (st *stripeRun) getBufLocked() []byte {
+	if n := len(st.free); n > 0 {
+		buf := st.free[n-1]
+		st.free = st.free[:n-1]
+		return buf
+	}
+	return make([]byte, 0, st.bufBytes)
+}
+
+// putBufLocked hands a segment buffer back. Caller holds st.mu (or owns
+// the run outright).
+func (st *stripeRun) putBufLocked(buf []byte) { st.free = append(st.free, buf[:0]) }
 
 // segRange returns the byte range of segment idx.
 func (st *stripeRun) segRange(idx int) (off, length int64) {
@@ -148,16 +266,8 @@ func (c *Client) ReadStriped(s Streamer, file ids.FileID, w io.Writer, cfg Strip
 		return ReadResult{Checksum: wire.ChecksumBasis}, nil
 	}
 
-	st := &stripeRun{
-		size:     size,
-		segBytes: cfg.SegmentBytes,
-		numSegs:  int((size + cfg.SegmentBytes - 1) / cfg.SegmentBytes),
-		inflight: make(map[int]*stripeSeg),
-		done:     make(map[int]*stripeDone),
-		exclude:  make(map[ids.RMID]bool),
-	}
-	st.cond = sync.NewCond(&st.mu)
-	st.window = 2*cfg.Width + 2
+	st := borrowStripeRun(size, cfg.SegmentBytes, cfg.Width)
+	defer st.release()
 
 	// One root span covers the whole stripe; every lane's "dfsc.segment"
 	// children hang off it, so /traces shows all lanes of one read as one
@@ -169,65 +279,79 @@ func (c *Client) ReadStriped(s Streamer, file ids.FileID, w io.Writer, cfg Strip
 	lanes, fail := c.accessLanesCtx(ctx, file, st.exclude, cfg.Width)
 	if len(lanes) == 0 {
 		root.SetOutcome("error")
-		return st.res, fmt.Errorf("dfsc: read %v: %s", file, fail.Reason)
+		return ReadResult{}, fmt.Errorf("dfsc: read %v: %s", file, fail.Reason)
 	}
 	c.met.StripeLanes.Add(uint64(len(lanes)))
+	st.res.Segments = make([]SegmentInfo, 0, st.numSegs)
+	st.res.RMs = make([]ids.RMID, 0, len(lanes))
 	for _, ln := range lanes {
 		st.res.RMs = append(st.res.RMs, ln.out.RM)
 	}
 
 	var wg sync.WaitGroup
 	st.lanes = len(lanes)
-	for _, ln := range lanes {
+	for i, ln := range lanes {
 		wg.Add(1)
-		go func(ln heldLane) {
+		go func() {
 			defer wg.Done()
-			c.stripeLane(ctx, st, rs, file, ln, cfg, root)
-		}(ln)
+			c.stripeLane(ctx, st, rs, file, ln, &st.io[i], cfg, root)
+		}()
 	}
 
-	// The caller's goroutine is the committer: it folds completed
-	// segments into w in offset order, maintaining the whole-file FNV
-	// state (serial recurrence — offset order is mandatory).
+	// The caller's goroutine is the committer: it writes completed
+	// segments to w in offset order and folds them into the whole-file
+	// sum (a CRC state chains, it does not commute — offset order is
+	// mandatory).
 	sum := wire.ChecksumBasis
 	st.mu.Lock()
-	for st.commit < st.numSegs {
-		if d, ok := st.done[st.commit]; ok {
-			idx := st.commit
-			delete(st.done, idx)
-			st.commit++
-			off, _ := st.segRange(idx)
-			st.res.Segments = append(st.res.Segments, SegmentInfo{
-				Offset: off, Length: int64(len(d.data)), RM: d.rm, Hedged: d.hedged,
-			})
-			st.res.Bytes += int64(len(d.data))
-			st.cond.Broadcast() // the commit window advanced
-			st.mu.Unlock()
-			c.met.Segments.Inc()
-			c.mu.Lock()
-			c.stats.Segments++
-			c.mu.Unlock()
-			_, werr := w.Write(d.data)
-			st.mu.Lock()
-			if werr != nil && st.err == nil {
-				st.err = fmt.Errorf("dfsc: writing segment %d: %w", idx, werr)
-				st.cond.Broadcast()
-			}
-			if st.err != nil {
+	for st.commit < st.numSegs && st.err == nil {
+		sl := st.slot(st.commit)
+		if sl.state != slotDone {
+			if st.lanes == 0 {
+				// Every lane has exited and the next segment is not on the
+				// board: nobody is left to fetch it. This is the one place
+				// that verdict is reached, after the last lane's exit is
+				// visible — lanes dying together cannot each mistake the
+				// other for a survivor.
+				st.err = fmt.Errorf("dfsc: read %v: %d failover(s) exhausted, no lane left: %w",
+					file, st.failovers, st.cause)
 				break
 			}
-			sum = wire.ChecksumUpdate(sum, d.data)
+			st.cond.Wait()
 			continue
 		}
-		if st.err != nil {
-			break
+		idx, data := st.commit, sl.data
+		off, _ := st.segRange(idx)
+		st.res.Segments = append(st.res.Segments, SegmentInfo{
+			Offset: off, Length: int64(len(data)), RM: sl.rm, Hedged: sl.hedged,
+		})
+		st.res.Bytes += int64(len(data))
+		*sl = stripeSlot{}
+		st.commit++
+		st.cond.Broadcast() // the commit window advanced
+		st.mu.Unlock()
+		c.met.Segments.Inc()
+		c.mu.Lock()
+		c.stats.Segments++
+		c.mu.Unlock()
+		_, werr := w.Write(data)
+		if werr == nil {
+			sum = wire.ChecksumUpdate(sum, data)
 		}
-		st.cond.Wait()
+		st.mu.Lock()
+		st.putBufLocked(data)
+		if werr != nil && st.err == nil {
+			st.err = fmt.Errorf("dfsc: writing segment %d: %w", idx, werr)
+		}
 	}
-	err := st.err
-	res := st.res
+	if st.err != nil {
+		st.cond.Broadcast() // idle lanes must see the abort
+	}
 	st.mu.Unlock()
 	wg.Wait()
+	// Every lane has exited: the run is the committer's alone again, and
+	// the result holds the last lane's failover and hedge counts.
+	err, res := st.err, st.res
 
 	if err != nil {
 		root.SetBytes(res.Bytes).SetOutcome("error")
@@ -245,14 +369,15 @@ const hedgePoll = 5 * time.Millisecond
 // stripeLane is one lane goroutine: it claims segments off the shared
 // board and streams them from its replica until the read completes, the
 // run aborts, or its replica dies with the failover budget spent. ln
-// mutates as the lane fails over to replacement replicas.
-func (c *Client) stripeLane(ctx context.Context, st *stripeRun, rs RangeStreamer, file ids.FileID, ln heldLane, cfg StripeConfig, root *trace.Span) {
+// mutates as the lane fails over to replacement replicas; lio is the
+// lane's own receive state in the run.
+func (c *Client) stripeLane(ctx context.Context, st *stripeRun, rs RangeStreamer, file ids.FileID, ln heldLane, lio *laneIO, cfg StripeConfig, root *trace.Span) {
 	defer func() {
 		ln.release()
 		st.mu.Lock()
 		st.lanes--
 		if st.lanes == 0 {
-			st.cond.Broadcast() // committer may be waiting on a dead board
+			st.cond.Broadcast() // the committer decides whether the board is dead
 		}
 		st.mu.Unlock()
 	}()
@@ -267,7 +392,7 @@ func (c *Client) stripeLane(ctx context.Context, st *stripeRun, rs RangeStreamer
 			// No claimable work right now. Hedge eligibility is a clock,
 			// not an event, so poll while anything is in flight; block on
 			// the cond otherwise.
-			if cfg.HedgeAfter > 0 && len(st.inflight) > 0 {
+			if cfg.HedgeAfter > 0 && st.inflight > 0 {
 				st.mu.Unlock()
 				time.Sleep(hedgePoll)
 			} else {
@@ -276,6 +401,9 @@ func (c *Client) stripeLane(ctx context.Context, st *stripeRun, rs RangeStreamer
 			}
 			continue
 		}
+		// A hedge copy fills its own buffer: the original is still writing
+		// into its one, and whichever finishes first hands the board its.
+		lio.w.buf = st.getBufLocked()
 		if hedge {
 			st.res.Hedges++
 			c.met.HedgesFired.Inc()
@@ -288,21 +416,22 @@ func (c *Client) stripeLane(ctx context.Context, st *stripeRun, rs RangeStreamer
 		off, length := st.segRange(idx)
 		seg := c.tracer.StartChild(root.Context(), "dfsc.segment").
 			SetRM(ln.out.RM).SetFile(file).SetRequest(ln.out.Request).SetOffset(off)
-		var buf bytes.Buffer
-		buf.Grow(int(length))
-		segSum := wire.ChecksumBasis
-		n, err := rs.StreamRange(ctx, ln.out.RM, file, ln.out.Request, off, length, &buf, &segSum)
+		lio.sum = wire.ChecksumBasis
+		n, err := rs.StreamRange(ctx, ln.out.RM, file, ln.out.Request, off, length, &lio.w, &lio.sum)
 		seg.SetBytes(n)
 
 		if err == nil {
 			st.mu.Lock()
-			if _, raced := st.done[idx]; raced || idx < st.commit {
+			if sl := st.slot(idx); idx < st.commit || sl.state == slotDone {
 				// The other copy of a hedged segment won the race; this
 				// one is discarded (first-writer-wins).
+				st.putBufLocked(lio.w.buf)
 				seg.SetOutcome("hedge-lost")
 			} else {
-				st.done[idx] = &stripeDone{data: buf.Bytes(), rm: ln.out.RM, hedged: hedge}
-				delete(st.inflight, idx)
+				if sl.state == slotInflight {
+					st.inflight--
+				}
+				*sl = stripeSlot{state: slotDone, rm: ln.out.RM, hedged: hedge, data: lio.w.buf}
 				if hedge {
 					st.res.HedgesWon++
 					c.met.HedgesWon.Inc()
@@ -324,14 +453,13 @@ func (c *Client) stripeLane(ctx context.Context, st *stripeRun, rs RangeStreamer
 		// hedge copy — the original owner still holds it), then try to
 		// re-admit the lane on another replica under the shared budget.
 		st.mu.Lock()
-		if !hedge {
-			if _, finished := st.done[idx]; !finished && idx >= st.commit {
-				st.requeueLocked(idx)
-			}
+		st.putBufLocked(lio.w.buf)
+		if !hedge && idx >= st.commit && st.slot(idx).state == slotInflight {
+			st.requeueLocked(idx)
 		}
 		st.exclude[ln.out.RM] = true
+		st.cause = err
 		if st.failovers >= cfg.MaxFailovers {
-			st.laneDeadLocked(file, err)
 			st.mu.Unlock()
 			return
 		}
@@ -347,9 +475,6 @@ func (c *Client) stripeLane(ctx context.Context, st *stripeRun, rs RangeStreamer
 		start := time.Now()
 		repl, _ := c.accessLanesCtx(ctx, file, exclude, 1)
 		if len(repl) == 0 {
-			st.mu.Lock()
-			st.laneDeadLocked(file, err)
-			st.mu.Unlock()
 			return
 		}
 		c.met.Failovers.Inc()
@@ -375,23 +500,28 @@ func (st *stripeRun) claimLocked(rm ids.RMID, hedgeAfter time.Duration) (idx int
 	if st.err != nil || st.commit == st.numSegs {
 		return 0, false, false
 	}
-	if len(st.requeue) > 0 {
+	for len(st.requeue) > 0 {
 		idx = st.requeue[0]
 		st.requeue = st.requeue[1:]
-		st.inflight[idx] = &stripeSeg{rm: rm, start: time.Now()}
-		return idx, false, true
+		// A hedge copy may have finished (even committed) the range while
+		// it sat here; then its slot is no longer this segment's to claim.
+		if idx >= st.commit && st.slot(idx).state == slotIdle {
+			st.assignLocked(idx, rm)
+			return idx, false, true
+		}
 	}
 	if st.next < st.numSegs && st.next < st.commit+st.window {
 		idx = st.next
 		st.next++
-		st.inflight[idx] = &stripeSeg{rm: rm, start: time.Now()}
+		st.assignLocked(idx, rm)
 		return idx, false, true
 	}
 	if hedgeAfter > 0 {
 		best := -1
 		var bestStart time.Time
-		for i, s := range st.inflight {
-			if s.hedged || s.rm == rm {
+		for i := st.commit; i < st.next; i++ {
+			s := st.slot(i)
+			if s.state != slotInflight || s.hedged || s.rm == rm {
 				continue
 			}
 			if time.Since(s.start) < hedgeAfter {
@@ -402,33 +532,28 @@ func (st *stripeRun) claimLocked(rm ids.RMID, hedgeAfter time.Duration) (idx int
 			}
 		}
 		if best >= 0 {
-			st.inflight[best].hedged = true
+			st.slot(best).hedged = true
 			return best, true, true
 		}
 	}
 	return 0, false, false
 }
 
-// requeueLocked returns a failed lane's segment to the board, keeping
-// the requeue list sorted so low offsets (the ones gating the committer)
-// are reassigned first. Caller holds st.mu.
+// assignLocked marks an idle segment in flight on rm. Caller holds st.mu.
+func (st *stripeRun) assignLocked(idx int, rm ids.RMID) {
+	*st.slot(idx) = stripeSlot{state: slotInflight, rm: rm, start: time.Now()}
+	st.inflight++
+}
+
+// requeueLocked returns a failed lane's in-flight segment to the board,
+// keeping the requeue list sorted so low offsets (the ones gating the
+// committer) are reassigned first. Caller holds st.mu.
 func (st *stripeRun) requeueLocked(idx int) {
-	delete(st.inflight, idx)
+	*st.slot(idx) = stripeSlot{}
+	st.inflight--
 	at := sort.SearchInts(st.requeue, idx)
 	st.requeue = append(st.requeue, 0)
 	copy(st.requeue[at+1:], st.requeue[at:])
 	st.requeue[at] = idx
 	st.cond.Broadcast()
-}
-
-// laneDeadLocked records a lane's permanent exit. When it was the last
-// lane and segments are still missing, the read cannot finish: the
-// terminal error carries the lane's underlying failure. Caller holds
-// st.mu (st.lanes itself is decremented by the lane's deferred exit).
-func (st *stripeRun) laneDeadLocked(file ids.FileID, cause error) {
-	if st.lanes == 1 && st.commit < st.numSegs && st.err == nil {
-		st.err = fmt.Errorf("dfsc: read %v: %d failover(s) exhausted, no lane left: %w",
-			file, st.failovers, cause)
-		st.cond.Broadcast()
-	}
 }

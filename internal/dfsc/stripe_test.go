@@ -3,6 +3,7 @@ package dfsc
 import (
 	"bytes"
 	"context"
+	"errors"
 	"io"
 	"strings"
 	"sync"
@@ -153,7 +154,7 @@ func TestReadStripedZeroLengthFile(t *testing.T) {
 		t.Fatalf("zero-length read touched the data plane: res=%+v calls=%v", res, s.calls)
 	}
 	if res.Checksum != wire.ChecksumBasis {
-		t.Fatalf("res.Checksum = %x, want the FNV basis (empty fold)", res.Checksum)
+		t.Fatalf("res.Checksum = %x, want the basis (empty fold)", res.Checksum)
 	}
 	// No reservation was negotiated for zero bytes.
 	if st := c.Stats(); st.Requests != 0 {
@@ -331,5 +332,110 @@ func TestReadStripedSegmentsObservable(t *testing.T) {
 		if !strings.Contains(sb.String(), want) {
 			t.Fatalf("exposition missing %q:\n%s", want, sb.String())
 		}
+	}
+}
+
+// releaseGate wraps a provider so that Close — a lane's release on its way
+// out — blocks until every expected lane is releasing too.
+type releaseGate struct {
+	ecnp.Provider
+	arrive func()
+}
+
+func (g releaseGate) Close(req ids.RequestID) {
+	g.arrive()
+	g.Provider.Close(req)
+}
+
+// TestReadStripedLanesDieTogether is the deterministic form of the hang
+// TestReadStripedAllLanesDieBudgetExhausted used to hit once in a few
+// hundred runs. Both lanes fail with the budget spent, and each is held
+// inside its release until the other has failed as well — so neither can
+// have left the lane count before the other decided whether it was the
+// last. A scheduler that lets the dying lane make that decision reads "one
+// more lane alive" twice, nobody declares the read dead, and the committer
+// waits forever.
+func TestReadStripedLanesDieTogether(t *testing.T) {
+	h := newHarness(t,
+		map[ids.RMID]units.BytesPerSec{1: units.Mbps(200), 2: units.Mbps(100)},
+		map[ids.FileID][]ids.RMID{0: {1, 2}})
+	var dying sync.WaitGroup
+	dying.Add(2)
+	for id, p := range h.dir {
+		h.dir[id] = releaseGate{Provider: p, arrive: func() {
+			dying.Done()
+			dying.Wait()
+		}}
+	}
+	c := h.client(t, selection.RemOnly, qos.Soft)
+	body := stripeBody(h, 1000)
+	s := &rangedStreamer{body: body, dead: map[ids.RMID]bool{1: true, 2: true}}
+
+	errc := make(chan error, 1)
+	go func() {
+		_, err := c.ReadStriped(s, 0, io.Discard, StripeConfig{Width: 2, SegmentBytes: 250})
+		errc <- err
+	}()
+	select {
+	case err := <-errc:
+		if err == nil || !strings.Contains(err.Error(), "no lane left") {
+			t.Fatalf("err = %v, want the lane-exhaustion error", err)
+		}
+		if !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("err = %v, want it to carry the lanes' stream failure", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("ReadStriped hung after both lanes died together")
+	}
+	for id, node := range h.rms {
+		if node.Allocated() != 0 {
+			t.Fatalf("RM %v still has %v allocated", id, node.Allocated())
+		}
+	}
+}
+
+// quietStreamer serves ranges of a fixed body and records nothing, so the
+// only allocations of a read over it are the scheduler's and the
+// negotiation's.
+type quietStreamer struct{ body []byte }
+
+func (s quietStreamer) StreamAt(ctx context.Context, rm ids.RMID, file ids.FileID, req ids.RequestID, offset int64, w io.Writer, sum *uint64) (int64, error) {
+	return s.StreamRange(ctx, rm, file, req, offset, int64(len(s.body))-offset, w, sum)
+}
+
+func (s quietStreamer) StreamRange(_ context.Context, _ ids.RMID, _ ids.FileID, _ ids.RequestID, offset, length int64, w io.Writer, sum *uint64) (int64, error) {
+	seg := s.body[offset:min(offset+length, int64(len(s.body)))]
+	n, err := w.Write(seg)
+	*sum = wire.ChecksumUpdate(*sum, seg)
+	return int64(n), err
+}
+
+// TestReadStripedSegmentPathDoesNotAllocate keeps the segment path at zero
+// allocations in steady state: a warm read of 256 segments may cost no
+// more than a warm read of 8 plus a little slack (the result's Segments
+// slice is one allocation at either size; the slack absorbs a pooled run
+// the GC or the race detector's pool happened to drop). Any per-segment
+// buffer, board entry or writer coming back would show as hundreds.
+func TestReadStripedSegmentPathDoesNotAllocate(t *testing.T) {
+	h := newHarness(t,
+		map[ids.RMID]units.BytesPerSec{1: units.Mbps(200), 2: units.Mbps(100)},
+		map[ids.FileID][]ids.RMID{0: {1, 2}})
+	c := h.client(t, selection.RemOnly, qos.Soft)
+	const segBytes = 64
+	allocs := func(segs int) float64 {
+		s := quietStreamer{body: stripeBody(h, segs*segBytes)}
+		want := wire.ChecksumUpdate(wire.ChecksumBasis, s.body)
+		return testing.AllocsPerRun(20, func() {
+			res, err := c.ReadStriped(s, 0, io.Discard, StripeConfig{Width: 2, SegmentBytes: segBytes})
+			if err != nil || res.Checksum != want || len(res.Segments) != segs {
+				t.Fatalf("read of %d segments: %d committed, checksum %x (want %x), err %v",
+					segs, len(res.Segments), res.Checksum, want, err)
+			}
+		})
+	}
+	small, large := allocs(8), allocs(256)
+	t.Logf("allocations per warm read: %.0f at 8 segments, %.0f at 256", small, large)
+	if large > small+16 {
+		t.Fatalf("a 256-segment read allocates %.0f, an 8-segment read %.0f: the segment path allocates per segment again", large, small)
 	}
 }

@@ -59,7 +59,7 @@ func BenchmarkLiveStreamThroughput(b *testing.B) {
 			b.ResetTimer()
 			// The measured loop passes a nil checksum state: this benchmark
 			// isolates transport throughput (codec, framing, syscalls); the
-			// FNV verify cost is identical in both modes and benchmarked
+			// checksum verify cost is identical in both modes and benchmarked
 			// separately (wire.BenchmarkChecksum).
 			for i := 0; i < b.N; i++ {
 				n, err := served.ReadRange(context.Background(), 0, 0, 0, 0, io.Discard, nil)

@@ -50,8 +50,7 @@ type shardPeer interface {
 }
 
 func (s *MMServer) handle(wc *wire.Conn, msg wire.Msg) error {
-	d := faults.Decide(s.injector(), faults.PointMMHandle, msg.Kind.String())
-	if handled, err := applyFault(wc, d, wire.KindAck, wire.Ack{}, func() { s.Close() }); handled || err != nil {
+	if handled, err := s.handleFault(wc, faults.PointMMHandle, msg.Kind); handled || err != nil {
 		return err
 	}
 	var sp *trace.Span

@@ -39,6 +39,13 @@ type RMServer struct {
 	qosMu      sync.Mutex
 	qosGroups  map[ids.RequestID]*blkio.Group
 	qosTenants map[ids.TenantID]*tenantQoS
+
+	// names remembers FileName for files the disk has served, so a range
+	// request does not format (and allocate) the name again for every MiB.
+	// Only names the disk knows are kept: what a client asks for cannot
+	// grow it past what the disk holds.
+	nameMu sync.RWMutex
+	names  map[ids.FileID]string
 }
 
 // tenantQoS aggregates one tenant's live reservations into a single
@@ -200,6 +207,27 @@ func (s *RMServer) EnableStreamQoS(ceilFrac float64) error {
 	return nil
 }
 
+// diskName is FileName(f) with its size on the disk, the name taken from
+// s.names when the file has been served before.
+func (s *RMServer) diskName(f ids.FileID) (string, units.Size, error) {
+	s.nameMu.RLock()
+	name, known := s.names[f]
+	s.nameMu.RUnlock()
+	if !known {
+		name = FileName(f)
+	}
+	size, err := s.disk.Stat(name)
+	if err == nil && !known {
+		s.nameMu.Lock()
+		if s.names == nil {
+			s.names = make(map[ids.FileID]string)
+		}
+		s.names[f] = name
+		s.nameMu.Unlock()
+	}
+	return name, size, err
+}
+
 // qosGroup resolves the reservation's stream group; nil means the default
 // group paces the stream (QoS disabled, zero request, or an unthrottled
 // reservation).
@@ -216,8 +244,7 @@ func (s *RMServer) qosGroup(req ids.RequestID) *blkio.Group {
 func (s *RMServer) Node() *rm.RM { return s.node }
 
 func (s *RMServer) handle(wc *wire.Conn, msg wire.Msg) error {
-	d := faults.Decide(s.injector(), faults.PointRMHandle, msg.Kind.String())
-	if handled, err := applyFault(wc, d, wire.KindAck, wire.Ack{}, func() { s.Close() }); handled || err != nil {
+	if handled, err := s.handleFault(wc, faults.PointRMHandle, msg.Kind); handled || err != nil {
 		return err
 	}
 	var sp *trace.Span
@@ -334,12 +361,44 @@ func (s *RMServer) dispatch(wc *wire.Conn, msg wire.Msg, sp *trace.Span) error {
 	}
 }
 
+// streamBufs recycles streamFile's chunk buffers: a stripe lane asks for
+// one 1 MiB range per request, so a fresh 128 KiB buffer for each would be
+// an eighth of every byte served in zeroed garbage.
+var streamBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// getStreamBuf borrows a buffer of length n; hand it back with
+// streamBufs.Put once the last chunk read into it has been written.
+func getStreamBuf(n int) *[]byte {
+	bp := streamBufs.Get().(*[]byte)
+	if cap(*bp) < n {
+		*bp = make([]byte, n)
+	}
+	*bp = (*bp)[:n]
+	return bp
+}
+
+// fileEnds recycles the FileEnd payloads streamFile sends, one per range
+// request: boxing the struct value into the payload interface would
+// allocate it each time, a pooled pointer does not (the wire codec accepts
+// either; gob flattens the pointer).
+var fileEnds = sync.Pool{New: func() any { return new(wire.FileEnd) }}
+
+func writeFileEnd(wc *wire.Conn, tc trace.SpanContext, size int64, sum uint64) error {
+	fe := fileEnds.Get().(*wire.FileEnd)
+	fe.Size, fe.Checksum = size, sum
+	err := wc.WriteTraced(tc, wire.KindFileEnd, fe)
+	fileEnds.Put(fe)
+	return err
+}
+
 // streamFile sends the file from req.Offset as FileChunk frames followed
 // by FileEnd. A positive req.Length bounds the stream to the byte range
 // [Offset, Offset+Length) clamped at EOF; the FileEnd then reports the
-// absolute end position of the range and an FNV-1a checksum over only
-// the range bytes (folded per chunk as they leave — the whole-file path
-// keeps using the disk's memoized checksum and pays no per-chunk hash).
+// absolute end position of the range and a checksum over only the range
+// bytes — wire.ChecksumUpdate's CRC-32C, folded per chunk as they leave
+// at hardware speed, so summing every range served costs the server a few
+// percent of moving it. The whole-file path keeps using the disk's
+// memoized checksum and folds nothing per chunk.
 // A non-zero req.Request names the QoS reservation the stream serves:
 // every chunk write touches its lease, so an active stream never expires
 // under the sweeper. Each chunk also passes the rm.stream.chunk fault
@@ -354,12 +413,11 @@ func (s *RMServer) streamFile(wc *wire.Conn, req wire.ReadFile, sp *trace.Span) 
 		return wc.WriteError(fmt.Errorf("rm: no data plane configured"))
 	}
 	sp.SetFile(req.File).SetRequest(req.Request).SetOffset(req.Offset)
-	name := FileName(req.File)
 	chunk := req.ChunkSize
 	if chunk <= 0 || chunk > 256*1024 {
 		chunk = 64 * 1024
 	}
-	size, err := s.disk.Stat(name)
+	name, size, err := s.diskName(req.File)
 	if err != nil {
 		return wc.WriteError(err)
 	}
@@ -381,7 +439,9 @@ func (s *RMServer) streamFile(wc *wire.Conn, req wire.ReadFile, sp *trace.Span) 
 	if group == nil {
 		group = s.disk.DefaultGroup()
 	}
-	buf := make([]byte, chunk)
+	bp := getStreamBuf(chunk)
+	defer streamBufs.Put(bp)
+	buf := *bp
 	off := req.Offset
 	for off < end {
 		want := buf
@@ -427,20 +487,23 @@ func (s *RMServer) streamFile(wc *wire.Conn, req wire.ReadFile, sp *trace.Span) 
 		// Ranged FileEnd: Size is the absolute end position of the range
 		// and Checksum covers exactly the range bytes, so each stripe
 		// segment verifies independently of its siblings.
-		return wc.WriteTraced(tc, wire.KindFileEnd, wire.FileEnd{Size: end, Checksum: rangeSum})
+		return writeFileEnd(wc, tc, end, rangeSum)
 	}
 	sum, err := s.disk.Checksum(name)
 	if err != nil {
 		return wc.WriteError(err)
 	}
-	return wc.WriteTraced(tc, wire.KindFileEnd, wire.FileEnd{Size: int64(size), Checksum: sum})
+	return writeFileEnd(wc, tc, int64(size), sum)
 }
 
 // ingestFile receives an inbound data stream (replica copy or upload) and
-// stores it on the virtual disk. Replica ingestion writes through the raw
-// path: it rides the B_REV reserve, not the VM's QoS throttle. sp, when
-// the WriteFile arrived traced, is the server's "rm.ingest" span and
-// records the byte count stored.
+// stores it on the virtual disk, refusing it when the bytes received do
+// not fold to the checksum the sender's FileEnd declares. Replica
+// ingestion writes through the raw path: it rides the B_REV reserve, not
+// the VM's QoS throttle — and the disk adopts the assembled object rather
+// than copying it (vdisk.WriteRaw), so data is not touched after the
+// store. sp, when the WriteFile arrived traced, is the server's
+// "rm.ingest" span and records the byte count stored.
 func (s *RMServer) ingestFile(wc *wire.Conn, req wire.WriteFile, sp *trace.Span) error {
 	if s.disk == nil {
 		return wc.WriteError(fmt.Errorf("rm: no data plane configured"))
@@ -660,9 +723,10 @@ func (c *RMClient) stream(fn func(wc *wire.Conn) error) error {
 // (the server renews its lease per chunk). It holds a dedicated pooled
 // connection for the duration of the stream.
 //
-// sum, when non-nil, is the running FNV-1a state the received bytes are
-// folded into and the FileEnd checksum is verified against (nil skips
-// verification). What that checksum covers follows the request:
+// sum, when non-nil, is the running checksum state (CRC-32C, see
+// wire.ChecksumUpdate) the received bytes are folded into and the FileEnd
+// checksum is verified against (nil skips verification). What that
+// checksum covers follows the request:
 //
 //   - length > 0: FileEnd.Size is the absolute end of the range (clamped
 //     at EOF) and Checksum covers the range bytes only; seed sum with

@@ -110,6 +110,20 @@ func (s *server) injector() faults.Injector {
 	return s.inj
 }
 
+// handleFault consults the injector at a server's handle point for one
+// arriving message (see applyFault for what handled and err mean). The
+// decision, and the kill closure a Kill needs, are built only when an
+// injector is armed: an unarmed server handles a message — a stripe lane
+// sends one per MiB it reads — without allocating for faults it cannot
+// inject.
+func (s *server) handleFault(wc *wire.Conn, point faults.Point, kind wire.Kind) (handled bool, err error) {
+	inj := s.injector()
+	if inj == nil {
+		return false, nil
+	}
+	return applyFault(wc, inj.Decide(point, kind.String()), wire.KindAck, wire.Ack{}, func() { s.Close() })
+}
+
 func (s *server) tr() *trace.Tracer {
 	s.mu.Lock()
 	defer s.mu.Unlock()

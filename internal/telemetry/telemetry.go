@@ -225,51 +225,66 @@ type vecChild[M any] struct {
 // With returns (creating on first use) the Counter for the given label
 // values, which must match the vector's label names in number.
 func (v *CounterVec) With(values ...string) *Counter {
-	key := vecKey(v.labels, values)
+	var scratch [vecKeyScratch]byte
+	key := appendVecKey(scratch[:0], v.labels, values)
 	v.mu.RLock()
-	c, ok := v.children[key]
+	c, ok := v.children[string(key)] // a lookup by converted bytes does not allocate
 	v.mu.RUnlock()
 	if ok {
 		return c.metric
 	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	if c, ok := v.children[key]; ok {
+	if c, ok := v.children[string(key)]; ok {
 		return c.metric
 	}
 	vals := append([]string(nil), values...)
 	child := &vecChild[*Counter]{values: vals, metric: &Counter{}}
-	v.children[key] = child
+	v.children[string(key)] = child
 	return child.metric
 }
 
 // With returns (creating on first use) the Gauge for the given label
 // values.
 func (v *GaugeVec) With(values ...string) *Gauge {
-	key := vecKey(v.labels, values)
+	var scratch [vecKeyScratch]byte
+	key := appendVecKey(scratch[:0], v.labels, values)
 	v.mu.RLock()
-	g, ok := v.children[key]
+	g, ok := v.children[string(key)]
 	v.mu.RUnlock()
 	if ok {
 		return g.metric
 	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	if g, ok := v.children[key]; ok {
+	if g, ok := v.children[string(key)]; ok {
 		return g.metric
 	}
 	vals := append([]string(nil), values...)
 	child := &vecChild[*Gauge]{values: vals, metric: &Gauge{}}
-	v.children[key] = child
+	v.children[string(key)] = child
 	return child.metric
 }
 
-// vecKey joins label values with an unprintable separator.
-func vecKey(labels, values []string) string {
+// vecKeyScratch is the stack space With builds its lookup key in; label
+// values that fit (every one the tree uses does) make a hit on an existing
+// child allocation-free, which matters because servers resolve a child
+// per handled message.
+const vecKeyScratch = 64
+
+// appendVecKey appends the label values, joined with an unprintable
+// separator, to b.
+func appendVecKey(b []byte, labels, values []string) []byte {
 	if len(values) != len(labels) {
 		panic(fmt.Sprintf("telemetry: %d label values for %d labels %v", len(values), len(labels), labels))
 	}
-	return strings.Join(values, "\xff")
+	for i, v := range values {
+		if i > 0 {
+			b = append(b, 0xff)
+		}
+		b = append(b, v...)
+	}
+	return b
 }
 
 // metricKind tags a registered family.

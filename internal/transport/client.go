@@ -101,6 +101,24 @@ func RegisterFlags(fs *flag.FlagSet) *Config {
 type Conn struct {
 	nc net.Conn
 	W  *wire.Conn
+
+	// The checkout probe's state, built once per connection: every call
+	// and every stream — one per MiB on a striped read — checks a
+	// connection out, so the probe must not allocate a raw-conn handle and
+	// a closure each time. raw is nil when the socket gives no raw access.
+	raw   syscall.RawConn
+	peek  func(fd uintptr) bool
+	alive bool
+}
+
+func newConn(nc net.Conn, w *wire.Conn) *Conn {
+	pc := &Conn{nc: nc, W: w}
+	if sc, ok := nc.(syscall.Conn); ok {
+		if raw, err := sc.SyscallConn(); err == nil {
+			pc.raw, pc.peek = raw, pc.peekFd
+		}
+	}
+	return pc
 }
 
 // healthy probes a pooled connection at checkout with a non-blocking
@@ -108,31 +126,23 @@ type Conn struct {
 // idle one yields EAGAIN (healthy). Readable bytes on an idle
 // request/response connection mean protocol desync, which also counts as
 // unhealthy. No byte is consumed and no deadline is armed, so the check
-// costs one syscall and zero latency.
+// costs one syscall and zero latency. Only the goroutine that checked the
+// connection out calls it.
 func (pc *Conn) healthy() bool {
-	sc, ok := pc.nc.(syscall.Conn)
-	if !ok {
+	if pc.raw == nil {
 		return true // no raw access (tests with pipes): assume alive
 	}
-	raw, err := sc.SyscallConn()
-	if err != nil {
-		return false
-	}
-	alive := false
-	rerr := raw.Read(func(fd uintptr) bool {
-		var buf [1]byte
-		n, _, serr := syscall.Recvfrom(int(fd), buf[:], syscall.MSG_PEEK|syscall.MSG_DONTWAIT)
-		switch {
-		case n > 0:
-			alive = false // unsolicited bytes: protocol desync
-		case serr == syscall.EAGAIN || serr == syscall.EWOULDBLOCK:
-			alive = true // nothing to read: idle and open
-		default:
-			alive = false // EOF (n==0, serr==nil) or a real error
-		}
-		return true // never block waiting for readability
-	})
-	return rerr == nil && alive
+	pc.alive = false
+	return pc.raw.Read(pc.peek) == nil && pc.alive
+}
+
+func (pc *Conn) peekFd(fd uintptr) bool {
+	var buf [1]byte
+	n, _, serr := syscall.Recvfrom(int(fd), buf[:], syscall.MSG_PEEK|syscall.MSG_DONTWAIT)
+	// Nothing to read means idle and open. Unsolicited bytes are protocol
+	// desync; n == 0 without an error is EOF; anything else a real error.
+	pc.alive = n <= 0 && (serr == syscall.EAGAIN || serr == syscall.EWOULDBLOCK)
+	return true // never block waiting for readability
 }
 
 // Client is a pooled, deadline-aware RPC client to one peer address. It is
@@ -290,7 +300,7 @@ func (c *Client) dial(ctx context.Context) (*Conn, error) {
 	c.cfg.Metrics.CheckoutsDial.Inc()
 	w := wire.NewConn(nc)
 	w.SetTenant(c.cfg.Tenant)
-	return &Conn{nc: nc, W: w}, nil
+	return newConn(nc, w), nil
 }
 
 // backoffLocked computes the next redial delay: BackoffBase doubled per

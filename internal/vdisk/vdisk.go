@@ -18,6 +18,7 @@ import (
 
 	"dfsqos/internal/blkio"
 	"dfsqos/internal/units"
+	"dfsqos/internal/wire"
 )
 
 // Disk is one RM's virtual block device.
@@ -115,19 +116,20 @@ func (d *Disk) replace(name string, f *file) error {
 	return nil
 }
 
-// stored wraps a private copy of data as explicit file contents.
+// stored wraps data as explicit file contents; the file owns the slice.
 func stored(data []byte) *file {
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	return &file{size: units.Size(len(data)), data: cp}
+	return &file{size: units.Size(len(data)), data: data}
 }
 
-// Write stores explicit contents under name, charging the write throttle.
+// Write stores a private copy of data under name, charging the write
+// throttle; the caller may reuse its buffer afterwards.
 func (d *Disk) Write(ctx context.Context, name string, data []byte) error {
 	if err := d.ctrl.Wait(ctx, d.group, blkio.Write, len(data)); err != nil {
 		return err
 	}
-	return d.replace(name, stored(data))
+	cp := make([]byte, len(data))
+	copy(cp, data)
+	return d.replace(name, stored(cp))
 }
 
 // Delete removes a file, reclaiming its space.
@@ -278,15 +280,22 @@ func (d *Disk) ReadAtRaw(name string, p []byte, off int64) (int, error) {
 }
 
 // WriteRaw stores explicit contents without charging the write throttle,
-// for replica ingestion over the B_REV reserve.
+// for replica ingestion over the B_REV reserve. The disk adopts data
+// rather than copying it — an ingested object is assembled once and would
+// otherwise be held twice — so the caller gives up ownership: it must not
+// modify or reuse the slice afterwards, whether or not the store is
+// refused.
 func (d *Disk) WriteRaw(name string, data []byte) error {
 	return d.replace(name, stored(data))
 }
 
-// Checksum computes a cheap rolling checksum of the whole file without
-// throttling (integrity checks are not disk I/O). The result is memoized
-// per file — contents are immutable once created — so repeated streams of
-// the same file pay the full hash pass only once.
+// Checksum computes the whole-file data checksum — the wire package's
+// CRC-32C fold (wire.ChecksumUpdate from wire.ChecksumBasis), the same
+// function every stream end verifies against — without throttling
+// (integrity checks are not disk I/O). The result is memoized per file —
+// contents are immutable once created — so repeated streams of the same
+// file pay the full pass only once; with the fold in hardware that pass
+// is bounded by synthesizing the content, not by summing it.
 func (d *Disk) Checksum(name string) (uint64, error) {
 	// The memo is read under the same lock its publisher writes it under:
 	// two cold readers of one file race otherwise.
@@ -304,21 +313,18 @@ func (d *Disk) Checksum(name string) (uint64, error) {
 	if memo {
 		return sum, nil
 	}
-	sum = 14695981039346656037
-	buf := make([]byte, 64*1024)
-	for off := int64(0); off < int64(f.size); off += int64(len(buf)) {
-		n := int64(len(buf))
-		if rem := int64(f.size) - off; n > rem {
-			n = rem
-		}
-		if f.data != nil {
-			copy(buf[:n], f.data[off:off+n])
-		} else {
+	if f.data != nil {
+		sum = ChecksumBytes(f.data)
+	} else {
+		sum = wire.ChecksumBasis
+		buf := make([]byte, 64*1024)
+		for off := int64(0); off < int64(f.size); off += int64(len(buf)) {
+			n := int64(len(buf))
+			if rem := int64(f.size) - off; n > rem {
+				n = rem
+			}
 			fillSynthetic(buf[:n], f.seed, off)
-		}
-		for _, b := range buf[:n] {
-			sum ^= uint64(b)
-			sum *= 1099511628211
+			sum = wire.ChecksumUpdate(sum, buf[:n])
 		}
 	}
 	// Publish the memo. Racing fills compute identical values; the entry
@@ -332,15 +338,10 @@ func (d *Disk) Checksum(name string) (uint64, error) {
 	return sum, nil
 }
 
-// ChecksumBytes computes the same rolling checksum over a byte slice, for
-// verifying transferred contents against Checksum.
+// ChecksumBytes folds a byte slice through the same checksum (CRC-32C,
+// see Checksum), for verifying transferred contents against Checksum.
 func ChecksumBytes(data []byte) uint64 {
-	var sum uint64 = 14695981039346656037
-	for _, b := range data {
-		sum ^= uint64(b)
-		sum *= 1099511628211
-	}
-	return sum
+	return wire.ChecksumUpdate(wire.ChecksumBasis, data)
 }
 
 // seedOf hashes a file name into a content seed.

@@ -10,6 +10,7 @@ import (
 
 	"dfsqos/internal/blkio"
 	"dfsqos/internal/units"
+	"dfsqos/internal/wire"
 )
 
 // fastController returns a controller whose sleeps are instantaneous but
@@ -226,6 +227,52 @@ func TestChecksumStability(t *testing.T) {
 	}
 	if _, err := d.Checksum("missing"); err == nil {
 		t.Fatal("checksum of missing file succeeded")
+	}
+}
+
+// TestChecksumIsTheWireFoldOfTheServedBytes ties the disk's whole-file sum
+// to what a stream end verifies: folding the bytes ReadAtGroup serves, in
+// pieces of an odd size, through wire.ChecksumUpdate must land on
+// Checksum(name) — for synthesized and for stored contents, at sizes that
+// are multiples neither of the 8-byte synthesis block nor of the 64 KiB
+// pass Checksum makes.
+func TestChecksumIsTheWireFoldOfTheServedBytes(t *testing.T) {
+	ctrl, _ := fastController()
+	d, err := New(100*units.MB, ctrl, "vm1", 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, size := range []int{1, 13, 64*1024 + 5, 3*64*1024 - 3} {
+		if err := d.Provision("synth", units.Size(size)); err != nil {
+			t.Fatal(err)
+		}
+		content := make([]byte, size)
+		for i := range content {
+			content[i] = byte(i*131 + size)
+		}
+		if err := d.WriteRaw("stored", content); err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range []string{"synth", "stored"} {
+			want, err := d.Checksum(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := wire.ChecksumBasis
+			buf := make([]byte, 1000)
+			for off := int64(0); off < int64(size); {
+				n, err := d.ReadAtGroup(ctx, d.DefaultGroup(), name, buf, off)
+				if err != nil && err != io.EOF {
+					t.Fatal(err)
+				}
+				got = wire.ChecksumUpdate(got, buf[:n])
+				off += int64(n)
+			}
+			if got != want {
+				t.Errorf("%s, %d bytes: fold of the served bytes %#x, Checksum %#x", name, size, got, want)
+			}
+		}
 	}
 }
 

@@ -366,7 +366,14 @@ func appendBinary(b []byte, kind Kind, payload any) ([]byte, bool) {
 	case KindFileEnd:
 		p, ok := payload.(FileEnd)
 		if !ok {
-			return b[:start], false
+			// A server ending one ranged stream per MiB sends a pooled
+			// pointer, as WriteReadReq does, so the interface conversion
+			// never allocates.
+			pp, pok := payload.(*FileEnd)
+			if !pok {
+				return b[:start], false
+			}
+			p = *pp
 		}
 		b = binary.BigEndian.AppendUint64(b, uint64(p.Size))
 		b = binary.BigEndian.AppendUint64(b, p.Checksum)

@@ -482,30 +482,6 @@ func TestCodecStatsObserveBothPaths(t *testing.T) {
 	}
 }
 
-func TestChecksumUnrolledMatchesScalar(t *testing.T) {
-	// The 8-way unrolled ChecksumUpdate must be bit-identical to the
-	// scalar FNV-1a definition at every length straddling the unroll
-	// boundary, and from arbitrary (non-basis) starting states.
-	data := make([]byte, 100)
-	for i := range data {
-		data[i] = byte(i*37 + 11)
-	}
-	for n := 0; n <= len(data); n++ {
-		if got, want := ChecksumUpdate(ChecksumBasis, data[:n]), checksumScalar(ChecksumBasis, data[:n]); got != want {
-			t.Fatalf("len %d: unrolled %x != scalar %x", n, got, want)
-		}
-	}
-	state := uint64(0x1234_5678_9abc_def0)
-	for _, n := range []int{7, 8, 9, 15, 16, 17, 63, 64, 65} {
-		if got, want := ChecksumUpdate(state, data[:n]), checksumScalar(state, data[:n]); got != want {
-			t.Fatalf("state %x len %d: unrolled %x != scalar %x", state, n, got, want)
-		}
-	}
-	if ChecksumBytesWire := ChecksumUpdate(ChecksumBasis, []byte("abc")); ChecksumBytesWire == ChecksumBasis {
-		t.Fatal("checksum did not absorb input")
-	}
-}
-
 func TestSetDefaultFastPathSeedsNewConns(t *testing.T) {
 	prev := SetDefaultFastPath(false)
 	defer SetDefaultFastPath(prev)

@@ -189,26 +189,3 @@ func FuzzBinaryChunkRoundTrip(f *testing.F) {
 		}
 	})
 }
-
-// FuzzChecksumEquivalence pins the unrolled ChecksumUpdate to the scalar
-// FNV-1a definition for arbitrary inputs and split points.
-func FuzzChecksumEquivalence(f *testing.F) {
-	f.Add([]byte(nil), uint8(0))
-	f.Add([]byte("abcdefgh"), uint8(3))
-	f.Add(bytes.Repeat([]byte{7}, 100), uint8(50))
-
-	f.Fuzz(func(t *testing.T, data []byte, cutByte uint8) {
-		whole := ChecksumUpdate(ChecksumBasis, data)
-		if want := checksumScalar(ChecksumBasis, data); whole != want {
-			t.Fatalf("unrolled %x != scalar %x over %d bytes", whole, want, len(data))
-		}
-		cut := 0
-		if len(data) > 0 {
-			cut = int(cutByte) % (len(data) + 1)
-		}
-		split := ChecksumUpdate(ChecksumUpdate(ChecksumBasis, data[:cut]), data[cut:])
-		if split != whole {
-			t.Fatalf("split at %d: %x != whole %x", cut, split, whole)
-		}
-	})
-}

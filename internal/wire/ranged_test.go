@@ -149,3 +149,32 @@ func BenchmarkDecodeRangedRead(b *testing.B) {
 		})
 	}
 }
+
+// TestFileEndPointerPayload pins the form a server ends a stream with: a
+// (pooled) *FileEnd encodes to the same frame as the value on both codecs
+// and arrives as a plain FileEnd value, which is what receivers assert.
+func TestFileEndPointerPayload(t *testing.T) {
+	want := FileEnd{Size: 1 << 33, Checksum: 0xE3069283}
+	for _, mode := range codecModes {
+		var byValue, byPointer bytes.Buffer
+		for buf, payload := range map[*bytes.Buffer]any{&byValue: want, &byPointer: &want} {
+			c := NewConn(buf)
+			c.SetFastPath(mode.fast)
+			if err := c.Write(KindFileEnd, payload); err != nil {
+				t.Fatalf("%s: %v", mode.name, err)
+			}
+		}
+		if !bytes.Equal(byValue.Bytes(), byPointer.Bytes()) {
+			t.Errorf("%s: pointer payload framed differently from the value", mode.name)
+		}
+		r := NewConn(&byPointer)
+		r.SetAcceptBinary(true)
+		msg, err := r.Read()
+		if err != nil {
+			t.Fatalf("%s: decode: %v", mode.name, err)
+		}
+		if got, ok := msg.Payload.(FileEnd); !ok || got != want {
+			t.Errorf("%s: got %#v, want the FileEnd value %+v", mode.name, msg.Payload, want)
+		}
+	}
+}

@@ -17,6 +17,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
 	"sync"
@@ -379,49 +380,30 @@ func init() {
 	gob.Register(selection.Bid{})
 }
 
-// ChecksumBasis is the FNV-1a offset basis: the initial state of the
-// running checksum every data stream carries. A failover client threads
-// one running state across segments served by different replicas; since
-// an offset resume is byte-contiguous with its predecessor, the final
+// ChecksumBasis is the initial state of the running checksum every data
+// stream carries: the CRC-32C of no bytes. A failover client threads one
+// running state across segments served by different replicas; since an
+// offset resume is byte-contiguous with its predecessor, the final
 // FileEnd's whole-file checksum still verifies.
-const ChecksumBasis uint64 = 14695981039346656037
+const ChecksumBasis uint64 = 0
 
-// checksumPrime is the FNV-1a prime.
-const checksumPrime uint64 = 1099511628211
+// castagnoliTable selects CRC-32C, the polynomial with a dedicated
+// instruction on amd64 (SSE4.2) and arm64; hash/crc32 picks the hardware
+// path, or slicing-8 where there is none.
+var castagnoliTable = crc32.MakeTable(crc32.Castagnoli)
 
-// ChecksumUpdate folds data into an FNV-1a running state and returns the
-// new state. The body is 8-way unrolled: FNV-1a is a serial recurrence
-// (every step depends on the previous state), so the win is amortizing
-// loop control and bounds checks, not lane parallelism — the result is
-// bit-identical to the scalar definition (see checksumScalar and the
-// equivalence tests).
+// ChecksumUpdate folds data into a running CRC-32C state and returns the
+// new state. It is the one data-integrity checksum of the stack (stream
+// ends, per-range stripe sums, upload verification, vdisk's whole-file
+// sum). The 32-bit state rides the uint64 slot FileEnd always carried, so
+// no frame layout knows which algorithm fills it — but both ends must
+// agree on it: a peer folding anything else fails every stream with
+// "checksum mismatch". In hardware the fold runs at ~20 GB/s — 25× what
+// a byte-serial hash such as FNV-1a manages — which is what lets every
+// delivered byte be verified without the check being the read path's
+// bottleneck.
 func ChecksumUpdate(sum uint64, data []byte) uint64 {
-	for len(data) >= 8 {
-		d := data[:8] // one bounds check for the whole group
-		sum = (sum ^ uint64(d[0])) * checksumPrime
-		sum = (sum ^ uint64(d[1])) * checksumPrime
-		sum = (sum ^ uint64(d[2])) * checksumPrime
-		sum = (sum ^ uint64(d[3])) * checksumPrime
-		sum = (sum ^ uint64(d[4])) * checksumPrime
-		sum = (sum ^ uint64(d[5])) * checksumPrime
-		sum = (sum ^ uint64(d[6])) * checksumPrime
-		sum = (sum ^ uint64(d[7])) * checksumPrime
-		data = data[8:]
-	}
-	for _, b := range data {
-		sum = (sum ^ uint64(b)) * checksumPrime
-	}
-	return sum
-}
-
-// checksumScalar is the reference FNV-1a definition the unrolled
-// ChecksumUpdate must match byte-for-byte (kept for equivalence tests).
-func checksumScalar(sum uint64, data []byte) uint64 {
-	for _, b := range data {
-		sum ^= uint64(b)
-		sum *= checksumPrime
-	}
-	return sum
+	return uint64(crc32.Update(uint32(sum), castagnoliTable, data))
 }
 
 // RemoteError is an error the peer *served* as a KindError reply: the RPC

@@ -324,11 +324,24 @@ func TestWriteTornLeavesUnreadableStream(t *testing.T) {
 	}
 }
 
+// TestChecksumIsCRC32C pins the algorithm behind ChecksumUpdate with the
+// CRC-32C check value: both ends of every stream must fold the same
+// function, and no frame layout says which.
+func TestChecksumIsCRC32C(t *testing.T) {
+	if got := ChecksumUpdate(ChecksumBasis, []byte("123456789")); got != 0xE3069283 {
+		t.Fatalf("ChecksumUpdate(basis, \"123456789\") = %#x, want the CRC-32C check value 0xE3069283", got)
+	}
+	if got := ChecksumUpdate(ChecksumBasis, nil); got != ChecksumBasis {
+		t.Fatalf("empty fold moved the state to %#x", got)
+	}
+}
+
 func TestChecksumUpdateMatchesSplitInput(t *testing.T) {
-	// The running FNV-1a state must be order-and-split invariant: hashing
-	// a buffer in one call equals hashing it in arbitrary segments. The
-	// failover path depends on this to verify a whole-file checksum
-	// accumulated across stream segments served by different RMs.
+	// The running checksum state must chain: folding a buffer in one call
+	// equals folding it in arbitrary consecutive segments. The failover
+	// path depends on this to verify a whole-file checksum accumulated
+	// across stream segments served by different RMs, and the stripe
+	// committer to fold segment buffers into one whole-file sum.
 	data := make([]byte, 1024)
 	for i := range data {
 		data[i] = byte(i * 31)

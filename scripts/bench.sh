@@ -15,7 +15,22 @@
 # throttled replicas) and enforces the stripe-scaling floor: K4 must
 # deliver at least STRIPE_FLOOR times the K1 (single-RM) throughput,
 # proving the K-wide scheduler actually aggregates per-replica bandwidth
-# instead of serializing behind one throttle.
+# instead of serializing behind one throttle. The replicas are throttled
+# on purpose, so this ratio is bound by the throttle and does not move
+# with the speed of the checksum or of the segment path.
+#
+# The same benchmark's K4 arm carries the striped read's allocation gate:
+# one whole warm read (13 segments over 4 lanes) may cost at most 260
+# allocs/op. It measures about 230: some 215 for the read's own
+# negotiation — a lookup, then a CFP, an Open and a Close per lane, 13
+# calls at about 9 allocations of context and deadline plumbing each, plus
+# the bid tables and the four lane goroutines — and one per range for the
+# FileEnd the client decodes. The segment path itself (slot ring, pooled
+# segment buffers, slice writer, pooled server chunk buffer and FileEnd)
+# adds nothing per segment; with a bytes.Buffer per segment and maps for
+# the board the same read cost 493 allocs and 2.7 MB. The ceiling leaves
+# 30 for pool misses after a GC, so a buffer, board entry or writer
+# allocated per segment again (13 or more per read each) trips it.
 #
 # The per-open control plane has its own two gates. The fast sub-benchmarks
 # of BenchmarkEncodeCtl and BenchmarkDecodeCtl (CFP, Bid, OpenRequest) may
@@ -132,6 +147,10 @@ for holders in 3 8 16; do
 		alloc_gate "BenchmarkLiveNegotiate/H$holders/$lease" "$ceiling"
 	done
 done
+
+# One whole K4 striped read: negotiation plus a segment path that
+# allocates nothing per segment (see the header).
+alloc_gate "BenchmarkLiveStripedReadThroughput/K4" 260
 
 # Stripe-scaling gate: K4 striped throughput must beat K1 by STRIPE_FLOOR.
 stripe_mbs() {
