@@ -69,7 +69,8 @@ cover:
 # into BENCH_6.json, with the 0-allocs/op gate on the fast-path chunk
 # codecs, the 2-allocs/op gate on the per-open control codecs, the
 # per-holder allocation ceiling on a live negotiation, the allocation
-# ceiling on a whole K4 striped read and the K4-vs-K1 stripe-scaling
+# ceiling on a whole K4 striped read, the 0- and 1-alloc gates on the MM's
+# refused BeginReplication and RMsWithout, and the K4-vs-K1 stripe-scaling
 # floor. The work-conserving QoS benchmark
 # (borrowing tree vs flat baseline) lands in BENCH_9.json, gated on
 # strictly-above-flat utilization with zero assured-floor violations.

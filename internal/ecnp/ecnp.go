@@ -18,6 +18,7 @@ package ecnp
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"dfsqos/internal/ids"
@@ -129,6 +130,26 @@ type Requester struct {
 	User ids.UserID
 }
 
+// The reasons a Mapper refuses BeginReplication or EndReplication. They
+// are values, not sentences: an in-process Mapper returns one of them,
+// possibly wrapped, so a caller matches with errors.Is and a refusal
+// formats and allocates nothing. The file, the RM and the cap are the
+// caller's own arguments; whoever logs the refusal adds them.
+var (
+	// ErrReplicaCap: the file's committed plus pending replicas have
+	// reached maxTotal. It is a fact about the file, not the destination.
+	ErrReplicaCap = errors.New("mm: file already at its replica cap")
+	// ErrAlreadyHolds: the destination holds a committed replica.
+	ErrAlreadyHolds = errors.New("mm: destination already holds the file")
+	// ErrAlreadyReceiving: the destination has a pending replica.
+	ErrAlreadyReceiving = errors.New("mm: destination already receiving the file")
+	// ErrUnregisteredRM: the destination is not in the resource list.
+	ErrUnregisteredRM = errors.New("mm: replication destination is not a registered RM")
+	// ErrNoPendingReplication: EndReplication found no reservation to
+	// resolve.
+	ErrNoPendingReplication = errors.New("mm: no pending replication of the file on the RM")
+)
+
 // Mapper is the Metadata Manager API: the global resource list and the
 // file → replica map ("the union of the resource information provided by
 // all of the registered RMs").
@@ -150,10 +171,12 @@ type Mapper interface {
 	// is refused when rm already holds or is already receiving the file,
 	// or when maxTotal > 0 and the count (committed + pending) has reached
 	// maxTotal — the atomic check that keeps concurrent replication
-	// sources within N_MAXR.
+	// sources within N_MAXR. The refusal is ErrUnregisteredRM,
+	// ErrAlreadyHolds, ErrAlreadyReceiving or ErrReplicaCap.
 	BeginReplication(file ids.FileID, rm ids.RMID, maxTotal int) error
 	// EndReplication resolves a reservation: commit turns it into a real
-	// replica, abort drops it.
+	// replica, abort drops it. Without a reservation it returns
+	// ErrNoPendingReplication.
 	EndReplication(file ids.FileID, rm ids.RMID, commit bool) error
 	// ReplicaCount returns committed plus pending replicas of file.
 	ReplicaCount(file ids.FileID) int

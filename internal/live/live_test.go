@@ -261,6 +261,51 @@ func TestLiveReplicationOverTCP(t *testing.T) {
 	}
 }
 
+// TestLiveReplicationRefusalText: the MM's refusals are bare reasons
+// in-process; over TCP the server adds the file, RM and cap to the text,
+// and the client still sees a wire.RemoteError that matches no sentinel
+// (there is no reason code on the wire).
+func TestLiveReplicationRefusalText(t *testing.T) {
+	mgr := mm.New()
+	for id := ids.RMID(1); id <= 2; id++ {
+		info := ecnp.RMInfo{ID: id, Capacity: units.Mbps(10), StorageBytes: units.GB}
+		if err := mgr.RegisterRM(info, []ids.FileID{ids.FileID(id)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv, err := NewMMServer(mgr, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cli, err := DialMM(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+
+	for _, tc := range []struct {
+		err  error
+		want string
+	}{
+		{cli.BeginReplication(1, 2, 1), "mm: file already at its replica cap: file1 on RM2 (cap 1)"},
+		{cli.BeginReplication(1, 1, 0), "mm: destination already holds the file: file1 on RM1 (cap 0)"},
+		{cli.BeginReplication(1, 7, 0), "mm: replication destination is not a registered RM: file1 on RM7 (cap 0)"},
+		{cli.EndReplication(1, 2, true), "mm: no pending replication of the file on the RM: file1 on RM2"},
+	} {
+		var re wire.RemoteError
+		if !errors.As(tc.err, &re) {
+			t.Fatalf("%v: not a wire.RemoteError", tc.err)
+		}
+		if re.Text != tc.want {
+			t.Errorf("served text %q, want %q", re.Text, tc.want)
+		}
+		if errors.Is(tc.err, ecnp.ErrReplicaCap) {
+			t.Errorf("%v matches ErrReplicaCap across the wire", tc.err)
+		}
+	}
+}
+
 func TestLiveThrottledDataPlane(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing-sensitive")

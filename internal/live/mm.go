@@ -117,7 +117,9 @@ func (s *MMServer) dispatch(wc *wire.Conn, msg wire.Msg) error {
 			return wc.WriteError(fmt.Errorf("bad BeginReplication payload"))
 		}
 		if err := s.mgr.BeginReplication(req.File, req.RM, req.MaxTotal); err != nil {
-			return wc.WriteError(err)
+			// The mapper's refusal is a bare reason; the served text names
+			// the file, RM and cap it was about.
+			return wc.WriteError(fmt.Errorf("%w: %v on %v (cap %d)", err, req.File, req.RM, req.MaxTotal))
 		}
 		return wc.Write(wire.KindAck, wire.Ack{})
 	case wire.KindEndReplication:
@@ -126,7 +128,7 @@ func (s *MMServer) dispatch(wc *wire.Conn, msg wire.Msg) error {
 			return wc.WriteError(fmt.Errorf("bad EndReplication payload"))
 		}
 		if err := s.mgr.EndReplication(req.File, req.RM, req.Commit); err != nil {
-			return wc.WriteError(err)
+			return wc.WriteError(fmt.Errorf("%w: %v on %v", err, req.File, req.RM))
 		}
 		return wc.Write(wire.KindAck, wire.Ack{})
 	case wire.KindReplicaCount:

@@ -198,11 +198,7 @@ func TestLivenessMetrics(t *testing.T) {
 	if err := m.Heartbeat(1); err != nil { // revival
 		t.Fatal(err)
 	}
-	var sb strings.Builder
-	if err := reg.WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
-	text := sb.String()
+	text := exposition(t, reg)
 	for _, want := range []string{
 		`dfsqos_mm_rm_transitions_total{direction="dead"} 1`,
 		`dfsqos_mm_rm_transitions_total{direction="live"} 1`,

@@ -29,6 +29,9 @@ type Metrics struct {
 	// ReconciledReplicas counts stale replica-map entries pruned during
 	// RM re-registration (dfsqos_mm_reconciled_replicas_total).
 	ReconciledReplicas *telemetry.Counter
+	// Refused counts refused BeginReplication calls by which limit was
+	// hit (dfsqos_mm_replication_refusals_total{reason}).
+	Refused ReplicationRefusals
 
 	// Shard-group telemetry (inert on a single-MM deployment).
 
@@ -68,6 +71,8 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 		"Replica-map mutations mirrored to successor shards, by outcome.", "outcome")
 	handoff := reg.NewCounterVec("dfsqos_mm_shard_handoff_entries_total",
 		"Replica-map entries moved by the shard handoff protocol, by direction.", "direction")
+	refusals := reg.NewCounterVec("dfsqos_mm_replication_refusals_total",
+		"BeginReplication calls the MM refused, by the limit that was hit.", "reason")
 	return &Metrics{
 		RegisteredRMs: reg.NewGauge("dfsqos_mm_registered_rms",
 			"RMs in the global resource list, live or dead."),
@@ -79,6 +84,12 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 		Revivals: transitions.With("live"),
 		ReconciledReplicas: reg.NewCounter("dfsqos_mm_reconciled_replicas_total",
 			"Stale replica-map entries pruned during RM re-registration."),
+		Refused: ReplicationRefusals{
+			Cap:          refusals.With("cap"),
+			Holds:        refusals.With("holds"),
+			Receiving:    refusals.With("receiving"),
+			Unregistered: refusals.With("unregistered"),
+		},
 		LiveShards: reg.NewGauge("dfsqos_mm_live_shards",
 			"Metadata shards currently within their liveness window."),
 		ShardDeaths:   shardTransitions.With("dead"),
@@ -90,4 +101,30 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 		HandoffTakeover:    handoff.With("takeover"),
 		HandoffHeal:        handoff.With("heal"),
 	}
+}
+
+// ReplicationRefusals holds one pre-resolved child of
+// dfsqos_mm_replication_refusals_total per reason, so a refusal is one
+// atomic add with no label lookup on the path.
+type ReplicationRefusals struct {
+	// Cap: the file is at its replica cap (reason="cap").
+	Cap *telemetry.Counter
+	// Holds: the destination holds the file (reason="holds").
+	Holds *telemetry.Counter
+	// Receiving: the destination has a pending replica
+	// (reason="receiving").
+	Receiving *telemetry.Counter
+	// Unregistered: the destination is not in the resource list
+	// (reason="unregistered").
+	Unregistered *telemetry.Counter
+}
+
+// refusalsOnly returns a no-op sink that shares met's refusal counters. A
+// refusal is counted by the one shard that validates the write, whichever
+// that is, so unlike the RM gauges it is not multiplied by the shard
+// count and every shard of an in-process group may report it.
+func (met *Metrics) refusalsOnly() *Metrics {
+	out := NewMetrics(nil)
+	out.Refused = met.Refused
+	return out
 }

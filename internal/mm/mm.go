@@ -11,6 +11,7 @@ package mm
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -46,8 +47,13 @@ func (c LivenessConfig) Deadline() time.Duration {
 
 // Manager is the Metadata Manager.
 type Manager struct {
-	mu        sync.RWMutex
-	rms       map[ids.RMID]ecnp.RMInfo
+	mu  sync.RWMutex
+	rms map[ids.RMID]ecnp.RMInfo
+	// order holds the keys of rms in ascending order. RegisterRM inserts
+	// into it in the same critical section as the map write, so every
+	// query that answers in RM order walks it instead of collecting and
+	// sorting the map.
+	order     []ids.RMID
 	placement *catalog.Placement
 	// pending tracks in-flight replication destinations per file. A
 	// pending entry counts toward ReplicaCount, which is how concurrent
@@ -173,13 +179,8 @@ func (m *Manager) refreshLiveGaugesLocked(now time.Time) {
 // sequence (and with it any fault armed on a transition count)
 // irreproducible across runs of the same seed. Caller holds m.mu.
 func (m *Manager) latchLiveLocked(now time.Time) int {
-	order := make([]ids.RMID, 0, len(m.rms))
-	for id := range m.rms {
-		order = append(order, id)
-	}
-	sortRMs(order)
 	live := 0
-	for _, id := range order {
+	for _, id := range m.order {
 		if m.aliveLocked(id, now, true) {
 			live++
 		}
@@ -243,6 +244,10 @@ func (m *Manager) RegisterRM(info ecnp.RMInfo, files []ids.FileID) error {
 	defer m.mu.Unlock()
 	_, known := m.rms[info.ID]
 	m.rms[info.ID] = info
+	if !known {
+		i, _ := slices.BinarySearch(m.order, info.ID)
+		m.order = slices.Insert(m.order, i, info.ID)
+	}
 	for _, f := range files {
 		if !m.placement.Has(f, info.ID) {
 			if err := m.placement.Add(f, info.ID); err != nil {
@@ -306,15 +311,14 @@ func (m *Manager) filterLiveLocked(s []ids.RMID) []ids.RMID {
 func (m *Manager) RMsWithout(file ids.FileID) []ids.RMID {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	var out []ids.RMID
-	for id := range m.rms {
-		if !m.placement.Has(file, id) && !m.pending[file][id] {
+	pending := m.pending[file]
+	out := make([]ids.RMID, 0, len(m.order))
+	for _, id := range m.order {
+		if !m.placement.Has(file, id) && !pending[id] {
 			out = append(out, id)
 		}
 	}
-	out = m.filterLiveLocked(out)
-	sortRMs(out)
-	return out
+	return m.filterLiveLocked(out)
 }
 
 // AddReplica implements ecnp.Mapper.
@@ -343,22 +347,27 @@ func (m *Manager) RemoveReplica(file ids.FileID, rm ids.RMID) error {
 	return nil
 }
 
-// BeginReplication implements ecnp.Mapper.
+// BeginReplication implements ecnp.Mapper. A refusal is one of the ecnp
+// sentinels and one counter increment: the source-side agent asks on
+// every access of an RM under B_TH, so a refusal formats nothing.
 func (m *Manager) BeginReplication(file ids.FileID, rm ids.RMID, maxTotal int) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if _, ok := m.rms[rm]; !ok {
-		return fmt.Errorf("mm: BeginReplication to unregistered %v", rm)
+		m.met.Refused.Unregistered.Inc()
+		return ecnp.ErrUnregisteredRM
 	}
 	if m.placement.Has(file, rm) {
-		return fmt.Errorf("mm: %v already holds %v", rm, file)
+		m.met.Refused.Holds.Inc()
+		return ecnp.ErrAlreadyHolds
 	}
 	if m.pending[file][rm] {
-		return fmt.Errorf("mm: %v already receiving %v", rm, file)
+		m.met.Refused.Receiving.Inc()
+		return ecnp.ErrAlreadyReceiving
 	}
 	if maxTotal > 0 && m.placement.Degree(file)+len(m.pending[file]) >= maxTotal {
-		return fmt.Errorf("mm: %v already at %d replicas (cap %d)",
-			file, m.placement.Degree(file)+len(m.pending[file]), maxTotal)
+		m.met.Refused.Cap.Inc()
+		return ecnp.ErrReplicaCap
 	}
 	if m.pending[file] == nil {
 		m.pending[file] = make(map[ids.RMID]bool)
@@ -373,7 +382,7 @@ func (m *Manager) EndReplication(file ids.FileID, rm ids.RMID, commit bool) erro
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if !m.pending[file][rm] {
-		return fmt.Errorf("mm: no pending replication of %v on %v", file, rm)
+		return ecnp.ErrNoPendingReplication
 	}
 	delete(m.pending[file], rm)
 	if len(m.pending[file]) == 0 {
@@ -413,14 +422,13 @@ func (m *Manager) RMs() []ecnp.RMInfo {
 	if !live {
 		now = m.now()
 	}
-	out := make([]ecnp.RMInfo, 0, len(m.rms))
-	for id, info := range m.rms {
+	out := make([]ecnp.RMInfo, 0, len(m.order))
+	for _, id := range m.order {
 		if !live && !m.aliveLocked(id, now, false) {
 			continue
 		}
-		out = append(out, info)
+		out = append(out, m.rms[id])
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
@@ -429,11 +437,10 @@ func (m *Manager) RMs() []ecnp.RMInfo {
 func (m *Manager) AllRMs() []ecnp.RMInfo {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	out := make([]ecnp.RMInfo, 0, len(m.rms))
-	for _, info := range m.rms {
-		out = append(out, info)
+	out := make([]ecnp.RMInfo, 0, len(m.order))
+	for _, id := range m.order {
+		out = append(out, m.rms[id])
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 

@@ -1,9 +1,13 @@
 package mm
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
+	"dfsqos/internal/ecnp"
 	"dfsqos/internal/ids"
+	"dfsqos/internal/telemetry"
 )
 
 func TestBeginEndReplicationLifecycle(t *testing.T) {
@@ -44,22 +48,53 @@ func TestBeginEndReplicationLifecycle(t *testing.T) {
 
 func TestBeginReplicationRejections(t *testing.T) {
 	m := New()
+	reg := telemetry.NewRegistry()
+	m.SetMetrics(NewMetrics(reg))
 	m.RegisterRM(info(1), []ids.FileID{0})
 	m.RegisterRM(info(2), nil)
 	m.RegisterRM(info(3), nil)
 
-	if err := m.BeginReplication(0, 9, 0); err == nil {
-		t.Fatal("unregistered destination accepted")
+	if err := m.BeginReplication(0, 9, 0); !errors.Is(err, ecnp.ErrUnregisteredRM) {
+		t.Fatalf("unregistered destination: %v, want ErrUnregisteredRM", err)
 	}
-	if err := m.BeginReplication(0, 1, 0); err == nil {
-		t.Fatal("existing holder accepted as destination")
+	if err := m.BeginReplication(0, 1, 0); !errors.Is(err, ecnp.ErrAlreadyHolds) {
+		t.Fatalf("existing holder as destination: %v, want ErrAlreadyHolds", err)
 	}
 	if err := m.BeginReplication(0, 2, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.BeginReplication(0, 2, 0); err == nil {
-		t.Fatal("duplicate pending destination accepted")
+	if err := m.BeginReplication(0, 2, 0); !errors.Is(err, ecnp.ErrAlreadyReceiving) {
+		t.Fatalf("duplicate pending destination: %v, want ErrAlreadyReceiving", err)
 	}
+	// The destination's own state is checked before the file's: a holder
+	// of a file at its cap is told it holds it.
+	if err := m.BeginReplication(0, 1, 2); !errors.Is(err, ecnp.ErrAlreadyHolds) {
+		t.Fatalf("holder of a capped file: %v, want ErrAlreadyHolds", err)
+	}
+	if err := m.BeginReplication(0, 3, 2); !errors.Is(err, ecnp.ErrReplicaCap) {
+		t.Fatalf("third replica under cap 2: %v, want ErrReplicaCap", err)
+	}
+	// One increment per refusal, on the child of the reason returned.
+	text := exposition(t, reg)
+	for _, want := range []string{
+		`dfsqos_mm_replication_refusals_total{reason="unregistered"} 1`,
+		`dfsqos_mm_replication_refusals_total{reason="holds"} 2`,
+		`dfsqos_mm_replication_refusals_total{reason="receiving"} 1`,
+		`dfsqos_mm_replication_refusals_total{reason="cap"} 1`,
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("exposition missing %q:\n%s", want, text)
+		}
+	}
+}
+
+func exposition(t *testing.T, reg *telemetry.Registry) string {
+	t.Helper()
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	return sb.String()
 }
 
 func TestBeginReplicationEnforcesCap(t *testing.T) {
@@ -73,8 +108,8 @@ func TestBeginReplicationEnforcesCap(t *testing.T) {
 	if err := m.BeginReplication(0, 2, 2); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.BeginReplication(0, 3, 2); err == nil {
-		t.Fatal("cap overshoot accepted")
+	if err := m.BeginReplication(0, 3, 2); !errors.Is(err, ecnp.ErrReplicaCap) {
+		t.Fatalf("cap overshoot: %v, want ErrReplicaCap", err)
 	}
 	// An uncapped reservation still works.
 	if err := m.BeginReplication(0, 3, 0); err != nil {
@@ -88,11 +123,61 @@ func TestBeginReplicationEnforcesCap(t *testing.T) {
 	}
 }
 
+// TestShardedRefusalReasonsSurvive: the reason reaches the caller through
+// the shard group too — bare from the validating owner, and under the
+// "%w" wrap when a mirror owner disagrees with it.
+func TestShardedRefusalReasonsSurvive(t *testing.T) {
+	m := NewShardedReplicated(3, 2)
+	reg := telemetry.NewRegistry()
+	m.SetMetrics(NewMetrics(reg))
+	m.RegisterRM(info(1), []ids.FileID{0, 1, 2, 3, 4, 5})
+	m.RegisterRM(info(2), nil)
+	m.RegisterRM(info(3), nil)
+
+	// Between them the six files are validated by more than one shard,
+	// shard 0 (which carries the group's other RM telemetry) or not.
+	primaries := map[int]bool{}
+	for f := ids.FileID(0); f < 6; f++ {
+		primaries[m.ownersOf(f)[0]] = true
+		if err := m.BeginReplication(f, 2, 2); err != nil {
+			t.Fatalf("%v: %v", f, err)
+		}
+		if err := m.BeginReplication(f, 3, 2); !errors.Is(err, ecnp.ErrReplicaCap) {
+			t.Fatalf("%v past its cap: %v, want ErrReplicaCap", f, err)
+		}
+		if err := m.EndReplication(f, 3, false); !errors.Is(err, ecnp.ErrNoPendingReplication) {
+			t.Fatalf("%v: abort without reservation: %v, want ErrNoPendingReplication", f, err)
+		}
+	}
+	if len(primaries) < 2 {
+		t.Fatalf("all six files validate on one shard (%v): pick files that spread", primaries)
+	}
+	// Counted once each, by whichever shard validated the write.
+	text := exposition(t, reg)
+	if want := `dfsqos_mm_replication_refusals_total{reason="cap"} 6`; !strings.Contains(text, want) {
+		t.Fatalf("exposition missing %q after six refusals over three shards:\n%s", want, text)
+	}
+
+	// Make the mirror owner of file 0 diverge: it alone believes RM3
+	// holds the file, so the primary accepts and the mirror refuses.
+	owners := m.ownersOf(0)
+	if err := m.Shard(owners[1]).AddReplica(0, 3); err != nil {
+		t.Fatal(err)
+	}
+	err := m.BeginReplication(0, 3, 0)
+	if !errors.Is(err, ecnp.ErrAlreadyHolds) {
+		t.Fatalf("mirror refusal: %v, want ErrAlreadyHolds under the mirror wrap", err)
+	}
+	if err == ecnp.ErrAlreadyHolds {
+		t.Fatal("mirror refusal arrived bare: the wrap naming the shard is gone")
+	}
+}
+
 func TestEndReplicationWithoutBegin(t *testing.T) {
 	m := New()
 	m.RegisterRM(info(1), []ids.FileID{0})
-	if err := m.EndReplication(0, 1, true); err == nil {
-		t.Fatal("EndReplication without reservation accepted")
+	if err := m.EndReplication(0, 1, true); !errors.Is(err, ecnp.ErrNoPendingReplication) {
+		t.Fatalf("EndReplication without reservation: %v, want ErrNoPendingReplication", err)
 	}
 }
 

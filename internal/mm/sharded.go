@@ -246,14 +246,18 @@ func (m *ShardedManager) SetClock(now func() time.Time) {
 // SetMetrics routes MM telemetry. Shard 0 carries the RM gauges (the
 // resource list is replicated, so any shard's view is canonical); the
 // other shards keep no-op sinks so per-incident counters are not
-// multiplied by the shard count. Shard-group counters (mirrors, handoffs,
-// transitions) live on the group itself.
+// multiplied by the shard count — except the replication refusals, which
+// only the shard validating a write counts. Shard-group counters
+// (mirrors, handoffs, transitions) live on the group itself.
 func (m *ShardedManager) SetMetrics(met *Metrics) {
 	if met == nil {
 		met = NewMetrics(nil)
 	}
 	m.met = met
 	m.shards[0].SetMetrics(met)
+	for _, shard := range m.shards[1:] {
+		shard.SetMetrics(met.refusalsOnly())
+	}
 	m.health.SetMetrics(met)
 }
 

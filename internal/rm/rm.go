@@ -11,6 +11,7 @@
 package rm
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
@@ -814,6 +815,13 @@ func (r *RM) tryReplicateFile(now simtime.Time, f ids.FileID, self ids.RMID) boo
 		rep ids.ReplicationID
 		dst ecnp.Provider
 	}
+	// The MM enforces the replica cap atomically, so concurrent sources of
+	// the same file cannot overshoot N_MAXR. A migrating plan may hold one
+	// replica beyond the bound until the source deletes its own copy.
+	maxTotal := cfg.Strategy.NMaxR
+	if migrate {
+		maxTotal++
+	}
 	var transfers []started
 	for _, dstID := range order {
 		if len(transfers) >= want {
@@ -823,15 +831,18 @@ func (r *RM) tryReplicateFile(now simtime.Time, f ids.FileID, self ids.RMID) boo
 		if !ok {
 			continue
 		}
-		// Reserve the replica slot globally first: the MM enforces the
-		// replica cap atomically, so concurrent sources of the same file
-		// cannot overshoot N_MAXR. A migrating plan may hold one replica
-		// beyond the bound until the source deletes its own copy.
-		cap := cfg.Strategy.NMaxR
-		if migrate {
-			cap++
-		}
-		if err := r.mapper.BeginReplication(f, dstID, cap); err != nil {
+		// Reserve the replica slot globally before offering the copy.
+		if err := r.mapper.BeginReplication(f, dstID, maxTotal); err != nil {
+			// The cap is a property of the file, not of dstID, and a
+			// refused reservation changes nothing: every later
+			// destination would get the same answer, so the walk ends
+			// here and keeps the transfers it started. Over TCP the
+			// refusal arrives as a wire.RemoteError that matches no
+			// sentinel and the walk goes on as before; ending it there
+			// needs a reason code in the Error frame (ROADMAP item 3).
+			if errors.Is(err, ecnp.ErrReplicaCap) {
+				break
+			}
 			continue
 		}
 		rep := r.nextRepID()

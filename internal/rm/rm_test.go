@@ -25,6 +25,13 @@ type harness struct {
 
 func newHarness(t *testing.T, repCfg replication.Config, caps map[ids.RMID]units.BytesPerSec, files map[ids.RMID]map[ids.FileID]FileMeta) *harness {
 	t.Helper()
+	return newHarnessWrapped(t, repCfg, caps, files, func(m *mm.Manager) ecnp.Mapper { return m })
+}
+
+// newHarnessWrapped hands the RMs wrap(h.mapper) as their mapper, so a
+// test can observe or interleave with the calls they make on the MM.
+func newHarnessWrapped(t *testing.T, repCfg replication.Config, caps map[ids.RMID]units.BytesPerSec, files map[ids.RMID]map[ids.FileID]FileMeta, wrap func(*mm.Manager) ecnp.Mapper) *harness {
+	t.Helper()
 	h := &harness{
 		sched:  simtime.NewScheduler(),
 		mapper: mm.New(),
@@ -33,11 +40,12 @@ func newHarness(t *testing.T, repCfg replication.Config, caps map[ids.RMID]units
 	}
 	adapter := ecnp.SimScheduler{S: h.sched}
 	master := rng.New(7)
+	mapper := wrap(h.mapper)
 	for id, capBW := range caps {
 		node, err := New(Options{
 			Info:        ecnp.RMInfo{ID: id, Capacity: capBW, StorageBytes: 16 * units.GB},
 			Scheduler:   adapter,
-			Mapper:      h.mapper,
+			Mapper:      mapper,
 			History:     history.DefaultConfig(),
 			Replication: repCfg,
 			Rand:        master.Split(id.String()),

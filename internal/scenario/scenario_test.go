@@ -438,3 +438,26 @@ func TestRunLiveSlice(t *testing.T) {
 		t.Fatal("live slice recorded no classes")
 	}
 }
+
+// TestFlashCrowdOutcomePinned pins what the flash-crowd scenario decides,
+// not only that a binary agrees with itself: the benchmark's des_flash
+// instance (a third of the builtin's horizon, seed 1) must dispatch,
+// refuse and replicate exactly these counts. A change that is meant to
+// move only the cost of the replication path leaves them alone; one that
+// shifts an RM's random stream (a skipped Dest.Order draw, a reordered
+// candidate list) moves them and has to re-baseline here on purpose.
+func TestFlashCrowdOutcomePinned(t *testing.T) {
+	spec, err := Find("flash-crowd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.HorizonSec = 200
+	res, err := Run(spec, Options{Seed: 1, SkipLive: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Requests != 13382 || res.Failed != 3552 || res.Replications != 92 {
+		t.Fatalf("requests / failed / replications = %d / %d / %d, want 13382 / 3552 / 92",
+			res.Requests, res.Failed, res.Replications)
+	}
+}

@@ -1,8 +1,9 @@
 #!/usr/bin/env sh
 # bench.sh — reproducible data-plane benchmark run.
 #
-# Runs the wire codec benchmarks and the live-TCP streaming benchmark,
-# parses the `go test -bench` output into BENCH_6.json, and enforces the
+# Runs the wire codec benchmarks, the live-TCP streaming benchmark and the
+# MM's refused-replication benchmarks, parses the `go test -bench` output
+# into BENCH_6.json, and enforces the
 # fast-path allocation ceiling: the fast sub-benchmarks of
 # BenchmarkEncodeChunk and BenchmarkDecodeChunk must stay at (by default)
 # 0 allocs/op under every slot combination of the binary header (plain,
@@ -42,6 +43,13 @@
 # decode in the gob sub-benchmarks above, so one control kind slipping back
 # onto gob trips it.
 #
+# The refused-replication path has two more: on an in-process MM with 256
+# RMs and one file at cap 8, a refused BeginReplication may cost 0
+# allocs/op (the refusal is a preallocated reason, not a formatted
+# sentence) and RMsWithout 1 (its result; the resource list is kept in
+# order, so nothing is collected and sorted per call). The source-side
+# agent makes both calls on every access of an RM under B_TH.
+#
 # Finally it runs the work-conserving QoS benchmark (one stream against an
 # idle sibling's headroom, flat tree vs borrowing tree) into a second
 # report and enforces two gates: the conserving mode must beat the flat
@@ -77,6 +85,11 @@ go test ./internal/wire/ -run '^$' \
 echo "== live TCP streaming benchmarks (benchtime=$BENCH_TIME)"
 go test ./internal/live/ -run '^$' \
 	-bench 'BenchmarkLiveStreamThroughput|BenchmarkLiveStripedReadThroughput|BenchmarkLiveNegotiate' \
+	-benchmem -benchtime "$BENCH_TIME" | tee -a "$RAW"
+
+echo "== MM refused-replication benchmarks (benchtime=$BENCH_TIME)"
+go test ./internal/mm/ -run '^$' \
+	-bench 'BenchmarkBeginReplicationRefused|BenchmarkRMsWithout' \
 	-benchmem -benchtime "$BENCH_TIME" | tee -a "$RAW"
 
 # Parse "BenchmarkName/sub-N  iters  ns/op  [MB/s]  [B/op]  [allocs/op]"
@@ -151,6 +164,10 @@ done
 # One whole K4 striped read: negotiation plus a segment path that
 # allocates nothing per segment (see the header).
 alloc_gate "BenchmarkLiveStripedReadThroughput/K4" 260
+
+# The refused-replication path on the MM (see the header).
+alloc_gate BenchmarkBeginReplicationRefused 0
+alloc_gate BenchmarkRMsWithout 1
 
 # Stripe-scaling gate: K4 striped throughput must beat K1 by STRIPE_FLOOR.
 stripe_mbs() {
