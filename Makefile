@@ -48,9 +48,11 @@ chaos-mm:
 # 60% on the observability packages, 80% on the replicated metadata
 # core (internal/mm carries the shard ring, health and handoff logic),
 # on the QoS enforcement core (internal/blkio carries the
-# work-conserving token tree every data stream throttles through), and
-# on the tenant quota ledger (internal/tenant is the multi-tenant
-# admission arithmetic every RM trusts).
+# work-conserving token tree every data stream throttles through), on
+# the tenant quota ledger (internal/tenant is the multi-tenant
+# admission arithmetic every RM trusts), and on the event scheduler
+# (internal/simtime fixes the order every simulated request runs in, so
+# every table in EXPERIMENTS.md rests on it).
 cover:
 	mkdir -p coverage
 	$(GO) test -coverprofile=coverage/telemetry.out ./internal/telemetry/
@@ -60,9 +62,10 @@ cover:
 	$(GO) test -coverprofile=coverage/mm.out ./internal/mm/
 	$(GO) test -coverprofile=coverage/blkio.out ./internal/blkio/
 	$(GO) test -coverprofile=coverage/tenant.out ./internal/tenant/
+	$(GO) test -coverprofile=coverage/simtime.out ./internal/simtime/
 	$(GO) test -coverprofile=coverage/all.out -coverpkg=./... ./...
 	./scripts/cover_gate.sh 60 coverage/telemetry.out coverage/monitor.out coverage/faults.out coverage/scenario.out
-	./scripts/cover_gate.sh 80 coverage/mm.out coverage/blkio.out coverage/tenant.out
+	./scripts/cover_gate.sh 80 coverage/mm.out coverage/blkio.out coverage/tenant.out coverage/simtime.out
 
 # bench runs the data-plane benchmark harness: wire codec benchmarks plus
 # the live-TCP streaming, striped-read and negotiation benchmarks, parsed
@@ -70,7 +73,9 @@ cover:
 # codecs, the 2-allocs/op gate on the per-open control codecs, the
 # per-holder allocation ceiling on a live negotiation, the allocation
 # ceiling on a whole K4 striped read, the 0- and 1-alloc gates on the MM's
-# refused BeginReplication and RMsWithout, and the K4-vs-K1 stripe-scaling
+# refused BeginReplication and RMsWithout, the DES event loop's gates (1
+# alloc per scheduled event at any queue depth, 0 per fed arrival, 12 per
+# serial negotiation), and the K4-vs-K1 stripe-scaling
 # floor. The work-conserving QoS benchmark
 # (borrowing tree vs flat baseline) lands in BENCH_9.json, gated on
 # strictly-above-flat utilization with zero assured-floor violations.
@@ -95,15 +100,18 @@ scenarios:
 scenarios-tenant:
 	SCEN_FLAGS="-scenario noisy-neighbor $(SCEN_FLAGS)" ./scripts/scenarios.sh BENCH_10.json
 
-# fuzz-smoke gives each wire codec fuzz target a short randomized run on
-# top of its seeded corpus — enough to catch decoder panics and round-trip
-# divergence without CI-hostile runtimes. Targets must run one at a time
-# (go test allows a single -fuzz pattern per invocation).
+# fuzz-smoke gives each wire codec fuzz target, and the event scheduler's
+# order-against-a-reference target, a short randomized run on top of its
+# seeded corpus — enough to catch decoder panics, round-trip divergence
+# and an event fired out of (time, sequence) order without CI-hostile
+# runtimes. Targets must run one at a time (go test allows a single -fuzz
+# pattern per invocation).
 FUZZ_TIME ?= 10s
 fuzz-smoke:
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz '^FuzzRead$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz '^FuzzBinaryChunkRoundTrip$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz '^FuzzBinaryCtlRoundTrip$$' -fuzztime $(FUZZ_TIME)
+	$(GO) test ./internal/simtime/ -run '^$$' -fuzz '^FuzzSchedulerOrder$$' -fuzztime $(FUZZ_TIME)
 
 # gobonly builds the wire package with the binary fast path compiled out
 # (the interop escape hatch) and proves both that the build still passes

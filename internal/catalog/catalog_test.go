@@ -2,6 +2,7 @@ package catalog
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -258,5 +259,36 @@ func TestPlacementDegreeProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// FilesByRM is FilesOn for every RM at once: equal file sets, and no entry
+// for an RM that holds nothing.
+func TestFilesByRMEqualsFilesOn(t *testing.T) {
+	c := mustGen(t, DefaultConfig(), 5)
+	rms := testRMs(16)
+	p, err := StaticRandom(c, rms[:15], 3, rng.New(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Remove(0, p.Holders(0)[0]); err != nil {
+		t.Fatal(err)
+	}
+	byRM := p.FilesByRM()
+	sorted := func(fs []ids.FileID) []ids.FileID {
+		fs = slices.Clone(fs)
+		slices.Sort(fs)
+		return fs
+	}
+	for _, rm := range rms[:15] {
+		if got, want := sorted(byRM[rm]), sorted(p.FilesOn(rm)); !slices.Equal(got, want) {
+			t.Errorf("%v: FilesByRM lists %d files, FilesOn %d, or they differ", rm, len(got), len(want))
+		}
+	}
+	if fs, ok := byRM[rms[15]]; ok {
+		t.Errorf("%v holds nothing but is listed with %v", rms[15], fs)
+	}
+	if len(byRM) != 15 {
+		t.Errorf("%d RMs listed, want 15", len(byRM))
 	}
 }

@@ -111,6 +111,20 @@ func (p *Placement) FilesOn(rm ids.RMID) []ids.FileID {
 	return out
 }
 
+// FilesByRM inverts the placement in one pass: every RM holding at least
+// one replica maps to the files it holds. It equals calling FilesOn for
+// each RM — which walks the whole replica map per call — and, like
+// FilesOn, guarantees no order within a list.
+func (p *Placement) FilesByRM() map[ids.RMID][]ids.FileID {
+	out := make(map[ids.RMID][]ids.FileID)
+	for id, hs := range p.replicas {
+		for _, h := range hs {
+			out[h] = append(out[h], id)
+		}
+	}
+	return out
+}
+
 // Files returns the IDs of all files with at least one replica. Order is
 // NOT guaranteed; callers needing determinism must sort.
 func (p *Placement) Files() []ids.FileID {

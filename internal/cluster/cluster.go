@@ -331,10 +331,11 @@ func Build(cfg Config) (*Cluster, error) {
 
 	rms := make([]*rm.RM, len(caps))
 	dir := make(ecnp.StaticDirectory, len(caps))
+	filesOn := placement.FilesByRM()
 	for i, capBW := range caps {
 		id := rmIDs[i]
-		files := make(map[ids.FileID]rm.FileMeta)
-		for _, f := range placement.FilesOn(id) {
+		files := make(map[ids.FileID]rm.FileMeta, len(filesOn[id]))
+		for _, f := range filesOn[id] {
 			meta := cat.File(f)
 			files[f] = rm.FileMeta{
 				Bitrate:     meta.Bitrate,
@@ -465,8 +466,8 @@ func (c *Cluster) RM(id ids.RMID) *rm.RM { return c.rms[int(id)-1] }
 // keep it cheap.
 type Observer func(req workload.Request, out dfsc.Outcome, wall time.Duration)
 
-// Run schedules the access pattern, executes the simulation to the horizon
-// and returns the accumulated results.
+// Run feeds the access pattern to the scheduler, executes the simulation to
+// the horizon and returns the accumulated results.
 func (c *Cluster) Run() (*Results, error) { return c.RunWithObserver(nil) }
 
 // dispatch routes one request to its client by operation kind: reads run
@@ -492,19 +493,33 @@ func (c *Cluster) dispatch(req workload.Request) dfsc.Outcome {
 func (c *Cluster) RunWithObserver(obs Observer) (*Results, error) {
 	horizon := simtime.Time(c.cfg.Workload.HorizonSec)
 
-	// Schedule every request at its arrival timestamp.
-	for _, req := range c.pattern.Requests {
-		req := req
-		c.sched.Schedule(simtime.Time(req.AtSec), func(simtime.Time) {
-			if obs == nil {
-				c.dispatch(req)
-				return
-			}
-			start := time.Now()
-			out := c.dispatch(req)
-			obs(req, out, time.Since(start))
-		})
+	// The pattern is sorted by arrival time (workload.Pattern's
+	// invariant), so it is fed to the scheduler as one stream instead of
+	// being queued request by request: the queue then holds only what a
+	// run has pending (closes, transfers, tickers), not every arrival of
+	// the horizon. A pattern that is not sorted is refused, never
+	// reordered.
+	reqs := c.pattern.Requests
+	arrivals := make([]simtime.Time, len(reqs))
+	prev := float64(c.sched.Now())
+	for i := range reqs {
+		at := reqs[i].AtSec
+		if !(at >= prev) {
+			return nil, fmt.Errorf("cluster: request %d arrives at %.3fs, before %.3fs (the previous arrival, or the clock): the pattern must be sorted by arrival time",
+				i, at, prev)
+		}
+		arrivals[i], prev = simtime.Time(at), at
 	}
+	c.sched.Feed(arrivals, func(i int, _ simtime.Time) {
+		req := reqs[i]
+		if obs == nil {
+			c.dispatch(req)
+			return
+		}
+		start := time.Now()
+		out := c.dispatch(req)
+		obs(req, out, time.Since(start))
+	})
 
 	// Utilization sampling for the figure experiments.
 	var series map[ids.RMID]*metrics.Series

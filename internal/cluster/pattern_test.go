@@ -1,8 +1,12 @@
 package cluster
 
 import (
+	"math"
+	"strings"
 	"testing"
+	"time"
 
+	"dfsqos/internal/dfsc"
 	"dfsqos/internal/ids"
 	"dfsqos/internal/workload"
 )
@@ -73,6 +77,57 @@ func TestUsePatternValidation(t *testing.T) {
 	}
 	if err := cl.UsePattern(bad); err == nil {
 		t.Fatal("unordered trace accepted")
+	}
+}
+
+// The scheduler is fed the pattern as a sorted stream, so sortedness is
+// load-bearing: a pattern edited out of order after Build (the scenario
+// shapes edit it in place) is refused with the offending request named,
+// never silently reordered, and nothing is dispatched.
+func TestRunRefusesOutOfOrderPattern(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		edit func(reqs []workload.Request)
+		want string
+	}{
+		{"swapped pair", func(r []workload.Request) { r[7], r[8] = r[8], r[7] }, "request 8 arrives at"},
+		{"NaN", func(r []workload.Request) { r[3].AtSec = math.NaN() }, "request 3 arrives at NaN"},
+		{"before the clock", func(r []workload.Request) { r[0].AtSec = -1 }, "request 0 arrives at -1.000s"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cl, err := Build(quickConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			reqs := cl.Pattern().Requests
+			if reqs[7].AtSec == reqs[8].AtSec {
+				t.Fatal("requests 7 and 8 arrive together; pick another pair")
+			}
+			tc.edit(reqs)
+			dispatched := 0
+			res, err := cl.RunWithObserver(func(workload.Request, dfsc.Outcome, time.Duration) { dispatched++ })
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Run returned (%v, %v), want an error mentioning %q", res, err, tc.want)
+			}
+			if dispatched != 0 {
+				t.Fatalf("%d requests dispatched from a refused pattern", dispatched)
+			}
+		})
+	}
+}
+
+// A second Run on the same cluster finds the clock at the horizon and
+// every arrival behind it: an error, not a panic from the scheduler.
+func TestRunTwiceIsAnError(t *testing.T) {
+	cl, err := Build(quickConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.Run(); err == nil || !strings.Contains(err.Error(), "request 0 arrives at") {
+		t.Fatalf("second Run returned %v", err)
 	}
 }
 

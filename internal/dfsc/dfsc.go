@@ -375,7 +375,7 @@ func (c *Client) Store(file ids.FileID) Outcome {
 	store := ecnp.StoreRequest{File: file, Bitrate: f.Bitrate, SizeBytes: f.Size, DurationSec: f.DurationSec, Tenant: c.tenant}
 	open := ecnp.OpenRequest{Request: req, File: file, Bitrate: f.Bitrate, DurationSec: f.DurationSec, Firm: firm, Tenant: c.tenant}
 	for _, rmID := range order {
-		p := providers[rmID]
+		p := providers[bidIndex(bids, rmID)]
 		// An RM already holding the file cannot store it again.
 		if err := p.StoreFile(store); err != nil {
 			continue
@@ -560,18 +560,19 @@ func (c *Client) negotiateLanes(ctx context.Context, file ids.FileID, exclude ma
 		Tenant:      c.tenant,
 	}
 	bidSp := c.tracer.StartChild(sp.Context(), "dfsc.bid").SetFile(file).SetRequest(req)
-	collected, providers := c.collectBids(trace.NewContext(ctx, bidSp.Context()), holders, cfp, true)
+	bids, providers := c.collectBids(trace.NewContext(ctx, bidSp.Context()), holders, cfp, true)
 	bidSp.SetOutcome("ok").End()
-	bids := collected
 	if c.broadcast {
 		// A CNP provider without the file refuses; its CFP and refusal
 		// are the redundant traffic ECNP eliminates.
-		bids = make([]selection.Bid, 0, len(collected))
-		for _, bid := range collected {
+		kept := 0
+		for i, bid := range bids {
 			if bid.HasReplica {
-				bids = append(bids, bid)
+				bids[kept], providers[kept] = bid, providers[i]
+				kept++
 			}
 		}
+		bids, providers = bids[:kept], providers[:kept]
 	}
 	if len(bids) == 0 {
 		c.mu.Lock()
@@ -591,10 +592,6 @@ func (c *Client) negotiateLanes(ctx context.Context, file ids.FileID, exclude ma
 	order := selection.TopK(c.policy, bids, len(bids), c.src)
 	firm := c.scen.IsFirm()
 	c.mu.Unlock()
-	bidByRM := make(map[ids.RMID]selection.Bid, len(bids))
-	for _, b := range bids {
-		bidByRM[b.RM] = b
-	}
 
 	// Phase 3 — data communication: open on the ranked winners until k
 	// lanes hold reservations. In the firm scenario a refused open falls
@@ -623,7 +620,8 @@ func (c *Client) negotiateLanes(ctx context.Context, file ids.FileID, exclude ma
 			Firm:        firm,
 			Tenant:      c.tenant,
 		}
-		p := providers[rmID]
+		won := bidIndex(bids, rmID)
+		p := providers[won]
 		openSp := c.tracer.StartChild(sp.Context(), "dfsc.open").
 			SetRM(rmID).SetFile(file).SetRequest(laneReq)
 		var res ecnp.OpenResult
@@ -656,7 +654,7 @@ func (c *Client) negotiateLanes(ctx context.Context, file ids.FileID, exclude ma
 		}
 		openSp.SetOutcome("admitted").End()
 		c.met.Admitted.Inc()
-		if b, won := bidByRM[rmID]; won && b.Ceil > 0 && b.Req > b.Assured {
+		if b := bids[won]; b.Ceil > 0 && b.Req > b.Assured {
 			// The RM advertised a ceiling and the request outran its
 			// assured headroom: an oversubscription-funded admission.
 			c.mu.Lock()
@@ -730,10 +728,12 @@ func (c *Client) dropLease(file ids.FileID, fromLease bool) {
 	}
 }
 
-// collectBids runs the CFP fan-out over the candidate RMs and returns the
-// bids in candidate order plus the resolved providers (unresolvable RMs
-// are skipped). count toggles message accounting: the read path counts a
-// CFP+bid pair per contacted provider; Store historically does not count.
+// collectBids runs the CFP fan-out over the candidate RMs and returns one
+// bid per contacted provider, in candidate order, with the providers
+// index-aligned beside them: providers[i] answered bids[i]. A repeated id
+// is contacted once and an unresolvable one is skipped. count toggles
+// message accounting: the read path counts a CFP+bid pair per contacted
+// provider; Store historically does not count.
 //
 // Serial mode (the default) calls each provider in turn — the
 // deterministic shape the discrete-event simulation requires; providers
@@ -746,93 +746,91 @@ func (c *Client) dropLease(file ids.FileID, fromLease bool) {
 // bounded by the transport's own call deadline) and contribute a
 // synthesized zero bid that ranks last — the paper's always-bid deviation
 // preserved by degradation instead of blocking the open.
-func (c *Client) collectBids(ctx context.Context, candidates []ids.RMID, cfp ecnp.CFP, count bool) ([]selection.Bid, map[ids.RMID]ecnp.Provider) {
-	providers := make(map[ids.RMID]ecnp.Provider, len(candidates))
-	resolved := make([]ecnp.Provider, len(candidates)) // index-aligned; nil = skipped
-	n := 0
-	for i, id := range candidates {
-		if _, dup := providers[id]; dup {
+func (c *Client) collectBids(ctx context.Context, candidates []ids.RMID, cfp ecnp.CFP, count bool) ([]selection.Bid, []ecnp.Provider) {
+	// Until its provider answers, a bid is the zero bid: the slot's RM is
+	// what later candidates are checked against, and what a provider that
+	// misses the deadline is left with. The MM hands out ids in ascending
+	// order, so a candidate above the last one kept cannot be a repeat and
+	// the whole resource list (broadcast CNP, Store) is checked in one
+	// pass; only a list that steps backwards is searched.
+	bids := make([]selection.Bid, 0, len(candidates))
+	providers := make([]ecnp.Provider, 0, len(candidates))
+	ascending := true
+	for _, id := range candidates {
+		above := len(bids) == 0 || (ascending && id > bids[len(bids)-1].RM)
+		if !above && bidIndex(bids, id) >= 0 {
 			continue
 		}
 		if p, ok := c.dir.Provider(id); ok {
-			providers[id] = p
-			resolved[i] = p
-			n++
+			bids = append(bids, ecnp.ZeroBid(id, cfp))
+			providers = append(providers, p)
+			ascending = ascending && above
 		}
 	}
 	if count {
-		c.addMessages(int64(2 * n)) // CFP + bid per contacted provider
+		c.addMessages(int64(2 * len(bids))) // CFP + bid per contacted provider
 	}
-	if n == 0 {
-		return nil, providers
+	if len(bids) == 0 {
+		return nil, nil
 	}
 
-	bids := make([]selection.Bid, len(candidates))
-	have := make([]bool, len(candidates))
 	if !c.fanout.Concurrent {
-		for i, p := range resolved {
-			if p == nil {
-				continue
-			}
-			if cb, ok := p.(ecnp.CtxBidder); ok {
-				bids[i] = cb.HandleCFPContext(ctx, cfp)
-			} else {
-				bids[i] = p.HandleCFP(cfp)
-			}
-			have[i] = true
+		for i, p := range providers {
+			bids[i] = handleCFP(ctx, p, cfp)
 		}
-	} else {
-		if c.fanout.BidTimeout > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, c.fanout.BidTimeout)
-			defer cancel()
-		}
-		type slot struct {
-			i   int
-			bid selection.Bid
-		}
-		ch := make(chan slot, n) // buffered: abandoned bidders never leak
-		for i, p := range resolved {
-			if p == nil {
-				continue
-			}
-			go func(i int, p ecnp.Provider) {
-				var b selection.Bid
-				if cb, ok := p.(ecnp.CtxBidder); ok {
-					b = cb.HandleCFPContext(ctx, cfp)
-				} else {
-					b = p.HandleCFP(cfp)
-				}
-				ch <- slot{i: i, bid: b}
-			}(i, p)
-		}
-		for got := 0; got < n; {
-			select {
-			case s := <-ch:
-				bids[s.i] = s.bid
-				have[s.i] = true
-				got++
-			case <-ctx.Done():
-				got = n // deadline: synthesize zero bids for the rest
-			}
-		}
+		return bids, providers
 	}
 
-	out := make([]selection.Bid, 0, n)
-	for i, p := range resolved {
-		if p == nil {
-			continue
-		}
-		if !have[i] {
-			// The negotiation deadline passed without this provider's
-			// bid: a zero bid ranks it last and the negotiation proceeds
-			// with the live bidders (paper's "always bid" preserved).
-			bids[i] = ecnp.ZeroBid(candidates[i], cfp)
-			c.met.FanoutStalls.Inc()
-		}
-		out = append(out, bids[i])
+	if c.fanout.BidTimeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, c.fanout.BidTimeout)
+		defer cancel()
 	}
-	return out, providers
+	type slot struct {
+		i   int
+		bid selection.Bid
+	}
+	ch := make(chan slot, len(providers)) // buffered: abandoned bidders never leak
+	for i, p := range providers {
+		go func(i int, p ecnp.Provider) {
+			ch <- slot{i: i, bid: handleCFP(ctx, p, cfp)}
+		}(i, p)
+	}
+	for got := 0; got < len(providers); got++ {
+		select {
+		case s := <-ch:
+			bids[s.i] = s.bid
+		case <-ctx.Done():
+			// The negotiation deadline passed without the remaining
+			// providers' bids: their zero bids rank them last and the
+			// negotiation proceeds with the live bidders (paper's
+			// "always bid" preserved).
+			c.met.FanoutStalls.Add(uint64(len(providers) - got))
+			return bids, providers
+		}
+	}
+	return bids, providers
+}
+
+// handleCFP sends one CFP, with ctx when the provider can carry it.
+func handleCFP(ctx context.Context, p ecnp.Provider, cfp ecnp.CFP) selection.Bid {
+	if cb, ok := p.(ecnp.CtxBidder); ok {
+		return cb.HandleCFPContext(ctx, cfp)
+	}
+	return p.HandleCFP(cfp)
+}
+
+// bidIndex returns the position of rm's bid, or -1. Bid lists are a
+// file's replica holders — a handful — except while a resource-wide
+// fan-out is being collected, where the ascending-order shortcut in
+// collectBids keeps this off the common path.
+func bidIndex(bids []selection.Bid, rm ids.RMID) int {
+	for i := range bids {
+		if bids[i].RM == rm {
+			return i
+		}
+	}
+	return -1
 }
 
 // scheduleClose releases the reservation when the playback ends.

@@ -26,7 +26,7 @@ type harness struct {
 	catalog *catalog.Catalog
 }
 
-func newHarness(t *testing.T, caps map[ids.RMID]units.BytesPerSec, holders map[ids.FileID][]ids.RMID) *harness {
+func newHarness(t testing.TB, caps map[ids.RMID]units.BytesPerSec, holders map[ids.FileID][]ids.RMID) *harness {
 	t.Helper()
 	cfg := catalog.DefaultConfig()
 	cfg.NumFiles = 8
@@ -78,7 +78,7 @@ func newHarness(t *testing.T, caps map[ids.RMID]units.BytesPerSec, holders map[i
 	return h
 }
 
-func (h *harness) client(t *testing.T, pol selection.Policy, scen qos.Scenario) *Client {
+func (h *harness) client(t testing.TB, pol selection.Policy, scen qos.Scenario) *Client {
 	t.Helper()
 	c, err := New(Options{
 		ID:        1,

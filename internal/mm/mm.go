@@ -284,7 +284,7 @@ func (m *Manager) Lookup(file ids.FileID) []ids.RMID {
 	defer m.mu.RUnlock()
 	hs := m.placement.Holders(file)
 	hs = m.filterLiveLocked(hs)
-	sortRMs(hs)
+	slices.Sort(hs)
 	return hs
 }
 
@@ -485,7 +485,7 @@ func (m *Manager) Replicas(file ids.FileID) []ids.RMID {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	hs := m.placement.Holders(file)
-	sortRMs(hs)
+	slices.Sort(hs)
 	return hs
 }
 
@@ -522,10 +522,6 @@ func (m *Manager) Validate() error {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	return m.placement.Validate()
-}
-
-func sortRMs(s []ids.RMID) {
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
 }
 
 var _ ecnp.Mapper = (*Manager)(nil)

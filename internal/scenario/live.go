@@ -120,6 +120,7 @@ func runLive(spec Spec, opts Options) (*LiveResult, error) {
 		return nil, err
 	}
 
+	filesOn := placement.FilesByRM()
 	for i, capBW := range caps {
 		id := rmIDs[i]
 		ctrl := blkio.NewController()
@@ -127,8 +128,8 @@ func runLive(spec Spec, opts Options) (*LiveResult, error) {
 		if err != nil {
 			return fail(err)
 		}
-		files := make(map[ids.FileID]rm.FileMeta)
-		for _, f := range placement.FilesOn(id) {
+		files := make(map[ids.FileID]rm.FileMeta, len(filesOn[id]))
+		for _, f := range filesOn[id] {
 			meta := cat.File(f)
 			files[f] = rm.FileMeta{Bitrate: meta.Bitrate, Size: meta.Size, DurationSec: meta.DurationSec}
 			if err := disk.Provision(live.FileName(f), meta.Size); err != nil {

@@ -10,7 +10,6 @@
 package simtime
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 )
@@ -50,8 +49,7 @@ func (t Time) String() string {
 // from Scheduler.Schedule.
 type Event struct {
 	at       Time
-	seq      uint64
-	index    int // heap index, -1 when not queued
+	index    int // position in the queue, -1 when not queued
 	fn       func(Time)
 	canceled bool
 }
@@ -62,43 +60,46 @@ func (e *Event) At() Time { return e.at }
 // Canceled reports whether Cancel was called before the event fired.
 func (e *Event) Canceled() bool { return e.canceled }
 
-type eventHeap []*Event
+// entry is one queue slot. The ordering key sits in the slot itself, so a
+// sift compares values it already has in cache and only touches an Event to
+// record where it moved.
+type entry struct {
+	at  Time
+	seq uint64
+	ev  *Event
+}
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
+// before is the firing order: earlier time first, scheduling order at equal
+// times.
+func (a entry) before(b entry) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*h)
-	*h = append(*h, e)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*h = old[:n-1]
-	return e
-}
+
+// arity is the heap's fan-out. Four children per node halve the depth of a
+// binary heap and keep a node's children in one or two cache lines, which
+// is what a pop (one sift from the root) pays for.
+const arity = 4
 
 // Scheduler is a deterministic discrete-event scheduler. It is not safe for
 // concurrent use: all simulation actors run inside event callbacks.
+//
+// Pending events live in two places that fire as one sequence: a min-heap
+// of individually scheduled events, and at most one feed — an arrival
+// stream that was already sorted by time when it was registered (see Feed)
+// and is therefore consumed from the front instead of being queued.
 type Scheduler struct {
 	now    Time
 	seq    uint64
-	queue  eventHeap
+	queue  []entry // arity-ary min-heap in (at, seq) order
 	fired  uint64
 	halted bool
+
+	// The feed: feedAt[feedNext:] are the arrivals still to fire, arrival i
+	// holding sequence number feedSeq+i. feedAt is nil when none is left.
+	feedAt   []Time
+	feedFn   func(i int, now Time)
+	feedSeq  uint64
+	feedNext int
 }
 
 // NewScheduler returns a scheduler with the clock at time zero.
@@ -112,8 +113,9 @@ func (s *Scheduler) Now() Time { return s.now }
 // Fired returns how many events have fired so far (diagnostic).
 func (s *Scheduler) Fired() uint64 { return s.fired }
 
-// Pending returns the number of events currently queued.
-func (s *Scheduler) Pending() int { return len(s.queue) }
+// Pending returns the number of events still to fire: queued events plus
+// the part of the feed not yet reached.
+func (s *Scheduler) Pending() int { return len(s.queue) + len(s.feedAt) - s.feedNext }
 
 // Schedule registers fn to fire at time at. Scheduling in the past panics:
 // it is always a logic error in a DES and silently clamping would corrupt
@@ -128,9 +130,10 @@ func (s *Scheduler) Schedule(at Time, fn func(Time)) *Event {
 	if math.IsNaN(float64(at)) {
 		panic("simtime: scheduling event at NaN time")
 	}
-	e := &Event{at: at, seq: s.seq, fn: fn, index: -1}
+	e := &Event{at: at, fn: fn}
+	s.queue = append(s.queue, entry{})
+	s.siftUp(len(s.queue)-1, entry{at: at, seq: s.seq, ev: e})
 	s.seq++
-	heap.Push(&s.queue, e)
 	return e
 }
 
@@ -142,6 +145,45 @@ func (s *Scheduler) After(d Duration, fn func(Time)) *Event {
 	return s.Schedule(s.now.Add(d), fn)
 }
 
+// Feed registers a whole arrival stream at once: fn(i, at[i]) fires at time
+// at[i] for every i, exactly as if Schedule(at[i], ...) had been called for
+// i = 0, 1, ... at this moment — the arrivals take the next len(at)
+// sequence numbers, so against every other event, earlier or later, ties
+// break the way those calls would have broken them. What differs is the
+// cost: at must already be in non-decreasing order, so the stream is read
+// from its front and merged with the queue's head, and an arrival costs no
+// allocation and no queue operation.
+//
+// Feed keeps at (the caller must not modify it) until its last arrival has
+// fired. It panics on what Schedule panics on — an arrival before Now, a
+// NaN time, a nil callback — on an arrival earlier than its predecessor,
+// and when an earlier feed still has arrivals to fire.
+func (s *Scheduler) Feed(at []Time, fn func(i int, now Time)) {
+	if fn == nil {
+		panic("simtime: feeding nil callback")
+	}
+	if s.feedAt != nil {
+		panic(fmt.Sprintf("simtime: feed registered while %d arrivals of the previous one are pending", len(s.feedAt)-s.feedNext))
+	}
+	prev := s.now
+	for i, t := range at {
+		switch {
+		case math.IsNaN(float64(t)):
+			panic(fmt.Sprintf("simtime: feeding arrival %d at NaN time", i))
+		case t < prev && i == 0:
+			panic(fmt.Sprintf("simtime: feeding arrival at %v before now %v", t, s.now))
+		case t < prev:
+			panic(fmt.Sprintf("simtime: feed out of order: arrival %d at %v after %v", i, t, prev))
+		}
+		prev = t
+	}
+	if len(at) == 0 {
+		return
+	}
+	s.feedAt, s.feedFn, s.feedSeq, s.feedNext = at, fn, s.seq, 0
+	s.seq += uint64(len(at))
+}
+
 // Cancel removes a pending event. Canceling an already-fired or
 // already-canceled event is a no-op returning false.
 func (s *Scheduler) Cancel(e *Event) bool {
@@ -149,24 +191,47 @@ func (s *Scheduler) Cancel(e *Event) bool {
 		return false
 	}
 	e.canceled = true
-	heap.Remove(&s.queue, e.index)
+	s.remove(e.index)
 	return true
 }
 
 // Step fires the single earliest event and returns true, or returns false if
-// the queue is empty.
-func (s *Scheduler) Step() bool {
-	if len(s.queue) == 0 {
+// nothing is pending.
+func (s *Scheduler) Step() bool { return s.step(Time(math.Inf(1))) }
+
+// step fires the earliest pending event unless it is due after horizon.
+// This is the one place the feed and the queue are merged: the feed's next
+// arrival goes first when its (time, sequence) key is the smaller one.
+func (s *Scheduler) step(horizon Time) bool {
+	if s.feedAt != nil {
+		i := s.feedNext
+		next := entry{at: s.feedAt[i], seq: s.feedSeq + uint64(i)}
+		if len(s.queue) == 0 || next.before(s.queue[0]) {
+			if next.at > horizon {
+				return false
+			}
+			fn := s.feedFn
+			if s.feedNext++; s.feedNext == len(s.feedAt) {
+				s.feedAt, s.feedFn, s.feedNext = nil, nil, 0
+			}
+			s.now = next.at
+			s.fired++
+			fn(i, s.now)
+			return true
+		}
+	}
+	if len(s.queue) == 0 || s.queue[0].at > horizon {
 		return false
 	}
-	e := heap.Pop(&s.queue).(*Event)
+	e := s.queue[0].ev
+	s.remove(0)
 	s.now = e.at
 	s.fired++
 	e.fn(s.now)
 	return true
 }
 
-// RunUntil fires events in order until the queue is empty or the next event
+// RunUntil fires events in order until nothing is pending or the next event
 // is strictly after the horizon; the clock then advances to the horizon.
 // Events scheduled exactly at the horizon do fire.
 func (s *Scheduler) RunUntil(horizon Time) {
@@ -174,29 +239,86 @@ func (s *Scheduler) RunUntil(horizon Time) {
 		panic(fmt.Sprintf("simtime: horizon %v before now %v", horizon, s.now))
 	}
 	s.halted = false
-	for len(s.queue) > 0 && !s.halted {
-		next := s.queue[0]
-		if next.at > horizon {
-			break
-		}
-		s.Step()
+	for !s.halted && s.step(horizon) {
 	}
 	if !s.halted && s.now < horizon {
 		s.now = horizon
 	}
 }
 
-// Run fires all events until the queue drains or Halt is called.
+// Run fires all events until none is pending or Halt is called.
 func (s *Scheduler) Run() {
 	s.halted = false
-	for len(s.queue) > 0 && !s.halted {
-		s.Step()
+	for !s.halted && s.Step() {
 	}
 }
 
 // Halt stops Run/RunUntil after the current event callback returns.
-// Pending events stay queued.
+// Pending events stay pending.
 func (s *Scheduler) Halt() { s.halted = true }
+
+// remove takes the entry at index i out of the queue: the last entry fills
+// the hole and sinks or rises to its place.
+func (s *Scheduler) remove(i int) {
+	s.queue[i].ev.index = -1
+	last := len(s.queue) - 1
+	x := s.queue[last]
+	s.queue[last] = entry{}
+	s.queue = s.queue[:last]
+	if i == last {
+		return
+	}
+	if i > 0 && x.before(s.queue[(i-1)/arity]) {
+		s.siftUp(i, x)
+	} else {
+		s.siftDown(i, x)
+	}
+}
+
+// siftUp places x at the hole i or above it, moving later parents down.
+func (s *Scheduler) siftUp(i int, x entry) {
+	q := s.queue
+	for i > 0 {
+		parent := (i - 1) / arity
+		if !x.before(q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		q[i].ev.index = i
+		i = parent
+	}
+	q[i] = x
+	x.ev.index = i
+}
+
+// siftDown places x at the hole i or below it, moving earlier children up.
+func (s *Scheduler) siftDown(i int, x entry) {
+	q := s.queue
+	for {
+		first := arity*i + 1
+		if first >= len(q) {
+			break
+		}
+		end := first + arity
+		if end > len(q) {
+			end = len(q)
+		}
+		least := first
+		for c := first + 1; c < end; c++ {
+			if q[c].before(q[least]) {
+				least = c
+			}
+		}
+		if !q[least].before(x) {
+			break
+		}
+		q[i] = q[least]
+		q[i].ev.index = i
+		i = least
+	}
+	q[i] = x
+	x.ev.index = i
+}
 
 // Ticker invokes fn every period seconds starting at start, until Stop.
 // It is the sampling backbone for the utilization time series in Figs 4-6.

@@ -285,16 +285,3 @@ func TestFiringOrderProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func BenchmarkScheduleAndFire(b *testing.B) {
-	s := NewScheduler()
-	for i := 0; i < b.N; i++ {
-		s.Schedule(s.Now()+Time(i%16), func(Time) {})
-		if s.Pending() > 1024 {
-			for s.Pending() > 0 {
-				s.Step()
-			}
-		}
-	}
-	s.Run()
-}

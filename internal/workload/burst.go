@@ -101,11 +101,13 @@ func ApplyBursts(p *Pattern, cat *catalog.Catalog, bursts []Burst, src *rng.Sour
 		if mean == 0 {
 			mean = p.Config.MeanArrivalSec
 		}
+		surge := fmt.Sprintf("workload/burst%d/surge", i)
+		var arr, files *rng.Source
+		var name []byte
 		for u := 0; u < b.SurgeUsers; u++ {
 			user := nextUser
 			nextUser++
-			arr := src.Split(fmt.Sprintf("workload/burst%d/surge%d/arrivals", i, u))
-			files := src.Split(fmt.Sprintf("workload/burst%d/surge%d/files", i, u))
+			arr, files, name = userStreams(src, name, surge, u)
 			t := b.AtSec + arr.Exp(mean)
 			for t < end && t <= p.Config.HorizonSec {
 				file := target
@@ -122,6 +124,6 @@ func ApplyBursts(p *Pattern, cat *catalog.Catalog, bursts []Burst, src *rng.Sour
 			}
 		}
 	}
-	sort.SliceStable(p.Requests, func(i, j int) bool { return p.Requests[i].AtSec < p.Requests[j].AtSec })
+	sortByArrival(p.Requests)
 	return targets, nil
 }

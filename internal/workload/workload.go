@@ -13,7 +13,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
+	"strconv"
 
 	"dfsqos/internal/catalog"
 	"dfsqos/internal/ids"
@@ -118,11 +119,12 @@ func Generate(cfg Config, cat *catalog.Catalog, src *rng.Source) (*Pattern, erro
 		return nil, err
 	}
 	var reqs []Request
+	var arr, files *rng.Source
+	var name []byte
 	for u := 0; u < cfg.NumUsers; u++ {
 		user := ids.UserID(u)
 		dfsc := ids.DFSCID(u % cfg.NumDFSC)
-		arr := src.Split(fmt.Sprintf("workload/user%d/arrivals", u))
-		files := src.Split(fmt.Sprintf("workload/user%d/files", u))
+		arr, files, name = userStreams(src, name, "workload/user", u)
 		t := arr.Exp(cfg.MeanArrivalSec)
 		for t <= cfg.HorizonSec {
 			reqs = append(reqs, Request{
@@ -134,8 +136,37 @@ func Generate(cfg Config, cat *catalog.Catalog, src *rng.Source) (*Pattern, erro
 			t += arr.Exp(cfg.MeanArrivalSec)
 		}
 	}
-	sort.SliceStable(reqs, func(i, j int) bool { return reqs[i].AtSec < reqs[j].AtSec })
+	sortByArrival(reqs)
 	return &Pattern{Config: cfg, Requests: reqs}, nil
+}
+
+// userStreams derives one user's two independent streams, named
+// "<prefix><n>/arrivals" and "<prefix><n>/files". Both names are built in
+// buf, which is returned for the next user: a population of 10⁵ would
+// otherwise format 2·10⁵ strings to hash each once.
+func userStreams(src *rng.Source, buf []byte, prefix string, n int) (arrivals, files *rng.Source, _ []byte) {
+	buf = strconv.AppendInt(append(buf[:0], prefix...), int64(n), 10)
+	stem := len(buf)
+	buf = append(buf, "/arrivals"...)
+	arrivals = src.Split(string(buf))
+	buf = append(buf[:stem], "/files"...)
+	files = src.Split(string(buf))
+	return arrivals, files, buf
+}
+
+// sortByArrival orders requests by arrival time, requests with equal
+// times keeping their relative order — the Pattern invariant every
+// consumer relies on (cluster.Run refuses anything else).
+func sortByArrival(reqs []Request) {
+	slices.SortStableFunc(reqs, func(a, b Request) int {
+		switch {
+		case a.AtSec < b.AtSec:
+			return -1
+		case b.AtSec < a.AtSec:
+			return 1
+		}
+		return 0
+	})
 }
 
 // Len returns the number of requests.

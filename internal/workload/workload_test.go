@@ -2,7 +2,9 @@ package workload
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -212,5 +214,53 @@ func TestGeneratedPatternsValidProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// The per-user stream names are part of the seed contract: a name built
+// in the reused buffer must be the name fmt would have produced, whatever
+// the buffer held before.
+func TestUserStreamsAreTheNamedStreams(t *testing.T) {
+	src := rng.New(17)
+	var buf []byte
+	for _, tc := range []struct {
+		prefix string
+		n      int
+	}{
+		{"workload/user", 0}, {"workload/user", 99_999}, {"workload/user", 7},
+		{"workload/burst3/surge", 1_000_000}, {"workload/burst3/surge", 42},
+	} {
+		var arr, files *rng.Source
+		arr, files, buf = userStreams(src, buf, tc.prefix, tc.n)
+		wantArr := src.Split(fmt.Sprintf("%s%d/arrivals", tc.prefix, tc.n))
+		wantFiles := src.Split(fmt.Sprintf("%s%d/files", tc.prefix, tc.n))
+		for i := 0; i < 4; i++ {
+			if a, w := arr.Uint64(), wantArr.Uint64(); a != w {
+				t.Fatalf("%s%d/arrivals draw %d: %x, want %x", tc.prefix, tc.n, i, a, w)
+			}
+			if f, w := files.Uint64(), wantFiles.Uint64(); f != w {
+				t.Fatalf("%s%d/files draw %d: %x, want %x", tc.prefix, tc.n, i, f, w)
+			}
+		}
+	}
+}
+
+// sortByArrival must give exactly the order sort.SliceStable with < gave:
+// by time, requests at one instant staying in generation order.
+func TestSortByArrivalIsTheStableOrder(t *testing.T) {
+	src := rng.New(23)
+	reqs := make([]Request, 5000)
+	for i := range reqs {
+		// A coarse grid, so most times occur several times.
+		reqs[i] = Request{AtSec: float64(src.Intn(400)) / 4, User: ids.UserID(i)}
+	}
+	want := append([]Request(nil), reqs...)
+	sort.SliceStable(want, func(i, j int) bool { return want[i].AtSec < want[j].AtSec })
+	sortByArrival(reqs)
+	for i := range want {
+		if reqs[i] != want[i] {
+			t.Fatalf("position %d: user %d at %v, want user %d at %v",
+				i, reqs[i].User, reqs[i].AtSec, want[i].User, want[i].AtSec)
+		}
 	}
 }

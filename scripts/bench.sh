@@ -1,9 +1,9 @@
 #!/usr/bin/env sh
 # bench.sh — reproducible data-plane benchmark run.
 #
-# Runs the wire codec benchmarks, the live-TCP streaming benchmark and the
-# MM's refused-replication benchmarks, parses the `go test -bench` output
-# into BENCH_6.json, and enforces the
+# Runs the wire codec benchmarks, the live-TCP streaming benchmark, the
+# MM's refused-replication benchmarks and the DES event-loop benchmarks,
+# parses the `go test -bench` output into BENCH_6.json, and enforces the
 # fast-path allocation ceiling: the fast sub-benchmarks of
 # BenchmarkEncodeChunk and BenchmarkDecodeChunk must stay at (by default)
 # 0 allocs/op under every slot combination of the binary header (plain,
@@ -50,6 +50,15 @@
 # order, so nothing is collected and sorted per call). The source-side
 # agent makes both calls on every access of an RM under B_TH.
 #
+# The discrete-event simulation has three: on internal/simtime, firing one
+# event and scheduling the next may cost 1 alloc/op at 4, 20k and 200k
+# pending events (the Event handed back for Cancel, and nothing that grows
+# with the queue), and an arrival of a fed stream 0; on internal/dfsc, one
+# serial negotiation over three in-process RMs (lookup, three CFPs, rank,
+# open, release — a simulated request without its scheduler) may cost 12.
+# It measures 11; with a provider map, a bid map and four bookkeeping
+# slices per fan-out it measured 17, so one of them coming back trips it.
+#
 # Finally it runs the work-conserving QoS benchmark (one stream against an
 # idle sibling's headroom, flat tree vs borrowing tree) into a second
 # report and enforces two gates: the conserving mode must beat the flat
@@ -90,6 +99,14 @@ go test ./internal/live/ -run '^$' \
 echo "== MM refused-replication benchmarks (benchtime=$BENCH_TIME)"
 go test ./internal/mm/ -run '^$' \
 	-bench 'BenchmarkBeginReplicationRefused|BenchmarkRMsWithout' \
+	-benchmem -benchtime "$BENCH_TIME" | tee -a "$RAW"
+
+echo "== DES event-loop benchmarks (benchtime=$BENCH_TIME)"
+go test ./internal/simtime/ -run '^$' \
+	-bench 'BenchmarkSchedulerPending|BenchmarkFeed' \
+	-benchmem -benchtime "$BENCH_TIME" | tee -a "$RAW"
+go test ./internal/dfsc/ -run '^$' \
+	-bench 'BenchmarkNegotiateSerial' \
 	-benchmem -benchtime "$BENCH_TIME" | tee -a "$RAW"
 
 # Parse "BenchmarkName/sub-N  iters  ns/op  [MB/s]  [B/op]  [allocs/op]"
@@ -168,6 +185,13 @@ alloc_gate "BenchmarkLiveStripedReadThroughput/K4" 260
 # The refused-replication path on the MM (see the header).
 alloc_gate BenchmarkBeginReplicationRefused 0
 alloc_gate BenchmarkRMsWithout 1
+
+# The DES event loop: queue, feed and serial negotiation (see the header).
+for pending in 4 20k 200k; do
+	alloc_gate "BenchmarkSchedulerPending/$pending" 1
+done
+alloc_gate BenchmarkFeed 0
+alloc_gate "BenchmarkNegotiateSerial/H3" 12
 
 # Stripe-scaling gate: K4 striped throughput must beat K1 by STRIPE_FLOOR.
 stripe_mbs() {
