@@ -86,8 +86,8 @@ type Outcome struct {
 // Fanout configures how the client collects bids during resource
 // negotiation (phase 2).
 type Fanout struct {
-	// Concurrent issues the CFPs in parallel, one goroutine per eligible
-	// provider — the shape the paper's Fig. 3 broadcast implies. The
+	// Concurrent issues the CFPs in parallel, every eligible provider's at
+	// once — the shape the paper's Fig. 3 broadcast implies. The
 	// default (false) keeps the serial fan-out the deterministic
 	// discrete-event simulation requires; live deployments should enable
 	// it so one stalled RM does not serialize the negotiation.
@@ -119,6 +119,10 @@ type Client struct {
 	met       *Metrics
 	tracer    *trace.Tracer
 	tenant    ids.TenantID
+
+	// workers runs the CFPs of a concurrent fan-out; nil on the serial
+	// path, which the simulation's clients — 10⁵ of them — all take.
+	workers *bidWorkers
 
 	reqSeq int64
 	stats  Stats
@@ -178,6 +182,10 @@ func New(opt Options) (*Client, error) {
 	if opt.MetaTTL > 0 {
 		meta = NewMetaCache(opt.MetaTTL)
 	}
+	var workers *bidWorkers
+	if opt.Fanout.Concurrent {
+		workers = newBidWorkers()
+	}
 	return &Client{
 		id:        opt.ID,
 		mapper:    opt.Mapper,
@@ -189,6 +197,7 @@ func New(opt Options) (*Client, error) {
 		src:       opt.Rand,
 		broadcast: opt.BroadcastCNP,
 		fanout:    opt.Fanout,
+		workers:   workers,
 		meta:      meta,
 		met:       met,
 		tracer:    opt.Tracer,
@@ -738,14 +747,16 @@ func (c *Client) dropLease(file ids.FileID, fromLease bool) {
 // Serial mode (the default) calls each provider in turn — the
 // deterministic shape the discrete-event simulation requires; providers
 // implementing ecnp.CtxBidder still receive ctx so a trace span attached
-// to it rides the CFP to the RM. Concurrent mode launches one goroutine
-// per provider and waits at most BidTimeout: providers implementing
-// ecnp.CtxBidder receive the shared negotiation
-// context, so their network round trip is cut off at the deadline too;
-// laggards are abandoned (their goroutines drain into a buffered channel,
-// bounded by the transport's own call deadline) and contribute a
-// synthesized zero bid that ranks last — the paper's always-bid deviation
-// preserved by degradation instead of blocking the open.
+// to it rides the CFP to the RM. Concurrent mode hands one job per
+// provider to the client's bid workers (see bidWorkers: every CFP runs at
+// once, on goroutines kept from earlier negotiations) and waits at most
+// BidTimeout: providers implementing ecnp.CtxBidder receive the shared
+// negotiation context, so their network round trip is cut off at the
+// deadline too; laggards are abandoned (their workers drain into a
+// buffered channel, bounded by the transport's own call deadline) and
+// contribute a synthesized zero bid that ranks last — the paper's
+// always-bid deviation preserved by degradation instead of blocking the
+// open.
 func (c *Client) collectBids(ctx context.Context, candidates []ids.RMID, cfp ecnp.CFP, count bool) ([]selection.Bid, []ecnp.Provider) {
 	// Until its provider answers, a bid is the zero bid: the slot's RM is
 	// what later candidates are checked against, and what a provider that
@@ -786,15 +797,9 @@ func (c *Client) collectBids(ctx context.Context, candidates []ids.RMID, cfp ecn
 		ctx, cancel = context.WithTimeout(ctx, c.fanout.BidTimeout)
 		defer cancel()
 	}
-	type slot struct {
-		i   int
-		bid selection.Bid
-	}
-	ch := make(chan slot, len(providers)) // buffered: abandoned bidders never leak
+	ch := make(chan bidSlot, len(providers)) // buffered: abandoned bidders never block a worker
 	for i, p := range providers {
-		go func(i int, p ecnp.Provider) {
-			ch <- slot{i: i, bid: handleCFP(ctx, p, cfp)}
-		}(i, p)
+		c.workers.submit(bidJob{ctx: ctx, p: p, cfp: cfp, slot: i, reply: ch})
 	}
 	for got := 0; got < len(providers); got++ {
 		select {

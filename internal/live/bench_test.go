@@ -83,7 +83,7 @@ func BenchmarkLiveStreamThroughput(b *testing.B) {
 // open is 2·holders + 4 frames instead of 2·holders + 6. Soft admission
 // on fat RMs: nothing is refused, the data plane stays idle, and the
 // per-open control codec is what is being priced. scripts/bench.sh gates
-// allocs/op at 40 × holders + 100.
+// allocs/op at 8 × holders + 40.
 func BenchmarkLiveNegotiate(b *testing.B) {
 	for _, holders := range []int{3, 8, 16} {
 		for _, lease := range []struct {

@@ -125,10 +125,16 @@ func newConn(nc net.Conn, w *wire.Conn) *Conn {
 // MSG_PEEK: a closed or reset peer yields EOF/error (unhealthy), a live
 // idle one yields EAGAIN (healthy). Readable bytes on an idle
 // request/response connection mean protocol desync, which also counts as
-// unhealthy. No byte is consumed and no deadline is armed, so the check
-// costs one syscall and zero latency. Only the goroutine that checked the
-// connection out calls it.
+// unhealthy — and so do bytes the wire codec's read-ahead took off the
+// socket beside the last reply, which a peek can no longer see. No byte is
+// consumed and no deadline is armed, so the check costs one syscall and
+// zero latency; it does require that none be left armed, since the runtime
+// refuses a read past its deadline before it peeks. Only the goroutine
+// that checked the connection out calls it.
 func (pc *Conn) healthy() bool {
+	if pc.W.Buffered() > 0 {
+		return false // unsolicited bytes the codec already took off the socket
+	}
 	if pc.raw == nil {
 		return true // no raw access (tests with pipes): assume alive
 	}
@@ -197,8 +203,18 @@ func (c *Client) FailureCount() int {
 // Get checks a connection out of the pool, health-checking pooled ones
 // and dialing a fresh one (backoff-gated) when none survive. The caller
 // must return it with Put. Get respects ctx for both the backoff wait and
-// the dial itself.
+// the dial itself. The connection carries no deadline: a stream runs on it
+// for as long as the disk throttle paces it.
 func (c *Client) Get(ctx context.Context) (*Conn, error) {
+	return c.get(ctx, time.Time{})
+}
+
+// get is Get with an absolute bound (zero: none) on whatever a checkout
+// that finds the pool empty has to wait for — the backoff gate, then the
+// dial. A pooled connection is handed out without looking at the bound:
+// it is the caller's to arm on the connection, and a context built for it
+// here would be paid for on every call and used by almost none.
+func (c *Client) get(ctx context.Context, deadline time.Time) (*Conn, error) {
 	for {
 		c.mu.Lock()
 		if c.closed {
@@ -212,7 +228,7 @@ func (c *Client) Get(ctx context.Context) (*Conn, error) {
 		}
 		c.mu.Unlock()
 		if pc == nil {
-			return c.dial(ctx)
+			return c.dial(ctx, deadline)
 		}
 		c.cfg.Metrics.PoolIdle.Dec()
 		if pc.healthy() {
@@ -256,8 +272,15 @@ func (c *Client) Put(conn *Conn, err error) {
 // dial opens a fresh connection, honoring the exponential-backoff gate
 // left by previous failures: if a redial is not due yet, it waits out the
 // remainder (or the context, whichever ends first) instead of hammering a
-// down peer.
-func (c *Client) dial(ctx context.Context) (*Conn, error) {
+// down peer. deadline (zero: none) bounds the wait and the dial together;
+// this is the one place a call's bound becomes a context, where its cost
+// is noise beside a TCP handshake.
+func (c *Client) dial(ctx context.Context, deadline time.Time) (*Conn, error) {
+	if !deadline.IsZero() {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithDeadline(ctx, deadline)
+		defer cancel()
+	}
 	c.mu.Lock()
 	wait := time.Until(c.nextTry)
 	c.mu.Unlock()
@@ -319,23 +342,26 @@ func (c *Client) backoffLocked() time.Duration {
 }
 
 // Call performs one RPC round trip on a pooled connection, bounded by
-// CallTimeout (and any tighter ctx deadline). Errors come back classified:
-// RemoteError, *TimeoutError or *ConnError. The connection returns to the
-// pool unless the call failed at the transport level.
+// CallTimeout (and any tighter ctx deadline). The bound is one absolute
+// time, fixed when the call starts: it caps the backoff wait and the dial
+// of a checkout that finds the pool empty, and it is the one deadline the
+// round trip arms on the connection (wire.Conn.CallDeadline). Errors come
+// back classified: RemoteError, *TimeoutError or *ConnError. The
+// connection returns to the pool unless the call failed at the transport
+// level.
 func (c *Client) Call(ctx context.Context, kind wire.Kind, payload any) (wire.Msg, error) {
-	if c.cfg.CallTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.cfg.CallTimeout)
-		defer cancel()
-	}
 	start := time.Now()
-	conn, err := c.Get(ctx)
+	var deadline time.Time
+	if c.cfg.CallTimeout > 0 {
+		deadline = start.Add(c.cfg.CallTimeout)
+	}
+	conn, err := c.get(ctx, deadline)
 	if err != nil {
 		c.cfg.Metrics.CallLatency.Observe(time.Since(start).Seconds())
 		c.cfg.Metrics.countError(err)
 		return wire.Msg{}, err
 	}
-	msg, err := conn.W.CallContext(ctx, kind, payload)
+	msg, err := conn.W.CallDeadline(ctx, deadline, kind, payload)
 	if err != nil {
 		// The op string is built on the failure path only: on success it
 		// would be one discarded allocation per call.

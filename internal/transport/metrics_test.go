@@ -12,7 +12,7 @@ import (
 )
 
 // echoServer answers every request with an Ack until the listener closes.
-func echoServer(t *testing.T) net.Listener {
+func echoServer(t testing.TB) net.Listener {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

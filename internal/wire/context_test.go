@@ -3,6 +3,7 @@ package wire
 import (
 	"context"
 	"errors"
+	"io"
 	"net"
 	"testing"
 	"time"
@@ -132,5 +133,127 @@ func TestCallRemoteErrorIsTyped(t *testing.T) {
 	}
 	if re.Text != "boom" {
 		t.Fatalf("RemoteError.Text = %q", re.Text)
+	}
+}
+
+// ackPipe returns a client Conn whose peer acknowledges every frame, and
+// the client's end of the pipe for tests that reach under the Conn.
+func ackPipe(t *testing.T) (*Conn, net.Conn) {
+	t.Helper()
+	cli, srv := net.Pipe()
+	t.Cleanup(func() { cli.Close(); srv.Close() })
+	go func() {
+		swc := NewConn(srv)
+		for {
+			if _, err := swc.Read(); err != nil {
+				return
+			}
+			if err := swc.Write(KindAck, Ack{}); err != nil {
+				return
+			}
+		}
+	}()
+	return NewConn(cli), cli
+}
+
+// TestCallDeadlineBoundsABackgroundCall: the absolute deadline is a bound
+// of its own — no context has to carry it — and its overrun reads as the
+// deadline it is.
+func TestCallDeadlineBoundsABackgroundCall(t *testing.T) {
+	cli, srv := net.Pipe()
+	defer cli.Close()
+	defer srv.Close()
+	go io.Copy(io.Discard, srv) // take the request, never reply
+
+	start := time.Now()
+	_, err := NewConn(cli).CallDeadline(context.Background(), start.Add(100*time.Millisecond), KindRMs, nil)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want context.DeadlineExceeded in chain", err)
+	}
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Fatalf("deadline-bounded call returned after %v", elapsed)
+	}
+}
+
+// TestCallDeadlineEarlierBoundWins: of the absolute deadline and the
+// context's, the earlier is the one armed, whichever way round they are.
+func TestCallDeadlineEarlierBoundWins(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		ctxIn, absIn time.Duration
+	}{
+		{"context first", 80 * time.Millisecond, 5 * time.Second},
+		{"deadline first", 5 * time.Second, 80 * time.Millisecond},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cli, srv := net.Pipe()
+			defer cli.Close()
+			defer srv.Close()
+			go io.Copy(io.Discard, srv)
+			ctx, cancel := context.WithTimeout(context.Background(), tc.ctxIn)
+			defer cancel()
+			start := time.Now()
+			_, err := NewConn(cli).CallDeadline(ctx, start.Add(tc.absIn), KindRMs, nil)
+			if !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("err = %v, want context.DeadlineExceeded in chain", err)
+			}
+			if elapsed := time.Since(start); elapsed > time.Second {
+				t.Fatalf("call returned after %v, the earlier bound was 80ms", elapsed)
+			}
+			if tc.absIn < tc.ctxIn && ctx.Err() != nil {
+				t.Fatalf("the context ended (%v) although the deadline came first", ctx.Err())
+			}
+		})
+	}
+}
+
+// TestCallClearsWhatAnEarlierUserLeftArmed: every bounded call arms or
+// clears at its start, so a deadline left on the stream — already in the
+// past here — cannot fail a call that has none of its own; and a call that
+// armed one leaves none behind.
+func TestCallClearsWhatAnEarlierUserLeftArmed(t *testing.T) {
+	wc, cli := ackPipe(t)
+	cli.SetDeadline(time.Now().Add(-time.Second))
+	if _, err := wc.CallContext(context.Background(), KindRMs, nil); err != nil {
+		t.Fatalf("call on a stream with a stale deadline: %v", err)
+	}
+	if _, err := wc.CallDeadline(context.Background(), time.Now().Add(50*time.Millisecond), KindRMs, nil); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(100 * time.Millisecond) // past what the last call armed
+	if _, err := wc.Call(KindRMs, nil); err != nil {
+		t.Fatalf("plain call after a bounded one: %v (its deadline was left armed)", err)
+	}
+}
+
+// TestCancelAfterReturnCannotTouchTheStream pins the guard between a
+// call's cancellation callback and its return path: once the call has
+// returned, its context firing — however late the callback's goroutine
+// runs — must not expire the stream's deadline under whoever uses the
+// connection next.
+func TestCancelAfterReturnCannotTouchTheStream(t *testing.T) {
+	wc, _ := ackPipe(t)
+	for i := 0; i < 200; i++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		// The cancellation races the reply: sometimes before the return
+		// path, sometimes after it.
+		go cancel()
+		if _, err := wc.CallContext(ctx, KindRMs, nil); err != nil {
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("round %d: %v", i, err)
+			}
+			// Aborted mid-exchange: the stream is desynchronized by
+			// contract. Start over on a fresh pair.
+			wc, _ = ackPipe(t)
+			continue
+		}
+		// The call reported success, so the stream must be usable with no
+		// deadline on it, now and after the callback has had time to run.
+		for _, pause := range []time.Duration{0, time.Millisecond} {
+			time.Sleep(pause)
+			if _, err := wc.Call(KindRMs, nil); err != nil {
+				t.Fatalf("round %d: plain call after a successful canceled-late call: %v", i, err)
+			}
+		}
 	}
 }

@@ -30,53 +30,56 @@ func gobFrame(kind Kind, payload any) []byte {
 // hostile input is "typed error or valid message, never a panic": short
 // headers, truncated bodies, oversized declared lengths, unknown codec
 // tags, garbage gob, and malformed binary layouts must all surface as
-// errors while leaving the buffer pools consistent.
+// errors while leaving the buffer pools consistent. And whatever the
+// stream holds, how it is delivered — whole, a byte at a time, cut in two
+// at a fuzz-chosen offset, its last bytes together with the EOF — must
+// not change the messages Read returns or the error it ends on: each
+// shape is held to the header-then-body reference (delivery_test.go).
 func FuzzRead(f *testing.F) {
+	fuzzReadSeeds(func(stream []byte) {
+		f.Add(stream, uint16(len(stream)/2))
+		f.Add(stream, uint16(headerSize+1))
+	})
+	f.Fuzz(func(t *testing.T, stream []byte, split uint16) {
+		// Every shape reads the stream to its terminal error, copies every
+		// borrowed chunk byte and releases every message.
+		checkDeliveryShapes(t, stream, int(split))
+	})
+}
+
+// fuzzReadSeeds hands FuzzRead's seed streams to add.
+func fuzzReadSeeds(add func(stream []byte)) {
 	chunk := append(binary.BigEndian.AppendUint64(nil, 16), "data bytes"...)
 	// Valid frames of both codecs; the binary ones under every header.
-	f.Add(gobFrame(KindCount, Count{N: 7}))
-	f.Add(gobFrame(KindFileChunk, FileChunk{Offset: 8, Data: []byte("abc")}))
+	add(gobFrame(KindCount, Count{N: 7}))
+	add(gobFrame(KindFileChunk, FileChunk{Offset: 8, Data: []byte("abc")}))
 	for _, s := range slotCases {
-		f.Add(frameBytes(CodecBinary, s.body(KindFileChunk, chunk)))
+		add(frameBytes(CodecBinary, s.body(KindFileChunk, chunk)))
 		for _, p := range fastPayloads() {
-			f.Add(slotFrame(s, p))
+			add(slotFrame(s, p))
 		}
 	}
 	// Two valid frames back to back (multi-frame streams).
-	f.Add(append(gobFrame(KindAck, Ack{}),
+	add(append(gobFrame(KindAck, Ack{}),
 		frameBytes(CodecBinary, slotTenant.body(KindKeepalive, make([]byte, 8)))...))
 	// Hostile shapes.
-	f.Add([]byte{})
-	f.Add([]byte{0, 0})                                                        // short header
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0})                                   // oversized declared length
-	f.Add([]byte{0, 0, 1, 0, 0, 1, 2})                                         // truncated body
-	f.Add(frameBytes(Codec(200), []byte{1, 2, 3}))                             // unknown codec tag
-	f.Add(frameBytes(Codec(2), slotTrace.body(KindAck, nil)))                  // the retired traced tag
-	f.Add(frameBytes(Codec(3), slotTenantTrace.body(KindAck, nil)))            // the retired tenant tag
-	f.Add(frameBytes(CodecGob, []byte{1, 2, 3, 4}))                            // garbage gob
-	f.Add(frameBytes(CodecBinary, nil))                                        // no flags byte
-	f.Add(frameBytes(CodecBinary, binaryBody(KindFileChunk, []byte{1})))       // short chunk
-	f.Add(frameBytes(CodecBinary, binaryBody(KindReadFile, make([]byte, 28)))) // ReadFile without its length
-	f.Add(frameBytes(CodecBinary, binaryBody(Kind(60000), []byte("??"))))      // uncovered kind
+	add([]byte{})
+	add([]byte{0, 0})                                                        // short header
+	add([]byte{0xff, 0xff, 0xff, 0xff, 0})                                   // oversized declared length
+	add([]byte{0, 0, 1, 0, 0, 1, 2})                                         // truncated body
+	add(frameBytes(Codec(200), []byte{1, 2, 3}))                             // unknown codec tag
+	add(frameBytes(Codec(2), slotTrace.body(KindAck, nil)))                  // the retired traced tag
+	add(frameBytes(Codec(3), slotTenantTrace.body(KindAck, nil)))            // the retired tenant tag
+	add(frameBytes(CodecGob, []byte{1, 2, 3, 4}))                            // garbage gob
+	add(frameBytes(CodecBinary, nil))                                        // no flags byte
+	add(frameBytes(CodecBinary, binaryBody(KindFileChunk, []byte{1})))       // short chunk
+	add(frameBytes(CodecBinary, binaryBody(KindReadFile, make([]byte, 28)))) // ReadFile without its length
+	add(frameBytes(CodecBinary, binaryBody(Kind(60000), []byte("??"))))      // uncovered kind
 	for _, s := range slotCases {
 		for _, body := range hostileBodies(s) {
-			f.Add(frameBytes(CodecBinary, body))
+			add(frameBytes(CodecBinary, body))
 		}
 	}
-
-	f.Fuzz(func(t *testing.T, stream []byte) {
-		c := NewConn(bytes.NewBuffer(stream))
-		for {
-			msg, err := c.Read()
-			if err != nil {
-				return // any error ends the stream; the invariant is no panic
-			}
-			if ch, ok := msg.Chunk(); ok {
-				_ = ChecksumUpdate(ChecksumBasis, ch.Data) // touch every borrowed byte
-			}
-			msg.Release()
-		}
-	})
 }
 
 // slotFrame encodes p through the real writer under s.

@@ -478,10 +478,16 @@ type Conn struct {
 	// *CodecError). Both default from the build (see fastpath_on.go).
 	fastWrite    atomic.Bool
 	acceptBinary atomic.Bool
-	// rhdr, guarded by rmu, is the frame-header scratch for Read: a local
-	// array would escape through the io.ReadFull interface call and cost
-	// one heap allocation per frame.
-	rhdr [headerSize]byte
+	// ra, guarded by rmu, is Read's read-ahead: bytes taken from the
+	// stream and not yet handed out as a frame sit in ra[rpos:rend]. Read
+	// fills it with a single read of the stream, so a control frame — header
+	// and body — arrives in one read(2) where header-then-body took two. It
+	// lives in the Conn (a local array would escape through the io.Reader
+	// call and cost one heap allocation per frame), and it belongs to Read
+	// alone: everything else that asks whether the stream is idle must ask
+	// Buffered too, because these bytes are no longer in the socket.
+	ra         [readAhead]byte
+	rpos, rend int
 	// tenant, when non-zero, is the ids.TenantID stamped on every
 	// outgoing frame: fast-path frames gain the tenant slot, gob frames
 	// carry it in the envelope. Per-connection (not per-call) because a
@@ -521,16 +527,6 @@ func (c *Conn) Tenant() ids.TenantID { return c.tenantID() }
 
 // tenantID loads the stamped tenant (the write paths' per-frame check).
 func (c *Conn) tenantID() ids.TenantID { return ids.TenantID(c.tenant.Load()) }
-
-// SetDeadline forwards an absolute deadline to the underlying stream when
-// it supports one (net.Conn does; an in-memory buffer does not). It
-// reports whether a deadline was applied. A zero time clears the deadline.
-func (c *Conn) SetDeadline(t time.Time) bool {
-	if d, ok := c.rw.(deadliner); ok {
-		return d.SetDeadline(t) == nil
-	}
-	return false
-}
 
 // SetWriteTimeout arms a rolling per-frame write deadline: every Write
 // gets d from its start to reach the kernel, independent of how long the
@@ -675,27 +671,95 @@ func (c *Conn) WriteTorn(kind Kind, payload any) error {
 	return nil
 }
 
-// Read receives one message. The frame body lands in a pooled buffer:
-// gob frames decode out of it and return it immediately; fast-path
-// FileChunk frames lend it to the returned Msg (Data points into it)
-// until Msg.Release — see the borrowed-buffer contract there. Hostile
+// readAhead is the size of a Conn's read-ahead. A per-open control frame
+// is 12 to 90 bytes and the largest fixed layout under 200, so any of them
+// — and a pipelined neighbour — fits; a data chunk's body is hundreds of
+// times larger and is read straight into its own buffer, so a bigger
+// read-ahead would only mean a bigger copy at the head of every chunk.
+const readAhead = 512
+
+// Buffered reports how many bytes Read has taken from the stream without
+// yet returning them as a message. On a request/response connection at
+// rest it is zero; anything else is bytes the peer sent unasked, exactly
+// as if they were still waiting in the socket (the transport pool's
+// checkout probe counts both).
+func (c *Conn) Buffered() int {
+	c.rmu.Lock()
+	defer c.rmu.Unlock()
+	return c.rend - c.rpos
+}
+
+// fillHeader makes a whole frame header available at ra[rpos:], reading
+// the stream only when the read-ahead holds less than one, and then
+// asking for as much as the read-ahead has room for: whatever followed
+// the header in the same segment comes with it. Its errors are
+// io.ReadFull's on a header: io.EOF at a frame boundary,
+// io.ErrUnexpectedEOF inside a header, anything else as the stream
+// reported it. Caller holds rmu.
+func (c *Conn) fillHeader() error {
+	if c.rend-c.rpos >= headerSize {
+		return nil
+	}
+	// At most four bytes move; the read below then has the whole array.
+	c.rend = copy(c.ra[:], c.ra[c.rpos:c.rend])
+	c.rpos = 0
+	for c.rend < headerSize {
+		n, err := c.rw.Read(c.ra[c.rend:])
+		c.rend += n
+		if err != nil && c.rend < headerSize {
+			if err == io.EOF && c.rend > 0 {
+				return io.ErrUnexpectedEOF
+			}
+			return err
+		}
+	}
+	return nil
+}
+
+// readBody fills body with the frame's bytes: first whatever the
+// read-ahead already holds of them, then — only for a body that did not
+// fit — straight from the stream into body, with nothing read past the
+// frame's end. Its errors are io.ReadFull's on a body: io.EOF when the
+// stream ends with none of a non-empty body delivered,
+// io.ErrUnexpectedEOF when it ends inside it. Caller holds rmu.
+func (c *Conn) readBody(body []byte) error {
+	have := copy(body, c.ra[c.rpos:c.rend])
+	c.rpos += have
+	if have == len(body) {
+		return nil
+	}
+	_, err := io.ReadFull(c.rw, body[have:])
+	if err == io.EOF && have > 0 {
+		err = io.ErrUnexpectedEOF
+	}
+	return err
+}
+
+// Read receives one message. A frame that fits the read-ahead — every
+// control frame — costs one read of the stream, and none at all when it
+// arrived behind its predecessor; a larger body is read straight into its
+// buffer. The frame body lands in a pooled buffer: gob frames decode out
+// of it and return it immediately; fast-path FileChunk frames lend it to
+// the returned Msg (Data points into it) until Msg.Release — see the
+// borrowed-buffer contract there. Hostile
 // input surfaces typed errors (*FrameTooLargeError for an oversized
 // declared length, *CodecError for unknown tags or malformed binary
 // bodies), never a panic.
 func (c *Conn) Read() (Msg, error) {
 	c.rmu.Lock()
 	defer c.rmu.Unlock()
-	if _, err := io.ReadFull(c.rw, c.rhdr[:]); err != nil {
+	if err := c.fillHeader(); err != nil {
 		return Msg{}, err // io.EOF passes through for clean shutdown
 	}
-	n := binary.BigEndian.Uint32(c.rhdr[:4])
-	codec := Codec(c.rhdr[4])
+	n := binary.BigEndian.Uint32(c.ra[c.rpos:])
+	codec := Codec(c.ra[c.rpos+4])
+	c.rpos += headerSize
 	if n > MaxFrame {
 		return Msg{}, &FrameTooLargeError{Size: int64(n), Cap: MaxFrame}
 	}
 	bp := getBuf(int(n))
 	body := (*bp)[:n]
-	if _, err := io.ReadFull(c.rw, body); err != nil {
+	if err := c.readBody(body); err != nil {
 		putBuf(bp)
 		return Msg{}, fmt.Errorf("wire: reading body: %w", err)
 	}
@@ -755,31 +819,50 @@ func (c *Conn) CallTraced(tc trace.SpanContext, kind Kind, payload any) (Msg, er
 	return reply, nil
 }
 
-// CallContext is Call bounded by ctx: the context's deadline and
-// cancellation are mapped onto the stream's I/O deadlines, so a stalled or
-// unreachable peer cannot block the caller past the context. With a
-// deadline-free, never-canceled context it degenerates to Call. A span
+// CallContext is Call bounded by ctx: CallDeadline with no bound beside
+// the context's own.
+func (c *Conn) CallContext(ctx context.Context, kind Kind, payload any) (Msg, error) {
+	return c.CallDeadline(ctx, time.Time{}, kind, payload)
+}
+
+// CallDeadline is Call bounded by ctx and by an absolute deadline (zero:
+// none) — the one bounded round trip, under CallContext and under every
+// transport.Client.Call. The earlier of deadline and ctx's own is armed on
+// the stream once, at the start, so a stalled or unreachable peer cannot
+// block the caller past it; a call with neither clears instead, so nothing
+// an earlier user of the connection left armed can reach this one. Only a
+// context that can be canceled costs more than that: a callback that
+// expires the stream's deadline the moment ctx is done. With no deadline
+// and a never-canceled context the call degenerates to Call. A span
 // context attached to ctx (trace.NewContext) is stamped on the request
 // frame, so trace propagation flows through every transport.Client.Call
-// without widening its signature. The connection is left with no deadline
-// armed on return; a call aborted by ctx leaves the stream
-// desynchronized, so the caller must discard it (the transport pool does
-// exactly that).
-func (c *Conn) CallContext(ctx context.Context, kind Kind, payload any) (Msg, error) {
+// without widening its signature.
+//
+// The connection is left with no deadline armed on return, whatever the
+// outcome and however the cancellation raced the reply (see callGuard):
+// the pool's checkout probe fails a connection whose deadline has passed,
+// and streams run on pooled connections unbounded. A call aborted by its
+// deadline or by ctx leaves the stream desynchronized, so the caller must
+// discard it (the transport pool does exactly that).
+func (c *Conn) CallDeadline(ctx context.Context, deadline time.Time, kind Kind, payload any) (Msg, error) {
 	if err := ctx.Err(); err != nil {
 		return Msg{}, err
 	}
-	if _, ok := c.rw.(deadliner); ok && ctx.Done() != nil {
-		// Arm the deadline and also watch for early cancellation: an
-		// expired deadline makes the pending read/write return promptly.
-		if dl, hasDL := ctx.Deadline(); hasDL {
-			c.SetDeadline(dl)
+	if dl, ok := ctx.Deadline(); ok && (deadline.IsZero() || dl.Before(deadline)) {
+		deadline = dl
+	}
+	if d, ok := c.rw.(deadliner); ok {
+		d.SetDeadline(deadline)
+		if ctx.Done() != nil {
+			g := &callGuard{stream: d}
+			stop := context.AfterFunc(ctx, g.expire)
+			defer func() {
+				stop()
+				g.finish()
+			}()
+		} else if !deadline.IsZero() {
+			defer d.SetDeadline(time.Time{})
 		}
-		stop := context.AfterFunc(ctx, func() { c.SetDeadline(time.Now()) })
-		defer func() {
-			stop()
-			c.SetDeadline(time.Time{})
-		}()
 	}
 	msg, err := c.CallTraced(trace.FromContext(ctx), kind, payload)
 	if err != nil {
@@ -787,16 +870,48 @@ func (c *Conn) CallContext(ctx context.Context, kind Kind, payload any) (Msg, er
 			// Prefer the context's verdict over the raw i/o timeout error.
 			return Msg{}, fmt.Errorf("wire: call %v: %w", kind, cerr)
 		}
-		// The socket deadline we armed from the context can fire a hair
-		// before the context's own timer observes expiry; attribute such
-		// an i/o timeout to the context deadline it came from.
-		if errors.Is(err, os.ErrDeadlineExceeded) {
-			if dl, hasDL := ctx.Deadline(); hasDL && !time.Now().Before(dl) {
-				return Msg{}, fmt.Errorf("wire: call %v: %w", kind, context.DeadlineExceeded)
-			}
+		// An i/o timeout once the armed deadline has passed is that
+		// deadline's doing, whether it came from the caller or from ctx
+		// (whose own timer can observe expiry a hair after the socket's).
+		if errors.Is(err, os.ErrDeadlineExceeded) && !deadline.IsZero() && !time.Now().Before(deadline) {
+			return Msg{}, fmt.Errorf("wire: call %v: %w", kind, context.DeadlineExceeded)
 		}
 	}
 	return msg, err
+}
+
+// callGuard makes a call's cancellation callback and its return path agree
+// on who touches the stream's deadline last. context.AfterFunc runs the
+// callback on its own goroutine, and its stop function only reports that
+// the callback has started, not that it has finished: without the guard a
+// cancellation landing as the reply is returned could expire the deadline
+// after the return path had cleared it — on a connection already back in
+// the pool, which then fails its next checkout probe healthy. Under mu,
+// finish marks the call over before it clears; expire does nothing once
+// the call is over. One guard serves one call, so a callback that starts
+// late finds its own call finished, never a successor's in flight.
+type callGuard struct {
+	mu     sync.Mutex
+	stream deadliner
+	done   bool
+}
+
+// expire is the cancellation callback: it makes the pending read or write
+// return at once.
+func (g *callGuard) expire() {
+	g.mu.Lock()
+	if !g.done {
+		g.stream.SetDeadline(time.Now())
+	}
+	g.mu.Unlock()
+}
+
+// finish ends the call and leaves the stream with no deadline.
+func (g *callGuard) finish() {
+	g.mu.Lock()
+	g.done = true
+	g.stream.SetDeadline(time.Time{})
+	g.mu.Unlock()
 }
 
 // WriteError replies with a remote error message.

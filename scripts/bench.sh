@@ -2,7 +2,8 @@
 # bench.sh — reproducible data-plane benchmark run.
 #
 # Runs the wire codec benchmarks, the live-TCP streaming benchmark, the
-# MM's refused-replication benchmarks and the DES event-loop benchmarks,
+# transport call benchmark, the MM's refused-replication benchmarks and the
+# DES event-loop benchmarks,
 # parses the `go test -bench` output into BENCH_6.json, and enforces the
 # fast-path allocation ceiling: the fast sub-benchmarks of
 # BenchmarkEncodeChunk and BenchmarkDecodeChunk must stay at (by default)
@@ -21,27 +22,36 @@
 # with the speed of the checksum or of the segment path.
 #
 # The same benchmark's K4 arm carries the striped read's allocation gate:
-# one whole warm read (13 segments over 4 lanes) may cost at most 260
-# allocs/op. It measures about 230: some 215 for the read's own
-# negotiation — a lookup, then a CFP, an Open and a Close per lane, 13
-# calls at about 9 allocations of context and deadline plumbing each, plus
-# the bid tables and the four lane goroutines — and one per range for the
-# FileEnd the client decodes. The segment path itself (slot ring, pooled
+# one whole warm read (13 segments over 4 lanes) may cost at most 120
+# allocs/op. It measures about 90: some 75 for the read's own negotiation
+# — a lookup, then a CFP, an Open and a Close per lane, 13 calls at the two
+# payload boxings each, plus the bid tables, the spans and the four lane
+# goroutines — and one per range for the FileEnd the client decodes. (It
+# measured about 230 while every call also built a context, a timer and a
+# cancellation callback.) The segment path itself (slot ring, pooled
 # segment buffers, slice writer, pooled server chunk buffer and FileEnd)
 # adds nothing per segment; with a bytes.Buffer per segment and maps for
 # the board the same read cost 493 allocs and 2.7 MB. The ceiling leaves
 # 30 for pool misses after a GC, so a buffer, board entry or writer
 # allocated per segment again (13 or more per read each) trips it.
 #
-# The per-open control plane has its own two gates. The fast sub-benchmarks
-# of BenchmarkEncodeCtl and BenchmarkDecodeCtl (CFP, Bid, OpenRequest) may
-# cost at most 2 allocs/op: the codec itself allocates nothing, and the one
-# allocation left is the payload struct's boxing into an interface.
-# BenchmarkLiveNegotiate (a whole AccessHeld + release over loopback at 3, 8
-# and 16 holders, metadata lease cold and hot) may cost at most
-# 40 x holders + 100 allocs/op — a CFP on gob costs 23 to encode plus 220 to
-# decode in the gob sub-benchmarks above, so one control kind slipping back
-# onto gob trips it.
+# The per-open control plane has its own three gates. The fast
+# sub-benchmarks of BenchmarkEncodeCtl and BenchmarkDecodeCtl (CFP, Bid,
+# OpenRequest) may cost at most 2 allocs/op: the codec itself allocates
+# nothing, and the one allocation left is the payload struct's boxing into
+# an interface. BenchmarkCall (internal/transport: one Client.Call round
+# trip on a warm pool over loopback) may cost at most 4: a call arms one
+# absolute deadline and builds no context, timer or callback, so what is
+# left is its two payloads — it measured 12 while it built them, and an
+# open makes holders + 3 calls. BenchmarkLiveNegotiate (a whole
+# AccessHeld + release over loopback at 3, 8 and 16 holders, metadata lease
+# cold and hot) may cost at most 8 x holders + 40 allocs/op. It measures
+# 32 / 52 / 84 cold: four or so per holder (CFP and Bid boxed on each side
+# of the socket) and some twenty for the tables, spans and release. The
+# parent of this ceiling measured 99 / 179 / 307, so a per-call context, a
+# goroutine and closure per CFP, or one control kind slipping back onto gob
+# (a CFP on gob costs 23 to encode plus 220 to decode in the gob
+# sub-benchmarks above) each trips it.
 #
 # The refused-replication path has two more: on an in-process MM with 256
 # RMs and one file at cap 8, a refused BeginReplication may cost 0
@@ -96,6 +106,11 @@ go test ./internal/live/ -run '^$' \
 	-bench 'BenchmarkLiveStreamThroughput|BenchmarkLiveStripedReadThroughput|BenchmarkLiveNegotiate' \
 	-benchmem -benchtime "$BENCH_TIME" | tee -a "$RAW"
 
+echo "== transport call benchmark (benchtime=$BENCH_TIME)"
+go test ./internal/transport/ -run '^$' \
+	-bench 'BenchmarkCall$' \
+	-benchmem -benchtime "$BENCH_TIME" | tee -a "$RAW"
+
 echo "== MM refused-replication benchmarks (benchtime=$BENCH_TIME)"
 go test ./internal/mm/ -run '^$' \
 	-bench 'BenchmarkBeginReplicationRefused|BenchmarkRMsWithout' \
@@ -106,7 +121,7 @@ go test ./internal/simtime/ -run '^$' \
 	-bench 'BenchmarkSchedulerPending|BenchmarkFeed' \
 	-benchmem -benchtime "$BENCH_TIME" | tee -a "$RAW"
 go test ./internal/dfsc/ -run '^$' \
-	-bench 'BenchmarkNegotiateSerial' \
+	-bench 'BenchmarkNegotiateSerial|BenchmarkCollectBidsConcurrent' \
 	-benchmem -benchtime "$BENCH_TIME" | tee -a "$RAW"
 
 # Parse "BenchmarkName/sub-N  iters  ns/op  [MB/s]  [B/op]  [allocs/op]"
@@ -165,14 +180,15 @@ done
 alloc_gate "BenchmarkEncodeRangedRead/fast" "$ALLOC_CEILING"
 alloc_gate "BenchmarkDecodeRangedRead/fast" "$ALLOC_CEILING"
 
-# Per-open control plane: the fast control codecs at 2 allocs/op, then a
-# whole live negotiation at 40 x holders + 100.
+# Per-open control plane: the fast control codecs at 2 allocs/op, one
+# transport call at 4, then a whole live negotiation at 8 x holders + 40.
 for payload in CFP Bid OpenRequest; do
 	alloc_gate "BenchmarkEncodeCtl/$payload/fast" 2
 	alloc_gate "BenchmarkDecodeCtl/$payload/fast" 2
 done
+alloc_gate BenchmarkCall 4
 for holders in 3 8 16; do
-	ceiling=$((40 * holders + 100))
+	ceiling=$((8 * holders + 40))
 	for lease in cold hot; do
 		alloc_gate "BenchmarkLiveNegotiate/H$holders/$lease" "$ceiling"
 	done
@@ -180,7 +196,7 @@ done
 
 # One whole K4 striped read: negotiation plus a segment path that
 # allocates nothing per segment (see the header).
-alloc_gate "BenchmarkLiveStripedReadThroughput/K4" 260
+alloc_gate "BenchmarkLiveStripedReadThroughput/K4" 120
 
 # The refused-replication path on the MM (see the header).
 alloc_gate BenchmarkBeginReplicationRefused 0
