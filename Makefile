@@ -26,7 +26,7 @@ vet:
 	$(GO) vet ./...
 
 race:
-	$(GO) test -race -count=1 ./internal/wire/... ./internal/transport/... ./internal/live/... ./internal/dfsc/... ./internal/telemetry/... ./internal/monitor/... ./internal/mm/... ./internal/rm/... ./internal/faults/... ./internal/blkio/... ./internal/tenant/... ./internal/vdisk/...
+	$(GO) test -race -count=1 ./internal/wire/... ./internal/transport/... ./internal/live/... ./internal/dfsc/... ./internal/telemetry/... ./internal/monitor/... ./internal/mm/... ./internal/rm/... ./internal/replication/... ./internal/rng/... ./internal/faults/... ./internal/blkio/... ./internal/tenant/... ./internal/vdisk/...
 
 # chaos replays the self-healing drills: deterministic fault scripts
 # (internal/faults) against live TCP deployments — mid-stream kill with
@@ -73,7 +73,8 @@ cover:
 # codecs, the 2-allocs/op gate on the per-open control codecs, the
 # per-holder allocation ceiling on a live negotiation, the allocation
 # ceiling on a whole K4 striped read, the 0- and 1-alloc gates on the MM's
-# refused BeginReplication and RMsWithout, the DES event loop's gates (1
+# refused BeginReplication and RMsWithout and the 1-alloc gate on the RM's
+# whole replication attempt at the cap, the DES event loop's gates (1
 # alloc per scheduled event at any queue depth, 0 per fed arrival, 12 per
 # serial negotiation), and the K4-vs-K1 stripe-scaling
 # floor. The work-conserving QoS benchmark

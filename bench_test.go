@@ -22,6 +22,7 @@ import (
 	"dfsqos/internal/rng"
 	"dfsqos/internal/selection"
 	"dfsqos/internal/simtime"
+	"dfsqos/internal/units"
 	"dfsqos/internal/wire"
 )
 
@@ -258,13 +259,18 @@ func BenchmarkSelect(b *testing.B) {
 // BenchmarkDestinationOrder measures destination sampling over 14
 // candidates for each strategy.
 func BenchmarkDestinationOrder(b *testing.B) {
-	infos := benchInfos(14)
+	cands := make([]ids.RMID, 14)
+	for i := range cands {
+		cands[i] = ids.RMID(i + 1)
+	}
+	capacity := func(id ids.RMID) units.BytesPerSec { return Mbps(float64(17 + id)) }
 	src := benchRand()
+	var sc replication.Scratch
 	for _, d := range []DestStrategy{DestRandom, DestLBF, DestWeighted} {
 		b.Run(d.String(), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				d.Order(infos, src)
+				d.Order(cands, capacity, src, &sc)
 			}
 		})
 	}
@@ -337,13 +343,5 @@ func BenchmarkClusterBuild(b *testing.B) {
 }
 
 func benchRand() *rng.Source { return rng.New(1) }
-
-func benchInfos(n int) []ecnp.RMInfo {
-	infos := make([]ecnp.RMInfo, n)
-	for i := range infos {
-		infos[i] = ecnp.RMInfo{ID: ids.RMID(i + 1), Capacity: Mbps(float64(18 + i))}
-	}
-	return infos
-}
 
 var _ = replication.Baseline // keep the replication import tied to the ablations above

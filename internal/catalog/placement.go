@@ -50,10 +50,13 @@ func StaticRandom(c *Catalog, rms []ids.RMID, degree int, src *rng.Source) (*Pla
 // Holders returns the RMs holding a replica of file id. The returned slice
 // is a copy and safe to retain.
 func (p *Placement) Holders(id ids.FileID) []ids.RMID {
-	hs := p.replicas[id]
-	out := make([]ids.RMID, len(hs))
-	copy(out, hs)
-	return out
+	return p.AppendHolders(make([]ids.RMID, 0, p.Degree(id)), id)
+}
+
+// AppendHolders appends the RMs holding a replica of file id to dst: Holders
+// into memory the caller owns.
+func (p *Placement) AppendHolders(dst []ids.RMID, id ids.FileID) []ids.RMID {
+	return append(dst, p.replicas[id]...)
 }
 
 // Has reports whether rm holds a replica of file id.

@@ -308,13 +308,26 @@ func (m *Manager) filterLiveLocked(s []ids.RMID) []ids.RMID {
 // committed nor a pending replica of file, in ascending RM order. Dead
 // RMs are excluded — offering a replica to a crashed destination would
 // only waste the source's transfer budget.
+//
+// The source-side agent asks on every access of an RM under B_TH, so the
+// answer is one merge: the file's holders and pending destinations — its
+// replica cap plus one at most — are looked up once and sorted, and the
+// ordered resource list is walked against them with no lookup per RM.
 func (m *Manager) RMsWithout(file ids.FileID) []ids.RMID {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	pending := m.pending[file]
+	var buf [16]ids.RMID
+	excl := m.placement.AppendHolders(buf[:0], file)
+	for id := range m.pending[file] {
+		excl = append(excl, id)
+	}
+	slices.Sort(excl)
 	out := make([]ids.RMID, 0, len(m.order))
 	for _, id := range m.order {
-		if !m.placement.Has(file, id) && !pending[id] {
+		for len(excl) > 0 && excl[0] < id {
+			excl = excl[1:]
+		}
+		if len(excl) == 0 || excl[0] != id {
 			out = append(out, id)
 		}
 	}

@@ -7,15 +7,18 @@
 // This package is pure policy — it owns no clocks, ledgers or transfers.
 // The Resource Manager (package rm) consults it and drives the actual
 // transfer through the scheduler, so the identical decision code runs in
-// the DES and in live mode.
+// the DES and in live mode. It is consulted on every access of an RM under
+// B_TH, so the two per-attempt functions own no memory either: Order takes
+// candidate ids, a capacity lookup and a Scratch, BusiestCovering sorts in
+// place, and both write into buffers the caller keeps.
 package replication
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
-	"dfsqos/internal/ecnp"
 	"dfsqos/internal/ids"
 	"dfsqos/internal/rng"
 	"dfsqos/internal/units"
@@ -153,6 +156,15 @@ func ParseDestStrategy(s string) (DestStrategy, error) {
 	return 0, fmt.Errorf("replication: unknown destination strategy %q", s)
 }
 
+// Scratch is Order's working memory. A caller that keeps one between calls
+// pays for it once: Order allocates only to grow it. The zero value is
+// ready to use; one Scratch serves one call at a time.
+type Scratch struct {
+	idx   []int
+	caps  []float64
+	order []ids.RMID
+}
+
 // Order returns the order in which candidate destinations should be tried.
 // A destination may reject the offer, so the source walks the returned list
 // until enough copies are accepted. Sampling is without replacement:
@@ -162,47 +174,59 @@ func ParseDestStrategy(s string) (DestStrategy, error) {
 //     shuffled (the paper's "randomly select one of RM1 and RM9").
 //   - DestWeighted: successive draws with probability proportional to
 //     capacity.
-func (d DestStrategy) Order(candidates []ecnp.RMInfo, src *rng.Source) []ids.RMID {
+//
+// Candidates are ids, not registration records: capacity is asked once per
+// candidate by the two strategies that read it, and never by DestRandom.
+// The result lives in sc and is valid until sc's next Order. What is drawn
+// from src depends only on d, len(candidates) and the capacities — the
+// RNG-stream rule (DESIGN §6) holds every caller to that.
+func (d DestStrategy) Order(candidates []ids.RMID, capacity func(ids.RMID) units.BytesPerSec, src *rng.Source, sc *Scratch) []ids.RMID {
 	n := len(candidates)
-	out := make([]ids.RMID, 0, n)
-	switch d {
-	case DestRandom:
-		perm := src.Perm(n)
-		for _, i := range perm {
-			out = append(out, candidates[i].ID)
+	sc.idx, sc.caps, sc.order = resize(sc.idx, n), resize(sc.caps, n), resize(sc.order, n)
+	idx, caps, out := sc.idx, sc.caps, sc.order
+	if d != DestRandom {
+		for i, id := range candidates {
+			caps[i] = float64(capacity(id))
 		}
-	case DestLBF:
-		idx := src.Perm(n) // random tie-break baseline
-		sort.SliceStable(idx, func(a, b int) bool {
-			return candidates[idx[a]].Capacity > candidates[idx[b]].Capacity
-		})
-		for _, i := range idx {
-			out = append(out, candidates[i].ID)
+	}
+	switch d {
+	case DestRandom, DestLBF:
+		src.PermInto(idx) // for LBF, the random tie-break baseline
+		if d == DestLBF {
+			slices.SortStableFunc(idx, func(a, b int) int { return cmp.Compare(caps[b], caps[a]) })
+		}
+		for k, i := range idx {
+			out[k] = candidates[i]
 		}
 	case DestWeighted:
-		remaining := make([]ecnp.RMInfo, n)
-		copy(remaining, candidates)
-		for len(remaining) > 0 {
-			weights := make([]float64, len(remaining))
+		// out[:k] is drawn, out[k:] remains in candidate order beside its
+		// weights caps[k:]; a pick moves to position k and the candidates
+		// before it shift up one, which keeps the remainder in order.
+		copy(out, candidates)
+		for k := 0; k < n; k++ {
 			total := 0.0
-			for i, c := range remaining {
-				weights[i] = float64(c.Capacity)
-				total += weights[i]
+			for _, w := range caps[k:] {
+				total += w
 			}
 			var pick int
 			if total <= 0 {
-				pick = src.Intn(len(remaining))
+				pick = src.Intn(n - k)
 			} else {
-				pick = src.WeightedChoice(weights)
+				pick = src.WeightedChoice(caps[k:])
 			}
-			out = append(out, remaining[pick].ID)
-			remaining = append(remaining[:pick], remaining[pick+1:]...)
+			id, w := out[k+pick], caps[k+pick]
+			copy(out[k+1:], out[k:k+pick])
+			copy(caps[k+1:], caps[k:k+pick])
+			out[k], caps[k] = id, w
 		}
 	default:
 		panic(fmt.Sprintf("replication: unknown strategy %v", d))
 	}
 	return out
 }
+
+// resize returns s with length n, allocating only when n outgrows it.
+func resize[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
 
 // Config bundles the tunables of the dynamic replication mechanism, with
 // the defaults fixed in the paper's evaluation (§VI-C).
@@ -301,32 +325,33 @@ type FileCount struct {
 // BusiestCovering returns the N_BF candidate set: files sorted by request
 // count descending (ties by ascending file ID for determinism), truncated
 // to the smallest prefix whose counts sum to at least coverage × total.
-// Files with zero count never enter the set.
-func BusiestCovering(counts []FileCount, coverage float64) []ids.FileID {
+// Files with zero count never enter the set. It reorders counts in place
+// and appends the set to out[:0], so a caller that keeps both allocates
+// nothing.
+func BusiestCovering(counts []FileCount, coverage float64, out []ids.FileID) []ids.FileID {
+	out = out[:0]
 	if coverage <= 0 {
-		return nil
+		return out
 	}
-	sorted := make([]FileCount, 0, len(counts))
 	var total int64
 	for _, fc := range counts {
-		if fc.Count > 0 {
-			sorted = append(sorted, fc)
-			total += fc.Count
-		}
+		total += max(fc.Count, 0)
 	}
 	if total == 0 {
-		return nil
+		return out
 	}
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].Count != sorted[j].Count {
-			return sorted[i].Count > sorted[j].Count
+	slices.SortFunc(counts, func(a, b FileCount) int {
+		if a.Count != b.Count {
+			return cmp.Compare(b.Count, a.Count)
 		}
-		return sorted[i].File < sorted[j].File
+		return cmp.Compare(a.File, b.File)
 	})
 	target := coverage * float64(total)
 	var acc int64
-	out := make([]ids.FileID, 0, len(sorted))
-	for _, fc := range sorted {
+	for _, fc := range counts {
+		if fc.Count <= 0 {
+			break
+		}
 		out = append(out, fc.File)
 		acc += fc.Count
 		if float64(acc) >= target {

@@ -99,10 +99,21 @@ func candidates() []ecnp.RMInfo {
 	}
 }
 
+// orderOf runs d.Order over registration records the way the RM does: ids
+// in, capacities through a lookup, a Scratch of its own.
+func orderOf(d DestStrategy, infos []ecnp.RMInfo, src *rng.Source) []ids.RMID {
+	cands := make([]ids.RMID, len(infos))
+	caps := make(map[ids.RMID]units.BytesPerSec, len(infos))
+	for i, info := range infos {
+		cands[i], caps[info.ID] = info.ID, info.Capacity
+	}
+	return d.Order(cands, func(id ids.RMID) units.BytesPerSec { return caps[id] }, src, new(Scratch))
+}
+
 func TestOrderIsPermutation(t *testing.T) {
 	src := rng.New(1)
 	for _, d := range []DestStrategy{DestRandom, DestLBF, DestWeighted} {
-		order := d.Order(candidates(), src)
+		order := orderOf(d, candidates(), src)
 		if len(order) != 5 {
 			t.Fatalf("%v: order len %d", d, len(order))
 		}
@@ -120,7 +131,7 @@ func TestLBFPutsLargestFirst(t *testing.T) {
 	src := rng.New(2)
 	firsts := map[ids.RMID]int{}
 	for i := 0; i < 200; i++ {
-		order := DestLBF.Order(candidates(), src)
+		order := orderOf(DestLBF, candidates(), src)
 		// The two 128 Mbps RMs (1 and 4) must occupy the first two slots.
 		if !((order[0] == 1 && order[1] == 4) || (order[0] == 4 && order[1] == 1)) {
 			t.Fatalf("LBF order starts %v, want the large RMs first", order[:2])
@@ -138,7 +149,7 @@ func TestWeightedFavorsLargeRMs(t *testing.T) {
 	firsts := map[ids.RMID]int{}
 	const draws = 2000
 	for i := 0; i < draws; i++ {
-		order := DestWeighted.Order(candidates(), src)
+		order := orderOf(DestWeighted, candidates(), src)
 		firsts[order[0]]++
 	}
 	// Large RMs have 128/311 ≈ 41% of the weight each.
@@ -155,7 +166,7 @@ func TestRandomOrderUniformFirstPick(t *testing.T) {
 	firsts := map[ids.RMID]int{}
 	const draws = 5000
 	for i := 0; i < draws; i++ {
-		firsts[DestRandom.Order(candidates(), src)[0]]++
+		firsts[orderOf(DestRandom, candidates(), src)[0]]++
 	}
 	for id, n := range firsts {
 		if n < draws/10 {
@@ -240,31 +251,31 @@ func TestBusiestCovering(t *testing.T) {
 		{File: 5, Count: 0},
 	}
 	// 50% of 100 = 50 → file 1 alone covers it.
-	got := BusiestCovering(counts, 0.5)
+	got := BusiestCovering(counts, 0.5, nil)
 	if len(got) != 1 || got[0] != 1 {
 		t.Fatalf("BusiestCovering(0.5) = %v, want [1]", got)
 	}
 	// 80% needs files 1+2.
-	got = BusiestCovering(counts, 0.8)
+	got = BusiestCovering(counts, 0.8, nil)
 	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
 		t.Fatalf("BusiestCovering(0.8) = %v, want [1 2]", got)
 	}
 	// Full coverage never includes zero-count files.
-	got = BusiestCovering(counts, 1.0)
+	got = BusiestCovering(counts, 1.0, nil)
 	if len(got) != 4 {
 		t.Fatalf("BusiestCovering(1.0) = %v, want the 4 nonzero files", got)
 	}
-	if len(BusiestCovering(nil, 0.5)) != 0 {
+	if len(BusiestCovering(nil, 0.5, nil)) != 0 {
 		t.Fatal("empty counts should give empty set")
 	}
-	if len(BusiestCovering(counts, 0)) != 0 {
+	if len(BusiestCovering(counts, 0, nil)) != 0 {
 		t.Fatal("zero coverage should give empty set")
 	}
 }
 
 func TestBusiestCoveringTieBreak(t *testing.T) {
 	counts := []FileCount{{File: 9, Count: 10}, {File: 3, Count: 10}}
-	got := BusiestCovering(counts, 1.0)
+	got := BusiestCovering(counts, 1.0, nil)
 	if got[0] != 3 || got[1] != 9 {
 		t.Fatalf("tie-break order = %v, want ascending file ids", got)
 	}
@@ -333,7 +344,7 @@ func TestOrderPermutationProperty(t *testing.T) {
 		}
 		src := rng.New(seed)
 		for _, d := range []DestStrategy{DestRandom, DestLBF, DestWeighted} {
-			order := d.Order(cands, src)
+			order := orderOf(d, cands, src)
 			if len(order) != count {
 				return false
 			}

@@ -7,7 +7,9 @@
 //
 // The RM is driven through an abstract scheduler (ecnp.Scheduler), so the
 // identical code executes under the discrete-event simulation and in live
-// TCP mode; a mutex guards all state for the latter.
+// TCP mode; a mutex guards all state for the latter, and the source-side
+// replication agent — which runs on the request path, outside that mutex —
+// is one run at a time (RM.agentBusy).
 package rm
 
 import (
@@ -131,6 +133,21 @@ type RM struct {
 	repSeq        int64
 
 	stats Stats
+
+	// agentBusy marks a source-agent run in progress. It is taken under mu
+	// in the same critical section as the trigger test and dropped when
+	// the run returns, so of any number of concurrent CFPs one runs the
+	// agent and the rest answer their bids without it — two can no longer
+	// both read srcActive == 0 after the lock is released and both become
+	// sources. The DES never calls HandleCFP concurrently on one RM and so
+	// never finds it set. The run that holds it owns src and the buffers
+	// below, which is what lets an attempt that starts nothing allocate
+	// nothing but the mapper's answer.
+	agentBusy   bool
+	fileCounts  []replication.FileCount
+	busiest     []ids.FileID
+	candidates  []ids.RMID
+	destScratch replication.Scratch
 }
 
 // Options configures a new RM.
@@ -736,7 +753,7 @@ func (r *RM) collectGarbage() {
 func (r *RM) maybeReplicate(now simtime.Time) {
 	r.mu.Lock()
 	cfg := r.repCfg
-	if !cfg.Strategy.Enabled || r.dir == nil {
+	if !cfg.Strategy.Enabled || r.dir == nil || r.agentBusy {
 		r.mu.Unlock()
 		return
 	}
@@ -749,27 +766,32 @@ func (r *RM) maybeReplicate(now simtime.Time) {
 		r.mu.Unlock()
 		return
 	}
+	r.agentBusy = true
 	// Busiest-file candidate set N_BF: smallest prefix of this RM's
 	// request counts covering BusyCoverage of the total.
-	fcs := make([]replication.FileCount, 0, len(r.counts))
+	fcs := r.fileCounts[:0]
 	for f, c := range r.counts {
 		if _, stored := r.files[f]; stored {
 			fcs = append(fcs, replication.FileCount{File: f, Count: c})
 		}
 	}
-	candidates := replication.BusiestCovering(fcs, cfg.BusyCoverage)
+	r.fileCounts = fcs
+	r.busiest = replication.BusiestCovering(fcs, cfg.BusyCoverage, r.busiest)
 	self := r.info.ID
 	r.mu.Unlock()
 
-	for _, f := range candidates {
+	for _, f := range r.busiest {
 		if r.tryReplicateFile(now, f, self) {
-			return
+			break
 		}
 	}
+	r.mu.Lock()
+	r.agentBusy = false
+	r.mu.Unlock()
 }
 
 // tryReplicateFile attempts one replication of file f; it reports whether
-// at least one copy was started.
+// at least one copy was started. Its caller holds agentBusy.
 func (r *RM) tryReplicateFile(now simtime.Time, f ids.FileID, self ids.RMID) bool {
 	r.mu.Lock()
 	meta, stored := r.files[f]
@@ -790,26 +812,24 @@ func (r *RM) tryReplicateFile(now simtime.Time, f ids.FileID, self ids.RMID) boo
 	if want < 1 {
 		return false
 	}
-	withoutIDs := r.mapper.RMsWithout(f)
-	if len(withoutIDs) == 0 {
-		return false
-	}
-	infos := make([]ecnp.RMInfo, 0, len(withoutIDs))
-	for _, id := range withoutIDs {
+	// The candidates are the ids the directory can reach, self excluded.
+	// How many there are fixes what Order draws, so the filter stays as it
+	// is (DESIGN §6, the RNG-stream rule); no registration record is read
+	// for it, and only the capacity-reading strategies resolve any.
+	cands := r.candidates[:0]
+	for _, id := range r.mapper.RMsWithout(f) {
 		if id == self {
 			continue
 		}
-		if p, ok := r.dir.Provider(id); ok {
-			infos = append(infos, p.Info())
+		if _, ok := r.dir.Provider(id); ok {
+			cands = append(cands, id)
 		}
 	}
-	if len(infos) == 0 {
+	r.candidates = cands
+	if len(cands) == 0 {
 		return false
 	}
-
-	r.mu.Lock()
-	order := cfg.Dest.Order(infos, r.src)
-	r.mu.Unlock()
+	order := cfg.Dest.Order(cands, r.peerCapacity, r.src, &r.destScratch)
 
 	type started struct {
 		rep ids.ReplicationID
@@ -973,6 +993,16 @@ func (r *RM) migrateOut(f ids.FileID) {
 		r.refreshGaugesLocked()
 	}
 	r.mu.Unlock()
+}
+
+// peerCapacity is the capacity lookup Dest.Order is handed: the registered
+// bandwidth of a candidate destination.
+func (r *RM) peerCapacity(id ids.RMID) units.BytesPerSec {
+	p, ok := r.dir.Provider(id)
+	if !ok {
+		return 0
+	}
+	return p.Info().Capacity
 }
 
 func (r *RM) nextRepID() ids.ReplicationID {

@@ -23,14 +23,14 @@ type harness struct {
 	rms    map[ids.RMID]*RM
 }
 
-func newHarness(t *testing.T, repCfg replication.Config, caps map[ids.RMID]units.BytesPerSec, files map[ids.RMID]map[ids.FileID]FileMeta) *harness {
+func newHarness(t testing.TB, repCfg replication.Config, caps map[ids.RMID]units.BytesPerSec, files map[ids.RMID]map[ids.FileID]FileMeta) *harness {
 	t.Helper()
 	return newHarnessWrapped(t, repCfg, caps, files, func(m *mm.Manager) ecnp.Mapper { return m })
 }
 
 // newHarnessWrapped hands the RMs wrap(h.mapper) as their mapper, so a
 // test can observe or interleave with the calls they make on the MM.
-func newHarnessWrapped(t *testing.T, repCfg replication.Config, caps map[ids.RMID]units.BytesPerSec, files map[ids.RMID]map[ids.FileID]FileMeta, wrap func(*mm.Manager) ecnp.Mapper) *harness {
+func newHarnessWrapped(t testing.TB, repCfg replication.Config, caps map[ids.RMID]units.BytesPerSec, files map[ids.RMID]map[ids.FileID]FileMeta, wrap func(*mm.Manager) ecnp.Mapper) *harness {
 	t.Helper()
 	h := &harness{
 		sched:  simtime.NewScheduler(),

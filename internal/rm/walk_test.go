@@ -35,7 +35,16 @@ func (c *countingMapper) RMsWithout(file ids.FileID) []ids.RMID {
 // walkHarness is one 10 Mbit/s source (RM1, pushed under B_TH) holding
 // the hot file among nRMs RMs; the others are idle 100 Mbit/s
 // destinations that accept any offer. extraHolders also hold the file.
-func walkHarness(t *testing.T, strat replication.Strategy, nRMs int, extraHolders ...ids.RMID) (*harness, *countingMapper) {
+func walkHarness(t testing.TB, strat replication.Strategy, nRMs int, extraHolders ...ids.RMID) (*harness, *countingMapper) {
+	t.Helper()
+	counter := &countingMapper{}
+	h := walkHarnessWrapped(t, strat, nRMs,
+		func(m *mm.Manager) ecnp.Mapper { counter.Mapper = m; return counter }, extraHolders...)
+	return h, counter
+}
+
+// walkHarnessWrapped is walkHarness with the caller's own mapper wrapper.
+func walkHarnessWrapped(t testing.TB, strat replication.Strategy, nRMs int, wrap func(*mm.Manager) ecnp.Mapper, extraHolders ...ids.RMID) *harness {
 	t.Helper()
 	const hot = ids.FileID(0)
 	caps := map[ids.RMID]units.BytesPerSec{1: units.Mbps(10)}
@@ -46,11 +55,9 @@ func walkHarness(t *testing.T, strat replication.Strategy, nRMs int, extraHolder
 	for _, id := range extraHolders {
 		files[id] = map[ids.FileID]FileMeta{hot: fm(units.Mbps(2), 100)}
 	}
-	counter := &countingMapper{}
-	h := newHarnessWrapped(t, replication.DefaultConfig(strat), caps, files,
-		func(m *mm.Manager) ecnp.Mapper { counter.Mapper = m; return counter })
+	h := newHarnessWrapped(t, replication.DefaultConfig(strat), caps, files, wrap)
 	h.rms[1].Open(ecnp.OpenRequest{Request: 100, File: hot, Bitrate: units.Mbps(9), DurationSec: 5000})
-	return h, counter
+	return h
 }
 
 // TestWalkEndsAtReplicaCap: the replica cap is a fact about the file, so

@@ -11,6 +11,7 @@ package rng
 
 import (
 	"math"
+	"math/bits"
 )
 
 // splitmix64 advances a splitmix64 state and returns the next output.
@@ -110,25 +111,11 @@ func (s *Source) Intn(n int) int {
 	un := uint64(n)
 	for {
 		v := s.Uint64()
-		hi, lo := mul64(v, un)
+		hi, lo := bits.Mul64(v, un)
 		if lo >= un || lo >= -un%un {
 			return int(hi)
 		}
 	}
-}
-
-// mul64 returns the 128-bit product of a and b as (hi, lo).
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask = 0xffffffff
-	aLo, aHi := a&mask, a>>32
-	bLo, bHi := b&mask, b>>32
-	t := aLo*bHi + (aLo*bLo)>>32
-	w1 := t & mask
-	w2 := t >> 32
-	w1 += aHi * bLo
-	hi = aHi*bHi + w2 + (w1 >> 32)
-	lo = a * b
-	return hi, lo
 }
 
 // Shuffle pseudo-randomly permutes n elements via the provided swap func
@@ -142,12 +129,18 @@ func (s *Source) Shuffle(n int, swap func(i, j int)) {
 
 // Perm returns a pseudo-random permutation of [0, n).
 func (s *Source) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
+	return s.PermInto(make([]int, n))
+}
+
+// PermInto overwrites buf with a pseudo-random permutation of
+// [0, len(buf)) and returns it: Perm for a caller that keeps the slice.
+// It makes the draws Perm(len(buf)) makes.
+func (s *Source) PermInto(buf []int) []int {
+	for i := range buf {
+		buf[i] = i
 	}
-	s.Shuffle(n, func(i, j int) { p[i], p[j] = p[j], p[i] })
-	return p
+	s.Shuffle(len(buf), func(i, j int) { buf[i], buf[j] = buf[j], buf[i] })
+	return buf
 }
 
 // Exp draws from the negative exponential distribution with the given mean,

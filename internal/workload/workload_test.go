@@ -2,9 +2,10 @@ package workload
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -245,22 +246,37 @@ func TestUserStreamsAreTheNamedStreams(t *testing.T) {
 	}
 }
 
-// sortByArrival must give exactly the order sort.SliceStable with < gave:
-// by time, requests at one instant staying in generation order.
+// sortByArrival must give exactly the order a stable sort by time gives:
+// requests at one instant staying in generation order. Every shape below
+// has many equal timestamps, where a key sort that lost the position
+// tie-break would show.
 func TestSortByArrivalIsTheStableOrder(t *testing.T) {
 	src := rng.New(23)
-	reqs := make([]Request, 5000)
-	for i := range reqs {
+	shapes := map[string]func(i int) float64{
 		// A coarse grid, so most times occur several times.
-		reqs[i] = Request{AtSec: float64(src.Intn(400)) / 4, User: ids.UserID(i)}
+		"grid":       func(int) float64 { return float64(src.Intn(400)) / 4 },
+		"two-values": func(int) float64 { return float64(src.Intn(2)) },
+		"all-equal":  func(int) float64 { return 7 },
+		"sorted":     func(i int) float64 { return float64(i / 8) },
+		"reversed":   func(i int) float64 { return float64((5000 - i) / 8) },
+		// Per-user runs of increasing times laid end to end: Generate's shape.
+		"user-runs": func(i int) float64 { return float64(i%3) + float64(src.Intn(3)) },
 	}
-	want := append([]Request(nil), reqs...)
-	sort.SliceStable(want, func(i, j int) bool { return want[i].AtSec < want[j].AtSec })
-	sortByArrival(reqs)
-	for i := range want {
-		if reqs[i] != want[i] {
-			t.Fatalf("position %d: user %d at %v, want user %d at %v",
-				i, reqs[i].User, reqs[i].AtSec, want[i].User, want[i].AtSec)
+	for name, at := range shapes {
+		for _, n := range []int{0, 1, 2, 5000} {
+			reqs := make([]Request, n)
+			for i := range reqs {
+				reqs[i] = Request{AtSec: at(i), User: ids.UserID(i)}
+			}
+			want := slices.Clone(reqs)
+			slices.SortStableFunc(want, func(a, b Request) int { return cmp.Compare(a.AtSec, b.AtSec) })
+			sortByArrival(reqs)
+			for i := range want {
+				if reqs[i] != want[i] {
+					t.Fatalf("%s n=%d position %d: user %d at %v, want user %d at %v",
+						name, n, i, reqs[i].User, reqs[i].AtSec, want[i].User, want[i].AtSec)
+				}
+			}
 		}
 	}
 }

@@ -2,8 +2,8 @@
 # bench.sh — reproducible data-plane benchmark run.
 #
 # Runs the wire codec benchmarks, the live-TCP streaming benchmark, the
-# transport call benchmark, the MM's refused-replication benchmarks and the
-# DES event-loop benchmarks,
+# transport call benchmark, the refused-replication benchmarks (MM and RM)
+# and the DES event-loop benchmarks,
 # parses the `go test -bench` output into BENCH_6.json, and enforces the
 # fast-path allocation ceiling: the fast sub-benchmarks of
 # BenchmarkEncodeChunk and BenchmarkDecodeChunk must stay at (by default)
@@ -53,12 +53,16 @@
 # (a CFP on gob costs 23 to encode plus 220 to decode in the gob
 # sub-benchmarks above) each trips it.
 #
-# The refused-replication path has two more: on an in-process MM with 256
+# The refused-replication path has three more: on an in-process MM with 256
 # RMs and one file at cap 8, a refused BeginReplication may cost 0
 # allocs/op (the refusal is a preallocated reason, not a formatted
 # sentence) and RMsWithout 1 (its result; the resource list is kept in
 # order, so nothing is collected and sorted per call). The source-side
-# agent makes both calls on every access of an RM under B_TH.
+# agent makes both calls on every access of an RM under B_TH, and the whole
+# attempt around them — BenchmarkReplicationAttemptAtCap (internal/rm: one
+# CFP at a saturated RM among 256 whose hot file is at its cap) — may cost 1
+# as well, that same result: the agent handles ids in buffers it keeps, so
+# a decision that changes nothing copies no registration record.
 #
 # The discrete-event simulation has three: on internal/simtime, firing one
 # event and scheduling the next may cost 1 alloc/op at 4, 20k and 200k
@@ -111,9 +115,12 @@ go test ./internal/transport/ -run '^$' \
 	-bench 'BenchmarkCall$' \
 	-benchmem -benchtime "$BENCH_TIME" | tee -a "$RAW"
 
-echo "== MM refused-replication benchmarks (benchtime=$BENCH_TIME)"
+echo "== refused-replication benchmarks, MM and RM (benchtime=$BENCH_TIME)"
 go test ./internal/mm/ -run '^$' \
 	-bench 'BenchmarkBeginReplicationRefused|BenchmarkRMsWithout' \
+	-benchmem -benchtime "$BENCH_TIME" | tee -a "$RAW"
+go test ./internal/rm/ -run '^$' \
+	-bench 'BenchmarkReplicationAttemptAtCap' \
 	-benchmem -benchtime "$BENCH_TIME" | tee -a "$RAW"
 
 echo "== DES event-loop benchmarks (benchtime=$BENCH_TIME)"
@@ -198,9 +205,10 @@ done
 # allocates nothing per segment (see the header).
 alloc_gate "BenchmarkLiveStripedReadThroughput/K4" 120
 
-# The refused-replication path on the MM (see the header).
+# The refused-replication path, on the MM and from the RM (see the header).
 alloc_gate BenchmarkBeginReplicationRefused 0
 alloc_gate BenchmarkRMsWithout 1
+alloc_gate BenchmarkReplicationAttemptAtCap 1
 
 # The DES event loop: queue, feed and serial negotiation (see the header).
 for pending in 4 20k 200k; do
