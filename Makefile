@@ -10,7 +10,7 @@
 
 GO ?= go
 
-.PHONY: tier1 build test vet race cover chaos chaos-mm bench scenarios scenarios-tenant fuzz-smoke gobonly fmt-check docs all
+.PHONY: tier1 build test vet race cover chaos chaos-mm bench scenarios scenarios-tenant fuzz-smoke fmt-check docs all
 
 all: tier1 vet
 
@@ -69,8 +69,8 @@ cover:
 
 # bench runs the data-plane benchmark harness: wire codec benchmarks plus
 # the live-TCP streaming, striped-read and negotiation benchmarks, parsed
-# into BENCH_6.json, with the 0-allocs/op gate on the fast-path chunk
-# codecs, the 2-allocs/op gate on the per-open control codecs, the
+# into BENCH_6.json, with the 0-allocs/op gate on the chunk codec, the
+# 2-allocs/op gate on the control codecs (per-open and replication), the
 # per-holder allocation ceiling on a live negotiation, the allocation
 # ceiling on a whole K4 striped read, the 0- and 1-alloc gates on the MM's
 # refused BeginReplication and RMsWithout and the 1-alloc gate on the RM's
@@ -113,12 +113,6 @@ fuzz-smoke:
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz '^FuzzBinaryChunkRoundTrip$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz '^FuzzBinaryCtlRoundTrip$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/simtime/ -run '^$$' -fuzz '^FuzzSchedulerOrder$$' -fuzztime $(FUZZ_TIME)
-
-# gobonly builds the wire package with the binary fast path compiled out
-# (the interop escape hatch) and proves both that the build still passes
-# its suite and that it rejects binary frames with the typed error.
-gobonly:
-	$(GO) test -tags gobonly -count=1 ./internal/wire/
 
 # docs runs the documentation-consistency suite (internal/docscheck):
 # every flag the daemons register and every dfsqos_* telemetry series

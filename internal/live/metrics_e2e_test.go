@@ -182,12 +182,9 @@ func TestMetricsEndToEnd(t *testing.T) {
 		// Wire servers: request counters by kind.
 		`server="mm"`,
 		`server="rm"`,
-		// Wire codec split: control traffic moves as gob frames, data
-		// chunks on the binary fast path.
-		`dfsqos_wire_frames_total{dir="tx",codec="gob"}`,
-		`dfsqos_wire_frames_total{dir="rx",codec="gob"}`,
-		`dfsqos_wire_frames_total{dir="tx",codec="binary"}`,
-		`dfsqos_wire_frames_total{dir="rx",codec="binary"}`,
+		// Wire frames, counted by direction.
+		`dfsqos_wire_frames_total{dir="tx"}`,
+		`dfsqos_wire_frames_total{dir="rx"}`,
 		// RM core: the paper's remained-bandwidth runtime info plus the
 		// negotiation counters.
 		"dfsqos_rm_remaining_bandwidth_bytes_per_second",

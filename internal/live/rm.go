@@ -380,7 +380,7 @@ func getStreamBuf(n int) *[]byte {
 // fileEnds recycles the FileEnd payloads streamFile sends, one per range
 // request: boxing the struct value into the payload interface would
 // allocate it each time, a pooled pointer does not (the wire codec accepts
-// either; gob flattens the pointer).
+// either).
 var fileEnds = sync.Pool{New: func() any { return new(wire.FileEnd) }}
 
 func writeFileEnd(wc *wire.Conn, tc trace.SpanContext, size int64, sum uint64) error {
@@ -426,7 +426,9 @@ func (s *RMServer) streamFile(wc *wire.Conn, req wire.ReadFile, sp *trace.Span) 
 	}
 	end := int64(size)
 	ranged := req.Length > 0
-	if ranged && req.Offset+req.Length < end {
+	// Both numbers come straight off the frame: compared this way round
+	// nothing overflows (the offset is already inside [0, size]).
+	if ranged && req.Length < end-req.Offset {
 		end = req.Offset + req.Length
 	}
 	rangeSum := wire.ChecksumBasis

@@ -3,6 +3,8 @@ package live
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -67,6 +69,66 @@ func TestLiveRangedReadOverTCP(t *testing.T) {
 	}
 	if n != 1024 || !bytes.Equal(tail.Bytes(), whole.Bytes()[size-1024:]) {
 		t.Fatalf("clamped range delivered %d bytes, want the 1024-byte tail", n)
+	}
+}
+
+// TestLiveOverlongRangeClampsAtEOF sends the range a hostile or merely
+// careless peer can: Offset 1 with the largest Length the 36-byte ReadFile
+// body holds, whose sum overflows int64. The client's ReadRange would trip
+// on that sum itself, so the frame is written raw. The server must clamp
+// at EOF as for any range reaching past it — every byte but the first,
+// under a range checksum that verifies — and not answer a FileEnd with a
+// negative size.
+func TestLiveOverlongRangeClampsAtEOF(t *testing.T) {
+	lc := startLiveCluster(t,
+		[]units.BytesPerSec{units.Mbps(800)},
+		map[ids.FileID][]ids.RMID{0: {1}},
+		replication.DefaultConfig(replication.Static()), 100)
+	defer lc.shutdown()
+
+	rmCli, ok := lc.dir.RMClient(1)
+	if !ok {
+		t.Fatal("RM 1 unreachable")
+	}
+	var whole bytes.Buffer
+	size, err := readWhole(rmCli, 0, &whole)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	var end wire.FileEnd
+	err = rmCli.stream(func(wc *wire.Conn) error {
+		if err := wc.Write(wire.KindReadFile, wire.ReadFile{File: 0, ChunkSize: 64 * 1024, Offset: 1, Length: math.MaxInt64}); err != nil {
+			return err
+		}
+		for {
+			msg, err := wc.Read()
+			if err != nil {
+				return err
+			}
+			if ch, ok := msg.Chunk(); ok {
+				got.Write(ch.Data)
+				msg.Release()
+				continue
+			}
+			if end, ok = msg.Payload.(wire.FileEnd); !ok {
+				return fmt.Errorf("stream ended with %v %#v", msg.Kind, msg.Payload)
+			}
+			return nil
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := whole.Bytes()[1:]
+	if end.Size != size || int64(got.Len()) != size-1 {
+		t.Fatalf("over-long range from offset 1 delivered %d bytes and ended at %d, want %d and %d", got.Len(), end.Size, size-1, size)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatal("range bytes differ from the file behind its first byte")
+	}
+	if end.Checksum != wire.ChecksumUpdate(wire.ChecksumBasis, want) {
+		t.Fatalf("range checksum %x does not verify the delivered bytes", end.Checksum)
 	}
 }
 

@@ -11,10 +11,9 @@
 //
 // A SpanContext is the wire-portable identity of a span: the trace ID
 // (an ids.RequestID) plus a process-unique span ID. It is small (16
-// bytes), valid only when both halves are non-zero, and travels in
-// both wire codecs: an optional field in the gob envelope and a 16-byte
-// slot in the binary header (present when its flags byte says so) so the
-// hot data plane stays zero-alloc.
+// bytes), valid only when both halves are non-zero, and travels in a
+// 16-byte slot of the wire frame header (present when the frame's flags
+// byte says so), so the hot data plane stays zero-alloc.
 //
 // Spans are started with Tracer.StartRoot (client side, minting a new
 // trace from a request ID, subject to sampling) or Tracer.StartChild
@@ -52,7 +51,7 @@ import (
 
 // SpanContext identifies a span within a trace. The zero value is
 // "not traced" and is what FromContext returns when no span has been
-// attached; wire codecs transmit it as an absent/zero slot.
+// attached; the wire codec transmits it as an absent slot.
 type SpanContext struct {
 	// Trace is the trace identity: the request ID the ECNP planes
 	// negotiate on. All spans of one logical request share it.

@@ -1,80 +1,94 @@
-// Fast-path binary codec for the data plane, the per-open negotiation and
-// other high-frequency frames. The frame prelude carries a one-byte codec
-// tag, so every frame independently declares how its body is encoded: gob
-// (tag 0, the stateless reflection codec every kind supports) or binary
-// (tag 1, a hand-rolled fixed-layout encoding for the hot kinds). The two
-// interleave freely on one connection — the reader dispatches per frame,
-// and neither codec keeps cross-frame state, so the "stateless frame"
-// recovery property of the original gob framing is preserved.
+// The one codec of the ECNP wire protocol. The frame prelude carries a
+// one-byte codec tag and exactly one value of it exists: tag 1, a
+// fixed-layout big-endian encoding in which every message kind is
+// described once — its arm of coder.payload below lists the kind's fields
+// in wire order, and one cursor walks that list to encode and to decode.
+// No frame keeps state for the next, so a connection can be taken over at
+// any message boundary and a refused frame leaves the stream in step.
 //
-// Binary body layout (big-endian throughout):
+// Body layout (big-endian throughout):
 //
 //	[0]    uint8 flags: bit 0 = tenant slot present, bit 1 = trace slot
 //	       present; any other bit set is a CodecError
 //	[..]   int32 tenant ID (ids.TenantID)            — only with bit 0
 //	[..]   int64 trace ID (ids.RequestID) | uint64 span ID — only with bit 1
 //	[..]   uint16 kind
-//	[..]   payload, fixed layout per kind:
-//	  FileChunk:  offset u64 | data (rest of body, length implicit)
-//	  FileEnd:    size u64 | checksum u64
-//	  ReadFile:   file i32 | chunkSize i64 | offset i64 | request i64 | length i64
-//	              (length 0 = stream to EOF)
-//	  WriteFile:  file i32 | sizeBytes i64 | replication i64
-//	  Ack:        (empty)
-//	  Error:      text (rest of body, UTF-8)
-//	  Heartbeat:  rm i32
-//	  Keepalive:  request i64
-//	  -- the seven bodies of one open's negotiation (2·holders + 6 frames
-//	  -- per open: the frames the control plane sends most) --
-//	  Lookup:     file i32                                   (wire.FileRef)
-//	  RMList:     rm i32 × n (rest of body; n = 0 decodes to a nil slice)
-//	  CFP:        request i64 | file i32 | bitrate f64 | durationSec f64 | tenant i32
-//	  Bid:        rm i32 | rem f64 | trend f64 | occBias f64 | req f64 |
-//	              hasReplica u8 | assured f64 | ceil f64 | tenantShare f64
-//	  Open:       request i64 | file i32 | bitrate f64 | durationSec f64 |
-//	              firm u8 | tenant i32                       (ecnp.OpenRequest)
-//	  OpenResult: ok u8 | reason (rest of body, UTF-8)
-//	  Close:      request i64                                (wire.CloseReq)
+//	[..]   payload, fields in wire order per kind:
+//	  -- mapper operations and replies (DFSC/RM → MM) --
+//	  Error:            text (rest of body, UTF-8)
+//	  RegisterRM:       info RMInfo | files: n u32, file i32 × n
+//	  Lookup, RMsWithout, ReplicaCount:
+//	                    file i32                             (wire.FileRef)
+//	  AddReplica, RemoveReplica:
+//	                    file i32 | rm i32                    (wire.ReplicaRef)
+//	  BeginReplication: file i32 | rm i32 | maxTotal i64
+//	  EndReplication:   file i32 | rm i32 | commit u8
+//	  RMs:              (empty; the payload is nil)
+//	  Ack:              (empty)
+//	  RMList:           rm i32 × n (rest of body; n = 0 decodes to a nil slice)
+//	  RMInfoList:       infos: n u32, RMInfo × n
+//	  Count:            n i64
+//	  -- provider operations (DFSC/peer RM → RM); the first five are one
+//	  -- open's negotiation, 2·holders + 6 frames per open --
+//	  CFP:              request i64 | file i32 | bitrate f64 | durationSec f64 | tenant i32
+//	  Bid:              rm i32 | rem f64 | trend f64 | occBias f64 | req f64 |
+//	                    hasReplica u8 | assured f64 | ceil f64 | tenantShare f64
+//	  Open:             request i64 | file i32 | bitrate f64 | durationSec f64 |
+//	                    firm u8 | tenant i32                 (ecnp.OpenRequest)
+//	  OpenResult:       ok u8 | reason (rest of body, UTF-8)
+//	  Close:            request i64                          (wire.CloseReq)
+//	  OfferReplica:     replication i64 | file i32 | sizeBytes i64 | bitrate f64 |
+//	                    durationSec f64 | rate f64 | source i32 (ecnp.ReplicaOffer)
+//	  OfferReply:       accepted u8
+//	  FinishReplica:    replication i64 | committed u8
+//	  StoreFile:        file i32 | bitrate f64 | sizeBytes i64 | durationSec f64 |
+//	                    tenant i32                           (ecnp.StoreRequest)
+//	  -- data plane --
+//	  ReadFile:         file i32 | chunkSize i64 | offset i64 | request i64 | length i64
+//	                    (length 0 = stream to EOF)
+//	  FileChunk:        offset u64 | data (rest of body, length implicit)
+//	  FileEnd:          size u64 | checksum u64
+//	  WriteFile:        file i32 | sizeBytes i64 | replication i64
+//	  -- liveness --
+//	  Heartbeat:        rm i32
+//	  Keepalive:        request i64
+//	  -- shard group (MM shard → MM shard) --
+//	  ShardBeat:        shard i32
+//	  ShardMirror:      op str | file i32 | rm i32 | maxTotal i64 | commit u8
+//	  ShardHandoff:     from i32 | direction str | infos: n u32, RMInfo × n |
+//	                    entries: n u32, ShardEntry × n
+//	  -- nested records --
+//	  RMInfo:           id i32 | capacity f64 | storageBytes i64 | addr str
+//	  ShardEntry:       file i32 | rms: n u32, rm i32 × n
 //
 // A connection stamped with a tenant (Conn.SetTenant) sets bit 0 on every
-// binary frame it writes; a write carrying a valid span context sets bit 1.
-// An untenanted, untraced frame is the flags byte, the kind and the
-// payload — one byte more than the payload's own layout.
+// frame it writes; a write carrying a valid span context sets bit 1. An
+// untenanted, untraced frame is the flags byte, the kind and the payload —
+// one byte more than the payload's own layout.
 //
 // An f64 is the value's IEEE-754 bit pattern (math.Float64bits), so a
-// negative Rem, a NaN and ±Inf arrive bit-exactly; a u8 bool is 0 or 1
-// and any other byte is a CodecError, as is a body of the wrong length.
-// Each decodes to the same value type gob would produce, so a receiver's
-// msg.Payload.(ecnp.CFP) does not care which codec carried the frame.
+// negative Rem, a NaN and ±Inf arrive bit-exactly; a Go int travels as an
+// i64; a u8 bool is 0 or 1 and any other byte is a CodecError. A str is a
+// u32 byte length and that many bytes. A counted list is a u32 element
+// count and the elements; the decoder checks a count or a length against
+// the bytes the body still holds before it sizes anything by it, so four
+// hostile bytes cannot ask for a gigabyte. An empty list decodes to a nil
+// slice. A body that ends inside its layout, or goes on behind it, is a
+// CodecError too: each layout is canonical, one value, one encoding.
 //
-// All other kinds — registration, the RMs listing, replica bookkeeping,
-// replica offers and stores, the shard beat/mirror/handoff — stay on gob
-// (which carries the trace context and tenant as optional Msg fields
-// instead): they are administrative, sent per RM or per replication, never
-// per open. To promote a kind to the fast path it must be (a)
-// high-frequency enough to matter, (b) fixed-layout (or one-variable-tail
-// like FileChunk/Error/RMList), and (c) versioned here. Two different
-// things can change:
-//
-//   - Adding a kind, or a flag bit with its slot, is not a layout change.
-//     No existing body moves; a reader that predates the addition rejects
-//     the frame with a typed CodecError ("kind not covered by the binary
-//     codec", "unknown flag bits"), exactly as it rejects any kind it never
-//     knew, and a writer talking to such a peer pins the connection to gob
-//     (SetFastPath(false)), which every kind still speaks. The seven
-//     negotiation bodies joined this way.
-//   - Changing an existing body's layout bumps the codec tag rather than
-//     mutating the layout in place, so mixed-version peers fail with a
-//     typed CodecError ("unknown codec tag") instead of silently
-//     misparsing. A field added to selection.Bid is this case. Tags 2 and
-//     3 — this same body behind a fixed trace slot and fixed tenant +
-//     trace slots, before the flags byte existed — are gone and rejected
-//     like any unknown tag.
+// Versioning: adding a kind, or a flag bit with its slot, moves no
+// existing body; a reader that predates it refuses the frame with a typed
+// CodecError ("unknown kind", "unknown flag bits"). Changing an existing
+// body's layout bumps the codec tag instead of mutating the layout in
+// place, and an unknown tag is a typed CodecError as well ("unknown codec
+// tag") — tag 0 (gob) and tags 2 and 3 (this body behind fixed slots) are
+// retired that way. No fleet is deployed, so no two tags are spoken at
+// once.
 //
 // Buffer ownership: encode and decode both borrow scratch buffers from a
-// sync.Pool. On the read side, a fast-path FileChunk's Data slice points
-// INTO the pooled frame buffer; the Msg carries the loan and Msg.Release
-// returns it. See Msg.Release for the contract.
+// sync.Pool. On the read side, a FileChunk's Data slice points INTO the
+// pooled frame buffer; the Msg carries the loan and Msg.Release returns
+// it. See Msg.Release for the contract.
 package wire
 
 import (
@@ -83,50 +97,41 @@ import (
 	"math"
 	"net"
 	"sync"
-	"sync/atomic"
 
 	"dfsqos/internal/ecnp"
 	"dfsqos/internal/ids"
 	"dfsqos/internal/selection"
 	"dfsqos/internal/trace"
-	"dfsqos/internal/units"
 )
 
 // Codec identifies a frame-body encoding (the one-byte tag in the frame
 // header).
 type Codec uint8
 
-// The wire codecs. CodecGob is the universal fallback; CodecBinary is the
-// fast path, whose flags byte says which optional slots (tenant, trace)
-// precede the kind field.
-const (
-	CodecGob    Codec = 0
-	CodecBinary Codec = 1
-)
+// CodecBinary is the one codec: a flags byte that says which optional
+// slots (tenant, trace) precede the kind field, then the kind's layout.
+const CodecBinary Codec = 1
 
 // String implements fmt.Stringer for diagnostics.
 func (c Codec) String() string {
-	switch c {
-	case CodecGob:
-		return "gob"
-	case CodecBinary:
+	if c == CodecBinary {
 		return "binary"
 	}
 	return fmt.Sprintf("codec(%d)", uint8(c))
 }
 
-// CodecError reports a frame that could not be decoded — or would not be
-// accepted — under the codec its header declares: an unknown codec tag, a
-// binary frame sent to a gob-only endpoint, a kind the binary codec does
-// not cover, or a body whose length contradicts the kind's fixed layout.
-// Match it with
+// CodecError reports a frame the codec refused: an incoming one with an
+// unknown codec tag, flag bit or kind, or a body that contradicts its
+// kind's layout; or an outgoing one whose payload is not the type its
+// kind carries. Match it with
 //
 //	var ce *wire.CodecError
 //	if errors.As(err, &ce) { ... }
 //
 // The connection is still frame-synchronized after a CodecError (the
-// whole body was consumed), but callers should treat it as a protocol
-// mismatch and drop the connection.
+// whole body was consumed, or nothing was written), but callers should
+// treat a refused incoming frame as a protocol mismatch and drop the
+// connection.
 type CodecError struct {
 	// Codec is the tag the offending frame declared.
 	Codec Codec
@@ -145,35 +150,13 @@ func (e *CodecError) Error() string {
 	return fmt.Sprintf("wire: codec %v: %s", e.Codec, e.Reason)
 }
 
-// defaultFastPath and defaultAcceptBinary seed every NewConn from the
-// build-tag default (see fastpath_on.go / fastpath_off.go). Tests and
-// benchmarks flip the write-side default to measure the gob baseline.
-var (
-	defaultFastPath     atomic.Bool
-	defaultAcceptBinary atomic.Bool
-)
-
-func init() {
-	defaultFastPath.Store(buildFastPath)
-	defaultAcceptBinary.Store(buildFastPath)
-}
-
-// SetDefaultFastPath sets whether connections created from now on encode
-// eligible frames with the binary codec (true, the non-gobonly build
-// default) or keep everything on gob (false). It returns the previous
-// default. Existing connections are unaffected; read-side acceptance is
-// untouched. It exists for baseline benchmarks and build-parity tests.
-func SetDefaultFastPath(on bool) (prev bool) {
-	return defaultFastPath.Swap(on)
-}
-
 // frame geometry.
 const (
 	// headerSize is the fixed frame prelude: 4-byte big-endian body
 	// length followed by the 1-byte codec tag. The length excludes the
 	// prelude itself.
 	headerSize = 5
-	// flagsSize is the flags byte every binary body starts with.
+	// flagsSize is the flags byte every body starts with.
 	flagsSize = 1
 	// tenantSize is the optional tenant slot: the tenant ID (int32).
 	tenantSize = 4
@@ -182,26 +165,26 @@ const (
 	traceSize = 16
 	// kindSize is the kind field; the payload follows it.
 	kindSize = 2
-	// maxChunkPrefixLen is everything in a binary FileChunk frame before
-	// the data bytes when both slots are present: prelude + flags + tenant
-	// + trace + kind + offset. An unslotted chunk's prefix is 16 bytes.
+	// maxChunkPrefixLen is everything in a FileChunk frame before the data
+	// bytes when both slots are present: prelude + flags + tenant + trace
+	// + kind + offset. An unslotted chunk's prefix is 16 bytes.
 	maxChunkPrefixLen = headerSize + flagsSize + tenantSize + traceSize + kindSize + 8
 )
 
-// The flag bits of a binary body's first byte.
+// The flag bits of a body's first byte.
 const (
 	flagTenant byte = 1 << 0
 	flagTrace  byte = 1 << 1
 	knownFlags      = flagTenant | flagTrace
 )
 
-// appendFramePrefix lays down what every binary frame starts with: the
-// prelude (length left zero for the caller to patch once the body is
-// complete), the flags byte, and the slots the flags announce — the tenant
-// slot when t is a real tenant, the trace slot when tc is a valid span
-// context. The kind field and payload follow. It is the single writer of
-// the header, shared by the control path (Write) and the chunk path
-// (WriteChunk).
+// appendFramePrefix lays down what every frame starts with: the prelude
+// (length left zero for the caller to patch once the body is complete),
+// the flags byte, and the slots the flags announce — the tenant slot when
+// t is a real tenant, the trace slot when tc is a valid span context. The
+// kind field and payload follow. It is the single writer of the header,
+// shared by the control path (appendFrame) and the chunk path
+// (WriteChunkTraced).
 func appendFramePrefix(b []byte, t ids.TenantID, tc trace.SpanContext) []byte {
 	b = append(b, 0, 0, 0, 0, byte(CodecBinary), 0)
 	flagsAt := len(b) - 1
@@ -227,6 +210,22 @@ func sealFrame(frame []byte, extra int, kind Kind) error {
 	}
 	binary.BigEndian.PutUint32(frame[:4], uint32(n))
 	return nil
+}
+
+// appendFrame assembles one whole frame in b — prelude, flags and slots,
+// kind, payload, the length sealed — and is the one encoder of every kind,
+// under Write and WriteTorn alike (a chunk on the data path leaves through
+// WriteChunkTraced, which builds the same bytes around a data slice it
+// does not copy). A payload that is not the type kind carries is a
+// *CodecError and a body past MaxFrame a *FrameTooLargeError; b comes back
+// either way, so a caller that pooled it keeps whatever it grew to.
+func appendFrame(b []byte, t ids.TenantID, tc trace.SpanContext, kind Kind, payload any) ([]byte, error) {
+	c := coder{b: binary.BigEndian.AppendUint16(appendFramePrefix(b, t, tc), uint16(kind))}
+	c.payload(kind, payload)
+	if c.bad != "" {
+		return c.b, &CodecError{Codec: CodecBinary, Kind: kind, Reason: c.bad}
+	}
+	return c.b, sealFrame(c.b, 0, kind)
 }
 
 // bufPool recycles frame-sized scratch buffers across Write and Read.
@@ -256,15 +255,15 @@ func putBuf(bp *[]byte) {
 	bufPool.Put(bp)
 }
 
-// chunkPool recycles the FileChunk payload structs the fast-path decoder
-// hands out, so a steady-state stream loop performs zero allocations per
-// chunk. Msg.Release feeds it.
+// chunkPool recycles the FileChunk payload structs the decoder hands out,
+// so a steady-state stream loop performs zero allocations per chunk.
+// Msg.Release feeds it.
 var chunkPool = sync.Pool{New: func() any { return new(FileChunk) }}
 
-// readReqPool recycles the ReadFile structs fast-path requests decode
-// into: a striped read issues one request per segment, so the request
-// decode must stay off the per-segment allocation budget the same way
-// chunks do. Msg.Release feeds it.
+// readReqPool recycles the ReadFile structs requests decode into: a
+// striped read issues one request per segment, so the request decode must
+// stay off the per-segment allocation budget the same way chunks do.
+// Msg.Release feeds it.
 var readReqPool = sync.Pool{New: func() any { return new(ReadFile) }}
 
 // chunkFrame is the reusable scratch for a single-writev chunk write: the
@@ -290,17 +289,13 @@ func (c *Conn) WriteChunk(offset int64, data []byte) error {
 
 // WriteChunkTraced sends one FileChunk frame carrying the span context tc
 // (zero: untraced), so the serving RM's stream span and the client's
-// segment span share one trace. On the fast path it is the zero-allocation
-// hot loop of every data stream: the prefix — 16 bytes, plus the tenant
-// and trace slots when present — is assembled in a pooled array and goes
-// out with the caller's data slice as a single writev (net.Buffers), so
-// each chunk costs one syscall and zero copies. data is only read, never
-// retained, so the caller may reuse its buffer immediately. With the fast
-// path disabled it degrades to the gob frame Write would produce.
+// segment span share one trace. It is the zero-allocation hot loop of
+// every data stream: the prefix — 16 bytes, plus the tenant and trace
+// slots when present — is assembled in a pooled array and goes out with
+// the caller's data slice as a single writev (net.Buffers), so each chunk
+// costs one syscall and zero copies. data is only read, never retained, so
+// the caller may reuse its buffer immediately.
 func (c *Conn) WriteChunkTraced(tc trace.SpanContext, offset int64, data []byte) error {
-	if !c.fastWrite.Load() {
-		return c.writeGobMsg(Msg{Kind: KindFileChunk, Payload: FileChunk{Offset: offset, Data: data}, Trace: tc})
-	}
 	f := chunkFramePool.Get().(*chunkFrame)
 	prefix := appendFramePrefix(f.prefix[:0], c.tenantID(), tc)
 	prefix = binary.BigEndian.AppendUint16(prefix, uint16(KindFileChunk))
@@ -312,21 +307,16 @@ func (c *Conn) WriteChunkTraced(tc trace.SpanContext, offset int64, data []byte)
 	if err := c.writevChunk(f, prefix, data); err != nil {
 		return err
 	}
-	codecMet.Load().txBinary.Inc()
+	codecMet.Load().tx.Inc()
 	return nil
 }
 
 // WriteReadReq sends one ReadFile request. It is the per-segment control
-// frame of a striped read, so the fast path keeps it at zero allocations:
-// the payload rides a pooled *ReadFile, and boxing a pointer into the
-// payload interface does not allocate the way boxing the 5-field struct
-// value would. With the fast path disabled it degrades to the gob frame
-// Write would produce (gob sees the plain value — pointers need no
-// registration).
+// frame of a striped read, so it stays at zero allocations: the payload
+// rides a pooled *ReadFile, and boxing a pointer into the payload
+// interface does not allocate the way boxing the 5-field struct value
+// would.
 func (c *Conn) WriteReadReq(tc trace.SpanContext, req ReadFile) error {
-	if !c.fastWrite.Load() {
-		return c.writeGobMsg(Msg{Kind: KindReadFile, Payload: req, Trace: tc})
-	}
 	rq := readReqPool.Get().(*ReadFile)
 	*rq = req
 	err := c.WriteTraced(tc, KindReadFile, rq)
@@ -356,166 +346,441 @@ func (c *Conn) writevChunk(f *chunkFrame, prefix, data []byte) error {
 	return nil
 }
 
-// appendBinary appends the kind field and payload for one eligible
-// (kind, payload) pair to b. It reports false when the pair is
-// not fast-path encodable, leaving b's length unchanged.
-func appendBinary(b []byte, kind Kind, payload any) ([]byte, bool) {
-	start := len(b)
-	b = binary.BigEndian.AppendUint16(b, uint16(kind))
-	switch kind {
-	case KindFileEnd:
-		p, ok := payload.(FileEnd)
-		if !ok {
-			// A server ending one ranged stream per MiB sends a pooled
-			// pointer, as WriteReadReq does, so the interface conversion
-			// never allocates.
-			pp, pok := payload.(*FileEnd)
-			if !pok {
-				return b[:start], false
-			}
-			p = *pp
-		}
-		b = binary.BigEndian.AppendUint64(b, uint64(p.Size))
-		b = binary.BigEndian.AppendUint64(b, p.Checksum)
-	case KindReadFile:
-		p, ok := payload.(ReadFile)
-		if !ok {
-			// WriteReadReq sends a pooled pointer so the interface
-			// conversion never allocates.
-			pp, pok := payload.(*ReadFile)
-			if !pok {
-				return b[:start], false
-			}
-			p = *pp
-		}
-		b = binary.BigEndian.AppendUint32(b, uint32(int32(p.File)))
-		b = binary.BigEndian.AppendUint64(b, uint64(int64(p.ChunkSize)))
-		b = binary.BigEndian.AppendUint64(b, uint64(p.Offset))
-		b = binary.BigEndian.AppendUint64(b, uint64(p.Request))
-		b = binary.BigEndian.AppendUint64(b, uint64(p.Length))
-	case KindWriteFile:
-		p, ok := payload.(WriteFile)
-		if !ok {
-			return b[:start], false
-		}
-		b = binary.BigEndian.AppendUint32(b, uint32(int32(p.File)))
-		b = binary.BigEndian.AppendUint64(b, uint64(p.SizeBytes))
-		b = binary.BigEndian.AppendUint64(b, uint64(p.Replication))
-	case KindAck:
-		if _, ok := payload.(Ack); !ok {
-			return b[:start], false
-		}
-	case KindError:
-		p, ok := payload.(Error)
-		if !ok {
-			return b[:start], false
-		}
-		b = append(b, p.Text...)
-	case KindHeartbeat:
-		p, ok := payload.(Heartbeat)
-		if !ok {
-			return b[:start], false
-		}
-		b = binary.BigEndian.AppendUint32(b, uint32(int32(p.RM)))
-	case KindKeepalive:
-		p, ok := payload.(Keepalive)
-		if !ok {
-			return b[:start], false
-		}
-		b = binary.BigEndian.AppendUint64(b, uint64(p.Request))
-	case KindCFP:
-		p, ok := payload.(ecnp.CFP)
-		if !ok {
-			return b[:start], false
-		}
-		b = binary.BigEndian.AppendUint64(b, uint64(p.Request))
-		b = binary.BigEndian.AppendUint32(b, uint32(int32(p.File)))
-		b = appendFloat(b, float64(p.Bitrate))
-		b = appendFloat(b, p.DurationSec)
-		b = binary.BigEndian.AppendUint32(b, uint32(int32(p.Tenant)))
-	case KindBid:
-		p, ok := payload.(selection.Bid)
-		if !ok {
-			return b[:start], false
-		}
-		b = binary.BigEndian.AppendUint32(b, uint32(int32(p.RM)))
-		b = appendFloat(b, float64(p.Rem))
-		b = appendFloat(b, p.Trend)
-		b = appendFloat(b, p.OccBias)
-		b = appendFloat(b, float64(p.Req))
-		b = appendBool(b, p.HasReplica)
-		b = appendFloat(b, float64(p.Assured))
-		b = appendFloat(b, float64(p.Ceil))
-		b = appendFloat(b, p.TenantShare)
-	case KindOpen:
-		p, ok := payload.(ecnp.OpenRequest)
-		if !ok {
-			return b[:start], false
-		}
-		b = binary.BigEndian.AppendUint64(b, uint64(p.Request))
-		b = binary.BigEndian.AppendUint32(b, uint32(int32(p.File)))
-		b = appendFloat(b, float64(p.Bitrate))
-		b = appendFloat(b, p.DurationSec)
-		b = appendBool(b, p.Firm)
-		b = binary.BigEndian.AppendUint32(b, uint32(int32(p.Tenant)))
-	case KindOpenResult:
-		p, ok := payload.(ecnp.OpenResult)
-		if !ok {
-			return b[:start], false
-		}
-		b = appendBool(b, p.OK)
-		b = append(b, p.Reason...)
-	case KindClose:
-		p, ok := payload.(CloseReq)
-		if !ok {
-			return b[:start], false
-		}
-		b = binary.BigEndian.AppendUint64(b, uint64(p.Request))
-	case KindLookup:
-		p, ok := payload.(FileRef)
-		if !ok {
-			return b[:start], false
-		}
-		b = binary.BigEndian.AppendUint32(b, uint32(int32(p.File)))
-	case KindRMList:
-		p, ok := payload.(RMList)
-		if !ok {
-			return b[:start], false
-		}
-		for _, rm := range p.RMs {
-			b = binary.BigEndian.AppendUint32(b, uint32(int32(rm)))
-		}
-	default:
-		return b[:start], false
+// coder is the cursor a payload's field list is walked with, in either
+// direction: encoding, each field is appended to b; decoding, each field
+// is consumed from the front of b. A layout is therefore written once, as
+// the sequence of calls that walks it. Nothing here goes through an
+// interface, reflection or a func value, so a coder lives on its caller's
+// stack and a walk allocates only what a decoded value itself needs (its
+// strings, its slices, its boxing into Msg.Payload).
+type coder struct {
+	b   []byte
+	dec bool
+	// bad is why the walk failed, "" while it has not: decoding, what is
+	// wrong with the body; encoding, what is wrong with the payload. Once
+	// it is set every later field decodes as zero.
+	bad string
+}
+
+// fail records the first reason the walk cannot go on and, decoding,
+// empties b, so the fields still to come find nothing to read.
+func (c *coder) fail(reason string) {
+	if c.bad == "" {
+		c.bad = reason
 	}
-	return b, true
+	if c.dec {
+		c.b = nil
+	}
 }
 
-// appendFloat appends f's IEEE-754 bit pattern, so negative values, NaN
-// payloads and ±Inf round-trip bit-exactly.
-func appendFloat(b []byte, f float64) []byte {
-	return binary.BigEndian.AppendUint64(b, math.Float64bits(f))
+// Why a body is refused; static, so that refusing one allocates only the
+// CodecError.
+const (
+	badShort    = "body ends inside the kind's layout"
+	badTrailing = "body goes on behind the kind's layout"
+	badBool     = "bool byte is neither 0 nor 1"
+	badCount    = "count or length exceeds the bytes left in the body"
+)
+
+// u32 moves one 32-bit word: v out when encoding, the word read back when
+// decoding.
+func (c *coder) u32(v uint32) uint32 {
+	if !c.dec {
+		c.b = binary.BigEndian.AppendUint32(c.b, v)
+		return v
+	}
+	if len(c.b) < 4 {
+		c.fail(badShort)
+		return 0
+	}
+	v = binary.BigEndian.Uint32(c.b)
+	c.b = c.b[4:]
+	return v
 }
 
-// floatAt reads the float64 appendFloat wrote at the start of p.
-func floatAt(p []byte) float64 {
-	return math.Float64frombits(binary.BigEndian.Uint64(p))
+// u64 moves one 64-bit word, as u32 does.
+func (c *coder) u64(v uint64) uint64 {
+	if !c.dec {
+		c.b = binary.BigEndian.AppendUint64(c.b, v)
+		return v
+	}
+	if len(c.b) < 8 {
+		c.fail(badShort)
+		return 0
+	}
+	v = binary.BigEndian.Uint64(c.b)
+	c.b = c.b[8:]
+	return v
 }
 
-// appendBool appends v as one byte: 0 or 1, the only two the decoder
+// i32 is a 32-bit integer field of any named type (the ids). Like every
+// field helper it only reads *v when encoding: a payload's lists share
+// their backing arrays with the sender, who may be encoding the same list
+// on another connection.
+func i32[T ~int32](c *coder, v *T) {
+	if w := c.u32(uint32(int32(*v))); c.dec {
+		*v = T(int32(w))
+	}
+}
+
+// i64 is a 64-bit integer field: the 64-bit ids, sizes and offsets, a Go
+// int widened to 64 bits, and the checksum's unsigned word.
+func i64[T ~int64 | ~int | ~uint64](c *coder, v *T) {
+	if w := c.u64(uint64(*v)); c.dec {
+		*v = T(w)
+	}
+}
+
+// f64 is a float field, carried as its IEEE-754 bit pattern so negative
+// values, NaN payloads and ±Inf round-trip bit-exactly.
+func f64[T ~float64](c *coder, v *T) {
+	if w := c.u64(math.Float64bits(float64(*v))); c.dec {
+		*v = T(math.Float64frombits(w))
+	}
+}
+
+// flag is a bool field: one byte, 0 or 1, the only two the decoder
 // accepts.
-func appendBool(b []byte, v bool) []byte {
-	if v {
-		return append(b, 1)
+func (c *coder) flag(v *bool) {
+	switch {
+	case !c.dec && *v:
+		c.b = append(c.b, 1)
+	case !c.dec:
+		c.b = append(c.b, 0)
+	case len(c.b) < 1:
+		c.fail(badShort)
+	case c.b[0] > 1:
+		c.fail(badBool)
+	default:
+		*v = c.b[0] == 1
+		c.b = c.b[1:]
 	}
-	return append(b, 0)
 }
 
-// decodeFrame parses one binary frame body: it peels the flags byte and
-// the slots it announces into the returned Msg's Tenant and Trace, then
-// hands the rest (kind + payload) to decodeBinary. An unknown flag bit or
-// a body that ends inside a slot is a typed *CodecError. bp and retained
-// are decodeBinary's.
+// count moves the u32 in front of a string or a list: n out when
+// encoding, the announced count back when decoding — refused there, before
+// the caller sizes anything by it, unless that many elements of at least
+// min bytes each fit in what is left of the body.
+func (c *coder) count(n, min int) int {
+	n = int(c.u32(uint32(n)))
+	if c.dec && n > len(c.b)/min {
+		c.fail(badCount)
+		return 0
+	}
+	return n
+}
+
+// str is a string field: a u32 byte length and the bytes.
+func (c *coder) str(v *string) {
+	n := c.count(len(*v), 1)
+	if c.dec {
+		*v = string(c.b[:n])
+		c.b = c.b[n:]
+	} else {
+		c.b = append(c.b, *v...)
+	}
+}
+
+// tail is a string that is the rest of the body, its length implicit in
+// the frame's: the last field of the three kinds that predate str.
+func (c *coder) tail(v *string) {
+	if c.dec {
+		*v = string(c.b)
+		c.b = nil
+	} else {
+		c.b = append(c.b, *v...)
+	}
+}
+
+// i32s is a counted list of 32-bit ids.
+func i32s[T ~int32](c *coder, v *[]T) {
+	if n := c.count(len(*v), 4); c.dec && n > 0 {
+		*v = make([]T, n)
+	}
+	for i := range *v {
+		i32(c, &(*v)[i])
+	}
+}
+
+// rmInfoMin is the least an RMInfo occupies (its address empty) and
+// shardEntryMin the least a ShardEntry does (no replicas): what count
+// holds a list of each against.
+const (
+	rmInfoMin     = 4 + 8 + 8 + 4
+	shardEntryMin = 4 + 4
+)
+
+// rmInfo is the nested ecnp.RMInfo record.
+func (c *coder) rmInfo(p *ecnp.RMInfo) {
+	i32(c, &p.ID)
+	f64(c, &p.Capacity)
+	i64(c, &p.StorageBytes)
+	c.str(&p.Addr)
+}
+
+// rmInfos is a counted list of RMInfo records.
+func (c *coder) rmInfos(v *[]ecnp.RMInfo) {
+	if n := c.count(len(*v), rmInfoMin); c.dec && n > 0 {
+		*v = make([]ecnp.RMInfo, n)
+	}
+	for i := range *v {
+		c.rmInfo(&(*v)[i])
+	}
+}
+
+// shardEntries is a counted list of the nested ShardEntry record.
+func (c *coder) shardEntries(v *[]ShardEntry) {
+	if n := c.count(len(*v), shardEntryMin); c.dec && n > 0 {
+		*v = make([]ShardEntry, n)
+	}
+	for i := range *v {
+		i32(c, &(*v)[i].File)
+		i32s(c, &(*v)[i].RMs)
+	}
+}
+
+// take starts one kind's walk. Encoding, it is the payload to walk: in
+// asserted to the kind's type T, handed over by value or by pointer (a
+// sender that pools its payload passes the pointer, which boxes without
+// allocating); anything else fails the walk. Decoding, it is T's zero
+// value for the walk to fill.
+func take[T any](c *coder, in any) (p T) {
+	if c.dec {
+		return p
+	}
+	switch v := in.(type) {
+	case T:
+		return v
+	case *T:
+		if v != nil {
+			return *v
+		}
+	}
+	c.mismatch(in)
+	return p
+}
+
+// mismatch fails an encode whose payload is not what its kind carries.
+func (c *coder) mismatch(in any) {
+	c.fail(fmt.Sprintf("payload is a %T, which the kind does not carry", in))
+}
+
+// decoded reports that a decode has consumed the body exactly: the walk
+// made a value worth handing back. (An encode has nothing to hand back,
+// and payload refuses what a decode left over.)
+func (c *coder) decoded() bool { return c.dec && c.bad == "" && len(c.b) == 0 }
+
+// give ends one kind's walk: the filled value, boxed for Msg.Payload, once
+// it is decoded; nil otherwise.
+func give[T any](c *coder, p T) any {
+	if c.decoded() {
+		return p
+	}
+	return nil
+}
+
+// payload walks kind's payload layout — the protocol's one table: each arm
+// names the type the kind carries and lists its fields in wire order.
+// Encoding (dec false), it appends in's fields to b; decoding, it consumes
+// them from b and returns the value they make. Either way a failed walk
+// leaves the reason in bad. FileChunk's arm only ever encodes: decodeFrame
+// lends a chunk the frame buffer instead of copying Data out of it.
+func (c *coder) payload(kind Kind, in any) (out any) {
+	switch kind {
+	case KindError:
+		p := take[Error](c, in)
+		c.tail(&p.Text)
+		out = give(c, p)
+	case KindRegisterRM:
+		p := take[RegisterRM](c, in)
+		c.rmInfo(&p.Info)
+		i32s(c, &p.Files)
+		out = give(c, p)
+	case KindLookup, KindRMsWithout, KindReplicaCount:
+		p := take[FileRef](c, in)
+		i32(c, &p.File)
+		out = give(c, p)
+	case KindAddReplica, KindRemoveReplica:
+		p := take[ReplicaRef](c, in)
+		i32(c, &p.File)
+		i32(c, &p.RM)
+		out = give(c, p)
+	case KindBeginReplication:
+		p := take[BeginReplication](c, in)
+		i32(c, &p.File)
+		i32(c, &p.RM)
+		i64(c, &p.MaxTotal)
+		out = give(c, p)
+	case KindEndReplication:
+		p := take[EndReplication](c, in)
+		i32(c, &p.File)
+		i32(c, &p.RM)
+		c.flag(&p.Commit)
+		out = give(c, p)
+	case KindRMs:
+		if !c.dec && in != nil {
+			c.mismatch(in)
+		}
+	case KindAck:
+		out = give(c, take[Ack](c, in))
+	case KindRMList:
+		p := take[RMList](c, in)
+		// The list is the rest of the body with no count in front; a ragged
+		// tail runs the last entry short.
+		if c.dec && len(c.b) > 0 {
+			p.RMs = make([]ids.RMID, (len(c.b)+3)/4)
+		}
+		for i := range p.RMs {
+			i32(c, &p.RMs[i])
+		}
+		out = give(c, p)
+	case KindRMInfoList:
+		p := take[RMInfoList](c, in)
+		c.rmInfos(&p.Infos)
+		out = give(c, p)
+	case KindCount:
+		p := take[Count](c, in)
+		i64(c, &p.N)
+		out = give(c, p)
+	case KindCFP:
+		p := take[ecnp.CFP](c, in)
+		i64(c, &p.Request)
+		i32(c, &p.File)
+		f64(c, &p.Bitrate)
+		f64(c, &p.DurationSec)
+		i32(c, &p.Tenant)
+		out = give(c, p)
+	case KindBid:
+		p := take[selection.Bid](c, in)
+		i32(c, &p.RM)
+		f64(c, &p.Rem)
+		f64(c, &p.Trend)
+		f64(c, &p.OccBias)
+		f64(c, &p.Req)
+		c.flag(&p.HasReplica)
+		f64(c, &p.Assured)
+		f64(c, &p.Ceil)
+		f64(c, &p.TenantShare)
+		out = give(c, p)
+	case KindOpen:
+		p := take[ecnp.OpenRequest](c, in)
+		i64(c, &p.Request)
+		i32(c, &p.File)
+		f64(c, &p.Bitrate)
+		f64(c, &p.DurationSec)
+		c.flag(&p.Firm)
+		i32(c, &p.Tenant)
+		out = give(c, p)
+	case KindOpenResult:
+		p := take[ecnp.OpenResult](c, in)
+		c.flag(&p.OK)
+		c.tail(&p.Reason)
+		out = give(c, p)
+	case KindClose:
+		p := take[CloseReq](c, in)
+		i64(c, &p.Request)
+		out = give(c, p)
+	case KindOfferReplica:
+		p := take[ecnp.ReplicaOffer](c, in)
+		i64(c, &p.Replication)
+		i32(c, &p.File)
+		i64(c, &p.SizeBytes)
+		f64(c, &p.Bitrate)
+		f64(c, &p.DurationSec)
+		f64(c, &p.Rate)
+		i32(c, &p.Source)
+		out = give(c, p)
+	case KindOfferReply:
+		p := take[OfferReply](c, in)
+		c.flag(&p.Accepted)
+		out = give(c, p)
+	case KindFinishReplica:
+		p := take[FinishReplica](c, in)
+		i64(c, &p.Replication)
+		c.flag(&p.Committed)
+		out = give(c, p)
+	case KindStoreFile:
+		p := take[ecnp.StoreRequest](c, in)
+		i32(c, &p.File)
+		f64(c, &p.Bitrate)
+		i64(c, &p.SizeBytes)
+		f64(c, &p.DurationSec)
+		i32(c, &p.Tenant)
+		out = give(c, p)
+	case KindReadFile:
+		p := take[ReadFile](c, in)
+		i32(c, &p.File)
+		i64(c, &p.ChunkSize)
+		i64(c, &p.Offset)
+		i64(c, &p.Request)
+		i64(c, &p.Length)
+		// A request decodes into a pooled struct (see readReqPool), so it is
+		// handed back by pointer; Msg.Release returns it.
+		if c.decoded() {
+			rq := readReqPool.Get().(*ReadFile)
+			*rq = p
+			out = rq
+		}
+	case KindFileChunk:
+		p := take[FileChunk](c, in)
+		i64(c, &p.Offset)
+		c.b = append(c.b, p.Data...)
+	case KindFileEnd:
+		p := take[FileEnd](c, in)
+		i64(c, &p.Size)
+		i64(c, &p.Checksum)
+		out = give(c, p)
+	case KindWriteFile:
+		p := take[WriteFile](c, in)
+		i32(c, &p.File)
+		i64(c, &p.SizeBytes)
+		i64(c, &p.Replication)
+		out = give(c, p)
+	case KindHeartbeat:
+		p := take[Heartbeat](c, in)
+		i32(c, &p.RM)
+		out = give(c, p)
+	case KindKeepalive:
+		p := take[Keepalive](c, in)
+		i64(c, &p.Request)
+		out = give(c, p)
+	case KindShardBeat:
+		p := take[ShardBeat](c, in)
+		i32(c, &p.Shard)
+		out = give(c, p)
+	case KindShardMirror:
+		p := take[ShardMirror](c, in)
+		c.str(&p.Op)
+		i32(c, &p.File)
+		i32(c, &p.RM)
+		i64(c, &p.MaxTotal)
+		c.flag(&p.Commit)
+		out = give(c, p)
+	case KindShardHandoff:
+		p := take[ShardHandoff](c, in)
+		i32(c, &p.From)
+		c.str(&p.Direction)
+		c.rmInfos(&p.Infos)
+		c.shardEntries(&p.Entries)
+		out = give(c, p)
+	default:
+		c.fail("unknown kind")
+	}
+	if c.dec && len(c.b) > 0 {
+		c.fail(badTrailing)
+	}
+	return out
+}
+
+// decodeFrame parses one frame body: it peels the flags byte and the slots
+// it announces into the returned Msg's Tenant and Trace, reads the kind,
+// and walks the kind's layout over the rest. bp is the pooled buffer
+// backing body: a FileChunk keeps its Data in place there instead of
+// copying — the one decode written by hand — so its Msg carries the loan
+// and retained is true: the caller must NOT putBuf it, Msg.Release will.
+// Hostile input (an unknown flag bit or kind, a body that ends inside a
+// slot or contradicts its layout) yields a typed *CodecError, never a
+// panic.
 func decodeFrame(body []byte, bp *[]byte) (msg Msg, retained bool, err error) {
 	if len(body) < flagsSize {
 		return Msg{}, false, &CodecError{Codec: CodecBinary, Reason: "body shorter than flags byte"}
@@ -524,179 +789,41 @@ func decodeFrame(body []byte, bp *[]byte) (msg Msg, retained bool, err error) {
 	if flags&^knownFlags != 0 {
 		return Msg{}, false, &CodecError{Codec: CodecBinary, Reason: fmt.Sprintf("unknown flag bits %#02x", flags&^knownFlags)}
 	}
-	var tenant ids.TenantID
-	var tc trace.SpanContext
 	if flags&flagTenant != 0 {
 		if len(rest) < tenantSize {
 			return Msg{}, false, &CodecError{Codec: CodecBinary, Reason: "body shorter than tenant slot"}
 		}
-		tenant = ids.TenantID(int32(binary.BigEndian.Uint32(rest)))
+		msg.Tenant = ids.TenantID(int32(binary.BigEndian.Uint32(rest)))
 		rest = rest[tenantSize:]
 	}
 	if flags&flagTrace != 0 {
 		if len(rest) < traceSize {
 			return Msg{}, false, &CodecError{Codec: CodecBinary, Reason: "body shorter than trace slot"}
 		}
-		tc.Trace = ids.RequestID(int64(binary.BigEndian.Uint64(rest)))
-		tc.Span = binary.BigEndian.Uint64(rest[8:])
+		msg.Trace.Trace = ids.RequestID(int64(binary.BigEndian.Uint64(rest)))
+		msg.Trace.Span = binary.BigEndian.Uint64(rest[8:])
 		rest = rest[traceSize:]
 	}
-	msg, retained, err = decodeBinary(rest, bp)
-	msg.Tenant, msg.Trace = tenant, tc
-	return msg, retained, err
-}
-
-// decodeBinary parses the kind field and payload of a binary body (what
-// follows the flags byte and slots). bp is the pooled buffer backing
-// body; when the decoded payload borrows from it (FileChunk keeps its
-// Data in place instead of copying), the returned Msg carries the loan
-// and retained is true — the caller must NOT putBuf it, Msg.Release will.
-// Hostile input (short bodies, wrong fixed lengths, kinds the codec does
-// not cover) yields a typed *CodecError, never a panic.
-func decodeBinary(body []byte, bp *[]byte) (msg Msg, retained bool, err error) {
-	if len(body) < kindSize {
+	if len(rest) < kindSize {
 		return Msg{}, false, &CodecError{Codec: CodecBinary, Reason: "body shorter than kind field"}
 	}
-	kind := Kind(binary.BigEndian.Uint16(body[:kindSize]))
-	p := body[kindSize:]
-	badLen := func() (Msg, bool, error) {
-		return Msg{}, false, &CodecError{Codec: CodecBinary, Kind: kind,
-			Reason: fmt.Sprintf("payload length %d contradicts fixed layout", len(p))}
-	}
-	badBool := func(v byte) (Msg, bool, error) {
-		return Msg{}, false, &CodecError{Codec: CodecBinary, Kind: kind,
-			Reason: fmt.Sprintf("bool byte %d is neither 0 nor 1", v)}
-	}
-	switch kind {
-	case KindFileChunk:
-		if len(p) < 8 {
-			return badLen()
+	msg.Kind = Kind(binary.BigEndian.Uint16(rest))
+	rest = rest[kindSize:]
+	if msg.Kind == KindFileChunk {
+		if len(rest) < 8 {
+			return Msg{}, false, &CodecError{Codec: CodecBinary, Kind: msg.Kind, Reason: badShort}
 		}
 		ch := chunkPool.Get().(*FileChunk)
-		ch.Offset = int64(binary.BigEndian.Uint64(p[:8]))
-		ch.Data = p[8:]
-		return Msg{Kind: kind, Payload: ch, pooled: bp, chunk: ch}, true, nil
-	case KindFileEnd:
-		if len(p) != 16 {
-			return badLen()
-		}
-		return Msg{Kind: kind, Payload: FileEnd{
-			Size:     int64(binary.BigEndian.Uint64(p[:8])),
-			Checksum: binary.BigEndian.Uint64(p[8:16]),
-		}}, false, nil
-	case KindReadFile:
-		if len(p) != 36 {
-			return badLen()
-		}
-		rq := readReqPool.Get().(*ReadFile)
-		rq.File = ids.FileID(int32(binary.BigEndian.Uint32(p[:4])))
-		rq.ChunkSize = int(int64(binary.BigEndian.Uint64(p[4:12])))
-		rq.Offset = int64(binary.BigEndian.Uint64(p[12:20]))
-		rq.Request = ids.RequestID(int64(binary.BigEndian.Uint64(p[20:28])))
-		rq.Length = int64(binary.BigEndian.Uint64(p[28:36]))
-		return Msg{Kind: kind, Payload: rq, rreq: rq}, false, nil
-	case KindWriteFile:
-		if len(p) != 20 {
-			return badLen()
-		}
-		return Msg{Kind: kind, Payload: WriteFile{
-			File:        ids.FileID(int32(binary.BigEndian.Uint32(p[:4]))),
-			SizeBytes:   int64(binary.BigEndian.Uint64(p[4:12])),
-			Replication: ids.ReplicationID(int64(binary.BigEndian.Uint64(p[12:20]))),
-		}}, false, nil
-	case KindAck:
-		if len(p) != 0 {
-			return badLen()
-		}
-		return Msg{Kind: kind, Payload: Ack{}}, false, nil
-	case KindError:
-		return Msg{Kind: kind, Payload: Error{Text: string(p)}}, false, nil
-	case KindHeartbeat:
-		if len(p) != 4 {
-			return badLen()
-		}
-		return Msg{Kind: kind, Payload: Heartbeat{RM: ids.RMID(int32(binary.BigEndian.Uint32(p[:4])))}}, false, nil
-	case KindKeepalive:
-		if len(p) != 8 {
-			return badLen()
-		}
-		return Msg{Kind: kind, Payload: Keepalive{Request: ids.RequestID(int64(binary.BigEndian.Uint64(p[:8])))}}, false, nil
-	case KindCFP:
-		if len(p) != 32 {
-			return badLen()
-		}
-		return Msg{Kind: kind, Payload: ecnp.CFP{
-			Request:     ids.RequestID(int64(binary.BigEndian.Uint64(p[:8]))),
-			File:        ids.FileID(int32(binary.BigEndian.Uint32(p[8:12]))),
-			Bitrate:     units.BytesPerSec(floatAt(p[12:20])),
-			DurationSec: floatAt(p[20:28]),
-			Tenant:      ids.TenantID(int32(binary.BigEndian.Uint32(p[28:32]))),
-		}}, false, nil
-	case KindBid:
-		if len(p) != 61 {
-			return badLen()
-		}
-		if p[36] > 1 {
-			return badBool(p[36])
-		}
-		return Msg{Kind: kind, Payload: selection.Bid{
-			RM:          ids.RMID(int32(binary.BigEndian.Uint32(p[:4]))),
-			Rem:         units.BytesPerSec(floatAt(p[4:12])),
-			Trend:       floatAt(p[12:20]),
-			OccBias:     floatAt(p[20:28]),
-			Req:         units.BytesPerSec(floatAt(p[28:36])),
-			HasReplica:  p[36] == 1,
-			Assured:     units.BytesPerSec(floatAt(p[37:45])),
-			Ceil:        units.BytesPerSec(floatAt(p[45:53])),
-			TenantShare: floatAt(p[53:61]),
-		}}, false, nil
-	case KindOpen:
-		if len(p) != 33 {
-			return badLen()
-		}
-		if p[28] > 1 {
-			return badBool(p[28])
-		}
-		return Msg{Kind: kind, Payload: ecnp.OpenRequest{
-			Request:     ids.RequestID(int64(binary.BigEndian.Uint64(p[:8]))),
-			File:        ids.FileID(int32(binary.BigEndian.Uint32(p[8:12]))),
-			Bitrate:     units.BytesPerSec(floatAt(p[12:20])),
-			DurationSec: floatAt(p[20:28]),
-			Firm:        p[28] == 1,
-			Tenant:      ids.TenantID(int32(binary.BigEndian.Uint32(p[29:33]))),
-		}}, false, nil
-	case KindOpenResult:
-		if len(p) < 1 {
-			return badLen()
-		}
-		if p[0] > 1 {
-			return badBool(p[0])
-		}
-		return Msg{Kind: kind, Payload: ecnp.OpenResult{OK: p[0] == 1, Reason: string(p[1:])}}, false, nil
-	case KindClose:
-		if len(p) != 8 {
-			return badLen()
-		}
-		return Msg{Kind: kind, Payload: CloseReq{Request: ids.RequestID(int64(binary.BigEndian.Uint64(p[:8])))}}, false, nil
-	case KindLookup:
-		if len(p) != 4 {
-			return badLen()
-		}
-		return Msg{Kind: kind, Payload: FileRef{File: ids.FileID(int32(binary.BigEndian.Uint32(p[:4])))}}, false, nil
-	case KindRMList:
-		if len(p)%4 != 0 {
-			return badLen()
-		}
-		// An empty list decodes to a nil slice, as gob's omitted-when-empty
-		// field does.
-		var rms []ids.RMID
-		if len(p) > 0 {
-			rms = make([]ids.RMID, len(p)/4)
-			for i := range rms {
-				rms[i] = ids.RMID(int32(binary.BigEndian.Uint32(p[4*i:])))
-			}
-		}
-		return Msg{Kind: kind, Payload: RMList{RMs: rms}}, false, nil
+		ch.Offset = int64(binary.BigEndian.Uint64(rest))
+		ch.Data = rest[8:]
+		msg.Payload, msg.pooled, msg.chunk = ch, bp, ch
+		return msg, true, nil
 	}
-	return Msg{}, false, &CodecError{Codec: CodecBinary, Kind: kind, Reason: "kind not covered by the binary codec"}
+	c := coder{b: rest, dec: true}
+	msg.Payload = c.payload(msg.Kind, nil)
+	if c.bad != "" {
+		return Msg{}, false, &CodecError{Codec: CodecBinary, Kind: msg.Kind, Reason: c.bad}
+	}
+	msg.rreq, _ = msg.Payload.(*ReadFile)
+	return msg, false, nil
 }

@@ -3,12 +3,15 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
+	"strings"
 	"testing"
 	"testing/iotest"
+
+	"dfsqos/internal/ecnp"
+	"dfsqos/internal/ids"
 )
 
 // Conn.Read takes bytes off the stream ahead of the frame it is returning,
@@ -20,9 +23,8 @@ import (
 // refReader is the reference: io.ReadFull of the five header bytes, then
 // io.ReadFull of exactly the body, nothing taken from the stream early.
 type refReader struct {
-	r            io.Reader
-	hdr          [headerSize]byte
-	acceptBinary bool
+	r   io.Reader
+	hdr [headerSize]byte
 }
 
 func (c *refReader) Read() (Msg, error) {
@@ -40,29 +42,15 @@ func (c *refReader) Read() (Msg, error) {
 		putBuf(bp)
 		return Msg{}, fmt.Errorf("wire: reading body: %w", err)
 	}
-	switch codec {
-	case CodecGob:
-		var msg Msg
-		err := gob.NewDecoder(bytes.NewReader(body)).Decode(&msg)
-		putBuf(bp)
-		if err != nil {
-			return Msg{}, fmt.Errorf("wire: decoding frame: %w", err)
-		}
-		return msg, nil
-	case CodecBinary:
-		if !c.acceptBinary {
-			putBuf(bp)
-			return Msg{}, &CodecError{Codec: codec, Reason: "binary fast path not accepted by this endpoint"}
-		}
-		msg, retained, err := decodeFrame(body, bp)
-		if !retained {
-			putBuf(bp)
-		}
-		return msg, err
-	default:
+	if codec != CodecBinary {
 		putBuf(bp)
 		return Msg{}, &CodecError{Codec: codec, Reason: "unknown codec tag"}
 	}
+	msg, retained, err := decodeFrame(body, bp)
+	if !retained {
+		putBuf(bp)
+	}
+	return msg, err
 }
 
 // frameReader is what drain reads messages from: a Conn or the reference.
@@ -120,8 +108,7 @@ func (readOnly) Write(p []byte) (int, error) { return 0, errors.New("read-only s
 // time. split picks where the two-read shape cuts the stream.
 func checkDeliveryShapes(t *testing.T, stream []byte, split int) {
 	t.Helper()
-	accept := NewConn(readOnly{}).acceptBinary.Load() // the build's default, as Read applies it
-	wantMsgs, wantErr := drain(&refReader{r: bytes.NewReader(stream), acceptBinary: accept})
+	wantMsgs, wantErr := drain(&refReader{r: bytes.NewReader(stream)})
 	if len(stream) > 0 {
 		split %= len(stream) + 1
 	} else {
@@ -172,7 +159,9 @@ func cfpAndBidFrames() (cfp, bid []byte) {
 
 func TestReadIsIndependentOfDeliveryShape(t *testing.T) {
 	cfp, bid := cfpAndBidFrames()
-	count := gobFrame(KindCount, Count{N: 7})
+	handoff := slotFrame(slotTrace, ctlPayload{KindShardHandoff, ShardHandoff{From: 1, Direction: "heal", // a body past the read-ahead
+		Infos:   []ecnp.RMInfo{{ID: 5, Capacity: 1, Addr: strings.Repeat("h", 2*readAhead)}},
+		Entries: []ShardEntry{{File: 1, RMs: []ids.RMID{5}}}}})
 	small := chunkFrameBytes(64, 100)              // whole frame inside the read-ahead
 	large := chunkFrameBytes(4096, 8*readAhead+17) // body far past it
 	edge := chunkFrameBytes(0, readAhead-headerSize-len(binaryBody(KindFileChunk, make([]byte, 8))))
@@ -197,7 +186,8 @@ func TestReadIsIndependentOfDeliveryShape(t *testing.T) {
 	}{
 		{name: "empty stream", stream: nil, msgs: 0, errIs: io.EOF},
 		{name: "two control frames in one read", stream: join(cfp, bid), splits: []int{len(cfp)}, msgs: 2, errIs: io.EOF},
-		{name: "gob then binary then gob", stream: join(count, cfp, count), msgs: 3, errIs: io.EOF},
+		{name: "counted layout larger than the read-ahead between control frames", stream: join(cfp, handoff, bid),
+			splits: []int{len(cfp) + readAhead, len(cfp) + len(handoff)}, msgs: 3, errIs: io.EOF},
 		{name: "chunk inside the read-ahead, then a control frame", stream: join(small, cfp), msgs: 2, errIs: io.EOF},
 		{name: "chunk whose first bytes arrive with its header", stream: join(large, bid),
 			splits: []int{headerSize + 1, headerSize + 300, readAhead - 1, readAhead, readAhead + 1, len(large) - 1, len(large)}, msgs: 2, errIs: io.EOF},
@@ -209,14 +199,13 @@ func TestReadIsIndependentOfDeliveryShape(t *testing.T) {
 		{name: "EOF inside a large body", stream: join(cfp, large[:len(large)-5]), splits: []int{len(cfp) + readAhead}, msgs: 1, errIs: io.ErrUnexpectedEOF},
 		{name: "torn frame", stream: torn.Bytes(), msgs: 0, errIs: io.ErrUnexpectedEOF},
 		{name: "oversized declared length, header only", stream: join(cfp, []byte{0xff, 0xff, 0xff, 0xff, byte(CodecBinary)}), msgs: 1, errAs: new(*FrameTooLargeError)},
-		{name: "oversized declared length, bytes behind it", stream: join([]byte{0x00, 0x40, 0x00, 0x01, byte(CodecGob)}, cfp), msgs: 0, errAs: new(*FrameTooLargeError)},
+		{name: "oversized declared length, bytes behind it", stream: join([]byte{0x00, 0x40, 0x00, 0x01, 0}, cfp), msgs: 0, errAs: new(*FrameTooLargeError)},
 		{name: "unknown codec tag", stream: join(cfp, frameBytes(Codec(200), []byte{1, 2, 3}), cfp), msgs: 1, errAs: new(*CodecError)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			// The expectation itself, on the plain whole-stream shape.
 			c := NewConn(readOnly{bytes.NewReader(tc.stream)})
-			c.SetAcceptBinary(true)
 			got := 0
 			var err error
 			for {
@@ -251,7 +240,7 @@ func TestReadIsIndependentOfDeliveryShape(t *testing.T) {
 // TestCleanEOFIsBareEOF: servers and stream loops compare the error at a
 // frame boundary with ==, so it must be io.EOF itself, not a wrapper.
 func TestCleanEOFIsBareEOF(t *testing.T) {
-	stream := bytes.Repeat(gobFrame(KindAck, Ack{}), 3)
+	stream := bytes.Repeat(slotFrame(slotPlain, ctlPayload{KindAck, Ack{}}), 3)
 	c := NewConn(readOnly{bytes.NewReader(stream)})
 	for i := 0; i < 3; i++ {
 		if _, err := c.Read(); err != nil {
@@ -294,7 +283,6 @@ func TestControlFrameIsOneRead(t *testing.T) {
 
 	r := &countingReader{segments: [][]byte{cfp, bytes.Join([][]byte{bid, cfp}, nil), large, large, bid}}
 	c := NewConn(readOnly{r})
-	c.SetAcceptBinary(true)
 	for i, want := range []struct {
 		kind  Kind
 		reads int // cumulative

@@ -15,22 +15,12 @@ func frameBytes(codec Codec, body []byte) []byte {
 	return append(out, body...)
 }
 
-// gobFrame encodes (kind, payload) through the real writer for the corpus.
-func gobFrame(kind Kind, payload any) []byte {
-	var buf bytes.Buffer
-	c := NewConn(&buf)
-	c.SetFastPath(false)
-	if err := c.Write(kind, payload); err != nil {
-		panic(err)
-	}
-	return buf.Bytes()
-}
-
 // FuzzRead feeds arbitrary byte streams to Conn.Read. The invariant under
 // hostile input is "typed error or valid message, never a panic": short
 // headers, truncated bodies, oversized declared lengths, unknown codec
-// tags, garbage gob, and malformed binary layouts must all surface as
-// errors while leaving the buffer pools consistent. And whatever the
+// tags, counts and lengths past the body's end, and malformed layouts
+// must all surface as errors while leaving the buffer pools consistent.
+// And whatever the
 // stream holds, how it is delivered — whole, a byte at a time, cut in two
 // at a fuzz-chosen offset, its last bytes together with the EOF — must
 // not change the messages Read returns or the error it ends on: each
@@ -50,31 +40,30 @@ func FuzzRead(f *testing.F) {
 // fuzzReadSeeds hands FuzzRead's seed streams to add.
 func fuzzReadSeeds(add func(stream []byte)) {
 	chunk := append(binary.BigEndian.AppendUint64(nil, 16), "data bytes"...)
-	// Valid frames of both codecs; the binary ones under every header.
-	add(gobFrame(KindCount, Count{N: 7}))
-	add(gobFrame(KindFileChunk, FileChunk{Offset: 8, Data: []byte("abc")}))
+	// Valid frames: a chunk and one of every other kind, under every header.
 	for _, s := range slotCases {
 		add(frameBytes(CodecBinary, s.body(KindFileChunk, chunk)))
-		for _, p := range fastPayloads() {
+		for _, p := range everyPayload() {
 			add(slotFrame(s, p))
 		}
 	}
 	// Two valid frames back to back (multi-frame streams).
-	add(append(gobFrame(KindAck, Ack{}),
+	add(append(slotFrame(slotPlain, ctlPayload{KindAck, Ack{}}),
 		frameBytes(CodecBinary, slotTenant.body(KindKeepalive, make([]byte, 8)))...))
 	// Hostile shapes.
 	add([]byte{})
-	add([]byte{0, 0})                                                        // short header
-	add([]byte{0xff, 0xff, 0xff, 0xff, 0})                                   // oversized declared length
-	add([]byte{0, 0, 1, 0, 0, 1, 2})                                         // truncated body
-	add(frameBytes(Codec(200), []byte{1, 2, 3}))                             // unknown codec tag
-	add(frameBytes(Codec(2), slotTrace.body(KindAck, nil)))                  // the retired traced tag
-	add(frameBytes(Codec(3), slotTenantTrace.body(KindAck, nil)))            // the retired tenant tag
-	add(frameBytes(CodecGob, []byte{1, 2, 3, 4}))                            // garbage gob
-	add(frameBytes(CodecBinary, nil))                                        // no flags byte
-	add(frameBytes(CodecBinary, binaryBody(KindFileChunk, []byte{1})))       // short chunk
-	add(frameBytes(CodecBinary, binaryBody(KindReadFile, make([]byte, 28)))) // ReadFile without its length
-	add(frameBytes(CodecBinary, binaryBody(Kind(60000), []byte("??"))))      // uncovered kind
+	add([]byte{0, 0})                                                               // short header
+	add([]byte{0xff, 0xff, 0xff, 0xff, 0})                                          // oversized declared length
+	add([]byte{0, 0, 1, 0, 0, 1, 2})                                                // truncated body
+	add(frameBytes(Codec(200), []byte{1, 2, 3}))                                    // unknown codec tag
+	add(frameBytes(Codec(2), slotTrace.body(KindAck, nil)))                         // the retired traced tag
+	add(frameBytes(Codec(3), slotTenantTrace.body(KindAck, nil)))                   // the retired tenant tag
+	add(frameBytes(Codec(0), []byte{1, 2, 3, 4}))                                   // the retired gob tag
+	add(frameBytes(CodecBinary, nil))                                               // no flags byte
+	add(frameBytes(CodecBinary, binaryBody(KindFileChunk, []byte{1})))              // short chunk
+	add(frameBytes(CodecBinary, binaryBody(KindReadFile, make([]byte, 28))))        // ReadFile without its length
+	add(frameBytes(CodecBinary, binaryBody(Kind(60000), []byte("??"))))             // unknown kind
+	add(frameBytes(CodecBinary, binaryBody(KindRMInfoList, []byte{0x40, 0, 0, 0}))) // 2^30 entries announced
 	for _, s := range slotCases {
 		for _, body := range hostileBodies(s) {
 			add(frameBytes(CodecBinary, body))
@@ -85,34 +74,46 @@ func fuzzReadSeeds(add func(stream []byte)) {
 // slotFrame encodes p through the real writer under s.
 func slotFrame(s slotCase, p ctlPayload) []byte {
 	var buf bytes.Buffer
-	if err := s.conn(&buf, true).WriteTraced(s.tc, p.kind, p.payload); err != nil {
+	if err := s.conn(&buf).WriteTraced(s.tc, p.kind, p.payload); err != nil {
 		panic(err)
 	}
 	return buf.Bytes()
 }
 
-// hostileBodies is every well-formed fast-path body under s mangled: the
-// header cut at each length short of the kind field, then per payload the
-// last byte cut off, one byte appended, an undefined flag bit set, and
-// each byte that could be a bool set to 2. (Variable-tail kinds accept
-// some of these — that is for the decoder to say, not the corpus.)
+// hostileBodies is every well-formed body under s mangled: the header cut
+// at each length short of the kind field, then per payload the last byte
+// cut off, one byte appended, an undefined flag bit set, each byte that
+// could be a bool set to 2, and each byte that could start a count or a
+// length set to 0x40. (Variable-tail kinds accept some of these — that is
+// for the decoder to say, not the corpus.)
 func hostileBodies(s slotCase) [][]byte {
 	var out [][]byte
 	pre := len(s.header()) + kindSize
 	for cut := 0; cut < pre; cut++ {
 		out = append(out, s.body(KindAck, nil)[:cut])
 	}
-	for _, p := range fastPayloads() {
+	for _, p := range everyPayload() {
 		body := slotFrame(s, p)[headerSize:]
 		badFlag := bytes.Clone(body)
 		badFlag[0] |= 0x80
 		out = append(out, body[:len(body)-1], append(bytes.Clone(body), 0), badFlag)
-		for _, at := range []int{pre, pre + 28, pre + 36} { // OpenResult.OK, Open.Firm, Bid.HasReplica
+		mangle := func(at int, v byte) {
 			if at < len(body) {
 				bad := bytes.Clone(body)
-				bad[at] = 2
+				bad[at] = v
 				out = append(out, bad)
 			}
+		}
+		// OpenResult.OK and OfferReply.Accepted; EndReplication.Commit and
+		// FinishReplica.Committed; Open.Firm; Bid.HasReplica.
+		for _, at := range []int{pre, pre + 8, pre + 28, pre + 36} {
+			mangle(at, 2)
+		}
+		// RMInfoList's count and ShardMirror's op length; ShardHandoff's
+		// direction length; RegisterRM's address length, then its file
+		// count when the address is empty.
+		for _, at := range []int{pre, pre + 4, pre + 20, pre + 24} {
+			mangle(at, 0x40)
 		}
 	}
 	return out
@@ -125,26 +126,25 @@ func hostileBodies(s slotCase) [][]byte {
 // *CodecError and nothing else, and neither direction may panic.
 func FuzzBinaryCtlRoundTrip(f *testing.F) {
 	for _, s := range slotCases {
-		for _, p := range fastPayloads() {
+		for _, p := range everyPayload() {
 			f.Add(uint8(CodecBinary), slotFrame(s, p)[headerSize:])
 		}
 		for _, body := range hostileBodies(s) {
 			f.Add(uint8(CodecBinary), body)
 		}
 	}
-	f.Add(uint8(CodecBinary), binaryBody(KindRegisterRM, []byte("not covered")))
+	f.Add(uint8(CodecBinary), binaryBody(KindRegisterRM, []byte("not a registration")))
+	f.Add(uint8(0), binaryBody(KindAck, nil))
 	f.Add(uint8(2), slotTrace.body(KindAck, nil))
 	f.Add(uint8(3), slotTenantTrace.body(KindAck, nil))
 	f.Add(uint8(9), []byte{1, 2, 3})
 
 	f.Fuzz(func(t *testing.T, tag uint8, body []byte) {
-		if Codec(tag) == CodecGob || len(body) > MaxFrame {
-			return // gob has its own decoder; oversized frames are FuzzRead's
+		if len(body) > MaxFrame {
+			return // oversized frames are FuzzRead's
 		}
 		in := frameBytes(Codec(tag), body)
-		r := NewConn(bytes.NewBuffer(in))
-		r.SetAcceptBinary(true)
-		msg, err := r.Read()
+		msg, err := NewConn(bytes.NewBuffer(in)).Read()
 		if err != nil {
 			var ce *CodecError
 			if !errors.As(err, &ce) {
@@ -153,7 +153,7 @@ func FuzzBinaryCtlRoundTrip(f *testing.F) {
 			return
 		}
 		if Codec(tag) != CodecBinary {
-			t.Fatalf("tag %d decoded as %v; only tags 0 and 1 exist", tag, msg.Kind)
+			t.Fatalf("tag %d decoded as %v; only tag 1 exists", tag, msg.Kind)
 		}
 		// Two well-formed inputs are not how the writer would frame the same
 		// message, so they are not expected to re-encode identically: a
@@ -165,7 +165,6 @@ func FuzzBinaryCtlRoundTrip(f *testing.F) {
 		}
 		var out bytes.Buffer
 		w := NewConn(&out)
-		w.SetFastPath(true)
 		w.SetTenant(msg.Tenant)
 		if err := w.WriteTraced(msg.Trace, msg.Kind, msg.Payload); err != nil {
 			t.Fatalf("re-encoding %v: %v", msg.Kind, err)
@@ -177,7 +176,7 @@ func FuzzBinaryCtlRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzBinaryChunkRoundTrip drives the fast-path encoder and decoder
+// FuzzBinaryChunkRoundTrip drives the chunk encoder and decoder
 // against each other: any (offset, data) pair must survive the writev
 // framing byte-for-byte under every slot combination.
 func FuzzBinaryChunkRoundTrip(f *testing.F) {
@@ -188,7 +187,7 @@ func FuzzBinaryChunkRoundTrip(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, offset int64, data []byte) {
 		for _, s := range slotCases {
-			s.chunkRoundTrip(t, true, offset, data)
+			s.chunkRoundTrip(t, offset, data)
 		}
 	})
 }

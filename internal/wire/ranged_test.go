@@ -9,42 +9,21 @@ import (
 )
 
 // TestRangedReadFileRoundTrip proves a ranged request (Length > 0)
-// round-trips on both codecs and surfaces through the ReadReq accessor,
-// which is the only way servers should extract it (the payload is a
-// pooled *ReadFile on the fast path and a plain value on gob).
+// round-trips and surfaces through the ReadReq accessor, which is the only
+// way servers should extract it (the payload is a pooled *ReadFile).
 func TestRangedReadFileRoundTrip(t *testing.T) {
 	want := ReadFile{File: 7, ChunkSize: 65536, Offset: 4096, Request: 99, Length: 131072}
-	for _, mode := range codecModes {
-		var buf bytes.Buffer
-		c := NewConn(&buf)
-		c.SetFastPath(mode.fast)
-		if err := c.Write(KindReadFile, want); err != nil {
-			t.Fatalf("%s: %v", mode.name, err)
-		}
-		wantCodec := CodecGob
-		if mode.fast {
-			wantCodec = CodecBinary
-		}
-		if got := Codec(buf.Bytes()[4]); got != wantCodec {
-			t.Errorf("%s: frame tagged %v, want %v", mode.name, got, wantCodec)
-		}
-		r := NewConn(&buf)
-		r.SetAcceptBinary(true)
-		msg, err := r.Read()
-		if err != nil {
-			t.Fatalf("%s: decode: %v", mode.name, err)
-		}
-		got, ok := msg.ReadReq()
-		if !ok {
-			t.Fatalf("%s: ReadReq reported false for %T", mode.name, msg.Payload)
-		}
-		if got != want {
-			t.Errorf("%s: got %+v want %+v", mode.name, got, want)
-		}
-		msg.Release()
-		if msg.Payload != nil && mode.fast {
-			t.Errorf("%s: Release left Payload set", mode.name)
-		}
+	msg := slotPlain.roundTrip(t, KindReadFile, want)
+	got, ok := msg.ReadReq()
+	if !ok {
+		t.Fatalf("ReadReq reported false for %T", msg.Payload)
+	}
+	if got != want {
+		t.Errorf("got %+v want %+v", got, want)
+	}
+	msg.Release()
+	if msg.Payload != nil {
+		t.Error("Release left Payload set")
 	}
 }
 
@@ -58,10 +37,10 @@ func TestReadFileSingleLayout(t *testing.T) {
 	ranged.Length = 256
 	for _, req := range []ReadFile{whole, ranged} {
 		var byValue, byPointer bytes.Buffer
-		if err := slotPlain.conn(&byValue, true).Write(KindReadFile, req); err != nil {
+		if err := slotPlain.conn(&byValue).Write(KindReadFile, req); err != nil {
 			t.Fatal(err)
 		}
-		if err := slotPlain.conn(&byPointer, true).WriteReadReq(trace.SpanContext{}, req); err != nil {
+		if err := slotPlain.conn(&byPointer).WriteReadReq(trace.SpanContext{}, req); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(byValue.Bytes(), byPointer.Bytes()) {
@@ -70,7 +49,7 @@ func TestReadFileSingleLayout(t *testing.T) {
 		if want := headerSize + flagsSize + kindSize + 36; byValue.Len() != want {
 			t.Fatalf("frame for %+v is %d bytes, want %d", req, byValue.Len(), want)
 		}
-		msg := slotPlain.read(t, slotPlain.conn(&byValue, true), &byValue, KindReadFile)
+		msg := slotPlain.read(t, slotPlain.conn(&byValue), &byValue, KindReadFile)
 		if got, ok := msg.ReadReq(); !ok || got != req {
 			t.Fatalf("decoded %+v ok=%v, want %+v", got, ok, req)
 		}
@@ -88,9 +67,7 @@ func TestRangedReadFileMalformedLength(t *testing.T) {
 	for _, n := range []int{0, 28, 29, 35, 37, 44} {
 		var buf bytes.Buffer
 		writeRawFrame(&buf, CodecBinary, binaryBody(KindReadFile, make([]byte, n)))
-		r := NewConn(&buf)
-		r.SetAcceptBinary(true)
-		_, err := r.Read()
+		_, err := NewConn(&buf).Read()
 		var ce *CodecError
 		if !errors.As(err, &ce) {
 			t.Fatalf("%d-byte payload: want CodecError, got %v", n, err)
@@ -103,78 +80,59 @@ func TestRangedReadFileMalformedLength(t *testing.T) {
 
 // BenchmarkEncodeRangedRead measures putting one ReadFile request (the
 // single 36-byte layout) on the wire — the per-segment control cost of a
-// striped read. The fast
-// sub-benchmark is gated at 0 allocs/op by scripts/bench.sh.
+// striped read. It is gated at 0 allocs/op by scripts/bench.sh.
 func BenchmarkEncodeRangedRead(b *testing.B) {
 	req := ReadFile{File: 7, ChunkSize: 128 * 1024, Offset: 1 << 20, Request: 42, Length: 1 << 20}
-	for _, mode := range codecModes {
-		b.Run(mode.name, func(b *testing.B) {
-			c := NewConn(discardRW{})
-			c.SetFastPath(mode.fast)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := c.WriteReadReq(trace.SpanContext{}, req); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	c := NewConn(discardRW{})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := c.WriteReadReq(trace.SpanContext{}, req); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
-// BenchmarkDecodeRangedRead measures decoding the ranged request frame;
-// the fast path borrows a pooled ReadFile (0 allocs/op with Release,
-// gated by scripts/bench.sh).
+// BenchmarkDecodeRangedRead measures decoding the ranged request frame
+// into a pooled ReadFile (0 allocs/op with Release, gated by
+// scripts/bench.sh).
 func BenchmarkDecodeRangedRead(b *testing.B) {
 	req := ReadFile{File: 7, ChunkSize: 128 * 1024, Offset: 1 << 20, Request: 42, Length: 1 << 20}
-	for _, mode := range codecModes {
-		b.Run(mode.name, func(b *testing.B) {
-			var buf bytes.Buffer
-			w := NewConn(&buf)
-			w.SetFastPath(mode.fast)
-			if err := w.Write(KindReadFile, req); err != nil {
-				b.Fatal(err)
-			}
-			r := NewConn(&loopRW{frame: buf.Bytes()})
-			r.SetAcceptBinary(true)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				msg, err := r.Read()
-				if err != nil {
-					b.Fatal(err)
-				}
-				msg.Release()
-			}
-		})
+	var buf bytes.Buffer
+	if err := NewConn(&buf).Write(KindReadFile, req); err != nil {
+		b.Fatal(err)
+	}
+	r := NewConn(&loopRW{frame: buf.Bytes()})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		msg, err := r.Read()
+		if err != nil {
+			b.Fatal(err)
+		}
+		msg.Release()
 	}
 }
 
 // TestFileEndPointerPayload pins the form a server ends a stream with: a
-// (pooled) *FileEnd encodes to the same frame as the value on both codecs
-// and arrives as a plain FileEnd value, which is what receivers assert.
+// (pooled) *FileEnd encodes to the same frame as the value and arrives as
+// a plain FileEnd value, which is what receivers assert.
 func TestFileEndPointerPayload(t *testing.T) {
 	want := FileEnd{Size: 1 << 33, Checksum: 0xE3069283}
-	for _, mode := range codecModes {
-		var byValue, byPointer bytes.Buffer
-		for buf, payload := range map[*bytes.Buffer]any{&byValue: want, &byPointer: &want} {
-			c := NewConn(buf)
-			c.SetFastPath(mode.fast)
-			if err := c.Write(KindFileEnd, payload); err != nil {
-				t.Fatalf("%s: %v", mode.name, err)
-			}
+	var byValue, byPointer bytes.Buffer
+	for buf, payload := range map[*bytes.Buffer]any{&byValue: want, &byPointer: &want} {
+		if err := NewConn(buf).Write(KindFileEnd, payload); err != nil {
+			t.Fatal(err)
 		}
-		if !bytes.Equal(byValue.Bytes(), byPointer.Bytes()) {
-			t.Errorf("%s: pointer payload framed differently from the value", mode.name)
-		}
-		r := NewConn(&byPointer)
-		r.SetAcceptBinary(true)
-		msg, err := r.Read()
-		if err != nil {
-			t.Fatalf("%s: decode: %v", mode.name, err)
-		}
-		if got, ok := msg.Payload.(FileEnd); !ok || got != want {
-			t.Errorf("%s: got %#v, want the FileEnd value %+v", mode.name, msg.Payload, want)
-		}
+	}
+	if !bytes.Equal(byValue.Bytes(), byPointer.Bytes()) {
+		t.Error("pointer payload framed differently from the value")
+	}
+	msg, err := NewConn(&byPointer).Read()
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if got, ok := msg.Payload.(FileEnd); !ok || got != want {
+		t.Errorf("got %#v, want the FileEnd value %+v", msg.Payload, want)
 	}
 }

@@ -1,5 +1,3 @@
-//go:build !gobonly
-
 package wire
 
 import (
@@ -10,24 +8,25 @@ import (
 	"strings"
 	"testing"
 
+	"dfsqos/internal/ecnp"
 	"dfsqos/internal/ids"
 	"dfsqos/internal/trace"
 )
 
-// The tests in this file are about the binary header — the flags byte and
+// The tests in this file are about the frame header — the flags byte and
 // the tenant and trace slots — not about any one payload, so each runs the
-// shared table (slotCases × fastPayloads, codec_test.go) over the slot
+// shared table (slotCases × everyPayload, codec_test.go) over the slot
 // combinations its name stands for. Between them and
-// TestFastPathFramesCarryBinaryTag every combination meets every fast-path
-// kind and the chunk writer.
+// TestFastPathFramesCarryBinaryTag every combination meets every kind —
+// a registration, a shard mirror and a store as much as a CFP — and the
+// chunk writer: tenant and trace ride every kind.
 
-// TestWriteTracedBinaryRoundTrip: every fast-path kind under the trace
-// slot alone.
+// TestWriteTracedBinaryRoundTrip: every kind under the trace slot alone.
 func TestWriteTracedBinaryRoundTrip(t *testing.T) {
 	runSlotRoundTrips(t, slotTrace, "")
 }
 
-// TestWriteTenantBinaryRoundTrip: every fast-path kind on a tenant-stamped
+// TestWriteTenantBinaryRoundTrip: every kind on a tenant-stamped
 // connection, untraced (tenant slot alone) and traced (both slots).
 func TestWriteTenantBinaryRoundTrip(t *testing.T) {
 	runSlotRoundTrips(t, slotTenant, "")
@@ -35,15 +34,15 @@ func TestWriteTenantBinaryRoundTrip(t *testing.T) {
 }
 
 func TestWriteChunkTracedRoundTrip(t *testing.T) {
-	slotTrace.chunkRoundTrip(t, true, 1024, []byte("traced chunk payload"))
+	slotTrace.chunkRoundTrip(t, 1024, []byte("traced chunk payload"))
 }
 
 // TestWriteChunkTenantRoundTrip proves chunks from a tenant-stamped
 // connection carry the tenant slot, with and without a trace, and that
 // the borrowed-buffer contract is unchanged.
 func TestWriteChunkTenantRoundTrip(t *testing.T) {
-	slotTenant.chunkRoundTrip(t, true, 1024, []byte("tenant chunk payload"))
-	slotTenantTrace.chunkRoundTrip(t, true, 1024, []byte("tenant chunk payload"))
+	slotTenant.chunkRoundTrip(t, 1024, []byte("tenant chunk payload"))
+	slotTenantTrace.chunkRoundTrip(t, 1024, []byte("tenant chunk payload"))
 }
 
 // TestWriteReadReqTenant proves the per-segment read request, whole-file
@@ -53,12 +52,12 @@ func TestWriteReadReqTenant(t *testing.T) {
 	for _, s := range slotCases {
 		for _, length := range []int64{0, 1 << 20} {
 			var buf bytes.Buffer
-			c := s.conn(&buf, true)
+			c := s.conn(&buf)
 			req := ReadFile{File: 9, ChunkSize: 64 << 10, Offset: 4096, Request: 11, Length: length}
 			if err := c.WriteReadReq(s.tc, req); err != nil {
 				t.Fatal(err)
 			}
-			s.checkFrame(t, buf.Bytes(), true)
+			s.checkFrame(t, buf.Bytes())
 			if want := headerSize + len(s.header()) + kindSize + 36; buf.Len() != want {
 				t.Fatalf("%s: length %d request frame is %d bytes, want %d (one layout)", s.name, length, buf.Len(), want)
 			}
@@ -74,55 +73,12 @@ func TestWriteReadReqTenant(t *testing.T) {
 	}
 }
 
-// TestWriteTracedGobEnvelope covers the kinds the binary codec does not
-// (the administrative ones — a shard mirror here): on a fast-path
-// connection they fall back to gob, whose envelope carries the span
-// context and the tenant.
-func TestWriteTracedGobEnvelope(t *testing.T) {
-	mirror := ShardMirror{Op: "AddReplica", File: 12, RM: 3}
-	for _, s := range slotCases {
-		var buf bytes.Buffer
-		c := s.conn(&buf, true)
-		if err := c.WriteTraced(s.tc, KindShardMirror, mirror); err != nil {
-			t.Fatal(err)
-		}
-		s.checkFrame(t, buf.Bytes(), false)
-		if got, ok := s.read(t, c, &buf, KindShardMirror).Payload.(ShardMirror); !ok || got != mirror {
-			t.Fatalf("%s: payload mangled: %#v", s.name, got)
-		}
-	}
-}
-
-// TestWriteTracedGobPinnedConn pins the writer to gob: fast-path kinds and
-// chunks must still carry their span context and tenant (via the envelope).
-func TestWriteTracedGobPinnedConn(t *testing.T) {
-	for _, s := range slotCases {
-		s.roundTrip(t, false, KindFileEnd, FileEnd{Size: 1, Checksum: 2})
-		s.chunkRoundTrip(t, false, 64, []byte("gob chunk"))
-	}
-}
-
-// TestGobFramesCarryTenant proves the universal gob codec carries the
-// stamped tenant in the envelope on the plain Write path too — tenancy is
-// not a fast-path-only property.
-func TestGobFramesCarryTenant(t *testing.T) {
-	for _, fast := range []bool{false, true} { // Count is gob either way
-		var buf bytes.Buffer
-		c := slotTenant.conn(&buf, fast)
-		if err := c.Write(KindCount, Count{N: 3}); err != nil {
-			t.Fatal(err)
-		}
-		slotTenant.checkFrame(t, buf.Bytes(), false)
-		slotTenant.read(t, c, &buf, KindCount)
-	}
-}
-
 // TestWriteTracedZeroContextStaysUntraced: a zero span context sets no
 // flag and spends no slot, through WriteTraced and WriteChunkTraced alike.
 func TestWriteTracedZeroContextStaysUntraced(t *testing.T) {
 	for _, s := range []slotCase{slotPlain, slotTenant} {
 		var viaTraced, viaPlain bytes.Buffer
-		ct, cp := s.conn(&viaTraced, true), s.conn(&viaPlain, true)
+		ct, cp := s.conn(&viaTraced), s.conn(&viaPlain)
 		if err := ct.WriteTraced(trace.SpanContext{}, KindFileEnd, FileEnd{Size: 1}); err != nil {
 			t.Fatal(err)
 		}
@@ -138,7 +94,7 @@ func TestWriteTracedZeroContextStaysUntraced(t *testing.T) {
 		if !bytes.Equal(viaTraced.Bytes(), viaPlain.Bytes()) {
 			t.Fatalf("%s: zero-context frames differ from untraced ones:\n% x\n% x", s.name, viaTraced.Bytes(), viaPlain.Bytes())
 		}
-		s.checkFrame(t, viaTraced.Bytes(), true)
+		s.checkFrame(t, viaTraced.Bytes())
 	}
 }
 
@@ -170,7 +126,7 @@ func TestUntenantedFramesUnchanged(t *testing.T) {
 func checkChunkFrame(t *testing.T, s slotCase, want []byte) {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := s.conn(&buf, true).WriteChunkTraced(s.tc, 0x0102030405060708, []byte{0xAA, 0xBB}); err != nil {
+	if err := s.conn(&buf).WriteChunkTraced(s.tc, 0x0102030405060708, []byte{0xAA, 0xBB}); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), want) {
@@ -229,8 +185,8 @@ func TestTenantFrameLayout(t *testing.T) {
 }
 
 // TestMixedTracedUntracedInterleave interleaves every header on one
-// connection — slotless, traced, tenant-stamped mid-connection, gob with
-// and without a trace, chunks among control frames: each frame decodes
+// connection — slotless, traced, tenant-stamped mid-connection, fixed and
+// counted layouts, chunks among control frames: each frame decodes
 // independently with exactly its own tenant and span context.
 func TestMixedTracedUntracedInterleave(t *testing.T) {
 	var buf bytes.Buffer
@@ -247,15 +203,15 @@ func TestMixedTracedUntracedInterleave(t *testing.T) {
 		}
 		wants = append(wants, want{c.Tenant(), tc})
 	}
-	send(trace.SpanContext{}, KindFileEnd, FileEnd{Size: 1}) // binary
-	send(testTC, KindFileEnd, FileEnd{Size: 2})              // binary, trace slot
-	send(trace.SpanContext{}, KindCount, Count{N: 3})        // gob
-	send(testTC, KindCount, Count{N: 4})                     // gob, traced envelope
+	send(trace.SpanContext{}, KindFileEnd, FileEnd{Size: 1})
+	send(testTC, KindFileEnd, FileEnd{Size: 2}) // trace slot
+	send(trace.SpanContext{}, KindRegisterRM, RegisterRM{Info: ecnp.RMInfo{ID: 1, Addr: "127.0.0.1:7301"}, Files: []ids.FileID{3}})
+	send(testTC, KindCount, Count{N: 4})
 	send(testTC, KindFileChunk, FileChunk{Offset: 5, Data: []byte("x")})
 	c.SetTenant(testTenant)
 	send(trace.SpanContext{}, KindFileChunk, FileChunk{Offset: 6, Data: []byte("y")}) // tenant slot
 	send(testTC, KindAck, Ack{})                                                      // both slots
-	send(testTC, KindCount, Count{N: 7})                                              // gob, tenant + trace in the envelope
+	send(testTC, KindShardMirror, ShardMirror{Op: "AddReplica", File: 7, RM: 2})
 	c.SetTenant(ids.NoneTenant)
 	send(trace.SpanContext{}, KindAck, Ack{})
 	for i, w := range wants {
@@ -317,7 +273,7 @@ func TestTracedFrameShortTraceSlotRejected(t *testing.T) {
 			var buf bytes.Buffer
 			writeRawFrame(&buf, CodecBinary, full[:cut])
 			writeRawFrame(&buf, CodecBinary, full)
-			r := s.conn(&buf, true)
+			r := s.conn(&buf)
 			ce := readCodecError(t, r, s.name)
 			want := "kind field"
 			switch {
@@ -348,7 +304,7 @@ func TestTenantCodecHostileInput(t *testing.T) {
 			var buf bytes.Buffer
 			writeRawFrame(&buf, CodecBinary, body)
 			writeRawFrame(&buf, CodecBinary, s.body(KindAck, nil))
-			r := s.conn(&buf, true)
+			r := s.conn(&buf)
 			if ce := readCodecError(t, r, s.name); !strings.Contains(ce.Reason, "unknown flag bits") {
 				t.Errorf("%s with bit %d: reason %q", s.name, bit, ce.Reason)
 			}
@@ -363,28 +319,6 @@ func TestTenantCodecHostileInput(t *testing.T) {
 	}
 }
 
-// TestTracedFrameRejectedWhenBinaryNotAccepted: an endpoint that refuses
-// the binary codec refuses it under every header, control frame and chunk.
-func TestTracedFrameRejectedWhenBinaryNotAccepted(t *testing.T) {
-	for _, s := range slotCases {
-		var buf bytes.Buffer
-		w := s.conn(&buf, true)
-		if err := w.WriteTraced(s.tc, KindFileEnd, FileEnd{Size: 1}); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.WriteChunkTraced(s.tc, 0, []byte("x")); err != nil {
-			t.Fatal(err)
-		}
-		r := NewConn(&buf)
-		r.SetAcceptBinary(false)
-		for i := 0; i < 2; i++ {
-			if ce := readCodecError(t, r, s.name); !strings.Contains(ce.Reason, "not accepted") {
-				t.Errorf("%s frame %d: reason %q", s.name, i, ce.Reason)
-			}
-		}
-	}
-}
-
 // TestTracedChunkZeroAllocs is the unit-level guard behind the bench
 // gate: steady-state chunk encode and decode must not allocate under any
 // slot combination — a tenant-stamped traced stream delivers Msg.Tenant
@@ -395,7 +329,7 @@ func TestTracedChunkZeroAllocs(t *testing.T) {
 	}
 	data := make([]byte, 32<<10)
 	for _, s := range slotCases {
-		w := s.conn(discardRW{}, true)
+		w := s.conn(discardRW{})
 		if avg := testing.AllocsPerRun(200, func() {
 			if err := w.WriteChunkTraced(s.tc, 0, data); err != nil {
 				t.Fatal(err)
@@ -405,7 +339,7 @@ func TestTracedChunkZeroAllocs(t *testing.T) {
 		}
 
 		var frame bytes.Buffer
-		s.conn(&frame, true).WriteChunkTraced(s.tc, 0, data)
+		s.conn(&frame).WriteChunkTraced(s.tc, 0, data)
 		r := NewConn(&loopRW{frame: frame.Bytes()})
 		if avg := testing.AllocsPerRun(200, func() {
 			msg, err := r.Read()

@@ -1,20 +1,16 @@
 // Package wire frames the ECNP protocol messages for TCP transport: each
 // frame is a 4-byte big-endian body length, a 1-byte codec tag, and the
-// body. The tag selects how the body is encoded — gob (tag 0, every
-// kind) or the hand-rolled binary fast path (tag 1: the data plane, the
-// per-open negotiation and other high-frequency kinds, behind a flags
-// byte that announces the optional tenant and request-trace slots; see
-// codec.go). Frames are independent (stateless codec per frame), so a
-// connection can be taken over after any message boundary, a corrupted
-// frame cannot poison decoder state, and the codecs interleave freely on
-// one connection. A frame-size cap bounds memory against malformed peers.
+// body. One tag exists (1): a fixed big-endian layout per message kind
+// behind a flags byte that announces the optional tenant and request-trace
+// slots; codec.go lists every layout. Frames are independent (no state
+// crosses from one to the next), so a connection can be taken over after
+// any message boundary and a corrupted frame cannot poison the decoding of
+// the next. A frame-size cap bounds memory against malformed peers.
 package wire
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -26,7 +22,6 @@ import (
 
 	"dfsqos/internal/ecnp"
 	"dfsqos/internal/ids"
-	"dfsqos/internal/selection"
 	"dfsqos/internal/trace"
 )
 
@@ -73,9 +68,7 @@ const (
 	// Liveness (RM → MM) and reservation-lease keepalive (DFSC → RM).
 	KindHeartbeat
 	KindKeepalive
-	// Shard-group control plane (MM shard → MM shard). All three ride the
-	// gob codec: they are low-frequency control traffic, never the hot
-	// path.
+	// Shard-group control plane (MM shard → MM shard).
 	KindShardBeat
 	KindShardMirror
 	KindShardHandoff
@@ -117,66 +110,54 @@ type Msg struct {
 	Payload any
 
 	// Trace is the span context this frame carries, if any: the zero
-	// value means "untraced". Gob frames encode it as an ordinary
-	// (omitted-when-zero) envelope field; fast-path frames carry it in
-	// the trace slot (flag bit 1). Servers join it with
-	// trace.Tracer.StartChild.
+	// value means "untraced". It rides the trace slot (flag bit 1).
+	// Servers join it with trace.Tracer.StartChild.
 	Trace trace.SpanContext
 
 	// Tenant is the tenant identity this frame was sent under: the zero
-	// value (ids.NoneTenant) means untenanted. Gob frames encode it as
-	// an (omitted-when-zero) envelope field; fast-path frames carry it
-	// in the tenant slot (flag bit 0). Connections stamp it with
-	// Conn.SetTenant; servers read it for per-tenant accounting.
+	// value (ids.NoneTenant) means untenanted. It rides the tenant slot
+	// (flag bit 0). Connections stamp it with Conn.SetTenant; servers
+	// read it for per-tenant accounting.
 	Tenant ids.TenantID
 
 	// pooled is the frame buffer this message's payload borrows from
-	// (fast-path FileChunk only: Data points into it); chunk is the
-	// pooled payload struct. rreq is the pooled ReadFile a fast-path
-	// request decodes into. All are returned by Release.
+	// (FileChunk only: Data points into it); chunk is the pooled payload
+	// struct. rreq is the pooled ReadFile a request decodes into. All are
+	// returned by Release.
 	pooled *[]byte
 	chunk  *FileChunk
 	rreq   *ReadFile
 }
 
-// Chunk extracts a FileChunk payload regardless of codec: fast-path
-// frames carry a pooled *FileChunk, gob frames a FileChunk value. It
-// reports false for any other payload.
+// Chunk extracts a received FileChunk payload, which is a pooled
+// *FileChunk until Release. It reports false for any other payload.
 func (m *Msg) Chunk() (*FileChunk, bool) {
-	switch p := m.Payload.(type) {
-	case *FileChunk:
-		return p, true
-	case FileChunk:
-		return &p, true
-	}
-	return nil, false
+	p, ok := m.Payload.(*FileChunk)
+	return p, ok
 }
 
-// ReadReq extracts a ReadFile payload regardless of codec: gob frames
-// decode to a ReadFile value, fast-path frames to a pooled *ReadFile
-// (returned by Release — the copy handed back here stays valid
-// afterwards). It reports false for any other payload.
+// ReadReq extracts a received ReadFile payload: a copy of the pooled
+// *ReadFile the request decoded into, so it stays valid after Release. It
+// reports false for any other payload.
 func (m *Msg) ReadReq() (ReadFile, bool) {
-	switch p := m.Payload.(type) {
-	case ReadFile:
-		return p, true
-	case *ReadFile:
+	if p, ok := m.Payload.(*ReadFile); ok {
 		return *p, true
 	}
 	return ReadFile{}, false
 }
 
-// Release returns a fast-path message's pooled resources (the frame
-// buffer its FileChunk Data points into, and the FileChunk struct
-// itself). The borrowed-buffer contract for stream loops:
+// Release returns a message's pooled resources (the frame buffer its
+// FileChunk Data points into and the FileChunk struct itself, or the
+// ReadFile a request decoded into). The borrowed-buffer contract for
+// stream loops:
 //
 //   - After Read returns a KindFileChunk Msg, the chunk's Data is only
 //     valid until Release — copy or consume it first, never retain it.
 //   - Call Release exactly once per received chunk when done; the Payload
 //     is nilled so use-after-release fails loudly instead of silently
 //     reading recycled bytes.
-//   - Release on a gob-decoded or non-chunk Msg is a safe no-op, so
-//     loops may release unconditionally.
+//   - Release on a Msg that borrowed nothing is a safe no-op, so loops
+//     may release unconditionally.
 //
 // Skipping Release is a performance bug, not a correctness bug: the
 // buffers fall to the GC and the stream loop allocates per chunk again.
@@ -348,38 +329,6 @@ type (
 	}
 )
 
-func init() {
-	gob.Register(RegisterRM{})
-	gob.Register(FileRef{})
-	gob.Register(ReplicaRef{})
-	gob.Register(BeginReplication{})
-	gob.Register(EndReplication{})
-	gob.Register(RMList{})
-	gob.Register(RMInfoList{})
-	gob.Register(Count{})
-	gob.Register(CloseReq{})
-	gob.Register(OfferReply{})
-	gob.Register(FinishReplica{})
-	gob.Register(ReadFile{})
-	gob.Register(WriteFile{})
-	gob.Register(FileChunk{})
-	gob.Register(FileEnd{})
-	gob.Register(Ack{})
-	gob.Register(Error{})
-	gob.Register(Heartbeat{})
-	gob.Register(Keepalive{})
-	gob.Register(ShardBeat{})
-	gob.Register(ShardMirror{})
-	gob.Register(ShardHandoff{})
-	gob.Register(ecnp.CFP{})
-	gob.Register(ecnp.OpenRequest{})
-	gob.Register(ecnp.OpenResult{})
-	gob.Register(ecnp.ReplicaOffer{})
-	gob.Register(ecnp.StoreRequest{})
-	gob.Register(ecnp.RMInfo{})
-	gob.Register(selection.Bid{})
-}
-
 // ChecksumBasis is the initial state of the running checksum every data
 // stream carries: the CRC-32C of no bytes. A failover client threads one
 // running state across segments served by different replicas; since an
@@ -473,11 +422,6 @@ type Conn struct {
 	// wt, guarded by wmu, arms a fresh write deadline per frame (servers
 	// use it so a stalled reader cannot wedge a handler goroutine).
 	wt time.Duration
-	// fastWrite selects the binary codec for eligible outgoing kinds;
-	// acceptBinary gates incoming binary frames (false: typed
-	// *CodecError). Both default from the build (see fastpath_on.go).
-	fastWrite    atomic.Bool
-	acceptBinary atomic.Bool
 	// ra, guarded by rmu, is Read's read-ahead: bytes taken from the
 	// stream and not yet handed out as a frame sit in ra[rpos:rend]. Read
 	// fills it with a single read of the stream, so a control frame — header
@@ -489,36 +433,18 @@ type Conn struct {
 	ra         [readAhead]byte
 	rpos, rend int
 	// tenant, when non-zero, is the ids.TenantID stamped on every
-	// outgoing frame: fast-path frames gain the tenant slot, gob frames
-	// carry it in the envelope. Per-connection (not per-call) because a
-	// client acts for exactly one tenant — stamping at dial time keeps
-	// every write path's signature and allocation profile unchanged.
+	// outgoing frame, which gains the tenant slot. Per-connection (not
+	// per-call) because a client acts for exactly one tenant — stamping
+	// at dial time keeps every write path's signature and allocation
+	// profile unchanged.
 	tenant atomic.Int32
 }
 
 // NewConn wraps a byte stream (normally a *net.TCPConn).
-func NewConn(rw io.ReadWriter) *Conn {
-	c := &Conn{rw: rw}
-	c.fastWrite.Store(defaultFastPath.Load())
-	c.acceptBinary.Store(defaultAcceptBinary.Load())
-	return c
-}
-
-// SetFastPath overrides the write-side codec choice for this connection:
-// true routes eligible kinds through the binary fast path, false keeps
-// everything on gob. Safe to call concurrently with traffic; it applies
-// to frames written after the call.
-func (c *Conn) SetFastPath(on bool) { c.fastWrite.Store(on) }
-
-// SetAcceptBinary overrides whether this connection decodes incoming
-// binary fast-path frames; when false they surface a typed *CodecError
-// (the behavior of a gobonly-build endpoint). It applies to frames read
-// after the call.
-func (c *Conn) SetAcceptBinary(on bool) { c.acceptBinary.Store(on) }
+func NewConn(rw io.ReadWriter) *Conn { return &Conn{rw: rw} }
 
 // SetTenant stamps the tenant identity on every frame written from now
-// on: eligible fast-path frames carry it in the tenant slot and gob
-// frames carry Msg.Tenant. ids.NoneTenant (the default) restores
+// on, in the tenant slot. ids.NoneTenant (the default) restores
 // untenanted framing. Safe to call concurrently with traffic.
 func (c *Conn) SetTenant(t ids.TenantID) { c.tenant.Store(int32(t)) }
 
@@ -554,74 +480,29 @@ func (c *Conn) Write(kind Kind, payload any) error {
 }
 
 // WriteTraced sends one message carrying the span context tc (zero:
-// untraced), so the receiving server can join the sender's trace. Eligible
-// kinds (the data plane, the per-open negotiation and other
-// high-frequency messages) go out on the binary fast path unless the
-// connection is pinned to gob; everything else uses the stateless
-// per-frame gob codec, whose envelope carries tc and the stamped tenant as
-// fields. Either way the frame leaves as a single write — header and body
-// are assembled in one pooled buffer (chunks: one writev via
-// WriteChunkTraced) — so a frame costs one syscall, not two, and a
-// fast-path frame costs no allocation.
+// untraced), so the receiving server can join the sender's trace. The
+// frame leaves as a single write — header and body are assembled in one
+// pooled buffer (chunks: one writev via WriteChunkTraced) — so a frame
+// costs one syscall, not two, and no allocation. A payload that is not the
+// type kind carries is refused with a *CodecError and nothing is written.
 func (c *Conn) WriteTraced(tc trace.SpanContext, kind Kind, payload any) error {
-	if c.fastWrite.Load() {
-		if kind == KindFileChunk {
-			switch p := payload.(type) {
-			case FileChunk:
-				return c.WriteChunkTraced(tc, p.Offset, p.Data)
-			case *FileChunk:
-				return c.WriteChunkTraced(tc, p.Offset, p.Data)
-			}
-		} else {
-			bp := getBuf(96)
-			b := appendFramePrefix((*bp)[:0], c.tenantID(), tc)
-			if b2, ok := appendBinary(b, kind, payload); ok {
-				*bp = b2
-				err := sealFrame(b2, 0, kind)
-				if err == nil {
-					err = c.writeFrame(b2, kind)
-				}
-				putBuf(bp)
-				if err == nil {
-					codecMet.Load().txBinary.Inc()
-				}
-				return err
-			}
-			putBuf(bp)
+	if kind == KindFileChunk {
+		switch p := payload.(type) {
+		case FileChunk:
+			return c.WriteChunkTraced(tc, p.Offset, p.Data)
+		case *FileChunk:
+			return c.WriteChunkTraced(tc, p.Offset, p.Data)
 		}
 	}
-	return c.writeGobMsg(Msg{Kind: kind, Payload: payload, Trace: tc})
-}
-
-// writeGobMsg frames msg (including any Trace field — gob omits it when
-// zero) as a gob frame: the 5-byte header placeholder and the gob body are
-// built in a single pooled buffer (so the gob encoder's output lands
-// directly behind the header), then the whole frame goes out as one write.
-// The connection's stamped tenant rides the envelope's Tenant field, so a
-// tenant-stamped peer is identified on every codec, not just the fast
-// path.
-func (c *Conn) writeGobMsg(msg Msg) error {
-	if !msg.Tenant.Valid() {
-		msg.Tenant = c.tenantID()
-	}
-	kind := msg.Kind
-	bp := getBuf(512)
-	buf := bytes.NewBuffer((*bp)[:0])
-	buf.Write(make([]byte, headerSize))
-	if err := gob.NewEncoder(buf).Encode(msg); err != nil {
-		putBuf(bp)
-		return fmt.Errorf("wire: encoding %v: %w", kind, err)
-	}
-	b := buf.Bytes()
-	*bp = b[:0] // adopt the (possibly regrown) backing array for the pool
-	b[4] = byte(CodecGob)
-	err := sealFrame(b, 0, kind)
+	bp := getBuf(96)
+	frame, err := appendFrame((*bp)[:0], c.tenantID(), tc, kind, payload)
 	if err == nil {
-		err = c.writeFrame(b, kind)
+		err = c.writeFrame(frame, kind)
 	}
+	*bp = frame // adopt the (possibly regrown) backing array for the pool
 	putBuf(bp)
 	if err == nil {
-		codecMet.Load().txGob.Inc()
+		codecMet.Load().tx.Inc()
 	}
 	return err
 }
@@ -647,28 +528,23 @@ func (c *Conn) writeFrame(frame []byte, kind Kind) error {
 // no production path calls it. The caller must drop the connection
 // afterwards: the stream is unframeable from here on.
 func (c *Conn) WriteTorn(kind Kind, payload any) error {
-	var body bytes.Buffer
-	if err := gob.NewEncoder(&body).Encode(Msg{Kind: kind, Payload: payload}); err != nil {
-		return fmt.Errorf("wire: encoding %v: %w", kind, err)
+	// The frame is the one Write would have sent, outgoing cap included: a
+	// torn frame must still be one the reader would have accepted, so the
+	// fault it injects is "peer died mid-write", never "peer sent an
+	// oversized frame".
+	bp := getBuf(96)
+	frame, err := appendFrame((*bp)[:0], c.tenantID(), trace.SpanContext{}, kind, payload)
+	if err == nil {
+		c.wmu.Lock()
+		_, err = c.rw.Write(frame[:headerSize+(len(frame)-headerSize)/2])
+		c.wmu.Unlock()
+		if err != nil {
+			err = fmt.Errorf("wire: writing torn %v frame: %w", kind, err)
+		}
 	}
-	// Enforce the same outgoing cap as Write: a torn frame must still be
-	// one the reader would have accepted, so the fault it injects is
-	// "peer died mid-write", never "peer sent an oversized frame".
-	if body.Len() > MaxFrame {
-		return &FrameTooLargeError{Kind: kind, Size: int64(body.Len()), Cap: MaxFrame, Outgoing: true}
-	}
-	var hdr [headerSize]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(body.Len()))
-	hdr[4] = byte(CodecGob)
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	if _, err := c.rw.Write(hdr[:]); err != nil {
-		return fmt.Errorf("wire: writing header: %w", err)
-	}
-	if _, err := c.rw.Write(body.Bytes()[:body.Len()/2]); err != nil {
-		return fmt.Errorf("wire: writing torn body: %w", err)
-	}
-	return nil
+	*bp = frame
+	putBuf(bp)
+	return err
 }
 
 // readAhead is the size of a Conn's read-ahead. A per-open control frame
@@ -738,13 +614,12 @@ func (c *Conn) readBody(body []byte) error {
 // Read receives one message. A frame that fits the read-ahead — every
 // control frame — costs one read of the stream, and none at all when it
 // arrived behind its predecessor; a larger body is read straight into its
-// buffer. The frame body lands in a pooled buffer: gob frames decode out
-// of it and return it immediately; fast-path FileChunk frames lend it to
-// the returned Msg (Data points into it) until Msg.Release — see the
-// borrowed-buffer contract there. Hostile
-// input surfaces typed errors (*FrameTooLargeError for an oversized
-// declared length, *CodecError for unknown tags or malformed binary
-// bodies), never a panic.
+// buffer. The frame body lands in a pooled buffer: control frames decode
+// out of it and return it immediately; FileChunk frames lend it to the
+// returned Msg (Data points into it) until Msg.Release — see the
+// borrowed-buffer contract there. Hostile input surfaces typed errors
+// (*FrameTooLargeError for an oversized declared length, *CodecError for
+// unknown tags or malformed bodies), never a panic.
 func (c *Conn) Read() (Msg, error) {
 	c.rmu.Lock()
 	defer c.rmu.Unlock()
@@ -763,34 +638,19 @@ func (c *Conn) Read() (Msg, error) {
 		putBuf(bp)
 		return Msg{}, fmt.Errorf("wire: reading body: %w", err)
 	}
-	switch codec {
-	case CodecGob:
-		var msg Msg
-		err := gob.NewDecoder(bytes.NewReader(body)).Decode(&msg)
-		putBuf(bp)
-		if err != nil {
-			return Msg{}, fmt.Errorf("wire: decoding frame: %w", err)
-		}
-		codecMet.Load().rxGob.Inc()
-		return msg, nil
-	case CodecBinary:
-		if !c.acceptBinary.Load() {
-			putBuf(bp)
-			return Msg{}, &CodecError{Codec: codec, Reason: "binary fast path not accepted by this endpoint"}
-		}
-		msg, retained, err := decodeFrame(body, bp)
-		if !retained {
-			putBuf(bp)
-		}
-		if err != nil {
-			return Msg{}, err
-		}
-		codecMet.Load().rxBinary.Inc()
-		return msg, nil
-	default:
+	if codec != CodecBinary {
 		putBuf(bp)
 		return Msg{}, &CodecError{Codec: codec, Reason: "unknown codec tag"}
 	}
+	msg, retained, err := decodeFrame(body, bp)
+	if !retained {
+		putBuf(bp)
+	}
+	if err != nil {
+		return Msg{}, err
+	}
+	codecMet.Load().rx.Inc()
+	return msg, nil
 }
 
 // Call performs a synchronous request/response round trip: CallTraced

@@ -45,6 +45,11 @@ func TestRoundTripAllPayloads(t *testing.T) {
 		{KindFileChunk, FileChunk{Offset: 128, Data: []byte{1, 2, 3}}},
 		{KindFileEnd, FileEnd{Size: 131, Checksum: 0xdeadbeef}},
 		{KindAck, Ack{}},
+		{KindStoreFile, ecnp.StoreRequest{File: 9, Bitrate: units.Mbps(2), SizeBytes: 64 * units.MB, DurationSec: 256, Tenant: 4}},
+		{KindShardMirror, ShardMirror{Op: "EndReplication", File: 12, RM: 3, Commit: true}},
+		{KindShardHandoff, ShardHandoff{From: 1, Direction: "takeover",
+			Infos:   []ecnp.RMInfo{{ID: 3, Capacity: units.Mbps(30), Addr: "127.0.0.1:7301"}},
+			Entries: []ShardEntry{{File: 1, RMs: []ids.RMID{3}}}}},
 	}
 	client, server := pipeConn()
 	done := make(chan error, 1)
@@ -90,10 +95,8 @@ func TestRoundTripAllPayloads(t *testing.T) {
 }
 
 // TestBidRoundTripCarriesQoSFields pins the bid frame's full field set —
-// in particular the oversubscription-aware Assured/Ceil pair — through
-// whichever codec the build selects (binary by default, gob under -tags
-// gobonly), so an RM's advertised ceiling survives the trip to the
-// requester's admission logic.
+// in particular the oversubscription-aware Assured/Ceil pair — so an RM's
+// advertised ceiling survives the trip to the requester's admission logic.
 func TestBidRoundTripCarriesQoSFields(t *testing.T) {
 	bid := selection.Bid{
 		RM:         7,
@@ -160,8 +163,8 @@ func TestOversizeFrameRefused(t *testing.T) {
 
 func TestOversizeIncomingFrameRefused(t *testing.T) {
 	var buf bytes.Buffer
-	// Forge a header claiming a gigantic frame (length + gob codec tag).
-	buf.Write([]byte{0xff, 0xff, 0xff, 0xff, 0})
+	// Forge a header claiming a gigantic frame (length + codec tag).
+	buf.Write([]byte{0xff, 0xff, 0xff, 0xff, byte(CodecBinary)})
 	c := NewConn(&buf)
 	if _, err := c.Read(); err == nil {
 		t.Fatal("oversize incoming frame accepted")
@@ -170,8 +173,8 @@ func TestOversizeIncomingFrameRefused(t *testing.T) {
 
 func TestCorruptFrameRejected(t *testing.T) {
 	var buf bytes.Buffer
-	buf.Write([]byte{0, 0, 0, 4, 0}) // 4-byte gob body...
-	buf.Write([]byte{1, 2, 3, 4})    // ...of garbage
+	buf.Write([]byte{0, 0, 0, 4, byte(CodecBinary)}) // 4-byte body...
+	buf.Write([]byte{1, 2, 3, 4})                    // ...of garbage
 	c := NewConn(&buf)
 	if _, err := c.Read(); err == nil {
 		t.Fatal("garbage frame decoded")
@@ -180,7 +183,7 @@ func TestCorruptFrameRejected(t *testing.T) {
 
 func TestTruncatedFrameRejected(t *testing.T) {
 	var buf bytes.Buffer
-	buf.Write([]byte{0, 0, 1, 0, 0}) // claims 256 gob bytes, provides 2
+	buf.Write([]byte{0, 0, 1, 0, byte(CodecBinary)}) // claims 256 bytes, provides 2
 	buf.Write([]byte{1, 2})
 	c := NewConn(&buf)
 	if _, err := c.Read(); err == nil {
@@ -190,7 +193,7 @@ func TestTruncatedFrameRejected(t *testing.T) {
 
 func TestFramesAreIndependent(t *testing.T) {
 	// Two messages written through different Conn instances decode from a
-	// single stream: no shared gob state.
+	// single stream: no state shared between frames.
 	var buf bytes.Buffer
 	NewConn(&buf).Write(KindAck, Ack{})
 	NewConn(&buf).Write(KindCount, Count{N: 7})

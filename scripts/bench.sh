@@ -5,13 +5,13 @@
 # transport call benchmark, the refused-replication benchmarks (MM and RM)
 # and the DES event-loop benchmarks,
 # parses the `go test -bench` output into BENCH_6.json, and enforces the
-# fast-path allocation ceiling: the fast sub-benchmarks of
-# BenchmarkEncodeChunk and BenchmarkDecodeChunk must stay at (by default)
-# 0 allocs/op under every slot combination of the binary header (plain,
-# trace, tenant, tenant-trace). The zero-allocation property is the point
-# of the fast path, and a regression here is a silent per-chunk cost on
-# every data stream; gating the slotted variants proves neither request
-# tracing nor tenancy bought its feature with allocations.
+# data-plane allocation ceiling: BenchmarkEncodeChunk and
+# BenchmarkDecodeChunk must stay at (by default) 0 allocs/op under every
+# slot combination of the frame header (plain, trace, tenant,
+# tenant-trace). The zero-allocation property is the point of the chunk
+# path, and a regression here is a silent per-chunk cost on every data
+# stream; gating the slotted variants proves neither request tracing nor
+# tenancy bought its feature with allocations.
 #
 # It also runs the striped-read scaling benchmark (K lanes over K
 # throttled replicas) and enforces the stripe-scaling floor: K4 must
@@ -35,12 +35,14 @@
 # 30 for pool misses after a GC, so a buffer, board entry or writer
 # allocated per segment again (13 or more per read each) trips it.
 #
-# The per-open control plane has its own three gates. The fast
-# sub-benchmarks of BenchmarkEncodeCtl and BenchmarkDecodeCtl (CFP, Bid,
-# OpenRequest) may cost at most 2 allocs/op: the codec itself allocates
-# nothing, and the one allocation left is the payload struct's boxing into
-# an interface. BenchmarkCall (internal/transport: one Client.Call round
-# trip on a warm pool over loopback) may cost at most 4: a call arms one
+# The control plane has its own three gates. BenchmarkEncodeCtl and
+# BenchmarkDecodeCtl (the per-open CFP, Bid and OpenRequest, and the
+# replication path's BeginReplication and ShardMirror) may cost at most 2
+# allocs/op: the codec itself allocates nothing, and what is left is the
+# payload struct's boxing into an interface and, for the mirror, its one
+# string — so a layout that drifts onto reflection or a per-field
+# callback trips it. BenchmarkCall (internal/transport: one Client.Call
+# round trip on a warm pool over loopback) may cost at most 4: a call arms one
 # absolute deadline and builds no context, timer or callback, so what is
 # left is its two payloads — it measured 12 while it built them, and an
 # open makes holders + 3 calls. BenchmarkLiveNegotiate (a whole
@@ -48,10 +50,8 @@
 # cold and hot) may cost at most 8 x holders + 40 allocs/op. It measures
 # 32 / 52 / 84 cold: four or so per holder (CFP and Bid boxed on each side
 # of the socket) and some twenty for the tables, spans and release. The
-# parent of this ceiling measured 99 / 179 / 307, so a per-call context, a
-# goroutine and closure per CFP, or one control kind slipping back onto gob
-# (a CFP on gob costs 23 to encode plus 220 to decode in the gob
-# sub-benchmarks above) each trips it.
+# parent of this ceiling measured 99 / 179 / 307, so a per-call context,
+# or a goroutine and closure per CFP, each trips it.
 #
 # The refused-replication path has three more: on an in-process MM with 256
 # RMs and one file at cap 8, a refused BeginReplication may cost 0
@@ -85,7 +85,7 @@
 #   ./scripts/bench.sh [out.json] [workconserve-out.json]
 # Env:
 #   BENCH_TIME        go test -benchtime value (default 2s; CI may lower it)
-#   ALLOC_CEILING     max allocs/op for the gated fast-path benchmarks (default 0)
+#   ALLOC_CEILING     max allocs/op for the gated chunk and read-request benchmarks (default 0)
 #   STRIPE_FLOOR      min K4/K1 throughput ratio for the striped read (default 2.5)
 #   WORKCONSERVE_FLOOR min conserving/flat throughput ratio (default 1.5)
 set -eu
@@ -178,20 +178,21 @@ alloc_gate() {
 	fi
 }
 
-# Alloc regression gate on the fast-path chunk codec under every slot
-# combination, and on the read-request codec.
+# Alloc regression gate on the chunk codec under every slot combination,
+# and on the read-request codec.
 for slots in plain trace tenant tenant-trace; do
-	alloc_gate "BenchmarkEncodeChunk/$slots/fast" "$ALLOC_CEILING"
-	alloc_gate "BenchmarkDecodeChunk/$slots/fast" "$ALLOC_CEILING"
+	alloc_gate "BenchmarkEncodeChunk/$slots" "$ALLOC_CEILING"
+	alloc_gate "BenchmarkDecodeChunk/$slots" "$ALLOC_CEILING"
 done
-alloc_gate "BenchmarkEncodeRangedRead/fast" "$ALLOC_CEILING"
-alloc_gate "BenchmarkDecodeRangedRead/fast" "$ALLOC_CEILING"
+alloc_gate BenchmarkEncodeRangedRead "$ALLOC_CEILING"
+alloc_gate BenchmarkDecodeRangedRead "$ALLOC_CEILING"
 
-# Per-open control plane: the fast control codecs at 2 allocs/op, one
-# transport call at 4, then a whole live negotiation at 8 x holders + 40.
-for payload in CFP Bid OpenRequest; do
-	alloc_gate "BenchmarkEncodeCtl/$payload/fast" 2
-	alloc_gate "BenchmarkDecodeCtl/$payload/fast" 2
+# Control plane: the control codecs at 2 allocs/op (per-open and
+# replication frames alike), one transport call at 4, then a whole live
+# negotiation at 8 x holders + 40.
+for payload in CFP Bid OpenRequest BeginReplication ShardMirror; do
+	alloc_gate "BenchmarkEncodeCtl/$payload" 2
+	alloc_gate "BenchmarkDecodeCtl/$payload" 2
 done
 alloc_gate BenchmarkCall 4
 for holders in 3 8 16; do
