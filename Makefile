@@ -75,7 +75,7 @@ cover:
 # ceiling on a whole K4 striped read, the 0- and 1-alloc gates on the MM's
 # refused BeginReplication and RMsWithout and the 1-alloc gate on the RM's
 # whole replication attempt at the cap, the DES event loop's gates (1
-# alloc per scheduled event at any queue depth, 0 per fed arrival, 12 per
+# alloc per scheduled event at any queue depth, 0 per fed arrival, 11 per
 # serial negotiation), and the K4-vs-K1 stripe-scaling
 # floor. The work-conserving QoS benchmark
 # (borrowing tree vs flat baseline) lands in BENCH_9.json, gated on
@@ -101,18 +101,21 @@ scenarios:
 scenarios-tenant:
 	SCEN_FLAGS="-scenario noisy-neighbor $(SCEN_FLAGS)" ./scripts/scenarios.sh BENCH_10.json
 
-# fuzz-smoke gives each wire codec fuzz target, and the event scheduler's
-# order-against-a-reference target, a short randomized run on top of its
-# seeded corpus — enough to catch decoder panics, round-trip divergence
-# and an event fired out of (time, sequence) order without CI-hostile
-# runtimes. Targets must run one at a time (go test allows a single -fuzz
-# pattern per invocation).
+# fuzz-smoke gives each wire codec fuzz target, the event scheduler's
+# order-against-a-reference target and the stripe segment geometry's
+# layout-against-a-reference target a short randomized run on top of its
+# seeded corpus — enough to catch decoder panics, round-trip divergence,
+# an event fired out of (time, sequence) order and a segment layout that
+# gaps, overlaps or overruns without CI-hostile runtimes. Targets must
+# run one at a time (go test allows a single -fuzz pattern per
+# invocation).
 FUZZ_TIME ?= 10s
 fuzz-smoke:
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz '^FuzzRead$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz '^FuzzBinaryChunkRoundTrip$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz '^FuzzBinaryCtlRoundTrip$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/simtime/ -run '^$$' -fuzz '^FuzzSchedulerOrder$$' -fuzztime $(FUZZ_TIME)
+	$(GO) test ./internal/dfsc/ -run '^$$' -fuzz '^FuzzStripeGeometry$$' -fuzztime $(FUZZ_TIME)
 
 # docs runs the documentation-consistency suite (internal/docscheck):
 # every flag the daemons register and every dfsqos_* telemetry series

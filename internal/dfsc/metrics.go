@@ -41,6 +41,11 @@ type Metrics struct {
 	// effective stripe width.
 	StripeReads *telemetry.Counter
 	StripeLanes *telemetry.Counter
+	// StripeFirstByte observes, once per striped read, the seconds from the
+	// ReadStriped call to the committer's first successful write
+	// (dfsqos_dfsc_stripe_first_byte_seconds): a stream's start-up delay —
+	// negotiation plus the first verified segment.
+	StripeFirstByte *telemetry.Histogram
 	// Segments counts data-plane segments committed to readers
 	// (dfsqos_dfsc_segments_total).
 	Segments *telemetry.Counter
@@ -103,6 +108,9 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 			"Striped (K-wide) reads started."),
 		StripeLanes: reg.NewCounter("dfsqos_dfsc_stripe_lanes_total",
 			"Stripe lanes admitted across striped reads."),
+		StripeFirstByte: reg.NewHistogram("dfsqos_dfsc_stripe_first_byte_seconds",
+			"Seconds from a striped read's start to its first byte at the writer.",
+			telemetry.DefBuckets),
 		Segments: reg.NewCounter("dfsqos_dfsc_segments_total",
 			"Data-plane segments committed to readers."),
 		OversubAdmits: reg.NewCounter("dfsqos_dfsc_oversub_admits_total",

@@ -1,5 +1,6 @@
 // K-wide striped reads: one segment scheduler generalizing the failover
-// reader. The file is split into addressable byte-range segments, the
+// reader. The file is split into addressable byte-range segments (small
+// ones first, so the stream starts early: see segGeometry), the
 // negotiation admits the top-K bidders simultaneously (one reservation
 // per lane, reusing the existing CFP fan-out), and lanes pull contiguous
 // ranges concurrently — each verified by a per-range checksum from the
@@ -64,9 +65,10 @@ type StripeConfig struct {
 	// identical to the pre-stripe reader. Fewer eligible replicas than
 	// Width degrades the stripe to the width that exists.
 	Width int
-	// SegmentBytes is the stripe granularity (default 1 MiB): lanes pull
-	// ranges of this size, so smaller segments rebalance faster around a
-	// slow replica at the cost of more range requests.
+	// SegmentBytes is the steady-state stripe granularity (default 1 MiB):
+	// past the opening ramp (see segGeometry) lanes pull ranges of this
+	// size, so smaller segments rebalance faster around a slow replica at
+	// the cost of more range requests.
 	SegmentBytes int64
 	// HedgeAfter, when positive, arms slow-replica hedging: an idle lane
 	// re-issues an in-flight range that has been running longer than this
@@ -132,10 +134,8 @@ type stripeRun struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 
-	size     int64
-	segBytes int64
-	numSegs  int
-	window   int // commit-window width in segments, bounds buffering
+	segGeometry
+	window int // commit-window width in segments, bounds buffering
 
 	next     int          // lowest never-assigned segment index
 	requeue  []int        // segments returned by dead lanes, kept sorted
@@ -171,8 +171,7 @@ var stripeRuns = sync.Pool{New: func() any {
 // previous borrower left that still fits.
 func borrowStripeRun(size, segBytes int64, width int) *stripeRun {
 	st := stripeRuns.Get().(*stripeRun)
-	st.size, st.segBytes = size, segBytes
-	st.numSegs = int((size + segBytes - 1) / segBytes)
+	st.segGeometry = newSegGeometry(size, segBytes, width)
 	st.window = 2*width + 2
 	if cap(st.slots) < st.window {
 		st.slots = make([]stripeSlot, st.window)
@@ -228,12 +227,58 @@ func (st *stripeRun) getBufLocked() []byte {
 // the run outright).
 func (st *stripeRun) putBufLocked(buf []byte) { st.free = append(st.free, buf[:0]) }
 
+// firstSegmentBytes is the size of a read's opening segments. The
+// committer may not hand byte 0 to the writer until segment 0 has arrived
+// whole and verified against its FileEnd checksum, so the first segment's
+// size — not SegmentBytes — is what a stream waits for before it starts.
+const firstSegmentBytes = 32 << 10
+
+// segGeometry is a read's segment layout, a pure function of (size,
+// SegmentBytes, Width): round r of the opening ramp is width segments of
+// firstSegmentBytes<<r each, for as long as that is under segBytes; from
+// there on segments are segBytes, the last one clamped at EOF. The first
+// byte then waits for one 32 KiB range on one lane while every lane still
+// reaches full-size ranges within a few round trips. segBytes ≤
+// firstSegmentBytes has no ramp: the layout is uniform.
+type segGeometry struct {
+	size, segBytes int64
+	width          int64
+	numSegs        int   // segments that cover the file
+	rampSegs       int   // of them, those in the ramp's rounds
+	rampBytes      int64 // bytes the ramp's rounds cover
+}
+
+func newSegGeometry(size, segBytes int64, width int) segGeometry {
+	g := segGeometry{size: size, segBytes: segBytes, width: int64(width)}
+	left := size
+	for seg := int64(firstSegmentBytes); seg < segBytes; seg <<= 1 {
+		round := g.width * seg
+		g.rampSegs += width
+		g.rampBytes += round
+		if left <= round {
+			// EOF falls inside this round: the file is all ramp.
+			g.numSegs = g.rampSegs - width + int((left+seg-1)/seg)
+			return g
+		}
+		left -= round
+	}
+	g.numSegs = g.rampSegs + int((left+segBytes-1)/segBytes)
+	return g
+}
+
 // segRange returns the byte range of segment idx.
-func (st *stripeRun) segRange(idx int) (off, length int64) {
-	off = int64(idx) * st.segBytes
-	length = st.segBytes
-	if off+length > st.size {
-		length = st.size - off
+func (g segGeometry) segRange(idx int) (off, length int64) {
+	if idx >= g.rampSegs {
+		off = g.rampBytes + int64(idx-g.rampSegs)*g.segBytes
+		length = g.segBytes
+	} else {
+		// Rounds 0..r-1 cover width × firstSegmentBytes × (2^r − 1) bytes.
+		r, k := uint(int64(idx)/g.width), int64(idx)%g.width
+		length = firstSegmentBytes << r
+		off = g.width*firstSegmentBytes*(1<<r-1) + k*length
+	}
+	if off+length > g.size {
+		length = g.size - off
 	}
 	return off, length
 }
@@ -258,6 +303,7 @@ func (c *Client) ReadStriped(s Streamer, file ids.FileID, w io.Writer, cfg Strip
 		cfg.Backoff = 50 * time.Millisecond
 	}
 	c.met.StripeReads.Inc()
+	start := time.Now()
 
 	size := int64(c.cat.File(file).Size)
 	if size == 0 {
@@ -281,6 +327,13 @@ func (c *Client) ReadStriped(s Streamer, file ids.FileID, w io.Writer, cfg Strip
 		root.SetOutcome("error")
 		return ReadResult{}, fmt.Errorf("dfsc: read %v: %s", file, fail.Reason)
 	}
+	// The lanes run under a context the committer cancels the moment the
+	// read aborts, so a failed writer does not wait out (and keep reserved)
+	// a whole segment per lane behind the throttle. The negotiation above
+	// stays on the plain one: a control call under a cancellable context
+	// pays for a cancellation callback.
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
 	c.met.StripeLanes.Add(uint64(len(lanes)))
 	st.res.Segments = make([]SegmentInfo, 0, st.numSegs)
 	st.res.RMs = make([]ids.RMID, 0, len(lanes))
@@ -336,6 +389,9 @@ func (c *Client) ReadStriped(s Streamer, file ids.FileID, w io.Writer, cfg Strip
 		c.mu.Unlock()
 		_, werr := w.Write(data)
 		if werr == nil {
+			if idx == 0 {
+				c.met.StripeFirstByte.Observe(time.Since(start).Seconds())
+			}
 			sum = wire.ChecksumUpdate(sum, data)
 		}
 		st.mu.Lock()
@@ -346,6 +402,7 @@ func (c *Client) ReadStriped(s Streamer, file ids.FileID, w io.Writer, cfg Strip
 	}
 	if st.err != nil {
 		st.cond.Broadcast() // idle lanes must see the abort
+		cancel()            // and busy ones drop their ranges
 	}
 	st.mu.Unlock()
 	wg.Wait()
@@ -454,6 +511,12 @@ func (c *Client) stripeLane(ctx context.Context, st *stripeRun, rs RangeStreamer
 		// re-admit the lane on another replica under the shared budget.
 		st.mu.Lock()
 		st.putBufLocked(lio.w.buf)
+		if st.err != nil {
+			// The read aborted under this range (the committer cancelled
+			// ctx): nothing to requeue, nobody to fail over for.
+			st.mu.Unlock()
+			return
+		}
 		if !hedge && idx >= st.commit && st.slot(idx).state == slotInflight {
 			st.requeueLocked(idx)
 		}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"io"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -437,5 +438,103 @@ func TestReadStripedSegmentPathDoesNotAllocate(t *testing.T) {
 	t.Logf("allocations per warm read: %.0f at 8 segments, %.0f at 256", small, large)
 	if large > small+16 {
 		t.Fatalf("a 256-segment read allocates %.0f, an 8-segment read %.0f: the segment path allocates per segment again", large, small)
+	}
+}
+
+// TestReadStripedRequestsRampedRanges watches the ranges a read actually
+// asks its replicas for: the first Width of them are firstSegmentBytes —
+// that is all byte 0 waits for — they double per round up to SegmentBytes,
+// and the read still delivers and verifies every byte.
+func TestReadStripedRequestsRampedRanges(t *testing.T) {
+	h := newHarness(t,
+		map[ids.RMID]units.BytesPerSec{1: units.Mbps(200), 2: units.Mbps(100)},
+		map[ids.FileID][]ids.RMID{0: {1, 2}})
+	c := h.client(t, selection.RemOnly, qos.Soft)
+	const size, segBytes, width = 1<<20 + 123, 256 << 10, 2
+	body := stripeBody(h, size)
+	s := &rangedStreamer{body: body}
+	var got bytes.Buffer
+	res, err := c.ReadStriped(s, 0, &got, StripeConfig{Width: width, SegmentBytes: segBytes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), body) {
+		t.Fatalf("delivered %d bytes, mismatch with body", got.Len())
+	}
+	if want := wire.ChecksumUpdate(wire.ChecksumBasis, body); res.Checksum != want {
+		t.Fatalf("res.Checksum = %x, want whole-file %x", res.Checksum, want)
+	}
+	sort.Slice(s.calls, func(i, j int) bool { return s.calls[i].off < s.calls[j].off })
+	want := referenceLayout(size, segBytes, width)
+	if len(s.calls) != len(want) || len(res.Segments) != len(want) {
+		t.Fatalf("%d range calls, %d segments committed, want %d of each", len(s.calls), len(res.Segments), len(want))
+	}
+	for i, call := range s.calls {
+		if call.off != want[i].off || call.length != want[i].length {
+			t.Fatalf("range %d requested [%d,+%d), want [%d,+%d)", i, call.off, call.length, want[i].off, want[i].length)
+		}
+	}
+	// 2 × 32 KiB, 2 × 64 KiB, 2 × 128 KiB, then 256 KiB to EOF.
+	for i, length := range []int64{32 << 10, 32 << 10, 64 << 10, 64 << 10, 128 << 10, 128 << 10, 256 << 10} {
+		if s.calls[i].length != length {
+			t.Fatalf("range %d is %d bytes, want %d", i, s.calls[i].length, length)
+		}
+	}
+}
+
+// stuckStreamer serves the range at offset 0 and parks every other one
+// until its context ends — a replica far behind its throttle.
+type stuckStreamer struct{ body []byte }
+
+func (s stuckStreamer) StreamAt(ctx context.Context, rm ids.RMID, file ids.FileID, req ids.RequestID, offset int64, w io.Writer, sum *uint64) (int64, error) {
+	return s.StreamRange(ctx, rm, file, req, offset, int64(len(s.body))-offset, w, sum)
+}
+
+func (s stuckStreamer) StreamRange(ctx context.Context, _ ids.RMID, _ ids.FileID, _ ids.RequestID, offset, length int64, w io.Writer, sum *uint64) (int64, error) {
+	if offset != 0 {
+		<-ctx.Done()
+		return 0, ctx.Err()
+	}
+	seg := s.body[:length]
+	n, err := w.Write(seg)
+	*sum = wire.ChecksumUpdate(*sum, seg)
+	return int64(n), err
+}
+
+type failingWriter struct{ err error }
+
+func (w failingWriter) Write([]byte) (int, error) { return 0, w.err }
+
+// TestReadStripedAbortStopsLanes: when the caller's writer fails, the read
+// must stop its in-flight ranges rather than wait for each to finish while
+// holding the lanes' reservations.
+func TestReadStripedAbortStopsLanes(t *testing.T) {
+	h := newHarness(t,
+		map[ids.RMID]units.BytesPerSec{1: units.Mbps(200), 2: units.Mbps(100)},
+		map[ids.FileID][]ids.RMID{0: {1, 2}})
+	c := h.client(t, selection.RemOnly, qos.Soft)
+	s := stuckStreamer{body: stripeBody(h, 1000)}
+	errDisk := errors.New("disk full")
+
+	errc := make(chan error, 1)
+	go func() {
+		_, err := c.ReadStriped(s, 0, failingWriter{errDisk}, StripeConfig{Width: 2, SegmentBytes: 100, MaxFailovers: 2})
+		errc <- err
+	}()
+	select {
+	case err := <-errc:
+		if !errors.Is(err, errDisk) {
+			t.Fatalf("err = %v, want the writer's error", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("ReadStriped is still waiting for its in-flight ranges 5 s after the writer failed")
+	}
+	for id, node := range h.rms {
+		if node.Allocated() != 0 {
+			t.Fatalf("RM %v still has %v allocated", id, node.Allocated())
+		}
+	}
+	if st := c.Stats(); st.Failovers != 0 {
+		t.Fatalf("stats.Failovers = %d: an aborted read re-negotiated a lane", st.Failovers)
 	}
 }

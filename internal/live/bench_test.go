@@ -240,6 +240,17 @@ func BenchmarkLiveWorkConservingThroughput(b *testing.B) {
 	}
 }
 
+// firstByteStamp discards what it is given, noting when the first of it
+// arrived.
+type firstByteStamp struct{ at time.Time }
+
+func (w *firstByteStamp) Write(p []byte) (int, error) {
+	if w.at.IsZero() && len(p) > 0 {
+		w.at = time.Now()
+	}
+	return len(p), nil
+}
+
 // BenchmarkLiveStripedReadThroughput measures the K-wide striped read
 // against per-replica blkio throttles: K RMs each capped at 32 MB/s, all
 // holding the file, one dfsc client striping ranges across them. Unlike
@@ -248,7 +259,8 @@ func BenchmarkLiveWorkConservingThroughput(b *testing.B) {
 // aggregate, so throughput should scale ~linearly with K (the paper's
 // single-RM QoS ceiling, multiplied by parallel replicas). K1 runs the
 // sequential ReadWithFailover path and is the baseline BENCH_6.json's
-// stripe-scaling gate compares K4 against.
+// stripe-scaling gate compares K4 against. Beside MB/s each arm reports
+// first-byte-ms, the start-up delay with the throttle in the way.
 func BenchmarkLiveStripedReadThroughput(b *testing.B) {
 	perRM := units.Mbps(256) // 32 MB/s sustained per replica
 	for _, k := range []int{1, 2, 4} {
@@ -311,11 +323,17 @@ func BenchmarkLiveStripedReadThroughput(b *testing.B) {
 				b.FailNow()
 			}
 
+			// first-byte-ms: the call to the first byte at the writer, mean
+			// over the reads.
+			var sink firstByteStamp
+			var toFirstByte time.Duration
 			b.SetBytes(size)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := client.ReadStriped(lc.dir, 0, io.Discard, dfsc.StripeConfig{
+				sink.at = time.Time{}
+				start := time.Now()
+				res, err := client.ReadStriped(lc.dir, 0, &sink, dfsc.StripeConfig{
 					Width:        k,
 					SegmentBytes: segBytes,
 				})
@@ -325,7 +343,9 @@ func BenchmarkLiveStripedReadThroughput(b *testing.B) {
 				if res.Bytes != size {
 					b.Fatalf("striped %d bytes, want %d", res.Bytes, size)
 				}
+				toFirstByte += sink.at.Sub(start)
 			}
+			b.ReportMetric(float64(toFirstByte)/float64(b.N)/1e6, "first-byte-ms")
 		})
 	}
 }

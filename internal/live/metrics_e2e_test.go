@@ -34,8 +34,8 @@ import (
 // the full three-phase flow, and scrapes a monitor /metrics page. The
 // exposition must carry the transport call-latency histogram, the pool
 // gauge, the RM remaining-bandwidth gauge, the CFP/bid/admission counters,
-// and the dfsc negotiation-latency histogram — the acceptance shape of the
-// telemetry plane.
+// the dfsc negotiation-latency histogram and, after one striped read, its
+// first-byte histogram — the acceptance shape of the telemetry plane.
 func TestMetricsEndToEnd(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	tcfg := transport.Config{Metrics: transport.NewMetrics(reg)}
@@ -159,19 +159,23 @@ func TestMetricsEndToEnd(t *testing.T) {
 	// Prometheus server would scrape an rmd.
 	mon := httptest.NewServer(monitor.NewRMHandler(firstNode, firstDisk, sched, reg, nil))
 	defer mon.Close()
-	resp, err := http.Get(mon.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
+	scrape := func() string {
+		t.Helper()
+		resp, err := http.Get(mon.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := resp.Header.Get("Content-Type"); got != telemetry.ContentType {
+			t.Fatalf("content type %q", got)
+		}
+		return string(raw)
 	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := resp.Header.Get("Content-Type"); got != telemetry.ContentType {
-		t.Fatalf("content type %q", got)
-	}
-	body := string(raw)
+	body := scrape()
 
 	for _, want := range []string{
 		// Transport: per-call latency histogram and pool gauge.
@@ -210,6 +214,23 @@ func TestMetricsEndToEnd(t *testing.T) {
 	}
 	if !strings.Contains(body, "dfsqos_dfsc_negotiation_latency_seconds_count 3") {
 		t.Errorf("negotiation count != 3:\n%s", grepLines(body, "negotiation_latency_seconds_count"))
+	}
+
+	// A striped read reports its start-up delay once, at the committer's
+	// first write: the number an operator reads beside the negotiation
+	// latency to tell a slow open from a slow first segment.
+	if _, err := client.ReadStriped(dir, 0, io.Discard, dfsc.StripeConfig{Width: 2}); err != nil {
+		t.Fatalf("striped read: %v", err)
+	}
+	body = scrape()
+	for _, want := range []string{
+		"dfsqos_dfsc_stripe_first_byte_seconds_bucket",
+		"dfsqos_dfsc_stripe_first_byte_seconds_count 1",
+		"dfsqos_dfsc_stripe_reads_total 1",
+	} {
+		if !strings.Contains(body, want) {
+			t.Errorf("missing %q after a striped read:\n%s", want, grepLines(body, "dfsqos_dfsc_stripe"))
+		}
 	}
 
 	// Debug-surface smoke: every daemon monitor handler also answers

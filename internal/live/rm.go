@@ -701,16 +701,17 @@ func (c *RMClient) FinishReplica(rep ids.ReplicationID, committed bool) {
 // stream checks a dedicated connection out of the pool for a data-plane
 // exchange, runs fn on it, and returns it (discarding on transport
 // failure). Streams are exempt from the call deadline — the disk throttle
-// paces them — but still inherit the dial deadline and backoff gate.
-func (c *RMClient) stream(fn func(wc *wire.Conn) error) error {
-	conn, err := c.t.Get(context.Background())
-	if err != nil {
-		c.broken.Store(true)
-		return err
+// paces them — but still inherit the dial deadline and backoff gate. A
+// stream that ends because ctx did is the caller giving up, not the RM
+// failing: the connection (mid-exchange) is discarded like any other, but
+// the broken flag is left alone.
+func (c *RMClient) stream(ctx context.Context, fn func(wc *wire.Conn) error) error {
+	conn, err := c.t.Get(ctx)
+	if err == nil {
+		err = transport.Classify("stream", c.t.Addr(), fn(conn.W))
+		c.t.Put(conn, err)
 	}
-	err = transport.Classify("stream", c.t.Addr(), fn(conn.W))
-	c.t.Put(conn, err)
-	if err != nil && !transport.IsRemote(err) {
+	if err != nil && !transport.IsRemote(err) && ctx.Err() == nil {
 		c.broken.Store(true)
 	}
 	return err
@@ -723,7 +724,8 @@ func (c *RMClient) stream(fn func(wc *wire.Conn) error) error {
 // the serving RM's "rm.stream" span becomes a child of the caller's
 // segment span; a non-zero req names the QoS reservation the stream rides
 // (the server renews its lease per chunk). It holds a dedicated pooled
-// connection for the duration of the stream.
+// connection for the duration of the stream, and gives both up between
+// chunks once ctx is done.
 //
 // sum, when non-nil, is the running checksum state (CRC-32C, see
 // wire.ChecksumUpdate) the received bytes are folded into and the FileEnd
@@ -743,13 +745,16 @@ func (c *RMClient) ReadRange(ctx context.Context, file ids.FileID, req ids.Reque
 		return 0, fmt.Errorf("live: ReadRange length %d is negative", length)
 	}
 	pos := offset
-	err := c.stream(func(wc *wire.Conn) error {
+	err := c.stream(ctx, func(wc *wire.Conn) error {
 		if err := wc.WriteReadReq(trace.FromContext(ctx), wire.ReadFile{
 			File: file, ChunkSize: 128 * 1024, Offset: offset, Request: req, Length: length,
 		}); err != nil {
 			return err
 		}
 		for {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
 			msg, err := wc.Read()
 			if err != nil {
 				return err
@@ -830,7 +835,7 @@ func (c *RMClient) StoreFile(req ecnp.StoreRequest) error {
 // and fails unless the server acknowledges a checksum-verified store.
 func (c *RMClient) WriteFile(ctx context.Context, file ids.FileID, rep ids.ReplicationID, size int64, r io.Reader) error {
 	tc := trace.FromContext(ctx)
-	return c.stream(func(wc *wire.Conn) error {
+	return c.stream(ctx, func(wc *wire.Conn) error {
 		if err := wc.WriteTraced(tc, wire.KindWriteFile, wire.WriteFile{File: file, SizeBytes: size, Replication: rep}); err != nil {
 			return err
 		}

@@ -3,13 +3,16 @@ package live
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"dfsqos/internal/dfsc"
+	"dfsqos/internal/faults"
 	"dfsqos/internal/ids"
 	"dfsqos/internal/qos"
 	"dfsqos/internal/replication"
@@ -97,7 +100,7 @@ func TestLiveOverlongRangeClampsAtEOF(t *testing.T) {
 	}
 	var got bytes.Buffer
 	var end wire.FileEnd
-	err = rmCli.stream(func(wc *wire.Conn) error {
+	err = rmCli.stream(context.Background(), func(wc *wire.Conn) error {
 		if err := wc.Write(wire.KindReadFile, wire.ReadFile{File: 0, ChunkSize: 64 * 1024, Offset: 1, Length: math.MaxInt64}); err != nil {
 			return err
 		}
@@ -129,6 +132,55 @@ func TestLiveOverlongRangeClampsAtEOF(t *testing.T) {
 	}
 	if end.Checksum != wire.ChecksumUpdate(wire.ChecksumBasis, want) {
 		t.Fatalf("range checksum %x does not verify the delivered bytes", end.Checksum)
+	}
+}
+
+// cancelOnWrite accepts bytes and ends its context at the first of them.
+type cancelOnWrite struct{ cancel context.CancelFunc }
+
+func (w cancelOnWrite) Write(p []byte) (int, error) {
+	w.cancel()
+	return len(p), nil
+}
+
+// TestLiveReadRangeStopsWhenContextEnds: a read whose context ends
+// mid-stream stops between chunks with the context's error and gives its
+// connection up, and — the caller quit, the RM did not fail — leaves the
+// client unbroken, so the next read needs no re-resolution.
+func TestLiveReadRangeStopsWhenContextEnds(t *testing.T) {
+	lc := startLiveCluster(t,
+		[]units.BytesPerSec{units.Mbps(800)},
+		map[ids.FileID][]ids.RMID{0: {1}},
+		replication.DefaultConfig(replication.Static()), 100)
+	defer lc.shutdown()
+
+	rmCli, ok := lc.dir.RMClient(1)
+	if !ok {
+		t.Fatal("RM 1 unreachable")
+	}
+	var whole bytes.Buffer
+	size, err := readWhole(rmCli, 0, &whole)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	n, err := rmCli.ReadRange(ctx, 0, 0, 0, 0, cancelOnWrite{cancel}, nil)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v after the context ended, want context.Canceled", err)
+	}
+	if n <= 0 || n > 128<<10 {
+		t.Fatalf("read went on for %d of %d bytes after its first chunk cancelled it", n, size)
+	}
+	if rmCli.Broken() {
+		t.Fatal("the caller's own cancellation marked the RM broken")
+	}
+	var again bytes.Buffer
+	if _, err := readWhole(rmCli, 0, &again); err != nil {
+		t.Fatalf("read after a cancelled one: %v", err)
+	}
+	if !bytes.Equal(again.Bytes(), whole.Bytes()) {
+		t.Fatal("read after a cancelled one delivered different bytes")
 	}
 }
 
@@ -203,34 +255,59 @@ func TestLiveStripedReadOverTCP(t *testing.T) {
 }
 
 // TestChaosKillMidStripeLaneDegrades is the striped crash drill: a
-// scripted fault kills the first-ranked lane's RM after its first streamed
-// chunk. With no failover budget the stripe must degrade to K-1 lanes,
-// re-assign the dead lane's range, and still deliver every byte — zero
-// dirty bytes under the whole-file checksum — while the corpse's orphaned
-// reservation is reclaimed by one lease sweep.
+// scripted fault kills the first-ranked lane's RM halfway through a range.
+// With no failover budget the stripe must degrade to K-1 lanes, re-assign
+// the dead lane's range, and still deliver every byte — zero dirty bytes
+// under the whole-file checksum, none of the half-delivered range among
+// them — while the corpse's orphaned reservation is reclaimed by one lease
+// sweep.
 func TestChaosKillMidStripeLaneDegrades(t *testing.T) {
 	lc := startChaosCluster(t, chaosOpts{
 		// RemOnly ranks by remaining bandwidth, so the doomed big RM is
 		// deterministically the first lane of the stripe.
 		caps:        []units.BytesPerSec{units.Mbps(300), units.Mbps(200), units.Mbps(100)},
 		holders:     map[ids.FileID][]ids.RMID{0: {1, 2, 3}},
-		rmFaults:    map[ids.RMID]string{1: "rm.stream.chunk:after=1:action=kill"},
 		leaseTTLSec: 5,
 	})
 	defer lc.shutdown()
 	client := lc.client(t, qos.Firm)
+	size := int64(lc.cat.File(0).Size)
+
+	// A kill counted in chunks would land between two verified ranges: a
+	// read's opening ranges (3 lanes × 32, 64, 128 KiB) are one 128 KiB
+	// chunk or less. From there on every range is two chunks, so the kill is
+	// armed on the second chunk of each of them and fires inside the first
+	// full-size range RM 1 serves, one chunk delivered and one not.
+	const segBytes, chunkBytes = 256 << 10, 128 << 10
+	rampEnd := int64(3 * (32 + 64 + 128) << 10)
+	script := faults.NewScript(1)
+	script.SetMetrics(faults.NewMetrics(lc.reg))
+	var armed []int64
+	for off := rampEnd + chunkBytes; off < size; off += segBytes {
+		script.Add(faults.Rule{Point: faults.PointRMChunk, Match: strconv.FormatInt(off, 10), Action: faults.Kill})
+		armed = append(armed, off)
+	}
+	// Rules match a chunk's decimal offset by substring: no other chunk
+	// offset a read can ask for (all are multiples of 32 KiB) may contain one.
+	for m := int64(0); m < size; m += 32 << 10 {
+		for _, off := range armed {
+			if m != off && strings.Contains(strconv.FormatInt(m, 10), strconv.FormatInt(off, 10)) {
+				t.Fatalf("kill armed at %d would also fire at %d", off, m)
+			}
+		}
+	}
+	lc.rmSrvs[1].SetFaults(script)
 
 	var got bytes.Buffer
 	res, err := client.ReadStriped(lc.dir, 0, &got, dfsc.StripeConfig{
 		Width:        3,
-		SegmentBytes: 256 << 10,
+		SegmentBytes: segBytes,
 		MaxFailovers: 0,
 		Backoff:      time.Millisecond,
 	})
 	if err != nil {
 		t.Fatalf("striped read with lane kill: %v", err)
 	}
-	size := int64(lc.cat.File(0).Size)
 	if res.Bytes != size || int64(got.Len()) != size {
 		t.Fatalf("delivered %d/%d bytes (result %d)", got.Len(), size, res.Bytes)
 	}
@@ -252,12 +329,41 @@ func TestChaosKillMidStripeLaneDegrades(t *testing.T) {
 	if sum := wire.ChecksumUpdate(wire.ChecksumBasis, got.Bytes()); sum != want {
 		t.Fatalf("delivered bytes checksum %x, replica %x", sum, want)
 	}
-	// The dead lane's partial range was discarded, not committed: every
-	// committed segment came from a survivor.
-	for _, seg := range res.Segments {
-		if seg.RM == 1 {
-			t.Fatalf("segment %+v committed from the killed RM", seg)
+	survivor, ok := lc.dir.RMClient(2)
+	if !ok {
+		t.Fatal("RM 2 unreachable")
+	}
+	var replica bytes.Buffer
+	if _, err := readWhole(survivor, 0, &replica); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), replica.Bytes()) {
+		t.Fatal("delivered bytes differ from the surviving replica's copy")
+	}
+	// The kill fired once, inside a range: RM 1 had sent that range's first
+	// chunk and not its second. The half-delivered range was discarded and
+	// re-fetched from a survivor, and RM 1 — one range in flight at a time,
+	// claimed in offset order — committed nothing at or beyond it.
+	killedAt := int64(-1)
+	for i, off := range armed {
+		if n := script.Fired(i); n > 1 || (n == 1 && killedAt >= 0) {
+			t.Fatalf("kill fired more than once (rule %d at %d: %d)", i, off, n)
+		} else if n == 1 {
+			killedAt = off
 		}
+	}
+	if killedAt < 0 {
+		t.Fatalf("no kill fired: RM 1 never served a full-size range (segments %+v)", res.Segments)
+	}
+	rangeStart, tiled := killedAt-chunkBytes, false
+	for _, seg := range res.Segments {
+		tiled = tiled || seg.Offset == rangeStart
+		if seg.RM == 1 && seg.Offset >= rangeStart {
+			t.Fatalf("segment %+v committed from RM 1, killed at %d inside the range starting at %d", seg, killedAt, rangeStart)
+		}
+	}
+	if !tiled {
+		t.Fatalf("no segment starts at %d: the kill at %d was not one chunk into a range (segments %+v)", rangeStart, killedAt, res.Segments)
 	}
 
 	// The kill arrived between Open and Close: RM 1's lane reservation is

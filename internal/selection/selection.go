@@ -200,9 +200,15 @@ func Rank(p Policy, bids []Bid) []ids.RMID {
 		score float64
 		idx   int
 	}
-	ss := make([]scored, len(bids))
+	// The working copy lives on the stack for any bid list a replica
+	// degree produces; only a longer one is worth a heap slice.
+	var stack [16]scored
+	ss := stack[:0]
+	if len(bids) > len(stack) {
+		ss = make([]scored, 0, len(bids))
+	}
 	for i, b := range bids {
-		ss[i] = scored{rm: b.RM, score: p.Score(b), idx: i}
+		ss = append(ss, scored{rm: b.RM, score: p.Score(b), idx: i})
 	}
 	// Insertion sort: bid lists are tiny (≤ replica degree).
 	for i := 1; i < len(ss); i++ {
