@@ -1,10 +1,11 @@
 # Build/test entry points. `make tier1` is the acceptance gate every PR
-# must keep green; `make race` exercises the concurrent paths (transport
-# pool, CFP fan-out, live servers, telemetry scrapes) under the race
-# detector; `make cover` enforces the per-package coverage floor on the
-# observability packages; `make chaos` replays the deterministic
-# fault-injection drills (scripted kill/error/torn-frame incidents over
-# real TCP) plus the crash/liveness suites they build on; `make docs`
+# must keep green; `make race` runs every package under the race detector
+# (transport pool, CFP fan-out, read fetchers, live servers, telemetry
+# scrapes, the live scenario slices); `make cover` enforces the
+# per-package coverage floor on the observability packages; `make chaos`
+# replays the deterministic fault-injection drills (scripted
+# kill/error/torn-frame incidents over real TCP) plus the crash/liveness
+# suites they build on; `make docs`
 # keeps docs/OPERATIONS.md and the godoc surface in lock-step with the
 # code.
 
@@ -26,11 +27,11 @@ vet:
 	$(GO) vet ./...
 
 race:
-	$(GO) test -race -count=1 ./internal/wire/... ./internal/transport/... ./internal/live/... ./internal/dfsc/... ./internal/telemetry/... ./internal/monitor/... ./internal/mm/... ./internal/rm/... ./internal/replication/... ./internal/rng/... ./internal/faults/... ./internal/blkio/... ./internal/tenant/... ./internal/vdisk/...
+	$(GO) test -race -count=1 ./...
 
 # chaos replays the self-healing drills: deterministic fault scripts
 # (internal/faults) against live TCP deployments — mid-stream kill with
-# offset-resumed failover, crash-restart liveness epochs, scripted Open
+# lane failover, crash-restart liveness epochs, scripted Open
 # errors, lease-sweeper keepalives — plus the older crash/redial suites.
 chaos:
 	$(GO) test -race -count=1 ./internal/faults/...

@@ -45,13 +45,11 @@ type Stats struct {
 	NoReplica int64
 	// Completed counts accesses whose reservation has been released.
 	Completed int64
-	// Failovers counts mid-stream reads re-admitted on another replica
-	// after their serving RM died (striped reads: one per lane
-	// re-admission).
+	// Failovers counts read lanes re-admitted on another replica after
+	// their serving RM died mid-stream.
 	Failovers int64
 	// Segments counts data-plane segments delivered to readers: one per
-	// serving RM on the sequential path, one per committed byte range on
-	// the striped path.
+	// committed byte range.
 	Segments int64
 	// Hedges counts speculative re-issues of a lagging lane's segment to
 	// another replica; HedgesWon counts those where the hedge beat the
@@ -271,19 +269,11 @@ func (c *Client) AccessHeld(file ids.FileID) (Outcome, func()) {
 }
 
 // AccessHeldExcluding is AccessHeld with an exclusion set: RMs in exclude
-// are dropped from the eligible holders before the CFP fan-out. The
-// failover reader uses it to re-negotiate around a replica that died
-// mid-stream without waiting for the MM's liveness window to catch up.
+// are dropped from the eligible holders before the CFP fan-out, so a
+// caller can re-negotiate around a replica that died without waiting for
+// the MM's liveness window to catch up.
 func (c *Client) AccessHeldExcluding(file ids.FileID, exclude map[ids.RMID]bool) (Outcome, func()) {
-	return c.accessHeldCtx(context.Background(), file, exclude)
-}
-
-// accessHeldCtx is AccessHeldExcluding with a caller-supplied context: a
-// span context attached via trace.NewContext makes the negotiation spans
-// children of the caller's trace (the failover reader threads its
-// "dfsc.read" root through here so every re-negotiation shares one trace).
-func (c *Client) accessHeldCtx(ctx context.Context, file ids.FileID, exclude map[ids.RMID]bool) (Outcome, func()) {
-	out, p := c.negotiateCtx(ctx, file, exclude)
+	out, p := c.negotiateCtx(context.Background(), file, exclude)
 	if !out.OK {
 		return out, func() {}
 	}
@@ -312,7 +302,7 @@ type heldLane struct {
 
 // accessLanesCtx negotiates up to k concurrent lanes for file (see
 // negotiateLanes) and wraps each grant with an idempotent release, the
-// K-wide sibling of accessHeldCtx. Fewer than k lanes is a degraded
+// K-wide sibling of AccessHeldExcluding. Fewer than k lanes is a degraded
 // width, not an error; zero lanes reports the failure Outcome.
 func (c *Client) accessLanesCtx(ctx context.Context, file ids.FileID, exclude map[ids.RMID]bool, k int) ([]heldLane, Outcome) {
 	grants, fail := c.negotiateLanes(ctx, file, exclude, k)

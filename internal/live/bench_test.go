@@ -257,8 +257,8 @@ func (w *firstByteStamp) Write(p []byte) (int, error) {
 // the raw streaming benchmark above, the throttle is deliberately IN the
 // way — per-replica bandwidth is the bottleneck the stripe exists to
 // aggregate, so throughput should scale ~linearly with K (the paper's
-// single-RM QoS ceiling, multiplied by parallel replicas). K1 runs the
-// sequential ReadWithFailover path and is the baseline BENCH_6.json's
+// single-RM QoS ceiling, multiplied by parallel replicas). K1 runs one
+// lane with two fetchers on one replica and is the baseline BENCH_6.json's
 // stripe-scaling gate compares K4 against. Beside MB/s each arm reports
 // first-byte-ms, the start-up delay with the throttle in the way.
 func BenchmarkLiveStripedReadThroughput(b *testing.B) {

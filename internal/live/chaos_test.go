@@ -258,10 +258,11 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 
 // TestChaosKillMidStreamFailoverResumes is the headline crash drill over
 // real TCP: a scripted fault kills the serving RM after the first streamed
-// chunk; the client must fail over to the surviving replica, resume at the
-// exact byte offset, and still pass the whole-file checksum carried across
-// segments. The orphaned reservation on the corpse is then reclaimed by
-// one lease sweep, returning its bandwidth to the ledger.
+// chunk; the one-lane read must fail over to the surviving replica, which
+// re-fetches the segments the corpse left unfinished, and the delivered
+// bytes must still pass the whole-file checksum. The orphaned reservation
+// on the corpse is then reclaimed by one lease sweep, returning its
+// bandwidth to the ledger.
 func TestChaosKillMidStreamFailoverResumes(t *testing.T) {
 	lc := startChaosCluster(t, chaosOpts{
 		// RemOnly ranks by remaining bandwidth, so the doomed big RM
@@ -275,7 +276,8 @@ func TestChaosKillMidStreamFailoverResumes(t *testing.T) {
 	client := lc.client(t, qos.Firm)
 
 	var got bytes.Buffer
-	res, err := client.ReadWithFailover(lc.dir, 0, &got, dfsc.FailoverConfig{
+	res, err := client.ReadStriped(lc.dir, 0, &got, dfsc.StripeConfig{
+		Width:        1,
 		MaxFailovers: 2,
 		Backoff:      time.Millisecond,
 	})

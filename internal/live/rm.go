@@ -377,20 +377,6 @@ func getStreamBuf(n int) *[]byte {
 	return bp
 }
 
-// fileEnds recycles the FileEnd payloads streamFile sends, one per range
-// request: boxing the struct value into the payload interface would
-// allocate it each time, a pooled pointer does not (the wire codec accepts
-// either).
-var fileEnds = sync.Pool{New: func() any { return new(wire.FileEnd) }}
-
-func writeFileEnd(wc *wire.Conn, tc trace.SpanContext, size int64, sum uint64) error {
-	fe := fileEnds.Get().(*wire.FileEnd)
-	fe.Size, fe.Checksum = size, sum
-	err := wc.WriteTraced(tc, wire.KindFileEnd, fe)
-	fileEnds.Put(fe)
-	return err
-}
-
 // streamFile sends the file from req.Offset as FileChunk frames followed
 // by FileEnd. A positive req.Length bounds the stream to the byte range
 // [Offset, Offset+Length) clamped at EOF; the FileEnd then reports the
@@ -489,13 +475,13 @@ func (s *RMServer) streamFile(wc *wire.Conn, req wire.ReadFile, sp *trace.Span) 
 		// Ranged FileEnd: Size is the absolute end position of the range
 		// and Checksum covers exactly the range bytes, so each stripe
 		// segment verifies independently of its siblings.
-		return writeFileEnd(wc, tc, end, rangeSum)
+		return wc.WriteFileEnd(tc, end, rangeSum)
 	}
 	sum, err := s.disk.Checksum(name)
 	if err != nil {
 		return wc.WriteError(err)
 	}
-	return writeFileEnd(wc, tc, int64(size), sum)
+	return wc.WriteFileEnd(tc, int64(size), sum)
 }
 
 // ingestFile receives an inbound data stream (replica copy or upload) and
@@ -545,7 +531,8 @@ func (s *RMServer) ingestFile(wc *wire.Conn, req wire.WriteFile, sp *trace.Span)
 				return wc.WriteError(fmt.Errorf("rm: stream exceeds declared size %d", req.SizeBytes))
 			}
 		case wire.KindFileEnd:
-			end, ok := msg.Payload.(wire.FileEnd)
+			end, ok := msg.FileEnd()
+			msg.Release()
 			if !ok {
 				return wc.WriteError(fmt.Errorf("rm: malformed FileEnd"))
 			}
@@ -734,12 +721,11 @@ func (c *RMClient) stream(ctx context.Context, fn func(wc *wire.Conn) error) err
 //
 //   - length > 0: FileEnd.Size is the absolute end of the range (clamped
 //     at EOF) and Checksum covers the range bytes only; seed sum with
-//     wire.ChecksumBasis per range. The stripe lanes read this way.
+//     wire.ChecksumBasis per range. dfsc.ReadStriped reads this way.
 //   - length 0: FileEnd carries the file's size and whole-file checksum,
-//     so sum is the state carried across failover segments — seeded with
-//     wire.ChecksumBasis before the first; resumed segments are
-//     byte-contiguous, so the final FileEnd still verifies. (An offset
-//     read with no prior state cannot verify: pass nil.)
+//     so sum must hold the state of bytes [0, offset) — wire.ChecksumBasis
+//     for a read from 0. (An offset read with no prior state cannot
+//     verify: pass nil.)
 func (c *RMClient) ReadRange(ctx context.Context, file ids.FileID, req ids.RequestID, offset, length int64, w io.Writer, sum *uint64) (int64, error) {
 	if length < 0 {
 		return 0, fmt.Errorf("live: ReadRange length %d is negative", length)
@@ -788,7 +774,8 @@ func (c *RMClient) ReadRange(ctx context.Context, file ids.FileID, req ids.Reque
 				msg.Release()
 				pos += int64(n)
 			case wire.KindFileEnd:
-				end, ok := msg.Payload.(wire.FileEnd)
+				end, ok := msg.FileEnd()
+				msg.Release()
 				if !ok {
 					return fmt.Errorf("live: malformed FileEnd")
 				}
@@ -861,7 +848,7 @@ func (c *RMClient) WriteFile(ctx context.Context, file ids.FileID, rep ids.Repli
 		if off != size {
 			return fmt.Errorf("live: source delivered %d of %d bytes", off, size)
 		}
-		if err := wc.WriteTraced(tc, wire.KindFileEnd, wire.FileEnd{Size: size, Checksum: sum}); err != nil {
+		if err := wc.WriteFileEnd(tc, size, sum); err != nil {
 			return err
 		}
 		reply, err := wc.Read()
@@ -989,7 +976,7 @@ func (d *Directory) RMClient(id ids.RMID) (*RMClient, bool) {
 	return c, ok
 }
 
-// StreamAt implements the dfsc failover reader's data plane: it resolves
+// StreamAt implements dfsc.Streamer, the to-EOF data plane: it resolves
 // rmID and streams file from offset into w under reservation req,
 // threading the caller's running checksum state across segments (see
 // RMClient.ReadRange, to-EOF form) and any span context carried by ctx

@@ -325,7 +325,7 @@ func TestShardChaosKillShardMidWorkload(t *testing.T) {
 	}
 	// A streamed read mid-outage delivers checksum-clean bytes.
 	var got bytes.Buffer
-	res, err := client.ReadWithFailover(sc.dir, coldFile, &got, dfsc.FailoverConfig{MaxFailovers: 1})
+	res, err := client.ReadStriped(sc.dir, coldFile, &got, dfsc.StripeConfig{Width: 1, MaxFailovers: 1})
 	if err != nil {
 		t.Fatalf("read with shard %d down: %v", victim, err)
 	}

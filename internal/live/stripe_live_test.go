@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"strconv"
 	"strings"
@@ -114,7 +115,7 @@ func TestLiveOverlongRangeClampsAtEOF(t *testing.T) {
 				msg.Release()
 				continue
 			}
-			if end, ok = msg.Payload.(wire.FileEnd); !ok {
+			if end, ok = msg.FileEnd(); !ok {
 				return fmt.Errorf("stream ended with %v %#v", msg.Kind, msg.Payload)
 			}
 			return nil
@@ -391,5 +392,38 @@ func TestChaosKillMidStripeLaneDegrades(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Fatalf("exposition missing %q:\n%s", want, text)
 		}
+	}
+}
+
+// TestLiveRangedReadAllocations pins what one ranged ReadRange costs in
+// allocations, client and server together (both run in this process): a
+// striped read makes one such call per segment, so the FileEnd that ends
+// each range must decode into a pooled struct rather than a fresh box.
+func TestLiveRangedReadAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	lc := startLiveCluster(t,
+		[]units.BytesPerSec{units.Mbps(800)},
+		map[ids.FileID][]ids.RMID{0: {1}},
+		replication.DefaultConfig(replication.Static()), 100)
+	defer lc.shutdown()
+
+	rmCli, ok := lc.dir.RMClient(1)
+	if !ok {
+		t.Fatal("RM 1 unreachable")
+	}
+	const length = 32 << 10
+	read := func() {
+		sum := wire.ChecksumBasis
+		if n, err := rmCli.ReadRange(context.Background(), 0, 0, 0, length, io.Discard, &sum); err != nil || n != length {
+			t.Fatalf("range read %d bytes, err %v", n, err)
+		}
+	}
+	read() // dial and warm the pools
+	allocs := testing.AllocsPerRun(200, read)
+	t.Logf("%.2f allocations per ranged read", allocs)
+	if allocs > 0 {
+		t.Fatalf("a ranged read allocates %.2f times, want 0", allocs)
 	}
 }

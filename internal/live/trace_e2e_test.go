@@ -24,8 +24,8 @@ import (
 // scripted fault kills the serving RM after the first streamed chunk and
 // the resulting trace — retrieved from the live monitor's /traces
 // endpoint — must show ONE trace ID whose stream segments landed on two
-// distinct RMs at contiguous byte offsets, with the server-side spans
-// joined to the same trace across real TCP.
+// distinct RMs, the committed ones at contiguous byte offsets, with the
+// server-side spans joined to the same trace across real TCP.
 func TestChaosFailoverTraceSpansTwoRMs(t *testing.T) {
 	lc := startChaosCluster(t, chaosOpts{
 		caps:        []units.BytesPerSec{units.Mbps(200), units.Mbps(100)},
@@ -37,7 +37,8 @@ func TestChaosFailoverTraceSpansTwoRMs(t *testing.T) {
 	client := lc.client(t, qos.Firm)
 
 	var got bytes.Buffer
-	res, err := client.ReadWithFailover(lc.dir, 0, &got, dfsc.FailoverConfig{
+	res, err := client.ReadStriped(lc.dir, 0, &got, dfsc.StripeConfig{
+		Width:        1,
 		MaxFailovers: 2,
 		Backoff:      time.Millisecond,
 	})
@@ -66,30 +67,37 @@ func TestChaosFailoverTraceSpansTwoRMs(t *testing.T) {
 	// Locate the one multi-segment read trace via its root span.
 	var root *trace.Record
 	for i := range dump.Spans {
-		if dump.Spans[i].Name == "dfsc.read" {
+		if dump.Spans[i].Name == "dfsc.stripe" {
 			if root != nil {
-				t.Fatalf("multiple dfsc.read roots: %+v and %+v", *root, dump.Spans[i])
+				t.Fatalf("multiple dfsc.stripe roots: %+v and %+v", *root, dump.Spans[i])
 			}
 			root = &dump.Spans[i]
 		}
 	}
 	if root == nil {
-		t.Fatalf("no dfsc.read root span among %d spans", len(dump.Spans))
+		t.Fatalf("no dfsc.stripe root span among %d spans", len(dump.Spans))
 	}
 	if root.Outcome != "ok" || root.Bytes != size {
 		t.Errorf("root outcome=%q bytes=%d, want ok/%d", root.Outcome, root.Bytes, size)
 	}
 
+	// A segment the corpse left unfinished ends "failover" and is
+	// re-fetched whole on the survivor, so the committed ("ok") segments
+	// are the ones that tile the file.
 	var segs []trace.Record
 	var streams []trace.Record
 	var mmSpans, accessSpans int
+	rms := map[ids.RMID]bool{}
 	for _, rec := range dump.Spans {
 		if rec.Trace != root.Trace {
 			continue
 		}
 		switch {
 		case rec.Name == "dfsc.segment":
-			segs = append(segs, rec)
+			rms[rec.RM] = true
+			if rec.Outcome == "ok" {
+				segs = append(segs, rec)
+			}
 		case rec.Name == "rm.stream":
 			streams = append(streams, rec)
 		case strings.HasPrefix(rec.Name, "mm."):
@@ -99,8 +107,8 @@ func TestChaosFailoverTraceSpansTwoRMs(t *testing.T) {
 		}
 	}
 
-	// >= 2 segments, on distinct RMs, at contiguous byte offsets,
-	// summing to the whole file.
+	// >= 2 segments, on distinct RMs, the committed ones at contiguous byte
+	// offsets, summing to the whole file.
 	if len(segs) < 2 {
 		t.Fatalf("trace %d has %d stream segment(s), want >= 2", root.Trace, len(segs))
 	}
@@ -109,7 +117,6 @@ func TestChaosFailoverTraceSpansTwoRMs(t *testing.T) {
 		t.Errorf("first segment starts at %d, want 0", segs[0].Offset)
 	}
 	var total int64
-	rms := map[ids.RMID]bool{}
 	for i, s := range segs {
 		if s.Parent != root.Span {
 			t.Errorf("segment %d has parent %d, want root span %d", i, s.Parent, root.Span)
@@ -122,7 +129,6 @@ func TestChaosFailoverTraceSpansTwoRMs(t *testing.T) {
 			}
 		}
 		total += s.Bytes
-		rms[s.RM] = true
 	}
 	if total != size {
 		t.Errorf("segments deliver %d bytes, want %d", total, size)
@@ -132,8 +138,8 @@ func TestChaosFailoverTraceSpansTwoRMs(t *testing.T) {
 	}
 
 	// Cross-process joins: the RM-side stream spans and the MM lookup
-	// carried the trace over real TCP; each segment negotiated through a
-	// child dfsc.access span of the same trace.
+	// carried the trace over real TCP; the first lane and its replacement
+	// each negotiated through a child dfsc.access span of the same trace.
 	if len(streams) < 2 {
 		t.Errorf("trace has %d rm.stream server span(s), want >= 2", len(streams))
 	}
@@ -141,7 +147,7 @@ func TestChaosFailoverTraceSpansTwoRMs(t *testing.T) {
 		t.Error("no mm.* server span joined the trace")
 	}
 	if accessSpans < 2 {
-		t.Errorf("trace has %d dfsc.access negotiation span(s), want >= 2 (one per segment)", accessSpans)
+		t.Errorf("trace has %d dfsc.access negotiation span(s), want >= 2 (one per lane admission)", accessSpans)
 	}
 
 	// The human timeline renders the same trace (the e2e smoke for
@@ -152,7 +158,7 @@ func TestChaosFailoverTraceSpansTwoRMs(t *testing.T) {
 	}
 	text, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	for _, want := range []string{"dfsc.read", "dfsc.segment", "rm.stream", "failover"} {
+	for _, want := range []string{"dfsc.stripe", "dfsc.segment", "rm.stream", "failover"} {
 		if !strings.Contains(string(text), want) {
 			t.Errorf("text timeline missing %q", want)
 		}

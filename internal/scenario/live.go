@@ -252,7 +252,7 @@ func runLive(spec Spec, opts Options) (*LiveResult, error) {
 			case req.Op == workload.OpMeta:
 				ok = cl.Probe(req.File).OK
 			case ls.StreamReads:
-				res, err := cl.ReadWithFailover(dir, req.File, io.Discard, dfsc.FailoverConfig{MaxFailovers: 2})
+				res, err := cl.ReadStriped(dir, req.File, io.Discard, dfsc.StripeConfig{Width: 1, MaxFailovers: 2})
 				atomic.AddInt64(&bytesStreamed, res.Bytes)
 				atomic.AddInt64(&failovers, int64(res.Failovers))
 				ok = err == nil

@@ -76,8 +76,9 @@ type LiveSpec struct {
 	// MaxInflight bounds concurrently executing requests; arrivals stay
 	// open-loop and queue for a free client slot beyond it.
 	MaxInflight int `json:"max_inflight"`
-	// StreamReads streams real file bytes via the failover reader
-	// instead of reserve-only accesses.
+	// StreamReads streams real file bytes through a one-lane
+	// dfsc.ReadStriped (failover budget 2) instead of reserve-only
+	// accesses.
 	StreamReads bool `json:"stream_reads"`
 }
 

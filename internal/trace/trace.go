@@ -4,8 +4,8 @@
 // admit, and fail over on — so a trace stitches together exactly the
 // hops the paper's per-request QoS story is about: the readdir query,
 // the CFP fan-out (one child span per RM bid), the open/admission
-// decision, each stream segment (including failover resumes at exact
-// byte offsets), and replication copies.
+// decision, each stream segment (including those re-fetched from a
+// replacement replica after a failover), and replication copies.
 //
 // # Model
 //

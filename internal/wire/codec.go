@@ -266,6 +266,12 @@ var chunkPool = sync.Pool{New: func() any { return new(FileChunk) }}
 // Msg.Release feeds it.
 var readReqPool = sync.Pool{New: func() any { return new(ReadFile) }}
 
+// fileEndPool recycles the FileEnd structs that end every stream, on both
+// sides: WriteFileEnd boxes a pooled pointer (boxing the struct value
+// would allocate), and a received FileEnd decodes into one that
+// Msg.Release returns. A striped read ends one stream per range.
+var fileEndPool = sync.Pool{New: func() any { return new(FileEnd) }}
+
 // chunkFrame is the reusable scratch for a single-writev chunk write: the
 // frame prefix (16 bytes unslotted, up to 36 with the tenant and trace
 // slots) plus a two-element net.Buffers that lets the data slice go to the
@@ -322,6 +328,17 @@ func (c *Conn) WriteReadReq(tc trace.SpanContext, req ReadFile) error {
 	err := c.WriteTraced(tc, KindReadFile, rq)
 	*rq = ReadFile{}
 	readReqPool.Put(rq)
+	return err
+}
+
+// WriteFileEnd ends a stream with its FileEnd frame carrying the span
+// context tc (zero: untraced). Like WriteReadReq it rides a pooled
+// payload, so it allocates nothing.
+func (c *Conn) WriteFileEnd(tc trace.SpanContext, size int64, sum uint64) error {
+	fe := fileEndPool.Get().(*FileEnd)
+	fe.Size, fe.Checksum = size, sum
+	err := c.WriteTraced(tc, KindFileEnd, fe)
+	fileEndPool.Put(fe)
 	return err
 }
 
@@ -729,7 +746,12 @@ func (c *coder) payload(kind Kind, in any) (out any) {
 		p := take[FileEnd](c, in)
 		i64(c, &p.Size)
 		i64(c, &p.Checksum)
-		out = give(c, p)
+		// Pooled like a request (see fileEndPool); Msg.Release returns it.
+		if c.decoded() {
+			fe := fileEndPool.Get().(*FileEnd)
+			*fe = p
+			out = fe
+		}
 	case KindWriteFile:
 		p := take[WriteFile](c, in)
 		i32(c, &p.File)
@@ -824,6 +846,11 @@ func decodeFrame(body []byte, bp *[]byte) (msg Msg, retained bool, err error) {
 	if c.bad != "" {
 		return Msg{}, false, &CodecError{Codec: CodecBinary, Kind: msg.Kind, Reason: c.bad}
 	}
-	msg.rreq, _ = msg.Payload.(*ReadFile)
+	switch p := msg.Payload.(type) {
+	case *ReadFile:
+		msg.rreq = p
+	case *FileEnd:
+		msg.fend = p
+	}
 	return msg, false, nil
 }

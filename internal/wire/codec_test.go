@@ -160,11 +160,14 @@ func everyPayload() []ctlPayload {
 }
 
 // samePayload compares a decoded payload with the value that was sent:
-// floats by bit pattern, a pooled *ReadFile by the value it points at, and
-// an empty list as the nil list it decodes to.
+// floats by bit pattern, a pooled *ReadFile or *FileEnd by the value it
+// points at, and an empty list as the nil list it decodes to.
 func samePayload(got, want any) bool {
-	if rq, ok := got.(*ReadFile); ok {
-		got = *rq
+	switch p := got.(type) {
+	case *ReadFile:
+		got = *p
+	case *FileEnd:
+		got = *p
 	}
 	return bitEqual(reflect.ValueOf(got), reflect.ValueOf(want))
 }
@@ -607,7 +610,7 @@ func TestCtlCodecCoversEveryField(t *testing.T) {
 		for _, s := range slotCases {
 			msg := s.roundTrip(t, tc.kind, want)
 			got := msg.Payload
-			if pooled := reflect.ValueOf(got); pooled.Kind() == reflect.Pointer { // *ReadFile, *FileChunk
+			if pooled := reflect.ValueOf(got); pooled.Kind() == reflect.Pointer { // *ReadFile, *FileEnd, *FileChunk
 				got = pooled.Elem().Interface()
 			}
 			if !reflect.DeepEqual(got, want) {

@@ -70,6 +70,8 @@ func drain(r frameReader) (msgs []string, terminal string) {
 			payload = FileChunk{Offset: ch.Offset, Data: bytes.Clone(ch.Data)}
 		} else if rq, ok := msg.ReadReq(); ok {
 			payload = rq
+		} else if fe, ok := msg.FileEnd(); ok {
+			payload = fe
 		}
 		msgs = append(msgs, fmt.Sprintf("%v tenant=%v trace=%+v %#v", msg.Kind, msg.Tenant, msg.Trace, payload))
 		msg.Release()

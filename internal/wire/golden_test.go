@@ -132,6 +132,8 @@ func TestGoldenFrames(t *testing.T) {
 			got = *ch
 		} else if rq, ok := msg.ReadReq(); ok {
 			got = rq
+		} else if fe, ok := msg.FileEnd(); ok {
+			got = fe
 		}
 		if msg.Kind != row.kind || !samePayload(got, row.payload) {
 			t.Errorf("%v golden frame decodes to %v %#v, want %#v", row.kind, msg.Kind, got, row.payload)

@@ -115,8 +115,8 @@ func BenchmarkDecodeRangedRead(b *testing.B) {
 }
 
 // TestFileEndPointerPayload pins the form a server ends a stream with: a
-// (pooled) *FileEnd encodes to the same frame as the value and arrives as
-// a plain FileEnd value, which is what receivers assert.
+// (pooled) *FileEnd encodes to the same frame as the value, and arrives in
+// a pooled *FileEnd that receivers read through Msg.FileEnd.
 func TestFileEndPointerPayload(t *testing.T) {
 	want := FileEnd{Size: 1 << 33, Checksum: 0xE3069283}
 	var byValue, byPointer bytes.Buffer
@@ -132,7 +132,14 @@ func TestFileEndPointerPayload(t *testing.T) {
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	if got, ok := msg.Payload.(FileEnd); !ok || got != want {
+	if got, ok := msg.FileEnd(); !ok || got != want {
 		t.Errorf("got %#v, want the FileEnd value %+v", msg.Payload, want)
+	}
+	if _, pooled := msg.Payload.(*FileEnd); !pooled {
+		t.Fatalf("FileEnd decoded to %T, want the pooled *FileEnd", msg.Payload)
+	}
+	msg.Release()
+	if _, ok := msg.FileEnd(); ok {
+		t.Error("FileEnd still readable after Release")
 	}
 }

@@ -122,11 +122,13 @@ type Msg struct {
 
 	// pooled is the frame buffer this message's payload borrows from
 	// (FileChunk only: Data points into it); chunk is the pooled payload
-	// struct. rreq is the pooled ReadFile a request decodes into. All are
-	// returned by Release.
+	// struct. rreq is the pooled ReadFile a request decodes into, fend the
+	// pooled FileEnd a stream's end decodes into. All are returned by
+	// Release.
 	pooled *[]byte
 	chunk  *FileChunk
 	rreq   *ReadFile
+	fend   *FileEnd
 }
 
 // Chunk extracts a received FileChunk payload, which is a pooled
@@ -146,10 +148,20 @@ func (m *Msg) ReadReq() (ReadFile, bool) {
 	return ReadFile{}, false
 }
 
+// FileEnd extracts a received FileEnd payload: a copy of the pooled
+// *FileEnd the frame decoded into, so it stays valid after Release. It
+// reports false for any other payload.
+func (m *Msg) FileEnd() (FileEnd, bool) {
+	if p, ok := m.Payload.(*FileEnd); ok {
+		return *p, true
+	}
+	return FileEnd{}, false
+}
+
 // Release returns a message's pooled resources (the frame buffer its
 // FileChunk Data points into and the FileChunk struct itself, or the
-// ReadFile a request decoded into). The borrowed-buffer contract for
-// stream loops:
+// ReadFile or FileEnd the frame decoded into). The borrowed-buffer
+// contract for stream loops:
 //
 //   - After Read returns a KindFileChunk Msg, the chunk's Data is only
 //     valid until Release — copy or consume it first, never retain it.
@@ -162,7 +174,7 @@ func (m *Msg) ReadReq() (ReadFile, bool) {
 // Skipping Release is a performance bug, not a correctness bug: the
 // buffers fall to the GC and the stream loop allocates per chunk again.
 func (m *Msg) Release() {
-	if m.chunk == nil && m.pooled == nil && m.rreq == nil {
+	if m.chunk == nil && m.pooled == nil && m.rreq == nil && m.fend == nil {
 		return
 	}
 	if m.chunk != nil {
@@ -175,6 +187,11 @@ func (m *Msg) Release() {
 		*m.rreq = ReadFile{}
 		readReqPool.Put(m.rreq)
 		m.rreq = nil
+	}
+	if m.fend != nil {
+		*m.fend = FileEnd{}
+		fileEndPool.Put(m.fend)
+		m.fend = nil
 	}
 	if m.pooled != nil {
 		putBuf(m.pooled)
@@ -241,9 +258,8 @@ type (
 		File ids.FileID
 		// ChunkSize is the server's streaming granularity hint in bytes.
 		ChunkSize int
-		// Offset is the byte position the stream starts at: 0 reads the
-		// whole file; a failover resume picks up exactly where the
-		// previous replica's stream died.
+		// Offset is the byte position the stream starts at: 0 with no
+		// Length reads the whole file.
 		Offset int64
 		// Request, when non-zero, names the QoS reservation this stream
 		// serves; the server treats each chunk as implicit lease renewal.
@@ -330,10 +346,9 @@ type (
 )
 
 // ChecksumBasis is the initial state of the running checksum every data
-// stream carries: the CRC-32C of no bytes. A failover client threads one
-// running state across segments served by different replicas; since an
-// offset resume is byte-contiguous with its predecessor, the final
-// FileEnd's whole-file checksum still verifies.
+// stream carries: the CRC-32C of no bytes. A reader may thread one
+// running state across byte-contiguous streams served by different
+// replicas (the state chains), so a whole-file checksum still verifies.
 const ChecksumBasis uint64 = 0
 
 // castagnoliTable selects CRC-32C, the polynomial with a dedicated

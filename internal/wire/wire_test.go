@@ -84,6 +84,9 @@ func TestRoundTripAllPayloads(t *testing.T) {
 		if rq, ok := reply.Payload.(*ReadFile); ok {
 			got = *rq // and so do fast-path read requests
 		}
+		if fe, ok := reply.FileEnd(); ok {
+			got = fe // and stream ends
+		}
 		if fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", p.body) {
 			t.Fatalf("%v payload mangled:\n got %+v\nwant %+v", p.kind, got, p.body)
 		}
