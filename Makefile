@@ -103,11 +103,13 @@ scenarios-tenant:
 	SCEN_FLAGS="-scenario noisy-neighbor $(SCEN_FLAGS)" ./scripts/scenarios.sh BENCH_10.json
 
 # fuzz-smoke gives each wire codec fuzz target, the event scheduler's
-# order-against-a-reference target and the stripe segment geometry's
-# layout-against-a-reference target a short randomized run on top of its
+# order-against-a-reference target, the stripe segment geometry's
+# layout-against-a-reference target and the virtual disk's
+# content-against-a-reference target a short randomized run on top of its
 # seeded corpus — enough to catch decoder panics, round-trip divergence,
-# an event fired out of (time, sequence) order and a segment layout that
-# gaps, overlaps or overruns without CI-hostile runtimes. Targets must
+# an event fired out of (time, sequence) order, a segment layout that
+# gaps, overlaps or overruns and a synthesized byte that moved without
+# CI-hostile runtimes. Targets must
 # run one at a time (go test allows a single -fuzz pattern per
 # invocation).
 FUZZ_TIME ?= 10s
@@ -117,6 +119,7 @@ fuzz-smoke:
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz '^FuzzBinaryCtlRoundTrip$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/simtime/ -run '^$$' -fuzz '^FuzzSchedulerOrder$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/dfsc/ -run '^$$' -fuzz '^FuzzStripeGeometry$$' -fuzztime $(FUZZ_TIME)
+	$(GO) test ./internal/vdisk/ -run '^$$' -fuzz '^FuzzFillSynthetic$$' -fuzztime $(FUZZ_TIME)
 
 # docs runs the documentation-consistency suite (internal/docscheck):
 # every flag the daemons register and every dfsqos_* telemetry series

@@ -158,15 +158,33 @@ type stripeSlot struct {
 
 // segWriter receives one range into a segment buffer. StreamRange is
 // asked for at most cap(buf) bytes; a streamer that delivers more is
-// refused rather than allowed to grow the buffer.
+// refused rather than allowed to grow the buffer. A streamer may receive
+// straight into the buffer's spare capacity (AvailableBuffer, as on
+// bufio.Writer): a Write of bytes already in place only extends the
+// buffer over them.
 type segWriter struct{ buf []byte }
+
+// AvailableBuffer returns the segment buffer's spare capacity, empty, for
+// a streamer to receive into and then pass to Write.
+func (w *segWriter) AvailableBuffer() []byte { return w.buf[len(w.buf):] }
 
 func (w *segWriter) Write(p []byte) (int, error) {
 	if len(p) > cap(w.buf)-len(w.buf) {
 		return 0, fmt.Errorf("dfsc: range overruns its %d-byte segment buffer", cap(w.buf))
 	}
-	w.buf = append(w.buf, p...)
+	if w.inPlace(p) {
+		w.buf = w.buf[:len(w.buf)+len(p)]
+	} else {
+		w.buf = append(w.buf, p...)
+	}
 	return len(p), nil
+}
+
+// inPlace reports whether p already lies at the buffer's tail, where a
+// streamer that received through AvailableBuffer left it. Caller has
+// checked that p fits.
+func (w *segWriter) inPlace(p []byte) bool {
+	return len(p) > 0 && &p[0] == &w.buf[len(w.buf):cap(w.buf)][0]
 }
 
 // laneIO is what a fetcher hands StreamRange by pointer for every

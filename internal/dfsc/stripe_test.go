@@ -869,6 +869,88 @@ func TestReadStripedSegmentPathDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// inPlaceStreamer serves ranges of a fixed body the way the live client
+// receives them into a writer that offers AvailableBuffer: a piece at a
+// time, each received into the writer's spare capacity and then passed to
+// Write. It counts the Writes that were not of bytes already in place —
+// the ones segWriter has to copy.
+type inPlaceStreamer struct {
+	body   []byte
+	piece  int
+	copied atomic.Int64
+}
+
+func (s *inPlaceStreamer) StreamAt(ctx context.Context, rm ids.RMID, file ids.FileID, req ids.RequestID, offset int64, w io.Writer, sum *uint64) (int64, error) {
+	return s.StreamRange(ctx, rm, file, req, offset, int64(len(s.body))-offset, w, sum)
+}
+
+func (s *inPlaceStreamer) StreamRange(_ context.Context, _ ids.RMID, _ ids.FileID, _ ids.RequestID, offset, length int64, w io.Writer, sum *uint64) (int64, error) {
+	sw, ok := w.(*segWriter)
+	if !ok {
+		return 0, errors.New("the range writer is not a segment writer")
+	}
+	seg := s.body[offset:min(offset+length, int64(len(s.body)))]
+	var n int64
+	for len(seg) > 0 {
+		p := sw.AvailableBuffer()
+		p = append(p, seg[:min(s.piece, len(seg))]...) // the receive
+		if !sw.inPlace(p) {
+			s.copied.Add(1)
+		}
+		if _, err := sw.Write(p); err != nil {
+			return n, err
+		}
+		*sum = wire.ChecksumUpdate(*sum, p)
+		n += int64(len(p))
+		seg = seg[len(p):]
+	}
+	return n, nil
+}
+
+// TestReadStripedReceivesInPlace: a streamer that receives each piece of
+// a range into the segment writer's AvailableBuffer and passes it to Write
+// has nothing copied — every Write is of bytes already at the buffer's
+// tail — at either width and through the ramp, and the read still
+// delivers and verifies every byte. A Write of bytes from elsewhere is
+// still copied, and one past the segment is still refused.
+func TestReadStripedReceivesInPlace(t *testing.T) {
+	h := newHarness(t,
+		map[ids.RMID]units.BytesPerSec{1: units.Mbps(200), 2: units.Mbps(100)},
+		map[ids.FileID][]ids.RMID{0: {1, 2}})
+	c := h.client(t, selection.RemOnly, qos.Soft)
+	body := stripeBody(h, 300<<10+17)
+	want := wire.ChecksumUpdate(wire.ChecksumBasis, body)
+	for _, width := range []int{1, 2} {
+		s := &inPlaceStreamer{body: body, piece: 5000}
+		var got bytes.Buffer
+		res, err := c.ReadStriped(s, 0, &got, StripeConfig{Width: width, SegmentBytes: 64 << 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), body) || res.Checksum != want {
+			t.Fatalf("width %d: delivered %d bytes, checksum %x, want the %d-byte body and %x", width, got.Len(), res.Checksum, len(body), want)
+		}
+		if n := s.copied.Load(); n != 0 {
+			t.Fatalf("width %d: %d writes received through AvailableBuffer were copied", width, n)
+		}
+	}
+
+	w := segWriter{buf: make([]byte, 0, 8)}
+	foreign := []byte("abc")
+	if w.inPlace(foreign) {
+		t.Fatal("bytes from another buffer count as in place")
+	}
+	if _, err := w.Write(foreign); err != nil || string(w.buf) != "abc" {
+		t.Fatalf("copying Write: buf %q, err %v", w.buf, err)
+	}
+	if _, err := w.Write(append(w.AvailableBuffer(), "defg"...)); err != nil || string(w.buf) != "abcdefg" {
+		t.Fatalf("in-place Write: buf %q, err %v", w.buf, err)
+	}
+	if _, err := w.Write([]byte("hi")); err == nil {
+		t.Fatalf("a write past the segment was accepted: buf %q", w.buf)
+	}
+}
+
 // TestReadStripedRequestsRampedRanges watches the ranges a read actually
 // asks its replicas for: the first Width of them are firstSegmentBytes —
 // that is all byte 0 waits for — they double per round up to SegmentBytes,

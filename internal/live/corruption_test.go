@@ -213,11 +213,13 @@ func TestLiveCorruptedRangeIsCaughtAndRefetched(t *testing.T) {
 	}
 }
 
-// bothLanesStart holds the first range request for each of RM 1 and RM 2
-// until both have been issued, so the lane on the corrupted replica is
-// sure to fetch a segment before the clean one has drained the file.
+// bothLanesStart holds the first range request for each RM until lanes
+// RMs have issued one (two when lanes is zero), so every lane is sure to
+// fetch a segment before another has drained the file — here, the lane on
+// the corrupted replica.
 type bothLanesStart struct {
 	*Directory
+	lanes   int
 	mu      sync.Mutex
 	seen    map[ids.RMID]bool
 	started chan struct{}
@@ -230,13 +232,17 @@ func (b *bothLanesStart) StreamRange(ctx context.Context, rmID ids.RMID, file id
 	}
 	if !b.seen[rmID] {
 		b.seen[rmID] = true
-		if len(b.seen) == 2 {
+		if len(b.seen) == max(b.lanes, 2) {
 			close(b.started)
 		}
 	}
 	started := b.started
 	b.mu.Unlock()
-	<-started
+	select {
+	case <-started:
+	case <-ctx.Done():
+		return 0, ctx.Err()
+	}
 	return b.Directory.StreamRange(ctx, rmID, file, req, offset, length, w, sum)
 }
 

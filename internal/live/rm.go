@@ -731,6 +731,10 @@ func (c *RMClient) ReadRange(ctx context.Context, file ids.FileID, req ids.Reque
 		return 0, fmt.Errorf("live: ReadRange length %d is negative", length)
 	}
 	pos := offset
+	// A writer that offers its spare capacity (bufio.Writer, bytes.Buffer,
+	// dfsc's segment writer) has each chunk that fits received straight
+	// into it, so the Write below hands it the bytes already in place.
+	avail, _ := w.(interface{ AvailableBuffer() []byte })
 	err := c.stream(ctx, func(wc *wire.Conn) error {
 		if err := wc.WriteReadReq(trace.FromContext(ctx), wire.ReadFile{
 			File: file, ChunkSize: 128 * 1024, Offset: offset, Request: req, Length: length,
@@ -741,7 +745,12 @@ func (c *RMClient) ReadRange(ctx context.Context, file ids.FileID, req ids.Reque
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			msg, err := wc.Read()
+			var dst []byte
+			if avail != nil {
+				dst = avail.AvailableBuffer()
+				dst = dst[:cap(dst)]
+			}
+			msg, err := wc.ReadInto(dst)
 			if err != nil {
 				return err
 			}
@@ -757,13 +766,16 @@ func (c *RMClient) ReadRange(ctx context.Context, file ids.FileID, req ids.Reque
 					return fmt.Errorf("live: out-of-order chunk at %d, want %d", off, pos)
 				}
 				n := len(chunk.Data)
-				if length > 0 && pos+int64(n) > offset+length {
+				// Measured from offset: offset+length overflows for a
+				// legal over-long range (the server clamps it at EOF).
+				if length > 0 && pos-offset+int64(n) > length {
 					msg.Release()
-					return fmt.Errorf("live: range overrun: chunk ends at %d, range ends at %d", pos+int64(n), offset+length)
+					return fmt.Errorf("live: range overrun: chunk ends %d bytes into a %d-byte range", pos-offset+int64(n), length)
 				}
-				// chunk.Data borrows the pooled frame buffer: consume it
-				// (sink write + running checksum), then Release so the
-				// stream loop recycles instead of allocating per chunk.
+				// chunk.Data borrows the pooled frame buffer or lies in
+				// w's spare capacity: consume it (sink write + running
+				// checksum), then Release so the stream loop recycles
+				// instead of allocating per chunk.
 				if _, err := w.Write(chunk.Data); err != nil {
 					msg.Release()
 					return err

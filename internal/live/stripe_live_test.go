@@ -78,11 +78,12 @@ func TestLiveRangedReadOverTCP(t *testing.T) {
 
 // TestLiveOverlongRangeClampsAtEOF sends the range a hostile or merely
 // careless peer can: Offset 1 with the largest Length the 36-byte ReadFile
-// body holds, whose sum overflows int64. The client's ReadRange would trip
-// on that sum itself, so the frame is written raw. The server must clamp
-// at EOF as for any range reaching past it — every byte but the first,
-// under a range checksum that verifies — and not answer a FileEnd with a
-// negative size.
+// body holds, whose sum overflows int64. First the frame is written raw,
+// so the server is seen on its own: it must clamp at EOF as for any range
+// reaching past it — every byte but the first, under a range checksum
+// that verifies — and not answer a FileEnd with a negative size. Then the
+// client's ReadRange asks for the same range with a verified sum: its own
+// overrun check must not trip on the sum either.
 func TestLiveOverlongRangeClampsAtEOF(t *testing.T) {
 	lc := startLiveCluster(t,
 		[]units.BytesPerSec{units.Mbps(800)},
@@ -133,6 +134,16 @@ func TestLiveOverlongRangeClampsAtEOF(t *testing.T) {
 	}
 	if end.Checksum != wire.ChecksumUpdate(wire.ChecksumBasis, want) {
 		t.Fatalf("range checksum %x does not verify the delivered bytes", end.Checksum)
+	}
+
+	got.Reset()
+	sum := wire.ChecksumBasis
+	n, err := rmCli.ReadRange(context.Background(), 0, 0, 1, math.MaxInt64, &got, &sum)
+	if err != nil {
+		t.Fatalf("ReadRange of the over-long range: %v", err)
+	}
+	if n != size-1 || !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("ReadRange of the over-long range delivered %d bytes, want the %d behind the first", n, size-1)
 	}
 }
 
@@ -188,7 +199,9 @@ func TestLiveReadRangeStopsWhenContextEnds(t *testing.T) {
 // TestLiveStripedReadOverTCP runs the K-wide scheduler against three real
 // RM servers: three lanes admitted by one negotiation, byte ranges striped
 // across all replicas, and the committed stream bit-identical to the disk
-// copy under the whole-file checksum.
+// copy under the whole-file checksum. Each lane's first range waits until
+// all three have asked for one: the file is under a megabyte, which one
+// lane can drain before a starved sibling's goroutine first runs.
 func TestLiveStripedReadOverTCP(t *testing.T) {
 	lc := startLiveCluster(t,
 		[]units.BytesPerSec{units.Mbps(400), units.Mbps(400), units.Mbps(400)},
@@ -211,7 +224,7 @@ func TestLiveStripedReadOverTCP(t *testing.T) {
 	}
 	size := int64(lc.cat.File(0).Size)
 	var got bytes.Buffer
-	res, err := client.ReadStriped(lc.dir, 0, &got, dfsc.StripeConfig{
+	res, err := client.ReadStriped(&bothLanesStart{Directory: lc.dir, lanes: 3}, 0, &got, dfsc.StripeConfig{
 		Width:        3,
 		SegmentBytes: size / 6,
 	})
@@ -399,6 +412,8 @@ func TestChaosKillMidStripeLaneDegrades(t *testing.T) {
 // allocations, client and server together (both run in this process): a
 // striped read makes one such call per segment, so the FileEnd that ends
 // each range must decode into a pooled struct rather than a fresh box.
+// It holds for a sink that copies each chunk out of the frame buffer and
+// for one whose spare capacity the chunks are received into.
 func TestLiveRangedReadAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
@@ -414,16 +429,24 @@ func TestLiveRangedReadAllocations(t *testing.T) {
 		t.Fatal("RM 1 unreachable")
 	}
 	const length = 32 << 10
-	read := func() {
-		sum := wire.ChecksumBasis
-		if n, err := rmCli.ReadRange(context.Background(), 0, 0, 0, length, io.Discard, &sum); err != nil || n != length {
-			t.Fatalf("range read %d bytes, err %v", n, err)
+	var seg bytes.Buffer
+	seg.Grow(length)
+	for _, sink := range []struct {
+		name string
+		w    io.Writer
+	}{{"io.Discard", io.Discard}, {"a buffer with AvailableBuffer", &seg}} {
+		read := func() {
+			seg.Reset()
+			sum := wire.ChecksumBasis
+			if n, err := rmCli.ReadRange(context.Background(), 0, 0, 0, length, sink.w, &sum); err != nil || n != length {
+				t.Fatalf("%s: range read %d bytes, err %v", sink.name, n, err)
+			}
 		}
-	}
-	read() // dial and warm the pools
-	allocs := testing.AllocsPerRun(200, read)
-	t.Logf("%.2f allocations per ranged read", allocs)
-	if allocs > 0 {
-		t.Fatalf("a ranged read allocates %.2f times, want 0", allocs)
+		read() // dial and warm the pools
+		allocs := testing.AllocsPerRun(200, read)
+		t.Logf("%s: %.2f allocations per ranged read", sink.name, allocs)
+		if allocs > 0 {
+			t.Fatalf("%s: a ranged read allocates %.2f times, want 0", sink.name, allocs)
+		}
 	}
 }

@@ -181,6 +181,14 @@ func (d *Disk) ReadAt(ctx context.Context, name string, p []byte, off int64) (in
 // while idle siblings' headroom is borrowable. g must belong to the
 // disk's controller.
 func (d *Disk) ReadAtGroup(ctx context.Context, g *blkio.Group, name string, p []byte, off int64) (int, error) {
+	return d.readAt(ctx, g, name, p, off)
+}
+
+// readAt is the one body of the disk's reads: it clamps p to the file,
+// charges g for the bytes it will serve (no group: uncharged), and fills
+// them from the stored or synthesized contents. It returns io.EOF at or
+// past the end of the file and with the read that reaches it.
+func (d *Disk) readAt(ctx context.Context, g *blkio.Group, name string, p []byte, off int64) (int, error) {
 	d.mu.RLock()
 	f, ok := d.files[name]
 	d.mu.RUnlock()
@@ -197,8 +205,10 @@ func (d *Disk) ReadAtGroup(ctx context.Context, g *blkio.Group, name string, p [
 	if rem := int64(f.size) - off; int64(n) > rem {
 		n = int(rem)
 	}
-	if err := d.ctrl.Wait(ctx, g, blkio.Read, n); err != nil {
-		return 0, err
+	if g != nil {
+		if err := d.ctrl.Wait(ctx, g, blkio.Read, n); err != nil {
+			return 0, err
+		}
 	}
 	if f.data != nil {
 		copy(p[:n], f.data[off:off+int64(n)])
@@ -251,32 +261,7 @@ func (r *reader) Read(p []byte) (int, error) {
 // traffic, so replica copies are paced by their own budget (the 1.8 Mbit/s
 // transfer rate) rather than the VM's QoS throttle.
 func (d *Disk) ReadAtRaw(name string, p []byte, off int64) (int, error) {
-	d.mu.RLock()
-	f, ok := d.files[name]
-	d.mu.RUnlock()
-	if !ok {
-		return 0, fmt.Errorf("vdisk: %q not found", name)
-	}
-	if off < 0 {
-		return 0, fmt.Errorf("vdisk: negative offset %d", off)
-	}
-	if off >= int64(f.size) {
-		return 0, io.EOF
-	}
-	n := len(p)
-	if rem := int64(f.size) - off; int64(n) > rem {
-		n = int(rem)
-	}
-	if f.data != nil {
-		copy(p[:n], f.data[off:off+int64(n)])
-	} else {
-		fillSynthetic(p[:n], f.seed, off)
-	}
-	var err error
-	if off+int64(n) == int64(f.size) {
-		err = io.EOF
-	}
-	return n, err
+	return d.readAt(context.TODO(), nil, name, p, off)
 }
 
 // WriteRaw stores explicit contents without charging the write throttle,
@@ -357,10 +342,12 @@ func seedOf(name string) uint64 {
 // fillSynthetic writes the deterministic content bytes of a file with the
 // given seed starting at offset off. Byte k of the file is byte k%8 of a
 // cheap 64-bit mix of the seed and block k/8, so any slice can be
-// generated independently of how the file is cut into reads — while the
-// bulk of the work runs one multiply-xor mix per 8 bytes instead of per
-// byte (the generator sits under every streamed chunk; byte-at-a-time it
-// was a data-plane bottleneck comparable to the wire codec itself).
+// generated independently of how the file is cut into reads. The bulk
+// writes out four independent mixes per 32 bytes, so their multiplies
+// overlap in the pipeline (≈ 2× one mix per step; a loop over the four is
+// not unrolled by the compiler and loses most of that), and steps the
+// first multiply by synthMul, an add per block (≈ 15 % more). The
+// generator sits under every streamed chunk: this is per-byte read cost.
 func fillSynthetic(p []byte, seed uint64, off int64) {
 	k := uint64(off)
 	i := 0
@@ -370,11 +357,18 @@ func fillSynthetic(p []byte, seed uint64, off int64) {
 		i++
 		k++
 	}
-	// Full blocks: one mix per 8 output bytes.
-	for len(p)-i >= 8 {
-		binary.LittleEndian.PutUint64(p[i:i+8], synthWord(k/8, seed))
-		i += 8
-		k += 8
+	// Four blocks per step, then the remaining full blocks.
+	m := uint64(synthMul)
+	x := (k/8 + seed) * m
+	for ; len(p)-i >= 32; i, k, x = i+32, k+32, x+4*m {
+		q := p[i : i+32 : i+32]
+		binary.LittleEndian.PutUint64(q[0:8], synthMix(x))
+		binary.LittleEndian.PutUint64(q[8:16], synthMix(x+m))
+		binary.LittleEndian.PutUint64(q[16:24], synthMix(x+2*m))
+		binary.LittleEndian.PutUint64(q[24:32], synthMix(x+3*m))
+	}
+	for ; len(p)-i >= 8; i, k, x = i+8, k+8, x+m {
+		binary.LittleEndian.PutUint64(p[i:i+8], synthMix(x))
 	}
 	// Ragged tail.
 	for i < len(p) {
@@ -384,10 +378,15 @@ func fillSynthetic(p []byte, seed uint64, off int64) {
 	}
 }
 
+// synthMul is the content mix's first multiplier.
+const synthMul = 0x9e3779b97f4a7c15
+
 // synthWord mixes (block, seed) into the 64-bit content word covering file
 // bytes [8*block, 8*block+8).
-func synthWord(block, seed uint64) uint64 {
-	x := (block + seed) * 0x9e3779b97f4a7c15
+func synthWord(block, seed uint64) uint64 { return synthMix((block + seed) * synthMul) }
+
+// synthMix finishes the content mix of x = (block+seed)·synthMul.
+func synthMix(x uint64) uint64 {
 	x ^= x >> 29
 	x *= 0xbf58476d1ce4e5b9
 	x ^= x >> 32

@@ -3,6 +3,7 @@ package vdisk
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"io"
 	"sync"
 	"testing"
@@ -273,6 +274,114 @@ func TestChecksumIsTheWireFoldOfTheServedBytes(t *testing.T) {
 				t.Errorf("%s, %d bytes: fold of the served bytes %#x, Checksum %#x", name, size, got, want)
 			}
 		}
+	}
+}
+
+// refFillSynthetic is the reference model of fillSynthetic: the per-word
+// loop it replaced, one synthWord per 8 bytes. The synthesized bytes are a
+// contract — every memoized Checksum and every stream a client verifies
+// is a function of them — so the fast fill must match it byte for byte.
+func refFillSynthetic(p []byte, seed uint64, off int64) {
+	k := uint64(off)
+	i := 0
+	for i < len(p) && k%8 != 0 {
+		p[i] = synthByte(k, seed)
+		i++
+		k++
+	}
+	for len(p)-i >= 8 {
+		binary.LittleEndian.PutUint64(p[i:i+8], synthWord(k/8, seed))
+		i += 8
+		k += 8
+	}
+	for i < len(p) {
+		p[i] = synthByte(k, seed)
+		i++
+		k++
+	}
+}
+
+// checkFillMatchesReference fills n bytes at off both ways, into buffers
+// with a guard byte behind them, and fails on any difference or on a write
+// past n.
+func checkFillMatchesReference(t *testing.T, seed uint64, off int64, n int) {
+	t.Helper()
+	got, want := make([]byte, n+1), make([]byte, n+1)
+	got[n], want[n] = 0xa5, 0xa5
+	fillSynthetic(got[:n], seed, off)
+	refFillSynthetic(want[:n], seed, off)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("seed %#x, offset %d, %d bytes: fill differs from the per-word reference", seed, off, n)
+	}
+}
+
+// TestFillSyntheticMatchesReference walks every alignment of the ragged
+// head (offsets 0–15) against every length through the four-block step,
+// the single-block loop and the ragged tail (0–100), then lengths either
+// side of a 64 KiB read.
+func TestFillSyntheticMatchesReference(t *testing.T) {
+	seed := seedOf("contract")
+	for off := int64(0); off < 16; off++ {
+		for n := 0; n <= 100; n++ {
+			checkFillMatchesReference(t, seed, off, n)
+		}
+	}
+	for _, off := range []int64{0, 3, 1 << 40} {
+		for d := 1; d <= 9; d++ {
+			checkFillMatchesReference(t, seed, off, 64*1024-d)
+			checkFillMatchesReference(t, seed, off, 64*1024+d)
+		}
+	}
+}
+
+// FuzzFillSynthetic holds the fill to its reference at any seed, offset
+// and length.
+func FuzzFillSynthetic(f *testing.F) {
+	f.Add(uint64(1), int64(0), uint16(0))
+	f.Add(seedOf("a"), int64(5), uint16(37))
+	f.Add(seedOf("b"), int64(1<<40+3), uint16(64*1024-1))
+	f.Fuzz(func(t *testing.T, seed uint64, off int64, n uint16) {
+		if off < 0 {
+			off = -(off + 1)
+		}
+		checkFillMatchesReference(t, seed, off, int(n))
+	})
+}
+
+// TestSynthesizedChecksumGolden pins the CRC-32C of one provisioned file.
+// A change to the content function — the mix, the seed hash, how bytes
+// are cut from a word — moves every synthesized byte and every checksum
+// at once; this makes it fail a test instead of silently re-basing them.
+func TestSynthesizedChecksumGolden(t *testing.T) {
+	d := newDisk(t)
+	const size = 1<<20 + 3
+	if err := d.Provision("golden.bin", size); err != nil {
+		t.Fatal(err)
+	}
+	sum, err := d.Checksum("golden.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = 0x1c2a98f0
+	if sum != want {
+		t.Fatalf("Checksum of a provisioned %d-byte golden.bin = %#x, want %#x", size, sum, want)
+	}
+	served := make([]byte, size)
+	if n, err := d.ReadAtRaw("golden.bin", served, 0); n != size || err != io.EOF {
+		t.Fatalf("ReadAtRaw = (%d, %v)", n, err)
+	}
+	if got := ChecksumBytes(served); got != sum {
+		t.Fatalf("fold of the served bytes %#x, Checksum %#x", got, sum)
+	}
+}
+
+// BenchmarkFillSynthetic is the disk's per-byte content cost for a
+// 128 KiB chunk, the size a stream reads at.
+func BenchmarkFillSynthetic(b *testing.B) {
+	p := make([]byte, 128*1024)
+	b.SetBytes(int64(len(p)))
+	for i := 0; i < b.N; i++ {
+		fillSynthetic(p, 0x9e37, int64(i)*int64(len(p)))
 	}
 }
 

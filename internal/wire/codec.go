@@ -88,7 +88,8 @@
 // Buffer ownership: encode and decode both borrow scratch buffers from a
 // sync.Pool. On the read side, a FileChunk's Data slice points INTO the
 // pooled frame buffer; the Msg carries the loan and Msg.Release returns
-// it. See Msg.Release for the contract.
+// it — unless Conn.ReadInto received the data into the caller's own
+// buffer. See Msg.Release for the contract.
 package wire
 
 import (
@@ -794,9 +795,42 @@ func (c *coder) payload(kind Kind, in any) (out any) {
 	return out
 }
 
-// decodeFrame parses one frame body: it peels the flags byte and the slots
-// it announces into the returned Msg's Tenant and Trace, reads the kind,
-// and walks the kind's layout over the rest. bp is the pooled buffer
+// decodeHead peels a body's head into msg — the flags byte and the slots
+// it announces into Tenant and Trace, then Kind — and returns the payload
+// bytes behind it. A head the body cannot hold, or an unknown flag bit,
+// is a *CodecError.
+func decodeHead(msg *Msg, body []byte) (rest []byte, err error) {
+	if len(body) < flagsSize {
+		return nil, &CodecError{Codec: CodecBinary, Reason: "body shorter than flags byte"}
+	}
+	flags, rest := body[0], body[flagsSize:]
+	if flags&^knownFlags != 0 {
+		return nil, &CodecError{Codec: CodecBinary, Reason: fmt.Sprintf("unknown flag bits %#02x", flags&^knownFlags)}
+	}
+	if flags&flagTenant != 0 {
+		if len(rest) < tenantSize {
+			return nil, &CodecError{Codec: CodecBinary, Reason: "body shorter than tenant slot"}
+		}
+		msg.Tenant = ids.TenantID(int32(binary.BigEndian.Uint32(rest)))
+		rest = rest[tenantSize:]
+	}
+	if flags&flagTrace != 0 {
+		if len(rest) < traceSize {
+			return nil, &CodecError{Codec: CodecBinary, Reason: "body shorter than trace slot"}
+		}
+		msg.Trace.Trace = ids.RequestID(int64(binary.BigEndian.Uint64(rest)))
+		msg.Trace.Span = binary.BigEndian.Uint64(rest[8:])
+		rest = rest[traceSize:]
+	}
+	if len(rest) < kindSize {
+		return nil, &CodecError{Codec: CodecBinary, Reason: "body shorter than kind field"}
+	}
+	msg.Kind = Kind(binary.BigEndian.Uint16(rest))
+	return rest[kindSize:], nil
+}
+
+// decodeFrame parses one frame body: it peels the head (decodeHead) and
+// walks the kind's layout over the rest. bp is the pooled buffer
 // backing body: a FileChunk keeps its Data in place there instead of
 // copying — the one decode written by hand — so its Msg carries the loan
 // and retained is true: the caller must NOT putBuf it, Msg.Release will.
@@ -804,33 +838,10 @@ func (c *coder) payload(kind Kind, in any) (out any) {
 // slot or contradicts its layout) yields a typed *CodecError, never a
 // panic.
 func decodeFrame(body []byte, bp *[]byte) (msg Msg, retained bool, err error) {
-	if len(body) < flagsSize {
-		return Msg{}, false, &CodecError{Codec: CodecBinary, Reason: "body shorter than flags byte"}
+	rest, err := decodeHead(&msg, body)
+	if err != nil {
+		return Msg{}, false, err
 	}
-	flags, rest := body[0], body[flagsSize:]
-	if flags&^knownFlags != 0 {
-		return Msg{}, false, &CodecError{Codec: CodecBinary, Reason: fmt.Sprintf("unknown flag bits %#02x", flags&^knownFlags)}
-	}
-	if flags&flagTenant != 0 {
-		if len(rest) < tenantSize {
-			return Msg{}, false, &CodecError{Codec: CodecBinary, Reason: "body shorter than tenant slot"}
-		}
-		msg.Tenant = ids.TenantID(int32(binary.BigEndian.Uint32(rest)))
-		rest = rest[tenantSize:]
-	}
-	if flags&flagTrace != 0 {
-		if len(rest) < traceSize {
-			return Msg{}, false, &CodecError{Codec: CodecBinary, Reason: "body shorter than trace slot"}
-		}
-		msg.Trace.Trace = ids.RequestID(int64(binary.BigEndian.Uint64(rest)))
-		msg.Trace.Span = binary.BigEndian.Uint64(rest[8:])
-		rest = rest[traceSize:]
-	}
-	if len(rest) < kindSize {
-		return Msg{}, false, &CodecError{Codec: CodecBinary, Reason: "body shorter than kind field"}
-	}
-	msg.Kind = Kind(binary.BigEndian.Uint16(rest))
-	rest = rest[kindSize:]
 	if msg.Kind == KindFileChunk {
 		if len(rest) < 8 {
 			return Msg{}, false, &CodecError{Codec: CodecBinary, Kind: msg.Kind, Reason: badShort}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -53,21 +54,59 @@ func (c *refReader) Read() (Msg, error) {
 	return msg, err
 }
 
-// frameReader is what drain reads messages from: a Conn or the reference.
+// frameReader is what drain reads messages from: a Conn, a Conn read
+// through ReadInto, or the reference.
 type frameReader interface{ Read() (Msg, error) }
+
+// intoReader drains a Conn through ReadInto, handing it the same dst for
+// every frame, and holds it to ReadInto's promises about dst: a chunk
+// whose data fits is received into dst (its Data aliases it), and any
+// other message leaves dst untouched.
+type intoReader struct {
+	t   *testing.T
+	c   *Conn
+	dst []byte
+}
+
+// dstFill is what an intoReader's dst holds before each ReadInto.
+const dstFill = 0xee
+
+func (r *intoReader) Read() (Msg, error) {
+	for i := range r.dst {
+		r.dst[i] = dstFill
+	}
+	msg, err := r.c.ReadInto(r.dst)
+	if err != nil {
+		return msg, err
+	}
+	ch, ok := msg.Chunk()
+	if fits := ok && len(r.dst) > 0 && len(ch.Data) <= len(r.dst); fits != aliases(ch, r.dst) {
+		r.t.Errorf("ReadInto with a %d-byte dst: %v message aliases dst %v, its data fits %v", len(r.dst), msg.Kind, !fits, fits)
+	} else if !fits && bytes.Count(r.dst, []byte{dstFill}) != len(r.dst) {
+		r.t.Errorf("ReadInto with a %d-byte dst wrote into it for a %v message that does not fit", len(r.dst), msg.Kind)
+	}
+	return msg, nil
+}
+
+// aliases reports whether a chunk's Data starts at dst's first byte.
+func aliases(ch *FileChunk, dst []byte) bool {
+	return ch != nil && cap(ch.Data) > 0 && cap(dst) > 0 && &ch.Data[:1][0] == &dst[:1][0]
+}
 
 // drain reads r to its terminal error and returns a printable rendering of
 // every message, in order, and of the error (type and text: the callers of
-// Read match on both). Pooled payloads are rendered by value and released.
-func drain(r frameReader) (msgs []string, terminal string) {
+// Read match on both), and the data length of every chunk. Pooled
+// payloads are rendered by value and released.
+func drain(r frameReader) (msgs []string, terminal string, chunkLens []int) {
 	for {
 		msg, err := r.Read()
 		if err != nil {
-			return msgs, fmt.Sprintf("%T: %v", err, err)
+			return msgs, fmt.Sprintf("%T: %v", err, err), chunkLens
 		}
 		payload := msg.Payload
 		if ch, ok := msg.Chunk(); ok {
 			payload = FileChunk{Offset: ch.Offset, Data: bytes.Clone(ch.Data)}
+			chunkLens = append(chunkLens, len(ch.Data))
 		} else if rq, ok := msg.ReadReq(); ok {
 			payload = rq
 		} else if fe, ok := msg.FileEnd(); ok {
@@ -105,12 +144,17 @@ type readOnly struct{ io.Reader }
 
 func (readOnly) Write(p []byte) (int, error) { return 0, errors.New("read-only stream") }
 
-// checkDeliveryShapes reads stream through Conn.Read under every delivery
+// checkDeliveryShapes reads stream through Conn.Read, and through
+// Conn.ReadInto at every dst size that matters, under every delivery
 // shape and requires the reference's messages and terminal error each
-// time. split picks where the two-read shape cuts the stream.
+// time. split picks where the two-read shape cuts the stream. The dst
+// sizes are nil and empty (ReadInto is Read); for every chunk length the
+// reference saw, one byte short of it, exactly it, and larger; and 8 KiB,
+// so that a chunk the reference never completes — a stream that ends in
+// its prefix or its data — still reaches the receive-into path.
 func checkDeliveryShapes(t *testing.T, stream []byte, split int) {
 	t.Helper()
-	wantMsgs, wantErr := drain(&refReader{r: bytes.NewReader(stream)})
+	wantMsgs, wantErr, chunkLens := drain(&refReader{r: bytes.NewReader(stream)})
 	if len(stream) > 0 {
 		split %= len(stream) + 1
 	} else {
@@ -118,25 +162,39 @@ func checkDeliveryShapes(t *testing.T, stream []byte, split int) {
 	}
 	shapes := []struct {
 		name string
-		r    io.Reader
+		r    func() io.Reader
 	}{
-		{"whole", bytes.NewReader(stream)},
-		{"one byte at a time", iotest.OneByteReader(bytes.NewReader(stream))},
-		{fmt.Sprintf("split at %d of %d", split, len(stream)), newSplitReader(stream, split)},
-		{"last bytes with EOF", iotest.DataErrReader(bytes.NewReader(stream))},
+		{"whole", func() io.Reader { return bytes.NewReader(stream) }},
+		{"one byte at a time", func() io.Reader { return iotest.OneByteReader(bytes.NewReader(stream)) }},
+		{fmt.Sprintf("split at %d of %d", split, len(stream)), func() io.Reader { return newSplitReader(stream, split) }},
+		{"last bytes with EOF", func() io.Reader { return iotest.DataErrReader(bytes.NewReader(stream)) }},
+	}
+	dsts := map[string][]byte{"nil": nil, "0": {}, "8192": make([]byte, 8192)}
+	for _, n := range chunkLens {
+		for _, size := range []int{n - 1, n, n + 100} {
+			if size >= 0 {
+				dsts[strconv.Itoa(size)] = make([]byte, size)
+			}
+		}
 	}
 	for _, shape := range shapes {
-		gotMsgs, gotErr := drain(NewConn(readOnly{shape.r}))
-		if gotErr != wantErr {
-			t.Errorf("%s: terminal error %q, reference %q", shape.name, gotErr, wantErr)
+		readers := map[string]frameReader{"Read": NewConn(readOnly{shape.r()})}
+		for size, dst := range dsts {
+			readers["ReadInto, dst "+size] = &intoReader{t: t, c: NewConn(readOnly{shape.r()}), dst: dst}
 		}
-		if len(gotMsgs) != len(wantMsgs) {
-			t.Errorf("%s: %d messages, reference %d", shape.name, len(gotMsgs), len(wantMsgs))
-			continue
-		}
-		for i := range gotMsgs {
-			if gotMsgs[i] != wantMsgs[i] {
-				t.Errorf("%s: message %d is\n  %s\nreference\n  %s", shape.name, i, gotMsgs[i], wantMsgs[i])
+		for how, r := range readers {
+			gotMsgs, gotErr, _ := drain(r)
+			if gotErr != wantErr {
+				t.Errorf("%s, %s: terminal error %q, reference %q", shape.name, how, gotErr, wantErr)
+			}
+			if len(gotMsgs) != len(wantMsgs) {
+				t.Errorf("%s, %s: %d messages, reference %d", shape.name, how, len(gotMsgs), len(wantMsgs))
+				continue
+			}
+			for i := range gotMsgs {
+				if gotMsgs[i] != wantMsgs[i] {
+					t.Errorf("%s, %s: message %d is\n  %s\nreference\n  %s", shape.name, how, i, gotMsgs[i], wantMsgs[i])
+				}
 			}
 		}
 	}
@@ -172,6 +230,14 @@ func TestReadIsIndependentOfDeliveryShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	join := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	// Chunks ReadInto must refuse to receive into dst, each long enough to
+	// be peeked at: an undefined flag bit, and a trace slot the body ends
+	// inside.
+	badFlags := chunkFrameBytes(0, 40)
+	badFlags[headerSize] |= 0x80
+	cutTrace := frameBytes(CodecBinary, append(slotTrace.header()[:flagsSize+10:flagsSize+10], 0, 1, 2))
+	// A chunk under both slots, whose prefix is the longest there is.
+	slotted := frameBytes(CodecBinary, slotTenantTrace.body(KindFileChunk, chunkFrameBytes(8, 2000)[headerSize+flagsSize+kindSize:]))
 
 	cases := []struct {
 		name   string
@@ -199,6 +265,13 @@ func TestReadIsIndependentOfDeliveryShape(t *testing.T) {
 		{name: "EOF after a header, before any body byte", stream: join(cfp, bid[:headerSize]), msgs: 1, errIs: io.EOF},
 		{name: "EOF inside a body", stream: join(cfp, bid[:headerSize+9]), msgs: 1, errIs: io.ErrUnexpectedEOF},
 		{name: "EOF inside a large body", stream: join(cfp, large[:len(large)-5]), splits: []int{len(cfp) + readAhead}, msgs: 1, errIs: io.ErrUnexpectedEOF},
+		{name: "EOF after a chunk's header, before any body byte", stream: join(cfp, large[:headerSize]), msgs: 1, errIs: io.EOF},
+		{name: "EOF inside a chunk's prefix", stream: join(cfp, large[:headerSize+7]), msgs: 1, errIs: io.ErrUnexpectedEOF},
+		{name: "EOF just behind a chunk's prefix", stream: join(small, large[:headerSize+11]), msgs: 1, errIs: io.ErrUnexpectedEOF},
+		{name: "slotted chunks, then EOF just behind the longest prefix", stream: join(slotted, small, slotted, slotted[:maxChunkPrefixLen]),
+			msgs: 3, errIs: io.ErrUnexpectedEOF},
+		{name: "chunk with an unknown flag bit", stream: join(small, badFlags, cfp), msgs: 1, errAs: new(*CodecError)},
+		{name: "body that ends inside its trace slot", stream: join(small, cutTrace), msgs: 1, errAs: new(*CodecError)},
 		{name: "torn frame", stream: torn.Bytes(), msgs: 0, errIs: io.ErrUnexpectedEOF},
 		{name: "oversized declared length, header only", stream: join(cfp, []byte{0xff, 0xff, 0xff, 0xff, byte(CodecBinary)}), msgs: 1, errAs: new(*FrameTooLargeError)},
 		{name: "oversized declared length, bytes behind it", stream: join([]byte{0x00, 0x40, 0x00, 0x01, 0}, cfp), msgs: 0, errAs: new(*FrameTooLargeError)},
@@ -278,37 +351,40 @@ func (r *countingReader) Read(p []byte) (int, error) {
 // fits it costs one read of the stream, a frame that arrived behind its
 // predecessor costs none, and a body too large for it is read straight
 // into its own buffer — nothing past the frame's end is taken, so a
-// stream of chunks stays frame-aligned at two reads each, as before.
+// stream of chunks stays frame-aligned at two reads each, as before —
+// also when ReadInto receives the chunks into the caller's buffer.
 func TestControlFrameIsOneRead(t *testing.T) {
 	cfp, bid := cfpAndBidFrames()
 	large := chunkFrameBytes(0, 128*1024)
 
-	r := &countingReader{segments: [][]byte{cfp, bytes.Join([][]byte{bid, cfp}, nil), large, large, bid}}
-	c := NewConn(readOnly{r})
-	for i, want := range []struct {
-		kind  Kind
-		reads int // cumulative
-	}{
-		{KindCFP, 1},       // one frame, one read
-		{KindBid, 2},       // two frames in one segment: one read ...
-		{KindCFP, 2},       // ... and none
-		{KindFileChunk, 4}, // head with the header, the rest straight into the buffer
-		{KindFileChunk, 6},
-		{KindBid, 7},
-	} {
-		msg, err := c.Read()
-		if err != nil {
-			t.Fatalf("frame %d: %v", i, err)
-		}
-		if msg.Kind != want.kind {
-			t.Fatalf("frame %d is %v, want %v", i, msg.Kind, want.kind)
-		}
-		msg.Release()
-		if r.reads != want.reads {
-			t.Fatalf("after frame %d (%v) the stream has been read %d times, want %d", i, want.kind, r.reads, want.reads)
-		}
-		if got := c.Buffered(); (i == 1) != (got > 0) {
-			t.Fatalf("after frame %d Buffered() = %d", i, got)
+	for _, dst := range [][]byte{nil, make([]byte, 128*1024)} {
+		r := &countingReader{segments: [][]byte{cfp, bytes.Join([][]byte{bid, cfp}, nil), large, large, bid}}
+		c := NewConn(readOnly{r})
+		for i, want := range []struct {
+			kind  Kind
+			reads int // cumulative
+		}{
+			{KindCFP, 1},       // one frame, one read
+			{KindBid, 2},       // two frames in one segment: one read ...
+			{KindCFP, 2},       // ... and none
+			{KindFileChunk, 4}, // head with the header, the rest straight into the buffer
+			{KindFileChunk, 6},
+			{KindBid, 7},
+		} {
+			msg, err := c.ReadInto(dst)
+			if err != nil {
+				t.Fatalf("dst %d bytes, frame %d: %v", len(dst), i, err)
+			}
+			if msg.Kind != want.kind {
+				t.Fatalf("dst %d bytes, frame %d is %v, want %v", len(dst), i, msg.Kind, want.kind)
+			}
+			msg.Release()
+			if r.reads != want.reads {
+				t.Fatalf("dst %d bytes: after frame %d (%v) the stream has been read %d times, want %d", len(dst), i, want.kind, r.reads, want.reads)
+			}
+			if got := c.Buffered(); (i == 1) != (got > 0) {
+				t.Fatalf("dst %d bytes: after frame %d Buffered() = %d", len(dst), i, got)
+			}
 		}
 	}
 }

@@ -121,10 +121,10 @@ type Msg struct {
 	Tenant ids.TenantID
 
 	// pooled is the frame buffer this message's payload borrows from
-	// (FileChunk only: Data points into it); chunk is the pooled payload
-	// struct. rreq is the pooled ReadFile a request decodes into, fend the
-	// pooled FileEnd a stream's end decodes into. All are returned by
-	// Release.
+	// (FileChunk only: Data points into it; nil when the chunk was
+	// received into ReadInto's dst); chunk is the pooled payload struct.
+	// rreq is the pooled ReadFile a request decodes into, fend the pooled
+	// FileEnd a stream's end decodes into. All are returned by Release.
 	pooled *[]byte
 	chunk  *FileChunk
 	rreq   *ReadFile
@@ -165,6 +165,11 @@ func (m *Msg) FileEnd() (FileEnd, bool) {
 //
 //   - After Read returns a KindFileChunk Msg, the chunk's Data is only
 //     valid until Release — copy or consume it first, never retain it.
+//   - After ReadInto(dst) returns one whose data fit in dst, Data is
+//     dst[:len(Data)]: the bytes are the caller's and outlive Release,
+//     which returns only the FileChunk struct. A chunk that did not fit
+//     borrows a pooled buffer as under Read; compare the two with
+//     Data's address when it matters.
 //   - Call Release exactly once per received chunk when done; the Payload
 //     is nilled so use-after-release fails loudly instead of silently
 //     reading recycled bytes.
@@ -437,14 +442,15 @@ type Conn struct {
 	// wt, guarded by wmu, arms a fresh write deadline per frame (servers
 	// use it so a stalled reader cannot wedge a handler goroutine).
 	wt time.Duration
-	// ra, guarded by rmu, is Read's read-ahead: bytes taken from the
-	// stream and not yet handed out as a frame sit in ra[rpos:rend]. Read
-	// fills it with a single read of the stream, so a control frame — header
-	// and body — arrives in one read(2) where header-then-body took two. It
-	// lives in the Conn (a local array would escape through the io.Reader
-	// call and cost one heap allocation per frame), and it belongs to Read
-	// alone: everything else that asks whether the stream is idle must ask
-	// Buffered too, because these bytes are no longer in the socket.
+	// ra, guarded by rmu, is ReadInto's read-ahead: bytes taken from the
+	// stream and not yet handed out as a frame sit in ra[rpos:rend].
+	// ReadInto fills it with a single read of the stream, so a control
+	// frame — header and body — arrives in one read(2) where
+	// header-then-body took two. It lives in the Conn (a local array would
+	// escape through the io.Reader call and cost one heap allocation per
+	// frame), and it belongs to ReadInto alone: everything else that asks
+	// whether the stream is idle must ask Buffered too, because these
+	// bytes are no longer in the socket.
 	ra         [readAhead]byte
 	rpos, rend int
 	// tenant, when non-zero, is the ids.TenantID stamped on every
@@ -569,7 +575,7 @@ func (c *Conn) WriteTorn(kind Kind, payload any) error {
 // read-ahead would only mean a bigger copy at the head of every chunk.
 const readAhead = 512
 
-// Buffered reports how many bytes Read has taken from the stream without
+// Buffered reports how many bytes ReadInto has taken from the stream without
 // yet returning them as a message. On a request/response connection at
 // rest it is zero; anything else is bytes the peer sent unasked, exactly
 // as if they were still waiting in the socket (the transport pool's
@@ -580,24 +586,26 @@ func (c *Conn) Buffered() int {
 	return c.rend - c.rpos
 }
 
-// fillHeader makes a whole frame header available at ra[rpos:], reading
-// the stream only when the read-ahead holds less than one, and then
-// asking for as much as the read-ahead has room for: whatever followed
-// the header in the same segment comes with it. Its errors are
-// io.ReadFull's on a header: io.EOF at a frame boundary,
-// io.ErrUnexpectedEOF inside a header, anything else as the stream
-// reported it. Caller holds rmu.
-func (c *Conn) fillHeader() error {
-	if c.rend-c.rpos >= headerSize {
+// fill makes k bytes available at ra[rpos:] — a frame header, or the
+// head of a body whose header is consumed; k is at most the header or
+// the chunk prefix, and never more than the frame still holds. It reads
+// the stream only when the read-ahead holds fewer, and then asks for as
+// much as the read-ahead has room for: whatever followed in the same
+// segment comes with it. Its errors are io.ReadFull's on those k bytes:
+// io.EOF when the stream ends before the first of them,
+// io.ErrUnexpectedEOF inside them, anything else as the stream reported
+// it. Caller holds rmu.
+func (c *Conn) fill(k int) error {
+	if c.rend-c.rpos >= k {
 		return nil
 	}
-	// At most four bytes move; the read below then has the whole array.
+	// Fewer than k bytes move; the read below then has the rest of the array.
 	c.rend = copy(c.ra[:], c.ra[c.rpos:c.rend])
 	c.rpos = 0
-	for c.rend < headerSize {
+	for c.rend < k {
 		n, err := c.rw.Read(c.ra[c.rend:])
 		c.rend += n
-		if err != nil && c.rend < headerSize {
+		if err != nil && c.rend < k {
 			if err == io.EOF && c.rend > 0 {
 				return io.ErrUnexpectedEOF
 			}
@@ -626,19 +634,26 @@ func (c *Conn) readBody(body []byte) error {
 	return err
 }
 
-// Read receives one message. A frame that fits the read-ahead — every
+// Read receives one message: ReadInto with no destination.
+func (c *Conn) Read() (Msg, error) { return c.ReadInto(nil) }
+
+// ReadInto receives one message. A frame that fits the read-ahead — every
 // control frame — costs one read of the stream, and none at all when it
 // arrived behind its predecessor; a larger body is read straight into its
-// buffer. The frame body lands in a pooled buffer: control frames decode
-// out of it and return it immediately; FileChunk frames lend it to the
-// returned Msg (Data points into it) until Msg.Release — see the
-// borrowed-buffer contract there. Hostile input surfaces typed errors
-// (*FrameTooLargeError for an oversized declared length, *CodecError for
-// unknown tags or malformed bodies), never a panic.
-func (c *Conn) Read() (Msg, error) {
+// buffer. That buffer is dst when the frame is a FileChunk whose data
+// fits in it: the data lands there and nowhere else, and the returned
+// chunk's Data aliases dst. Any other frame — or any frame at all when
+// dst is empty — lands in a pooled buffer: control frames decode out of
+// it and return it immediately; FileChunk frames lend it to the returned
+// Msg (Data points into it) until Msg.Release — see the borrowed-buffer
+// contract there. What a stream holds, not dst, decides the messages and
+// the errors: hostile input surfaces typed errors (*FrameTooLargeError
+// for an oversized declared length, *CodecError for unknown tags or
+// malformed bodies), never a panic.
+func (c *Conn) ReadInto(dst []byte) (Msg, error) {
 	c.rmu.Lock()
 	defer c.rmu.Unlock()
-	if err := c.fillHeader(); err != nil {
+	if err := c.fill(headerSize); err != nil {
 		return Msg{}, err // io.EOF passes through for clean shutdown
 	}
 	n := binary.BigEndian.Uint32(c.ra[c.rpos:])
@@ -646,6 +661,15 @@ func (c *Conn) Read() (Msg, error) {
 	c.rpos += headerSize
 	if n > MaxFrame {
 		return Msg{}, &FrameTooLargeError{Size: int64(n), Cap: MaxFrame}
+	}
+	if len(dst) > 0 && codec == CodecBinary {
+		if msg, into, err := c.chunkInto(dst, int(n)); into {
+			if err != nil {
+				return Msg{}, err
+			}
+			codecMet.Load().rx.Inc()
+			return msg, nil
+		}
 	}
 	bp := getBuf(int(n))
 	body := (*bp)[:n]
@@ -666,6 +690,44 @@ func (c *Conn) Read() (Msg, error) {
 	}
 	codecMet.Load().rx.Inc()
 	return msg, nil
+}
+
+// chunkInto receives a body of n bytes into dst when it is a well-formed
+// FileChunk whose data fits: it takes as much of the body as the longest
+// chunk prefix (flags, slots, kind, offset) into the read-ahead, decodes
+// the head as decodeFrame would, and reads the data — what the read-ahead
+// already holds of it, then the rest straight from the stream — into dst.
+// For anything else it reports false having consumed nothing, and the
+// body takes ReadInto's pooled path, which returns what it always did (a
+// control frame, a chunk too large for dst, or the CodecError of a
+// malformed head). An error while the body is being read is reported as
+// that path would report it. Caller holds rmu.
+func (c *Conn) chunkInto(dst []byte, n int) (msg Msg, into bool, err error) {
+	peek := min(n, maxChunkPrefixLen-headerSize)
+	if err := c.fill(peek); err != nil {
+		return Msg{}, true, fmt.Errorf("wire: reading body: %w", err)
+	}
+	rest, err := decodeHead(&msg, c.ra[c.rpos:c.rpos+peek])
+	if err != nil || msg.Kind != KindFileChunk || len(rest) < 8 {
+		return Msg{}, false, nil
+	}
+	pre := peek - len(rest) + 8
+	if n-pre > len(dst) {
+		return Msg{}, false, nil
+	}
+	c.rpos += pre
+	data := dst[:n-pre]
+	if err := c.readBody(data); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF // the prefix was delivered
+		}
+		return Msg{}, true, fmt.Errorf("wire: reading body: %w", err)
+	}
+	ch := chunkPool.Get().(*FileChunk)
+	ch.Offset = int64(binary.BigEndian.Uint64(rest))
+	ch.Data = data
+	msg.Payload, msg.chunk = ch, ch
+	return msg, true, nil
 }
 
 // Call performs a synchronous request/response round trip: CallTraced
