@@ -412,9 +412,9 @@ func readWhole(c *RMClient, file ids.FileID, w io.Writer) (int64, error) {
 // TestLiveIngestRefusesOversizedDeclaration speaks the inbound-stream
 // protocol by hand: a WriteFile frame declaring more bytes than the disk
 // holds (or fewer than none) must be answered with a served error at once
-// — the RM sizes its receive buffer from that number, so it may not wait
-// for chunks first — and the same connection must then carry an
-// in-capacity upload through to its Ack.
+// — a stream the disk could never store is refused before any of it is
+// read, not after the sender has pushed it all — and the same connection
+// must then carry an in-capacity upload through to its Ack.
 func TestLiveIngestRefusesOversizedDeclaration(t *testing.T) {
 	lc := startLiveCluster(t,
 		[]units.BytesPerSec{units.Mbps(50)},

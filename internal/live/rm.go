@@ -488,26 +488,29 @@ func (s *RMServer) streamFile(wc *wire.Conn, req wire.ReadFile, sp *trace.Span) 
 // stores it on the virtual disk, refusing it when the bytes received do
 // not fold to the checksum the sender's FileEnd declares. Replica
 // ingestion writes through the raw path: it rides the B_REV reserve, not
-// the VM's QoS throttle — and the disk adopts the assembled object rather
-// than copying it (vdisk.WriteRaw), so data is not touched after the
-// store. sp, when the WriteFile arrived traced, is the server's
+// the VM's QoS throttle. A chunk that fits the current block's spare
+// capacity is received straight into it (vdisk.Content, read into through
+// Conn.ReadInto, as RMClient.ReadRange does for a segment) and the disk
+// adopts the blocks (vdisk.WriteRaw), so its bytes are not copied after
+// the socket read. sp, when the WriteFile arrived traced, is the server's
 // "rm.ingest" span and records the byte count stored.
 func (s *RMServer) ingestFile(wc *wire.Conn, req wire.WriteFile, sp *trace.Span) error {
 	if s.disk == nil {
 		return wc.WriteError(fmt.Errorf("rm: no data plane configured"))
 	}
-	// The declared size comes off an untrusted 20-byte frame and sizes the
-	// receive buffer below, so it is bounded by what the disk could ever
-	// hold before a byte is allocated (WriteRaw would refuse more at the
-	// end of the stream anyway).
+	// The declared size comes off an untrusted 20-byte frame. It caps what
+	// the content below will hold, but allocates nothing: blocks follow the
+	// bytes received. A size the disk could never hold is refused before
+	// any of the stream is read (WriteRaw would refuse it at the end).
 	if req.SizeBytes < 0 || req.SizeBytes > int64(s.disk.Capacity()) {
 		return wc.WriteError(fmt.Errorf("rm: inbound size %d outside disk capacity %v", req.SizeBytes, s.disk.Capacity()))
 	}
 	sp.SetFile(req.File).SetBytes(req.SizeBytes)
-	data := make([]byte, 0, req.SizeBytes)
+	data := vdisk.NewContent(req.SizeBytes)
 	sum := wire.ChecksumBasis
 	for {
-		msg, err := wc.Read()
+		dst := data.AvailableBuffer()
+		msg, err := wc.ReadInto(dst[:cap(dst)])
 		if err != nil {
 			return err
 		}
@@ -517,17 +520,20 @@ func (s *RMServer) ingestFile(wc *wire.Conn, req wire.WriteFile, sp *trace.Span)
 			if !ok {
 				return wc.WriteError(fmt.Errorf("rm: malformed FileChunk"))
 			}
-			if chunk.Offset != int64(len(data)) {
+			if chunk.Offset != data.Len() {
 				off := chunk.Offset
 				msg.Release()
-				return wc.WriteError(fmt.Errorf("rm: out-of-order chunk at %d, want %d", off, len(data)))
+				return wc.WriteError(fmt.Errorf("rm: out-of-order chunk at %d, want %d", off, data.Len()))
 			}
-			// Copy out of the borrowed frame buffer, then hand it back so
-			// the next chunk reuses it instead of allocating.
-			data = append(data, chunk.Data...)
+			// The chunk lies in the block's spare capacity, where Write
+			// takes it in place, or — when it did not fit there — in the
+			// borrowed frame buffer, which Write copies out of before
+			// Release hands it back. Write refuses bytes past the declared
+			// size.
 			sum = wire.ChecksumUpdate(sum, chunk.Data)
+			_, werr := data.Write(chunk.Data)
 			msg.Release()
-			if int64(len(data)) > req.SizeBytes {
+			if werr != nil {
 				return wc.WriteError(fmt.Errorf("rm: stream exceeds declared size %d", req.SizeBytes))
 			}
 		case wire.KindFileEnd:
@@ -536,8 +542,8 @@ func (s *RMServer) ingestFile(wc *wire.Conn, req wire.WriteFile, sp *trace.Span)
 			if !ok {
 				return wc.WriteError(fmt.Errorf("rm: malformed FileEnd"))
 			}
-			if end.Size != int64(len(data)) || end.Size != req.SizeBytes {
-				return wc.WriteError(fmt.Errorf("rm: stream ended at %d bytes, declared %d", len(data), req.SizeBytes))
+			if end.Size != data.Len() || end.Size != req.SizeBytes {
+				return wc.WriteError(fmt.Errorf("rm: stream ended at %d bytes, declared %d", data.Len(), req.SizeBytes))
 			}
 			if end.Checksum != sum {
 				return wc.WriteError(fmt.Errorf("rm: inbound checksum mismatch"))

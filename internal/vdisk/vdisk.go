@@ -15,6 +15,7 @@ import (
 	"io"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"dfsqos/internal/blkio"
 	"dfsqos/internal/units"
@@ -37,7 +38,7 @@ type file struct {
 	seed uint64
 	// data holds explicit contents when the file was written rather than
 	// provisioned; nil means synthesized content.
-	data []byte
+	data *Content
 	// sum memoizes the whole-file checksum (valid when sumOK). File
 	// contents are immutable after creation — every write path installs a
 	// fresh *file — so the cache never goes stale. It spares each data
@@ -104,7 +105,8 @@ func (d *Disk) replace(name string, f *file) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	used := d.used
-	if old, ok := d.files[name]; ok {
+	old, ok := d.files[name]
+	if ok {
 		used -= old.size
 	}
 	if used+f.size > d.capacity {
@@ -113,12 +115,28 @@ func (d *Disk) replace(name string, f *file) error {
 	}
 	d.files[name] = f
 	d.used = used + f.size
+	if ok {
+		old.unpin()
+	}
 	return nil
 }
 
-// stored wraps data as explicit file contents; the file owns the slice.
-func stored(data []byte) *file {
-	return &file{size: units.Size(len(data)), data: data}
+// pin holds a written file's blocks against recycling while a read uses
+// them; unpin lets them go. The disk's own entry is one pin, taken by
+// WriteRaw and dropped when the file is replaced or deleted, so the blocks
+// return to blockPool when both the file and its last reader are gone. A
+// reader pins under the lock it found the file under, after which no
+// replace can be the last to unpin. Synthesized files hold no blocks.
+func (f *file) pin() {
+	if f.data != nil {
+		f.data.refs.Add(1)
+	}
+}
+
+func (f *file) unpin() {
+	if f.data != nil && f.data.refs.Add(-1) == 0 {
+		f.data.recycle()
+	}
 }
 
 // Write stores a private copy of data under name, charging the write
@@ -127,9 +145,121 @@ func (d *Disk) Write(ctx context.Context, name string, data []byte) error {
 	if err := d.ctrl.Wait(ctx, d.group, blkio.Write, len(data)); err != nil {
 		return err
 	}
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	return d.replace(name, stored(cp))
+	c := NewContent(int64(len(data)))
+	c.Write(data) // cannot overrun: c was made for exactly these bytes
+	return d.WriteRaw(name, c)
+}
+
+// blockSize is the unit a written file is stored in. A block is allocated
+// only once the bytes before it have filled its predecessor, so receiving
+// a file holds at most one block more than the bytes that have arrived,
+// whatever size was declared; and 1 MiB is sixteen 64 KiB chunks, so a
+// stream of those fills each block exactly and every chunk is received in
+// place.
+const blockSize = 1 << 20
+
+// blockPool recycles the full-size blocks of files that are gone (see
+// file.pin), so a stream of uploads reuses memory instead of having the
+// runtime zero a fresh megabyte per block. A recycled block's stale bytes
+// lie past its content's length, where nothing reads.
+var blockPool = sync.Pool{New: func() any { return new([blockSize]byte) }}
+
+// Content accumulates a written file's bytes in the layout the disk stores
+// them in: fixed-size blocks, every one full but the last, allocated as
+// the bytes arrive. Like bufio.Writer it offers its spare capacity through
+// AvailableBuffer: a receiver may read straight into that and pass the
+// result to Write, which then extends the content over bytes already in
+// place instead of copying them. A Content holds at most the size it was
+// made for. Disk.WriteRaw adopts it.
+type Content struct {
+	blocks [][]byte
+	size   int64        // bytes written
+	limit  int64        // bytes the content may hold
+	refs   atomic.Int32 // once stored: the disk's entry and each read in progress (file.pin)
+}
+
+// NewContent returns an empty content that will hold up to limit bytes.
+// Nothing is allocated until the first byte is asked room for.
+func NewContent(limit int64) *Content { return &Content{limit: limit} }
+
+// Len returns the number of bytes written.
+func (c *Content) Len() int64 { return c.size }
+
+// AvailableBuffer returns the current block's spare capacity, empty, for
+// a receiver to read into and then pass to Write. When that block is full
+// it first allocates the next one — the last sized to what the limit
+// leaves, not to a whole block. Once the content holds its limit it
+// returns nil.
+func (c *Content) AvailableBuffer() []byte {
+	if c.size >= c.limit {
+		return nil
+	}
+	if n := len(c.blocks); n == 0 || len(c.blocks[n-1]) == cap(c.blocks[n-1]) {
+		var b []byte
+		if rest := c.limit - c.size; rest < blockSize {
+			b = make([]byte, 0, rest)
+		} else {
+			b = blockPool.Get().(*[blockSize]byte)[:0]
+		}
+		c.blocks = append(c.blocks, b)
+	}
+	b := c.blocks[len(c.blocks)-1]
+	return b[len(b):]
+}
+
+// Write appends p. Bytes already at the content's tail, where a receiver
+// that read into AvailableBuffer left them, are taken where they lie;
+// anything else is copied, across as many blocks as it spans. A write
+// that would take the content past its limit is refused whole.
+func (c *Content) Write(p []byte) (int, error) {
+	if int64(len(p)) > c.limit-c.size {
+		return 0, fmt.Errorf("vdisk: write of %d bytes overruns the content (%d of %d held)", len(p), c.size, c.limit)
+	}
+	for n := 0; n < len(p); {
+		spare := c.AvailableBuffer()
+		spare = spare[:cap(spare)]
+		var k int
+		if &p[n] == &spare[0] {
+			k = min(len(spare), len(p)-n) // received in place
+		} else {
+			k = copy(spare, p[n:])
+		}
+		last := len(c.blocks) - 1
+		c.blocks[last] = c.blocks[last][:len(c.blocks[last])+k]
+		c.size += int64(k)
+		n += k
+	}
+	return len(p), nil
+}
+
+// copyAt fills p from the content's bytes at off; the caller has clamped
+// p to the content.
+func (c *Content) copyAt(p []byte, off int64) {
+	for len(p) > 0 {
+		k := copy(p, c.blocks[off/blockSize][off%blockSize:])
+		p = p[k:]
+		off += int64(k)
+	}
+}
+
+// recycle hands the content's full-size blocks to blockPool; the content
+// is empty afterwards. Only the last unpin calls it.
+func (c *Content) recycle() {
+	for _, b := range c.blocks {
+		if cap(b) == blockSize {
+			blockPool.Put((*[blockSize]byte)(b[:blockSize]))
+		}
+	}
+	c.blocks, c.size = nil, 0
+}
+
+// checksum folds the content through the wire checksum, block by block.
+func (c *Content) checksum() uint64 {
+	sum := wire.ChecksumBasis
+	for _, b := range c.blocks {
+		sum = wire.ChecksumUpdate(sum, b)
+	}
+	return sum
 }
 
 // Delete removes a file, reclaiming its space.
@@ -142,6 +272,7 @@ func (d *Disk) Delete(name string) error {
 	}
 	d.used -= f.size
 	delete(d.files, name)
+	f.unpin()
 	return nil
 }
 
@@ -191,10 +322,14 @@ func (d *Disk) ReadAtGroup(ctx context.Context, g *blkio.Group, name string, p [
 func (d *Disk) readAt(ctx context.Context, g *blkio.Group, name string, p []byte, off int64) (int, error) {
 	d.mu.RLock()
 	f, ok := d.files[name]
+	if ok {
+		f.pin()
+	}
 	d.mu.RUnlock()
 	if !ok {
 		return 0, fmt.Errorf("vdisk: %q not found", name)
 	}
+	defer f.unpin()
 	if off < 0 {
 		return 0, fmt.Errorf("vdisk: negative offset %d", off)
 	}
@@ -211,7 +346,7 @@ func (d *Disk) readAt(ctx context.Context, g *blkio.Group, name string, p []byte
 		}
 	}
 	if f.data != nil {
-		copy(p[:n], f.data[off:off+int64(n)])
+		f.data.copyAt(p[:n], off)
 	} else {
 		fillSynthetic(p[:n], f.seed, off)
 	}
@@ -264,14 +399,19 @@ func (d *Disk) ReadAtRaw(name string, p []byte, off int64) (int, error) {
 	return d.readAt(context.TODO(), nil, name, p, off)
 }
 
-// WriteRaw stores explicit contents without charging the write throttle,
-// for replica ingestion over the B_REV reserve. The disk adopts data
-// rather than copying it — an ingested object is assembled once and would
-// otherwise be held twice — so the caller gives up ownership: it must not
-// modify or reuse the slice afterwards, whether or not the store is
-// refused.
-func (d *Disk) WriteRaw(name string, data []byte) error {
-	return d.replace(name, stored(data))
+// WriteRaw stores c's bytes as the file's contents without charging the
+// write throttle, for replica ingestion over the B_REV reserve. The disk
+// adopts c rather than copying it — an ingested object is received once,
+// into the blocks it is then stored in — so the caller gives up ownership:
+// it must not write to c afterwards, whether or not the store is refused.
+func (d *Disk) WriteRaw(name string, c *Content) error {
+	f := &file{size: units.Size(c.size), data: c}
+	f.pin()
+	if err := d.replace(name, f); err != nil {
+		f.unpin()
+		return err
+	}
+	return nil
 }
 
 // Checksum computes the whole-file data checksum — the wire package's
@@ -290,16 +430,18 @@ func (d *Disk) Checksum(name string) (uint64, error) {
 	var memo bool
 	if ok {
 		sum, memo = f.sum, f.sumOK
+		f.pin()
 	}
 	d.mu.RUnlock()
 	if !ok {
 		return 0, fmt.Errorf("vdisk: %q not found", name)
 	}
+	defer f.unpin()
 	if memo {
 		return sum, nil
 	}
 	if f.data != nil {
-		sum = ChecksumBytes(f.data)
+		sum = f.data.checksum()
 	} else {
 		sum = wire.ChecksumBasis
 		buf := make([]byte, 64*1024)

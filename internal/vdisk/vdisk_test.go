@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"fmt"
 	"io"
+	"math/rand/v2"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -235,8 +238,8 @@ func TestChecksumStability(t *testing.T) {
 // to what a stream end verifies: folding the bytes ReadAtGroup serves, in
 // pieces of an odd size, through wire.ChecksumUpdate must land on
 // Checksum(name) — for synthesized and for stored contents, at sizes that
-// are multiples neither of the 8-byte synthesis block nor of the 64 KiB
-// pass Checksum makes.
+// are multiples neither of the 8-byte synthesis block, nor of the 64 KiB
+// pass Checksum makes, nor of the block a written file is stored in.
 func TestChecksumIsTheWireFoldOfTheServedBytes(t *testing.T) {
 	ctrl, _ := fastController()
 	d, err := New(100*units.MB, ctrl, "vm1", 0, 0)
@@ -244,7 +247,7 @@ func TestChecksumIsTheWireFoldOfTheServedBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	for _, size := range []int{1, 13, 64*1024 + 5, 3*64*1024 - 3} {
+	for _, size := range []int{1, 13, 64*1024 + 5, 3*64*1024 - 3, 2*blockSize + 3} {
 		if err := d.Provision("synth", units.Size(size)); err != nil {
 			t.Fatal(err)
 		}
@@ -252,7 +255,7 @@ func TestChecksumIsTheWireFoldOfTheServedBytes(t *testing.T) {
 		for i := range content {
 			content[i] = byte(i*131 + size)
 		}
-		if err := d.WriteRaw("stored", content); err != nil {
+		if err := d.WriteRaw("stored", written(content)); err != nil {
 			t.Fatal(err)
 		}
 		for _, name := range []string{"synth", "stored"} {
@@ -397,7 +400,7 @@ func TestRefusedOverwriteLeavesDiskUntouched(t *testing.T) {
 	stores := map[string]func(d *Disk, name string, n int) error{
 		"Provision": func(d *Disk, name string, n int) error { return d.Provision(name, units.Size(n)) },
 		"Write":     func(d *Disk, name string, n int) error { return d.Write(ctx, name, make([]byte, n)) },
-		"WriteRaw":  func(d *Disk, name string, n int) error { return d.WriteRaw(name, make([]byte, n)) },
+		"WriteRaw":  func(d *Disk, name string, n int) error { return d.WriteRaw(name, written(make([]byte, n))) },
 	}
 	for label, store := range stores {
 		ctrl, _ := fastController()
@@ -405,7 +408,7 @@ func TestRefusedOverwriteLeavesDiskUntouched(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := d.WriteRaw("a", old); err != nil {
+		if err := d.WriteRaw("a", written(old)); err != nil {
 			t.Fatal(err)
 		}
 		if err := d.Provision("b", 60); err != nil {
@@ -472,4 +475,248 @@ func TestChecksumConcurrentColdReaders(t *testing.T) {
 			}
 		}
 	}
+}
+
+// written is data as a Content, copied in through Write.
+func written(data []byte) *Content {
+	c := NewContent(int64(len(data)))
+	if _, err := c.Write(data); err != nil {
+		panic(err)
+	}
+	return c
+}
+
+// contiguous is the reference model of a written file: the one slice the
+// disk held a written file in before it stored blocks, read the way readAt
+// served it and summed the way Checksum folded it.
+type contiguous []byte
+
+func (c contiguous) readAt(p []byte, off int64) (int, error) {
+	if off < 0 {
+		return 0, fmt.Errorf("negative offset %d", off)
+	}
+	if off >= int64(len(c)) {
+		return 0, io.EOF
+	}
+	n := copy(p, c[off:])
+	if off+int64(n) == int64(len(c)) {
+		return n, io.EOF
+	}
+	return n, nil
+}
+
+func (c contiguous) checksum() uint64 { return ChecksumBytes(c) }
+
+// span is one read of a stored file: p's length at offset off.
+type span struct {
+	off int64
+	n   int
+}
+
+// writeInPieces writes data into c in pieces whose lengths cycle through
+// cuts. A piece marked in place by the matching bit of inPlace is
+// received the way a socket read through AvailableBuffer would leave it —
+// copied into the spare capacity, then handed to Write from there — when
+// it fits; every other piece is written from data itself.
+func writeInPieces(t testing.TB, c *Content, data []byte, cuts []int, inPlace uint64) {
+	t.Helper()
+	for i, off := 0, 0; off < len(data); i++ {
+		n := min(cuts[i%len(cuts)], len(data)-off)
+		p := data[off : off+n]
+		if spare := c.AvailableBuffer(); inPlace>>(i%64)&1 == 1 && n <= cap(spare) {
+			p = append(spare, p...)
+		}
+		if k, err := c.Write(p); k != n || err != nil {
+			t.Fatalf("Write of a %d-byte piece at %d = (%d, %v)", n, off, k, err)
+		}
+		off += n
+	}
+	if c.Len() != int64(len(data)) {
+		t.Fatalf("content holds %d bytes after writing %d", c.Len(), len(data))
+	}
+}
+
+// checkStoredMatchesContiguous stores data, written in pieces (see
+// writeInPieces), through WriteRaw and holds Stat, Checksum, ReadAt and
+// ReadAtRaw at each span to the contiguous reference: the same byte count,
+// the same terminal error and the same bytes, with nothing written past
+// the count.
+func checkStoredMatchesContiguous(t testing.TB, data []byte, cuts []int, inPlace uint64, reads []span) {
+	t.Helper()
+	ctrl, _ := fastController()
+	d, err := New(units.GB, ctrl, "vm1", 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewContent(int64(len(data)))
+	writeInPieces(t, c, data, cuts, inPlace)
+	if err := d.WriteRaw("f", c); err != nil {
+		t.Fatal(err)
+	}
+	ref := contiguous(data)
+	if size, err := d.Stat("f"); err != nil || int64(size) != int64(len(data)) {
+		t.Fatalf("Stat = (%v, %v), want %d", size, err, len(data))
+	}
+	if sum, err := d.Checksum("f"); err != nil || sum != ref.checksum() {
+		t.Fatalf("%d bytes in pieces %v: Checksum = (%#x, %v), reference %#x", len(data), cuts, sum, err, ref.checksum())
+	}
+	reads = append(reads, span{0, len(data)})
+	longest := 0
+	for _, r := range reads {
+		longest = max(longest, r.n)
+	}
+	wantBuf, gotBuf := make([]byte, longest+1), make([]byte, longest+1)
+	for _, r := range reads {
+		want := guard(wantBuf[:r.n+1])
+		wn, werr := ref.readAt(want[:r.n], r.off)
+		for label, read := range map[string]func(p []byte) (int, error){
+			"ReadAt":    func(p []byte) (int, error) { return d.ReadAt(context.Background(), "f", p, r.off) },
+			"ReadAtRaw": func(p []byte) (int, error) { return d.ReadAtRaw("f", p, r.off) },
+		} {
+			got := guard(gotBuf[:r.n+1])
+			n, err := read(got[:r.n])
+			if n != wn || (err == nil) != (werr == nil) || (err == io.EOF) != (werr == io.EOF) || !bytes.Equal(got, want) {
+				t.Fatalf("%d bytes in pieces %v: %s of %d at %d = (%d, %v), reference (%d, %v), bytes equal %v",
+					len(data), cuts, label, r.n, r.off, n, err, wn, werr, bytes.Equal(got, want))
+			}
+		}
+	}
+}
+
+// guard zeroes p and sets its last byte, which a read into all of p but
+// that byte must leave alone.
+func guard(p []byte) []byte {
+	clear(p)
+	p[len(p)-1] = 0xa5
+	return p
+}
+
+// randomBytes returns n bytes from r.
+func randomBytes(r *rand.Rand, n int) []byte {
+	p := make([]byte, n+8)
+	for i := 0; i < n; i += 8 {
+		binary.LittleEndian.PutUint64(p[i:], r.Uint64())
+	}
+	return p[:n]
+}
+
+// randomSpans draws k reads over a file of size bytes: offsets up to a
+// little past its end, lengths up to a little over the file's size or two
+// blocks, whichever is less, and one read across each block boundary the
+// file has.
+func randomSpans(r *rand.Rand, size, k int) []span {
+	var reads []span
+	for i := 0; i < k; i++ {
+		reads = append(reads, span{int64(r.IntN(size + 3)), r.IntN(min(size, 2*blockSize) + 3)})
+	}
+	for b := blockSize; b <= size; b += blockSize {
+		reads = append(reads, span{int64(b - 3), 7}, span{int64(b), 1})
+	}
+	return append(reads, span{-1, 1}, span{int64(size), 1}, span{0, 0})
+}
+
+// TestStoredBlocksMatchContiguous holds the block store to the contiguous
+// reference over sizes either side of the first two block boundaries and
+// random sizes up to three blocks, written in the pieces an upload arrives
+// in — 64 KiB chunks that tile the blocks, 100 000-byte chunks that
+// straddle them, ragged pieces, whole blocks, the whole file at once —
+// each received in place wherever it fits, or in place and copied by
+// turns.
+func TestStoredBlocksMatchContiguous(t *testing.T) {
+	r := rand.New(rand.NewPCG(1, 2))
+	sizes := []int{0, 1, 7, blockSize - 1, blockSize, blockSize + 1, 2*blockSize - 1, 2 * blockSize, 2*blockSize + 12345}
+	for i := 0; i < 2; i++ {
+		sizes = append(sizes, r.IntN(3*blockSize))
+	}
+	for _, size := range sizes {
+		data := randomBytes(r, size)
+		for _, cuts := range [][]int{
+			{64 << 10}, {100_000}, {1, 4095, 65537, 3}, {blockSize}, {blockSize + 1}, {max(size, 1)},
+		} {
+			for _, inPlace := range []uint64{^uint64(0), 0x5555555555555555} {
+				checkStoredMatchesContiguous(t, data, cuts, inPlace, randomSpans(r, size, 6))
+			}
+		}
+	}
+	small := randomBytes(r, 3000)
+	checkStoredMatchesContiguous(t, small, []int{1}, 0x3333333333333333, randomSpans(r, len(small), 50))
+}
+
+// FuzzStoredBlocks holds the block store to the contiguous reference at
+// any size up to three blocks, any cut of the writes, any mix of in-place
+// and copied pieces, and any read.
+func FuzzStoredBlocks(f *testing.F) {
+	f.Add(uint32(blockSize+1), uint32(100_000), uint64(0), uint64(1), int64(blockSize-5), uint32(10))
+	f.Add(uint32(2*blockSize), uint32(64<<10), ^uint64(0), uint64(2), int64(0), uint32(2*blockSize))
+	f.Add(uint32(0), uint32(1), uint64(1), uint64(3), int64(0), uint32(1))
+	f.Fuzz(func(t *testing.T, size, cut uint32, inPlace, seed uint64, off int64, n uint32) {
+		size %= 3*blockSize + 2
+		// At most a few thousand pieces, so one input stays quick.
+		cut = max(1+cut%(2*blockSize), size/4096)
+		r := rand.New(rand.NewPCG(seed, uint64(size)))
+		cuts := []int{int(cut), 1 + r.IntN(int(cut)), int(cut) + r.IntN(blockSize)}
+		reads := append(randomSpans(r, int(size), 4), span{off % (int64(size) + 2), int(n % (3*blockSize + 2))})
+		checkStoredMatchesContiguous(t, randomBytes(r, int(size)), cuts, inPlace, reads)
+	})
+}
+
+// TestReplacedBlocksWaitForTheirReaders overwrites one file again and
+// again, each version a different byte repeated, while readers read it
+// whole and sum it. A replaced file's blocks go back to the pool for the
+// next version to fill, so a block recycled under a read still in
+// progress would show as a read that mixes two versions (and, under
+// `make race`, as a write racing that read's copy); a read must see one
+// version whole, and every sum must be one version's.
+func TestReplacedBlocksWaitForTheirReaders(t *testing.T) {
+	ctrl, _ := fastController()
+	d, err := New(units.GB, ctrl, "vm1", 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const size, versions = 2*blockSize + 100, 64
+	sums := make(map[uint64]bool)
+	store := func(v byte) {
+		fill := bytes.Repeat([]byte{v}, blockSize)
+		c := NewContent(size)
+		for c.Len() < size {
+			b := c.AvailableBuffer()
+			c.Write(append(b, fill[:cap(b)]...))
+		}
+		if err := d.WriteRaw("f", c); err != nil {
+			t.Error(err)
+		}
+	}
+	for v := 0; v < versions; v++ {
+		sums[ChecksumBytes(bytes.Repeat([]byte{byte(v)}, size))] = true
+	}
+	store(0)
+
+	var done atomic.Bool
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			p := make([]byte, size)
+			for reads := 0; !done.Load() || reads < 4; reads++ {
+				if n, err := d.ReadAtRaw("f", p, 0); n != size || err != io.EOF {
+					t.Errorf("ReadAtRaw = (%d, %v)", n, err)
+					return
+				}
+				if same := bytes.Count(p, p[:1]); same != size {
+					t.Errorf("one read mixes versions: %d of its %d bytes are version %d", same, size, p[0])
+					return
+				}
+				if sum, err := d.Checksum("f"); err != nil || !sums[sum] {
+					t.Errorf("Checksum = (%#x, %v), not the sum of any version", sum, err)
+					return
+				}
+			}
+		}()
+	}
+	for v := 1; v < versions; v++ {
+		store(byte(v))
+	}
+	done.Store(true)
+	wg.Wait()
 }
