@@ -5,15 +5,13 @@
 //
 //	readdir → MM resource query
 //	open    → CFP fan-out, bid scoring, bandwidth reservation
-//	read    → throttled data transfer from the serving RM
+//	read    → ranged, checksum-verified transfer under that reservation
 //	release → reservation returned
 //
 //	go run ./examples/livecluster
 package main
 
 import (
-	"bytes"
-	"context"
 	"fmt"
 	"io"
 	"log"
@@ -35,7 +33,6 @@ import (
 	"dfsqos/internal/selection"
 	"dfsqos/internal/units"
 	"dfsqos/internal/vdisk"
-	"dfsqos/internal/wire"
 )
 
 func main() {
@@ -113,7 +110,7 @@ func main() {
 	mount, err := fsapi.NewMount(fsapi.Options{
 		Client:       client,
 		Catalog:      cat,
-		Data:         &liveData{dir: dir},
+		Streamer:     dir,
 		ReplicaCount: mapper.ReplicaCount,
 	})
 	check(err)
@@ -129,12 +126,10 @@ func main() {
 		h, err := mount.Open(name)
 		check(err)
 		start := time.Now()
-		var buf bytes.Buffer
 		chunk := make([]byte, 128*1024)
 		var off int64
 		for {
 			n, err := mount.Read(h, chunk, off)
-			buf.Write(chunk[:n])
 			off += int64(n)
 			if err == io.EOF {
 				break
@@ -144,39 +139,9 @@ func main() {
 		secs := time.Since(start).Seconds()
 		check(mount.Release(h))
 		fmt.Printf("open/read/release %s: %s in %.2fs (%.2f MB/s, %d replicas, bitrate %v)\n",
-			name, info.Size, secs, float64(buf.Len())/secs/1e6, info.Replicas, info.Bitrate)
+			name, info.Size, secs, float64(off)/secs/1e6, info.Replicas, info.Bitrate)
 	}
 	fmt.Println("\nall reservations returned; live cluster shutting down")
-}
-
-// liveData adapts the TCP data plane to the fsapi.DataPlane interface by
-// fetching whole files once per (rm, file) pair and caching them.
-type liveData struct {
-	dir   *live.Directory
-	cache map[string][]byte
-}
-
-func (d *liveData) ReadAt(rmID ids.RMID, file ids.FileID, p []byte, off int64) (int, error) {
-	if d.cache == nil {
-		d.cache = make(map[string][]byte)
-	}
-	key := fmt.Sprintf("%v/%v", rmID, file)
-	data, ok := d.cache[key]
-	if !ok {
-		// The whole file from offset 0, size- and checksum-verified.
-		var buf bytes.Buffer
-		sum := wire.ChecksumBasis
-		if _, err := d.dir.StreamAt(context.Background(), rmID, file, 0, 0, &buf, &sum); err != nil {
-			return 0, err
-		}
-		data = buf.Bytes()
-		d.cache[key] = data
-	}
-	if off >= int64(len(data)) {
-		return 0, io.EOF
-	}
-	n := copy(p, data[off:])
-	return n, nil
 }
 
 func vdiskFor(ctrl *blkio.Controller, id ids.RMID, capBW units.BytesPerSec) (*vdisk.Disk, error) {

@@ -10,6 +10,11 @@
 // In the paper the client sits behind FUSE: the MM query is issued from the
 // readdir callback, CFP fan-out and selection from open, and the transfer
 // from read/write. Package fsapi binds those callbacks to this client.
+//
+// The open read handle is the read engine (stripe.go): OpenRead negotiates
+// a file's lanes once and holds them, every Reader.ReadAt is a ranged run
+// of the segment scheduler over them, and Close releases them. ReadStriped
+// is a handle opened for one whole-file run.
 package dfsc
 
 import (
@@ -261,73 +266,24 @@ func (c *Client) Probe(file ids.FileID) Outcome {
 }
 
 // AccessHeld runs the same negotiation but leaves the reservation open
-// until the returned release function is called — the shape the FUSE
-// open/release callback pair needs (package fsapi). release is idempotent
-// and non-nil even on failure.
+// until the returned release function is called: one lane, reserved and
+// not read. release is idempotent and non-nil even on failure.
 func (c *Client) AccessHeld(file ids.FileID) (Outcome, func()) {
-	return c.AccessHeldExcluding(file, nil)
-}
-
-// AccessHeldExcluding is AccessHeld with an exclusion set: RMs in exclude
-// are dropped from the eligible holders before the CFP fan-out, so a
-// caller can re-negotiate around a replica that died without waiting for
-// the MM's liveness window to catch up.
-func (c *Client) AccessHeldExcluding(file ids.FileID, exclude map[ids.RMID]bool) (Outcome, func()) {
-	out, p := c.negotiateCtx(context.Background(), file, exclude)
-	if !out.OK {
-		return out, func() {}
-	}
-	released := false
-	var mu sync.Mutex
-	return out, func() {
-		mu.Lock()
-		defer mu.Unlock()
-		if released {
-			return
-		}
-		released = true
-		p.Close(out.Request)
-		c.mu.Lock()
-		c.stats.Completed++
-		c.mu.Unlock()
-	}
-}
-
-// heldLane is one admitted stripe lane: the admission outcome plus the
-// idempotent release of its reservation.
-type heldLane struct {
-	out     Outcome
-	release func()
-}
-
-// accessLanesCtx negotiates up to k concurrent lanes for file (see
-// negotiateLanes) and wraps each grant with an idempotent release, the
-// K-wide sibling of AccessHeldExcluding. Fewer than k lanes is a degraded
-// width, not an error; zero lanes reports the failure Outcome.
-func (c *Client) accessLanesCtx(ctx context.Context, file ids.FileID, exclude map[ids.RMID]bool, k int) ([]heldLane, Outcome) {
-	grants, fail := c.negotiateLanes(ctx, file, exclude, k)
+	grants, fail := c.negotiateLanes(context.Background(), file, nil, 1)
 	if len(grants) == 0 {
-		return nil, fail
+		return fail, func() {}
 	}
-	lanes := make([]heldLane, len(grants))
-	for i, g := range grants {
-		g := g
-		released := false
-		var mu sync.Mutex
-		lanes[i] = heldLane{out: g.out, release: func() {
-			mu.Lock()
-			defer mu.Unlock()
-			if released {
-				return
-			}
-			released = true
-			g.p.Close(g.out.Request)
-			c.mu.Lock()
-			c.stats.Completed++
-			c.mu.Unlock()
-		}}
-	}
-	return lanes, Outcome{}
+	var once sync.Once
+	return grants[0].out, func() { once.Do(func() { c.release(grants[0]) }) }
+}
+
+// release closes g's reservation. A read handle's leases call it exactly
+// once per grant; AccessHeld guards it for callers that might not.
+func (c *Client) release(g grant) {
+	g.p.Close(g.out.Request)
+	c.mu.Lock()
+	c.stats.Completed++
+	c.mu.Unlock()
 }
 
 // Store runs the write half of the data communication phase: "data can be
@@ -403,7 +359,11 @@ func (c *Client) Store(file ids.FileID) Outcome {
 // negotiate performs phases 1-3 and returns the outcome plus the serving
 // provider (nil on failure).
 func (c *Client) negotiate(file ids.FileID) (Outcome, ecnp.Provider) {
-	return c.negotiateCtx(context.Background(), file, nil)
+	grants, fail := c.negotiateLanes(context.Background(), file, nil, 1)
+	if len(grants) == 0 {
+		return fail, nil
+	}
+	return grants[0].out, grants[0].p
 }
 
 // ctxMapper is optionally implemented by Mappers whose Lookup round trip
@@ -449,17 +409,6 @@ type ctxOpener interface {
 type grant struct {
 	out Outcome
 	p   ecnp.Provider
-}
-
-// negotiateCtx is negotiate minus the RMs in exclude (nil excludes
-// nothing), under a caller context. It is the 1-wide special case of
-// negotiateLanes, preserved as the admission path of Access/AccessHeld.
-func (c *Client) negotiateCtx(ctx context.Context, file ids.FileID, exclude map[ids.RMID]bool) (Outcome, ecnp.Provider) {
-	grants, fail := c.negotiateLanes(ctx, file, exclude, 1)
-	if len(grants) == 0 {
-		return fail, nil
-	}
-	return grants[0].out, grants[0].p
 }
 
 // negotiateLanes runs one three-phase negotiation admitting up to k

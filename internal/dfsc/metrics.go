@@ -35,14 +35,14 @@ type Metrics struct {
 	// the replacement reservation being admitted
 	// (dfsqos_dfsc_failover_latency_seconds).
 	FailoverLatency *telemetry.Histogram
-	// StripeReads counts striped reads started
-	// (dfsqos_dfsc_stripe_reads_total); StripeLanes counts the lanes they
-	// admitted (dfsqos_dfsc_stripe_lanes_total), so lanes/reads is the
-	// effective stripe width.
+	// StripeReads counts read handles opened — one per ReadStriped, one per
+	// fsapi open (dfsqos_dfsc_stripe_reads_total); StripeLanes counts the
+	// lanes they admitted (dfsqos_dfsc_stripe_lanes_total), so lanes/reads
+	// is the effective stripe width.
 	StripeReads *telemetry.Counter
 	StripeLanes *telemetry.Counter
-	// StripeFirstByte observes, once per striped read, the seconds from the
-	// ReadStriped call to the committer's first successful write
+	// StripeFirstByte observes, once per read handle, the seconds from the
+	// OpenRead (or ReadStriped) call to the committer's first successful write
 	// (dfsqos_dfsc_stripe_first_byte_seconds): a stream's start-up delay —
 	// negotiation plus the first verified segment.
 	StripeFirstByte *telemetry.Histogram

@@ -297,7 +297,7 @@ func TestNegotiationTable(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			lanes, fail := c.accessLanesCtx(context.Background(), 0, nil, tc.lanes)
+			lanes, fail := c.negotiateLanes(context.Background(), 0, nil, tc.lanes)
 
 			var gotRMs []ids.RMID
 			for _, l := range lanes {

@@ -1,13 +1,15 @@
-// The read engine: one segment scheduler at every width. The file is
-// split into addressable byte-range segments (small ones first, so the
-// stream starts early: see segGeometry), the negotiation admits the top-K
+// The read engine: one segment scheduler at every width, run over the
+// lanes of an open read handle. OpenRead's negotiation admits the top-K
 // bidders simultaneously (one reservation per lane, reusing the existing
-// CFP fan-out), and fetchers pull contiguous ranges concurrently — each
+// CFP fan-out) and the handle holds them until Close. Each read — a FUSE
+// pread's byte range, or ReadStriped's whole file — splits its range into
+// addressable segments (small ones first, so the stream starts early: see
+// segGeometry), and fetchers pull contiguous ranges concurrently — each
 // verified by a per-range checksum from the serving RM — while the
 // committer writes the completed buffers to the writer in offset order,
-// folding them into one whole-file CRC-32C sum. A read with one lane runs
-// two fetchers over it, so a second range is always in flight while the
-// first finishes; a wider read runs one fetcher per lane.
+// folding them into one CRC-32C sum. A handle with one lane runs two
+// fetchers over it, so a second range is always in flight while the first
+// finishes; a wider handle runs one fetcher per lane.
 // The committer re-folds the bytes it commits rather than combining the
 // lanes' range sums: a CRC combine is forty lines of GF(2) matrix code,
 // and with the fold in hardware (~20 GB/s, wire.ChecksumUpdate) the
@@ -21,17 +23,18 @@
 // two share a slot), segment bytes land in buffers drawn from a free
 // list (window + fetchers of them cover a healthy read), and the whole run
 // — ring, free list, buffers, lane records — is borrowed from a pool for
-// the duration of one read and released when it returns (the
-// borrow/Release discipline of the wire package's frame buffers), so
-// back-to-back reads reuse the same memory.
+// the life of one handle and released when it closes (the borrow/Release
+// discipline of the wire package's frame buffers), so back-to-back reads
+// and handles reuse the same memory.
 //
 // Failover: a replica dying requeues the unfinished ranges of its lane's
 // fetchers for whoever fetches next, and the first of them to see the
-// failure re-negotiates a replacement lane under the shared MaxFailovers
-// budget. Slow-replica hedging falls out of the same machinery: a fetcher
-// with no unassigned work re-issues the oldest lagging in-flight range of
-// another replica to its own, first-writer-wins, so one slow RM bounds
-// tail latency instead of the whole read.
+// failure re-negotiates a replacement lane under the handle's shared
+// MaxFailovers budget. Slow-replica hedging falls out of the same
+// machinery: a fetcher with no unassigned work re-issues the oldest
+// lagging in-flight range of another replica to its own,
+// first-writer-wins, so one slow RM bounds tail latency instead of the
+// whole read.
 package dfsc
 
 import (
@@ -50,13 +53,13 @@ import (
 // Streamer is the to-EOF half of the data plane: StreamAt streams file
 // from offset to EOF under reservation req, threading the caller's running
 // checksum state and reporting the bytes delivered even on error. The
-// live deployment's Directory implements it; ReadStriped needs the ranged
-// half as well (RangeStreamer).
+// live deployment's Directory implements it; the read engine needs the
+// ranged half as well (RangeStreamer).
 type Streamer interface {
 	StreamAt(ctx context.Context, rm ids.RMID, file ids.FileID, req ids.RequestID, offset int64, w io.Writer, sum *uint64) (int64, error)
 }
 
-// RangeStreamer is the data plane ReadStriped drives: bounded byte-range
+// RangeStreamer is the data plane the read engine drives: bounded byte-range
 // streams. The live Directory implements it (RMClient.ReadRange); tests
 // substitute fakes. ctx may carry a trace span context (trace.NewContext)
 // that the implementation propagates onto the stream's wire frames.
@@ -107,7 +110,7 @@ type ReadResult struct {
 	HedgesWon int
 }
 
-// StripeConfig tunes ReadStriped.
+// StripeConfig tunes an open read handle (OpenRead, ReadStriped).
 type StripeConfig struct {
 	// Width is the number of replica lanes to admit (the K in a K-wide
 	// stripe; values < 1 mean 1). Fewer eligible replicas than Width
@@ -123,10 +126,10 @@ type StripeConfig struct {
 	// re-issues an in-flight range that has been running longer than this
 	// against its own replica, first-writer-wins. Zero disables hedging.
 	HedgeAfter time.Duration
-	// MaxFailovers bounds lane re-admissions across the whole read (0: a
+	// MaxFailovers bounds lane re-admissions across the whole handle (0: a
 	// dead lane is not replaced; negative is treated as 0). One replica
 	// failure spends one failover however many fetchers saw it. Surviving
-	// lanes keep the read alive either way — the read fails only when no
+	// lanes keep the handle alive either way — a read fails only when no
 	// lane remains and segments are still missing.
 	MaxFailovers int
 	// Backoff is the base delay before a lane re-negotiation, jittered
@@ -156,12 +159,13 @@ type stripeSlot struct {
 	data   []byte    // done: the segment bytes, in a free-list buffer
 }
 
-// segWriter receives one range into a segment buffer. StreamRange is
-// asked for at most cap(buf) bytes; a streamer that delivers more is
-// refused rather than allowed to grow the buffer. A streamer may receive
-// straight into the buffer's spare capacity (AvailableBuffer, as on
-// bufio.Writer): a Write of bytes already in place only extends the
-// buffer over them.
+// segWriter receives bytes into a fixed buffer: one range into a segment
+// buffer, or a read's segments into the caller's slice (Reader.ReadAt).
+// StreamRange is asked for at most cap(buf) bytes; a streamer that
+// delivers more is refused rather than allowed to grow the buffer. A
+// streamer may receive straight into the buffer's spare capacity
+// (AvailableBuffer, as on bufio.Writer): a Write of bytes already in place
+// only extends the buffer over them.
 type segWriter struct{ buf []byte }
 
 // AvailableBuffer returns the segment buffer's spare capacity, empty, for
@@ -195,58 +199,58 @@ type laneIO struct {
 	sum uint64
 }
 
-// oneLaneFetchers is how many fetchers share a read's only lane. With
+// oneLaneFetchers is how many fetchers share a handle's only lane. With
 // one, every range pays a request round trip that nothing overlaps; with
 // two, one range is always in flight while the other's FileEnd comes
-// back. Wider reads keep one fetcher per lane: their lanes already
+// back. Wider handles keep one fetcher per lane: their lanes already
 // overlap each other, and a second fetcher each slows the first byte.
 const oneLaneFetchers = 2
 
-// lease is one admitted reservation. The lane holds a reference while the
-// lease is its current one, and every range streaming on it holds one; the
-// last reference to go releases it. So a lease the lane has replaced stays
-// open until a sibling's range still on it ends, and that range keeps
-// running under its reservation's throttle.
+// lease is one admitted reservation. The handle holds a reference while
+// the lease is a live lane's current one, and every range streaming on it
+// holds one; the last reference to go releases it. So a lease the lane has
+// replaced stays open until a sibling's range still on it ends, and that
+// range keeps running under its reservation's throttle.
 type lease struct {
-	held heldLane
+	held grant
 	refs int
 }
 
 // unrefUnlock drops one reference to l and unlocks st.mu, then releases
 // the reservation if that was the last reference. Caller holds st.mu.
-func (st *stripeRun) unrefUnlock(l *lease) {
+func (c *Client) unrefUnlock(st *stripeRun, l *lease) {
 	l.refs--
 	last := l.refs == 0
 	st.mu.Unlock()
 	if last {
-		l.held.release()
+		c.release(l.held)
 	}
 }
 
-// lane is one admitted slot of a read and the fetchers pulling ranges over
-// it. When its replica fails, the first fetcher to see it re-negotiates
-// the lane (renewing, cur nil) while the others wait; a fetcher whose range
-// failed on an already-replaced lease just moves on. Every field is
+// lane is one admitted slot of a handle and the fetchers pulling ranges
+// over it during a read. When its replica fails, the first fetcher to see
+// it re-negotiates the lane (renewing, cur nil) while the others wait; a
+// fetcher whose range failed on an already-replaced lease just moves on. A
+// lane that dies stays dead for the rest of the handle. Every field is
 // guarded by the run's mutex.
 type lane struct {
-	cur      *lease // nil while renewing or after a failed renewal
+	cur      *lease // nil while renewing, and once dead
 	first    lease  // backs cur until the first replacement
-	fetchers int    // fetchers still attached
 	renewing bool   // a fetcher is re-negotiating the lane
 	dead     bool   // the replica failed and will not be replaced
 }
 
-// stripeRun is the shared scheduler state: one mutex/cond pair guards
+// stripeRun is a handle's scheduler state: one mutex/cond pair guards
 // the segment board (unassigned cursor, requeue list, slot ring, buffer
 // free list), the lane records, and the result accumulators fetchers
-// update. Runs are pooled: borrowStripeRun hands one out sized for a
-// read, release returns it.
+// update. Runs are pooled: borrowStripeRun hands one out for a handle,
+// release returns it.
 type stripeRun struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 
-	segGeometry
-	window int // commit-window width in segments, bounds buffering
+	segGeometry     // the current read's layout
+	window      int // commit-window width in segments, bounds buffering
 
 	next     int          // lowest never-assigned segment index
 	requeue  []int        // segments returned by dead lanes, kept sorted
@@ -257,20 +261,22 @@ type stripeRun struct {
 	// free holds idle segment buffers, each of capacity bufBytes. A healthy
 	// read has at most window + fetchers out at once — the board's
 	// segments, one hedge copy per other fetcher, the one the committer is
-	// writing — and they are made on first use, so a short file never pays
+	// writing — and they are made on first use, so a short read never pays
 	// for the set.
 	free     [][]byte
 	bufBytes int64
 	io       []laneIO // one per fetcher
 	lanes    []lane   // one per admitted lane
 
-	running   int // fetcher goroutines not yet exited
-	failovers int // shared MaxFailovers budget spent
+	running   int // the current read's fetcher goroutines not yet exited
+	failovers int // the handle's MaxFailovers budget spent
 	exclude   map[ids.RMID]bool
 	cause     error // the failure that killed the most recent lane
-	err       error // terminal: the read cannot finish
+	err       error // terminal: the current read cannot finish
 
-	res ReadResult // RMs/Hedges accumulate here under mu
+	// res accumulates under mu: RMs, Failovers and the hedge counts over
+	// the handle, Bytes and Segments over the current read.
+	res ReadResult
 }
 
 var stripeRuns = sync.Pool{New: func() any {
@@ -279,22 +285,16 @@ var stripeRuns = sync.Pool{New: func() any {
 	return st
 }}
 
-// borrowStripeRun takes a run from the pool and sizes it for one read of
-// size bytes in segBytes segments over up to width lanes, keeping
-// whatever the previous borrower left that still fits.
-func borrowStripeRun(size, segBytes int64, width int) *stripeRun {
+// borrowStripeRun takes a run from the pool and sizes it for a handle of
+// up to width lanes, keeping whatever the previous borrower left that
+// still fits.
+func borrowStripeRun(width int) *stripeRun {
 	st := stripeRuns.Get().(*stripeRun)
-	st.segGeometry = newSegGeometry(size, segBytes, width)
 	st.window = 2*width + 2
 	if cap(st.slots) < st.window {
 		st.slots = make([]stripeSlot, st.window)
 	}
 	st.slots = st.slots[:st.window]
-	if bufBytes := min(segBytes, size); st.bufBytes != bufBytes {
-		st.bufBytes = bufBytes
-		clear(st.free)
-		st.free = st.free[:0]
-	}
 	fetchers := max(width, oneLaneFetchers)
 	if need := st.window + fetchers; cap(st.free) < need {
 		st.free = append(make([][]byte, 0, need), st.free...)
@@ -309,23 +309,37 @@ func borrowStripeRun(size, segBytes int64, width int) *stripeRun {
 	return st
 }
 
-// release resets the run and returns it to the pool. Buffers still on
-// the board (a failed read's uncommitted segments) go back to the free
-// list; res is dropped, not reused — the caller owns its slices.
-func (st *stripeRun) release() {
+// lay sets the board up for a read of [base, base+size): buffers the last
+// read left on it (a failed read's segments) go back to the free list, and
+// the buffers grow if they are too small for the new segments.
+func (st *stripeRun) lay(base, size, segBytes int64, width int) {
 	for i := range st.slots {
 		if st.slots[i].data != nil {
 			st.putBufLocked(st.slots[i].data)
 		}
 		st.slots[i] = stripeSlot{}
 	}
-	st.next, st.commit, st.inflight = 0, 0, 0
+	st.next, st.commit, st.inflight, st.err = 0, 0, 0, nil
 	st.requeue = st.requeue[:0]
+	st.segGeometry = newSegGeometry(base, size, segBytes, width)
+	if bufBytes := min(segBytes, size); st.bufBytes < bufBytes {
+		st.bufBytes = bufBytes
+		clear(st.free)
+		st.free = st.free[:0]
+	}
+	st.res.Bytes = 0
+	st.res.Segments = make([]SegmentInfo, 0, st.numSegs)
+}
+
+// release resets the handle's part of the run and returns it to the pool;
+// the next read's lay clears the board. res is dropped, not reused — the
+// caller owns its slices.
+func (st *stripeRun) release() {
 	clear(st.lanes)
 	st.lanes = st.lanes[:0]
-	st.running, st.failovers = 0, 0
+	st.failovers = 0
 	clear(st.exclude)
-	st.cause, st.err = nil, nil
+	st.cause = nil
 	st.res = ReadResult{}
 	stripeRuns.Put(st)
 }
@@ -347,35 +361,37 @@ func (st *stripeRun) getBufLocked() []byte {
 func (st *stripeRun) putBufLocked(buf []byte) { st.free = append(st.free, buf[:0]) }
 
 // firstSegmentBytes is the size of a read's opening segments. The
-// committer may not hand byte 0 to the writer until segment 0 has arrived
-// whole and verified against its FileEnd checksum, so the first segment's
-// size — not SegmentBytes — is what a stream waits for before it starts.
+// committer may not hand the read's first byte to the writer until segment
+// 0 has arrived whole and verified against its FileEnd checksum, so the
+// first segment's size — not SegmentBytes — is what a stream waits for
+// before it starts.
 const firstSegmentBytes = 32 << 10
 
-// segGeometry is a read's segment layout, a pure function of (size,
-// SegmentBytes, Width): round r of the opening ramp is width segments of
+// segGeometry is a read's segment layout over [base, base+size), a pure
+// function of (base, size, SegmentBytes, Width): the layout of [0, size)
+// shifted by base. Round r of the opening ramp is width segments of
 // firstSegmentBytes<<r each, for as long as that is under segBytes; from
-// there on segments are segBytes, the last one clamped at EOF. The first
-// byte then waits for one 32 KiB range on one lane while every lane still
-// reaches full-size ranges within a few round trips. segBytes ≤
+// there on segments are segBytes, the last one clamped at the read's end.
+// The first byte then waits for one 32 KiB range on one lane while every
+// lane still reaches full-size ranges within a few round trips. segBytes ≤
 // firstSegmentBytes has no ramp: the layout is uniform.
 type segGeometry struct {
-	size, segBytes int64
-	width          int64
-	numSegs        int   // segments that cover the file
-	rampSegs       int   // of them, those in the ramp's rounds
-	rampBytes      int64 // bytes the ramp's rounds cover
+	base, size, segBytes int64
+	width                int64
+	numSegs              int   // segments that cover the read
+	rampSegs             int   // of them, those in the ramp's rounds
+	rampBytes            int64 // bytes the ramp's rounds cover
 }
 
-func newSegGeometry(size, segBytes int64, width int) segGeometry {
-	g := segGeometry{size: size, segBytes: segBytes, width: int64(width)}
+func newSegGeometry(base, size, segBytes int64, width int) segGeometry {
+	g := segGeometry{base: base, size: size, segBytes: segBytes, width: int64(width)}
 	left := size
 	for seg := int64(firstSegmentBytes); seg < segBytes; seg <<= 1 {
 		round := g.width * seg
 		g.rampSegs += width
 		g.rampBytes += round
 		if left <= round {
-			// EOF falls inside this round: the file is all ramp.
+			// The read ends inside this round: it is all ramp.
 			g.numSegs = g.rampSegs - width + int((left+seg-1)/seg)
 			return g
 		}
@@ -385,7 +401,7 @@ func newSegGeometry(size, segBytes int64, width int) segGeometry {
 	return g
 }
 
-// segRange returns the byte range of segment idx.
+// segRange returns the file byte range of segment idx.
 func (g segGeometry) segRange(idx int) (off, length int64) {
 	if idx >= g.rampSegs {
 		off = g.rampBytes + int64(idx-g.rampSegs)*g.segBytes
@@ -399,18 +415,33 @@ func (g segGeometry) segRange(idx int) (off, length int64) {
 	if off+length > g.size {
 		length = g.size - off
 	}
-	return off, length
+	return g.base + off, length
 }
 
-// ReadStriped reads file through s as a K-wide stripe (see StripeConfig),
-// writing the bytes to w in offset order and returning the per-segment
-// attribution, failover/hedge counts, and the whole-file checksum. s must
-// serve ranged reads (RangeStreamer).
-func (c *Client) ReadStriped(s Streamer, file ids.FileID, w io.Writer, cfg StripeConfig) (ReadResult, error) {
-	rs, ranged := s.(RangeStreamer)
-	if !ranged {
-		return ReadResult{}, fmt.Errorf("dfsc: read %v: %T serves no ranged reads", file, s)
-	}
+// Reader is an open read handle on one file: the lanes one negotiation
+// admitted, the failover budget and the replicas excluded so far, held
+// from OpenRead until Close. Each read is a run of the segment scheduler
+// over a byte range, under the handle's reservations. Its methods are safe
+// for concurrent use; reads on one handle run one at a time.
+type Reader struct {
+	c    *Client
+	rs   RangeStreamer
+	file ids.FileID
+	size int64
+	cfg  StripeConfig
+
+	mu     sync.Mutex      // serialises reads and Close
+	st     *stripeRun      // nil once closed, and for an empty file
+	root   *trace.Span     // the handle's "dfsc.stripe" span
+	ctx    context.Context // carries root to every range and negotiation
+	opened time.Time
+	bytes  int64 // delivered over the handle's life
+}
+
+// OpenRead opens file for reading through rs: it negotiates up to
+// cfg.Width lanes (see StripeConfig) and holds their reservations until
+// Close. An empty file holds none: there is nothing to stream.
+func (c *Client) OpenRead(rs RangeStreamer, file ids.FileID, cfg StripeConfig) (*Reader, error) {
 	cfg.Width = max(cfg.Width, 1)
 	if cfg.SegmentBytes <= 0 {
 		cfg.SegmentBytes = 1 << 20
@@ -422,66 +453,137 @@ func (c *Client) ReadStriped(s Streamer, file ids.FileID, w io.Writer, cfg Strip
 		cfg.Backoff = 50 * time.Millisecond
 	}
 	c.met.StripeReads.Inc()
-	start := time.Now()
-
-	size := int64(c.cat.File(file).Size)
-	if size == 0 {
-		// Nothing to stream, nothing to reserve: an empty file is a
-		// successful read of zero segments with the basis checksum.
-		return ReadResult{Checksum: wire.ChecksumBasis}, nil
+	r := &Reader{c: c, rs: rs, file: file, size: int64(c.cat.File(file).Size), cfg: cfg, opened: time.Now()}
+	if r.size == 0 {
+		return r, nil
 	}
 
-	st := borrowStripeRun(size, cfg.SegmentBytes, cfg.Width)
-	defer st.release()
-
-	// One root span covers the whole read; every fetcher's "dfsc.segment"
-	// children and every re-negotiation hang off it, so /traces shows all
-	// lanes and failovers of one read as one tree.
-	root := c.tracer.StartRoot(c.nextRequestID(), "dfsc.stripe").SetFile(file)
-	defer root.End()
-	ctx := trace.NewContext(context.Background(), root.Context())
-
-	held, fail := c.accessLanesCtx(ctx, file, st.exclude, cfg.Width)
+	// One root span covers the handle: every segment and negotiation hangs
+	// off it. Negotiations run under this plain context, ranges under a
+	// cancellable child (run): a cancellable control call costs a callback.
+	r.root = c.tracer.StartRoot(c.nextRequestID(), "dfsc.stripe").SetFile(file)
+	r.ctx = trace.NewContext(context.Background(), r.root.Context())
+	st := borrowStripeRun(cfg.Width)
+	held, fail := c.negotiateLanes(r.ctx, file, st.exclude, cfg.Width)
 	if len(held) == 0 {
-		root.SetOutcome("error")
-		return ReadResult{}, fmt.Errorf("dfsc: read %v: %s", file, fail.Reason)
+		st.release()
+		r.root.SetOutcome("error").End()
+		return nil, fmt.Errorf("dfsc: read %v: %s", file, fail.Reason)
 	}
-	// The fetchers run under a context the committer cancels the moment the
-	// read aborts, so a failed writer does not wait out (and keep reserved)
-	// a whole segment per fetcher behind the throttle. The negotiation above
-	// stays on the plain one: a control call under a cancellable context
-	// pays for a cancellation callback.
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
 	c.met.StripeLanes.Add(uint64(len(held)))
-	st.res.Segments = make([]SegmentInfo, 0, st.numSegs)
 	st.res.RMs = make([]ids.RMID, 0, len(held))
-	perLane := 1
-	if len(held) == 1 {
-		perLane = oneLaneFetchers
-	}
 	for _, h := range held {
 		st.res.RMs = append(st.res.RMs, h.out.RM)
-		st.lanes = append(st.lanes, lane{first: lease{held: h, refs: 1}, fetchers: perLane})
+		st.lanes = append(st.lanes, lane{first: lease{held: h, refs: 1}})
 	}
 	for i := range st.lanes {
 		st.lanes[i].cur = &st.lanes[i].first
 	}
+	r.st = st
+	return r, nil
+}
 
+// ReadAt reads len(p) bytes of the file at off into p (io.ReaderAt): one
+// run of the segment scheduler over [off, off+len(p)), clamped at the end
+// of the file. A read that reaches the end of the file returns io.EOF with
+// its bytes.
+func (r *Reader) ReadAt(p []byte, off int64) (int, error) {
+	if off < 0 {
+		return 0, fmt.Errorf("dfsc: read %v: negative offset %d", r.file, off)
+	}
+	if off >= r.size {
+		return 0, io.EOF
+	}
+	n := min(int64(len(p)), r.size-off)
+	res, err := r.run(&segWriter{buf: p[:0:n]}, off, n)
+	switch {
+	case err != nil:
+	case res.Bytes < n:
+		err = io.ErrUnexpectedEOF
+	case off+n == r.size:
+		err = io.EOF
+	}
+	return int(res.Bytes), err
+}
+
+// Close releases the handle's reservations once a read in progress has
+// ended. Closing a closed handle does nothing.
+func (r *Reader) Close() error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	st := r.st
+	if st == nil {
+		return nil
+	}
+	r.st = nil
+	for i := range st.lanes {
+		if ls := st.lanes[i].cur; ls != nil {
+			st.mu.Lock()
+			r.c.unrefUnlock(st, ls) // the handle's reference: no range is left on it
+		}
+	}
+	st.release()
+	r.root.End()
+	return nil
+}
+
+// ReadStriped reads file through s as a K-wide stripe (see StripeConfig),
+// writing the bytes to w in offset order and returning the per-segment
+// attribution, failover/hedge counts, and the whole-file checksum. It is
+// a handle opened for one whole-file read. s must serve ranged reads
+// (RangeStreamer).
+func (c *Client) ReadStriped(s Streamer, file ids.FileID, w io.Writer, cfg StripeConfig) (ReadResult, error) {
+	rs, ranged := s.(RangeStreamer)
+	if !ranged {
+		return ReadResult{}, fmt.Errorf("dfsc: read %v: %T serves no ranged reads", file, s)
+	}
+	r, err := c.OpenRead(rs, file, cfg)
+	if err != nil {
+		return ReadResult{}, err
+	}
+	defer r.Close()
+	return r.run(w, 0, r.size)
+}
+
+// run is one read: the segment scheduler over [base, base+n) of the file
+// on the handle's lanes, writing the bytes to w in offset order and
+// folding them into res.Checksum.
+func (r *Reader) run(w io.Writer, base, n int64) (ReadResult, error) {
+	if n == 0 {
+		return ReadResult{Checksum: wire.ChecksumBasis}, nil // nothing to stream
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	st := r.st
+	if st == nil {
+		return ReadResult{}, fmt.Errorf("dfsc: read %v: handle closed", r.file)
+	}
+	c, cfg := r.c, r.cfg
+	st.lay(base, n, cfg.SegmentBytes, cfg.Width)
+
+	// The fetchers run under a context the committer cancels the moment the
+	// read aborts, so a failed writer does not wait out (and keep reserved)
+	// a whole segment per fetcher behind the throttle.
+	ctx, cancel := context.WithCancel(r.ctx)
+	defer cancel()
+	perLane := 1
+	if len(st.lanes) == 1 {
+		perLane = oneLaneFetchers
+	}
 	var wg sync.WaitGroup
-	st.running = len(held) * perLane
+	st.running = len(st.lanes) * perLane
 	for i := range st.running {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c.fetch(ctx, st, rs, file, &st.lanes[i%len(held)], &st.io[i], cfg, root)
+			c.fetch(ctx, st, r.rs, r.file, &st.lanes[i%len(st.lanes)], &st.io[i], cfg, r.root)
 		}()
 	}
 
 	// The caller's goroutine is the committer: it writes completed
-	// segments to w in offset order and folds them into the whole-file
-	// sum (a CRC state chains, it does not commute — offset order is
-	// mandatory).
+	// segments to w in offset order and folds them into the read's sum (a
+	// CRC state chains, it does not commute — offset order is mandatory).
+	firstByte := r.bytes == 0
 	sum := wire.ChecksumBasis
 	st.mu.Lock()
 	for st.commit < st.numSegs && st.err == nil {
@@ -494,7 +596,7 @@ func (c *Client) ReadStriped(s Streamer, file ids.FileID, w io.Writer, cfg Strip
 				// exit is visible — fetchers dying together cannot each
 				// mistake the other for a survivor.
 				st.err = fmt.Errorf("dfsc: read %v: %d failover(s) exhausted, no lane left: %w",
-					file, st.failovers, st.cause)
+					r.file, st.failovers, st.cause)
 				break
 			}
 			st.cond.Wait()
@@ -516,8 +618,9 @@ func (c *Client) ReadStriped(s Streamer, file ids.FileID, w io.Writer, cfg Strip
 		c.mu.Unlock()
 		_, werr := w.Write(data)
 		if werr == nil {
-			if idx == 0 {
-				c.met.StripeFirstByte.Observe(time.Since(start).Seconds())
+			if firstByte {
+				c.met.StripeFirstByte.Observe(time.Since(r.opened).Seconds())
+				firstByte = false
 			}
 			sum = wire.ChecksumUpdate(sum, data)
 		}
@@ -536,13 +639,14 @@ func (c *Client) ReadStriped(s Streamer, file ids.FileID, w io.Writer, cfg Strip
 	// Every fetcher has exited: the run is the committer's alone again, and
 	// the result holds the last fetcher's failover and hedge counts.
 	err, res := st.err, st.res
-
+	r.bytes += res.Bytes
+	r.root.SetBytes(r.bytes)
 	if err != nil {
-		root.SetBytes(res.Bytes).SetOutcome("error")
+		r.root.SetOutcome("error")
 		return res, err
 	}
 	res.Checksum = sum
-	root.SetBytes(res.Bytes).SetOutcome("ok")
+	r.root.SetOutcome("ok")
 	return res, nil
 }
 
@@ -553,19 +657,14 @@ const hedgePoll = 5 * time.Millisecond
 
 // fetch is one fetcher goroutine: it claims segments off the shared
 // board and streams them over its lane's reservation until the read
-// completes, the run aborts, or the lane dies. lio is the fetcher's own
+// completes, the read aborts, or the lane dies. lio is the fetcher's own
 // receive state in the run.
 func (c *Client) fetch(ctx context.Context, st *stripeRun, rs RangeStreamer, file ids.FileID, ln *lane, lio *laneIO, cfg StripeConfig, root *trace.Span) {
 	defer func() {
 		st.mu.Lock()
-		ln.fetchers--
 		st.running--
 		if st.running == 0 {
 			st.cond.Broadcast() // the committer decides whether the board is dead
-		}
-		if ln.fetchers == 0 && ln.cur != nil {
-			st.unrefUnlock(ln.cur) // the lane's reference: nobody is left on it
-			return
 		}
 		st.mu.Unlock()
 	}()
@@ -641,7 +740,7 @@ func (c *Client) fetch(ctx context.Context, st *stripeRun, rs RangeStreamer, fil
 				seg.SetOutcome("ok")
 			}
 			st.cond.Broadcast()
-			st.unrefUnlock(ls)
+			c.unrefUnlock(st, ls)
 			seg.End()
 			continue
 		}
@@ -655,7 +754,7 @@ func (c *Client) fetch(ctx context.Context, st *stripeRun, rs RangeStreamer, fil
 		if st.err != nil {
 			// The read aborted under this range (the committer cancelled
 			// ctx): nothing to requeue, nobody to fail over for.
-			st.unrefUnlock(ls)
+			c.unrefUnlock(st, ls)
 			return
 		}
 		if !hedge && idx >= st.commit && st.slot(idx).state == slotInflight {
@@ -665,32 +764,35 @@ func (c *Client) fetch(ctx context.Context, st *stripeRun, rs RangeStreamer, fil
 			// A sibling saw the failure first and is replacing (or has
 			// replaced, or given up on) the replica: its failover covers
 			// this range too. The loop head sends this fetcher on or home.
-			st.unrefUnlock(ls)
+			c.unrefUnlock(st, ls)
 			continue
 		}
 		ls.refs-- // the lane still holds ls, so this is not the last reference
 		st.exclude[out.RM] = true
 		st.cause = err
+		ln.cur = nil
 		if st.failovers >= cfg.MaxFailovers {
+			// The lane dies with its lease: the handle's reference goes now,
+			// not at Close, and the lease is released once no sibling's
+			// range is left on it.
 			ln.dead = true
 			st.cond.Broadcast() // idle siblings must see it
-			st.mu.Unlock()
+			c.unrefUnlock(st, ls)
 			return
 		}
 		st.failovers++
 		ln.renewing = true
-		ln.cur = nil
 		exclude := make(map[ids.RMID]bool, len(st.exclude))
 		for rm := range st.exclude {
 			exclude[rm] = true
 		}
 		// Drop the lane's reference: the dead lease is released now, or by
 		// a sibling when its range on it ends.
-		st.unrefUnlock(ls)
+		c.unrefUnlock(st, ls)
 
 		c.sleepJittered(cfg.Backoff)
 		start := time.Now()
-		repl, fail := c.accessLanesCtx(ctx, file, exclude, 1)
+		repl, fail := c.negotiateLanes(ctx, file, exclude, 1)
 		st.mu.Lock()
 		ln.renewing = false
 		st.cond.Broadcast() // waiting siblings move to the replacement, or leave

@@ -975,7 +975,7 @@ func TestReadStripedRequestsRampedRanges(t *testing.T) {
 		t.Fatalf("res.Checksum = %x, want whole-file %x", res.Checksum, want)
 	}
 	sort.Slice(s.calls, func(i, j int) bool { return s.calls[i].off < s.calls[j].off })
-	want := referenceLayout(size, segBytes, width)
+	want := referenceLayout(0, size, segBytes, width)
 	if len(s.calls) != len(want) || len(res.Segments) != len(want) {
 		t.Fatalf("%d range calls, %d segments committed, want %d of each", len(s.calls), len(res.Segments), len(want))
 	}

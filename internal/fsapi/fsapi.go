@@ -9,14 +9,15 @@
 // Kernel modules cannot be loaded in this environment, so the callback
 // contract is preserved verbatim behind a Go interface and an in-process
 // "mount" binds it to a dfsc.Client: Readdir queries the MM, Open runs the
-// CFP/bid/selection negotiation and reserves bandwidth, Read pulls data
-// from the serving RM through a pluggable data plane, and Release returns
-// the reservation. This substitution is documented in DESIGN.md §2.
+// CFP/bid/selection negotiation and holds the winner's reservation in a
+// read handle (dfsc.OpenRead), Read is a ranged read of the client's read
+// engine on that handle, and Release returns the reservation. This
+// substitution is documented in DESIGN.md §2.
 package fsapi
 
 import (
+	"errors"
 	"fmt"
-	"io"
 	"sort"
 	"sync"
 
@@ -58,39 +59,33 @@ type FileSystem interface {
 	Destroy()
 }
 
-// DataPlane supplies file bytes from a specific RM. The simulation uses
-// Synthetic (deterministic content, no transport); live deployments plug
-// an adapter that streams from the serving RM over TCP.
-type DataPlane interface {
-	ReadAt(rm ids.RMID, file ids.FileID, p []byte, off int64) (int, error)
-}
+// openFailovers is how many times one open handle may move to another
+// replica when the RM serving it dies.
+const openFailovers = 2
+
+var errDestroyed = errors.New("fsapi: mount destroyed")
 
 // Mount binds the callback surface to a DFSC.
 type Mount struct {
-	client *dfsc.Client
-	cat    *catalog.Catalog
-	data   DataPlane
-	lookup func(ids.FileID) int // replica count probe (may be nil)
+	client   *dfsc.Client
+	cat      *catalog.Catalog
+	streamer dfsc.RangeStreamer
+	lookup   func(ids.FileID) int // replica count probe (may be nil)
 
 	mu      sync.Mutex
 	nextH   Handle
-	open    map[Handle]*openFile
+	open    map[Handle]*dfsc.Reader
 	byName  map[string]ids.FileID
 	destroy bool
-}
-
-type openFile struct {
-	file    ids.FileID
-	rm      ids.RMID
-	size    int64
-	release func()
 }
 
 // Options configures a mount.
 type Options struct {
 	Client  *dfsc.Client
 	Catalog *catalog.Catalog
-	Data    DataPlane
+	// Streamer is the data plane reads stream through: the live
+	// Directory, or an in-process fake.
+	Streamer dfsc.RangeStreamer
 	// ReplicaCount optionally reports the live replica count for
 	// Getattr; nil leaves FileInfo.Replicas at zero.
 	ReplicaCount func(ids.FileID) int
@@ -98,16 +93,16 @@ type Options struct {
 
 // NewMount builds the mount.
 func NewMount(opt Options) (*Mount, error) {
-	if opt.Client == nil || opt.Catalog == nil || opt.Data == nil {
-		return nil, fmt.Errorf("fsapi: Client, Catalog and Data are required")
+	if opt.Client == nil || opt.Catalog == nil || opt.Streamer == nil {
+		return nil, fmt.Errorf("fsapi: Client, Catalog and Streamer are required")
 	}
 	m := &Mount{
-		client: opt.Client,
-		cat:    opt.Catalog,
-		data:   opt.Data,
-		lookup: opt.ReplicaCount,
-		open:   make(map[Handle]*openFile),
-		byName: make(map[string]ids.FileID, opt.Catalog.Len()),
+		client:   opt.Client,
+		cat:      opt.Catalog,
+		streamer: opt.Streamer,
+		lookup:   opt.ReplicaCount,
+		open:     make(map[Handle]*dfsc.Reader),
+		byName:   make(map[string]ids.FileID, opt.Catalog.Len()),
 	}
 	for _, f := range opt.Catalog.Files() {
 		m.byName[f.Name] = f.ID
@@ -136,12 +131,9 @@ func (m *Mount) Getattr(name string) (FileInfo, error) {
 
 // Readdir implements FileSystem.
 func (m *Mount) Readdir() ([]string, error) {
-	m.mu.Lock()
-	if m.destroy {
-		m.mu.Unlock()
-		return nil, fmt.Errorf("fsapi: mount destroyed")
+	if err := m.live(); err != nil {
+		return nil, err
 	}
-	m.mu.Unlock()
 	names := make([]string, 0, m.cat.Len())
 	for _, f := range m.cat.Files() {
 		names = append(names, f.Name)
@@ -159,12 +151,9 @@ func (m *Mount) Create(name string) error {
 	if err != nil {
 		return err
 	}
-	m.mu.Lock()
-	if m.destroy {
-		m.mu.Unlock()
-		return fmt.Errorf("fsapi: mount destroyed")
+	if err := m.live(); err != nil {
+		return err
 	}
-	m.mu.Unlock()
 	if m.lookup != nil && m.lookup(id) > 0 {
 		return fmt.Errorf("fsapi: %s already stored", name)
 	}
@@ -175,85 +164,67 @@ func (m *Mount) Create(name string) error {
 	return nil
 }
 
-// Open implements FileSystem.
+// Open implements FileSystem: the paper's one RM chosen in open, its
+// reservation held by a one-lane read handle until Release.
 func (m *Mount) Open(name string) (Handle, error) {
 	id, err := m.resolve(name)
 	if err != nil {
 		return 0, err
 	}
+	if err := m.live(); err != nil {
+		return 0, err
+	}
+	r, err := m.client.OpenRead(m.streamer, id, dfsc.StripeConfig{Width: 1, MaxFailovers: openFailovers})
+	if err != nil {
+		return 0, fmt.Errorf("fsapi: open %s: %w", name, err)
+	}
 	m.mu.Lock()
 	if m.destroy {
+		// Destroy ran while the open negotiated, so it could not see this
+		// handle: release the reservation here.
 		m.mu.Unlock()
-		return 0, fmt.Errorf("fsapi: mount destroyed")
+		r.Close()
+		return 0, errDestroyed
 	}
-	m.mu.Unlock()
-
-	out, release := m.client.AccessHeld(id)
-	if !out.OK {
-		return 0, fmt.Errorf("fsapi: open %s: %s", name, out.Reason)
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	m.nextH++
 	h := m.nextH
-	m.open[h] = &openFile{
-		file:    id,
-		rm:      out.RM,
-		size:    int64(m.cat.File(id).Size),
-		release: release,
-	}
+	m.open[h] = r
+	m.mu.Unlock()
 	return h, nil
 }
 
-// Read implements FileSystem.
+// Read implements FileSystem: a ranged read on the handle Open made.
 func (m *Mount) Read(h Handle, p []byte, off int64) (int, error) {
 	m.mu.Lock()
-	of, ok := m.open[h]
+	r, ok := m.open[h]
 	m.mu.Unlock()
 	if !ok {
 		return 0, fmt.Errorf("fsapi: read on closed handle %d", h)
 	}
-	if off < 0 {
-		return 0, fmt.Errorf("fsapi: negative offset")
-	}
-	if off >= of.size {
-		return 0, io.EOF
-	}
-	if max := of.size - off; int64(len(p)) > max {
-		p = p[:max]
-	}
-	n, err := m.data.ReadAt(of.rm, of.file, p, off)
-	if err == nil && off+int64(n) == of.size {
-		err = io.EOF
-	}
-	return n, err
+	return r.ReadAt(p, off)
 }
 
 // Release implements FileSystem.
 func (m *Mount) Release(h Handle) error {
 	m.mu.Lock()
-	of, ok := m.open[h]
+	r, ok := m.open[h]
 	delete(m.open, h)
 	m.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("fsapi: release of unknown handle %d", h)
 	}
-	of.release()
-	return nil
+	return r.Close()
 }
 
 // Destroy implements FileSystem.
 func (m *Mount) Destroy() {
 	m.mu.Lock()
-	files := make([]*openFile, 0, len(m.open))
-	for _, of := range m.open {
-		files = append(files, of)
-	}
-	m.open = make(map[Handle]*openFile)
+	open := m.open
+	m.open = make(map[Handle]*dfsc.Reader)
 	m.destroy = true
 	m.mu.Unlock()
-	for _, of := range files {
-		of.release()
+	for _, r := range open {
+		r.Close()
 	}
 }
 
@@ -262,6 +233,16 @@ func (m *Mount) OpenHandles() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return len(m.open)
+}
+
+// live fails once the mount is destroyed.
+func (m *Mount) live() error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.destroy {
+		return errDestroyed
+	}
+	return nil
 }
 
 func (m *Mount) resolve(name string) (ids.FileID, error) {
@@ -273,20 +254,3 @@ func (m *Mount) resolve(name string) (ids.FileID, error) {
 }
 
 var _ FileSystem = (*Mount)(nil)
-
-// Synthetic is a DataPlane serving deterministic per-file content without
-// any transport — byte k of file f is a pure function of (f, k). It lets
-// simulation-backed mounts exercise the full read path.
-type Synthetic struct{}
-
-// ReadAt implements DataPlane.
-func (Synthetic) ReadAt(_ ids.RMID, file ids.FileID, p []byte, off int64) (int, error) {
-	seed := uint64(file)*0x9e3779b97f4a7c15 + 0x85ebca6b
-	for i := range p {
-		k := uint64(off + int64(i))
-		x := (k + seed) * 0x9e3779b97f4a7c15
-		x ^= x >> 29
-		p[i] = byte(x)
-	}
-	return len(p), nil
-}

@@ -2,8 +2,11 @@ package fsapi
 
 import (
 	"bytes"
+	"context"
 	"io"
+	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 
 	"dfsqos/internal/catalog"
@@ -19,7 +22,36 @@ import (
 	"dfsqos/internal/selection"
 	"dfsqos/internal/simtime"
 	"dfsqos/internal/units"
+	"dfsqos/internal/wire"
 )
+
+// content is the simulated mount's file content: byte k of file f is a
+// pure function of (f, k), so any span a read returns can be checked.
+func content(file ids.FileID, p []byte, off int64) {
+	seed := uint64(file)*0x9e3779b97f4a7c15 + 0x85ebca6b
+	for i := range p {
+		k := uint64(off + int64(i))
+		x := (k + seed) * 0x9e3779b97f4a7c15
+		x ^= x >> 29
+		p[i] = byte(x)
+	}
+}
+
+// contentStreamer is the simulated mount's data plane: it serves content
+// in process, with no transport, checksummed like a live RM's ranges.
+type contentStreamer struct{ cat *catalog.Catalog }
+
+func (s contentStreamer) StreamAt(ctx context.Context, rm ids.RMID, file ids.FileID, req ids.RequestID, off int64, w io.Writer, sum *uint64) (int64, error) {
+	return s.StreamRange(ctx, rm, file, req, off, int64(s.cat.File(file).Size)-off, w, sum)
+}
+
+func (s contentStreamer) StreamRange(_ context.Context, _ ids.RMID, file ids.FileID, _ ids.RequestID, off, length int64, w io.Writer, sum *uint64) (int64, error) {
+	p := make([]byte, min(length, int64(s.cat.File(file).Size)-off))
+	content(file, p, off)
+	n, err := w.Write(p)
+	*sum = wire.ChecksumUpdate(*sum, p[:n])
+	return int64(n), err
+}
 
 // mountHarness builds a two-RM simulated cluster and mounts it.
 type mountHarness struct {
@@ -30,12 +62,13 @@ type mountHarness struct {
 }
 
 func newMountHarness(t *testing.T) *mountHarness {
-	return newMountHarnessPartial(t, -1)
+	return newMountHarnessPartial(t, -1, nil)
 }
 
 // newMountHarnessPartial places every catalog file on both RMs except the
-// given one (-1: place all).
-func newMountHarnessPartial(t *testing.T, skip ids.FileID) *mountHarness {
+// given one (-1: place all). wrap, when non-nil, wraps the MM the client
+// queries.
+func newMountHarnessPartial(t *testing.T, skip ids.FileID, wrap func(ecnp.Mapper) ecnp.Mapper) *mountHarness {
 	t.Helper()
 	cfg := catalog.DefaultConfig()
 	cfg.NumFiles = 5
@@ -74,8 +107,12 @@ func newMountHarnessPartial(t *testing.T, skip ids.FileID) *mountHarness {
 		dir[id] = node
 		rms[id] = node
 	}
+	var clientMapper ecnp.Mapper = mapper
+	if wrap != nil {
+		clientMapper = wrap(mapper)
+	}
 	client, err := dfsc.New(dfsc.Options{
-		ID: 1, Mapper: mapper, Directory: dir, Scheduler: adapter,
+		ID: 1, Mapper: clientMapper, Directory: dir, Scheduler: adapter,
 		Catalog: cat, Policy: selection.RemOnly, Scenario: qos.Firm,
 		Rand: master.Split("client"),
 	})
@@ -85,7 +122,7 @@ func newMountHarnessPartial(t *testing.T, skip ids.FileID) *mountHarness {
 	mount, err := NewMount(Options{
 		Client:       client,
 		Catalog:      cat,
-		Data:         Synthetic{},
+		Streamer:     contentStreamer{cat},
 		ReplicaCount: mapper.ReplicaCount,
 	})
 	if err != nil {
@@ -186,6 +223,43 @@ func TestOpenReadReleaseLifecycle(t *testing.T) {
 	}
 }
 
+// TestConcurrentReadsOnOneHandle: four goroutines reading random spans of
+// one open handle at once each get exactly the file's bytes.
+func TestConcurrentReadsOnOneHandle(t *testing.T) {
+	h := newMountHarness(t)
+	f := h.cat.File(0)
+	handle, err := h.mount.Open(f.Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.mount.Release(handle)
+	size := int64(f.Size)
+	var wg sync.WaitGroup
+	for g := int64(0); g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r := rand.New(rand.NewSource(g))
+			for i := 0; i < 25; i++ {
+				off := r.Int63n(size)
+				p := make([]byte, 1+r.Intn(200<<10))
+				n, err := h.mount.Read(handle, p, off)
+				if err != nil && err != io.EOF {
+					t.Errorf("read [%d,+%d): %v", off, len(p), err)
+					return
+				}
+				want := make([]byte, min(int64(len(p)), size-off))
+				content(f.ID, want, off)
+				if !bytes.Equal(p[:n], want) {
+					t.Errorf("read [%d,+%d) returned %d bytes that differ from the file's %d", off, len(p), n, len(want))
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 func TestOpenMissingFile(t *testing.T) {
 	h := newMountHarness(t)
 	if _, err := h.mount.Open("missing.mp4"); err == nil {
@@ -240,6 +314,39 @@ func TestDestroyReleasesEverything(t *testing.T) {
 	}
 }
 
+// destroyingMapper destroys the mount from inside the MM lookup of an
+// open: a Destroy that lands while the open negotiates.
+type destroyingMapper struct {
+	ecnp.Mapper
+	mount *Mount
+}
+
+func (d *destroyingMapper) Lookup(file ids.FileID) []ids.RMID {
+	d.mount.Destroy()
+	return d.Mapper.Lookup(file)
+}
+
+// TestOpenRacingDestroyReleases: an Open whose negotiation a Destroy
+// overtakes must fail and give its reservation back, not hand out a live
+// handle on a destroyed mount.
+func TestOpenRacingDestroyReleases(t *testing.T) {
+	dm := &destroyingMapper{}
+	h := newMountHarnessPartial(t, -1, func(m ecnp.Mapper) ecnp.Mapper {
+		dm.Mapper = m
+		return dm
+	})
+	dm.mount = h.mount
+	if _, err := h.mount.Open(h.cat.File(0).Name); err == nil {
+		t.Fatal("open on a mount destroyed while it negotiated succeeded")
+	}
+	if got := h.rms[1].Allocated() + h.rms[2].Allocated(); got != 0 {
+		t.Fatalf("%v still reserved after the open lost the race with Destroy", got)
+	}
+	if h.mount.OpenHandles() != 0 {
+		t.Fatal("a handle outlived Destroy")
+	}
+}
+
 func TestCreateStoresUnplacedFile(t *testing.T) {
 	h := newMountHarness(t)
 	// The harness places every catalog file on both RMs, so Create of an
@@ -254,7 +361,7 @@ func TestCreateStoresUnplacedFile(t *testing.T) {
 
 func TestCreateThenOpen(t *testing.T) {
 	// A harness variant with file 4 unplaced.
-	h := newMountHarnessPartial(t, 4)
+	h := newMountHarnessPartial(t, 4, nil)
 	name := h.cat.File(4).Name
 	if _, err := h.mount.Open(name); err == nil {
 		t.Fatal("Open of an unplaced file succeeded")
@@ -274,20 +381,5 @@ func TestCreateThenOpen(t *testing.T) {
 	info, _ := h.mount.Getattr(name)
 	if info.Replicas != 1 {
 		t.Fatalf("Replicas = %d after Create", info.Replicas)
-	}
-}
-
-func TestSyntheticDeterminism(t *testing.T) {
-	var s Synthetic
-	a := make([]byte, 100)
-	b := make([]byte, 100)
-	s.ReadAt(1, 7, a, 50)
-	s.ReadAt(2, 7, b, 50) // RM does not matter
-	if !bytes.Equal(a, b) {
-		t.Fatal("synthetic content depends on the RM")
-	}
-	s.ReadAt(1, 8, b, 50)
-	if bytes.Equal(a, b) {
-		t.Fatal("distinct files share content")
 	}
 }

@@ -306,7 +306,7 @@ func TestLiveReplicationRefusalText(t *testing.T) {
 	}
 }
 
-func TestLiveThrottledDataPlane(t *testing.T) {
+func TestLiveThrottledStream(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing-sensitive")
 	}
