@@ -27,10 +27,12 @@ var (
 //   - PartialWrite sends a torn (kind, payload) frame — header promising
 //     more bytes than follow — then drops the connection: the shape of a
 //     crash mid-write.
-//   - Kill invokes kill in its own goroutine (it closes the whole server,
-//     which waits for this very handler to unwind) and drops the
-//     connection.
-func applyFault(wc *wire.Conn, d faults.Decision, kind wire.Kind, payload any, kill func()) (bool, error) {
+//   - Kill calls kill, which closes the server's listener and every
+//     connection before it returns — so no later request, such as a
+//     client's release on another connection, reaches the dead server —
+//     and drops the connection. Close still waits for the goroutines,
+//     this handler's among them, to unwind.
+func applyFault(wc *wire.Conn, d faults.Decision, kind wire.Kind, payload any, kill func() error) (bool, error) {
 	switch d.Action {
 	case faults.None:
 		return false, nil
@@ -45,9 +47,7 @@ func applyFault(wc *wire.Conn, d faults.Decision, kind wire.Kind, payload any, k
 		wc.WriteTorn(kind, payload) // best effort: the conn drops either way
 		return true, errFaultTorn
 	case faults.Kill:
-		if kill != nil {
-			go kill()
-		}
+		kill()
 		return true, errFaultKill
 	}
 	return false, nil

@@ -7,6 +7,7 @@ import (
 	"dfsqos/internal/ecnp"
 	"dfsqos/internal/faults"
 	"dfsqos/internal/ids"
+	"dfsqos/internal/mm"
 	"dfsqos/internal/trace"
 	"dfsqos/internal/transport"
 	"dfsqos/internal/wire"
@@ -14,7 +15,8 @@ import (
 
 // MMServer serves a Metadata Manager over TCP. One goroutine per
 // connection; the mapper implementations are internally synchronized.
-// Both the single mm.Manager and the DHT-sharded mm.ShardedManager fit.
+// The single mm.Manager, the in-process mm.ShardedManager and a
+// shard-group member (MMShard) all fit.
 type MMServer struct {
 	server
 	mgr ecnp.Mapper
@@ -30,10 +32,10 @@ func NewMMServer(mgr ecnp.Mapper, addr string) (*MMServer, error) {
 	return s, nil
 }
 
-// beater is the optional liveness surface of a mapper. mm.Manager and
-// mm.ShardedManager implement it; a mapper that does not (or a deployment
-// with liveness disabled) simply accepts and ignores beacons, keeping
-// ecnp.Mapper untouched.
+// beater is the optional liveness surface of a mapper. mm.Manager,
+// mm.ShardedManager and MMShard implement it; a mapper that does not (or
+// a deployment with liveness disabled) simply accepts and ignores
+// beacons, keeping ecnp.Mapper untouched.
 type beater interface {
 	Heartbeat(id ids.RMID) error
 }
@@ -45,8 +47,7 @@ type beater interface {
 // address fails loudly instead of silently corrupting a single MM.
 type shardPeer interface {
 	PeerBeat(shard int) error
-	ApplyMirror(m wire.ShardMirror) error
-	ApplyHandoff(h wire.ShardHandoff) (adopted int, err error)
+	mm.ShardPeer
 }
 
 func (s *MMServer) handle(wc *wire.Conn, msg wire.Msg) error {
@@ -70,129 +71,76 @@ func (s *MMServer) handle(wc *wire.Conn, msg wire.Msg) error {
 	return err
 }
 
+// dispatch serves one request. The codec decodes each kind into its own
+// payload type, so the payload picks the call; the kinds sharing FileRef
+// and ReplicaRef are told apart by kind.
 func (s *MMServer) dispatch(wc *wire.Conn, msg wire.Msg) error {
-	switch msg.Kind {
-	case wire.KindRegisterRM:
-		req, ok := msg.Payload.(wire.RegisterRM)
-		if !ok {
-			return wc.WriteError(fmt.Errorf("bad RegisterRM payload"))
+	switch req := msg.Payload.(type) {
+	case wire.RegisterRM:
+		return ack(wc, s.mgr.RegisterRM(req.Info, req.Files))
+	case wire.FileRef:
+		switch msg.Kind {
+		case wire.KindLookup:
+			return wc.Write(wire.KindRMList, wire.RMList{RMs: s.mgr.Lookup(req.File)})
+		case wire.KindRMsWithout:
+			return wc.Write(wire.KindRMList, wire.RMList{RMs: s.mgr.RMsWithout(req.File)})
+		case wire.KindReplicaCount:
+			return wc.Write(wire.KindCount, wire.Count{N: s.mgr.ReplicaCount(req.File)})
 		}
-		if err := s.mgr.RegisterRM(req.Info, req.Files); err != nil {
-			return wc.WriteError(err)
+	case wire.ReplicaRef:
+		switch msg.Kind {
+		case wire.KindAddReplica:
+			return ack(wc, s.mgr.AddReplica(req.File, req.RM))
+		case wire.KindRemoveReplica:
+			return ack(wc, s.mgr.RemoveReplica(req.File, req.RM))
 		}
-		return wc.Write(wire.KindAck, wire.Ack{})
-	case wire.KindLookup:
-		req, ok := msg.Payload.(wire.FileRef)
-		if !ok {
-			return wc.WriteError(fmt.Errorf("bad Lookup payload"))
-		}
-		return wc.Write(wire.KindRMList, wire.RMList{RMs: s.mgr.Lookup(req.File)})
-	case wire.KindRMsWithout:
-		req, ok := msg.Payload.(wire.FileRef)
-		if !ok {
-			return wc.WriteError(fmt.Errorf("bad RMsWithout payload"))
-		}
-		return wc.Write(wire.KindRMList, wire.RMList{RMs: s.mgr.RMsWithout(req.File)})
-	case wire.KindAddReplica:
-		req, ok := msg.Payload.(wire.ReplicaRef)
-		if !ok {
-			return wc.WriteError(fmt.Errorf("bad AddReplica payload"))
-		}
-		if err := s.mgr.AddReplica(req.File, req.RM); err != nil {
-			return wc.WriteError(err)
-		}
-		return wc.Write(wire.KindAck, wire.Ack{})
-	case wire.KindRemoveReplica:
-		req, ok := msg.Payload.(wire.ReplicaRef)
-		if !ok {
-			return wc.WriteError(fmt.Errorf("bad RemoveReplica payload"))
-		}
-		if err := s.mgr.RemoveReplica(req.File, req.RM); err != nil {
-			return wc.WriteError(err)
-		}
-		return wc.Write(wire.KindAck, wire.Ack{})
-	case wire.KindBeginReplication:
-		req, ok := msg.Payload.(wire.BeginReplication)
-		if !ok {
-			return wc.WriteError(fmt.Errorf("bad BeginReplication payload"))
-		}
+	case wire.BeginReplication:
 		if err := s.mgr.BeginReplication(req.File, req.RM, req.MaxTotal); err != nil {
 			// The mapper's refusal is a bare reason; the served text names
 			// the file, RM and cap it was about.
 			return wc.WriteError(fmt.Errorf("%w: %v on %v (cap %d)", err, req.File, req.RM, req.MaxTotal))
 		}
-		return wc.Write(wire.KindAck, wire.Ack{})
-	case wire.KindEndReplication:
-		req, ok := msg.Payload.(wire.EndReplication)
-		if !ok {
-			return wc.WriteError(fmt.Errorf("bad EndReplication payload"))
-		}
+		return ack(wc, nil)
+	case wire.EndReplication:
 		if err := s.mgr.EndReplication(req.File, req.RM, req.Commit); err != nil {
 			return wc.WriteError(fmt.Errorf("%w: %v on %v", err, req.File, req.RM))
 		}
-		return wc.Write(wire.KindAck, wire.Ack{})
-	case wire.KindReplicaCount:
-		req, ok := msg.Payload.(wire.FileRef)
-		if !ok {
-			return wc.WriteError(fmt.Errorf("bad ReplicaCount payload"))
-		}
-		return wc.Write(wire.KindCount, wire.Count{N: s.mgr.ReplicaCount(req.File)})
-	case wire.KindRMs:
-		return wc.Write(wire.KindRMInfoList, wire.RMInfoList{Infos: s.mgr.RMs()})
-	case wire.KindHeartbeat:
-		hb, ok := msg.Payload.(wire.Heartbeat)
-		if !ok {
-			return wc.WriteError(fmt.Errorf("bad Heartbeat payload"))
-		}
+		return ack(wc, nil)
+	case wire.Heartbeat:
 		if b, ok := s.mgr.(beater); ok {
-			if err := b.Heartbeat(hb.RM); err != nil {
+			return ack(wc, b.Heartbeat(req.RM))
+		}
+		return ack(wc, nil)
+	case wire.ShardBeat, wire.ShardMirror, wire.ShardHandoff:
+		peer, member := s.mgr.(shardPeer)
+		if !member {
+			return wc.WriteError(fmt.Errorf("mm: not a shard-group member"))
+		}
+		switch req := req.(type) {
+		case wire.ShardBeat:
+			return ack(wc, peer.PeerBeat(int(req.Shard)))
+		case wire.ShardMirror:
+			return ack(wc, peer.ApplyMirror(req))
+		case wire.ShardHandoff:
+			n, err := peer.ApplyHandoff(req)
+			if err != nil {
 				return wc.WriteError(err)
 			}
+			return wc.Write(wire.KindCount, wire.Count{N: n})
 		}
-		return wc.Write(wire.KindAck, wire.Ack{})
-	case wire.KindShardBeat:
-		b, ok := msg.Payload.(wire.ShardBeat)
-		if !ok {
-			return wc.WriteError(fmt.Errorf("bad ShardBeat payload"))
-		}
-		peer, ok := s.mgr.(shardPeer)
-		if !ok {
-			return wc.WriteError(fmt.Errorf("mm: not a shard-group member"))
-		}
-		if err := peer.PeerBeat(int(b.Shard)); err != nil {
-			return wc.WriteError(err)
-		}
-		return wc.Write(wire.KindAck, wire.Ack{})
-	case wire.KindShardMirror:
-		mir, ok := msg.Payload.(wire.ShardMirror)
-		if !ok {
-			return wc.WriteError(fmt.Errorf("bad ShardMirror payload"))
-		}
-		peer, ok := s.mgr.(shardPeer)
-		if !ok {
-			return wc.WriteError(fmt.Errorf("mm: not a shard-group member"))
-		}
-		if err := peer.ApplyMirror(mir); err != nil {
-			return wc.WriteError(err)
-		}
-		return wc.Write(wire.KindAck, wire.Ack{})
-	case wire.KindShardHandoff:
-		ho, ok := msg.Payload.(wire.ShardHandoff)
-		if !ok {
-			return wc.WriteError(fmt.Errorf("bad ShardHandoff payload"))
-		}
-		peer, ok := s.mgr.(shardPeer)
-		if !ok {
-			return wc.WriteError(fmt.Errorf("mm: not a shard-group member"))
-		}
-		n, err := peer.ApplyHandoff(ho)
-		if err != nil {
-			return wc.WriteError(err)
-		}
-		return wc.Write(wire.KindCount, wire.Count{N: n})
-	default:
-		return wc.WriteError(fmt.Errorf("mm: unexpected message %v", msg.Kind))
 	}
+	if msg.Kind == wire.KindRMs {
+		return wc.Write(wire.KindRMInfoList, wire.RMInfoList{Infos: s.mgr.RMs()})
+	}
+	return wc.WriteError(fmt.Errorf("mm: unexpected message %v", msg.Kind))
+}
+
+// ack answers a request with err, or with an Ack when it is nil.
+func ack(wc *wire.Conn, err error) error {
+	if err != nil {
+		return wc.WriteError(err)
+	}
+	return wc.Write(wire.KindAck, wire.Ack{})
 }
 
 // MMClient is an ecnp.Mapper stub over a pooled transport: concurrent

@@ -121,7 +121,7 @@ func (s *server) handleFault(wc *wire.Conn, point faults.Point, kind wire.Kind) 
 	if inj == nil {
 		return false, nil
 	}
-	return applyFault(wc, inj.Decide(point, kind.String()), wire.KindAck, wire.Ack{}, func() { s.Close() })
+	return applyFault(wc, inj.Decide(point, kind.String()), wire.KindAck, wire.Ack{}, s.halt)
 }
 
 func (s *server) tr() *trace.Tracer {
@@ -136,15 +136,21 @@ func (s *server) Addr() string { return s.ln.Addr().String() }
 // Close stops the listener and all active connections, and waits for
 // their goroutines.
 func (s *server) Close() error {
+	err := s.halt()
+	s.wg.Wait()
+	return err
+}
+
+// halt stops the listener and all active connections without waiting
+// for their goroutines: once it returns, no further request is read.
+func (s *server) halt() error {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.closed = true
-	err := s.ln.Close()
 	for c := range s.conns {
 		c.Close()
 	}
-	s.mu.Unlock()
-	s.wg.Wait()
-	return err
+	return s.ln.Close()
 }
 
 func (s *server) acceptLoop() {

@@ -392,7 +392,7 @@ func TestShardChaosKillShardMidWorkload(t *testing.T) {
 		})
 	}
 	waitFor(t, "heal handoff repopulates the revived shard", func() bool {
-		return len(sc.shards[victim].Local().Lookup(coldFile)) == 2
+		return len(sc.shards[victim].Manager.Lookup(coldFile)) == 2
 	})
 	if sc.mmMet.HandoffHeal.Value() == 0 {
 		t.Fatal("heal handoff entries not counted")

@@ -7,9 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"dfsqos/internal/ecnp"
 	"dfsqos/internal/faults"
-	"dfsqos/internal/ids"
 	"dfsqos/internal/mm"
 	"dfsqos/internal/transport"
 	"dfsqos/internal/wire"
@@ -17,87 +15,33 @@ import (
 
 // MMShard is one member of a replicated MM shard group: the mapper an
 // mmd process serves when the metadata plane runs as N cooperating
-// processes instead of one. Each member holds a full *mm.Manager
-// confined to its slice of the keyspace — every file whose ring owner
-// set (primary + R-1 successors) includes this member — plus client
-// stubs to its peer shards.
-//
-// Write path: the client routes a mutation to the key's first live
-// owner; that member applies it locally and mirrors it synchronously to
-// the other live owners (KindShardMirror). Mirror application is
-// terminal — a receiver applies locally and never re-mirrors, so
-// mirrors cannot loop. Read path: the client reads from the first live
-// owner's local manager; no cross-shard traffic at all.
-//
-// Failure path: members beat each other (KindShardBeat, the PR 3
-// liveness machinery turned sideways); a member that detects a peer's
-// silence runs the takeover handoff — every mapping it shares with the
-// dead shard, and for which it is the first live owner, is pushed to
-// the next live successor beyond the owner set (KindShardHandoff), so
-// the group returns to R live replicas of that slice. When the dead
-// shard beats again (restarted, probably empty), the same rule pushes
-// the keyspace back as a heal handoff, and the shard's revival epoch
-// bumps. Handoff application is idempotent, so overlapping pushes from
-// multiple members converge instead of erroring.
+// processes instead of one. The replication protocol is mm.ShardMember's,
+// the code the in-process mm.ShardedManager runs too; MMShard adds the
+// TCP side. Its peers are MMClient stubs (mirrors go out as
+// KindShardMirror, handoffs as KindShardHandoff, each behind a shard fault
+// point), and its beat loop sends KindShardBeat, turning a peer's silence
+// into a takeover and its return into a heal.
 type MMShard struct {
-	index  int
-	ring   *mm.Ring
-	rep    int
-	local  *mm.Manager
-	health *mm.ShardHealth
-	met    *mm.Metrics
+	*mm.ShardMember
 
-	mu    sync.Mutex
-	peers []*MMClient // ring-index aligned; nil at own index / unset
-	inj   faults.Injector
-	logf  func(string, ...any)
+	mu      sync.Mutex
+	clients []*MMClient // ring-index aligned; nil at own index / unset
+	inj     faults.Injector
 }
 
 // NewMMShard builds group member index of a shards-wide group with
 // replication factor rep (clamped to [1, shards]). beat arms shard
 // liveness: a peer silent for MissThreshold × HeartbeatInterval is dead.
 // A zero beat config disables expiry (single-process tests drive health
-// directly). Peers are attached afterwards with SetPeer or DialPeers.
+// directly). Peers are attached afterwards with DialPeers.
 func NewMMShard(index, shards, rep int, beat mm.LivenessConfig) (*MMShard, error) {
 	if index < 0 || index >= shards {
 		return nil, fmt.Errorf("live: shard index %d outside [0,%d)", index, shards)
 	}
-	if rep < 1 {
-		rep = 1
-	}
-	if rep > shards {
-		rep = shards
-	}
 	return &MMShard{
-		index:  index,
-		ring:   mm.NewRing(shards),
-		rep:    rep,
-		local:  mm.New(),
-		health: mm.NewShardHealth(shards, beat),
-		met:    mm.NewMetrics(nil),
-		peers:  make([]*MMClient, shards),
-		logf:   func(string, ...any) {},
+		ShardMember: mm.NewShardMember(index, mm.NewRing(shards), rep, mm.NewShardHealth(shards, beat)),
+		clients:     make([]*MMClient, shards),
 	}, nil
-}
-
-// Index returns this member's ring index.
-func (s *MMShard) Index() int { return s.index }
-
-// Local exposes the member's local manager (tests and the monitor).
-func (s *MMShard) Local() *mm.Manager { return s.local }
-
-// Health exposes the member's shard liveness table.
-func (s *MMShard) Health() *mm.ShardHealth { return s.health }
-
-// SetPeer attaches the client stub for peer shard i (ignored for the
-// member's own index).
-func (s *MMShard) SetPeer(i int, c *MMClient) {
-	if i == s.index {
-		return
-	}
-	s.mu.Lock()
-	s.peers[i] = c
-	s.mu.Unlock()
 }
 
 // DialPeers attaches client stubs for every non-empty address in addrs
@@ -105,11 +49,13 @@ func (s *MMShard) SetPeer(i int, c *MMClient) {
 // lazy at the transport layer, so listed-but-down peers do not block
 // startup.
 func (s *MMShard) DialPeers(addrs []string, cfg transport.Config) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	for i, addr := range addrs {
-		if i == s.index || addr == "" {
-			continue
+		if i != s.Index() && addr != "" {
+			s.clients[i] = NewMMClient(addr, cfg)
+			s.SetPeer(i, shardPeerStub{c: s.clients[i], s: s})
 		}
-		s.SetPeer(i, NewMMClient(addr, cfg))
 	}
 	return nil
 }
@@ -118,50 +64,26 @@ func (s *MMShard) DialPeers(addrs []string, cfg transport.Config) error {
 func (s *MMShard) ClosePeers() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for i, c := range s.peers {
+	for i, c := range s.clients {
 		if c != nil {
 			c.Close()
-			s.peers[i] = nil
+			s.clients[i] = nil
+			s.SetPeer(i, nil)
 		}
 	}
-}
-
-// SetLogger routes diagnostics (default: discard).
-func (s *MMShard) SetLogger(logf func(string, ...any)) {
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
-	s.mu.Lock()
-	s.logf = logf
-	s.mu.Unlock()
 }
 
 // SetFaults arms a fault injector at faults.PointShardMirror (before
 // each mirror send; detail is the mutation name) and
 // faults.PointShardHandoff (before each handoff push; detail is the
-// direction). Nil disables injection.
+// direction). Drop, Kill and Error partition the send: it never happens,
+// and the member counts or logs it as unreachable. Nil disables
+// injection.
 func (s *MMShard) SetFaults(inj faults.Injector) {
 	s.mu.Lock()
 	s.inj = inj
 	s.mu.Unlock()
 }
-
-// SetMetrics routes this member's MM telemetry — both the local
-// manager's RM series and the shard-group series (beats, mirrors,
-// handoffs, transitions).
-func (s *MMShard) SetMetrics(met *mm.Metrics) {
-	if met == nil {
-		met = mm.NewMetrics(nil)
-	}
-	s.mu.Lock()
-	s.met = met
-	s.mu.Unlock()
-	s.local.SetMetrics(met)
-	s.health.SetMetrics(met)
-}
-
-// SetLiveness arms RM failure detection on the local manager.
-func (s *MMShard) SetLiveness(cfg mm.LivenessConfig) { s.local.SetLiveness(cfg) }
 
 func (s *MMShard) injector() faults.Injector {
 	s.mu.Lock()
@@ -169,356 +91,59 @@ func (s *MMShard) injector() faults.Injector {
 	return s.inj
 }
 
-func (s *MMShard) log() func(string, ...any) {
+func (s *MMShard) client(i int) *MMClient {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.logf
+	return s.clients[i]
 }
 
-func (s *MMShard) peer(i int) *MMClient {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.peers[i]
+// shardPeerStub is an mm.ShardPeer over TCP: the peer's MMClient, behind
+// the member's shard fault points. A send that never reached the peer —
+// partitioned by a fault, or failed in transport — comes back as
+// mm.ErrShardUnreachable; a refusal the peer served comes back as is.
+type shardPeerStub struct {
+	c *MMClient
+	s *MMShard
 }
 
-// ownersOf returns file's owner set, primary first, in ring order.
-func (s *MMShard) ownersOf(file ids.FileID) []int {
-	return s.ring.SuccessorsOfFile(int64(file), s.rep)
+func (p shardPeerStub) ApplyMirror(m wire.ShardMirror) error {
+	_, err := p.send(faults.PointShardMirror, m.Op, wire.KindShardMirror, m)
+	return err
 }
 
-// owns reports whether this member is in file's owner set.
-func (s *MMShard) owns(file ids.FileID) bool {
-	return containsShardIndex(s.ownersOf(file), s.index)
+func (p shardPeerStub) ApplyHandoff(h wire.ShardHandoff) (int, error) {
+	reply, err := p.send(faults.PointShardHandoff, h.Direction, wire.KindShardHandoff, h)
+	n, _ := reply.Payload.(wire.Count)
+	return n.N, err
 }
 
-// RegisterRM implements ecnp.Mapper. The client fans registrations to
-// every live shard with the RM's full file list; each member keeps the
-// files it owns (so the per-shard reconcile prunes exactly its slice).
-func (s *MMShard) RegisterRM(info ecnp.RMInfo, files []ids.FileID) error {
-	owned := make([]ids.FileID, 0, len(files))
-	for _, f := range files {
-		if s.owns(f) {
-			owned = append(owned, f)
-		}
+func (p shardPeerStub) send(point faults.Point, detail string, kind wire.Kind, payload any) (wire.Msg, error) {
+	switch d := faults.Decide(p.s.injector(), point, detail); d.Action {
+	case faults.Drop, faults.Kill:
+		return wire.Msg{}, fmt.Errorf("%w: injected partition", mm.ErrShardUnreachable)
+	case faults.Error:
+		return wire.Msg{}, fmt.Errorf("%w: %w", mm.ErrShardUnreachable, d.Err)
+	case faults.Delay:
+		time.Sleep(d.Delay)
 	}
-	return s.local.RegisterRM(info, owned)
-}
-
-// Lookup implements ecnp.Mapper (local replica of the mapping).
-func (s *MMShard) Lookup(file ids.FileID) []ids.RMID { return s.local.Lookup(file) }
-
-// RMsWithout implements ecnp.Mapper.
-func (s *MMShard) RMsWithout(file ids.FileID) []ids.RMID { return s.local.RMsWithout(file) }
-
-// AddReplica implements ecnp.Mapper: local apply + mirror to co-owners.
-func (s *MMShard) AddReplica(file ids.FileID, rm ids.RMID) error {
-	if err := s.local.AddReplica(file, rm); err != nil {
-		return err
+	reply, err := p.c.t.Call(context.Background(), kind, payload)
+	if err != nil && !transport.IsRemote(err) {
+		err = fmt.Errorf("%w: %w", mm.ErrShardUnreachable, err)
 	}
-	s.mirror(file, wire.ShardMirror{Op: "AddReplica", File: file, RM: rm})
-	return nil
-}
-
-// RemoveReplica implements ecnp.Mapper.
-func (s *MMShard) RemoveReplica(file ids.FileID, rm ids.RMID) error {
-	if err := s.local.RemoveReplica(file, rm); err != nil {
-		return err
-	}
-	s.mirror(file, wire.ShardMirror{Op: "RemoveReplica", File: file, RM: rm})
-	return nil
-}
-
-// BeginReplication implements ecnp.Mapper.
-func (s *MMShard) BeginReplication(file ids.FileID, rm ids.RMID, maxTotal int) error {
-	if err := s.local.BeginReplication(file, rm, maxTotal); err != nil {
-		return err
-	}
-	s.mirror(file, wire.ShardMirror{Op: "BeginReplication", File: file, RM: rm, MaxTotal: maxTotal})
-	return nil
-}
-
-// EndReplication implements ecnp.Mapper.
-func (s *MMShard) EndReplication(file ids.FileID, rm ids.RMID, commit bool) error {
-	if err := s.local.EndReplication(file, rm, commit); err != nil {
-		return err
-	}
-	s.mirror(file, wire.ShardMirror{Op: "EndReplication", File: file, RM: rm, Commit: commit})
-	return nil
-}
-
-// ReplicaCount implements ecnp.Mapper.
-func (s *MMShard) ReplicaCount(file ids.FileID) int { return s.local.ReplicaCount(file) }
-
-// RMs implements ecnp.Mapper (the resource list replicates to every
-// member through the client's registration fan-out).
-func (s *MMShard) RMs() []ecnp.RMInfo { return s.local.RMs() }
-
-// Heartbeat accepts an RM liveness beacon (the client fans it to every
-// live shard; each member tracks its own copy of the liveness table).
-func (s *MMShard) Heartbeat(id ids.RMID) error { return s.local.Heartbeat(id) }
-
-// mirror replays a just-applied mutation to the other live owners of
-// file. A mirror failure is counted and logged, not returned: the write
-// already committed on the serving owner, and the handoff/heal protocol
-// reconverges a diverged mirror, so availability wins over blocking the
-// client. The faults point models a shard-to-shard partition: a Drop or
-// Kill decision suppresses the send entirely.
-func (s *MMShard) mirror(file ids.FileID, m wire.ShardMirror) {
-	inj, logf := s.injector(), s.log()
-	for _, o := range s.ownersOf(file) {
-		if o == s.index || !s.health.Alive(o) {
-			continue
-		}
-		p := s.peer(o)
-		if p == nil {
-			continue
-		}
-		switch d := faults.Decide(inj, faults.PointShardMirror, m.Op); d.Action {
-		case faults.Drop, faults.Kill:
-			s.met.ShardMirrorsFailed.Inc()
-			continue // partitioned: the send never happens
-		case faults.Error:
-			s.met.ShardMirrorsFailed.Inc()
-			logf("live: shard %d mirror %s to %d: %v", s.index, m.Op, o, d.Err)
-			continue
-		case faults.Delay:
-			time.Sleep(d.Delay)
-		}
-		if _, err := p.t.Call(context.Background(), wire.KindShardMirror, m); err != nil {
-			s.met.ShardMirrorsFailed.Inc()
-			logf("live: shard %d mirror %s to %d: %v", s.index, m.Op, o, err)
-			continue
-		}
-		s.met.ShardMirrorsOK.Inc()
-	}
-}
-
-// PeerBeat implements the shard-peer surface: a liveness beacon from
-// peer shard i. A beat that revives a dead peer triggers the heal
-// handoff asynchronously — the revived shard (typically a restarted,
-// empty process) gets its keyspace pushed back.
-func (s *MMShard) PeerBeat(i int) error {
-	if i < 0 || i >= s.ring.Shards() || i == s.index {
-		return fmt.Errorf("live: shard %d: bad peer beat from %d", s.index, i)
-	}
-	s.met.ShardBeats.Inc()
-	if s.health.Beat(i) {
-		go s.Heal(i)
-	}
-	return nil
-}
-
-// ApplyMirror implements the shard-peer surface: apply a mutation
-// mirrored by the serving owner, terminally (never re-mirrored).
-// Replica add/remove apply idempotently — a mirror can race a handoff
-// batch carrying the same mapping, and converging beats erroring.
-func (s *MMShard) ApplyMirror(m wire.ShardMirror) error {
-	switch m.Op {
-	case "AddReplica":
-		_, err := s.local.AdoptReplicas(m.File, []ids.RMID{m.RM})
-		return err
-	case "RemoveReplica":
-		if !containsRMID(s.local.Replicas(m.File), m.RM) {
-			return nil // already gone
-		}
-		return s.local.RemoveReplica(m.File, m.RM)
-	case "BeginReplication":
-		return s.local.BeginReplication(m.File, m.RM, m.MaxTotal)
-	case "EndReplication":
-		return s.local.EndReplication(m.File, m.RM, m.Commit)
-	}
-	return fmt.Errorf("live: shard %d: unknown mirror op %q", s.index, m.Op)
-}
-
-// ApplyHandoff implements the shard-peer surface: adopt a keyspace batch
-// pushed by a peer. Unknown RMs register first (a restarted shard is
-// empty), then each entry merges idempotently. The handoff-entry counter
-// advances by what was actually new, labeled with the push direction.
-func (s *MMShard) ApplyHandoff(h wire.ShardHandoff) (int, error) {
-	for _, info := range h.Infos {
-		if _, known := s.local.RM(info.ID); known {
-			continue
-		}
-		if err := s.local.RegisterRM(info, nil); err != nil {
-			return 0, err
-		}
-	}
-	adopted := 0
-	for _, e := range h.Entries {
-		n, err := s.local.AdoptReplicas(e.File, e.RMs)
-		if err != nil {
-			return adopted, err
-		}
-		adopted += n
-	}
-	switch h.Direction {
-	case "heal":
-		s.met.HandoffHeal.Add(uint64(adopted))
-	default:
-		s.met.HandoffTakeover.Add(uint64(adopted))
-	}
-	return adopted, nil
-}
-
-// Sweep latches peers that crossed their beat deadline and runs the
-// takeover handoff for each newly-dead one. The beat loop calls it every
-// tick; tests call it directly.
-func (s *MMShard) Sweep() {
-	// A running member is its own proof of life: nothing beats self over
-	// the wire, so refresh the member's own slot (Stamp, not Beat — a
-	// stalled tick must not read as a death plus revival) before latching.
-	s.health.Stamp(s.index)
-	for _, dead := range s.health.Sweep() {
-		if dead == s.index {
-			continue
-		}
-		s.log()("live: shard %d sweep: peer %d latched dead", s.index, dead)
-		s.Takeover(dead)
-	}
-}
-
-// Takeover pushes the slice of the keyspace this member shares with dead
-// shard `dead` to the next live successor beyond each file's owner set —
-// but only for files where this member is the first live owner, so N
-// surviving co-owners produce one push, not N. Returns entries pushed.
-func (s *MMShard) Takeover(dead int) int {
-	batches := make(map[int][]wire.ShardEntry) // target shard → entries
-	for _, f := range s.local.Files() {
-		owners := s.ownersOf(f)
-		if !containsShardIndex(owners, dead) || s.firstLiveOwner(owners) != s.index {
-			continue
-		}
-		target := s.nextLiveBeyond(f, owners)
-		if target < 0 {
-			continue // no live non-owner shard left to take the slice
-		}
-		batches[target] = append(batches[target], wire.ShardEntry{File: f, RMs: s.local.Replicas(f)})
-	}
-	return s.push(batches, "takeover")
-}
-
-// Heal pushes revived shard i's slice of the keyspace back to it — every
-// file this member holds whose owner set includes i, again de-duplicated
-// by the first-live-owner rule (i itself excluded from the rule: it just
-// came back empty). Returns entries pushed.
-func (s *MMShard) Heal(revived int) int {
-	var entries []wire.ShardEntry
-	for _, f := range s.local.Files() {
-		owners := s.ownersOf(f)
-		if !containsShardIndex(owners, revived) || revived == s.index {
-			continue
-		}
-		if s.firstLiveOwnerExcluding(owners, revived) != s.index {
-			continue
-		}
-		entries = append(entries, wire.ShardEntry{File: f, RMs: s.local.Replicas(f)})
-	}
-	if len(entries) == 0 {
-		return 0
-	}
-	return s.push(map[int][]wire.ShardEntry{revived: entries}, "heal")
-}
-
-// push sends the handoff batches, one frame per target, consulting the
-// handoff fault point per send. Returns entries delivered.
-func (s *MMShard) push(batches map[int][]wire.ShardEntry, direction string) int {
-	inj, logf := s.injector(), s.log()
-	infos := s.local.AllRMs()
-	sent := 0
-	for target := 0; target < s.ring.Shards(); target++ { // index order: deterministic
-		entries := batches[target]
-		if len(entries) == 0 {
-			continue
-		}
-		p := s.peer(target)
-		if p == nil {
-			continue
-		}
-		switch d := faults.Decide(inj, faults.PointShardHandoff, direction); d.Action {
-		case faults.Drop, faults.Kill:
-			continue // partitioned: the push never happens
-		case faults.Error:
-			logf("live: shard %d handoff %s to %d: %v", s.index, direction, target, d.Err)
-			continue
-		case faults.Delay:
-			time.Sleep(d.Delay)
-		}
-		h := wire.ShardHandoff{
-			From:      int32(s.index),
-			Direction: direction,
-			Infos:     infos,
-			Entries:   entries,
-		}
-		if _, err := p.t.Call(context.Background(), wire.KindShardHandoff, h); err != nil {
-			logf("live: shard %d handoff %s to %d: %v", s.index, direction, target, err)
-			continue
-		}
-		sent += len(entries)
-		logf("live: shard %d handoff %s: %d entr(ies) to shard %d", s.index, direction, len(entries), target)
-	}
-	return sent
-}
-
-// aliveShard is the member's view of shard i's liveness. The member
-// itself is definitionally alive: liveness decisions made between beat
-// ticks (heal pushed from a PeerBeat goroutine, a takeover after a
-// stalled tick) must never disqualify the running process because its
-// own slot went stale — that silences every first-live-owner rule at
-// once.
-func (s *MMShard) aliveShard(i int) bool {
-	return i == s.index || s.health.Alive(i)
-}
-
-// firstLiveOwner returns the first live shard in owners, or -1.
-func (s *MMShard) firstLiveOwner(owners []int) int {
-	for _, o := range owners {
-		if s.aliveShard(o) {
-			return o
-		}
-	}
-	return -1
-}
-
-// firstLiveOwnerExcluding is firstLiveOwner skipping shard x.
-func (s *MMShard) firstLiveOwnerExcluding(owners []int, x int) int {
-	for _, o := range owners {
-		if o != x && s.aliveShard(o) {
-			return o
-		}
-	}
-	return -1
-}
-
-// nextLiveBeyond returns the first live shard beyond file's owner set in
-// ring-successor order, or -1.
-func (s *MMShard) nextLiveBeyond(f ids.FileID, owners []int) int {
-	for _, o := range s.ring.SuccessorsOfFile(int64(f), s.ring.Shards()) {
-		if containsShardIndex(owners, o) {
-			continue
-		}
-		if s.aliveShard(o) {
-			return o
-		}
-	}
-	return -1
+	return reply, err
 }
 
 // StartShardBeats runs the member's beat loop until stopped: every
 // interval it beats each configured peer (a successful round trip also
-// counts as proof the peer is alive, so one working direction keeps both
-// tables warm) and sweeps for newly-dead peers, running their takeover
-// handoffs.
-//
-// Beats are concurrent, one goroutine per peer with an in-flight guard:
-// a dead peer's call stalls in the transport's redial-backoff gate, and
-// with a serial loop that stall pushed the whole tick past the beat
-// deadline — healthy peers (and the member's own slot) went stale purely
-// because a different peer was down. Concurrency keeps the tick cadence
-// fixed no matter how many peers are dark.
+// proves the peer alive, so one working direction keeps both tables
+// warm) and sweeps for newly-dead peers, running their takeovers. Beats
+// are concurrent, one goroutine per peer with an in-flight guard: a dead
+// peer's call stalls in the transport's redial-backoff gate, and a serial
+// loop let that stall push the whole tick past the beat deadline.
 func (s *MMShard) StartShardBeats(interval time.Duration) (stop func()) {
 	quit := make(chan struct{})
 	done := make(chan struct{})
-	inflight := make([]atomic.Bool, s.ring.Shards())
+	inflight := make([]atomic.Bool, len(s.clients))
 	go func() {
 		defer close(done)
 		tick := time.NewTicker(interval)
@@ -531,12 +156,9 @@ func (s *MMShard) StartShardBeats(interval time.Duration) (stop func()) {
 				return
 			case <-tick.C:
 			}
-			beat := wire.ShardBeat{Shard: int32(s.index)}
-			for i := 0; i < s.ring.Shards(); i++ {
-				if i == s.index {
-					continue
-				}
-				p := s.peer(i)
+			beat := wire.ShardBeat{Shard: int32(s.Index())}
+			for i := range s.clients {
+				p := s.client(i)
 				if p == nil || !inflight[i].CompareAndSwap(false, true) {
 					continue // unset, or the previous beat is still in flight
 				}
@@ -545,7 +167,7 @@ func (s *MMShard) StartShardBeats(interval time.Duration) (stop func()) {
 					defer wg.Done()
 					defer inflight[i].Store(false)
 					if _, err := p.t.Call(context.Background(), wire.KindShardBeat, beat); err == nil {
-						if s.health.Beat(i) {
+						if s.Health().Beat(i) {
 							s.Heal(i)
 						}
 					}
@@ -560,24 +182,5 @@ func (s *MMShard) StartShardBeats(interval time.Duration) (stop func()) {
 	}
 }
 
-func containsShardIndex(s []int, x int) bool {
-	for _, v := range s {
-		if v == x {
-			return true
-		}
-	}
-	return false
-}
-
-func containsRMID(s []ids.RMID, x ids.RMID) bool {
-	for _, v := range s {
-		if v == x {
-			return true
-		}
-	}
-	return false
-}
-
-var _ ecnp.Mapper = (*MMShard)(nil)
 var _ shardPeer = (*MMShard)(nil)
 var _ beater = (*MMShard)(nil)

@@ -311,6 +311,15 @@ func TestChaosKillMidStripeLaneDegrades(t *testing.T) {
 		}
 	}
 	lc.rmSrvs[1].SetFaults(script)
+	// Left to the scheduler, RM 2 and RM 3 can claim every full-size range
+	// before RM 1's lane comes back for one. Holding each of their
+	// full-size ranges back at its first chunk leaves RM 1 one to claim.
+	slow := faults.NewScript(1)
+	for off := rampEnd; off < size; off += segBytes {
+		slow.Add(faults.Rule{Point: faults.PointRMChunk, Match: strconv.FormatInt(off, 10), Action: faults.Delay, Delay: 50 * time.Millisecond})
+	}
+	lc.rmSrvs[2].SetFaults(slow)
+	lc.rmSrvs[3].SetFaults(slow)
 
 	var got bytes.Buffer
 	res, err := client.ReadStriped(lc.dir, 0, &got, dfsc.StripeConfig{

@@ -1,6 +1,7 @@
 package mm
 
 import (
+	"slices"
 	"testing"
 
 	"dfsqos/internal/ids"
@@ -33,7 +34,7 @@ func TestReplicatedWritesMirrorToOwners(t *testing.T) {
 		}
 		// Non-owners hold nothing: replication is R-way, not broadcast.
 		for s := 0; s < m.NumShards(); s++ {
-			if !containsShard(owners, s) && len(m.Shard(s).Lookup(f)) != 0 {
+			if !slices.Contains(owners, s) && len(m.Shard(s).Lookup(f)) != 0 {
 				t.Fatalf("non-owner shard %d holds %v", s, f)
 			}
 		}
@@ -78,8 +79,8 @@ func TestReplicatedKillShardFailsOver(t *testing.T) {
 	if moved == 0 {
 		t.Fatal("takeover handoff moved nothing")
 	}
-	if m.ShardAlive(victim) || m.LiveShardCount() != 2 {
-		t.Fatalf("victim alive=%v live=%d after kill", m.ShardAlive(victim), m.LiveShardCount())
+	if m.Health().Alive(victim) || m.Health().LiveCount() != 2 {
+		t.Fatalf("victim alive=%v live=%d after kill", m.Health().Alive(victim), m.Health().LiveCount())
 	}
 	if m.KillShard(victim) != 0 {
 		t.Fatal("re-killing a dead shard handed off again")
@@ -94,12 +95,12 @@ func TestReplicatedKillShardFailsOver(t *testing.T) {
 	// owner set lost the victim, so R live replicas survive.
 	for _, f := range files {
 		owners := m.ownersOf(f)
-		if !containsShard(owners, victim) {
+		if !slices.Contains(owners, victim) {
 			continue
 		}
 		liveCopies := 0
 		for s := 0; s < m.NumShards(); s++ {
-			if m.ShardAlive(s) && len(m.Shard(s).Lookup(f)) > 0 {
+			if m.Health().Alive(s) && len(m.Shard(s).Lookup(f)) > 0 {
 				liveCopies++
 			}
 		}
@@ -130,14 +131,14 @@ func TestReplicatedKillShardFailsOver(t *testing.T) {
 	if m.ReviveShard(victim) != 0 {
 		t.Fatal("re-reviving a live shard healed again")
 	}
-	if m.ShardEpoch(victim) != 1 {
-		t.Fatalf("victim epoch = %d, want 1", m.ShardEpoch(victim))
+	if m.Health().Epoch(victim) != 1 {
+		t.Fatalf("victim epoch = %d, want 1", m.Health().Epoch(victim))
 	}
 	if hs := m.Shard(victim).Lookup(files[0]); len(hs) != 2 {
 		t.Fatalf("revived shard sees %v for %v, want the missed write too", hs, files[0])
 	}
 	for _, f := range files {
-		if !containsShard(m.ownersOf(f), victim) {
+		if !slices.Contains(m.ownersOf(f), victim) {
 			continue
 		}
 		if len(m.Shard(victim).Lookup(f)) == 0 {

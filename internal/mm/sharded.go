@@ -2,6 +2,7 @@ package mm
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"dfsqos/internal/ecnp"
@@ -15,28 +16,18 @@ import (
 // locally. This is the DHT design the paper points to for scaling past a
 // single MM; with one shard it degenerates to exactly the single manager.
 //
-// With a replication factor R > 1 each file's mapping is owned by its
-// primary shard (the ring successor) and mirrored to the next R-1
-// distinct shards walking the ring, so the group survives the death of
-// any R-1 shards: writes apply to every live owner in ring-successor
-// order, reads come from the first live owner. KillShard / ReviveShard
-// model a shard crash; a kill triggers the takeover handoff (the dead
-// shard's keyspace re-replicates from surviving owners to the next
-// successor beyond the owner set) and a revival triggers the heal
-// handoff (the keyspace pushes back, bumping the shard's revival epoch).
-// The live deployment drives the same protocol over TCP
-// (internal/live's shard group); this in-process form backs the DES and
-// the single-binary mmd.
-//
-// Each shard is a full *Manager, so shard-local invariants (duplicate
-// replicas, last-replica protection) are enforced by the same code the
-// single-MM deployment runs.
+// It is N ShardMembers in one process that share one ShardHealth and call
+// each other directly as peers: the replication protocol (mirrors,
+// takeover and heal handoffs) is the one internal/live's shard group runs
+// over TCP, and with R > 1 the group survives the death of any R-1
+// shards. The manager only routes each call to the file's first live
+// owner, fans group-wide calls to every live member, and models crashes
+// with KillShard / ReviveShard. It backs the DES and the single-binary
+// mmd.
 type ShardedManager struct {
-	ring   *Ring
-	shards []*Manager
-	rep    int
-	health *ShardHealth
-	met    *Metrics
+	members []*ShardMember
+	health  *ShardHealth
+	met     *Metrics
 }
 
 // NewSharded returns a distributed manager over n shards with no
@@ -48,34 +39,28 @@ func NewSharded(n int) *ShardedManager {
 // NewShardedReplicated returns a distributed manager over n shards with
 // each file's mapping replicated to r distinct shards (clamped to [1, n]).
 func NewShardedReplicated(n, r int) *ShardedManager {
-	if r < 1 {
-		r = 1
-	}
-	if r > n {
-		r = n
-	}
 	ring := NewRing(n)
-	shards := make([]*Manager, n)
-	for i := range shards {
-		shards[i] = New()
+	m := &ShardedManager{
+		members: make([]*ShardMember, n),
+		health:  NewShardHealth(n, LivenessConfig{}),
 	}
-	return &ShardedManager{
-		ring:   ring,
-		shards: shards,
-		rep:    r,
-		health: NewShardHealth(n, LivenessConfig{}),
-		met:    NewMetrics(nil),
+	for i := range m.members {
+		m.members[i] = NewShardMember(i, ring, r, m.health)
 	}
+	for _, s := range m.members {
+		for j, p := range m.members {
+			s.SetPeer(j, p)
+		}
+	}
+	m.SetMetrics(nil)
+	return m
 }
 
 // NumShards returns the shard count.
-func (m *ShardedManager) NumShards() int { return len(m.shards) }
-
-// Replication returns the metadata replication factor R.
-func (m *ShardedManager) Replication() int { return m.rep }
+func (m *ShardedManager) NumShards() int { return len(m.members) }
 
 // Shard exposes one shard (diagnostics and tests).
-func (m *ShardedManager) Shard(i int) *Manager { return m.shards[i] }
+func (m *ShardedManager) Shard(i int) *Manager { return m.members[i].Manager }
 
 // Health exposes the shard liveness table (diagnostics and tests).
 func (m *ShardedManager) Health() *ShardHealth { return m.health }
@@ -83,54 +68,33 @@ func (m *ShardedManager) Health() *ShardHealth { return m.health }
 // ownersOf returns the shards owning file's mapping, primary first, in
 // ring-successor order.
 func (m *ShardedManager) ownersOf(file ids.FileID) []int {
-	return m.ring.SuccessorsOfFile(int64(file), m.rep)
+	return m.members[0].owners(file)
 }
 
-// readShard routes a read to the first live owner of file; nil when the
-// whole owner set is dead (the mapping is unreachable until a revival).
-func (m *ShardedManager) readShard(file ids.FileID) *Manager {
-	for _, s := range m.ownersOf(file) {
-		if m.health.Alive(s) {
-			return m.shards[s]
-		}
+// serving routes a call to file's first live owner; nil when the whole
+// owner set is dead (the mapping is unreachable until a revival).
+func (m *ShardedManager) serving(file ids.FileID) *ShardMember {
+	if o := m.health.firstLive(m.ownersOf(file), -1, -1); o >= 0 {
+		return m.members[o]
 	}
 	return nil
 }
 
-// write applies op to every live owner of file in ring-successor order —
-// the first live owner validates (its error aborts the write), the rest
-// mirror it. Mirror application is expected to succeed since every owner
-// holds an identical replica; a mirror failure is counted and surfaced.
-func (m *ShardedManager) write(file ids.FileID, op func(*Manager) error) error {
-	applied := 0
-	for _, s := range m.ownersOf(file) {
-		if !m.health.Alive(s) {
-			continue
-		}
-		if err := op(m.shards[s]); err != nil {
-			if applied > 0 {
-				m.met.ShardMirrorsFailed.Inc()
-				return fmt.Errorf("mm: shard %d mirror: %w", s, err)
-			}
-			return err
-		}
-		if applied > 0 {
-			m.met.ShardMirrorsOK.Inc()
-		}
-		applied++
+// write hands a mutation to file's first live owner, which mirrors it to
+// the other live owners; a dead owner set refuses it.
+func (m *ShardedManager) write(file ids.FileID, op func(*ShardMember) error) error {
+	if s := m.serving(file); s != nil {
+		return op(s)
 	}
-	if applied == 0 {
-		return fmt.Errorf("mm: no live shard owns %v", file)
-	}
-	return nil
+	return fmt.Errorf("mm: no live shard owns %v", file)
 }
 
-// liveShards returns the live shard indices in ascending order.
-func (m *ShardedManager) liveShards() []int {
-	out := make([]int, 0, len(m.shards))
-	for i := range m.shards {
+// liveMembers returns the live members in ascending index order.
+func (m *ShardedManager) liveMembers() []*ShardMember {
+	out := make([]*ShardMember, 0, len(m.members))
+	for i, s := range m.members {
 		if m.health.Alive(i) {
-			out = append(out, i)
+			out = append(out, s)
 		}
 	}
 	return out
@@ -139,12 +103,10 @@ func (m *ShardedManager) liveShards() []int {
 // canonical returns the lowest-index live shard, the authority for the
 // replicated resource list (shard 0 while everything is up).
 func (m *ShardedManager) canonical() *Manager {
-	for i := range m.shards {
-		if m.health.Alive(i) {
-			return m.shards[i]
-		}
+	if live := m.liveMembers(); len(live) > 0 {
+		return live[0].Manager
 	}
-	return m.shards[0]
+	return m.members[0].Manager
 }
 
 // RegisterRM implements ecnp.Mapper: the RM info replicates to every live
@@ -152,15 +114,9 @@ func (m *ShardedManager) canonical() *Manager {
 // Dead shards miss the update and reconverge through the heal handoff on
 // revival.
 func (m *ShardedManager) RegisterRM(info ecnp.RMInfo, files []ids.FileID) error {
-	perShard := make([][]ids.FileID, len(m.shards))
-	for _, f := range files {
-		for _, s := range m.ownersOf(f) {
-			perShard[s] = append(perShard[s], f)
-		}
-	}
-	for _, i := range m.liveShards() {
-		if err := m.shards[i].RegisterRM(info, perShard[i]); err != nil {
-			return fmt.Errorf("mm: shard %d: %w", i, err)
+	for _, s := range m.liveMembers() {
+		if err := s.RegisterRM(info, files); err != nil {
+			return fmt.Errorf("mm: shard %d: %w", s.index, err)
 		}
 	}
 	return nil
@@ -169,49 +125,46 @@ func (m *ShardedManager) RegisterRM(info ecnp.RMInfo, files []ids.FileID) error 
 // Lookup implements ecnp.Mapper. A fully-dead owner set answers empty —
 // the mapping is unreachable until a shard revives.
 func (m *ShardedManager) Lookup(file ids.FileID) []ids.RMID {
-	s := m.readShard(file)
-	if s == nil {
-		return nil
+	if s := m.serving(file); s != nil {
+		return s.Lookup(file)
 	}
-	return s.Lookup(file)
+	return nil
 }
 
 // RMsWithout implements ecnp.Mapper.
 func (m *ShardedManager) RMsWithout(file ids.FileID) []ids.RMID {
-	s := m.readShard(file)
-	if s == nil {
-		return nil
+	if s := m.serving(file); s != nil {
+		return s.RMsWithout(file)
 	}
-	return s.RMsWithout(file)
+	return nil
 }
 
 // AddReplica implements ecnp.Mapper.
 func (m *ShardedManager) AddReplica(file ids.FileID, rm ids.RMID) error {
-	return m.write(file, func(s *Manager) error { return s.AddReplica(file, rm) })
+	return m.write(file, func(s *ShardMember) error { return s.AddReplica(file, rm) })
 }
 
 // RemoveReplica implements ecnp.Mapper.
 func (m *ShardedManager) RemoveReplica(file ids.FileID, rm ids.RMID) error {
-	return m.write(file, func(s *Manager) error { return s.RemoveReplica(file, rm) })
+	return m.write(file, func(s *ShardMember) error { return s.RemoveReplica(file, rm) })
 }
 
 // BeginReplication implements ecnp.Mapper.
 func (m *ShardedManager) BeginReplication(file ids.FileID, rm ids.RMID, maxTotal int) error {
-	return m.write(file, func(s *Manager) error { return s.BeginReplication(file, rm, maxTotal) })
+	return m.write(file, func(s *ShardMember) error { return s.BeginReplication(file, rm, maxTotal) })
 }
 
 // EndReplication implements ecnp.Mapper.
 func (m *ShardedManager) EndReplication(file ids.FileID, rm ids.RMID, commit bool) error {
-	return m.write(file, func(s *Manager) error { return s.EndReplication(file, rm, commit) })
+	return m.write(file, func(s *ShardMember) error { return s.EndReplication(file, rm, commit) })
 }
 
 // ReplicaCount implements ecnp.Mapper.
 func (m *ShardedManager) ReplicaCount(file ids.FileID) int {
-	s := m.readShard(file)
-	if s == nil {
-		return 0
+	if s := m.serving(file); s != nil {
+		return s.ReplicaCount(file)
 	}
-	return s.ReplicaCount(file)
+	return 0
 }
 
 // RMs implements ecnp.Mapper. The resource list is replicated, so the
@@ -229,16 +182,16 @@ func (m *ShardedManager) AllRMs() []ecnp.RMInfo {
 // SetLiveness arms RM failure detection on every shard (the resource
 // list, and therefore the liveness table, is replicated).
 func (m *ShardedManager) SetLiveness(cfg LivenessConfig) {
-	for _, shard := range m.shards {
-		shard.SetLiveness(cfg)
+	for _, s := range m.members {
+		s.Manager.SetLiveness(cfg)
 	}
 }
 
 // SetClock overrides the wall-clock source on every shard and on the
 // shard liveness table (tests).
 func (m *ShardedManager) SetClock(now func() time.Time) {
-	for _, shard := range m.shards {
-		shard.SetClock(now)
+	for _, s := range m.members {
+		s.Manager.SetClock(now)
 	}
 	m.health.SetClock(now)
 }
@@ -247,18 +200,20 @@ func (m *ShardedManager) SetClock(now func() time.Time) {
 // resource list is replicated, so any shard's view is canonical); the
 // other shards keep no-op sinks so per-incident counters are not
 // multiplied by the shard count — except the replication refusals, which
-// only the shard validating a write counts. Shard-group counters
-// (mirrors, handoffs, transitions) live on the group itself.
+// only the shard validating a write counts. Every member reports the
+// shard-group counters (mirrors, handoffs) to met, and the shared
+// liveness table its transitions.
 func (m *ShardedManager) SetMetrics(met *Metrics) {
 	if met == nil {
 		met = NewMetrics(nil)
 	}
 	m.met = met
-	m.shards[0].SetMetrics(met)
-	for _, shard := range m.shards[1:] {
-		shard.SetMetrics(met.refusalsOnly())
+	for i, s := range m.members {
+		s.SetMetrics(met)
+		if i > 0 {
+			s.Manager.SetMetrics(met.refusalsOnly())
+		}
 	}
-	m.health.SetMetrics(met)
 }
 
 // Heartbeat fans an RM's liveness beacon to every live shard so each
@@ -266,9 +221,9 @@ func (m *ShardedManager) SetMetrics(met *Metrics) {
 // are skipped — their stale tables rebuild on revival via the heal
 // handoff and the RM re-registration machinery.
 func (m *ShardedManager) Heartbeat(id ids.RMID) error {
-	for _, i := range m.liveShards() {
-		if err := m.shards[i].Heartbeat(id); err != nil {
-			return fmt.Errorf("mm: shard %d: %w", i, err)
+	for _, s := range m.liveMembers() {
+		if err := s.Heartbeat(id); err != nil {
+			return fmt.Errorf("mm: shard %d: %w", s.index, err)
 		}
 	}
 	return nil
@@ -283,155 +238,47 @@ func (m *ShardedManager) LiveCount() int { return m.canonical().LiveCount() }
 // Alive reports the canonical shard's view of id's liveness.
 func (m *ShardedManager) Alive(id ids.RMID) bool { return m.canonical().Alive(id) }
 
-// KillShard marks shard i dead and runs the takeover handoff: every
-// mapping i owned re-replicates from a surviving owner to the next live
-// successor beyond the owner set, restoring R live replicas (with R = 1
+// KillShard marks shard i dead and has every live member run the
+// takeover handoff, restoring R live replicas of i's keyspace (with R = 1
 // there is no surviving owner, so the keyspace is unreachable until the
 // shard revives — the single-MM failure mode, now confined to 1/N of
-// files). It returns the number of replica entries moved. Killing a
+// files). It returns the replica entries the targets adopted. Killing a
 // dead shard is a no-op.
 func (m *ShardedManager) KillShard(i int) int {
 	if !m.health.SetDown(i, true) {
 		return 0
 	}
-	moved := m.handoffDead(i)
-	m.met.HandoffTakeover.Add(uint64(moved))
+	moved := 0
+	for _, s := range m.liveMembers() {
+		moved += s.Takeover(i)
+	}
 	return moved
 }
 
-// ReviveShard brings shard i back and runs the heal handoff: mappings i
-// owns flow back from live owners (including any takeover target), so
-// the revived shard serves its keyspace again. Reviving a live shard is
-// a no-op. It returns the number of replica entries healed.
+// ReviveShard brings shard i back and has every other live member run
+// the heal handoff: the mappings i owns flow back (including writes it
+// missed) and it learns the RMs registered while it was down. Reviving a
+// live shard is a no-op. It returns the replica entries i adopted.
 func (m *ShardedManager) ReviveShard(i int) int {
 	if !m.health.SetDown(i, false) {
 		return 0
 	}
-	healed := m.heal(i)
-	m.met.HandoffHeal.Add(uint64(healed))
-	return healed
-}
-
-// ShardAlive reports whether shard i is live.
-func (m *ShardedManager) ShardAlive(i int) bool { return m.health.Alive(i) }
-
-// LiveShardCount returns the number of live shards.
-func (m *ShardedManager) LiveShardCount() int { return m.health.LiveCount() }
-
-// ShardEpoch returns shard i's revival epoch.
-func (m *ShardedManager) ShardEpoch(i int) uint64 { return m.health.Epoch(i) }
-
-// handoffDead re-replicates dead shard i's keyspace: for every file whose
-// owner set contains i and that survives on a live owner, the mapping is
-// adopted by the first live shard beyond the owner set. Returns replica
-// entries copied.
-func (m *ShardedManager) handoffDead(dead int) int {
-	moved := 0
-	for _, src := range m.liveShards() {
-		for _, f := range m.shards[src].Files() {
-			owners := m.ownersOf(f)
-			if !containsShard(owners, dead) || !containsShard(owners, src) {
-				continue
-			}
-			target := m.takeoverTarget(f, owners)
-			if target < 0 {
-				continue
-			}
-			added, err := m.adopt(target, src, f)
-			if err != nil {
-				m.met.ShardMirrorsFailed.Inc()
-				continue
-			}
-			moved += added
-		}
-	}
-	return moved
-}
-
-// takeoverTarget returns the first live shard beyond file's owner set in
-// ring-successor order, or -1 when every non-owner shard is dead.
-func (m *ShardedManager) takeoverTarget(f ids.FileID, owners []int) int {
-	for _, s := range m.ring.SuccessorsOfFile(int64(f), len(m.shards)) {
-		if containsShard(owners, s) {
-			continue
-		}
-		if m.health.Alive(s) {
-			return s
-		}
-	}
-	return -1
-}
-
-// heal pushes revived shard i's keyspace back: every mapping whose owner
-// set contains i that lives on another live shard is adopted by i. RMs
-// the revived shard never saw (registered while it was down) are copied
-// from the canonical resource list first — only unknown ones, since
-// re-registering a known RM with an empty file list would prune its
-// replicas. Returns replica entries copied.
-func (m *ShardedManager) heal(revived int) int {
-	dst := m.shards[revived]
-	for _, info := range m.canonical().AllRMs() {
-		if _, known := dst.RM(info.ID); !known {
-			if err := dst.RegisterRM(info, nil); err != nil {
-				m.met.ShardMirrorsFailed.Inc()
-			}
-		}
-	}
 	healed := 0
-	for _, src := range m.liveShards() {
-		if src == revived {
-			continue
-		}
-		for _, f := range m.shards[src].Files() {
-			if !containsShard(m.ownersOf(f), revived) {
-				continue
-			}
-			added, err := m.adopt(revived, src, f)
-			if err != nil {
-				m.met.ShardMirrorsFailed.Inc()
-				continue
-			}
-			healed += added
-		}
+	for _, s := range m.liveMembers() {
+		healed += s.Heal(i)
 	}
 	return healed
-}
-
-// adopt copies file's mapping from shard src into shard dst,
-// idempotently, registering any holder dst does not know yet.
-func (m *ShardedManager) adopt(dst, src int, f ids.FileID) (int, error) {
-	holders := m.shards[src].Replicas(f)
-	for _, rm := range holders {
-		if _, known := m.shards[dst].RM(rm); known {
-			continue
-		}
-		if info, ok := m.shards[src].RM(rm); ok {
-			if err := m.shards[dst].RegisterRM(info, nil); err != nil {
-				return 0, err
-			}
-		}
-	}
-	return m.shards[dst].AdoptReplicas(f, holders)
-}
-
-func containsShard(s []int, x int) bool {
-	for _, v := range s {
-		if v == x {
-			return true
-		}
-	}
-	return false
 }
 
 // FilesOn merges the per-shard file lists of one RM (replicated mappings
 // appear once).
 func (m *ShardedManager) FilesOn(rm ids.RMID) []ids.FileID {
 	var out []ids.FileID
-	for _, shard := range m.shards {
-		out = append(out, shard.FilesOn(rm)...)
+	for _, s := range m.members {
+		out = append(out, s.Manager.FilesOn(rm)...)
 	}
-	sortFiles(out)
-	return dedupFiles(out)
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // Validate checks every live shard's replica-map invariants plus the
@@ -440,77 +287,32 @@ func (m *ShardedManager) FilesOn(rm ids.RMID) []ids.FileID {
 // Dead shards are exempt: their staleness is what the heal handoff exists
 // to fix.
 func (m *ShardedManager) Validate() error {
-	live := m.liveShards()
+	live := m.liveMembers()
 	if len(live) == 0 {
 		return fmt.Errorf("mm: no live shards")
 	}
-	canonical := m.shards[live[0]].RMs()
-	for _, i := range live {
-		shard := m.shards[i]
-		if err := shard.Validate(); err != nil {
-			return fmt.Errorf("mm: shard %d: %w", i, err)
+	canonical := live[0].Manager.RMs()
+	for _, s := range live {
+		if err := s.Manager.Validate(); err != nil {
+			return fmt.Errorf("mm: shard %d: %w", s.index, err)
 		}
-		rms := shard.RMs()
-		if len(rms) != len(canonical) {
-			return fmt.Errorf("mm: shard %d has %d RMs, shard %d has %d",
-				i, len(rms), live[0], len(canonical))
+		if rms := s.Manager.RMs(); !slices.Equal(rms, canonical) {
+			return fmt.Errorf("mm: shard %d resource list diverges from shard %d's", s.index, live[0].index)
 		}
-		for j := range rms {
-			if rms[j] != canonical[j] {
-				return fmt.Errorf("mm: shard %d resource list diverges at %v", i, rms[j].ID)
-			}
-		}
-		for _, f := range shard.Files() {
+		for _, f := range s.Manager.Files() {
 			owners := m.ownersOf(f)
-			if !containsShard(owners, i) {
+			if !slices.Contains(owners, s.index) {
 				continue // lingering takeover copy; harmless, reads route to owners
 			}
-			want := shard.Replicas(f)
+			want := s.Manager.Replicas(f)
 			for _, o := range owners {
-				if o == i || !m.health.Alive(o) {
-					continue
-				}
-				got := m.shards[o].Replicas(f)
-				if !equalRMs(want, got) {
-					return fmt.Errorf("mm: shards %d and %d disagree on %v holders", i, o, f)
+				if o != s.index && m.health.Alive(o) && !slices.Equal(want, m.members[o].Manager.Replicas(f)) {
+					return fmt.Errorf("mm: shards %d and %d disagree on %v holders", s.index, o, f)
 				}
 			}
 		}
 	}
 	return nil
-}
-
-func equalRMs(a, b []ids.RMID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func sortFiles(s []ids.FileID) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-}
-
-func dedupFiles(s []ids.FileID) []ids.FileID {
-	if len(s) < 2 {
-		return s
-	}
-	out := s[:1]
-	for _, f := range s[1:] {
-		if f != out[len(out)-1] {
-			out = append(out, f)
-		}
-	}
-	return out
 }
 
 var _ ecnp.Mapper = (*ShardedManager)(nil)

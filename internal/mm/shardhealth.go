@@ -148,6 +148,17 @@ func (h *ShardHealth) Alive(i int) bool {
 	return !h.deadLocked(i, h.now())
 }
 
+// firstLive is the group's first-live-owner rule: the first shard of walk,
+// skip excluded, that is alive or is self (-1: no self); -1 if none is.
+func (h *ShardHealth) firstLive(walk []int, self, skip int) int {
+	for _, o := range walk {
+		if o != skip && (o == self || h.Alive(o)) {
+			return o
+		}
+	}
+	return -1
+}
+
 // deadLocked is the raw liveness predicate. Caller holds h.mu.
 func (h *ShardHealth) deadLocked(i int, now time.Time) bool {
 	if h.down[i] {

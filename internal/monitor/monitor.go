@@ -124,9 +124,10 @@ type MMRMEntry struct {
 }
 
 // livenessSource is the optional liveness surface of a mapper.
-// mm.Manager and mm.ShardedManager implement it; the thin MMClient stub
-// and liveness-free mappers do not, and degrade to the plain resource
-// list.
+// mm.Manager, mm.ShardedManager and a shard-group member (mm.ShardMember,
+// served by mmd -peers as live.MMShard) implement it; the thin MMClient
+// stub and liveness-free mappers do not, and degrade to the plain
+// resource list.
 type livenessSource interface {
 	AllRMs() []ecnp.RMInfo
 	Alive(id ids.RMID) bool
