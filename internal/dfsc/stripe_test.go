@@ -267,24 +267,26 @@ func TestReadStripedHedgeBeatsSlowLane(t *testing.T) {
 	}
 }
 
-// laneStreamer is the one-lane fake: it serves ranges of a fixed body,
-// lets the first deaths distinct RMs it sees crash once the read reaches
-// byte cutAt (a range that crosses it delivers the bytes before it, then
+// laneStreamer is the lane fake: it serves ranges of a fixed body, lets
+// the first deaths distinct RMs it sees crash once the read reaches byte
+// cutAt (a range that crosses it delivers the bytes before it, then
 // fails), and counts the calls in flight per RM. The first call on each RM
-// is held until a second one is in flight on the same RM, so a reader
-// that keeps two ranges in flight shows it deterministically — and one
+// is held until a second one is in flight on the same RM — or, with
+// spread set, until spread RMs each have one in flight — so a reader that
+// keeps that many ranges in flight shows it deterministically, and one
 // that does not is reported instead of hanging.
 type laneStreamer struct {
 	body   []byte
 	cutAt  int64
 	deaths int
+	spread int
 
 	mu       sync.Mutex
 	doomed   map[ids.RMID]bool
 	inflight map[ids.RMID]int
 	peak     map[ids.RMID]int
 	paired   map[ids.RMID]chan struct{}
-	unpaired []ids.RMID // RMs whose first call never saw a second in flight
+	unpaired []ids.RMID // RMs whose first call was let go by the timeout
 	calls    []rangeCall
 }
 
@@ -311,24 +313,19 @@ func (s *laneStreamer) StreamRange(_ context.Context, rm ids.RMID, _ ids.FileID,
 	die := s.doomed[rm]
 	s.inflight[rm]++
 	s.peak[rm] = max(s.peak[rm], s.inflight[rm])
-	pair, first := s.paired[rm]
-	if !first {
+	pair, seen := s.paired[rm]
+	if !seen {
 		pair = make(chan struct{})
 		s.paired[rm] = pair
-	} else if s.inflight[rm] == 2 {
-		select {
-		case <-pair:
-		default:
-			close(pair)
-		}
 	}
+	s.letGo()
 	s.mu.Unlock()
 	defer func() {
 		s.mu.Lock()
 		s.inflight[rm]--
 		s.mu.Unlock()
 	}()
-	if !first {
+	if !seen {
 		select {
 		case <-pair:
 		case <-time.After(5 * time.Second):
@@ -353,6 +350,31 @@ func (s *laneStreamer) StreamRange(_ context.Context, rm ids.RMID, _ ids.FileID,
 		return int64(n), io.ErrUnexpectedEOF
 	}
 	return int64(n), nil
+}
+
+// letGo releases every held first call whose condition now holds. The
+// caller holds mu.
+func (s *laneStreamer) letGo() {
+	busy := 0
+	for _, n := range s.inflight {
+		if n > 0 {
+			busy++
+		}
+	}
+	for rm, pair := range s.paired {
+		ready := s.inflight[rm] >= 2
+		if s.spread > 0 {
+			ready = busy >= s.spread
+		}
+		if !ready {
+			continue
+		}
+		select {
+		case <-pair:
+		default:
+			close(pair)
+		}
+	}
 }
 
 // offsets lists the offsets asked of rm, in call order.
@@ -450,6 +472,37 @@ func TestReadStripedWidthOneKeepsTwoRangesInFlight(t *testing.T) {
 	}
 	if o, cl := opens.Load(), closes.Load(); o != 1 || cl != 1 {
 		t.Fatalf("%d reservation(s) opened, %d release(s), want one of each", o, cl)
+	}
+	assertNoneAllocated(t, h)
+}
+
+// TestReadStripedWidthFourStreamsFromFourRMsAtOnce: a four-wide read has a
+// range in flight on all four of its RMs at once, so its lanes add up the
+// replicas' bandwidth instead of taking turns behind one throttle. Each
+// RM's first range is held until all four have one in flight: lanes that
+// ran one after another would leave the holds to the timeout.
+func TestReadStripedWidthFourStreamsFromFourRMsAtOnce(t *testing.T) {
+	h := newHarness(t,
+		map[ids.RMID]units.BytesPerSec{1: units.Mbps(200), 2: units.Mbps(200), 3: units.Mbps(200), 4: units.Mbps(200)},
+		map[ids.FileID][]ids.RMID{0: {1, 2, 3, 4}})
+	c := h.client(t, selection.RemOnly, qos.Soft)
+	body := stripeBody(h, 1000)
+	s := newLaneStreamer(body, 0, 0)
+	s.spread = 4
+	var got bytes.Buffer
+	res, err := c.ReadStriped(s, 0, &got, StripeConfig{Width: 4, SegmentBytes: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), body) {
+		t.Fatalf("delivered %d bytes, mismatch with body", got.Len())
+	}
+	if want := wire.ChecksumUpdate(wire.ChecksumBasis, body); res.Checksum != want {
+		t.Fatalf("res.Checksum = %x, want %x", res.Checksum, want)
+	}
+	if len(res.RMs) != 4 || len(s.peak) != 4 || len(s.unpaired) != 0 {
+		t.Fatalf("res.RMs = %v, calls on %d RMs, first range let go by the timeout on %v: want four RMs streaming at once",
+			res.RMs, len(s.peak), s.unpaired)
 	}
 	assertNoneAllocated(t, h)
 }

@@ -52,8 +52,7 @@ func (lc *liveCluster) shutdown() {
 }
 
 // startLiveCluster provisions files on the RMs per the given holders map.
-// It takes testing.TB so benchmarks can stand up the same real-TCP cluster.
-func startLiveCluster(t testing.TB, caps []units.BytesPerSec, holders map[ids.FileID][]ids.RMID, repCfg replication.Config, timeScale float64) *liveCluster {
+func startLiveCluster(t *testing.T, caps []units.BytesPerSec, holders map[ids.FileID][]ids.RMID, repCfg replication.Config, timeScale float64) *liveCluster {
 	t.Helper()
 	cfg := catalog.DefaultConfig()
 	cfg.NumFiles = 8

@@ -8,9 +8,55 @@ import (
 
 	"dfsqos/internal/ecnp"
 	"dfsqos/internal/ids"
+	"dfsqos/internal/replication"
 	"dfsqos/internal/units"
 	"dfsqos/internal/wire"
 )
+
+// TestLiveStreamQoSFlatVersusConserving: one reservation alone on an idle
+// disk reads a whole file that its one-second burst covers all but a tenth
+// of. Under the flat tree (EnableStreamQoS(0), what rmd -stream-ceil 0
+// runs) it borrows nothing and waits at its floor for that tenth; under the
+// work-conserving tree (EnableStreamQoS(1)) it borrows the idle headroom.
+// The verdict is the disk controller's counters, not a throughput.
+func TestLiveStreamQoSFlatVersusConserving(t *testing.T) {
+	for _, mode := range []struct {
+		name       string
+		ceilFrac   float64
+		wantBorrow bool
+	}{{"flat", 0, false}, {"conserving", 1, true}} {
+		t.Run(mode.name, func(t *testing.T) {
+			lc := startLiveCluster(t,
+				[]units.BytesPerSec{units.Mbps(800)},
+				map[ids.FileID][]ids.RMID{0: {1}},
+				replication.DefaultConfig(replication.Static()), 100)
+			defer lc.shutdown()
+			srv := lc.rmSrvs[0]
+			if err := srv.EnableStreamQoS(mode.ceilFrac); err != nil {
+				t.Fatal(err)
+			}
+			cli, ok := lc.dir.RMClient(1)
+			if !ok {
+				t.Fatal("RM1 unreachable")
+			}
+			size := int64(lc.cat.File(0).Size)
+			floor := units.BytesPerSec(float64(size) / 1.1)
+			if res := cli.Open(ecnp.OpenRequest{Request: 1, File: 0, Bitrate: floor, DurationSec: 300}); !res.OK {
+				t.Fatalf("open refused: %s", res.Reason)
+			}
+			if n, err := cli.ReadRange(context.Background(), 0, 1, 0, 0, io.Discard, nil); err != nil || n != size {
+				t.Fatalf("read %d of %d bytes, err %v", n, size, err)
+			}
+			st := srv.disk.Controller().Stats()
+			if borrowed := st.Borrows > 0; borrowed != mode.wantBorrow {
+				t.Fatalf("the lone stream borrowed = %v, want %v: %+v", borrowed, mode.wantBorrow, st)
+			}
+			if !mode.wantBorrow && st.ThrottleWaitSec == 0 {
+				t.Fatalf("the lone stream was never paced at its floor: %+v", st)
+			}
+		})
+	}
+}
 
 // TestChaosLeaseReclaimRemovesStreamQoSGroup proves the work-conserving
 // tree heals after a mid-stream lane death: with stream QoS on, a client

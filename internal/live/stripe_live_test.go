@@ -19,6 +19,7 @@ import (
 	"dfsqos/internal/replication"
 	"dfsqos/internal/rng"
 	"dfsqos/internal/selection"
+	"dfsqos/internal/testenv"
 	"dfsqos/internal/units"
 	"dfsqos/internal/wire"
 )
@@ -424,7 +425,7 @@ func TestChaosKillMidStripeLaneDegrades(t *testing.T) {
 // It holds for a sink that copies each chunk out of the frame buffer and
 // for one whose spare capacity the chunks are received into.
 func TestLiveRangedReadAllocations(t *testing.T) {
-	if raceEnabled {
+	if testenv.RaceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
 	}
 	lc := startLiveCluster(t,

@@ -6,6 +6,7 @@ import (
 
 	"dfsqos/internal/ecnp"
 	"dfsqos/internal/ids"
+	"dfsqos/internal/testenv"
 )
 
 // atCap returns the shape the refused-replication path is measured on (it
@@ -113,6 +114,9 @@ func TestResourceListStaysOrdered(t *testing.T) {
 // the refusal is a preallocated value, the candidate list is its result
 // slice and nothing else.
 func TestRefusedReplicationAllocatesNothing(t *testing.T) {
+	if testenv.RaceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
 	m := atCap(t, 256, 8)
 	if got := testing.AllocsPerRun(100, func() {
 		if m.BeginReplication(0, 100, 8) == nil {

@@ -8,11 +8,9 @@ import (
 
 // SLO is one scenario's declarative service-level objective: ceilings on
 // tail latency and failure, floors on utilization. A zero field disables
-// that check, so a scenario declares only the objectives it owns — the
-// same shape as the alloc ceiling and stripe floor gates in
-// scripts/bench.sh, but data-driven. Latency ceilings apply to every
-// workload class of the run unless a per-class override in Classes
-// replaces them.
+// that check, so a scenario declares only the objectives it owns. Latency
+// ceilings apply to every workload class of the run unless a per-class
+// override in Classes replaces them.
 type SLO struct {
 	// MaxP50Sec / MaxP99Sec / MaxP999Sec cap each DES class's latency
 	// percentiles, in seconds.

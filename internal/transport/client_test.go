@@ -9,6 +9,8 @@ import (
 	"testing"
 	"time"
 
+	"dfsqos/internal/ids"
+	"dfsqos/internal/testenv"
 	"dfsqos/internal/wire"
 )
 
@@ -94,6 +96,40 @@ func TestPoolReusesOneConnection(t *testing.T) {
 	}
 	if c.IdleConns() != 1 {
 		t.Fatalf("idle pool has %d conns, want 1", c.IdleConns())
+	}
+}
+
+// TestCallAllocations holds one control-plane round trip through Call on a
+// warm pool — checkout with its probe, one armed deadline, a frame out, a
+// frame in, the connection pooled again — to 4 allocations, counted in
+// client and loopback peer together. A call builds no context, timer or
+// callback, so what is left is its payloads: the request boxed here, and
+// boxed again where the peer decodes it. An open makes holders + 3 calls,
+// so anything a call adds is paid 19 times an open at 16 holders.
+func TestCallAllocations(t *testing.T) {
+	if testenv.RaceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	ln := echoServer(t)
+	defer ln.Close()
+	c, err := Dial(ln.Addr().String(), DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx := context.Background()
+	req := ids.RequestID(1000)
+	call := func() {
+		// A request id that varies, so its boxing into the payload
+		// interface is the allocation it is on a real call.
+		req++
+		if _, err := c.Call(ctx, wire.KindKeepalive, wire.Keepalive{Request: req}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	call() // dial and warm the pool
+	if avg := testing.AllocsPerRun(200, call); avg > 4 {
+		t.Errorf("Call allocs/op = %v, want at most 4", avg)
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"dfsqos/internal/ecnp"
 	"dfsqos/internal/ids"
 	"dfsqos/internal/selection"
+	"dfsqos/internal/testenv"
 	"dfsqos/internal/trace"
 	"dfsqos/internal/units"
 )
@@ -381,8 +382,8 @@ func TestBinaryMalformedBodiesRejected(t *testing.T) {
 // announcing 2^30 list entries (or a string of 2^31 bytes) cost what any
 // other refused frame costs — the error — and not a gigabyte.
 func TestOversizedCountAllocatesNothing(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race-detector instrumentation allocates")
+	if testenv.RaceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
 	}
 	count := binary.BigEndian.AppendUint32(nil, 1<<30)
 	length := binary.BigEndian.AppendUint32(nil, 1<<31)

@@ -212,7 +212,7 @@ func chunkFrameBytes(offset int64, n int) []byte {
 // cfpAndBidFrames is the per-open exchange as it crosses the wire: a plain
 // CFP frame, and a Bid frame under both header slots.
 func cfpAndBidFrames() (cfp, bid []byte) {
-	p := ctlBenchPayloads
+	p := hotCtlPayloads
 	return slotFrame(slotPlain, ctlPayload{p[0].kind, p[0].payload}),
 		slotFrame(slotTenantTrace, ctlPayload{p[1].kind, p[1].payload})
 }

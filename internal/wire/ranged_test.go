@@ -78,42 +78,6 @@ func TestRangedReadFileMalformedLength(t *testing.T) {
 	}
 }
 
-// BenchmarkEncodeRangedRead measures putting one ReadFile request (the
-// single 36-byte layout) on the wire — the per-segment control cost of a
-// striped read. It is gated at 0 allocs/op by scripts/bench.sh.
-func BenchmarkEncodeRangedRead(b *testing.B) {
-	req := ReadFile{File: 7, ChunkSize: 128 * 1024, Offset: 1 << 20, Request: 42, Length: 1 << 20}
-	c := NewConn(discardRW{})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := c.WriteReadReq(trace.SpanContext{}, req); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkDecodeRangedRead measures decoding the ranged request frame
-// into a pooled ReadFile (0 allocs/op with Release, gated by
-// scripts/bench.sh).
-func BenchmarkDecodeRangedRead(b *testing.B) {
-	req := ReadFile{File: 7, ChunkSize: 128 * 1024, Offset: 1 << 20, Request: 42, Length: 1 << 20}
-	var buf bytes.Buffer
-	if err := NewConn(&buf).Write(KindReadFile, req); err != nil {
-		b.Fatal(err)
-	}
-	r := NewConn(&loopRW{frame: buf.Bytes()})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		msg, err := r.Read()
-		if err != nil {
-			b.Fatal(err)
-		}
-		msg.Release()
-	}
-}
-
 // TestFileEndPointerPayload pins the form a server ends a stream with: a
 // (pooled) *FileEnd encodes to the same frame as the value, and arrives in
 // a pooled *FileEnd that receivers read through Msg.FileEnd.

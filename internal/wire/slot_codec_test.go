@@ -10,6 +10,7 @@ import (
 
 	"dfsqos/internal/ecnp"
 	"dfsqos/internal/ids"
+	"dfsqos/internal/testenv"
 	"dfsqos/internal/trace"
 )
 
@@ -319,13 +320,13 @@ func TestTenantCodecHostileInput(t *testing.T) {
 	}
 }
 
-// TestTracedChunkZeroAllocs is the unit-level guard behind the bench
-// gate: steady-state chunk encode and decode must not allocate under any
-// slot combination — a tenant-stamped traced stream delivers Msg.Tenant
-// and Msg.Trace on every chunk for free.
+// TestTracedChunkZeroAllocs is the data plane's allocation gate:
+// steady-state chunk encode and decode must not allocate under any slot
+// combination — a tenant-stamped traced stream delivers Msg.Tenant and
+// Msg.Trace on every chunk for free.
 func TestTracedChunkZeroAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race-detector instrumentation allocates; the alloc gate runs in the bench job")
+	if testenv.RaceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
 	}
 	data := make([]byte, 32<<10)
 	for _, s := range slotCases {
