@@ -17,22 +17,15 @@ import (
 	"log"
 	"time"
 
-	"dfsqos/internal/blkio"
 	"dfsqos/internal/catalog"
 	"dfsqos/internal/dfsc"
-	"dfsqos/internal/ecnp"
 	"dfsqos/internal/fsapi"
-	"dfsqos/internal/history"
 	"dfsqos/internal/ids"
 	"dfsqos/internal/live"
-	"dfsqos/internal/mm"
 	"dfsqos/internal/qos"
-	"dfsqos/internal/replication"
-	"dfsqos/internal/rm"
 	"dfsqos/internal/rng"
 	"dfsqos/internal/selection"
 	"dfsqos/internal/units"
-	"dfsqos/internal/vdisk"
 )
 
 func main() {
@@ -45,64 +38,32 @@ func main() {
 	cat, err := catalog.Generate(catCfg, rng.New(7))
 	check(err)
 
-	// 1. The MM starts first (paper Fig. 2).
-	mmSrv, err := live.NewMMServer(mm.New(), "127.0.0.1:0")
-	check(err)
-	defer mmSrv.Close()
-	fmt.Printf("metadata manager on %s\n", mmSrv.Addr())
-
-	// 2. Three RMs register, each with its own throttled virtual disk.
-	sched := live.NewWallScheduler(50) // 50 virtual seconds per wall second
-	defer sched.Stop()
+	// 1. The MM starts first (paper Fig. 2). 2. Three RMs register, each
+	// with its own throttled virtual disk holding every clip. 3. The DFSC
+	// launches last, mounted through the FUSE-style surface.
 	master := rng.New(11)
 	caps := []units.BytesPerSec{units.Mbps(64), units.Mbps(24), units.Mbps(24)}
-	var servers []*live.RMServer
+	holders := make(map[ids.FileID][]ids.RMID)
+	for _, f := range cat.Files() {
+		holders[f.ID] = []ids.RMID{1, 2, 3}
+	}
+	lc, err := live.NewLocal(live.LocalSpec{
+		Catalog:   cat,
+		Caps:      caps,
+		Holders:   holders,
+		TimeScale: 50, // 50 virtual seconds per wall second
+		Rand:      master,
+	})
+	check(err)
+	defer lc.Close()
+	fmt.Printf("metadata manager on %s\n", lc.MM.Addr())
 	for i, capBW := range caps {
 		id := ids.RMID(i + 1)
-		ctrl := blkio.NewController()
-		disk, err := vdiskFor(ctrl, id, capBW)
-		check(err)
-		files := make(map[ids.FileID]rm.FileMeta)
-		for _, f := range cat.Files() {
-			// Every RM holds every clip in this demo.
-			files[f.ID] = rm.FileMeta{Bitrate: f.Bitrate, Size: f.Size, DurationSec: f.DurationSec}
-			check(disk.Provision(live.FileName(f.ID), f.Size))
-		}
-		mapper, err := live.DialMM(mmSrv.Addr())
-		check(err)
-		node, err := rm.New(rm.Options{
-			Info:        ecnp.RMInfo{ID: id, Capacity: capBW, StorageBytes: 4 * units.GB},
-			Scheduler:   sched,
-			Mapper:      mapper,
-			History:     history.DefaultConfig(),
-			Replication: replication.DefaultConfig(replication.Static()),
-			Rand:        master.Split(id.String()),
-			Files:       files,
-		})
-		check(err)
-		srv, err := live.NewRMServer(node, disk, "127.0.0.1:0")
-		check(err)
-		defer srv.Close()
-		info := node.Info()
-		info.Addr = srv.Addr()
-		fileIDs := make([]ids.FileID, 0, len(files))
-		for f := range files {
-			fileIDs = append(fileIDs, f)
-		}
-		check(mapper.RegisterRM(info, fileIDs))
-		node.SetDirectory(live.NewDirectory(mapper))
-		servers = append(servers, srv)
-		fmt.Printf("%v (%v) on %s\n", id, capBW, srv.Addr())
+		fmt.Printf("%v (%v) on %s\n", id, capBW, lc.Server(id).Addr())
 	}
 
-	// 3. The DFSC launches last, mounted through the FUSE-style surface.
-	mapper, err := live.DialMM(mmSrv.Addr())
-	check(err)
-	defer mapper.Close()
-	dir := live.NewDirectory(mapper)
-	defer dir.Close()
 	client, err := dfsc.New(dfsc.Options{
-		ID: 1, Mapper: mapper, Directory: dir, Scheduler: sched,
+		ID: 1, Mapper: lc.Mapper, Directory: lc.Dir, Scheduler: lc.Sched,
 		Catalog: cat, Policy: selection.RemOnly, Scenario: qos.Firm,
 		Rand: master.Split("client"),
 	})
@@ -110,8 +71,8 @@ func main() {
 	mount, err := fsapi.NewMount(fsapi.Options{
 		Client:       client,
 		Catalog:      cat,
-		Streamer:     dir,
-		ReplicaCount: mapper.ReplicaCount,
+		Streamer:     lc.Dir,
+		ReplicaCount: lc.Mapper.ReplicaCount,
 	})
 	check(err)
 	defer mount.Destroy()
@@ -141,11 +102,10 @@ func main() {
 		fmt.Printf("open/read/release %s: %s in %.2fs (%.2f MB/s, %d replicas, bitrate %v)\n",
 			name, info.Size, secs, float64(off)/secs/1e6, info.Replicas, info.Bitrate)
 	}
+	if leaks := lc.Leaks(); len(leaks) > 0 {
+		log.Fatalf("reservations not returned: %v", leaks)
+	}
 	fmt.Println("\nall reservations returned; live cluster shutting down")
-}
-
-func vdiskFor(ctrl *blkio.Controller, id ids.RMID, capBW units.BytesPerSec) (*vdisk.Disk, error) {
-	return vdisk.New(4*units.GB, ctrl, fmt.Sprintf("vm%d", id), capBW, capBW)
 }
 
 func check(err error) {

@@ -9,7 +9,6 @@ import (
 	"dfsqos/internal/dfsc"
 	"dfsqos/internal/ids"
 	"dfsqos/internal/qos"
-	"dfsqos/internal/replication"
 	"dfsqos/internal/rng"
 	"dfsqos/internal/selection"
 	"dfsqos/internal/testenv"
@@ -42,10 +41,10 @@ func TestLiveNegotiateAllocations(t *testing.T) {
 				caps[i] = units.Mbps(1000)
 				rms[i] = ids.RMID(i + 1)
 			}
-			lc := startLiveCluster(t, caps,
-				map[ids.FileID][]ids.RMID{0: rms},
-				replication.DefaultConfig(replication.Static()), 100)
-			defer lc.shutdown()
+			lc := startLiveCluster(t, LocalSpec{
+				Caps:    caps,
+				Holders: map[ids.FileID][]ids.RMID{0: rms},
+			})
 			ceiling := float64(8*holders + 40)
 			for _, lease := range []struct {
 				name string
@@ -53,10 +52,10 @@ func TestLiveNegotiateAllocations(t *testing.T) {
 			}{{"cold", 0}, {"hot", time.Hour}} {
 				client, err := dfsc.New(dfsc.Options{
 					ID:        1,
-					Mapper:    lc.mmCli,
-					Directory: lc.dir,
-					Scheduler: lc.sched,
-					Catalog:   lc.cat,
+					Mapper:    lc.Mapper,
+					Directory: lc.Dir,
+					Scheduler: lc.Sched,
+					Catalog:   lc.Catalog,
 					Policy:    selection.Full,
 					Scenario:  qos.Soft,
 					Rand:      rng.New(11),
@@ -103,16 +102,16 @@ func TestLiveStripedReadAllocations(t *testing.T) {
 		caps[i] = units.Mbps(8000)
 		holders[i] = ids.RMID(i + 1)
 	}
-	lc := startLiveCluster(t, caps,
-		map[ids.FileID][]ids.RMID{0: holders},
-		replication.DefaultConfig(replication.Static()), 100)
-	defer lc.shutdown()
+	lc := startLiveCluster(t, LocalSpec{
+		Caps:    caps,
+		Holders: map[ids.FileID][]ids.RMID{0: holders},
+	})
 	client, err := dfsc.New(dfsc.Options{
 		ID:        1,
-		Mapper:    lc.mmCli,
-		Directory: lc.dir,
-		Scheduler: lc.sched,
-		Catalog:   lc.cat,
+		Mapper:    lc.Mapper,
+		Directory: lc.Dir,
+		Scheduler: lc.Sched,
+		Catalog:   lc.Catalog,
 		Policy:    selection.RemOnly,
 		Scenario:  qos.Soft,
 		Rand:      rng.New(9),
@@ -120,9 +119,9 @@ func TestLiveStripedReadAllocations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	size := int64(lc.cat.File(0).Size)
+	size := int64(lc.Catalog.File(0).Size)
 	read := func() {
-		res, err := client.ReadStriped(lc.dir, 0, io.Discard, dfsc.StripeConfig{Width: k, SegmentBytes: size / (3 * k)})
+		res, err := client.ReadStriped(lc.Dir, 0, io.Discard, dfsc.StripeConfig{Width: k, SegmentBytes: size / (3 * k)})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,7 +15,6 @@ import (
 	"dfsqos/internal/dfsc"
 	"dfsqos/internal/ids"
 	"dfsqos/internal/qos"
-	"dfsqos/internal/replication"
 	"dfsqos/internal/rng"
 	"dfsqos/internal/selection"
 	"dfsqos/internal/transport"
@@ -129,22 +128,19 @@ func (r *flipRelay) close() {
 // puts a flipRelay in front of RM 1 by re-registering it at the relay's
 // address, so every client that resolves RM 1 through the MM talks to it
 // through the relay. RM 2 is reached directly.
-func startCorruptibleCluster(t *testing.T, towardClient bool) (*liveCluster, *flipRelay) {
+func startCorruptibleCluster(t *testing.T, towardClient bool) (*Local, *flipRelay) {
 	t.Helper()
-	lc := startLiveCluster(t,
-		[]units.BytesPerSec{units.Mbps(1e6), units.Mbps(1e6)},
-		map[ids.FileID][]ids.RMID{0: {1, 2}},
-		replication.DefaultConfig(replication.Static()), 100)
-	relay := startFlipRelay(t, lc.rmSrvs[0].Addr(), towardClient)
-	info := lc.rmSrvs[0].Node().Info()
+	lc := startLiveCluster(t, LocalSpec{
+		Caps:    []units.BytesPerSec{units.Mbps(1e6), units.Mbps(1e6)},
+		Holders: map[ids.FileID][]ids.RMID{0: {1, 2}},
+	})
+	relay := startFlipRelay(t, lc.Server(1).Addr(), towardClient)
+	info := lc.Node(1).Info()
 	info.Addr = relay.ln.Addr().String()
-	if err := lc.mmCli.RegisterRM(info, []ids.FileID{0}); err != nil {
+	if err := lc.Mapper.RegisterRM(info, []ids.FileID{0}); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() {
-		lc.shutdown()
-		relay.close()
-	})
+	t.Cleanup(relay.close)
 	return lc, relay
 }
 
@@ -166,32 +162,32 @@ func wantChecksumMismatch(t *testing.T, what string, err error, relay *flipRelay
 func TestLiveCorruptedRangeIsCaughtAndRefetched(t *testing.T) {
 	lc, relay := startCorruptibleCluster(t, true)
 	ctx := context.Background()
-	size := int64(lc.cat.File(0).Size)
+	size := int64(lc.Catalog.File(0).Size)
 
 	relay.budget.Store(1)
 	sum := wire.ChecksumBasis
-	_, err := lc.dir.StreamRange(ctx, 1, 0, 0, 0, size/2, io.Discard, &sum)
+	_, err := lc.Dir.StreamRange(ctx, 1, 0, 0, 0, size/2, io.Discard, &sum)
 	wantChecksumMismatch(t, "StreamRange", err, relay, 1)
 	// The relay is clean again: the same range verifies.
 	sum = wire.ChecksumBasis
-	if _, err := lc.dir.StreamRange(ctx, 1, 0, 0, 0, size/2, io.Discard, &sum); err != nil {
+	if _, err := lc.Dir.StreamRange(ctx, 1, 0, 0, 0, size/2, io.Discard, &sum); err != nil {
 		t.Fatalf("clean StreamRange through the relay: %v", err)
 	}
 
 	client, err := dfsc.New(dfsc.Options{
-		ID: 1, Mapper: lc.mmCli, Directory: lc.dir, Scheduler: lc.sched, Catalog: lc.cat,
+		ID: 1, Mapper: lc.Mapper, Directory: lc.Dir, Scheduler: lc.Sched, Catalog: lc.Catalog,
 		Policy: selection.RemOnly, Scenario: qos.Soft, Rand: rng.New(9),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := lc.rmSrvs[0].disk.Checksum(FileName(0))
+	want, err := lc.Server(1).disk.Checksum(FileName(0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	relay.budget.Store(1)
 	var got bytes.Buffer
-	res, err := client.ReadStriped(&bothLanesStart{Directory: lc.dir}, 0, &got, dfsc.StripeConfig{
+	res, err := client.ReadStriped(&bothLanesStart{Directory: lc.Dir}, 0, &got, dfsc.StripeConfig{
 		Width: 2, SegmentBytes: size / 8, MaxFailovers: 1, Backoff: time.Millisecond,
 	})
 	if err != nil {
@@ -253,7 +249,7 @@ func TestLiveCorruptedStreamToEOFIsCaught(t *testing.T) {
 	lc, relay := startCorruptibleCluster(t, true)
 	relay.budget.Store(1)
 	sum := wire.ChecksumBasis
-	_, err := lc.dir.StreamAt(context.Background(), 1, 0, 0, 0, io.Discard, &sum)
+	_, err := lc.Dir.StreamAt(context.Background(), 1, 0, 0, 0, io.Discard, &sum)
 	wantChecksumMismatch(t, "StreamAt", err, relay, 1)
 }
 
@@ -262,7 +258,7 @@ func TestLiveCorruptedStreamToEOFIsCaught(t *testing.T) {
 // connection stays usable — and keep the object it already had.
 func TestLiveCorruptedUploadIsRefused(t *testing.T) {
 	lc, relay := startCorruptibleCluster(t, false)
-	cli, ok := lc.dir.RMClient(1)
+	cli, ok := lc.Dir.RMClient(1)
 	if !ok {
 		t.Fatal("RM 1 unreachable through the relay")
 	}
@@ -281,7 +277,7 @@ func TestLiveCorruptedUploadIsRefused(t *testing.T) {
 		t.Fatalf("refusal %v is not a served error", err)
 	}
 	kept := make([]byte, len(old))
-	if _, err := lc.rmSrvs[0].disk.ReadAtRaw(FileName(file), kept, 0); (err != nil && err != io.EOF) || !bytes.Equal(kept, old) {
+	if _, err := lc.Server(1).disk.ReadAtRaw(FileName(file), kept, 0); (err != nil && err != io.EOF) || !bytes.Equal(kept, old) {
 		t.Fatalf("disk after the refused upload no longer holds the old object (read err %v)", err)
 	}
 }

@@ -17,18 +17,17 @@ import (
 // a client access still succeeds through the surviving holder: the dead
 // RM's CFP degrades to a zero bid instead of aborting the negotiation.
 func TestRMCrashFallback(t *testing.T) {
-	lc := startLiveCluster(t,
-		[]units.BytesPerSec{units.Mbps(50), units.Mbps(50)},
-		map[ids.FileID][]ids.RMID{0: {1, 2}},
-		replication.DefaultConfig(replication.Static()), 100)
-	defer lc.shutdown()
+	lc := startLiveCluster(t, LocalSpec{
+		Caps:    []units.BytesPerSec{units.Mbps(50), units.Mbps(50)},
+		Holders: map[ids.FileID][]ids.RMID{0: {1, 2}},
+	})
 
 	client, err := dfsc.New(dfsc.Options{
 		ID:        1,
-		Mapper:    lc.mmCli,
-		Directory: lc.dir,
-		Scheduler: lc.sched,
-		Catalog:   lc.cat,
+		Mapper:    lc.Mapper,
+		Directory: lc.Dir,
+		Scheduler: lc.Sched,
+		Catalog:   lc.Catalog,
 		Policy:    selection.RemOnly,
 		Scenario:  qos.Firm,
 		Rand:      rng.New(3),
@@ -38,11 +37,11 @@ func TestRMCrashFallback(t *testing.T) {
 	}
 
 	// Warm the directory so a cached (now dead) connection is exercised.
-	if _, ok := lc.dir.RMClient(2); !ok {
+	if _, ok := lc.Dir.RMClient(2); !ok {
 		t.Fatal("RM2 unreachable before crash")
 	}
 	// Crash RM2.
-	lc.rmSrvs[1].Close()
+	lc.Server(2).Close()
 
 	out := client.Access(0)
 	if !out.OK {
@@ -56,18 +55,17 @@ func TestRMCrashFallback(t *testing.T) {
 // TestAllHoldersDownFailsCleanly verifies the client reports failure (not
 // a hang or panic) when every replica holder is gone.
 func TestAllHoldersDownFailsCleanly(t *testing.T) {
-	lc := startLiveCluster(t,
-		[]units.BytesPerSec{units.Mbps(50)},
-		map[ids.FileID][]ids.RMID{0: {1}},
-		replication.DefaultConfig(replication.Static()), 100)
-	defer lc.shutdown()
+	lc := startLiveCluster(t, LocalSpec{
+		Caps:    []units.BytesPerSec{units.Mbps(50)},
+		Holders: map[ids.FileID][]ids.RMID{0: {1}},
+	})
 
 	client, err := dfsc.New(dfsc.Options{
 		ID:        1,
-		Mapper:    lc.mmCli,
-		Directory: lc.dir,
-		Scheduler: lc.sched,
-		Catalog:   lc.cat,
+		Mapper:    lc.Mapper,
+		Directory: lc.Dir,
+		Scheduler: lc.Sched,
+		Catalog:   lc.Catalog,
 		Policy:    selection.RemOnly,
 		Scenario:  qos.Firm,
 		Rand:      rng.New(3),
@@ -75,8 +73,8 @@ func TestAllHoldersDownFailsCleanly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lc.dir.RMClient(1) // cache the connection
-	lc.rmSrvs[0].Close()
+	lc.Dir.RMClient(1) // cache the connection
+	lc.Server(1).Close()
 
 	out := client.Access(0)
 	if out.OK {
@@ -95,19 +93,20 @@ func TestOfferToDeadDestinationSkipped(t *testing.T) {
 	cfg := replication.DefaultConfig(replication.Rep(1, 8))
 	cfg.CooldownSec = 0.01
 	cfg.Speed = units.Mbps(1000)
-	lc := startLiveCluster(t,
-		[]units.BytesPerSec{units.Mbps(5), units.Mbps(100), units.Mbps(100)},
-		map[ids.FileID][]ids.RMID{0: {1}},
-		cfg, 1000)
-	defer lc.shutdown()
+	lc := startLiveCluster(t, LocalSpec{
+		Caps:        []units.BytesPerSec{units.Mbps(5), units.Mbps(100), units.Mbps(100)},
+		Holders:     map[ids.FileID][]ids.RMID{0: {1}},
+		TimeScale:   1000,
+		Replication: cfg,
+	})
 
 	// Kill RM2 so the source's offer to it fails over TCP.
-	lc.dir.RMClient(2)
-	lc.rmSrvs[1].Close()
+	lc.Dir.RMClient(2)
+	lc.Server(2).Close()
 
-	src := lc.rmSrvs[0].Node()
+	src := lc.Node(1)
 	src.Open(ecnp.OpenRequest{Request: 1, File: 0, Bitrate: units.Mbps(4.5), DurationSec: 3600})
-	meta := lc.cat.File(0)
+	meta := lc.Catalog.File(0)
 	src.HandleCFP(ecnp.CFP{Request: 2, File: 0, Bitrate: meta.Bitrate, DurationSec: meta.DurationSec})
 
 	// The trigger must not wedge: either RM3 received the copy or no
@@ -118,4 +117,5 @@ func TestOfferToDeadDestinationSkipped(t *testing.T) {
 	}
 	// A second CFP after the cooldown must not panic or deadlock.
 	src.HandleCFP(ecnp.CFP{Request: 3, File: 0, Bitrate: meta.Bitrate, DurationSec: meta.DurationSec})
+	src.Close(1)
 }

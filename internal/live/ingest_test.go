@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"dfsqos/internal/ids"
-	"dfsqos/internal/replication"
 	"dfsqos/internal/units"
 	"dfsqos/internal/wire"
 )
@@ -55,12 +54,10 @@ func waitServerHolds(t *testing.T, srv *RMServer, addr string, held bool) {
 // must follow the bytes that arrived, not the size the 20-byte WriteFile
 // frame claimed, and nothing may be stored.
 func TestLiveIngestAllocatesAsBytesArrive(t *testing.T) {
-	lc := startLiveCluster(t,
-		[]units.BytesPerSec{units.Mbps(50)},
-		nil,
-		replication.DefaultConfig(replication.Static()), 100)
-	defer lc.shutdown()
-	srv := lc.rmSrvs[0]
+	lc := startLiveCluster(t, LocalSpec{
+		Caps: []units.BytesPerSec{units.Mbps(50)},
+	})
+	srv := lc.Server(1)
 	const file = ids.FileID(3)
 	conn, wc := dialRM(t, srv)
 	defer conn.Close()
@@ -98,12 +95,10 @@ func TestLiveIngestAllocatesAsBytesArrive(t *testing.T) {
 // synthesized content it replaced. Every stored file must read back byte
 // for byte through ReadAtRaw and sum to the client's checksum.
 func TestLiveIngestOddShapedUploads(t *testing.T) {
-	lc := startLiveCluster(t,
-		[]units.BytesPerSec{units.Mbps(50)},
-		nil,
-		replication.DefaultConfig(replication.Static()), 100)
-	defer lc.shutdown()
-	srv := lc.rmSrvs[0]
+	lc := startLiveCluster(t, LocalSpec{
+		Caps: []units.BytesPerSec{units.Mbps(50)},
+	})
+	srv := lc.Server(1)
 	conn, wc := dialRM(t, srv)
 	defer conn.Close()
 

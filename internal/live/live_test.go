@@ -4,150 +4,41 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"io"
 	"net"
 	"sync"
 	"testing"
 	"time"
 
-	"dfsqos/internal/blkio"
-	"dfsqos/internal/catalog"
 	"dfsqos/internal/dfsc"
 	"dfsqos/internal/ecnp"
-	"dfsqos/internal/history"
 	"dfsqos/internal/ids"
 	"dfsqos/internal/mm"
 	"dfsqos/internal/qos"
 	"dfsqos/internal/replication"
-	"dfsqos/internal/rm"
 	"dfsqos/internal/rng"
 	"dfsqos/internal/selection"
 	"dfsqos/internal/simtime"
 	"dfsqos/internal/units"
-	"dfsqos/internal/vdisk"
 	"dfsqos/internal/wire"
 )
 
-// liveCluster spins up a real TCP deployment on localhost: one MM server,
-// n RM servers with throttled virtual disks, and returns everything a
-// client needs.
-type liveCluster struct {
-	mmSrv  *MMServer
-	rmSrvs []*RMServer
-	mmCli  *MMClient
-	dir    *Directory
-	sched  *WallScheduler
-	cat    *catalog.Catalog
-}
-
-func (lc *liveCluster) shutdown() {
-	lc.dir.Close()
-	lc.mmCli.Close()
-	for _, s := range lc.rmSrvs {
-		s.Close()
-	}
-	lc.mmSrv.Close()
-	lc.sched.Stop()
-}
-
-// startLiveCluster provisions files on the RMs per the given holders map.
-func startLiveCluster(t *testing.T, caps []units.BytesPerSec, holders map[ids.FileID][]ids.RMID, repCfg replication.Config, timeScale float64) *liveCluster {
+// startLiveCluster is startLocal over the eight-file catalog most live
+// tests share.
+func startLiveCluster(t *testing.T, spec LocalSpec) *Local {
 	t.Helper()
-	cfg := catalog.DefaultConfig()
-	cfg.NumFiles = 8
-	cfg.MeanDurationSec = 5
-	cfg.MinDurationSec = 1
-	cfg.MaxDurationSec = 10
-	cat, err := catalog.Generate(cfg, rng.New(21))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	mmSrv, err := NewMMServer(mm.New(), "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched := NewWallScheduler(timeScale)
-	master := rng.New(31)
-
-	var rmSrvs []*RMServer
-	for i, capBW := range caps {
-		id := ids.RMID(i + 1)
-		ctrl := blkio.NewController()
-		disk, err := vdisk.New(units.GB, ctrl, fmt.Sprintf("vm%d", id), capBW, capBW)
-		if err != nil {
-			t.Fatal(err)
-		}
-		files := make(map[ids.FileID]rm.FileMeta)
-		for f, hs := range holders {
-			for _, h := range hs {
-				if h == id {
-					meta := cat.File(f)
-					files[f] = rm.FileMeta{Bitrate: meta.Bitrate, Size: meta.Size, DurationSec: meta.DurationSec}
-					if err := disk.Provision(FileName(f), meta.Size); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-		}
-		mapperCli, err := DialMM(mmSrv.Addr())
-		if err != nil {
-			t.Fatal(err)
-		}
-		node, err := rm.New(rm.Options{
-			Info:        ecnp.RMInfo{ID: id, Capacity: capBW, StorageBytes: units.GB},
-			Scheduler:   sched,
-			Mapper:      mapperCli,
-			History:     history.DefaultConfig(),
-			Replication: repCfg,
-			Rand:        master.Split(id.String()),
-			Files:       files,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv, err := NewRMServer(node, disk, "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Register with the real address so the directory can dial back.
-		info := node.Info()
-		info.Addr = srv.Addr()
-		fileIDs := make([]ids.FileID, 0, len(files))
-		for f := range files {
-			fileIDs = append(fileIDs, f)
-		}
-		if err := mapperCli.RegisterRM(info, fileIDs); err != nil {
-			t.Fatal(err)
-		}
-		node.SetDirectory(NewDirectory(mapperCli))
-		rmSrvs = append(rmSrvs, srv)
-	}
-
-	mmCli, err := DialMM(mmSrv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &liveCluster{
-		mmSrv:  mmSrv,
-		rmSrvs: rmSrvs,
-		mmCli:  mmCli,
-		dir:    NewDirectory(mmCli),
-		sched:  sched,
-		cat:    cat,
-	}
+	spec.Catalog = testCatalog(t, 21, 8, 1, 5, 10)
+	return startLocal(t, spec)
 }
 
 func TestLiveControlPlaneEndToEnd(t *testing.T) {
-	lc := startLiveCluster(t,
-		[]units.BytesPerSec{units.Mbps(50), units.Mbps(50)},
-		map[ids.FileID][]ids.RMID{0: {1, 2}, 1: {1}, 2: {2}},
-		replication.DefaultConfig(replication.Static()), 100)
-	defer lc.shutdown()
+	lc := startLiveCluster(t, LocalSpec{
+		Caps:    []units.BytesPerSec{units.Mbps(50), units.Mbps(50)},
+		Holders: map[ids.FileID][]ids.RMID{0: {1, 2}, 1: {1}, 2: {2}},
+	})
 
 	// The resource list reflects both registrations with dialable addrs.
-	infos := lc.mmCli.RMs()
+	infos := lc.Mapper.RMs()
 	if len(infos) != 2 {
 		t.Fatalf("resource list has %d RMs", len(infos))
 	}
@@ -160,10 +51,10 @@ func TestLiveControlPlaneEndToEnd(t *testing.T) {
 	// A DFSC over TCP: query, CFP fan-out, selection, open, close.
 	client, err := dfsc.New(dfsc.Options{
 		ID:        1,
-		Mapper:    lc.mmCli,
-		Directory: lc.dir,
-		Scheduler: lc.sched,
-		Catalog:   lc.cat,
+		Mapper:    lc.Mapper,
+		Directory: lc.Dir,
+		Scheduler: lc.Sched,
+		Catalog:   lc.Catalog,
 		Policy:    selection.RemOnly,
 		Scenario:  qos.Firm,
 		Rand:      rng.New(77),
@@ -171,11 +62,12 @@ func TestLiveControlPlaneEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := client.Access(0)
+	// Held: no playback-end timer releases it, only the Close below.
+	out, _ := client.AccessHeld(0)
 	if !out.OK {
 		t.Fatalf("live access failed: %s", out.Reason)
 	}
-	served, ok := lc.dir.RMClient(out.RM)
+	served, ok := lc.Dir.RMClient(out.RM)
 	if !ok {
 		t.Fatal("winner not reachable")
 	}
@@ -186,32 +78,31 @@ func TestLiveControlPlaneEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != int64(lc.cat.File(0).Size) {
-		t.Fatalf("streamed %d bytes, want %d", n, lc.cat.File(0).Size)
+	if n != int64(lc.Catalog.File(0).Size) {
+		t.Fatalf("streamed %d bytes, want %d", n, lc.Catalog.File(0).Size)
 	}
 
-	// Release the reservation explicitly (playback end would also do it).
+	// Release the reservation over TCP.
 	served.Close(out.Request)
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
-		if lc.rmSrvs[out.RM-1].Node().Allocated() == 0 {
+		if lc.Node(out.RM).Allocated() == 0 {
 			break
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if got := lc.rmSrvs[out.RM-1].Node().Allocated(); got != 0 {
+	if got := lc.Node(out.RM).Allocated(); got != 0 {
 		t.Fatalf("allocated %v after close", got)
 	}
 }
 
 func TestLiveFirmRefusalOverTCP(t *testing.T) {
-	lc := startLiveCluster(t,
-		[]units.BytesPerSec{units.Mbps(5)},
-		map[ids.FileID][]ids.RMID{0: {1}},
-		replication.DefaultConfig(replication.Static()), 100)
-	defer lc.shutdown()
+	lc := startLiveCluster(t, LocalSpec{
+		Caps:    []units.BytesPerSec{units.Mbps(5)},
+		Holders: map[ids.FileID][]ids.RMID{0: {1}},
+	})
 
-	rmCli, ok := lc.dir.RMClient(1)
+	rmCli, ok := lc.Dir.RMClient(1)
 	if !ok {
 		t.Fatal("RM1 unreachable")
 	}
@@ -224,6 +115,7 @@ func TestLiveFirmRefusalOverTCP(t *testing.T) {
 	if res.OK {
 		t.Fatal("over-capacity firm open admitted")
 	}
+	rmCli.Close(1)
 }
 
 func TestLiveReplicationOverTCP(t *testing.T) {
@@ -232,32 +124,34 @@ func TestLiveReplicationOverTCP(t *testing.T) {
 	// Use a high replication speed so the copy completes quickly in
 	// wall time (the virtual disk is throttled at the RM capacity).
 	cfg.Speed = units.Mbps(1000)
-	lc := startLiveCluster(t,
-		[]units.BytesPerSec{units.Mbps(5), units.Mbps(100)},
-		map[ids.FileID][]ids.RMID{0: {1}},
-		cfg, 1000)
-	defer lc.shutdown()
+	lc := startLiveCluster(t, LocalSpec{
+		Caps:        []units.BytesPerSec{units.Mbps(5), units.Mbps(100)},
+		Holders:     map[ids.FileID][]ids.RMID{0: {1}},
+		TimeScale:   1000,
+		Replication: cfg,
+	})
 
-	rm1, _ := lc.dir.RMClient(1)
+	rm1, _ := lc.Dir.RMClient(1)
 	// Saturate RM1 beyond 80%, then a CFP triggers the replication agent,
 	// which offers the file to RM2 over TCP.
 	rm1.Open(ecnp.OpenRequest{Request: 1, File: 0, Bitrate: units.Mbps(4.5), DurationSec: 3600})
-	meta := lc.cat.File(0)
+	meta := lc.Catalog.File(0)
 	rm1.HandleCFP(ecnp.CFP{Request: 2, File: 0, Bitrate: meta.Bitrate, DurationSec: meta.DurationSec})
 
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		if lc.mmCli.ReplicaCount(0) == 2 && lc.rmSrvs[1].Node().HasFile(0) {
+		if lc.Mapper.ReplicaCount(0) == 2 && lc.Node(2).HasFile(0) {
 			break
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	if lc.mmCli.ReplicaCount(0) != 2 {
-		t.Fatalf("replica count = %d, want 2 after live replication", lc.mmCli.ReplicaCount(0))
+	if lc.Mapper.ReplicaCount(0) != 2 {
+		t.Fatalf("replica count = %d, want 2 after live replication", lc.Mapper.ReplicaCount(0))
 	}
-	if !lc.rmSrvs[1].Node().HasFile(0) {
+	if !lc.Node(2).HasFile(0) {
 		t.Fatal("RM2 does not hold the replica")
 	}
+	rm1.Close(1)
 }
 
 // TestLiveReplicationRefusalText: the MM's refusals are bare reasons
@@ -311,17 +205,16 @@ func TestLiveThrottledStream(t *testing.T) {
 	}
 	// 2 MB file over a 4 Mbit/s (0.5 MB/s) disk: the burst covers 0.5 MB,
 	// the remaining 1.5 MB takes ~3 s.
-	lc := startLiveCluster(t,
-		[]units.BytesPerSec{units.Mbps(4)},
-		nil,
-		replication.DefaultConfig(replication.Static()), 1)
-	defer lc.shutdown()
+	lc := startLiveCluster(t, LocalSpec{
+		Caps:      []units.BytesPerSec{units.Mbps(4)},
+		TimeScale: 1,
+	})
 
-	disk := diskOf(t, lc, 0)
+	disk := lc.Disk(1)
 	if err := disk.Provision(FileName(99), 2*units.MB); err != nil {
 		t.Fatal(err)
 	}
-	rmCli, _ := lc.dir.RMClient(1)
+	rmCli, _ := lc.Dir.RMClient(1)
 	start := time.Now()
 	var buf bytes.Buffer
 	n, err := readWhole(rmCli, 99, &buf)
@@ -338,12 +231,6 @@ func TestLiveThrottledStream(t *testing.T) {
 	if elapsed > 8*time.Second {
 		t.Fatalf("transfer took %v; throttle too aggressive", elapsed)
 	}
-}
-
-// diskOf digs the vdisk out of an RMServer for test provisioning.
-func diskOf(t *testing.T, lc *liveCluster, idx int) *vdisk.Disk {
-	t.Helper()
-	return lc.rmSrvs[idx].disk
 }
 
 func TestWallScheduler(t *testing.T) {
@@ -415,12 +302,10 @@ func readWhole(c *RMClient, file ids.FileID, w io.Writer) (int64, error) {
 // read, not after the sender has pushed it all — and the same connection
 // must then carry an in-capacity upload through to its Ack.
 func TestLiveIngestRefusesOversizedDeclaration(t *testing.T) {
-	lc := startLiveCluster(t,
-		[]units.BytesPerSec{units.Mbps(50)},
-		nil,
-		replication.DefaultConfig(replication.Static()), 100)
-	defer lc.shutdown()
-	srv := lc.rmSrvs[0]
+	lc := startLiveCluster(t, LocalSpec{
+		Caps: []units.BytesPerSec{units.Mbps(50)},
+	})
+	srv := lc.Server(1)
 
 	conn, err := net.Dial("tcp", srv.Addr())
 	if err != nil {

@@ -1,23 +1,16 @@
 package live
 
 import (
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
-	"dfsqos/internal/blkio"
-	"dfsqos/internal/catalog"
 	"dfsqos/internal/dfsc"
-	"dfsqos/internal/ecnp"
-	"dfsqos/internal/history"
 	"dfsqos/internal/ids"
-	"dfsqos/internal/mm"
 	"dfsqos/internal/monitor"
 	"dfsqos/internal/qos"
-	"dfsqos/internal/replication"
 	"dfsqos/internal/rm"
 	"dfsqos/internal/rng"
 	"dfsqos/internal/selection"
@@ -42,92 +35,21 @@ func TestMetricsEndToEnd(t *testing.T) {
 	wire.RegisterCodecMetrics(reg)
 	defer wire.RegisterCodecMetrics(nil) // detach the process-wide sink from this test's registry
 
-	cfg := catalog.DefaultConfig()
-	cfg.NumFiles = 4
-	cfg.MeanDurationSec = 5
-	cfg.MinDurationSec = 1
-	cfg.MaxDurationSec = 10
-	cat, err := catalog.Generate(cfg, rng.New(11))
-	if err != nil {
-		t.Fatal(err)
+	lc := startLocal(t, LocalSpec{
+		Catalog: testCatalog(t, 11, 4, 1, 5, 10),
+		Caps:    []units.BytesPerSec{units.Mbps(50), units.Mbps(50)},
+		Holders: map[ids.FileID][]ids.RMID{0: {1, 2}, 1: {1}, 2: {2}},
+		Rand:    rng.New(13),
+		RM: func(opt *rm.Options, _ *vdisk.Disk, _ *Directory) {
+			opt.Metrics = rm.NewMetrics(reg)
+		},
+	})
+	lc.MM.SetMetrics(NewServerMetrics(reg, "mm"))
+	for id := ids.RMID(1); id <= 2; id++ {
+		lc.Server(id).SetMetrics(NewServerMetrics(reg, "rm"))
 	}
 
-	mmSrv, err := NewMMServer(mm.New(), "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mmSrv.Close()
-	mmSrv.SetMetrics(NewServerMetrics(reg, "mm"))
-
-	sched := NewWallScheduler(100)
-	defer sched.Stop()
-	master := rng.New(13)
-	holders := map[ids.FileID][]ids.RMID{0: {1, 2}, 1: {1}, 2: {2}}
-
-	var rmSrvs []*RMServer
-	var firstNode *rm.RM
-	var firstDisk *vdisk.Disk
-	for i, capBW := range []units.BytesPerSec{units.Mbps(50), units.Mbps(50)} {
-		id := ids.RMID(i + 1)
-		ctrl := blkio.NewController()
-		disk, err := vdisk.New(units.GB, ctrl, fmt.Sprintf("vm-metrics-%d", id), capBW, capBW)
-		if err != nil {
-			t.Fatal(err)
-		}
-		files := make(map[ids.FileID]rm.FileMeta)
-		for f, hs := range holders {
-			for _, h := range hs {
-				if h != id {
-					continue
-				}
-				meta := cat.File(f)
-				files[f] = rm.FileMeta{Bitrate: meta.Bitrate, Size: meta.Size, DurationSec: meta.DurationSec}
-				if err := disk.Provision(FileName(f), meta.Size); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		mapperCli, err := DialMMConfig(mmSrv.Addr(), tcfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer mapperCli.Close()
-		node, err := rm.New(rm.Options{
-			Info:        ecnp.RMInfo{ID: id, Capacity: capBW, StorageBytes: units.GB},
-			Scheduler:   sched,
-			Mapper:      mapperCli,
-			History:     history.DefaultConfig(),
-			Replication: replication.DefaultConfig(replication.Static()),
-			Rand:        master.Split(id.String()),
-			Files:       files,
-			Metrics:     rm.NewMetrics(reg),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv, err := NewRMServer(node, disk, "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer srv.Close()
-		srv.SetMetrics(NewServerMetrics(reg, "rm"))
-		info := node.Info()
-		info.Addr = srv.Addr()
-		fileIDs := make([]ids.FileID, 0, len(files))
-		for f := range files {
-			fileIDs = append(fileIDs, f)
-		}
-		if err := mapperCli.RegisterRM(info, fileIDs); err != nil {
-			t.Fatal(err)
-		}
-		node.SetDirectory(NewDirectoryConfig(mapperCli, tcfg))
-		rmSrvs = append(rmSrvs, srv)
-		if firstNode == nil {
-			firstNode, firstDisk = node, disk
-		}
-	}
-
-	mmCli, err := DialMMConfig(mmSrv.Addr(), tcfg)
+	mmCli, err := DialMMConfig(lc.MM.Addr(), tcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,8 +61,8 @@ func TestMetricsEndToEnd(t *testing.T) {
 		ID:        1,
 		Mapper:    mmCli,
 		Directory: dir,
-		Scheduler: sched,
-		Catalog:   cat,
+		Scheduler: lc.Sched,
+		Catalog:   lc.Catalog,
 		Policy:    selection.RemOnly,
 		Scenario:  qos.Firm,
 		Rand:      rng.New(7),
@@ -157,7 +79,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 
 	// Scrape the shared registry through a real monitor endpoint, as a
 	// Prometheus server would scrape an rmd.
-	mon := httptest.NewServer(monitor.NewRMHandler(firstNode, firstDisk, sched, reg, nil))
+	mon := httptest.NewServer(monitor.NewRMHandler(lc.Node(1), lc.Disk(1), lc.Sched, reg, nil))
 	defer mon.Close()
 	scrape := func() string {
 		t.Helper()
@@ -235,6 +157,10 @@ func TestMetricsEndToEnd(t *testing.T) {
 
 	// Debug-surface smoke: every daemon monitor handler also answers
 	// /traces (valid JSON even without a tracer) and the pprof index.
+	// The accesses' playback ends release through dir: let them, before
+	// the deferred Close drops dir's connections.
+	waitFor(t, "playback ends", func() bool { return len(lc.Leaks()) == 0 })
+
 	for _, path := range []string{"/traces", "/traces?format=text", "/debug/pprof/"} {
 		r, err := http.Get(mon.URL + path)
 		if err != nil {

@@ -20,9 +20,9 @@ func (lc *chaosCluster) mount(t *testing.T) *fsapi.Mount {
 	t.Helper()
 	m, err := fsapi.NewMount(fsapi.Options{
 		Client:       lc.client(t, qos.Firm),
-		Catalog:      lc.cat,
-		Streamer:     lc.dir,
-		ReplicaCount: lc.mmCli.ReplicaCount,
+		Catalog:      lc.Catalog,
+		Streamer:     lc.Dir,
+		ReplicaCount: lc.Mapper.ReplicaCount,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -34,7 +34,7 @@ func (lc *chaosCluster) mount(t *testing.T) *fsapi.Mount {
 // checksum-verified.
 func (lc *chaosCluster) storedBytes(t *testing.T, rm ids.RMID, file ids.FileID) []byte {
 	t.Helper()
-	cli, ok := lc.dir.RMClient(rm)
+	cli, ok := lc.Dir.RMClient(rm)
 	if !ok {
 		t.Fatalf("RM %v unreachable", rm)
 	}
@@ -68,27 +68,26 @@ func readSpans(t *testing.T, m *fsapi.Mount, h fsapi.Handle, want []byte, r *ran
 // open handle over real TCP are byte-exact against the bytes the RM
 // stores, and run under the reservation Open made; Release returns it.
 func TestLiveMountRandomReads(t *testing.T) {
-	lc := startChaosCluster(t, chaosOpts{
-		caps:    []units.BytesPerSec{units.Mbps(400)},
-		holders: map[ids.FileID][]ids.RMID{0: {1}},
-	})
-	defer lc.shutdown()
+	lc := startChaosCluster(t, LocalSpec{
+		Caps:    []units.BytesPerSec{units.Mbps(400)},
+		Holders: map[ids.FileID][]ids.RMID{0: {1}},
+	}, nil)
 	m := lc.mount(t)
 	defer m.Destroy()
 	want := lc.storedBytes(t, 1, 0)
 
-	h, err := m.Open(lc.cat.File(0).Name)
+	h, err := m.Open(lc.Catalog.File(0).Name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := lc.nodes[1].ActiveReservations(); n != 1 {
+	if n := lc.Node(1).ActiveReservations(); n != 1 {
 		t.Fatalf("%d reservation(s) after open, want 1", n)
 	}
 	readSpans(t, m, h, want, rand.New(rand.NewSource(1)), 40)
 	if err := m.Release(h); err != nil {
 		t.Fatal(err)
 	}
-	if n, got := lc.nodes[1].ActiveReservations(), lc.nodes[1].Allocated(); n != 0 || got != 0 {
+	if n, got := lc.Node(1).ActiveReservations(), lc.Node(1).Allocated(); n != 0 || got != 0 {
 		t.Fatalf("%d reservation(s), %v allocated after release, want none", n, got)
 	}
 }
@@ -98,41 +97,40 @@ func TestLiveMountRandomReads(t *testing.T) {
 // span stays byte-exact. Release returns the survivor's reservation; the
 // corpse never hears of its own, so one lease sweep reclaims it.
 func TestChaosMountReadFailsOver(t *testing.T) {
-	lc := startChaosCluster(t, chaosOpts{
+	lc := startChaosCluster(t, LocalSpec{
 		// RemOnly ranks by remaining bandwidth, so RM 1 wins the open.
-		caps:        []units.BytesPerSec{units.Mbps(400), units.Mbps(200)},
-		holders:     map[ids.FileID][]ids.RMID{0: {1, 2}},
-		leaseTTLSec: 5,
-	})
-	defer lc.shutdown()
+		Caps:    []units.BytesPerSec{units.Mbps(400), units.Mbps(200)},
+		Holders: map[ids.FileID][]ids.RMID{0: {1, 2}},
+		RM:      leaseTTL(5),
+	}, nil)
 	m := lc.mount(t)
 	defer m.Destroy()
 	want := lc.storedBytes(t, 2, 0)
 
-	h, err := m.Open(lc.cat.File(0).Name)
+	h, err := m.Open(lc.Catalog.File(0).Name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n1, n2 := lc.nodes[1].ActiveReservations(), lc.nodes[2].ActiveReservations(); n1 != 1 || n2 != 0 {
+	if n1, n2 := lc.Node(1).ActiveReservations(), lc.Node(2).ActiveReservations(); n1 != 1 || n2 != 0 {
 		t.Fatalf("open reserved %d on RM 1 and %d on RM 2, want RM 1 alone", n1, n2)
 	}
 	r := rand.New(rand.NewSource(2))
 	readSpans(t, m, h, want, r, 10)
-	lc.rmSrvs[1].Close()
+	lc.Server(1).Close()
 	readSpans(t, m, h, want, r, 10)
-	if n := lc.nodes[2].ActiveReservations(); n != 1 {
+	if n := lc.Node(2).ActiveReservations(); n != 1 {
 		t.Fatalf("%d reservation(s) on the survivor, want the failover's 1", n)
 	}
 	if err := m.Release(h); err != nil {
 		t.Fatal(err)
 	}
-	if got := lc.nodes[2].Allocated(); got != 0 {
+	if got := lc.Node(2).Allocated(); got != 0 {
 		t.Fatalf("RM 2 still has %v allocated after release", got)
 	}
-	if n := lc.nodes[1].SweepLeases(lc.sched.Now().Add(6)); n != 1 {
+	if n := lc.Node(1).SweepLeases(lc.Sched.Now().Add(6)); n != 1 {
 		t.Fatalf("sweep reclaimed %d reservation(s) on the dead RM, want 1", n)
 	}
-	if got := lc.nodes[1].Allocated(); got != 0 {
+	if got := lc.Node(1).Allocated(); got != 0 {
 		t.Fatalf("RM 1 still has %v allocated after the sweep", got)
 	}
 	if text := lc.exposition(t); !strings.Contains(text, "dfsqos_dfsc_failovers_total 1") {
@@ -145,18 +143,17 @@ func TestChaosMountReadFailsOver(t *testing.T) {
 // — each read streams under the reservation Open made, and its chunks
 // renew the lease — and Release ends it.
 func TestChaosMountReadsRenewLease(t *testing.T) {
-	lc := startChaosCluster(t, chaosOpts{
-		caps:        []units.BytesPerSec{units.Mbps(100)},
-		holders:     map[ids.FileID][]ids.RMID{0: {1}},
-		leaseTTLSec: 5, // virtual seconds; 50ms of wall time at scale 100
-	})
-	defer lc.shutdown()
-	node := lc.nodes[1]
-	lc.stops = append(lc.stops, StartLeaseSweeper(node, lc.sched, 10*time.Millisecond, t.Logf))
+	lc := startChaosCluster(t, LocalSpec{
+		Caps:    []units.BytesPerSec{units.Mbps(100)},
+		Holders: map[ids.FileID][]ids.RMID{0: {1}},
+		RM:      leaseTTL(5), // virtual seconds; 50ms of wall time at scale 100
+	}, nil)
+	node := lc.Node(1)
+	t.Cleanup(StartLeaseSweeper(node, lc.Sched, 10*time.Millisecond, t.Logf))
 	m := lc.mount(t)
 	defer m.Destroy()
 
-	h, err := m.Open(lc.cat.File(0).Name)
+	h, err := m.Open(lc.Catalog.File(0).Name)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,12 +4,8 @@ import (
 	"testing"
 
 	"dfsqos/internal/dfsc"
-	"dfsqos/internal/ecnp"
-	"dfsqos/internal/history"
 	"dfsqos/internal/ids"
 	"dfsqos/internal/qos"
-	"dfsqos/internal/replication"
-	"dfsqos/internal/rm"
 	"dfsqos/internal/rng"
 	"dfsqos/internal/selection"
 	"dfsqos/internal/units"
@@ -20,18 +16,17 @@ import (
 // reaches the new instance (broken clients are invalidated and redialed
 // at the address the MM currently advertises).
 func TestDirectoryRedialsAfterRestart(t *testing.T) {
-	lc := startLiveCluster(t,
-		[]units.BytesPerSec{units.Mbps(50)},
-		map[ids.FileID][]ids.RMID{0: {1}},
-		replication.DefaultConfig(replication.Static()), 100)
-	defer lc.shutdown()
+	lc := startLiveCluster(t, LocalSpec{
+		Caps:    []units.BytesPerSec{units.Mbps(50)},
+		Holders: map[ids.FileID][]ids.RMID{0: {1}},
+	})
 
 	client, err := dfsc.New(dfsc.Options{
 		ID:        1,
-		Mapper:    lc.mmCli,
-		Directory: lc.dir,
-		Scheduler: lc.sched,
-		Catalog:   lc.cat,
+		Mapper:    lc.Mapper,
+		Directory: lc.Dir,
+		Scheduler: lc.Sched,
+		Catalog:   lc.Catalog,
 		Policy:    selection.RemOnly,
 		Scenario:  qos.Firm,
 		Rand:      rng.New(3),
@@ -44,42 +39,15 @@ func TestDirectoryRedialsAfterRestart(t *testing.T) {
 	}
 
 	// Crash RM1 and fail one access against the dead cached connection.
-	lc.rmSrvs[0].Close()
+	lc.Server(1).Close()
 	if out := client.Access(0); out.OK {
 		t.Fatal("access succeeded against a dead RM")
 	}
 
 	// Restart RM1 on a new ephemeral port, same identity, fresh state.
-	meta := lc.cat.File(0)
-	mapperCli, err := DialMM(lc.mmSrv.Addr())
-	if err != nil {
+	if _, err := lc.Restart(1, ""); err != nil {
 		t.Fatal(err)
 	}
-	node, err := rm.New(rm.Options{
-		Info:        ecnp.RMInfo{ID: 1, Capacity: units.Mbps(50), StorageBytes: units.GB},
-		Scheduler:   lc.sched,
-		Mapper:      mapperCli,
-		History:     history.DefaultConfig(),
-		Replication: replication.DefaultConfig(replication.Static()),
-		Rand:        rng.New(99),
-		Files: map[ids.FileID]rm.FileMeta{
-			0: {Bitrate: meta.Bitrate, Size: meta.Size, DurationSec: meta.DurationSec},
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := NewRMServer(node, nil, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	info := node.Info()
-	info.Addr = srv.Addr()
-	if err := mapperCli.RegisterRM(info, []ids.FileID{0}); err != nil {
-		t.Fatal(err)
-	}
-	node.SetDirectory(NewDirectory(mapperCli))
 
 	// The same client and directory now reach the restarted RM.
 	out := client.Access(0)
@@ -89,7 +57,7 @@ func TestDirectoryRedialsAfterRestart(t *testing.T) {
 	if out.RM != 1 {
 		t.Fatalf("served by %v", out.RM)
 	}
-	if node.Stats().Opens != 1 {
-		t.Fatalf("restarted RM saw %d opens, want 1", node.Stats().Opens)
+	if lc.Node(1).Stats().Opens != 1 {
+		t.Fatalf("restarted RM saw %d opens, want 1", lc.Node(1).Stats().Opens)
 	}
 }

@@ -6,93 +6,33 @@ import (
 	"testing"
 	"time"
 
-	"dfsqos/internal/blkio"
-	"dfsqos/internal/catalog"
 	"dfsqos/internal/dfsc"
-	"dfsqos/internal/ecnp"
-	"dfsqos/internal/history"
 	"dfsqos/internal/ids"
 	"dfsqos/internal/live"
 	"dfsqos/internal/mm"
 	"dfsqos/internal/qos"
-	"dfsqos/internal/replication"
-	"dfsqos/internal/rm"
 	"dfsqos/internal/rng"
 	"dfsqos/internal/scenario"
 	"dfsqos/internal/selection"
 	"dfsqos/internal/telemetry"
 	"dfsqos/internal/trace"
-	"dfsqos/internal/transport"
 	"dfsqos/internal/units"
-	"dfsqos/internal/vdisk"
 	"dfsqos/internal/wire"
 )
 
-// waitFor polls cond up to 5s — the external-package twin of the helper
-// in chaos_test.go; shard liveness converges on real wall time.
-func waitFor(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	t.Fatalf("timed out waiting for %s", what)
-}
-
-// shardChaosBeat is the shard-to-shard liveness config the chaos drills
-// run: a member silent for 60ms of wall time is dead.
-var shardChaosBeat = mm.LivenessConfig{HeartbeatInterval: 20 * time.Millisecond, MissThreshold: 3}
-
-// shardCluster is a live metadata shard group plus a small data plane:
-// n mmd-shaped members on real sockets, RM daemons registered through
-// the successor-failover ShardMapper, and handles deep enough to crash
-// and resurrect individual shards.
+// shardCluster is a Local over a live metadata shard group: n mmd-shaped
+// members on real sockets, RM daemons registered through the
+// successor-failover ShardMapper, every role reporting onto one registry
+// and one tracer.
 type shardCluster struct {
-	n, rep    int
-	shards    []*live.MMShard
-	srvs      []*live.MMServer
-	addrs     []string
-	beatStops []func()
-
+	*live.Local
+	rep    int
 	ring   *mm.Ring
 	mapper *live.ShardMapper
-	dir    *live.Directory
-	sched  *live.WallScheduler
-	cat    *catalog.Catalog
 	reg    *telemetry.Registry
 	tracer *trace.Tracer
-	rmSrvs map[ids.RMID]*live.RMServer
-	nodes  map[ids.RMID]*rm.RM
-	disks  map[ids.RMID]*vdisk.Disk
 	mmMet  *mm.Metrics
 	smMet  *live.ShardMapperMetrics
-}
-
-func (sc *shardCluster) shutdown() {
-	for _, stop := range sc.beatStops {
-		if stop != nil {
-			stop()
-		}
-	}
-	for _, s := range sc.shards {
-		if s != nil {
-			s.ClosePeers()
-		}
-	}
-	sc.dir.Close()
-	sc.mapper.Close()
-	for _, s := range sc.rmSrvs {
-		s.Close()
-	}
-	for _, s := range sc.srvs {
-		if s != nil {
-			s.Close()
-		}
-	}
-	sc.sched.Stop()
 }
 
 // startShardCluster boots an n-member shard group with replication rep
@@ -100,146 +40,44 @@ func (sc *shardCluster) shutdown() {
 // its listed RMs.
 func startShardCluster(t *testing.T, n, rep int, caps []units.BytesPerSec, holders map[ids.FileID][]ids.RMID) *shardCluster {
 	t.Helper()
-	cfg := catalog.DefaultConfig()
-	cfg.NumFiles = 8
-	cfg.MeanDurationSec = 10
-	cfg.MinDurationSec = 10
-	cfg.MaxDurationSec = 10
-	cat, err := catalog.Generate(cfg, rng.New(21))
-	if err != nil {
-		t.Fatal(err)
-	}
+	cat := live.GenCatalog(t, 21, 8, 10, 10, 10)
 	reg := telemetry.NewRegistry()
-	tracer := trace.New(trace.Options{Actor: "cluster", Registry: reg})
 	sc := &shardCluster{
-		n: n, rep: rep,
-		shards:    make([]*live.MMShard, n),
-		srvs:      make([]*live.MMServer, n),
-		addrs:     make([]string, n),
-		beatStops: make([]func(), n),
-		ring:      mm.NewRing(n),
-		sched:     live.NewWallScheduler(100),
-		cat:       cat,
-		reg:       reg,
-		tracer:    tracer,
-		rmSrvs:    make(map[ids.RMID]*live.RMServer),
-		nodes:     make(map[ids.RMID]*rm.RM),
-		disks:     make(map[ids.RMID]*vdisk.Disk),
-		mmMet:     mm.NewMetrics(reg),
-		smMet:     live.NewShardMapperMetrics(reg),
+		Local:  live.StartLocal(t, live.LocalSpec{Catalog: cat, Caps: caps, Holders: holders, Shards: n, Rep: rep}),
+		rep:    rep,
+		ring:   mm.NewRing(n),
+		reg:    reg,
+		tracer: trace.New(trace.Options{Actor: "cluster", Registry: reg}),
+		mmMet:  mm.NewMetrics(reg),
+		smMet:  live.NewShardMapperMetrics(reg),
 	}
-	for i := 0; i < n; i++ {
-		sc.bootShard(t, i, "")
+	for i := range n {
+		sc.instrument(t, sc.Shards[i], sc.ShardServers[i])
 	}
-	for i := 0; i < n; i++ {
-		sc.connectShard(t, i)
-	}
-
-	mapper, err := live.DialShardMapper(sc.addrs, rep, transport.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	mapper.SetRetryPolicy(2*time.Millisecond, 1)
-	mapper.SetMetrics(sc.smMet)
-	sc.mapper = mapper
-	sc.dir = live.NewDirectory(mapper)
-
-	master := rng.New(31)
-	for i, capBW := range caps {
-		id := ids.RMID(i + 1)
-		disk, err := vdisk.New(units.GB, blkio.NewController(), fmt.Sprintf("vm%d", id), capBW, capBW)
-		if err != nil {
-			t.Fatal(err)
-		}
-		files := make(map[ids.FileID]rm.FileMeta)
-		for f, hs := range holders {
-			for _, h := range hs {
-				if h == id {
-					meta := cat.File(f)
-					files[f] = rm.FileMeta{Bitrate: meta.Bitrate, Size: meta.Size, DurationSec: meta.DurationSec}
-					if err := disk.Provision(live.FileName(f), meta.Size); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-		}
-		node, err := rm.New(rm.Options{
-			Info:        ecnp.RMInfo{ID: id, Capacity: capBW, StorageBytes: units.GB},
-			Scheduler:   sc.sched,
-			Mapper:      mapper,
-			History:     history.DefaultConfig(),
-			Replication: replication.DefaultConfig(replication.Static()),
-			Rand:        master.Split(id.String()),
-			Files:       files,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv, err := live.NewRMServer(node, disk, "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv.SetTracer(tracer)
-		node.SetAddr(srv.Addr())
-		if err := node.Register(); err != nil {
-			t.Fatal(err)
-		}
-		node.SetDirectory(sc.dir)
-		sc.rmSrvs[id] = srv
-		sc.nodes[id] = node
-		sc.disks[id] = disk
+	sc.mapper = sc.Mapper.(*live.ShardMapper)
+	sc.mapper.SetMetrics(sc.smMet)
+	for i := range caps {
+		sc.Server(ids.RMID(i + 1)).SetTracer(sc.tracer)
 	}
 	return sc
 }
 
-// bootShard builds member i and binds its server. addr "" binds a fresh
-// socket; a concrete addr rebinds a resurrected member to its old
-// address so peers reconverge through their pooled stubs.
-func (sc *shardCluster) bootShard(t *testing.T, i int, addr string) {
-	t.Helper()
-	shard, err := live.NewMMShard(i, sc.n, sc.rep, shardChaosBeat)
-	if err != nil {
-		t.Fatal(err)
-	}
+// instrument points a shard member and its server at the cluster's
+// registry, log and tracer.
+func (sc *shardCluster) instrument(t *testing.T, shard *live.MMShard, srv *live.MMServer) {
 	shard.SetMetrics(mm.NewMetrics(sc.reg))
 	shard.SetLogger(t.Logf)
-	if addr == "" {
-		addr = "127.0.0.1:0"
-	}
-	srv, err := live.NewMMServer(shard, addr)
-	if err != nil {
-		t.Fatal(err)
-	}
 	srv.SetTracer(sc.tracer)
-	sc.shards[i] = shard
-	sc.srvs[i] = srv
-	sc.addrs[i] = srv.Addr()
-}
-
-// connectShard dials member i's peers and starts its beat loop.
-func (sc *shardCluster) connectShard(t *testing.T, i int) {
-	t.Helper()
-	if err := sc.shards[i].DialPeers(sc.addrs, transport.DefaultConfig()); err != nil {
-		t.Fatal(err)
-	}
-	sc.beatStops[i] = sc.shards[i].StartShardBeats(shardChaosBeat.HeartbeatInterval)
-}
-
-// killShard stops member i's beat loop and closes its socket — the
-// process-death shape: peers see silence, clients see refused dials.
-func (sc *shardCluster) killShard(i int) {
-	sc.beatStops[i]()
-	sc.beatStops[i] = nil
-	sc.shards[i].ClosePeers()
-	sc.srvs[i].Close()
 }
 
 // reviveShard resurrects member i as a fresh, empty process on its old
 // address — the restarted-mmd shape; the heal handoff must repopulate it.
 func (sc *shardCluster) reviveShard(t *testing.T, i int) {
 	t.Helper()
-	sc.bootShard(t, i, sc.addrs[i])
-	sc.connectShard(t, i)
+	err := sc.ReviveShard(i, func(shard *live.MMShard, srv *live.MMServer) { sc.instrument(t, shard, srv) })
+	if err != nil {
+		t.Fatal(err)
+	}
 }
 
 func (sc *shardCluster) client(t *testing.T, metaTTL time.Duration) *dfsc.Client {
@@ -247,9 +85,9 @@ func (sc *shardCluster) client(t *testing.T, metaTTL time.Duration) *dfsc.Client
 	c, err := dfsc.New(dfsc.Options{
 		ID:        1,
 		Mapper:    sc.mapper,
-		Directory: sc.dir,
-		Scheduler: sc.sched,
-		Catalog:   sc.cat,
+		Directory: sc.Dir,
+		Scheduler: sc.Sched,
+		Catalog:   sc.Catalog,
 		Policy:    selection.RemOnly,
 		Scenario:  qos.Firm,
 		Rand:      rng.New(3),
@@ -280,7 +118,6 @@ func TestShardChaosKillShardMidWorkload(t *testing.T) {
 	sc := startShardCluster(t, 3, 2,
 		[]units.BytesPerSec{units.Mbps(200), units.Mbps(200)},
 		map[ids.FileID][]ids.RMID{0: {1, 2}, 1: {1, 2}, 2: {1, 2}, 3: {1, 2}, 4: {1, 2}, 5: {1, 2}})
-	defer sc.shutdown()
 
 	victim := sc.primaryOf(0)
 	// coldFile is primaried on the victim and never accessed before the
@@ -306,7 +143,7 @@ func TestShardChaosKillShardMidWorkload(t *testing.T) {
 		}
 	}
 
-	sc.killShard(victim)
+	sc.KillShard(victim)
 
 	// The workload keeps running through the outage: warm files (lease
 	// hits) and the cold victim-owned file (successor failover) — every
@@ -325,11 +162,11 @@ func TestShardChaosKillShardMidWorkload(t *testing.T) {
 	}
 	// A streamed read mid-outage delivers checksum-clean bytes.
 	var got bytes.Buffer
-	res, err := client.ReadStriped(sc.dir, coldFile, &got, dfsc.StripeConfig{Width: 1, MaxFailovers: 1})
+	res, err := client.ReadStriped(sc.Dir, coldFile, &got, dfsc.StripeConfig{Width: 1, MaxFailovers: 1})
 	if err != nil {
 		t.Fatalf("read with shard %d down: %v", victim, err)
 	}
-	wantSum, err := sc.disks[res.RMs[len(res.RMs)-1]].Checksum(live.FileName(coldFile))
+	wantSum, err := sc.Disk(res.RMs[len(res.RMs)-1]).Checksum(live.FileName(coldFile))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,16 +175,16 @@ func TestShardChaosKillShardMidWorkload(t *testing.T) {
 	}
 
 	// Survivors latch the death and run the takeover handoff.
-	for i, s := range sc.shards {
+	for i, s := range sc.Shards {
 		if i == victim {
 			continue
 		}
 		sh := s
-		waitFor(t, fmt.Sprintf("shard %d latches %d dead", i, victim), func() bool {
+		live.WaitFor(t, fmt.Sprintf("shard %d latches %d dead", i, victim), func() bool {
 			return !sh.Health().Alive(victim)
 		})
 	}
-	waitFor(t, "takeover handoff entries", func() bool {
+	live.WaitFor(t, "takeover handoff entries", func() bool {
 		return sc.mmMet.HandoffTakeover.Value() > 0
 	})
 
@@ -382,17 +219,17 @@ func TestShardChaosKillShardMidWorkload(t *testing.T) {
 	// Resurrect the member as an empty process on its old address: peers
 	// see its beats, bump its epoch, and push its keyspace back.
 	sc.reviveShard(t, victim)
-	for i, s := range sc.shards {
+	for i, s := range sc.Shards {
 		if i == victim {
 			continue
 		}
 		sh := s
-		waitFor(t, fmt.Sprintf("shard %d revives %d", i, victim), func() bool {
+		live.WaitFor(t, fmt.Sprintf("shard %d revives %d", i, victim), func() bool {
 			return sh.Health().Alive(victim) && sh.Health().Epoch(victim) == 1
 		})
 	}
-	waitFor(t, "heal handoff repopulates the revived shard", func() bool {
-		return len(sc.shards[victim].Manager.Lookup(coldFile)) == 2
+	live.WaitFor(t, "heal handoff repopulates the revived shard", func() bool {
+		return len(sc.Shards[victim].Manager.Lookup(coldFile)) == 2
 	})
 	if sc.mmMet.HandoffHeal.Value() == 0 {
 		t.Fatal("heal handoff entries not counted")
@@ -447,7 +284,6 @@ func TestShardChaosLeaseExpiryDuringHandoff(t *testing.T) {
 	sc := startShardCluster(t, 3, 2,
 		[]units.BytesPerSec{units.Mbps(200), units.Mbps(200)},
 		map[ids.FileID][]ids.RMID{0: {1, 2}})
-	defer sc.shutdown()
 	client := sc.client(t, ttl)
 
 	if out := client.Access(0); !out.OK {
@@ -462,9 +298,9 @@ func TestShardChaosLeaseExpiryDuringHandoff(t *testing.T) {
 	if err := sc.mapper.RemoveReplica(0, 1); err != nil {
 		t.Fatal(err)
 	}
-	sc.rmSrvs[1].Close()
+	sc.Server(1).Close()
 	leaseStart := time.Now()
-	sc.killShard(sc.primaryOf(0))
+	sc.KillShard(sc.primaryOf(0))
 
 	// Every access through lease expiry and beyond succeeds on RM 2; the
 	// decommissioned-and-dead RM 1 never serves.

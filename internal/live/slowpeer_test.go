@@ -8,11 +8,8 @@ import (
 
 	"dfsqos/internal/dfsc"
 	"dfsqos/internal/ecnp"
-	"dfsqos/internal/history"
 	"dfsqos/internal/ids"
 	"dfsqos/internal/qos"
-	"dfsqos/internal/replication"
-	"dfsqos/internal/rm"
 	"dfsqos/internal/rng"
 	"dfsqos/internal/selection"
 	"dfsqos/internal/transport"
@@ -91,15 +88,14 @@ func TestLiveSlowPeerDoesNotDelayOpen(t *testing.T) {
 		deadline = 300 * time.Millisecond
 		stall    = 2 * time.Second
 	)
-	lc := startLiveCluster(t,
-		[]units.BytesPerSec{units.Mbps(50), units.Mbps(50)},
-		map[ids.FileID][]ids.RMID{0: {1, 2}},
-		replication.DefaultConfig(replication.Static()), 100)
-	defer lc.shutdown()
+	lc := startLiveCluster(t, LocalSpec{
+		Caps:    []units.BytesPerSec{units.Mbps(50), units.Mbps(50)},
+		Holders: map[ids.FileID][]ids.RMID{0: {1, 2}},
+	})
 
 	slow := startStallRM(t, stall)
 	defer slow.close()
-	if err := lc.mmCli.RegisterRM(ecnp.RMInfo{
+	if err := lc.Mapper.RegisterRM(ecnp.RMInfo{
 		ID:           3,
 		Capacity:     units.Mbps(100),
 		StorageBytes: units.GB,
@@ -110,10 +106,10 @@ func TestLiveSlowPeerDoesNotDelayOpen(t *testing.T) {
 
 	client, err := dfsc.New(dfsc.Options{
 		ID:        1,
-		Mapper:    lc.mmCli,
-		Directory: lc.dir,
-		Scheduler: lc.sched,
-		Catalog:   lc.cat,
+		Mapper:    lc.Mapper,
+		Directory: lc.Dir,
+		Scheduler: lc.Sched,
+		Catalog:   lc.Catalog,
 		Policy:    selection.RemOnly,
 		Scenario:  qos.Firm,
 		Rand:      rng.New(7),
@@ -146,15 +142,14 @@ func TestLiveSlowPeerDoesNotDelayOpen(t *testing.T) {
 // TestDirectoryBackoffRecoverySameAddr crashes an RM and hammers it with
 // failing accesses (each one re-resolving through the MM, clearing the
 // broken flag, and redialing under the pool's exponential backoff), then
-// restarts the RM on the SAME address without re-registration. The cached
-// client must recover through the backoff gate alone — no directory
-// invalidation, no new dial path.
+// restarts the RM on the SAME address, which leaves the MM record as it
+// was. The cached client must recover through the backoff gate alone — no
+// directory invalidation, no new dial path.
 func TestDirectoryBackoffRecoverySameAddr(t *testing.T) {
-	lc := startLiveCluster(t,
-		[]units.BytesPerSec{units.Mbps(50)},
-		map[ids.FileID][]ids.RMID{0: {1}},
-		replication.DefaultConfig(replication.Static()), 100)
-	defer lc.shutdown()
+	lc := startLiveCluster(t, LocalSpec{
+		Caps:    []units.BytesPerSec{units.Mbps(50)},
+		Holders: map[ids.FileID][]ids.RMID{0: {1}},
+	})
 
 	// Short timeouts so the failure phase is fast and the backoff gate is
 	// the dominant delay on recovery.
@@ -164,15 +159,15 @@ func TestDirectoryBackoffRecoverySameAddr(t *testing.T) {
 		BackoffBase: 10 * time.Millisecond,
 		BackoffMax:  80 * time.Millisecond,
 	}
-	dir := NewDirectoryConfig(lc.mmCli, tcfg)
+	dir := NewDirectoryConfig(lc.Mapper, tcfg)
 	defer dir.Close()
 
 	client, err := dfsc.New(dfsc.Options{
 		ID:        1,
-		Mapper:    lc.mmCli,
+		Mapper:    lc.Mapper,
 		Directory: dir,
-		Scheduler: lc.sched,
-		Catalog:   lc.cat,
+		Scheduler: lc.Sched,
+		Catalog:   lc.Catalog,
 		Policy:    selection.RemOnly,
 		Scenario:  qos.Firm,
 		Rand:      rng.New(3),
@@ -184,8 +179,8 @@ func TestDirectoryBackoffRecoverySameAddr(t *testing.T) {
 		t.Fatalf("pre-crash access failed: %s", out.Reason)
 	}
 
-	addr := lc.rmSrvs[0].Addr()
-	lc.rmSrvs[0].Close()
+	addr := lc.Server(1).Addr()
+	lc.Server(1).Close()
 
 	// Several failing accesses: the health check discards the dead pooled
 	// connection, redials fail, and the backoff ramps. Each attempt must
@@ -200,32 +195,12 @@ func TestDirectoryBackoffRecoverySameAddr(t *testing.T) {
 		t.Fatalf("3 failing accesses took %v; dials not deadline-bounded", elapsed)
 	}
 
-	// Restart the RM on the same address. The MM record never changed, so
-	// recovery exercises ClearBroken + pool redial, not a fresh dial.
-	meta := lc.cat.File(0)
-	mapperCli, err := DialMM(lc.mmSrv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	node, err := rm.New(rm.Options{
-		Info:        ecnp.RMInfo{ID: 1, Capacity: units.Mbps(50), StorageBytes: units.GB},
-		Scheduler:   lc.sched,
-		Mapper:      mapperCli,
-		History:     history.DefaultConfig(),
-		Replication: replication.DefaultConfig(replication.Static()),
-		Rand:        rng.New(99),
-		Files: map[ids.FileID]rm.FileMeta{
-			0: {Bitrate: meta.Bitrate, Size: meta.Size, DurationSec: meta.DurationSec},
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := NewRMServer(node, nil, addr)
-	if err != nil {
+	// Restart the RM on the same address: it registers the address it had,
+	// so the MM record is unchanged and recovery exercises ClearBroken +
+	// pool redial, not a fresh dial.
+	if _, err := lc.Restart(1, addr); err != nil {
 		t.Fatalf("rebind %s: %v", addr, err)
 	}
-	defer srv.Close()
 
 	start := time.Now()
 	out := client.Access(0)
@@ -238,7 +213,10 @@ func TestDirectoryBackoffRecoverySameAddr(t *testing.T) {
 	if out.RM != 1 {
 		t.Fatalf("served by %v", out.RM)
 	}
-	if node.Stats().Opens != 1 {
-		t.Fatalf("restarted RM saw %d opens, want 1", node.Stats().Opens)
+	if lc.Node(1).Stats().Opens != 1 {
+		t.Fatalf("restarted RM saw %d opens, want 1", lc.Node(1).Stats().Opens)
 	}
+	// The access's playback end releases through dir: let it, before the
+	// deferred Close drops dir's connections.
+	waitFor(t, "playback end", func() bool { return len(lc.Leaks()) == 0 })
 }

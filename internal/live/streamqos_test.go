@@ -8,7 +8,6 @@ import (
 
 	"dfsqos/internal/ecnp"
 	"dfsqos/internal/ids"
-	"dfsqos/internal/replication"
 	"dfsqos/internal/units"
 	"dfsqos/internal/wire"
 )
@@ -26,20 +25,19 @@ func TestLiveStreamQoSFlatVersusConserving(t *testing.T) {
 		wantBorrow bool
 	}{{"flat", 0, false}, {"conserving", 1, true}} {
 		t.Run(mode.name, func(t *testing.T) {
-			lc := startLiveCluster(t,
-				[]units.BytesPerSec{units.Mbps(800)},
-				map[ids.FileID][]ids.RMID{0: {1}},
-				replication.DefaultConfig(replication.Static()), 100)
-			defer lc.shutdown()
-			srv := lc.rmSrvs[0]
+			lc := startLiveCluster(t, LocalSpec{
+				Caps:    []units.BytesPerSec{units.Mbps(800)},
+				Holders: map[ids.FileID][]ids.RMID{0: {1}},
+			})
+			srv := lc.Server(1)
 			if err := srv.EnableStreamQoS(mode.ceilFrac); err != nil {
 				t.Fatal(err)
 			}
-			cli, ok := lc.dir.RMClient(1)
+			cli, ok := lc.Dir.RMClient(1)
 			if !ok {
 				t.Fatal("RM1 unreachable")
 			}
-			size := int64(lc.cat.File(0).Size)
+			size := int64(lc.Catalog.File(0).Size)
 			floor := units.BytesPerSec(float64(size) / 1.1)
 			if res := cli.Open(ecnp.OpenRequest{Request: 1, File: 0, Bitrate: floor, DurationSec: 300}); !res.OK {
 				t.Fatalf("open refused: %s", res.Reason)
@@ -54,6 +52,7 @@ func TestLiveStreamQoSFlatVersusConserving(t *testing.T) {
 			if !mode.wantBorrow && st.ThrottleWaitSec == 0 {
 				t.Fatalf("the lone stream was never paced at its floor: %+v", st)
 			}
+			cli.Close(1)
 		})
 	}
 }
@@ -66,25 +65,25 @@ func TestLiveStreamQoSFlatVersusConserving(t *testing.T) {
 // the ledger, group out of the tree — while a surviving sibling keeps its
 // lease, its group, and afterwards borrows the freed headroom.
 func TestChaosLeaseReclaimRemovesStreamQoSGroup(t *testing.T) {
-	lc := startChaosCluster(t, chaosOpts{
-		caps:    []units.BytesPerSec{units.Mbps(100)},
-		holders: map[ids.FileID][]ids.RMID{0: {1}},
+	lc := startChaosCluster(t, LocalSpec{
+		Caps:    []units.BytesPerSec{units.Mbps(100)},
+		Holders: map[ids.FileID][]ids.RMID{0: {1}},
+		RM:      leaseTTL(5), // virtual seconds; 50ms of wall time at scale 100
+	}, map[ids.RMID]string{
 		// Second streamed chunk overall: drop the connection, once.
-		rmFaults:    map[ids.RMID]string{1: "rm.stream.chunk:after=1:count=1:action=drop"},
-		leaseTTLSec: 5, // virtual seconds; 50ms of wall time at scale 100
+		1: "rm.stream.chunk:after=1:count=1:action=drop",
 	})
-	defer lc.shutdown()
-	srv := lc.rmSrvs[1]
+	srv := lc.Server(1)
 	if err := srv.EnableStreamQoS(1); err != nil {
 		t.Fatal(err)
 	}
-	ctrl := lc.disks[1].Controller()
+	ctrl := lc.Disk(1).Controller()
 
-	cli, ok := lc.dir.RMClient(1)
+	cli, ok := lc.Dir.RMClient(1)
 	if !ok {
 		t.Fatal("RM1 unreachable")
 	}
-	meta := lc.cat.File(0)
+	meta := lc.Catalog.File(0)
 	for req := ids.RequestID(1); req <= 2; req++ {
 		res := cli.Open(ecnp.OpenRequest{Request: req, File: 0, Bitrate: meta.Bitrate, DurationSec: meta.DurationSec})
 		if !res.OK {
@@ -101,7 +100,7 @@ func TestChaosLeaseReclaimRemovesStreamQoSGroup(t *testing.T) {
 	if _, err := cli.ReadRange(context.Background(), 0, 2, 0, 0, io.Discard, nil); err == nil {
 		t.Fatal("dropped stream completed cleanly")
 	}
-	if n := lc.nodes[1].ActiveReservations(); n != 2 {
+	if n := lc.Node(1).ActiveReservations(); n != 2 {
 		t.Fatalf("reservations after lane death = %d, want 2 (orphan + survivor)", n)
 	}
 
@@ -111,7 +110,7 @@ func TestChaosLeaseReclaimRemovesStreamQoSGroup(t *testing.T) {
 	if err := cli.Keepalive(1); err != nil {
 		t.Fatalf("survivor keepalive: %v", err)
 	}
-	if n := lc.nodes[1].SweepLeases(lc.sched.Now()); n != 1 {
+	if n := lc.Node(1).SweepLeases(lc.Sched.Now()); n != 1 {
 		t.Fatalf("sweep reclaimed %d, want 1", n)
 	}
 	if g := srv.qosGroup(2); g != nil {
@@ -123,7 +122,7 @@ func TestChaosLeaseReclaimRemovesStreamQoSGroup(t *testing.T) {
 	if ctrl.RemoveGroup("req2") {
 		t.Fatal("orphan's group still present in the controller tree")
 	}
-	if got := lc.nodes[1].Allocated(); got != meta.Bitrate {
+	if got := lc.Node(1).Allocated(); got != meta.Bitrate {
 		t.Fatalf("allocated %v after sweep, want one bitrate %v", got, meta.Bitrate)
 	}
 
@@ -141,4 +140,5 @@ func TestChaosLeaseReclaimRemovesStreamQoSGroup(t *testing.T) {
 	if st := ctrl.Stats(); st.Borrows == 0 || st.BorrowedBytes == 0 {
 		t.Fatalf("survivor never borrowed freed headroom: %+v", st)
 	}
+	cli.Close(1)
 }

@@ -16,7 +16,6 @@ import (
 	"dfsqos/internal/faults"
 	"dfsqos/internal/ids"
 	"dfsqos/internal/qos"
-	"dfsqos/internal/replication"
 	"dfsqos/internal/rng"
 	"dfsqos/internal/selection"
 	"dfsqos/internal/testenv"
@@ -28,13 +27,12 @@ import (
 // a bounded range must deliver exactly the requested window with a
 // verified range checksum, and a range reaching past EOF must clamp.
 func TestLiveRangedReadOverTCP(t *testing.T) {
-	lc := startLiveCluster(t,
-		[]units.BytesPerSec{units.Mbps(800)},
-		map[ids.FileID][]ids.RMID{0: {1}},
-		replication.DefaultConfig(replication.Static()), 100)
-	defer lc.shutdown()
+	lc := startLiveCluster(t, LocalSpec{
+		Caps:    []units.BytesPerSec{units.Mbps(800)},
+		Holders: map[ids.FileID][]ids.RMID{0: {1}},
+	})
 
-	rmCli, ok := lc.dir.RMClient(1)
+	rmCli, ok := lc.Dir.RMClient(1)
 	if !ok {
 		t.Fatal("RM 1 unreachable")
 	}
@@ -68,7 +66,7 @@ func TestLiveRangedReadOverTCP(t *testing.T) {
 
 	// A range reaching past EOF clamps to the file end.
 	var tail bytes.Buffer
-	n, err = lc.dir.StreamRange(context.Background(), 1, 0, 0, size-1024, 1<<20, &tail, nil)
+	n, err = lc.Dir.StreamRange(context.Background(), 1, 0, 0, size-1024, 1<<20, &tail, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,13 +84,12 @@ func TestLiveRangedReadOverTCP(t *testing.T) {
 // client's ReadRange asks for the same range with a verified sum: its own
 // overrun check must not trip on the sum either.
 func TestLiveOverlongRangeClampsAtEOF(t *testing.T) {
-	lc := startLiveCluster(t,
-		[]units.BytesPerSec{units.Mbps(800)},
-		map[ids.FileID][]ids.RMID{0: {1}},
-		replication.DefaultConfig(replication.Static()), 100)
-	defer lc.shutdown()
+	lc := startLiveCluster(t, LocalSpec{
+		Caps:    []units.BytesPerSec{units.Mbps(800)},
+		Holders: map[ids.FileID][]ids.RMID{0: {1}},
+	})
 
-	rmCli, ok := lc.dir.RMClient(1)
+	rmCli, ok := lc.Dir.RMClient(1)
 	if !ok {
 		t.Fatal("RM 1 unreachable")
 	}
@@ -161,13 +158,12 @@ func (w cancelOnWrite) Write(p []byte) (int, error) {
 // connection up, and — the caller quit, the RM did not fail — leaves the
 // client unbroken, so the next read needs no re-resolution.
 func TestLiveReadRangeStopsWhenContextEnds(t *testing.T) {
-	lc := startLiveCluster(t,
-		[]units.BytesPerSec{units.Mbps(800)},
-		map[ids.FileID][]ids.RMID{0: {1}},
-		replication.DefaultConfig(replication.Static()), 100)
-	defer lc.shutdown()
+	lc := startLiveCluster(t, LocalSpec{
+		Caps:    []units.BytesPerSec{units.Mbps(800)},
+		Holders: map[ids.FileID][]ids.RMID{0: {1}},
+	})
 
-	rmCli, ok := lc.dir.RMClient(1)
+	rmCli, ok := lc.Dir.RMClient(1)
 	if !ok {
 		t.Fatal("RM 1 unreachable")
 	}
@@ -204,18 +200,17 @@ func TestLiveReadRangeStopsWhenContextEnds(t *testing.T) {
 // all three have asked for one: the file is under a megabyte, which one
 // lane can drain before a starved sibling's goroutine first runs.
 func TestLiveStripedReadOverTCP(t *testing.T) {
-	lc := startLiveCluster(t,
-		[]units.BytesPerSec{units.Mbps(400), units.Mbps(400), units.Mbps(400)},
-		map[ids.FileID][]ids.RMID{0: {1, 2, 3}},
-		replication.DefaultConfig(replication.Static()), 100)
-	defer lc.shutdown()
+	lc := startLiveCluster(t, LocalSpec{
+		Caps:    []units.BytesPerSec{units.Mbps(400), units.Mbps(400), units.Mbps(400)},
+		Holders: map[ids.FileID][]ids.RMID{0: {1, 2, 3}},
+	})
 
 	client, err := dfsc.New(dfsc.Options{
 		ID:        1,
-		Mapper:    lc.mmCli,
-		Directory: lc.dir,
-		Scheduler: lc.sched,
-		Catalog:   lc.cat,
+		Mapper:    lc.Mapper,
+		Directory: lc.Dir,
+		Scheduler: lc.Sched,
+		Catalog:   lc.Catalog,
 		Policy:    selection.RemOnly,
 		Scenario:  qos.Soft,
 		Rand:      rng.New(7),
@@ -223,9 +218,9 @@ func TestLiveStripedReadOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	size := int64(lc.cat.File(0).Size)
+	size := int64(lc.Catalog.File(0).Size)
 	var got bytes.Buffer
-	res, err := client.ReadStriped(&bothLanesStart{Directory: lc.dir, lanes: 3}, 0, &got, dfsc.StripeConfig{
+	res, err := client.ReadStriped(&bothLanesStart{Directory: lc.Dir, lanes: 3}, 0, &got, dfsc.StripeConfig{
 		Width:        3,
 		SegmentBytes: size / 6,
 	})
@@ -238,7 +233,7 @@ func TestLiveStripedReadOverTCP(t *testing.T) {
 	if len(res.RMs) != 3 {
 		t.Fatalf("admitted lanes on %v, want all three RMs", res.RMs)
 	}
-	want, err := diskOf(t, lc, 0).Checksum(FileName(0))
+	want, err := lc.Disk(1).Checksum(FileName(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,9 +257,9 @@ func TestLiveStripedReadOverTCP(t *testing.T) {
 		t.Fatalf("all segments served by %v; the stripe never spread", res.Segments)
 	}
 	// Every lane's reservation was released on the normal close path.
-	for i, srv := range lc.rmSrvs {
-		if got := srv.Node().Allocated(); got != 0 {
-			t.Fatalf("RM %d still has %v allocated", i+1, got)
+	for id := ids.RMID(1); id <= 3; id++ {
+		if got := lc.Node(id).Allocated(); got != 0 {
+			t.Fatalf("RM %d still has %v allocated", id, got)
 		}
 	}
 }
@@ -277,16 +272,15 @@ func TestLiveStripedReadOverTCP(t *testing.T) {
 // them — while the corpse's orphaned reservation is reclaimed by one lease
 // sweep.
 func TestChaosKillMidStripeLaneDegrades(t *testing.T) {
-	lc := startChaosCluster(t, chaosOpts{
+	lc := startChaosCluster(t, LocalSpec{
 		// RemOnly ranks by remaining bandwidth, so the doomed big RM is
 		// deterministically the first lane of the stripe.
-		caps:        []units.BytesPerSec{units.Mbps(300), units.Mbps(200), units.Mbps(100)},
-		holders:     map[ids.FileID][]ids.RMID{0: {1, 2, 3}},
-		leaseTTLSec: 5,
-	})
-	defer lc.shutdown()
+		Caps:    []units.BytesPerSec{units.Mbps(300), units.Mbps(200), units.Mbps(100)},
+		Holders: map[ids.FileID][]ids.RMID{0: {1, 2, 3}},
+		RM:      leaseTTL(5),
+	}, nil)
 	client := lc.client(t, qos.Firm)
-	size := int64(lc.cat.File(0).Size)
+	size := int64(lc.Catalog.File(0).Size)
 
 	// A kill counted in chunks would land between two verified ranges: a
 	// read's opening ranges (3 lanes × 32, 64, 128 KiB) are one 128 KiB
@@ -311,7 +305,7 @@ func TestChaosKillMidStripeLaneDegrades(t *testing.T) {
 			}
 		}
 	}
-	lc.rmSrvs[1].SetFaults(script)
+	lc.Server(1).SetFaults(script)
 	// Left to the scheduler, RM 2 and RM 3 can claim every full-size range
 	// before RM 1's lane comes back for one. Holding each of their
 	// full-size ranges back at its first chunk leaves RM 1 one to claim.
@@ -319,11 +313,11 @@ func TestChaosKillMidStripeLaneDegrades(t *testing.T) {
 	for off := rampEnd; off < size; off += segBytes {
 		slow.Add(faults.Rule{Point: faults.PointRMChunk, Match: strconv.FormatInt(off, 10), Action: faults.Delay, Delay: 50 * time.Millisecond})
 	}
-	lc.rmSrvs[2].SetFaults(slow)
-	lc.rmSrvs[3].SetFaults(slow)
+	lc.Server(2).SetFaults(slow)
+	lc.Server(3).SetFaults(slow)
 
 	var got bytes.Buffer
-	res, err := client.ReadStriped(lc.dir, 0, &got, dfsc.StripeConfig{
+	res, err := client.ReadStriped(lc.Dir, 0, &got, dfsc.StripeConfig{
 		Width:        3,
 		SegmentBytes: segBytes,
 		MaxFailovers: 0,
@@ -343,7 +337,7 @@ func TestChaosKillMidStripeLaneDegrades(t *testing.T) {
 	}
 	// Zero dirty bytes: the delivered stream is bit-identical to a
 	// surviving replica's copy.
-	want, err := lc.disks[2].Checksum(FileName(0))
+	want, err := lc.Disk(2).Checksum(FileName(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +347,7 @@ func TestChaosKillMidStripeLaneDegrades(t *testing.T) {
 	if sum := wire.ChecksumUpdate(wire.ChecksumBasis, got.Bytes()); sum != want {
 		t.Fatalf("delivered bytes checksum %x, replica %x", sum, want)
 	}
-	survivor, ok := lc.dir.RMClient(2)
+	survivor, ok := lc.Dir.RMClient(2)
 	if !ok {
 		t.Fatal("RM 2 unreachable")
 	}
@@ -392,15 +386,15 @@ func TestChaosKillMidStripeLaneDegrades(t *testing.T) {
 
 	// The kill arrived between Open and Close: RM 1's lane reservation is
 	// orphaned with its bandwidth allocated until the lease sweep.
-	if n := lc.nodes[1].ActiveReservations(); n != 1 {
+	if n := lc.Node(1).ActiveReservations(); n != 1 {
 		t.Fatalf("orphaned reservations on RM1 = %d, want 1", n)
 	}
-	if n := lc.nodes[1].SweepLeases(lc.sched.Now().Add(6)); n != 1 {
+	if n := lc.Node(1).SweepLeases(lc.Sched.Now().Add(6)); n != 1 {
 		t.Fatalf("sweep reclaimed %d, want 1", n)
 	}
 	// The survivors' reservations were released by the normal close path.
 	for _, id := range []ids.RMID{2, 3} {
-		if got := lc.nodes[id].Allocated(); got != 0 {
+		if got := lc.Node(id).Allocated(); got != 0 {
 			t.Fatalf("RM%d still has %v allocated", id, got)
 		}
 	}
@@ -428,13 +422,12 @@ func TestLiveRangedReadAllocations(t *testing.T) {
 	if testenv.RaceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
 	}
-	lc := startLiveCluster(t,
-		[]units.BytesPerSec{units.Mbps(800)},
-		map[ids.FileID][]ids.RMID{0: {1}},
-		replication.DefaultConfig(replication.Static()), 100)
-	defer lc.shutdown()
+	lc := startLiveCluster(t, LocalSpec{
+		Caps:    []units.BytesPerSec{units.Mbps(800)},
+		Holders: map[ids.FileID][]ids.RMID{0: {1}},
+	})
 
-	rmCli, ok := lc.dir.RMClient(1)
+	rmCli, ok := lc.Dir.RMClient(1)
 	if !ok {
 		t.Fatal("RM 1 unreachable")
 	}

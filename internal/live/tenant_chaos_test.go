@@ -10,8 +10,10 @@ import (
 
 	"dfsqos/internal/ecnp"
 	"dfsqos/internal/ids"
+	"dfsqos/internal/rm"
 	"dfsqos/internal/tenant"
 	"dfsqos/internal/units"
+	"dfsqos/internal/vdisk"
 )
 
 // TestChaosAbusiveTenantKilledQuotaReclaimed is the multi-tenant crash
@@ -24,26 +26,29 @@ import (
 // refusals and the reclaim are both asserted through the exported
 // dfsqos_tenant_* telemetry, the way an operator would see the incident.
 func TestChaosAbusiveTenantKilledQuotaReclaimed(t *testing.T) {
-	lc := startChaosCluster(t, chaosOpts{
-		caps:        []units.BytesPerSec{units.Mbps(100)},
-		holders:     map[ids.FileID][]ids.RMID{0: {1}, 1: {1}},
-		leaseTTLSec: 5, // virtual seconds; 50ms of wall time at scale 100
-		tenancy:     true,
-	})
-	defer lc.shutdown()
+	ledger := tenant.NewLedger()
+	lc := startChaosCluster(t, LocalSpec{
+		Caps:    []units.BytesPerSec{units.Mbps(100)},
+		Holders: map[ids.FileID][]ids.RMID{0: {1}, 1: {1}},
+		RM: func(opt *rm.Options, _ *vdisk.Disk, _ *Directory) {
+			opt.LeaseTTLSec = 5 // virtual seconds; 50ms of wall time at scale 100
+			opt.Tenants = ledger
+		},
+	}, nil)
+	ledger.SetMetrics(tenant.NewMetrics(lc.reg))
 
 	const abuser, victim = ids.TenantID(1), ids.TenantID(2)
-	storm := lc.cat.File(0)
+	storm := lc.Catalog.File(0)
 	// The abuser's per-RM quota fits exactly two concurrent streams of
 	// the storm file; the victim tenant stays unlimited.
-	lc.ledgers[1].Set(abuser, tenant.Quota{Bandwidth: 2 * storm.Bitrate, Bytes: tenant.NoLimit})
+	ledger.Set(abuser, tenant.Quota{Bandwidth: 2 * storm.Bitrate, Bytes: tenant.NoLimit})
 
-	cli, ok := lc.dir.RMClient(1)
+	cli, ok := lc.Dir.RMClient(1)
 	if !ok {
 		t.Fatal("RM1 unreachable")
 	}
 	open := func(req ids.RequestID, f ids.FileID, tn ids.TenantID) ecnp.OpenResult {
-		meta := lc.cat.File(f)
+		meta := lc.Catalog.File(f)
 		return cli.Open(ecnp.OpenRequest{
 			Request: req, File: f, Tenant: tn,
 			Bitrate: meta.Bitrate, DurationSec: meta.DurationSec,
@@ -81,8 +86,8 @@ func TestChaosAbusiveTenantKilledQuotaReclaimed(t *testing.T) {
 		if err != nil {
 			t.Fatalf("victim read %v: %v", req, err)
 		}
-		if n != int64(lc.cat.File(1).Size) {
-			t.Fatalf("victim read %v streamed %d bytes, want %d", req, n, int64(lc.cat.File(1).Size))
+		if n != int64(lc.Catalog.File(1).Size) {
+			t.Fatalf("victim read %v streamed %d bytes, want %d", req, n, int64(lc.Catalog.File(1).Size))
 		}
 		lat = append(lat, time.Since(t0))
 		cli.Close(req)
@@ -96,7 +101,7 @@ func TestChaosAbusiveTenantKilledQuotaReclaimed(t *testing.T) {
 	// no Close, no keepalives — so both leases go stale (~10 virtual
 	// seconds) and one sweep must reclaim exactly the two orphans.
 	time.Sleep(100 * time.Millisecond)
-	if n := lc.nodes[1].SweepLeases(lc.sched.Now()); n != 2 {
+	if n := lc.Node(1).SweepLeases(lc.Sched.Now()); n != 2 {
 		t.Fatalf("sweep reclaimed %d reservations, want the abuser's 2", n)
 	}
 
@@ -105,7 +110,7 @@ func TestChaosAbusiveTenantKilledQuotaReclaimed(t *testing.T) {
 	if res := open(4, 0, abuser); !res.OK {
 		t.Fatalf("abuser open after sweep refused — quota not released: %s", res.Reason)
 	}
-	for _, u := range lc.nodes[1].TenantUsage() {
+	for _, u := range lc.Node(1).TenantUsage() {
 		if u.Tenant != abuser {
 			continue
 		}
@@ -124,4 +129,5 @@ func TestChaosAbusiveTenantKilledQuotaReclaimed(t *testing.T) {
 	if !strings.Contains(exp, `dfsqos_tenant_reserved_bandwidth_bytes_per_second{tenant="tenant1"}`) {
 		t.Fatalf("tenant bandwidth gauge missing from exposition:\n%s", exp)
 	}
+	cli.Close(4)
 }

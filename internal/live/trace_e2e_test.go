@@ -27,17 +27,15 @@ import (
 // distinct RMs, the committed ones at contiguous byte offsets, with the
 // server-side spans joined to the same trace across real TCP.
 func TestChaosFailoverTraceSpansTwoRMs(t *testing.T) {
-	lc := startChaosCluster(t, chaosOpts{
-		caps:        []units.BytesPerSec{units.Mbps(200), units.Mbps(100)},
-		holders:     map[ids.FileID][]ids.RMID{0: {1, 2}},
-		rmFaults:    map[ids.RMID]string{1: "rm.stream.chunk:after=1:action=kill"},
-		leaseTTLSec: 5,
-	})
-	defer lc.shutdown()
+	lc := startChaosCluster(t, LocalSpec{
+		Caps:    []units.BytesPerSec{units.Mbps(200), units.Mbps(100)},
+		Holders: map[ids.FileID][]ids.RMID{0: {1, 2}},
+		RM:      leaseTTL(5),
+	}, map[ids.RMID]string{1: "rm.stream.chunk:after=1:action=kill"})
 	client := lc.client(t, qos.Firm)
 
 	var got bytes.Buffer
-	res, err := client.ReadStriped(lc.dir, 0, &got, dfsc.StripeConfig{
+	res, err := client.ReadStriped(lc.Dir, 0, &got, dfsc.StripeConfig{
 		Width:        1,
 		MaxFailovers: 2,
 		Backoff:      time.Millisecond,
@@ -48,7 +46,7 @@ func TestChaosFailoverTraceSpansTwoRMs(t *testing.T) {
 	if res.Failovers != 1 {
 		t.Fatalf("failovers = %d, want 1", res.Failovers)
 	}
-	size := int64(lc.cat.File(0).Size)
+	size := int64(lc.Catalog.File(0).Size)
 
 	// Retrieve the spans the way an operator would: over the monitor's
 	// /traces endpoint, not by poking the tracer directly.
@@ -169,21 +167,20 @@ func TestChaosFailoverTraceSpansTwoRMs(t *testing.T) {
 // propagation end-to-end: a client whose sampler declines writes untraced
 // frames, so neither the MM nor the RMs open spans for that request.
 func TestTraceUnsampledRequestOpensNoServerSpans(t *testing.T) {
-	lc := startChaosCluster(t, chaosOpts{
-		caps:    []units.BytesPerSec{units.Mbps(100)},
-		holders: map[ids.FileID][]ids.RMID{0: {1}},
-	})
-	defer lc.shutdown()
+	lc := startChaosCluster(t, LocalSpec{
+		Caps:    []units.BytesPerSec{units.Mbps(100)},
+		Holders: map[ids.FileID][]ids.RMID{0: {1}},
+	}, nil)
 
 	// Replace the cluster tracer's view on the client side with one that
 	// never samples; the servers keep the shared ring.
 	never := trace.New(trace.Options{Actor: "dfsc-unsampled", Sampler: func(ids.RequestID) bool { return false }})
 	c, err := dfsc.New(dfsc.Options{
 		ID:        2,
-		Mapper:    lc.mmCli,
-		Directory: lc.dir,
-		Scheduler: lc.sched,
-		Catalog:   lc.cat,
+		Mapper:    lc.Mapper,
+		Directory: lc.Dir,
+		Scheduler: lc.Sched,
+		Catalog:   lc.Catalog,
 		Scenario:  qos.Soft,
 		Rand:      rng.New(7),
 		Tracer:    never,

@@ -7,23 +7,15 @@ import (
 	"sync/atomic"
 	"time"
 
-	"dfsqos/internal/blkio"
 	"dfsqos/internal/catalog"
 	"dfsqos/internal/cluster"
 	"dfsqos/internal/dfsc"
-	"dfsqos/internal/ecnp"
-	"dfsqos/internal/history"
 	"dfsqos/internal/ids"
 	"dfsqos/internal/live"
-	"dfsqos/internal/mm"
 	"dfsqos/internal/qos"
-	"dfsqos/internal/replication"
-	"dfsqos/internal/rm"
 	"dfsqos/internal/rng"
 	"dfsqos/internal/selection"
 	"dfsqos/internal/trace"
-	"dfsqos/internal/units"
-	"dfsqos/internal/vdisk"
 	"dfsqos/internal/workload"
 )
 
@@ -48,9 +40,9 @@ type LiveResult struct {
 	Classes []ClassStats `json:"classes"`
 }
 
-// runLive stands up a real loopback-TCP deployment — one MM server, the
-// slice's RM servers with throttled virtual disks, a pool of DFSC clients
-// — and replays the scenario's shape open-loop against it under wall-time
+// runLive stands up a real loopback-TCP deployment — a live.Local of one
+// MM server and the slice's RM servers with throttled virtual disks, and a
+// pool of DFSC clients — and replays the scenario's shape open-loop against it under wall-time
 // compression. Requests are issued at their (scaled) arrival instants
 // regardless of completion; beyond MaxInflight they queue for a free
 // client slot and the queueing shows up in the recorded latency, exactly
@@ -94,93 +86,26 @@ func runLive(spec Spec, opts Options) (*LiveResult, error) {
 		return nil, err
 	}
 
-	mmSrv, err := live.NewMMServer(mm.New(), "127.0.0.1:0")
+	holders := make(map[ids.FileID][]ids.RMID, placement.NumFiles())
+	for _, f := range placement.Files() {
+		holders[f] = placement.Holders(f)
+	}
+	lc, err := live.NewLocal(live.LocalSpec{
+		Catalog:   cat,
+		Caps:      caps,
+		Holders:   holders,
+		TimeScale: timeScale,
+		Rand:      master,
+	})
 	if err != nil {
 		return nil, err
 	}
-	sched := live.NewWallScheduler(timeScale)
+	defer lc.Close()
 	tracer := trace.New(trace.Options{Actor: "scenario-live", RingSize: 512, ExemplarK: 4})
-	mmSrv.SetTracer(tracer)
-
-	var rmSrvs []*live.RMServer
-	var mmClis []*live.MMClient
-	cleanup := func() {
-		for _, c := range mmClis {
-			c.Close()
-		}
-		for _, s := range rmSrvs {
-			s.Close()
-		}
-		mmSrv.Close()
-		sched.Stop()
+	lc.MM.SetTracer(tracer)
+	for _, id := range rmIDs {
+		lc.Server(id).SetTracer(tracer)
 	}
-
-	fail := func(err error) (*LiveResult, error) {
-		cleanup()
-		return nil, err
-	}
-
-	filesOn := placement.FilesByRM()
-	for i, capBW := range caps {
-		id := rmIDs[i]
-		ctrl := blkio.NewController()
-		disk, err := vdisk.New(units.GB, ctrl, fmt.Sprintf("vm%d", id), capBW, capBW)
-		if err != nil {
-			return fail(err)
-		}
-		files := make(map[ids.FileID]rm.FileMeta, len(filesOn[id]))
-		for _, f := range filesOn[id] {
-			meta := cat.File(f)
-			files[f] = rm.FileMeta{Bitrate: meta.Bitrate, Size: meta.Size, DurationSec: meta.DurationSec}
-			if err := disk.Provision(live.FileName(f), meta.Size); err != nil {
-				return fail(err)
-			}
-		}
-		mapperCli, err := live.DialMM(mmSrv.Addr())
-		if err != nil {
-			return fail(err)
-		}
-		mmClis = append(mmClis, mapperCli)
-		node, err := rm.New(rm.Options{
-			Info:        ecnp.RMInfo{ID: id, Capacity: capBW, StorageBytes: units.GB},
-			Scheduler:   sched,
-			Mapper:      mapperCli,
-			History:     history.DefaultConfig(),
-			Replication: replication.DefaultConfig(replication.Static()),
-			Rand:        master.Split(id.String()),
-			Files:       files,
-		})
-		if err != nil {
-			return fail(err)
-		}
-		srv, err := live.NewRMServer(node, disk, "127.0.0.1:0")
-		if err != nil {
-			return fail(err)
-		}
-		rmSrvs = append(rmSrvs, srv)
-		srv.SetTracer(tracer)
-		info := node.Info()
-		info.Addr = srv.Addr()
-		fileIDs := make([]ids.FileID, 0, len(files))
-		for f := range files {
-			fileIDs = append(fileIDs, f)
-		}
-		if err := mapperCli.RegisterRM(info, fileIDs); err != nil {
-			return fail(err)
-		}
-		node.SetDirectory(live.NewDirectory(mapperCli))
-	}
-
-	mmCli, err := live.DialMM(mmSrv.Addr())
-	if err != nil {
-		return fail(err)
-	}
-	mmClis = append(mmClis, mmCli)
-	dir := live.NewDirectory(mmCli)
-	defer func() {
-		dir.Close()
-		cleanup()
-	}()
 
 	scen := qos.Soft
 	if spec.Firm {
@@ -190,16 +115,16 @@ func runLive(spec Spec, opts Options) (*LiveResult, error) {
 	// concurrently executing requests never share a negotiation path.
 	clients := make(chan *dfsc.Client, inflight)
 	for i := 0; i < inflight; i++ {
-		cli, err := live.DialMM(mmSrv.Addr())
+		cli, err := live.DialMM(lc.MM.Addr())
 		if err != nil {
 			return nil, err
 		}
-		mmClis = append(mmClis, cli)
+		defer cli.Close()
 		c, err := dfsc.New(dfsc.Options{
 			ID:        ids.DFSCID(i),
 			Mapper:    cli,
-			Directory: dir,
-			Scheduler: sched,
+			Directory: lc.Dir,
+			Scheduler: lc.Sched,
 			Catalog:   cat,
 			Policy:    selection.RemOnly,
 			Scenario:  scen,
@@ -252,7 +177,7 @@ func runLive(spec Spec, opts Options) (*LiveResult, error) {
 			case req.Op == workload.OpMeta:
 				ok = cl.Probe(req.File).OK
 			case ls.StreamReads:
-				res, err := cl.ReadStriped(dir, req.File, io.Discard, dfsc.StripeConfig{Width: 1, MaxFailovers: 2})
+				res, err := cl.ReadStriped(lc.Dir, req.File, io.Discard, dfsc.StripeConfig{Width: 1, MaxFailovers: 2})
 				atomic.AddInt64(&bytesStreamed, res.Bytes)
 				atomic.AddInt64(&failovers, int64(res.Failovers))
 				ok = err == nil
