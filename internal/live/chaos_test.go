@@ -34,7 +34,8 @@ type chaosCluster struct {
 // startChaosCluster starts spec over a four-file catalog of 10-second
 // clips (every file spans more than two stream chunks, so a mid-stream
 // kill always leaves a resumable tail) and arms rmFaults, a fault-script
-// spec per RM, on the RMs' servers.
+// spec per RM, on the RMs' servers. The MM metrics and tracers attach
+// after start-up, so they miss the RMs' registrations.
 func startChaosCluster(t *testing.T, spec LocalSpec, rmFaults map[ids.RMID]string) *chaosCluster {
 	t.Helper()
 	spec.Catalog = testCatalog(t, 21, 4, 10, 10, 10)

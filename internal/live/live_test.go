@@ -63,7 +63,7 @@ func TestLiveControlPlaneEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Held: no playback-end timer releases it, only the Close below.
-	out, _ := client.AccessHeld(0)
+	out, release := client.AccessHeld(0)
 	if !out.OK {
 		t.Fatalf("live access failed: %s", out.Reason)
 	}
@@ -83,7 +83,7 @@ func TestLiveControlPlaneEndToEnd(t *testing.T) {
 	}
 
 	// Release the reservation over TCP.
-	served.Close(out.Request)
+	release()
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
 		if lc.Node(out.RM).Allocated() == 0 {

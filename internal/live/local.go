@@ -37,9 +37,9 @@ type LocalSpec struct {
 	// Rand is the master stream; RM id draws Rand.Split(id.String()) (nil:
 	// a fixed seed).
 	Rand *rng.Source
-	// Shards > 0 replaces the single mm.Manager with a group of that many
-	// MMShard members, each file replicated on Rep of them.
-	Shards, Rep int
+	// ShardGroup replaces the single mm.Manager with a localShards-member
+	// MMShard group.
+	ShardGroup bool
 	// RM, when set, edits each RM's options before rm.New — the fields
 	// only some clusters use (Tenants, LeaseTTLSec, Metrics, Copier). disk
 	// and peers are the RM's own, for a Copier. Restart runs it again.
@@ -84,6 +84,9 @@ type localRM struct {
 	peers  *Directory
 }
 
+// The shard group's shape: three members, every file on two of them.
+const localShards, localShardRep = 3, 2
+
 // localShardBeat is the shard group's liveness: a member silent for 60 ms
 // of wall time is dead, so a drill converges in tens of milliseconds.
 var localShardBeat = mm.LivenessConfig{HeartbeatInterval: 20 * time.Millisecond, MissThreshold: 3}
@@ -109,17 +112,17 @@ func NewLocal(spec LocalSpec) (*Local, error) {
 }
 
 func (l *Local) start() error {
-	if n := l.spec.Shards; n > 0 {
-		l.Shards = make([]*MMShard, n)
-		l.ShardServers = make([]*MMServer, n)
-		l.shardAddrs = make([]string, n)
-		l.shardBeats = make([]func(), n)
-		for i := range n {
+	if l.spec.ShardGroup {
+		l.Shards = make([]*MMShard, localShards)
+		l.ShardServers = make([]*MMServer, localShards)
+		l.shardAddrs = make([]string, localShards)
+		l.shardBeats = make([]func(), localShards)
+		for i := range localShards {
 			if err := l.bootShard(i, "127.0.0.1:0"); err != nil {
 				return err
 			}
 		}
-		for i := range n {
+		for i := range localShards {
 			if err := l.connectShard(i); err != nil {
 				return err
 			}
@@ -178,7 +181,7 @@ func (l *Local) dialMapper() (ecnp.Mapper, error) {
 	if l.MM != nil {
 		return DialMM(l.MM.Addr())
 	}
-	m, err := DialShardMapper(l.shardAddrs, l.spec.Rep, transport.DefaultConfig())
+	m, err := DialShardMapper(l.shardAddrs, localShardRep, transport.DefaultConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -263,7 +266,7 @@ func (n *localRM) close() {
 
 // bootShard builds member i and binds its server on addr.
 func (l *Local) bootShard(i int, addr string) error {
-	shard, err := NewMMShard(i, l.spec.Shards, l.spec.Rep, localShardBeat)
+	shard, err := NewMMShard(i, localShards, localShardRep, localShardBeat)
 	if err != nil {
 		return err
 	}
@@ -338,12 +341,6 @@ func (l *Local) Close() {
 	}
 	for _, n := range l.rms {
 		n.close()
-	}
-	for i, stop := range l.shardBeats {
-		if stop != nil {
-			stop()
-			l.shardBeats[i] = nil
-		}
 	}
 	for i, shard := range l.Shards {
 		if shard != nil {

@@ -23,7 +23,8 @@ import (
 
 // TestMetricsEndToEnd spins up a real TCP mini-cluster — MM server, two RM
 // servers with throttled virtual disks, a DFSC over pooled transport — with
-// every layer instrumented onto ONE shared registry, runs accesses through
+// the client, the RMs and (once started) the servers on ONE shared
+// registry; only the client's transport is metered — runs accesses through
 // the full three-phase flow, and scrapes a monitor /metrics page. The
 // exposition must carry the transport call-latency histogram, the pool
 // gauge, the RM remaining-bandwidth gauge, the CFP/bid/admission counters,

@@ -20,13 +20,12 @@ import (
 	"dfsqos/internal/wire"
 )
 
-// shardCluster is a Local over a live metadata shard group: n mmd-shaped
+// shardCluster is a Local over a live metadata shard group: three mmd-shaped
 // members on real sockets, RM daemons registered through the
 // successor-failover ShardMapper, every role reporting onto one registry
 // and one tracer.
 type shardCluster struct {
 	*live.Local
-	rep    int
 	ring   *mm.Ring
 	mapper *live.ShardMapper
 	reg    *telemetry.Registry
@@ -35,23 +34,23 @@ type shardCluster struct {
 	smMet  *live.ShardMapperMetrics
 }
 
-// startShardCluster boots an n-member shard group with replication rep
-// and one RM per entry of caps; every file in holders is provisioned on
-// its listed RMs.
-func startShardCluster(t *testing.T, n, rep int, caps []units.BytesPerSec, holders map[ids.FileID][]ids.RMID) *shardCluster {
+// startShardCluster boots Local's three-member shard group and one RM per
+// entry of caps; every file in holders is provisioned on its listed RMs.
+// Instrumentation attaches after start-up, so it misses the RMs'
+// registrations and the first beats and mirrors.
+func startShardCluster(t *testing.T, caps []units.BytesPerSec, holders map[ids.FileID][]ids.RMID) *shardCluster {
 	t.Helper()
 	cat := live.GenCatalog(t, 21, 8, 10, 10, 10)
 	reg := telemetry.NewRegistry()
 	sc := &shardCluster{
-		Local:  live.StartLocal(t, live.LocalSpec{Catalog: cat, Caps: caps, Holders: holders, Shards: n, Rep: rep}),
-		rep:    rep,
-		ring:   mm.NewRing(n),
+		Local:  live.StartLocal(t, live.LocalSpec{Catalog: cat, Caps: caps, Holders: holders, ShardGroup: true}),
 		reg:    reg,
 		tracer: trace.New(trace.Options{Actor: "cluster", Registry: reg}),
 		mmMet:  mm.NewMetrics(reg),
 		smMet:  live.NewShardMapperMetrics(reg),
 	}
-	for i := range n {
+	sc.ring = mm.NewRing(len(sc.Shards))
+	for i := range sc.Shards {
 		sc.instrument(t, sc.Shards[i], sc.ShardServers[i])
 	}
 	sc.mapper = sc.Mapper.(*live.ShardMapper)
@@ -103,7 +102,7 @@ func (sc *shardCluster) client(t *testing.T, metaTTL time.Duration) *dfsc.Client
 
 // primaryOf returns the ring primary of file under the cluster's layout.
 func (sc *shardCluster) primaryOf(f ids.FileID) int {
-	return sc.ring.SuccessorsOfFile(int64(f), sc.rep)[0]
+	return sc.ring.SuccessorsOfFile(int64(f), 1)[0]
 }
 
 // TestShardChaosKillShardMidWorkload is the metadata-plane death drill
@@ -115,7 +114,7 @@ func (sc *shardCluster) primaryOf(f ids.FileID) int {
 // outage window. Resurrecting the member as an empty process must heal
 // it back to a serving replica with a bumped epoch.
 func TestShardChaosKillShardMidWorkload(t *testing.T) {
-	sc := startShardCluster(t, 3, 2,
+	sc := startShardCluster(t,
 		[]units.BytesPerSec{units.Mbps(200), units.Mbps(200)},
 		map[ids.FileID][]ids.RMID{0: {1, 2}, 1: {1, 2}, 2: {1, 2}, 3: {1, 2}, 4: {1, 2}, 5: {1, 2}})
 
@@ -281,7 +280,7 @@ func assertFailoverTrace(t *testing.T, sc *shardCluster, file ids.FileID) {
 // the lease must re-resolve to the post-handoff replica set.
 func TestShardChaosLeaseExpiryDuringHandoff(t *testing.T) {
 	const ttl = 300 * time.Millisecond
-	sc := startShardCluster(t, 3, 2,
+	sc := startShardCluster(t,
 		[]units.BytesPerSec{units.Mbps(200), units.Mbps(200)},
 		map[ids.FileID][]ids.RMID{0: {1, 2}})
 	client := sc.client(t, ttl)

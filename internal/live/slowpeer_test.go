@@ -144,7 +144,8 @@ func TestLiveSlowPeerDoesNotDelayOpen(t *testing.T) {
 // broken flag, and redialing under the pool's exponential backoff), then
 // restarts the RM on the SAME address, which leaves the MM record as it
 // was. The cached client must recover through the backoff gate alone — no
-// directory invalidation, no new dial path.
+// directory invalidation, no new dial path (the same cached client). The
+// window before the restarted RM re-registers is not covered.
 func TestDirectoryBackoffRecoverySameAddr(t *testing.T) {
 	lc := startLiveCluster(t, LocalSpec{
 		Caps:    []units.BytesPerSec{units.Mbps(50)},
@@ -179,6 +180,10 @@ func TestDirectoryBackoffRecoverySameAddr(t *testing.T) {
 		t.Fatalf("pre-crash access failed: %s", out.Reason)
 	}
 
+	cached, ok := dir.RMClient(1)
+	if !ok {
+		t.Fatal("RM1 not resolved")
+	}
 	addr := lc.Server(1).Addr()
 	lc.Server(1).Close()
 
@@ -212,6 +217,9 @@ func TestDirectoryBackoffRecoverySameAddr(t *testing.T) {
 	}
 	if out.RM != 1 {
 		t.Fatalf("served by %v", out.RM)
+	}
+	if again, _ := dir.RMClient(1); again != cached {
+		t.Fatal("directory re-resolved RM1 to a new client; want the cached one re-armed")
 	}
 	if lc.Node(1).Stats().Opens != 1 {
 		t.Fatalf("restarted RM saw %d opens, want 1", lc.Node(1).Stats().Opens)
