@@ -330,7 +330,7 @@ func Build(cfg Config) (*Cluster, error) {
 	}
 
 	rms := make([]*rm.RM, len(caps))
-	dir := make(ecnp.StaticDirectory, len(caps))
+	dir := new(ecnp.StaticDirectory)
 	filesOn := placement.FilesByRM()
 	for i, capBW := range caps {
 		id := rmIDs[i]
@@ -373,7 +373,7 @@ func Build(cfg Config) (*Cluster, error) {
 			return nil, err
 		}
 		rms[i] = node
-		dir[id] = node
+		dir.Set(id, node)
 	}
 	for _, node := range rms {
 		node.SetDirectory(dir)

@@ -46,13 +46,13 @@ func TestNegotiateSerialAllocations(t *testing.T) {
 func BenchmarkCollectBidsConcurrent(b *testing.B) {
 	b.Run("H16", func(b *testing.B) {
 		const holders = 16
-		dir := make(ecnp.StaticDirectory)
+		dir := new(ecnp.StaticDirectory)
 		ids16 := make([]ids.RMID, holders)
 		log := &callLog{cfps: make(map[ids.RMID]int)}
 		for i := range ids16 {
 			id := ids.RMID(i + 1)
 			ids16[i] = id
-			dir[id] = &scriptProvider{id: id, rem: units.Mbps(float64(10 + i)), holds: true, log: log}
+			dir.Set(id, &scriptProvider{id: id, rem: units.Mbps(float64(10 + i)), holds: true, log: log})
 		}
 		h := newHarness(b, nil, nil)
 		c, err := New(Options{

@@ -52,9 +52,15 @@ func (p *gateProvider) register(t *testing.T, m *mm.Manager, f ...ids.FileID) {
 	}
 }
 
+// gateOf is the gateProvider dir holds for id.
+func gateOf(dir *ecnp.StaticDirectory, id ids.RMID) *gateProvider {
+	p, _ := dir.Provider(id)
+	return p.(*gateProvider)
+}
+
 // workerClient builds a concurrent-fan-out client over dir and mgr whose
 // bid workers give up after idle.
-func workerClient(t *testing.T, mgr *mm.Manager, dir ecnp.StaticDirectory, idle time.Duration, opt Options) *Client {
+func workerClient(t *testing.T, mgr *mm.Manager, dir *ecnp.StaticDirectory, idle time.Duration, opt Options) *Client {
 	t.Helper()
 	cfg := catalog.DefaultConfig()
 	cfg.NumFiles = 4
@@ -104,14 +110,14 @@ func TestSerialClientHasNoWorkers(t *testing.T) {
 // allocation count shows; how many are parked at a given instant is not
 // something a test can wait for.)
 func TestBidWorkersGrowToTheFanoutThenExit(t *testing.T) {
-	mgr, dir := mm.New(), make(ecnp.StaticDirectory)
+	mgr, dir := mm.New(), new(ecnp.StaticDirectory)
 	const holders, rounds = 6, 4
 	entered := make(chan ids.RMID, holders*rounds)
 	gate := make(chan struct{})
 	for id := ids.RMID(1); id <= holders; id++ {
 		p := &gateProvider{id: id, rem: units.Mbps(float64(id)), entered: entered, gate: gate}
 		p.register(t, mgr, 0)
-		dir[id] = p
+		dir.Set(id, p)
 	}
 	c := workerClient(t, mgr, dir, 200*time.Millisecond, Options{})
 
@@ -139,8 +145,8 @@ func TestBidWorkersGrowToTheFanoutThenExit(t *testing.T) {
 			t.Fatalf("round %d: %d workers live", round, live)
 		}
 	}
-	for id, p := range dir {
-		if got := p.(*gateProvider).cfps.Load(); got != rounds {
+	for id := ids.RMID(1); id <= holders; id++ {
+		if got := gateOf(dir, id).cfps.Load(); got != rounds {
 			t.Fatalf("RM%d received %d CFPs over %d rounds", id, got, rounds)
 		}
 	}
@@ -164,19 +170,19 @@ func TestBidWorkersGrowToTheFanoutThenExit(t *testing.T) {
 // counted, the best bidder chosen — because a job never queues behind a
 // CFP in flight.
 func TestStalledNegotiationDelaysNoOther(t *testing.T) {
-	mgr, dir := mm.New(), make(ecnp.StaticDirectory)
+	mgr, dir := mm.New(), new(ecnp.StaticDirectory)
 	const perFile = 4
 	entered := make(chan ids.RMID, perFile)
 	gate := make(chan struct{})
 	for id := ids.RMID(1); id <= perFile; id++ { // file 0: stalled
 		p := &gateProvider{id: id, rem: units.Mbps(float64(id)), entered: entered, gate: gate}
 		p.register(t, mgr, 0)
-		dir[id] = p
+		dir.Set(id, p)
 	}
 	for id := ids.RMID(perFile + 1); id <= 2*perFile; id++ { // file 1: prompt
 		p := &gateProvider{id: id, rem: units.Mbps(float64(id))}
 		p.register(t, mgr, 1)
-		dir[id] = p
+		dir.Set(id, p)
 	}
 	c := workerClient(t, mgr, dir, 50*time.Millisecond, Options{})
 
@@ -198,7 +204,7 @@ func TestStalledNegotiationDelaysNoOther(t *testing.T) {
 		t.Fatalf("second negotiation: %+v, want RM%d (its best bid)", out, 2*perFile)
 	}
 	for id := ids.RMID(perFile + 1); id <= 2*perFile; id++ {
-		if got := dir[id].(*gateProvider).cfps.Load(); got != 1 {
+		if got := gateOf(dir, id).cfps.Load(); got != 1 {
 			t.Fatalf("RM%d received %d CFPs, want 1", id, got)
 		}
 	}
@@ -225,12 +231,12 @@ func TestStalledNegotiationDelaysNoOther(t *testing.T) {
 // Store each put a CFP to every registered RM — 1 024 here — in flight at
 // once. Both complete, and the workers they needed do not outlive them.
 func TestResourceWideFanoutCompletesAndDrains(t *testing.T) {
-	mgr, dir := mm.New(), make(ecnp.StaticDirectory)
+	mgr, dir := mm.New(), new(ecnp.StaticDirectory)
 	const rms = 1024
 	for id := ids.RMID(1); id <= rms; id++ {
 		p := &gateProvider{id: id, rem: units.Mbps(float64(id))}
 		p.register(t, mgr, 0)
-		dir[id] = p
+		dir.Set(id, p)
 	}
 	c := workerClient(t, mgr, dir, 50*time.Millisecond, Options{BroadcastCNP: true})
 
@@ -242,8 +248,8 @@ func TestResourceWideFanoutCompletesAndDrains(t *testing.T) {
 	if out := c.Store(1); !out.OK || out.RM != rms {
 		t.Fatalf("store: %+v, want RM%d", out, rms)
 	}
-	for id, p := range dir {
-		if got := p.(*gateProvider).cfps.Load(); got != 2 {
+	for id := ids.RMID(1); id <= rms; id++ {
+		if got := gateOf(dir, id).cfps.Load(); got != 2 {
 			t.Fatalf("RM%d received %d CFPs, want 2 (one per fan-out)", id, got)
 		}
 	}

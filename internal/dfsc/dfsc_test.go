@@ -21,7 +21,7 @@ import (
 type harness struct {
 	sched   *simtime.Scheduler
 	mapper  *mm.Manager
-	dir     ecnp.StaticDirectory
+	dir     *ecnp.StaticDirectory
 	rms     map[ids.RMID]*rm.RM
 	catalog *catalog.Catalog
 }
@@ -37,7 +37,7 @@ func newHarness(t testing.TB, caps map[ids.RMID]units.BytesPerSec, holders map[i
 	h := &harness{
 		sched:   simtime.NewScheduler(),
 		mapper:  mm.New(),
-		dir:     make(ecnp.StaticDirectory),
+		dir:     new(ecnp.StaticDirectory),
 		rms:     make(map[ids.RMID]*rm.RM),
 		catalog: cat,
 	}
@@ -70,7 +70,7 @@ func newHarness(t testing.TB, caps map[ids.RMID]units.BytesPerSec, holders map[i
 			t.Fatal(err)
 		}
 		h.rms[id] = node
-		h.dir[id] = node
+		h.dir.Set(id, node)
 	}
 	for _, node := range h.rms {
 		node.SetDirectory(h.dir)

@@ -51,7 +51,7 @@ func (p *stallProvider) StoreFile(ecnp.StoreRequest) error     { return nil }
 var _ ecnp.Provider = (*stallProvider)(nil)
 
 // fanoutHarness wires N fake providers behind a real mm.Manager.
-func fanoutHarness(t *testing.T, providers []*stallProvider) (*mm.Manager, ecnp.StaticDirectory, *catalog.Catalog) {
+func fanoutHarness(t *testing.T, providers []*stallProvider) (*mm.Manager, *ecnp.StaticDirectory, *catalog.Catalog) {
 	t.Helper()
 	cfg := catalog.DefaultConfig()
 	cfg.NumFiles = 4
@@ -60,12 +60,12 @@ func fanoutHarness(t *testing.T, providers []*stallProvider) (*mm.Manager, ecnp.
 		t.Fatal(err)
 	}
 	mgr := mm.New()
-	dir := make(ecnp.StaticDirectory)
+	dir := new(ecnp.StaticDirectory)
 	for _, p := range providers {
 		if err := mgr.RegisterRM(p.Info(), []ids.FileID{0}); err != nil {
 			t.Fatal(err)
 		}
-		dir[p.id] = p
+		dir.Set(p.id, p)
 	}
 	return mgr, dir, cat
 }

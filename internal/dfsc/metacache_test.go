@@ -186,7 +186,7 @@ func TestLookupErrorTaxonomy(t *testing.T) {
 		c, err := New(Options{
 			ID:        1,
 			Mapper:    &failingMapper{err: tc.err},
-			Directory: make(ecnp.StaticDirectory),
+			Directory: new(ecnp.StaticDirectory),
 			Scheduler: ecnp.SimScheduler{S: simtime.NewScheduler()},
 			Catalog:   cat,
 			Policy:    selection.RemOnly,

@@ -270,14 +270,14 @@ func TestNegotiationTable(t *testing.T) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			log := &callLog{cfps: make(map[ids.RMID]int)}
-			dir := make(ecnp.StaticDirectory)
+			dir := new(ecnp.StaticDirectory)
 			for i := range tc.providers {
 				p := &tc.providers[i]
 				p.log = log
 				if !tc.broadcast {
 					p.holds = true
 				}
-				dir[p.id] = p
+				dir.Set(p.id, p)
 			}
 			met := NewMetrics(telemetry.NewRegistry())
 			c, err := New(Options{

@@ -413,8 +413,9 @@ func (p resvCounter) Close(req ids.RequestID) {
 // countReservations wraps every provider of h.
 func countReservations(h *harness) (opens, closes *atomic.Int32) {
 	opens, closes = new(atomic.Int32), new(atomic.Int32)
-	for id, p := range h.dir {
-		h.dir[id] = resvCounter{Provider: p, opens: opens, closes: closes}
+	for id := range h.rms {
+		p, _ := h.dir.Provider(id)
+		h.dir.Set(id, resvCounter{Provider: p, opens: opens, closes: closes})
 	}
 	return opens, closes
 }
@@ -843,11 +844,12 @@ func TestReadStripedLanesDieTogether(t *testing.T) {
 		map[ids.FileID][]ids.RMID{0: {1, 2}})
 	var dying sync.WaitGroup
 	dying.Add(2)
-	for id, p := range h.dir {
-		h.dir[id] = releaseGate{Provider: p, arrive: func() {
+	for id := range h.rms {
+		p, _ := h.dir.Provider(id)
+		h.dir.Set(id, releaseGate{Provider: p, arrive: func() {
 			dying.Done()
 			dying.Wait()
-		}}
+		}})
 	}
 	c := h.client(t, selection.RemOnly, qos.Soft)
 	body := stripeBody(h, 1000)

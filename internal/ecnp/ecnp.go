@@ -262,11 +262,34 @@ func (a SimScheduler) After(d simtime.Duration, fn func(simtime.Time)) func() bo
 	return func() bool { return a.S.Cancel(ev) }
 }
 
-// StaticDirectory is a fixed RMID → Provider map.
-type StaticDirectory map[ids.RMID]Provider
+// StaticDirectory is a fixed RMID → Provider table, dense in the id: RM
+// id's provider sits at index id, so a lookup is a bounds check and a
+// load. RM ids are small and 1-based (ids.RMID), which keeps the table
+// the size of the cluster. The zero value is an empty table.
+//
+// A *StaticDirectory is shared, not copied: a Set made after the pointer
+// was handed out is seen by every holder, as a map's insertions were.
+// Set is not synchronized with Provider, so a harness fills the table
+// before the nodes that read it start.
+type StaticDirectory struct {
+	slots []Provider
+}
 
-// Provider implements Directory.
-func (d StaticDirectory) Provider(id ids.RMID) (Provider, bool) {
-	p, ok := d[id]
-	return p, ok
+// Set makes p the provider of RM id, growing the table as needed; a nil p
+// empties the slot. It panics on a negative id.
+func (d *StaticDirectory) Set(id ids.RMID, p Provider) {
+	if n := int(id) + 1; n > len(d.slots) {
+		d.slots = append(d.slots, make([]Provider, n-len(d.slots))...)
+	}
+	d.slots[id] = p
+}
+
+// Provider implements Directory. An id outside the table, negative ones
+// included, and an empty slot report absent.
+func (d *StaticDirectory) Provider(id ids.RMID) (Provider, bool) {
+	if uint(id) >= uint(len(d.slots)) {
+		return nil, false
+	}
+	p := d.slots[id]
+	return p, p != nil
 }

@@ -69,16 +69,53 @@ func (s *stubProvider) OfferReplica(ReplicaOffer) bool        { return false }
 func (s *stubProvider) FinishReplica(ids.ReplicationID, bool) {}
 func (s *stubProvider) StoreFile(StoreRequest) error          { return nil }
 
+// TestStaticDirectory pins the table's contract: a set slot answers its
+// provider, and id 0 (RM ids are 1-based), ids.NoneRM, an id past the
+// table and an emptied slot report absent.
 func TestStaticDirectory(t *testing.T) {
-	dir := StaticDirectory{
-		1: &stubProvider{id: 1},
-		2: &stubProvider{id: 2},
+	var dir StaticDirectory
+	if _, ok := dir.Provider(1); ok {
+		t.Fatal("the zero table holds RM1")
 	}
-	p, ok := dir.Provider(1)
-	if !ok || p.Info().ID != 1 {
-		t.Fatalf("Provider(1) = (%v, %v)", p, ok)
+	dir.Set(1, &stubProvider{id: 1})
+	dir.Set(3, &stubProvider{id: 3})
+	for _, id := range []ids.RMID{1, 3} {
+		if p, ok := dir.Provider(id); !ok || p.Info().ID != id {
+			t.Fatalf("Provider(%v) = (%v, %v)", id, p, ok)
+		}
 	}
-	if _, ok := dir.Provider(9); ok {
-		t.Fatal("Provider(9) should be absent")
+	dir.Set(3, nil)
+	for _, id := range []ids.RMID{0, ids.NoneRM, 2, 3, 4, 1 << 30} {
+		if p, ok := dir.Provider(id); ok || p != nil {
+			t.Errorf("Provider(%v) = (%v, %v), want absent", id, p, ok)
+		}
 	}
+}
+
+// TestStaticDirectoryIsShared: a holder of the pointer sees an RM set
+// after it was handed out, including one past the table's old end, and
+// an RM that was replaced.
+func TestStaticDirectoryIsShared(t *testing.T) {
+	dir := new(StaticDirectory)
+	dir.Set(1, &stubProvider{id: 1})
+	var held Directory = dir
+	dir.Set(9, &stubProvider{id: 9})
+	replaced := &stubProvider{id: 1}
+	dir.Set(1, replaced)
+	if p, ok := held.Provider(9); !ok || p.Info().ID != 9 {
+		t.Fatalf("RM9 set after the hand-out: Provider(9) = (%v, %v)", p, ok)
+	}
+	if p, _ := held.Provider(1); p != replaced {
+		t.Fatalf("Provider(1) = %p, want the replacement %p", p, replaced)
+	}
+}
+
+// TestStaticDirectorySetRejectsNegativeID: a negative id has no slot.
+func TestStaticDirectorySetRejectsNegativeID(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Set(NoneRM) did not panic")
+		}
+	}()
+	new(StaticDirectory).Set(ids.NoneRM, &stubProvider{})
 }

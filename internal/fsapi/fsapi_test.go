@@ -79,7 +79,7 @@ func newMountHarnessPartial(t *testing.T, skip ids.FileID, wrap func(ecnp.Mapper
 	sched := simtime.NewScheduler()
 	adapter := ecnp.SimScheduler{S: sched}
 	mapper := mm.New()
-	dir := make(ecnp.StaticDirectory)
+	dir := new(ecnp.StaticDirectory)
 	rms := make(map[ids.RMID]*rm.RM)
 	master := rng.New(5)
 	for _, id := range []ids.RMID{1, 2} {
@@ -104,7 +104,7 @@ func newMountHarnessPartial(t *testing.T, skip ids.FileID, wrap func(ecnp.Mapper
 		}
 		node.Register()
 		node.SetDirectory(dir)
-		dir[id] = node
+		dir.Set(id, node)
 		rms[id] = node
 	}
 	var clientMapper ecnp.Mapper = mapper

@@ -310,10 +310,18 @@ func (m *Manager) filterLiveLocked(s []ids.RMID) []ids.RMID {
 // only waste the source's transfer budget.
 //
 // The source-side agent asks on every access of an RM under B_TH, so the
-// answer is one merge: the file's holders and pending destinations — its
-// replica cap plus one at most — are looked up once and sorted, and the
-// ordered resource list is walked against them with no lookup per RM.
+// answer is copied, not searched: the file's holders and pending
+// destinations — its replica cap plus one at most — are looked up once
+// and sorted, and the ordered resource list is copied in the runs between
+// them, one binary search per excluded RM and no lookup per listed one.
 func (m *Manager) RMsWithout(file ids.FileID) []ids.RMID {
+	return m.AppendRMsWithout(nil, file)
+}
+
+// AppendRMsWithout appends RMsWithout(file) to dst: the candidate list
+// into memory the caller owns, so an agent that keeps its buffer lists
+// candidates without allocating.
+func (m *Manager) AppendRMsWithout(dst []ids.RMID, file ids.FileID) []ids.RMID {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	var buf [16]ids.RMID
@@ -322,16 +330,19 @@ func (m *Manager) RMsWithout(file ids.FileID) []ids.RMID {
 		excl = append(excl, id)
 	}
 	slices.Sort(excl)
-	out := make([]ids.RMID, 0, len(m.order))
-	for _, id := range m.order {
-		for len(excl) > 0 && excl[0] < id {
-			excl = excl[1:]
+	dst = slices.Grow(dst, len(m.order))
+	start := len(dst)
+	rest := m.order
+	for _, id := range excl {
+		i, found := slices.BinarySearch(rest, id)
+		dst = append(dst, rest[:i]...)
+		if found {
+			i++
 		}
-		if len(excl) == 0 || excl[0] != id {
-			out = append(out, id)
-		}
+		rest = rest[i:]
 	}
-	return m.filterLiveLocked(out)
+	dst = append(dst, rest...)
+	return dst[:start+len(m.filterLiveLocked(dst[start:]))]
 }
 
 // AddReplica implements ecnp.Mapper.

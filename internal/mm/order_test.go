@@ -112,7 +112,7 @@ func TestResourceListStaysOrdered(t *testing.T) {
 // TestRefusedReplicationAllocatesNothing: the two calls the source-side
 // agent makes on every access of an RM under B_TH cost what they decide —
 // the refusal is a preallocated value, the candidate list is its result
-// slice and nothing else.
+// slice and nothing else, and nothing at all in a buffer the caller keeps.
 func TestRefusedReplicationAllocatesNothing(t *testing.T) {
 	if testenv.RaceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
@@ -131,5 +131,13 @@ func TestRefusedReplicationAllocatesNothing(t *testing.T) {
 		}
 	}); got != 1 {
 		t.Errorf("RMsWithout: %v allocs, want 1 (its result)", got)
+	}
+	buf := m.AppendRMsWithout(nil, 0)
+	if got := testing.AllocsPerRun(100, func() {
+		if buf = m.AppendRMsWithout(buf[:0], 0); len(buf) != 248 {
+			t.Fatalf("AppendRMsWithout: %d candidates, want 248", len(buf))
+		}
+	}); got != 0 {
+		t.Errorf("AppendRMsWithout into a grown buffer: %v allocs, want 0", got)
 	}
 }

@@ -2,6 +2,7 @@ package mm
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -70,23 +71,26 @@ func (r *Ring) OwnerOfFile(file int64) int {
 // R-way metadata replication: the first entry is the key's primary and
 // the rest mirror it.
 func (r *Ring) Successors(key uint64, n int) []int {
-	if n > r.shards {
-		n = r.shards
-	}
+	return r.appendSuccessors(nil, key, n)
+}
+
+// appendSuccessors appends Successors(key, n) to dst: the replica set
+// into memory the caller owns, so routing a call allocates nothing.
+func (r *Ring) appendSuccessors(dst []int, key uint64, n int) []int {
+	n = min(n, r.shards)
 	if n <= 0 {
-		return nil
+		return dst
 	}
-	out := make([]int, 0, n)
-	seen := make(map[int]bool, n)
+	dst = slices.Grow(dst, n)
+	own := len(dst)
 	start := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= key })
-	for i := 0; len(out) < n; i++ {
+	for i := 0; len(dst)-own < n; i++ {
 		p := r.points[(start+i)%len(r.points)]
-		if !seen[p.shard] {
-			seen[p.shard] = true
-			out = append(out, p.shard)
+		if !slices.Contains(dst[own:], p.shard) {
+			dst = append(dst, p.shard)
 		}
 	}
-	return out
+	return dst
 }
 
 // SuccessorsOfFile routes a file ID to its replica set (see Successors).

@@ -1,6 +1,9 @@
 package mm
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // TestRingSingleShardSuccessors pins the degenerate ring: one shard owns
 // every key, and any successor-set request collapses to [0] no matter how
@@ -102,6 +105,12 @@ func TestRingSuccessorsDistinctAndClamped(t *testing.T) {
 				t.Fatalf("duplicate shard in successor walk %v", all)
 			}
 			seen[s] = true
+		}
+		// The append form leaves what dst held alone, shard ids
+		// included, and appends the same set.
+		prefix := []int{3, 2, 1, 0}
+		if got := r.appendSuccessors(prefix, mix64(uint64(f)), 9); !slices.Equal(got, append(slices.Clip(prefix), all...)) {
+			t.Fatalf("appendSuccessors(%v, file %d, 9) = %v, want the prefix and %v", prefix, f, got, all)
 		}
 	}
 }

@@ -74,7 +74,8 @@ func (m *ShardedManager) ownersOf(file ids.FileID) []int {
 // serving routes a call to file's first live owner; nil when the whole
 // owner set is dead (the mapping is unreachable until a revival).
 func (m *ShardedManager) serving(file ids.FileID) *ShardMember {
-	if o := m.health.firstLive(m.ownersOf(file), -1, -1); o >= 0 {
+	var buf [8]int // the owner set, on the stack: every call routes here
+	if o := m.health.firstLive(m.members[0].appendOwners(buf[:0], file), -1, -1); o >= 0 {
 		return m.members[o]
 	}
 	return nil
@@ -133,10 +134,16 @@ func (m *ShardedManager) Lookup(file ids.FileID) []ids.RMID {
 
 // RMsWithout implements ecnp.Mapper.
 func (m *ShardedManager) RMsWithout(file ids.FileID) []ids.RMID {
+	return m.AppendRMsWithout(nil, file)
+}
+
+// AppendRMsWithout appends RMsWithout(file) to dst, as
+// Manager.AppendRMsWithout does; a fully-dead owner set appends nothing.
+func (m *ShardedManager) AppendRMsWithout(dst []ids.RMID, file ids.FileID) []ids.RMID {
 	if s := m.serving(file); s != nil {
-		return s.RMsWithout(file)
+		return s.AppendRMsWithout(dst, file)
 	}
-	return nil
+	return dst
 }
 
 // AddReplica implements ecnp.Mapper.

@@ -143,7 +143,12 @@ func (s *ShardMember) peer(i int) ShardPeer {
 
 // owners returns file's owner set, primary first, in ring order.
 func (s *ShardMember) owners(file ids.FileID) []int {
-	return s.ring.SuccessorsOfFile(int64(file), s.rep)
+	return s.appendOwners(nil, file)
+}
+
+// appendOwners appends owners(file) to dst.
+func (s *ShardMember) appendOwners(dst []int, file ids.FileID) []int {
+	return s.ring.appendSuccessors(dst, mix64(uint64(file)), s.rep)
 }
 
 // walk returns every shard in file's ring order: the owner set, then the

@@ -56,6 +56,7 @@ type livenessMapper interface {
 	SetLiveness(LivenessConfig)
 	SetClock(func() time.Time)
 	Heartbeat(ids.RMID) error
+	AppendRMsWithout([]ids.RMID, ids.FileID) []ids.RMID
 }
 
 // TestRMsWithoutMatchesPerRMModel drives random replica-map programs and
@@ -156,6 +157,13 @@ func TestRMsWithoutMatchesPerRMModel(t *testing.T) {
 							if got == nil || !slices.Equal(got, want) {
 								t.Fatalf("seed %d step %d (%s %v %v): RMsWithout(%v) = %v, per-RM model %v",
 									seed, step, op, f, rm, file, got, want)
+							}
+							// The append form keeps what dst held and
+							// filters only what it appended.
+							prefix := []ids.RMID{nRMs + 2, nRMs + 1}
+							if got := m.AppendRMsWithout(prefix, file); !slices.Equal(got, append(slices.Clip(prefix), want...)) {
+								t.Fatalf("seed %d step %d: AppendRMsWithout(%v, %v) = %v, want the prefix and %v",
+									seed, step, prefix, file, got, want)
 							}
 						}
 					}

@@ -93,7 +93,7 @@ func TestDFSCHandler(t *testing.T) {
 	client, err2 := dfsc.New(dfsc.Options{
 		ID:        3,
 		Mapper:    mgr,
-		Directory: ecnp.StaticDirectory{},
+		Directory: new(ecnp.StaticDirectory),
 		Scheduler: ecnp.SimScheduler{S: simtime.NewScheduler()},
 		Catalog:   cat,
 		Policy:    selection.Policy{},

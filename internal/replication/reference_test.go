@@ -1,6 +1,7 @@
 package replication
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -9,6 +10,7 @@ import (
 	"dfsqos/internal/ecnp"
 	"dfsqos/internal/ids"
 	"dfsqos/internal/rng"
+	"dfsqos/internal/testenv"
 	"dfsqos/internal/units"
 )
 
@@ -82,6 +84,41 @@ func refBusiestCovering(counts []FileCount, coverage float64) []ids.FileID {
 	var acc int64
 	out := make([]ids.FileID, 0, len(sorted))
 	for _, fc := range sorted {
+		out = append(out, fc.File)
+		acc += fc.Count
+		if float64(acc) >= target {
+			break
+		}
+	}
+	return out
+}
+
+// sortedBusiestCovering is the BusiestCovering that sorted every count
+// on every attempt, before it learned to select a short covering prefix.
+func sortedBusiestCovering(counts []FileCount, coverage float64, out []ids.FileID) []ids.FileID {
+	out = out[:0]
+	if coverage <= 0 {
+		return out
+	}
+	var total int64
+	for _, fc := range counts {
+		total += max(fc.Count, 0)
+	}
+	if total == 0 {
+		return out
+	}
+	slices.SortFunc(counts, func(a, b FileCount) int {
+		if a.Count != b.Count {
+			return cmp.Compare(b.Count, a.Count)
+		}
+		return cmp.Compare(a.File, b.File)
+	})
+	target := coverage * float64(total)
+	var acc int64
+	for _, fc := range counts {
+		if fc.Count <= 0 {
+			break
+		}
 		out = append(out, fc.File)
 		acc += fc.Count
 		if float64(acc) >= target {
@@ -187,6 +224,60 @@ func TestBusiestCoveringInPlaceMatchesCopying(t *testing.T) {
 			out = BusiestCovering(slices.Clone(counts), coverage, out)
 			if !slices.Equal(out, want) {
 				t.Fatalf("seed %d coverage %v: in place %v, copying %v", seed, coverage, out, want)
+			}
+		}
+	}
+}
+
+// countShapes are request-count vectors BusiestCovering meets or must
+// survive: ties only the file id breaks, zero and negative counts, flat
+// vectors, one hot file over a cold tail, and heavy tails whose covering
+// prefix runs from one file to past the selection limit.
+var countShapes = []struct {
+	name string
+	of   func(i int, src *rng.Source) int64
+}{
+	{"ties", func(_ int, src *rng.Source) int64 { return int64(src.Intn(4)) }},
+	{"signed", func(_ int, src *rng.Source) int64 { return int64(src.Intn(7)) - 3 }},
+	{"flat", func(int, *rng.Source) int64 { return 5 }},
+	{"one-hot", func(i int, src *rng.Source) int64 {
+		if i == 0 {
+			return 1 << 20
+		}
+		return int64(src.Intn(3))
+	}},
+	{"heavy-tail", func(_ int, src *rng.Source) int64 { return int64(src.Intn(1 << src.Intn(20))) }},
+}
+
+// TestBusiestCoveringMatchesSortedForm: over seeded count vectors of every
+// shape, lengths 0 to 4 000 and coverages from 1e-9 to 1, BusiestCovering
+// returns what the sort-every-count form returned, and allocates nothing
+// into buffers that have grown (counted without -race only).
+func TestBusiestCoveringMatchesSortedForm(t *testing.T) {
+	const maxLen = 4000
+	work := make([]FileCount, maxLen)
+	out := make([]ids.FileID, 0, maxLen)
+	for _, shape := range countShapes {
+		for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 9, 64, 1000, maxLen} {
+			for seed := uint64(0); seed < 8; seed++ {
+				gen := rng.New(seed ^ uint64(n)<<8)
+				counts := make([]FileCount, n)
+				for i, p := range gen.Perm(n) { // files in no particular order
+					counts[i] = FileCount{File: ids.FileID(p), Count: shape.of(i, gen)}
+				}
+				for _, coverage := range []float64{1e-9, 0.5, 0.8, 1} {
+					want := sortedBusiestCovering(slices.Clone(counts), coverage, nil)
+					allocs := testing.AllocsPerRun(1, func() {
+						copy(work, counts)
+						out = BusiestCovering(work[:n], coverage, out)
+					})
+					if !slices.Equal(out, want) {
+						t.Fatalf("%s n=%d seed %d coverage %v: %v, sorted form %v", shape.name, n, seed, coverage, out, want)
+					}
+					if allocs != 0 && !testenv.RaceEnabled {
+						t.Fatalf("%s n=%d seed %d coverage %v: %v allocs, want 0", shape.name, n, seed, coverage, allocs)
+					}
+				}
 			}
 		}
 	}

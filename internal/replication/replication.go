@@ -9,8 +9,9 @@
 // transfer through the scheduler, so the identical decision code runs in
 // the DES and in live mode. It is consulted on every access of an RM under
 // B_TH, so the two per-attempt functions own no memory either: Order takes
-// candidate ids, a capacity lookup and a Scratch, BusiestCovering sorts in
-// place, and both write into buffers the caller keeps.
+// candidate ids, a capacity lookup and a Scratch, BusiestCovering selects
+// within the counts it is given, and both write into buffers the caller
+// keeps.
 package replication
 
 import (
@@ -325,9 +326,15 @@ type FileCount struct {
 // BusiestCovering returns the N_BF candidate set: files sorted by request
 // count descending (ties by ascending file ID for determinism), truncated
 // to the smallest prefix whose counts sum to at least coverage × total.
-// Files with zero count never enter the set. It reorders counts in place
-// and appends the set to out[:0], so a caller that keeps both allocates
+// Files with zero count never enter the set. It appends the set to
+// out[:0] and may reorder counts, so a caller that keeps both allocates
 // nothing.
+//
+// The set is usually one file (a saturated RM serves one hot file), so
+// it is picked by selection, one pass over counts per file, and counts
+// are sorted only when the set outgrows selectPicks files. A vector whose
+// busiest count cannot reach the target in selectPicks picks, a flat one
+// among them, is sorted at once.
 func BusiestCovering(counts []FileCount, coverage float64, out []ids.FileID) []ids.FileID {
 	out = out[:0]
 	if coverage <= 0 {
@@ -340,15 +347,26 @@ func BusiestCovering(counts []FileCount, coverage float64, out []ids.FileID) []i
 	if total == 0 {
 		return out
 	}
-	slices.SortFunc(counts, func(a, b FileCount) int {
-		if a.Count != b.Count {
-			return cmp.Compare(b.Count, a.Count)
-		}
-		return cmp.Compare(a.File, b.File)
-	})
 	target := coverage * float64(total)
+	picks := selectPicks
+	if float64(counts[busiest(counts)].Count)*selectPicks < target {
+		picks = 0
+	}
 	var acc int64
-	for _, fc := range counts {
+	for i := range counts {
+		switch {
+		case i < picks:
+			b := i + busiest(counts[i:])
+			counts[i], counts[b] = counts[b], counts[i]
+		case i == picks:
+			slices.SortFunc(counts[i:], func(a, b FileCount) int {
+				if a.Count != b.Count {
+					return cmp.Compare(b.Count, a.Count)
+				}
+				return cmp.Compare(a.File, b.File)
+			})
+		}
+		fc := counts[i]
 		if fc.Count <= 0 {
 			break
 		}
@@ -359,6 +377,21 @@ func BusiestCovering(counts []FileCount, coverage float64, out []ids.FileID) []i
 		}
 	}
 	return out
+}
+
+// selectPicks is how many files BusiestCovering selects before it sorts.
+const selectPicks = 4
+
+// busiest returns the index of the entry of counts, which is not empty,
+// with the highest count, the lowest file ID among equal counts.
+func busiest(counts []FileCount) int {
+	b := 0
+	for i, fc := range counts[1:] {
+		if c := counts[b]; fc.Count > c.Count || (fc.Count == c.Count && fc.File < c.File) {
+			b = i + 1
+		}
+	}
+	return b
 }
 
 // DestinationDecision applies the destination endpoint's three rejection

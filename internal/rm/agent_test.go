@@ -92,25 +92,38 @@ func TestConcurrentCFPsRunOneAgent(t *testing.T) {
 // scenario's scale (256 RMs registered, in-process MM, static directory,
 // DestRandom): the agent asks for candidates, draws its order over 247 of
 // them and is refused at the first. 98 % of that scenario's attempts are
-// this one. It may cost 1 allocation, the MM's answer: the agent handles
-// ids in buffers it keeps, so a decision that changes nothing copies no
-// registration record.
+// this one. It allocates nothing, on either in-process MM: the agent lists
+// candidates into a buffer it keeps, and a decision that changes nothing
+// copies no registration record.
 func TestReplicationAttemptAtCapAllocations(t *testing.T) {
 	if testenv.RaceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
 	}
-	h, counter := walkHarness(t, replication.Rep(1, 8), 256, 2, 3, 4, 5, 6, 7, 8, 9)
-	src := h.rms[1]
-	cfp := ecnp.CFP{Request: 1, File: 0, Bitrate: units.Mbps(2), DurationSec: 100}
-	src.HandleCFP(cfp) // grow the agent's buffers
-	counter.begins = 0
-	const runs = 100
-	if avg := testing.AllocsPerRun(runs, func() { src.HandleCFP(cfp) }); avg > 1 {
-		t.Errorf("a refused replication attempt allocates %v times, want at most 1", avg)
-	}
-	// AllocsPerRun makes one warm-up call beside the runs it counts.
-	if st := src.Stats(); counter.begins != runs+1 || st.RepTriggers != 0 {
-		t.Fatalf("%d attempts made %d reservations and %d triggers; want one refused reservation each",
-			runs+1, counter.begins, st.RepTriggers)
+	for _, tc := range []struct {
+		name string
+		mm   func(*mm.Manager) ecnp.Mapper
+	}{
+		{"Manager", func(m *mm.Manager) ecnp.Mapper { return m }},
+		{"ShardedManager", func(*mm.Manager) ecnp.Mapper { return mm.NewShardedReplicated(4, 2) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			counter := &countingMapper{}
+			h := walkHarnessWrapped(t, replication.Rep(1, 8), 256,
+				func(m *mm.Manager) ecnp.Mapper { counter.Mapper = tc.mm(m); return counter },
+				2, 3, 4, 5, 6, 7, 8, 9)
+			src := h.rms[1]
+			cfp := ecnp.CFP{Request: 1, File: 0, Bitrate: units.Mbps(2), DurationSec: 100}
+			src.HandleCFP(cfp) // grow the agent's buffers
+			counter.begins = 0
+			const runs = 100
+			if avg := testing.AllocsPerRun(runs, func() { src.HandleCFP(cfp) }); avg != 0 {
+				t.Errorf("a refused replication attempt allocates %v times, want 0", avg)
+			}
+			// AllocsPerRun makes one warm-up call beside the runs it counts.
+			if st := src.Stats(); counter.begins != runs+1 || st.RepTriggers != 0 {
+				t.Fatalf("%d attempts made %d reservations and %d triggers; want one refused reservation each",
+					runs+1, counter.begins, st.RepTriggers)
+			}
+		})
 	}
 }

@@ -142,7 +142,7 @@ type RM struct {
 	// sources. The DES never calls HandleCFP concurrently on one RM and so
 	// never finds it set. The run that holds it owns src and the buffers
 	// below, which is what lets an attempt that starts nothing allocate
-	// nothing but the mapper's answer.
+	// nothing when its mapper is a candidateAppender.
 	agentBusy   bool
 	fileCounts  []replication.FileCount
 	busiest     []ids.FileID
@@ -790,6 +790,14 @@ func (r *RM) maybeReplicate(now simtime.Time) {
 	r.mu.Unlock()
 }
 
+// candidateAppender is optionally implemented by Mappers that list
+// replication candidates into memory the caller owns (the in-process
+// mm.Manager and mm.ShardedManager). The agent lists them into the buffer
+// it keeps; any other Mapper's RMsWithout answer is copied into it.
+type candidateAppender interface {
+	AppendRMsWithout(dst []ids.RMID, file ids.FileID) []ids.RMID
+}
+
 // tryReplicateFile attempts one replication of file f; it reports whether
 // at least one copy was started. Its caller holds agentBusy.
 func (r *RM) tryReplicateFile(now simtime.Time, f ids.FileID, self ids.RMID) bool {
@@ -816,8 +824,14 @@ func (r *RM) tryReplicateFile(now simtime.Time, f ids.FileID, self ids.RMID) boo
 	// How many there are fixes what Order draws, so the filter stays as it
 	// is (DESIGN §6, the RNG-stream rule); no registration record is read
 	// for it, and only the capacity-reading strategies resolve any.
-	cands := r.candidates[:0]
-	for _, id := range r.mapper.RMsWithout(f) {
+	all := r.candidates[:0]
+	if am, ok := r.mapper.(candidateAppender); ok {
+		all = am.AppendRMsWithout(all, f)
+	} else {
+		all = append(all, r.mapper.RMsWithout(f)...)
+	}
+	cands := all[:0]
+	for _, id := range all {
 		if id == self {
 			continue
 		}

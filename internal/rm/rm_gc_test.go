@@ -19,7 +19,7 @@ func gcHarness(t *testing.T, storage units.Size, gc replication.GCConfig, files 
 	h := &harness{
 		sched:  simtime.NewScheduler(),
 		mapper: mm.New(),
-		dir:    make(ecnp.StaticDirectory),
+		dir:    new(ecnp.StaticDirectory),
 		rms:    make(map[ids.RMID]*RM),
 	}
 	adapter := ecnp.SimScheduler{S: h.sched}
@@ -42,7 +42,7 @@ func gcHarness(t *testing.T, storage units.Size, gc replication.GCConfig, files 
 			t.Fatal(err)
 		}
 		h.rms[id] = node
-		h.dir[id] = node
+		h.dir.Set(id, node)
 	}
 	for _, node := range h.rms {
 		node.SetDirectory(h.dir)

@@ -19,7 +19,7 @@ import (
 type harness struct {
 	sched  *simtime.Scheduler
 	mapper *mm.Manager
-	dir    ecnp.StaticDirectory
+	dir    *ecnp.StaticDirectory
 	rms    map[ids.RMID]*RM
 }
 
@@ -35,7 +35,7 @@ func newHarnessWrapped(t testing.TB, repCfg replication.Config, caps map[ids.RMI
 	h := &harness{
 		sched:  simtime.NewScheduler(),
 		mapper: mm.New(),
-		dir:    make(ecnp.StaticDirectory),
+		dir:    new(ecnp.StaticDirectory),
 		rms:    make(map[ids.RMID]*RM),
 	}
 	adapter := ecnp.SimScheduler{S: h.sched}
@@ -58,7 +58,7 @@ func newHarnessWrapped(t testing.TB, repCfg replication.Config, caps map[ids.RMI
 			t.Fatal(err)
 		}
 		h.rms[id] = node
-		h.dir[id] = node
+		h.dir.Set(id, node)
 	}
 	for _, node := range h.rms {
 		node.SetDirectory(h.dir)

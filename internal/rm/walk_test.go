@@ -25,11 +25,23 @@ func (c *countingMapper) BeginReplication(file ids.FileID, rm ids.RMID, maxTotal
 }
 
 func (c *countingMapper) RMsWithout(file ids.FileID) []ids.RMID {
+	c.stepAhead()
+	return c.Mapper.RMsWithout(file)
+}
+
+// AppendRMsWithout forwards the form the agent asks an in-process MM for,
+// with the same step ahead; a countingMapper without it would hand the
+// agent only the allocating RMsWithout.
+func (c *countingMapper) AppendRMsWithout(dst []ids.RMID, file ids.FileID) []ids.RMID {
+	c.stepAhead()
+	return c.Mapper.(candidateAppender).AppendRMsWithout(dst, file)
+}
+
+func (c *countingMapper) stepAhead() {
 	if c.beforeWithout != nil {
 		c.beforeWithout()
 		c.beforeWithout = nil
 	}
-	return c.Mapper.RMsWithout(file)
 }
 
 // walkHarness is one 10 Mbit/s source (RM1, pushed under B_TH) holding

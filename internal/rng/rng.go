@@ -72,16 +72,20 @@ func (s *Source) Split(name string) *Source {
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 
-// Uint64 returns the next 64 random bits.
+// Uint64 returns the next 64 random bits. The state steps in locals,
+// which keeps Uint64 within the compiler's inlining budget: a draw of
+// Intn makes no call for its bits.
 func (s *Source) Uint64() uint64 {
-	result := rotl(s.s[1]*5, 7) * 9
-	t := s.s[1] << 17
-	s.s[2] ^= s.s[0]
-	s.s[3] ^= s.s[1]
-	s.s[1] ^= s.s[2]
-	s.s[0] ^= s.s[3]
-	s.s[2] ^= t
-	s.s[3] = rotl(s.s[3], 45)
+	s0, s1, s2, s3 := s.s[0], s.s[1], s.s[2], s.s[3]
+	result := bits.RotateLeft64(s1*5, 7) * 9
+	t := s1 << 17
+	s2 ^= s0
+	s3 ^= s1
+	s1 ^= s2
+	s0 ^= s3
+	s2 ^= t
+	s3 = bits.RotateLeft64(s3, 45)
+	s.s = [4]uint64{s0, s1, s2, s3}
 	return result
 }
 
@@ -134,12 +138,16 @@ func (s *Source) Perm(n int) []int {
 
 // PermInto overwrites buf with a pseudo-random permutation of
 // [0, len(buf)) and returns it: Perm for a caller that keeps the slice.
-// It makes the draws Perm(len(buf)) makes.
+// It is Shuffle's Fisher-Yates written out on buf, so it makes the draws
+// Shuffle(len(buf), ...) makes: Intn(i+1) for i = len(buf)-1 down to 1.
 func (s *Source) PermInto(buf []int) []int {
 	for i := range buf {
 		buf[i] = i
 	}
-	s.Shuffle(len(buf), func(i, j int) { buf[i], buf[j] = buf[j], buf[i] })
+	for i := len(buf) - 1; i > 0; i-- {
+		j := s.Intn(i + 1)
+		buf[i], buf[j] = buf[j], buf[i]
+	}
 	return buf
 }
 
