@@ -114,9 +114,12 @@ fuzz-smoke:
 
 # docs runs the documentation-consistency suite (internal/docscheck):
 # every flag the daemons register and every dfsqos_* telemetry series
-# the tree can construct must appear in docs/OPERATIONS.md, and the
+# the tree can construct must appear in docs/OPERATIONS.md, the
 # godoc-surface packages must document every exported symbol (the
-# revive-style comment-presence check, implemented on go/ast).
+# revive-style comment-presence check, implemented on go/ast), and every
+# exported name under internal/ must have a non-test caller or an
+# allowlisted ROADMAP reason (the type-checked export scan,
+# TestEveryExportHasACaller).
 docs:
 	$(GO) test -count=1 ./internal/docscheck/
 

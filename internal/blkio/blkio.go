@@ -340,25 +340,6 @@ func (c *Controller) setGroupsGauge(n int) {
 	c.rootMu.Unlock()
 }
 
-// Group looks up a group by name.
-func (c *Controller) Group(name string) (*Group, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	g, ok := c.groups[name]
-	return g, ok
-}
-
-// Groups returns the group names (diagnostics).
-func (c *Controller) Groups() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]string, 0, len(c.groups))
-	for name := range c.groups {
-		out = append(out, name)
-	}
-	return out
-}
-
 // Stats snapshots the cumulative borrow/reclaim accounting.
 func (c *Controller) Stats() Stats {
 	c.rootMu.Lock()
@@ -507,6 +488,3 @@ func (c *Controller) Wait(ctx context.Context, g *Group, op Op, n int) error {
 		return ctx.Err()
 	}
 }
-
-// Name returns the group's name.
-func (g *Group) Name() string { return g.name }

@@ -2,6 +2,7 @@ package blkio
 
 import (
 	"context"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -425,20 +426,16 @@ func TestMetricsWiring(t *testing.T) {
 	if m.Groups.Value() != 1 {
 		t.Fatalf("groups gauge after removal = %v, want 1", m.Groups.Value())
 	}
-	names := reg.Names()
+	var text strings.Builder
+	if err := reg.WritePrometheus(&text); err != nil {
+		t.Fatal(err)
+	}
 	want := []string{"dfsqos_blkio_bytes_total", "dfsqos_blkio_borrows_total",
 		"dfsqos_blkio_reclaims_total", "dfsqos_blkio_throttle_wait_seconds",
 		"dfsqos_blkio_groups"}
 	for _, w := range want {
-		found := false
-		for _, n := range names {
-			if n == w {
-				found = true
-				break
-			}
-		}
-		if !found {
-			t.Errorf("series %s not registered (have %v)", w, names)
+		if !strings.Contains(text.String(), "# TYPE "+w+" ") {
+			t.Errorf("series %s not registered:\n%s", w, text.String())
 		}
 	}
 }

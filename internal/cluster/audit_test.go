@@ -62,7 +62,7 @@ func TestAuditDetectsFirmOverAllocation(t *testing.T) {
 	// Sneak a soft (non-firm) open past the firm scenario — the kind of
 	// bug the auditor exists to catch.
 	cl.sched.Schedule(5, func(simtime.Time) {
-		cl.RM(2).Open(ecnp.OpenRequest{
+		cl.rms[1].Open(ecnp.OpenRequest{
 			Request:     999_999_999,
 			File:        0,
 			Bitrate:     units.Mbps(40), // 2× RM2's 19 Mbit/s

@@ -219,7 +219,6 @@ func (c Config) TenantOf(d ids.DFSCID) ids.TenantID {
 type Mapper interface {
 	ecnp.Mapper
 	Validate() error
-	FilesOn(rm ids.RMID) []ids.FileID
 }
 
 // Cluster is a fully wired simulated deployment.
@@ -423,9 +422,6 @@ func Build(cfg Config) (*Cluster, error) {
 // Catalog exposes the run's file corpus.
 func (c *Cluster) Catalog() *catalog.Catalog { return c.cat }
 
-// Mapper exposes the Metadata Manager (single or sharded).
-func (c *Cluster) Mapper() Mapper { return c.mapper }
-
 // Pattern exposes the generated access pattern.
 func (c *Cluster) Pattern() *workload.Pattern { return c.pattern }
 
@@ -454,9 +450,6 @@ func (c *Cluster) UsePattern(p *workload.Pattern) error {
 	c.pattern = p
 	return nil
 }
-
-// RM returns the resource manager with the given 1-based ID.
-func (c *Cluster) RM(id ids.RMID) *rm.RM { return c.rms[int(id)-1] }
 
 // Observer receives every request's outcome as the run executes: the
 // request as scheduled, the access outcome, and the wall-clock time the

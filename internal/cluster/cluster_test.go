@@ -232,7 +232,11 @@ func TestAssignedBytesConservation(t *testing.T) {
 	if admittedCount != res.TotalRequests-res.FailedRequests {
 		t.Fatalf("opens %d != admitted %d", admittedCount, res.TotalRequests-res.FailedRequests)
 	}
-	meanSize := float64(cl.Catalog().TotalBytes()) / float64(cl.Catalog().Len())
+	var total units.Size
+	for _, f := range cl.Catalog().Files() {
+		total += f.Size
+	}
+	meanSize := float64(total) / float64(cl.Catalog().Len())
 	if assigned <= 0 || assigned > 10*meanSize*float64(admittedCount) {
 		t.Fatalf("assigned bytes %.0f implausible for %d requests", assigned, admittedCount)
 	}
@@ -289,11 +293,11 @@ func TestDynamicReplicationChangesPlacement(t *testing.T) {
 	}
 	// Replica counts stay within the bound.
 	for f := 0; f < cl.Catalog().Len(); f++ {
-		if n := cl.Mapper().ReplicaCount(ids.FileID(f)); n < 1 || n > 8 {
+		if n := cl.mapper.ReplicaCount(ids.FileID(f)); n < 1 || n > 8 {
 			t.Fatalf("file%d has %d replicas, want within [1, 8]", f, n)
 		}
 	}
-	if err := cl.Mapper().Validate(); err != nil {
+	if err := cl.mapper.Validate(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -317,7 +321,7 @@ func TestRep13KeepsDegreeAtBound(t *testing.T) {
 		t.Fatal("Rep(1,3) at degree 3 must migrate")
 	}
 	for f := 0; f < cl.Catalog().Len(); f++ {
-		if n := cl.Mapper().ReplicaCount(ids.FileID(f)); n < 1 || n > 4 {
+		if n := cl.mapper.ReplicaCount(ids.FileID(f)); n < 1 || n > 4 {
 			// 4 transiently only during an in-flight migration; at the end
 			// of a run a migration may still be pending at the horizon.
 			t.Fatalf("file%d has %d replicas under Rep(1,3)", f, n)
@@ -368,12 +372,12 @@ func TestBuildSeedsRMsWithPlacement(t *testing.T) {
 	}
 	// Every file's holders actually hold the file.
 	for f := 0; f < cl.Catalog().Len(); f++ {
-		holders := cl.Mapper().Lookup(ids.FileID(f))
+		holders := cl.mapper.Lookup(ids.FileID(f))
 		if len(holders) != cfg.ReplicaDegree {
 			t.Fatalf("file%d has %d holders, want %d", f, len(holders), cfg.ReplicaDegree)
 		}
 		for _, h := range holders {
-			if !cl.RM(h).HasFile(ids.FileID(f)) {
+			if !cl.rms[h-1].HasFile(ids.FileID(f)) {
 				t.Fatalf("%v registered for file%d but does not hold it", h, f)
 			}
 		}

@@ -211,10 +211,6 @@ func New(opt Options) (*Client, error) {
 // ID returns the client's identifier.
 func (c *Client) ID() ids.DFSCID { return c.id }
 
-// Tenant returns the identity this client's requests run under
-// (NoneTenant when untenanted).
-func (c *Client) Tenant() ids.TenantID { return c.tenant }
-
 // MetaCache exposes the metadata lease cache (nil when MetaTTL was zero);
 // tests drive its clock through it.
 func (c *Client) MetaCache() *MetaCache { return c.meta }

@@ -49,9 +49,6 @@ func (c *MetaCache) SetClock(now func() time.Time) {
 	c.mu.Unlock()
 }
 
-// TTL returns the lease duration.
-func (c *MetaCache) TTL() time.Duration { return c.ttl }
-
 // Get returns the live lease for file, if any. Expired entries are
 // dropped on the way out. The returned slice is a copy.
 func (c *MetaCache) Get(file ids.FileID) ([]ids.RMID, bool) {
@@ -90,12 +87,4 @@ func (c *MetaCache) Invalidate(file ids.FileID) bool {
 	_, ok := c.entries[file]
 	delete(c.entries, file)
 	return ok
-}
-
-// Len returns the number of cached entries, counting expired ones not
-// yet swept (diagnostics).
-func (c *MetaCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
 }

@@ -25,7 +25,7 @@ func TestTenancyDocCoversTenantSurface(t *testing.T) {
 
 	reg := telemetry.NewRegistry()
 	tenant.NewMetrics(reg)
-	names := reg.Names()
+	names := registeredNames(t, reg)
 	if len(names) < 7 {
 		t.Fatalf("tenant metric enumeration looks broken: only %d series", len(names))
 	}

@@ -124,12 +124,6 @@ type StoreRequest struct {
 	Tenant ids.TenantID
 }
 
-// Requester is the DFSC-side identity passed to providers (diagnostics).
-type Requester struct {
-	DFSC ids.DFSCID
-	User ids.UserID
-}
-
 // The reasons a Mapper refuses BeginReplication or EndReplication. They
 // are values, not sentences: an in-process Mapper returns one of them,
 // possibly wrapped, so a caller matches with errors.Is and a refusal

@@ -450,23 +450,6 @@ func Fig7(o Options) (*Result, error) {
 	return res, nil
 }
 
-// All runs every experiment in paper order.
-func All(o Options) ([]*Result, error) {
-	runners := []func(Options) (*Result, error){
-		Table1, Table2, Table3, Table4, Table5, Table6, Table7,
-		Fig4, Fig5, Fig6, Fig7,
-	}
-	out := make([]*Result, 0, len(runners))
-	for _, run := range runners {
-		r, err := run(o)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}
-
 // Run dispatches one experiment by id ("table1" ... "fig7").
 func Run(id string, o Options) (*Result, error) {
 	switch strings.ToLower(id) {

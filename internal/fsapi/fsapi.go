@@ -1,18 +1,18 @@
 // Package fsapi reproduces the paper's FUSE integration surface (§III-A1)
-// as a Go interface. The paper mounts the DFSC through FUSE and implements
-// every file operation as a callback: "the query operation for a resource
-// list from the DFSC to the MM is implemented in the readdir operation and
-// the CFP sending and resource selection algorithms are implemented in open
+// in Go. The paper mounts the DFSC through FUSE and implements every file
+// operation as a callback: "the query operation for a resource list from
+// the DFSC to the MM is implemented in the readdir operation and the CFP
+// sending and resource selection algorithms are implemented in open
 // operation. In addition, read and write operations will launch the data
 // access with the RM determined in open operation."
 //
-// Kernel modules cannot be loaded in this environment, so the callback
-// contract is preserved verbatim behind a Go interface and an in-process
-// "mount" binds it to a dfsc.Client: Readdir queries the MM, Open runs the
-// CFP/bid/selection negotiation and holds the winner's reservation in a
-// read handle (dfsc.OpenRead), Read is a ranged read of the client's read
-// engine on that handle, and Release returns the reservation. This
-// substitution is documented in DESIGN.md §2.
+// Kernel modules cannot be loaded in this environment, so the callbacks
+// are the methods of an in-process Mount bound to a dfsc.Client: Readdir
+// queries the MM, Open runs the CFP/bid/selection negotiation and holds
+// the winner's reservation in a read handle (dfsc.OpenRead), Read is a
+// ranged read of the client's read engine on that handle, and Release
+// returns the reservation. This substitution is documented in DESIGN.md
+// §2.
 package fsapi
 
 import (
@@ -41,31 +41,14 @@ type FileInfo struct {
 // Handle identifies an open file.
 type Handle uint64
 
-// FileSystem is the FUSE-callback surface of the paper's DFSC.
-type FileSystem interface {
-	// Getattr returns a file's metadata.
-	Getattr(name string) (FileInfo, error)
-	// Readdir lists the volume and refreshes the MM resource list —
-	// the paper wires the MM query into this callback.
-	Readdir() ([]string, error)
-	// Open negotiates a QoS-assured data access: CFP fan-out, bid
-	// scoring, and bandwidth reservation on the winner.
-	Open(name string) (Handle, error)
-	// Read transfers file data from the serving RM.
-	Read(h Handle, p []byte, off int64) (int, error)
-	// Release ends the access and returns the reserved bandwidth.
-	Release(h Handle) error
-	// Destroy tears the mount down, releasing every open handle.
-	Destroy()
-}
-
 // openFailovers is how many times one open handle may move to another
 // replica when the RM serving it dies.
 const openFailovers = 2
 
 var errDestroyed = errors.New("fsapi: mount destroyed")
 
-// Mount binds the callback surface to a DFSC.
+// Mount is the FUSE-callback surface of the paper's DFSC, bound to a
+// dfsc.Client.
 type Mount struct {
 	client   *dfsc.Client
 	cat      *catalog.Catalog
@@ -110,7 +93,7 @@ func NewMount(opt Options) (*Mount, error) {
 	return m, nil
 }
 
-// Getattr implements FileSystem.
+// Getattr returns a file's metadata.
 func (m *Mount) Getattr(name string) (FileInfo, error) {
 	id, err := m.resolve(name)
 	if err != nil {
@@ -129,7 +112,8 @@ func (m *Mount) Getattr(name string) (FileInfo, error) {
 	return info, nil
 }
 
-// Readdir implements FileSystem.
+// Readdir lists the volume and refreshes the MM resource list — the
+// paper wires the MM query into this callback.
 func (m *Mount) Readdir() ([]string, error) {
 	if err := m.live(); err != nil {
 		return nil, err
@@ -142,30 +126,9 @@ func (m *Mount) Readdir() ([]string, error) {
 	return names, nil
 }
 
-// Create stores a catalog file that has no replica yet — the write path
-// the paper routes through the same CFP/bid negotiation as reads. The
-// call fails if the file already has replicas (use Open) or no RM can
-// admit the store.
-func (m *Mount) Create(name string) error {
-	id, err := m.resolve(name)
-	if err != nil {
-		return err
-	}
-	if err := m.live(); err != nil {
-		return err
-	}
-	if m.lookup != nil && m.lookup(id) > 0 {
-		return fmt.Errorf("fsapi: %s already stored", name)
-	}
-	out := m.client.Store(id)
-	if !out.OK {
-		return fmt.Errorf("fsapi: create %s: %s", name, out.Reason)
-	}
-	return nil
-}
-
-// Open implements FileSystem: the paper's one RM chosen in open, its
-// reservation held by a one-lane read handle until Release.
+// Open negotiates a QoS-assured data access — CFP fan-out, bid scoring
+// and a bandwidth reservation on the winner: the paper's one RM chosen in
+// open, its reservation held by a one-lane read handle until Release.
 func (m *Mount) Open(name string) (Handle, error) {
 	id, err := m.resolve(name)
 	if err != nil {
@@ -193,7 +156,8 @@ func (m *Mount) Open(name string) (Handle, error) {
 	return h, nil
 }
 
-// Read implements FileSystem: a ranged read on the handle Open made.
+// Read transfers file data from the serving RM: a ranged read on the
+// handle Open made.
 func (m *Mount) Read(h Handle, p []byte, off int64) (int, error) {
 	m.mu.Lock()
 	r, ok := m.open[h]
@@ -204,7 +168,7 @@ func (m *Mount) Read(h Handle, p []byte, off int64) (int, error) {
 	return r.ReadAt(p, off)
 }
 
-// Release implements FileSystem.
+// Release ends the access and returns the reserved bandwidth.
 func (m *Mount) Release(h Handle) error {
 	m.mu.Lock()
 	r, ok := m.open[h]
@@ -216,7 +180,7 @@ func (m *Mount) Release(h Handle) error {
 	return r.Close()
 }
 
-// Destroy implements FileSystem.
+// Destroy tears the mount down, releasing every open handle.
 func (m *Mount) Destroy() {
 	m.mu.Lock()
 	open := m.open
@@ -226,13 +190,6 @@ func (m *Mount) Destroy() {
 	for _, r := range open {
 		r.Close()
 	}
-}
-
-// OpenHandles reports the number of live handles (diagnostics).
-func (m *Mount) OpenHandles() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.open)
 }
 
 // live fails once the mount is destroyed.
@@ -252,5 +209,3 @@ func (m *Mount) resolve(name string) (ids.FileID, error) {
 	}
 	return id, nil
 }
-
-var _ FileSystem = (*Mount)(nil)

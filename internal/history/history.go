@@ -105,12 +105,6 @@ func (t *TwoQueue) swap(end simtime.Time) {
 	t.swaps++
 }
 
-// Swaps returns how many queue exchanges have occurred (diagnostic).
-func (t *TwoQueue) Swaps() int { return t.swaps }
-
-// HasReference reports whether a historical window is available.
-func (t *TwoQueue) HasReference() bool { return t.hasRef }
-
 // Trend evaluates the paper's prediction term for a request arriving at now
 // while bUsed bandwidth is allocated. With no usable reference window the
 // trend is 0 (no history ⇒ no bias). A positive value indicates usage
@@ -137,16 +131,3 @@ func (t *TwoQueue) Trend(now simtime.Time, bUsed units.BytesPerSec) float64 {
 	}
 	return raw * scale
 }
-
-// ReferenceWindow exposes the current reference window for tests and
-// metrics: its start, end and cumulative bytes. ok is false when no
-// reference exists yet.
-func (t *TwoQueue) ReferenceWindow() (start, end simtime.Time, fsTotal float64, ok bool) {
-	if !t.hasRef {
-		return 0, 0, 0, false
-	}
-	return t.reference.start, t.reference.end, t.reference.fsTotal, true
-}
-
-// RecordingCount returns how many samples sit in the recording queue.
-func (t *TwoQueue) RecordingCount() int { return t.recording.count }

@@ -41,7 +41,7 @@ func TestMustNewPanics(t *testing.T) {
 
 func TestNoReferenceNoTrend(t *testing.T) {
 	tq := mustTQ(t, 4, 100)
-	if tq.HasReference() {
+	if tq.hasRef {
 		t.Fatal("fresh recorder claims a reference")
 	}
 	if got := tq.Trend(10, units.Mbps(5)); got != 0 {
@@ -49,7 +49,7 @@ func TestNoReferenceNoTrend(t *testing.T) {
 	}
 	tq.Record(0, 1000)
 	tq.Record(1, 1000)
-	if tq.HasReference() {
+	if tq.hasRef {
 		t.Fatal("reference appeared before a swap")
 	}
 }
@@ -58,12 +58,12 @@ func TestCountTriggeredSwap(t *testing.T) {
 	tq := mustTQ(t, 3, 1e9)
 	tq.Record(0, 100)
 	tq.Record(10, 200)
-	if tq.Swaps() != 0 {
+	if tq.swaps != 0 {
 		t.Fatal("premature swap")
 	}
 	tq.Record(20, 300) // third sample triggers the swap
-	if tq.Swaps() != 1 {
-		t.Fatalf("swaps = %d, want 1", tq.Swaps())
+	if tq.swaps != 1 {
+		t.Fatalf("swaps = %d, want 1", tq.swaps)
 	}
 	start, end, fs, ok := tq.ReferenceWindow()
 	if !ok {
@@ -72,8 +72,8 @@ func TestCountTriggeredSwap(t *testing.T) {
 	if start != 0 || end != 20 || fs != 600 {
 		t.Fatalf("reference window = (%v, %v, %v), want (0, 20, 600)", start, end, fs)
 	}
-	if tq.RecordingCount() != 0 {
-		t.Fatalf("recording queue not cleared: %d", tq.RecordingCount())
+	if tq.recording.count != 0 {
+		t.Fatalf("recording queue not cleared: %d", tq.recording.count)
 	}
 }
 
@@ -84,15 +84,15 @@ func TestExpiryTriggeredSwap(t *testing.T) {
 	// Next arrival is 60 s after the window start > 50 s expiry: the old
 	// window swaps out first, then the arrival starts a fresh window.
 	tq.Record(60, 999)
-	if tq.Swaps() != 1 {
-		t.Fatalf("swaps = %d, want 1", tq.Swaps())
+	if tq.swaps != 1 {
+		t.Fatalf("swaps = %d, want 1", tq.swaps)
 	}
 	_, end, fs, _ := tq.ReferenceWindow()
 	if end != 10 || fs != 200 {
 		t.Fatalf("reference (end=%v, fs=%v), want (10, 200)", end, fs)
 	}
-	if tq.RecordingCount() != 1 {
-		t.Fatalf("recording count %d, want 1 (the new arrival)", tq.RecordingCount())
+	if tq.recording.count != 1 {
+		t.Fatalf("recording count %d, want 1 (the new arrival)", tq.recording.count)
 	}
 }
 
@@ -143,8 +143,8 @@ func TestTrendScaleNeverExceedsOne(t *testing.T) {
 func TestSingleSampleWindowGivesZeroTrend(t *testing.T) {
 	tq := mustTQ(t, 1, 1e9)
 	tq.Record(5, 100) // swaps immediately with zero-width window
-	if tq.Swaps() != 1 {
-		t.Fatalf("swaps = %d, want 1", tq.Swaps())
+	if tq.swaps != 1 {
+		t.Fatalf("swaps = %d, want 1", tq.swaps)
 	}
 	if got := tq.Trend(10, 50); got != 0 {
 		t.Fatalf("zero-width window trend = %v, want 0", got)
@@ -170,8 +170,8 @@ func TestMultipleSwapsKeepLatestReference(t *testing.T) {
 	if start != 20 || end != 30 || fs != 1000 {
 		t.Fatalf("reference = (%v,%v,%v), want latest window (20,30,1000)", start, end, fs)
 	}
-	if tq.Swaps() != 2 {
-		t.Fatalf("swaps = %d, want 2", tq.Swaps())
+	if tq.swaps != 2 {
+		t.Fatalf("swaps = %d, want 2", tq.swaps)
 	}
 }
 
@@ -185,7 +185,7 @@ func TestTrendBoundProperty(t *testing.T) {
 			tq.Record(now, units.Size(s))
 			now = now.Add(simtime.Duration(1 + float64(s%7)))
 		}
-		if !tq.HasReference() {
+		if !tq.hasRef {
 			return tq.Trend(now, units.BytesPerSec(bUsedRaw)) == 0
 		}
 		start, end, fs, _ := tq.ReferenceWindow()
@@ -209,12 +209,12 @@ func TestSwapCadenceProperty(t *testing.T) {
 		max := int(n%16) + 1
 		tq := MustNew(Config{MaxSamples: max, ExpirySec: 1e9})
 		for i := 0; i < max; i++ {
-			if tq.Swaps() != 0 {
+			if tq.swaps != 0 {
 				return false
 			}
 			tq.Record(simtime.Time(i), 10)
 		}
-		return tq.Swaps() == 1
+		return tq.swaps == 1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)

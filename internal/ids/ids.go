@@ -38,7 +38,6 @@ type TenantID int32
 const (
 	NoneFile   FileID   = -1
 	NoneRM     RMID     = -1
-	NoneDFSC   DFSCID   = -1
 	NoneTenant TenantID = 0
 )
 

@@ -46,9 +46,6 @@ func New(capacity units.BytesPerSec, start simtime.Time) *Ledger {
 	return &Ledger{capacity: capacity, oversub: 1, lastChange: start}
 }
 
-// Capacity returns the disk's maximum sustained bandwidth.
-func (l *Ledger) Capacity() units.BytesPerSec { return l.capacity }
-
 // SetOversub sets the admission oversubscription ratio: Fits admits
 // reservations up to capacity×ratio even though the disk can only sustain
 // capacity, on the bet that streams rarely all draw their reservation at
@@ -71,9 +68,6 @@ func (l *Ledger) Allocated() units.BytesPerSec { return l.allocated }
 // Remaining returns capacity − allocated. It is negative when the RM is
 // over-allocated (possible only in the soft real-time scenario).
 func (l *Ledger) Remaining() units.BytesPerSec { return l.capacity - l.allocated }
-
-// Streams returns the number of active reservations.
-func (l *Ledger) Streams() int { return l.streams }
 
 // advance integrates the running integrals up to now.
 func (l *Ledger) advance(now simtime.Time) {
@@ -196,19 +190,6 @@ func (s Snapshot) MeanUtilization(windowSecs float64) float64 {
 		return 0
 	}
 	return s.AllocByteSecs / (float64(s.Capacity) * windowSecs)
-}
-
-// WorkConservingUtilization returns the time-averaged fraction of capacity
-// covered by assured (sustainable) allocation over the window: the exact
-// ∫ min(allocated, capacity) dt / (capacity × window). It never exceeds 1 —
-// bandwidth admitted past nominal capacity counts toward OverBytes, not
-// here — so it measures how much of the disk the admitted floors actually
-// claim, the quantity work-conserving borrowing then tops up to the ceils.
-func (s Snapshot) WorkConservingUtilization(windowSecs float64) float64 {
-	if windowSecs <= 0 || s.Capacity <= 0 {
-		return 0
-	}
-	return s.AssuredByteSecs / (float64(s.Capacity) * windowSecs)
 }
 
 // AdmitRemaining returns the admission headroom under the oversubscription

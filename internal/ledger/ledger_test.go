@@ -22,8 +22,8 @@ func TestBasicAllocateRelease(t *testing.T) {
 	l.Allocate(5, units.Mbps(2))
 	l.Release(10, units.Mbps(4))
 	l.Release(20, units.Mbps(2))
-	if l.Streams() != 0 {
-		t.Fatalf("streams %d, want 0", l.Streams())
+	if l.streams != 0 {
+		t.Fatalf("streams %d, want 0", l.streams)
 	}
 	if l.Allocated() != 0 {
 		t.Fatalf("allocated %v, want 0", l.Allocated())

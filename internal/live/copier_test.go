@@ -14,6 +14,7 @@ import (
 	"dfsqos/internal/rng"
 	"dfsqos/internal/units"
 	"dfsqos/internal/vdisk"
+	"dfsqos/internal/wire"
 )
 
 // TestLiveReplicationMovesRealBytes wires the DataCopier so a dynamic
@@ -90,7 +91,7 @@ func TestLiveReplicationMovesRealBytes(t *testing.T) {
 	if n != int64(hotSize) {
 		t.Fatalf("read %d bytes from replica, want %d", n, hotSize)
 	}
-	if vdisk.ChecksumBytes(buf.Bytes()) != srcSum {
+	if wire.ChecksumUpdate(wire.ChecksumBasis, buf.Bytes()) != srcSum {
 		t.Fatal("replica content differs from source content")
 	}
 	src.Close(1)

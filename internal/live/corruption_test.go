@@ -19,7 +19,6 @@ import (
 	"dfsqos/internal/selection"
 	"dfsqos/internal/transport"
 	"dfsqos/internal/units"
-	"dfsqos/internal/vdisk"
 	"dfsqos/internal/wire"
 )
 
@@ -196,9 +195,9 @@ func TestLiveCorruptedRangeIsCaughtAndRefetched(t *testing.T) {
 	if relay.flipped.Load() != 2 {
 		t.Fatalf("relay flipped %d frame(s), want 2: the striped read never met the corruption", relay.flipped.Load())
 	}
-	if res.Checksum != want || vdisk.ChecksumBytes(got.Bytes()) != want || res.Bytes != size {
+	if res.Checksum != want || wire.ChecksumUpdate(wire.ChecksumBasis, got.Bytes()) != want || res.Bytes != size {
 		t.Fatalf("striped read delivered %d bytes summing to %x (result says %x), disk has %d bytes summing to %x",
-			got.Len(), vdisk.ChecksumBytes(got.Bytes()), res.Checksum, size, want)
+			got.Len(), wire.ChecksumUpdate(wire.ChecksumBasis, got.Bytes()), res.Checksum, size, want)
 	}
 	// RM 1's first range was the corrupted one, which excluded it for the
 	// rest of the read: every committed segment is RM 2's copy.

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -293,6 +294,36 @@ func TestWallSchedulerPanicsOnBadScale(t *testing.T) {
 func readWhole(c *RMClient, file ids.FileID, w io.Writer) (int64, error) {
 	sum := wire.ChecksumBasis
 	return c.ReadRange(context.Background(), file, 0, 0, 0, w, &sum)
+}
+
+// TestLiveServedErrorsEndStreams: an error the RM serves inside a stream
+// reaches the caller as a wire.RemoteError both where a read stream
+// expects chunks (a range of a file the RM does not hold) and where an
+// upload expects its Ack (a store that overflows the disk once every
+// byte has arrived).
+func TestLiveServedErrorsEndStreams(t *testing.T) {
+	lc := startLiveCluster(t, LocalSpec{
+		Caps: []units.BytesPerSec{units.Mbps(50)},
+	})
+	cli, ok := lc.Dir.RMClient(1)
+	if !ok {
+		t.Fatal("RM1 unreachable")
+	}
+	var re wire.RemoteError
+	_, err := cli.ReadRange(context.Background(), 9, 0, 0, 0, io.Discard, nil)
+	if !errors.As(err, &re) || !strings.Contains(re.Text, "not found") {
+		t.Fatalf("range of an unheld file: err = %v, want a served RemoteError", err)
+	}
+
+	disk := lc.Server(1).disk
+	if err := disk.Provision("filler", disk.Capacity()-disk.Used()-1024); err != nil {
+		t.Fatal(err)
+	}
+	payload := bytes.Repeat([]byte("overflow"), 1024)
+	err = cli.WriteFile(context.Background(), 2, 0, int64(len(payload)), bytes.NewReader(payload))
+	if !errors.As(err, &re) || !strings.Contains(re.Text, "overflows disk") {
+		t.Fatalf("upload past the free space: err = %v, want a served RemoteError", err)
+	}
 }
 
 // TestLiveIngestRefusesOversizedDeclaration speaks the inbound-stream

@@ -231,27 +231,6 @@ func (l *Local) serveRM(id ids.RMID, addr string) error {
 // Server returns RM id's current server.
 func (l *Local) Server(id ids.RMID) *RMServer { return l.rms[id-1].srv }
 
-// Node returns RM id's current rm.RM.
-func (l *Local) Node(id ids.RMID) *rm.RM { return l.rms[id-1].srv.Node() }
-
-// Disk returns RM id's virtual disk.
-func (l *Local) Disk(id ids.RMID) *vdisk.Disk { return l.rms[id-1].disk }
-
-// Restart re-serves RM id — the same identity and disk, a fresh rm.RM,
-// mapper and peer directory — on addr: "" for a new port, the old address
-// to rebind it. The old server is closed first if it still runs.
-func (l *Local) Restart(id ids.RMID, addr string) (*RMServer, error) {
-	n := l.rms[id-1]
-	n.close()
-	if addr == "" {
-		addr = "127.0.0.1:0"
-	}
-	if err := l.serveRM(id, addr); err != nil {
-		return nil, err
-	}
-	return n.srv, nil
-}
-
 func (n *localRM) close() {
 	if n.srv != nil {
 		n.srv.Close()
@@ -296,20 +275,6 @@ func (l *Local) KillShard(i int) {
 	}
 	l.Shards[i].ClosePeers()
 	l.ShardServers[i].Close()
-}
-
-// ReviveShard restarts member i as a fresh, empty process on its old
-// address, so peers reconverge through their pooled stubs. setup, when
-// set, configures the new member and its server before it beats — before
-// any peer can hand it a keyspace.
-func (l *Local) ReviveShard(i int, setup func(*MMShard, *MMServer)) error {
-	if err := l.bootShard(i, l.shardAddrs[i]); err != nil {
-		return err
-	}
-	if setup != nil {
-		setup(l.Shards[i], l.ShardServers[i])
-	}
-	return l.connectShard(i)
 }
 
 // Leaks names every RM still serving that holds a reservation or

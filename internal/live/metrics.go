@@ -52,9 +52,6 @@ func (m *ServerMetrics) failure(kind wire.Kind, err error) {
 	}
 }
 
-// DeadlineHits exposes the deadline-hit counter (tests).
-func (m *ServerMetrics) DeadlineHits() uint64 { return m.deadlineHits.Value() }
-
 // CopierMetrics instruments the replication data plane: bytes moved and
 // transfers in flight. Scraping rate(dfsqos_replication_bytes_total)
 // yields the replication throughput in bytes/sec.

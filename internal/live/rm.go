@@ -569,14 +569,9 @@ type RMClient struct {
 	broken atomic.Bool
 }
 
-// DialRM connects to an RM server whose registration record is info, with
-// the default transport tuning.
-func DialRM(info ecnp.RMInfo) (*RMClient, error) {
-	return DialRMConfig(info, transport.DefaultConfig())
-}
-
-// DialRMConfig is DialRM with explicit transport tuning. Connectivity is
-// verified eagerly so an unreachable RM fails at construction.
+// DialRMConfig connects to an RM server whose registration record is
+// info, with the given transport tuning. Connectivity is verified eagerly
+// so an unreachable RM fails at construction.
 func DialRMConfig(info ecnp.RMInfo, cfg transport.Config) (*RMClient, error) {
 	if info.Addr == "" {
 		return nil, fmt.Errorf("live: %v has no address", info.ID)
@@ -805,10 +800,7 @@ func (c *RMClient) ReadRange(ctx context.Context, file ids.FileID, req ids.Reque
 				}
 				return nil
 			case wire.KindError:
-				if e, ok := msg.Payload.(wire.Error); ok {
-					return wire.RemoteError{Text: e.Text}
-				}
-				return wire.RemoteError{Text: "malformed error payload"}
+				return wire.ServedError(msg)
 			default:
 				return fmt.Errorf("live: unexpected %v during stream", msg.Kind)
 			}
@@ -874,10 +866,7 @@ func (c *RMClient) WriteFile(ctx context.Context, file ids.FileID, rep ids.Repli
 			return err
 		}
 		if reply.Kind == wire.KindError {
-			if e, ok := reply.Payload.(wire.Error); ok {
-				return wire.RemoteError{Text: e.Text}
-			}
-			return wire.RemoteError{Text: "malformed error payload"}
+			return wire.ServedError(reply)
 		}
 		if reply.Kind != wire.KindAck {
 			return fmt.Errorf("live: unexpected %v after upload", reply.Kind)

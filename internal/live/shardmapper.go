@@ -109,9 +109,6 @@ func (m *ShardMapper) Close() error {
 	return first
 }
 
-// NumShards returns the group size.
-func (m *ShardMapper) NumShards() int { return len(m.clients) }
-
 func (m *ShardMapper) metrics() *ShardMapperMetrics {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -39,30 +39,6 @@ func Percentile(values []float64, p float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// CoefficientOfVariation returns stddev/mean of the values — the
-// imbalance measure used for per-RM utilizations (0 = perfectly
-// balanced). A zero mean yields 0.
-func CoefficientOfVariation(values []float64) float64 {
-	if len(values) == 0 {
-		return 0
-	}
-	mean := 0.0
-	for _, v := range values {
-		mean += v
-	}
-	mean /= float64(len(values))
-	if mean == 0 {
-		return 0
-	}
-	variance := 0.0
-	for _, v := range values {
-		d := v - mean
-		variance += d * d
-	}
-	variance /= float64(len(values))
-	return math.Sqrt(variance) / mean
-}
-
 // JainFairness returns Jain's fairness index (Σx)²/(n·Σx²) ∈ (0, 1]: 1
 // when every RM carries an identical share, 1/n when one RM carries
 // everything. An all-zero input returns 1 (vacuously fair).

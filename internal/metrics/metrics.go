@@ -39,17 +39,6 @@ func (s *Series) Append(at simtime.Time, v float64) {
 // Len returns the number of samples.
 func (s *Series) Len() int { return len(s.Points) }
 
-// Max returns the maximum sample value, or 0 for an empty series.
-func (s *Series) Max() float64 {
-	m := 0.0
-	for _, p := range s.Points {
-		if p.Value > m {
-			m = p.Value
-		}
-	}
-	return m
-}
-
 // Mean returns the arithmetic mean of the samples, or 0 when empty.
 func (s *Series) Mean() float64 {
 	if len(s.Points) == 0 {

@@ -60,9 +60,6 @@ type Manager struct {
 	// replication sources are prevented from overshooting N_MAXR, and it
 	// blocks a second source from targeting the same destination.
 	pending map[ids.FileID]map[ids.RMID]bool
-	// version increments on every mutation, providing the consistency
-	// token that resource registration is validated against.
-	version uint64
 
 	// Liveness state (inert unless liveCfg.Enabled()).
 	liveCfg  LivenessConfig
@@ -271,7 +268,6 @@ func (m *Manager) RegisterRM(info ecnp.RMInfo, files []ids.FileID) error {
 		}
 	}
 	m.reviveLocked(info.ID, m.now())
-	m.version++
 	return nil
 }
 
@@ -355,7 +351,6 @@ func (m *Manager) AddReplica(file ids.FileID, rm ids.RMID) error {
 	if err := m.placement.Add(file, rm); err != nil {
 		return err
 	}
-	m.version++
 	return nil
 }
 
@@ -367,7 +362,6 @@ func (m *Manager) RemoveReplica(file ids.FileID, rm ids.RMID) error {
 	if err := m.placement.Remove(file, rm); err != nil {
 		return err
 	}
-	m.version++
 	return nil
 }
 
@@ -397,7 +391,6 @@ func (m *Manager) BeginReplication(file ids.FileID, rm ids.RMID, maxTotal int) e
 		m.pending[file] = make(map[ids.RMID]bool)
 	}
 	m.pending[file][rm] = true
-	m.version++
 	return nil
 }
 
@@ -412,7 +405,6 @@ func (m *Manager) EndReplication(file ids.FileID, rm ids.RMID, commit bool) erro
 	if len(m.pending[file]) == 0 {
 		delete(m.pending, file)
 	}
-	m.version++
 	if !commit {
 		return nil
 	}
@@ -424,13 +416,6 @@ func (m *Manager) ReplicaCount(file ids.FileID) int {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	return m.placement.Degree(file) + len(m.pending[file])
-}
-
-// PendingCount reports in-flight replications of file (diagnostics).
-func (m *Manager) PendingCount(file ids.FileID) int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return len(m.pending[file])
 }
 
 // RMs implements ecnp.Mapper: the resource list in ascending RM order.
@@ -476,22 +461,6 @@ func (m *Manager) RM(id ids.RMID) (ecnp.RMInfo, bool) {
 	return info, ok
 }
 
-// Version returns the mutation counter (diagnostics and cache validation).
-func (m *Manager) Version() uint64 {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.version
-}
-
-// FilesOn returns the files with a replica on rm, sorted by file ID.
-func (m *Manager) FilesOn(rm ids.RMID) []ids.FileID {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	fs := m.placement.FilesOn(rm)
-	sort.Slice(fs, func(i, j int) bool { return fs[i] < fs[j] })
-	return fs
-}
-
 // Files returns every file in the replica map, sorted by file ID — the
 // keyspace enumeration the shard handoff protocol walks.
 func (m *Manager) Files() []ids.FileID {
@@ -534,9 +503,6 @@ func (m *Manager) AdoptReplicas(file ids.FileID, holders []ids.RMID) (int, error
 			return added, fmt.Errorf("mm: adopting %v: %w", file, err)
 		}
 		added++
-	}
-	if added > 0 {
-		m.version++
 	}
 	return added, nil
 }

@@ -123,21 +123,6 @@ func TestAddRemoveReplica(t *testing.T) {
 	}
 }
 
-func TestVersionAdvances(t *testing.T) {
-	m := New()
-	v0 := m.Version()
-	m.RegisterRM(info(1), []ids.FileID{0})
-	if m.Version() == v0 {
-		t.Fatal("version did not advance on registration")
-	}
-	v1 := m.Version()
-	m.RegisterRM(info(2), nil)
-	m.AddReplica(0, 2)
-	if m.Version() <= v1 {
-		t.Fatal("version did not advance on AddReplica")
-	}
-}
-
 func TestNewWithPlacementIsDeepCopy(t *testing.T) {
 	p := catalog.NewPlacement()
 	p.Add(0, 1)

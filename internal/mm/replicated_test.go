@@ -33,7 +33,7 @@ func TestReplicatedWritesMirrorToOwners(t *testing.T) {
 			}
 		}
 		// Non-owners hold nothing: replication is R-way, not broadcast.
-		for s := 0; s < m.NumShards(); s++ {
+		for s := 0; s < len(m.members); s++ {
 			if !slices.Contains(owners, s) && len(m.Shard(s).Lookup(f)) != 0 {
 				t.Fatalf("non-owner shard %d holds %v", s, f)
 			}
@@ -99,7 +99,7 @@ func TestReplicatedKillShardFailsOver(t *testing.T) {
 			continue
 		}
 		liveCopies := 0
-		for s := 0; s < m.NumShards(); s++ {
+		for s := 0; s < len(m.members); s++ {
 			if m.Health().Alive(s) && len(m.Shard(s).Lookup(f)) > 0 {
 				liveCopies++
 			}

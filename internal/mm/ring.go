@@ -48,21 +48,6 @@ func NewRing(n int) *Ring {
 // Shards returns the shard count.
 func (r *Ring) Shards() int { return r.shards }
 
-// Owner returns the shard owning the given key (successor point on the
-// ring, wrapping at the top).
-func (r *Ring) Owner(key uint64) int {
-	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= key })
-	if i == len(r.points) {
-		i = 0
-	}
-	return r.points[i].shard
-}
-
-// OwnerOfFile routes a file ID.
-func (r *Ring) OwnerOfFile(file int64) int {
-	return r.Owner(mix64(uint64(file)))
-}
-
 // Successors returns the n distinct shards owning the given key in ring
 // order: the primary (the successor point, as Owner) followed by the next
 // distinct shards walking clockwise, wrapping at the top. n is clamped to
@@ -96,22 +81,6 @@ func (r *Ring) appendSuccessors(dst []int, key uint64, n int) []int {
 // SuccessorsOfFile routes a file ID to its replica set (see Successors).
 func (r *Ring) SuccessorsOfFile(file int64, n int) []int {
 	return r.Successors(mix64(uint64(file)), n)
-}
-
-// Order returns every shard exactly once in ring order — the order of
-// each shard's first point walking the ring from zero. Fan-out paths
-// iterate shards in this order so fault-injection runs are reproducible
-// under a fixed seed (map-order iteration is not).
-func (r *Ring) Order() []int {
-	out := make([]int, 0, r.shards)
-	seen := make(map[int]bool, r.shards)
-	for _, p := range r.points {
-		if !seen[p.shard] {
-			seen[p.shard] = true
-			out = append(out, p.shard)
-		}
-	}
-	return out
 }
 
 // hash64 is FNV-1a with a splitmix finalizer.

@@ -21,9 +21,6 @@ func TestRingSingleShardSuccessors(t *testing.T) {
 	if got := r.SuccessorsOfFile(1, 0); got != nil {
 		t.Fatalf("Successors with n=0 = %v, want nil", got)
 	}
-	if order := r.Order(); len(order) != 1 || order[0] != 0 {
-		t.Fatalf("Order() = %v, want [0]", order)
-	}
 }
 
 // TestRingRedistributionBound is the consistent-hashing contract: growing

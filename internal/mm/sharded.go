@@ -56,9 +56,6 @@ func NewShardedReplicated(n, r int) *ShardedManager {
 	return m
 }
 
-// NumShards returns the shard count.
-func (m *ShardedManager) NumShards() int { return len(m.members) }
-
 // Shard exposes one shard (diagnostics and tests).
 func (m *ShardedManager) Shard(i int) *Manager { return m.members[i].Manager }
 
@@ -275,17 +272,6 @@ func (m *ShardedManager) ReviveShard(i int) int {
 		healed += s.Heal(i)
 	}
 	return healed
-}
-
-// FilesOn merges the per-shard file lists of one RM (replicated mappings
-// appear once).
-func (m *ShardedManager) FilesOn(rm ids.RMID) []ids.FileID {
-	var out []ids.FileID
-	for _, s := range m.members {
-		out = append(out, s.Manager.FilesOn(rm)...)
-	}
-	slices.Sort(out)
-	return slices.Compact(out)
 }
 
 // Validate checks every live shard's replica-map invariants plus the

@@ -64,7 +64,7 @@ func TestShardedRegisterPartitionsFiles(t *testing.T) {
 	// Files are spread across shards, not piled on one.
 	nonEmpty := 0
 	total := 0
-	for i := 0; i < m.NumShards(); i++ {
+	for i := 0; i < len(m.members); i++ {
 		n := len(m.Shard(i).FilesOn(1))
 		total += n
 		if n > 0 {
@@ -78,7 +78,7 @@ func TestShardedRegisterPartitionsFiles(t *testing.T) {
 		t.Fatalf("only %d shards hold files; partitioning broken", nonEmpty)
 	}
 	// The resource list is replicated to every shard.
-	for i := 0; i < m.NumShards(); i++ {
+	for i := 0; i < len(m.members); i++ {
 		if len(m.Shard(i).RMs()) != 1 {
 			t.Fatalf("shard %d missing the RM registration", i)
 		}

@@ -206,13 +206,6 @@ func (h *ShardHealth) Epoch(i int) uint64 {
 	return h.epochs[i]
 }
 
-// LiveCount returns the number of currently-live shards.
-func (h *ShardHealth) LiveCount() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.liveCountLocked(h.now())
-}
-
 func (h *ShardHealth) liveCountLocked(now time.Time) int {
 	live := 0
 	for i := 0; i < h.n; i++ {

@@ -91,7 +91,7 @@ func TestRMsWithoutMatchesPerRMModel(t *testing.T) {
 					// Ids with gaps, registered in no particular order; one
 					// RM starts out holding every file but the last, which
 					// nobody holds.
-					for _, p := range src.Perm(nRMs) {
+					for _, p := range src.PermInto(make([]int, nRMs)) {
 						id := ids.RMID(2 + 3*p)
 						var files []ids.FileID
 						if p == 0 {

@@ -24,12 +24,12 @@ func refOrder(d DestStrategy, candidates []ecnp.RMInfo, src *rng.Source) []ids.R
 	out := make([]ids.RMID, 0, n)
 	switch d {
 	case DestRandom:
-		perm := src.Perm(n)
+		perm := src.PermInto(make([]int, n))
 		for _, i := range perm {
 			out = append(out, candidates[i].ID)
 		}
 	case DestLBF:
-		idx := src.Perm(n) // random tie-break baseline
+		idx := src.PermInto(make([]int, n)) // random tie-break baseline
 		sort.SliceStable(idx, func(a, b int) bool {
 			return candidates[idx[a]].Capacity > candidates[idx[b]].Capacity
 		})
@@ -156,7 +156,7 @@ func TestOrderMatchesRecordForm(t *testing.T) {
 						infos := make([]ecnp.RMInfo, n)
 						cands := make([]ids.RMID, n)
 						caps := make(map[ids.RMID]units.BytesPerSec, n)
-						for i, p := range gen.Perm(n) { // ids in no particular order
+						for i, p := range gen.PermInto(make([]int, n)) { // ids in no particular order
 							id := ids.RMID(1 + 3*p)
 							infos[i] = ecnp.RMInfo{ID: id, Capacity: shape.of(i, gen)}
 							cands[i], caps[id] = id, infos[i].Capacity
@@ -216,7 +216,7 @@ func TestBusiestCoveringInPlaceMatchesCopying(t *testing.T) {
 		gen := rng.New(seed)
 		n := gen.Intn(60)
 		counts := make([]FileCount, n)
-		for i, p := range gen.Perm(n) {
+		for i, p := range gen.PermInto(make([]int, n)) {
 			counts[i] = FileCount{File: ids.FileID(p), Count: int64(gen.Intn(4))} // 0..3: mostly ties, some zero
 		}
 		for _, coverage := range []float64{0, 0.01, 0.5, 0.8, 1} {
@@ -262,7 +262,7 @@ func TestBusiestCoveringMatchesSortedForm(t *testing.T) {
 			for seed := uint64(0); seed < 8; seed++ {
 				gen := rng.New(seed ^ uint64(n)<<8)
 				counts := make([]FileCount, n)
-				for i, p := range gen.Perm(n) { // files in no particular order
+				for i, p := range gen.PermInto(make([]int, n)) { // files in no particular order
 					counts[i] = FileCount{File: ids.FileID(p), Count: shape.of(i, gen)}
 				}
 				for _, coverage := range []float64{1e-9, 0.5, 0.8, 1} {

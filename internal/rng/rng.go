@@ -131,13 +131,8 @@ func (s *Source) Shuffle(n int, swap func(i, j int)) {
 	}
 }
 
-// Perm returns a pseudo-random permutation of [0, n).
-func (s *Source) Perm(n int) []int {
-	return s.PermInto(make([]int, n))
-}
-
 // PermInto overwrites buf with a pseudo-random permutation of
-// [0, len(buf)) and returns it: Perm for a caller that keeps the slice.
+// [0, len(buf)) and returns it.
 // It is Shuffle's Fisher-Yates written out on buf, so it makes the draws
 // Shuffle(len(buf), ...) makes: Intn(i+1) for i = len(buf)-1 down to 1.
 func (s *Source) PermInto(buf []int) []int {
@@ -204,9 +199,6 @@ func NewZipf(src *Source, n int, skew float64) *Zipf {
 	cdf[n-1] = 1 // guard against rounding
 	return &Zipf{src: src, cdf: cdf}
 }
-
-// N returns the number of ranks.
-func (z *Zipf) N() int { return len(z.cdf) }
 
 // P returns the probability mass of rank k.
 func (z *Zipf) P(k int) float64 {

@@ -95,8 +95,6 @@ type TenantSpec struct {
 	// BandwidthMbps caps the tenant's concurrently reserved bandwidth
 	// on each RM, in Mbps (0: unlimited).
 	BandwidthMbps float64 `json:"bandwidth_mbps,omitempty"`
-	// BytesGB caps the tenant's stored bytes on each RM (0: unlimited).
-	BytesGB float64 `json:"bytes_gb,omitempty"`
 	// Weight is the fair-share weight consumed by the selection
 	// policy's δ term (0: tenant.DefaultWeight).
 	Weight float64 `json:"weight,omitempty"`
@@ -127,8 +125,6 @@ type Spec struct {
 	ShortHorizonSec float64 `json:"short_horizon_sec,omitempty"`
 	// Files sizes the catalog (0: the paper's 1000).
 	Files int `json:"files,omitempty"`
-	// CatalogSkew overrides the catalog's generation-time Zipf skew.
-	CatalogSkew float64 `json:"catalog_skew,omitempty"`
 	// MeanDurationSec/MinDurationSec/MaxDurationSec override the
 	// catalog's video durations (0: paper defaults). Population sizing
 	// hangs off these: aggregate demand is
@@ -347,9 +343,6 @@ func Run(spec Spec, opts Options) (*Result, error) {
 	if spec.Files > 0 {
 		cfg.Catalog.NumFiles = spec.Files
 	}
-	if spec.CatalogSkew > 0 {
-		cfg.Catalog.ZipfSkew = spec.CatalogSkew
-	}
 	if spec.MeanDurationSec > 0 {
 		cfg.Catalog.MeanDurationSec = spec.MeanDurationSec
 	}
@@ -390,9 +383,6 @@ func Run(spec Spec, opts Options) (*Result, error) {
 			q := tenant.Unlimited
 			if ts.BandwidthMbps > 0 {
 				q.Bandwidth = units.Mbps(ts.BandwidthMbps)
-			}
-			if ts.BytesGB > 0 {
-				q.Bytes = int64(ts.BytesGB * float64(units.GB))
 			}
 			if ts.Weight > 0 {
 				q.Weight = ts.Weight

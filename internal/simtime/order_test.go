@@ -561,8 +561,8 @@ func TestCancelAnywhereInADeepQueue(t *testing.T) {
 		}
 	}
 	for i, r := range all {
-		if canceled := i%3 == 0 || i > 280; r.e.Canceled() != canceled || r.e.At() != r.at {
-			t.Fatalf("event %d: canceled %v at %v", i, r.e.Canceled(), r.e.At())
+		if canceled := i%3 == 0 || i > 280; r.e.canceled != canceled || r.e.at != r.at {
+			t.Fatalf("event %d: canceled %v at %v", i, r.e.canceled, r.e.at)
 		}
 	}
 }

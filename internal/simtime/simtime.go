@@ -54,12 +54,6 @@ type Event struct {
 	canceled bool
 }
 
-// At returns the event's scheduled firing time.
-func (e *Event) At() Time { return e.at }
-
-// Canceled reports whether Cancel was called before the event fired.
-func (e *Event) Canceled() bool { return e.canceled }
-
 // entry is one queue slot. The ordering key sits in the slot itself, so a
 // sift compares values it already has in cache and only touches an Event to
 // record where it moved.
@@ -112,10 +106,6 @@ func (s *Scheduler) Now() Time { return s.now }
 
 // Fired returns how many events have fired so far (diagnostic).
 func (s *Scheduler) Fired() uint64 { return s.fired }
-
-// Pending returns the number of events still to fire: queued events plus
-// the part of the feed not yet reached.
-func (s *Scheduler) Pending() int { return len(s.queue) + len(s.feedAt) - s.feedNext }
 
 // Schedule registers fn to fire at time at. Scheduling in the past panics:
 // it is always a logic error in a DES and silently clamping would corrupt
@@ -253,10 +243,6 @@ func (s *Scheduler) Run() {
 	}
 }
 
-// Halt stops Run/RunUntil after the current event callback returns.
-// Pending events stay pending.
-func (s *Scheduler) Halt() { s.halted = true }
-
 // remove takes the entry at index i out of the queue: the last entry fills
 // the hole and sinks or rises to its place.
 func (s *Scheduler) remove(i int) {
@@ -348,13 +334,4 @@ func (t *Ticker) tick(now Time) {
 	if !t.stopped {
 		t.event = t.s.Schedule(now.Add(t.period), t.tick)
 	}
-}
-
-// Stop cancels future ticks.
-func (t *Ticker) Stop() {
-	if t.stopped {
-		return
-	}
-	t.stopped = true
-	t.s.Cancel(t.event)
 }

@@ -96,7 +96,7 @@ func TestCancel(t *testing.T) {
 	if fired {
 		t.Fatal("canceled event fired")
 	}
-	if !e.Canceled() {
+	if !e.canceled {
 		t.Fatal("Canceled() false after Cancel")
 	}
 }

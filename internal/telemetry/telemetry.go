@@ -153,13 +153,6 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 // Sum returns the sum of all observed values (Sum/Count is the mean).
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 
-// BucketCount returns the raw (non-cumulative) count of bucket i, where
-// i == len(bounds) addresses the +Inf overflow bucket. Exposed for tests.
-func (h *Histogram) BucketCount(i int) uint64 { return h.buckets[i].Load() }
-
-// NumBuckets returns the bucket count including the +Inf bucket.
-func (h *Histogram) NumBuckets() int { return len(h.buckets) }
-
 // Quantile estimates the q-quantile (q in [0, 1]) of the observed values
 // by linear interpolation inside the bucket containing the target rank —
 // the same estimate Prometheus's histogram_quantile computes from this
@@ -341,20 +334,6 @@ type Registry struct {
 // NewRegistry builds an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{families: make(map[string]*family)}
-}
-
-// Names returns every registered family name in registration order.
-// Nil registries return nil. Used by the docs-consistency check to
-// enumerate the full metric surface.
-func (r *Registry) Names() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, len(r.order))
-	copy(out, r.order)
-	return out
 }
 
 // validName matches the Prometheus metric/label name charset.

@@ -47,7 +47,7 @@ func TestHistogramBucketEdges(t *testing.T) {
 
 	wantBuckets := []uint64{2, 0, 1, 3} // raw per-bucket, last is +Inf
 	for i, want := range wantBuckets {
-		if got := h.BucketCount(i); got != want {
+		if got := h.buckets[i].Load(); got != want {
 			t.Errorf("bucket[%d] = %d, want %d", i, got, want)
 		}
 	}

@@ -143,19 +143,6 @@ func (l *Ledger) acct(t ids.TenantID) *acct {
 	return a
 }
 
-// Quota returns the tenant's declared quota (Unlimited when never Set).
-func (l *Ledger) Quota(t ids.TenantID) Quota {
-	if l == nil || !t.Valid() {
-		return Unlimited
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if a := l.accts[t]; a != nil {
-		return a.quota
-	}
-	return Unlimited
-}
-
 // ReserveBandwidth atomically charges rate against the tenant's
 // bandwidth quota, refusing with *OverQuotaError when the reservation
 // would exceed the cap. Untenanted requests (invalid t) and nil ledgers

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"context"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -251,17 +252,14 @@ func TestTelemetryCounters(t *testing.T) {
 	s := tr.StartRoot(1, "op")
 	s.End()
 	tr.StartRoot(2, "op") // started but never ended
-	var started, ended bool
-	for _, n := range reg.Names() {
-		switch n {
-		case "dfsqos_trace_spans_started_total":
-			started = true
-		case "dfsqos_trace_spans_total":
-			ended = true
-		}
+	var text strings.Builder
+	if err := reg.WritePrometheus(&text); err != nil {
+		t.Fatal(err)
 	}
+	started := strings.Contains(text.String(), "# TYPE dfsqos_trace_spans_started_total ")
+	ended := strings.Contains(text.String(), "# TYPE dfsqos_trace_spans_total ")
 	if !started || !ended {
-		t.Fatalf("trace counters not registered: started=%v ended=%v names=%v", started, ended, reg.Names())
+		t.Fatalf("trace counters not registered: started=%v ended=%v\n%s", started, ended, text.String())
 	}
 }
 

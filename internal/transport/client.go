@@ -189,17 +189,6 @@ func Dial(addr string, cfg Config) (*Client, error) {
 // Addr returns the peer address.
 func (c *Client) Addr() string { return c.addr }
 
-// Config returns the effective (default-filled) configuration.
-func (c *Client) Config() Config { return c.cfg }
-
-// FailureCount returns the consecutive dial-failure count (diagnostics
-// and backoff tests).
-func (c *Client) FailureCount() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.fails
-}
-
 // Get checks a connection out of the pool, health-checking pooled ones
 // and dialing a fresh one (backoff-gated) when none survive. The caller
 // must return it with Put. Get respects ctx for both the backoff wait and
@@ -371,13 +360,6 @@ func (c *Client) Call(ctx context.Context, kind wire.Kind, payload any) (wire.Ms
 	c.cfg.Metrics.CallLatency.Observe(time.Since(start).Seconds())
 	c.cfg.Metrics.countError(err)
 	return msg, err
-}
-
-// IdleConns returns the current pooled-connection count (tests).
-func (c *Client) IdleConns() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.idle)
 }
 
 // Close closes every pooled connection and rejects future checkouts.

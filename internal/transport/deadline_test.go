@@ -224,7 +224,7 @@ func TestNegativeCallTimeoutDisablesBound(t *testing.T) {
 	defer s.close()
 	c := NewClient(s.addr(), Config{CallTimeout: -1})
 	defer c.Close()
-	if got := c.Config().CallTimeout; got != 0 {
+	if got := c.cfg.CallTimeout; got != 0 {
 		t.Fatalf("effective CallTimeout = %v, want 0 (disabled)", got)
 	}
 	start := time.Now()
@@ -305,7 +305,7 @@ func TestCancelRacingReplyLeavesConnHealthy(t *testing.T) {
 			t.Fatalf("round %d: checkout: %v", i, err)
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), timeout)
-		_, err = conn.W.CallContext(ctx, wire.KindRMs, nil)
+		_, err = conn.W.CallDeadline(ctx, time.Time{}, wire.KindRMs, nil)
 		cancel()
 		if err != nil {
 			c.Put(conn, Classify("call", c.Addr(), err))

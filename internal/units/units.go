@@ -45,12 +45,6 @@ func Kbps(v float64) BytesPerSec { return BytesPerSec(v * 1e3 / 8) }
 // MBps converts megabytes per second to BytesPerSec.
 func MBps(v float64) BytesPerSec { return BytesPerSec(v * 1e6) }
 
-// ToMbps reports the rate in megabits per second.
-func (b BytesPerSec) ToMbps() float64 { return float64(b) * 8 / 1e6 }
-
-// ToMBps reports the rate in megabytes per second.
-func (b BytesPerSec) ToMBps() float64 { return float64(b) / 1e6 }
-
 // IsZero reports whether the rate is exactly zero.
 func (b BytesPerSec) IsZero() bool { return b == 0 }
 

@@ -13,7 +13,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -139,17 +138,6 @@ func (f *file) unpin() {
 	}
 }
 
-// Write stores a private copy of data under name, charging the write
-// throttle; the caller may reuse its buffer afterwards.
-func (d *Disk) Write(ctx context.Context, name string, data []byte) error {
-	if err := d.ctrl.Wait(ctx, d.group, blkio.Write, len(data)); err != nil {
-		return err
-	}
-	c := NewContent(int64(len(data)))
-	c.Write(data) // cannot overrun: c was made for exactly these bytes
-	return d.WriteRaw(name, c)
-}
-
 // blockSize is the unit a written file is stored in. A block is allocated
 // only once the bytes before it have filled its predecessor, so receiving
 // a file holds at most one block more than the bytes that have arrived,
@@ -262,20 +250,6 @@ func (c *Content) checksum() uint64 {
 	return sum
 }
 
-// Delete removes a file, reclaiming its space.
-func (d *Disk) Delete(name string) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	f, ok := d.files[name]
-	if !ok {
-		return fmt.Errorf("vdisk: %q not found", name)
-	}
-	d.used -= f.size
-	delete(d.files, name)
-	f.unpin()
-	return nil
-}
-
 // Stat returns a file's size.
 func (d *Disk) Stat(name string) (units.Size, error) {
 	d.mu.RLock()
@@ -285,25 +259,6 @@ func (d *Disk) Stat(name string) (units.Size, error) {
 		return 0, fmt.Errorf("vdisk: %q not found", name)
 	}
 	return f.size, nil
-}
-
-// List returns the stored file names in sorted order.
-func (d *Disk) List() []string {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	out := make([]string, 0, len(d.files))
-	for name := range d.files {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// ReadAt reads len(p) bytes from the file at offset off through the read
-// throttle. It returns io.EOF at or past the end of the file, matching the
-// io.ReaderAt contract.
-func (d *Disk) ReadAt(ctx context.Context, name string, p []byte, off int64) (int, error) {
-	return d.ReadAtGroup(ctx, d.group, name, p, off)
 }
 
 // ReadAtGroup is ReadAt charging the given blkio group instead of the
@@ -354,40 +309,6 @@ func (d *Disk) readAt(ctx context.Context, g *blkio.Group, name string, p []byte
 	if off+int64(n) == int64(f.size) {
 		err = io.EOF
 	}
-	return n, err
-}
-
-// Reader returns an io.Reader streaming the file through the throttle in
-// chunkSize pieces.
-func (d *Disk) Reader(ctx context.Context, name string, chunkSize int) (io.Reader, units.Size, error) {
-	size, err := d.Stat(name)
-	if err != nil {
-		return nil, 0, err
-	}
-	if chunkSize <= 0 {
-		chunkSize = 64 * 1024
-	}
-	return &reader{d: d, ctx: ctx, name: name, chunk: chunkSize, size: int64(size)}, size, nil
-}
-
-type reader struct {
-	d     *Disk
-	ctx   context.Context
-	name  string
-	chunk int
-	off   int64
-	size  int64
-}
-
-func (r *reader) Read(p []byte) (int, error) {
-	if r.off >= r.size {
-		return 0, io.EOF
-	}
-	if len(p) > r.chunk {
-		p = p[:r.chunk]
-	}
-	n, err := r.d.ReadAt(r.ctx, r.name, p, r.off)
-	r.off += int64(n)
 	return n, err
 }
 
@@ -463,12 +384,6 @@ func (d *Disk) Checksum(name string) (uint64, error) {
 	}
 	d.mu.Unlock()
 	return sum, nil
-}
-
-// ChecksumBytes folds a byte slice through the same checksum (CRC-32C,
-// see Checksum), for verifying transferred contents against Checksum.
-func ChecksumBytes(data []byte) uint64 {
-	return wire.ChecksumUpdate(wire.ChecksumBasis, data)
 }
 
 // seedOf hashes a file name into a content seed.

@@ -196,7 +196,7 @@ func TestReaderStreamsWholeFile(t *testing.T) {
 		t.Fatalf("streamed %d bytes, want %d", len(data), size)
 	}
 	want, _ := d.Checksum("a")
-	if got := ChecksumBytes(data); got != want {
+	if got := checksumBytes(data); got != want {
 		t.Fatalf("checksum mismatch: %x vs %x", got, want)
 	}
 }
@@ -373,7 +373,7 @@ func TestSynthesizedChecksumGolden(t *testing.T) {
 	if n, err := d.ReadAtRaw("golden.bin", served, 0); n != size || err != io.EOF {
 		t.Fatalf("ReadAtRaw = (%d, %v)", n, err)
 	}
-	if got := ChecksumBytes(served); got != sum {
+	if got := checksumBytes(served); got != sum {
 		t.Fatalf("fold of the served bytes %#x, Checksum %#x", got, sum)
 	}
 }
@@ -505,7 +505,7 @@ func (c contiguous) readAt(p []byte, off int64) (int, error) {
 	return n, nil
 }
 
-func (c contiguous) checksum() uint64 { return ChecksumBytes(c) }
+func (c contiguous) checksum() uint64 { return checksumBytes(c) }
 
 // span is one read of a stored file: p's length at offset off.
 type span struct {
@@ -687,7 +687,7 @@ func TestReplacedBlocksWaitForTheirReaders(t *testing.T) {
 		}
 	}
 	for v := 0; v < versions; v++ {
-		sums[ChecksumBytes(bytes.Repeat([]byte{byte(v)}, size))] = true
+		sums[checksumBytes(bytes.Repeat([]byte{byte(v)}, size))] = true
 	}
 	store(0)
 
@@ -719,4 +719,10 @@ func TestReplacedBlocksWaitForTheirReaders(t *testing.T) {
 	}
 	done.Store(true)
 	wg.Wait()
+}
+
+// checksumBytes folds a byte slice through the disk's checksum, for
+// verifying contents against Checksum.
+func checksumBytes(data []byte) uint64 {
+	return wire.ChecksumUpdate(wire.ChecksumBasis, data)
 }

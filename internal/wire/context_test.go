@@ -30,7 +30,7 @@ func TestCallContextDeadlineUnblocksStalledRead(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := wc.CallContext(ctx, KindRMs, nil)
+	_, err := wc.CallDeadline(ctx, time.Time{}, KindRMs, nil)
 	elapsed := time.Since(start)
 	if err == nil {
 		t.Fatal("call against a silent peer succeeded")
@@ -65,7 +65,7 @@ func TestCallContextCancelUnblocksStalledRead(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, err := wc.CallContext(ctx, KindRMs, nil)
+	_, err := wc.CallDeadline(ctx, time.Time{}, KindRMs, nil)
 	if err == nil {
 		t.Fatal("canceled call succeeded")
 	}
@@ -101,7 +101,7 @@ func TestCallContextPlainSuccess(t *testing.T) {
 	// Two calls through the same conn: the first must not leave a stale
 	// deadline that kills the second.
 	for i := 0; i < 2; i++ {
-		reply, err := wc.CallContext(ctx, KindRMs, nil)
+		reply, err := wc.CallDeadline(ctx, time.Time{}, KindRMs, nil)
 		if err != nil {
 			t.Fatalf("call %d: %v", i, err)
 		}
@@ -133,6 +133,18 @@ func TestCallRemoteErrorIsTyped(t *testing.T) {
 	}
 	if re.Text != "boom" {
 		t.Fatalf("RemoteError.Text = %q", re.Text)
+	}
+}
+
+// TestServedErrorDecodesPayload: a KindError frame serves its text, and
+// one whose payload is no Error serves the one fallback text every reader
+// of replies and streams reports.
+func TestServedErrorDecodesPayload(t *testing.T) {
+	if got := ServedError(Msg{Kind: KindError, Payload: Error{Text: "boom"}}); got.Text != "boom" {
+		t.Fatalf("served text %q, want boom", got.Text)
+	}
+	if got := ServedError(Msg{Kind: KindError, Payload: Ack{}}); got.Text != "malformed error payload" {
+		t.Fatalf("served text %q for a non-Error payload", got.Text)
 	}
 }
 
@@ -214,7 +226,7 @@ func TestCallDeadlineEarlierBoundWins(t *testing.T) {
 func TestCallClearsWhatAnEarlierUserLeftArmed(t *testing.T) {
 	wc, cli := ackPipe(t)
 	cli.SetDeadline(time.Now().Add(-time.Second))
-	if _, err := wc.CallContext(context.Background(), KindRMs, nil); err != nil {
+	if _, err := wc.CallDeadline(context.Background(), time.Time{}, KindRMs, nil); err != nil {
 		t.Fatalf("call on a stream with a stale deadline: %v", err)
 	}
 	if _, err := wc.CallDeadline(context.Background(), time.Now().Add(50*time.Millisecond), KindRMs, nil); err != nil {
@@ -238,7 +250,7 @@ func TestCancelAfterReturnCannotTouchTheStream(t *testing.T) {
 		// The cancellation races the reply: sometimes before the return
 		// path, sometimes after it.
 		go cancel()
-		if _, err := wc.CallContext(ctx, KindRMs, nil); err != nil {
+		if _, err := wc.CallDeadline(ctx, time.Time{}, KindRMs, nil); err != nil {
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("round %d: %v", i, err)
 			}

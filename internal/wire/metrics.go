@@ -38,10 +38,3 @@ func newCodecCounters(reg *telemetry.Registry) *codecCounters {
 func RegisterCodecMetrics(reg *telemetry.Registry) {
 	codecMet.Store(newCodecCounters(reg))
 }
-
-// CodecStats snapshots the process-wide frame counters (tests and
-// diagnostics).
-func CodecStats() (tx, rx uint64) {
-	m := codecMet.Load()
-	return m.tx.Value(), m.rx.Value()
-}

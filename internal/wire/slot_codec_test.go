@@ -7,6 +7,7 @@ import (
 	"net"
 	"strings"
 	"testing"
+	"time"
 
 	"dfsqos/internal/ecnp"
 	"dfsqos/internal/ids"
@@ -202,7 +203,7 @@ func TestMixedTracedUntracedInterleave(t *testing.T) {
 		if err := c.WriteTraced(tc, kind, payload); err != nil {
 			t.Fatal(err)
 		}
-		wants = append(wants, want{c.Tenant(), tc})
+		wants = append(wants, want{c.tenantID(), tc})
 	}
 	send(trace.SpanContext{}, KindFileEnd, FileEnd{Size: 1})
 	send(testTC, KindFileEnd, FileEnd{Size: 2}) // trace slot
@@ -243,7 +244,7 @@ func TestCallContextPropagatesSpanContext(t *testing.T) {
 	}()
 	ctx := trace.NewContext(context.Background(), testTC)
 	cc := NewConn(cli)
-	if _, err := cc.CallContext(ctx, KindKeepalive, Keepalive{Request: 1}); err != nil {
+	if _, err := cc.CallDeadline(ctx, time.Time{}, KindKeepalive, Keepalive{Request: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if tc := <-got; tc != testTC {

@@ -392,6 +392,16 @@ type RemoteError struct {
 // for log readability only; programmatic classification must use errors.As.
 func (e RemoteError) Error() string { return "wire: remote error: " + e.Text }
 
+// ServedError decodes a KindError frame into the RemoteError it serves:
+// the peer's text, or "malformed error payload" when the frame carries no
+// Error. Every reader of a reply or a stream decodes served errors here.
+func ServedError(m Msg) RemoteError {
+	if e, ok := m.Payload.(Error); ok {
+		return RemoteError{Text: e.Text}
+	}
+	return RemoteError{Text: "malformed error payload"}
+}
+
 // FrameTooLargeError reports a frame-size cap violation: an outgoing
 // message that encoded past MaxFrame, or an incoming header announcing a
 // body past the cap (a malformed or hostile peer). Match it with
@@ -468,9 +478,6 @@ func NewConn(rw io.ReadWriter) *Conn { return &Conn{rw: rw} }
 // on, in the tenant slot. ids.NoneTenant (the default) restores
 // untenanted framing. Safe to call concurrently with traffic.
 func (c *Conn) SetTenant(t ids.TenantID) { c.tenant.Store(int32(t)) }
-
-// Tenant returns the identity stamped by SetTenant.
-func (c *Conn) Tenant() ids.TenantID { return c.tenantID() }
 
 // tenantID loads the stamped tenant (the write paths' per-frame check).
 func (c *Conn) tenantID() ids.TenantID { return ids.TenantID(c.tenant.Load()) }
@@ -748,23 +755,14 @@ func (c *Conn) CallTraced(tc trace.SpanContext, kind Kind, payload any) (Msg, er
 		return Msg{}, err
 	}
 	if reply.Kind == KindError {
-		if e, ok := reply.Payload.(Error); ok {
-			return Msg{}, RemoteError{Text: e.Text}
-		}
-		return Msg{}, RemoteError{Text: "malformed error payload"}
+		return Msg{}, ServedError(reply)
 	}
 	return reply, nil
 }
 
-// CallContext is Call bounded by ctx: CallDeadline with no bound beside
-// the context's own.
-func (c *Conn) CallContext(ctx context.Context, kind Kind, payload any) (Msg, error) {
-	return c.CallDeadline(ctx, time.Time{}, kind, payload)
-}
-
 // CallDeadline is Call bounded by ctx and by an absolute deadline (zero:
-// none) — the one bounded round trip, under CallContext and under every
-// transport.Client.Call. The earlier of deadline and ctx's own is armed on
+// none) — the one bounded round trip, under every transport.Client.Call.
+// The earlier of deadline and ctx's own is armed on
 // the stream once, at the start, so a stalled or unreachable peer cannot
 // block the caller past it; a call with neither clears instead, so nothing
 // an earlier user of the connection left armed can reach this one. Only a

@@ -237,12 +237,3 @@ func (p *Pattern) Validate() error {
 	}
 	return nil
 }
-
-// FileCounts returns how many requests target each file (popularity audit).
-func (p *Pattern) FileCounts() map[ids.FileID]int {
-	out := make(map[ids.FileID]int)
-	for _, r := range p.Requests {
-		out[r.File]++
-	}
-	return out
-}
