@@ -82,6 +82,9 @@ type Outcome struct {
 	RM ids.RMID
 	// OK reports whether the access was admitted.
 	OK bool
+	// Code is the RM refusal behind a failure (the last one when every
+	// replica refused), or zero when no RM refused.
+	Code ecnp.Refusal
 	// Reason is a short diagnostic when OK is false.
 	Reason string
 }
@@ -545,6 +548,7 @@ func (c *Client) negotiateLanes(ctx context.Context, file ids.FileID, exclude ma
 	// opens under its own request ID (the first reuses the negotiation's,
 	// so 1-wide callers see today's exact request identity).
 	var grants []grant
+	var last ecnp.Refusal // the latest refusal, for the firm-exhausted outcome
 	for _, rmID := range order {
 		if len(grants) == k {
 			break
@@ -577,6 +581,7 @@ func (c *Client) negotiateLanes(ctx context.Context, file ids.FileID, exclude ma
 		c.addMessages(2) // open + result
 		if !res.OK {
 			openSp.SetOutcome("rejected").End()
+			last = res.Code
 			if firm {
 				c.met.Fallbacks.Inc()
 				continue
@@ -586,15 +591,15 @@ func (c *Client) negotiateLanes(ctx context.Context, file ids.FileID, exclude ma
 				// the widening but the admitted lanes stand.
 				break
 			}
-			// A soft open can only fail on a duplicate request id, which
-			// indicates a bug upstream.
+			// A soft open fails on a tenant quota, a duplicate request id
+			// (a bug upstream) or a live transport failure; Code tells which.
 			c.mu.Lock()
 			c.stats.Failed++
 			c.mu.Unlock()
 			c.met.Failed.Inc()
 			c.dropLease(file, fromLease)
 			sp.SetOutcome("error")
-			return nil, Outcome{Request: req, File: file, RM: rmID, OK: false, Reason: res.Reason}
+			return nil, Outcome{Request: req, File: file, RM: rmID, OK: false, Code: res.Code, Reason: res.Reason}
 		}
 		openSp.SetOutcome("admitted").End()
 		c.met.Admitted.Inc()
@@ -622,7 +627,7 @@ func (c *Client) negotiateLanes(ctx context.Context, file ids.FileID, exclude ma
 	c.met.Failed.Inc()
 	c.dropLease(file, fromLease)
 	sp.SetOutcome("firm-exhausted")
-	return nil, Outcome{Request: req, File: file, RM: ids.NoneRM, OK: false, Reason: "insufficient bandwidth on all replicas"}
+	return nil, Outcome{Request: req, File: file, RM: ids.NoneRM, OK: false, Code: last, Reason: "insufficient bandwidth on all replicas"}
 }
 
 // lookupHolders runs the non-broadcast half of phase 1: the metadata

@@ -16,6 +16,7 @@ import (
 	"dfsqos/internal/telemetry"
 	"dfsqos/internal/transport"
 	"dfsqos/internal/units"
+	"dfsqos/internal/wire"
 )
 
 func TestMetaCacheTTLAndInvalidate(t *testing.T) {
@@ -175,7 +176,7 @@ func TestLookupErrorTaxonomy(t *testing.T) {
 		class string
 		err   error
 	}{
-		{"remote", transport.RemoteError{Text: "mm: not a shard-group member"}},
+		{"remote", wire.RemoteError{Text: "mm: not a shard-group member"}},
 		{"timeout", &transport.TimeoutError{Op: "call Lookup", Peer: "x", Err: context.DeadlineExceeded}},
 		{"conn", &transport.ConnError{Op: "call Lookup", Peer: "x", Err: errors.New("reset")}},
 		{"other", errors.New("unclassified")},

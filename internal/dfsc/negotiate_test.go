@@ -23,8 +23,8 @@ import (
 type scriptProvider struct {
 	id     ids.RMID
 	rem    units.BytesPerSec
-	holds  bool // HasReplica in the bid
-	refuse bool // Open answers OK=false
+	holds  bool         // HasReplica in the bid
+	refuse ecnp.Refusal // nonzero: Open refuses with it
 	// ceil > 0 advertises an oversubscription ceiling; the bid's assured
 	// headroom is then zero, so a winner rides the oversubscribed part.
 	ceil  units.BytesPerSec
@@ -61,8 +61,8 @@ func (p *scriptProvider) HandleCFP(cfp ecnp.CFP) selection.Bid {
 
 func (p *scriptProvider) Open(ecnp.OpenRequest) ecnp.OpenResult {
 	p.log.opens = append(p.log.opens, p.id)
-	if p.refuse {
-		return ecnp.OpenResult{Reason: "scripted refusal"}
+	if p.refuse != 0 {
+		return ecnp.OpenResult{Code: p.refuse, Reason: p.refuse.Error()}
 	}
 	return ecnp.OpenResult{OK: true}
 }
@@ -97,6 +97,7 @@ func (m listMapper) RMs() []ecnp.RMInfo {
 // against the map-based bid collection and must hold for any other.
 func TestNegotiationTable(t *testing.T) {
 	mbps := units.Mbps
+	const firmCap, overQuota = ecnp.ErrFirmCapacity, ecnp.ErrTenantBandwidth
 	cases := []struct {
 		name      string
 		holders   []ids.RMID // the MM's answer
@@ -112,6 +113,7 @@ func TestNegotiationTable(t *testing.T) {
 		wantOpens  []ids.RMID // in call order
 		wantRMs    []ids.RMID // admitted lanes in grant order; nil = refused
 		wantReason string
+		wantCode   ecnp.Refusal // of the failure outcome
 		wantStats  Stats
 		wantStalls uint64
 	}{
@@ -151,7 +153,7 @@ func TestNegotiationTable(t *testing.T) {
 			name:    "firm falls through to the second-ranked bidder",
 			holders: []ids.RMID{1, 2, 3},
 			providers: []scriptProvider{
-				{id: 1, rem: mbps(20)}, {id: 2, rem: mbps(30), refuse: true}, {id: 3, rem: mbps(10)}},
+				{id: 1, rem: mbps(20)}, {id: 2, rem: mbps(30), refuse: firmCap}, {id: 3, rem: mbps(10)}},
 			policy: selection.RemOnly, scenario: qos.Firm, lanes: 1,
 			wantCFPs: []ids.RMID{1, 2, 3}, wantOpens: []ids.RMID{2, 1}, wantRMs: []ids.RMID{1},
 			wantStats: Stats{Requests: 1, Messages: 2 + 2*3 + 2*2},
@@ -160,7 +162,7 @@ func TestNegotiationTable(t *testing.T) {
 			name:    "firm falls through to the third-ranked bidder, which is oversubscribed",
 			holders: []ids.RMID{1, 2, 3},
 			providers: []scriptProvider{
-				{id: 1, rem: mbps(20), refuse: true}, {id: 2, rem: mbps(30), refuse: true},
+				{id: 1, rem: mbps(20), refuse: firmCap}, {id: 2, rem: mbps(30), refuse: firmCap},
 				{id: 3, rem: mbps(10), ceil: mbps(40)}},
 			policy: selection.RemOnly, scenario: qos.Firm, lanes: 1,
 			wantCFPs: []ids.RMID{1, 2, 3}, wantOpens: []ids.RMID{2, 1, 3}, wantRMs: []ids.RMID{3},
@@ -170,17 +172,29 @@ func TestNegotiationTable(t *testing.T) {
 			name:    "firm refused by every bidder",
 			holders: []ids.RMID{3, 1, 2},
 			providers: []scriptProvider{
-				{id: 1, rem: mbps(20), refuse: true}, {id: 2, rem: mbps(30), refuse: true}, {id: 3, rem: mbps(10), refuse: true}},
+				{id: 1, rem: mbps(20), refuse: firmCap}, {id: 2, rem: mbps(30), refuse: firmCap}, {id: 3, rem: mbps(10), refuse: firmCap}},
 			policy: selection.RemOnly, scenario: qos.Firm, lanes: 1,
 			wantCFPs: []ids.RMID{1, 2, 3}, wantOpens: []ids.RMID{2, 1, 3},
-			wantReason: "insufficient bandwidth on all replicas",
-			wantStats:  Stats{Requests: 1, Failed: 1, Messages: 2 + 2*3 + 2*3},
+			wantReason: "insufficient bandwidth on all replicas", wantCode: firmCap,
+			wantStats: Stats{Requests: 1, Failed: 1, Messages: 2 + 2*3 + 2*3},
+		},
+		{
+			// The text is the firm walk's; the code says it was the
+			// tenant's quota, not the disks, that every holder refused.
+			name:    "firm refused by every holder for the tenant's quota",
+			holders: []ids.RMID{1, 2},
+			providers: []scriptProvider{
+				{id: 1, rem: mbps(20), refuse: overQuota}, {id: 2, rem: mbps(30), refuse: overQuota}},
+			policy: selection.RemOnly, scenario: qos.Firm, lanes: 1,
+			wantCFPs: []ids.RMID{1, 2}, wantOpens: []ids.RMID{2, 1},
+			wantReason: "insufficient bandwidth on all replicas", wantCode: overQuota,
+			wantStats: Stats{Requests: 1, Failed: 1, Messages: 2 + 2*2 + 2*2},
 		},
 		{
 			name:    "equal scores keep candidate order",
 			holders: []ids.RMID{3, 1, 2},
 			providers: []scriptProvider{
-				{id: 1, rem: mbps(20), refuse: true}, {id: 2, rem: mbps(20)}, {id: 3, rem: mbps(20), refuse: true}},
+				{id: 1, rem: mbps(20), refuse: firmCap}, {id: 2, rem: mbps(20)}, {id: 3, rem: mbps(20), refuse: firmCap}},
 			policy: selection.RemOnly, scenario: qos.Firm, lanes: 1,
 			wantCFPs: []ids.RMID{1, 2, 3}, wantOpens: []ids.RMID{3, 1, 2}, wantRMs: []ids.RMID{2},
 			wantStats: Stats{Requests: 1, Messages: 2 + 2*3 + 2*3},
@@ -199,7 +213,7 @@ func TestNegotiationTable(t *testing.T) {
 			all:  []ids.RMID{1, 2, 3, 4, 5},
 			providers: []scriptProvider{
 				{id: 1, rem: mbps(90)}, {id: 2, rem: mbps(10), holds: true}, {id: 3, rem: mbps(80)},
-				{id: 4, rem: mbps(30), holds: true, refuse: true}, {id: 5, rem: mbps(70)}},
+				{id: 4, rem: mbps(30), holds: true, refuse: firmCap}, {id: 5, rem: mbps(70)}},
 			policy: selection.RemOnly, scenario: qos.Firm, broadcast: true, lanes: 1,
 			wantCFPs: []ids.RMID{1, 2, 3, 4, 5}, wantOpens: []ids.RMID{4, 2}, wantRMs: []ids.RMID{2},
 			wantStats: Stats{Requests: 1, Messages: 2 + 2*5 + 2*2},
@@ -229,19 +243,19 @@ func TestNegotiationTable(t *testing.T) {
 			name:    "random policy walks its shuffle",
 			holders: []ids.RMID{1, 2, 3, 4},
 			providers: []scriptProvider{
-				{id: 1, rem: mbps(40), refuse: true}, {id: 2, rem: mbps(30), refuse: true},
-				{id: 3, rem: mbps(20), refuse: true}, {id: 4, rem: mbps(10), refuse: true}},
+				{id: 1, rem: mbps(40), refuse: firmCap}, {id: 2, rem: mbps(30), refuse: firmCap},
+				{id: 3, rem: mbps(20), refuse: firmCap}, {id: 4, rem: mbps(10), refuse: firmCap}},
 			policy: selection.Random, scenario: qos.Firm, lanes: 1,
 			wantCFPs: []ids.RMID{1, 2, 3, 4}, wantOpens: randomWalkOfFour,
-			wantReason: "insufficient bandwidth on all replicas",
-			wantStats:  Stats{Requests: 1, Failed: 1, Messages: 2 + 2*4 + 2*4},
+			wantReason: "insufficient bandwidth on all replicas", wantCode: firmCap,
+			wantStats: Stats{Requests: 1, Failed: 1, Messages: 2 + 2*4 + 2*4},
 		},
 		{
 			name:    "concurrent fan-out: the stalled best bidder ranks last on a zero bid",
 			holders: []ids.RMID{1, 2, 9, 3, 2},
 			providers: []scriptProvider{
-				{id: 1, rem: mbps(10), refuse: true}, {id: 2, rem: mbps(90), stall: time.Second},
-				{id: 3, rem: mbps(20), refuse: true}},
+				{id: 1, rem: mbps(10), refuse: firmCap}, {id: 2, rem: mbps(90), stall: time.Second},
+				{id: 3, rem: mbps(20), refuse: firmCap}},
 			policy: selection.RemOnly, scenario: qos.Firm, lanes: 1,
 			fanout:   Fanout{Concurrent: true, BidTimeout: 150 * time.Millisecond},
 			wantCFPs: []ids.RMID{1, 2, 3}, wantOpens: []ids.RMID{3, 1, 2}, wantRMs: []ids.RMID{2},
@@ -252,7 +266,7 @@ func TestNegotiationTable(t *testing.T) {
 			name:    "concurrent fan-out without a stall equals the serial one",
 			holders: []ids.RMID{3, 1, 2},
 			providers: []scriptProvider{
-				{id: 1, rem: mbps(20)}, {id: 2, rem: mbps(30), refuse: true}, {id: 3, rem: mbps(10)}},
+				{id: 1, rem: mbps(20)}, {id: 2, rem: mbps(30), refuse: firmCap}, {id: 3, rem: mbps(10)}},
 			policy: selection.RemOnly, scenario: qos.Firm, lanes: 1,
 			fanout:   Fanout{Concurrent: true, BidTimeout: 5 * time.Second},
 			wantCFPs: []ids.RMID{1, 2, 3}, wantOpens: []ids.RMID{2, 1}, wantRMs: []ids.RMID{1},
@@ -312,8 +326,8 @@ func TestNegotiationTable(t *testing.T) {
 			if len(lanes) > 0 && lanes[0].out.Request != ids.RequestID(1<<40|1) {
 				t.Errorf("first lane runs under request %v, want the negotiation's own id", lanes[0].out.Request)
 			}
-			if tc.wantRMs == nil && (fail.OK || fail.Reason != tc.wantReason) {
-				t.Errorf("failure outcome %+v, want reason %q", fail, tc.wantReason)
+			if tc.wantRMs == nil && (fail.OK || fail.Reason != tc.wantReason || fail.Code != tc.wantCode) {
+				t.Errorf("failure outcome %+v, want reason %q and code %d", fail, tc.wantReason, tc.wantCode)
 			}
 			if !reflect.DeepEqual(log.opens, tc.wantOpens) {
 				t.Errorf("opens went to %v, want %v", log.opens, tc.wantOpens)

@@ -72,11 +72,20 @@ var (
 	})
 )
 
-// moduleExports is the scan of this module, loaded once and shared by
-// the tests that read it.
-var moduleExports = sync.OnceValues(func() ([]export, error) {
-	return scanExports(filepath.Join("..", ".."))
-})
+// thisModule is this module, type-checked once for every scan that reads
+// it; moduleExports is its export scan, shared by the tests that read it.
+var (
+	thisModule = sync.OnceValues(func() (*moduleLoad, error) {
+		return loadModule(filepath.Join("..", ".."))
+	})
+	moduleExports = sync.OnceValues(func() ([]export, error) {
+		l, err := thisModule()
+		if err != nil {
+			return nil, err
+		}
+		return scanExports(l)
+	})
+)
 
 // TestEveryExportHasACaller fails on each exported func, method, type,
 // const or var declared under internal/ that no non-test code of the
@@ -156,9 +165,9 @@ func staleAllowed(exports []export, allow map[string]string) []string {
 	return out
 }
 
-// scanExports type-checks every non-test package of the module rooted at
-// root and reports each exported declaration under its internal/ tree,
-// sorted by key, with whether non-test code uses it.
+// scanExports reports each exported declaration under the internal/ tree
+// of the loaded module, sorted by key, with whether non-test code uses
+// it.
 //
 // A use is any reference from outside the declaration itself: a func's
 // own body, a type's spec and its methods. A method is
@@ -169,11 +178,7 @@ func staleAllowed(exports []export, allow map[string]string) []string {
 // io.Reader, heap.Interface, ...), or one of stdProbes. An interface
 // method that nothing calls through its interface keeps no implementation
 // alive.
-func scanExports(root string) ([]export, error) {
-	l, err := loadModule(root)
-	if err != nil {
-		return nil, err
-	}
+func scanExports(l *moduleLoad) ([]export, error) {
 	used := make(map[types.Object]bool)
 	type ifaceMethod struct {
 		iface *types.Interface
@@ -296,6 +301,7 @@ type moduleLoad struct {
 	modPath    string
 	pkgs       map[string]*types.Package // by import path
 	infos      []*types.Info
+	files      [][]*ast.File             // each package's, beside its info
 	own        map[types.Object][]span   // the source each declaration spans
 	stdImports map[string]*types.Package // standard packages module code imports
 }
@@ -378,8 +384,9 @@ func (l *moduleLoad) load(importPath string) (*types.Package, error) {
 		files = append(files, f)
 	}
 	info := &types.Info{
-		Defs: make(map[*ast.Ident]types.Object),
-		Uses: make(map[*ast.Ident]types.Object),
+		Defs:       make(map[*ast.Ident]types.Object),
+		Uses:       make(map[*ast.Ident]types.Object),
+		Selections: make(map[*ast.SelectorExpr]*types.Selection),
 	}
 	conf := types.Config{Importer: importerFunc(l.importPackage)}
 	pkg, err := conf.Check(importPath, l.fset, files, info)
@@ -388,6 +395,7 @@ func (l *moduleLoad) load(importPath string) (*types.Package, error) {
 	}
 	l.pkgs[importPath] = pkg
 	l.infos = append(l.infos, info)
+	l.files = append(l.files, files)
 	for _, f := range files {
 		l.recordSpans(f, info)
 	}
@@ -558,16 +566,12 @@ func main() {
 `,
 }
 
-// TestExportScanTeeth runs the scan over synthModule: it must flag the
-// unused export (whatever its tests call), the type referenced only from
-// its own declaration, and the interface method that nothing calls, with
-// its implementation, and pass the String, Error,
-// Unwrap and heap.Interface methods that only the standard library calls.
-// It must also fail on an allowlist entry whose symbol has a non-test
-// caller or does not exist, and accept one whose symbol has none.
-func TestExportScanTeeth(t *testing.T) {
+// loadSynth writes the module files (path → source) into a temporary
+// directory and loads it.
+func loadSynth(t *testing.T, files map[string]string) *moduleLoad {
+	t.Helper()
 	root := t.TempDir()
-	for name, src := range synthModule {
+	for name, src := range files {
 		path := filepath.Join(root, filepath.FromSlash(name))
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
@@ -576,7 +580,22 @@ func TestExportScanTeeth(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	exports, err := scanExports(root)
+	l, err := loadModule(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l
+}
+
+// TestExportScanTeeth runs the scan over synthModule: it must flag the
+// unused export (whatever its tests call), the type referenced only from
+// its own declaration, and the interface method that nothing calls, with
+// its implementation, and pass the String, Error,
+// Unwrap and heap.Interface methods that only the standard library calls.
+// It must also fail on an allowlist entry whose symbol has a non-test
+// caller or does not exist, and accept one whose symbol has none.
+func TestExportScanTeeth(t *testing.T) {
+	exports, err := scanExports(loadSynth(t, synthModule))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -89,6 +89,8 @@ type OpenRequest struct {
 // OpenResult reports the provider's admission decision.
 type OpenResult struct {
 	OK bool
+	// Code is why the open was refused; zero for a transport failure.
+	Code Refusal
 	// Reason is a short diagnostic when OK is false.
 	Reason string
 }
@@ -124,25 +126,63 @@ type StoreRequest struct {
 	Tenant ids.TenantID
 }
 
-// The reasons a Mapper refuses BeginReplication or EndReplication. They
-// are values, not sentences: an in-process Mapper returns one of them,
-// possibly wrapped, so a caller matches with errors.Is and a refusal
-// formats and allocates nothing. The file, the RM and the cap are the
-// caller's own arguments; whoever logs the refusal adds them.
-var (
-	// ErrReplicaCap: the file's committed plus pending replicas have
-	// reached maxTotal. It is a fact about the file, not the destination.
-	ErrReplicaCap = errors.New("mm: file already at its replica cap")
-	// ErrAlreadyHolds: the destination holds a committed replica.
-	ErrAlreadyHolds = errors.New("mm: destination already holds the file")
-	// ErrAlreadyReceiving: the destination has a pending replica.
-	ErrAlreadyReceiving = errors.New("mm: destination already receiving the file")
-	// ErrUnregisteredRM: the destination is not in the resource list.
-	ErrUnregisteredRM = errors.New("mm: replication destination is not a registered RM")
-	// ErrNoPendingReplication: EndReplication found no reservation to
-	// resolve.
-	ErrNoPendingReplication = errors.New("mm: no pending replication of the file on the RM")
+// Refusal is why an ECNP role refused a call: one byte that means the
+// same in process and across a socket, where the wire carries it ahead of
+// the text of an Error frame and of an OpenResult. Each value is a
+// sentinel error, matched with errors.Is, whose text and metric label are
+// declared once, in refusals. A refusal formats and allocates nothing;
+// whoever logs it adds the file, RM or request it was about. Zero is no
+// refusal.
+type Refusal uint8
+
+// The refusals, in wire order: the Mapper's (BeginReplication's four, then
+// EndReplication's), then the Provider's. A new one goes last.
+const (
+	ErrReplicaCap Refusal = iota + 1 // a fact about the file, not the destination
+	ErrAlreadyHolds
+	ErrAlreadyReceiving
+	ErrUnregisteredRM
+	ErrNoPendingReplication
+	ErrDuplicateRequest
+	ErrFirmCapacity
+	ErrTenantBandwidth
+	ErrTenantBytes
+	ErrDiskFull
+	ErrAlreadyStored
+	ErrNotReserved
+	// NumRefusals is one past the last code: the length of an array
+	// indexed by Refusal.
+	NumRefusals
 )
+
+// refusals holds each code's text (its Error) and metric label.
+var refusals = [NumRefusals]struct{ text, label string }{
+	ErrReplicaCap:           {"mm: file already at its replica cap", "cap"},
+	ErrAlreadyHolds:         {"mm: destination already holds the file", "holds"},
+	ErrAlreadyReceiving:     {"mm: destination already receiving the file", "receiving"},
+	ErrUnregisteredRM:       {"mm: replication destination is not a registered RM", "unregistered"},
+	ErrNoPendingReplication: {"mm: no pending replication of the file on the RM", "no_pending"},
+	ErrDuplicateRequest:     {"duplicate request id", "duplicate"},
+	ErrFirmCapacity:         {"insufficient bandwidth", "firm_capacity"},
+	ErrTenantBandwidth:      {"tenant over its bandwidth quota", "tenant_bandwidth"},
+	ErrTenantBytes:          {"tenant over its byte quota", "tenant_bytes"},
+	ErrDiskFull:             {"disk full", "disk_full"},
+	ErrAlreadyStored:        {"file already stored", "already_stored"},
+	ErrNotReserved:          {"no active reservation (lease expired or never admitted)", "not_reserved"},
+}
+
+// Error implements error.
+func (r Refusal) Error() string { return refusals[r].text }
+
+// Label is the code's reason label on the refusal counters.
+func (r Refusal) Label() string { return refusals[r].label }
+
+// RefusalOf returns the refusal err is or wraps, or zero.
+func RefusalOf(err error) Refusal {
+	var r Refusal
+	errors.As(err, &r)
+	return r
+}
 
 // Mapper is the Metadata Manager API: the global resource list and the
 // file → replica map ("the union of the resource information provided by

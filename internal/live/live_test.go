@@ -17,10 +17,13 @@ import (
 	"dfsqos/internal/mm"
 	"dfsqos/internal/qos"
 	"dfsqos/internal/replication"
+	"dfsqos/internal/rm"
 	"dfsqos/internal/rng"
 	"dfsqos/internal/selection"
 	"dfsqos/internal/simtime"
+	"dfsqos/internal/tenant"
 	"dfsqos/internal/units"
+	"dfsqos/internal/vdisk"
 	"dfsqos/internal/wire"
 )
 
@@ -155,10 +158,50 @@ func TestLiveReplicationOverTCP(t *testing.T) {
 	rm1.Close(1)
 }
 
+// TestLiveWalkEndsAtReplicaCap: a source RM whose MM is across TCP stops
+// its destination walk at the first ErrReplicaCap, as it does in process.
+// RM1 holds a file already at Rep(1,2)'s cap with two other holders, and
+// three RMs are candidates; one replication attempt asks the MM once and
+// is refused once, where a walk blind to the code would ask per candidate.
+func TestLiveWalkEndsAtReplicaCap(t *testing.T) {
+	cfg := replication.DefaultConfig(replication.Rep(1, 2))
+	caps := []units.BytesPerSec{units.Mbps(5)}
+	for range 5 {
+		caps = append(caps, units.Mbps(100))
+	}
+	lc := startLiveCluster(t, LocalSpec{
+		Caps:        caps,
+		Holders:     map[ids.FileID][]ids.RMID{0: {1, 2, 3}},
+		Replication: cfg,
+	})
+	met := mm.NewMetrics(nil)
+	lc.Manager.SetMetrics(met)
+	if got := len(lc.Mapper.RMsWithout(0)); got != 3 {
+		t.Fatalf("%d candidate destinations, want 3", got)
+	}
+
+	rm1, _ := lc.Dir.RMClient(1)
+	// Push RM1 under B_TH; the CFP then runs one replication attempt
+	// before it answers.
+	if res := rm1.Open(ecnp.OpenRequest{Request: 1, File: 0, Bitrate: units.Mbps(4.5), DurationSec: 3600}); !res.OK {
+		t.Fatalf("open refused: %s", res.Reason)
+	}
+	defer rm1.Close(1)
+	meta := lc.Catalog.File(0)
+	rm1.HandleCFP(ecnp.CFP{Request: 2, File: 0, Bitrate: meta.Bitrate, DurationSec: meta.DurationSec})
+
+	if n := met.Refused[ecnp.ErrReplicaCap].Value(); n != 1 {
+		t.Fatalf("one attempt on a capped file raised the cap refusals by %d, want 1", n)
+	}
+	if got := lc.Mapper.ReplicaCount(0); got != 3 {
+		t.Fatalf("replica count = %d, want 3 untouched", got)
+	}
+}
+
 // TestLiveReplicationRefusalText: the MM's refusals are bare reasons
 // in-process; over TCP the server adds the file, RM and cap to the text,
-// and the client still sees a wire.RemoteError that matches no sentinel
-// (there is no reason code on the wire).
+// and the client's wire.RemoteError still matches its sentinel with
+// errors.Is: the code rides the Error frame ahead of the text.
 func TestLiveReplicationRefusalText(t *testing.T) {
 	mgr := mm.New()
 	for id := ids.RMID(1); id <= 2; id++ {
@@ -181,11 +224,12 @@ func TestLiveReplicationRefusalText(t *testing.T) {
 	for _, tc := range []struct {
 		err  error
 		want string
+		why  ecnp.Refusal
 	}{
-		{cli.BeginReplication(1, 2, 1), "mm: file already at its replica cap: file1 on RM2 (cap 1)"},
-		{cli.BeginReplication(1, 1, 0), "mm: destination already holds the file: file1 on RM1 (cap 0)"},
-		{cli.BeginReplication(1, 7, 0), "mm: replication destination is not a registered RM: file1 on RM7 (cap 0)"},
-		{cli.EndReplication(1, 2, true), "mm: no pending replication of the file on the RM: file1 on RM2"},
+		{cli.BeginReplication(1, 2, 1), "mm: file already at its replica cap: file1 on RM2 (cap 1)", ecnp.ErrReplicaCap},
+		{cli.BeginReplication(1, 1, 0), "mm: destination already holds the file: file1 on RM1 (cap 0)", ecnp.ErrAlreadyHolds},
+		{cli.BeginReplication(1, 7, 0), "mm: replication destination is not a registered RM: file1 on RM7 (cap 0)", ecnp.ErrUnregisteredRM},
+		{cli.EndReplication(1, 2, true), "mm: no pending replication of the file on the RM: file1 on RM2", ecnp.ErrNoPendingReplication},
 	} {
 		var re wire.RemoteError
 		if !errors.As(tc.err, &re) {
@@ -194,8 +238,82 @@ func TestLiveReplicationRefusalText(t *testing.T) {
 		if re.Text != tc.want {
 			t.Errorf("served text %q, want %q", re.Text, tc.want)
 		}
-		if errors.Is(tc.err, ecnp.ErrReplicaCap) {
-			t.Errorf("%v matches ErrReplicaCap across the wire", tc.err)
+		if !errors.Is(tc.err, tc.why) || ecnp.RefusalOf(tc.err) != tc.why {
+			t.Errorf("%v does not match %s across the wire", tc.err, tc.why.Label())
+		}
+	}
+}
+
+// TestLiveEveryRefusalMatchesItsSentinel serves every ecnp.Refusal over
+// TCP, the MM's through an MMClient and the RM's through an RMClient, and
+// checks that the client matches each with errors.Is against its
+// sentinel: the one vocabulary means the same on both sides of a socket.
+func TestLiveEveryRefusalMatchesItsSentinel(t *testing.T) {
+	ledger := tenant.NewLedger()
+	lc := startLiveCluster(t, LocalSpec{
+		Caps:    []units.BytesPerSec{units.Mbps(10), units.Mbps(10)},
+		Holders: map[ids.FileID][]ids.RMID{0: {1}, 1: {1}, 2: {1}},
+		RM:      func(opt *rm.Options, _ *vdisk.Disk, _ *Directory) { opt.Tenants = ledger },
+	})
+	const capped = ids.TenantID(1)
+	ledger.Set(capped, tenant.Quota{Bandwidth: 1, Bytes: 1})
+	mapper := lc.Mapper
+	cli, ok := lc.Dir.RMClient(1)
+	if !ok {
+		t.Fatal("RM1 unreachable")
+	}
+	// open reports a refused open as its code, which is how the RM serves
+	// one: in the OpenResult, not as an error.
+	open := func(req ecnp.OpenRequest) error {
+		req.File, req.DurationSec = 0, 60
+		if res := cli.Open(req); !res.OK {
+			return res.Code
+		}
+		return nil
+	}
+	refusals := map[ecnp.Refusal]func() error{
+		ecnp.ErrReplicaCap:     func() error { return mapper.BeginReplication(0, 2, 1) },
+		ecnp.ErrAlreadyHolds:   func() error { return mapper.BeginReplication(0, 1, 0) },
+		ecnp.ErrUnregisteredRM: func() error { return mapper.BeginReplication(0, 9, 0) },
+		ecnp.ErrAlreadyReceiving: func() error {
+			if err := mapper.BeginReplication(1, 2, 0); err != nil {
+				return err
+			}
+			defer mapper.EndReplication(1, 2, false)
+			return mapper.BeginReplication(1, 2, 0)
+		},
+		ecnp.ErrNoPendingReplication: func() error { return mapper.EndReplication(2, 2, true) },
+		ecnp.ErrDuplicateRequest: func() error {
+			if err := open(ecnp.OpenRequest{Request: 1, Bitrate: units.Mbps(1)}); err != nil {
+				return err
+			}
+			defer cli.Close(1)
+			return open(ecnp.OpenRequest{Request: 1, Bitrate: units.Mbps(1)})
+		},
+		ecnp.ErrFirmCapacity:    func() error { return open(ecnp.OpenRequest{Request: 2, Bitrate: units.Mbps(20), Firm: true}) },
+		ecnp.ErrTenantBandwidth: func() error { return open(ecnp.OpenRequest{Request: 3, Bitrate: units.Mbps(1), Tenant: capped}) },
+		ecnp.ErrTenantBytes: func() error {
+			return cli.StoreFile(ecnp.StoreRequest{File: 5, SizeBytes: units.MB, Tenant: capped})
+		},
+		ecnp.ErrDiskFull:      func() error { return cli.StoreFile(ecnp.StoreRequest{File: 6, SizeBytes: 2 * units.GB}) },
+		ecnp.ErrAlreadyStored: func() error { return cli.StoreFile(ecnp.StoreRequest{File: 0, SizeBytes: units.MB}) },
+		ecnp.ErrNotReserved:   func() error { return cli.Keepalive(99) },
+	}
+	for why := ecnp.Refusal(1); why < ecnp.NumRefusals; why++ {
+		refuse, ok := refusals[why]
+		if !ok {
+			t.Errorf("no row serves %s", why.Label())
+			continue
+		}
+		err := refuse()
+		if !errors.Is(err, why) {
+			t.Errorf("%s: client got %v, which does not match its sentinel", why.Label(), err)
+		}
+	}
+	counted := lc.Node(1).Stats().Refusals
+	for why := ecnp.ErrDuplicateRequest; why < ecnp.NumRefusals; why++ {
+		if counted[why] != 1 {
+			t.Errorf("RM1 counted %d %s refusals, want the one it served", counted[why], why.Label())
 		}
 	}
 }

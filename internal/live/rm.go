@@ -264,62 +264,40 @@ func (s *RMServer) handle(wc *wire.Conn, msg wire.Msg) error {
 	return err
 }
 
+// dispatch serves one request. The codec decodes each kind into its own
+// payload type, so the payload picks the call, as in MMServer.dispatch.
 func (s *RMServer) dispatch(wc *wire.Conn, msg wire.Msg, sp *trace.Span) error {
-	switch msg.Kind {
-	case wire.KindCFP:
-		cfp, ok := msg.Payload.(ecnp.CFP)
-		if !ok {
-			return wc.WriteError(fmt.Errorf("bad CFP payload"))
-		}
-		sp.SetFile(cfp.File).SetRequest(cfp.Request)
-		return wc.Write(wire.KindBid, s.node.HandleCFP(cfp))
-	case wire.KindOpen:
-		req, ok := msg.Payload.(ecnp.OpenRequest)
-		if !ok {
-			return wc.WriteError(fmt.Errorf("bad Open payload"))
-		}
+	switch req := msg.Payload.(type) {
+	case ecnp.CFP:
+		sp.SetFile(req.File).SetRequest(req.Request)
+		return wc.Write(wire.KindBid, s.node.HandleCFP(req))
+	case ecnp.OpenRequest:
 		res := s.node.Open(req)
 		sp.SetFile(req.File).SetRequest(req.Request)
 		if res.OK {
 			sp.SetOutcome("admitted")
 		} else {
-			sp.SetOutcome("rejected")
+			sp.SetOutcome(res.Code.Label())
 		}
 		return wc.Write(wire.KindOpenResult, res)
-	case wire.KindClose:
-		req, ok := msg.Payload.(wire.CloseReq)
-		if !ok {
-			return wc.WriteError(fmt.Errorf("bad Close payload"))
-		}
+	case wire.CloseReq:
 		s.node.Close(req.Request)
 		return wc.Write(wire.KindAck, wire.Ack{})
-	case wire.KindOfferReplica:
-		offer, ok := msg.Payload.(ecnp.ReplicaOffer)
-		if !ok {
-			return wc.WriteError(fmt.Errorf("bad OfferReplica payload"))
-		}
-		accepted := s.node.OfferReplica(offer)
+	case ecnp.ReplicaOffer:
+		accepted := s.node.OfferReplica(req)
 		if accepted && s.disk != nil {
 			// Provision space for the incoming replica up front; a full
 			// disk retroactively rejects the offer.
-			if err := s.disk.Provision(FileName(offer.File), offer.SizeBytes); err != nil {
-				s.node.FinishReplica(offer.Replication, false)
+			if err := s.disk.Provision(FileName(req.File), req.SizeBytes); err != nil {
+				s.node.FinishReplica(req.Replication, false)
 				accepted = false
 			}
 		}
 		return wc.Write(wire.KindOfferReply, wire.OfferReply{Accepted: accepted})
-	case wire.KindFinishReplica:
-		fin, ok := msg.Payload.(wire.FinishReplica)
-		if !ok {
-			return wc.WriteError(fmt.Errorf("bad FinishReplica payload"))
-		}
-		s.node.FinishReplica(fin.Replication, fin.Committed)
+	case wire.FinishReplica:
+		s.node.FinishReplica(req.Replication, req.Committed)
 		return wc.Write(wire.KindAck, wire.Ack{})
-	case wire.KindStoreFile:
-		req, ok := msg.Payload.(ecnp.StoreRequest)
-		if !ok {
-			return wc.WriteError(fmt.Errorf("bad StoreFile payload"))
-		}
+	case ecnp.StoreRequest:
 		if err := s.node.StoreFile(req); err != nil {
 			return wc.WriteError(err)
 		}
@@ -329,36 +307,24 @@ func (s *RMServer) dispatch(wc *wire.Conn, msg wire.Msg, sp *trace.Span) error {
 			}
 		}
 		return wc.Write(wire.KindAck, wire.Ack{})
-	case wire.KindReadFile:
-		// ReadReq copies out of the (possibly pooled) payload, so the
-		// frame resources go back before the stream starts.
-		req, ok := msg.ReadReq()
-		if !ok {
-			return wc.WriteError(fmt.Errorf("bad ReadFile payload"))
-		}
+	case *wire.ReadFile:
+		// Copied out of the pooled payload, so the frame resources go
+		// back before the stream starts.
+		rf := *req
 		msg.Release()
-		return s.streamFile(wc, req, sp)
-	case wire.KindWriteFile:
-		req, ok := msg.Payload.(wire.WriteFile)
-		if !ok {
-			return wc.WriteError(fmt.Errorf("bad WriteFile payload"))
-		}
+		return s.streamFile(wc, rf, sp)
+	case wire.WriteFile:
 		return s.ingestFile(wc, req, sp)
-	case wire.KindKeepalive:
-		ka, ok := msg.Payload.(wire.Keepalive)
-		if !ok {
-			return wc.WriteError(fmt.Errorf("bad Keepalive payload"))
-		}
+	case wire.Keepalive:
 		// Renew (not Touch): a client whose lease already expired must
 		// learn that and re-negotiate rather than stream into a closed
 		// reservation.
-		if err := s.node.Renew(ka.Request); err != nil {
+		if err := s.node.Renew(req.Request); err != nil {
 			return wc.WriteError(err)
 		}
 		return wc.Write(wire.KindAck, wire.Ack{})
-	default:
-		return wc.WriteError(fmt.Errorf("rm: unexpected message %v", msg.Kind))
 	}
+	return wc.WriteError(fmt.Errorf("rm: unexpected message %v", msg.Kind))
 }
 
 // streamBufs recycles streamFile's chunk buffers: a stripe lane asks for
@@ -651,7 +617,7 @@ func (c *RMClient) Open(req ecnp.OpenRequest) ecnp.OpenResult {
 func (c *RMClient) OpenContext(ctx context.Context, req ecnp.OpenRequest) ecnp.OpenResult {
 	reply, err := c.call(ctx, wire.KindOpen, req)
 	if err != nil {
-		return ecnp.OpenResult{OK: false, Reason: err.Error()}
+		return ecnp.OpenResult{OK: false, Code: ecnp.RefusalOf(err), Reason: err.Error()}
 	}
 	if res, ok := reply.Payload.(ecnp.OpenResult); ok {
 		return res

@@ -153,7 +153,8 @@ func sameShard(i int, a, b *mm.Manager) string {
 // directly) and on four live.MMShard members over loopback. Both run the
 // same replication core, so after every step each shard must hold the
 // same mappings and resource list in both, every call must succeed or
-// fail alike, and the group must validate. At most R-1 = 1 shard is dead
+// fail alike and refuse with the same ecnp code, and the group must
+// validate. At most R-1 = 1 shard is dead
 // at a time: the group's stated fault tolerance.
 func TestReplicatedInProcessMatchesTCP(t *testing.T) {
 	const n, rep, files, rms, steps = 4, 2, 48, 8, 300
@@ -232,7 +233,7 @@ func TestReplicatedInProcessMatchesTCP(t *testing.T) {
 			errA = inproc.EndReplication(f, rm, commit)
 			errB = tcp.write(f, func(s *live.MMShard) error { return s.EndReplication(f, rm, commit) })
 		}
-		if (errA == nil) != (errB == nil) {
+		if (errA == nil) != (errB == nil) || ecnp.RefusalOf(errA) != ecnp.RefusalOf(errB) {
 			t.Fatalf("step %d %s: in-process err %v, tcp err %v", step, op, errA, errB)
 		}
 		for i := range n {

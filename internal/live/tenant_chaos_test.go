@@ -12,6 +12,7 @@ import (
 	"dfsqos/internal/ids"
 	"dfsqos/internal/rm"
 	"dfsqos/internal/tenant"
+	"dfsqos/internal/trace"
 	"dfsqos/internal/units"
 	"dfsqos/internal/vdisk"
 )
@@ -56,20 +57,31 @@ func TestChaosAbusiveTenantKilledQuotaReclaimed(t *testing.T) {
 	}
 
 	// The storm: the abuser opens until the ledger refuses. Exactly two
-	// reservations fit its quota; the third must be refused with the
-	// tenant named in the reason even though the RM itself has ~100 Mbps
-	// of headroom left.
+	// reservations fit its quota; the third must be refused for the
+	// tenant's bandwidth even though the RM itself has ~100 Mbps of
+	// headroom left.
 	for req := ids.RequestID(1); req <= 2; req++ {
 		if res := open(req, 0, abuser); !res.OK {
 			t.Fatalf("abuser open %v refused under quota: %s", req, res.Reason)
 		}
 	}
-	refused := open(3, 0, abuser)
-	if refused.OK {
-		t.Fatal("third abuser stream admitted past a two-stream quota")
+	// It is traced: the RM's rm.open span records the reason too.
+	root := lc.tracer.StartRoot(3, "test.open")
+	refused := cli.OpenContext(trace.NewContext(context.Background(), root.Context()), ecnp.OpenRequest{
+		Request: 3, File: 0, Tenant: abuser, Bitrate: storm.Bitrate, DurationSec: storm.DurationSec,
+	})
+	root.End()
+	if refused.OK || refused.Code != ecnp.ErrTenantBandwidth {
+		t.Fatalf("third abuser stream past a two-stream quota: %+v, want refused with ErrTenantBandwidth", refused)
 	}
-	if !strings.Contains(refused.Reason, abuser.String()) {
-		t.Fatalf("quota refusal does not name the tenant: %q", refused.Reason)
+	var outcomes []string
+	for _, rec := range lc.tracer.Snapshot() {
+		if rec.Name == "rm.open" {
+			outcomes = append(outcomes, rec.Outcome)
+		}
+	}
+	if len(outcomes) != 1 || outcomes[0] != "tenant_bandwidth" {
+		t.Fatalf("rm.open span outcomes %q, want the refusal's label", outcomes)
 	}
 
 	// The victim streams through the storm: open, read, close, eight
@@ -120,11 +132,17 @@ func TestChaosAbusiveTenantKilledQuotaReclaimed(t *testing.T) {
 		}
 	}
 
-	// The incident is visible on /metrics: at least one counted refusal
-	// for tenant1 and live per-tenant gauges.
+	// The incident is visible on /metrics: the one refusal, counted by
+	// its reason on the RM and by its tenant on the ledger, and live
+	// per-tenant gauges.
 	exp := lc.exposition(t)
-	if !strings.Contains(exp, `dfsqos_tenant_rejections_total{tenant="tenant1"}`) {
-		t.Fatalf("tenant rejection counter missing from exposition:\n%s", exp)
+	for _, want := range []string{
+		`dfsqos_rm_refusals_total{reason="tenant_bandwidth"} 1`,
+		`dfsqos_tenant_rejections_total{tenant="tenant1"} 1`,
+	} {
+		if !strings.Contains(exp, want+"\n") {
+			t.Fatalf("exposition missing %q:\n%s", want, exp)
+		}
 	}
 	if !strings.Contains(exp, `dfsqos_tenant_reserved_bandwidth_bytes_per_second{tenant="tenant1"}`) {
 		t.Fatalf("tenant bandwidth gauge missing from exposition:\n%s", exp)

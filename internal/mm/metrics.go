@@ -1,6 +1,7 @@
 package mm
 
 import (
+	"dfsqos/internal/ecnp"
 	"dfsqos/internal/telemetry"
 )
 
@@ -30,8 +31,10 @@ type Metrics struct {
 	// RM re-registration (dfsqos_mm_reconciled_replicas_total).
 	ReconciledReplicas *telemetry.Counter
 	// Refused counts refused BeginReplication calls by which limit was
-	// hit (dfsqos_mm_replication_refusals_total{reason}).
-	Refused ReplicationRefusals
+	// hit (dfsqos_mm_replication_refusals_total{reason}): one child per
+	// code BeginReplication returns, resolved here, so a refusal is one
+	// atomic add with no label lookup on the path.
+	Refused [ecnp.NumRefusals]*telemetry.Counter
 
 	// Shard-group telemetry (inert on a single-MM deployment).
 
@@ -73,7 +76,7 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 		"Replica-map entries moved by the shard handoff protocol, by direction.", "direction")
 	refusals := reg.NewCounterVec("dfsqos_mm_replication_refusals_total",
 		"BeginReplication calls the MM refused, by the limit that was hit.", "reason")
-	return &Metrics{
+	met := &Metrics{
 		RegisteredRMs: reg.NewGauge("dfsqos_mm_registered_rms",
 			"RMs in the global resource list, live or dead."),
 		LiveRMs: reg.NewGauge("dfsqos_mm_live_rms",
@@ -84,12 +87,6 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 		Revivals: transitions.With("live"),
 		ReconciledReplicas: reg.NewCounter("dfsqos_mm_reconciled_replicas_total",
 			"Stale replica-map entries pruned during RM re-registration."),
-		Refused: ReplicationRefusals{
-			Cap:          refusals.With("cap"),
-			Holds:        refusals.With("holds"),
-			Receiving:    refusals.With("receiving"),
-			Unregistered: refusals.With("unregistered"),
-		},
 		LiveShards: reg.NewGauge("dfsqos_mm_live_shards",
 			"Metadata shards currently within their liveness window."),
 		ShardDeaths:   shardTransitions.With("dead"),
@@ -101,22 +98,10 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 		HandoffTakeover:    handoff.With("takeover"),
 		HandoffHeal:        handoff.With("heal"),
 	}
-}
-
-// ReplicationRefusals holds one pre-resolved child of
-// dfsqos_mm_replication_refusals_total per reason, so a refusal is one
-// atomic add with no label lookup on the path.
-type ReplicationRefusals struct {
-	// Cap: the file is at its replica cap (reason="cap").
-	Cap *telemetry.Counter
-	// Holds: the destination holds the file (reason="holds").
-	Holds *telemetry.Counter
-	// Receiving: the destination has a pending replica
-	// (reason="receiving").
-	Receiving *telemetry.Counter
-	// Unregistered: the destination is not in the resource list
-	// (reason="unregistered").
-	Unregistered *telemetry.Counter
+	for why := ecnp.ErrReplicaCap; why <= ecnp.ErrUnregisteredRM; why++ {
+		met.Refused[why] = refusals.With(why.Label())
+	}
+	return met
 }
 
 // refusalsOnly returns a no-op sink that shares met's refusal counters. A

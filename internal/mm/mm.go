@@ -371,21 +371,20 @@ func (m *Manager) RemoveReplica(file ids.FileID, rm ids.RMID) error {
 func (m *Manager) BeginReplication(file ids.FileID, rm ids.RMID, maxTotal int) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if _, ok := m.rms[rm]; !ok {
-		m.met.Refused.Unregistered.Inc()
-		return ecnp.ErrUnregisteredRM
+	var why ecnp.Refusal
+	switch _, registered := m.rms[rm]; {
+	case !registered:
+		why = ecnp.ErrUnregisteredRM
+	case m.placement.Has(file, rm):
+		why = ecnp.ErrAlreadyHolds
+	case m.pending[file][rm]:
+		why = ecnp.ErrAlreadyReceiving
+	case maxTotal > 0 && m.placement.Degree(file)+len(m.pending[file]) >= maxTotal:
+		why = ecnp.ErrReplicaCap
 	}
-	if m.placement.Has(file, rm) {
-		m.met.Refused.Holds.Inc()
-		return ecnp.ErrAlreadyHolds
-	}
-	if m.pending[file][rm] {
-		m.met.Refused.Receiving.Inc()
-		return ecnp.ErrAlreadyReceiving
-	}
-	if maxTotal > 0 && m.placement.Degree(file)+len(m.pending[file]) >= maxTotal {
-		m.met.Refused.Cap.Inc()
-		return ecnp.ErrReplicaCap
+	if why != 0 {
+		m.met.Refused[why].Inc()
+		return why
 	}
 	if m.pending[file] == nil {
 		m.pending[file] = make(map[ids.RMID]bool)

@@ -123,56 +123,6 @@ func TestBeginReplicationEnforcesCap(t *testing.T) {
 	}
 }
 
-// TestShardedRefusalReasonsSurvive: the reason reaches the caller through
-// the shard group too — bare from the validating owner, and under the
-// "%w" wrap when a mirror owner disagrees with it.
-func TestShardedRefusalReasonsSurvive(t *testing.T) {
-	m := NewShardedReplicated(3, 2)
-	reg := telemetry.NewRegistry()
-	m.SetMetrics(NewMetrics(reg))
-	m.RegisterRM(info(1), []ids.FileID{0, 1, 2, 3, 4, 5})
-	m.RegisterRM(info(2), nil)
-	m.RegisterRM(info(3), nil)
-
-	// Between them the six files are validated by more than one shard,
-	// shard 0 (which carries the group's other RM telemetry) or not.
-	primaries := map[int]bool{}
-	for f := ids.FileID(0); f < 6; f++ {
-		primaries[m.ownersOf(f)[0]] = true
-		if err := m.BeginReplication(f, 2, 2); err != nil {
-			t.Fatalf("%v: %v", f, err)
-		}
-		if err := m.BeginReplication(f, 3, 2); !errors.Is(err, ecnp.ErrReplicaCap) {
-			t.Fatalf("%v past its cap: %v, want ErrReplicaCap", f, err)
-		}
-		if err := m.EndReplication(f, 3, false); !errors.Is(err, ecnp.ErrNoPendingReplication) {
-			t.Fatalf("%v: abort without reservation: %v, want ErrNoPendingReplication", f, err)
-		}
-	}
-	if len(primaries) < 2 {
-		t.Fatalf("all six files validate on one shard (%v): pick files that spread", primaries)
-	}
-	// Counted once each, by whichever shard validated the write.
-	text := exposition(t, reg)
-	if want := `dfsqos_mm_replication_refusals_total{reason="cap"} 6`; !strings.Contains(text, want) {
-		t.Fatalf("exposition missing %q after six refusals over three shards:\n%s", want, text)
-	}
-
-	// Make the mirror owner of file 0 diverge: it alone believes RM3
-	// holds the file, so the primary accepts and the mirror refuses.
-	owners := m.ownersOf(0)
-	if err := m.Shard(owners[1]).AddReplica(0, 3); err != nil {
-		t.Fatal(err)
-	}
-	err := m.BeginReplication(0, 3, 0)
-	if !errors.Is(err, ecnp.ErrAlreadyHolds) {
-		t.Fatalf("mirror refusal: %v, want ErrAlreadyHolds under the mirror wrap", err)
-	}
-	if err == ecnp.ErrAlreadyHolds {
-		t.Fatal("mirror refusal arrived bare: the wrap naming the shard is gone")
-	}
-}
-
 func TestEndReplicationWithoutBegin(t *testing.T) {
 	m := New()
 	m.RegisterRM(info(1), []ids.FileID{0})

@@ -35,27 +35,28 @@ import (
 
 // RMStats is the JSON shape of an RM's /stats reply.
 type RMStats struct {
-	ID              string  `json:"id"`
-	CapacityBps     float64 `json:"capacityBps"`
-	AllocatedBps    float64 `json:"allocatedBps"`
-	RemainingBps    float64 `json:"remainingBps"`
-	FracRemaining   float64 `json:"fracRemaining"`
-	ActiveStreams   int     `json:"activeStreams"`
-	StorageBytes    int64   `json:"storageBytes"`
-	StorageUsed     int64   `json:"storageUsed"`
-	Files           int     `json:"files"`
-	CFPs            int64   `json:"cfps"`
-	Opens           int64   `json:"opens"`
-	OpenRefusals    int64   `json:"openRefusals"`
-	RepTriggers     int64   `json:"repTriggers"`
-	RepTransfers    int64   `json:"repTransfers"`
-	RepMigrations   int64   `json:"repMigrations"`
-	OffersAccepted  int64   `json:"offersAccepted"`
-	OffersRejected  int64   `json:"offersRejected"`
-	GCEvictions     int64   `json:"gcEvictions"`
-	LeaseTTLSec     float64 `json:"leaseTTLSec"`
-	LeaseExpiries   int64   `json:"leaseExpiries"`
-	VirtualTimeSecs float64 `json:"virtualTimeSecs"`
+	ID            string  `json:"id"`
+	CapacityBps   float64 `json:"capacityBps"`
+	AllocatedBps  float64 `json:"allocatedBps"`
+	RemainingBps  float64 `json:"remainingBps"`
+	FracRemaining float64 `json:"fracRemaining"`
+	ActiveStreams int     `json:"activeStreams"`
+	StorageBytes  int64   `json:"storageBytes"`
+	StorageUsed   int64   `json:"storageUsed"`
+	Files         int     `json:"files"`
+	CFPs          int64   `json:"cfps"`
+	Opens         int64   `json:"opens"`
+	// Refusals counts refusals by reason label, the ones given only.
+	Refusals        map[string]int64 `json:"refusals"`
+	RepTriggers     int64            `json:"repTriggers"`
+	RepTransfers    int64            `json:"repTransfers"`
+	RepMigrations   int64            `json:"repMigrations"`
+	OffersAccepted  int64            `json:"offersAccepted"`
+	OffersRejected  int64            `json:"offersRejected"`
+	GCEvictions     int64            `json:"gcEvictions"`
+	LeaseTTLSec     float64          `json:"leaseTTLSec"`
+	LeaseExpiries   int64            `json:"leaseExpiries"`
+	VirtualTimeSecs float64          `json:"virtualTimeSecs"`
 }
 
 // NewRMHandler builds the HTTP handler for one RM daemon. disk may be
@@ -83,7 +84,7 @@ func NewRMHandler(node *rm.RM, disk *vdisk.Disk, sched ecnp.Scheduler, reg *tele
 			Files:           node.NumFiles(),
 			CFPs:            st.CFPs,
 			Opens:           st.Opens,
-			OpenRefusals:    st.OpenRefusals,
+			Refusals:        make(map[string]int64),
 			RepTriggers:     st.RepTriggers,
 			RepTransfers:    st.RepTransfers,
 			RepMigrations:   st.RepMigrations,
@@ -93,6 +94,11 @@ func NewRMHandler(node *rm.RM, disk *vdisk.Disk, sched ecnp.Scheduler, reg *tele
 			LeaseTTLSec:     node.LeaseTTL(),
 			LeaseExpiries:   st.LeaseExpiries,
 			VirtualTimeSecs: now.Seconds(),
+		}
+		for why, n := range st.Refusals {
+			if n > 0 {
+				out.Refusals[ecnp.Refusal(why).Label()] = n
+			}
 		}
 		if disk != nil {
 			out.StorageUsed = int64(disk.Used())

@@ -40,6 +40,7 @@ func testRM(t *testing.T) (*rm.RM, ecnp.Scheduler) {
 func TestRMStatsEndpoint(t *testing.T) {
 	node, sched := testRM(t)
 	node.Open(ecnp.OpenRequest{Request: 1, File: 0, Bitrate: units.Mbps(2), DurationSec: 100})
+	node.Open(ecnp.OpenRequest{Request: 2, File: 0, Bitrate: units.Mbps(20), DurationSec: 100, Firm: true})
 	srv := httptest.NewServer(NewRMHandler(node, nil, sched, nil, nil))
 	defer srv.Close()
 
@@ -66,6 +67,9 @@ func TestRMStatsEndpoint(t *testing.T) {
 	}
 	if st.Files != 1 || st.StorageUsed != int64(25*units.MB) {
 		t.Fatalf("files/storage = %d/%d", st.Files, st.StorageUsed)
+	}
+	if len(st.Refusals) != 1 || st.Refusals["firm_capacity"] != 1 {
+		t.Fatalf("refusals = %v, want the one firm_capacity refusal alone", st.Refusals)
 	}
 }
 

@@ -1,6 +1,7 @@
 package rm
 
 import (
+	"dfsqos/internal/ecnp"
 	"dfsqos/internal/telemetry"
 )
 
@@ -22,9 +23,9 @@ type Metrics struct {
 	Bids *telemetry.Counter
 	// Admissions counts accesses admitted (dfsqos_rm_admissions_total).
 	Admissions *telemetry.Counter
-	// Rejections counts firm-scenario refusals
-	// (dfsqos_rm_rejections_total).
-	Rejections *telemetry.Counter
+	// Refused counts the RM's refusals by code, one child per code the
+	// RM returns (dfsqos_rm_refusals_total{reason}).
+	Refused [ecnp.NumRefusals]*telemetry.Counter
 	// OffersAccepted / OffersRejected count inbound replica offers by
 	// decision (dfsqos_rm_replica_offers_total{decision}).
 	OffersAccepted *telemetry.Counter
@@ -64,15 +65,15 @@ type Metrics struct {
 func NewMetrics(reg *telemetry.Registry) *Metrics {
 	offers := reg.NewCounterVec("dfsqos_rm_replica_offers_total",
 		"Inbound replica offers by decision.", "decision")
-	return &Metrics{
+	refusals := reg.NewCounterVec("dfsqos_rm_refusals_total",
+		"Opens, stores and keepalives the RM refused, by reason.", "reason")
+	met := &Metrics{
 		CFPs: reg.NewCounter("dfsqos_rm_cfps_total",
 			"Call-For-Proposals received."),
 		Bids: reg.NewCounter("dfsqos_rm_bids_total",
 			"Bids served (always-bid: one per CFP)."),
 		Admissions: reg.NewCounter("dfsqos_rm_admissions_total",
 			"Data accesses admitted (opens)."),
-		Rejections: reg.NewCounter("dfsqos_rm_rejections_total",
-			"Firm-scenario opens refused for insufficient bandwidth."),
 		OffersAccepted: offers.With("accepted"),
 		OffersRejected: offers.With("rejected"),
 		RepTriggers: reg.NewCounter("dfsqos_rm_replication_triggers_total",
@@ -96,4 +97,8 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 		OversubRatio: reg.NewGauge("dfsqos_rm_oversub_ratio",
 			"Admission oversubscription ratio (1 = nominal capacity)."),
 	}
+	for why := ecnp.ErrDuplicateRequest; why < ecnp.NumRefusals; why++ {
+		met.Refused[why] = refusals.With(why.Label())
+	}
+	return met
 }

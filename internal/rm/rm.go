@@ -44,16 +44,16 @@ type FileMeta struct {
 
 // Stats counts notable RM events for metrics and experiments.
 type Stats struct {
-	CFPs           int64 // CFPs received
-	Opens          int64 // accesses admitted
-	OpenRefusals   int64 // firm-scenario refusals
-	RepTriggers    int64 // replication triggers that produced ≥1 transfer
-	RepTransfers   int64 // replica copies completed (as source)
-	RepMigrations  int64 // own-replica deletions after exceeding N_MAXR
-	OffersAccepted int64 // incoming offers accepted (as destination)
-	OffersRejected int64 // incoming offers rejected (as destination)
-	GCEvictions    int64 // cold replicas deleted by the storage collector
-	LeaseExpiries  int64 // orphaned reservations reclaimed by the sweeper
+	CFPs           int64                   // CFPs received
+	Opens          int64                   // accesses admitted
+	RepTriggers    int64                   // replication triggers that produced ≥1 transfer
+	RepTransfers   int64                   // replica copies completed (as source)
+	RepMigrations  int64                   // own-replica deletions after exceeding N_MAXR
+	OffersAccepted int64                   // incoming offers accepted (as destination)
+	OffersRejected int64                   // incoming offers rejected (as destination)
+	GCEvictions    int64                   // cold replicas deleted by the storage collector
+	LeaseExpiries  int64                   // orphaned reservations reclaimed by the sweeper
+	Refusals       [ecnp.NumRefusals]int64 // refused opens, stores and keepalives by code
 }
 
 // incoming tracks one accepted inbound replication transfer.
@@ -435,24 +435,21 @@ func (r *RM) HandleCFP(cfp ecnp.CFP) selection.Bid {
 // Open implements ecnp.Provider.
 func (r *RM) Open(req ecnp.OpenRequest) ecnp.OpenResult {
 	r.mu.Lock()
+	var refused ecnp.OpenResult
 	if _, dup := r.active[req.Request]; dup {
-		r.mu.Unlock()
-		return ecnp.OpenResult{OK: false, Reason: "duplicate request id"}
+		refused = ecnp.OpenResult{Code: ecnp.ErrDuplicateRequest, Reason: ecnp.ErrDuplicateRequest.Error()}
+	} else if req.Firm && !r.led.Fits(req.Bitrate) {
+		refused = ecnp.OpenResult{Code: ecnp.ErrFirmCapacity, Reason: ecnp.ErrFirmCapacity.Error()}
+	} else if err := r.tenants.ReserveBandwidth(req.Tenant, req.Bitrate); err != nil {
+		// Tenant quota is checked after capacity: a firm-refused request
+		// never touches the tenant ledger, and an over-quota refusal holds
+		// even in the soft scenario, where untenanted admission is free.
+		refused = ecnp.OpenResult{Code: ecnp.ErrTenantBandwidth, Reason: err.Error()}
 	}
-	if req.Firm && !r.led.Fits(req.Bitrate) {
-		r.stats.OpenRefusals++
-		r.met.Rejections.Inc()
+	if refused.Code != 0 {
+		r.refuseLocked(refused.Code)
 		r.mu.Unlock()
-		return ecnp.OpenResult{OK: false, Reason: "insufficient bandwidth"}
-	}
-	// Tenant quota is checked after capacity: a firm-refused request never
-	// touches the tenant ledger, and an over-quota refusal holds even in
-	// the soft scenario, where untenanted admission is unconditional.
-	if err := r.tenants.ReserveBandwidth(req.Tenant, req.Bitrate); err != nil {
-		r.stats.OpenRefusals++
-		r.met.Rejections.Inc()
-		r.mu.Unlock()
-		return ecnp.OpenResult{OK: false, Reason: err.Error()}
+		return refused
 	}
 	now := r.sched.Now()
 	size := units.Size(float64(req.Bitrate) * req.DurationSec)
@@ -475,6 +472,13 @@ func (r *RM) Open(req ecnp.OpenRequest) ecnp.OpenResult {
 		onAdmit(req.Request, req.Tenant, req.Bitrate)
 	}
 	return ecnp.OpenResult{OK: true}
+}
+
+// refuseLocked counts a refusal by its code and returns the code.
+func (r *RM) refuseLocked(why ecnp.Refusal) ecnp.Refusal {
+	r.stats.Refusals[why]++
+	r.met.Refused[why].Inc()
+	return why
 }
 
 // Close implements ecnp.Provider. Closing an unknown request is a no-op so
@@ -520,7 +524,7 @@ func (r *RM) Renew(request ids.RequestID) error {
 	defer r.mu.Unlock()
 	res, ok := r.active[request]
 	if !ok {
-		return fmt.Errorf("rm: %v: no active reservation %v (lease expired or never admitted)", r.info.ID, request)
+		return fmt.Errorf("rm: %v: %w: %v", r.info.ID, r.refuseLocked(ecnp.ErrNotReserved), request)
 	}
 	res.lastActivity = r.sched.Now()
 	return nil
@@ -605,14 +609,15 @@ func (r *RM) StoreFile(req ecnp.StoreRequest) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if _, dup := r.files[req.File]; dup {
-		return fmt.Errorf("rm: %v already holds %v", r.info.ID, req.File)
+		return fmt.Errorf("rm: %v: %w: %v", r.info.ID, r.refuseLocked(ecnp.ErrAlreadyStored), req.File)
 	}
 	if r.info.StorageBytes > 0 && r.storageUsed+req.SizeBytes > r.info.StorageBytes {
-		return fmt.Errorf("rm: %v disk full (%v of %v used)", r.info.ID, r.storageUsed, r.info.StorageBytes)
+		return fmt.Errorf("rm: %v: %w (%v of %v used)", r.info.ID, r.refuseLocked(ecnp.ErrDiskFull), r.storageUsed, r.info.StorageBytes)
 	}
 	// Byte quota is checked last so a refused store leaves nothing to
 	// roll back; the charge is released if the file is later deleted.
 	if err := r.tenants.ChargeBytes(req.Tenant, int64(req.SizeBytes)); err != nil {
+		r.refuseLocked(ecnp.ErrTenantBytes)
 		return fmt.Errorf("rm: %v refuses store of %v: %w", r.info.ID, req.File, err)
 	}
 	meta := FileMeta{Bitrate: req.Bitrate, Size: req.SizeBytes, DurationSec: req.DurationSec, Tenant: req.Tenant}
@@ -870,10 +875,7 @@ func (r *RM) tryReplicateFile(now simtime.Time, f ids.FileID, self ids.RMID) boo
 			// The cap is a property of the file, not of dstID, and a
 			// refused reservation changes nothing: every later
 			// destination would get the same answer, so the walk ends
-			// here and keeps the transfers it started. Over TCP the
-			// refusal arrives as a wire.RemoteError that matches no
-			// sentinel and the walk goes on as before; ending it there
-			// needs a reason code in the Error frame (ROADMAP item 3).
+			// here and keeps the transfers it started.
 			if errors.Is(err, ecnp.ErrReplicaCap) {
 				break
 			}

@@ -116,11 +116,11 @@ func TestFirmRefusalAndSoftOverAllocation(t *testing.T) {
 	if res := r.Open(ecnp.OpenRequest{Request: 1, Bitrate: units.Mbps(8), DurationSec: 10, Firm: true}); !res.OK {
 		t.Fatal("first firm open refused")
 	}
-	if res := r.Open(ecnp.OpenRequest{Request: 2, Bitrate: units.Mbps(8), DurationSec: 10, Firm: true}); res.OK {
-		t.Fatal("firm open admitted past capacity")
+	if res := r.Open(ecnp.OpenRequest{Request: 2, Bitrate: units.Mbps(8), DurationSec: 10, Firm: true}); res.OK || res.Code != ecnp.ErrFirmCapacity {
+		t.Fatalf("firm open past capacity: %+v, want refused with ErrFirmCapacity", res)
 	}
-	if r.Stats().OpenRefusals != 1 {
-		t.Fatalf("OpenRefusals = %d, want 1", r.Stats().OpenRefusals)
+	if n := r.Stats().Refusals[ecnp.ErrFirmCapacity]; n != 1 {
+		t.Fatalf("firm-capacity refusals = %d, want 1", n)
 	}
 	// Soft open of the same size is admitted and over-allocates.
 	if res := r.Open(ecnp.OpenRequest{Request: 3, Bitrate: units.Mbps(8), DurationSec: 10}); !res.OK {

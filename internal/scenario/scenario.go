@@ -322,6 +322,12 @@ func applyShape(spec Spec, p *workload.Pattern, cat *catalog.Catalog, src *rng.S
 // per-class recorder attached, optionally drive the live-TCP slice, and
 // evaluate the SLO.
 func Run(spec Spec, opts Options) (*Result, error) {
+	r, _, err := run(spec, opts)
+	return r, err
+}
+
+// run is Run that also hands back the DES run's cluster results.
+func run(spec Spec, opts Options) (*Result, *cluster.Results, error) {
 	users, horizon, scale := spec.Users, spec.HorizonSec, spec.TopologyScale
 	if opts.Short {
 		if spec.ShortUsers > 0 {
@@ -370,7 +376,7 @@ func Run(spec Spec, opts Options) (*Result, error) {
 	if spec.Policy != "" {
 		pol, err := selection.ParsePolicy(spec.Policy)
 		if err != nil {
-			return nil, fmt.Errorf("scenario %s: %w", spec.Name, err)
+			return nil, nil, fmt.Errorf("scenario %s: %w", spec.Name, err)
 		}
 		cfg.Policy = pol
 	}
@@ -405,7 +411,7 @@ func Run(spec Spec, opts Options) (*Result, error) {
 
 	cl, err := cluster.Build(cfg)
 	if err != nil {
-		return nil, fmt.Errorf("scenario %s: %w", spec.Name, err)
+		return nil, nil, fmt.Errorf("scenario %s: %w", spec.Name, err)
 	}
 
 	// Transforms draw from streams derived from the master seed and the
@@ -413,7 +419,7 @@ func Run(spec Spec, opts Options) (*Result, error) {
 	src := rng.New(opts.Seed).Split("scenario/" + spec.Name)
 	p := cl.Pattern()
 	if err := applyShape(spec, p, cl.Catalog(), src, horizon, users); err != nil {
-		return nil, fmt.Errorf("scenario %s: %w", spec.Name, err)
+		return nil, nil, fmt.Errorf("scenario %s: %w", spec.Name, err)
 	}
 
 	opts.logf("scenario %s: %d users, %d requests over %.0fs (%d RMs)",
@@ -437,7 +443,7 @@ func Run(spec Spec, opts Options) (*Result, error) {
 		}
 	})
 	if err != nil {
-		return nil, fmt.Errorf("scenario %s: %w", spec.Name, err)
+		return nil, nil, fmt.Errorf("scenario %s: %w", spec.Name, err)
 	}
 
 	// Aggregate utilization: the mean of each RM's sampled allocation
@@ -490,7 +496,7 @@ func Run(spec Spec, opts Options) (*Result, error) {
 		vict := victimStatsOf(victimRec)
 		base, err := runVictimBaseline(spec, cfg, opts, horizon, users, abusers)
 		if err != nil {
-			return nil, fmt.Errorf("scenario %s: baseline pass: %w", spec.Name, err)
+			return nil, nil, fmt.Errorf("scenario %s: baseline pass: %w", spec.Name, err)
 		}
 		vict.BaselineFailRate = base.FailRate
 		vict.BaselineP99Ms = base.P99Ms
@@ -503,14 +509,14 @@ func Run(spec Spec, opts Options) (*Result, error) {
 	if spec.Live != nil && !opts.SkipLive {
 		lr, err := runLive(spec, opts)
 		if err != nil {
-			return nil, fmt.Errorf("scenario %s: live slice: %w", spec.Name, err)
+			return nil, nil, fmt.Errorf("scenario %s: live slice: %w", spec.Name, err)
 		}
 		r.Live = lr
 	}
 
 	r.Violations = spec.SLO.Check(r)
 	r.Pass = len(r.Violations) == 0
-	return r, nil
+	return r, res, nil
 }
 
 // victimStatsOf extracts the victims' fail rate and p99 from the

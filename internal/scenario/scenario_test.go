@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"dfsqos/internal/ecnp"
 	"dfsqos/internal/workload"
 )
 
@@ -208,7 +209,7 @@ func tenantSpec() Spec {
 }
 
 func TestRunMultiTenantIsolation(t *testing.T) {
-	res, err := Run(tenantSpec(), Options{Seed: 3, SkipLive: true})
+	res, des, err := run(tenantSpec(), Options{Seed: 3, SkipLive: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,19 +245,23 @@ func TestRunMultiTenantIsolation(t *testing.T) {
 	if !res.Pass {
 		t.Fatalf("tenant scenario violated its SLO: %v", res.Violations)
 	}
-	// The same run with quotas lifted must stop tripping the abuser's
-	// refusal floor — proving the fail rate above came from the ledger.
-	open := tenantSpec()
-	open.Tenants[0].BandwidthMbps = 0
-	open.SLO.PerTenant = nil
-	openRes, err := Run(open, Options{Seed: 3, SkipLive: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range openRes.Tenants {
-		if c.Class == "tenant1" && c.FailRate() > abuser.FailRate()/2 {
-			t.Fatalf("uncapped abuser still fails at %.4f (capped: %.4f)", c.FailRate(), abuser.FailRate())
+	// The abuser's refusal floor came from the ledger: the RMs refused
+	// once per failed abuser access, every time for the tenant's
+	// bandwidth, and never for anything else (soft admission refuses
+	// nothing an unlimited tenant asks for). Lifting the quota leaves
+	// nothing to refuse.
+	var refused [ecnp.NumRefusals]int64
+	for _, st := range des.RMStats {
+		for why, n := range st.Refusals {
+			refused[why] += n
 		}
+	}
+	if refused[ecnp.ErrTenantBandwidth] != abuser.Failed {
+		t.Fatalf("%d tenant-bandwidth refusals for %d failed abuser accesses", refused[ecnp.ErrTenantBandwidth], abuser.Failed)
+	}
+	refused[ecnp.ErrTenantBandwidth] = 0
+	if refused != [ecnp.NumRefusals]int64{} {
+		t.Fatalf("refusals besides the abuser's quota: %v", refused)
 	}
 }
 

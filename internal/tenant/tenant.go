@@ -24,6 +24,7 @@ import (
 	"sort"
 	"sync"
 
+	"dfsqos/internal/ecnp"
 	"dfsqos/internal/ids"
 	"dfsqos/internal/units"
 )
@@ -67,8 +68,8 @@ func (q Quota) weight() float64 {
 }
 
 // OverQuotaError is the typed admission refusal: which tenant, which
-// dimension, and the arithmetic that failed. RMs map it onto a counted
-// rejection; clients can distinguish it from capacity exhaustion.
+// dimension, and the arithmetic that failed. It unwraps to the ecnp code
+// of its dimension, which tells it from capacity exhaustion.
 type OverQuotaError struct {
 	// Tenant is the over-quota tenant.
 	Tenant ids.TenantID
@@ -84,6 +85,14 @@ type OverQuotaError struct {
 func (e *OverQuotaError) Error() string {
 	return fmt.Sprintf("%v over %s quota: requested %g with %g/%g used",
 		e.Tenant, e.Dim, e.Requested, e.Used, e.Limit)
+}
+
+// Unwrap returns the refusal code of the exhausted dimension.
+func (e *OverQuotaError) Unwrap() error {
+	if e.Dim == "bytes" {
+		return ecnp.ErrTenantBytes
+	}
+	return ecnp.ErrTenantBandwidth
 }
 
 // acct is one tenant's ledger row: the declared quota plus live usage.

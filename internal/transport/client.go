@@ -230,7 +230,7 @@ func (c *Client) get(ctx context.Context, deadline time.Time) (*Conn, error) {
 }
 
 // Put returns a checked-out connection. err is the outcome of whatever
-// the holder did with it: nil or a RemoteError keeps the connection
+// the holder did with it: nil or a wire.RemoteError keeps the connection
 // pooled; any transport-level failure (or pool overflow) closes it.
 func (c *Client) Put(conn *Conn, err error) {
 	if conn == nil {
@@ -335,7 +335,7 @@ func (c *Client) backoffLocked() time.Duration {
 // time, fixed when the call starts: it caps the backoff wait and the dial
 // of a checkout that finds the pool empty, and it is the one deadline the
 // round trip arms on the connection (wire.Conn.CallDeadline). Errors come
-// back classified: RemoteError, *TimeoutError or *ConnError. The
+// back classified: wire.RemoteError, *TimeoutError or *ConnError. The
 // connection returns to the pool unless the call failed at the transport
 // level.
 func (c *Client) Call(ctx context.Context, kind wire.Kind, payload any) (wire.Msg, error) {

@@ -182,7 +182,7 @@ func TestRemoteErrorIsTypedAndKeepsConnection(t *testing.T) {
 	defer c.Close()
 
 	_, err := c.Call(context.Background(), wire.KindRMs, nil)
-	var re RemoteError
+	var re wire.RemoteError
 	if !errors.As(err, &re) || re.Text != "boom" {
 		t.Fatalf("err = %v, want RemoteError{boom}", err)
 	}
@@ -336,7 +336,7 @@ func TestClassifyPassthrough(t *testing.T) {
 	if Classify("op", "peer", nil) != nil {
 		t.Fatal("nil reclassified")
 	}
-	re := RemoteError{Text: "x"}
+	re := wire.RemoteError{Text: "x"}
 	if got := Classify("op", "peer", re); got != error(re) {
 		t.Fatalf("remote error rewrapped: %v", got)
 	}

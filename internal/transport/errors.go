@@ -9,7 +9,7 @@
 //     health-checked on checkout, replacing the one-mutex-one-connection
 //     client pattern (calls to the same peer no longer serialize behind a
 //     single in-flight RPC);
-//   - failure classification: a typed error taxonomy — RemoteError (the
+//   - failure classification: a typed error taxonomy — wire.RemoteError (the
 //     peer answered with an error; the connection is fine), TimeoutError
 //     (deadline exceeded), ConnError (the connection is unusable) — matched
 //     with errors.As instead of substring checks on error text.
@@ -28,12 +28,6 @@ import (
 
 	"dfsqos/internal/wire"
 )
-
-// RemoteError is an error the peer served over a healthy connection (a
-// KindError reply frame). It is an alias of wire.RemoteError so the codec
-// and the transport surface the same type; match it with errors.As or
-// IsRemote. A RemoteError never invalidates the connection.
-type RemoteError = wire.RemoteError
 
 // TimeoutError reports an operation that exceeded its deadline: a dial
 // that ran past DialTimeout, or a call that ran past CallTimeout or its
@@ -77,11 +71,12 @@ func (e *ConnError) Unwrap() error { return e.Err }
 // closed client.
 var ErrClosed = errors.New("transport: client closed")
 
-// IsRemote reports whether err (anywhere in its chain) is an error the
-// peer served rather than a transport failure — the typed replacement for
-// strings.Contains(err.Error(), "remote error").
+// IsRemote reports whether err (anywhere in its chain) is a
+// wire.RemoteError, an error the peer served over a healthy connection,
+// rather than a transport failure. A served error never invalidates the
+// connection.
 func IsRemote(err error) bool {
-	var re RemoteError
+	var re wire.RemoteError
 	return errors.As(err, &re)
 }
 

@@ -1,5 +1,5 @@
 // The one codec of the ECNP wire protocol. The frame prelude carries a
-// one-byte codec tag and exactly one value of it exists: tag 1, a
+// one-byte codec tag and exactly one value of it exists: tag 4, a
 // fixed-layout big-endian encoding in which every message kind is
 // described once — its arm of coder.payload below lists the kind's fields
 // in wire order, and one cursor walks that list to encode and to decode.
@@ -15,7 +15,7 @@
 //	[..]   uint16 kind
 //	[..]   payload, fields in wire order per kind:
 //	  -- mapper operations and replies (DFSC/RM → MM) --
-//	  Error:            text (rest of body, UTF-8)
+//	  Error:            code u8 | text (rest of body, UTF-8)
 //	  RegisterRM:       info RMInfo | files: n u32, file i32 × n
 //	  Lookup, RMsWithout, ReplicaCount:
 //	                    file i32                             (wire.FileRef)
@@ -35,7 +35,7 @@
 //	                    hasReplica u8 | assured f64 | ceil f64 | tenantShare f64
 //	  Open:             request i64 | file i32 | bitrate f64 | durationSec f64 |
 //	                    firm u8 | tenant i32                 (ecnp.OpenRequest)
-//	  OpenResult:       ok u8 | reason (rest of body, UTF-8)
+//	  OpenResult:       ok u8 | code u8 | reason (rest of body, UTF-8)
 //	  Close:            request i64                          (wire.CloseReq)
 //	  OfferReplica:     replication i64 | file i32 | sizeBytes i64 | bitrate f64 |
 //	                    durationSec f64 | rate f64 | source i32 (ecnp.ReplicaOffer)
@@ -68,7 +68,8 @@
 //
 // An f64 is the value's IEEE-754 bit pattern (math.Float64bits), so a
 // negative Rem, a NaN and ±Inf arrive bit-exactly; a Go int travels as an
-// i64; a u8 bool is 0 or 1 and any other byte is a CodecError. A str is a
+// i64; a u8 bool is 0 or 1 and any other byte is a CodecError, and so is
+// a code u8 that names no ecnp.Refusal. A str is a
 // u32 byte length and that many bytes. A counted list is a u32 element
 // count and the elements; the decoder checks a count or a length against
 // the bytes the body still holds before it sizes anything by it, so four
@@ -81,9 +82,9 @@
 // CodecError ("unknown kind", "unknown flag bits"). Changing an existing
 // body's layout bumps the codec tag instead of mutating the layout in
 // place, and an unknown tag is a typed CodecError as well ("unknown codec
-// tag") — tag 0 (gob) and tags 2 and 3 (this body behind fixed slots) are
-// retired that way. No fleet is deployed, so no two tags are spoken at
-// once.
+// tag") — tag 0 (gob), tags 2 and 3 (this body behind fixed slots) and
+// tag 1 (Error and OpenResult without their code) are retired that way.
+// No fleet is deployed, so no two tags are spoken at once.
 //
 // Buffer ownership: encode and decode both borrow scratch buffers from a
 // sync.Pool. On the read side, a FileChunk's Data slice points INTO the
@@ -111,7 +112,7 @@ type Codec uint8
 
 // CodecBinary is the one codec: a flags byte that says which optional
 // slots (tenant, trace) precede the kind field, then the kind's layout.
-const CodecBinary Codec = 1
+const CodecBinary Codec = 4
 
 // String implements fmt.Stringer for diagnostics.
 func (c Codec) String() string {
@@ -397,6 +398,7 @@ const (
 	badShort    = "body ends inside the kind's layout"
 	badTrailing = "body goes on behind the kind's layout"
 	badBool     = "bool byte is neither 0 nor 1"
+	badRefusal  = "refusal code is not in ecnp's vocabulary"
 	badCount    = "count or length exceeds the bytes left in the body"
 )
 
@@ -471,6 +473,22 @@ func (c *coder) flag(v *bool) {
 		c.fail(badBool)
 	default:
 		*v = c.b[0] == 1
+		c.b = c.b[1:]
+	}
+}
+
+// refusal is an ecnp.Refusal code field: one byte, refused decoding
+// unless it names a code (or is zero, no refusal).
+func (c *coder) refusal(v *ecnp.Refusal) {
+	switch {
+	case !c.dec:
+		c.b = append(c.b, byte(*v))
+	case len(c.b) < 1:
+		c.fail(badShort)
+	case ecnp.Refusal(c.b[0]) >= ecnp.NumRefusals:
+		c.fail(badRefusal)
+	default:
+		*v = ecnp.Refusal(c.b[0])
 		c.b = c.b[1:]
 	}
 }
@@ -607,6 +625,7 @@ func (c *coder) payload(kind Kind, in any) (out any) {
 	switch kind {
 	case KindError:
 		p := take[Error](c, in)
+		c.refusal(&p.Code)
 		c.tail(&p.Text)
 		out = give(c, p)
 	case KindRegisterRM:
@@ -692,6 +711,7 @@ func (c *coder) payload(kind Kind, in any) (out any) {
 	case KindOpenResult:
 		p := take[ecnp.OpenResult](c, in)
 		c.flag(&p.OK)
+		c.refusal(&p.Code)
 		c.tail(&p.Reason)
 		out = give(c, p)
 	case KindClose:

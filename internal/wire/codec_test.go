@@ -157,6 +157,8 @@ func everyPayload() []ctlPayload {
 		{KindError, Error{Text: "disk exploded"}},
 		{KindHeartbeat, Heartbeat{RM: 5}},
 		{KindKeepalive, Keepalive{Request: 41}},
+		{KindError, Error{Code: ecnp.ErrTenantBytes, Text: "rm: RM1 refuses store of file9"}},
+		{KindError, Error{Code: ecnp.NumRefusals - 1}},
 	}, ctlPayloads()...), adminPayloads()...)
 }
 
@@ -268,10 +270,11 @@ func TestEncodeOnlyReadsThePayload(t *testing.T) {
 }
 
 // TestUnknownCodecTagRejected: a tag the reader does not know — the
-// retired gob (0), traced (2) and tenant (3) tags included — is a typed
-// error naming the tag, and the stream stays frame-synchronised behind it.
+// retired gob (0), codeless (1), traced (2) and tenant (3) tags included —
+// is a typed error naming the tag, and the stream stays
+// frame-synchronised behind it.
 func TestUnknownCodecTagRejected(t *testing.T) {
-	for _, tag := range []Codec{0, 2, 3, 7} {
+	for _, tag := range []Codec{0, 1, 2, 3, 7} {
 		var buf bytes.Buffer
 		writeRawFrame(&buf, tag, slotTenantTrace.body(KindAck, nil))
 		writeRawFrame(&buf, CodecBinary, binaryBody(KindAck, nil))
@@ -330,6 +333,10 @@ func TestBinaryMalformedBodiesRejected(t *testing.T) {
 		{"open bad bool", binaryBody(KindOpen, append(append(make([]byte, 28), 0xff), make([]byte, 4)...)), KindOpen},
 		{"openresult empty", binaryBody(KindOpenResult, nil), KindOpenResult},
 		{"openresult bad bool", binaryBody(KindOpenResult, []byte{2, 'x'}), KindOpenResult},
+		{"openresult without its code", binaryBody(KindOpenResult, []byte{0}), KindOpenResult},
+		{"openresult unknown code", binaryBody(KindOpenResult, []byte{0, byte(ecnp.NumRefusals), 'x'}), KindOpenResult},
+		{"error without its code", binaryBody(KindError, nil), KindError},
+		{"error unknown code", binaryBody(KindError, []byte{0xff, 'x'}), KindError},
 		{"close wrong len", binaryBody(KindClose, make([]byte, 9)), KindClose},
 		{"lookup wrong len", binaryBody(KindLookup, make([]byte, 3)), KindLookup},
 		{"rmlist ragged", binaryBody(KindRMList, make([]byte, 6)), KindRMList},
@@ -647,6 +654,7 @@ func ctlPayloads() []ctlPayload {
 		{KindOpenResult, ecnp.OpenResult{OK: true}},
 		{KindOpenResult, ecnp.OpenResult{Reason: "insufficient bandwidth"}},
 		{KindOpenResult, ecnp.OpenResult{Reason: strings.Repeat("tenant 4 over quota; ", 400)}},
+		{KindOpenResult, ecnp.OpenResult{Code: ecnp.ErrTenantBandwidth, Reason: "tenant4 over bandwidth quota"}},
 		{KindClose, CloseReq{Request: 9}},
 		{KindLookup, FileRef{File: 42}},
 		{KindRMList, RMList{}},

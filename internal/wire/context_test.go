@@ -7,6 +7,8 @@ import (
 	"net"
 	"testing"
 	"time"
+
+	"dfsqos/internal/ecnp"
 )
 
 // TestCallContextDeadlineUnblocksStalledRead verifies a CallContext
@@ -136,12 +138,18 @@ func TestCallRemoteErrorIsTyped(t *testing.T) {
 	}
 }
 
-// TestServedErrorDecodesPayload: a KindError frame serves its text, and
-// one whose payload is no Error serves the one fallback text every reader
-// of replies and streams reports.
+// TestServedErrorDecodesPayload: a KindError frame serves its text and
+// its refusal code, which errors.Is matches as it would in process; one
+// with no code matches no refusal; and one whose payload is no Error
+// serves the one fallback text every reader of replies and streams
+// reports.
 func TestServedErrorDecodesPayload(t *testing.T) {
-	if got := ServedError(Msg{Kind: KindError, Payload: Error{Text: "boom"}}); got.Text != "boom" {
-		t.Fatalf("served text %q, want boom", got.Text)
+	if got := ServedError(Msg{Kind: KindError, Payload: Error{Text: "boom"}}); got.Text != "boom" || ecnp.RefusalOf(got) != 0 {
+		t.Fatalf("served %+v, want text boom and no code", got)
+	}
+	served := ServedError(Msg{Kind: KindError, Payload: Error{Code: ecnp.ErrDiskFull, Text: "rm: RM1: disk full"}})
+	if !errors.Is(served, ecnp.ErrDiskFull) || errors.Is(served, ecnp.ErrTenantBytes) {
+		t.Fatalf("served %+v: errors.Is does not single out ErrDiskFull", served)
 	}
 	if got := ServedError(Msg{Kind: KindError, Payload: Ack{}}); got.Text != "malformed error payload" {
 		t.Fatalf("served text %q for a non-Error payload", got.Text)

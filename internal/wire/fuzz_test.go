@@ -135,6 +135,7 @@ func FuzzBinaryCtlRoundTrip(f *testing.F) {
 	}
 	f.Add(uint8(CodecBinary), binaryBody(KindRegisterRM, []byte("not a registration")))
 	f.Add(uint8(0), binaryBody(KindAck, nil))
+	f.Add(uint8(1), binaryBody(KindError, []byte("a codeless error")))
 	f.Add(uint8(2), slotTrace.body(KindAck, nil))
 	f.Add(uint8(3), slotTenantTrace.body(KindAck, nil))
 	f.Add(uint8(9), []byte{1, 2, 3})

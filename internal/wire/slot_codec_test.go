@@ -113,7 +113,7 @@ func TestUntenantedFramesUnchanged(t *testing.T) {
 	}
 	want := []byte{
 		0, 0, 0, 11, // body length: 1+2+8
-		1,                      // codec tag binary
+		4,                      // codec tag binary
 		0,                      // flags: no slots
 		0, byte(KindKeepalive), // kind
 		0, 0, 0, 0, 0, 0, 1, 2, // request
@@ -142,7 +142,7 @@ func checkChunkFrame(t *testing.T, s slotCase, want []byte) {
 func TestTracedPrefixLayout(t *testing.T) {
 	checkChunkFrame(t, slotPlain, []byte{
 		0, 0, 0, 13, // body length: 1+2+8+2
-		1,                      // codec tag binary
+		4,                      // codec tag binary
 		0,                      // flags: no slots
 		0, byte(KindFileChunk), // kind
 		1, 2, 3, 4, 5, 6, 7, 8, // offset
@@ -150,7 +150,7 @@ func TestTracedPrefixLayout(t *testing.T) {
 	})
 	checkChunkFrame(t, slotTrace, []byte{
 		0, 0, 0, 29, // body length: 1+16+2+8+2
-		1,                                     // codec tag binary
+		4,                                     // codec tag binary
 		2,                                     // flags: trace
 		0, 0, 0, 0x11, 0x22, 0x33, 0x44, 0x55, // trace ID
 		0, 0, 0, 0, 0, 0, 0, 0x99, // span ID
@@ -166,7 +166,7 @@ func TestTracedPrefixLayout(t *testing.T) {
 func TestTenantFrameLayout(t *testing.T) {
 	checkChunkFrame(t, slotTenant, []byte{
 		0, 0, 0, 17, // body length: 1+4+2+8+2
-		1,           // codec tag binary
+		4,           // codec tag binary
 		1,           // flags: tenant
 		0, 0, 0, 42, // tenant slot
 		0, byte(KindFileChunk), // kind
@@ -175,7 +175,7 @@ func TestTenantFrameLayout(t *testing.T) {
 	})
 	checkChunkFrame(t, slotTenantTrace, []byte{
 		0, 0, 0, 33, // body length: 1+4+16+2+8+2
-		1,           // codec tag binary
+		4,           // codec tag binary
 		3,           // flags: tenant | trace
 		0, 0, 0, 42, // tenant slot
 		0, 0, 0, 0x11, 0x22, 0x33, 0x44, 0x55, // trace ID

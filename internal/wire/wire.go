@@ -138,16 +138,6 @@ func (m *Msg) Chunk() (*FileChunk, bool) {
 	return p, ok
 }
 
-// ReadReq extracts a received ReadFile payload: a copy of the pooled
-// *ReadFile the request decoded into, so it stays valid after Release. It
-// reports false for any other payload.
-func (m *Msg) ReadReq() (ReadFile, bool) {
-	if p, ok := m.Payload.(*ReadFile); ok {
-		return *p, true
-	}
-	return ReadFile{}, false
-}
-
 // FileEnd extracts a received FileEnd payload: a copy of the pooled
 // *FileEnd the frame decoded into, so it stays valid after Release. It
 // reports false for any other payload.
@@ -297,8 +287,9 @@ type (
 	}
 	// Ack is the empty success reply.
 	Ack struct{}
-	// Error carries a remote failure.
+	// Error carries a remote failure: its ecnp refusal code and text.
 	Error struct {
+		Code ecnp.Refusal
 		Text string
 	}
 	// Heartbeat is an RM's periodic liveness beacon to the MM.
@@ -382,8 +373,11 @@ func ChecksumUpdate(sum uint64, data []byte) uint64 {
 //	var re wire.RemoteError
 //	if errors.As(err, &re) { ... }
 //
-// (or transport.IsRemote), never by matching the error text.
+// (or transport.IsRemote), never by matching the error text. A served
+// refusal unwraps to its code, so errors.Is matches it as in process.
 type RemoteError struct {
+	// Code is the peer's ecnp refusal, or zero for any other error.
+	Code ecnp.Refusal
 	// Text is the peer's diagnostic message.
 	Text string
 }
@@ -392,12 +386,20 @@ type RemoteError struct {
 // for log readability only; programmatic classification must use errors.As.
 func (e RemoteError) Error() string { return "wire: remote error: " + e.Text }
 
-// ServedError decodes a KindError frame into the RemoteError it serves:
-// the peer's text, or "malformed error payload" when the frame carries no
-// Error. Every reader of a reply or a stream decodes served errors here.
+// Unwrap exposes the refusal code to errors.Is, or nothing without one.
+func (e RemoteError) Unwrap() error {
+	if e.Code == 0 {
+		return nil
+	}
+	return e.Code
+}
+
+// ServedError decodes a KindError frame into the RemoteError it serves,
+// or "malformed error payload" when the frame carries no Error. Every
+// reader of a reply or a stream decodes served errors here.
 func ServedError(m Msg) RemoteError {
 	if e, ok := m.Payload.(Error); ok {
-		return RemoteError{Text: e.Text}
+		return RemoteError(e)
 	}
 	return RemoteError{Text: "malformed error payload"}
 }
@@ -849,9 +851,10 @@ func (g *callGuard) finish() {
 	g.mu.Unlock()
 }
 
-// WriteError replies with a remote error message.
+// WriteError replies with a remote error message: err's refusal code,
+// when it wraps one, and its text.
 func (c *Conn) WriteError(err error) error {
-	return c.Write(KindError, Error{Text: err.Error()})
+	return c.Write(KindError, Error{Code: ecnp.RefusalOf(err), Text: err.Error()})
 }
 
 // IsWriteDeadline reports whether err is a reply-write deadline overrun —
