@@ -373,7 +373,7 @@ type ctxMapper interface {
 }
 
 // errMapper is optionally implemented by Mappers whose lookup can report
-// a transport failure (the live MM clients). ecnp.Mapper's Lookup
+// a transport failure (the live MMClient). ecnp.Mapper's Lookup
 // signature swallows errors, which made a dead MM indistinguishable from
 // a file with no replicas; through this interface the failure surfaces
 // with the transport taxonomy intact and is counted by class.

@@ -38,14 +38,11 @@ func (l *Local) Restart(id ids.RMID, addr string) (*RMServer, error) {
 
 // ReviveShard restarts member i as a fresh, empty process on its old
 // address, so peers reconverge through their pooled stubs. setup, when
-// set, configures the new member and its server before it beats — before
-// any peer can hand it a keyspace.
-func (l *Local) ReviveShard(i int, setup func(*MMShard, *MMServer)) error {
-	if err := l.bootShard(i, l.shardAddrs[i]); err != nil {
+// set, configures the new member before its server binds — before any
+// peer can beat it or hand it a keyspace.
+func (l *Local) ReviveShard(i int, setup func(*MMShard)) error {
+	if err := l.bootShard(i, l.mmAddrs[i], setup); err != nil {
 		return err
-	}
-	if setup != nil {
-		setup(l.Shards[i], l.ShardServers[i])
 	}
 	return l.connectShard(i)
 }

@@ -4,25 +4,18 @@ import (
 	"time"
 
 	"dfsqos/internal/ecnp"
-	"dfsqos/internal/ids"
 	"dfsqos/internal/rm"
 	"dfsqos/internal/transport"
 )
 
-// Beater is the client surface the heartbeat loop beacons through; both
-// MMClient (single MM) and ShardMapper (replicated shard group, fanning
-// the beacon to every reachable shard) implement it.
-type Beater interface {
-	Heartbeat(id ids.RMID) error
-}
-
-// StartHeartbeats beacons node's liveness to the MM every interval until
-// the returned stop function is called. A beacon the MM refuses as a
-// remote error means the MM does not know this RM — typically because the
-// MM restarted and lost its resource list — so the loop re-registers,
-// which also reconciles the RM's file list against the replica map. The
-// first beacon fires after one interval (registration precedes the loop).
-func StartHeartbeats(node *rm.RM, mm Beater, interval time.Duration, logf func(string, ...any)) (stop func()) {
+// StartHeartbeats beacons node's liveness through mm — to the one MM, or
+// to every reachable member of a shard group — every interval until the
+// returned stop function is called. A beacon refused as a remote error
+// means an MM does not know this RM — typically because it restarted and
+// lost its resource list — so the loop re-registers, which also
+// reconciles the RM's file list against the replica map. The first
+// beacon fires after one interval (registration precedes the loop).
+func StartHeartbeats(node *rm.RM, mm *MMClient, interval time.Duration, logf func(string, ...any)) (stop func()) {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}

@@ -50,7 +50,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 		lc.Server(id).SetMetrics(NewServerMetrics(reg, "rm"))
 	}
 
-	mmCli, err := DialMMConfig(lc.MM.Addr(), tcfg)
+	mmCli, err := DialMMConfig([]string{lc.MM.Addr()}, 1, tcfg)
 	if err != nil {
 		t.Fatal(err)
 	}

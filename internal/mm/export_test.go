@@ -7,6 +7,14 @@ import (
 	"dfsqos/internal/ids"
 )
 
+// SetLiveness arms RM failure detection on every shard (the resource
+// list, and therefore the liveness table, is replicated).
+func (m *ShardedManager) SetLiveness(cfg LivenessConfig) {
+	for _, s := range m.members {
+		s.Manager.SetLiveness(cfg)
+	}
+}
+
 // FilesOn merges the per-shard file lists of one RM (replicated mappings
 // appear once).
 func (m *ShardedManager) FilesOn(rm ids.RMID) []ids.FileID {

@@ -83,6 +83,12 @@ func (r *Ring) SuccessorsOfFile(file int64, n int) []int {
 	return r.Successors(mix64(uint64(file)), n)
 }
 
+// AppendSuccessorsOfFile appends SuccessorsOfFile(file, n) to dst, so a
+// router that owns the memory allocates nothing per call.
+func (r *Ring) AppendSuccessorsOfFile(dst []int, file int64, n int) []int {
+	return r.appendSuccessors(dst, mix64(uint64(file)), n)
+}
+
 // hash64 is FNV-1a with a splitmix finalizer.
 func hash64(s string) uint64 {
 	var h uint64 = 14695981039346656037

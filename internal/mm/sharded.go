@@ -183,14 +183,6 @@ func (m *ShardedManager) AllRMs() []ecnp.RMInfo {
 	return m.canonical().AllRMs()
 }
 
-// SetLiveness arms RM failure detection on every shard (the resource
-// list, and therefore the liveness table, is replicated).
-func (m *ShardedManager) SetLiveness(cfg LivenessConfig) {
-	for _, s := range m.members {
-		s.Manager.SetLiveness(cfg)
-	}
-}
-
 // SetClock overrides the wall-clock source on every shard and on the
 // shard liveness table (tests).
 func (m *ShardedManager) SetClock(now func() time.Time) {

@@ -112,7 +112,7 @@ func NewRMHandler(node *rm.RM, disk *vdisk.Disk, sched ecnp.Scheduler, reg *tele
 type MMStats struct {
 	RMs []MMRMEntry `json:"rms"`
 	// LiveRMs counts the RMs currently within their liveness window
-	// (equals len(RMs) when the mapper has no liveness layer).
+	// (equals len(RMs) while liveness tracking is off).
 	LiveRMs int `json:"liveRMs"`
 }
 
@@ -121,59 +121,46 @@ type MMRMEntry struct {
 	ID          string  `json:"id"`
 	CapacityBps float64 `json:"capacityBps"`
 	Addr        string  `json:"addr"`
-	// Alive reports the liveness verdict (always true without a liveness
-	// layer: an RM the MM would answer with is by definition advertised).
+	// Alive reports the liveness verdict (always true while liveness
+	// tracking is off: an RM the MM would answer with is advertised).
 	Alive bool `json:"alive"`
 	// Epoch is the RM's liveness epoch: how many times the MM has seen it
 	// die and come back.
 	Epoch uint64 `json:"epoch"`
 }
 
-// livenessSource is the optional liveness surface of a mapper.
-// mm.Manager, mm.ShardedManager and a shard-group member (mm.ShardMember,
-// served by mmd -peers as live.MMShard) implement it; the thin MMClient
-// stub and liveness-free mappers do not, and degrade to the plain
-// resource list.
-type livenessSource interface {
+// MMLiveness is what the MM's /stats page reads: the resource list with
+// each RM's liveness verdict and epoch. Both shapes mmd serves have it —
+// mm.Manager, and a shard-group member (mm.ShardMember, served as
+// live.MMShard).
+type MMLiveness interface {
 	AllRMs() []ecnp.RMInfo
 	Alive(id ids.RMID) bool
 	Epoch(id ids.RMID) uint64
 	LiveCount() int
 }
 
-// NewMMHandler builds the HTTP handler for the MM daemon. reg may be
-// nil, in which case /metrics serves an empty exposition. A mapper with a
-// liveness layer additionally reports dead RMs (rows with alive=false)
-// and the live count. tr may be nil (empty /traces).
-func NewMMHandler(mapper ecnp.Mapper, reg *telemetry.Registry, tr *trace.Tracer) http.Handler {
+// NewMMHandler builds the HTTP handler for the MM daemon: /stats lists
+// every RM with its liveness (dead RMs as rows with alive=false) and the
+// live count. reg may be nil, in which case /metrics serves an empty
+// exposition; tr may be nil (empty /traces).
+func NewMMHandler(mm MMLiveness, reg *telemetry.Registry, tr *trace.Tracer) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", healthz)
 	mux.Handle("/metrics", reg.Handler())
 	AttachDebug(mux, tr)
 	mux.HandleFunc("/stats", func(w http.ResponseWriter, r *http.Request) {
 		var out MMStats
-		if ls, ok := mapper.(livenessSource); ok {
-			for _, info := range ls.AllRMs() {
-				out.RMs = append(out.RMs, MMRMEntry{
-					ID:          info.ID.String(),
-					CapacityBps: float64(info.Capacity),
-					Addr:        info.Addr,
-					Alive:       ls.Alive(info.ID),
-					Epoch:       ls.Epoch(info.ID),
-				})
-			}
-			out.LiveRMs = ls.LiveCount()
-		} else {
-			for _, info := range mapper.RMs() {
-				out.RMs = append(out.RMs, MMRMEntry{
-					ID:          info.ID.String(),
-					CapacityBps: float64(info.Capacity),
-					Addr:        info.Addr,
-					Alive:       true,
-				})
-			}
-			out.LiveRMs = len(out.RMs)
+		for _, info := range mm.AllRMs() {
+			out.RMs = append(out.RMs, MMRMEntry{
+				ID:          info.ID.String(),
+				CapacityBps: float64(info.Capacity),
+				Addr:        info.Addr,
+				Alive:       mm.Alive(info.ID),
+				Epoch:       mm.Epoch(info.ID),
+			})
 		}
+		out.LiveRMs = mm.LiveCount()
 		writeJSON(w, out)
 	})
 	return mux
