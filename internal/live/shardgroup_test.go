@@ -42,12 +42,12 @@ func startTCPGroup(t *testing.T, n, rep int) *tcpGroup {
 		if err != nil {
 			t.Fatal(err)
 		}
+		t.Cleanup(s.ClosePeers) // runs after the server closes
 		srv, err := live.NewMMServer(s, "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { srv.Close() })
-		t.Cleanup(s.ClosePeers)
 		g.members = append(g.members, s)
 		addrs[i] = srv.Addr()
 	}

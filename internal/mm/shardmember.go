@@ -70,6 +70,8 @@ type ShardMember struct {
 	met   *Metrics
 	peers []ShardPeer // ring-index aligned; nil at own index / unset
 	logf  func(string, ...any)
+
+	heals sync.WaitGroup // heal handoffs PeerBeat started
 }
 
 // NewShardMember builds member index of the group laid out by ring, with
@@ -291,7 +293,8 @@ func (s *ShardMember) ApplyHandoff(h wire.ShardHandoff) (int, error) {
 }
 
 // PeerBeat records a liveness beacon from peer shard i. A beat that
-// revives a dead peer runs the heal handoff asynchronously.
+// revives a dead peer runs the heal handoff asynchronously; WaitHeals
+// waits for it.
 func (s *ShardMember) PeerBeat(i int) error {
 	if i < 0 || i >= s.ring.Shards() || i == s.index {
 		return fmt.Errorf("mm: shard %d: bad peer beat from %d", s.index, i)
@@ -299,10 +302,19 @@ func (s *ShardMember) PeerBeat(i int) error {
 	met, _ := s.state()
 	met.ShardBeats.Inc()
 	if s.health.Beat(i) {
-		go s.Heal(i)
+		s.heals.Add(1)
+		go func() {
+			defer s.heals.Done()
+			s.Heal(i)
+		}()
 	}
 	return nil
 }
+
+// WaitHeals waits for every heal handoff PeerBeat started. Call it once
+// nothing can beat the member any more — after its server has stopped —
+// so no handoff outlives the member.
+func (s *ShardMember) WaitHeals() { s.heals.Wait() }
 
 // Sweep latches peers that crossed their beat deadline and runs the
 // takeover handoff for each newly dead one. A beat loop calls it every

@@ -124,6 +124,52 @@ type peerFunc struct{ err error }
 func (p peerFunc) ApplyMirror(wire.ShardMirror) error          { return p.err }
 func (p peerFunc) ApplyHandoff(wire.ShardHandoff) (int, error) { return 0, p.err }
 
+// heldPeer is a ShardPeer whose handoffs report in on started and then
+// wait for release.
+type heldPeer struct{ started, release chan struct{} }
+
+func (p heldPeer) ApplyMirror(wire.ShardMirror) error { return nil }
+func (p heldPeer) ApplyHandoff(wire.ShardHandoff) (int, error) {
+	close(p.started)
+	<-p.release
+	return 0, nil
+}
+
+// TestWaitHealsWaitsForBeatHeal: the heal a reviving beat starts runs on
+// its own goroutine, and WaitHeals does not return while that handoff is
+// in flight, so a member's teardown outlives none of its heals.
+func TestWaitHealsWaitsForBeatHeal(t *testing.T) {
+	clk := newFakeClock()
+	h := NewShardHealth(2, livenessCfg())
+	h.SetClock(clk.Now)
+	h.Stamp(0)
+	h.Stamp(1)
+	s := NewShardMember(0, NewRing(2), 2, h)
+	p := heldPeer{started: make(chan struct{}), release: make(chan struct{})}
+	s.SetPeer(1, p)
+	clk.Advance(livenessCfg().Deadline() + time.Millisecond)
+	if err := s.PeerBeat(1); err != nil {
+		t.Fatal(err)
+	}
+	<-p.started
+	waited := make(chan struct{})
+	go func() {
+		s.WaitHeals()
+		close(waited)
+	}()
+	select {
+	case <-waited:
+		t.Fatal("WaitHeals returned while the heal handoff was in flight")
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(p.release)
+	select {
+	case <-waited:
+	case <-time.After(5 * time.Second):
+		t.Fatal("WaitHeals did not return after the heal handoff finished")
+	}
+}
+
 // TestReplicatedMirrorOutcomes pins decision 1: a mirror that never
 // arrived is counted and not returned, a refused one is counted and
 // returned under the co-owner's index, and the serving owner's commit
