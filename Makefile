@@ -95,13 +95,15 @@ scenarios-tenant:
 
 # fuzz-smoke gives each wire codec fuzz target, the event scheduler's
 # order-against-a-reference target, the stripe segment geometry's
-# layout-against-a-reference target and the virtual disk's two
+# layout-against-a-reference target, the virtual disk's two
 # against-a-reference targets (synthesized content, and the block store a
-# written file lives in) a short randomized run on top of its seeded
+# written file lives in) and the access pattern's arrival sort against a
+# stable comparison sort a short randomized run on top of its seeded
 # corpus — enough to catch decoder panics, round-trip divergence, an event
 # fired out of (time, sequence) order, a segment layout that gaps,
-# overlaps or overruns, a synthesized byte that moved and a stored byte
-# that reads back other than it was written, without CI-hostile runtimes.
+# overlaps or overruns, a synthesized byte that moved, a stored byte
+# that reads back other than it was written and a request sorted out of
+# its stable arrival order, without CI-hostile runtimes.
 # Targets must run one at a time (go test allows a single -fuzz pattern
 # per invocation).
 FUZZ_TIME ?= 10s
@@ -113,6 +115,7 @@ fuzz-smoke:
 	$(GO) test ./internal/dfsc/ -run '^$$' -fuzz '^FuzzStripeGeometry$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/vdisk/ -run '^$$' -fuzz '^FuzzFillSynthetic$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/vdisk/ -run '^$$' -fuzz '^FuzzStoredBlocks$$' -fuzztime $(FUZZ_TIME)
+	$(GO) test ./internal/workload/ -run '^$$' -fuzz '^FuzzSortByArrival$$' -fuzztime $(FUZZ_TIME)
 
 # docs runs the documentation-consistency suite (internal/docscheck):
 # every flag the daemons register and every dfsqos_* telemetry series

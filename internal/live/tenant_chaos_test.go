@@ -74,12 +74,18 @@ func TestChaosAbusiveTenantKilledQuotaReclaimed(t *testing.T) {
 	if refused.OK || refused.Code != ecnp.ErrTenantBandwidth {
 		t.Fatalf("third abuser stream past a two-stream quota: %+v, want refused with ErrTenantBandwidth", refused)
 	}
+	// The RM ends its rm.open span only after it has written the reply,
+	// so the span may land after OpenContext returns.
 	var outcomes []string
-	for _, rec := range lc.tracer.Snapshot() {
-		if rec.Name == "rm.open" {
-			outcomes = append(outcomes, rec.Outcome)
+	waitFor(t, "the rm.open span", func() bool {
+		outcomes = outcomes[:0]
+		for _, rec := range lc.tracer.Snapshot() {
+			if rec.Name == "rm.open" {
+				outcomes = append(outcomes, rec.Outcome)
+			}
 		}
-	}
+		return len(outcomes) > 0
+	})
 	if len(outcomes) != 1 || outcomes[0] != "tenant_bandwidth" {
 		t.Fatalf("rm.open span outcomes %q, want the refusal's label", outcomes)
 	}

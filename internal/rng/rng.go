@@ -64,7 +64,10 @@ func New(seed uint64) *Source {
 
 // Split derives an independent child stream identified by name.
 // Children with distinct names are statistically independent of each other
-// and of the parent; splitting does not advance the parent stream.
+// and of the parent. Split only reads the parent's state: it never
+// advances or writes it, so goroutines may split one parent at once, as
+// long as none draws from that parent meanwhile, and each child is the
+// one a sequential caller would get.
 func (s *Source) Split(name string) *Source {
 	mix := s.s[0] ^ rotl(s.s[2], 17) ^ hashName(name)
 	return New(mix)

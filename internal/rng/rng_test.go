@@ -1,7 +1,9 @@
 package rng
 
 import (
+	"fmt"
 	"math"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -57,9 +59,45 @@ func TestSplitDoesNotAdvanceParent(t *testing.T) {
 	a := New(9)
 	b := New(9)
 	_ = a.Split("x")
+	if a.s != b.s {
+		t.Fatal("Split wrote the parent's state")
+	}
 	for i := 0; i < 10; i++ {
 		if a.Uint64() != b.Uint64() {
 			t.Fatal("Split advanced the parent stream")
+		}
+	}
+}
+
+// Split only reads its parent, so goroutines may split one parent at
+// once (workload's parallel generator does) and get the children a
+// sequential caller gets. Under -race this also shows the reads race
+// with nothing.
+func TestConcurrentSplitsMatchSequential(t *testing.T) {
+	parent := New(11)
+	before := parent.s
+	const workers, perWorker = 4, 200
+	name := func(w, i int) string { return fmt.Sprintf("user%d/arrivals", w*perWorker+i) }
+	got := make([][perWorker]uint64, workers)
+	var wg sync.WaitGroup
+	for w := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range got[w] {
+				got[w][i] = parent.Split(name(w, i)).Uint64()
+			}
+		}()
+	}
+	wg.Wait()
+	if parent.s != before {
+		t.Fatal("concurrent Splits wrote the parent's state")
+	}
+	for w := range got {
+		for i, g := range got[w] {
+			if want := parent.Split(name(w, i)).Uint64(); g != want {
+				t.Fatalf("child %s drew %x concurrently, %x sequentially", name(w, i), g, want)
+			}
 		}
 	}
 }

@@ -101,28 +101,23 @@ func ApplyBursts(p *Pattern, cat *catalog.Catalog, bursts []Burst, src *rng.Sour
 		if mean == 0 {
 			mean = p.Config.MeanArrivalSec
 		}
+		first, horizon, numDFSC := nextUser, p.Config.HorizonSec, p.Config.NumDFSC
 		surge := fmt.Sprintf("workload/burst%d/surge", i)
-		var arr, files *rng.Source
-		var name []byte
-		for u := 0; u < b.SurgeUsers; u++ {
-			user := nextUser
-			nextUser++
-			arr, files, name = userStreams(src, name, surge, u)
-			t := b.AtSec + arr.Exp(mean)
-			for t < end && t <= p.Config.HorizonSec {
-				file := target
-				if files.Float64() >= b.Fraction {
-					file = cat.SamplePopular(files)
+		perUser := (min(end, horizon) - b.AtSec) / mean
+		p.Requests = generateUsers(p.Requests, src, surge, b.SurgeUsers, perUser,
+			func(u int, arr, files *rng.Source, out []Request) []Request {
+				user := first + ids.UserID(u)
+				dfsc := ids.DFSCID(int(user) % numDFSC)
+				for t := b.AtSec + arr.Exp(mean); t < end && t <= horizon; t += arr.Exp(mean) {
+					file := target
+					if files.Float64() >= b.Fraction {
+						file = cat.SamplePopular(files)
+					}
+					out = append(out, Request{AtSec: t, User: user, DFSC: dfsc, File: file})
 				}
-				p.Requests = append(p.Requests, Request{
-					AtSec: t,
-					User:  user,
-					DFSC:  ids.DFSCID(int(user) % p.Config.NumDFSC),
-					File:  file,
-				})
-				t += arr.Exp(mean)
-			}
-		}
+				return out
+			})
+		nextUser += ids.UserID(b.SurgeUsers)
 	}
 	sortByArrival(p.Requests)
 	return targets, nil

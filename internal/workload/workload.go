@@ -14,8 +14,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"runtime"
 	"slices"
 	"strconv"
+	"sync"
 
 	"dfsqos/internal/catalog"
 	"dfsqos/internal/ids"
@@ -114,31 +117,77 @@ type Pattern struct {
 
 // Generate builds the access pattern for cfg over the given catalog.
 // Each user gets independent sub-streams for arrivals and file choice, so
-// adding users never perturbs existing users' request sequences.
+// adding users never perturbs existing users' request sequences, and the
+// pattern is the same on any number of cores (generateUsers).
 func Generate(cfg Config, cat *catalog.Catalog, src *rng.Source) (*Pattern, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	var reqs []Request
-	var arr, files *rng.Source
-	var name []byte
-	for u := 0; u < cfg.NumUsers; u++ {
-		user := ids.UserID(u)
-		dfsc := ids.DFSCID(u % cfg.NumDFSC)
-		arr, files, name = userStreams(src, name, "workload/user", u)
-		t := arr.Exp(cfg.MeanArrivalSec)
-		for t <= cfg.HorizonSec {
-			reqs = append(reqs, Request{
-				AtSec: t,
-				User:  user,
-				DFSC:  dfsc,
-				File:  cat.SamplePopular(files),
-			})
-			t += arr.Exp(cfg.MeanArrivalSec)
-		}
-	}
+	mean := cfg.MeanArrivalSec
+	reqs := generateUsers(nil, src, "workload/user", cfg.NumUsers, cfg.HorizonSec/mean,
+		func(u int, arr, files *rng.Source, out []Request) []Request {
+			user, dfsc := ids.UserID(u), ids.DFSCID(u%cfg.NumDFSC)
+			for t := arr.Exp(mean); t <= cfg.HorizonSec; t += arr.Exp(mean) {
+				out = append(out, Request{AtSec: t, User: user, DFSC: dfsc, File: cat.SamplePopular(files)})
+			}
+			return out
+		})
 	sortByArrival(reqs)
 	return &Pattern{Config: cfg, Requests: reqs}, nil
+}
+
+// generateUsers appends to dst the requests of users 0..n-1 in user
+// order, user u's built by gen from its two streams (userStreams under
+// prefix). perUser is the expected number of requests per user, which
+// sizes the buffers.
+//
+// The users are cut into GOMAXPROCS contiguous ranges, each generated on
+// its own goroutine. gen may draw only from the streams it is handed and
+// read only what no goroutine writes: Split reads its parent without
+// advancing it, so every user's draws, and the joined slice, are the
+// same however the users are cut.
+func generateUsers(dst []Request, src *rng.Source, prefix string, n int, perUser float64,
+	gen func(u int, arr, files *rng.Source, out []Request) []Request) []Request {
+	k := min(runtime.GOMAXPROCS(0), n)
+	if k <= 1 {
+		return appendUsers(dst, src, prefix, 0, n, perUser, gen)
+	}
+	parts := make([][]Request, k)
+	var wg sync.WaitGroup
+	for s := range parts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			parts[s] = appendUsers(nil, src, prefix, s*n/k, (s+1)*n/k, perUser, gen)
+		}()
+	}
+	wg.Wait()
+	total := 0
+	for _, part := range parts {
+		total += len(part)
+	}
+	dst = slices.Grow(dst, total)
+	for _, part := range parts {
+		dst = append(dst, part...)
+	}
+	return dst
+}
+
+// appendUsers runs gen for users lo..hi-1 in order, appending to dst
+// grown first by the users' expected count plus four standard
+// deviations, so a Poisson count almost never outgrows it.
+func appendUsers(dst []Request, src *rng.Source, prefix string, lo, hi int, perUser float64,
+	gen func(u int, arr, files *rng.Source, out []Request) []Request) []Request {
+	if want := float64(hi-lo) * perUser; want > 0 {
+		dst = slices.Grow(dst, int(want+4*math.Sqrt(want))+1)
+	}
+	var arr, files *rng.Source
+	var name []byte
+	for u := lo; u < hi; u++ {
+		arr, files, name = userStreams(src, name, prefix, u)
+		dst = gen(u, arr, files, dst)
+	}
+	return dst
 }
 
 // userStreams derives one user's two independent streams, named
@@ -157,35 +206,83 @@ func userStreams(src *rng.Source, buf []byte, prefix string, n int) (arrivals, f
 
 // sortByArrival orders requests by arrival time, requests with equal
 // times keeping their relative order — the Pattern invariant every
-// consumer relies on (cluster.Run refuses anything else).
+// consumer relies on (cluster.Run refuses anything else), and the order
+// slices.SortStableFunc with cmp.Compare on AtSec gives.
 //
-// It sorts 16-byte (time, position) keys and moves each Request once,
-// where a stable sort of the requests themselves moves each O(log² N)
-// times — most of a 10⁵-user set-up. Position breaks every tie, so the
-// order is total and the plain sort lands on the stable one.
+// It is a stable LSD radix sort, one byte per pass, of (arrivalKey,
+// position) pairs, skipping every byte all the keys share; the sorted
+// positions then move each Request once, in place.
 func sortByArrival(reqs []Request) {
 	if slices.IsSortedFunc(reqs, func(a, b Request) int { return cmp.Compare(a.AtSec, b.AtSec) }) {
 		return
 	}
-	type key struct {
-		at  float64
+	type posKey struct {
+		key uint64
 		pos int
 	}
-	keys := make([]key, len(reqs))
+	keys := make([]posKey, len(reqs))
+	var counts [8][256]int
 	for i := range reqs {
-		keys[i] = key{reqs[i].AtSec, i}
-	}
-	slices.SortFunc(keys, func(a, b key) int {
-		if c := cmp.Compare(a.at, b.at); c != 0 {
-			return c
+		k := arrivalKey(reqs[i].AtSec)
+		keys[i] = posKey{k, i}
+		for d := range counts {
+			counts[d][byte(k>>(8*d))]++
 		}
-		return cmp.Compare(a.pos, b.pos)
-	})
-	sorted := make([]Request, len(reqs))
-	for i, k := range keys {
-		sorted[i] = reqs[k.pos]
 	}
-	copy(reqs, sorted)
+	spare := make([]posKey, len(keys))
+	for d := range counts {
+		c := &counts[d]
+		shift := 8 * d
+		if c[byte(keys[0].key>>shift)] == len(keys) {
+			continue
+		}
+		sum := 0
+		for b, n := range c {
+			c[b], sum = sum, sum+n
+		}
+		for _, k := range keys {
+			b := byte(k.key >> shift)
+			spare[c[b]] = k
+			c[b]++
+		}
+		keys, spare = spare, keys
+	}
+	// Position i takes the request at keys[i].pos: follow each cycle of
+	// that permutation once, marking the positions it fills.
+	for start := range keys {
+		if keys[start].pos < 0 {
+			continue
+		}
+		first := reqs[start]
+		i := start
+		for {
+			from := keys[i].pos
+			keys[i].pos = -1
+			if from == start {
+				reqs[i] = first
+				break
+			}
+			reqs[i] = reqs[from]
+			i = from
+		}
+	}
+}
+
+// arrivalKey maps t to a key whose unsigned order is cmp.Compare's order
+// on float64: every NaN first and equal to every other, then -Inf up to
+// +Inf, with -0 equal to +0.
+func arrivalKey(t float64) uint64 {
+	switch {
+	case t != t:
+		return 0
+	case t == 0:
+		return 1 << 63
+	}
+	b := math.Float64bits(t)
+	if b>>63 != 0 {
+		return ^b
+	}
+	return b | 1<<63
 }
 
 // Len returns the number of requests.
