@@ -40,11 +40,12 @@ chaos:
 # chaos-mm drills the replicated metadata plane on its own: kill 1 of N
 # live MM shards mid-workload (lease cache + successor failover keep
 # opens green), stale-lease expiry racing the takeover handoff, the
-# in-process replicated-shard kill/takeover/heal suite, and the one
-# metadata client answering alike over one MM and a shard group —
-# race-enabled.
+# in-process replicated-shard kill/takeover/heal suite, the one
+# metadata client answering alike over one MM and a shard group, and the
+# liveness table both planes share (its reference model and the sweep
+# that counts a silent RM's death) — race-enabled.
 chaos-mm:
-	$(GO) test -race -count=1 -run 'ShardChaos|Replicated|ShardHealth|Unreplicated|MMClient' ./internal/live/ ./internal/mm/
+	$(GO) test -race -count=1 -run 'ShardChaos|Replicated|Liveness|Unreplicated|MMClient' ./internal/live/ ./internal/mm/
 
 # cover writes one profile per gated package plus a merged coverage.out
 # for the CI artifact, then enforces the floors via the gate script:

@@ -78,6 +78,9 @@ func main() {
 	}
 	var shard *live.MMShard
 	var peerList []string
+	// One ticker latches silent RMs: a group member's beat loop, or the
+	// single MM's sweeper when liveness is armed.
+	var stopBeats func()
 	if *peersS != "" {
 		peerList = strings.Split(*peersS, ",")
 		s, err := live.NewMMShard(*shardIx, len(peerList), *rep, mm.LivenessConfig{HeartbeatInterval: *beatIv, MissThreshold: *misses})
@@ -96,6 +99,9 @@ func main() {
 		m := mm.New()
 		m.SetLiveness(lcfg)
 		m.SetMetrics(mm.NewMetrics(reg))
+		if lcfg.Enabled() {
+			stopBeats = live.StartLivenessSweeper(m, *hbIv)
+		}
 		mapper = m
 	}
 	srv, err := live.NewMMServer(mapper, *addr)
@@ -116,7 +122,6 @@ func main() {
 	if *verbose {
 		srv.SetLogger(log.Printf)
 	}
-	var stopBeats func()
 	if shard != nil {
 		if *verbose {
 			shard.SetLogger(log.Printf)

@@ -32,8 +32,6 @@ var exportAllowlist = map[string]string{
 	"experiments.MeanStderr":        "item 10(a): qosbench prints every table as mean ± SE",
 	"faults.Script.Fired":           "item 2(c): a failing seed's repro names the schedule rules that fired",
 	"live.RMClient.Keepalive":       "item 4: a Reader idle past half a TTL keeps its lease alive, or this leaves",
-	"mm.ShardHealth.Epoch":          "item 8: the member epoch half of each owner-set write's version",
-	"mm.ShardedManager.Health":      "item 2(a): the owner-set convergence invariant reads shard liveness",
 	"mm.ShardedManager.KillShard":   "item 2(b): the DES fault schedule kills a shard",
 	"mm.ShardedManager.ReviveShard": "item 2(b): the DES fault schedule revives a shard",
 	"mm.ShardedManager.SetClock":    "item 2(b): the sharded MM runs on the DES clock under a fault schedule",

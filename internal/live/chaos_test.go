@@ -3,6 +3,7 @@ package live
 import (
 	"bytes"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -254,6 +255,29 @@ func TestChaosCrashRestartLiveness(t *testing.T) {
 		t.Fatalf("survivor's epoch = %d, want 0", got)
 	}
 	waitFor(t, "Lookup heals", func() bool { return len(lc.Mapper.Lookup(0)) == 2 })
+}
+
+// TestLivenessGroupMemberSweepsSilentRM: a shard-group member's beat tick
+// sweeps its RM table as well as its peers, so an RM that falls silent is
+// counted dead and leaves the live gauge with no read and no other beat.
+func TestLivenessGroupMemberSweepsSilentRM(t *testing.T) {
+	lc := startLocal(t, LocalSpec{
+		Catalog:    testCatalog(t, 23, 1, 1, 5, 10),
+		Caps:       []units.BytesPerSec{units.Mbps(100)},
+		Holders:    map[ids.FileID][]ids.RMID{0: {1}},
+		ShardGroup: true,
+	})
+	s := lc.Shards[0]
+	var skew atomic.Int64 // the RM table's clock runs this far ahead
+	s.Manager.SetClock(func() time.Time { return time.Now().Add(time.Duration(skew.Load())) })
+	met := mm.NewMetrics(nil)
+	s.SetMetrics(met)
+	s.SetLiveness(mm.LivenessConfig{HeartbeatInterval: time.Second, MissThreshold: 3})
+	skew.Store(int64(time.Hour))
+	waitFor(t, "the silent RM counted dead", func() bool { return met.Deaths.Value() == 1 })
+	if live := s.LiveCount(); live != 0 || met.LiveRMs.Value() != float64(live) {
+		t.Fatalf("live RMs %d, gauge %v: want 0 and the gauge equal", live, met.LiveRMs.Value())
+	}
 }
 
 // TestChaosScriptedOpenErrorFallsBack asserts deterministic scripted

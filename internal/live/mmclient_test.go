@@ -1,6 +1,7 @@
 package live
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"slices"
@@ -132,7 +133,7 @@ func TestMMClientSingleMMDown(t *testing.T) {
 		t.Fatalf("heartbeat of an unknown RM: %v, want a served refusal", err)
 	}
 	l.MM.Close()
-	_, err := l.Mapper.LookupErrContext(t.Context(), 0)
+	_, err := l.Mapper.LookupErrContext(context.Background(), 0)
 	var ce *transport.ConnError
 	if err == nil || transport.IsRemote(err) || !(transport.IsTimeout(err) || errors.As(err, &ce)) {
 		t.Fatalf("lookup with the MM down: %v, want a timeout or connection error", err)

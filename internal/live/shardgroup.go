@@ -39,7 +39,7 @@ func NewMMShard(index, shards, rep int, beat mm.LivenessConfig) (*MMShard, error
 		return nil, fmt.Errorf("live: shard index %d outside [0,%d)", index, shards)
 	}
 	return &MMShard{
-		ShardMember: mm.NewShardMember(index, mm.NewRing(shards), rep, mm.NewShardHealth(shards, beat)),
+		ShardMember: mm.NewShardMember(index, mm.NewRing(shards), rep, mm.NewShardLiveness(shards, beat)),
 		clients:     make([]*transport.Client, shards),
 	}, nil
 }
@@ -61,9 +61,9 @@ func (s *MMShard) DialPeers(addrs []string, cfg transport.Config) error {
 }
 
 // ClosePeers releases every peer stub's pooled connections, then waits
-// for the heal handoffs peer beats started (a closed stub fails theirs
-// fast). Call it after the member's server has closed, so no beat starts
-// another.
+// for the heal handoffs beats started (a closed stub fails theirs fast).
+// Call it after the member's server and beat loop have stopped, so no
+// beat starts another.
 func (s *MMShard) ClosePeers() {
 	s.mu.Lock()
 	for i, c := range s.clients {
@@ -139,50 +139,36 @@ func (p shardPeerStub) send(point faults.Point, detail string, kind wire.Kind, p
 
 // StartShardBeats runs the member's beat loop until stopped: every
 // interval it beats each configured peer (a successful round trip also
-// proves the peer alive, so one working direction keeps both tables
-// warm) and sweeps for newly-dead peers, running their takeovers. Beats
+// proves the peer alive, through the same HeardFrom a received beat
+// takes, so one working direction keeps both tables warm) and sweeps for
+// newly-dead peers, running their takeovers, and for silent RMs. Beats
 // are concurrent, one goroutine per peer with an in-flight guard: a dead
 // peer's call stalls in the transport's redial-backoff gate, and a serial
 // loop let that stall push the whole tick past the beat deadline.
 func (s *MMShard) StartShardBeats(interval time.Duration) (stop func()) {
-	quit := make(chan struct{})
-	done := make(chan struct{})
 	inflight := make([]atomic.Bool, len(s.clients))
-	go func() {
-		defer close(done)
-		tick := time.NewTicker(interval)
-		defer tick.Stop()
-		var wg sync.WaitGroup
-		defer wg.Wait()
-		for {
-			select {
-			case <-quit:
-				return
-			case <-tick.C:
+	beat := wire.ShardBeat{Shard: int32(s.Index())}
+	var wg sync.WaitGroup
+	stopTicks := every(interval, func() {
+		for i := range s.clients {
+			p := s.client(i)
+			if p == nil || !inflight[i].CompareAndSwap(false, true) {
+				continue // unset, or the previous beat is still in flight
 			}
-			beat := wire.ShardBeat{Shard: int32(s.Index())}
-			for i := range s.clients {
-				p := s.client(i)
-				if p == nil || !inflight[i].CompareAndSwap(false, true) {
-					continue // unset, or the previous beat is still in flight
+			wg.Add(1)
+			go func(i int, p *transport.Client) {
+				defer wg.Done()
+				defer inflight[i].Store(false)
+				if _, err := p.Call(context.Background(), wire.KindShardBeat, beat); err == nil {
+					s.HeardFrom(i)
 				}
-				wg.Add(1)
-				go func(i int, p *transport.Client) {
-					defer wg.Done()
-					defer inflight[i].Store(false)
-					if _, err := p.Call(context.Background(), wire.KindShardBeat, beat); err == nil {
-						if s.Health().Beat(i) {
-							s.Heal(i)
-						}
-					}
-				}(i, p)
-			}
-			s.Sweep()
+			}(i, p)
 		}
-	}()
+		s.Sweep()
+	})
 	return func() {
-		close(quit)
-		<-done
+		stopTicks()
+		wg.Wait()
 	}
 }
 

@@ -47,13 +47,6 @@ func (m *Manager) PendingCount(file ids.FileID) int {
 	return len(m.pending[file])
 }
 
-// LiveCount returns the number of currently-live shards.
-func (h *ShardHealth) LiveCount() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.liveCountLocked(h.now())
-}
-
 // Owner returns the shard owning the given key (successor point on the
 // ring, wrapping at the top).
 func (r *Ring) Owner(key uint64) int {

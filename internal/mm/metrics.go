@@ -14,15 +14,16 @@ type Metrics struct {
 	// RegisteredRMs gauges the resource-list size including dead entries
 	// (dfsqos_mm_registered_rms).
 	RegisteredRMs *telemetry.Gauge
-	// LiveRMs gauges the RMs currently within their liveness window
-	// (dfsqos_mm_live_rms). With liveness disabled it equals
-	// RegisteredRMs.
+	// LiveRMs gauges the RMs within their liveness window as of the last
+	// sweep, registration or reviving beat (dfsqos_mm_live_rms). With
+	// liveness disabled it equals RegisteredRMs.
 	LiveRMs *telemetry.Gauge
 	// Heartbeats counts accepted liveness beacons
 	// (dfsqos_mm_heartbeats_total).
 	Heartbeats *telemetry.Counter
-	// Deaths counts RMs observed crossing their miss threshold
-	// (dfsqos_mm_rm_transitions_total{direction="dead"}).
+	// Deaths counts RMs crossing their miss threshold, once per death: at
+	// the sweep that latches it, or at the beat that revives an RM no
+	// sweep saw dead (dfsqos_mm_rm_transitions_total{direction="dead"}).
 	Deaths *telemetry.Counter
 	// Revivals counts dead RMs healed by a heartbeat or re-registration
 	// (dfsqos_mm_rm_transitions_total{direction="live"}).

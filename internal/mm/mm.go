@@ -21,30 +21,6 @@ import (
 	"dfsqos/internal/ids"
 )
 
-// LivenessConfig arms failure detection on the global resource list: an
-// RM that has not heartbeated (or re-registered) within
-// MissThreshold × HeartbeatInterval is excluded from every query answer —
-// Lookup (the readdir answer), RMsWithout (replication destinations) and
-// RMs (the resource list) — until a beat or re-registration heals it.
-// The zero value disables liveness entirely, which keeps the DES and all
-// pre-liveness behavior byte-identical.
-type LivenessConfig struct {
-	// HeartbeatInterval is the cadence RMs are expected to beat at.
-	HeartbeatInterval time.Duration
-	// MissThreshold is how many consecutive missed beats mark an RM dead.
-	MissThreshold int
-}
-
-// Enabled reports whether the config actually tracks liveness.
-func (c LivenessConfig) Enabled() bool {
-	return c.HeartbeatInterval > 0 && c.MissThreshold > 0
-}
-
-// Deadline is the silence beyond which an RM is considered dead.
-func (c LivenessConfig) Deadline() time.Duration {
-	return time.Duration(c.MissThreshold) * c.HeartbeatInterval
-}
-
 // Manager is the Metadata Manager.
 type Manager struct {
 	mu  sync.RWMutex
@@ -60,33 +36,24 @@ type Manager struct {
 	// replication sources are prevented from overshooting N_MAXR, and it
 	// blocks a second source from targeting the same destination.
 	pending map[ids.FileID]map[ids.RMID]bool
-
-	// Liveness state (inert unless liveCfg.Enabled()).
-	liveCfg  LivenessConfig
-	now      func() time.Time
-	lastBeat map[ids.RMID]time.Time
-	// epochs counts each RM's dead→live transitions; a heartbeat or
-	// registration that revives a dead RM bumps its epoch, so observers
-	// can distinguish "still the same incarnation" from "came back".
-	epochs map[ids.RMID]uint64
-	// deadSeen marks RMs already observed (and counted) as dead, so the
-	// death counter fires once per transition, not once per query.
-	deadSeen map[ids.RMID]bool
+	// live is the RM liveness table: a slot per registered RM, inert
+	// unless SetLiveness arms expiry. A re-registration or heartbeat that
+	// revives a dead RM bumps its epoch, so observers can tell "still the
+	// same incarnation" from "came back".
+	live *Liveness[ids.RMID]
 
 	met *Metrics
 }
 
 // New returns an empty Metadata Manager.
 func New() *Manager {
+	met := NewMetrics(nil)
 	return &Manager{
 		rms:       make(map[ids.RMID]ecnp.RMInfo),
 		placement: catalog.NewPlacement(),
 		pending:   make(map[ids.FileID]map[ids.RMID]bool),
-		now:       time.Now,
-		lastBeat:  make(map[ids.RMID]time.Time),
-		epochs:    make(map[ids.RMID]uint64),
-		deadSeen:  make(map[ids.RMID]bool),
-		met:       NewMetrics(nil),
+		live:      newLiveness[ids.RMID](LivenessConfig{}, rmSeries, met),
+		met:       met,
 	}
 }
 
@@ -101,22 +68,11 @@ func NewWithPlacement(p *catalog.Placement) *Manager {
 
 // SetLiveness arms failure detection (see LivenessConfig). Call before
 // traffic; a zero config disables tracking again.
-func (m *Manager) SetLiveness(cfg LivenessConfig) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.liveCfg = cfg
-}
+func (m *Manager) SetLiveness(cfg LivenessConfig) { m.live.setConfig(cfg) }
 
 // SetClock overrides the wall-clock source (tests drive liveness with a
 // fake clock for determinism). nil restores time.Now.
-func (m *Manager) SetClock(now func() time.Time) {
-	if now == nil {
-		now = time.Now
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.now = now
-}
+func (m *Manager) SetClock(now func() time.Time) { m.live.SetClock(now) }
 
 // SetMetrics routes MM telemetry (default: no-op).
 func (m *Manager) SetMetrics(met *Metrics) {
@@ -124,65 +80,9 @@ func (m *Manager) SetMetrics(met *Metrics) {
 		met = NewMetrics(nil)
 	}
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	m.met = met
-}
-
-// aliveLocked reports whether id is within its liveness deadline; with
-// liveness disabled every registered RM is alive. It also latches the
-// first observation of a death so the transition counters fire exactly
-// once per incident. Caller holds m.mu (write for the latch; callers
-// under RLock pass latch=false).
-func (m *Manager) aliveLocked(id ids.RMID, now time.Time, latch bool) bool {
-	if !m.liveCfg.Enabled() {
-		return true
-	}
-	last, ok := m.lastBeat[id]
-	if ok && now.Sub(last) <= m.liveCfg.Deadline() {
-		return true
-	}
-	if latch && !m.deadSeen[id] {
-		m.deadSeen[id] = true
-		m.met.Deaths.Inc()
-	}
-	return false
-}
-
-// reviveLocked stamps a fresh beat for id and, when the RM had actually
-// died (latched by a query, or silently — detected by timestamp), bumps
-// its liveness epoch. A first registration or an in-window beat leaves
-// the epoch alone: epoch 0 means "never seen dead". Caller holds m.mu
-// for writing.
-func (m *Manager) reviveLocked(id ids.RMID, now time.Time) {
-	if last, known := m.lastBeat[id]; known && m.liveCfg.Enabled() &&
-		(m.deadSeen[id] || now.Sub(last) > m.liveCfg.Deadline()) {
-		m.epochs[id]++
-		delete(m.deadSeen, id)
-		m.met.Revivals.Inc()
-	}
-	m.lastBeat[id] = now
-	m.refreshLiveGaugesLocked(now)
-}
-
-// refreshLiveGaugesLocked re-derives the registered/live gauges. Caller
-// holds m.mu.
-func (m *Manager) refreshLiveGaugesLocked(now time.Time) {
-	m.met.RegisteredRMs.Set(float64(len(m.rms)))
-	m.met.LiveRMs.Set(float64(m.latchLiveLocked(now)))
-}
-
-// latchLiveLocked counts live RMs, latching newly-observed deaths in
-// ascending RM-ID order — map-order iteration here made the death-latch
-// sequence (and with it any fault armed on a transition count)
-// irreproducible across runs of the same seed. Caller holds m.mu.
-func (m *Manager) latchLiveLocked(now time.Time) int {
-	live := 0
-	for _, id := range m.order {
-		if m.aliveLocked(id, now, true) {
-			live++
-		}
-	}
-	return live
+	m.mu.Unlock()
+	m.live.SetMetrics(met)
 }
 
 // Heartbeat records a liveness beacon from id. An unknown RM is refused —
@@ -190,40 +90,29 @@ func (m *Manager) latchLiveLocked(now time.Time) int {
 // which forces the RM through RegisterRM and the file-list reconcile that
 // comes with it.
 func (m *Manager) Heartbeat(id ids.RMID) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	m.mu.RLock()
+	defer m.mu.RUnlock()
 	if _, ok := m.rms[id]; !ok {
 		return fmt.Errorf("mm: heartbeat from unregistered %v", id)
 	}
 	m.met.Heartbeats.Inc()
-	m.reviveLocked(id, m.now())
+	m.live.Beat(id)
 	return nil
 }
 
+// Sweep latches the RMs that died since the last sweep and refreshes the
+// live gauge. A daemon with liveness armed calls it every beat interval.
+func (m *Manager) Sweep() { m.live.Sweep() }
+
 // Epoch returns id's liveness epoch: how many times the MM has seen it
 // come back from the dead (0 for a continuously-live RM).
-func (m *Manager) Epoch(id ids.RMID) uint64 {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.epochs[id]
-}
+func (m *Manager) Epoch(id ids.RMID) uint64 { return m.live.Epoch(id) }
 
 // LiveCount returns the number of currently-live registered RMs.
-func (m *Manager) LiveCount() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.latchLiveLocked(m.now())
-}
+func (m *Manager) LiveCount() int { return m.live.LiveCount() }
 
 // Alive reports whether id is registered and within its liveness window.
-func (m *Manager) Alive(id ids.RMID) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, ok := m.rms[id]; !ok {
-		return false
-	}
-	return m.aliveLocked(id, m.now(), true)
-}
+func (m *Manager) Alive(id ids.RMID) bool { return m.live.Alive(id) }
 
 // RegisterRM implements ecnp.Mapper. Registering an already-known RM
 // refreshes its info, resets its liveness state (a crashed RM that comes
@@ -267,7 +156,11 @@ func (m *Manager) RegisterRM(info ecnp.RMInfo, files []ids.FileID) error {
 			}
 		}
 	}
-	m.reviveLocked(info.ID, m.now())
+	if known {
+		m.live.Beat(info.ID)
+	} else {
+		m.live.add(info.ID)
+	}
 	return nil
 }
 
@@ -278,27 +171,12 @@ func (m *Manager) RegisterRM(info ecnp.RMInfo, files []ids.FileID) error {
 func (m *Manager) Lookup(file ids.FileID) []ids.RMID {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	hs := m.placement.Holders(file)
-	hs = m.filterLiveLocked(hs)
+	hs := keepLive(m.live, m.placement.Holders(file), rmKey)
 	slices.Sort(hs)
 	return hs
 }
 
-// filterLiveLocked drops dead RMs from s in place (no-op with liveness
-// disabled). Caller holds m.mu (read suffices: no latching here).
-func (m *Manager) filterLiveLocked(s []ids.RMID) []ids.RMID {
-	if !m.liveCfg.Enabled() {
-		return s
-	}
-	now := m.now()
-	out := s[:0]
-	for _, id := range s {
-		if m.aliveLocked(id, now, false) {
-			out = append(out, id)
-		}
-	}
-	return out
-}
+func rmKey(id ids.RMID) ids.RMID { return id }
 
 // RMsWithout implements ecnp.Mapper: live registered RMs with neither a
 // committed nor a pending replica of file, in ascending RM order. Dead
@@ -338,7 +216,7 @@ func (m *Manager) AppendRMsWithout(dst []ids.RMID, file ids.FileID) []ids.RMID {
 		rest = rest[i:]
 	}
 	dst = append(dst, rest...)
-	return dst[:start+len(m.filterLiveLocked(dst[start:]))]
+	return dst[:start+len(keepLive(m.live, dst[start:], rmKey))]
 }
 
 // AddReplica implements ecnp.Mapper.
@@ -425,19 +303,11 @@ func (m *Manager) ReplicaCount(file ids.FileID) int {
 func (m *Manager) RMs() []ecnp.RMInfo {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	live := !m.liveCfg.Enabled()
-	var now time.Time
-	if !live {
-		now = m.now()
-	}
 	out := make([]ecnp.RMInfo, 0, len(m.order))
 	for _, id := range m.order {
-		if !live && !m.aliveLocked(id, now, false) {
-			continue
-		}
 		out = append(out, m.rms[id])
 	}
-	return out
+	return keepLive(m.live, out, func(info ecnp.RMInfo) ids.RMID { return info.ID })
 }
 
 // AllRMs returns every registered RM regardless of liveness (diagnostics

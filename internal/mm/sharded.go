@@ -16,17 +16,16 @@ import (
 // locally. This is the DHT design the paper points to for scaling past a
 // single MM; with one shard it degenerates to exactly the single manager.
 //
-// It is N ShardMembers in one process that share one ShardHealth and call
-// each other directly as peers: the replication protocol (mirrors,
-// takeover and heal handoffs) is the one internal/live's shard group runs
-// over TCP, and with R > 1 the group survives the death of any R-1
-// shards. The manager only routes each call to the file's first live
+// It is N ShardMembers in one process that share one shard liveness table
+// and call each other directly as peers: the replication protocol
+// (mirrors, takeover and heal handoffs) is the one internal/live's shard
+// group runs over TCP, and with R > 1 the group survives the death of any
+// R-1 shards. The manager only routes each call to the file's first live
 // owner, fans group-wide calls to every live member, and models crashes
 // with KillShard / ReviveShard. It backs the DES and the single-binary
 // mmd.
 type ShardedManager struct {
 	members []*ShardMember
-	health  *ShardHealth
 	met     *Metrics
 }
 
@@ -40,12 +39,10 @@ func NewSharded(n int) *ShardedManager {
 // each file's mapping replicated to r distinct shards (clamped to [1, n]).
 func NewShardedReplicated(n, r int) *ShardedManager {
 	ring := NewRing(n)
-	m := &ShardedManager{
-		members: make([]*ShardMember, n),
-		health:  NewShardHealth(n, LivenessConfig{}),
-	}
+	m := &ShardedManager{members: make([]*ShardMember, n)}
+	health := NewShardLiveness(n, LivenessConfig{})
 	for i := range m.members {
-		m.members[i] = NewShardMember(i, ring, r, m.health)
+		m.members[i] = NewShardMember(i, ring, r, health)
 	}
 	for _, s := range m.members {
 		for j, p := range m.members {
@@ -59,8 +56,8 @@ func NewShardedReplicated(n, r int) *ShardedManager {
 // Shard exposes one shard (diagnostics and tests).
 func (m *ShardedManager) Shard(i int) *Manager { return m.members[i].Manager }
 
-// Health exposes the shard liveness table (diagnostics and tests).
-func (m *ShardedManager) Health() *ShardHealth { return m.health }
+// Health exposes the shard liveness table every member shares.
+func (m *ShardedManager) Health() *Liveness[int] { return m.members[0].Health() }
 
 // ownersOf returns the shards owning file's mapping, primary first, in
 // ring-successor order.
@@ -72,7 +69,7 @@ func (m *ShardedManager) ownersOf(file ids.FileID) []int {
 // owner set is dead (the mapping is unreachable until a revival).
 func (m *ShardedManager) serving(file ids.FileID) *ShardMember {
 	var buf [8]int // the owner set, on the stack: every call routes here
-	if o := m.health.firstLive(m.members[0].appendOwners(buf[:0], file), -1, -1); o >= 0 {
+	if o := m.Health().firstLive(m.members[0].appendOwners(buf[:0], file), -1, -1); o >= 0 {
 		return m.members[o]
 	}
 	return nil
@@ -91,7 +88,7 @@ func (m *ShardedManager) write(file ids.FileID, op func(*ShardMember) error) err
 func (m *ShardedManager) liveMembers() []*ShardMember {
 	out := make([]*ShardMember, 0, len(m.members))
 	for i, s := range m.members {
-		if m.health.Alive(i) {
+		if m.Health().Alive(i) {
 			out = append(out, s)
 		}
 	}
@@ -189,7 +186,7 @@ func (m *ShardedManager) SetClock(now func() time.Time) {
 	for _, s := range m.members {
 		s.Manager.SetClock(now)
 	}
-	m.health.SetClock(now)
+	m.Health().SetClock(now)
 }
 
 // SetMetrics routes MM telemetry. Shard 0 carries the RM gauges (the
@@ -241,7 +238,7 @@ func (m *ShardedManager) Alive(id ids.RMID) bool { return m.canonical().Alive(id
 // files). It returns the replica entries the targets adopted. Killing a
 // dead shard is a no-op.
 func (m *ShardedManager) KillShard(i int) int {
-	if !m.health.SetDown(i, true) {
+	if !m.Health().SetDown(i, true) {
 		return 0
 	}
 	moved := 0
@@ -256,7 +253,7 @@ func (m *ShardedManager) KillShard(i int) int {
 // missed) and it learns the RMs registered while it was down. Reviving a
 // live shard is a no-op. It returns the replica entries i adopted.
 func (m *ShardedManager) ReviveShard(i int) int {
-	if !m.health.SetDown(i, false) {
+	if !m.Health().SetDown(i, false) {
 		return 0
 	}
 	healed := 0
@@ -291,7 +288,7 @@ func (m *ShardedManager) Validate() error {
 			}
 			want := s.Manager.Replicas(f)
 			for _, o := range owners {
-				if o != s.index && m.health.Alive(o) && !slices.Equal(want, m.members[o].Manager.Replicas(f)) {
+				if o != s.index && m.Health().Alive(o) && !slices.Equal(want, m.members[o].Manager.Replicas(f)) {
 					return fmt.Errorf("mm: shards %d and %d disagree on %v holders", s.index, o, f)
 				}
 			}

@@ -64,20 +64,20 @@ type ShardMember struct {
 	index  int
 	ring   *Ring
 	rep    int
-	health *ShardHealth
+	health *Liveness[int]
 
 	mu    sync.Mutex
 	met   *Metrics
 	peers []ShardPeer // ring-index aligned; nil at own index / unset
 	logf  func(string, ...any)
 
-	heals sync.WaitGroup // heal handoffs PeerBeat started
+	heals sync.WaitGroup // heal handoffs HeardFrom started
 }
 
 // NewShardMember builds member index of the group laid out by ring, with
 // replication factor rep (clamped to [1, shard count]) and the liveness
 // view health.
-func NewShardMember(index int, ring *Ring, rep int, health *ShardHealth) *ShardMember {
+func NewShardMember(index int, ring *Ring, rep int, health *Liveness[int]) *ShardMember {
 	return &ShardMember{
 		Manager: New(),
 		index:   index,
@@ -94,7 +94,7 @@ func NewShardMember(index int, ring *Ring, rep int, health *ShardHealth) *ShardM
 func (s *ShardMember) Index() int { return s.index }
 
 // Health exposes the member's shard liveness view.
-func (s *ShardMember) Health() *ShardHealth { return s.health }
+func (s *ShardMember) Health() *Liveness[int] { return s.health }
 
 // SetPeer attaches peer shard i (ignored for the member's own index; nil
 // detaches).
@@ -292,15 +292,22 @@ func (s *ShardMember) ApplyHandoff(h wire.ShardHandoff) (int, error) {
 	return adopted, err
 }
 
-// PeerBeat records a liveness beacon from peer shard i. A beat that
-// revives a dead peer runs the heal handoff asynchronously; WaitHeals
-// waits for it.
+// PeerBeat accepts a liveness beacon peer shard i sent, counts it, and
+// hands it to HeardFrom.
 func (s *ShardMember) PeerBeat(i int) error {
 	if i < 0 || i >= s.ring.Shards() || i == s.index {
 		return fmt.Errorf("mm: shard %d: bad peer beat from %d", s.index, i)
 	}
 	met, _ := s.state()
 	met.ShardBeats.Inc()
+	s.HeardFrom(i)
+	return nil
+}
+
+// HeardFrom records that peer i proved itself alive — by a beat it sent,
+// or one it answered. One that revives a dead peer runs the heal handoff
+// asynchronously; WaitHeals waits for it.
+func (s *ShardMember) HeardFrom(i int) {
 	if s.health.Beat(i) {
 		s.heals.Add(1)
 		go func() {
@@ -308,17 +315,16 @@ func (s *ShardMember) PeerBeat(i int) error {
 			s.Heal(i)
 		}()
 	}
-	return nil
 }
 
-// WaitHeals waits for every heal handoff PeerBeat started. Call it once
-// nothing can beat the member any more — after its server has stopped —
-// so no handoff outlives the member.
+// WaitHeals waits for every heal handoff HeardFrom started. Call it once
+// nothing can beat the member any more — after its server and its beat
+// loop have stopped — so no handoff outlives the member.
 func (s *ShardMember) WaitHeals() { s.heals.Wait() }
 
-// Sweep latches peers that crossed their beat deadline and runs the
-// takeover handoff for each newly dead one. A beat loop calls it every
-// tick.
+// Sweep latches peers that crossed their beat deadline, running the
+// takeover handoff for each newly dead one, and sweeps the member's RM
+// table. A beat loop calls it every tick.
 func (s *ShardMember) Sweep() {
 	// Stamp, not Beat: a stalled tick must not read as a death plus a
 	// revival of the member itself.
@@ -330,6 +336,7 @@ func (s *ShardMember) Sweep() {
 			s.Takeover(dead)
 		}
 	}
+	s.Manager.Sweep()
 }
 
 // Takeover pushes the slice of the keyspace this member shares with dead

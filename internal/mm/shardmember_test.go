@@ -27,7 +27,7 @@ func TestReplicatedMembersBeatSweepAndHeal(t *testing.T) {
 	met := NewMetrics(reg)
 	ring := NewRing(n)
 	member := func(i int) *ShardMember {
-		h := NewShardHealth(n, livenessCfg())
+		h := NewShardLiveness(n, livenessCfg())
 		h.SetClock(clk.Now)
 		for j := range n {
 			h.Stamp(j) // on the fake clock
@@ -140,7 +140,7 @@ func (p heldPeer) ApplyHandoff(wire.ShardHandoff) (int, error) {
 // in flight, so a member's teardown outlives none of its heals.
 func TestWaitHealsWaitsForBeatHeal(t *testing.T) {
 	clk := newFakeClock()
-	h := NewShardHealth(2, livenessCfg())
+	h := NewShardLiveness(2, livenessCfg())
 	h.SetClock(clk.Now)
 	h.Stamp(0)
 	h.Stamp(1)
@@ -176,7 +176,7 @@ func TestWaitHealsWaitsForBeatHeal(t *testing.T) {
 // stands either way.
 func TestReplicatedMirrorOutcomes(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	s := NewShardMember(0, NewRing(2), 2, NewShardHealth(2, LivenessConfig{}))
+	s := NewShardMember(0, NewRing(2), 2, NewShardLiveness(2, LivenessConfig{}))
 	s.SetMetrics(NewMetrics(reg))
 	s.RegisterRM(info(1), []ids.FileID{0})
 	s.RegisterRM(info(2), nil)
@@ -214,7 +214,7 @@ func TestReplicatedMirrorOutcomes(t *testing.T) {
 // handoff, converges instead of erroring — including the end of a
 // reservation the receiver never saw begin.
 func TestReplicatedApplyMirrorIdempotent(t *testing.T) {
-	s := NewShardMember(0, NewRing(1), 1, NewShardHealth(1, LivenessConfig{}))
+	s := NewShardMember(0, NewRing(1), 1, NewShardLiveness(1, LivenessConfig{}))
 	s.RegisterRM(info(1), []ids.FileID{0})
 	s.RegisterRM(info(2), nil)
 	s.RegisterRM(info(3), nil)
@@ -248,7 +248,7 @@ func TestReplicatedApplyMirrorIdempotent(t *testing.T) {
 // receiver was away — and registers the RMs the receiver never saw first.
 func TestReplicatedHandoffReplacesHolders(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	s := NewShardMember(0, NewRing(1), 1, NewShardHealth(1, LivenessConfig{}))
+	s := NewShardMember(0, NewRing(1), 1, NewShardLiveness(1, LivenessConfig{}))
 	s.SetMetrics(NewMetrics(reg))
 	s.RegisterRM(info(1), []ids.FileID{0, 1})
 	s.RegisterRM(info(2), []ids.FileID{0})
