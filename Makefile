@@ -6,12 +6,13 @@
 # enforces the per-package coverage floors; `make chaos` replays the
 # deterministic fault-injection drills (scripted kill/error/torn-frame
 # incidents over real TCP) plus the crash/liveness suites they build on;
+# `make daemons-smoke` runs mmd, two rmd and dfsc together on loopback;
 # `make bench` runs the benchmark harness; `make docs` keeps
 # docs/OPERATIONS.md and the godoc surface in lock-step with the code.
 
 GO ?= go
 
-.PHONY: tier1 build test vet race cover chaos chaos-mm bench scenarios scenarios-tenant fuzz-smoke fmt-check docs all
+.PHONY: tier1 build test vet race cover chaos chaos-mm daemons-smoke bench scenarios scenarios-tenant fuzz-smoke fmt-check docs all
 
 all: tier1 vet
 
@@ -31,8 +32,9 @@ race:
 
 # chaos replays the self-healing drills: deterministic fault scripts
 # (internal/faults) against live TCP deployments — mid-stream kill with
-# lane failover, crash-restart liveness epochs, scripted Open
-# errors, lease-sweeper keepalives — plus the older crash/redial suites.
+# lane failover, crash-restart liveness epochs, a scripted kill that
+# silences the whole RM process, scripted Open errors, lease-sweeper
+# keepalives — plus the older crash/redial suites.
 chaos:
 	$(GO) test -race -count=1 ./internal/faults/...
 	$(GO) test -race -count=1 -run 'Chaos|Crash|Failover|Lease|Liveness|Heartbeat|Torn' ./internal/live/... ./internal/mm/... ./internal/rm/... ./internal/dfsc/... ./internal/wire/...
@@ -42,10 +44,19 @@ chaos:
 # opens green), stale-lease expiry racing the takeover handoff, the
 # in-process replicated-shard kill/takeover/heal suite, the one
 # metadata client answering alike over one MM and a shard group, and the
-# liveness table both planes share (its reference model and the sweep
-# that counts a silent RM's death) — race-enabled.
+# liveness table both planes share (its reference model, the sweep that
+# counts a silent RM's death in either shape, and a scripted kill whose
+# member or RM falls silent as a whole) — race-enabled.
 chaos-mm:
 	$(GO) test -race -count=1 -run 'ShardChaos|Replicated|Liveness|Unreplicated|MMClient' ./internal/live/ ./internal/mm/
+
+# daemons-smoke runs the three binaries together on loopback: one mmd with
+# its monitor and RM liveness, two rmd with heartbeats and leases, then
+# `dfsc -n 3`; it waits for mmd's /stats to report both RMs live, checks
+# that all three accesses were admitted and that SIGTERM makes each daemon
+# exit 0.
+daemons-smoke:
+	./scripts/daemons_smoke.sh
 
 # cover writes one profile per gated package plus a merged coverage.out
 # for the CI artifact, then enforces the floors via the gate script:

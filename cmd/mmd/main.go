@@ -14,17 +14,13 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
 	"syscall"
 	"time"
 
-	"dfsqos/internal/ecnp"
-	"dfsqos/internal/faults"
 	"dfsqos/internal/live"
-	"dfsqos/internal/mm"
 	"dfsqos/internal/monitor"
 	"dfsqos/internal/telemetry"
 	"dfsqos/internal/trace"
@@ -60,103 +56,47 @@ func main() {
 	reg := telemetry.NewRegistry()
 	wire.RegisterCodecMetrics(reg)
 	tracer := trace.New(trace.Options{Actor: "mm", RingSize: *traceN, Registry: reg})
-	lcfg := mm.LivenessConfig{HeartbeatInterval: *hbIv, MissThreshold: *misses}
-	script, err := faults.Parse(*faultsS)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "mmd: %v\n", err)
-		os.Exit(1)
-	}
-	if script != nil {
-		script.SetMetrics(faults.NewMetrics(reg))
-	}
 	// Two deployment shapes: a shard-group member (-peers) serving one
 	// slice of the keyspace and mirroring to successors over TCP, or the
 	// paper's single MM. Either answers /stats with liveness.
-	var mapper interface {
-		ecnp.Mapper
-		monitor.MMLiveness
-	}
-	var shard *live.MMShard
-	var peerList []string
-	// One ticker latches silent RMs: a group member's beat loop, or the
-	// single MM's sweeper when liveness is armed.
-	var stopBeats func()
+	var peers []string
 	if *peersS != "" {
-		peerList = strings.Split(*peersS, ",")
-		s, err := live.NewMMShard(*shardIx, len(peerList), *rep, mm.LivenessConfig{HeartbeatInterval: *beatIv, MissThreshold: *misses})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mmd: %v\n", err)
-			os.Exit(1)
-		}
-		s.SetLiveness(lcfg)
-		s.SetMetrics(mm.NewMetrics(reg))
-		if script != nil {
-			s.SetFaults(script)
-		}
-		shard = s
-		mapper = s
-	} else {
-		m := mm.New()
-		m.SetLiveness(lcfg)
-		m.SetMetrics(mm.NewMetrics(reg))
-		if lcfg.Enabled() {
-			stopBeats = live.StartLivenessSweeper(m, *hbIv)
-		}
-		mapper = m
+		peers = strings.Split(*peersS, ",")
 	}
-	srv, err := live.NewMMServer(mapper, *addr)
+	node, err := live.StartMM(live.MMSpec{
+		Addr:              *addr,
+		Peers:             peers,
+		Index:             *shardIx,
+		Replication:       *rep,
+		ShardBeatInterval: *beatIv,
+		HeartbeatInterval: *hbIv,
+		LivenessMisses:    *misses,
+		Faults:            *faultsS,
+		Transport:         *tcfg,
+		Registry:          reg,
+		Tracer:            tracer,
+		Logf:              log.Printf,
+		Verbose:           *verbose,
+	})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "mmd: %v\n", err)
-		os.Exit(1)
+		fail(err)
 	}
-	srv.SetReplyTimeout(tcfg.CallTimeout)
-	srv.SetMetrics(live.NewServerMetrics(reg, "mm"))
-	srv.SetTracer(tracer)
-	if script != nil {
-		srv.SetFaults(script)
-		log.Printf("mmd: fault injection armed: %s", *faultsS)
-	}
-	if lcfg.Enabled() {
-		log.Printf("mmd: liveness armed: %v heartbeat, dead after %d misses", *hbIv, *misses)
-	}
-	if *verbose {
-		srv.SetLogger(log.Printf)
-	}
-	if shard != nil {
-		if *verbose {
-			shard.SetLogger(log.Printf)
-		}
-		// Peers dial lazily per call, so member start order does not
-		// matter: a not-yet-listening successor just fails its first
-		// mirrors and reconverges through the heal handoff.
-		if err := shard.DialPeers(peerList, *tcfg); err != nil {
-			fmt.Fprintf(os.Stderr, "mmd: %v\n", err)
-			os.Exit(1)
-		}
-		stopBeats = shard.StartShardBeats(*beatIv)
-		log.Printf("mmd: shard %d/%d listening on %s (replication %d, shard beat %v)",
-			*shardIx, len(peerList), srv.Addr(), *rep, *beatIv)
-	} else {
-		log.Printf("mmd: metadata manager listening on %s", srv.Addr())
-	}
-	var monSrv *http.Server
+	log.Printf("mmd: listening on %s; group %v (index %d, replication %d, shard beat %v); RM heartbeat %v (0: liveness off), dead after %d misses; faults %q",
+		node.Server.Addr(), peers, *shardIx, *rep, *beatIv, *hbIv, *misses, *faultsS)
 	if *monAddr != "" {
-		var bound string
-		monSrv, bound, err = monitor.Serve(*monAddr, monitor.NewMMHandler(mapper, reg, tracer))
+		monSrv, bound, err := monitor.Serve(*monAddr, monitor.NewMMHandler(node.Manager, reg, tracer))
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "mmd: %v\n", err)
-			os.Exit(1)
+			fail(err)
 		}
+		defer monitor.Shutdown(monSrv, shutdownTimeout)
 		log.Printf("mmd: stats at http://%s/stats, metrics at http://%s/metrics, traces at http://%s/traces", bound, bound, bound)
 	}
-	var dbgSrv *http.Server
 	if *dbgAddr != "" {
-		var bound string
-		dbgSrv, bound, err = monitor.Serve(*dbgAddr, monitor.NewDebugHandler(tracer))
+		dbgSrv, bound, err := monitor.Serve(*dbgAddr, monitor.NewDebugHandler(tracer))
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "mmd: %v\n", err)
-			os.Exit(1)
+			fail(err)
 		}
+		defer monitor.Shutdown(dbgSrv, shutdownTimeout)
 		log.Printf("mmd: debug at http://%s/traces and http://%s/debug/pprof/", bound, bound)
 	}
 
@@ -164,17 +104,10 @@ func main() {
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	log.Printf("mmd: shutting down")
-	if stopBeats != nil {
-		stopBeats()
-	}
-	if err := monitor.Shutdown(monSrv, shutdownTimeout); err != nil {
-		log.Printf("mmd: monitor shutdown: %v", err)
-	}
-	if err := monitor.Shutdown(dbgSrv, shutdownTimeout); err != nil {
-		log.Printf("mmd: debug shutdown: %v", err)
-	}
-	srv.Close()
-	if shard != nil {
-		shard.ClosePeers() // after the server: no beat can start a heal
-	}
+	node.Close()
+}
+
+func fail(err error) {
+	fmt.Fprintf(os.Stderr, "mmd: %v\n", err)
+	os.Exit(1)
 }

@@ -12,34 +12,28 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
 	"syscall"
 	"time"
 
-	"dfsqos/internal/blkio"
 	"dfsqos/internal/catalog"
 	"dfsqos/internal/cluster"
-	"dfsqos/internal/ecnp"
-	"dfsqos/internal/faults"
-	"dfsqos/internal/history"
 	"dfsqos/internal/ids"
 	"dfsqos/internal/live"
 	"dfsqos/internal/monitor"
 	"dfsqos/internal/replication"
-	"dfsqos/internal/rm"
 	"dfsqos/internal/rng"
 	"dfsqos/internal/telemetry"
 	"dfsqos/internal/tenant"
 	"dfsqos/internal/trace"
 	"dfsqos/internal/transport"
 	"dfsqos/internal/units"
-	"dfsqos/internal/vdisk"
 	"dfsqos/internal/wire"
 )
 
@@ -76,28 +70,16 @@ func main() {
 	)
 	flag.Parse()
 
-	capacity, err := units.ParseRate(*capStr)
-	if err != nil {
-		fail(err)
-	}
-	storage, err := units.ParseSize(*storStr)
-	if err != nil {
-		fail(err)
-	}
-	strat, err := replication.ParseStrategy(*repStr)
-	if err != nil {
-		fail(err)
-	}
-	dest, err := replication.ParseDestStrategy(*destStr)
-	if err != nil {
+	capacity, err1 := units.ParseRate(*capStr)
+	storage, err2 := units.ParseSize(*storStr)
+	strat, err3 := replication.ParseStrategy(*repStr)
+	dest, err4 := replication.ParseDestStrategy(*destStr)
+	quotas, err5 := tenant.ParseQuotas(*quotasS)
+	if err := errors.Join(err1, err2, err3, err4, err5); err != nil {
 		fail(err)
 	}
 	repCfg := replication.DefaultConfig(strat)
 	repCfg.Dest = dest
-	quotas, err := tenant.ParseQuotas(*quotasS)
-	if err != nil {
-		fail(err)
-	}
 
 	catCfg := catalog.DefaultConfig()
 	catCfg.NumFiles = *files
@@ -106,141 +88,59 @@ func main() {
 		fail(err)
 	}
 	rmID := ids.RMID(*id)
+	held := placement.FilesOn(rmID)
 
 	// One registry aggregates transport, server, RM core, blkio and
 	// replication telemetry on this daemon's /metrics page.
 	reg := telemetry.NewRegistry()
-	tcfg.Metrics = transport.NewMetrics(reg)
 	wire.RegisterCodecMetrics(reg)
 	tracer := trace.New(trace.Options{Actor: fmt.Sprintf("rm%d", *id), RingSize: *traceN, Registry: reg})
-
-	// Build the throttled virtual disk and provision this RM's replicas:
-	// the blkio group caps both read and write at the RM's capacity, as
-	// the paper's loop-device/cgroup binding does.
-	ctrl := blkio.NewController()
-	ctrl.SetMetrics(blkio.NewMetrics(reg))
-	disk, err := vdisk.New(storage, ctrl, fmt.Sprintf("vm%d", rmID), capacity, capacity)
-	if err != nil {
-		fail(err)
-	}
-	fileMetas := make(map[ids.FileID]rm.FileMeta)
-	for _, f := range placement.FilesOn(rmID) {
-		meta := cat.File(f)
-		fileMetas[f] = rm.FileMeta{Bitrate: meta.Bitrate, Size: meta.Size, DurationSec: meta.DurationSec}
-		if err := disk.Provision(live.FileName(f), meta.Size); err != nil {
-			fail(fmt.Errorf("provisioning %v: %w", f, err))
-		}
-	}
-
-	mapper, err := live.DialMMConfig(strings.Split(*mmAddr, ","), *mmRep, *tcfg)
-	if err != nil {
-		fail(err)
-	}
-	mapper.SetMetrics(live.NewMMRouteMetrics(reg))
 	sched := live.NewWallScheduler(*scale)
-	peers := live.NewDirectoryConfig(mapper, *tcfg)
-	copier := live.NewCopier(disk, peers, *scale)
-	copier.SetMetrics(live.NewCopierMetrics(reg))
-	copier.SetTracer(tracer)
-	var ledger *tenant.Ledger
-	if len(quotas) > 0 {
-		ledger = tenant.NewLedger()
-		ledger.SetMetrics(tenant.NewMetrics(reg))
-		for t, q := range quotas {
-			ledger.Set(t, q)
-		}
-		log.Printf("rmd: %v enforcing quotas for %d tenant(s)", rmID, len(quotas))
-	}
-	node, err := rm.New(rm.Options{
-		Info:        ecnp.RMInfo{ID: rmID, Capacity: capacity, StorageBytes: storage},
-		Scheduler:   sched,
-		Mapper:      mapper,
-		History:     history.DefaultConfig(),
-		Replication: repCfg,
-		Rand:        rng.New(*seed).Split(fmt.Sprintf("rmd/%d", rmID)),
-		Files:       fileMetas,
-		// Replication moves real bytes between daemons, paced at the
-		// replication rate scaled to wall time.
-		Copier:  copier,
-		Metrics: rm.NewMetrics(reg),
-		Oversub: *oversub,
-		Tenants: ledger,
-		// The lease TTL is specified in wall time; the RM's scheduler
-		// runs virtual seconds at -scale× wall, so convert.
-		LeaseTTLSec: leaseTT.Seconds() * *scale,
+	node, err := live.StartRM(live.RMSpec{
+		ID:                rmID,
+		Addr:              *addr,
+		MM:                strings.Split(*mmAddr, ","),
+		MMRep:             *mmRep,
+		Capacity:          capacity,
+		Storage:           storage,
+		Catalog:           cat,
+		Files:             held,
+		Replication:       repCfg,
+		Rand:              rng.New(*seed).Split(fmt.Sprintf("rmd/%d", rmID)),
+		Sched:             sched,
+		HeartbeatInterval: *hbIv,
+		LeaseTTL:          *leaseTT,
+		Oversub:           *oversub,
+		Tenants:           quotas,
+		StreamQoS:         *sqos,
+		StreamCeil:        *sceil,
+		Faults:            *faultsS,
+		Transport:         *tcfg,
+		Registry:          reg,
+		Tracer:            tracer,
+		Logf:              log.Printf,
+		Verbose:           *verbose,
 	})
 	if err != nil {
 		fail(err)
 	}
-	srv, err := live.NewRMServer(node, disk, *addr)
-	if err != nil {
-		fail(err)
-	}
-	if *sqos {
-		if err := srv.EnableStreamQoS(*sceil); err != nil {
-			fail(err)
-		}
-		log.Printf("rmd: %v stream QoS on (ceiling %.2f× capacity)", rmID, *sceil)
-	}
-	srv.SetReplyTimeout(tcfg.CallTimeout)
-	srv.SetMetrics(live.NewServerMetrics(reg, "rm"))
-	srv.SetTracer(tracer)
-	if script, err := faults.Parse(*faultsS); err != nil {
-		fail(err)
-	} else if script != nil {
-		script.SetMetrics(faults.NewMetrics(reg))
-		srv.SetFaults(script)
-		log.Printf("rmd: %v fault injection armed: %s", rmID, *faultsS)
-	}
-	if *verbose {
-		srv.SetLogger(log.Printf)
-		mapper.SetLogger(log.Printf)
-		peers.SetLogger(log.Printf)
-	}
-
-	// Register with the dialable address, then wire the peer directory
-	// for replication. The address is stamped onto the node itself so the
-	// heartbeat loop's self-heal re-registration advertises it too.
-	node.SetAddr(srv.Addr())
-	if err := node.Register(); err != nil {
-		fail(err)
-	}
-	node.SetDirectory(peers)
-	log.Printf("rmd: %v (%v, %d files, %v) listening on %s, registered at %s",
-		rmID, capacity, len(fileMetas), strat, srv.Addr(), *mmAddr)
-
-	// Self-healing layer: periodic liveness beacons to the MM (with
-	// automatic re-registration when the MM forgot us) and the lease
-	// sweeper that reclaims orphaned reservations.
-	var stopBeat, stopSweep func()
-	if *hbIv > 0 {
-		stopBeat = live.StartHeartbeats(node, mapper, *hbIv, log.Printf)
-		log.Printf("rmd: %v heartbeating every %v", rmID, *hbIv)
-	}
-	if *leaseTT > 0 {
-		period := *leaseTT / 2
-		if period < 10*time.Millisecond {
-			period = 10 * time.Millisecond
-		}
-		stopSweep = live.StartLeaseSweeper(node, sched, period, log.Printf)
-		log.Printf("rmd: %v lease TTL %v (sweep every %v)", rmID, *leaseTT, period)
-	}
-	var monSrv *http.Server
+	defer sched.Stop()
+	log.Printf("rmd: %v (%v, %d files, %v) listening on %s, registered at %s; heartbeat %v, lease TTL %v, stream QoS %v (ceiling %.2f× capacity), %d tenant quota(s), faults %q",
+		rmID, capacity, len(held), strat, node.Server.Addr(), *mmAddr, *hbIv, *leaseTT, *sqos, *sceil, len(quotas), *faultsS)
 	if *monAddr != "" {
-		var bound string
-		monSrv, bound, err = monitor.Serve(*monAddr, monitor.NewRMHandler(node, disk, sched, reg, tracer))
+		monSrv, bound, err := monitor.Serve(*monAddr, monitor.NewRMHandler(node.Server.Node(), node.Disk, sched, reg, tracer))
 		if err != nil {
 			fail(err)
 		}
+		defer monitor.Shutdown(monSrv, shutdownTimeout)
 		log.Printf("rmd: %v stats at http://%s/stats, metrics at http://%s/metrics, traces at http://%s/traces", rmID, bound, bound, bound)
 	}
-	var dbgSrv *http.Server
 	if *dbgAddr != "" {
-		var bound string
-		dbgSrv, bound, err = monitor.Serve(*dbgAddr, monitor.NewDebugHandler(tracer))
+		dbgSrv, bound, err := monitor.Serve(*dbgAddr, monitor.NewDebugHandler(tracer))
 		if err != nil {
 			fail(err)
 		}
+		defer monitor.Shutdown(dbgSrv, shutdownTimeout)
 		log.Printf("rmd: %v debug at http://%s/traces and http://%s/debug/pprof/", rmID, bound, bound)
 	}
 
@@ -248,21 +148,7 @@ func main() {
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	log.Printf("rmd: %v shutting down", rmID)
-	if stopBeat != nil {
-		stopBeat()
-	}
-	if stopSweep != nil {
-		stopSweep()
-	}
-	if err := monitor.Shutdown(monSrv, shutdownTimeout); err != nil {
-		log.Printf("rmd: monitor shutdown: %v", err)
-	}
-	if err := monitor.Shutdown(dbgSrv, shutdownTimeout); err != nil {
-		log.Printf("rmd: debug shutdown: %v", err)
-	}
-	srv.Close()
-	sched.Stop()
-	mapper.Close()
+	node.Close()
 }
 
 func fail(err error) {

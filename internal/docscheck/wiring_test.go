@@ -10,29 +10,45 @@ import (
 	"testing"
 )
 
-// rmServerCallers are the only files that may call live.NewRMServer: the
-// one in-process cluster (live.Local), the daemon, and the benchmark
+// rmServerCallers are the only files that may call live.NewRMServer, each
+// with its reason: the one RM start-up (live.StartRM), and the benchmark
 // harness's own cluster. No test of RMServer itself needs a server that
 // Local cannot give it, so none is listed.
-var rmServerCallers = []string{
-	"bench/cluster.go",
-	"cmd/rmd/main.go",
-	"internal/live/local.go",
+var rmServerCallers = map[string]string{
+	"bench/cluster.go":      "the benchmark harness stands up its own cluster (ROADMAP item 1 moves it onto live.Local)",
+	"internal/live/node.go": "live.StartRM, the one RM start-up rmd and live.Local run",
 }
 
-// TestOneRMWiring walks every Go file in the module and fails on a call of
-// NewRMServer outside rmServerCallers: each such call is one more
-// hand-written copy of the RM start-up — vdisk, rm.New, server,
-// registration at the served address — that live.Local owns. It also
-// fails when a listed file no longer calls it, so the list cannot go
-// stale.
-func TestOneRMWiring(t *testing.T) {
+// mmServerCallers are the only files that may call live.NewMMServer or
+// live.NewMMShard, each with its reason.
+var mmServerCallers = map[string]string{
+	"bench/cluster.go":                 "the benchmark harness stands up its own cluster (ROADMAP item 1 moves it onto live.Local)",
+	"bench/micro.go":                   "the MM lookup micro-benchmark serves a bare Manager over TCP",
+	"internal/live/node.go":            "live.StartMM, the one metadata-plane start-up mmd and live.Local run",
+	"internal/live/live_test.go":       "TestLiveReplicationRefusalText serves a bare Manager it fills by hand",
+	"internal/live/shardgroup_test.go": "tcpGroup moves shard liveness by hand with no beat loop, and a /stats test drives one member's clock",
+}
+
+// daemonForbidden are the calls a daemon leaves to live.StartRM and
+// live.StartMM: building the RM, its disk or a server, joining a group,
+// registering, and starting a loop. A daemon parses its flags into a spec
+// and starts a node.
+var daemonForbidden = []string{
+	"rm.New", "vdisk.New", "NewRMServer", "NewMMServer", "NewMMShard",
+	"DialPeers", "Register", "SetDirectory",
+	"StartHeartbeats", "StartLeaseSweeper", "StartLivenessSweeper", "StartShardBeats",
+}
+
+// TestOneNodeWiring walks every Go file in the module. It fails on a call
+// of NewRMServer outside rmServerCallers, or of NewMMServer or NewMMShard
+// outside mmServerCallers: each such call is one more hand-written copy of
+// a node's start-up — disk, rm.New, server, registration at the served
+// address, loops — that live.StartRM and live.StartMM own. It fails when a
+// listed file no longer makes the call, so the lists cannot go stale, and
+// when cmd/rmd or cmd/mmd makes any daemonForbidden call.
+func TestOneNodeWiring(t *testing.T) {
 	root := filepath.Join("..", "..")
-	allowed := make(map[string]bool)
-	for _, f := range rmServerCallers {
-		allowed[f] = true
-	}
-	seen := make(map[string]bool)
+	seen := map[string]map[string]bool{"rm": {}, "mm": {}}
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -51,10 +67,29 @@ func TestOneRMWiring(t *testing.T) {
 			return err
 		}
 		rel = filepath.ToSlash(rel)
-		for _, line := range callLines(t, path, "NewRMServer") {
-			seen[rel] = true
-			if !allowed[rel] {
-				t.Errorf("%s:%d calls NewRMServer: stand the RM up through live.Local", rel, line)
+		calls := callLines(t, path)
+		for _, c := range []struct {
+			plane   string
+			names   []string
+			allowed map[string]string
+		}{
+			{"rm", []string{"NewRMServer"}, rmServerCallers},
+			{"mm", []string{"NewMMServer", "NewMMShard"}, mmServerCallers},
+		} {
+			for _, name := range c.names {
+				for _, line := range calls[name] {
+					seen[c.plane][rel] = true
+					if _, ok := c.allowed[rel]; !ok {
+						t.Errorf("%s:%d calls %s: start the node through live.StartRM or live.StartMM", rel, line, name)
+					}
+				}
+			}
+		}
+		if strings.HasPrefix(rel, "cmd/rmd/") || strings.HasPrefix(rel, "cmd/mmd/") {
+			for _, name := range daemonForbidden {
+				for _, line := range calls[name] {
+					t.Errorf("%s:%d calls %s: a daemon fills a spec and starts its node", rel, line, name)
+				}
 			}
 		}
 		return nil
@@ -62,36 +97,40 @@ func TestOneRMWiring(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range rmServerCallers {
-		if !seen[f] {
-			t.Errorf("%s is allowed to call NewRMServer but no longer does: drop it from rmServerCallers", f)
+	for plane, allowed := range map[string]map[string]string{"rm": rmServerCallers, "mm": mmServerCallers} {
+		for f := range allowed {
+			if !seen[plane][f] {
+				t.Errorf("%s is allowed to start an %s server but no longer does: drop it from the list", f, plane)
+			}
 		}
 	}
 }
 
-// callLines returns the line numbers of every call of a function
-// or method named name in one Go source file.
-func callLines(t *testing.T, path, name string) []int {
+// callLines returns the line numbers of every call in one Go source
+// file, keyed by the called function or method's name and, for a call
+// through a package or value name, by "name.Func" too.
+func callLines(t *testing.T, path string) map[string][]int {
 	t.Helper()
 	fset := token.NewFileSet()
 	f, err := parser.ParseFile(fset, path, nil, 0)
 	if err != nil {
 		t.Fatalf("parse %s: %v", path, err)
 	}
-	var lines []int
+	lines := make(map[string][]int)
 	ast.Inspect(f, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true
 		}
+		line := fset.Position(call.Pos()).Line
 		switch fun := call.Fun.(type) {
 		case *ast.Ident:
-			if fun.Name == name {
-				lines = append(lines, fset.Position(call.Pos()).Line)
-			}
+			lines[fun.Name] = append(lines[fun.Name], line)
 		case *ast.SelectorExpr:
-			if fun.Sel.Name == name {
-				lines = append(lines, fset.Position(call.Pos()).Line)
+			lines[fun.Sel.Name] = append(lines[fun.Sel.Name], line)
+			if x, ok := fun.X.(*ast.Ident); ok {
+				key := x.Name + "." + fun.Sel.Name
+				lines[key] = append(lines[key], line)
 			}
 		}
 		return true

@@ -2,30 +2,29 @@ package live
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"dfsqos/internal/catalog"
 	"dfsqos/internal/dfsc"
 	"dfsqos/internal/ecnp"
 	"dfsqos/internal/faults"
 	"dfsqos/internal/ids"
 	"dfsqos/internal/mm"
 	"dfsqos/internal/qos"
-	"dfsqos/internal/rm"
 	"dfsqos/internal/rng"
 	"dfsqos/internal/selection"
 	"dfsqos/internal/telemetry"
 	"dfsqos/internal/trace"
 	"dfsqos/internal/units"
-	"dfsqos/internal/vdisk"
 	"dfsqos/internal/wire"
 )
 
-// chaosCluster is a Local instrumented for incidents: the MM, every RM
-// and every client report onto one registry and one tracer, and each RM's
-// server can carry a fault script.
+// chaosCluster is a Local instrumented for incidents: the metadata plane,
+// every RM and every client report onto one registry and one tracer.
 type chaosCluster struct {
 	*Local
 	reg    *telemetry.Registry
@@ -34,47 +33,36 @@ type chaosCluster struct {
 
 // startChaosCluster starts spec over a four-file catalog of 10-second
 // clips (every file spans more than two stream chunks, so a mid-stream
-// kill always leaves a resumable tail) and arms rmFaults, a fault-script
-// spec per RM, on the RMs' servers. The MM metrics and tracers attach
-// after start-up, so they miss the RMs' registrations.
-func startChaosCluster(t *testing.T, spec LocalSpec, rmFaults map[ids.RMID]string) *chaosCluster {
+// kill always leaves a resumable tail), with every node reporting onto
+// one registry and one tracer and each spec.Faults script seeded.
+func startChaosCluster(t *testing.T, spec LocalSpec) *chaosCluster {
 	t.Helper()
-	spec.Catalog = testCatalog(t, 21, 4, 10, 10, 10)
+	spec.Catalog = chaosCatalog(t)
 	reg := telemetry.NewRegistry()
 	// One tracer shared by every in-process role: all spans of a request
 	// land in a single ring, so tests can assert whole-cluster span trees
 	// the way an operator would by merging per-daemon /traces dumps.
 	tracer := trace.New(trace.Options{Actor: "cluster", Registry: reg})
-	hook := spec.RM
-	spec.RM = func(opt *rm.Options, disk *vdisk.Disk, peers *Directory) {
-		opt.Metrics = rm.NewMetrics(reg)
-		if hook != nil {
-			hook(opt, disk, peers)
-		}
+	spec.MM.Registry, spec.MM.Tracer = reg, tracer
+	spec.RM.Registry, spec.RM.Tracer = reg, tracer
+	for id, f := range spec.Faults {
+		spec.Faults[id] = f + ":seed=1"
 	}
-	lc := &chaosCluster{Local: startLocal(t, spec), reg: reg, tracer: tracer}
-	lc.Manager.SetMetrics(mm.NewMetrics(reg))
-	lc.MM.SetTracer(tracer)
-	for i := range spec.Caps {
-		id := ids.RMID(i + 1)
-		lc.Server(id).SetTracer(tracer)
-		if rmFaults[id] == "" {
-			continue
-		}
-		script, err := faults.Parse(rmFaults[id] + ":seed=1")
-		if err != nil {
-			t.Fatal(err)
-		}
-		script.SetMetrics(faults.NewMetrics(reg))
-		lc.Server(id).SetFaults(script)
-	}
-	return lc
+	return &chaosCluster{Local: startLocal(t, spec), reg: reg, tracer: tracer}
 }
 
-// leaseTTL arms reservation leases of sec virtual seconds on every RM.
-func leaseTTL(sec float64) func(*rm.Options, *vdisk.Disk, *Directory) {
-	return func(opt *rm.Options, _ *vdisk.Disk, _ *Directory) { opt.LeaseTTLSec = sec }
-}
+// chaosCatalog is the chaos drills' corpus: four 10-second clips.
+func chaosCatalog(t testing.TB) *catalog.Catalog { return testCatalog(t, 21, 4, 10, 10, 10) }
+
+// leaseTTL is the wall-time lease every chaos drill arms: 20 virtual
+// seconds at Local's default scale of 100, long enough that a stream's
+// own chunks keep a live reservation renewed under the race detector
+// while the sweeper runs. pastLease is virtual time one lease on, for a
+// hand-run sweep of a killed RM, whose sweeper died with it.
+const (
+	leaseTTL  = 200 * time.Millisecond
+	pastLease = 21
+)
 
 func (lc *chaosCluster) client(t *testing.T, scen qos.Scenario) *dfsc.Client {
 	t.Helper()
@@ -132,8 +120,9 @@ func TestChaosKillMidStreamFailoverResumes(t *testing.T) {
 		// deterministically wins the first negotiation.
 		Caps:    []units.BytesPerSec{units.Mbps(200), units.Mbps(100)},
 		Holders: map[ids.FileID][]ids.RMID{0: {1, 2}},
-		RM:      leaseTTL(5),
-	}, map[ids.RMID]string{1: "rm.stream.chunk:after=1:action=kill"})
+		RM:      RMSpec{LeaseTTL: leaseTTL},
+		Faults:  map[ids.RMID]string{1: "rm.stream.chunk:after=1:action=kill"},
+	})
 	client := lc.client(t, qos.Firm)
 
 	var got bytes.Buffer
@@ -172,7 +161,7 @@ func TestChaosKillMidStreamFailoverResumes(t *testing.T) {
 	if lc.Node(1).Allocated() == 0 {
 		t.Fatal("orphan left no allocation to reclaim")
 	}
-	if n := lc.Node(1).SweepLeases(lc.Sched.Now().Add(6)); n != 1 {
+	if n := lc.Node(1).SweepLeases(lc.Sched.Now().Add(pastLease)); n != 1 {
 		t.Fatalf("sweep reclaimed %d, want 1", n)
 	}
 	if got := lc.Node(1).Allocated(); got != 0 {
@@ -200,6 +189,13 @@ func TestChaosKillMidStreamFailoverResumes(t *testing.T) {
 	}
 }
 
+// rmBeats arms RM heartbeats every 10 ms against an MM that latches an RM
+// dead after three silent 20 ms periods.
+var (
+	rmBeats = RMSpec{HeartbeatInterval: 10 * time.Millisecond}
+	mmLive  = MMSpec{HeartbeatInterval: 20 * time.Millisecond}
+)
+
 // TestChaosCrashRestartLiveness drives the full death-and-rebirth cycle
 // through heartbeats over real TCP: a killed RM drops out of the MM's
 // routing surfaces within the miss threshold, and a restart on a fresh
@@ -208,21 +204,13 @@ func TestChaosCrashRestartLiveness(t *testing.T) {
 	lc := startChaosCluster(t, LocalSpec{
 		Caps:    []units.BytesPerSec{units.Mbps(100), units.Mbps(100)},
 		Holders: map[ids.FileID][]ids.RMID{0: {1, 2}},
-	}, nil)
-	lc.Manager.SetLiveness(mm.LivenessConfig{HeartbeatInterval: 20 * time.Millisecond, MissThreshold: 3})
-
-	beatCli, err := DialMM(lc.MM.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer beatCli.Close()
-	t.Cleanup(StartHeartbeats(lc.Node(1), beatCli, 10*time.Millisecond, t.Logf))
-	stop2 := StartHeartbeats(lc.Node(2), beatCli, 10*time.Millisecond, t.Logf)
+		MM:      mmLive,
+		RM:      rmBeats,
+	})
 	waitFor(t, "both RMs live", func() bool { return lc.Manager.LiveCount() == 2 })
 
 	// Crash RM 2: heartbeats stop, server socket closes.
-	stop2()
-	lc.Server(2).Close()
+	lc.KillRM(2)
 	waitFor(t, "RM2 declared dead", func() bool { return !lc.Manager.Alive(2) })
 
 	// The corpse is gone from every routing answer — over the wire too.
@@ -240,13 +228,10 @@ func TestChaosCrashRestartLiveness(t *testing.T) {
 	}
 
 	// Restart RM 2 on a fresh socket (new port: the same shape as a
-	// daemon restart) and resume its heartbeats.
-	srv, err := lc.Restart(2, "")
-	if err != nil {
+	// daemon restart); its heartbeats resume with it.
+	if err := lc.Restart(2, ""); err != nil {
 		t.Fatal(err)
 	}
-	srv.SetTracer(lc.tracer)
-	t.Cleanup(StartHeartbeats(lc.Node(2), beatCli, 10*time.Millisecond, t.Logf))
 	waitFor(t, "RM2 revived", func() bool { return lc.Manager.Alive(2) })
 	if got := lc.Manager.Epoch(2); got != 1 {
 		t.Fatalf("epoch after crash-restart = %d, want 1", got)
@@ -257,25 +242,105 @@ func TestChaosCrashRestartLiveness(t *testing.T) {
 	waitFor(t, "Lookup heals", func() bool { return len(lc.Mapper.Lookup(0)) == 2 })
 }
 
+// TestLivenessKilledRMStopsBeating: a fault script's kill is the RM
+// process's death, so its heartbeats stop with its socket. The MM latches
+// it dead within the miss threshold, counts one death, and drops it from
+// every lookup.
+func TestLivenessKilledRMStopsBeating(t *testing.T) {
+	lc := startChaosCluster(t, LocalSpec{
+		Caps:    []units.BytesPerSec{units.Mbps(100), units.Mbps(100)},
+		Holders: map[ids.FileID][]ids.RMID{0: {1, 2}},
+		MM:      mmLive,
+		RM:      rmBeats,
+		Faults:  map[ids.RMID]string{1: "rm.handle:match=Open:count=1:action=kill"},
+	})
+	waitFor(t, "both RMs live", func() bool { return lc.Manager.LiveCount() == 2 })
+	cli, ok := lc.Dir.RMClient(1)
+	if !ok {
+		t.Fatal("RM1 unreachable")
+	}
+	meta := lc.Catalog.File(0)
+	if res := cli.Open(ecnp.OpenRequest{Request: 1, File: 0, Bitrate: meta.Bitrate, DurationSec: meta.DurationSec}); res.OK {
+		t.Fatal("the open that kills RM1 was admitted")
+	}
+	deaths := mm.NewMetrics(lc.reg).Deaths
+	waitFor(t, "the killed RM1 counted dead", func() bool { return deaths.Value() > 0 })
+	if lc.Manager.Alive(1) || deaths.Value() != 1 {
+		t.Fatalf("RM1 alive %v after %d death(s), want dead after 1", lc.Manager.Alive(1), deaths.Value())
+	}
+	if hs := lc.Manager.Lookup(0); len(hs) != 1 || hs[0] != 2 {
+		t.Fatalf("Lookup(0) = %v, want [RM2]", hs)
+	}
+}
+
+// TestLivenessKilledShardStopsBeating: a fault script's kill is a group
+// member's death, so its shard beats stop with its socket. Both peers
+// latch it dead and run the takeover of its keyspace.
+func TestLivenessKilledShardStopsBeating(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	lc := startLocal(t, LocalSpec{
+		Catalog:    testCatalog(t, 23, 4, 1, 5, 10),
+		Caps:       []units.BytesPerSec{units.Mbps(100), units.Mbps(100)},
+		Holders:    map[ids.FileID][]ids.RMID{0: {1, 2}, 1: {1, 2}, 2: {1, 2}, 3: {1, 2}},
+		ShardGroup: true,
+		MM:         MMSpec{Registry: reg},
+	})
+	victim := mm.NewRing(len(lc.Shards)).SuccessorsOfFile(0, 1)[0]
+	script, err := faults.Parse("mm.handle:match=Lookup:count=1:action=kill:seed=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lc.ShardServer(victim).setFaults(script)
+	// The lookup kills the file's primary and fails over to its successor.
+	if hs := lc.Mapper.Lookup(0); len(hs) != 2 {
+		t.Fatalf("Lookup(0) across the kill = %v, want both holders", hs)
+	}
+	for i, s := range lc.Shards {
+		if i != victim {
+			waitFor(t, fmt.Sprintf("shard %d latches the killed %d dead", i, victim), func() bool {
+				return !s.Health().Alive(victim)
+			})
+		}
+	}
+	met := mm.NewMetrics(reg)
+	waitFor(t, "the takeover of the killed member's keyspace", func() bool { return met.HandoffTakeover.Value() > 0 })
+}
+
+// TestLivenessSingleMMSweepsSilentRM: the single MM sweeps its RM table on
+// a ticker whenever liveness is armed, so an RM that falls silent is
+// counted dead and leaves the live gauge with no read and no beat.
+func TestLivenessSingleMMSweepsSilentRM(t *testing.T) {
+	testSweepsSilentRM(t, false)
+}
+
 // TestLivenessGroupMemberSweepsSilentRM: a shard-group member's beat tick
-// sweeps its RM table as well as its peers, so an RM that falls silent is
-// counted dead and leaves the live gauge with no read and no other beat.
+// sweeps its RM table as well as its peers, to the same effect.
 func TestLivenessGroupMemberSweepsSilentRM(t *testing.T) {
+	testSweepsSilentRM(t, true)
+}
+
+// testSweepsSilentRM arms RM liveness through the spec, then skews the RM
+// table's clock an hour past the RM's registration: the node's own loop
+// must count it dead and leave the live gauge equal to LiveCount.
+func testSweepsSilentRM(t *testing.T, group bool) {
 	lc := startLocal(t, LocalSpec{
 		Catalog:    testCatalog(t, 23, 1, 1, 5, 10),
 		Caps:       []units.BytesPerSec{units.Mbps(100)},
 		Holders:    map[ids.FileID][]ids.RMID{0: {1}},
-		ShardGroup: true,
+		ShardGroup: group,
+		MM:         MMSpec{HeartbeatInterval: time.Second},
 	})
-	s := lc.Shards[0]
+	m := lc.Manager
+	if group {
+		m = lc.Shards[0].Manager
+	}
 	var skew atomic.Int64 // the RM table's clock runs this far ahead
-	s.Manager.SetClock(func() time.Time { return time.Now().Add(time.Duration(skew.Load())) })
+	m.SetClock(func() time.Time { return time.Now().Add(time.Duration(skew.Load())) })
 	met := mm.NewMetrics(nil)
-	s.SetMetrics(met)
-	s.SetLiveness(mm.LivenessConfig{HeartbeatInterval: time.Second, MissThreshold: 3})
+	m.SetMetrics(met)
 	skew.Store(int64(time.Hour))
 	waitFor(t, "the silent RM counted dead", func() bool { return met.Deaths.Value() == 1 })
-	if live := s.LiveCount(); live != 0 || met.LiveRMs.Value() != float64(live) {
+	if live := m.LiveCount(); live != 0 || met.LiveRMs.Value() != float64(live) {
 		t.Fatalf("live RMs %d, gauge %v: want 0 and the gauge equal", live, met.LiveRMs.Value())
 	}
 }
@@ -289,7 +354,8 @@ func TestChaosScriptedOpenErrorFallsBack(t *testing.T) {
 	lc := startChaosCluster(t, LocalSpec{
 		Caps:    []units.BytesPerSec{units.Mbps(200), units.Mbps(100)},
 		Holders: map[ids.FileID][]ids.RMID{0: {1, 2}},
-	}, map[ids.RMID]string{1: "rm.handle:match=Open:count=1:action=error"})
+		Faults:  map[ids.RMID]string{1: "rm.handle:match=Open:count=1:action=error"},
+	})
 	// Firm: a refused open falls through to the next-ranked bidder.
 	client := lc.client(t, qos.Firm)
 
@@ -314,10 +380,9 @@ func TestChaosKeepaliveBeatsLeaseSweeper(t *testing.T) {
 	lc := startChaosCluster(t, LocalSpec{
 		Caps:    []units.BytesPerSec{units.Mbps(100)},
 		Holders: map[ids.FileID][]ids.RMID{0: {1}},
-		RM:      leaseTTL(5), // virtual seconds; 50ms of wall time at scale 100
-	}, nil)
+		RM:      RMSpec{LeaseTTL: leaseTTL},
+	})
 	node := lc.Node(1)
-	t.Cleanup(StartLeaseSweeper(node, lc.Sched, 10*time.Millisecond, t.Logf))
 
 	cli, ok := lc.Dir.RMClient(1)
 	if !ok {
@@ -331,7 +396,7 @@ func TestChaosKeepaliveBeatsLeaseSweeper(t *testing.T) {
 		}
 	}
 	// Renew only request 1 for ~4 TTLs of wall time; request 2 idles.
-	renewUntil := time.Now().Add(200 * time.Millisecond)
+	renewUntil := time.Now().Add(4 * leaseTTL)
 	for time.Now().Before(renewUntil) {
 		if err := cli.Keepalive(1); err != nil {
 			t.Fatalf("keepalive: %v", err)

@@ -28,30 +28,11 @@ type Copier struct {
 	// N× faster in wall time and the virtual-time dynamics match the DES.
 	scale   float64
 	metrics *CopierMetrics
-	tracer  *trace.Tracer
+	// tracer opens a root span ("rm.replicate") per copy whose trace ID
+	// is the replication ID, so a replica copy shows up in /traces like
+	// any client request (nil: no spans).
+	tracer *trace.Tracer
 }
-
-// NewCopier builds a copier for one RM. scale must match the deployment's
-// WallScheduler scale (1 for real time).
-func NewCopier(disk *vdisk.Disk, dir *Directory, scale float64) *Copier {
-	if scale <= 0 {
-		panic("live: non-positive copier scale")
-	}
-	return &Copier{disk: disk, dir: dir, scale: scale, metrics: NewCopierMetrics(nil)}
-}
-
-// SetMetrics routes replication data-plane telemetry (default: no-op).
-func (c *Copier) SetMetrics(m *CopierMetrics) {
-	if m == nil {
-		m = NewCopierMetrics(nil)
-	}
-	c.metrics = m
-}
-
-// SetTracer enables replication tracing: each CopyReplica opens a root
-// span ("rm.replicate") whose trace ID is the replication ID, so a
-// replica copy shows up in /traces like any client request (nil: no-op).
-func (c *Copier) SetTracer(t *trace.Tracer) { c.tracer = t }
 
 // CopyReplica implements rm.DataCopier.
 func (c *Copier) CopyReplica(dst ids.RMID, rep ids.ReplicationID, file ids.FileID, meta rm.FileMeta, rate units.BytesPerSec) error {

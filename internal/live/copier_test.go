@@ -10,10 +10,8 @@ import (
 	"dfsqos/internal/ecnp"
 	"dfsqos/internal/ids"
 	"dfsqos/internal/replication"
-	"dfsqos/internal/rm"
 	"dfsqos/internal/rng"
 	"dfsqos/internal/units"
-	"dfsqos/internal/vdisk"
 	"dfsqos/internal/wire"
 )
 
@@ -39,14 +37,11 @@ func TestLiveReplicationMovesRealBytes(t *testing.T) {
 	hot := ids.FileID(3)
 	hotSize := cat.File(hot).Size
 	lc := startLocal(t, LocalSpec{
-		Catalog:     cat,
-		Caps:        []units.BytesPerSec{units.Mbps(8), units.Mbps(100)},
-		Holders:     map[ids.FileID][]ids.RMID{hot: {1}},
-		Replication: repCfg,
-		Rand:        rng.New(17),
-		RM: func(opt *rm.Options, disk *vdisk.Disk, peers *Directory) {
-			opt.Copier = NewCopier(disk, peers, 1)
-		},
+		Catalog: cat,
+		Caps:    []units.BytesPerSec{units.Mbps(8), units.Mbps(100)},
+		Holders: map[ids.FileID][]ids.RMID{hot: {1}},
+		RM:      RMSpec{Replication: repCfg},
+		Rand:    rng.New(17),
 	})
 
 	// Overload RM1 and fire the trigger.

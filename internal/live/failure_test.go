@@ -41,7 +41,7 @@ func TestRMCrashFallback(t *testing.T) {
 		t.Fatal("RM2 unreachable before crash")
 	}
 	// Crash RM2.
-	lc.Server(2).Close()
+	lc.KillRM(2)
 
 	out := client.Access(0)
 	if !out.OK {
@@ -74,7 +74,7 @@ func TestAllHoldersDownFailsCleanly(t *testing.T) {
 		t.Fatal(err)
 	}
 	lc.Dir.RMClient(1) // cache the connection
-	lc.Server(1).Close()
+	lc.KillRM(1)
 
 	out := client.Access(0)
 	if out.OK {
@@ -94,15 +94,15 @@ func TestOfferToDeadDestinationSkipped(t *testing.T) {
 	cfg.CooldownSec = 0.01
 	cfg.Speed = units.Mbps(1000)
 	lc := startLiveCluster(t, LocalSpec{
-		Caps:        []units.BytesPerSec{units.Mbps(5), units.Mbps(100), units.Mbps(100)},
-		Holders:     map[ids.FileID][]ids.RMID{0: {1}},
-		TimeScale:   1000,
-		Replication: cfg,
+		Caps:      []units.BytesPerSec{units.Mbps(5), units.Mbps(100), units.Mbps(100)},
+		Holders:   map[ids.FileID][]ids.RMID{0: {1}},
+		TimeScale: 1000,
+		RM:        RMSpec{Replication: cfg},
 	})
 
 	// Kill RM2 so the source's offer to it fails over TCP.
 	lc.Dir.RMClient(2)
-	lc.Server(2).Close()
+	lc.KillRM(2)
 
 	src := lc.Node(1)
 	src.Open(ecnp.OpenRequest{Request: 1, File: 0, Bitrate: units.Mbps(4.5), DurationSec: 3600})

@@ -28,11 +28,12 @@ var (
 //     more bytes than follow — then drops the connection: the shape of a
 //     crash mid-write.
 //   - Kill calls kill, which closes the server's listener and every
-//     connection before it returns — so no later request, such as a
-//     client's release on another connection, reaches the dead server —
-//     and drops the connection. Close still waits for the goroutines,
-//     this handler's among them, to unwind.
-func applyFault(wc *wire.Conn, d faults.Decision, kind wire.Kind, payload any, kill func() error) (bool, error) {
+//     connection and stops the node's loops before it returns — so no
+//     later request, such as a client's release on another connection,
+//     reaches the dead server, and no heartbeat or beat leaves the dead
+//     process — and drops the connection. Close still waits for the
+//     goroutines, this handler's among them, to unwind.
+func applyFault(wc *wire.Conn, d faults.Decision, kind wire.Kind, payload any, kill func()) (bool, error) {
 	switch d.Action {
 	case faults.None:
 		return false, nil

@@ -17,13 +17,11 @@ import (
 	"dfsqos/internal/mm"
 	"dfsqos/internal/qos"
 	"dfsqos/internal/replication"
-	"dfsqos/internal/rm"
 	"dfsqos/internal/rng"
 	"dfsqos/internal/selection"
 	"dfsqos/internal/simtime"
 	"dfsqos/internal/tenant"
 	"dfsqos/internal/units"
-	"dfsqos/internal/vdisk"
 	"dfsqos/internal/wire"
 )
 
@@ -129,10 +127,10 @@ func TestLiveReplicationOverTCP(t *testing.T) {
 	// wall time (the virtual disk is throttled at the RM capacity).
 	cfg.Speed = units.Mbps(1000)
 	lc := startLiveCluster(t, LocalSpec{
-		Caps:        []units.BytesPerSec{units.Mbps(5), units.Mbps(100)},
-		Holders:     map[ids.FileID][]ids.RMID{0: {1}},
-		TimeScale:   1000,
-		Replication: cfg,
+		Caps:      []units.BytesPerSec{units.Mbps(5), units.Mbps(100)},
+		Holders:   map[ids.FileID][]ids.RMID{0: {1}},
+		TimeScale: 1000,
+		RM:        RMSpec{Replication: cfg},
 	})
 
 	rm1, _ := lc.Dir.RMClient(1)
@@ -170,9 +168,9 @@ func TestLiveWalkEndsAtReplicaCap(t *testing.T) {
 		caps = append(caps, units.Mbps(100))
 	}
 	lc := startLiveCluster(t, LocalSpec{
-		Caps:        caps,
-		Holders:     map[ids.FileID][]ids.RMID{0: {1, 2, 3}},
-		Replication: cfg,
+		Caps:    caps,
+		Holders: map[ids.FileID][]ids.RMID{0: {1, 2, 3}},
+		RM:      RMSpec{Replication: cfg},
 	})
 	met := mm.NewMetrics(nil)
 	lc.Manager.SetMetrics(met)
@@ -249,14 +247,12 @@ func TestLiveReplicationRefusalText(t *testing.T) {
 // checks that the client matches each with errors.Is against its
 // sentinel: the one vocabulary means the same on both sides of a socket.
 func TestLiveEveryRefusalMatchesItsSentinel(t *testing.T) {
-	ledger := tenant.NewLedger()
+	const capped = ids.TenantID(1)
 	lc := startLiveCluster(t, LocalSpec{
 		Caps:    []units.BytesPerSec{units.Mbps(10), units.Mbps(10)},
 		Holders: map[ids.FileID][]ids.RMID{0: {1}, 1: {1}, 2: {1}},
-		RM:      func(opt *rm.Options, _ *vdisk.Disk, _ *Directory) { opt.Tenants = ledger },
+		RM:      RMSpec{Tenants: map[ids.TenantID]tenant.Quota{capped: {Bandwidth: 1, Bytes: 1}}},
 	})
-	const capped = ids.TenantID(1)
-	ledger.Set(capped, tenant.Quota{Bandwidth: 1, Bytes: 1})
 	mapper := lc.Mapper
 	cli, ok := lc.Dir.RMClient(1)
 	if !ok {

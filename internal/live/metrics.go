@@ -32,12 +32,6 @@ func NewServerMetrics(reg *telemetry.Registry, server string) *ServerMetrics {
 	}
 }
 
-// nopServerMetrics builds an unregistered sink for servers without
-// telemetry.
-func nopServerMetrics(server string) *ServerMetrics {
-	return NewServerMetrics(nil, server)
-}
-
 // request counts one handled request of the given kind.
 func (m *ServerMetrics) request(kind wire.Kind) {
 	m.requests.With(m.server, kind.String()).Inc()

@@ -11,13 +11,11 @@ import (
 	"dfsqos/internal/ids"
 	"dfsqos/internal/monitor"
 	"dfsqos/internal/qos"
-	"dfsqos/internal/rm"
 	"dfsqos/internal/rng"
 	"dfsqos/internal/selection"
 	"dfsqos/internal/telemetry"
 	"dfsqos/internal/transport"
 	"dfsqos/internal/units"
-	"dfsqos/internal/vdisk"
 	"dfsqos/internal/wire"
 )
 
@@ -41,14 +39,9 @@ func TestMetricsEndToEnd(t *testing.T) {
 		Caps:    []units.BytesPerSec{units.Mbps(50), units.Mbps(50)},
 		Holders: map[ids.FileID][]ids.RMID{0: {1, 2}, 1: {1}, 2: {2}},
 		Rand:    rng.New(13),
-		RM: func(opt *rm.Options, _ *vdisk.Disk, _ *Directory) {
-			opt.Metrics = rm.NewMetrics(reg)
-		},
+		MM:      MMSpec{Registry: reg},
+		RM:      RMSpec{Registry: reg},
 	})
-	lc.MM.SetMetrics(NewServerMetrics(reg, "mm"))
-	for id := ids.RMID(1); id <= 2; id++ {
-		lc.Server(id).SetMetrics(NewServerMetrics(reg, "rm"))
-	}
 
 	mmCli, err := DialMMConfig([]string{lc.MM.Addr()}, 1, tcfg)
 	if err != nil {

@@ -71,7 +71,7 @@ func TestLiveMountRandomReads(t *testing.T) {
 	lc := startChaosCluster(t, LocalSpec{
 		Caps:    []units.BytesPerSec{units.Mbps(400)},
 		Holders: map[ids.FileID][]ids.RMID{0: {1}},
-	}, nil)
+	})
 	m := lc.mount(t)
 	defer m.Destroy()
 	want := lc.storedBytes(t, 1, 0)
@@ -101,8 +101,8 @@ func TestChaosMountReadFailsOver(t *testing.T) {
 		// RemOnly ranks by remaining bandwidth, so RM 1 wins the open.
 		Caps:    []units.BytesPerSec{units.Mbps(400), units.Mbps(200)},
 		Holders: map[ids.FileID][]ids.RMID{0: {1, 2}},
-		RM:      leaseTTL(5),
-	}, nil)
+		RM:      RMSpec{LeaseTTL: leaseTTL},
+	})
 	m := lc.mount(t)
 	defer m.Destroy()
 	want := lc.storedBytes(t, 2, 0)
@@ -116,7 +116,7 @@ func TestChaosMountReadFailsOver(t *testing.T) {
 	}
 	r := rand.New(rand.NewSource(2))
 	readSpans(t, m, h, want, r, 10)
-	lc.Server(1).Close()
+	lc.KillRM(1)
 	readSpans(t, m, h, want, r, 10)
 	if n := lc.Node(2).ActiveReservations(); n != 1 {
 		t.Fatalf("%d reservation(s) on the survivor, want the failover's 1", n)
@@ -127,7 +127,7 @@ func TestChaosMountReadFailsOver(t *testing.T) {
 	if got := lc.Node(2).Allocated(); got != 0 {
 		t.Fatalf("RM 2 still has %v allocated after release", got)
 	}
-	if n := lc.Node(1).SweepLeases(lc.Sched.Now().Add(6)); n != 1 {
+	if n := lc.Node(1).SweepLeases(lc.Sched.Now().Add(pastLease)); n != 1 {
 		t.Fatalf("sweep reclaimed %d reservation(s) on the dead RM, want 1", n)
 	}
 	if got := lc.Node(1).Allocated(); got != 0 {
@@ -146,10 +146,9 @@ func TestChaosMountReadsRenewLease(t *testing.T) {
 	lc := startChaosCluster(t, LocalSpec{
 		Caps:    []units.BytesPerSec{units.Mbps(100)},
 		Holders: map[ids.FileID][]ids.RMID{0: {1}},
-		RM:      leaseTTL(5), // virtual seconds; 50ms of wall time at scale 100
-	}, nil)
+		RM:      RMSpec{LeaseTTL: leaseTTL},
+	})
 	node := lc.Node(1)
-	t.Cleanup(StartLeaseSweeper(node, lc.Sched, 10*time.Millisecond, t.Logf))
 	m := lc.mount(t)
 	defer m.Destroy()
 
@@ -159,7 +158,7 @@ func TestChaosMountReadsRenewLease(t *testing.T) {
 	}
 	p := make([]byte, 4<<10)
 	var off int64
-	for until := time.Now().Add(200 * time.Millisecond); time.Now().Before(until); off += int64(len(p)) {
+	for until := time.Now().Add(4 * leaseTTL); time.Now().Before(until); off += int64(len(p)) {
 		if _, err := m.Read(h, p, off); err != nil {
 			t.Fatalf("read at %d: %v", off, err)
 		}

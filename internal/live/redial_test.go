@@ -39,13 +39,13 @@ func TestDirectoryRedialsAfterRestart(t *testing.T) {
 	}
 
 	// Crash RM1 and fail one access against the dead cached connection.
-	lc.Server(1).Close()
+	lc.KillRM(1)
 	if out := client.Access(0); out.OK {
 		t.Fatal("access succeeded against a dead RM")
 	}
 
 	// Restart RM1 on a new ephemeral port, same identity, fresh state.
-	if _, err := lc.Restart(1, ""); err != nil {
+	if err := lc.Restart(1, ""); err != nil {
 		t.Fatal(err)
 	}
 

@@ -410,7 +410,7 @@ func (s *RMServer) streamFile(wc *wire.Conn, req wire.ReadFile, sp *trace.Span) 
 			if inj != nil {
 				fc := wire.FileChunk{Offset: off, Data: buf[:n]}
 				d := faults.Decide(inj, faults.PointRMChunk, strconv.FormatInt(off, 10))
-				if handled, ferr := applyFault(wc, d, wire.KindFileChunk, fc, s.halt); handled || ferr != nil {
+				if handled, ferr := applyFault(wc, d, wire.KindFileChunk, fc, s.kill); handled || ferr != nil {
 					sp.SetBytes(off - req.Offset)
 					return ferr
 				}

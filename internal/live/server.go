@@ -15,10 +15,9 @@ import (
 
 // server is the TCP scaffolding MMServer and RMServer share: a listener,
 // the set of live connections, one goroutine per connection reading frames
-// and passing each to handle, and the knobs both servers expose (logger,
-// reply timeout, metrics, fault injector, tracer). The embedding server
-// keeps only its constructor, its handle and its dispatch; the exported
-// methods below are promoted onto it.
+// and passing each to handle, and the settings a node arms on both (reply
+// timeout, metrics, tracer, logger, fault injector). The embedding server
+// keeps only its constructor, its handle and its dispatch.
 type server struct {
 	// name prefixes log lines and labels the no-op metrics sink: "mm",
 	// "rm<id>".
@@ -27,15 +26,28 @@ type server struct {
 	handle func(wc *wire.Conn, msg wire.Msg) error
 	ln     net.Listener
 
-	mu      sync.Mutex
-	closed  bool
-	conns   map[net.Conn]struct{}
-	wg      sync.WaitGroup
-	logf    func(string, ...any)
+	mu     sync.Mutex
+	closed bool
+	conns  map[net.Conn]struct{}
+	wg     sync.WaitGroup
+	// replyTO is a per-frame write deadline, so a client that stops
+	// reading cannot wedge a handler mid-reply (zero: none).
 	replyTO time.Duration
 	metrics *ServerMetrics
-	inj     faults.Injector
-	tracer  *trace.Tracer
+	logf    func(string, ...any)
+	// tracer joins request traces arriving on the wire: a frame carrying
+	// a span context opens a server-side child span ("mm.<Kind>" on an
+	// MM; "rm.bid", "rm.open", "rm.stream", ... on an RM), and a traced
+	// stream's chunks go back out carrying its context (nil: no spans).
+	tracer *trace.Tracer
+	// inj is consulted before each request handler (faults.PointMMHandle
+	// on an MM, faults.PointRMHandle on an RM; detail is the message kind)
+	// and, on an RM, before each data-plane chunk write
+	// (faults.PointRMChunk). Nil disables injection.
+	inj faults.Injector
+	// onKill is the rest of the process's death when a fault kills the
+	// server: the node stops its loops (nil: the server alone dies).
+	onKill func()
 }
 
 // listen binds addr and starts the accept loop.
@@ -47,61 +59,25 @@ func (s *server) listen(name, addr string, handle func(wc *wire.Conn, msg wire.M
 	s.name, s.handle, s.ln = name, handle, ln
 	s.conns = make(map[net.Conn]struct{})
 	s.logf = func(string, ...any) {}
-	s.metrics = nopServerMetrics(name)
+	s.metrics = NewServerMetrics(nil, name) // an unregistered sink
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return nil
 }
 
-// SetLogger routes diagnostics (default: discard).
-func (s *server) SetLogger(logf func(string, ...any)) {
-	if logf == nil {
-		logf = func(string, ...any) {}
+// arm applies a node's settings, before the node advertises the server:
+// they hold for the connections accepted after it. A nil logf keeps the
+// log discarded; a nil script injects nothing.
+func (s *server) arm(replyTO time.Duration, met *ServerMetrics, tr *trace.Tracer, logf func(string, ...any), script *faults.Script, onKill func()) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.replyTO, s.metrics, s.tracer, s.onKill = replyTO, met, tr, onKill
+	if logf != nil {
+		s.logf = logf
 	}
-	s.logf = logf
-}
-
-// SetReplyTimeout arms a per-frame write deadline on every connection
-// accepted after the call, so a client that stops reading cannot wedge a
-// handler goroutine mid-reply. Zero (default) disables the bound.
-func (s *server) SetReplyTimeout(d time.Duration) {
-	s.mu.Lock()
-	s.replyTO = d
-	s.mu.Unlock()
-}
-
-// SetMetrics routes request/error/deadline telemetry (default: no-op).
-// It applies to requests handled after the call.
-func (s *server) SetMetrics(m *ServerMetrics) {
-	if m == nil {
-		m = nopServerMetrics(s.name)
+	if script != nil {
+		s.inj = script
 	}
-	s.mu.Lock()
-	s.metrics = m
-	s.mu.Unlock()
-}
-
-// SetFaults arms a fault injector on the server's hook sites: before each
-// request handler (faults.PointMMHandle on an MM, faults.PointRMHandle on
-// an RM; detail is the message kind) and, on an RM, before each data-plane
-// chunk write (faults.PointRMChunk). Nil (the default) disables injection
-// entirely.
-func (s *server) SetFaults(inj faults.Injector) {
-	s.mu.Lock()
-	s.inj = inj
-	s.mu.Unlock()
-}
-
-// SetTracer joins request traces arriving on the wire: a handled message
-// whose frame carries a span context opens a server-side child span
-// ("mm.<Kind>" on an MM; "rm.bid", "rm.open", "rm.stream", "rm.ingest",
-// ... on an RM) recorded in tr's ring, and a traced stream's chunks go
-// back out carrying the stream span's context. Nil (the default) disables
-// server-side spans; untraced frames never open spans either way.
-func (s *server) SetTracer(tr *trace.Tracer) {
-	s.mu.Lock()
-	s.tracer = tr
-	s.mu.Unlock()
 }
 
 func (s *server) injector() faults.Injector {
@@ -121,7 +97,7 @@ func (s *server) handleFault(wc *wire.Conn, point faults.Point, kind wire.Kind) 
 	if inj == nil {
 		return false, nil
 	}
-	return applyFault(wc, inj.Decide(point, kind.String()), wire.KindAck, wire.Ack{}, s.halt)
+	return applyFault(wc, inj.Decide(point, kind.String()), wire.KindAck, wire.Ack{}, s.kill)
 }
 
 func (s *server) tr() *trace.Tracer {
@@ -151,6 +127,27 @@ func (s *server) halt() error {
 		c.Close()
 	}
 	return s.ln.Close()
+}
+
+// isClosed reports whether the server has been closed (or killed by a
+// fault).
+func (s *server) isClosed() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.closed
+}
+
+// kill is an injected crash: the server halts, then the rest of its
+// process dies with it (onKill). Like halt it does not wait for the
+// handlers, the one that fired it among them.
+func (s *server) kill() {
+	s.halt()
+	s.mu.Lock()
+	onKill := s.onKill
+	s.mu.Unlock()
+	if onKill != nil {
+		onKill()
+	}
 }
 
 func (s *server) acceptLoop() {
@@ -184,20 +181,20 @@ func (s *server) serveConn(conn net.Conn) {
 	wc := wire.NewConn(conn)
 	s.mu.Lock()
 	wc.SetWriteTimeout(s.replyTO)
-	m := s.metrics
+	m, logf := s.metrics, s.logf
 	s.mu.Unlock()
 	for {
 		msg, err := wc.Read()
 		if err != nil {
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
-				s.logf("%s: read: %v", s.name, err)
+				logf("%s: read: %v", s.name, err)
 			}
 			return
 		}
 		m.request(msg.Kind)
 		if err := s.handle(wc, msg); err != nil {
 			m.failure(msg.Kind, err)
-			s.logf("%s: handle %v: %v", s.name, msg.Kind, err)
+			logf("%s: handle %v: %v", s.name, msg.Kind, err)
 			return
 		}
 	}

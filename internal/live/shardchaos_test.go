@@ -30,53 +30,40 @@ type shardCluster struct {
 	tracer *trace.Tracer
 	mmMet  *mm.Metrics
 	smMet  *live.MMRouteMetrics
-	logf   func(string, ...any)
 }
 
 // startShardCluster boots Local's three-member shard group and one RM per
 // entry of caps; every file in holders is provisioned on its listed RMs.
-// Instrumentation attaches after start-up, so it misses the RMs'
-// registrations and the first beats and mirrors.
+// Every member reports onto the registry, tracer and log from its start,
+// so a revived member counts each heal handoff it takes.
 func startShardCluster(t *testing.T, caps []units.BytesPerSec, holders map[ids.FileID][]ids.RMID) *shardCluster {
 	t.Helper()
 	cat := live.GenCatalog(t, 21, 8, 10, 10, 10)
 	reg := telemetry.NewRegistry()
+	tracer := trace.New(trace.Options{Actor: "cluster", Registry: reg})
 	sc := &shardCluster{
-		logf:   t.Logf,
-		Local:  live.StartLocal(t, live.LocalSpec{Catalog: cat, Caps: caps, Holders: holders, ShardGroup: true}),
+		Local: live.StartLocal(t, live.LocalSpec{
+			Catalog: cat, Caps: caps, Holders: holders, ShardGroup: true,
+			MM: live.MMSpec{Registry: reg, Tracer: tracer, Logf: t.Logf, Verbose: true},
+			RM: live.RMSpec{Tracer: tracer},
+		}),
 		reg:    reg,
-		tracer: trace.New(trace.Options{Actor: "cluster", Registry: reg}),
+		tracer: tracer,
 		mmMet:  mm.NewMetrics(reg),
 		smMet:  live.NewMMRouteMetrics(reg),
 	}
 	sc.ring = mm.NewRing(len(sc.Shards))
-	for i := range sc.Shards {
-		sc.instrument(sc.Shards[i])
-		sc.ShardServers[i].SetTracer(sc.tracer)
-	}
 	sc.Mapper.SetMetrics(sc.smMet)
-	for i := range caps {
-		sc.Server(ids.RMID(i + 1)).SetTracer(sc.tracer)
-	}
 	return sc
-}
-
-// instrument points a shard member at the cluster's registry and log.
-func (sc *shardCluster) instrument(shard *live.MMShard) {
-	shard.SetMetrics(mm.NewMetrics(sc.reg))
-	shard.SetLogger(sc.logf)
 }
 
 // reviveShard resurrects member i as a fresh, empty process on its old
 // address — the restarted-mmd shape; the heal handoff must repopulate it.
-// The member is instrumented before its server binds, so no heal handoff
-// lands uncounted.
 func (sc *shardCluster) reviveShard(t *testing.T, i int) {
 	t.Helper()
-	if err := sc.ReviveShard(i, sc.instrument); err != nil {
+	if err := sc.ReviveShard(i); err != nil {
 		t.Fatal(err)
 	}
-	sc.ShardServers[i].SetTracer(sc.tracer)
 }
 
 func (sc *shardCluster) client(t *testing.T, metaTTL time.Duration) *dfsc.Client {
@@ -299,7 +286,7 @@ func TestShardChaosLeaseExpiryDuringHandoff(t *testing.T) {
 	if err := sc.Mapper.RemoveReplica(0, 1); err != nil {
 		t.Fatal(err)
 	}
-	sc.Server(1).Close()
+	sc.KillRM(1)
 	leaseStart := time.Now()
 	sc.KillShard(sc.primaryOf(0))
 

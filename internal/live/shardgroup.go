@@ -26,7 +26,10 @@ type MMShard struct {
 
 	mu      sync.Mutex
 	clients []*transport.Client // ring-index aligned; nil at own index / unset
-	inj     faults.Injector
+	// inj decides before each mirror send (faults.PointShardMirror) and
+	// handoff push (faults.PointShardHandoff): Drop, Kill and Error
+	// partition the send, which the member counts as unreachable.
+	inj faults.Injector
 }
 
 // NewMMShard builds group member index of a shards-wide group with
@@ -45,19 +48,19 @@ func NewMMShard(index, shards, rep int, beat mm.LivenessConfig) (*MMShard, error
 }
 
 // DialPeers attaches client stubs for every non-empty address in addrs
-// (ring-index aligned; the member's own slot is skipped). Dialing is
-// lazy at the transport layer, so listed-but-down peers do not block
-// startup.
-func (s *MMShard) DialPeers(addrs []string, cfg transport.Config) error {
+// (ring-index aligned; the member's own slot, and a peer already
+// attached, are skipped), so a member started before a peer had bound
+// takes its address in a later call. Dialing is lazy at the transport
+// layer, so listed-but-down peers do not block startup.
+func (s *MMShard) DialPeers(addrs []string, cfg transport.Config) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for i, addr := range addrs {
-		if i != s.Index() && addr != "" {
+		if i != s.Index() && addr != "" && s.clients[i] == nil {
 			s.clients[i] = transport.NewClient(addr, cfg)
 			s.SetPeer(i, shardPeerStub{c: s.clients[i], s: s})
 		}
 	}
-	return nil
 }
 
 // ClosePeers releases every peer stub's pooled connections, then waits
@@ -75,18 +78,6 @@ func (s *MMShard) ClosePeers() {
 	}
 	s.mu.Unlock()
 	s.WaitHeals()
-}
-
-// SetFaults arms a fault injector at faults.PointShardMirror (before
-// each mirror send; detail is the mutation name) and
-// faults.PointShardHandoff (before each handoff push; detail is the
-// direction). Drop, Kill and Error partition the send: it never happens,
-// and the member counts or logs it as unreachable. Nil disables
-// injection.
-func (s *MMShard) SetFaults(inj faults.Injector) {
-	s.mu.Lock()
-	s.inj = inj
-	s.mu.Unlock()
 }
 
 func (s *MMShard) injector() faults.Injector {
@@ -137,39 +128,33 @@ func (p shardPeerStub) send(point faults.Point, detail string, kind wire.Kind, p
 	return reply, err
 }
 
-// StartShardBeats runs the member's beat loop until stopped: every
-// interval it beats each configured peer (a successful round trip also
-// proves the peer alive, through the same HeardFrom a received beat
-// takes, so one working direction keeps both tables warm) and sweeps for
-// newly-dead peers, running their takeovers, and for silent RMs. Beats
-// are concurrent, one goroutine per peer with an in-flight guard: a dead
-// peer's call stalls in the transport's redial-backoff gate, and a serial
-// loop let that stall push the whole tick past the beat deadline.
-func (s *MMShard) StartShardBeats(interval time.Duration) (stop func()) {
+// beats runs the member's beat loop on l: every interval it beats each
+// configured peer (a successful round trip also proves the peer alive,
+// through the same HeardFrom a received beat takes, so one working
+// direction keeps both tables warm) and sweeps for newly-dead peers,
+// running their takeovers, and for silent RMs. Beats are concurrent, one
+// goroutine per peer with an in-flight guard: a dead peer's call stalls
+// in the transport's redial-backoff gate, and a serial loop let that
+// stall push the whole tick past the beat deadline. Stopping l cancels
+// the beats in flight.
+func (s *MMShard) beats(l *loops, interval time.Duration) {
 	inflight := make([]atomic.Bool, len(s.clients))
 	beat := wire.ShardBeat{Shard: int32(s.Index())}
-	var wg sync.WaitGroup
-	stopTicks := every(interval, func() {
+	l.every(interval, func() {
 		for i := range s.clients {
 			p := s.client(i)
 			if p == nil || !inflight[i].CompareAndSwap(false, true) {
 				continue // unset, or the previous beat is still in flight
 			}
-			wg.Add(1)
-			go func(i int, p *transport.Client) {
-				defer wg.Done()
+			l.spawn(func() {
 				defer inflight[i].Store(false)
-				if _, err := p.Call(context.Background(), wire.KindShardBeat, beat); err == nil {
+				if _, err := p.Call(l.ctx, wire.KindShardBeat, beat); err == nil {
 					s.HeardFrom(i)
 				}
-			}(i, p)
+			})
 		}
 		s.Sweep()
 	})
-	return func() {
-		stopTicks()
-		wg.Wait()
-	}
 }
 
 var _ shardPeer = (*MMShard)(nil)

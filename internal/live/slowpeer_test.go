@@ -185,7 +185,7 @@ func TestDirectoryBackoffRecoverySameAddr(t *testing.T) {
 		t.Fatal("RM1 not resolved")
 	}
 	addr := lc.Server(1).Addr()
-	lc.Server(1).Close()
+	lc.KillRM(1)
 
 	// Several failing accesses: the health check discards the dead pooled
 	// connection, redials fail, and the backoff ramps. Each attempt must
@@ -203,7 +203,7 @@ func TestDirectoryBackoffRecoverySameAddr(t *testing.T) {
 	// Restart the RM on the same address: it registers the address it had,
 	// so the MM record is unchanged and recovery exercises ClearBroken +
 	// pool redial, not a fresh dial.
-	if _, err := lc.Restart(1, addr); err != nil {
+	if err := lc.Restart(1, addr); err != nil {
 		t.Fatalf("rebind %s: %v", addr, err)
 	}
 

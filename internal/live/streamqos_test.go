@@ -4,7 +4,6 @@ import (
 	"context"
 	"io"
 	"testing"
-	"time"
 
 	"dfsqos/internal/ecnp"
 	"dfsqos/internal/ids"
@@ -14,9 +13,9 @@ import (
 
 // TestLiveStreamQoSFlatVersusConserving: one reservation alone on an idle
 // disk reads a whole file that its one-second burst covers all but a tenth
-// of. Under the flat tree (EnableStreamQoS(0), what rmd -stream-ceil 0
-// runs) it borrows nothing and waits at its floor for that tenth; under the
-// work-conserving tree (EnableStreamQoS(1)) it borrows the idle headroom.
+// of. Under the flat tree (rmd -stream-qos -stream-ceil 0) it borrows
+// nothing and waits at its floor for that tenth; under the work-conserving
+// tree (-stream-ceil 1) it borrows the idle headroom.
 // The verdict is the disk controller's counters, not a throughput.
 func TestLiveStreamQoSFlatVersusConserving(t *testing.T) {
 	for _, mode := range []struct {
@@ -28,11 +27,9 @@ func TestLiveStreamQoSFlatVersusConserving(t *testing.T) {
 			lc := startLiveCluster(t, LocalSpec{
 				Caps:    []units.BytesPerSec{units.Mbps(800)},
 				Holders: map[ids.FileID][]ids.RMID{0: {1}},
+				RM:      RMSpec{StreamQoS: true, StreamCeil: mode.ceilFrac},
 			})
 			srv := lc.Server(1)
-			if err := srv.EnableStreamQoS(mode.ceilFrac); err != nil {
-				t.Fatal(err)
-			}
 			cli, ok := lc.Dir.RMClient(1)
 			if !ok {
 				t.Fatal("RM1 unreachable")
@@ -68,15 +65,13 @@ func TestChaosLeaseReclaimRemovesStreamQoSGroup(t *testing.T) {
 	lc := startChaosCluster(t, LocalSpec{
 		Caps:    []units.BytesPerSec{units.Mbps(100)},
 		Holders: map[ids.FileID][]ids.RMID{0: {1}},
-		RM:      leaseTTL(5), // virtual seconds; 50ms of wall time at scale 100
-	}, map[ids.RMID]string{
-		// Second streamed chunk overall: drop the connection, once.
-		1: "rm.stream.chunk:after=1:count=1:action=drop",
+		RM:      RMSpec{LeaseTTL: leaseTTL, StreamQoS: true, StreamCeil: 1},
+		Faults: map[ids.RMID]string{
+			// Second streamed chunk overall: drop the connection, once.
+			1: "rm.stream.chunk:after=1:count=1:action=drop",
+		},
 	})
 	srv := lc.Server(1)
-	if err := srv.EnableStreamQoS(1); err != nil {
-		t.Fatal(err)
-	}
 	ctrl := lc.Disk(1).Controller()
 
 	cli, ok := lc.Dir.RMClient(1)
@@ -104,14 +99,16 @@ func TestChaosLeaseReclaimRemovesStreamQoSGroup(t *testing.T) {
 		t.Fatalf("reservations after lane death = %d, want 2 (orphan + survivor)", n)
 	}
 
-	// Let the orphan's lease go stale (~10 virtual seconds) while the
-	// survivor renews, then sweep: exactly the orphan must fall.
-	time.Sleep(100 * time.Millisecond)
-	if err := cli.Keepalive(1); err != nil {
-		t.Fatalf("survivor keepalive: %v", err)
-	}
-	if n := lc.Node(1).SweepLeases(lc.Sched.Now()); n != 1 {
-		t.Fatalf("sweep reclaimed %d, want 1", n)
+	// The survivor renews while the orphan's lease goes stale: the
+	// sweeper must reclaim exactly the orphan.
+	waitFor(t, "the orphan reclaimed", func() bool {
+		if err := cli.Keepalive(1); err != nil {
+			t.Fatalf("survivor keepalive: %v", err)
+		}
+		return lc.Node(1).ActiveReservations() == 1
+	})
+	if n := lc.Node(1).Stats().LeaseExpiries; n != 1 {
+		t.Fatalf("sweeper reclaimed %d, want 1", n)
 	}
 	if g := srv.qosGroup(2); g != nil {
 		t.Fatal("orphan's blkio group survived the lease sweep")

@@ -277,8 +277,8 @@ func TestChaosKillMidStripeLaneDegrades(t *testing.T) {
 		// deterministically the first lane of the stripe.
 		Caps:    []units.BytesPerSec{units.Mbps(300), units.Mbps(200), units.Mbps(100)},
 		Holders: map[ids.FileID][]ids.RMID{0: {1, 2, 3}},
-		RM:      leaseTTL(5),
-	}, nil)
+		RM:      RMSpec{LeaseTTL: leaseTTL},
+	})
 	client := lc.client(t, qos.Firm)
 	size := int64(lc.Catalog.File(0).Size)
 
@@ -305,7 +305,7 @@ func TestChaosKillMidStripeLaneDegrades(t *testing.T) {
 			}
 		}
 	}
-	lc.Server(1).SetFaults(script)
+	lc.Server(1).setFaults(script)
 	// Left to the scheduler, RM 2 and RM 3 can claim every full-size range
 	// before RM 1's lane comes back for one. Holding each of their
 	// full-size ranges back at its first chunk leaves RM 1 one to claim.
@@ -313,8 +313,8 @@ func TestChaosKillMidStripeLaneDegrades(t *testing.T) {
 	for off := rampEnd; off < size; off += segBytes {
 		slow.Add(faults.Rule{Point: faults.PointRMChunk, Match: strconv.FormatInt(off, 10), Action: faults.Delay, Delay: 50 * time.Millisecond})
 	}
-	lc.Server(2).SetFaults(slow)
-	lc.Server(3).SetFaults(slow)
+	lc.Server(2).setFaults(slow)
+	lc.Server(3).setFaults(slow)
 
 	var got bytes.Buffer
 	res, err := client.ReadStriped(lc.Dir, 0, &got, dfsc.StripeConfig{
@@ -389,7 +389,7 @@ func TestChaosKillMidStripeLaneDegrades(t *testing.T) {
 	if n := lc.Node(1).ActiveReservations(); n != 1 {
 		t.Fatalf("orphaned reservations on RM1 = %d, want 1", n)
 	}
-	if n := lc.Node(1).SweepLeases(lc.Sched.Now().Add(6)); n != 1 {
+	if n := lc.Node(1).SweepLeases(lc.Sched.Now().Add(pastLease)); n != 1 {
 		t.Fatalf("sweep reclaimed %d, want 1", n)
 	}
 	// The survivors' reservations were released by the normal close path.

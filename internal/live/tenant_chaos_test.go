@@ -10,11 +10,9 @@ import (
 
 	"dfsqos/internal/ecnp"
 	"dfsqos/internal/ids"
-	"dfsqos/internal/rm"
 	"dfsqos/internal/tenant"
 	"dfsqos/internal/trace"
 	"dfsqos/internal/units"
-	"dfsqos/internal/vdisk"
 )
 
 // TestChaosAbusiveTenantKilledQuotaReclaimed is the multi-tenant crash
@@ -27,22 +25,19 @@ import (
 // refusals and the reclaim are both asserted through the exported
 // dfsqos_tenant_* telemetry, the way an operator would see the incident.
 func TestChaosAbusiveTenantKilledQuotaReclaimed(t *testing.T) {
-	ledger := tenant.NewLedger()
+	const abuser, victim = ids.TenantID(1), ids.TenantID(2)
+	storm := chaosCatalog(t).File(0)
 	lc := startChaosCluster(t, LocalSpec{
 		Caps:    []units.BytesPerSec{units.Mbps(100)},
 		Holders: map[ids.FileID][]ids.RMID{0: {1}, 1: {1}},
-		RM: func(opt *rm.Options, _ *vdisk.Disk, _ *Directory) {
-			opt.LeaseTTLSec = 5 // virtual seconds; 50ms of wall time at scale 100
-			opt.Tenants = ledger
+		RM: RMSpec{
+			LeaseTTL: leaseTTL,
+			// The abuser's per-RM quota fits exactly two concurrent
+			// streams of the storm file; the victim tenant stays
+			// unlimited.
+			Tenants: map[ids.TenantID]tenant.Quota{abuser: {Bandwidth: 2 * storm.Bitrate, Bytes: tenant.NoLimit}},
 		},
-	}, nil)
-	ledger.SetMetrics(tenant.NewMetrics(lc.reg))
-
-	const abuser, victim = ids.TenantID(1), ids.TenantID(2)
-	storm := lc.Catalog.File(0)
-	// The abuser's per-RM quota fits exactly two concurrent streams of
-	// the storm file; the victim tenant stays unlimited.
-	ledger.Set(abuser, tenant.Quota{Bandwidth: 2 * storm.Bitrate, Bytes: tenant.NoLimit})
+	})
 
 	cli, ok := lc.Dir.RMClient(1)
 	if !ok {
@@ -116,11 +111,11 @@ func TestChaosAbusiveTenantKilledQuotaReclaimed(t *testing.T) {
 	}
 
 	// Kill the abuser mid-storm: its reservations are simply abandoned —
-	// no Close, no keepalives — so both leases go stale (~10 virtual
-	// seconds) and one sweep must reclaim exactly the two orphans.
-	time.Sleep(100 * time.Millisecond)
-	if n := lc.Node(1).SweepLeases(lc.Sched.Now()); n != 2 {
-		t.Fatalf("sweep reclaimed %d reservations, want the abuser's 2", n)
+	// no Close, no keepalives — so both leases go stale and the sweeper
+	// must reclaim exactly the two orphans.
+	waitFor(t, "the abuser's orphans reclaimed", func() bool { return lc.Node(1).ActiveReservations() == 0 })
+	if n := lc.Node(1).Stats().LeaseExpiries; n != 2 {
+		t.Fatalf("sweeper reclaimed %d reservations, want the abuser's 2", n)
 	}
 
 	// The sweep returned the bandwidth to the ledger: the same tenant

@@ -30,8 +30,9 @@ func TestChaosFailoverTraceSpansTwoRMs(t *testing.T) {
 	lc := startChaosCluster(t, LocalSpec{
 		Caps:    []units.BytesPerSec{units.Mbps(200), units.Mbps(100)},
 		Holders: map[ids.FileID][]ids.RMID{0: {1, 2}},
-		RM:      leaseTTL(5),
-	}, map[ids.RMID]string{1: "rm.stream.chunk:after=1:action=kill"})
+		RM:      RMSpec{LeaseTTL: leaseTTL},
+		Faults:  map[ids.RMID]string{1: "rm.stream.chunk:after=1:action=kill"},
+	})
 	client := lc.client(t, qos.Firm)
 
 	var got bytes.Buffer
@@ -170,7 +171,7 @@ func TestTraceUnsampledRequestOpensNoServerSpans(t *testing.T) {
 	lc := startChaosCluster(t, LocalSpec{
 		Caps:    []units.BytesPerSec{units.Mbps(100)},
 		Holders: map[ids.FileID][]ids.RMID{0: {1}},
-	}, nil)
+	})
 
 	// Replace the cluster tracer's view on the client side with one that
 	// never samples; the servers keep the shared ring.

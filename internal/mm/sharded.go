@@ -22,8 +22,9 @@ import (
 // group runs over TCP, and with R > 1 the group survives the death of any
 // R-1 shards. The manager only routes each call to the file's first live
 // owner, fans group-wide calls to every live member, and models crashes
-// with KillShard / ReviveShard. It backs the DES and the single-binary
-// mmd.
+// with KillShard / ReviveShard. It backs the DES's sharded metadata
+// plane (cluster.Config.MMShards); mmd serves a single mm.Manager or one
+// TCP group member, never this.
 type ShardedManager struct {
 	members []*ShardMember
 	met     *Metrics

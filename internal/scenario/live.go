@@ -90,22 +90,20 @@ func runLive(spec Spec, opts Options) (*LiveResult, error) {
 	for _, f := range placement.Files() {
 		holders[f] = placement.Holders(f)
 	}
+	tracer := trace.New(trace.Options{Actor: "scenario-live", RingSize: 512, ExemplarK: 4})
 	lc, err := live.NewLocal(live.LocalSpec{
 		Catalog:   cat,
 		Caps:      caps,
 		Holders:   holders,
 		TimeScale: timeScale,
 		Rand:      master,
+		MM:        live.MMSpec{Tracer: tracer},
+		RM:        live.RMSpec{Tracer: tracer},
 	})
 	if err != nil {
 		return nil, err
 	}
 	defer lc.Close()
-	tracer := trace.New(trace.Options{Actor: "scenario-live", RingSize: 512, ExemplarK: 4})
-	lc.MM.SetTracer(tracer)
-	for _, id := range rmIDs {
-		lc.Server(id).SetTracer(tracer)
-	}
 
 	scen := qos.Soft
 	if spec.Firm {
