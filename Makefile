@@ -109,13 +109,15 @@ scenarios-tenant:
 # order-against-a-reference target, the stripe segment geometry's
 # layout-against-a-reference target, the virtual disk's two
 # against-a-reference targets (synthesized content, and the block store a
-# written file lives in) and the access pattern's arrival sort against a
-# stable comparison sort a short randomized run on top of its seeded
-# corpus — enough to catch decoder panics, round-trip divergence, an event
-# fired out of (time, sequence) order, a segment layout that gaps,
-# overlaps or overruns, a synthesized byte that moved, a stored byte
-# that reads back other than it was written and a request sorted out of
-# its stable arrival order, without CI-hostile runtimes.
+# written file lives in), the access pattern's arrival sort (and its
+# per-range sort-and-merge) against a stable comparison sort and the
+# guided CDF sampler against a whole-table binary search a short
+# randomized run on top of its seeded corpus — enough to catch decoder
+# panics, round-trip divergence, an event fired out of (time, sequence)
+# order, a segment layout that gaps, overlaps or overruns, a synthesized
+# byte that moved, a stored byte that reads back other than it was
+# written, a request sorted out of its stable arrival order and a
+# popularity draw that picks another rank, without CI-hostile runtimes.
 # Targets must run one at a time (go test allows a single -fuzz pattern
 # per invocation).
 FUZZ_TIME ?= 10s
@@ -128,6 +130,7 @@ fuzz-smoke:
 	$(GO) test ./internal/vdisk/ -run '^$$' -fuzz '^FuzzFillSynthetic$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/vdisk/ -run '^$$' -fuzz '^FuzzStoredBlocks$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/workload/ -run '^$$' -fuzz '^FuzzSortByArrival$$' -fuzztime $(FUZZ_TIME)
+	$(GO) test ./internal/rng/ -run '^$$' -fuzz '^FuzzCDFIndex$$' -fuzztime $(FUZZ_TIME)
 
 # docs runs the documentation-consistency suite (internal/docscheck):
 # every flag the daemons register and every dfsqos_* telemetry series

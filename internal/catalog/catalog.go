@@ -10,7 +10,6 @@ package catalog
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"dfsqos/internal/ids"
 	"dfsqos/internal/rng"
@@ -39,9 +38,9 @@ type File struct {
 // Catalog is an immutable set of files plus the popularity law over them.
 type Catalog struct {
 	files []File
-	// cum is the cumulative popularity distribution over file IDs;
-	// cum[len(files)-1] == 1.
-	cum []float64
+	// popularity samples the cumulative popularity distribution over
+	// file IDs, whose last entry is 1.
+	popularity rng.CDF
 }
 
 // BitrateClass describes one rung of the synthetic bitrate ladder.
@@ -167,7 +166,7 @@ func Generate(cfg Config, src *rng.Source) (*Catalog, error) {
 		cum[i] = acc
 	}
 	cum[cfg.NumFiles-1] = 1 // guard against rounding
-	return &Catalog{files: files, cum: cum}, nil
+	return &Catalog{files: files, popularity: rng.NewCDF(cum)}, nil
 }
 
 // Len returns the number of files.
@@ -192,13 +191,8 @@ func (c *Catalog) Files() []File { return c.files }
 func (c *Catalog) SamplePopular(src *rng.Source) ids.FileID {
 	// Popularity rank equals file ID, so a Zipf rank draw is a file draw.
 	// The sampler uses the caller's stream for reproducibility; the Zipf
-	// CDF itself is immutable after Generate.
-	u := src.Float64()
-	k := sort.SearchFloat64s(c.cum, u)
-	if k >= len(c.files) {
-		k = len(c.files) - 1
-	}
-	// SearchFloat64s returns the first index with cum[k] >= u, which is the
-	// rank whose CDF bucket contains u.
-	return ids.FileID(k)
+	// CDF itself is immutable after Generate. Index returns the first
+	// rank whose cumulative popularity reaches u: the rank whose CDF
+	// bucket contains u.
+	return ids.FileID(c.popularity.Index(src.Float64()))
 }

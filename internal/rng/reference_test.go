@@ -8,9 +8,11 @@ import (
 )
 
 // The bodies Intn and Perm had before Intn took its 128-bit product from
-// math/bits and Perm became the allocating wrapper of PermInto. They stay
-// here as the reference models: every table and scenario count in the
-// repository rests on these two drawing exactly what they always drew.
+// math/bits and Perm became the allocating wrapper of PermInto, the body
+// Split had before it folded names through Name and SplitInto, and the
+// body Zipf.Draw had before it sampled through CDF. They stay here as the
+// reference models: every table and scenario count in the repository
+// rests on these drawing exactly what they always drew.
 
 // refMul64 is the hand-rolled 128-bit product Intn used.
 func refMul64(a, b uint64) (hi, lo uint64) {
@@ -130,5 +132,71 @@ func TestPermIntoAllocatesNothing(t *testing.T) {
 	s, buf := New(5), make([]int, 247)
 	if a := testing.AllocsPerRun(100, func() { s.PermInto(buf) }); a != 0 {
 		t.Fatalf("PermInto: %v allocs/op, want 0", a)
+	}
+}
+
+// refHashName is the hash Split applied to a whole name.
+func refHashName(name string) uint64 {
+	const (
+		offset = 14695981039346656037
+		prime  = 1099511628211
+	)
+	h := uint64(offset)
+	for i := 0; i < len(name); i++ {
+		h ^= uint64(name[i])
+		h *= prime
+	}
+	return splitmix64(&h)
+}
+
+func refSplit(s *Source, name string) *Source {
+	mix := s.s[0] ^ rotl(s.s[2], 17) ^ refHashName(name)
+	return New(mix)
+}
+
+// refZipfDraw is Draw's binary search over the whole table.
+func refZipfDraw(z *Zipf) int {
+	u := z.src.Float64()
+	cdf := z.cdf.cum
+	lo, hi := 0, len(cdf)-1
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if cdf[mid] < u {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+func TestSplitMatchesReference(t *testing.T) {
+	names := []string{"", "a", "catalog/popularity", "workload/user99999/arrivals", "workload/burst0/surge7/files", "ünïcödé"}
+	for seed := uint64(0); seed < 20; seed++ {
+		parent := New(seed)
+		for _, name := range names {
+			if got, want := parent.Split(name), refSplit(parent, name); *got != *want {
+				t.Fatalf("seed %d: Split(%q) = %v, reference %v", seed, name, got.s, want.s)
+			}
+		}
+	}
+}
+
+// Draw makes the draws, and returns the ranks, the whole-table binary
+// search did, over skews either side of 1 and sizes either side of a
+// power of two.
+func TestZipfDrawMatchesReference(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 1000, 1024, 1025, 4000} {
+		for _, skew := range []float64{0.5, 0.95, 1.1, 3} {
+			got, want := NewZipf(New(uint64(n)), n, skew), NewZipf(New(uint64(n)), n, skew)
+			for i := 0; i < 20_000; i++ {
+				if g, w := got.Draw(), refZipfDraw(want); g != w {
+					t.Fatalf("n=%d skew %v draw %d: rank %d, reference %d", n, skew, i, g, w)
+				}
+			}
+			if *got.src != *want.src {
+				t.Fatalf("n=%d skew %v: source state diverged from the reference", n, skew)
+			}
+		}
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"dfsqos/internal/catalog"
 	"dfsqos/internal/ids"
 	"dfsqos/internal/rng"
+	"dfsqos/internal/testenv"
 )
 
 func testCatalog(t *testing.T) *catalog.Catalog {
@@ -218,12 +219,11 @@ func TestGeneratedPatternsValidProperty(t *testing.T) {
 	}
 }
 
-// The per-user stream names are part of the seed contract: a name built
-// in the reused buffer must be the name fmt would have produced, whatever
-// the buffer held before.
+// The per-user stream names are part of the seed contract: the streams
+// appendUsers derives from folded names, the files stream on its first
+// draw, must be the streams split by the names fmt would produce.
 func TestUserStreamsAreTheNamedStreams(t *testing.T) {
 	src := rng.New(17)
-	var buf []byte
 	for _, tc := range []struct {
 		prefix string
 		n      int
@@ -231,18 +231,34 @@ func TestUserStreamsAreTheNamedStreams(t *testing.T) {
 		{"workload/user", 0}, {"workload/user", 99_999}, {"workload/user", 7},
 		{"workload/burst3/surge", 1_000_000}, {"workload/burst3/surge", 42},
 	} {
-		var arr, files *rng.Source
-		arr, files, buf = userStreams(src, buf, tc.prefix, tc.n)
 		wantArr := src.Split(fmt.Sprintf("%s%d/arrivals", tc.prefix, tc.n))
 		wantFiles := src.Split(fmt.Sprintf("%s%d/files", tc.prefix, tc.n))
-		for i := 0; i < 4; i++ {
-			if a, w := arr.Uint64(), wantArr.Uint64(); a != w {
-				t.Fatalf("%s%d/arrivals draw %d: %x, want %x", tc.prefix, tc.n, i, a, w)
+		appendUsers(nil, src, tc.prefix, tc.n, tc.n+1, 0, func(u int, r *userRand, out []Request) []Request {
+			for i := 0; i < 4; i++ {
+				if a, w := r.arrivals.Uint64(), wantArr.Uint64(); a != w {
+					t.Fatalf("%s%d/arrivals draw %d: %x, want %x", tc.prefix, tc.n, i, a, w)
+				}
+				if f, w := r.files().Uint64(), wantFiles.Uint64(); f != w {
+					t.Fatalf("%s%d/files draw %d: %x, want %x", tc.prefix, tc.n, i, f, w)
+				}
 			}
-			if f, w := files.Uint64(), wantFiles.Uint64(); f != w {
-				t.Fatalf("%s%d/files draw %d: %x, want %x", tc.prefix, tc.n, i, f, w)
-			}
-		}
+			return out
+		})
+	}
+}
+
+// Deriving the streams of users who draw no request allocates nothing
+// per user: a range of a thousand costs what a range of one does.
+func TestUserStreamsAllocateNothingPerUser(t *testing.T) {
+	if testenv.RaceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	src := rng.New(19)
+	none := func(int, *userRand, []Request) []Request { return nil }
+	one := testing.AllocsPerRun(100, func() { appendUsers(nil, src, "workload/user", 5, 6, 0, none) })
+	many := testing.AllocsPerRun(100, func() { appendUsers(nil, src, "workload/user", 5, 1_005, 0, none) })
+	if many != one || one > 1 {
+		t.Fatalf("appendUsers: %v allocs for 1 user, %v for 1000; want at most 1 for either", one, many)
 	}
 }
 
