@@ -65,9 +65,11 @@ daemons-smoke:
 # on the QoS enforcement core (internal/blkio carries the
 # work-conserving token tree every data stream throttles through), on
 # the tenant quota ledger (internal/tenant is the multi-tenant
-# admission arithmetic every RM trusts), and on the event scheduler
+# admission arithmetic every RM trusts), on the event scheduler
 # (internal/simtime fixes the order every simulated request runs in, so
-# every table in EXPERIMENTS.md rests on it).
+# every table in EXPERIMENTS.md rests on it), and on the invariant
+# checker (internal/invariants is what every DES and live test's verdict
+# on the QoS promise rests on).
 cover:
 	mkdir -p coverage
 	$(GO) test -coverprofile=coverage/telemetry.out ./internal/telemetry/
@@ -78,9 +80,10 @@ cover:
 	$(GO) test -coverprofile=coverage/blkio.out ./internal/blkio/
 	$(GO) test -coverprofile=coverage/tenant.out ./internal/tenant/
 	$(GO) test -coverprofile=coverage/simtime.out ./internal/simtime/
+	$(GO) test -coverprofile=coverage/invariants.out ./internal/invariants/
 	$(GO) test -coverprofile=coverage/all.out -coverpkg=./... ./...
 	./scripts/cover_gate.sh 60 coverage/telemetry.out coverage/monitor.out coverage/faults.out coverage/scenario.out
-	./scripts/cover_gate.sh 80 coverage/mm.out coverage/blkio.out coverage/tenant.out coverage/simtime.out
+	./scripts/cover_gate.sh 80 coverage/mm.out coverage/blkio.out coverage/tenant.out coverage/simtime.out coverage/invariants.out
 
 # bench runs the benchmark harness (bench/README.md): all seven workloads
 # end to end, with their correctness checks. The allocation ceilings are

@@ -21,6 +21,7 @@ import (
 	"dfsqos/internal/dfsc"
 	"dfsqos/internal/fsapi"
 	"dfsqos/internal/ids"
+	"dfsqos/internal/invariants"
 	"dfsqos/internal/live"
 	"dfsqos/internal/qos"
 	"dfsqos/internal/rng"
@@ -102,8 +103,8 @@ func main() {
 		fmt.Printf("open/read/release %s: %s in %.2fs (%.2f MB/s, %d replicas, bitrate %v)\n",
 			name, info.Size, secs, float64(off)/secs/1e6, info.Replicas, info.Bitrate)
 	}
-	if leaks := lc.Leaks(); len(leaks) > 0 {
-		log.Fatalf("reservations not returned: %v", leaks)
+	if err := invariants.Check(invariants.System{RMs: lc.Serving(), AtRest: true}); err != nil {
+		log.Fatalf("invariants after the reads: %v", err)
 	}
 	fmt.Println("\nall reservations returned; live cluster shutting down")
 }

@@ -123,11 +123,6 @@ type Config struct {
 	// SampleEverySec enables utilization sampling at this period when
 	// positive (the time series behind Figs. 4-6).
 	SampleEverySec float64
-	// AuditEverySec runs the invariant auditor at this period when
-	// positive: the QoS contract, replica-map sanity and storage bounds
-	// are checked during the run and violations fail it. Tests enable
-	// this; experiment sweeps leave it off for speed.
-	AuditEverySec float64
 }
 
 // DefaultConfig is the paper's standard setup: 16-RM topology, 1000 files
@@ -184,9 +179,6 @@ func (c Config) Validate() error {
 	}
 	if c.SampleEverySec < 0 {
 		return fmt.Errorf("cluster: negative SampleEverySec")
-	}
-	if c.AuditEverySec < 0 {
-		return fmt.Errorf("cluster: negative AuditEverySec")
 	}
 	if c.MMShards < 0 {
 		return fmt.Errorf("cluster: negative MMShards")
@@ -529,20 +521,7 @@ func (c *Cluster) RunWithObserver(obs Observer) (*Results, error) {
 		})
 	}
 
-	var aud *auditor
-	if c.cfg.AuditEverySec > 0 {
-		aud = newAuditor(c)
-		c.sched.NewTicker(0, simtime.Duration(c.cfg.AuditEverySec), aud.check)
-	}
-
 	c.sched.RunUntil(horizon)
-
-	if aud != nil {
-		aud.check(horizon)
-		if err := aud.Err(); err != nil {
-			return nil, err
-		}
-	}
 
 	res := &Results{
 		PerRM:       make([]metrics.RMResult, len(c.rms)),

@@ -35,8 +35,7 @@ var exportAllowlist = map[string]string{
 	"mm.ShardedManager.KillShard":   "item 2(b): the DES fault schedule kills a shard",
 	"mm.ShardedManager.ReviveShard": "item 2(b): the DES fault schedule revives a shard",
 	"mm.ShardedManager.SetClock":    "item 2(b): the sharded MM runs on the DES clock under a fault schedule",
-	"mm.ShardedManager.Shard":       "item 2(a): the owner-set convergence invariant compares each shard's map",
-	"rm.RM.HasFile":                 "item 2(a): the invariant checker compares each RM's replicas with the MM's map",
+	"mm.ShardedManager.Shard":       "item 8: the owner-set convergence invariant compares each shard's map",
 }
 
 // testOnlyPackage exists for tests alone, so the scan asks it for no

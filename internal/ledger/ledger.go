@@ -65,6 +65,9 @@ func (l *Ledger) Oversub() float64 { return l.oversub }
 // Allocated returns the current total reserved bandwidth.
 func (l *Ledger) Allocated() units.BytesPerSec { return l.allocated }
 
+// Streams returns the number of active reservations.
+func (l *Ledger) Streams() int { return l.streams }
+
 // Remaining returns capacity − allocated. It is negative when the RM is
 // over-allocated (possible only in the soft real-time scenario).
 func (l *Ledger) Remaining() units.BytesPerSec { return l.capacity - l.allocated }

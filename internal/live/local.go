@@ -2,7 +2,6 @@ package live
 
 import (
 	"cmp"
-	"fmt"
 	"slices"
 	"time"
 
@@ -10,6 +9,7 @@ import (
 	"dfsqos/internal/ids"
 	"dfsqos/internal/mm"
 	"dfsqos/internal/replication"
+	"dfsqos/internal/rm"
 	"dfsqos/internal/rng"
 	"dfsqos/internal/transport"
 	"dfsqos/internal/units"
@@ -176,18 +176,13 @@ func (l *Local) startRM(id ids.RMID, addr string) error {
 // Server returns RM id's current server.
 func (l *Local) Server(id ids.RMID) *RMServer { return l.rms[id-1].Server }
 
-// Leaks names every RM still serving that holds a reservation or
-// bandwidth: once a workload is over, all of it must have been returned.
-// An RM whose server was closed — a crash drill's corpse — is skipped.
-func (l *Local) Leaks() []string {
-	var out []string
+// Serving returns the RM of every server still serving: a crash drill's
+// corpse is left out.
+func (l *Local) Serving() []*rm.RM {
+	var out []*rm.RM
 	for _, n := range l.rms {
-		if n == nil || n.Server.isClosed() {
-			continue
-		}
-		node := n.Server.Node()
-		if c, bw := node.ActiveReservations(), node.Allocated(); c != 0 || bw != 0 {
-			out = append(out, fmt.Sprintf("%v still holds %d reservation(s), %v allocated", node.Info().ID, c, bw))
+		if n != nil && !n.Server.isClosed() {
+			out = append(out, n.Server.Node())
 		}
 	}
 	return out

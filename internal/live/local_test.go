@@ -8,14 +8,15 @@ import (
 	"dfsqos/internal/catalog"
 	"dfsqos/internal/ecnp"
 	"dfsqos/internal/ids"
+	"dfsqos/internal/invariants"
 	"dfsqos/internal/rng"
 	"dfsqos/internal/units"
 )
 
 // startLocal stands up a Local for t. Its cleanup, which runs after the
 // test's own defers, gives reservations a playback end or a lease sweep
-// still owes two seconds to drain, fails t naming every RM that still
-// holds one, and tears the cluster down.
+// still owes two seconds to drain, fails t with every violation atRest
+// still finds, and tears the cluster down.
 func startLocal(t testing.TB, spec LocalSpec) *Local {
 	t.Helper()
 	l, err := NewLocal(spec)
@@ -24,15 +25,20 @@ func startLocal(t testing.TB, spec LocalSpec) *Local {
 	}
 	t.Cleanup(func() {
 		defer l.Close()
-		leaks := l.Leaks()
-		for deadline := time.Now().Add(2 * time.Second); len(leaks) != 0 && time.Now().Before(deadline); leaks = l.Leaks() {
+		err := atRest(l)
+		for deadline := time.Now().Add(2 * time.Second); err != nil && time.Now().Before(deadline); err = atRest(l) {
 			time.Sleep(10 * time.Millisecond)
 		}
-		for _, leak := range leaks {
-			t.Errorf("leak at teardown: %s", leak)
+		if err != nil {
+			t.Errorf("invariants at teardown: %v", err)
 		}
 	})
 	return l
+}
+
+// atRest runs invariants.Check at rest on every RM of l still serving.
+func atRest(l *Local) error {
+	return invariants.Check(invariants.System{RMs: l.Serving(), AtRest: true})
 }
 
 // testCatalog generates n files from seed whose playback durations span
@@ -51,10 +57,10 @@ func testCatalog(t testing.TB, seed uint64, n int, minSec, meanSec, maxSec float
 	return cat
 }
 
-// TestLocalLeaksNamesHeldReservation: while a client holds a reservation
-// Leaks names the RM that granted it, and after the client's Close it
-// names none.
-func TestLocalLeaksNamesHeldReservation(t *testing.T) {
+// TestAtRestNamesHeldReservation: while a client holds a reservation the
+// at-rest check names the RM that granted it, and after the client's Close
+// it names none.
+func TestAtRestNamesHeldReservation(t *testing.T) {
 	l := startLocal(t, LocalSpec{
 		Catalog: testCatalog(t, 21, 2, 1, 5, 10),
 		Caps:    []units.BytesPerSec{units.Mbps(50), units.Mbps(50)},
@@ -68,12 +74,12 @@ func TestLocalLeaksNamesHeldReservation(t *testing.T) {
 	if res := cli.Open(ecnp.OpenRequest{Request: 1, File: 0, Bitrate: meta.Bitrate, DurationSec: meta.DurationSec}); !res.OK {
 		t.Fatalf("open refused: %s", res.Reason)
 	}
-	if leaks := l.Leaks(); len(leaks) != 1 || !strings.HasPrefix(leaks[0], "RM2 still holds 1 reservation(s)") {
-		t.Fatalf("Leaks with a held reservation = %q, want RM2 named", leaks)
+	if err := atRest(l); err == nil || !strings.HasPrefix(err.Error(), "RM2 holds 1 reservation(s)") || strings.Contains(err.Error(), "RM1") {
+		t.Fatalf("at rest with a held reservation: %v, want RM2 named alone", err)
 	}
 	cli.Close(1)
-	if leaks := l.Leaks(); len(leaks) != 0 {
-		t.Fatalf("Leaks after Close = %q, want none", leaks)
+	if err := atRest(l); err != nil {
+		t.Fatalf("at rest after Close: %v, want nothing named", err)
 	}
 }
 

@@ -153,7 +153,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 	// /traces (valid JSON even without a tracer) and the pprof index.
 	// The accesses' playback ends release through dir: let them, before
 	// the deferred Close drops dir's connections.
-	waitFor(t, "playback ends", func() bool { return len(lc.Leaks()) == 0 })
+	waitFor(t, "playback ends", func() bool { return atRest(lc) == nil })
 
 	for _, path := range []string{"/traces", "/traces?format=text", "/debug/pprof/"} {
 		r, err := http.Get(mon.URL + path)

@@ -226,5 +226,5 @@ func TestDirectoryBackoffRecoverySameAddr(t *testing.T) {
 	}
 	// The access's playback end releases through dir: let it, before the
 	// deferred Close drops dir's connections.
-	waitFor(t, "playback end", func() bool { return len(lc.Leaks()) == 0 })
+	waitFor(t, "playback end", func() bool { return atRest(lc) == nil })
 }
