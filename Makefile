@@ -6,7 +6,8 @@
 # enforces the per-package coverage floors; `make chaos` replays the
 # deterministic fault-injection drills (scripted kill/error/torn-frame
 # incidents over real TCP) plus the crash/liveness suites they build on;
-# `make daemons-smoke` runs mmd, two rmd and dfsc together on loopback;
+# `make daemons-smoke` runs mmd, two rmd, dfsc and a dfsc -replay of a
+# generated pattern together on loopback;
 # `make bench` runs the benchmark harness; `make docs` keeps
 # docs/OPERATIONS.md and the godoc surface in lock-step with the code.
 
@@ -52,9 +53,11 @@ chaos-mm:
 
 # daemons-smoke runs the three binaries together on loopback: one mmd with
 # its monitor and RM liveness, two rmd with heartbeats and leases, then
-# `dfsc -n 3`; it waits for mmd's /stats to report both RMs live, checks
-# that all three accesses were admitted and that SIGTERM makes each daemon
-# exit 0.
+# `dfsc -n 3`; it waits for mmd's /stats to report both RMs live and checks
+# that all three accesses were admitted. It then replays a `workloadgen`
+# pattern through `dfsc -replay` (the paper's request scheduler), which
+# must exit 0 having sent every generated request, and checks that SIGTERM
+# makes each daemon exit 0.
 daemons-smoke:
 	./scripts/daemons_smoke.sh
 

@@ -5,6 +5,12 @@
 // from the serving RM, and prints per-request outcomes plus a summary.
 //
 //	dfsc -mm 127.0.0.1:7000 -policy "(1,0,0)" -scenario firm -n 20 -read
+//
+// With -replay it is the paper's request scheduler (§VI-A): it sends each
+// request of a workloadgen pattern at its arrival time divided by -scale,
+// through one client per pattern DFSC.
+//
+//	dfsc -mm 127.0.0.1:7000 -files 100 -replay pattern.json -scale 10
 package main
 
 import (
@@ -19,6 +25,7 @@ import (
 	"dfsqos/internal/catalog"
 	"dfsqos/internal/cluster"
 	"dfsqos/internal/dfsc"
+	"dfsqos/internal/ecnp"
 	"dfsqos/internal/ids"
 	"dfsqos/internal/live"
 	"dfsqos/internal/monitor"
@@ -29,6 +36,7 @@ import (
 	"dfsqos/internal/trace"
 	"dfsqos/internal/transport"
 	"dfsqos/internal/wire"
+	"dfsqos/internal/workload"
 )
 
 func main() {
@@ -40,6 +48,7 @@ func main() {
 		scenario = flag.String("scenario", "firm", "allocation scenario: soft or firm")
 		tenantID = flag.Int("tenant", 0, "tenant identity stamped on every request (0 = untenanted); quota'd RMs charge admissions to it")
 		n        = flag.Int("n", 10, "number of file accesses to issue")
+		replay   = flag.String("replay", "", "access pattern (JSON from workloadgen) to send instead of -n: each request at its arrival time / -scale, through one client per pattern DFSC")
 		read     = flag.Bool("read", false, "stream each admitted file's bytes from the serving RM")
 		seed     = flag.Uint64("seed", 1, "deployment master seed (must match rmd)")
 		numRMs   = flag.Int("num-rms", 16, "total RMs in the deployment")
@@ -79,6 +88,20 @@ func main() {
 	cat, _, err := cluster.SeededCorpus(*seed, catCfg, *numRMs, *degree)
 	if err != nil {
 		fail(err)
+	}
+	var pattern *workload.Pattern
+	if *replay != "" {
+		f, err := os.Open(*replay)
+		if err == nil {
+			pattern, err = workload.Load(f)
+			f.Close()
+		}
+		if err == nil {
+			err = checkPatternFiles(pattern, cat.Len())
+		}
+		if err != nil {
+			fail(err)
+		}
 	}
 
 	// One registry joins the requester's transport and negotiation
@@ -120,27 +143,35 @@ func main() {
 	sched := live.NewWallScheduler(*scale)
 	defer sched.Stop()
 
-	client, err := dfsc.New(dfsc.Options{
-		ID:        1,
-		Mapper:    mapper,
-		Directory: dir,
-		Scheduler: sched,
-		Catalog:   cat,
-		Policy:    pol,
-		Scenario:  scen,
-		Tenant:    ids.TenantID(*tenantID),
-		Rand:      rng.New(*seed).Split("dfsc-cli"),
-		// The live control path fans CFPs out concurrently, bounded by
-		// the negotiation deadline: one stalled RM costs at most -negotiation-timeout,
-		// not its share of a serial scan.
-		Fanout:  dfsc.Fanout{Concurrent: true, BidTimeout: *negTO},
-		MetaTTL: *metaTTL,
-		Metrics: dfsc.NewMetrics(reg),
-		Tracer:  tracer,
-	})
-	if err != nil {
-		fail(err)
+	// Every client shares the mapper, directory, registry and tracer; the
+	// -n loop runs client 1, a replay one client per pattern DFSC.
+	met := dfsc.NewMetrics(reg)
+	newClient := func(id ids.DFSCID) *dfsc.Client {
+		c, err := dfsc.New(dfsc.Options{
+			ID:        id,
+			Mapper:    mapper,
+			Directory: dir,
+			Scheduler: sched,
+			Catalog:   cat,
+			Policy:    pol,
+			Scenario:  scen,
+			Tenant:    ids.TenantID(*tenantID),
+			Rand:      rng.New(*seed).Split(fmt.Sprintf("dfsc-cli/%d", id)),
+			// The live control path fans CFPs out concurrently, bounded by
+			// the negotiation deadline: one stalled RM costs at most -negotiation-timeout,
+			// not its share of a serial scan.
+			Fanout:  dfsc.Fanout{Concurrent: true, BidTimeout: *negTO},
+			MetaTTL: *metaTTL,
+			Metrics: met,
+			Tracer:  tracer,
+		})
+		if err != nil {
+			fail(err)
+		}
+		return c
 	}
+	client := newClient(1)
+	clients := map[ids.DFSCID]*dfsc.Client{1: client}
 	if *monAddr != "" {
 		monSrv, bound, err := monitor.Serve(*monAddr, monitor.NewDFSCHandler(client, reg, tracer))
 		if err != nil {
@@ -158,10 +189,10 @@ func main() {
 		log.Printf("dfsc: debug at http://%s/traces and http://%s/debug/pprof/", bound, bound)
 	}
 
-	picker := rng.New(uint64(time.Now().UnixNano()) | 1)
-	var ok, failed int
-	for i := 0; i < *n; i++ {
-		file := cat.SamplePopular(picker)
+	// access sends one request for file through c and logs its outcome. A
+	// failure that no RM refused is a fault, and a fault makes dfsc exit 1.
+	var ok, failed, faults int
+	access := func(c *dfsc.Client, file ids.FileID) {
 		meta := cat.File(file)
 		if *read {
 			// Streamed access with self-healing: reservations ride the
@@ -170,13 +201,16 @@ func main() {
 			// — and -stripe-width > 1 spreads byte ranges across that many
 			// lanes at once, with -hedge-after re-issuing lagging ranges.
 			start := time.Now()
-			res, err := client.ReadStriped(dir, file, io.Discard, dfsc.StripeConfig{
+			res, err := c.ReadStriped(dir, file, io.Discard, dfsc.StripeConfig{
 				Width:        *stripeW,
 				HedgeAfter:   *hedgeAft,
 				MaxFailovers: *maxFO,
 			})
 			if err != nil {
 				failed++
+				if ecnp.RefusalOf(err) == 0 {
+					faults++
+				}
 				log.Printf("dfsc: %s (%v, %.1fs) FAILED: %v", meta.Name, meta.Bitrate, meta.DurationSec, err)
 			} else {
 				ok++
@@ -185,29 +219,63 @@ func main() {
 					meta.Name, meta.Bitrate, meta.DurationSec, res.RMs, res.Bytes, secs,
 					float64(res.Bytes)/secs/1e6, len(res.Segments), res.Failovers, res.HedgesWon, res.Hedges)
 			}
-			time.Sleep(time.Duration(*gapMS) * time.Millisecond)
-			continue
+			return
 		}
-		out := client.Access(file)
+		out := c.Access(file)
 		if !out.OK {
 			failed++
+			if out.Code == 0 {
+				faults++
+			}
 			log.Printf("dfsc: %s (%v, %.1fs) FAILED: %s", meta.Name, meta.Bitrate, meta.DurationSec, out.Reason)
 		} else {
 			ok++
 			log.Printf("dfsc: %s (%v, %.1fs) -> %v", meta.Name, meta.Bitrate, meta.DurationSec, out.RM)
 		}
-		time.Sleep(time.Duration(*gapMS) * time.Millisecond)
 	}
-	st := client.Stats()
+
+	if pattern == nil {
+		picker := rng.New(uint64(time.Now().UnixNano()) | 1)
+		for i := 0; i < *n; i++ {
+			access(client, cat.SamplePopular(picker))
+			time.Sleep(time.Duration(*gapMS) * time.Millisecond)
+		}
+	} else {
+		log.Printf("dfsc: replaying %d requests over %.0f virtual s (%.0f wall s)",
+			pattern.Len(), pattern.Config.HorizonSec, pattern.Config.HorizonSec / *scale)
+		start := time.Now()
+		for _, r := range pattern.Requests {
+			c := clients[r.DFSC]
+			if c == nil {
+				c = newClient(r.DFSC)
+				clients[r.DFSC] = c
+			}
+			time.Sleep(time.Until(start.Add(time.Duration(r.AtSec / *scale * float64(time.Second)))))
+			access(c, r.File)
+		}
+	}
+	var st dfsc.Stats
+	for _, c := range clients {
+		st.Requests += c.Stats().Requests
+		st.Failed += c.Stats().Failed
+	}
 	fmt.Printf("dfsc: %d requests, %d admitted, %d failed (%s %.3f%%)\n",
 		st.Requests, ok, failed, scen.Criterion(), 100*float64(st.Failed)/float64(max(1, st.Requests)))
+	if faults > 0 {
+		fail(fmt.Errorf("%d request(s) failed with no RM refusing them", faults))
+	}
 }
 
-func max(a, b int64) int64 {
-	if a > b {
-		return a
+// checkPatternFiles fails on the first request of p whose file lies
+// outside a catalog of files files, before any request is sent: the
+// pattern was generated for a larger catalog than -files builds.
+func checkPatternFiles(p *workload.Pattern, files int) error {
+	for i, r := range p.Requests {
+		if r.File < 0 || int(r.File) >= files {
+			return fmt.Errorf("pattern request %d names file %d, outside the %d-file catalog: set -files to the pattern's workloadgen -files", i, r.File, files)
+		}
 	}
-	return b
+	return nil
 }
 
 func fail(err error) {

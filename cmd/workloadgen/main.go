@@ -1,6 +1,6 @@
 // Command workloadgen generates the paper's multi-user access pattern —
 // NET request arrivals over a Zipf-popular video catalog — as a JSON trace
-// that the request scheduler (or an external tool) can replay.
+// that the request scheduler (dfsc -replay, or an external tool) can replay.
 //
 //	workloadgen -users 256 -horizon 7200 -mean 300 -seed 1 > trace.json
 package main

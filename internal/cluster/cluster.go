@@ -420,7 +420,7 @@ func (c *Cluster) Pattern() *workload.Pattern { return c.pattern }
 // UsePattern replaces the generated access pattern with an external trace
 // (e.g. one produced by cmd/workloadgen), so the exact same request
 // sequence can be replayed across configurations or fed to the live
-// deployment via cmd/replay. Must be called before Run.
+// deployment via dfsc -replay. Must be called before Run.
 func (c *Cluster) UsePattern(p *workload.Pattern) error {
 	if err := p.Validate(); err != nil {
 		return err

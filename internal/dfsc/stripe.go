@@ -468,6 +468,9 @@ func (c *Client) OpenRead(rs RangeStreamer, file ids.FileID, cfg StripeConfig) (
 	if len(held) == 0 {
 		st.release()
 		r.root.SetOutcome("error").End()
+		if fail.Code != 0 {
+			return nil, fmt.Errorf("dfsc: read %v: %s: %w", file, fail.Reason, fail.Code)
+		}
 		return nil, fmt.Errorf("dfsc: read %v: %s", file, fail.Reason)
 	}
 	c.met.StripeLanes.Add(uint64(len(held)))

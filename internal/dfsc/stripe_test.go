@@ -189,6 +189,24 @@ func TestReadStripedWidthBeyondReplicaCount(t *testing.T) {
 	}
 }
 
+// TestReadStripedRefusalKeepsItsCode: a read that every holder refuses
+// fails with an error that is the refusal's code, so a caller tells a QoS
+// refusal from a fault with errors.Is; a read nothing can serve carries
+// no code.
+func TestReadStripedRefusalKeepsItsCode(t *testing.T) {
+	h := newHarness(t,
+		map[ids.RMID]units.BytesPerSec{1: units.BytesPerSec(1)},
+		map[ids.FileID][]ids.RMID{0: {1}})
+	c := h.client(t, selection.RemOnly, qos.Firm)
+	s := &rangedStreamer{body: stripeBody(h, 100)}
+	if _, err := c.ReadStriped(s, 0, io.Discard, StripeConfig{Width: 1}); !errors.Is(err, ecnp.ErrFirmCapacity) {
+		t.Fatalf("read refused on capacity: err = %v, want ecnp.ErrFirmCapacity", err)
+	}
+	if _, err := c.ReadStriped(s, 1, io.Discard, StripeConfig{Width: 1}); err == nil || ecnp.RefusalOf(err) != 0 {
+		t.Fatalf("read of a file with no replica: err = %v, want an error with no refusal code", err)
+	}
+}
+
 func TestReadStripedAllLanesDieBudgetExhausted(t *testing.T) {
 	h := newHarness(t,
 		map[ids.RMID]units.BytesPerSec{1: units.Mbps(300), 2: units.Mbps(200), 3: units.Mbps(100)},

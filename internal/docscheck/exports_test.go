@@ -323,12 +323,15 @@ func loadModule(root string) (*moduleLoad, error) {
 		if path != root && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
 			return filepath.SkipDir
 		}
-		if _, err := build.ImportDir(path, 0); err != nil {
-			var none *build.NoGoError
-			if errors.As(err, &none) {
-				return nil
-			}
+		bp, err := build.ImportDir(path, 0)
+		var none *build.NoGoError
+		switch {
+		case errors.As(err, &none):
+			return nil
+		case err != nil:
 			return err
+		case len(bp.GoFiles) == 0:
+			return nil // test files alone: no package a program imports
 		}
 		rel, err := filepath.Rel(root, path)
 		if err != nil {

@@ -1,12 +1,16 @@
 #!/usr/bin/env sh
 # daemons_smoke.sh — the three binaries together on loopback.
 #
-# Builds mmd, rmd and dfsc, starts one mmd (with its monitor and RM
-# liveness armed) and two rmd (heartbeats and leases on), waits until the
-# MM's /stats reports both RMs live, runs `dfsc -n 3` and checks that all
-# three accesses were admitted, then sends each daemon SIGTERM and checks
-# that it exits 0. Every address is an ephemeral port read back from the
-# daemon's log, so runs do not collide.
+# Builds mmd, rmd, dfsc and workloadgen, starts one mmd (with its monitor
+# and RM liveness armed) and two rmd (heartbeats and leases on), waits
+# until the MM's /stats reports both RMs live, runs `dfsc -n 3` and checks
+# that all three accesses were admitted. Then it runs the paper's request
+# scheduler: `workloadgen` writes a 64-user pattern over the same catalog
+# and `dfsc -replay` sends it to the same two rmd in about 5 wall seconds;
+# dfsc must exit 0 with as many requests in its summary as workloadgen
+# generated. Last, it sends each daemon SIGTERM and checks that it exits
+# 0. Every address is an ephemeral port read back from the daemon's log,
+# so runs do not collide.
 #
 # Usage:
 #   ./scripts/daemons_smoke.sh
@@ -45,7 +49,7 @@ await() {
     return 1
 }
 
-for bin in mmd rmd dfsc; do
+for bin in mmd rmd dfsc workloadgen; do
     go build -o "$WORK/$bin" "./cmd/$bin"
 done
 CORPUS="-num-rms 2 -degree 2 -files 20"
@@ -76,6 +80,18 @@ done
 "$WORK/dfsc" -mm "$MM" $CORPUS -n 3 -gap 0 >"$WORK/dfsc.out" 2>"$WORK/dfsc.log" || fail "dfsc exited $?"
 cat "$WORK/dfsc.out"
 grep -q ' 3 admitted' "$WORK/dfsc.out" || fail "dfsc did not admit all 3 accesses"
+
+# 600 virtual seconds at -scale 120: the replay takes about 5 wall seconds.
+"$WORK/workloadgen" -users 64 -files 20 -horizon 600 -o "$WORK/pattern.json" 2>"$WORK/workloadgen.log" ||
+    fail "workloadgen exited $?"
+WANT="$(sed -n 's/^workloadgen: \([0-9]*\) requests.*/\1/p' "$WORK/workloadgen.log")"
+[ -n "$WANT" ] || fail "workloadgen printed no request count"
+# shellcheck disable=SC2086
+"$WORK/dfsc" -mm "$MM" $CORPUS -replay "$WORK/pattern.json" -scale 120 \
+    >"$WORK/replay.out" 2>"$WORK/replay.log" || fail "dfsc -replay exited $?"
+cat "$WORK/replay.out"
+grep -q "^dfsc: $WANT requests," "$WORK/replay.out" ||
+    fail "dfsc -replay did not send the $WANT requests workloadgen generated"
 
 for pid in $RMDS $MMD; do
     kill -TERM "$pid"
