@@ -56,8 +56,9 @@ chaos-mm:
 # `dfsc -n 3`; it waits for mmd's /stats to report both RMs live and checks
 # that all three accesses were admitted. It then replays a `workloadgen`
 # pattern through `dfsc -replay` (the paper's request scheduler), which
-# must exit 0 having sent every generated request, and checks that SIGTERM
-# makes each daemon exit 0.
+# must exit 0 having sent every generated request. After each dfsc exits,
+# every rmd's /metrics must read no active stream; last, SIGTERM must make
+# each daemon exit 0.
 daemons-smoke:
 	./scripts/daemons_smoke.sh
 

@@ -1,15 +1,14 @@
-// Command dfsc runs a DFS client — the Requester role of the ECNP model —
-// against a live deployment (mmd + rmd daemons). It issues popularity-drawn
-// file accesses through the full three-phase flow (MM query, CFP fan-out
-// and bid selection, QoS-assured open), optionally streams the file bytes
-// from the serving RM, and prints per-request outcomes plus a summary.
+// Command dfsc runs DFS clients — the Requester role of the ECNP model —
+// against a live deployment (mmd + rmd daemons). It is the paper's request
+// scheduler (§VI-A, dfsc.Replay): it sends each request of a pattern (a
+// workloadgen file with -replay, else -n popularity-drawn reads -gap
+// apart) at its arrival time divided by -scale, through one client per
+// pattern DFSC. A read runs the three-phase flow (MM query, CFP fan-out
+// and bid selection, QoS-assured open) and optionally streams the file; a
+// write stores the file and a metadata request probes the MM. dfsc prints
+// per-request outcomes plus a summary.
 //
 //	dfsc -mm 127.0.0.1:7000 -policy "(1,0,0)" -scenario firm -n 20 -read
-//
-// With -replay it is the paper's request scheduler (§VI-A): it sends each
-// request of a workloadgen pattern at its arrival time divided by -scale,
-// through one client per pattern DFSC.
-//
 //	dfsc -mm 127.0.0.1:7000 -files 100 -replay pattern.json -scale 10
 package main
 
@@ -20,6 +19,7 @@ import (
 	"log"
 	"os"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"dfsqos/internal/catalog"
@@ -40,40 +40,51 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintf(os.Stderr, "dfsc: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// run is dfsc with its arguments: it prints the summary to stdout and
+// returns what makes dfsc exit 1. Every exit, that one included, first
+// runs the closes its accesses scheduled, so it leaves no reservation held.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("dfsc", flag.ExitOnError)
 	var (
-		mmAddr   = flag.String("mm", "127.0.0.1:7000", "metadata manager address; comma-separated ring-index-aligned list for a shard group")
-		mmRep    = flag.Int("mm-replication", 1, "owner shards per file in the MM shard group (must match mmd -replication)")
-		metaTTL  = flag.Duration("meta-ttl", 0, "metadata lease TTL: cached lookup results skip the MM until they expire (0 disables the lease cache)")
-		policy   = flag.String("policy", "(1,0,0)", "resource selection policy (α,β,γ) or (α,β,γ,δ) with the weighted-fairness term")
-		scenario = flag.String("scenario", "firm", "allocation scenario: soft or firm")
-		tenantID = flag.Int("tenant", 0, "tenant identity stamped on every request (0 = untenanted); quota'd RMs charge admissions to it")
-		n        = flag.Int("n", 10, "number of file accesses to issue")
-		replay   = flag.String("replay", "", "access pattern (JSON from workloadgen) to send instead of -n: each request at its arrival time / -scale, through one client per pattern DFSC")
-		read     = flag.Bool("read", false, "stream each admitted file's bytes from the serving RM")
-		seed     = flag.Uint64("seed", 1, "deployment master seed (must match rmd)")
-		numRMs   = flag.Int("num-rms", 16, "total RMs in the deployment")
-		degree   = flag.Int("degree", 3, "static replica degree")
-		files    = flag.Int("files", 1000, "catalog size")
-		gapMS    = flag.Int("gap", 200, "milliseconds between requests")
-		scale    = flag.Float64("scale", 1, "virtual seconds per wall second")
-		negTO    = flag.Duration("negotiation-timeout", 2*time.Second, "deadline for collecting CFP bids; stalled RMs degrade to last-ranked zero bids")
-		maxFO    = flag.Int("max-failovers", 2, "replicas a -read may fail over to after its serving RM dies mid-stream")
-		stripeW  = flag.Int("stripe-width", 1, "replicas a -read stripes byte ranges across (1 = sequential single-RM read)")
-		hedgeAft = flag.Duration("hedge-after", 0, "re-issue a lagging stripe range to another lane after this long (0 disables hedging)")
-		monAddr  = flag.String("monitor", "", "HTTP stats/metrics address (e.g. 127.0.0.1:0); empty disables")
-		dbgAddr  = flag.String("debug-addr", "", "standalone debug HTTP address (/traces + pprof); empty serves them on -monitor only")
-		traceN   = flag.Int("trace-ring", 4096, "span ring capacity for request tracing (rounded up to a power of two)")
-		sample   = flag.Float64("trace-sample", 1, "fraction of requests to trace (0 disables, 1 traces all)")
-		tcfg     = transport.RegisterFlags(flag.CommandLine)
+		mmAddr   = fs.String("mm", "127.0.0.1:7000", "metadata manager address; comma-separated ring-index-aligned list for a shard group")
+		mmRep    = fs.Int("mm-replication", 1, "owner shards per file in the MM shard group (must match mmd -replication)")
+		metaTTL  = fs.Duration("meta-ttl", 0, "metadata lease TTL: cached lookup results skip the MM until they expire (0 disables the lease cache)")
+		policy   = fs.String("policy", "(1,0,0)", "resource selection policy (α,β,γ) or (α,β,γ,δ) with the weighted-fairness term")
+		scenario = fs.String("scenario", "firm", "allocation scenario: soft or firm")
+		tenantID = fs.Int("tenant", 0, "tenant identity stamped on every request (0 = untenanted); quota'd RMs charge admissions to it")
+		n        = fs.Int("n", 10, "number of reads DFSC 1 sends when there is no -replay, of files drawn from -seed's stream")
+		replay   = fs.String("replay", "", "access pattern (JSON from workloadgen) to send instead of -n: each request at its arrival time / -scale, through one client per pattern DFSC")
+		read     = fs.Bool("read", false, "stream each admitted file's bytes from the serving RM")
+		seed     = fs.Uint64("seed", 1, "deployment master seed (must match rmd)")
+		numRMs   = fs.Int("num-rms", 16, "total RMs in the deployment")
+		degree   = fs.Int("degree", 3, "static replica degree")
+		files    = fs.Int("files", 1000, "catalog size")
+		gapMS    = fs.Int("gap", 200, "wall milliseconds between the arrivals of -n's reads")
+		scale    = fs.Float64("scale", 1, "virtual seconds per wall second")
+		negTO    = fs.Duration("negotiation-timeout", 2*time.Second, "deadline for collecting CFP bids; stalled RMs degrade to last-ranked zero bids")
+		maxFO    = fs.Int("max-failovers", 2, "replicas a -read may fail over to after its serving RM dies mid-stream")
+		stripeW  = fs.Int("stripe-width", 1, "replicas a -read stripes byte ranges across (1 = sequential single-RM read)")
+		hedgeAft = fs.Duration("hedge-after", 0, "re-issue a lagging stripe range to another lane after this long (0 disables hedging)")
+		monAddr  = fs.String("monitor", "", "HTTP stats/metrics address (e.g. 127.0.0.1:0); empty disables")
+		dbgAddr  = fs.String("debug-addr", "", "standalone debug HTTP address (/traces + pprof); empty serves them on -monitor only")
+		traceN   = fs.Int("trace-ring", 4096, "span ring capacity for request tracing (rounded up to a power of two)")
+		sample   = fs.Float64("trace-sample", 1, "fraction of requests to trace (0 disables, 1 traces all)")
+		tcfg     = transport.RegisterFlags(fs)
 	)
-	flag.Parse()
+	fs.Parse(args)
 
 	pol, err := selection.ParsePolicy(*policy)
 	if err != nil {
-		fail(err)
+		return err
 	}
 	if *tenantID < 0 {
-		fail(fmt.Errorf("negative -tenant %d", *tenantID))
+		return fmt.Errorf("negative -tenant %d", *tenantID)
 	}
 	// The tenant travels twice: in the ECNP control payloads (CFP, open,
 	// store) and stamped on every dialed connection's wire frames, so
@@ -81,13 +92,13 @@ func main() {
 	tcfg.Tenant = ids.TenantID(*tenantID)
 	scen, err := qos.Parse(*scenario)
 	if err != nil {
-		fail(err)
+		return err
 	}
 	catCfg := catalog.DefaultConfig()
 	catCfg.NumFiles = *files
 	cat, _, err := cluster.SeededCorpus(*seed, catCfg, *numRMs, *degree)
 	if err != nil {
-		fail(err)
+		return err
 	}
 	var pattern *workload.Pattern
 	if *replay != "" {
@@ -100,7 +111,17 @@ func main() {
 			err = checkPatternFiles(pattern, cat.Len())
 		}
 		if err != nil {
-			fail(err)
+			return err
+		}
+	} else {
+		// -n as a pattern: reads from DFSC 1, -gap wall milliseconds
+		// apart, of files drawn by popularity from -seed's stream.
+		src := rng.New(*seed).Split("dfsc-cli/n")
+		gap := time.Duration(*gapMS) * time.Millisecond
+		pattern = &workload.Pattern{Requests: make([]workload.Request, max(*n, 0))}
+		for i := range pattern.Requests {
+			at := float64(i) * gap.Seconds() * *scale
+			pattern.Requests[i] = workload.Request{AtSec: at, DFSC: 1, File: cat.SamplePopular(src)}
 		}
 	}
 
@@ -132,7 +153,7 @@ func main() {
 
 	mapper, err := live.DialMMConfig(strings.Split(*mmAddr, ","), *mmRep, *tcfg)
 	if err != nil {
-		fail(err)
+		return err
 	}
 	mapper.SetMetrics(live.NewMMRouteMetrics(reg))
 	defer mapper.Close()
@@ -141,13 +162,17 @@ func main() {
 	defer dir.Close()
 	dir.SetLogger(log.Printf)
 	sched := live.NewWallScheduler(*scale)
-	defer sched.Stop()
+	defer sched.RunPending()
 
-	// Every client shares the mapper, directory, registry and tracer; the
-	// -n loop runs client 1, a replay one client per pattern DFSC.
+	// Every client shares the mapper, directory, registry and tracer:
+	// client 1, which the monitor serves, and one per pattern DFSC.
 	met := dfsc.NewMetrics(reg)
-	newClient := func(id ids.DFSCID) *dfsc.Client {
-		c, err := dfsc.New(dfsc.Options{
+	clients := map[ids.DFSCID]*dfsc.Client{1: nil}
+	for _, r := range pattern.Requests {
+		clients[r.DFSC] = nil
+	}
+	for id := range clients {
+		clients[id], err = dfsc.New(dfsc.Options{
 			ID:        id,
 			Mapper:    mapper,
 			Directory: dir,
@@ -166,16 +191,13 @@ func main() {
 			Tracer:  tracer,
 		})
 		if err != nil {
-			fail(err)
+			return err
 		}
-		return c
 	}
-	client := newClient(1)
-	clients := map[ids.DFSCID]*dfsc.Client{1: client}
 	if *monAddr != "" {
-		monSrv, bound, err := monitor.Serve(*monAddr, monitor.NewDFSCHandler(client, reg, tracer))
+		monSrv, bound, err := monitor.Serve(*monAddr, monitor.NewDFSCHandler(clients[1], reg, tracer))
 		if err != nil {
-			fail(err)
+			return err
 		}
 		defer monitor.Shutdown(monSrv, 3*time.Second)
 		log.Printf("dfsc: stats at http://%s/stats, metrics at http://%s/metrics, traces at http://%s/traces", bound, bound, bound)
@@ -183,87 +205,73 @@ func main() {
 	if *dbgAddr != "" {
 		dbgSrv, bound, err := monitor.Serve(*dbgAddr, monitor.NewDebugHandler(tracer))
 		if err != nil {
-			fail(err)
+			return err
 		}
 		defer monitor.Shutdown(dbgSrv, 3*time.Second)
 		log.Printf("dfsc: debug at http://%s/traces and http://%s/debug/pprof/", bound, bound)
 	}
 
-	// access sends one request for file through c and logs its outcome. A
-	// failure that no RM refused is a fault, and a fault makes dfsc exit 1.
-	var ok, failed, faults int
-	access := func(c *dfsc.Client, file ids.FileID) {
-		meta := cat.File(file)
-		if *read {
+	// send runs one request through its DFSC's client and logs its
+	// outcome. A failure that no RM refused is a fault, and a fault makes
+	// dfsc exit 1.
+	var ok, failed, faults atomic.Int64
+	count := func(admitted bool, refusal ecnp.Refusal) {
+		if admitted {
+			ok.Add(1)
+			return
+		}
+		failed.Add(1)
+		if refusal == 0 {
+			faults.Add(1)
+		}
+	}
+	send := func(r workload.Request, _ time.Time) {
+		c, meta := clients[r.DFSC], cat.File(r.File)
+		if *read && r.Op == workload.OpRead {
 			// Streamed access with self-healing: reservations ride the
 			// stream (chunks renew their leases), a replica dying mid-range
 			// fails over to the next-best bidder — bounded by -max-failovers
 			// — and -stripe-width > 1 spreads byte ranges across that many
 			// lanes at once, with -hedge-after re-issuing lagging ranges.
 			start := time.Now()
-			res, err := c.ReadStriped(dir, file, io.Discard, dfsc.StripeConfig{
+			res, err := c.ReadStriped(dir, r.File, io.Discard, dfsc.StripeConfig{
 				Width:        *stripeW,
 				HedgeAfter:   *hedgeAft,
 				MaxFailovers: *maxFO,
 			})
+			count(err == nil, ecnp.RefusalOf(err))
 			if err != nil {
-				failed++
-				if ecnp.RefusalOf(err) == 0 {
-					faults++
-				}
 				log.Printf("dfsc: %s (%v, %.1fs) FAILED: %v", meta.Name, meta.Bitrate, meta.DurationSec, err)
-			} else {
-				ok++
-				secs := time.Since(start).Seconds()
-				log.Printf("dfsc: %s (%v, %.1fs) -> %v: %d bytes in %.2fs (%.2f MB/s, %d segment(s), %d failover(s), %d/%d hedge(s) won, checksum ok)",
-					meta.Name, meta.Bitrate, meta.DurationSec, res.RMs, res.Bytes, secs,
-					float64(res.Bytes)/secs/1e6, len(res.Segments), res.Failovers, res.HedgesWon, res.Hedges)
+				return
 			}
+			secs := time.Since(start).Seconds()
+			log.Printf("dfsc: %s (%v, %.1fs) -> %v: %d bytes in %.2fs (%.2f MB/s, %d segment(s), %d failover(s), %d/%d hedge(s) won, checksum ok)",
+				meta.Name, meta.Bitrate, meta.DurationSec, res.RMs, res.Bytes, secs,
+				float64(res.Bytes)/secs/1e6, len(res.Segments), res.Failovers, res.HedgesWon, res.Hedges)
 			return
 		}
-		out := c.Access(file)
+		out := c.Do(r.Op, r.File)
+		count(out.OK, out.Code)
 		if !out.OK {
-			failed++
-			if out.Code == 0 {
-				faults++
-			}
-			log.Printf("dfsc: %s (%v, %.1fs) FAILED: %s", meta.Name, meta.Bitrate, meta.DurationSec, out.Reason)
-		} else {
-			ok++
-			log.Printf("dfsc: %s (%v, %.1fs) -> %v", meta.Name, meta.Bitrate, meta.DurationSec, out.RM)
+			log.Printf("dfsc: %v %s (%v, %.1fs) FAILED: %s", r.Op, meta.Name, meta.Bitrate, meta.DurationSec, out.Reason)
+			return
 		}
+		log.Printf("dfsc: %v %s (%v, %.1fs) -> %v", r.Op, meta.Name, meta.Bitrate, meta.DurationSec, out.RM)
 	}
 
-	if pattern == nil {
-		picker := rng.New(uint64(time.Now().UnixNano()) | 1)
-		for i := 0; i < *n; i++ {
-			access(client, cat.SamplePopular(picker))
-			time.Sleep(time.Duration(*gapMS) * time.Millisecond)
-		}
-	} else {
-		log.Printf("dfsc: replaying %d requests over %.0f virtual s (%.0f wall s)",
-			pattern.Len(), pattern.Config.HorizonSec, pattern.Config.HorizonSec / *scale)
-		start := time.Now()
-		for _, r := range pattern.Requests {
-			c := clients[r.DFSC]
-			if c == nil {
-				c = newClient(r.DFSC)
-				clients[r.DFSC] = c
-			}
-			time.Sleep(time.Until(start.Add(time.Duration(r.AtSec / *scale * float64(time.Second)))))
-			access(c, r.File)
-		}
-	}
+	log.Printf("dfsc: sending %d requests", pattern.Len())
+	dfsc.Replay(pattern, *scale, send)
 	var st dfsc.Stats
 	for _, c := range clients {
 		st.Requests += c.Stats().Requests
 		st.Failed += c.Stats().Failed
 	}
-	fmt.Printf("dfsc: %d requests, %d admitted, %d failed (%s %.3f%%)\n",
-		st.Requests, ok, failed, scen.Criterion(), 100*float64(st.Failed)/float64(max(1, st.Requests)))
-	if faults > 0 {
-		fail(fmt.Errorf("%d request(s) failed with no RM refusing them", faults))
+	fmt.Fprintf(stdout, "dfsc: %d requests, %d admitted, %d failed (%s %.3f%%)\n",
+		st.Requests, ok.Load(), failed.Load(), scen.Criterion(), 100*float64(st.Failed)/float64(max(1, st.Requests)))
+	if n := faults.Load(); n > 0 {
+		return fmt.Errorf("%d request(s) failed with no RM refusing them", n)
 	}
+	return nil
 }
 
 // checkPatternFiles fails on the first request of p whose file lies
@@ -276,9 +284,4 @@ func checkPatternFiles(p *workload.Pattern, files int) error {
 		}
 	}
 	return nil
-}
-
-func fail(err error) {
-	fmt.Fprintf(os.Stderr, "dfsc: %v\n", err)
-	os.Exit(1)
 }

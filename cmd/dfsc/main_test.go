@@ -1,10 +1,17 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
+	"dfsqos/internal/catalog"
+	"dfsqos/internal/cluster"
 	"dfsqos/internal/ids"
+	"dfsqos/internal/live"
+	"dfsqos/internal/units"
 	"dfsqos/internal/workload"
 )
 
@@ -28,5 +35,102 @@ func TestCheckPatternFiles(t *testing.T) {
 	p.Requests = []workload.Request{{File: ids.FileID(-1)}}
 	if checkPatternFiles(p, 20) == nil {
 		t.Fatal("negative file id passed")
+	}
+}
+
+// deploy starts an in-process deployment of the corpus dfsc derives from
+// -seed 1, -files files, -num-rms rms and -degree degree: RMs at 100 Mbps,
+// with no lease TTL, so nothing but a client's close releases a
+// reservation. It returns the cluster and those flags.
+func deploy(t *testing.T, files, rms, degree int) (*live.Local, []string) {
+	t.Helper()
+	catCfg := catalog.DefaultConfig()
+	catCfg.NumFiles = files
+	cat, placement, err := cluster.SeededCorpus(1, catCfg, rms, degree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	holders := map[ids.FileID][]ids.RMID{}
+	for _, f := range placement.Files() {
+		holders[f] = placement.Holders(f)
+	}
+	caps := make([]units.BytesPerSec, rms)
+	for i := range caps {
+		caps[i] = units.Mbps(100)
+	}
+	lc, err := live.NewLocal(live.LocalSpec{Catalog: cat, Caps: caps, Holders: holders})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(lc.Close)
+	return lc, []string{"-mm", lc.MM.Addr(), "-seed", "1", "-files", strconv.Itoa(files),
+		"-num-rms", strconv.Itoa(rms), "-degree", strconv.Itoa(degree)}
+}
+
+// TestExitReleasesReservations: dfsc's exit runs the closes its accesses
+// scheduled, so an RM with no lease TTL holds nothing once dfsc returns,
+// and a second run is admitted in full. Were the closes cancelled at exit,
+// the reservations would stay held and the second run's request ids,
+// which restart at 1, would be refused as duplicates.
+func TestExitReleasesReservations(t *testing.T) {
+	lc, flags := deploy(t, 4, 2, 2)
+	for run1 := 1; run1 <= 2; run1++ {
+		var out strings.Builder
+		if err := run(append(flags, "-n", "3", "-gap", "0"), &out); err != nil {
+			t.Fatalf("run %d: %v", run1, err)
+		}
+		if !strings.Contains(out.String(), " 3 admitted") {
+			t.Fatalf("run %d: %q, want 3 admitted", run1, out.String())
+		}
+		for _, node := range lc.Serving() {
+			if n := node.ActiveReservations(); n != 0 {
+				t.Fatalf("run %d: %v holds %d reservation(s) after dfsc exited", run1, node.Info().ID, n)
+			}
+		}
+	}
+}
+
+// TestReplayHonoursOp: a -replay pattern's write row is stored (its file
+// gains a replica, through an ingest open) and its metadata row only asks
+// the MM (no CFP, no open); sent as reads, each would have been one CFP
+// and one open on a holder.
+func TestReplayHonoursOp(t *testing.T) {
+	lc, flags := deploy(t, 4, 2, 1)
+	const wrote, probed = ids.FileID(0), ids.FileID(1)
+	p := &workload.Pattern{
+		Config: workload.Config{NumUsers: 1, NumDFSC: 1, MeanArrivalSec: 1, HorizonSec: 1},
+		Requests: []workload.Request{
+			{AtSec: 0, File: wrote, Op: workload.OpWrite},
+			{AtSec: 0, File: probed, Op: workload.OpMeta},
+		},
+	}
+	path := filepath.Join(t.TempDir(), "pattern.json")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Save(f); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	var out strings.Builder
+	if err := run(append(flags, "-replay", path), &out); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "2 admitted") {
+		t.Fatalf("%q, want 2 admitted", out.String())
+	}
+	if n := lc.Manager.ReplicaCount(wrote); n != 2 {
+		t.Errorf("written file has %d replica(s), want 2: the write was not stored", n)
+	}
+	var cfps, opens int64
+	for _, node := range lc.Serving() {
+		cfps += node.Stats().CFPs
+		opens += node.Stats().Opens
+	}
+	// The store's CFP reaches both RMs and it opens one ingest; the probe
+	// reaches no RM.
+	if cfps != 2 || opens != 1 {
+		t.Errorf("RMs saw %d CFP(s) and %d open(s), want 2 and 1", cfps, opens)
 	}
 }

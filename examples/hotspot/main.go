@@ -66,10 +66,3 @@ func drawTimeline(id ids.RMID, s *metrics.Series, capacity float64) {
 			p.At.Seconds(), strings.Repeat("#", width), over, 100*frac)
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -455,26 +455,11 @@ type Observer func(req workload.Request, out dfsc.Outcome, wall time.Duration)
 // the horizon and returns the accumulated results.
 func (c *Cluster) Run() (*Results, error) { return c.RunWithObserver(nil) }
 
-// dispatch routes one request to its client by operation kind: reads run
-// the full three-phase access, writes run the store flow, metadata probes
-// run the MM lookup only.
-func (c *Cluster) dispatch(req workload.Request) dfsc.Outcome {
-	cl := c.clients[int(req.DFSC)]
-	switch req.Op {
-	case workload.OpWrite:
-		return cl.Store(req.File)
-	case workload.OpMeta:
-		return cl.Probe(req.File)
-	default:
-		return cl.Access(req.File)
-	}
-}
-
 // RunWithObserver is Run with a per-request observation hook (nil
-// behaves exactly like Run). Requests dispatch by their Op — the mixed
-// scenarios interleave reads, bulk writes and metadata probes on one
-// timeline — and obs sees every outcome with its wall-clock dispatch
-// cost.
+// behaves exactly like Run). Each request goes to its DFSC's Client.Do,
+// which routes it by its Op — the mixed scenarios interleave reads, bulk
+// writes and metadata probes on one timeline — and obs sees every
+// outcome with its wall-clock dispatch cost.
 func (c *Cluster) RunWithObserver(obs Observer) (*Results, error) {
 	horizon := simtime.Time(c.cfg.Workload.HorizonSec)
 
@@ -497,12 +482,13 @@ func (c *Cluster) RunWithObserver(obs Observer) (*Results, error) {
 	}
 	c.sched.Feed(arrivals, func(i int, _ simtime.Time) {
 		req := reqs[i]
+		cl := c.clients[int(req.DFSC)]
 		if obs == nil {
-			c.dispatch(req)
+			cl.Do(req.Op, req.File)
 			return
 		}
 		start := time.Now()
-		out := c.dispatch(req)
+		out := cl.Do(req.Op, req.File)
 		obs(req, out, time.Since(start))
 	})
 

@@ -33,6 +33,7 @@ import (
 	"dfsqos/internal/simtime"
 	"dfsqos/internal/trace"
 	"dfsqos/internal/transport"
+	"dfsqos/internal/workload"
 )
 
 // Stats counts request outcomes and protocol traffic at one client,
@@ -229,11 +230,27 @@ func (c *Client) Stats() Stats {
 // admitted, schedules the release of the reservation after the file's
 // playback duration. It returns the outcome of the open.
 func (c *Client) Access(file ids.FileID) Outcome {
-	out, p := c.negotiate(file)
-	if out.OK {
-		c.scheduleClose(p, out.Request, c.cat.File(file).DurationSec)
+	grants, fail := c.negotiateLanes(context.Background(), file, nil, 1)
+	if len(grants) == 0 {
+		return fail
 	}
-	return out
+	g := grants[0]
+	c.scheduleClose(g.p, g.out.Request, c.cat.File(file).DurationSec)
+	return g.out
+}
+
+// Do sends one request of kind op for file: a write is a Store, a
+// metadata op a Probe, and a read an Access. It is the one place a
+// pattern's operation kinds meet the client's calls.
+func (c *Client) Do(op workload.Op, file ids.FileID) Outcome {
+	switch op {
+	case workload.OpWrite:
+		return c.Store(file)
+	case workload.OpMeta:
+		return c.Probe(file)
+	default:
+		return c.Access(file)
+	}
 }
 
 // Probe runs only phase 1 of the flow — the Metadata Manager lookup — and
@@ -353,16 +370,6 @@ func (c *Client) Store(file ids.FileID) Outcome {
 	c.stats.Failed++
 	c.mu.Unlock()
 	return Outcome{Request: req, File: file, RM: ids.NoneRM, OK: false, Reason: "no RM could store the file"}
-}
-
-// negotiate performs phases 1-3 and returns the outcome plus the serving
-// provider (nil on failure).
-func (c *Client) negotiate(file ids.FileID) (Outcome, ecnp.Provider) {
-	grants, fail := c.negotiateLanes(context.Background(), file, nil, 1)
-	if len(grants) == 0 {
-		return fail, nil
-	}
-	return grants[0].out, grants[0].p
 }
 
 // ctxMapper is optionally implemented by Mappers whose Lookup round trip
@@ -548,7 +555,7 @@ func (c *Client) negotiateLanes(ctx context.Context, file ids.FileID, exclude ma
 	// opens under its own request ID (the first reuses the negotiation's,
 	// so 1-wide callers see today's exact request identity).
 	var grants []grant
-	var last ecnp.Refusal // the latest refusal, for the firm-exhausted outcome
+	var last ecnp.OpenResult // the latest refusal, for the firm-exhausted outcome
 	for _, rmID := range order {
 		if len(grants) == k {
 			break
@@ -581,7 +588,7 @@ func (c *Client) negotiateLanes(ctx context.Context, file ids.FileID, exclude ma
 		c.addMessages(2) // open + result
 		if !res.OK {
 			openSp.SetOutcome("rejected").End()
-			last = res.Code
+			last = res
 			if firm {
 				c.met.Fallbacks.Inc()
 				continue
@@ -627,7 +634,7 @@ func (c *Client) negotiateLanes(ctx context.Context, file ids.FileID, exclude ma
 	c.met.Failed.Inc()
 	c.dropLease(file, fromLease)
 	sp.SetOutcome("firm-exhausted")
-	return nil, Outcome{Request: req, File: file, RM: ids.NoneRM, OK: false, Code: last, Reason: "insufficient bandwidth on all replicas"}
+	return nil, Outcome{Request: req, File: file, RM: ids.NoneRM, OK: false, Code: last.Code, Reason: last.Reason}
 }
 
 // lookupHolders runs the non-broadcast half of phase 1: the metadata

@@ -175,19 +175,19 @@ func TestNegotiationTable(t *testing.T) {
 				{id: 1, rem: mbps(20), refuse: firmCap}, {id: 2, rem: mbps(30), refuse: firmCap}, {id: 3, rem: mbps(10), refuse: firmCap}},
 			policy: selection.RemOnly, scenario: qos.Firm, lanes: 1,
 			wantCFPs: []ids.RMID{1, 2, 3}, wantOpens: []ids.RMID{2, 1, 3},
-			wantReason: "insufficient bandwidth on all replicas", wantCode: firmCap,
+			wantReason: "insufficient bandwidth", wantCode: firmCap,
 			wantStats: Stats{Requests: 1, Failed: 1, Messages: 2 + 2*3 + 2*3},
 		},
 		{
-			// The text is the firm walk's; the code says it was the
-			// tenant's quota, not the disks, that every holder refused.
+			// The text and the code both say it was the tenant's quota,
+			// not the disks, that every holder refused.
 			name:    "firm refused by every holder for the tenant's quota",
 			holders: []ids.RMID{1, 2},
 			providers: []scriptProvider{
 				{id: 1, rem: mbps(20), refuse: overQuota}, {id: 2, rem: mbps(30), refuse: overQuota}},
 			policy: selection.RemOnly, scenario: qos.Firm, lanes: 1,
 			wantCFPs: []ids.RMID{1, 2}, wantOpens: []ids.RMID{2, 1},
-			wantReason: "insufficient bandwidth on all replicas", wantCode: overQuota,
+			wantReason: "tenant over its bandwidth quota", wantCode: overQuota,
 			wantStats: Stats{Requests: 1, Failed: 1, Messages: 2 + 2*2 + 2*2},
 		},
 		{
@@ -247,7 +247,7 @@ func TestNegotiationTable(t *testing.T) {
 				{id: 3, rem: mbps(20), refuse: firmCap}, {id: 4, rem: mbps(10), refuse: firmCap}},
 			policy: selection.Random, scenario: qos.Firm, lanes: 1,
 			wantCFPs: []ids.RMID{1, 2, 3, 4}, wantOpens: randomWalkOfFour,
-			wantReason: "insufficient bandwidth on all replicas", wantCode: firmCap,
+			wantReason: "insufficient bandwidth", wantCode: firmCap,
 			wantStats: Stats{Requests: 1, Failed: 1, Messages: 2 + 2*4 + 2*4},
 		},
 		{

@@ -469,7 +469,8 @@ func (c *Client) OpenRead(rs RangeStreamer, file ids.FileID, cfg StripeConfig) (
 		st.release()
 		r.root.SetOutcome("error").End()
 		if fail.Code != 0 {
-			return nil, fmt.Errorf("dfsc: read %v: %s: %w", file, fail.Reason, fail.Code)
+			// The refusal's text is the reason.
+			return nil, fmt.Errorf("dfsc: read %v: %w", file, fail.Code)
 		}
 		return nil, fmt.Errorf("dfsc: read %v: %s", file, fail.Reason)
 	}

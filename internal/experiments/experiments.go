@@ -537,10 +537,3 @@ func renderSeries(title string, s *metrics.Series, capacity float64) string {
 	}
 	return b.String()
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

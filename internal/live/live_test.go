@@ -8,6 +8,7 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -391,6 +392,28 @@ func TestWallScheduler(t *testing.T) {
 	s.mu.Unlock()
 	if left != 0 {
 		t.Fatalf("%d fired timers still registered", left)
+	}
+}
+
+// TestWallSchedulerRunPending: RunPending runs every callback still
+// pending, once, and none that was cancelled; Stop runs none.
+func TestWallSchedulerRunPending(t *testing.T) {
+	s := NewWallScheduler(1)
+	var ran atomic.Int32
+	for i := 0; i < 3; i++ {
+		s.After(1e6, func(simtime.Time) { ran.Add(1) })
+	}
+	s.After(1e6, func(simtime.Time) { t.Error("cancelled callback ran") })()
+	s.RunPending()
+	if got := ran.Load(); got != 3 {
+		t.Fatalf("RunPending ran %d callbacks, want 3", got)
+	}
+	s.RunPending()
+	s.After(1e6, func(simtime.Time) { t.Error("stopped callback ran") })
+	s.Stop()
+	s.RunPending()
+	if got := ran.Load(); got != 3 {
+		t.Fatalf("%d callbacks ran in all, want 3", got)
 	}
 }
 

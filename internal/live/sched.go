@@ -25,8 +25,12 @@ type WallScheduler struct {
 	start time.Time
 	scale float64
 
-	mu     sync.Mutex
-	timers map[*time.Timer]struct{}
+	mu sync.Mutex
+	// timers holds each pending callback: neither run nor cancelled. The
+	// first of the timer's firing, its cancel func, Stop and RunPending
+	// to take a timer out of it decides the callback's fate.
+	timers map[*time.Timer]func(simtime.Time)
+	firing sync.WaitGroup // callbacks their timers are running now
 }
 
 // NewWallScheduler returns a scheduler anchored at the current instant.
@@ -38,7 +42,7 @@ func NewWallScheduler(scale float64) *WallScheduler {
 	return &WallScheduler{
 		start:  time.Now(),
 		scale:  scale,
-		timers: make(map[*time.Timer]struct{}),
+		timers: make(map[*time.Timer]func(simtime.Time)),
 	}
 }
 
@@ -60,31 +64,61 @@ func (w *WallScheduler) After(d simtime.Duration, fn func(simtime.Time)) func() 
 	w.mu.Lock()
 	t = time.AfterFunc(wall, func() {
 		w.mu.Lock()
-		delete(w.timers, t)
+		fire := w.takeLocked(t)
+		if fire {
+			w.firing.Add(1)
+		}
 		w.mu.Unlock()
-		fn(w.Now())
+		if fire {
+			defer w.firing.Done()
+			fn(w.Now())
+		}
 	})
-	w.timers[t] = struct{}{}
+	w.timers[t] = fn
 	w.mu.Unlock()
 	return func() bool {
-		stopped := t.Stop()
-		if stopped {
-			w.mu.Lock()
-			delete(w.timers, t)
-			w.mu.Unlock()
-		}
-		return stopped
+		t.Stop()
+		w.mu.Lock()
+		defer w.mu.Unlock()
+		return w.takeLocked(t)
 	}
 }
 
-// Stop cancels all outstanding timers (shutdown hygiene).
-func (w *WallScheduler) Stop() {
+// takeLocked removes t from the pending set and reports whether it was
+// still there. w.mu is held.
+func (w *WallScheduler) takeLocked(t *time.Timer) bool {
+	_, ok := w.timers[t]
+	delete(w.timers, t)
+	return ok
+}
+
+// pending empties the pending set and returns what it held.
+func (w *WallScheduler) pending() map[*time.Timer]func(simtime.Time) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	for t := range w.timers {
+	p := w.timers
+	w.timers = make(map[*time.Timer]func(simtime.Time))
+	return p
+}
+
+// Stop cancels all outstanding timers (shutdown hygiene): their callbacks
+// never run.
+func (w *WallScheduler) Stop() {
+	for t := range w.pending() {
 		t.Stop()
 	}
-	w.timers = make(map[*time.Timer]struct{})
+}
+
+// RunPending runs every outstanding callback now instead of at its time,
+// and returns once those and any callback already running have finished.
+// It is a client's exit: the closes it scheduled release their
+// reservations rather than leave them to the RM's lease sweeper.
+func (w *WallScheduler) RunPending() {
+	for t, fn := range w.pending() {
+		t.Stop()
+		fn(w.Now())
+	}
+	w.firing.Wait()
 }
 
 var _ ecnp.Scheduler = (*WallScheduler)(nil)

@@ -3,7 +3,6 @@ package scenario
 import (
 	"fmt"
 	"io"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -40,34 +39,39 @@ type LiveResult struct {
 	Classes []ClassStats `json:"classes"`
 }
 
-// runLive stands up a real loopback-TCP deployment — a live.Local of one
-// MM server and the slice's RM servers with throttled virtual disks, and a
-// pool of DFSC clients — and replays the scenario's shape open-loop against it under wall-time
-// compression. Requests are issued at their (scaled) arrival instants
-// regardless of completion; beyond MaxInflight they queue for a free
-// client slot and the queueing shows up in the recorded latency, exactly
-// like an overloaded front end.
-func runLive(spec Spec, opts Options) (*LiveResult, error) {
-	ls := *spec.Live
-	users := ls.Users
-	if opts.Short && ls.ShortUsers > 0 {
-		users = ls.ShortUsers
-	}
-	inflight := ls.MaxInflight
-	if inflight <= 0 {
-		inflight = 8
-	}
-	timeScale := ls.TimeScale
-	if timeScale <= 0 {
-		timeScale = 50
-	}
+// The live slice's shape, the same for every scenario: liveUsers users
+// (liveShortUsers in short mode) over liveDFSCs clients, liveRMs RM
+// servers with the paper topology's first capacities, a liveFiles-file
+// catalog, and a liveHorizonSec horizon at liveMeanArrivalSec per-user
+// inter-arrival, compressed liveTimeScale-fold into wall time (240 s in
+// 4.8 s).
+const (
+	liveUsers, liveShortUsers = 48, 24
+	liveDFSCs                 = 16
+	liveRMs, liveFiles        = 4, 24
+	liveHorizonSec            = 240
+	liveMeanArrivalSec        = 40
+	liveTimeScale             = 50
+)
 
+// runLive stands up a real loopback-TCP deployment — a live.Local of one
+// MM server and the slice's RM servers with throttled virtual disks, and
+// one DFSC client per pattern DFSC on its mapper and directory — and
+// replays the scenario's shape open-loop against it with dfsc.Replay.
+// A request's latency runs from its scheduled arrival, so time it queued
+// behind its DFSC's earlier requests counts, as behind an overloaded
+// front end.
+func runLive(spec Spec, opts Options) (*LiveResult, error) {
+	users := liveUsers
+	if opts.Short {
+		users = liveShortUsers
+	}
 	master := rng.New(opts.Seed).Split("scenario/" + spec.Name + "/live")
 
 	// A small catalog with short durations so reservations turn over
 	// within the compressed horizon.
 	catCfg := catalog.DefaultConfig()
-	catCfg.NumFiles = ls.Files
+	catCfg.NumFiles = liveFiles
 	catCfg.MeanDurationSec = 5
 	catCfg.MinDurationSec = 1
 	catCfg.MaxDurationSec = 10
@@ -76,7 +80,7 @@ func runLive(spec Spec, opts Options) (*LiveResult, error) {
 		return nil, err
 	}
 
-	caps := cluster.ScaledTopology((ls.RMs + 15) / 16)[:ls.RMs]
+	caps := cluster.PaperTopology()[:liveRMs]
 	rmIDs := make([]ids.RMID, len(caps))
 	for i := range caps {
 		rmIDs[i] = ids.RMID(i + 1)
@@ -95,7 +99,7 @@ func runLive(spec Spec, opts Options) (*LiveResult, error) {
 		Catalog:   cat,
 		Caps:      caps,
 		Holders:   holders,
-		TimeScale: timeScale,
+		TimeScale: liveTimeScale,
 		Rand:      master,
 		MM:        live.MMSpec{Tracer: tracer},
 		RM:        live.RMSpec{Tracer: tracer},
@@ -109,18 +113,11 @@ func runLive(spec Spec, opts Options) (*LiveResult, error) {
 	if spec.Firm {
 		scen = qos.Firm
 	}
-	// One client per inflight slot, each with its own MM connection, so
-	// concurrently executing requests never share a negotiation path.
-	clients := make(chan *dfsc.Client, inflight)
-	for i := 0; i < inflight; i++ {
-		cli, err := live.DialMM(lc.MM.Addr())
-		if err != nil {
-			return nil, err
-		}
-		defer cli.Close()
-		c, err := dfsc.New(dfsc.Options{
+	clients := make([]*dfsc.Client, liveDFSCs)
+	for i := range clients {
+		clients[i], err = dfsc.New(dfsc.Options{
 			ID:        ids.DFSCID(i),
-			Mapper:    cli,
+			Mapper:    lc.Mapper,
 			Directory: lc.Dir,
 			Scheduler: lc.Sched,
 			Catalog:   cat,
@@ -133,67 +130,49 @@ func runLive(spec Spec, opts Options) (*LiveResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		clients <- c
 	}
 
 	wl := workload.Config{
 		NumUsers:       users,
-		NumDFSC:        inflight,
-		MeanArrivalSec: ls.MeanArrivalSec,
-		HorizonSec:     ls.HorizonSec,
+		NumDFSC:        liveDFSCs,
+		MeanArrivalSec: liveMeanArrivalSec,
+		HorizonSec:     liveHorizonSec,
 	}
 	pattern, err := workload.Generate(wl, cat, master.Split("workload"))
 	if err != nil {
 		return nil, err
 	}
-	if err := applyShape(spec, pattern, cat, master.Split("transforms"), ls.HorizonSec, users); err != nil {
+	if err := applyShape(spec, pattern, cat, master.Split("transforms"), liveHorizonSec, users); err != nil {
 		return nil, err
 	}
 
-	opts.logf("scenario %s: live slice: %d users, %d requests over %.0fs at 1/%.0f wall scale (%d RMs)",
-		spec.Name, users, pattern.Len(), ls.HorizonSec, timeScale, len(caps))
+	opts.logf("scenario %s: live slice: %d users, %d requests over %ds at 1/%d wall scale (%d RMs)",
+		spec.Name, users, pattern.Len(), liveHorizonSec, liveTimeScale, len(caps))
 
 	rec := NewRecorder()
-	var bytesStreamed, failovers int64
-	var wg sync.WaitGroup
+	var bytesStreamed, failovers atomic.Int64
 	start := time.Now()
-	for _, req := range pattern.Requests {
-		at := time.Duration(req.AtSec / timeScale * float64(time.Second))
-		if d := at - time.Since(start); d > 0 {
-			time.Sleep(d)
+	dfsc.Replay(pattern, liveTimeScale, func(req workload.Request, due time.Time) {
+		cl := clients[req.DFSC]
+		var ok bool
+		if spec.Live.StreamReads && req.Op == workload.OpRead {
+			res, err := cl.ReadStriped(lc.Dir, req.File, io.Discard, dfsc.StripeConfig{Width: 1, MaxFailovers: 2})
+			bytesStreamed.Add(res.Bytes)
+			failovers.Add(int64(res.Failovers))
+			ok = err == nil
+		} else {
+			ok = cl.Do(req.Op, req.File).OK
 		}
-		wg.Add(1)
-		go func(req workload.Request) {
-			defer wg.Done()
-			cl := <-clients
-			defer func() { clients <- cl }()
-			t0 := time.Now()
-			ok := true
-			switch {
-			case req.Op == workload.OpWrite:
-				ok = cl.Store(req.File).OK
-			case req.Op == workload.OpMeta:
-				ok = cl.Probe(req.File).OK
-			case ls.StreamReads:
-				res, err := cl.ReadStriped(lc.Dir, req.File, io.Discard, dfsc.StripeConfig{Width: 1, MaxFailovers: 2})
-				atomic.AddInt64(&bytesStreamed, res.Bytes)
-				atomic.AddInt64(&failovers, int64(res.Failovers))
-				ok = err == nil
-			default:
-				ok = cl.Access(req.File).OK
-			}
-			rec.Observe(classOf(req), time.Since(t0), ok)
-		}(req)
-	}
-	wg.Wait()
+		rec.Observe(classOf(req), time.Since(due), ok)
+	})
 
 	count, failed := rec.Totals()
 	lr := &LiveResult{
 		Users:         users,
 		Requests:      count,
 		Failed:        failed,
-		BytesStreamed: atomic.LoadInt64(&bytesStreamed),
-		Failovers:     atomic.LoadInt64(&failovers),
+		BytesStreamed: bytesStreamed.Load(),
+		Failovers:     failovers.Load(),
 		TraceSpans:    len(tracer.Snapshot()),
 		ElapsedSec:    time.Since(start).Seconds(),
 		Classes:       rec.Stats(),

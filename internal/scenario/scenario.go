@@ -51,31 +51,12 @@ type BurstSpec struct {
 	SurgeFactor float64 `json:"surge_factor"`
 }
 
-// LiveSpec sizes the scenario's scaled-down live-TCP slice: the same
-// scenario shape replayed open-loop against real MM/RM servers over
-// loopback TCP, with real reservations, real disk-backed streams and the
-// PR 5 tracer attached.
+// LiveSpec asks for the scenario's scaled-down live-TCP slice: the same
+// scenario shape replayed open-loop by dfsc.Replay against real MM/RM
+// servers over loopback TCP, with real reservations, real disk-backed
+// streams and the tracer attached. Every scenario's slice has the one
+// size the live* constants give it.
 type LiveSpec struct {
-	// Users and ShortUsers size the slice's population (short mode falls
-	// back to Users when ShortUsers is 0).
-	Users      int `json:"users"`
-	ShortUsers int `json:"short_users,omitempty"`
-	// RMs is the number of live RM servers (capacities are the first RMs
-	// of the paper topology).
-	RMs int `json:"rms"`
-	// Files is the slice's catalog size.
-	Files int `json:"files"`
-	// HorizonSec is the slice's virtual horizon; wall duration is
-	// HorizonSec/TimeScale.
-	HorizonSec float64 `json:"horizon_sec"`
-	// MeanArrivalSec is each user's mean inter-arrival time (virtual).
-	MeanArrivalSec float64 `json:"mean_arrival_sec"`
-	// TimeScale compresses virtual seconds into wall time (50: a 300 s
-	// slice runs in 6 s).
-	TimeScale float64 `json:"time_scale"`
-	// MaxInflight bounds concurrently executing requests; arrivals stay
-	// open-loop and queue for a free client slot beyond it.
-	MaxInflight int `json:"max_inflight"`
 	// StreamReads streams real file bytes through a one-lane
 	// dfsc.ReadStriped (failover budget 2) instead of reserve-only
 	// accesses.
@@ -594,15 +575,7 @@ func Builtin() []Spec {
 				MaxLiveFailRate: 0.60,
 				MaxLiveP99Sec:   30,
 			},
-			Live: &LiveSpec{
-				Users: 48, ShortUsers: 24,
-				RMs: 4, Files: 24,
-				HorizonSec:     240,
-				MeanArrivalSec: 40,
-				TimeScale:      50,
-				MaxInflight:    16,
-				StreamReads:    true,
-			},
+			Live: &LiveSpec{StreamReads: true},
 		},
 		{
 			Name:        "flash-crowd",
@@ -626,14 +599,7 @@ func Builtin() []Spec {
 				MaxLiveFailRate: 0.60,
 				MaxLiveP99Sec:   30,
 			},
-			Live: &LiveSpec{
-				Users: 48, ShortUsers: 24,
-				RMs: 4, Files: 24,
-				HorizonSec:     240,
-				MeanArrivalSec: 40,
-				TimeScale:      50,
-				MaxInflight:    16,
-			},
+			Live: &LiveSpec{},
 		},
 		{
 			Name:        "diurnal-tide",
@@ -655,15 +621,7 @@ func Builtin() []Spec {
 				MaxLiveFailRate: 0.60,
 				MaxLiveP99Sec:   30,
 			},
-			Live: &LiveSpec{
-				Users: 48, ShortUsers: 24,
-				RMs: 4, Files: 24,
-				HorizonSec:     240,
-				MeanArrivalSec: 40,
-				TimeScale:      50,
-				MaxInflight:    16,
-				StreamReads:    true,
-			},
+			Live: &LiveSpec{StreamReads: true},
 		},
 		{
 			Name:        "mixed-storm",
@@ -693,14 +651,7 @@ func Builtin() []Spec {
 				MaxLiveFailRate:    0.60,
 				MaxLiveP99Sec:      30,
 			},
-			Live: &LiveSpec{
-				Users: 48, ShortUsers: 24,
-				RMs: 4, Files: 24,
-				HorizonSec:     240,
-				MeanArrivalSec: 40,
-				TimeScale:      50,
-				MaxInflight:    16,
-			},
+			Live: &LiveSpec{},
 		},
 		{
 			Name:        "noisy-neighbor",
@@ -734,14 +685,7 @@ func Builtin() []Spec {
 				MaxLiveFailRate:        0.60,
 				MaxLiveP99Sec:          30,
 			},
-			Live: &LiveSpec{
-				Users: 48, ShortUsers: 24,
-				RMs: 4, Files: 24,
-				HorizonSec:     240,
-				MeanArrivalSec: 40,
-				TimeScale:      50,
-				MaxInflight:    16,
-			},
+			Live: &LiveSpec{},
 		},
 	}
 }

@@ -413,17 +413,8 @@ func TestRunLiveSlice(t *testing.T) {
 	}
 	spec := testSpec()
 	spec.SLO.MaxLiveFailRate = 0.9
-	spec.Live = &LiveSpec{
-		Users:          8,
-		RMs:            2,
-		Files:          12,
-		HorizonSec:     40,
-		MeanArrivalSec: 10,
-		TimeScale:      50,
-		MaxInflight:    4,
-		StreamReads:    true,
-	}
-	res, err := Run(spec, Options{Seed: 5})
+	spec.Live = &LiveSpec{StreamReads: true}
+	res, err := Run(spec, Options{Seed: 5, Short: true})
 	if err != nil {
 		t.Fatal(err)
 	}

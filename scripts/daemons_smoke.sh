@@ -2,15 +2,18 @@
 # daemons_smoke.sh — the three binaries together on loopback.
 #
 # Builds mmd, rmd, dfsc and workloadgen, starts one mmd (with its monitor
-# and RM liveness armed) and two rmd (heartbeats and leases on), waits
-# until the MM's /stats reports both RMs live, runs `dfsc -n 3` and checks
-# that all three accesses were admitted. Then it runs the paper's request
-# scheduler: `workloadgen` writes a 64-user pattern over the same catalog
-# and `dfsc -replay` sends it to the same two rmd in about 5 wall seconds;
-# dfsc must exit 0 with as many requests in its summary as workloadgen
-# generated. Last, it sends each daemon SIGTERM and checks that it exits
-# 0. Every address is an ephemeral port read back from the daemon's log,
-# so runs do not collide.
+# and RM liveness armed) and two rmd (monitors, heartbeats and 2 s leases
+# on), waits until the MM's /stats reports both RMs live, runs `dfsc -n 3`
+# and checks that all three accesses were admitted. Then it runs the
+# paper's request scheduler: `workloadgen` writes a 64-user pattern over
+# the same catalog and `dfsc -replay` sends it to the same two rmd in
+# about 5 wall seconds; dfsc must exit 0 with as many requests in its
+# summary as workloadgen generated. Right after each dfsc exits, each
+# rmd's /metrics must read `dfsqos_rm_active_streams 0`: dfsc closes what
+# it reserved on its way out, and the check runs before the 2 s lease
+# could have swept a reservation it left. Last, it sends each daemon
+# SIGTERM and checks that it exits 0. Every address is an ephemeral port
+# read back from the daemon's log, so runs do not collide.
 #
 # Usage:
 #   ./scripts/daemons_smoke.sh
@@ -61,13 +64,25 @@ MM="$(await "$WORK/mmd.log" 's/.*mmd: listening on \([^ ;]*\).*/\1/p')" || fail 
 MON="$(await "$WORK/mmd.log" 's|.*mmd: stats at http://\([^/]*\)/stats.*|\1|p')" || fail "mmd monitor never served"
 
 RMDS=""
+RMMONS=""
 for id in 1 2; do
     # shellcheck disable=SC2086 # CORPUS is intentionally word-split
-    "$WORK/rmd" -id "$id" -mm "$MM" -capacity 100Mbps $CORPUS \
+    "$WORK/rmd" -id "$id" -mm "$MM" -capacity 100Mbps $CORPUS -monitor 127.0.0.1:0 \
         -heartbeat-interval 200ms -lease-ttl 2s 2>"$WORK/rmd$id.log" &
     RMDS="$RMDS $!"
     PIDS="$PIDS $!"
+    RMMONS="$RMMONS $(await "$WORK/rmd$id.log" 's|.*rmd: RM[0-9]* stats at http://\([^/]*\)/stats.*|\1|p')" ||
+        fail "rmd $id monitor never served"
 done
+
+# released WHAT: every rmd's /metrics reads no active stream once WHAT has
+# exited.
+released() {
+    for mon in $RMMONS; do
+        curl -sf "http://$mon/metrics" | grep -q '^dfsqos_rm_active_streams 0$' ||
+            fail "rmd at $mon still holds reservations after $1 exited"
+    done
+}
 
 i=0
 until curl -sf "http://$MON/stats" | grep -q '"liveRMs": *2'; do
@@ -80,6 +95,7 @@ done
 "$WORK/dfsc" -mm "$MM" $CORPUS -n 3 -gap 0 >"$WORK/dfsc.out" 2>"$WORK/dfsc.log" || fail "dfsc exited $?"
 cat "$WORK/dfsc.out"
 grep -q ' 3 admitted' "$WORK/dfsc.out" || fail "dfsc did not admit all 3 accesses"
+released "dfsc -n 3"
 
 # 600 virtual seconds at -scale 120: the replay takes about 5 wall seconds.
 "$WORK/workloadgen" -users 64 -files 20 -horizon 600 -o "$WORK/pattern.json" 2>"$WORK/workloadgen.log" ||
@@ -92,6 +108,7 @@ WANT="$(sed -n 's/^workloadgen: \([0-9]*\) requests.*/\1/p' "$WORK/workloadgen.l
 cat "$WORK/replay.out"
 grep -q "^dfsc: $WANT requests," "$WORK/replay.out" ||
     fail "dfsc -replay did not send the $WANT requests workloadgen generated"
+released "dfsc -replay"
 
 for pid in $RMDS $MMD; do
     kill -TERM "$pid"
