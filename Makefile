@@ -56,7 +56,9 @@ chaos-mm:
 # `dfsc -n 3`; it waits for mmd's /stats to report both RMs live and checks
 # that all three accesses were admitted. It then replays a `workloadgen`
 # pattern through `dfsc -replay` (the paper's request scheduler), which
-# must exit 0 having sent every generated request. After each dfsc exits,
+# must exit 0 having sent every generated request, and a hand-written
+# pattern of one read, one write and one probe, which must exit 0 with all
+# three counted. After each dfsc exits,
 # every rmd's /metrics must read no active stream; last, SIGTERM must make
 # each daemon exit 0.
 daemons-smoke:

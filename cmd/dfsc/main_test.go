@@ -104,17 +104,8 @@ func TestReplayHonoursOp(t *testing.T) {
 			{AtSec: 0, File: probed, Op: workload.OpMeta},
 		},
 	}
-	path := filepath.Join(t.TempDir(), "pattern.json")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Save(f); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
 	var out strings.Builder
-	if err := run(append(flags, "-replay", path), &out); err != nil {
+	if err := run(append(flags, "-replay", savePattern(t, p)), &out); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "2 admitted") {
@@ -133,4 +124,37 @@ func TestReplayHonoursOp(t *testing.T) {
 	if cfps != 2 || opens != 1 {
 		t.Errorf("RMs saw %d CFP(s) and %d open(s), want 2 and 1", cfps, opens)
 	}
+}
+
+// TestReplayWriteRefusedEverywhere: a write of a file every RM already
+// holds is refused by each of them, and the failure carries the last
+// refusal's code, so dfsc counts it refused, not a fault, and exits 0.
+func TestReplayWriteRefusedEverywhere(t *testing.T) {
+	_, flags := deploy(t, 4, 2, 2)
+	p := &workload.Pattern{
+		Config:   workload.Config{NumUsers: 1, NumDFSC: 1, MeanArrivalSec: 1, HorizonSec: 1},
+		Requests: []workload.Request{{AtSec: 0, File: 0, Op: workload.OpWrite}},
+	}
+	var out strings.Builder
+	if err := run(append(flags, "-replay", savePattern(t, p)), &out); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "1 requests, 0 admitted, 1 failed") {
+		t.Fatalf("%q, want 1 requests, 0 admitted, 1 failed", out.String())
+	}
+}
+
+// savePattern writes p where workload.Load reads it and returns the path.
+func savePattern(t *testing.T, p *workload.Pattern) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "pattern.json")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if err := p.Save(f); err != nil {
+		t.Fatal(err)
+	}
+	return path
 }

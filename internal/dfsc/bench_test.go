@@ -69,7 +69,7 @@ func BenchmarkCollectBidsConcurrent(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			bids, providers := c.collectBids(ctx, ids16, cfp, false)
+			bids, providers := c.collectBids(ctx, ids16, cfp)
 			if len(bids) != holders || len(providers) != holders {
 				b.Fatalf("collected %d bids from %d providers", len(bids), len(providers))
 			}

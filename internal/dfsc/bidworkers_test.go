@@ -253,8 +253,10 @@ func TestResourceWideFanoutCompletesAndDrains(t *testing.T) {
 			t.Fatalf("RM%d received %d CFPs, want 2 (one per fan-out)", id, got)
 		}
 	}
-	if got := c.Stats().Messages; got != 2+2*rms+2 {
-		t.Fatalf("messages = %d, want %d (the open's; Store does not count)", got, 2+2*rms+2)
+	// The open: list, CFPs, open. The store: list, CFPs, store, open,
+	// registration.
+	if want := int64(2+2*rms+2) + (2 + 2*rms + 2 + 2 + 2); c.Stats().Messages != want {
+		t.Fatalf("messages = %d, want %d (the open's and the store's)", c.Stats().Messages, want)
 	}
 	waitWorkers(t, c, 0)
 }

@@ -1,11 +1,15 @@
 // Package dfsc implements the Distributed File System Client — the
-// Requester role of the ECNP model. On each user request the client runs
-// the paper's three-phase resource-management flow: it queries the Metadata
-// Manager for the eligible RMs (resource exploration), fans a
-// Call-For-Proposal out to all of them and scores the returned bids with
-// the configured resource-selection policy (resource negotiation), and then
-// opens the data access on the winner (data communication), holding the
-// bandwidth reservation for the file's playback duration.
+// Requester role of the ECNP model. Every user request runs the paper's
+// three-phase resource-management flow, one implementation of it
+// (negotiateLanes): the client queries the Metadata Manager for the
+// eligible RMs (resource exploration), fans a Call-For-Proposal out to all
+// of them and scores the returned bids with the configured
+// resource-selection policy (resource negotiation), and then opens the
+// data access on the winner (data communication), holding the bandwidth
+// reservation for the file's playback duration. A read (Access) runs it
+// whole; a write (Store) runs it over every registered RM and stores the
+// file on the winner before its open; a metadata probe (Probe) stops
+// after phase 1. Do picks the form from a pattern's operation.
 //
 // In the paper the client sits behind FUSE: the MM query is issued from the
 // readdir callback, CFP fan-out and selection from open, and the transfer
@@ -33,6 +37,7 @@ import (
 	"dfsqos/internal/simtime"
 	"dfsqos/internal/trace"
 	"dfsqos/internal/transport"
+	"dfsqos/internal/units"
 	"dfsqos/internal/workload"
 )
 
@@ -64,14 +69,15 @@ type Stats struct {
 	HedgesWon int64
 	// Messages counts control-plane messages this client exchanged:
 	// matchmaker queries and replies, CFPs and bids, opens and their
-	// results. It is the quantity behind the paper\'s claim that the ECNP
-	// matchmaker "avoid[s] excessive redundant messages" versus plain CNP
-	// broadcast (compare with Options.BroadcastCNP).
+	// results, and a write's store and replica registration, each with
+	// its reply. It is the quantity behind the paper's claim that the
+	// ECNP matchmaker "avoid[s] excessive redundant messages" versus
+	// plain CNP broadcast (compare with Options.BroadcastCNP).
 	Messages int64
-	// Oversubscribed counts admitted lanes whose winning bid could no
-	// longer cover the request from its assured (nominal-capacity)
-	// headroom — the stream was admitted into the RM's advertised
-	// oversubscription ceiling instead.
+	// Oversubscribed counts admitted lanes, reads' and writes' ingests
+	// alike, whose winning bid could no longer cover the request from its
+	// assured (nominal-capacity) headroom — the stream was admitted into
+	// the RM's advertised oversubscription ceiling instead.
 	Oversubscribed int64
 }
 
@@ -226,18 +232,24 @@ func (c *Client) Stats() Stats {
 	return c.stats
 }
 
-// Access runs the full three-phase flow for one file request and, when
-// admitted, schedules the release of the reservation after the file's
-// playback duration. It returns the outcome of the open.
-func (c *Client) Access(file ids.FileID) Outcome {
-	grants, fail := c.negotiateLanes(context.Background(), file, nil, 1)
-	if len(grants) == 0 {
-		return fail
-	}
-	g := grants[0]
-	c.scheduleClose(g.p, g.out.Request, c.cat.File(file).DurationSec)
-	return g.out
-}
+// Access reads file: the full three-phase flow, with the reservation
+// released after the file's playback duration. It returns the outcome of
+// the open.
+func (c *Client) Access(file ids.FileID) Outcome { return c.send(workload.OpRead, file) }
+
+// Store writes file: "data can be stored into the selected storage
+// resource". It is a read's flow over every registered RM that stores the
+// file on the winner before its ingest open (see negotiateLanes); the
+// ingest holds the RM's bandwidth for the file's duration. It moves no
+// bytes: a live RM's StoreFile handler provisions the file on its disk.
+func (c *Client) Store(file ids.FileID) Outcome { return c.send(workload.OpWrite, file) }
+
+// Probe asks the MM for file's holders — phase 1 of the flow alone,
+// through the metadata lease when one is held — and reserves nothing: the
+// metadata-only request of small-file storms, where the MM round trip IS
+// the request. A file with no registered replica fails as a read of it
+// would.
+func (c *Client) Probe(file ids.FileID) Outcome { return c.send(workload.OpMeta, file) }
 
 // Do sends one request of kind op for file: a write is a Store, a
 // metadata op a Probe, and a read an Access. It is the one place a
@@ -253,39 +265,24 @@ func (c *Client) Do(op workload.Op, file ids.FileID) Outcome {
 	}
 }
 
-// Probe runs only phase 1 of the flow — the Metadata Manager lookup — and
-// returns without reserving bandwidth: the metadata-only request shape of
-// small-file storms, where the MM round trip IS the request. It counts
-// toward Requests/Messages like any access; a file with no registered
-// replica counts as NoReplica+Failed, mirroring the read path's outcome
-// for the same condition.
-func (c *Client) Probe(file ids.FileID) Outcome {
-	req := c.nextRequestID()
-	c.mu.Lock()
-	c.stats.Requests++
-	c.mu.Unlock()
-
-	holders := c.mapper.Lookup(file)
-	c.addMessages(2) // query + reply
-	if len(holders) == 0 {
-		c.mu.Lock()
-		c.stats.NoReplica++
-		c.stats.Failed++
-		c.mu.Unlock()
-		c.met.NoReplica.Inc()
-		return Outcome{Request: req, File: file, RM: ids.NoneRM, OK: false, Reason: "no replica registered"}
+// send runs one request of kind op through the three-phase flow. An
+// admitted read or write holds its reservation for the file's duration,
+// then closes it; a probe completes at once.
+func (c *Client) send(op workload.Op, file ids.FileID) Outcome {
+	grants, out := c.negotiateLanes(context.Background(), op, file, nil, 1)
+	if len(grants) == 0 {
+		return out
 	}
-	c.mu.Lock()
-	c.stats.Completed++
-	c.mu.Unlock()
-	return Outcome{Request: req, File: file, RM: holders[0], OK: true}
+	g := grants[0]
+	c.scheduleClose(g.p, g.out.Request, c.cat.File(file).DurationSec)
+	return g.out
 }
 
 // AccessHeld runs the same negotiation but leaves the reservation open
 // until the returned release function is called: one lane, reserved and
 // not read. release is idempotent and non-nil even on failure.
 func (c *Client) AccessHeld(file ids.FileID) (Outcome, func()) {
-	grants, fail := c.negotiateLanes(context.Background(), file, nil, 1)
+	grants, fail := c.negotiateLanes(context.Background(), workload.OpRead, file, nil, 1)
 	if len(grants) == 0 {
 		return fail, func() {}
 	}
@@ -302,88 +299,12 @@ func (c *Client) release(g grant) {
 	c.mu.Unlock()
 }
 
-// Store runs the write half of the data communication phase: "data can be
-// stored into the selected storage resource". Every registered RM (not
-// just replica holders — a new file has none) answers the CFP; the
-// best-scoring RM that admits the reservation and the store receives the
-// file, and the MM records the new replica. The write occupies the RM's
-// bandwidth for the file's duration, like a streaming ingest.
-func (c *Client) Store(file ids.FileID) Outcome {
-	req := c.nextRequestID()
-	c.mu.Lock()
-	c.stats.Requests++
-	c.mu.Unlock()
-
-	f := c.cat.File(file)
-	cfp := ecnp.CFP{Request: req, File: file, Bitrate: f.Bitrate, DurationSec: f.DurationSec, Tenant: c.tenant}
-
-	var candidates []ids.RMID
-	for _, info := range c.mapper.RMs() {
-		candidates = append(candidates, info.ID)
-	}
-	bids, providers := c.collectBids(context.Background(), candidates, cfp, false)
-	if len(bids) == 0 {
-		c.mu.Lock()
-		c.stats.Failed++
-		c.mu.Unlock()
-		return Outcome{Request: req, File: file, RM: ids.NoneRM, OK: false, Reason: "no reachable RM"}
-	}
-
-	var order []ids.RMID
-	c.mu.Lock()
-	if c.policy.IsRandom() {
-		order = make([]ids.RMID, len(bids))
-		for i, b := range bids {
-			order[i] = b.RM
-		}
-		c.src.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-	} else {
-		order = selection.Rank(c.policy, bids)
-	}
-	firm := c.scen.IsFirm()
-	c.mu.Unlock()
-
-	store := ecnp.StoreRequest{File: file, Bitrate: f.Bitrate, SizeBytes: f.Size, DurationSec: f.DurationSec, Tenant: c.tenant}
-	open := ecnp.OpenRequest{Request: req, File: file, Bitrate: f.Bitrate, DurationSec: f.DurationSec, Firm: firm, Tenant: c.tenant}
-	for _, rmID := range order {
-		p := providers[bidIndex(bids, rmID)]
-		// An RM already holding the file cannot store it again.
-		if err := p.StoreFile(store); err != nil {
-			continue
-		}
-		res := p.Open(open)
-		if !res.OK {
-			// Keep the stored replica only if the MM accepts it even
-			// without an ingest reservation? No: an un-ingested store is
-			// dead weight — undo by leaving it unregistered and move on.
-			continue
-		}
-		if err := c.mapper.AddReplica(file, rmID); err != nil {
-			p.Close(req)
-			continue
-		}
-		c.scheduleClose(p, req, f.DurationSec)
-		return Outcome{Request: req, File: file, RM: rmID, OK: true}
-	}
-
-	c.mu.Lock()
-	c.stats.Failed++
-	c.mu.Unlock()
-	return Outcome{Request: req, File: file, RM: ids.NoneRM, OK: false, Reason: "no RM could store the file"}
-}
-
-// ctxMapper is optionally implemented by Mappers whose Lookup round trip
-// can carry a context (the live MMClient): the lookup span rides the wire
-// to the MM, which opens a matching server span.
-type ctxMapper interface {
-	LookupContext(ctx context.Context, file ids.FileID) []ids.RMID
-}
-
-// errMapper is optionally implemented by Mappers whose lookup can report
-// a transport failure (the live MMClient). ecnp.Mapper's Lookup
-// signature swallows errors, which made a dead MM indistinguishable from
-// a file with no replicas; through this interface the failure surfaces
-// with the transport taxonomy intact and is counted by class.
+// errMapper is optionally implemented by Mappers whose lookup crosses a
+// network (the live MMClient). ecnp.Mapper's Lookup signature swallows
+// errors, which made a dead MM indistinguishable from a file with no
+// replicas; through this interface the failure surfaces with the
+// transport taxonomy intact and is counted by class, and ctx carries the
+// lookup span to the MM, which opens a matching server span.
 type errMapper interface {
 	LookupErrContext(ctx context.Context, file ids.FileID) ([]ids.RMID, error)
 }
@@ -417,20 +338,29 @@ type grant struct {
 	p   ecnp.Provider
 }
 
-// negotiateLanes runs one three-phase negotiation admitting up to k
-// concurrent lanes: phases 1 (MM lookup) and 2 (CFP fan-out + scoring)
-// run exactly once, then phase 3 walks the ranked bidders admitting each
-// under its own reservation until k lanes hold or the ranking is
-// exhausted. Fewer than k grants is not an error — the striped reader
-// degrades its width to what the replica set supports. With zero grants
-// the failure Outcome describes why (the same outcomes the 1-wide path
-// has always produced). When tracing is enabled the whole negotiation is
-// spanned: a "dfsc.access" span (root, or a child of any span already in
-// ctx) covering phases 1-3, with children "dfsc.lookup" (resource
-// exploration), "dfsc.bid" (CFP fan-out), and one "dfsc.open" per
-// admission attempt — each propagated to the serving daemon over the
-// wire so the trace stitches client and server halves together.
-func (c *Client) negotiateLanes(ctx context.Context, file ids.FileID, exclude map[ids.RMID]bool, k int) ([]grant, Outcome) {
+// negotiateLanes runs the paper's three-phase flow for one request of
+// kind op, admitting up to k concurrent lanes: phases 1 and 2 run exactly
+// once, then phase 3 walks the ranked bidders admitting each under its
+// own reservation until k lanes hold or the ranking is exhausted. Fewer
+// than k grants is not an error — the striped reader degrades its width
+// to what the replica set supports. With zero grants the Outcome is the
+// request's: why it failed, or a probe's answer.
+//
+// The three kinds share it. A read explores the file's holders through
+// the MM (or the whole resource list under plain-CNP broadcast); a write
+// always explores the resource list, since a new file has no holders,
+// and in phase 3 stores the file on the bidder before its open and
+// registers the replica after it; a metadata probe stops after phase 1.
+// A firm read falls through a refused open to the next-ranked bidder, as
+// a write does on any refusal; a soft read fails on its first.
+//
+// When tracing is enabled the request is spanned: a "dfsc.access" span
+// (root, or a child of any span already in ctx) with children
+// "dfsc.lookup" (resource exploration), "dfsc.bid" (CFP fan-out), and one
+// "dfsc.open" per admission attempt — each propagated to the serving
+// daemon over the wire so the trace stitches client and server halves
+// together.
+func (c *Client) negotiateLanes(ctx context.Context, op workload.Op, file ids.FileID, exclude map[ids.RMID]bool, k int) ([]grant, Outcome) {
 	start := time.Now()
 	defer func() { c.met.NegotiationLatency.Observe(time.Since(start).Seconds()) }()
 
@@ -449,34 +379,31 @@ func (c *Client) negotiateLanes(ctx context.Context, file ids.FileID, exclude ma
 	defer sp.End()
 
 	f := c.cat.File(file)
+	write := op == workload.OpWrite
 
 	// Phase 1 — resource exploration. Under ECNP the MM answers the list
 	// of eligible RMs (those holding a replica; issued from readdir in
 	// the paper): 1 query + 1 reply — unless a metadata lease covers the
-	// file, in which case the open skips the MM entirely. Under plain-CNP
-	// broadcast there is no matchmaker: the CFP goes to every registered RM.
-	var holders []ids.RMID
+	// file, in which case the request skips the MM entirely. A write, and
+	// a read under plain-CNP broadcast, has no matchmaker to ask: the CFP
+	// goes to every registered RM.
+	var candidates []ids.RMID
 	fromLease := false
 	lookupSp := c.tracer.StartChild(sp.Context(), "dfsc.lookup").SetFile(file)
-	if c.broadcast {
+	if write || (c.broadcast && op == workload.OpRead) {
 		for _, info := range c.mapper.RMs() {
-			holders = append(holders, info.ID)
+			candidates = append(candidates, info.ID)
 		}
 		c.addMessages(2) // resource-list fetch + reply
 		lookupSp.SetOutcome("ok").End()
 	} else {
 		var lookupErr error
-		holders, fromLease, lookupErr = c.lookupHolders(
+		candidates, fromLease, lookupErr = c.lookupHolders(
 			trace.NewContext(ctx, lookupSp.Context()), file, len(exclude) > 0)
 		if lookupErr != nil {
 			lookupSp.SetOutcome("error").End()
-			c.mu.Lock()
-			c.stats.Failed++
-			c.mu.Unlock()
-			c.met.Failed.Inc()
-			sp.SetOutcome("lookup-error")
-			return nil, Outcome{Request: req, File: file, RM: ids.NoneRM, OK: false,
-				Reason: fmt.Sprintf("metadata lookup failed: %v", lookupErr)}
+			return c.fail(sp, fromLease, "lookup-error", Outcome{Request: req, File: file,
+				Reason: fmt.Sprintf("metadata lookup failed: %v", lookupErr)})
 		}
 		if fromLease {
 			lookupSp.SetOutcome("lease-hit").End()
@@ -485,22 +412,24 @@ func (c *Client) negotiateLanes(ctx context.Context, file ids.FileID, exclude ma
 		}
 	}
 	if len(exclude) > 0 {
-		kept := make([]ids.RMID, 0, len(holders))
-		for _, id := range holders {
+		kept := make([]ids.RMID, 0, len(candidates))
+		for _, id := range candidates {
 			if !exclude[id] {
 				kept = append(kept, id)
 			}
 		}
-		holders = kept
+		candidates = kept
 	}
-	if len(holders) == 0 {
+	if len(candidates) == 0 {
+		return c.fail(sp, fromLease, "no-replica", Outcome{Request: req, File: file, Reason: "no replica registered"})
+	}
+	if op == workload.OpMeta {
+		// A probe is phase 1 alone: the MM's answer is the request.
 		c.mu.Lock()
-		c.stats.NoReplica++
-		c.stats.Failed++
+		c.stats.Completed++
 		c.mu.Unlock()
-		c.met.NoReplica.Inc()
-		sp.SetOutcome("no-replica")
-		return nil, Outcome{Request: req, File: file, RM: ids.NoneRM, OK: false, Reason: "no replica registered"}
+		sp.SetOutcome("ok")
+		return nil, Outcome{Request: req, File: file, RM: candidates[0], OK: true}
 	}
 
 	// Phase 2 — resource negotiation: CFP fan-out and bid collection
@@ -514,9 +443,9 @@ func (c *Client) negotiateLanes(ctx context.Context, file ids.FileID, exclude ma
 		Tenant:      c.tenant,
 	}
 	bidSp := c.tracer.StartChild(sp.Context(), "dfsc.bid").SetFile(file).SetRequest(req)
-	bids, providers := c.collectBids(trace.NewContext(ctx, bidSp.Context()), holders, cfp, true)
+	bids, providers := c.collectBids(trace.NewContext(ctx, bidSp.Context()), candidates, cfp)
 	bidSp.SetOutcome("ok").End()
-	if c.broadcast {
+	if c.broadcast && op == workload.OpRead {
 		// A CNP provider without the file refuses; its CFP and refusal
 		// are the redundant traffic ECNP eliminates.
 		kept := 0
@@ -529,18 +458,12 @@ func (c *Client) negotiateLanes(ctx context.Context, file ids.FileID, exclude ma
 		bids, providers = bids[:kept], providers[:kept]
 	}
 	if len(bids) == 0 {
-		c.mu.Lock()
-		c.stats.Failed++
-		c.mu.Unlock()
-		c.met.Failed.Inc()
-		c.dropLease(file, fromLease)
-		sp.SetOutcome("no-rm")
-		return nil, Outcome{Request: req, File: file, RM: ids.NoneRM, OK: false, Reason: "no reachable RM"}
+		return c.fail(sp, fromLease, "no-rm", Outcome{Request: req, File: file, Reason: "no reachable RM"})
 	}
 
 	// Rank the bidders: policy order, or a uniform shuffle for (0,0,0).
 	// The full order is kept (selection.TopK with k = all) — phase 3 cuts
-	// it off once k lanes are admitted, so firm refusals can still fall
+	// it off once k lanes are admitted, so refusals can still fall
 	// through to lower-ranked bidders.
 	c.mu.Lock()
 	order := selection.TopK(c.policy, bids, len(bids), c.src)
@@ -548,14 +471,14 @@ func (c *Client) negotiateLanes(ctx context.Context, file ids.FileID, exclude ma
 	c.mu.Unlock()
 
 	// Phase 3 — data communication: open on the ranked winners until k
-	// lanes hold reservations. In the firm scenario a refused open falls
-	// through to the next-ranked bidder; the request fails only "when
-	// none of the RMs can provide sufficient bandwidth" (paper §VI-A1).
-	// Soft requests are always admitted by the first-ranked RM. Each lane
-	// opens under its own request ID (the first reuses the negotiation's,
-	// so 1-wide callers see today's exact request identity).
+	// lanes hold reservations. A firm read fails only "when none of the
+	// RMs can provide sufficient bandwidth" (paper §VI-A1); soft requests
+	// are always admitted by the first-ranked RM unless a tenant quota,
+	// a duplicate request id (a bug upstream) or the transport refuses.
+	// Each lane opens under its own request ID (the first reuses the
+	// negotiation's, so 1-wide callers see today's exact request identity).
 	var grants []grant
-	var last ecnp.OpenResult // the latest refusal, for the firm-exhausted outcome
+	var last ecnp.OpenResult // the latest refusal, for the exhausted outcome
 	for _, rmID := range order {
 		if len(grants) == k {
 			break
@@ -579,17 +502,11 @@ func (c *Client) negotiateLanes(ctx context.Context, file ids.FileID, exclude ma
 		p := providers[won]
 		openSp := c.tracer.StartChild(sp.Context(), "dfsc.open").
 			SetRM(rmID).SetFile(file).SetRequest(laneReq)
-		var res ecnp.OpenResult
-		if co, ok := p.(ctxOpener); ok {
-			res = co.OpenContext(trace.NewContext(ctx, openSp.Context()), open)
-		} else {
-			res = p.Open(open)
-		}
-		c.addMessages(2) // open + result
+		res := c.admit(ctx, openSp, write, rmID, p, open, f.Size)
 		if !res.OK {
 			openSp.SetOutcome("rejected").End()
 			last = res
-			if firm {
+			if firm || write {
 				c.met.Fallbacks.Inc()
 				continue
 			}
@@ -598,15 +515,7 @@ func (c *Client) negotiateLanes(ctx context.Context, file ids.FileID, exclude ma
 				// the widening but the admitted lanes stand.
 				break
 			}
-			// A soft open fails on a tenant quota, a duplicate request id
-			// (a bug upstream) or a live transport failure; Code tells which.
-			c.mu.Lock()
-			c.stats.Failed++
-			c.mu.Unlock()
-			c.met.Failed.Inc()
-			c.dropLease(file, fromLease)
-			sp.SetOutcome("error")
-			return nil, Outcome{Request: req, File: file, RM: rmID, OK: false, Code: res.Code, Reason: res.Reason}
+			return c.fail(sp, fromLease, "error", Outcome{Request: req, File: file, Code: res.Code, Reason: res.Reason})
 		}
 		openSp.SetOutcome("admitted").End()
 		c.met.Admitted.Inc()
@@ -627,17 +536,67 @@ func (c *Client) negotiateLanes(ctx context.Context, file ids.FileID, exclude ma
 		sp.SetRM(grants[0].out.RM).SetOutcome("admitted")
 		return grants, Outcome{}
 	}
-
-	c.mu.Lock()
-	c.stats.Failed++
-	c.mu.Unlock()
-	c.met.Failed.Inc()
-	c.dropLease(file, fromLease)
-	sp.SetOutcome("firm-exhausted")
-	return nil, Outcome{Request: req, File: file, RM: ids.NoneRM, OK: false, Code: last.Code, Reason: last.Reason}
+	return c.fail(sp, fromLease, "exhausted", Outcome{Request: req, File: file, Code: last.Code, Reason: last.Reason})
 }
 
-// lookupHolders runs the non-broadcast half of phase 1: the metadata
+// admit runs phase 3 on one ranked bidder: the open, preceded for a
+// write by the StoreFile that provisions the file on the RM and followed
+// by the AddReplica that registers it with the MM. The open carries
+// openSp to an RM that can take a context. Each round trip counts
+// two messages, and a refused store or registration comes back as a
+// refused OpenResult carrying its code. A store whose open is refused
+// stays on the RM, unregistered.
+func (c *Client) admit(ctx context.Context, openSp *trace.Span, write bool, rmID ids.RMID, p ecnp.Provider, open ecnp.OpenRequest, size units.Size) ecnp.OpenResult {
+	if write {
+		err := p.StoreFile(ecnp.StoreRequest{File: open.File, Bitrate: open.Bitrate, SizeBytes: size,
+			DurationSec: open.DurationSec, Tenant: open.Tenant})
+		c.addMessages(2) // store + reply
+		if err != nil {
+			return ecnp.OpenResult{Code: ecnp.RefusalOf(err), Reason: err.Error()}
+		}
+	}
+	var res ecnp.OpenResult
+	if co, ok := p.(ctxOpener); ok {
+		res = co.OpenContext(trace.NewContext(ctx, openSp.Context()), open)
+	} else {
+		res = p.Open(open)
+	}
+	c.addMessages(2) // open + result
+	if write && res.OK {
+		err := c.mapper.AddReplica(open.File, rmID)
+		c.addMessages(2) // registration + reply
+		if err != nil {
+			p.Close(open.Request)
+			return ecnp.OpenResult{Code: ecnp.RefusalOf(err), Reason: err.Error()}
+		}
+	}
+	return res
+}
+
+// fail counts one failed request — in Stats, in the registry and on its
+// span, whose outcome is why — and returns out as its failure. Every
+// failure of the flow returns through it. A lease that routed the request
+// is dropped: the cached set sent the client at replicas that refused or
+// died, so the next attempt must re-resolve from the MM.
+func (c *Client) fail(sp *trace.Span, fromLease bool, why string, out Outcome) ([]grant, Outcome) {
+	c.mu.Lock()
+	c.stats.Failed++
+	if why == "no-replica" {
+		c.stats.NoReplica++
+		c.met.NoReplica.Inc()
+	} else {
+		c.met.Failed.Inc()
+	}
+	c.mu.Unlock()
+	if fromLease && c.meta.Invalidate(out.File) {
+		c.met.MetaInvalidated.Inc()
+	}
+	sp.SetOutcome(why)
+	out.RM = ids.NoneRM
+	return nil, out
+}
+
+// lookupHolders runs phase 1 through the matchmaker: the metadata
 // lease cache when armed and live (zero messages, fromLease true),
 // otherwise the MM query — through the error-reporting mapper interface
 // when offered, so transport failures surface typed and counted by class
@@ -656,12 +615,9 @@ func (c *Client) lookupHolders(ctx context.Context, file ids.FileID, failover bo
 		}
 		c.met.MetaMisses.Inc()
 	}
-	switch m := c.mapper.(type) {
-	case errMapper:
+	if m, ok := c.mapper.(errMapper); ok {
 		holders, err = m.LookupErrContext(ctx, file)
-	case ctxMapper:
-		holders = m.LookupContext(ctx, file)
-	default:
+	} else {
 		holders = c.mapper.Lookup(file)
 	}
 	c.addMessages(2) // query + reply
@@ -675,21 +631,11 @@ func (c *Client) lookupHolders(ctx context.Context, file ids.FileID, failover bo
 	return holders, false, nil
 }
 
-// dropLease invalidates file's lease after a failed open that consumed
-// it — the cached set routed the client at replicas that refused or
-// died, so the next attempt must re-resolve from the MM.
-func (c *Client) dropLease(file ids.FileID, fromLease bool) {
-	if fromLease && c.meta != nil && c.meta.Invalidate(file) {
-		c.met.MetaInvalidated.Inc()
-	}
-}
-
 // collectBids runs the CFP fan-out over the candidate RMs and returns one
 // bid per contacted provider, in candidate order, with the providers
 // index-aligned beside them: providers[i] answered bids[i]. A repeated id
-// is contacted once and an unresolvable one is skipped. count toggles
-// message accounting: the read path counts a CFP+bid pair per contacted
-// provider; Store historically does not count.
+// is contacted once and an unresolvable one is skipped. Each contacted
+// provider counts a CFP+bid pair of messages.
 //
 // Serial mode (the default) calls each provider in turn — the
 // deterministic shape the discrete-event simulation requires; providers
@@ -704,12 +650,12 @@ func (c *Client) dropLease(file ids.FileID, fromLease bool) {
 // contribute a synthesized zero bid that ranks last — the paper's
 // always-bid deviation preserved by degradation instead of blocking the
 // open.
-func (c *Client) collectBids(ctx context.Context, candidates []ids.RMID, cfp ecnp.CFP, count bool) ([]selection.Bid, []ecnp.Provider) {
+func (c *Client) collectBids(ctx context.Context, candidates []ids.RMID, cfp ecnp.CFP) ([]selection.Bid, []ecnp.Provider) {
 	// Until its provider answers, a bid is the zero bid: the slot's RM is
 	// what later candidates are checked against, and what a provider that
 	// misses the deadline is left with. The MM hands out ids in ascending
 	// order, so a candidate above the last one kept cannot be a repeat and
-	// the whole resource list (broadcast CNP, Store) is checked in one
+	// the whole resource list (broadcast CNP, a write) is checked in one
 	// pass; only a list that steps backwards is searched.
 	bids := make([]selection.Bid, 0, len(candidates))
 	providers := make([]ecnp.Provider, 0, len(candidates))
@@ -725,9 +671,7 @@ func (c *Client) collectBids(ctx context.Context, candidates []ids.RMID, cfp ecn
 			ascending = ascending && above
 		}
 	}
-	if count {
-		c.addMessages(int64(2 * len(bids))) // CFP + bid per contacted provider
-	}
+	c.addMessages(int64(2 * len(bids))) // CFP + bid per contacted provider
 	if len(bids) == 0 {
 		return nil, nil
 	}

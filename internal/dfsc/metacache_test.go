@@ -3,6 +3,7 @@ package dfsc
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -161,10 +162,10 @@ func (m *failingMapper) LookupErrContext(ctx context.Context, file ids.FileID) (
 	return nil, m.err
 }
 
-// TestLookupErrorTaxonomy drives one access per transport failure class
-// through the typed lookup path and checks each lands in its own
-// dfsqos_dfsc_lookup_errors_total bucket with a lookup-failure outcome —
-// not a misleading "no replica".
+// TestLookupErrorTaxonomy drives one access and one probe per transport
+// failure class through the typed lookup path and checks each lands in
+// its own dfsqos_dfsc_lookup_errors_total bucket with a lookup-failure
+// outcome — not a misleading "no replica".
 func TestLookupErrorTaxonomy(t *testing.T) {
 	cfg := catalog.DefaultConfig()
 	cfg.NumFiles = 4
@@ -205,8 +206,49 @@ func TestLookupErrorTaxonomy(t *testing.T) {
 		if got := met.LookupErrors.With(tc.class).Value(); got != 1 {
 			t.Fatalf("%s bucket = %d, want 1", tc.class, got)
 		}
+		// A probe goes through the same typed lookup.
+		if out := c.Probe(0); out.OK || !strings.HasPrefix(out.Reason, "metadata lookup failed: ") {
+			t.Fatalf("%s: probe %+v, want a metadata lookup failure", tc.class, out)
+		}
+		if got := met.LookupErrors.With(tc.class).Value(); got != 2 {
+			t.Fatalf("%s bucket = %d after the probe, want 2", tc.class, got)
+		}
+		if st := c.Stats(); st.NoReplica != 0 {
+			t.Fatalf("%s: %d failure(s) counted as no replica", tc.class, st.NoReplica)
+		}
 		if got := classifyLookupErr(tc.err); got != tc.class {
 			t.Fatalf("classifyLookupErr(%v) = %q, want %q", tc.err, got, tc.class)
+		}
+	}
+}
+
+// TestProbeRidesLease: with the metadata lease armed, a second probe of a
+// file inside the lease sends no message.
+func TestProbeRidesLease(t *testing.T) {
+	h := newHarness(t,
+		map[ids.RMID]units.BytesPerSec{1: units.Mbps(18)},
+		map[ids.FileID][]ids.RMID{0: {1}})
+	c, err := New(Options{
+		ID:        1,
+		Mapper:    h.mapper,
+		Directory: h.dir,
+		Scheduler: ecnp.SimScheduler{S: h.sched},
+		Catalog:   h.catalog,
+		Policy:    selection.RemOnly,
+		Scenario:  qos.Soft,
+		Rand:      rng.New(5),
+		MetaTTL:   time.Minute,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []int64{2, 0} {
+		before := c.Stats().Messages
+		if out := c.Probe(0); !out.OK || out.RM != 1 {
+			t.Fatalf("probe %d: %+v, want RM1", i+1, out)
+		}
+		if got := c.Stats().Messages - before; got != want {
+			t.Fatalf("probe %d sent %d messages, want %d", i+1, got, want)
 		}
 	}
 }

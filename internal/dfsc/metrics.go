@@ -23,9 +23,9 @@ type Metrics struct {
 	Admitted  *telemetry.Counter
 	Failed    *telemetry.Counter
 	NoReplica *telemetry.Counter
-	// Fallbacks counts firm-scenario opens refused by a ranked RM
-	// before a lower-ranked one (or none) admitted the access
-	// (dfsqos_dfsc_open_fallbacks_total).
+	// Fallbacks counts refusals by a ranked RM — a firm read's open, or
+	// any step of a write — before a lower-ranked one (or none) admitted
+	// the request (dfsqos_dfsc_open_fallbacks_total).
 	Fallbacks *telemetry.Counter
 	// Failovers counts mid-stream reads successfully re-admitted on
 	// another replica after their serving RM died
@@ -98,7 +98,7 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 		Failed:    outcomes.With("failed"),
 		NoReplica: outcomes.With("no_replica"),
 		Fallbacks: reg.NewCounter("dfsqos_dfsc_open_fallbacks_total",
-			"Firm opens refused by a ranked RM, falling through to the next."),
+			"Firm opens and writes refused by a ranked RM, falling through to the next."),
 		Failovers: reg.NewCounter("dfsqos_dfsc_failovers_total",
 			"Mid-stream reads re-admitted on another replica after RM failure."),
 		FailoverLatency: reg.NewHistogram("dfsqos_dfsc_failover_latency_seconds",

@@ -16,6 +16,7 @@ import (
 	"dfsqos/internal/simtime"
 	"dfsqos/internal/telemetry"
 	"dfsqos/internal/units"
+	"dfsqos/internal/workload"
 )
 
 // scriptProvider is an ecnp.Provider that bids and admits as scripted and
@@ -311,7 +312,7 @@ func TestNegotiationTable(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			lanes, fail := c.negotiateLanes(context.Background(), 0, nil, tc.lanes)
+			lanes, fail := c.negotiateLanes(context.Background(), workload.OpRead, 0, nil, tc.lanes)
 
 			var gotRMs []ids.RMID
 			for _, l := range lanes {

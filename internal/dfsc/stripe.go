@@ -48,6 +48,7 @@ import (
 	"dfsqos/internal/ids"
 	"dfsqos/internal/trace"
 	"dfsqos/internal/wire"
+	"dfsqos/internal/workload"
 )
 
 // Streamer is the to-EOF half of the data plane: StreamAt streams file
@@ -464,7 +465,7 @@ func (c *Client) OpenRead(rs RangeStreamer, file ids.FileID, cfg StripeConfig) (
 	r.root = c.tracer.StartRoot(c.nextRequestID(), "dfsc.stripe").SetFile(file)
 	r.ctx = trace.NewContext(context.Background(), r.root.Context())
 	st := borrowStripeRun(cfg.Width)
-	held, fail := c.negotiateLanes(r.ctx, file, st.exclude, cfg.Width)
+	held, fail := c.negotiateLanes(r.ctx, workload.OpRead, file, st.exclude, cfg.Width)
 	if len(held) == 0 {
 		st.release()
 		r.root.SetOutcome("error").End()
@@ -796,7 +797,7 @@ func (c *Client) fetch(ctx context.Context, st *stripeRun, rs RangeStreamer, fil
 
 		c.sleepJittered(cfg.Backoff)
 		start := time.Now()
-		repl, fail := c.negotiateLanes(ctx, file, exclude, 1)
+		repl, fail := c.negotiateLanes(ctx, workload.OpRead, file, exclude, 1)
 		st.mu.Lock()
 		ln.renewing = false
 		st.cond.Broadcast() // waiting siblings move to the replacement, or leave

@@ -4,9 +4,11 @@ import (
 	"context"
 	"io"
 	"testing"
+	"time"
 
 	"dfsqos/internal/ecnp"
 	"dfsqos/internal/ids"
+	"dfsqos/internal/simtime"
 	"dfsqos/internal/units"
 	"dfsqos/internal/wire"
 )
@@ -58,9 +60,14 @@ func TestLiveStreamQoSFlatVersusConserving(t *testing.T) {
 // tree heals after a mid-stream lane death: with stream QoS on, a client
 // whose connection is torn mid-stream (scripted drop after one chunk)
 // leaves an orphaned reservation AND an orphaned blkio group holding its
-// assured floor. The lease sweeper must reclaim both — bandwidth back to
+// assured floor. The lease sweep must reclaim both — bandwidth back to
 // the ledger, group out of the tree — while a surviving sibling keeps its
 // lease, its group, and afterwards borrows the freed headroom.
+//
+// The test runs the sweep itself, at a virtual instant it fixes: one lease
+// after the survivor's renewal, which came after the orphan's last chunk.
+// With the RM's background sweeper stopped, however long the host stalls
+// between these steps cannot expire the survivor with the orphan.
 func TestChaosLeaseReclaimRemovesStreamQoSGroup(t *testing.T) {
 	lc := startChaosCluster(t, LocalSpec{
 		Caps:    []units.BytesPerSec{units.Mbps(100)},
@@ -71,6 +78,7 @@ func TestChaosLeaseReclaimRemovesStreamQoSGroup(t *testing.T) {
 			1: "rm.stream.chunk:after=1:count=1:action=drop",
 		},
 	})
+	lc.rms[0].loops.stop() // the background lease sweeper
 	srv := lc.Server(1)
 	ctrl := lc.Disk(1).Controller()
 
@@ -99,14 +107,27 @@ func TestChaosLeaseReclaimRemovesStreamQoSGroup(t *testing.T) {
 		t.Fatalf("reservations after lane death = %d, want 2 (orphan + survivor)", n)
 	}
 
-	// The survivor renews while the orphan's lease goes stale: the
-	// sweeper must reclaim exactly the orphan.
-	waitFor(t, "the orphan reclaimed", func() bool {
-		if err := cli.Keepalive(1); err != nil {
-			t.Fatalf("survivor keepalive: %v", err)
-		}
-		return lc.Node(1).ActiveReservations() == 1
-	})
+	// The survivor renews after the orphan's last touch: a sweep one
+	// lease past the renewal must reclaim exactly the orphan. It waits for
+	// that instant, since the ledger's clock only runs forward.
+	dropped := lc.Sched.Now()
+	for lc.Sched.Now() <= dropped {
+		time.Sleep(time.Millisecond)
+	}
+	renewed := lc.Sched.Now()
+	if err := cli.Keepalive(1); err != nil {
+		t.Fatalf("survivor keepalive: %v", err)
+	}
+	sweep := renewed.Add(simtime.Duration(lc.Node(1).LeaseTTL()))
+	for lc.Sched.Now() < sweep {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := lc.Node(1).SweepLeases(sweep); n != 1 {
+		t.Fatalf("sweep one lease past the renewal reclaimed %d, want 1 (the orphan)", n)
+	}
+	if n := lc.Node(1).ActiveReservations(); n != 1 {
+		t.Fatalf("reservations after the sweep = %d, want 1 (the survivor)", n)
+	}
 	if n := lc.Node(1).Stats().LeaseExpiries; n != 1 {
 		t.Fatalf("sweeper reclaimed %d, want 1", n)
 	}

@@ -8,7 +8,13 @@
 # paper's request scheduler: `workloadgen` writes a 64-user pattern over
 # the same catalog and `dfsc -replay` sends it to the same two rmd in
 # about 5 wall seconds; dfsc must exit 0 with as many requests in its
-# summary as workloadgen generated. Right after each dfsc exits, each
+# summary as workloadgen generated. Then a three-row pattern written here
+# sends one request of each kind over TCP: a read, a write of a file both
+# rmd already hold (each refuses it, so it fails as a refusal, not a
+# fault) and a metadata probe; dfsc must exit 0 with 3 requests in its
+# summary. Binaries from before the write path ran through the read
+# path's negotiation fail that write row: they counted an all-refused
+# write as a fault and exited 1. Right after each dfsc exits, each
 # rmd's /metrics must read `dfsqos_rm_active_streams 0`: dfsc closes what
 # it reserved on its way out, and the check runs before the 2 s lease
 # could have swept a reservation it left. Last, it sends each daemon
@@ -109,6 +115,24 @@ cat "$WORK/replay.out"
 grep -q "^dfsc: $WANT requests," "$WORK/replay.out" ||
     fail "dfsc -replay did not send the $WANT requests workloadgen generated"
 released "dfsc -replay"
+
+# One read, one write of a file both rmd hold (-degree 2), one probe, in
+# workload.Load's JSON format (op 0 read, 1 write, 2 metadata).
+cat >"$WORK/ops.json" <<'EOF_PATTERN'
+{"config": {"NumUsers": 1, "NumDFSC": 1, "MeanArrivalSec": 1, "HorizonSec": 1},
+ "requests": [
+  {"at": 0, "dfsc": 0, "file": 1},
+  {"at": 0.01, "dfsc": 0, "file": 0, "op": 1},
+  {"at": 0.02, "dfsc": 0, "file": 2, "op": 2}
+ ]}
+EOF_PATTERN
+# shellcheck disable=SC2086
+"$WORK/dfsc" -mm "$MM" $CORPUS -replay "$WORK/ops.json" -scale 120 \
+    >"$WORK/ops.out" 2>"$WORK/ops.log" || fail "dfsc -replay of a read, a write and a probe exited $?"
+cat "$WORK/ops.out"
+grep -q '^dfsc: 3 requests,' "$WORK/ops.out" ||
+    fail "dfsc -replay did not send the read, the write and the probe"
+released "dfsc -replay of a read, a write and a probe"
 
 for pid in $RMDS $MMD; do
     kill -TERM "$pid"
