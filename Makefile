@@ -59,8 +59,11 @@ chaos-mm:
 # must exit 0 having sent every generated request, and a hand-written
 # pattern of one read, one write and one probe, which must exit 0 with all
 # three counted. After each dfsc exits,
-# every rmd's /metrics must read no active stream; last, SIGTERM must make
-# each daemon exit 0.
+# every rmd's /metrics must read no active stream. Then two overlapping
+# `dfsc -n 3` and, after `kill -9` of the second, a third must have every
+# open admitted with no rmd counting a duplicate-request refusal (each
+# process mints its request IDs under its own incarnation); last, SIGTERM
+# must make each daemon exit 0.
 daemons-smoke:
 	./scripts/daemons_smoke.sh
 

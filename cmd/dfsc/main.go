@@ -5,7 +5,8 @@
 // apart) at its arrival time divided by -scale, through one client per
 // pattern DFSC. A read runs the three-phase flow (MM query, CFP fan-out
 // and bid selection, QoS-assured open) and optionally streams the file; a
-// write stores the file and a metadata request probes the MM. dfsc prints
+// write is the same flow whose open stores the file on the winning RM, and
+// a metadata request probes the MM. dfsc prints
 // per-request outcomes plus a summary.
 //
 //	dfsc -mm 127.0.0.1:7000 -policy "(1,0,0)" -scenario firm -n 20 -read
@@ -13,6 +14,8 @@
 package main
 
 import (
+	crand "crypto/rand"
+	"encoding/binary"
 	"flag"
 	"fmt"
 	"io"
@@ -86,8 +89,8 @@ func run(args []string, stdout io.Writer) error {
 	if *tenantID < 0 {
 		return fmt.Errorf("negative -tenant %d", *tenantID)
 	}
-	// The tenant travels twice: in the ECNP control payloads (CFP, open,
-	// store) and stamped on every dialed connection's wire frames, so
+	// The tenant travels twice: in the ECNP control payloads (CFP and
+	// open) and stamped on every dialed connection's wire frames, so
 	// data-plane chunks are attributable too.
 	tcfg.Tenant = ids.TenantID(*tenantID)
 	scen, err := qos.Parse(*scenario)
@@ -137,7 +140,9 @@ func run(args []string, stdout io.Writer) error {
 		// The sampling decision is a stateless hash of the request ID, so
 		// it is reproducible across runs and propagates implicitly: an
 		// unsampled request writes untraced frames and no daemon opens
-		// spans for it.
+		// spans for it. The hash reads only the ID's low 52 bits (the
+		// multiply carries upwards, and the fold takes bits 32–51), so the
+		// incarnation in bits 52–62 leaves every decision as it was.
 		Sampler: func(r ids.RequestID) bool {
 			if *sample >= 1 {
 				return true
@@ -165,7 +170,14 @@ func run(args []string, stdout io.Writer) error {
 	defer sched.RunPending()
 
 	// Every client shares the mapper, directory, registry and tracer:
-	// client 1, which the monitor serves, and one per pattern DFSC.
+	// client 1, which the monitor serves, and one per pattern DFSC. They
+	// share one incarnation too, drawn afresh for this process, so their
+	// request IDs differ from those of any other dfsc process, running or
+	// killed, whose reservations an RM may still hold.
+	var incarnation [4]byte
+	if _, err := crand.Read(incarnation[:]); err != nil {
+		return err
+	}
 	met := dfsc.NewMetrics(reg)
 	clients := map[ids.DFSCID]*dfsc.Client{1: nil}
 	for _, r := range pattern.Requests {
@@ -173,15 +185,16 @@ func run(args []string, stdout io.Writer) error {
 	}
 	for id := range clients {
 		clients[id], err = dfsc.New(dfsc.Options{
-			ID:        id,
-			Mapper:    mapper,
-			Directory: dir,
-			Scheduler: sched,
-			Catalog:   cat,
-			Policy:    pol,
-			Scenario:  scen,
-			Tenant:    ids.TenantID(*tenantID),
-			Rand:      rng.New(*seed).Split(fmt.Sprintf("dfsc-cli/%d", id)),
+			ID:          id,
+			Mapper:      mapper,
+			Directory:   dir,
+			Scheduler:   sched,
+			Catalog:     cat,
+			Policy:      pol,
+			Scenario:    scen,
+			Tenant:      ids.TenantID(*tenantID),
+			Incarnation: binary.BigEndian.Uint32(incarnation[:]),
+			Rand:        rng.New(*seed).Split(fmt.Sprintf("dfsc-cli/%d", id)),
 			// The live control path fans CFPs out concurrently, bounded by
 			// the negotiation deadline: one stalled RM costs at most -negotiation-timeout,
 			// not its share of a serial scan.

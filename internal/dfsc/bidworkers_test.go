@@ -44,7 +44,6 @@ func (p *gateProvider) Open(ecnp.OpenRequest) ecnp.OpenResult { return ecnp.Open
 func (p *gateProvider) Close(ids.RequestID)                   {}
 func (p *gateProvider) OfferReplica(ecnp.ReplicaOffer) bool   { return false }
 func (p *gateProvider) FinishReplica(ids.ReplicationID, bool) {}
-func (p *gateProvider) StoreFile(ecnp.StoreRequest) error     { return nil }
 func (p *gateProvider) register(t *testing.T, m *mm.Manager, f ...ids.FileID) {
 	t.Helper()
 	if err := m.RegisterRM(p.Info(), f); err != nil {
@@ -253,9 +252,8 @@ func TestResourceWideFanoutCompletesAndDrains(t *testing.T) {
 			t.Fatalf("RM%d received %d CFPs, want 2 (one per fan-out)", id, got)
 		}
 	}
-	// The open: list, CFPs, open. The store: list, CFPs, store, open,
-	// registration.
-	if want := int64(2+2*rms+2) + (2 + 2*rms + 2 + 2 + 2); c.Stats().Messages != want {
+	// The open and the store alike: list, CFPs, open.
+	if want := int64(2+2*rms+2) + (2 + 2*rms + 2); c.Stats().Messages != want {
 		t.Fatalf("messages = %d, want %d (the open's and the store's)", c.Stats().Messages, want)
 	}
 	waitWorkers(t, c, 0)

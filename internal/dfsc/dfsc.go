@@ -7,9 +7,10 @@
 // resource-selection policy (resource negotiation), and then opens the
 // data access on the winner (data communication), holding the bandwidth
 // reservation for the file's playback duration. A read (Access) runs it
-// whole; a write (Store) runs it over every registered RM and stores the
-// file on the winner before its open; a metadata probe (Probe) stops
-// after phase 1. Do picks the form from a pattern's operation.
+// whole; a write (Store) runs it over every registered RM, and its open
+// carries the file's size, so the winner stores and registers the file
+// in the same admission; a metadata probe (Probe) stops after phase 1. Do
+// picks the form from a pattern's operation.
 //
 // In the paper the client sits behind FUSE: the MM query is issued from the
 // readdir callback, CFP fan-out and selection from open, and the transfer
@@ -37,7 +38,6 @@ import (
 	"dfsqos/internal/simtime"
 	"dfsqos/internal/trace"
 	"dfsqos/internal/transport"
-	"dfsqos/internal/units"
 	"dfsqos/internal/workload"
 )
 
@@ -68,10 +68,9 @@ type Stats struct {
 	Hedges    int64
 	HedgesWon int64
 	// Messages counts control-plane messages this client exchanged:
-	// matchmaker queries and replies, CFPs and bids, opens and their
-	// results, and a write's store and replica registration, each with
-	// its reply. It is the quantity behind the paper's claim that the
-	// ECNP matchmaker "avoid[s] excessive redundant messages" versus
+	// matchmaker queries and replies, CFPs and bids, and opens (a write's
+	// too) and their results. It is the quantity behind the paper's claim
+	// that the ECNP matchmaker "avoid[s] excessive redundant messages" versus
 	// plain CNP broadcast (compare with Options.BroadcastCNP).
 	Messages int64
 	// Oversubscribed counts admitted lanes, reads' and writes' ingests
@@ -137,8 +136,9 @@ type Client struct {
 	// path, which the simulation's clients — 10⁵ of them — all take.
 	workers *bidWorkers
 
-	reqSeq int64
-	stats  Stats
+	incarnation uint32
+	reqSeq      int64
+	stats       Stats
 }
 
 // Options configures a new client.
@@ -176,16 +176,24 @@ type Options struct {
 	// tracing at zero cost (all span operations no-op).
 	Tracer *trace.Tracer
 	// Tenant is the identity every request from this client runs under:
-	// stamped on CFPs and opens (where tenanted RMs enforce quotas and
-	// weigh fairness), on StoreFile byte charges, and on the access root
-	// span. Zero (NoneTenant) preserves untenanted behaviour everywhere.
+	// stamped on CFPs and opens (where tenanted RMs enforce bandwidth
+	// quotas, charge a write's bytes and weigh fairness) and on the access
+	// root span. Zero (NoneTenant) preserves untenanted behaviour everywhere.
 	Tenant ids.TenantID
+	// Incarnation fills the high bits of every request ID the client mints
+	// (see ids.RequestID), so a live process, which draws it at random,
+	// does not reuse the IDs of reservations another process left on an
+	// RM. The DES and in-process harnesses leave it 0.
+	Incarnation uint32
 }
 
 // New constructs a client.
 func New(opt Options) (*Client, error) {
 	if opt.Mapper == nil || opt.Directory == nil || opt.Scheduler == nil || opt.Catalog == nil || opt.Rand == nil {
 		return nil, fmt.Errorf("dfsc: DFSC%d: Mapper, Directory, Scheduler, Catalog and Rand are required", opt.ID)
+	}
+	if opt.ID < 0 || opt.ID >= 1<<ids.RequestDFSCBits {
+		return nil, fmt.Errorf("dfsc: DFSC%d: a client ID must fit its %d bits of a request ID", opt.ID, ids.RequestDFSCBits)
 	}
 	met := opt.Metrics
 	if met == nil {
@@ -215,6 +223,8 @@ func New(opt Options) (*Client, error) {
 		met:       met,
 		tracer:    opt.Tracer,
 		tenant:    opt.Tenant,
+
+		incarnation: opt.Incarnation,
 	}, nil
 }
 
@@ -238,10 +248,11 @@ func (c *Client) Stats() Stats {
 func (c *Client) Access(file ids.FileID) Outcome { return c.send(workload.OpRead, file) }
 
 // Store writes file: "data can be stored into the selected storage
-// resource". It is a read's flow over every registered RM that stores the
-// file on the winner before its ingest open (see negotiateLanes); the
-// ingest holds the RM's bandwidth for the file's duration. It moves no
-// bytes: a live RM's StoreFile handler provisions the file on its disk.
+// resource". It is a read's flow over every registered RM whose open
+// carries the file's size (see negotiateLanes): the winning RM stores the
+// file, registers it with the MM and holds its bandwidth for the file's
+// duration, or, refusing, keeps nothing of it. It moves no bytes: a live
+// RM provisions the file on its disk as part of the open.
 func (c *Client) Store(file ids.FileID) Outcome { return c.send(workload.OpWrite, file) }
 
 // Probe asks the MM for file's holders — phase 1 of the flow alone,
@@ -294,9 +305,7 @@ func (c *Client) AccessHeld(file ids.FileID) (Outcome, func()) {
 // once per grant; AccessHeld guards it for callers that might not.
 func (c *Client) release(g grant) {
 	g.p.Close(g.out.Request)
-	c.mu.Lock()
-	c.stats.Completed++
-	c.mu.Unlock()
+	c.add(&c.stats.Completed, 1)
 }
 
 // errMapper is optionally implemented by Mappers whose lookup crosses a
@@ -349,8 +358,9 @@ type grant struct {
 // The three kinds share it. A read explores the file's holders through
 // the MM (or the whole resource list under plain-CNP broadcast); a write
 // always explores the resource list, since a new file has no holders,
-// and in phase 3 stores the file on the bidder before its open and
-// registers the replica after it; a metadata probe stops after phase 1.
+// and in phase 3 its open carries the file's size, so the bidder stores
+// and registers the file as it admits it; a metadata probe stops after
+// phase 1.
 // A firm read falls through a refused open to the next-ranked bidder, as
 // a write does on any refusal; a soft read fails on its first.
 //
@@ -365,9 +375,7 @@ func (c *Client) negotiateLanes(ctx context.Context, op workload.Op, file ids.Fi
 	defer func() { c.met.NegotiationLatency.Observe(time.Since(start).Seconds()) }()
 
 	req := c.nextRequestID()
-	c.mu.Lock()
-	c.stats.Requests++
-	c.mu.Unlock()
+	c.add(&c.stats.Requests, 1)
 
 	var sp *trace.Span
 	if parent := trace.FromContext(ctx); parent.Valid() {
@@ -394,7 +402,7 @@ func (c *Client) negotiateLanes(ctx context.Context, op workload.Op, file ids.Fi
 		for _, info := range c.mapper.RMs() {
 			candidates = append(candidates, info.ID)
 		}
-		c.addMessages(2) // resource-list fetch + reply
+		c.add(&c.stats.Messages, 2) // resource-list fetch + reply
 		lookupSp.SetOutcome("ok").End()
 	} else {
 		var lookupErr error
@@ -425,9 +433,7 @@ func (c *Client) negotiateLanes(ctx context.Context, op workload.Op, file ids.Fi
 	}
 	if op == workload.OpMeta {
 		// A probe is phase 1 alone: the MM's answer is the request.
-		c.mu.Lock()
-		c.stats.Completed++
-		c.mu.Unlock()
+		c.add(&c.stats.Completed, 1)
 		sp.SetOutcome("ok")
 		return nil, Outcome{Request: req, File: file, RM: candidates[0], OK: true}
 	}
@@ -486,9 +492,7 @@ func (c *Client) negotiateLanes(ctx context.Context, op workload.Op, file ids.Fi
 		laneReq := req
 		if len(grants) > 0 {
 			laneReq = c.nextRequestID()
-			c.mu.Lock()
-			c.stats.Requests++ // each extra lane holds its own reservation
-			c.mu.Unlock()
+			c.add(&c.stats.Requests, 1) // each extra lane holds its own reservation
 		}
 		open := ecnp.OpenRequest{
 			Request:     laneReq,
@@ -498,11 +502,14 @@ func (c *Client) negotiateLanes(ctx context.Context, op workload.Op, file ids.Fi
 			Firm:        firm,
 			Tenant:      c.tenant,
 		}
+		if write {
+			open.SizeBytes = f.Size
+		}
 		won := bidIndex(bids, rmID)
 		p := providers[won]
 		openSp := c.tracer.StartChild(sp.Context(), "dfsc.open").
 			SetRM(rmID).SetFile(file).SetRequest(laneReq)
-		res := c.admit(ctx, openSp, write, rmID, p, open, f.Size)
+		res := c.admit(ctx, openSp, p, open)
 		if !res.OK {
 			openSp.SetOutcome("rejected").End()
 			last = res
@@ -522,9 +529,7 @@ func (c *Client) negotiateLanes(ctx context.Context, op workload.Op, file ids.Fi
 		if b := bids[won]; b.Ceil > 0 && b.Req > b.Assured {
 			// The RM advertised a ceiling and the request outran its
 			// assured headroom: an oversubscription-funded admission.
-			c.mu.Lock()
-			c.stats.Oversubscribed++
-			c.mu.Unlock()
+			c.add(&c.stats.Oversubscribed, 1)
 			c.met.OversubAdmits.Inc()
 		}
 		grants = append(grants, grant{
@@ -539,37 +544,17 @@ func (c *Client) negotiateLanes(ctx context.Context, op workload.Op, file ids.Fi
 	return c.fail(sp, fromLease, "exhausted", Outcome{Request: req, File: file, Code: last.Code, Reason: last.Reason})
 }
 
-// admit runs phase 3 on one ranked bidder: the open, preceded for a
-// write by the StoreFile that provisions the file on the RM and followed
-// by the AddReplica that registers it with the MM. The open carries
-// openSp to an RM that can take a context. Each round trip counts
-// two messages, and a refused store or registration comes back as a
-// refused OpenResult carrying its code. A store whose open is refused
-// stays on the RM, unregistered.
-func (c *Client) admit(ctx context.Context, openSp *trace.Span, write bool, rmID ids.RMID, p ecnp.Provider, open ecnp.OpenRequest, size units.Size) ecnp.OpenResult {
-	if write {
-		err := p.StoreFile(ecnp.StoreRequest{File: open.File, Bitrate: open.Bitrate, SizeBytes: size,
-			DurationSec: open.DurationSec, Tenant: open.Tenant})
-		c.addMessages(2) // store + reply
-		if err != nil {
-			return ecnp.OpenResult{Code: ecnp.RefusalOf(err), Reason: err.Error()}
-		}
-	}
+// admit runs phase 3 on one ranked bidder: one open, a write's as much
+// as a read's, carrying openSp to an RM that can take a context. The
+// round trip counts two messages.
+func (c *Client) admit(ctx context.Context, openSp *trace.Span, p ecnp.Provider, open ecnp.OpenRequest) ecnp.OpenResult {
 	var res ecnp.OpenResult
 	if co, ok := p.(ctxOpener); ok {
 		res = co.OpenContext(trace.NewContext(ctx, openSp.Context()), open)
 	} else {
 		res = p.Open(open)
 	}
-	c.addMessages(2) // open + result
-	if write && res.OK {
-		err := c.mapper.AddReplica(open.File, rmID)
-		c.addMessages(2) // registration + reply
-		if err != nil {
-			p.Close(open.Request)
-			return ecnp.OpenResult{Code: ecnp.RefusalOf(err), Reason: err.Error()}
-		}
-	}
+	c.add(&c.stats.Messages, 2) // open + result
 	return res
 }
 
@@ -620,7 +605,7 @@ func (c *Client) lookupHolders(ctx context.Context, file ids.FileID, failover bo
 	} else {
 		holders = c.mapper.Lookup(file)
 	}
-	c.addMessages(2) // query + reply
+	c.add(&c.stats.Messages, 2) // query + reply
 	if err != nil {
 		c.met.LookupErrors.With(classifyLookupErr(err)).Inc()
 		return nil, false, err
@@ -671,7 +656,7 @@ func (c *Client) collectBids(ctx context.Context, candidates []ids.RMID, cfp ecn
 			ascending = ascending && above
 		}
 	}
-	c.addMessages(int64(2 * len(bids))) // CFP + bid per contacted provider
+	c.add(&c.stats.Messages, int64(2*len(bids))) // CFP + bid per contacted provider
 	if len(bids) == 0 {
 		return nil, nil
 	}
@@ -733,15 +718,14 @@ func bidIndex(bids []selection.Bid, rm ids.RMID) int {
 func (c *Client) scheduleClose(p ecnp.Provider, req ids.RequestID, durationSec float64) {
 	c.sched.After(simtime.Duration(durationSec), func(simtime.Time) {
 		p.Close(req)
-		c.mu.Lock()
-		c.stats.Completed++
-		c.mu.Unlock()
+		c.add(&c.stats.Completed, 1)
 	})
 }
 
-func (c *Client) addMessages(n int64) {
+// add adds n to counter, a field of c.stats, under c.mu.
+func (c *Client) add(counter *int64, n int64) {
 	c.mu.Lock()
-	c.stats.Messages += n
+	*counter += n
 	c.mu.Unlock()
 }
 
@@ -749,5 +733,5 @@ func (c *Client) nextRequestID() ids.RequestID {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.reqSeq++
-	return ids.RequestID(int64(c.id)<<40 | c.reqSeq)
+	return ids.NewRequestID(c.incarnation, c.id, c.reqSeq)
 }

@@ -236,3 +236,53 @@ func TestRequestIDsUnique(t *testing.T) {
 		seen[out.Request] = true
 	}
 }
+
+// TestRequestIDsOfIncarnationsNeverCollide: two clients with one ID and
+// different incarnations — two processes, or one restarted — mint
+// disjoint request IDs, each carrying its incarnation in bits 52–62;
+// incarnation 0 mints the IDs clients always did, and New refuses a
+// client ID too wide for its 12 bits.
+func TestRequestIDsOfIncarnationsNeverCollide(t *testing.T) {
+	h := newHarness(t, map[ids.RMID]units.BytesPerSec{1: units.Mbps(18)}, nil)
+	client := func(id ids.DFSCID, incarnation uint32) (*Client, error) {
+		return New(Options{ID: id, Mapper: h.mapper, Directory: h.dir, Scheduler: ecnp.SimScheduler{S: h.sched},
+			Catalog: h.catalog, Rand: rng.New(5), Incarnation: incarnation})
+	}
+	for _, pair := range [][2]uint32{{0, 1}, {1, 2}, {0, 2047}, {5, 5 + 2048*3 + 1}} {
+		seen := make(map[ids.RequestID]uint32)
+		for _, inc := range pair {
+			c, err := client(7, inc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for range 1000 {
+				id := c.nextRequestID()
+				if other, dup := seen[id]; dup {
+					t.Fatalf("incarnations %d and %d both minted %v", other, inc, id)
+				}
+				seen[id] = inc
+				if got := uint32(id >> 52); got != inc%2048 {
+					t.Fatalf("incarnation %d minted %v, whose bits 52–62 read %d", inc, id, got)
+				}
+				if id < 0 || (id>>40)&0xfff != 7 {
+					t.Fatalf("incarnation %d minted %v, not client 7's", inc, id)
+				}
+			}
+		}
+	}
+	c, err := client(3, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if id := c.nextRequestID(); id != 3<<40|1 {
+		t.Fatalf("incarnation 0 minted %v, want %v", id, ids.RequestID(3<<40|1))
+	}
+	for _, id := range []ids.DFSCID{-1, 4096} {
+		if _, err := client(id, 0); err == nil {
+			t.Errorf("New accepted client ID %d", id)
+		}
+	}
+	if _, err := client(4095, 0); err != nil {
+		t.Errorf("New refused client ID 4095: %v", err)
+	}
+}

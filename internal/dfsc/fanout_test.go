@@ -46,7 +46,6 @@ func (p *stallProvider) Open(req ecnp.OpenRequest) ecnp.OpenResult {
 func (p *stallProvider) Close(ids.RequestID)                   {}
 func (p *stallProvider) OfferReplica(ecnp.ReplicaOffer) bool   { return false }
 func (p *stallProvider) FinishReplica(ids.ReplicationID, bool) {}
-func (p *stallProvider) StoreFile(ecnp.StoreRequest) error     { return nil }
 
 var _ ecnp.Provider = (*stallProvider)(nil)
 

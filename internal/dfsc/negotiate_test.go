@@ -71,7 +71,6 @@ func (p *scriptProvider) Open(ecnp.OpenRequest) ecnp.OpenResult {
 func (p *scriptProvider) Close(ids.RequestID)                   {}
 func (p *scriptProvider) OfferReplica(ecnp.ReplicaOffer) bool   { return false }
 func (p *scriptProvider) FinishReplica(ids.ReplicationID, bool) {}
-func (p *scriptProvider) StoreFile(ecnp.StoreRequest) error     { return nil }
 
 // listMapper answers Lookup and RMs with exactly the lists it was given —
 // duplicates, disorder and unregistered ids included, which a real

@@ -14,8 +14,8 @@ import (
 
 // TestDoRoutesByOp: Do sends a metadata op to Probe (one MM round trip,
 // done at once), a read to Access (lookup, CFP and open; the reservation
-// held) and a write to Store (resource list, a CFP to each RM, store,
-// open and registration; the file gains its replica).
+// held) and a write to Store (resource list, a CFP to each RM and one
+// open, at which the RM registers the file; the file gains its replica).
 func TestDoRoutesByOp(t *testing.T) {
 	h := newHarness(t,
 		map[ids.RMID]units.BytesPerSec{1: units.Mbps(18), 2: units.Mbps(18)},
@@ -28,7 +28,7 @@ func TestDoRoutesByOp(t *testing.T) {
 	}{
 		{workload.OpMeta, 0, 2, 1, 1},
 		{workload.OpRead, 0, 2 + 2 + 2, 0, 1},
-		{workload.OpWrite, 3, 2 + 2*2 + 2 + 2 + 2, 0, 1},
+		{workload.OpWrite, 3, 2 + 2*2 + 2, 0, 1},
 	} {
 		before := c.Stats()
 		if out := c.Do(tc.op, tc.file); !out.OK {

@@ -64,20 +64,31 @@ func TestStoreFailsWhenAllFullFirm(t *testing.T) {
 		map[ids.RMID]units.BytesPerSec{1: units.Mbps(18)},
 		nil)
 	h.rms[1].Open(ecnp.OpenRequest{Request: 900, Bitrate: units.Mbps(17.9), DurationSec: 10000})
+	storage := h.rms[1].StorageUsed()
 	c := h.client(t, selection.RemOnly, qos.Firm)
 	out := c.Store(5)
 	if out.OK {
 		t.Fatal("firm store admitted with no bandwidth anywhere")
 	}
-	// The unregistered store must not leak into the MM.
+	// The refused write must leave nothing behind: not in the MM, and
+	// not on the RM that refused it.
 	if n := h.mapper.ReplicaCount(5); n != 0 {
 		t.Fatalf("MM shows %d replicas of a failed store", n)
+	}
+	if h.rms[1].HasFile(5) || h.rms[1].StorageUsed() != storage {
+		t.Fatalf("RM1 holds file5 %v, storage %v after the refused write, want false, %v",
+			h.rms[1].HasFile(5), h.rms[1].StorageUsed(), storage)
+	}
+	// Once bandwidth frees, the same write succeeds there.
+	h.rms[1].Close(900)
+	if out := c.Store(5); !out.OK || out.RM != 1 {
+		t.Fatalf("store once bandwidth frees: %+v", out)
 	}
 }
 
 func TestStoreSkipsExistingHolder(t *testing.T) {
 	// RM1 already holds file 0; a store of the same file must land on RM2
-	// (StoreFile on a holder fails and the client falls through).
+	// (a holder refuses the write-open and the client falls through).
 	h := newHarness(t,
 		map[ids.RMID]units.BytesPerSec{1: units.Mbps(180), 2: units.Mbps(18)},
 		map[ids.FileID][]ids.RMID{0: {1}})

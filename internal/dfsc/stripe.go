@@ -618,9 +618,7 @@ func (r *Reader) run(w io.Writer, base, n int64) (ReadResult, error) {
 		st.cond.Broadcast() // the commit window advanced
 		st.mu.Unlock()
 		c.met.Segments.Inc()
-		c.mu.Lock()
-		c.stats.Segments++
-		c.mu.Unlock()
+		c.add(&c.stats.Segments, 1)
 		_, werr := w.Write(data)
 		if werr == nil {
 			if firstByte {
@@ -710,9 +708,7 @@ func (c *Client) fetch(ctx context.Context, st *stripeRun, rs RangeStreamer, fil
 		if hedge {
 			st.res.Hedges++
 			c.met.HedgesFired.Inc()
-			c.mu.Lock()
-			c.stats.Hedges++
-			c.mu.Unlock()
+			c.add(&c.stats.Hedges, 1)
 		}
 		st.mu.Unlock()
 
@@ -738,9 +734,7 @@ func (c *Client) fetch(ctx context.Context, st *stripeRun, rs RangeStreamer, fil
 				if hedge {
 					st.res.HedgesWon++
 					c.met.HedgesWon.Inc()
-					c.mu.Lock()
-					c.stats.HedgesWon++
-					c.mu.Unlock()
+					c.add(&c.stats.HedgesWon, 1)
 				}
 				seg.SetOutcome("ok")
 			}
@@ -814,9 +808,7 @@ func (c *Client) fetch(ctx context.Context, st *stripeRun, rs RangeStreamer, fil
 		c.met.Failovers.Inc()
 		c.met.LaneFailovers.Inc()
 		c.met.FailoverLatency.Observe(time.Since(start).Seconds())
-		c.mu.Lock()
-		c.stats.Failovers++
-		c.mu.Unlock()
+		c.add(&c.stats.Failovers, 1)
 	}
 }
 

@@ -69,20 +69,25 @@ type CFP struct {
 }
 
 // OpenRequest asks the selected provider to admit a data access and
-// reserve bandwidth for it.
+// reserve bandwidth for it. An open with a size is a write: the provider
+// stores the new file, charges its bytes, reserves the ingest's bitrate
+// and registers the replica with the Mapper, all or nothing.
 type OpenRequest struct {
 	Request     ids.RequestID
 	File        ids.FileID
 	Bitrate     units.BytesPerSec
 	DurationSec float64
+	// SizeBytes is the size of the file a write stores; zero means a read.
+	SizeBytes units.Size
 	// Firm selects the admission scenario: a firm request is refused when
 	// the reservation does not fit in the remaining bandwidth; a soft
 	// request is always admitted (possibly over-allocating the disk).
 	Firm bool
 	// Tenant identifies the requesting tenant. A provider with a tenant
-	// ledger charges the reservation against the tenant's bandwidth quota
-	// and refuses the open when the quota is exhausted — even in the soft
-	// scenario, where untenanted admission is unconditional.
+	// ledger charges the reservation against the tenant's bandwidth quota,
+	// and a write's SizeBytes against its byte quota, and refuses the open
+	// when either is exhausted — even in the soft scenario, where
+	// untenanted admission is unconditional.
 	Tenant ids.TenantID
 }
 
@@ -109,21 +114,6 @@ type ReplicaOffer struct {
 	// Rate is the replication transfer speed (paper: 1.8 Mbit/s).
 	Rate   units.BytesPerSec
 	Source ids.RMID
-}
-
-// StoreRequest asks a provider to admit a brand-new file — the write half
-// of the data communication phase. The provider adds the file to its local
-// table and storage accounting; the data bytes travel on the data plane
-// (live mode) or are implicit (simulation).
-type StoreRequest struct {
-	File        ids.FileID
-	Bitrate     units.BytesPerSec
-	SizeBytes   units.Size
-	DurationSec float64
-	// Tenant owns the stored bytes: a provider with a tenant ledger
-	// charges SizeBytes against the tenant's byte quota and refuses the
-	// store when it is exhausted.
-	Tenant ids.TenantID
 }
 
 // Refusal is why an ECNP role refused a call: one byte that means the
@@ -196,7 +186,8 @@ type Mapper interface {
 	// RMsWithout returns registered RMs holding no replica of file — the
 	// candidate destination list for dynamic replication.
 	RMsWithout(file ids.FileID) []ids.RMID
-	// AddReplica records that rm now holds file (bulk import or upload).
+	// AddReplica records that rm now holds file: an RM registering the
+	// file a write-open stored on it.
 	AddReplica(file ids.FileID, rm ids.RMID) error
 	// RemoveReplica records that rm dropped its replica of file.
 	RemoveReplica(file ids.FileID, rm ids.RMID) error
@@ -228,7 +219,9 @@ type Provider interface {
 	// access history and may trigger its dynamic-replication agent.
 	HandleCFP(cfp CFP) selection.Bid
 	// Open admits (or, in the firm scenario, possibly refuses) a data
-	// access, reserving cfp.Bitrate until Close is called.
+	// access, reserving req.Bitrate until Close is called. A write (a
+	// SizeBytes above zero) also stores the file and registers it with the
+	// Mapper, and a refusal leaves nothing of it behind.
 	Open(req OpenRequest) OpenResult
 	// Close releases the reservation of a previously admitted request.
 	Close(request ids.RequestID)
@@ -240,9 +233,6 @@ type Provider interface {
 	// destination: the transfer bandwidth is released and, when committed,
 	// the destination owns the replica. committed=false aborts the copy.
 	FinishReplica(rep ids.ReplicationID, committed bool)
-	// StoreFile admits a brand-new file (the write path); it fails when
-	// the provider already holds the file or its disk is full.
-	StoreFile(req StoreRequest) error
 }
 
 // CtxBidder is optionally implemented by Providers whose HandleCFP

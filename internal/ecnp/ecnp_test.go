@@ -67,7 +67,6 @@ func (s *stubProvider) Open(OpenRequest) OpenResult           { return OpenResul
 func (s *stubProvider) Close(ids.RequestID)                   {}
 func (s *stubProvider) OfferReplica(ReplicaOffer) bool        { return false }
 func (s *stubProvider) FinishReplica(ids.ReplicationID, bool) {}
-func (s *stubProvider) StoreFile(StoreRequest) error          { return nil }
 
 // TestStaticDirectory pins the table's contract: a set slot answers its
 // provider, and id 0 (RM ids are 1-based), ids.NoneRM, an id past the

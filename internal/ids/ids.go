@@ -21,8 +21,30 @@ type DFSCID int32
 // UserID identifies a simulated user issuing requests through a DFSC.
 type UserID int32
 
-// RequestID identifies a single file-access request, unique per run.
+// RequestID identifies a single file-access request. A client mints it
+// (NewRequestID) from three fields, high to low under the sign bit: its
+// incarnation (11 bits, 52–62), its DFSC ID (12 bits, 40–51) and its own
+// sequence number (40 bits, 0–39). A live client process draws its
+// incarnation at random, so two processes sharing a DFSC ID, or one
+// restarted, do not mint the same IDs but by a 1-in-2048 draw; the DES
+// mints with incarnation 0, so its IDs are DFSC<<40 | seq.
 type RequestID int64
+
+// RequestDFSCBits is the width of a RequestID's DFSC ID field.
+const RequestDFSCBits = 12
+
+// The widths of a RequestID's other fields.
+const (
+	requestSeqBits         = 40
+	requestIncarnationBits = 63 - RequestDFSCBits - requestSeqBits
+)
+
+// NewRequestID packs the low 11 bits of incarnation, d and seq into a
+// RequestID; d must fit RequestDFSCBits and seq 40 bits.
+func NewRequestID(incarnation uint32, d DFSCID, seq int64) RequestID {
+	inc := int64(incarnation & (1<<requestIncarnationBits - 1))
+	return RequestID(inc<<(RequestDFSCBits+requestSeqBits) | int64(d)<<requestSeqBits | seq)
+}
 
 // ReplicationID identifies a dynamic replication transfer, unique per run.
 type ReplicationID int64

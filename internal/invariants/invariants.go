@@ -2,7 +2,7 @@
 // deployment's nodes: every RM's ledgers equal its live reservations and
 // firm admission never over-commits a disk (rm.RM.Check), nothing is held
 // once a workload is over, and the metadata manager's replica map agrees
-// with the files the RMs hold.
+// with the files the RMs hold, in both directions.
 //
 // The DES tests run Check after every request and once at the horizon;
 // every live.Local test runs it at rest when it tears down, and so does
@@ -38,8 +38,10 @@ type System struct {
 	AtRest bool
 	// Mapper, when set, adds the cross-node pass over files 0..Files-1:
 	// the replica map validates, every file has between 1 and MaxReplicas
-	// replicas (committed plus pending), and every holder the map names is
-	// one of RMs and holds the file.
+	// replicas (committed plus pending), every holder the map names is
+	// one of RMs and holds the file, and every file an RM holds is mapped
+	// to it: the map names each RM as many times as it holds files, so
+	// an RM may hold no file outside 0..Files-1.
 	Mapper      Mapper
 	Files       int
 	MaxReplicas int
@@ -65,14 +67,25 @@ func Check(s System) error {
 	if err := s.Mapper.Validate(); err != nil {
 		errs = append(errs, fmt.Errorf("replica map: %w", err))
 	}
+	mapped := make(map[ids.RMID]int, len(s.RMs))
 	for f := ids.FileID(0); int(f) < s.Files; f++ {
 		if n := s.Mapper.ReplicaCount(f); n < 1 || n > s.MaxReplicas {
 			errs = append(errs, fmt.Errorf("%v has %d replica(s), want 1..%d", f, n, s.MaxReplicas))
 		}
 		for _, h := range s.Mapper.Lookup(f) {
+			mapped[h]++
 			if r, ok := byID[h]; !ok || !r.HasFile(f) {
 				errs = append(errs, fmt.Errorf("the MM maps %v on %v, which does not hold it", f, h))
 			}
+		}
+	}
+	// The reverse direction, counted rather than walked: with every
+	// holder the map names holding its file, an RM holding more files
+	// than the map gives it holds one the MM does not know of.
+	for _, r := range s.RMs {
+		id := r.Info().ID
+		if held, n := r.NumFiles(), mapped[id]; held != n {
+			errs = append(errs, fmt.Errorf("%v holds %d file(s), the MM maps %d to it", id, held, n))
 		}
 	}
 	return errors.Join(errs...)

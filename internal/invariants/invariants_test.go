@@ -115,3 +115,18 @@ func TestCheckValidatesTheMap(t *testing.T) {
 	wantViolations(t, Check(System{RMs: rms, Mapper: brokenMap{mapper}, Files: 2, MaxReplicas: 2}),
 		"replica map: holder sets diverge")
 }
+
+// TestCheckHeldFilesAreMapped: a file an RM holds that the MM does not map
+// to it — a replica committed on the RM behind the MM's back, or a write
+// stored and never registered — is a violation.
+func TestCheckHeldFilesAreMapped(t *testing.T) {
+	mapper, rms := deployment(t)
+	sys := System{RMs: rms, Mapper: mapper, Files: 2, MaxReplicas: 2}
+	offer := ecnp.ReplicaOffer{Replication: 1, File: 1, SizeBytes: units.MB, Bitrate: units.Mbps(1), DurationSec: 8, Rate: units.Mbps(1), Source: 2}
+	if !rms[0].OfferReplica(offer) {
+		t.Fatal("offer refused")
+	}
+	wantViolations(t, Check(sys))
+	rms[0].FinishReplica(1, true)
+	wantViolations(t, Check(sys), "RM1 holds 2 file(s), the MM maps 1 to it")
+}

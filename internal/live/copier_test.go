@@ -92,10 +92,11 @@ func TestLiveReplicationMovesRealBytes(t *testing.T) {
 	src.Close(1)
 }
 
-// TestLiveStoreFile exercises the write path over TCP: remote admission
-// via StoreFile, then the data bytes via WriteFile, then a checksummed
-// read back.
-func TestLiveStoreFile(t *testing.T) {
+// TestLiveWriteOpen exercises the write path over TCP: one write-open
+// stores the file, provisions it on the disk and registers it with the MM;
+// a second is refused as already stored; then the data bytes follow via
+// WriteFile and read back checksummed.
+func TestLiveWriteOpen(t *testing.T) {
 	lc := startLiveCluster(t, LocalSpec{
 		Caps: []units.BytesPerSec{units.Mbps(50)},
 	})
@@ -105,15 +106,24 @@ func TestLiveStoreFile(t *testing.T) {
 		t.Fatal("RM1 unreachable")
 	}
 	meta := lc.Catalog.File(2)
-	err := cli.StoreFile(ecnp.StoreRequest{
-		File: 2, Bitrate: meta.Bitrate, SizeBytes: meta.Size, DurationSec: meta.DurationSec,
-	})
-	if err != nil {
-		t.Fatal(err)
+	write := ecnp.OpenRequest{Request: 1, File: 2, Bitrate: meta.Bitrate, SizeBytes: meta.Size, DurationSec: meta.DurationSec}
+	if res := cli.Open(write); !res.OK {
+		t.Fatalf("write-open refused: %s", res.Reason)
 	}
-	// Duplicate store is refused remotely.
-	if err := cli.StoreFile(ecnp.StoreRequest{File: 2, Bitrate: meta.Bitrate, SizeBytes: meta.Size, DurationSec: meta.DurationSec}); err == nil {
-		t.Fatal("duplicate remote store accepted")
+	defer cli.Close(1)
+	if !lc.Node(1).HasFile(2) {
+		t.Fatal("RM does not own the stored file")
+	}
+	if hs := lc.Mapper.Lookup(2); len(hs) != 1 || hs[0] != 1 {
+		t.Fatalf("the MM maps the written file on %v, want [RM1]", hs)
+	}
+	if size, err := lc.Disk(1).Stat(FileName(2)); err != nil || size != meta.Size {
+		t.Fatalf("disk holds %v (%v) of the written file, want %v", size, err, meta.Size)
+	}
+	// A second write of the file is refused remotely.
+	write.Request = 2
+	if res := cli.Open(write); res.OK || res.Code != ecnp.ErrAlreadyStored {
+		t.Fatalf("duplicate remote write: %+v, want %s", res, ecnp.ErrAlreadyStored.Label())
 	}
 	// Upload explicit bytes and read them back verified.
 	payload := bytes.Repeat([]byte("storage-qos!"), 4096)
@@ -128,7 +138,91 @@ func TestLiveStoreFile(t *testing.T) {
 	if n != int64(len(payload)) || !bytes.Equal(buf.Bytes(), payload) {
 		t.Fatalf("read back %d bytes, mismatch", n)
 	}
-	if !lc.Node(1).HasFile(2) {
-		t.Fatal("RM does not own the stored file")
+}
+
+// wantNothingStored fails t unless RM1 holds nothing of file: no file, the
+// storage and reservations it had before (used, zero), no MM holder and
+// no bytes on its disk.
+func wantNothingStored(t *testing.T, lc *Local, file ids.FileID, used units.Size) {
+	t.Helper()
+	node := lc.Node(1)
+	if node.HasFile(file) {
+		t.Errorf("RM1 holds %v after a failed write", file)
+	}
+	if got := node.StorageUsed(); got != used {
+		t.Errorf("RM1 storage %v after a failed write, want %v", got, used)
+	}
+	if n := node.ActiveReservations(); n != 0 {
+		t.Errorf("RM1 holds %d reservation(s) after a failed write", n)
+	}
+	if hs := lc.Mapper.Lookup(file); len(hs) != 0 {
+		t.Errorf("the MM maps %v on %v after a failed write", file, hs)
+	}
+}
+
+// TestLiveWriteFailingProvisionStoresNothing: an offer accepted and then
+// aborted leaves its bytes on the vdisk (the disk is never told), so the
+// disk is fuller than the RM's accounting. A write-open the RM's
+// accounting admits then fails to provision on the disk, and it must be
+// refused as disk full with nothing of it left behind.
+func TestLiveWriteFailingProvisionStoresNothing(t *testing.T) {
+	lc := startLiveCluster(t, LocalSpec{
+		Caps: []units.BytesPerSec{units.Mbps(50)},
+	})
+	cli, ok := lc.Dir.RMClient(1)
+	if !ok {
+		t.Fatal("RM1 unreachable")
+	}
+	node := lc.Node(1)
+	used := node.StorageUsed()
+	free := lc.Disk(1).Capacity() - lc.Disk(1).Used()
+	offer := ecnp.ReplicaOffer{Replication: 7, File: 6, SizeBytes: free / 2, Bitrate: units.Mbps(1), DurationSec: 60, Rate: units.Mbps(1), Source: 2}
+	if !cli.OfferReplica(offer) {
+		t.Fatal("offer refused")
+	}
+	cli.FinishReplica(7, false)
+	if got := node.StorageUsed(); got != used {
+		t.Fatalf("RM1 storage %v after an aborted offer, want %v", got, used)
+	}
+	res := cli.Open(ecnp.OpenRequest{Request: 1, File: 7, Bitrate: units.Mbps(1), SizeBytes: free/2 + units.MB, DurationSec: 60})
+	if res.OK || res.Code != ecnp.ErrDiskFull {
+		t.Fatalf("write-open past the disk: %+v, want %s", res, ecnp.ErrDiskFull.Label())
+	}
+	wantNothingStored(t, lc, 7, used)
+	if _, err := lc.Disk(1).Stat(FileName(7)); err == nil {
+		t.Error("the disk holds the refused file")
+	}
+}
+
+// TestLiveWriteUnregisteredStoresNothing: the MM refuses to register the
+// written file (a fault script on AddReplica), so the write-open fails
+// and leaves nothing on the RM or its disk; once the MM answers, the
+// same write succeeds.
+func TestLiveWriteUnregisteredStoresNothing(t *testing.T) {
+	lc := startLiveCluster(t, LocalSpec{
+		Caps: []units.BytesPerSec{units.Mbps(50)},
+		MM:   MMSpec{Faults: "mm.handle:match=AddReplica:count=1:action=error"},
+	})
+	cli, ok := lc.Dir.RMClient(1)
+	if !ok {
+		t.Fatal("RM1 unreachable")
+	}
+	used := lc.Node(1).StorageUsed()
+	diskUsed := lc.Disk(1).Used()
+	meta := lc.Catalog.File(3)
+	write := ecnp.OpenRequest{Request: 1, File: 3, Bitrate: meta.Bitrate, SizeBytes: meta.Size, DurationSec: meta.DurationSec}
+	if res := cli.Open(write); res.OK {
+		t.Fatal("write-open admitted although the MM refused its registration")
+	}
+	wantNothingStored(t, lc, 3, used)
+	if got := lc.Disk(1).Used(); got != diskUsed {
+		t.Errorf("disk holds %v after a failed write, want %v", got, diskUsed)
+	}
+	if res := cli.Open(write); !res.OK {
+		t.Fatalf("write-open once the MM answers: %s", res.Reason)
+	}
+	cli.Close(1)
+	if !lc.Node(1).HasFile(3) || len(lc.Mapper.Lookup(3)) != 1 {
+		t.Fatal("the second write did not store and register the file")
 	}
 }

@@ -260,9 +260,10 @@ func TestLiveEveryRefusalMatchesItsSentinel(t *testing.T) {
 		t.Fatal("RM1 unreachable")
 	}
 	// open reports a refused open as its code, which is how the RM serves
-	// one: in the OpenResult, not as an error.
+	// one: in the OpenResult, not as an error. A read opens file 0, which
+	// RM1 holds; an open with a size is a write of its file.
 	open := func(req ecnp.OpenRequest) error {
-		req.File, req.DurationSec = 0, 60
+		req.DurationSec = 60
 		if res := cli.Open(req); !res.OK {
 			return res.Code
 		}
@@ -290,10 +291,10 @@ func TestLiveEveryRefusalMatchesItsSentinel(t *testing.T) {
 		ecnp.ErrFirmCapacity:    func() error { return open(ecnp.OpenRequest{Request: 2, Bitrate: units.Mbps(20), Firm: true}) },
 		ecnp.ErrTenantBandwidth: func() error { return open(ecnp.OpenRequest{Request: 3, Bitrate: units.Mbps(1), Tenant: capped}) },
 		ecnp.ErrTenantBytes: func() error {
-			return cli.StoreFile(ecnp.StoreRequest{File: 5, SizeBytes: units.MB, Tenant: capped})
+			return open(ecnp.OpenRequest{Request: 4, File: 5, SizeBytes: units.MB, Tenant: capped})
 		},
-		ecnp.ErrDiskFull:      func() error { return cli.StoreFile(ecnp.StoreRequest{File: 6, SizeBytes: 2 * units.GB}) },
-		ecnp.ErrAlreadyStored: func() error { return cli.StoreFile(ecnp.StoreRequest{File: 0, SizeBytes: units.MB}) },
+		ecnp.ErrDiskFull:      func() error { return open(ecnp.OpenRequest{Request: 5, File: 6, SizeBytes: 2 * units.GB}) },
+		ecnp.ErrAlreadyStored: func() error { return open(ecnp.OpenRequest{Request: 6, File: 0, SizeBytes: units.MB}) },
 		ecnp.ErrNotReserved:   func() error { return cli.Keepalive(99) },
 	}
 	for why := ecnp.Refusal(1); why < ecnp.NumRefusals; why++ {

@@ -56,9 +56,16 @@ type tenantQoS struct {
 	streams int
 }
 
-// NewRMServer starts serving node and disk on addr.
+// NewRMServer starts serving node and disk on addr. With a disk, it
+// installs the disk as node's disk step (rm.RM.SetDiskHooks), where
+// written files and accepted offers are provisioned.
 func NewRMServer(node *rm.RM, disk *vdisk.Disk, addr string) (*RMServer, error) {
 	s := &RMServer{node: node, disk: disk}
+	if disk != nil {
+		node.SetDiskHooks(
+			func(f ids.FileID, size units.Size) error { return disk.Provision(FileName(f), size) },
+			func(f ids.FileID) { disk.Remove(FileName(f)) })
+	}
 	if err := s.listen(fmt.Sprintf("rm%d", node.Info().ID), addr, s.handle); err != nil {
 		return nil, err
 	}
@@ -84,8 +91,6 @@ func rmSpanName(k wire.Kind) string {
 		return "rm.keepalive"
 	case wire.KindOfferReplica:
 		return "rm.offer"
-	case wire.KindStoreFile:
-		return "rm.store"
 	}
 	return "rm." + k.String()
 }
@@ -284,28 +289,9 @@ func (s *RMServer) dispatch(wc *wire.Conn, msg wire.Msg, sp *trace.Span) error {
 		s.node.Close(req.Request)
 		return wc.Write(wire.KindAck, wire.Ack{})
 	case ecnp.ReplicaOffer:
-		accepted := s.node.OfferReplica(req)
-		if accepted && s.disk != nil {
-			// Provision space for the incoming replica up front; a full
-			// disk retroactively rejects the offer.
-			if err := s.disk.Provision(FileName(req.File), req.SizeBytes); err != nil {
-				s.node.FinishReplica(req.Replication, false)
-				accepted = false
-			}
-		}
-		return wc.Write(wire.KindOfferReply, wire.OfferReply{Accepted: accepted})
+		return wc.Write(wire.KindOfferReply, wire.OfferReply{Accepted: s.node.OfferReplica(req)})
 	case wire.FinishReplica:
 		s.node.FinishReplica(req.Replication, req.Committed)
-		return wc.Write(wire.KindAck, wire.Ack{})
-	case ecnp.StoreRequest:
-		if err := s.node.StoreFile(req); err != nil {
-			return wc.WriteError(err)
-		}
-		if s.disk != nil {
-			if err := s.disk.Provision(FileName(req.File), req.SizeBytes); err != nil {
-				return wc.WriteError(err)
-			}
-		}
 		return wc.Write(wire.KindAck, wire.Ack{})
 	case *wire.ReadFile:
 		// Copied out of the pooled payload, so the frame resources go
@@ -780,13 +766,6 @@ func (c *RMClient) ReadRange(ctx context.Context, file ids.FileID, req ids.Reque
 // to re-negotiate.
 func (c *RMClient) Keepalive(req ids.RequestID) error {
 	_, err := c.call(context.Background(), wire.KindKeepalive, wire.Keepalive{Request: req})
-	return err
-}
-
-// StoreFile implements ecnp.Provider: remote admission of a new file.
-// The data bytes follow separately via WriteFile.
-func (c *RMClient) StoreFile(req ecnp.StoreRequest) error {
-	_, err := c.call(context.Background(), wire.KindStoreFile, req)
 	return err
 }
 

@@ -108,12 +108,12 @@ func TestSweepEpochCheckSparesReadmission(t *testing.T) {
 	open(t, r, 1, units.Mbps(4))
 	// The reservation dies and the same request ID is re-admitted (a
 	// retry reusing its ID) with a fresh lease before the next sweep: the
-	// epoch check must spare the newcomer.
+	// sweep must spare the newcomer.
 	if n := r.SweepLeases(sched.Now().Add(6)); n != 1 {
 		t.Fatalf("first sweep expired %d, want 1", n)
 	}
 	sched.RunUntil(6)
-	open(t, r, 1, units.Mbps(4)) // fresh epoch, lastActivity = 6
+	open(t, r, 1, units.Mbps(4)) // a fresh reservation, lastActivity = 6
 	if n := r.SweepLeases(sched.Now().Add(4)); n != 0 {
 		t.Fatalf("sweep reaped the re-admitted reservation (%d)", n)
 	}

@@ -66,7 +66,7 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 	offers := reg.NewCounterVec("dfsqos_rm_replica_offers_total",
 		"Inbound replica offers by decision.", "decision")
 	refusals := reg.NewCounterVec("dfsqos_rm_refusals_total",
-		"Opens, stores and keepalives the RM refused, by reason.", "reason")
+		"Opens (reads and writes) and keepalives the RM refused, by reason.", "reason")
 	met := &Metrics{
 		CFPs: reg.NewCounter("dfsqos_rm_cfps_total",
 			"Call-For-Proposals received."),

@@ -34,9 +34,9 @@ type FileMeta struct {
 	Bitrate     units.BytesPerSec
 	Size        units.Size
 	DurationSec float64
-	// Tenant is the byte-quota owner for files admitted through StoreFile
-	// on a tenanted RM: deleting the file (GC, migration) returns its
-	// bytes to that tenant's budget. Zero for untenanted stores and for
+	// Tenant is the byte-quota owner of a file a write-open stored on a
+	// tenanted RM: deleting the file (GC, migration) returns its bytes to
+	// that tenant's budget. Zero for untenanted writes and for
 	// replication-created copies, which are system-initiated and never
 	// charged.
 	Tenant ids.TenantID
@@ -53,7 +53,7 @@ type Stats struct {
 	OffersRejected int64                   // incoming offers rejected (as destination)
 	GCEvictions    int64                   // cold replicas deleted by the storage collector
 	LeaseExpiries  int64                   // orphaned reservations reclaimed by the sweeper
-	Refusals       [ecnp.NumRefusals]int64 // refused opens, stores and keepalives by code
+	Refusals       [ecnp.NumRefusals]int64 // refused opens (reads and writes) and keepalives by code
 }
 
 // incoming tracks one accepted inbound replication transfer.
@@ -63,16 +63,12 @@ type incoming struct {
 	rate units.BytesPerSec
 }
 
-// reservation is one admitted QoS access and its lease state. The epoch
-// is a per-RM admission sequence number: a sweeper that decided to expire
-// reservation (req, epoch) re-checks the epoch before acting, so a
-// request ID recycled between the decision and the kill is never
-// collateral damage, and a late client Close after expiry finds nothing
-// and stays the no-op it always was.
+// reservation is one admitted QoS access and its lease state. Each
+// admission allocates its own, so a request ID recycled after its
+// reservation ended names a different *reservation.
 type reservation struct {
 	rate         units.BytesPerSec
 	lastActivity simtime.Time
-	epoch        uint64
 	// tenant owns the reservation's quota charge; released on Close and by
 	// the lease sweeper alike, so a crashed tenant's quota always returns.
 	tenant ids.TenantID
@@ -111,11 +107,13 @@ type RM struct {
 
 	active   map[ids.RequestID]*reservation
 	leaseTTL float64 // seconds; <=0 disables lease expiry
-	leaseSeq uint64  // admission epoch counter
 
 	// Admission hooks (see SetAdmissionHooks). Invoked outside r.mu.
 	onAdmit   func(ids.RequestID, ids.TenantID, units.BytesPerSec)
 	onRelease func(ids.RequestID, ids.TenantID, units.BytesPerSec)
+	// Disk hooks (see SetDiskHooks); nil in the DES.
+	provision func(ids.FileID, units.Size) error
+	remove    func(ids.FileID)
 
 	// met mirrors stats onto the telemetry registry and keeps the
 	// runtime gauges (remaining bandwidth, active streams, storage)
@@ -181,9 +179,9 @@ type Options struct {
 	Oversub float64
 	// Tenants is the RM's tenant quota ledger. Nil (the default) disables
 	// tenancy entirely: every request is admitted exactly as before
-	// tenants existed. With a ledger installed, Open charges reservations
-	// against the requesting tenant's bandwidth quota, StoreFile charges
-	// stored bytes, and HandleCFP clamps bids to the tenant's remaining
+	// tenants existed. With a ledger installed, Open charges a reservation
+	// against the tenant's bandwidth quota and a write's bytes against its
+	// byte quota, and HandleCFP clamps bids to the tenant's remaining
 	// allowance and reports the tenant's weighted share for the selection
 	// policy's δ term.
 	Tenants *tenant.Ledger
@@ -268,6 +266,18 @@ func (r *RM) SetAdmissionHooks(onAdmit func(ids.RequestID, ids.TenantID, units.B
 	defer r.mu.Unlock()
 	r.onAdmit = onAdmit
 	r.onRelease = onRelease
+}
+
+// SetDiskHooks installs the disk step of a write-open and of an accepted
+// replica offer: provision puts the file on the RM's disk, its failure
+// undoing the write or the offer, and remove takes a written file off
+// again when the MM then refuses to register it. Both run outside the
+// RM's lock; install them before traffic flows.
+func (r *RM) SetDiskHooks(provision func(ids.FileID, units.Size) error, remove func(ids.FileID)) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.provision = provision
+	r.remove = remove
 }
 
 // refreshGaugesLocked re-derives the runtime gauges from the current
@@ -432,46 +442,141 @@ func (r *RM) HandleCFP(cfp ecnp.CFP) selection.Bid {
 	return bid
 }
 
-// Open implements ecnp.Provider.
+// Open implements ecnp.Provider. A write (SizeBytes above zero) stores its
+// file all or nothing: every check first; then, under r.mu, the file, its
+// storage, byte charge and reservation; outside the lock, the disk step
+// (SetDiskHooks); last, the RM's own MM registration, since the MM refuses
+// to drop a last replica. A refusal or failure at any step leaves nothing.
 func (r *RM) Open(req ecnp.OpenRequest) ecnp.OpenResult {
+	write := req.SizeBytes > 0
 	r.mu.Lock()
-	var refused ecnp.OpenResult
-	if _, dup := r.active[req.Request]; dup {
-		refused = ecnp.OpenResult{Code: ecnp.ErrDuplicateRequest, Reason: ecnp.ErrDuplicateRequest.Error()}
-	} else if req.Firm && !r.led.Fits(req.Bitrate) {
-		refused = ecnp.OpenResult{Code: ecnp.ErrFirmCapacity, Reason: ecnp.ErrFirmCapacity.Error()}
-	} else if err := r.tenants.ReserveBandwidth(req.Tenant, req.Bitrate); err != nil {
-		// Tenant quota is checked after capacity: a firm-refused request
-		// never touches the tenant ledger, and an over-quota refusal holds
-		// even in the soft scenario, where untenanted admission is free.
-		refused = ecnp.OpenResult{Code: ecnp.ErrTenantBandwidth, Reason: err.Error()}
-	}
-	if refused.Code != 0 {
-		r.refuseLocked(refused.Code)
+	if res := r.admitLocked(req, write); res.Code != 0 {
+		r.refuseLocked(res.Code)
 		r.mu.Unlock()
-		return refused
+		return res
 	}
 	now := r.sched.Now()
-	size := units.Size(float64(req.Bitrate) * req.DurationSec)
-	// The two-queue history accumulates "the cumulative amount of
-	// bandwidth utilization": the sizes of files being accessed on this
-	// RM during the recording window.
-	r.hist.Record(now, size)
 	r.led.Allocate(now, req.Bitrate)
-	r.led.AddAssignedBytes(size)
-	r.leaseSeq++
-	r.active[req.Request] = &reservation{rate: req.Bitrate, lastActivity: now, epoch: r.leaseSeq, tenant: req.Tenant}
-	r.stats.Opens++
-	r.met.Admissions.Inc()
+	held := &reservation{rate: req.Bitrate, lastActivity: now, tenant: req.Tenant}
+	r.active[req.Request] = held
+	if write {
+		r.files[req.File] = FileMeta{Bitrate: req.Bitrate, Size: req.SizeBytes, DurationSec: req.DurationSec, Tenant: req.Tenant}
+		r.sumDur += req.DurationSec
+		r.storageUsed += req.SizeBytes
+	} else {
+		r.admittedLocked(req, now)
+	}
 	r.refreshGaugesLocked()
-	onAdmit := r.onAdmit
+	onAdmit, provision, remove := r.onAdmit, r.provision, r.remove
 	r.mu.Unlock()
+	if write {
+		var err error
+		why := ecnp.ErrDiskFull
+		if provision != nil {
+			err = provision(req.File, req.SizeBytes)
+		}
+		if err == nil {
+			if err = r.mapper.AddReplica(req.File, r.info.ID); err != nil && remove != nil {
+				remove(req.File)
+			}
+			why = ecnp.RefusalOf(err)
+		}
+		r.mu.Lock()
+		if err != nil {
+			// Undo the commit, and count the failure as a refusal when it
+			// carries a code.
+			r.dropFileLocked(req.File)
+			if r.active[req.Request] == held {
+				r.releaseLocked(req.Request, held, r.sched.Now())
+			}
+			if why != 0 {
+				r.refuseLocked(why)
+			}
+			r.refreshGaugesLocked()
+		} else {
+			r.admittedLocked(req, now)
+		}
+		r.mu.Unlock()
+		if err != nil {
+			return ecnp.OpenResult{Code: why, Reason: err.Error()}
+		}
+	}
 	// The hook runs before the admission is reported, so by the time the
 	// client can stream, its throttle group exists.
 	if onAdmit != nil {
 		onAdmit(req.Request, req.Tenant, req.Bitrate)
 	}
 	return ecnp.OpenResult{OK: true}
+}
+
+// admitLocked returns the first refusal of an open, or the zero result:
+// a duplicate request ID; for a write, a file already stored or incoming
+// and a full disk; firm capacity; the tenant's bandwidth; for a write, its
+// bytes. The tenant checks charge as they pass, so a write refused its
+// bytes has its bandwidth charge returned. Caller holds r.mu.
+func (r *RM) admitLocked(req ecnp.OpenRequest, write bool) ecnp.OpenResult {
+	var why ecnp.Refusal
+	switch _, stored := r.files[req.File]; {
+	case r.active[req.Request] != nil:
+		why = ecnp.ErrDuplicateRequest
+	case write && (stored || r.incomingFiles[req.File] > 0):
+		why = ecnp.ErrAlreadyStored
+	case write && r.info.StorageBytes > 0 && r.storageUsed+req.SizeBytes > r.info.StorageBytes:
+		why = ecnp.ErrDiskFull
+	case req.Firm && !r.led.Fits(req.Bitrate):
+		why = ecnp.ErrFirmCapacity
+	}
+	if why != 0 {
+		return ecnp.OpenResult{Code: why, Reason: why.Error()}
+	}
+	// Tenant quota is checked after capacity: a firm-refused request
+	// never touches the tenant ledger, and an over-quota refusal holds
+	// even in the soft scenario, where untenanted admission is free.
+	if err := r.tenants.ReserveBandwidth(req.Tenant, req.Bitrate); err != nil {
+		return ecnp.OpenResult{Code: ecnp.ErrTenantBandwidth, Reason: err.Error()}
+	}
+	if !write {
+		return ecnp.OpenResult{}
+	}
+	if err := r.tenants.ChargeBytes(req.Tenant, int64(req.SizeBytes)); err != nil {
+		r.tenants.ReleaseBandwidth(req.Tenant, req.Bitrate)
+		return ecnp.OpenResult{Code: ecnp.ErrTenantBytes, Reason: err.Error()}
+	}
+	return ecnp.OpenResult{}
+}
+
+// admittedLocked counts an open that stands, a write only once the MM has
+// registered it, so an undone write counts nothing. Caller holds r.mu.
+func (r *RM) admittedLocked(req ecnp.OpenRequest, now simtime.Time) {
+	size := units.Size(float64(req.Bitrate) * req.DurationSec)
+	// The two-queue history accumulates "the cumulative amount of
+	// bandwidth utilization": the sizes of files being accessed on this
+	// RM during the recording window.
+	r.hist.Record(now, size)
+	r.led.AddAssignedBytes(size)
+	r.stats.Opens++
+	r.met.Admissions.Inc()
+}
+
+// releaseLocked ends reservation res of request, returning its bandwidth
+// to the ledger and its tenant. Caller holds r.mu.
+func (r *RM) releaseLocked(request ids.RequestID, res *reservation, now simtime.Time) {
+	delete(r.active, request)
+	r.led.Release(now, res.rate)
+	r.tenants.ReleaseBandwidth(res.tenant, res.rate)
+}
+
+// dropFileLocked deletes f from the table, returning its storage and its
+// tenant's byte charge, and reports whether f was held. Caller holds r.mu.
+func (r *RM) dropFileLocked(f ids.FileID) bool {
+	meta, ok := r.files[f]
+	if ok {
+		delete(r.files, f)
+		r.sumDur -= meta.DurationSec
+		r.storageUsed -= meta.Size
+		r.tenants.ReleaseBytes(meta.Tenant, int64(meta.Size))
+	}
+	return ok
 }
 
 // refuseLocked counts a refusal by its code and returns the code.
@@ -491,9 +596,7 @@ func (r *RM) Close(request ids.RequestID) {
 		r.mu.Unlock()
 		return
 	}
-	delete(r.active, request)
-	r.led.Release(r.sched.Now(), res.rate)
-	r.tenants.ReleaseBandwidth(res.tenant, res.rate)
+	r.releaseLocked(request, res, r.sched.Now())
 	r.refreshGaugesLocked()
 	onRelease := r.onRelease
 	r.mu.Unlock()
@@ -546,46 +649,31 @@ func (r *RM) ActiveReservations() int {
 
 // SweepLeases expires every reservation whose lease has been idle longer
 // than the TTL as of now, returning the reclaimed bandwidth to the
-// ledger. It reports how many reservations were expired. The sweep is
-// two-phase: victims are collected first, then each is re-checked by
-// (request, epoch) before the kill, so a reservation re-admitted under a
-// recycled request ID between the phases survives. Expiry is idempotent
-// with the client's Close: whichever side arrives second finds nothing.
+// ledger. It reports how many reservations were expired. It holds r.mu
+// from choosing its victims to releasing them, so a reservation closed or
+// re-admitted under a recycled request ID is never collateral damage.
+// Expiry is idempotent with the client's Close: whichever side arrives
+// second finds nothing.
 func (r *RM) SweepLeases(now simtime.Time) int {
 	r.mu.Lock()
 	if r.leaseTTL <= 0 {
 		r.mu.Unlock()
 		return 0
 	}
-	type victim struct {
-		req   ids.RequestID
-		epoch uint64
+	type expired struct {
+		req ids.RequestID
+		res *reservation
 	}
-	var victims []victim
+	var gone []expired
 	for req, res := range r.active {
 		if now.Sub(res.lastActivity).Seconds() > r.leaseTTL {
-			victims = append(victims, victim{req: req, epoch: res.epoch})
+			r.releaseLocked(req, res, now)
+			r.stats.LeaseExpiries++
+			r.met.LeasesExpired.Inc()
+			gone = append(gone, expired{req, res})
 		}
 	}
-	type expired struct {
-		req    ids.RequestID
-		tenant ids.TenantID
-		rate   units.BytesPerSec
-	}
-	var expiredReqs []expired
-	for _, v := range victims {
-		res, ok := r.active[v.req]
-		if !ok || res.epoch != v.epoch {
-			continue // closed or re-admitted since collection
-		}
-		delete(r.active, v.req)
-		r.led.Release(now, res.rate)
-		r.tenants.ReleaseBandwidth(res.tenant, res.rate)
-		r.stats.LeaseExpiries++
-		r.met.LeasesExpired.Inc()
-		expiredReqs = append(expiredReqs, expired{req: v.req, tenant: res.tenant, rate: res.rate})
-	}
-	if len(expiredReqs) > 0 {
+	if len(gone) > 0 {
 		r.refreshGaugesLocked()
 	}
 	onRelease := r.onRelease
@@ -593,45 +681,16 @@ func (r *RM) SweepLeases(now simtime.Time) int {
 	// Release hooks fire outside the lock: tearing down a dead stream's
 	// throttle group is how its borrowed bandwidth returns to the pool.
 	if onRelease != nil {
-		for _, e := range expiredReqs {
-			onRelease(e.req, e.tenant, e.rate)
+		for _, e := range gone {
+			onRelease(e.req, e.res.tenant, e.res.rate)
 		}
 	}
-	return len(expiredReqs)
-}
-
-// StoreFile implements ecnp.Provider: it admits a brand-new file onto this
-// RM — the write half of the paper's data communication phase ("data can
-// be stored into the selected storage resource"). The file joins the local
-// table and storage accounting; the caller registers the replica with the
-// MM once the store succeeds.
-func (r *RM) StoreFile(req ecnp.StoreRequest) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, dup := r.files[req.File]; dup {
-		return fmt.Errorf("rm: %v: %w: %v", r.info.ID, r.refuseLocked(ecnp.ErrAlreadyStored), req.File)
-	}
-	if r.info.StorageBytes > 0 && r.storageUsed+req.SizeBytes > r.info.StorageBytes {
-		return fmt.Errorf("rm: %v: %w (%v of %v used)", r.info.ID, r.refuseLocked(ecnp.ErrDiskFull), r.storageUsed, r.info.StorageBytes)
-	}
-	// Byte quota is checked last so a refused store leaves nothing to
-	// roll back; the charge is released if the file is later deleted.
-	if err := r.tenants.ChargeBytes(req.Tenant, int64(req.SizeBytes)); err != nil {
-		r.refuseLocked(ecnp.ErrTenantBytes)
-		return fmt.Errorf("rm: %v refuses store of %v: %w", r.info.ID, req.File, err)
-	}
-	meta := FileMeta{Bitrate: req.Bitrate, Size: req.SizeBytes, DurationSec: req.DurationSec, Tenant: req.Tenant}
-	r.files[req.File] = meta
-	r.sumDur += meta.DurationSec
-	r.storageUsed += meta.Size
-	r.refreshGaugesLocked()
-	return nil
+	return len(gone)
 }
 
 // OfferReplica implements ecnp.Provider (the destination endpoint).
 func (r *RM) OfferReplica(offer ecnp.ReplicaOffer) bool {
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	_, has := r.files[offer.File]
 	hasReplica := has || r.incomingFiles[offer.File] > 0
 	ok := replication.DestinationDecision(
@@ -648,6 +707,7 @@ func (r *RM) OfferReplica(offer ecnp.ReplicaOffer) bool {
 	if !ok {
 		r.stats.OffersRejected++
 		r.met.OffersRejected.Inc()
+		r.mu.Unlock()
 		return false
 	}
 	r.storageUsed += offer.SizeBytes
@@ -664,6 +724,14 @@ func (r *RM) OfferReplica(offer ecnp.ReplicaOffer) bool {
 	r.incomingFiles[offer.File]++
 	r.dstActive++
 	r.refreshGaugesLocked()
+	provision := r.provision
+	r.mu.Unlock()
+	// The disk step, as a write-open's: a full disk retroactively rejects
+	// the offer.
+	if provision != nil && provision(offer.File, offer.SizeBytes) != nil {
+		r.FinishReplica(offer.Replication, false)
+		return false
+	}
 	return true
 }
 
@@ -739,11 +807,7 @@ func (r *RM) collectGarbage() {
 			continue // lost a race (e.g. became the last replica); skip
 		}
 		r.mu.Lock()
-		if meta, ok := r.files[f]; ok {
-			delete(r.files, f)
-			r.sumDur -= meta.DurationSec
-			r.storageUsed -= meta.Size
-			r.tenants.ReleaseBytes(meta.Tenant, int64(meta.Size))
+		if r.dropFileLocked(f) {
 			r.stats.GCEvictions++
 			r.met.GCEvictions.Inc()
 			r.refreshGaugesLocked()
@@ -999,11 +1063,7 @@ func (r *RM) migrateOut(f ids.FileID) {
 		return
 	}
 	r.mu.Lock()
-	if meta, ok := r.files[f]; ok {
-		delete(r.files, f)
-		r.sumDur -= meta.DurationSec
-		r.storageUsed -= meta.Size
-		r.tenants.ReleaseBytes(meta.Tenant, int64(meta.Size))
+	if r.dropFileLocked(f) {
 		r.stats.RepMigrations++
 		r.met.RepMigrations.Inc()
 		r.refreshGaugesLocked()

@@ -95,6 +95,19 @@ func (d *Disk) Provision(name string, size units.Size) error {
 	return d.replace(name, &file{size: size, seed: seedOf(name)})
 }
 
+// Remove deletes name, returning its bytes to the disk; an absent name is
+// a no-op. A reader already streaming the file keeps its blocks until it
+// is done (see file.pin).
+func (d *Disk) Remove(name string) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if f, ok := d.files[name]; ok {
+		delete(d.files, name)
+		d.used -= f.size
+		f.unpin()
+	}
+}
+
 // replace installs f under name, taking the place of any file already
 // there. An overwrite is charged only the difference — the capacity check
 // runs against used − old + new — and nothing is touched unless it passes,

@@ -1,5 +1,5 @@
 // The one codec of the ECNP wire protocol. The frame prelude carries a
-// one-byte codec tag and exactly one value of it exists: tag 4, a
+// one-byte codec tag and exactly one value of it exists: tag 5, a
 // fixed-layout big-endian encoding in which every message kind is
 // described once — its arm of coder.payload below lists the kind's fields
 // in wire order, and one cursor walks that list to encode and to decode.
@@ -34,15 +34,15 @@
 //	  Bid:              rm i32 | rem f64 | trend f64 | occBias f64 | req f64 |
 //	                    hasReplica u8 | assured f64 | ceil f64 | tenantShare f64
 //	  Open:             request i64 | file i32 | bitrate f64 | durationSec f64 |
-//	                    firm u8 | tenant i32                 (ecnp.OpenRequest)
+//	                    firm u8 | tenant i32 | sizeBytes i64 (ecnp.OpenRequest;
+//	                    sizeBytes 0 = a read, else a write of that size)
 //	  OpenResult:       ok u8 | code u8 | reason (rest of body, UTF-8)
 //	  Close:            request i64                          (wire.CloseReq)
 //	  OfferReplica:     replication i64 | file i32 | sizeBytes i64 | bitrate f64 |
 //	                    durationSec f64 | rate f64 | source i32 (ecnp.ReplicaOffer)
 //	  OfferReply:       accepted u8
 //	  FinishReplica:    replication i64 | committed u8
-//	  StoreFile:        file i32 | bitrate f64 | sizeBytes i64 | durationSec f64 |
-//	                    tenant i32                           (ecnp.StoreRequest)
+//	  (kind 22 is deleted: a write is an Open with a size; the number stays reserved)
 //	  -- data plane --
 //	  ReadFile:         file i32 | chunkSize i64 | offset i64 | request i64 | length i64
 //	                    (length 0 = stream to EOF)
@@ -82,8 +82,9 @@
 // CodecError ("unknown kind", "unknown flag bits"). Changing an existing
 // body's layout bumps the codec tag instead of mutating the layout in
 // place, and an unknown tag is a typed CodecError as well ("unknown codec
-// tag") — tag 0 (gob), tags 2 and 3 (this body behind fixed slots) and
-// tag 1 (Error and OpenResult without their code) are retired that way.
+// tag") — tag 0 (gob), tags 2 and 3 (this body behind fixed slots), tag 1
+// (Error and OpenResult without their code) and tag 4 (Open without its
+// size) are retired that way.
 // No fleet is deployed, so no two tags are spoken at once.
 //
 // Buffer ownership: encode and decode both borrow scratch buffers from a
@@ -112,7 +113,7 @@ type Codec uint8
 
 // CodecBinary is the one codec: a flags byte that says which optional
 // slots (tenant, trace) precede the kind field, then the kind's layout.
-const CodecBinary Codec = 4
+const CodecBinary Codec = 5
 
 // String implements fmt.Stringer for diagnostics.
 func (c Codec) String() string {
@@ -707,6 +708,7 @@ func (c *coder) payload(kind Kind, in any) (out any) {
 		f64(c, &p.DurationSec)
 		c.flag(&p.Firm)
 		i32(c, &p.Tenant)
+		i64(c, &p.SizeBytes)
 		out = give(c, p)
 	case KindOpenResult:
 		p := take[ecnp.OpenResult](c, in)
@@ -736,14 +738,6 @@ func (c *coder) payload(kind Kind, in any) (out any) {
 		p := take[FinishReplica](c, in)
 		i64(c, &p.Replication)
 		c.flag(&p.Committed)
-		out = give(c, p)
-	case KindStoreFile:
-		p := take[ecnp.StoreRequest](c, in)
-		i32(c, &p.File)
-		f64(c, &p.Bitrate)
-		i64(c, &p.SizeBytes)
-		f64(c, &p.DurationSec)
-		i32(c, &p.Tenant)
 		out = give(c, p)
 	case KindReadFile:
 		p := take[ReadFile](c, in)

@@ -207,7 +207,7 @@ func TestEveryPayloadCoversEveryKind(t *testing.T) {
 		seen[p.kind] = true
 	}
 	for k := KindError; k <= KindShardHandoff; k++ {
-		if !seen[k] {
+		if !seen[k] && k != kindDeleted {
 			t.Errorf("everyPayload has no %v", k)
 		}
 	}
@@ -329,8 +329,9 @@ func TestBinaryMalformedBodiesRejected(t *testing.T) {
 		{"cfp long", binaryBody(KindCFP, make([]byte, 33)), KindCFP},
 		{"bid wrong len", binaryBody(KindBid, make([]byte, 60)), KindBid},
 		{"bid bad bool", binaryBody(KindBid, append(append(make([]byte, 36), 2), make([]byte, 24)...)), KindBid},
-		{"open wrong len", binaryBody(KindOpen, make([]byte, 34)), KindOpen},
-		{"open bad bool", binaryBody(KindOpen, append(append(make([]byte, 28), 0xff), make([]byte, 4)...)), KindOpen},
+		{"open wrong len", binaryBody(KindOpen, make([]byte, 42)), KindOpen},
+		{"open without its size", binaryBody(KindOpen, make([]byte, 33)), KindOpen},
+		{"open bad bool", binaryBody(KindOpen, append(append(make([]byte, 28), 0xff), make([]byte, 12)...)), KindOpen},
 		{"openresult empty", binaryBody(KindOpenResult, nil), KindOpenResult},
 		{"openresult bad bool", binaryBody(KindOpenResult, []byte{2, 'x'}), KindOpenResult},
 		{"openresult without its code", binaryBody(KindOpenResult, []byte{0}), KindOpenResult},
@@ -597,7 +598,6 @@ func TestCtlCodecCoversEveryField(t *testing.T) {
 		{KindOfferReplica, new(ecnp.ReplicaOffer)},
 		{KindOfferReply, new(OfferReply)},
 		{KindFinishReplica, new(FinishReplica)},
-		{KindStoreFile, new(ecnp.StoreRequest)},
 		{KindReadFile, new(ReadFile)},
 		{KindFileChunk, new(FileChunk)},
 		{KindFileEnd, new(FileEnd)},
@@ -628,7 +628,7 @@ func TestCtlCodecCoversEveryField(t *testing.T) {
 		}
 	}
 	for k := KindError; k <= KindShardHandoff; k++ {
-		if !covered[k] {
+		if !covered[k] && k != kindDeleted {
 			t.Errorf("%v has no row here: its payload's fields are unguarded", k)
 		}
 	}
@@ -651,6 +651,7 @@ func ctlPayloads() []ctlPayload {
 		{KindBid, selection.Bid{RM: 1, Trend: math.Copysign(0, -1)}},
 		{KindOpen, ecnp.OpenRequest{Request: 9, File: 1, Bitrate: units.Mbps(2), DurationSec: 300, Firm: true, Tenant: 4}},
 		{KindOpen, ecnp.OpenRequest{Request: 1 << 40, File: 3}},
+		{KindOpen, ecnp.OpenRequest{Request: 2, File: 9, Bitrate: units.Mbps(2), DurationSec: 256, Tenant: 4, SizeBytes: 64 * units.MB}},
 		{KindOpenResult, ecnp.OpenResult{OK: true}},
 		{KindOpenResult, ecnp.OpenResult{Reason: "insufficient bandwidth"}},
 		{KindOpenResult, ecnp.OpenResult{Reason: strings.Repeat("tenant 4 over quota; ", 400)}},
@@ -688,7 +689,6 @@ func adminPayloads() []ctlPayload {
 			DurationSec: 4, Rate: units.Mbps(1.8), Source: 2}},
 		{KindOfferReply, OfferReply{Accepted: true}},
 		{KindFinishReplica, FinishReplica{Replication: 7, Committed: true}},
-		{KindStoreFile, ecnp.StoreRequest{File: 9, Bitrate: units.Mbps(2), SizeBytes: 64 * units.MB, DurationSec: 256, Tenant: 4}},
 		{KindShardBeat, ShardBeat{Shard: 2}},
 		{KindShardMirror, ShardMirror{Op: "BeginReplication", File: 12, RM: 3, MaxTotal: 8}},
 		{KindShardMirror, ShardMirror{Op: "EndReplication", File: 12, RM: 3, Commit: true}},

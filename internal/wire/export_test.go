@@ -16,3 +16,7 @@ func (m *Msg) ReadReq() (ReadFile, bool) {
 	}
 	return ReadFile{}, false
 }
+
+// kindDeleted is the number of the deleted store kind. It stays
+// reserved: the kinds are an iota, and no payload decodes under it.
+const kindDeleted = KindFinishReplica + 1

@@ -59,7 +59,7 @@ const (
 	KindOfferReplica
 	KindOfferReply
 	KindFinishReplica
-	KindStoreFile
+	_ // StoreFile, deleted: a write is an Open with a size. The number stays reserved.
 	// Data plane.
 	KindReadFile
 	KindFileChunk
@@ -87,8 +87,7 @@ var kindNames = [...]string{
 	KindBid: "Bid", KindOpen: "Open", KindOpenResult: "OpenResult",
 	KindClose: "Close", KindOfferReplica: "OfferReplica",
 	KindOfferReply: "OfferReply", KindFinishReplica: "FinishReplica",
-	KindStoreFile: "StoreFile",
-	KindReadFile:  "ReadFile", KindFileChunk: "FileChunk", KindFileEnd: "FileEnd",
+	KindReadFile: "ReadFile", KindFileChunk: "FileChunk", KindFileEnd: "FileEnd",
 	KindWriteFile: "WriteFile",
 	KindHeartbeat: "Heartbeat", KindKeepalive: "Keepalive",
 	KindShardBeat: "ShardBeat", KindShardMirror: "ShardMirror",

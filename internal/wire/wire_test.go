@@ -45,7 +45,7 @@ func TestRoundTripAllPayloads(t *testing.T) {
 		{KindFileChunk, FileChunk{Offset: 128, Data: []byte{1, 2, 3}}},
 		{KindFileEnd, FileEnd{Size: 131, Checksum: 0xdeadbeef}},
 		{KindAck, Ack{}},
-		{KindStoreFile, ecnp.StoreRequest{File: 9, Bitrate: units.Mbps(2), SizeBytes: 64 * units.MB, DurationSec: 256, Tenant: 4}},
+		{KindOpen, ecnp.OpenRequest{Request: 10, File: 9, Bitrate: units.Mbps(2), SizeBytes: 64 * units.MB, DurationSec: 256, Tenant: 4}},
 		{KindShardMirror, ShardMirror{Op: "EndReplication", File: 12, RM: 3, Commit: true}},
 		{KindShardHandoff, ShardHandoff{From: 1, Direction: "takeover",
 			Infos:   []ecnp.RMInfo{{ID: 3, Capacity: units.Mbps(30), Addr: "127.0.0.1:7301"}},
@@ -222,9 +222,16 @@ func TestKindString(t *testing.T) {
 
 // TestKindStringCoversEveryKind walks the whole Kind enum and demands an
 // interned name for each — a kind added without a kindNames entry fails
-// here instead of rendering "Kind(n)" in telemetry labels.
+// here instead of rendering "Kind(n)" in telemetry labels. A deleted
+// kind's reserved number has no name.
 func TestKindStringCoversEveryKind(t *testing.T) {
+	if name := kindDeleted.String(); name != "Kind(22)" {
+		t.Errorf("the deleted kind renders %q, want Kind(22)", name)
+	}
 	for k := KindError; k <= KindShardHandoff; k++ {
+		if k == kindDeleted {
+			continue
+		}
 		if name := k.String(); strings.HasPrefix(name, "Kind(") || name == "" {
 			t.Errorf("Kind %d has no kindNames entry (String() = %q)", uint16(k), name)
 		}

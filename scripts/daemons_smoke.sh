@@ -17,8 +17,11 @@
 # write as a fault and exited 1. Right after each dfsc exits, each
 # rmd's /metrics must read `dfsqos_rm_active_streams 0`: dfsc closes what
 # it reserved on its way out, and the check runs before the 2 s lease
-# could have swept a reservation it left. Last, it sends each daemon
-# SIGTERM and checks that it exits 0. Every address is an ephemeral port
+# could have swept a reservation it left. Then two overlapping `dfsc -n 3`
+# and, after `kill -9` of the second, a third must all have every open
+# admitted, and no rmd may count a duplicate-request refusal; the killed
+# one's reservation must go when its lease expires. Last, it sends each
+# daemon SIGTERM and checks that it exits 0. Every address is an ephemeral port
 # read back from the daemon's log, so runs do not collide.
 #
 # Usage:
@@ -133,6 +136,57 @@ cat "$WORK/ops.out"
 grep -q '^dfsc: 3 requests,' "$WORK/ops.out" ||
     fail "dfsc -replay did not send the read, the write and the probe"
 released "dfsc -replay of a read, a write and a probe"
+
+# Three dfsc processes share the two rmd: two overlapping `dfsc -n 3`,
+# then, after `kill -9` of the second while it holds a reservation, a
+# third. Each process draws its own incarnation for its request IDs, so
+# no open may collide with a reservation another process holds, a killed
+# one's included: every open is admitted and no rmd refuses one as a
+# duplicate. Binaries whose request IDs restart in every process fail
+# here: the third's first open is refused as a duplicate on both rmd.
+
+# admitted NAME: poll NAME's log until it reports an admitted open.
+admitted() {
+    await "$WORK/$1.log" 's/.* -> \(RM[0-9]*\)$/\1/p' >/dev/null || fail "dfsc $1 admitted no open"
+}
+# shellcheck disable=SC2086
+"$WORK/dfsc" -mm "$MM" $CORPUS -n 3 -gap 1000 >"$WORK/first.out" 2>"$WORK/first.log" &
+FIRST=$!
+PIDS="$PIDS $FIRST"
+admitted first
+# shellcheck disable=SC2086
+"$WORK/dfsc" -mm "$MM" $CORPUS -n 3 -gap 1000 >"$WORK/second.out" 2>"$WORK/second.log" &
+SECOND=$!
+PIDS="$PIDS $SECOND"
+admitted second
+kill -9 "$SECOND"
+wait "$SECOND" 2>/dev/null || true
+# shellcheck disable=SC2086
+"$WORK/dfsc" -mm "$MM" $CORPUS -n 3 -gap 0 >"$WORK/third.out" 2>"$WORK/third.log" || fail "the third dfsc exited $?"
+wait "$FIRST" || fail "the first dfsc exited $?"
+for run in first third; do
+    cat "$WORK/$run.out"
+    grep -q ' 3 admitted' "$WORK/$run.out" || fail "dfsc $run did not admit all 3 accesses"
+done
+for mon in $RMMONS; do
+    if curl -sf "http://$mon/metrics" | grep -q '^dfsqos_rm_refusals_total{reason="duplicate"} [1-9]'; then
+        fail "rmd at $mon refused an open as a duplicate request"
+    fi
+done
+# The killed dfsc closed nothing: its reservation goes when its 2 s lease
+# expires, and every rmd must then hold none.
+holding() {
+    for mon in $RMMONS; do
+        curl -sf "http://$mon/metrics" | grep -q '^dfsqos_rm_active_streams [1-9]' && return 0
+    done
+    return 1
+}
+i=0
+while holding; do
+    i=$((i + 1))
+    [ $i -lt 100 ] || fail "the lease sweeper never reclaimed the killed dfsc's reservations"
+    sleep 0.1
+done
 
 for pid in $RMDS $MMD; do
     kill -TERM "$pid"
