@@ -110,7 +110,7 @@ scenarios:
 
 # scenarios-tenant runs the multi-tenant noisy-neighbor scenario alone:
 # an abusive tenant storming past its per-RM bandwidth quota while the
-# victim tenant's SLO gates — fail-rate ceiling, p99 ceiling, and the
+# victim tenant's SLO gates — its fail-rate ceiling and the
 # no-abuser-baseline fail-rate delta — prove quota isolation held. The
 # abuser's own gate is a refusal floor: if the quota never bit, the run
 # fails too. Reported into BENCH_10.json.

@@ -12,7 +12,6 @@ package cluster
 
 import (
 	"fmt"
-	"time"
 
 	"dfsqos/internal/catalog"
 	"dfsqos/internal/dfsc"
@@ -253,6 +252,9 @@ type Results struct {
 	// Messages is the total control-plane message count across clients
 	// (queries, CFPs, bids, opens and their replies).
 	Messages int64
+	// Events is how many DES events fired: arrivals, closes, replica
+	// transfers and utilization samples.
+	Events uint64
 	// TenantUsage aggregates each tenant's end-of-run ledger state
 	// summed across all RMs (nil when tenancy is off). Bandwidth and
 	// Streams should be zero after a clean drain; non-zero Bytes means
@@ -444,12 +446,11 @@ func (c *Cluster) UsePattern(p *workload.Pattern) error {
 }
 
 // Observer receives every request's outcome as the run executes: the
-// request as scheduled, the access outcome, and the wall-clock time the
-// dispatch took (virtual time is free in the DES, so wall time is the
-// engine's honest service-latency signal — it is what the scenario
-// engine's percentile gates measure). Called from inside the event loop;
-// keep it cheap.
-type Observer func(req workload.Request, out dfsc.Outcome, wall time.Duration)
+// request as scheduled and the access outcome. A request takes no virtual
+// time in the DES, and the run reads no wall clock per request, so an
+// outcome carries no latency. Called from inside the event loop; keep it
+// cheap.
+type Observer func(req workload.Request, out dfsc.Outcome)
 
 // Run feeds the access pattern to the scheduler, executes the simulation to
 // the horizon and returns the accumulated results.
@@ -459,7 +460,7 @@ func (c *Cluster) Run() (*Results, error) { return c.RunWithObserver(nil) }
 // behaves exactly like Run). Each request goes to its DFSC's Client.Do,
 // which routes it by its Op — the mixed scenarios interleave reads, bulk
 // writes and metadata probes on one timeline — and obs sees every
-// outcome with its wall-clock dispatch cost.
+// outcome.
 func (c *Cluster) RunWithObserver(obs Observer) (*Results, error) {
 	horizon := simtime.Time(c.cfg.Workload.HorizonSec)
 
@@ -482,23 +483,21 @@ func (c *Cluster) RunWithObserver(obs Observer) (*Results, error) {
 	}
 	c.sched.Feed(arrivals, func(i int, _ simtime.Time) {
 		req := reqs[i]
-		cl := c.clients[int(req.DFSC)]
-		if obs == nil {
-			cl.Do(req.Op, req.File)
-			return
+		out := c.clients[int(req.DFSC)].Do(req.Op, req.File)
+		if obs != nil {
+			obs(req, out)
 		}
-		start := time.Now()
-		out := cl.Do(req.Op, req.File)
-		obs(req, out, time.Since(start))
 	})
 
 	// Utilization sampling for the figure experiments.
 	var series map[ids.RMID]*metrics.Series
 	if c.cfg.SampleEverySec > 0 {
 		series = make(map[ids.RMID]*metrics.Series, len(c.rms))
+		// Sized up front, so sampling allocates nothing in the event loop.
+		samples := int(c.cfg.Workload.HorizonSec/c.cfg.SampleEverySec) + 1
 		for _, node := range c.rms {
 			id := node.Info().ID
-			series[id] = &metrics.Series{Name: id.String()}
+			series[id] = &metrics.Series{Name: id.String(), Points: make([]metrics.Point, 0, samples)}
 		}
 		c.sched.NewTicker(0, simtime.Duration(c.cfg.SampleEverySec), func(now simtime.Time) {
 			for _, node := range c.rms {
@@ -514,6 +513,7 @@ func (c *Cluster) RunWithObserver(obs Observer) (*Results, error) {
 		RMStats:     make([]rm.Stats, len(c.rms)),
 		Utilization: series,
 		HorizonSec:  c.cfg.Workload.HorizonSec,
+		Events:      c.sched.Fired(),
 	}
 	for i, node := range c.rms {
 		info := node.Info()

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-	"time"
 
 	"dfsqos/internal/dfsc"
 	"dfsqos/internal/ecnp"
@@ -33,7 +32,7 @@ func runChecked(cl *Cluster) (*Results, error) {
 		MaxReplicas: bound + 1,
 	}
 	var failed error
-	res, err := cl.RunWithObserver(func(req workload.Request, _ dfsc.Outcome, _ time.Duration) {
+	res, err := cl.RunWithObserver(func(req workload.Request, _ dfsc.Outcome) {
 		if failed != nil {
 			return
 		}

@@ -4,7 +4,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"time"
 
 	"dfsqos/internal/dfsc"
 	"dfsqos/internal/ids"
@@ -105,7 +104,7 @@ func TestRunRefusesOutOfOrderPattern(t *testing.T) {
 			}
 			tc.edit(reqs)
 			dispatched := 0
-			res, err := cl.RunWithObserver(func(workload.Request, dfsc.Outcome, time.Duration) { dispatched++ })
+			res, err := cl.RunWithObserver(func(workload.Request, dfsc.Outcome) { dispatched++ })
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("Run returned (%v, %v), want an error mentioning %q", res, err, tc.want)
 			}

@@ -40,9 +40,10 @@ func TestNegotiateSerialAllocations(t *testing.T) {
 // BenchmarkCollectBidsConcurrent prices the concurrent fan-out mechanism
 // alone: sixteen providers that bid at once from memory, so what is
 // measured is handing sixteen CFPs to the bid workers and collecting
-// sixteen bids — no transport, no RM. Allocations are the bid and provider
-// tables and the reply channel; a worker started per CFP would add to them
-// on every fan-out.
+// sixteen bids — no transport, no RM. The bid and provider tables are the
+// caller's, as negotiateLanes keeps them; allocations are the reply
+// channel and the context's, and a worker started per CFP would add to
+// them on every fan-out.
 func BenchmarkCollectBidsConcurrent(b *testing.B) {
 	b.Run("H16", func(b *testing.B) {
 		const holders = 16
@@ -66,10 +67,12 @@ func BenchmarkCollectBidsConcurrent(b *testing.B) {
 		}
 		cfp := ecnp.CFP{Request: 1, File: 0, Bitrate: units.Mbps(2), DurationSec: 60}
 		ctx := context.Background()
+		var bidBuf [holders]selection.Bid
+		var provBuf [holders]ecnp.Provider
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			bids, providers := c.collectBids(ctx, ids16, cfp)
+			bids, providers := c.collectBids(ctx, ids16, cfp, bidBuf[:0], provBuf[:0])
 			if len(bids) != holders || len(providers) != holders {
 				b.Fatalf("collected %d bids from %d providers", len(bids), len(providers))
 			}

@@ -26,6 +26,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -139,6 +140,9 @@ type Client struct {
 	incarnation uint32
 	reqSeq      int64
 	stats       Stats
+
+	// closes is the free list of close records (see scheduleClose).
+	closes *closeRecord
 }
 
 // Options configures a new client.
@@ -280,7 +284,8 @@ func (c *Client) Do(op workload.Op, file ids.FileID) Outcome {
 // admitted read or write holds its reservation for the file's duration,
 // then closes it; a probe completes at once.
 func (c *Client) send(op workload.Op, file ids.FileID) Outcome {
-	grants, out := c.negotiateLanes(context.Background(), op, file, nil, 1)
+	var buf [1]grant
+	grants, out := c.negotiateLanes(context.Background(), buf[:0], op, file, nil, 1)
 	if len(grants) == 0 {
 		return out
 	}
@@ -293,7 +298,7 @@ func (c *Client) send(op workload.Op, file ids.FileID) Outcome {
 // until the returned release function is called: one lane, reserved and
 // not read. release is idempotent and non-nil even on failure.
 func (c *Client) AccessHeld(file ids.FileID) (Outcome, func()) {
-	grants, fail := c.negotiateLanes(context.Background(), workload.OpRead, file, nil, 1)
+	grants, fail := c.negotiateLanes(context.Background(), nil, workload.OpRead, file, nil, 1)
 	if len(grants) == 0 {
 		return fail, func() {}
 	}
@@ -347,13 +352,21 @@ type grant struct {
 	p   ecnp.Provider
 }
 
+// stackBids sizes the per-request buffers negotiateLanes keeps on its
+// stack: the candidates, bids, providers and ranking of one request. A
+// file's replica set fits them (a static degree of 3, a dynamic one up to
+// N_maxR); a resource-wide fan-out (a write, plain-CNP broadcast) over a
+// larger cluster grows them onto the heap once.
+const stackBids = 16
+
 // negotiateLanes runs the paper's three-phase flow for one request of
 // kind op, admitting up to k concurrent lanes: phases 1 and 2 run exactly
 // once, then phase 3 walks the ranked bidders admitting each under its
-// own reservation until k lanes hold or the ranking is exhausted. Fewer
-// than k grants is not an error — the striped reader degrades its width
-// to what the replica set supports. With zero grants the Outcome is the
-// request's: why it failed, or a probe's answer.
+// own reservation until k lanes hold or the ranking is exhausted. The
+// grants are appended to dst, which a one-lane caller keeps on its stack.
+// Fewer than k grants is not an error — the striped reader degrades its
+// width to what the replica set supports. With zero grants the Outcome is
+// the request's: why it failed, or a probe's answer.
 //
 // The three kinds share it. A read explores the file's holders through
 // the MM (or the whole resource list under plain-CNP broadcast); a write
@@ -370,9 +383,14 @@ type grant struct {
 // "dfsc.open" per admission attempt — each propagated to the serving
 // daemon over the wire so the trace stitches client and server halves
 // together.
-func (c *Client) negotiateLanes(ctx context.Context, op workload.Op, file ids.FileID, exclude map[ids.RMID]bool, k int) ([]grant, Outcome) {
-	start := time.Now()
-	defer func() { c.met.NegotiationLatency.Observe(time.Since(start).Seconds()) }()
+func (c *Client) negotiateLanes(ctx context.Context, dst []grant, op workload.Op, file ids.FileID, exclude map[ids.RMID]bool, k int) ([]grant, Outcome) {
+	defer c.met.timeNegotiation()()
+	var (
+		candBuf  [stackBids]ids.RMID
+		bidBuf   [stackBids]selection.Bid
+		provBuf  [stackBids]ecnp.Provider
+		orderBuf [stackBids]ids.RMID
+	)
 
 	req := c.nextRequestID()
 	c.add(&c.stats.Requests, 1)
@@ -395,11 +413,13 @@ func (c *Client) negotiateLanes(ctx context.Context, op workload.Op, file ids.Fi
 	// file, in which case the request skips the MM entirely. A write, and
 	// a read under plain-CNP broadcast, has no matchmaker to ask: the CFP
 	// goes to every registered RM.
-	var candidates []ids.RMID
+	candidates := candBuf[:0]
 	fromLease := false
 	lookupSp := c.tracer.StartChild(sp.Context(), "dfsc.lookup").SetFile(file)
 	if write || (c.broadcast && op == workload.OpRead) {
-		for _, info := range c.mapper.RMs() {
+		rms := c.mapper.RMs()
+		candidates = slices.Grow(candidates, len(rms))
+		for _, info := range rms {
 			candidates = append(candidates, info.ID)
 		}
 		c.add(&c.stats.Messages, 2) // resource-list fetch + reply
@@ -420,7 +440,9 @@ func (c *Client) negotiateLanes(ctx context.Context, op workload.Op, file ids.Fi
 		}
 	}
 	if len(exclude) > 0 {
-		kept := make([]ids.RMID, 0, len(candidates))
+		// Filtered into the stack buffer: in place when candidates already
+		// lives there, which is safe, as a kept id never moves forward.
+		kept := candBuf[:0]
 		for _, id := range candidates {
 			if !exclude[id] {
 				kept = append(kept, id)
@@ -449,7 +471,7 @@ func (c *Client) negotiateLanes(ctx context.Context, op workload.Op, file ids.Fi
 		Tenant:      c.tenant,
 	}
 	bidSp := c.tracer.StartChild(sp.Context(), "dfsc.bid").SetFile(file).SetRequest(req)
-	bids, providers := c.collectBids(trace.NewContext(ctx, bidSp.Context()), candidates, cfp)
+	bids, providers := c.collectBids(trace.NewContext(ctx, bidSp.Context()), candidates, cfp, bidBuf[:0], provBuf[:0])
 	bidSp.SetOutcome("ok").End()
 	if c.broadcast && op == workload.OpRead {
 		// A CNP provider without the file refuses; its CFP and refusal
@@ -472,7 +494,7 @@ func (c *Client) negotiateLanes(ctx context.Context, op workload.Op, file ids.Fi
 	// it off once k lanes are admitted, so refusals can still fall
 	// through to lower-ranked bidders.
 	c.mu.Lock()
-	order := selection.TopK(c.policy, bids, len(bids), c.src)
+	order := selection.TopK(orderBuf[:0], c.policy, bids, len(bids), c.src)
 	firm := c.scen.IsFirm()
 	c.mu.Unlock()
 
@@ -483,14 +505,14 @@ func (c *Client) negotiateLanes(ctx context.Context, op workload.Op, file ids.Fi
 	// a duplicate request id (a bug upstream) or the transport refuses.
 	// Each lane opens under its own request ID (the first reuses the
 	// negotiation's, so 1-wide callers see today's exact request identity).
-	var grants []grant
+	grants := dst
 	var last ecnp.OpenResult // the latest refusal, for the exhausted outcome
 	for _, rmID := range order {
-		if len(grants) == k {
+		if len(grants)-len(dst) == k {
 			break
 		}
 		laneReq := req
-		if len(grants) > 0 {
+		if len(grants) > len(dst) {
 			laneReq = c.nextRequestID()
 			c.add(&c.stats.Requests, 1) // each extra lane holds its own reservation
 		}
@@ -517,7 +539,7 @@ func (c *Client) negotiateLanes(ctx context.Context, op workload.Op, file ids.Fi
 				c.met.Fallbacks.Inc()
 				continue
 			}
-			if len(grants) > 0 {
+			if len(grants) > len(dst) {
 				// Later soft lanes are best-effort width: a refusal stops
 				// the widening but the admitted lanes stand.
 				break
@@ -537,8 +559,8 @@ func (c *Client) negotiateLanes(ctx context.Context, op workload.Op, file ids.Fi
 			p:   p,
 		})
 	}
-	if len(grants) > 0 {
-		sp.SetRM(grants[0].out.RM).SetOutcome("admitted")
+	if len(grants) > len(dst) {
+		sp.SetRM(grants[len(dst)].out.RM).SetOutcome("admitted")
 		return grants, Outcome{}
 	}
 	return c.fail(sp, fromLease, "exhausted", Outcome{Request: req, File: file, Code: last.Code, Reason: last.Reason})
@@ -616,11 +638,12 @@ func (c *Client) lookupHolders(ctx context.Context, file ids.FileID, failover bo
 	return holders, false, nil
 }
 
-// collectBids runs the CFP fan-out over the candidate RMs and returns one
-// bid per contacted provider, in candidate order, with the providers
-// index-aligned beside them: providers[i] answered bids[i]. A repeated id
-// is contacted once and an unresolvable one is skipped. Each contacted
-// provider counts a CFP+bid pair of messages.
+// collectBids runs the CFP fan-out over the candidate RMs and appends one
+// bid per contacted provider to bids, in candidate order, with the
+// providers appended index-aligned beside them to providers: providers[i]
+// answered bids[i]. Both come in empty, in the caller's buffers. A
+// repeated id is contacted once and an unresolvable one is skipped. Each
+// contacted provider counts a CFP+bid pair of messages.
 //
 // Serial mode (the default) calls each provider in turn — the
 // deterministic shape the discrete-event simulation requires; providers
@@ -635,15 +658,15 @@ func (c *Client) lookupHolders(ctx context.Context, file ids.FileID, failover bo
 // contribute a synthesized zero bid that ranks last — the paper's
 // always-bid deviation preserved by degradation instead of blocking the
 // open.
-func (c *Client) collectBids(ctx context.Context, candidates []ids.RMID, cfp ecnp.CFP) ([]selection.Bid, []ecnp.Provider) {
+func (c *Client) collectBids(ctx context.Context, candidates []ids.RMID, cfp ecnp.CFP, bids []selection.Bid, providers []ecnp.Provider) ([]selection.Bid, []ecnp.Provider) {
 	// Until its provider answers, a bid is the zero bid: the slot's RM is
 	// what later candidates are checked against, and what a provider that
 	// misses the deadline is left with. The MM hands out ids in ascending
 	// order, so a candidate above the last one kept cannot be a repeat and
 	// the whole resource list (broadcast CNP, a write) is checked in one
 	// pass; only a list that steps backwards is searched.
-	bids := make([]selection.Bid, 0, len(candidates))
-	providers := make([]ecnp.Provider, 0, len(candidates))
+	bids = slices.Grow(bids, len(candidates))
+	providers = slices.Grow(providers, len(candidates))
 	ascending := true
 	for _, id := range candidates {
 		above := len(bids) == 0 || (ascending && id > bids[len(bids)-1].RM)
@@ -714,12 +737,57 @@ func bidIndex(bids []selection.Bid, rm ids.RMID) int {
 	return -1
 }
 
-// scheduleClose releases the reservation when the playback ends.
+// closeRecord is one scheduled close: the reservation to release and the
+// callback that releases it, bound once, when the record is first used. A
+// record that has fired goes back on its client's free list for the next
+// close.
+type closeRecord struct {
+	c    *Client
+	p    ecnp.Provider
+	req  ids.RequestID
+	fire func(simtime.Time)
+	next *closeRecord // the free list's link
+}
+
+// closeChunk is how many close records a client makes at once, in one
+// allocation.
+const closeChunk = 32
+
+// scheduleClose releases the reservation when the playback ends. The
+// close takes a record from the client's free list, so a client makes
+// records for the most closes it ever has in flight at once, not one per
+// request. c.mu guards the list: a live WallScheduler fires closes on
+// timer goroutines.
 func (c *Client) scheduleClose(p ecnp.Provider, req ids.RequestID, durationSec float64) {
-	c.sched.After(simtime.Duration(durationSec), func(simtime.Time) {
-		p.Close(req)
-		c.add(&c.stats.Completed, 1)
-	})
+	c.mu.Lock()
+	if c.closes == nil {
+		chunk := make([]closeRecord, closeChunk)
+		for i := range chunk {
+			chunk[i].c, chunk[i].next = c, c.closes
+			c.closes = &chunk[i]
+		}
+	}
+	rec := c.closes
+	c.closes = rec.next
+	c.mu.Unlock()
+	if rec.fire == nil {
+		rec.fire = rec.close
+	}
+	rec.p, rec.req = p, req
+	c.sched.After(simtime.Duration(durationSec), rec.fire)
+}
+
+// close releases the record's reservation, counts it completed and
+// returns the record to the free list.
+func (rec *closeRecord) close(simtime.Time) {
+	c, p, req := rec.c, rec.p, rec.req
+	rec.p = nil
+	p.Close(req)
+	c.mu.Lock()
+	c.stats.Completed++
+	rec.next = c.closes
+	c.closes = rec
+	c.mu.Unlock()
 }
 
 // add adds n to counter, a field of c.stats, under c.mu.

@@ -1,6 +1,8 @@
 package dfsc
 
 import (
+	"time"
+
 	"dfsqos/internal/telemetry"
 )
 
@@ -12,7 +14,9 @@ import (
 type Metrics struct {
 	// NegotiationLatency observes the wall-clock seconds from request
 	// start to open outcome
-	// (dfsqos_dfsc_negotiation_latency_seconds).
+	// (dfsqos_dfsc_negotiation_latency_seconds). It is nil under a nil
+	// registry, and then no negotiation reads the wall clock: the DES's
+	// negotiations take no virtual time, and it collects nothing.
 	NegotiationLatency *telemetry.Histogram
 	// FanoutStalls counts providers whose bid missed the negotiation
 	// deadline and were synthesized as last-ranked zero bids
@@ -80,7 +84,7 @@ type Metrics struct {
 }
 
 // NewMetrics registers the DFSC metric families on reg (nil reg yields a
-// live no-op sink).
+// live no-op sink, with no negotiation-latency histogram at all).
 func NewMetrics(reg *telemetry.Registry) *Metrics {
 	outcomes := reg.NewCounterVec("dfsqos_dfsc_requests_total",
 		"Access attempts by outcome.", "outcome")
@@ -88,10 +92,7 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 		"Slow-lane hedges by outcome (fired/won).", "outcome")
 	metacache := reg.NewCounterVec("dfsqos_dfsc_metacache_total",
 		"Metadata lease-cache outcomes (hit/miss/invalidated).", "outcome")
-	return &Metrics{
-		NegotiationLatency: reg.NewHistogram("dfsqos_dfsc_negotiation_latency_seconds",
-			"Three-phase negotiation latency (MM query, CFP fan-out, open).",
-			telemetry.DefBuckets),
+	m := &Metrics{
 		FanoutStalls: reg.NewCounter("dfsqos_dfsc_fanout_stalls_total",
 			"Providers that missed the bid deadline (degraded to zero bids)."),
 		Admitted:  outcomes.With("admitted"),
@@ -125,4 +126,23 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 		MetaMisses:      metacache.With("miss"),
 		MetaInvalidated: metacache.With("invalidated"),
 	}
+	if reg != nil {
+		m.NegotiationLatency = reg.NewHistogram("dfsqos_dfsc_negotiation_latency_seconds",
+			"Three-phase negotiation latency (MM query, CFP fan-out, open).",
+			telemetry.DefBuckets)
+	}
+	return m
+}
+
+// timeNegotiation starts timing one negotiation and returns the func that
+// observes it. Without a NegotiationLatency histogram (a nil registry) it
+// reads no clock and observes nothing: a DES negotiation takes no virtual
+// time.
+func (m *Metrics) timeNegotiation() (done func()) {
+	h := m.NegotiationLatency
+	if h == nil {
+		return func() {}
+	}
+	start := time.Now()
+	return func() { h.Observe(time.Since(start).Seconds()) }
 }

@@ -311,7 +311,7 @@ func TestNegotiationTable(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			lanes, fail := c.negotiateLanes(context.Background(), workload.OpRead, 0, nil, tc.lanes)
+			lanes, fail := c.negotiateLanes(context.Background(), nil, workload.OpRead, 0, nil, tc.lanes)
 
 			var gotRMs []ids.RMID
 			for _, l := range lanes {

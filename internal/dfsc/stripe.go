@@ -465,7 +465,7 @@ func (c *Client) OpenRead(rs RangeStreamer, file ids.FileID, cfg StripeConfig) (
 	r.root = c.tracer.StartRoot(c.nextRequestID(), "dfsc.stripe").SetFile(file)
 	r.ctx = trace.NewContext(context.Background(), r.root.Context())
 	st := borrowStripeRun(cfg.Width)
-	held, fail := c.negotiateLanes(r.ctx, workload.OpRead, file, st.exclude, cfg.Width)
+	held, fail := c.negotiateLanes(r.ctx, nil, workload.OpRead, file, st.exclude, cfg.Width)
 	if len(held) == 0 {
 		st.release()
 		r.root.SetOutcome("error").End()
@@ -791,7 +791,7 @@ func (c *Client) fetch(ctx context.Context, st *stripeRun, rs RangeStreamer, fil
 
 		c.sleepJittered(cfg.Backoff)
 		start := time.Now()
-		repl, fail := c.negotiateLanes(ctx, workload.OpRead, file, exclude, 1)
+		repl, fail := c.negotiateLanes(ctx, nil, workload.OpRead, file, exclude, 1)
 		st.mu.Lock()
 		ln.renewing = false
 		st.cond.Broadcast() // waiting siblings move to the replacement, or leave

@@ -267,9 +267,9 @@ type Directory interface {
 type Scheduler interface {
 	// Now returns the current time.
 	Now() simtime.Time
-	// After schedules fn to run d seconds from now and returns a cancel
-	// function (idempotent; returns false once fired or canceled).
-	After(d simtime.Duration, fn func(simtime.Time)) (cancel func() bool)
+	// After schedules fn to run d seconds from now. A scheduled fn cannot
+	// be withdrawn; it runs once.
+	After(d simtime.Duration, fn func(simtime.Time))
 }
 
 // SimScheduler adapts a *simtime.Scheduler to the Scheduler interface.
@@ -281,10 +281,7 @@ type SimScheduler struct {
 func (a SimScheduler) Now() simtime.Time { return a.S.Now() }
 
 // After implements Scheduler.
-func (a SimScheduler) After(d simtime.Duration, fn func(simtime.Time)) func() bool {
-	ev := a.S.After(d, fn)
-	return func() bool { return a.S.Cancel(ev) }
-}
+func (a SimScheduler) After(d simtime.Duration, fn func(simtime.Time)) { a.S.After(d, fn) }
 
 // StaticDirectory is a fixed RMID → Provider table, dense in the id: RM
 // id's provider sits at index id, so a lookup is a bounds check and a

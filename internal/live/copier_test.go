@@ -160,11 +160,48 @@ func wantNothingStored(t *testing.T, lc *Local, file ids.FileID, used units.Size
 	}
 }
 
-// TestLiveWriteFailingProvisionStoresNothing: an offer accepted and then
-// aborted leaves its bytes on the vdisk (the disk is never told), so the
-// disk is fuller than the RM's accounting. A write-open the RM's
-// accounting admits then fails to provision on the disk, and it must be
-// refused as disk full with nothing of it left behind.
+// TestLiveAbortedOfferFreesItsDiskBytes: an offer of half the disk,
+// accepted (provisioned) and then aborted, gives its bytes back to the
+// vdisk as well as to the RM's accounting, so a write of just over half
+// the disk then fits.
+func TestLiveAbortedOfferFreesItsDiskBytes(t *testing.T) {
+	lc := startLiveCluster(t, LocalSpec{
+		Caps: []units.BytesPerSec{units.Mbps(50)},
+	})
+	cli, ok := lc.Dir.RMClient(1)
+	if !ok {
+		t.Fatal("RM1 unreachable")
+	}
+	disk := lc.Disk(1)
+	if disk.Used() != 0 || lc.Node(1).StorageUsed() != 0 {
+		t.Fatalf("RM1 starts with %v on its disk and %v accounted, want an empty RM", disk.Used(), lc.Node(1).StorageUsed())
+	}
+	half := disk.Capacity() / 2
+	offer := ecnp.ReplicaOffer{Replication: 7, File: 6, SizeBytes: half, Bitrate: units.Mbps(1), DurationSec: 60, Rate: units.Mbps(1), Source: 2}
+	if !cli.OfferReplica(offer) {
+		t.Fatal("offer refused")
+	}
+	if disk.Used() != half {
+		t.Fatalf("disk holds %v after the accepted offer, want %v", disk.Used(), half)
+	}
+	cli.FinishReplica(7, false)
+	if got := disk.Used(); got != 0 {
+		t.Fatalf("disk holds %v after the offer was aborted, want 0", got)
+	}
+	if res := cli.Open(ecnp.OpenRequest{Request: 1, File: 7, Bitrate: units.Mbps(1), SizeBytes: half + units.MB, DurationSec: 60}); !res.OK {
+		t.Fatalf("write-open of just over half the disk after the abort: %s", res.Reason)
+	}
+	cli.Close(1)
+	if got := disk.Used(); got != half+units.MB {
+		t.Fatalf("disk holds %v after the write, want %v", got, half+units.MB)
+	}
+}
+
+// TestLiveWriteFailingProvisionStoresNothing: bytes put on the vdisk
+// behind the RM's back make the disk fuller than the RM's accounting. A
+// write-open the RM's accounting admits then fails to provision on the
+// disk, and it must be refused as disk full with nothing of it left
+// behind.
 func TestLiveWriteFailingProvisionStoresNothing(t *testing.T) {
 	lc := startLiveCluster(t, LocalSpec{
 		Caps: []units.BytesPerSec{units.Mbps(50)},
@@ -173,16 +210,10 @@ func TestLiveWriteFailingProvisionStoresNothing(t *testing.T) {
 	if !ok {
 		t.Fatal("RM1 unreachable")
 	}
-	node := lc.Node(1)
-	used := node.StorageUsed()
+	used := lc.Node(1).StorageUsed()
 	free := lc.Disk(1).Capacity() - lc.Disk(1).Used()
-	offer := ecnp.ReplicaOffer{Replication: 7, File: 6, SizeBytes: free / 2, Bitrate: units.Mbps(1), DurationSec: 60, Rate: units.Mbps(1), Source: 2}
-	if !cli.OfferReplica(offer) {
-		t.Fatal("offer refused")
-	}
-	cli.FinishReplica(7, false)
-	if got := node.StorageUsed(); got != used {
-		t.Fatalf("RM1 storage %v after an aborted offer, want %v", got, used)
+	if err := lc.Disk(1).Provision("stray", free/2); err != nil {
+		t.Fatal(err)
 	}
 	res := cli.Open(ecnp.OpenRequest{Request: 1, File: 7, Bitrate: units.Mbps(1), SizeBytes: free/2 + units.MB, DurationSec: 60})
 	if res.OK || res.Code != ecnp.ErrDiskFull {

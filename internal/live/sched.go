@@ -26,9 +26,9 @@ type WallScheduler struct {
 	scale float64
 
 	mu sync.Mutex
-	// timers holds each pending callback: neither run nor cancelled. The
-	// first of the timer's firing, its cancel func, Stop and RunPending
-	// to take a timer out of it decides the callback's fate.
+	// timers holds each pending callback, not yet run. The first of the
+	// timer's firing, Stop and RunPending to take a timer out of it
+	// decides the callback's fate.
 	timers map[*time.Timer]func(simtime.Time)
 	firing sync.WaitGroup // callbacks their timers are running now
 }
@@ -52,7 +52,7 @@ func (w *WallScheduler) Now() simtime.Time {
 }
 
 // After implements ecnp.Scheduler.
-func (w *WallScheduler) After(d simtime.Duration, fn func(simtime.Time)) func() bool {
+func (w *WallScheduler) After(d simtime.Duration, fn func(simtime.Time)) {
 	if d < 0 {
 		d = 0
 	}
@@ -76,12 +76,6 @@ func (w *WallScheduler) After(d simtime.Duration, fn func(simtime.Time)) func() 
 	})
 	w.timers[t] = fn
 	w.mu.Unlock()
-	return func() bool {
-		t.Stop()
-		w.mu.Lock()
-		defer w.mu.Unlock()
-		return w.takeLocked(t)
-	}
 }
 
 // takeLocked removes t from the pending set and reports whether it was

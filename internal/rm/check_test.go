@@ -121,6 +121,8 @@ func TestCheckTenantRows(t *testing.T) {
 	wantCheck(t, r, true)
 	r.tenants = tenant.NewLedger()
 	open(t, r, 2, units.Mbps(1))
-	r.active[2].tenant = 2
+	res := r.active[2]
+	res.tenant = 2
+	r.active[2] = res
 	wantCheck(t, r, true, "tenant2 holds 1 live reservation(s) and no ledger row")
 }

@@ -63,15 +63,17 @@ type incoming struct {
 	rate units.BytesPerSec
 }
 
-// reservation is one admitted QoS access and its lease state. Each
-// admission allocates its own, so a request ID recycled after its
-// reservation ended names a different *reservation.
+// reservation is one admitted QoS access and its lease state, held by
+// value in RM.active.
 type reservation struct {
 	rate         units.BytesPerSec
 	lastActivity simtime.Time
 	// tenant owns the reservation's quota charge; released on Close and by
 	// the lease sweeper alike, so a crashed tenant's quota always returns.
 	tenant ids.TenantID
+	// serial numbers the RM's admissions, so a request ID recycled after
+	// its reservation ended names a reservation with another serial.
+	serial uint64
 }
 
 // DataCopier moves real replica bytes during dynamic replication. The DES
@@ -105,8 +107,9 @@ type RM struct {
 	counts      map[ids.FileID]int64
 	gcCfg       replication.GCConfig
 
-	active   map[ids.RequestID]*reservation
-	leaseTTL float64 // seconds; <=0 disables lease expiry
+	active     map[ids.RequestID]reservation
+	admissions uint64  // the last reservation's serial
+	leaseTTL   float64 // seconds; <=0 disables lease expiry
 
 	// Admission hooks (see SetAdmissionHooks). Invoked outside r.mu.
 	onAdmit   func(ids.RequestID, ids.TenantID, units.BytesPerSec)
@@ -224,7 +227,7 @@ func New(opt Options) (*RM, error) {
 		copier:        opt.Copier,
 		files:         make(map[ids.FileID]FileMeta, len(opt.Files)),
 		counts:        make(map[ids.FileID]int64),
-		active:        make(map[ids.RequestID]*reservation),
+		active:        make(map[ids.RequestID]reservation),
 		leaseTTL:      opt.LeaseTTLSec,
 		incomings:     make(map[ids.ReplicationID]incoming),
 		incomingFiles: make(map[ids.FileID]int),
@@ -270,9 +273,12 @@ func (r *RM) SetAdmissionHooks(onAdmit func(ids.RequestID, ids.TenantID, units.B
 
 // SetDiskHooks installs the disk step of a write-open and of an accepted
 // replica offer: provision puts the file on the RM's disk, its failure
-// undoing the write or the offer, and remove takes a written file off
-// again when the MM then refuses to register it. Both run outside the
-// RM's lock; install them before traffic flows.
+// undoing the write or the offer, and remove takes a file's bytes off the
+// disk whenever the RM stops holding a file it provisioned: a written
+// file the MM then refuses to register, an aborted incoming copy, a cold
+// replica the collector deletes, and a replica migrated away. remove is
+// never called for a file the RM holds. Both run outside the RM's lock;
+// install them before traffic flows.
 func (r *RM) SetDiskHooks(provision func(ids.FileID, units.Size) error, remove func(ids.FileID)) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -457,7 +463,8 @@ func (r *RM) Open(req ecnp.OpenRequest) ecnp.OpenResult {
 	}
 	now := r.sched.Now()
 	r.led.Allocate(now, req.Bitrate)
-	held := &reservation{rate: req.Bitrate, lastActivity: now, tenant: req.Tenant}
+	r.admissions++
+	held := reservation{rate: req.Bitrate, lastActivity: now, tenant: req.Tenant, serial: r.admissions}
 	r.active[req.Request] = held
 	if write {
 		r.files[req.File] = FileMeta{Bitrate: req.Bitrate, Size: req.SizeBytes, DurationSec: req.DurationSec, Tenant: req.Tenant}
@@ -484,9 +491,11 @@ func (r *RM) Open(req ecnp.OpenRequest) ecnp.OpenResult {
 		r.mu.Lock()
 		if err != nil {
 			// Undo the commit, and count the failure as a refusal when it
-			// carries a code.
+			// carries a code. The reservation is undone only if it is still
+			// this write's own: a Close during the disk step may have ended
+			// it, and a new admission may have reused the request ID.
 			r.dropFileLocked(req.File)
-			if r.active[req.Request] == held {
+			if cur, ok := r.active[req.Request]; ok && cur.serial == held.serial {
 				r.releaseLocked(req.Request, held, r.sched.Now())
 			}
 			if why != 0 {
@@ -516,8 +525,9 @@ func (r *RM) Open(req ecnp.OpenRequest) ecnp.OpenResult {
 // bytes has its bandwidth charge returned. Caller holds r.mu.
 func (r *RM) admitLocked(req ecnp.OpenRequest, write bool) ecnp.OpenResult {
 	var why ecnp.Refusal
+	_, dup := r.active[req.Request]
 	switch _, stored := r.files[req.File]; {
-	case r.active[req.Request] != nil:
+	case dup:
 		why = ecnp.ErrDuplicateRequest
 	case write && (stored || r.incomingFiles[req.File] > 0):
 		why = ecnp.ErrAlreadyStored
@@ -560,7 +570,7 @@ func (r *RM) admittedLocked(req ecnp.OpenRequest, now simtime.Time) {
 
 // releaseLocked ends reservation res of request, returning its bandwidth
 // to the ledger and its tenant. Caller holds r.mu.
-func (r *RM) releaseLocked(request ids.RequestID, res *reservation, now simtime.Time) {
+func (r *RM) releaseLocked(request ids.RequestID, res reservation, now simtime.Time) {
 	delete(r.active, request)
 	r.led.Release(now, res.rate)
 	r.tenants.ReleaseBandwidth(res.tenant, res.rate)
@@ -614,6 +624,7 @@ func (r *RM) Touch(request ids.RequestID) {
 	defer r.mu.Unlock()
 	if res, ok := r.active[request]; ok {
 		res.lastActivity = r.sched.Now()
+		r.active[request] = res
 	}
 }
 
@@ -630,6 +641,7 @@ func (r *RM) Renew(request ids.RequestID) error {
 		return fmt.Errorf("rm: %v: %w: %v", r.info.ID, r.refuseLocked(ecnp.ErrNotReserved), request)
 	}
 	res.lastActivity = r.sched.Now()
+	r.active[request] = res
 	return nil
 }
 
@@ -662,7 +674,7 @@ func (r *RM) SweepLeases(now simtime.Time) int {
 	}
 	type expired struct {
 		req ids.RequestID
-		res *reservation
+		res reservation
 	}
 	var gone []expired
 	for req, res := range r.active {
@@ -729,7 +741,7 @@ func (r *RM) OfferReplica(offer ecnp.ReplicaOffer) bool {
 	// The disk step, as a write-open's: a full disk retroactively rejects
 	// the offer.
 	if provision != nil && provision(offer.File, offer.SizeBytes) != nil {
-		r.FinishReplica(offer.Replication, false)
+		r.finishReplica(offer.Replication, false, false)
 		return false
 	}
 	return true
@@ -737,6 +749,14 @@ func (r *RM) OfferReplica(offer ecnp.ReplicaOffer) bool {
 
 // FinishReplica implements ecnp.Provider (destination side completion).
 func (r *RM) FinishReplica(rep ids.ReplicationID, committed bool) {
+	r.finishReplica(rep, committed, true)
+}
+
+// finishReplica ends incoming copy rep; onDisk says whether its disk step
+// provisioned it. An aborted copy's bytes leave the disk (SetDiskHooks),
+// and until they have, its incoming count pins the file, so no write or
+// offer of it provisions it in between.
+func (r *RM) finishReplica(rep ids.ReplicationID, committed, onDisk bool) {
 	r.mu.Lock()
 	in, ok := r.incomings[rep]
 	if !ok {
@@ -744,10 +764,6 @@ func (r *RM) FinishReplica(rep ids.ReplicationID, committed bool) {
 		return
 	}
 	delete(r.incomings, rep)
-	r.incomingFiles[in.file]--
-	if r.incomingFiles[in.file] <= 0 {
-		delete(r.incomingFiles, in.file)
-	}
 	r.dstActive--
 	if r.repCfg.ChargeTransfers {
 		r.led.Release(r.sched.Now(), in.rate)
@@ -764,8 +780,18 @@ func (r *RM) FinishReplica(rep ids.ReplicationID, committed bool) {
 		// Aborted (or duplicate) transfer: return the reserved space.
 		r.storageUsed -= in.meta.Size
 	}
+	var remove func(ids.FileID)
+	if _, held := r.files[in.file]; !held && onDisk {
+		remove = r.remove
+	}
+	if remove == nil {
+		r.endIncomingLocked(in.file)
+	}
 	r.refreshGaugesLocked()
 	r.mu.Unlock()
+	if remove != nil {
+		r.removeFromDisk(remove, in.file)
+	}
 	if commitOK {
 		// A landed replica may push storage past the high watermark; the
 		// collector runs outside the lock (it talks to the mapper).
@@ -806,13 +832,45 @@ func (r *RM) collectGarbage() {
 		if err := r.mapper.RemoveReplica(f, self); err != nil {
 			continue // lost a race (e.g. became the last replica); skip
 		}
+		var remove func(ids.FileID)
 		r.mu.Lock()
 		if r.dropFileLocked(f) {
 			r.stats.GCEvictions++
 			r.met.GCEvictions.Inc()
 			r.refreshGaugesLocked()
+			remove = r.unlinkLocked(f)
 		}
 		r.mu.Unlock()
+		if remove != nil {
+			r.removeFromDisk(remove, f)
+		}
+	}
+}
+
+// unlinkLocked returns the remove disk hook for f, a file the RM has just
+// stopped holding, and pins f as incoming until removeFromDisk has run
+// it, so no write or offer of f provisions it in between. Nil when no
+// hook is installed (the DES). Caller holds r.mu.
+func (r *RM) unlinkLocked(f ids.FileID) func(ids.FileID) {
+	if r.remove != nil {
+		r.incomingFiles[f]++
+	}
+	return r.remove
+}
+
+// removeFromDisk runs remove for f, outside r.mu, and then drops the
+// incoming count that pinned f meanwhile.
+func (r *RM) removeFromDisk(remove func(ids.FileID), f ids.FileID) {
+	remove(f)
+	r.mu.Lock()
+	r.endIncomingLocked(f)
+	r.mu.Unlock()
+}
+
+// endIncomingLocked drops one incoming count of f. Caller holds r.mu.
+func (r *RM) endIncomingLocked(f ids.FileID) {
+	if r.incomingFiles[f]--; r.incomingFiles[f] <= 0 {
+		delete(r.incomingFiles, f)
 	}
 }
 
@@ -1062,13 +1120,18 @@ func (r *RM) migrateOut(f ids.FileID) {
 	if err := r.mapper.RemoveReplica(f, r.info.ID); err != nil {
 		return
 	}
+	var remove func(ids.FileID)
 	r.mu.Lock()
 	if r.dropFileLocked(f) {
 		r.stats.RepMigrations++
 		r.met.RepMigrations.Inc()
 		r.refreshGaugesLocked()
+		remove = r.unlinkLocked(f)
 	}
 	r.mu.Unlock()
+	if remove != nil {
+		r.removeFromDisk(remove, f)
+	}
 }
 
 // peerCapacity is the capacity lookup Dest.Order is handed: the registered

@@ -1,6 +1,8 @@
 package rm
 
 import (
+	"errors"
+	"reflect"
 	"testing"
 
 	"dfsqos/internal/ecnp"
@@ -182,5 +184,69 @@ func TestGCNeverDropsBelowMinReplicas(t *testing.T) {
 	// File 7 has only 1 replica — protected by the mapper/min rule too.
 	if !h.rms[1].HasFile(7) {
 		t.Fatal("GC evicted a sole replica")
+	}
+}
+
+// TestRemoveHookFollowsDroppedFiles: the remove disk hook runs for each
+// file the RM stops holding after provisioning it — an aborted incoming
+// copy, and a cold replica the collector evicts — and for nothing the RM
+// still holds or never provisioned. No file stays pinned afterwards.
+func TestRemoveHookFollowsDroppedFiles(t *testing.T) {
+	cold := fm(units.Mbps(2), 100)  // 25 MB
+	hot := fm(units.Mbps(0.4), 100) // 5 MB
+	files := map[ids.RMID]map[ids.FileID]FileMeta{
+		1: {0: hot, 1: cold},
+		2: {0: hot, 1: cold},
+		3: {0: hot, 1: cold},
+	}
+	gc := replication.GCConfig{Enabled: true, HighWatermark: 0.8, LowWatermark: 0.5, MinReplicas: 2}
+	h := gcHarness(t, 60*units.MB, gc, files)
+	r := h.rms[1]
+	var removed []ids.FileID
+	r.SetDiskHooks(func(f ids.FileID, _ units.Size) error {
+		if f == 9 {
+			return errors.New("vdisk: full")
+		}
+		return nil
+	}, func(f ids.FileID) { removed = append(removed, f) })
+	offer := func(rep ids.ReplicationID, f ids.FileID) bool {
+		return r.OfferReplica(ecnp.ReplicaOffer{
+			Replication: rep, File: f, SizeBytes: 25 * units.MB,
+			Bitrate: units.Mbps(2), DurationSec: 100, Rate: units.Mbps(1.8), Source: 2,
+		})
+	}
+
+	if !offer(5, 8) {
+		t.Fatal("offer of file 8 rejected")
+	}
+	r.FinishReplica(5, false)
+	if !reflect.DeepEqual(removed, []ids.FileID{8}) {
+		t.Fatalf("removed %v after an aborted copy of file 8, want [8]", removed)
+	}
+	if offer(6, 9) {
+		t.Fatal("offer of file 9 accepted although its disk step failed")
+	}
+	if len(removed) != 1 {
+		t.Fatalf("removed %v: a copy that never reached the disk was removed", removed)
+	}
+
+	// Heat file 0 so that, once a committed copy pushes storage past the
+	// watermark, file 1 is the cold victim.
+	for i := 0; i < 5; i++ {
+		r.HandleCFP(ecnp.CFP{Request: ids.RequestID(i), File: 0, Bitrate: units.Mbps(0.4), DurationSec: 100})
+	}
+	if !offer(7, 5) {
+		t.Fatal("offer of file 5 rejected")
+	}
+	h.mapper.AddReplica(5, 1)
+	r.FinishReplica(7, true)
+	if r.HasFile(1) || !r.HasFile(5) {
+		t.Fatal("the collector did not evict file 1 for file 5")
+	}
+	if !reflect.DeepEqual(removed, []ids.FileID{8, 1}) {
+		t.Fatalf("removed %v, want [8 1]: the evicted replica, and nothing the RM holds", removed)
+	}
+	if len(r.incomingFiles) != 0 {
+		t.Fatalf("files still pinned as incoming: %v", r.incomingFiles)
 	}
 }

@@ -256,6 +256,8 @@ func TestReplicationEndToEnd(t *testing.T) {
 			1: units.Mbps(10), 2: units.Mbps(10), 3: units.Mbps(100),
 		}, files)
 	src := h.rms[1]
+	var removed []ids.FileID
+	src.SetDiskHooks(nil, func(f ids.FileID) { removed = append(removed, f) })
 
 	// Saturate RM1 beyond 80% so the next CFP triggers replication.
 	src.Open(ecnp.OpenRequest{Request: 100, File: hot, Bitrate: units.Mbps(9), DurationSec: 5000})
@@ -280,6 +282,9 @@ func TestReplicationEndToEnd(t *testing.T) {
 	st := src.Stats()
 	if st.RepTransfers != 1 || st.RepMigrations != 1 {
 		t.Fatalf("stats = %+v, want 1 transfer and 1 migration", st)
+	}
+	if len(removed) != 1 || removed[0] != hot {
+		t.Fatalf("source removed %v from its disk, want the migrated file %v", removed, hot)
 	}
 }
 

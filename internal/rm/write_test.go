@@ -183,3 +183,37 @@ func TestWriteOpenFailureLeavesNothing(t *testing.T) {
 		})
 	}
 }
+
+// TestWriteUndoSparesAReadmission: a write whose disk step fails undoes
+// its own reservation only. During the step the client closes the write
+// and a read re-admits under the same request ID, at the same instant,
+// rate and tenant, so only the admission serial tells the two
+// reservations apart; the failed write must leave the read's standing.
+func TestWriteUndoSparesAReadmission(t *testing.T) {
+	r, _ := writeRM(t, func(m *mm.Manager) ecnp.Mapper { return m })
+	w := write(7, 5)
+	read := ecnp.OpenRequest{Request: 7, File: 0, Bitrate: w.Bitrate, DurationSec: w.DurationSec, Firm: true}
+	r.SetDiskHooks(func(ids.FileID, units.Size) error {
+		r.Close(7)
+		if res := r.Open(read); !res.OK {
+			t.Errorf("re-admission during the disk step: %s", res.Reason)
+		}
+		return errors.New("vdisk: no room")
+	}, func(ids.FileID) {})
+	if res := r.Open(w); res.OK || res.Code != ecnp.ErrDiskFull {
+		t.Fatalf("write-open whose disk step fails: %+v, want %s", res, ecnp.ErrDiskFull.Label())
+	}
+	if n, alloc := r.ActiveReservations(), r.Allocated(); n != 1 || alloc != read.Bitrate {
+		t.Fatalf("%d reservation(s), %v allocated after the write was undone; want the re-admitted read's 1 and %v", n, alloc, read.Bitrate)
+	}
+	if r.HasFile(5) {
+		t.Fatal("the undone write left its file")
+	}
+	r.Close(7)
+	if n, alloc := r.ActiveReservations(), r.Allocated(); n != 0 || alloc != 0 {
+		t.Fatalf("%d reservation(s), %v allocated after the read closed", n, alloc)
+	}
+	if err := r.Check(true); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -27,12 +27,15 @@ type ClassStats struct {
 	Failed int64 `json:"failed"`
 	// P50Ms, P99Ms and P999Ms are the class's latency percentiles in
 	// milliseconds (estimated from the histogram; see
-	// telemetry.Histogram.Quantile).
-	P50Ms  float64 `json:"p50_ms"`
-	P99Ms  float64 `json:"p99_ms"`
-	P999Ms float64 `json:"p999_ms"`
-	// MeanMs is the arithmetic mean latency in milliseconds.
-	MeanMs float64 `json:"mean_ms"`
+	// telemetry.Histogram.Quantile), and MeanMs the arithmetic mean. Only a
+	// class recorded with latencies (Recorder.Observe: the live slice)
+	// has them; a DES class has none, as a simulated request takes no
+	// virtual time and the engine's own CPU time is not a service
+	// latency.
+	P50Ms  float64 `json:"p50_ms,omitempty"`
+	P99Ms  float64 `json:"p99_ms,omitempty"`
+	P999Ms float64 `json:"p999_ms,omitempty"`
+	MeanMs float64 `json:"mean_ms,omitempty"`
 }
 
 // FailRate returns Failed/Count, or 0 for an empty class.
@@ -43,16 +46,17 @@ func (c ClassStats) FailRate() float64 {
 	return float64(c.Failed) / float64(c.Count)
 }
 
-// Recorder accumulates per-class request latencies into PR 2 histograms
-// plus outcome counters. Safe for concurrent use (the live slice records
-// from many goroutines; the DES records from its single event loop).
+// Recorder accumulates per-class outcome counters and, for requests that
+// have one, their latencies in telemetry histograms. Safe for concurrent use
+// (the live slice records from many goroutines; the DES records from its
+// single event loop).
 type Recorder struct {
 	mu      sync.Mutex
 	classes map[string]*classRec
 }
 
 type classRec struct {
-	hist   *telemetry.Histogram
+	hist   *telemetry.Histogram // nil until a latency is observed
 	count  int64
 	failed int64
 }
@@ -66,19 +70,37 @@ func NewRecorder() *Recorder {
 // time and whether it succeeded.
 func (r *Recorder) Observe(class string, wall time.Duration, ok bool) {
 	r.mu.Lock()
-	c := r.classes[class]
-	if c == nil {
+	c := r.countLocked(class, ok)
+	if c.hist == nil {
 		// The nil-registry constructor returns a live, unregistered
 		// histogram — the PR 2 no-op-registry contract.
-		c = &classRec{hist: (*telemetry.Registry)(nil).NewHistogram("dfsqos_scenario_latency_seconds", "per-class scenario latency", latencyBounds)}
+		c.hist = (*telemetry.Registry)(nil).NewHistogram("dfsqos_scenario_latency_seconds", "per-class scenario latency", latencyBounds)
+	}
+	r.mu.Unlock()
+	c.hist.Observe(wall.Seconds())
+}
+
+// Count records one request of the given class that has no latency:
+// whether it succeeded. The DES records its requests this way.
+func (r *Recorder) Count(class string, ok bool) {
+	r.mu.Lock()
+	r.countLocked(class, ok)
+	r.mu.Unlock()
+}
+
+// countLocked counts one request of class and returns the class's record.
+// Caller holds r.mu.
+func (r *Recorder) countLocked(class string, ok bool) *classRec {
+	c := r.classes[class]
+	if c == nil {
+		c = &classRec{}
 		r.classes[class] = c
 	}
 	c.count++
 	if !ok {
 		c.failed++
 	}
-	r.mu.Unlock()
-	c.hist.Observe(wall.Seconds())
+	return c
 }
 
 // Totals returns the all-class request and failure counts.
@@ -98,16 +120,14 @@ func (r *Recorder) Stats() []ClassStats {
 	defer r.mu.Unlock()
 	out := make([]ClassStats, 0, len(r.classes))
 	for name, c := range r.classes {
-		st := ClassStats{
-			Class:  name,
-			Count:  c.count,
-			Failed: c.failed,
-			P50Ms:  1e3 * c.hist.Quantile(0.50),
-			P99Ms:  1e3 * c.hist.Quantile(0.99),
-			P999Ms: 1e3 * c.hist.Quantile(0.999),
-		}
-		if n := c.hist.Count(); n > 0 {
-			st.MeanMs = 1e3 * c.hist.Sum() / float64(n)
+		st := ClassStats{Class: name, Count: c.count, Failed: c.failed}
+		if c.hist != nil {
+			st.P50Ms = 1e3 * c.hist.Quantile(0.50)
+			st.P99Ms = 1e3 * c.hist.Quantile(0.99)
+			st.P999Ms = 1e3 * c.hist.Quantile(0.999)
+			if n := c.hist.Count(); n > 0 {
+				st.MeanMs = 1e3 * c.hist.Sum() / float64(n)
+			}
 		}
 		out = append(out, st)
 	}

@@ -2,10 +2,11 @@
 // workload scenarios — Zipfian hot-file skew, flash-crowd bursts, diurnal
 // tides, mixed operation storms — driven open-loop through the
 // discrete-event cluster at 10⁵–10⁶ simulated clients and, scaled down,
-// through the live TCP stack. Every run emits per-class latency
-// percentiles, fail rate and aggregate utilization, and is gated by the
-// scenario's declarative SLO: a violated threshold fails the run, which
-// is how scripts/scenarios.sh turns BENCH_7.json into a CI gate.
+// through the live TCP stack. Every run emits per-class request and
+// failure counts, fail rate and aggregate utilization, plus the live
+// slice's latency percentiles, and is gated by the scenario's declarative
+// SLO: a violated threshold fails the run, which is how
+// scripts/scenarios.sh turns BENCH_7.json into a CI gate.
 package scenario
 
 import (
@@ -197,9 +198,9 @@ type Result struct {
 	Replications int64 `json:"replications,omitempty"`
 	// ElapsedSec is the engine's wall-clock run time.
 	ElapsedSec float64 `json:"elapsed_sec"`
-	// Classes breaks latency and failures out per workload class.
+	// Classes breaks requests and failures out per workload class.
 	Classes []ClassStats `json:"classes"`
-	// Tenants breaks latency and failures out per tenant; the Class
+	// Tenants breaks requests and failures out per tenant; the Class
 	// field carries the tenant label ("tenant1"), with untenanted
 	// clients under "tenant0". Present only for multi-tenant specs.
 	Tenants []ClassStats `json:"tenants,omitempty"`
@@ -219,14 +220,11 @@ type Result struct {
 // otherwise identical cluster. Quota isolation working means the two
 // columns are (near) identical; the victim SLO gates key on that.
 type VictimStats struct {
-	// FailRate and P99Ms are the victims' experience with the abuser
-	// present.
+	// FailRate is the victims' experience with the abuser present.
 	FailRate float64 `json:"fail_rate"`
-	P99Ms    float64 `json:"p99_ms"`
-	// BaselineFailRate and BaselineP99Ms are the same victims replayed
-	// without the abuser's traffic.
+	// BaselineFailRate is the same victims' fail rate, replayed without
+	// the abuser's traffic.
 	BaselineFailRate float64 `json:"baseline_fail_rate"`
-	BaselineP99Ms    float64 `json:"baseline_p99_ms"`
 	// Requests and BaselineRequests count the victims' requests in the
 	// two passes (equal by construction — only abuser traffic is
 	// stripped).
@@ -307,8 +305,18 @@ func Run(spec Spec, opts Options) (*Result, error) {
 	return r, err
 }
 
-// run is Run that also hands back the DES run's cluster results.
-func run(spec Spec, opts Options) (*Result, *cluster.Results, error) {
+// des is a scenario's DES at one mode's scale: the cluster configuration,
+// the population and horizon the pattern is shaped at, and the tenants
+// whose requests the no-abuser baseline strips.
+type des struct {
+	cfg     cluster.Config
+	users   int
+	horizon float64
+	abusers map[ids.TenantID]bool
+}
+
+// configure resolves spec at the scale opts selects.
+func configure(spec Spec, opts Options) (des, error) {
 	users, horizon, scale := spec.Users, spec.HorizonSec, spec.TopologyScale
 	if opts.Short {
 		if spec.ShortUsers > 0 {
@@ -357,7 +365,7 @@ func run(spec Spec, opts Options) (*Result, *cluster.Results, error) {
 	if spec.Policy != "" {
 		pol, err := selection.ParsePolicy(spec.Policy)
 		if err != nil {
-			return nil, nil, fmt.Errorf("scenario %s: %w", spec.Name, err)
+			return des{}, err
 		}
 		cfg.Policy = pol
 	}
@@ -389,22 +397,38 @@ func run(spec Spec, opts Options) (*Result, *cluster.Results, error) {
 	// Sample allocated bandwidth at 64 points across the horizon for the
 	// aggregate-utilization figure.
 	cfg.SampleEverySec = horizon / 64
+	return des{cfg: cfg, users: users, horizon: horizon, abusers: abusers}, nil
+}
 
-	cl, err := cluster.Build(cfg)
+// build wires the cluster and shapes its pattern with the spec's
+// transforms. The transforms draw from a stream derived from the master
+// seed and the scenario name, so two scenarios in one run share no
+// randomness, and two builds of one scenario share all of it.
+func (d des) build(spec Spec, seed uint64) (*cluster.Cluster, error) {
+	cl, err := cluster.Build(d.cfg)
+	if err != nil {
+		return nil, err
+	}
+	src := rng.New(seed).Split("scenario/" + spec.Name)
+	if err := applyShape(spec, cl.Pattern(), cl.Catalog(), src, d.horizon, d.users); err != nil {
+		return nil, err
+	}
+	return cl, nil
+}
+
+// run is Run that also hands back the DES run's cluster results.
+func run(spec Spec, opts Options) (*Result, *cluster.Results, error) {
+	d, err := configure(spec, opts)
 	if err != nil {
 		return nil, nil, fmt.Errorf("scenario %s: %w", spec.Name, err)
 	}
-
-	// Transforms draw from streams derived from the master seed and the
-	// scenario name, so two scenarios in one run share no randomness.
-	src := rng.New(opts.Seed).Split("scenario/" + spec.Name)
-	p := cl.Pattern()
-	if err := applyShape(spec, p, cl.Catalog(), src, horizon, users); err != nil {
+	cl, err := d.build(spec, opts.Seed)
+	if err != nil {
 		return nil, nil, fmt.Errorf("scenario %s: %w", spec.Name, err)
 	}
-
+	cfg, users, horizon, abusers := d.cfg, d.users, d.horizon, d.abusers
 	opts.logf("scenario %s: %d users, %d requests over %.0fs (%d RMs)",
-		spec.Name, users, p.Len(), horizon, len(cfg.RMCapacities))
+		spec.Name, users, cl.Pattern().Len(), horizon, len(cfg.RMCapacities))
 
 	rec := NewRecorder()
 	var tenantRec, victimRec *Recorder
@@ -413,13 +437,13 @@ func run(spec Spec, opts Options) (*Result, *cluster.Results, error) {
 		victimRec = NewRecorder()
 	}
 	start := time.Now()
-	res, err := cl.RunWithObserver(func(req workload.Request, out dfsc.Outcome, wall time.Duration) {
-		rec.Observe(classOf(req), wall, out.OK)
+	res, err := cl.RunWithObserver(func(req workload.Request, out dfsc.Outcome) {
+		rec.Count(classOf(req), out.OK)
 		if tenantRec != nil {
 			tn := cfg.TenantOf(req.DFSC)
-			tenantRec.Observe(tn.String(), wall, out.OK)
+			tenantRec.Count(tn.String(), out.OK)
 			if tn.Valid() && !abusers[tn] {
-				victimRec.Observe("victims", wall, out.OK)
+				victimRec.Count("victims", out.OK)
 			}
 		}
 	})
@@ -475,16 +499,15 @@ func run(spec Spec, opts Options) (*Result, *cluster.Results, error) {
 
 	if len(abusers) > 0 {
 		vict := victimStatsOf(victimRec)
-		base, err := runVictimBaseline(spec, cfg, opts, horizon, users, abusers)
+		base, err := runVictimBaseline(spec, d, opts.Seed)
 		if err != nil {
 			return nil, nil, fmt.Errorf("scenario %s: baseline pass: %w", spec.Name, err)
 		}
 		vict.BaselineFailRate = base.FailRate
-		vict.BaselineP99Ms = base.P99Ms
 		vict.BaselineRequests = base.Requests
 		r.Victims = &vict
-		opts.logf("scenario %s: victims fail rate %.4f (baseline %.4f), p99 %.3fms (baseline %.3fms)",
-			spec.Name, vict.FailRate, vict.BaselineFailRate, vict.P99Ms, vict.BaselineP99Ms)
+		opts.logf("scenario %s: victims fail rate %.4f (baseline %.4f)",
+			spec.Name, vict.FailRate, vict.BaselineFailRate)
 	}
 
 	if spec.Live != nil && !opts.SkipLive {
@@ -500,14 +523,13 @@ func run(spec Spec, opts Options) (*Result, *cluster.Results, error) {
 	return r, res, nil
 }
 
-// victimStatsOf extracts the victims' fail rate and p99 from the
-// single-class "victims" recorder.
+// victimStatsOf extracts the victims' fail rate from the single-class
+// "victims" recorder.
 func victimStatsOf(rec *Recorder) VictimStats {
 	var v VictimStats
 	for _, c := range rec.Stats() {
 		if c.Class == "victims" {
 			v.FailRate = c.FailRate()
-			v.P99Ms = c.P99Ms
 			v.Requests = c.Count
 		}
 	}
@@ -517,22 +539,18 @@ func victimStatsOf(rec *Recorder) VictimStats {
 // runVictimBaseline replays the scenario on an identically built and
 // seeded cluster with every abuser-tenant request stripped from the
 // pattern, and returns the victims' experience in that quiet world.
-// Build and applyShape re-derive the same streams from the master seed,
-// so the baseline's victims see byte-identical traffic — the only
-// difference is the abuser's absence.
-func runVictimBaseline(spec Spec, cfg cluster.Config, opts Options, horizon float64, users int, abusers map[ids.TenantID]bool) (VictimStats, error) {
-	cl, err := cluster.Build(cfg)
+// build re-derives the same streams from the master seed, so the
+// baseline's victims see byte-identical traffic — the only difference is
+// the abuser's absence.
+func runVictimBaseline(spec Spec, d des, seed uint64) (VictimStats, error) {
+	cl, err := d.build(spec, seed)
 	if err != nil {
 		return VictimStats{}, err
 	}
-	src := rng.New(opts.Seed).Split("scenario/" + spec.Name)
 	p := cl.Pattern()
-	if err := applyShape(spec, p, cl.Catalog(), src, horizon, users); err != nil {
-		return VictimStats{}, err
-	}
 	kept := make([]workload.Request, 0, len(p.Requests))
 	for _, req := range p.Requests {
-		if !abusers[cfg.TenantOf(req.DFSC)] {
+		if !d.abusers[d.cfg.TenantOf(req.DFSC)] {
 			kept = append(kept, req)
 		}
 	}
@@ -540,10 +558,10 @@ func runVictimBaseline(spec Spec, cfg cluster.Config, opts Options, horizon floa
 		return VictimStats{}, err
 	}
 	rec := NewRecorder()
-	if _, err := cl.RunWithObserver(func(req workload.Request, out dfsc.Outcome, wall time.Duration) {
-		tn := cfg.TenantOf(req.DFSC)
-		if tn.Valid() && !abusers[tn] {
-			rec.Observe("victims", wall, out.OK)
+	if _, err := cl.RunWithObserver(func(req workload.Request, out dfsc.Outcome) {
+		tn := d.cfg.TenantOf(req.DFSC)
+		if tn.Valid() && !d.abusers[tn] {
+			rec.Count("victims", out.OK)
 		}
 	}); err != nil {
 		return VictimStats{}, err
@@ -567,9 +585,6 @@ func Builtin() []Spec {
 			TopologyScale: 64, ShortTopologyScale: 2,
 			ZipfSkew: 1.1,
 			SLO: SLO{
-				MaxP50Sec:       0.050,
-				MaxP99Sec:       0.250,
-				MaxP999Sec:      1.0,
 				MaxFailRate:     0.02,
 				MinUtilization:  0.05,
 				MaxLiveFailRate: 0.60,
@@ -591,9 +606,6 @@ func Builtin() []Spec {
 			RepNRep: 1, RepNMaxR: 8,
 			Bursts: []BurstSpec{{AtFrac: 0.3, DurFrac: 0.4, Fraction: 0.35, SurgeFactor: 0.5}},
 			SLO: SLO{
-				MaxP50Sec:       0.050,
-				MaxP99Sec:       0.250,
-				MaxP999Sec:      1.0,
 				MaxFailRate:     0.60,
 				MinUtilization:  0.05,
 				MaxLiveFailRate: 0.60,
@@ -613,9 +625,6 @@ func Builtin() []Spec {
 			TopologyScale: 64, ShortTopologyScale: 2,
 			Tide: &Tide{Cycles: 2, Amplitude: 0.8, PeakFrac: 0.25},
 			SLO: SLO{
-				MaxP50Sec:       0.050,
-				MaxP99Sec:       0.250,
-				MaxP999Sec:      1.0,
 				MaxFailRate:     0.02,
 				MinUtilization:  0.05,
 				MaxLiveFailRate: 0.60,
@@ -642,9 +651,6 @@ func Builtin() []Spec {
 				},
 			},
 			SLO: SLO{
-				MaxP50Sec:          0.050,
-				MaxP99Sec:          0.250,
-				MaxP999Sec:         1.0,
 				MaxFailRate:        0.30,
 				MinUtilization:     0.05,
 				MinWorkUtilization: 0.04,
@@ -669,19 +675,15 @@ func Builtin() []Spec {
 				{ID: 2, Clients: 32, Weight: 4},
 			},
 			SLO: SLO{
-				MaxP50Sec:      0.050,
-				MaxP99Sec:      0.250,
-				MaxP999Sec:     1.0,
 				MaxFailRate:    0.80,
 				MinUtilization: 0.02,
 				PerTenant: []TenantSLO{
 					// The quota must actually bite the abuser...
 					{Tenant: 1, MinFailRate: 0.05},
 					// ...while the victim tenant sails through.
-					{Tenant: 2, MaxFailRate: 0.01, MaxP99Sec: 0.250},
+					{Tenant: 2, MaxFailRate: 0.01},
 				},
 				MaxVictimFailRateDelta: 0.005,
-				MaxVictimP99Sec:        0.250,
 				MaxLiveFailRate:        0.60,
 				MaxLiveP99Sec:          30,
 			},

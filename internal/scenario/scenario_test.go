@@ -50,6 +50,32 @@ func TestRecorderStats(t *testing.T) {
 	}
 }
 
+// TestRecorderCountHasNoLatency: a class recorded by Count, as the DES
+// records, carries counts and no latency, and its report names none.
+func TestRecorderCountHasNoLatency(t *testing.T) {
+	r := NewRecorder()
+	r.Count("video", true)
+	r.Count("video", false)
+	r.Observe("live", 10*time.Millisecond, true)
+	stats := r.Stats()
+	if len(stats) != 2 || stats[1].Class != "video" {
+		t.Fatalf("classes %+v, want live and video", stats)
+	}
+	if v := stats[1]; v.Count != 2 || v.Failed != 1 || v.P50Ms != 0 || v.P99Ms != 0 || v.P999Ms != 0 || v.MeanMs != 0 {
+		t.Fatalf("counted class %+v, want 2 requests, 1 failed and no latency", v)
+	}
+	if stats[0].P50Ms == 0 {
+		t.Fatalf("observed class %+v reports no latency", stats[0])
+	}
+	js, err := json.Marshal(stats[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(js, []byte("_ms")) {
+		t.Fatalf("counted class encodes a latency: %s", js)
+	}
+}
+
 func TestSLOCheck(t *testing.T) {
 	res := &Result{
 		Name:            "t",
@@ -107,27 +133,21 @@ func TestSLOCheckPerTenant(t *testing.T) {
 	res := &Result{
 		Name: "t",
 		Tenants: []ClassStats{
-			{Class: "tenant1", Count: 100, Failed: 60, P99Ms: 5},
-			{Class: "tenant2", Count: 100, Failed: 0, P99Ms: 400},
+			{Class: "tenant1", Count: 100, Failed: 60},
+			{Class: "tenant2", Count: 100, Failed: 0},
 		},
-		Victims: &VictimStats{
-			FailRate: 0.05, BaselineFailRate: 0.01,
-			P99Ms: 400, BaselineP99Ms: 10,
-		},
+		Victims: &VictimStats{FailRate: 0.05, BaselineFailRate: 0.01},
 	}
 	cases := []struct {
 		slo    SLO
 		metric string
 	}{
-		// The victim tenant's p99 trips its ceiling.
-		{SLO{PerTenant: []TenantSLO{{Tenant: 2, MaxP99Sec: 0.250}}}, "p99"},
 		// The abuser's fail rate trips its ceiling.
 		{SLO{PerTenant: []TenantSLO{{Tenant: 1, MaxFailRate: 0.5}}}, "fail_rate"},
 		// An abuser below its fail-rate floor means quotas never bit.
 		{SLO{PerTenant: []TenantSLO{{Tenant: 2, MinFailRate: 0.05}}}, "fail_rate_floor"},
 		// Victims degraded vs the no-abuser baseline.
 		{SLO{MaxVictimFailRateDelta: 0.02}, "fail_rate_delta"},
-		{SLO{MaxVictimP99Sec: 0.250}, "p99"},
 	}
 	for _, c := range cases {
 		vs := c.slo.Check(res)
@@ -142,10 +162,9 @@ func TestSLOCheckPerTenant(t *testing.T) {
 	ok := SLO{
 		PerTenant: []TenantSLO{
 			{Tenant: 1, MinFailRate: 0.5},
-			{Tenant: 2, MaxFailRate: 0.01, MaxP99Sec: 0.5},
+			{Tenant: 2, MaxFailRate: 0.01},
 		},
 		MaxVictimFailRateDelta: 0.1,
-		MaxVictimP99Sec:        0.5,
 	}
 	if vs := ok.Check(res); len(vs) != 0 {
 		t.Fatalf("satisfied tenant SLO produced violations: %v", vs)
@@ -203,7 +222,6 @@ func tenantSpec() Spec {
 				{Tenant: 2, MaxFailRate: 0.01},
 			},
 			MaxVictimFailRateDelta: 0.005,
-			MaxVictimP99Sec:        1.0,
 		},
 	}
 }

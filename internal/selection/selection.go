@@ -25,6 +25,7 @@ package selection
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -164,6 +165,11 @@ func (p Policy) Score(b Bid) float64 {
 // firm real-time scenario to try the next-best RM when the best cannot fit
 // the reservation, and by diagnostics.
 func Rank(p Policy, bids []Bid) []ids.RMID {
+	return appendRank(make([]ids.RMID, 0, len(bids)), p, bids)
+}
+
+// appendRank appends the bids' RMs to dst in Rank order.
+func appendRank(dst []ids.RMID, p Policy, bids []Bid) []ids.RMID {
 	type scored struct {
 		rm    ids.RMID
 		score float64
@@ -190,35 +196,34 @@ func Rank(p Policy, bids []Bid) []ids.RMID {
 			}
 		}
 	}
-	out := make([]ids.RMID, len(ss))
-	for i, s := range ss {
-		out[i] = s.rm
+	dst = slices.Grow(dst, len(ss))
+	for _, s := range ss {
+		dst = append(dst, s.rm)
 	}
-	return out
+	return dst
 }
 
-// TopK returns up to k bidders in admission order: the Rank order for a
-// scored policy, a uniform shuffle of the full bid list for the random
-// policy (so a short list is still an unbiased sample, not a prefix of
-// input order). Fewer than k bids returns them all — the striped reader
-// admits what exists and degrades its width. k ≤ 0 yields nil. src is
-// only consulted for the random policy.
-func TopK(p Policy, bids []Bid, k int, src *rng.Source) []ids.RMID {
+// TopK appends up to k bidders to dst in admission order and returns the
+// extended slice: the Rank order for a scored policy, a uniform shuffle
+// of the full bid list for the random policy (so a short list is still an
+// unbiased sample, not a prefix of input order). Fewer than k bids appends
+// them all — the striped reader admits what exists and degrades its
+// width. k ≤ 0 appends nothing. src is only consulted for the random
+// policy.
+func TopK(dst []ids.RMID, p Policy, bids []Bid, k int, src *rng.Source) []ids.RMID {
 	if k <= 0 || len(bids) == 0 {
-		return nil
+		return dst
 	}
-	var order []ids.RMID
+	n := len(dst)
 	if p.IsRandom() {
-		order = make([]ids.RMID, len(bids))
-		for i, b := range bids {
-			order[i] = b.RM
+		dst = slices.Grow(dst, len(bids))
+		for _, b := range bids {
+			dst = append(dst, b.RM)
 		}
+		order := dst[n:]
 		src.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 	} else {
-		order = Rank(p, bids)
+		dst = appendRank(dst, p, bids)
 	}
-	if k < len(order) {
-		order = order[:k]
-	}
-	return order
+	return dst[:n+min(k, len(bids))]
 }

@@ -304,19 +304,23 @@ func TestTopKScoredPrefix(t *testing.T) {
 		{RM: 2, Rem: units.BytesPerSec(30)},
 		{RM: 3, Rem: units.BytesPerSec(20)},
 	}
-	got := TopK(RemOnly, bids, 2, rng.New(1))
+	got := TopK(nil, RemOnly, bids, 2, rng.New(1))
 	if len(got) != 2 || got[0] != 2 || got[1] != 3 {
 		t.Fatalf("TopK = %v, want [2 3] (Rank prefix)", got)
 	}
 	// k beyond the bid count returns everything in rank order.
-	all := TopK(RemOnly, bids, 10, rng.New(1))
+	all := TopK(nil, RemOnly, bids, 10, rng.New(1))
 	if len(all) != 3 || all[0] != 2 || all[1] != 3 || all[2] != 1 {
 		t.Fatalf("TopK over-wide = %v, want [2 3 1]", all)
 	}
-	if TopK(RemOnly, bids, 0, rng.New(1)) != nil {
+	// The bidders are appended after what dst holds.
+	if got := TopK([]ids.RMID{9}, RemOnly, bids, 2, rng.New(1)); len(got) != 3 || got[0] != 9 || got[1] != 2 || got[2] != 3 {
+		t.Fatalf("TopK after [9] = %v, want [9 2 3]", got)
+	}
+	if TopK(nil, RemOnly, bids, 0, rng.New(1)) != nil {
 		t.Fatal("TopK with k=0 must be nil")
 	}
-	if TopK(RemOnly, nil, 3, rng.New(1)) != nil {
+	if TopK(nil, RemOnly, nil, 3, rng.New(1)) != nil {
 		t.Fatal("TopK with no bids must be nil")
 	}
 }
@@ -329,7 +333,7 @@ func TestTopKRandomIsUnbiasedSample(t *testing.T) {
 	counts := map[ids.RMID]int{}
 	const trials = 4000
 	for i := 0; i < trials; i++ {
-		got := TopK(Random, bids, 1, src)
+		got := TopK(nil, Random, bids, 1, src)
 		if len(got) != 1 {
 			t.Fatalf("TopK = %v, want one RM", got)
 		}

@@ -26,17 +26,12 @@ type engine interface {
 	RunUntil(Time)
 	Halt()
 	Feed(at []Time, fn func(i int, now Time))
-	// schedule and ticker return the handle's cancel / stop.
-	schedule(at Time, fn func(Time)) (cancel func() bool)
+	Schedule(at Time, fn func(Time))
+	// ticker returns the ticker's stop.
 	ticker(start Time, period Duration, fn func(Time)) (stop func())
 }
 
 type realEngine struct{ *Scheduler }
-
-func (r realEngine) schedule(at Time, fn func(Time)) func() bool {
-	e := r.Schedule(at, fn)
-	return func() bool { return r.Cancel(e) }
-}
 
 func (r realEngine) ticker(start Time, period Duration, fn func(Time)) func() {
 	return r.NewTicker(start, period, fn).Stop
@@ -52,10 +47,9 @@ type refEngine struct {
 }
 
 type refEvent struct {
-	at   Time
-	seq  uint64
-	fn   func(Time)
-	done bool // fired or canceled
+	at  Time
+	seq uint64
+	fn  func(Time)
 }
 
 func (r *refEngine) Now() Time     { return r.now }
@@ -63,29 +57,15 @@ func (r *refEngine) Fired() uint64 { return r.fired }
 func (r *refEngine) Pending() int  { return len(r.pending) }
 func (r *refEngine) Halt()         { r.halted = true }
 
-func (r *refEngine) schedule(at Time, fn func(Time)) func() bool {
-	e := &refEvent{at: at, seq: r.seq, fn: fn}
+func (r *refEngine) Schedule(at Time, fn func(Time)) {
+	r.pending = append(r.pending, &refEvent{at: at, seq: r.seq, fn: fn})
 	r.seq++
-	r.pending = append(r.pending, e)
-	return func() bool {
-		if e.done {
-			return false
-		}
-		e.done = true
-		for i, p := range r.pending {
-			if p == e {
-				r.pending = append(r.pending[:i], r.pending[i+1:]...)
-				break
-			}
-		}
-		return true
-	}
 }
 
 func (r *refEngine) Feed(at []Time, fn func(int, Time)) {
 	for i, t := range at {
 		i := i
-		r.schedule(t, func(now Time) { fn(i, now) })
+		r.Schedule(t, func(now Time) { fn(i, now) })
 	}
 }
 
@@ -108,7 +88,6 @@ func (r *refEngine) Step() bool {
 	}
 	e := r.pending[i]
 	r.pending = append(r.pending[:i], r.pending[i+1:]...)
-	e.done = true
 	r.now = e.at
 	r.fired++
 	e.fn(r.now)
@@ -134,23 +113,22 @@ func (r *refEngine) RunUntil(horizon Time) {
 	}
 }
 
+// ticker is a chain of events, each scheduling the next until stopped; a
+// stopped ticker's pending tick still fires, as a no-op.
 func (r *refEngine) ticker(start Time, period Duration, fn func(Time)) func() {
 	stopped := false
-	var cancel func() bool
 	var tick func(Time)
 	tick = func(now Time) {
+		if stopped {
+			return
+		}
 		fn(now)
 		if !stopped {
-			cancel = r.schedule(now.Add(period), tick)
+			r.Schedule(now.Add(period), tick)
 		}
 	}
-	cancel = r.schedule(start, tick)
-	return func() {
-		if !stopped {
-			stopped = true
-			cancel()
-		}
-	}
+	r.Schedule(start, tick)
+	return func() { stopped = true }
 }
 
 // program interprets a byte string as a sequence of scheduler calls, some
@@ -164,9 +142,8 @@ type program struct {
 	log  []string
 
 	nextID   int
-	handles  []func() bool // every cancel ever handed out, fired or not
-	feedLeft int           // arrivals of the current feed still to fire
-	feedAt   []Time        // the current feed's times
+	feedLeft int    // arrivals of the current feed still to fire
+	feedAt   []Time // the current feed's times
 }
 
 func (p *program) byte() int {
@@ -192,8 +169,8 @@ func (p *program) fire(id, behaviour int, now Time) {
 	switch behaviour % 8 {
 	case 1: // a child event, possibly at this very instant
 		p.scheduleAt(now.Add(p.delay()))
-	case 2:
-		p.cancelOne()
+	case 2: // an event at this very instant, after every one already there
+		p.scheduleAt(now)
 	case 3:
 		p.e.Halt()
 	case 4: // an event at a later arrival's exact time
@@ -210,25 +187,7 @@ func (p *program) fire(id, behaviour int, now Time) {
 func (p *program) scheduleAt(at Time) {
 	id, behaviour := p.nextID, p.byte()
 	p.nextID++
-	p.handles = append(p.handles, p.e.schedule(at, func(now Time) { p.fire(id, behaviour, now) }))
-}
-
-// cancelOne cancels the first, the last or some middle handle — pending,
-// fired or canceled alike.
-func (p *program) cancelOne() {
-	if len(p.handles) == 0 {
-		return
-	}
-	var i int
-	switch b := p.byte(); b % 3 {
-	case 0:
-		i = 0
-	case 1:
-		i = len(p.handles) - 1
-	default:
-		i = b % len(p.handles)
-	}
-	p.logf("cancel %d -> %v pending %d", i, p.handles[i](), p.e.Pending())
+	p.e.Schedule(at, func(now Time) { p.fire(id, behaviour, now) })
 }
 
 func (p *program) startTicker(start Time) {
@@ -269,10 +228,8 @@ func (p *program) feed() {
 func (p *program) run() []string {
 	for p.pos < len(p.data) {
 		switch p.byte() % 8 {
-		case 0, 1:
+		case 0, 1, 2:
 			p.scheduleAt(p.e.Now().Add(p.delay()))
-		case 2:
-			p.cancelOne()
 		case 3:
 			p.feed()
 		case 4:
@@ -331,8 +288,8 @@ func FuzzSchedulerOrder(f *testing.F) {
 	// Hand-written openings, then random ones: a queued event, two fed
 	// arrivals and another queued event all at t=0.5; a feed whose
 	// arrivals schedule at later arrivals' times and halt the run; tickers
-	// that stop themselves between cancels of the first, last and a middle
-	// handle; events that cancel other events, fired ones included.
+	// that stop themselves among events at one instant; events that
+	// schedule more at their own instant.
 	f.Add([]byte{0, 2, 0, 3, 2, 2, 0, 0, 0, 0, 2, 0, 6})
 	f.Add([]byte{3, 4, 1, 4, 1, 3, 1, 0, 1, 1, 6, 0, 0, 6, 2, 6})
 	f.Add([]byte{7, 0, 1, 2, 7, 2, 0, 3, 4, 9, 2, 0, 2, 1, 2, 5, 6})
@@ -519,50 +476,5 @@ func TestFeedAfterFeed(t *testing.T) {
 	})
 	if got, want := order(s, &fired), "a0 a1 b0 b1"; got != want {
 		t.Fatalf("fired %q, want %q", got, want)
-	}
-}
-
-func TestCancelAnywhereInADeepQueue(t *testing.T) {
-	// Enough events for a four-level heap, canceled from the root, the
-	// last slot and the middle, in an order that makes the hole's filler
-	// move up as well as down.
-	s := NewScheduler()
-	rnd := rand.New(rand.NewSource(7))
-	type rec struct {
-		e  *Event
-		at Time
-	}
-	var all []rec
-	var fired []Time
-	for i := 0; i < 300; i++ {
-		at := Time(rnd.Intn(50))
-		all = append(all, rec{s.Schedule(at, func(now Time) { fired = append(fired, now) }), at})
-	}
-	kept := 0
-	for i, r := range all {
-		if i%3 == 0 || i > 280 {
-			if !s.Cancel(r.e) {
-				t.Fatalf("cancel %d refused", i)
-			}
-			continue
-		}
-		kept++
-	}
-	if s.Pending() != kept {
-		t.Fatalf("pending %d, want %d", s.Pending(), kept)
-	}
-	s.Run()
-	if len(fired) != kept {
-		t.Fatalf("fired %d, want %d", len(fired), kept)
-	}
-	for i := 1; i < len(fired); i++ {
-		if fired[i] < fired[i-1] {
-			t.Fatalf("out of order at %d: %v after %v", i, fired[i], fired[i-1])
-		}
-	}
-	for i, r := range all {
-		if canceled := i%3 == 0 || i > 280; r.e.canceled != canceled || r.e.at != r.at {
-			t.Fatalf("event %d: canceled %v at %v", i, r.e.canceled, r.e.at)
-		}
 	}
 }

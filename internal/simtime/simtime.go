@@ -45,22 +45,13 @@ func (t Time) String() string {
 	return fmt.Sprintf("%s%d:%02d:%06.3f", neg, h, m, rest)
 }
 
-// Event is a scheduled callback. The zero Event is invalid; obtain events
-// from Scheduler.Schedule.
-type Event struct {
-	at       Time
-	index    int // position in the queue, -1 when not queued
-	fn       func(Time)
-	canceled bool
-}
-
-// entry is one queue slot. The ordering key sits in the slot itself, so a
-// sift compares values it already has in cache and only touches an Event to
-// record where it moved.
+// entry is one pending event: its ordering key and its callback, held by
+// value in the queue. Nothing outside the queue refers to it, so a sift
+// moves entries and writes nothing back.
 type entry struct {
 	at  Time
 	seq uint64
-	ev  *Event
+	fn  func(Time)
 }
 
 // before is the firing order: earlier time first, scheduling order at equal
@@ -109,8 +100,10 @@ func (s *Scheduler) Fired() uint64 { return s.fired }
 
 // Schedule registers fn to fire at time at. Scheduling in the past panics:
 // it is always a logic error in a DES and silently clamping would corrupt
-// metric integration. Ties fire in scheduling order.
-func (s *Scheduler) Schedule(at Time, fn func(Time)) *Event {
+// metric integration. Ties fire in scheduling order. A scheduled event
+// cannot be withdrawn: a caller that may change its mind checks a flag of
+// its own when the event fires (see Ticker).
+func (s *Scheduler) Schedule(at Time, fn func(Time)) {
 	if at < s.now {
 		panic(fmt.Sprintf("simtime: scheduling event at %v before now %v", at, s.now))
 	}
@@ -120,19 +113,17 @@ func (s *Scheduler) Schedule(at Time, fn func(Time)) *Event {
 	if math.IsNaN(float64(at)) {
 		panic("simtime: scheduling event at NaN time")
 	}
-	e := &Event{at: at, fn: fn}
 	s.queue = append(s.queue, entry{})
-	s.siftUp(len(s.queue)-1, entry{at: at, seq: s.seq, ev: e})
+	s.siftUp(len(s.queue)-1, entry{at: at, seq: s.seq, fn: fn})
 	s.seq++
-	return e
 }
 
 // After registers fn to fire d seconds from now.
-func (s *Scheduler) After(d Duration, fn func(Time)) *Event {
+func (s *Scheduler) After(d Duration, fn func(Time)) {
 	if d < 0 {
 		panic(fmt.Sprintf("simtime: negative delay %v", d))
 	}
-	return s.Schedule(s.now.Add(d), fn)
+	s.Schedule(s.now.Add(d), fn)
 }
 
 // Feed registers a whole arrival stream at once: fn(i, at[i]) fires at time
@@ -174,17 +165,6 @@ func (s *Scheduler) Feed(at []Time, fn func(i int, now Time)) {
 	s.seq += uint64(len(at))
 }
 
-// Cancel removes a pending event. Canceling an already-fired or
-// already-canceled event is a no-op returning false.
-func (s *Scheduler) Cancel(e *Event) bool {
-	if e == nil || e.canceled || e.index < 0 {
-		return false
-	}
-	e.canceled = true
-	s.remove(e.index)
-	return true
-}
-
 // Step fires the single earliest event and returns true, or returns false if
 // nothing is pending.
 func (s *Scheduler) Step() bool { return s.step(Time(math.Inf(1))) }
@@ -213,8 +193,7 @@ func (s *Scheduler) step(horizon Time) bool {
 	if len(s.queue) == 0 || s.queue[0].at > horizon {
 		return false
 	}
-	e := s.queue[0].ev
-	s.remove(0)
+	e := s.pop()
 	s.now = e.at
 	s.fired++
 	e.fn(s.now)
@@ -243,22 +222,18 @@ func (s *Scheduler) Run() {
 	}
 }
 
-// remove takes the entry at index i out of the queue: the last entry fills
-// the hole and sinks or rises to its place.
-func (s *Scheduler) remove(i int) {
-	s.queue[i].ev.index = -1
+// pop takes the earliest entry out of the queue: the last entry fills the
+// root and sinks to its place.
+func (s *Scheduler) pop() entry {
+	e := s.queue[0]
 	last := len(s.queue) - 1
 	x := s.queue[last]
-	s.queue[last] = entry{}
+	s.queue[last] = entry{} // drop the callback for the collector
 	s.queue = s.queue[:last]
-	if i == last {
-		return
+	if last > 0 {
+		s.siftDown(0, x)
 	}
-	if i > 0 && x.before(s.queue[(i-1)/arity]) {
-		s.siftUp(i, x)
-	} else {
-		s.siftDown(i, x)
-	}
+	return e
 }
 
 // siftUp places x at the hole i or above it, moving later parents down.
@@ -270,11 +245,9 @@ func (s *Scheduler) siftUp(i int, x entry) {
 			break
 		}
 		q[i] = q[parent]
-		q[i].ev.index = i
 		i = parent
 	}
 	q[i] = x
-	x.ev.index = i
 }
 
 // siftDown places x at the hole i or below it, moving earlier children up.
@@ -299,20 +272,19 @@ func (s *Scheduler) siftDown(i int, x entry) {
 			break
 		}
 		q[i] = q[least]
-		q[i].ev.index = i
 		i = least
 	}
 	q[i] = x
-	x.ev.index = i
 }
 
-// Ticker invokes fn every period seconds starting at start, until Stop.
-// It is the sampling backbone for the utilization time series in Figs 4-6.
+// Ticker invokes fn every period seconds starting at start. It is the
+// sampling backbone for the utilization time series in Figs 4-6. Once
+// stopped, its next tick still fires but does nothing and schedules no
+// other.
 type Ticker struct {
 	s       *Scheduler
 	period  Duration
 	fn      func(Time)
-	event   *Event
 	stopped bool
 }
 
@@ -322,7 +294,7 @@ func (s *Scheduler) NewTicker(start Time, period Duration, fn func(Time)) *Ticke
 		panic("simtime: ticker period must be positive")
 	}
 	t := &Ticker{s: s, period: period, fn: fn}
-	t.event = s.Schedule(start, t.tick)
+	s.Schedule(start, t.tick)
 	return t
 }
 
@@ -332,6 +304,6 @@ func (t *Ticker) tick(now Time) {
 	}
 	t.fn(now)
 	if !t.stopped {
-		t.event = t.s.Schedule(now.Add(t.period), t.tick)
+		t.s.Schedule(now.Add(t.period), t.tick)
 	}
 }

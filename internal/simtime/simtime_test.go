@@ -82,37 +82,6 @@ func TestAfterNegativePanics(t *testing.T) {
 	NewScheduler().After(-1, func(Time) {})
 }
 
-func TestCancel(t *testing.T) {
-	s := NewScheduler()
-	fired := false
-	e := s.Schedule(3, func(Time) { fired = true })
-	if !s.Cancel(e) {
-		t.Fatal("Cancel returned false for pending event")
-	}
-	if s.Cancel(e) {
-		t.Fatal("double Cancel returned true")
-	}
-	s.Run()
-	if fired {
-		t.Fatal("canceled event fired")
-	}
-	if !e.canceled {
-		t.Fatal("Canceled() false after Cancel")
-	}
-}
-
-func TestCancelFiredEventIsNoop(t *testing.T) {
-	s := NewScheduler()
-	e := s.Schedule(1, func(Time) {})
-	s.Run()
-	if s.Cancel(e) {
-		t.Fatal("Cancel of fired event returned true")
-	}
-	if s.Cancel(nil) {
-		t.Fatal("Cancel(nil) returned true")
-	}
-}
-
 func TestRunUntilHorizon(t *testing.T) {
 	s := NewScheduler()
 	var fired []Time

@@ -5,8 +5,9 @@
 # hot-file skew, flash-crowd burst, diurnal tide, mixed operation storm)
 # replayed open-loop through the discrete-event cluster — 10⁵–10⁶
 # simulated clients in full mode — plus a scaled-down live-TCP slice per
-# scenario, with per-class p50/p99/p999 latency, fail rate and aggregate
-# utilization written into the report. The runner exits non-zero when any
+# scenario, with per-class request and failure counts, fail rate,
+# aggregate utilization and the live slice's latency percentiles written
+# into the report. The runner exits non-zero when any
 # scenario violates its declarative SLO, so this script IS the gate: CI
 # runs it in short mode (SCEN_MODE=short) and uploads the report.
 #
