@@ -225,14 +225,24 @@ func TestPlacementCloneIsDeep(t *testing.T) {
 	}
 }
 
-func TestHoldersReturnsCopy(t *testing.T) {
+// Holders lends the placement's own sorted list: later edits store a new
+// one, and an append to the lent slice copies instead of writing into it.
+func TestHoldersLendsAnUnchangingSlice(t *testing.T) {
 	p := NewPlacement()
+	p.Add(0, 3)
 	p.Add(0, 1)
-	p.Add(0, 2)
 	hs := p.Holders(0)
-	hs[0] = 99
-	if p.Has(0, 99) {
-		t.Fatal("Holders leaked internal slice")
+	p.Add(0, 2)
+	p.Remove(0, 3)
+	if !slices.Equal(hs, []ids.RMID{1, 3}) {
+		t.Fatalf("lent holders changed under later edits: %v", hs)
+	}
+	if got := p.Holders(0); !slices.Equal(got, []ids.RMID{1, 2}) {
+		t.Fatalf("holders %v, want [1 2]", got)
+	}
+	_ = append(p.Holders(0), 9)
+	if got := p.Holders(0); !slices.Equal(got, []ids.RMID{1, 2}) {
+		t.Fatalf("an append to the lent slice wrote into the placement: %v", got)
 	}
 }
 

@@ -2,6 +2,8 @@ package catalog
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"dfsqos/internal/ids"
 	"dfsqos/internal/rng"
@@ -11,6 +13,11 @@ import (
 // evaluation "replicate[s] each of them as three replicas and then
 // distribute[s] these three replicas randomly into 16 RMs"; Placement is
 // the initial (static) state the Metadata Manager is seeded with.
+//
+// Each file's holder list is kept in ascending RM order and is never
+// modified once stored: Add and Remove store a new list. So Holders lends
+// the stored list itself, and a reader may keep it, and read it after the
+// lock it was read under is released, while the placement changes.
 type Placement struct {
 	replicas map[ids.FileID][]ids.RMID
 }
@@ -40,17 +47,19 @@ func StaticRandom(c *Catalog, rms []ids.RMID, degree int, src *rng.Source) (*Pla
 			j := i + src.Intn(len(scratch)-i)
 			scratch[i], scratch[j] = scratch[j], scratch[i]
 		}
-		set := make([]ids.RMID, degree)
-		copy(set, scratch[:degree])
+		set := slices.Clone(scratch[:degree])
+		slices.Sort(set)
 		p.replicas[f.ID] = set
 	}
 	return p, nil
 }
 
-// Holders returns the RMs holding a replica of file id. The returned slice
-// is a copy and safe to retain.
+// Holders returns the RMs holding a replica of file id, in ascending
+// order. The slice is the placement's own and is never modified: a later
+// Add or Remove stores a new one. The caller must not modify it either;
+// its capacity is clipped to its length, so an append copies.
 func (p *Placement) Holders(id ids.FileID) []ids.RMID {
-	return p.AppendHolders(make([]ids.RMID, 0, p.Degree(id)), id)
+	return slices.Clip(p.replicas[id])
 }
 
 // AppendHolders appends the RMs holding a replica of file id to dst: Holders
@@ -61,12 +70,8 @@ func (p *Placement) AppendHolders(dst []ids.RMID, id ids.FileID) []ids.RMID {
 
 // Has reports whether rm holds a replica of file id.
 func (p *Placement) Has(id ids.FileID, rm ids.RMID) bool {
-	for _, h := range p.replicas[id] {
-		if h == rm {
-			return true
-		}
-	}
-	return false
+	_, found := slices.BinarySearch(p.replicas[id], rm)
+	return found
 }
 
 // Degree returns the current replica count for file id.
@@ -76,10 +81,16 @@ func (p *Placement) Degree(id ids.FileID) int { return len(p.replicas[id]) }
 // an error: the replication protocol's destination endpoint must have
 // rejected the transfer instead.
 func (p *Placement) Add(id ids.FileID, rm ids.RMID) error {
-	if p.Has(id, rm) {
+	hs := p.replicas[id]
+	i, found := slices.BinarySearch(hs, rm)
+	if found {
 		return fmt.Errorf("catalog: %v already holds %v", rm, id)
 	}
-	p.replicas[id] = append(p.replicas[id], rm)
+	next := make([]ids.RMID, len(hs)+1)
+	copy(next, hs[:i])
+	next[i] = rm
+	copy(next[i+1:], hs[i:])
+	p.replicas[id] = next
 	return nil
 }
 
@@ -90,13 +101,12 @@ func (p *Placement) Remove(id ids.FileID, rm ids.RMID) error {
 	if len(hs) <= 1 {
 		return fmt.Errorf("catalog: refusing to remove last replica of %v", id)
 	}
-	for i, h := range hs {
-		if h == rm {
-			p.replicas[id] = append(hs[:i], hs[i+1:]...)
-			return nil
-		}
+	i, found := slices.BinarySearch(hs, rm)
+	if !found {
+		return fmt.Errorf("catalog: %v holds no replica of %v", rm, id)
 	}
-	return fmt.Errorf("catalog: %v holds no replica of %v", rm, id)
+	p.replicas[id] = slices.Concat(hs[:i], hs[i+1:])
+	return nil
 }
 
 // FilesOn returns the IDs of all files with a replica on rm, in ascending
@@ -141,30 +151,23 @@ func (p *Placement) Files() []ids.FileID {
 // NumFiles returns the number of files with at least one replica.
 func (p *Placement) NumFiles() int { return len(p.replicas) }
 
-// Clone returns a deep copy, used to reset state between experiment runs.
+// Clone returns an independent copy, used to reset state between
+// experiment runs. The two share holder lists, which neither modifies.
 func (p *Placement) Clone() *Placement {
-	q := NewPlacement()
-	for id, hs := range p.replicas {
-		cp := make([]ids.RMID, len(hs))
-		copy(cp, hs)
-		q.replicas[id] = cp
-	}
-	return q
+	return &Placement{replicas: maps.Clone(p.replicas)}
 }
 
 // Validate checks structural invariants: every file has at least one
-// replica and no RM appears twice for the same file.
+// replica, and its holders ascend strictly, so no RM appears twice.
 func (p *Placement) Validate() error {
 	for id, hs := range p.replicas {
 		if len(hs) == 0 {
 			return fmt.Errorf("catalog: %v has zero replicas", id)
 		}
-		seen := make(map[ids.RMID]bool, len(hs))
-		for _, h := range hs {
-			if seen[h] {
-				return fmt.Errorf("catalog: %v has duplicate replica on %v", id, h)
+		for i := 1; i < len(hs); i++ {
+			if hs[i] <= hs[i-1] {
+				return fmt.Errorf("catalog: %v holders not strictly ascending at %v", id, hs[i])
 			}
-			seen[h] = true
 		}
 	}
 	return nil

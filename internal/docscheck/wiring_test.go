@@ -15,17 +15,17 @@ import (
 // harness's own cluster. No test of RMServer itself needs a server that
 // Local cannot give it, so none is listed.
 var rmServerCallers = map[string]string{
-	"bench/cluster.go":      "the benchmark harness stands up its own cluster (ROADMAP item 1 moves it onto live.Local)",
+	"bench/cluster.go":      "the benchmark harness stands up its own cluster (ROADMAP item 19 moves it onto live.Local)",
 	"internal/live/node.go": "live.StartRM, the one RM start-up rmd and live.Local run",
 }
 
 // mmServerCallers are the only files that may call live.NewMMServer or
 // live.NewMMShard, each with its reason.
 var mmServerCallers = map[string]string{
-	"bench/cluster.go":                 "the benchmark harness stands up its own cluster (ROADMAP item 1 moves it onto live.Local)",
+	"bench/cluster.go":                 "the benchmark harness stands up its own cluster (ROADMAP item 19 moves it onto live.Local)",
 	"bench/micro.go":                   "the MM lookup micro-benchmark serves a bare Manager over TCP",
 	"internal/live/node.go":            "live.StartMM, the one metadata-plane start-up mmd and live.Local run",
-	"internal/live/live_test.go":       "TestLiveReplicationRefusalText serves a bare Manager it fills by hand",
+	"internal/live/live_test.go":       "TestLiveReplicationRefusalText and TestMMServerEncodesLentHoldersWhileReplicasChange serve a bare Manager they fill by hand",
 	"internal/live/shardgroup_test.go": "tcpGroup moves shard liveness by hand with no beat loop, and a /stats test drives one member's clock",
 }
 

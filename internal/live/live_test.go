@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -498,5 +499,74 @@ func TestLiveIngestRefusesOversizedDeclaration(t *testing.T) {
 	}
 	if got, err := srv.disk.Checksum(FileName(2)); err != nil || got != sum {
 		t.Fatalf("stored checksum %x, err %v, want %x", got, err, sum)
+	}
+}
+
+// TestMMServerEncodesLentHoldersWhileReplicasChange: the MM lends its
+// holder list to the server, which encodes it after the manager's lock is
+// released, while other sessions add and remove replicas of the same
+// file. Every answer is a sorted, duplicate-free set that always includes
+// the holder no edit touches; under -race, an edit that wrote into a lent
+// list would be reported.
+func TestMMServerEncodesLentHoldersWhileReplicasChange(t *testing.T) {
+	mgr := mm.New()
+	for id := ids.RMID(1); id <= 8; id++ {
+		var files []ids.FileID
+		if id == 1 {
+			files = []ids.FileID{0}
+		}
+		if err := mgr.RegisterRM(ecnp.RMInfo{ID: id, Capacity: units.Mbps(10)}, files); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv, err := NewMMServer(mgr, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	var wg sync.WaitGroup
+	for e := ids.RMID(2); e <= 3; e++ {
+		wg.Add(1)
+		go func(first ids.RMID) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				for rm := first; rm <= 8; rm += 2 {
+					if err := mgr.AddReplica(0, rm); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				for rm := first; rm <= 8; rm += 2 {
+					if err := mgr.RemoveReplica(0, rm); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}
+		}(e)
+	}
+	for c := 0; c < 2; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			cli, err := DialMM(srv.Addr())
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer cli.Close()
+			for i := 0; i < 300; i++ {
+				hs := cli.Lookup(0)
+				if len(hs) == 0 || hs[0] != 1 || !slices.IsSorted(hs) || len(slices.Compact(slices.Clone(hs))) != len(hs) {
+					t.Errorf("lookup %d answered %v", i, hs)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got := mgr.Lookup(0); !slices.Equal(got, []ids.RMID{1}) {
+		t.Fatalf("holders after every edit undone: %v", got)
 	}
 }

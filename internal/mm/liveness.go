@@ -310,17 +310,18 @@ func (t *Liveness[K]) LiveCount() int {
 	return t.liveLocked(t.now())
 }
 
-// keepLive drops from s, in place, the entries whose key is not alive; with
+// keepLive returns the entries of s whose key is alive, appended to dst:
+// dst is s[:0] to filter in place, or nil to leave s untouched. With
 // expiry off it returns s as is, so the DES and every unarmed deployment
 // pay one read lock per query and no per-entry work.
-func keepLive[K ~int | ~int32, E any](t *Liveness[K], s []E, key func(E) K) []E {
+func keepLive[K ~int | ~int32, E any](t *Liveness[K], dst, s []E, key func(E) K) []E {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	if t.expiry == 0 {
 		return s
 	}
 	now := t.now()
-	out := s[:0]
+	out := dst
 	for _, e := range s {
 		if sl := t.slotLocked(key(e)); sl != nil && !t.deadLocked(sl, now) {
 			out = append(out, e)

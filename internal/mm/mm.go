@@ -168,12 +168,16 @@ func (m *Manager) RegisterRM(info ecnp.RMInfo, files []ids.FileID) error {
 // in ascending RM order for determinism. With liveness enabled, dead
 // holders are excluded — the readdir answer never routes a requester at a
 // crashed RM, so negotiations stop burning their deadline on it.
+//
+// The answer is lent, not copied: it is the placement's holder list (see
+// catalog.Placement.Holders), which no one modifies, so a caller may keep
+// it and read it after the lock — a live MM server encodes it, a lease
+// cache holds it — but must not modify it. Only with liveness expiry armed
+// is it a fresh slice, filtered from that list.
 func (m *Manager) Lookup(file ids.FileID) []ids.RMID {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	hs := keepLive(m.live, m.placement.Holders(file), rmKey)
-	slices.Sort(hs)
-	return hs
+	return keepLive(m.live, nil, m.placement.Holders(file), rmKey)
 }
 
 func rmKey(id ids.RMID) ids.RMID { return id }
@@ -216,7 +220,7 @@ func (m *Manager) AppendRMsWithout(dst []ids.RMID, file ids.FileID) []ids.RMID {
 		rest = rest[i:]
 	}
 	dst = append(dst, rest...)
-	return dst[:start+len(keepLive(m.live, dst[start:], rmKey))]
+	return dst[:start+len(keepLive(m.live, dst[start:start], dst[start:], rmKey))]
 }
 
 // AddReplica implements ecnp.Mapper.
@@ -307,7 +311,7 @@ func (m *Manager) RMs() []ecnp.RMInfo {
 	for _, id := range m.order {
 		out = append(out, m.rms[id])
 	}
-	return keepLive(m.live, out, func(info ecnp.RMInfo) ids.RMID { return info.ID })
+	return keepLive(m.live, out[:0], out, func(info ecnp.RMInfo) ids.RMID { return info.ID })
 }
 
 // AllRMs returns every registered RM regardless of liveness (diagnostics
@@ -342,13 +346,12 @@ func (m *Manager) Files() []ids.FileID {
 
 // Replicas returns file's committed holders in ascending RM order,
 // regardless of liveness — the raw mapping a handoff batch carries, as
-// opposed to Lookup's live-filtered answer.
+// opposed to Lookup's live-filtered answer. Like Lookup's, the slice is
+// lent: the caller must not modify it.
 func (m *Manager) Replicas(file ids.FileID) []ids.RMID {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	hs := m.placement.Holders(file)
-	slices.Sort(hs)
-	return hs
+	return m.placement.Holders(file)
 }
 
 // AdoptReplicas merges holders into file's replica set, skipping entries

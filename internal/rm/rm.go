@@ -118,11 +118,6 @@ type RM struct {
 	provision func(ids.FileID, units.Size) error
 	remove    func(ids.FileID)
 
-	// met mirrors stats onto the telemetry registry and keeps the
-	// runtime gauges (remaining bandwidth, active streams, storage)
-	// current; never nil (no-op by default).
-	met *Metrics
-
 	// Replication state.
 	incomings     map[ids.ReplicationID]incoming
 	incomingFiles map[ids.FileID]int
@@ -209,14 +204,9 @@ func New(opt Options) (*RM, error) {
 	if err != nil {
 		return nil, err
 	}
-	met := opt.Metrics
-	if met == nil {
-		met = NewMetrics(nil)
-	}
 	r := &RM{
 		info:          opt.Info,
 		sched:         opt.Scheduler,
-		met:           met,
 		mapper:        opt.Mapper,
 		led:           ledger.New(opt.Info.Capacity, opt.Scheduler.Now()),
 		tenants:       opt.Tenants,
@@ -247,10 +237,9 @@ func New(opt Options) (*RM, error) {
 		return nil, fmt.Errorf("rm: %v seeded with %v of replicas exceeding %v disk",
 			opt.Info.ID, r.storageUsed, opt.Info.StorageBytes)
 	}
-	r.met.RemainingBandwidth.Set(float64(opt.Info.Capacity))
-	r.met.StorageUsed.Set(float64(r.storageUsed))
-	r.met.Files.Set(float64(len(r.files)))
-	r.met.OversubRatio.Set(r.led.Oversub())
+	if opt.Metrics != nil {
+		opt.Metrics.bind(r)
+	}
 	return r, nil
 }
 
@@ -284,15 +273,6 @@ func (r *RM) SetDiskHooks(provision func(ids.FileID, units.Size) error, remove f
 	defer r.mu.Unlock()
 	r.provision = provision
 	r.remove = remove
-}
-
-// refreshGaugesLocked re-derives the runtime gauges from the current
-// state. Caller holds r.mu.
-func (r *RM) refreshGaugesLocked() {
-	r.met.RemainingBandwidth.Set(float64(r.led.Remaining()))
-	r.met.ActiveStreams.Set(float64(len(r.active)))
-	r.met.StorageUsed.Set(float64(r.storageUsed))
-	r.met.Files.Set(float64(len(r.files)))
 }
 
 // StorageUsed returns the bytes of committed and in-flight replicas.
@@ -388,12 +368,12 @@ func (r *RM) NumFiles() int {
 // textbook ECNP, the RM always returns a bid rather than refusing. The CFP
 // arrival is recorded in the access history (it is a request for the file,
 // whether or not this RM wins) and may trigger the dynamic-replication
-// source agent.
+// source agent. The bid and the trigger test share one critical section;
+// only a triggered agent runs outside it, since it talks to the mapper and
+// to peer RMs.
 func (r *RM) HandleCFP(cfp ecnp.CFP) selection.Bid {
 	r.mu.Lock()
 	r.stats.CFPs++
-	r.met.CFPs.Inc()
-	r.met.Bids.Inc() // always-bid: every CFP is answered with a bid
 	now := r.sched.Now()
 
 	meta, known := r.files[cfp.File]
@@ -440,11 +420,21 @@ func (r *RM) HandleCFP(cfp ecnp.CFP) selection.Bid {
 			r.tenants.Clamped(cfp.Tenant)
 		}
 	}
+	if !r.replicationDueLocked(now) {
+		r.mu.Unlock()
+		return bid
+	}
+	self := r.info.ID
 	r.mu.Unlock()
 
-	// The replication check runs outside the bid critical section: it
-	// talks to the mapper and to peer RMs.
-	r.maybeReplicate(now)
+	for _, f := range r.busiest {
+		if r.tryReplicateFile(now, f, self) {
+			break
+		}
+	}
+	r.mu.Lock()
+	r.agentBusy = false
+	r.mu.Unlock()
 	return bid
 }
 
@@ -473,7 +463,6 @@ func (r *RM) Open(req ecnp.OpenRequest) ecnp.OpenResult {
 	} else {
 		r.admittedLocked(req, now)
 	}
-	r.refreshGaugesLocked()
 	onAdmit, provision, remove := r.onAdmit, r.provision, r.remove
 	r.mu.Unlock()
 	if write {
@@ -501,7 +490,6 @@ func (r *RM) Open(req ecnp.OpenRequest) ecnp.OpenResult {
 			if why != 0 {
 				r.refuseLocked(why)
 			}
-			r.refreshGaugesLocked()
 		} else {
 			r.admittedLocked(req, now)
 		}
@@ -565,7 +553,6 @@ func (r *RM) admittedLocked(req ecnp.OpenRequest, now simtime.Time) {
 	r.hist.Record(now, size)
 	r.led.AddAssignedBytes(size)
 	r.stats.Opens++
-	r.met.Admissions.Inc()
 }
 
 // releaseLocked ends reservation res of request, returning its bandwidth
@@ -592,7 +579,6 @@ func (r *RM) dropFileLocked(f ids.FileID) bool {
 // refuseLocked counts a refusal by its code and returns the code.
 func (r *RM) refuseLocked(why ecnp.Refusal) ecnp.Refusal {
 	r.stats.Refusals[why]++
-	r.met.Refused[why].Inc()
 	return why
 }
 
@@ -607,7 +593,6 @@ func (r *RM) Close(request ids.RequestID) {
 		return
 	}
 	r.releaseLocked(request, res, r.sched.Now())
-	r.refreshGaugesLocked()
 	onRelease := r.onRelease
 	r.mu.Unlock()
 	if onRelease != nil {
@@ -681,12 +666,8 @@ func (r *RM) SweepLeases(now simtime.Time) int {
 		if now.Sub(res.lastActivity).Seconds() > r.leaseTTL {
 			r.releaseLocked(req, res, now)
 			r.stats.LeaseExpiries++
-			r.met.LeasesExpired.Inc()
 			gone = append(gone, expired{req, res})
 		}
-	}
-	if len(gone) > 0 {
-		r.refreshGaugesLocked()
 	}
 	onRelease := r.onRelease
 	r.mu.Unlock()
@@ -718,13 +699,11 @@ func (r *RM) OfferReplica(offer ecnp.ReplicaOffer) bool {
 	}
 	if !ok {
 		r.stats.OffersRejected++
-		r.met.OffersRejected.Inc()
 		r.mu.Unlock()
 		return false
 	}
 	r.storageUsed += offer.SizeBytes
 	r.stats.OffersAccepted++
-	r.met.OffersAccepted.Inc()
 	if r.repCfg.ChargeTransfers {
 		r.led.Allocate(r.sched.Now(), offer.Rate)
 	}
@@ -735,7 +714,6 @@ func (r *RM) OfferReplica(offer ecnp.ReplicaOffer) bool {
 	}
 	r.incomingFiles[offer.File]++
 	r.dstActive++
-	r.refreshGaugesLocked()
 	provision := r.provision
 	r.mu.Unlock()
 	// The disk step, as a write-open's: a full disk retroactively rejects
@@ -787,7 +765,6 @@ func (r *RM) finishReplica(rep ids.ReplicationID, committed, onDisk bool) {
 	if remove == nil {
 		r.endIncomingLocked(in.file)
 	}
-	r.refreshGaugesLocked()
 	r.mu.Unlock()
 	if remove != nil {
 		r.removeFromDisk(remove, in.file)
@@ -836,8 +813,6 @@ func (r *RM) collectGarbage() {
 		r.mu.Lock()
 		if r.dropFileLocked(f) {
 			r.stats.GCEvictions++
-			r.met.GCEvictions.Inc()
-			r.refreshGaugesLocked()
 			remove = r.unlinkLocked(f)
 		}
 		r.mu.Unlock()
@@ -874,15 +849,15 @@ func (r *RM) endIncomingLocked(f ids.FileID) {
 	}
 }
 
-// maybeReplicate is the source-side agent: it checks the trigger conditions
-// and, when they hold, replicates the busiest feasible file to destinations
-// chosen by the configured strategy.
-func (r *RM) maybeReplicate(now simtime.Time) {
-	r.mu.Lock()
-	cfg := r.repCfg
+// replicationDueLocked is the source-side agent's trigger: it reports
+// whether the agent should run now and, when it should, marks it busy and
+// ranks the busiest files into r.busiest, which HandleCFP then tries in
+// turn, replicating the first feasible one to destinations chosen by the
+// configured strategy. Caller holds r.mu.
+func (r *RM) replicationDueLocked(now simtime.Time) bool {
+	cfg := &r.repCfg
 	if !cfg.Strategy.Enabled || r.dir == nil || r.agentBusy {
-		r.mu.Unlock()
-		return
+		return false
 	}
 	// Trigger conditions (paper §V, "When to replicate"):
 	// remaining bandwidth below B_TH, not already a source or destination
@@ -890,8 +865,7 @@ func (r *RM) maybeReplicate(now simtime.Time) {
 	if r.led.FracRemaining() >= cfg.TriggerFrac ||
 		r.srcActive > 0 || r.dstActive > 0 ||
 		(r.hasRepped && now.Sub(r.lastRep).Seconds() < cfg.CooldownSec) {
-		r.mu.Unlock()
-		return
+		return false
 	}
 	r.agentBusy = true
 	// Busiest-file candidate set N_BF: smallest prefix of this RM's
@@ -904,17 +878,7 @@ func (r *RM) maybeReplicate(now simtime.Time) {
 	}
 	r.fileCounts = fcs
 	r.busiest = replication.BusiestCovering(fcs, cfg.BusyCoverage, r.busiest)
-	self := r.info.ID
-	r.mu.Unlock()
-
-	for _, f := range r.busiest {
-		if r.tryReplicateFile(now, f, self) {
-			break
-		}
-	}
-	r.mu.Lock()
-	r.agentBusy = false
-	r.mu.Unlock()
+	return true
 }
 
 // candidateAppender is optionally implemented by Mappers that list
@@ -1027,7 +991,6 @@ func (r *RM) tryReplicateFile(now simtime.Time, f ids.FileID, self ids.RMID) boo
 	// replication state and schedule the completions.
 	r.mu.Lock()
 	r.stats.RepTriggers++
-	r.met.RepTriggers.Inc()
 	r.srcActive += len(transfers)
 	r.outgoingFiles[f] += len(transfers)
 	r.lastRep = now
@@ -1043,7 +1006,6 @@ func (r *RM) tryReplicateFile(now simtime.Time, f ids.FileID, self ids.RMID) boo
 	// migrate applies only if the bound is actually exceeded once the
 	// accepted copies land.
 	doMigrate := migrate && nCur+len(transfers) > cfg.Strategy.NMaxR
-	r.refreshGaugesLocked()
 	r.mu.Unlock()
 
 	dur := simtime.Duration(units.DurationSec(meta.Size, cfg.Speed))
@@ -1096,13 +1058,11 @@ func (r *RM) completeTransfer(now simtime.Time, f ids.FileID, rep ids.Replicatio
 	}
 	if committed {
 		r.stats.RepTransfers++
-		r.met.RepTransfers.Inc()
 		state.committed++
 	}
 	state.remaining--
 	last := state.remaining == 0
 	anyCommitted := state.committed > 0
-	r.refreshGaugesLocked()
 	r.mu.Unlock()
 
 	if last && migrate && anyCommitted {
@@ -1124,8 +1084,6 @@ func (r *RM) migrateOut(f ids.FileID) {
 	r.mu.Lock()
 	if r.dropFileLocked(f) {
 		r.stats.RepMigrations++
-		r.met.RepMigrations.Inc()
-		r.refreshGaugesLocked()
 		remove = r.unlinkLocked(f)
 	}
 	r.mu.Unlock()

@@ -40,17 +40,16 @@ var (
 // allocates per request are pinned from above, counted in the event loop
 // alone, from the first arrival's dispatch to the last one's.
 //
-// What a request still allocates is, on both shapes, the MM lookup's copy
-// of the holder list (1.0 per read), the close records a client makes
-// while its closes in flight grow, and map growth in the RMs; on the
-// flash crowd, also the replication agent's transfers. Map growth
-// depends on each map's random hash seed, so the count spreads between
-// runs: over 18 runs at GOMAXPROCS 1, 2, 4 and 8, 1.128–1.142 on the
-// steady shape (median 1.138) and 1.30–1.62 on the flash crowd (median
-// 1.47). Each ceiling is the median run plus that spread. One more
-// allocation per RM.Open adds 1.0 per request on the steady shape and
-// about 2.6 on the flash crowd, whose firm reads open ranked RMs until
-// one admits; either ceiling catches it.
+// What a request still allocates is, on both shapes, the close records a
+// client makes while its closes in flight grow, and map growth in the
+// RMs; on the flash crowd, also the replication agent's transfers. Map
+// growth depends on each map's random hash seed, so the count spreads
+// between runs: over 18 runs at GOMAXPROCS 1, 2, 4 and 8, 0.130–0.140 on
+// the steady shape (median 0.134) and 0.40–0.78 on the flash crowd
+// (median 0.52). Each ceiling is the median run plus that spread. One
+// more allocation per RM.Open adds 1.0 per request on the steady shape
+// and about 2.6 on the flash crowd, whose firm reads open ranked RMs
+// until one admits; either ceiling catches it.
 func TestDESRequestCost(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two full-scale DES runs")
@@ -65,8 +64,8 @@ func TestDESRequestCost(t *testing.T) {
 		messages                       int64
 		maxObjects                     float64
 	}{
-		{costSteady, 200_513, 0, 0, 384_144, 2_005_130, 1.16},
-		{costFlash, 13_382, 3_552, 92, 20_635, 207_296, 1.80},
+		{costSteady, 200_513, 0, 0, 384_144, 2_005_130, 0.15},
+		{costFlash, 13_382, 3_552, 92, 20_635, 207_296, 0.90},
 	} {
 		t.Run(tc.spec.Name, func(t *testing.T) {
 			d, err := configure(tc.spec, Options{Seed: 1})

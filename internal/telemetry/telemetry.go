@@ -16,7 +16,9 @@
 // BenchmarkCounterInc / BenchmarkHistogramObserve). A nil *Registry is a
 // valid no-op registry: its constructors return live, unregistered
 // metrics, so instrumented packages need no branches and the simulation
-// packages stay untouched.
+// packages stay untouched. A component that already keeps its counts
+// under its own lock binds them as Func series instead, read only when the
+// registry renders, so its hot path writes nothing.
 //
 // Metric naming convention: dfsqos_<subsystem>_<name>_<unit>, e.g.
 // dfsqos_transport_call_latency_seconds.
@@ -195,18 +197,57 @@ func (h *Histogram) Quantile(q float64) float64 {
 	return lower
 }
 
-// CounterVec is a family of Counters partitioned by label values.
-type CounterVec struct {
-	labels   []string
-	mu       sync.RWMutex
-	children map[string]*vecChild[*Counter]
+// Func is a series whose value is read at exposition time: the sum of
+// the sources bound to it. A component that already keeps a count, under
+// its own lock, binds a source that reads it there instead of mirroring
+// every change into an atomic, so its hot path writes no telemetry at
+// all. Several sources bound under one name sum, which is how two
+// components of one process that share a registry expose their total. A
+// source stays bound for the registry's life, and it must not call back
+// into the registry.
+//
+// A nil *Func is the no-op mode, as a nil *Registry is: binding to it
+// keeps nothing.
+type Func[T uint64 | float64] struct {
+	mu   sync.Mutex
+	srcs []func() T
 }
 
-// GaugeVec is a family of Gauges partitioned by label values.
-type GaugeVec struct {
+// CounterFunc is a counter read from its sources at exposition time.
+type CounterFunc = Func[uint64]
+
+// GaugeFunc is a gauge read from its sources at exposition time.
+type GaugeFunc = Func[float64]
+
+// Bind adds fn as a source of f.
+func (f *Func[T]) Bind(fn func() T) {
+	if f == nil {
+		return
+	}
+	f.mu.Lock()
+	f.srcs = append(f.srcs, fn)
+	f.mu.Unlock()
+}
+
+// value calls every source, outside f's lock, and returns their sum.
+func (f *Func[T]) value() T {
+	f.mu.Lock()
+	srcs := f.srcs
+	f.mu.Unlock()
+	var sum T
+	for _, fn := range srcs {
+		sum += fn()
+	}
+	return sum
+}
+
+// vec is a family of metrics partitioned by label values; mk makes a
+// child on its first use.
+type vec[M any] struct {
 	labels   []string
 	mu       sync.RWMutex
-	children map[string]*vecChild[*Gauge]
+	children map[string]*vecChild[M]
+	mk       func() M
 }
 
 // vecChild pairs a metric with its rendered label values.
@@ -215,9 +256,23 @@ type vecChild[M any] struct {
 	metric M
 }
 
-// With returns (creating on first use) the Counter for the given label
-// values, which must match the vector's label names in number.
-func (v *CounterVec) With(values ...string) *Counter {
+// newVec validates the label names and builds an empty family.
+func newVec[M any](labels []string, mk func() M) vec[M] {
+	for _, l := range labels {
+		if !validName(l) {
+			panic(fmt.Sprintf("telemetry: invalid label name %q", l))
+		}
+	}
+	return vec[M]{
+		labels:   append([]string(nil), labels...),
+		children: make(map[string]*vecChild[M]),
+		mk:       mk,
+	}
+}
+
+// with returns (creating on first use) the child for the given label
+// values, which must match the family's label names in number.
+func (v *vec[M]) with(values []string) M {
 	var scratch [vecKeyScratch]byte
 	key := appendVecKey(scratch[:0], v.labels, values)
 	v.mu.RLock()
@@ -231,32 +286,52 @@ func (v *CounterVec) With(values ...string) *Counter {
 	if c, ok := v.children[string(key)]; ok {
 		return c.metric
 	}
-	vals := append([]string(nil), values...)
-	child := &vecChild[*Counter]{values: vals, metric: &Counter{}}
+	child := &vecChild[M]{values: append([]string(nil), values...), metric: v.mk()}
 	v.children[string(key)] = child
 	return child.metric
 }
 
+// sorted returns the children sorted by label values, for a stable
+// exposition.
+func (v *vec[M]) sorted() []*vecChild[M] {
+	v.mu.RLock()
+	defer v.mu.RUnlock()
+	keys := make([]string, 0, len(v.children))
+	for k := range v.children {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	out := make([]*vecChild[M], 0, len(keys))
+	for _, k := range keys {
+		out = append(out, v.children[k])
+	}
+	return out
+}
+
+// CounterVec is a family of Counters partitioned by label values.
+type CounterVec struct{ vec[*Counter] }
+
+// GaugeVec is a family of Gauges partitioned by label values.
+type GaugeVec struct{ vec[*Gauge] }
+
+// CounterFuncVec is a family of CounterFuncs partitioned by label values.
+type CounterFuncVec struct{ vec[*CounterFunc] }
+
+// With returns (creating on first use) the Counter for the given label
+// values, which must match the vector's label names in number.
+func (v *CounterVec) With(values ...string) *Counter { return v.with(values) }
+
 // With returns (creating on first use) the Gauge for the given label
 // values.
-func (v *GaugeVec) With(values ...string) *Gauge {
-	var scratch [vecKeyScratch]byte
-	key := appendVecKey(scratch[:0], v.labels, values)
-	v.mu.RLock()
-	g, ok := v.children[string(key)]
-	v.mu.RUnlock()
-	if ok {
-		return g.metric
+func (v *GaugeVec) With(values ...string) *Gauge { return v.with(values) }
+
+// With returns (creating on first use) the CounterFunc for the given label
+// values. Nil-safe: a nil vector returns a nil CounterFunc.
+func (v *CounterFuncVec) With(values ...string) *CounterFunc {
+	if v == nil {
+		return nil
 	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if g, ok := v.children[string(key)]; ok {
-		return g.metric
-	}
-	vals := append([]string(nil), values...)
-	child := &vecChild[*Gauge]{values: vals, metric: &Gauge{}}
-	v.children[string(key)] = child
-	return child.metric
+	return v.with(values)
 }
 
 // vecKeyScratch is the stack space With builds its lookup key in; label
@@ -289,13 +364,16 @@ const (
 	kindHistogram
 	kindCounterVec
 	kindGaugeVec
+	kindCounterFunc
+	kindGaugeFunc
+	kindCounterFuncVec
 )
 
 func (k metricKind) String() string {
 	switch k {
-	case kindCounter, kindCounterVec:
+	case kindCounter, kindCounterVec, kindCounterFunc, kindCounterFuncVec:
 		return "counter"
-	case kindGauge, kindGaugeVec:
+	case kindGauge, kindGaugeVec, kindGaugeFunc:
 		return "gauge"
 	case kindHistogram:
 		return "histogram"
@@ -314,6 +392,9 @@ type family struct {
 	hist    *Histogram
 	cvec    *CounterVec
 	gvec    *GaugeVec
+	cfunc   *CounterFunc
+	gfunc   *GaugeFunc
+	cfvec   *CounterFuncVec
 }
 
 // Registry holds metric families and renders them in the Prometheus text
@@ -324,7 +405,8 @@ type family struct {
 // error, not a runtime condition.
 //
 // A nil *Registry is the no-op mode: constructors still return live
-// metrics (cheap atomics), they are simply never exported.
+// metrics (cheap atomics), they are simply never exported; the Func
+// constructors return nil, to which a Bind keeps nothing.
 type Registry struct {
 	mu       sync.Mutex
 	families map[string]*family
@@ -376,6 +458,14 @@ func (r *Registry) lookup(name, help string, kind metricKind, mk func() *family)
 	return f
 }
 
+// checkLabels panics when a vector family is asked for again with another
+// number of labels than it was registered with.
+func checkLabels(name string, had, asked []string) {
+	if len(had) != len(asked) {
+		panic(fmt.Sprintf("telemetry: %s re-registered with labels %v, had %v", name, asked, had))
+	}
+}
+
 // NewCounter returns the registered Counter with the given name,
 // creating it on first use. Safe on a nil registry (returns an
 // unregistered counter).
@@ -414,53 +504,60 @@ func (r *Registry) NewHistogram(name, help string, bounds []float64) *Histogram 
 // NewCounterVec returns the registered CounterVec with the given name and
 // label names.
 func (r *Registry) NewCounterVec(name, help string, labels ...string) *CounterVec {
-	mk := func() *CounterVec {
-		for _, l := range labels {
-			if !validName(l) {
-				panic(fmt.Sprintf("telemetry: invalid label name %q", l))
-			}
-		}
-		return &CounterVec{
-			labels:   append([]string(nil), labels...),
-			children: make(map[string]*vecChild[*Counter]),
-		}
-	}
+	mk := func() *CounterVec { return &CounterVec{newVec(labels, func() *Counter { return &Counter{} })} }
 	if r == nil {
 		return mk()
 	}
-	f := r.lookup(name, help, kindCounterVec, func() *family {
-		return &family{cvec: mk()}
-	})
-	if len(f.cvec.labels) != len(labels) {
-		panic(fmt.Sprintf("telemetry: %s re-registered with labels %v, had %v", name, labels, f.cvec.labels))
-	}
+	f := r.lookup(name, help, kindCounterVec, func() *family { return &family{cvec: mk()} })
+	checkLabels(name, f.cvec.labels, labels)
 	return f.cvec
 }
 
 // NewGaugeVec returns the registered GaugeVec with the given name and
 // label names.
 func (r *Registry) NewGaugeVec(name, help string, labels ...string) *GaugeVec {
-	mk := func() *GaugeVec {
-		for _, l := range labels {
-			if !validName(l) {
-				panic(fmt.Sprintf("telemetry: invalid label name %q", l))
-			}
-		}
-		return &GaugeVec{
-			labels:   append([]string(nil), labels...),
-			children: make(map[string]*vecChild[*Gauge]),
-		}
-	}
+	mk := func() *GaugeVec { return &GaugeVec{newVec(labels, func() *Gauge { return &Gauge{} })} }
 	if r == nil {
 		return mk()
 	}
-	f := r.lookup(name, help, kindGaugeVec, func() *family {
-		return &family{gvec: mk()}
-	})
-	if len(f.gvec.labels) != len(labels) {
-		panic(fmt.Sprintf("telemetry: %s re-registered with labels %v, had %v", name, labels, f.gvec.labels))
-	}
+	f := r.lookup(name, help, kindGaugeVec, func() *family { return &family{gvec: mk()} })
+	checkLabels(name, f.gvec.labels, labels)
 	return f.gvec
+}
+
+// NewCounterFunc returns the registered CounterFunc with the given name,
+// creating it on first use. A nil registry returns nil.
+func (r *Registry) NewCounterFunc(name, help string) *CounterFunc {
+	if r == nil {
+		return nil
+	}
+	return r.lookup(name, help, kindCounterFunc, func() *family {
+		return &family{cfunc: &CounterFunc{}}
+	}).cfunc
+}
+
+// NewGaugeFunc returns the registered GaugeFunc with the given name. A nil
+// registry returns nil.
+func (r *Registry) NewGaugeFunc(name, help string) *GaugeFunc {
+	if r == nil {
+		return nil
+	}
+	return r.lookup(name, help, kindGaugeFunc, func() *family {
+		return &family{gfunc: &GaugeFunc{}}
+	}).gfunc
+}
+
+// NewCounterFuncVec returns the registered CounterFuncVec with the given
+// name and label names. A nil registry returns nil.
+func (r *Registry) NewCounterFuncVec(name, help string, labels ...string) *CounterFuncVec {
+	if r == nil {
+		return nil
+	}
+	f := r.lookup(name, help, kindCounterFuncVec, func() *family {
+		return &family{cfvec: &CounterFuncVec{newVec(labels, func() *CounterFunc { return &CounterFunc{} })}}
+	})
+	checkLabels(name, f.cfvec.labels, labels)
+	return f.cfvec
 }
 
 // ContentType is the exposition-format content type Prometheus expects.
@@ -493,22 +590,24 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			fmt.Fprintf(&b, "%s %d\n", f.name, f.counter.Value())
 		case kindGauge:
 			fmt.Fprintf(&b, "%s %s\n", f.name, formatFloat(f.gauge.Value()))
+		case kindCounterFunc:
+			fmt.Fprintf(&b, "%s %d\n", f.name, f.cfunc.value())
+		case kindGaugeFunc:
+			fmt.Fprintf(&b, "%s %s\n", f.name, formatFloat(f.gfunc.value()))
 		case kindHistogram:
 			writeHistogram(&b, f.name, "", f.hist)
 		case kindCounterVec:
-			f.cvec.mu.RLock()
-			children := sortedChildren(f.cvec.children)
-			for _, c := range children {
+			for _, c := range f.cvec.sorted() {
 				fmt.Fprintf(&b, "%s{%s} %d\n", f.name, renderLabels(f.cvec.labels, c.values), c.metric.Value())
 			}
-			f.cvec.mu.RUnlock()
 		case kindGaugeVec:
-			f.gvec.mu.RLock()
-			children := sortedChildren(f.gvec.children)
-			for _, c := range children {
+			for _, c := range f.gvec.sorted() {
 				fmt.Fprintf(&b, "%s{%s} %s\n", f.name, renderLabels(f.gvec.labels, c.values), formatFloat(c.metric.Value()))
 			}
-			f.gvec.mu.RUnlock()
+		case kindCounterFuncVec:
+			for _, c := range f.cfvec.sorted() {
+				fmt.Fprintf(&b, "%s{%s} %d\n", f.name, renderLabels(f.cfvec.labels, c.values), c.metric.value())
+			}
 		}
 		if _, err := io.WriteString(w, b.String()); err != nil {
 			return err
@@ -530,21 +629,6 @@ func writeHistogram(b *strings.Builder, name, extraLabels string, h *Histogram) 
 	fmt.Fprintf(b, "%s_bucket{%sle=\"+Inf\"} %d\n", name, extraLabels, cum)
 	fmt.Fprintf(b, "%s_sum %s\n", name, formatFloat(h.Sum()))
 	fmt.Fprintf(b, "%s_count %d\n", name, h.Count())
-}
-
-// sortedChildren returns vec children sorted by label values for a
-// stable exposition.
-func sortedChildren[M any](m map[string]*vecChild[M]) []*vecChild[M] {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]*vecChild[M], 0, len(keys))
-	for _, k := range keys {
-		out = append(out, m[k])
-	}
-	return out
 }
 
 // renderLabels renders `k1="v1",k2="v2"` with exposition-format escaping.

@@ -299,3 +299,96 @@ func TestConcurrentScrapeWhileIncrementing(t *testing.T) {
 		t.Fatalf("gauge = %v, want %v", got, writers*iters*0.5)
 	}
 }
+
+// A Func series reads its sources when the registry renders: several
+// bound under one name sum, an unbound one reads 0, and a vector's
+// children render in label order like any other vector's.
+func TestFuncSeriesSumTheirSources(t *testing.T) {
+	reg := NewRegistry()
+	var a, b uint64 = 2, 5
+	reg.NewCounterFunc("dfsqos_test_opens_total", "Opens.").Bind(func() uint64 { return a })
+	reg.NewCounterFunc("dfsqos_test_opens_total", "Opens.").Bind(func() uint64 { return b })
+	reg.NewCounterFunc("dfsqos_test_idle_total", "Never bound.")
+	g := reg.NewGaugeFunc("dfsqos_test_free_bytes", "Free bytes.")
+	g.Bind(func() float64 { return 1.5 })
+	g.Bind(func() float64 { return 2 })
+	vec := reg.NewCounterFuncVec("dfsqos_test_refusals_total", "Refusals.", "reason")
+	vec.With("full").Bind(func() uint64 { return 4 })
+	vec.With("dup").Bind(func() uint64 { return 1 })
+	vec.With("full").Bind(func() uint64 { return 3 })
+
+	a = 7 // read at exposition time, not at Bind
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	want := `# HELP dfsqos_test_opens_total Opens.
+# TYPE dfsqos_test_opens_total counter
+dfsqos_test_opens_total 12
+# HELP dfsqos_test_idle_total Never bound.
+# TYPE dfsqos_test_idle_total counter
+dfsqos_test_idle_total 0
+# HELP dfsqos_test_free_bytes Free bytes.
+# TYPE dfsqos_test_free_bytes gauge
+dfsqos_test_free_bytes 3.5
+# HELP dfsqos_test_refusals_total Refusals.
+# TYPE dfsqos_test_refusals_total counter
+dfsqos_test_refusals_total{reason="dup"} 1
+dfsqos_test_refusals_total{reason="full"} 7
+`
+	if got := sb.String(); got != want {
+		t.Fatalf("exposition mismatch:\n--- got ---\n%s\n--- want ---\n%s", got, want)
+	}
+}
+
+// A Func family collides with a plain one of the same name, and the nil
+// registry's Func constructors hand out nil, to which binding is a no-op.
+func TestFuncSeriesKindsAndNilRegistry(t *testing.T) {
+	reg := NewRegistry()
+	reg.NewCounter("dfsqos_test_plain_total", "")
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("a CounterFunc under a Counter's name did not panic")
+			}
+		}()
+		reg.NewCounterFunc("dfsqos_test_plain_total", "")
+	}()
+
+	var none *Registry
+	none.NewCounterFunc("dfsqos_nop_func_total", "").Bind(func() uint64 { return 1 })
+	none.NewGaugeFunc("dfsqos_nop_func", "").Bind(func() float64 { return 1 })
+	none.NewCounterFuncVec("dfsqos_nop_func_vec_total", "", "k").With("v").Bind(func() uint64 { return 1 })
+}
+
+// Binding while another goroutine scrapes is safe: each scrape reads the
+// sources bound by then.
+func TestFuncBindWhileScraping(t *testing.T) {
+	reg := NewRegistry()
+	c := reg.NewCounterFunc("dfsqos_race_func_total", "")
+	vec := reg.NewCounterFuncVec("dfsqos_race_func_vec_total", "", "k")
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 200; i++ {
+			c.Bind(func() uint64 { return 1 })
+			vec.With(string(rune('a' + i%4))).Bind(func() uint64 { return 1 })
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 50; i++ {
+			if err := reg.WritePrometheus(io.Discard); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	var sb strings.Builder
+	reg.WritePrometheus(&sb)
+	if !strings.Contains(sb.String(), "dfsqos_race_func_total 200\n") {
+		t.Fatalf("200 bound sources of 1 do not read 200:\n%s", sb.String())
+	}
+}
