@@ -26,7 +26,8 @@
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for measured
 // results next to the paper's numbers. The cmd/ directory holds the
 // runnable daemons (mmd, rmd, dfsc) and the qosbench experiment driver;
-// examples/ holds runnable walkthroughs.
+// example_test.go holds the walkthroughs, checked by go test, and
+// examples/livecluster the live TCP one.
 package dfsqos
 
 import (

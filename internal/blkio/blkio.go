@@ -205,11 +205,12 @@ type Controller struct {
 	sleep  func(time.Duration)
 
 	// rootMu is ordered after Group.mu and guards the lending pool, the
-	// stats accumulators, and the metrics sink.
+	// stats accumulators, and the metrics sink. The byte split is kept in
+	// whole bytes, so assured + borrowed is exactly the bytes admitted.
 	rootMu        sync.Mutex
 	rootR, rootW  *bucket // nil = no lending pool for that direction
-	assuredBytes  float64
-	borrowedBytes float64
+	assuredBytes  uint64
+	borrowedBytes uint64
 	borrows       uint64
 	reclaims      uint64
 	waitSec       float64
@@ -242,12 +243,16 @@ func NewController(opts ...Option) *Controller {
 	return c
 }
 
-// SetMetrics attaches a telemetry sink (nil detaches). Call before traffic
-// flows; counters are cumulative from that point.
+// SetMetrics attaches a telemetry sink: m's series read the controller's
+// Stats and group count from now on (see Metrics.Unbind), and its wait
+// histogram observes the delays handed out. Nil attaches none.
 func (c *Controller) SetMetrics(m *Metrics) {
 	c.rootMu.Lock()
 	c.met = m
 	c.rootMu.Unlock()
+	if m != nil {
+		m.bind(c)
+	}
 }
 
 // SetRoot configures the per-disk lending pool: the root bucket refills at
@@ -314,7 +319,6 @@ func (c *Controller) SetGroupQoS(name string, cfg GroupConfig) (*Group, error) {
 	g.r = newLimit(cfg.ReadAssured, cfg.ReadCeil, now, g.r)
 	g.w = newLimit(cfg.WriteAssured, cfg.WriteCeil, now, g.w)
 	g.mu.Unlock()
-	c.setGroupsGauge(len(c.groups))
 	return g, nil
 }
 
@@ -328,16 +332,7 @@ func (c *Controller) RemoveGroup(name string) bool {
 		return false
 	}
 	delete(c.groups, name)
-	c.setGroupsGauge(len(c.groups))
 	return true
-}
-
-func (c *Controller) setGroupsGauge(n int) {
-	c.rootMu.Lock()
-	if c.met != nil {
-		c.met.Groups.Set(float64(n))
-	}
-	c.rootMu.Unlock()
 }
 
 // Stats snapshots the cumulative borrow/reclaim accounting.
@@ -345,8 +340,8 @@ func (c *Controller) Stats() Stats {
 	c.rootMu.Lock()
 	defer c.rootMu.Unlock()
 	return Stats{
-		AssuredBytes:    uint64(c.assuredBytes),
-		BorrowedBytes:   uint64(c.borrowedBytes),
+		AssuredBytes:    c.assuredBytes,
+		BorrowedBytes:   c.borrowedBytes,
 		Borrows:         c.borrows,
 		Reclaims:        c.reclaims,
 		ThrottleWaitSec: c.waitSec,
@@ -388,10 +383,7 @@ func (c *Controller) Reserve(g *Group, op Op, n int) time.Duration {
 		// Unlimited direction: nothing to pace, but the root still sees
 		// the traffic so siblings' borrowing reflects real disk load.
 		root.charge(nf, now)
-		c.assuredBytes += nf
-		if c.met != nil {
-			c.met.AssuredBytes.Add(uint64(n))
-		}
+		c.assuredBytes += uint64(n)
 		return 0
 	}
 
@@ -414,17 +406,11 @@ func (c *Controller) Reserve(g *Group, op Op, n int) time.Duration {
 		}
 		if borrowed > 0 {
 			c.borrows++
-			if c.met != nil {
-				c.met.Borrows.Inc()
-			}
 		}
 		if borrowed < debt {
 			// Pressure return: sibling assured charges drained the pool,
 			// so part of the demand falls back to assured pacing.
 			c.reclaims++
-			if c.met != nil {
-				c.met.Reclaims.Inc()
-			}
 		}
 	}
 
@@ -436,13 +422,8 @@ func (c *Controller) Reserve(g *Group, op Op, n int) time.Duration {
 		bb = nf
 	}
 	root.charge(nf-bb, now)
-	c.assuredBytes += nf - bb
-	c.borrowedBytes += bb
-	if c.met != nil {
-		bi := uint64(bb)
-		c.met.AssuredBytes.Add(uint64(n) - bi)
-		c.met.BorrowedBytes.Add(bi)
-	}
+	c.borrowedBytes += uint64(bb)
+	c.assuredBytes += uint64(n) - uint64(bb)
 
 	if l.ceil != nil {
 		if cd := l.ceil.reserve(nf, now); cd > d {

@@ -2,6 +2,9 @@ package blkio
 
 import (
 	"context"
+	"fmt"
+	"maps"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -412,19 +415,19 @@ func TestMetricsWiring(t *testing.T) {
 	for total := 0; total < 20_000; total += 100 {
 		fc.Advance(c.Reserve(a, Read, 100))
 	}
-	if m.AssuredBytes.Value() == 0 || m.BorrowedBytes.Value() == 0 {
-		t.Fatalf("byte split not exported: assured=%d borrowed=%d",
-			m.AssuredBytes.Value(), m.BorrowedBytes.Value())
+	got := scrapeBlkio(t, reg)
+	if got[`dfsqos_blkio_bytes_total{source="assured"}`] == 0 || got[`dfsqos_blkio_bytes_total{source="borrowed"}`] == 0 {
+		t.Fatalf("byte split not exported: %v", got)
 	}
-	if m.Borrows.Value() == 0 {
+	if got["dfsqos_blkio_borrows_total"] == 0 {
 		t.Fatal("borrows not exported")
 	}
-	if m.Groups.Value() != 2 {
-		t.Fatalf("groups gauge = %v, want 2", m.Groups.Value())
+	if got["dfsqos_blkio_groups"] != 2 {
+		t.Fatalf("groups gauge = %v, want 2", got["dfsqos_blkio_groups"])
 	}
 	c.RemoveGroup("b")
-	if m.Groups.Value() != 1 {
-		t.Fatalf("groups gauge after removal = %v, want 1", m.Groups.Value())
+	if got := scrapeBlkio(t, reg)["dfsqos_blkio_groups"]; got != 1 {
+		t.Fatalf("groups gauge after removal = %v, want 1", got)
 	}
 	var text strings.Builder
 	if err := reg.WritePrometheus(&text); err != nil {
@@ -438,6 +441,141 @@ func TestMetricsWiring(t *testing.T) {
 			t.Errorf("series %s not registered:\n%s", w, text.String())
 		}
 	}
+}
+
+// scrapeBlkio renders reg and returns its dfsqos_blkio_* counter and gauge
+// series, keyed by name and labels as the exposition spells them.
+func scrapeBlkio(t *testing.T, reg *telemetry.Registry) map[string]float64 {
+	t.Helper()
+	var b strings.Builder
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]float64)
+	for _, line := range strings.Split(b.String(), "\n") {
+		if !strings.HasPrefix(line, "dfsqos_blkio_") || strings.HasPrefix(line, "dfsqos_blkio_throttle_wait_seconds") {
+			continue
+		}
+		i := strings.LastIndexByte(line, ' ')
+		v, err := strconv.ParseFloat(line[i+1:], 64)
+		if err != nil {
+			t.Fatalf("series %q: %v", line, err)
+		}
+		out[line[:i]] = v
+	}
+	return out
+}
+
+// blkioSeries is what every dfsqos_blkio_* counter and gauge of a registry
+// the controllers cs are attached to must read: the sum of their Stats and
+// group counts.
+func blkioSeries(cs ...*Controller) map[string]float64 {
+	want := map[string]float64{
+		`dfsqos_blkio_bytes_total{source="assured"}`:  0,
+		`dfsqos_blkio_bytes_total{source="borrowed"}`: 0,
+		"dfsqos_blkio_borrows_total":                  0,
+		"dfsqos_blkio_reclaims_total":                 0,
+		"dfsqos_blkio_groups":                         0,
+	}
+	for _, c := range cs {
+		st := c.Stats()
+		want[`dfsqos_blkio_bytes_total{source="assured"}`] += float64(st.AssuredBytes)
+		want[`dfsqos_blkio_bytes_total{source="borrowed"}`] += float64(st.BorrowedBytes)
+		want["dfsqos_blkio_borrows_total"] += float64(st.Borrows)
+		want["dfsqos_blkio_reclaims_total"] += float64(st.Reclaims)
+		want["dfsqos_blkio_groups"] += float64(len(c.Groups()))
+	}
+	return want
+}
+
+func checkBlkioSeries(t *testing.T, what string, got, want map[string]float64) {
+	t.Helper()
+	if !maps.Equal(got, want) {
+		t.Errorf("%s: series %v, want %v", what, got, want)
+	}
+}
+
+// After borrows, reclaims and byte splits on two controllers sharing one
+// registry, each dfsqos_blkio_* series reads what their Stats and group
+// tables say, summed; the byte split adds up to the bytes admitted
+// exactly, fractional borrows included; and a controller taken out with
+// Unbind leaves the sums.
+func TestMetricsReadTheControllerAtScrapeTime(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	c, fc := fakeController()
+	m := NewMetrics(reg)
+	c.SetMetrics(m)
+	other, _ := fakeController()
+	other.SetMetrics(NewMetrics(reg))
+	checkBlkioSeries(t, "at start", scrapeBlkio(t, reg), blkioSeries(c, other))
+
+	// A borrower runs past its floor on an idle disk, then its sibling
+	// wakes and drains the pool, so the borrower's demand is reclaimed.
+	// Odd rates make the borrowed amounts fractional.
+	c.SetRoot(1003, 0)
+	a, _ := c.SetGroupQoS("a", GroupConfig{ReadAssured: 301, ReadCeil: 1003})
+	b, _ := c.SetGroupQoS("b", GroupConfig{ReadAssured: 701, ReadCeil: 701})
+	admitted := uint64(0)
+	for i := 0; i < 200; i++ {
+		n := 97 + i%13
+		fc.Advance(c.Reserve(a, Read, n) / 2)
+		admitted += uint64(n)
+		if i >= 100 {
+			c.Reserve(b, Read, 211)
+			admitted += 211
+		}
+	}
+	unlimited, _ := other.SetGroup("u", 0, 0)
+	other.Reserve(unlimited, Write, 4096)
+
+	st := c.Stats()
+	if st.Borrows == 0 || st.Reclaims == 0 || st.BorrowedBytes == 0 {
+		t.Fatalf("the script did not move every count: %+v", st)
+	}
+	if st.AssuredBytes+st.BorrowedBytes != admitted {
+		t.Errorf("assured %d + borrowed %d = %d, want the %d bytes admitted",
+			st.AssuredBytes, st.BorrowedBytes, st.AssuredBytes+st.BorrowedBytes, admitted)
+	}
+	checkBlkioSeries(t, "after the script", scrapeBlkio(t, reg), blkioSeries(c, other))
+
+	m.Unbind()
+	checkBlkioSeries(t, "after Unbind", scrapeBlkio(t, reg), blkioSeries(other))
+	c.SetMetrics(NewMetrics(reg)) // a restarted node attaches the disk it inherited
+	checkBlkioSeries(t, "re-attached", scrapeBlkio(t, reg), blkioSeries(c, other))
+}
+
+// A scrape runs concurrently with Reserve and group churn (run under
+// -race).
+func TestMetricsScrapeDuringReserves(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	c := NewController()
+	c.SetMetrics(NewMetrics(reg))
+	c.SetRoot(units.Mbps(1000), 0)
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			name := fmt.Sprintf("g%d", w)
+			for i := 0; i < 300; i++ {
+				g, _ := c.SetGroupQoS(name, GroupConfig{ReadAssured: units.Mbps(10), ReadCeil: units.Mbps(100)})
+				c.Reserve(g, Read, 4096)
+				if i%3 == 0 {
+					c.RemoveGroup(name)
+				}
+			}
+		}(w)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 50; i++ {
+			scrapeBlkio(t, reg)
+		}
+	}()
+	wg.Wait()
+	<-done
+	checkBlkioSeries(t, "after the race", scrapeBlkio(t, reg), blkioSeries(c))
 }
 
 // Property: cumulative admitted bytes never exceed burst + rate×elapsed.

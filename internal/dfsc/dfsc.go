@@ -44,8 +44,8 @@ import (
 
 // Stats counts request outcomes and protocol traffic at one client,
 // including the data-plane segment counters the stripe scheduler
-// produces — the client API view of the read path, mirroring the
-// registry's dfsqos_dfsc_* series.
+// produces. It is the one record of them: the registry's dfsqos_dfsc_*
+// counters read it at scrape time (see Metrics).
 type Stats struct {
 	// Requests is the number of accesses attempted (striped reads count
 	// one per admitted lane — each lane holds its own reservation).
@@ -79,6 +79,18 @@ type Stats struct {
 	// assured (nominal-capacity) headroom — the stream was admitted into
 	// the RM's advertised oversubscription ceiling instead.
 	Oversubscribed int64
+	// Admitted counts admitted lanes, reads' and writes' alike;
+	// Fallbacks the refusals that fell through to the next-ranked bidder
+	// (a firm read's, a write's); FanoutStalls the bidders that missed
+	// the negotiation deadline and ranked last on a zero bid.
+	Admitted, Fallbacks, FanoutStalls int64
+	// LookupErrors counts metadata lookups failed in transport, by class
+	// (lookupClasses): MM error, deadline overrun, dead connection, other.
+	LookupErrors [len(lookupClasses)]int64
+	// MetaHits, MetaMisses and MetaInvalidated count lease-cache outcomes
+	// (zero without Options.MetaTTL); StripeReads the read handles opened
+	// and StripeLanes the lanes they admitted.
+	MetaHits, MetaMisses, MetaInvalidated, StripeReads, StripeLanes int64
 }
 
 // Outcome describes one access attempt.
@@ -139,10 +151,9 @@ type Client struct {
 
 	incarnation uint32
 	reqSeq      int64
-	stats       Stats
-
 	// closes is the free list of close records (see scheduleClose).
 	closes *closeRecord
+	stats  Stats
 }
 
 // Options configures a new client.
@@ -170,8 +181,9 @@ type Options struct {
 	// the pre-lease behavior. A failed open invalidates the file's lease
 	// before the failover re-negotiation re-resolves it.
 	MetaTTL time.Duration
-	// Metrics routes client telemetry to a registry (nil means no-op; the
-	// discrete-event simulation pays a few uncollected atomic ops).
+	// Metrics routes client telemetry to a registry: New binds its series
+	// to the client's Stats (nil means none; the discrete-event simulation
+	// binds nothing).
 	Metrics *Metrics
 	// Tracer enables request-scoped span tracing: each access opens a
 	// "dfsc.access" root span (trace ID = the request ID) with child spans
@@ -201,7 +213,7 @@ func New(opt Options) (*Client, error) {
 	}
 	met := opt.Metrics
 	if met == nil {
-		met = NewMetrics(nil)
+		met = noMetrics
 	}
 	var meta *MetaCache
 	if opt.MetaTTL > 0 {
@@ -211,7 +223,7 @@ func New(opt Options) (*Client, error) {
 	if opt.Fanout.Concurrent {
 		workers = newBidWorkers()
 	}
-	return &Client{
+	c := &Client{
 		id:        opt.ID,
 		mapper:    opt.Mapper,
 		dir:       opt.Directory,
@@ -229,7 +241,11 @@ func New(opt Options) (*Client, error) {
 		tenant:    opt.Tenant,
 
 		incarnation: opt.Incarnation,
-	}, nil
+	}
+	if opt.Metrics != nil {
+		opt.Metrics.bind(c)
+	}
+	return c, nil
 }
 
 // ID returns the client's identifier.
@@ -239,11 +255,18 @@ func (c *Client) ID() ids.DFSCID { return c.id }
 // tests drive its clock through it.
 func (c *Client) MetaCache() *MetaCache { return c.meta }
 
-// Stats returns a copy of the client's counters.
+// Stats returns a copy of the client's counters, the lease cache's hits
+// included.
 func (c *Client) Stats() Stats {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stats
+	st := c.stats
+	c.mu.Unlock()
+	if m := c.meta; m != nil {
+		m.mu.Lock()
+		st.MetaHits = m.hits
+		m.mu.Unlock()
+	}
+	return st
 }
 
 // Access reads file: the full three-phase flow, with the reservation
@@ -323,19 +346,22 @@ type errMapper interface {
 	LookupErrContext(ctx context.Context, file ids.FileID) ([]ids.RMID, error)
 }
 
-// classifyLookupErr maps a lookup failure onto the
-// dfsqos_dfsc_lookup_errors_total class labels.
-func classifyLookupErr(err error) string {
+// lookupClasses are the lookup-failure classes, indexed as
+// Stats.LookupErrors is: the dfsqos_dfsc_lookup_errors_total class labels.
+var lookupClasses = [...]string{"remote", "timeout", "conn", "other"}
+
+// classifyLookupErr maps a lookup failure onto its index in lookupClasses.
+func classifyLookupErr(err error) int {
 	var ce *transport.ConnError
 	switch {
 	case transport.IsRemote(err):
-		return "remote"
+		return 0
 	case transport.IsTimeout(err):
-		return "timeout"
+		return 1
 	case errors.As(err, &ce):
-		return "conn"
+		return 2
 	}
-	return "other"
+	return 3
 }
 
 // ctxOpener is optionally implemented by Providers whose Open round trip
@@ -392,8 +418,7 @@ func (c *Client) negotiateLanes(ctx context.Context, dst []grant, op workload.Op
 		orderBuf [stackBids]ids.RMID
 	)
 
-	req := c.nextRequestID()
-	c.add(&c.stats.Requests, 1)
+	req := c.nextRequestID(&c.stats.Requests)
 
 	var sp *trace.Span
 	if parent := trace.FromContext(ctx); parent.Valid() {
@@ -513,8 +538,7 @@ func (c *Client) negotiateLanes(ctx context.Context, dst []grant, op workload.Op
 		}
 		laneReq := req
 		if len(grants) > len(dst) {
-			laneReq = c.nextRequestID()
-			c.add(&c.stats.Requests, 1) // each extra lane holds its own reservation
+			laneReq = c.nextRequestID(&c.stats.Requests) // each extra lane holds its own reservation
 		}
 		open := ecnp.OpenRequest{
 			Request:     laneReq,
@@ -531,12 +555,11 @@ func (c *Client) negotiateLanes(ctx context.Context, dst []grant, op workload.Op
 		p := providers[won]
 		openSp := c.tracer.StartChild(sp.Context(), "dfsc.open").
 			SetRM(rmID).SetFile(file).SetRequest(laneReq)
-		res := c.admit(ctx, openSp, p, open)
+		res := c.admit(ctx, openSp, p, open, bids[won], firm || write)
 		if !res.OK {
 			openSp.SetOutcome("rejected").End()
 			last = res
 			if firm || write {
-				c.met.Fallbacks.Inc()
 				continue
 			}
 			if len(grants) > len(dst) {
@@ -547,13 +570,6 @@ func (c *Client) negotiateLanes(ctx context.Context, dst []grant, op workload.Op
 			return c.fail(sp, fromLease, "error", Outcome{Request: req, File: file, Code: res.Code, Reason: res.Reason})
 		}
 		openSp.SetOutcome("admitted").End()
-		c.met.Admitted.Inc()
-		if b := bids[won]; b.Ceil > 0 && b.Req > b.Assured {
-			// The RM advertised a ceiling and the request outran its
-			// assured headroom: an oversubscription-funded admission.
-			c.add(&c.stats.Oversubscribed, 1)
-			c.met.OversubAdmits.Inc()
-		}
 		grants = append(grants, grant{
 			out: Outcome{Request: laneReq, File: file, RM: rmID, OK: true},
 			p:   p,
@@ -566,38 +582,50 @@ func (c *Client) negotiateLanes(ctx context.Context, dst []grant, op workload.Op
 	return c.fail(sp, fromLease, "exhausted", Outcome{Request: req, File: file, Code: last.Code, Reason: last.Reason})
 }
 
-// admit runs phase 3 on one ranked bidder: one open, a write's as much
+// admit runs phase 3 on the bidder of bid: one open, a write's as much
 // as a read's, carrying openSp to an RM that can take a context. The
-// round trip counts two messages.
-func (c *Client) admit(ctx context.Context, openSp *trace.Span, p ecnp.Provider, open ecnp.OpenRequest) ecnp.OpenResult {
+// round trip counts two messages, and its outcome an admission or, when
+// a refusal falls through to the next bidder, a fallback.
+func (c *Client) admit(ctx context.Context, openSp *trace.Span, p ecnp.Provider, open ecnp.OpenRequest, bid selection.Bid, fallsThrough bool) ecnp.OpenResult {
 	var res ecnp.OpenResult
 	if co, ok := p.(ctxOpener); ok {
 		res = co.OpenContext(trace.NewContext(ctx, openSp.Context()), open)
 	} else {
 		res = p.Open(open)
 	}
-	c.add(&c.stats.Messages, 2) // open + result
+	c.mu.Lock()
+	c.stats.Messages += 2 // open + result
+	switch {
+	case res.OK:
+		c.stats.Admitted++
+		if bid.Ceil > 0 && bid.Req > bid.Assured {
+			// The RM advertised a ceiling and the request outran its
+			// assured headroom: an oversubscription-funded admission.
+			c.stats.Oversubscribed++
+		}
+	case fallsThrough:
+		c.stats.Fallbacks++
+	}
+	c.mu.Unlock()
 	return res
 }
 
-// fail counts one failed request — in Stats, in the registry and on its
-// span, whose outcome is why — and returns out as its failure. Every
-// failure of the flow returns through it. A lease that routed the request
-// is dropped: the cached set sent the client at replicas that refused or
-// died, so the next attempt must re-resolve from the MM.
+// fail counts one failed request — in Stats and on its span, whose
+// outcome is why — and returns out as its failure. Every failure of the
+// flow returns through it. A lease that routed the request is dropped:
+// the cached set sent the client at replicas that refused or died, so the
+// next attempt must re-resolve from the MM.
 func (c *Client) fail(sp *trace.Span, fromLease bool, why string, out Outcome) ([]grant, Outcome) {
+	dropped := fromLease && c.meta.Invalidate(out.File)
 	c.mu.Lock()
 	c.stats.Failed++
 	if why == "no-replica" {
 		c.stats.NoReplica++
-		c.met.NoReplica.Inc()
-	} else {
-		c.met.Failed.Inc()
+	}
+	if dropped {
+		c.stats.MetaInvalidated++
 	}
 	c.mu.Unlock()
-	if fromLease && c.meta.Invalidate(out.File) {
-		c.met.MetaInvalidated.Inc()
-	}
 	sp.SetOutcome(why)
 	out.RM = ids.NoneRM
 	return nil, out
@@ -611,25 +639,32 @@ func (c *Client) fail(sp *trace.Span, fromLease bool, why string, out Outcome) (
 // (failover true) invalidates the file's lease first: the cached replica
 // set just failed the client, so replaying it would be wrong.
 func (c *Client) lookupHolders(ctx context.Context, file ids.FileID, failover bool) (holders []ids.RMID, fromLease bool, err error) {
+	dropped := false
 	if c.meta != nil {
 		if failover {
-			if c.meta.Invalidate(file) {
-				c.met.MetaInvalidated.Inc()
-			}
+			dropped = c.meta.Invalidate(file)
 		} else if hs, ok := c.meta.Get(file); ok {
-			c.met.MetaHits.Inc()
 			return hs, true, nil
 		}
-		c.met.MetaMisses.Inc()
 	}
 	if m, ok := c.mapper.(errMapper); ok {
 		holders, err = m.LookupErrContext(ctx, file)
 	} else {
 		holders = c.mapper.Lookup(file)
 	}
-	c.add(&c.stats.Messages, 2) // query + reply
+	c.mu.Lock()
+	c.stats.Messages += 2 // query + reply
+	if c.meta != nil {
+		c.stats.MetaMisses++
+		if dropped {
+			c.stats.MetaInvalidated++
+		}
+	}
 	if err != nil {
-		c.met.LookupErrors.With(classifyLookupErr(err)).Inc()
+		c.stats.LookupErrors[classifyLookupErr(err)]++
+	}
+	c.mu.Unlock()
+	if err != nil {
 		return nil, false, err
 	}
 	if c.meta != nil {
@@ -679,40 +714,44 @@ func (c *Client) collectBids(ctx context.Context, candidates []ids.RMID, cfp ecn
 			ascending = ascending && above
 		}
 	}
-	c.add(&c.stats.Messages, int64(2*len(bids))) // CFP + bid per contacted provider
 	if len(bids) == 0 {
 		return nil, nil
 	}
 
+	stalled := 0
 	if !c.fanout.Concurrent {
 		for i, p := range providers {
 			bids[i] = handleCFP(ctx, p, cfp)
 		}
-		return bids, providers
-	}
-
-	if c.fanout.BidTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.fanout.BidTimeout)
-		defer cancel()
-	}
-	ch := make(chan bidSlot, len(providers)) // buffered: abandoned bidders never block a worker
-	for i, p := range providers {
-		c.workers.submit(bidJob{ctx: ctx, p: p, cfp: cfp, slot: i, reply: ch})
-	}
-	for got := 0; got < len(providers); got++ {
-		select {
-		case s := <-ch:
-			bids[s.i] = s.bid
-		case <-ctx.Done():
-			// The negotiation deadline passed without the remaining
-			// providers' bids: their zero bids rank them last and the
-			// negotiation proceeds with the live bidders (paper's
-			// "always bid" preserved).
-			c.met.FanoutStalls.Add(uint64(len(providers) - got))
-			return bids, providers
+	} else {
+		if c.fanout.BidTimeout > 0 {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, c.fanout.BidTimeout)
+			defer cancel()
+		}
+		ch := make(chan bidSlot, len(providers)) // buffered: abandoned bidders never block a worker
+		for i, p := range providers {
+			c.workers.submit(bidJob{ctx: ctx, p: p, cfp: cfp, slot: i, reply: ch})
+		}
+	collect:
+		for got := 0; got < len(providers); got++ {
+			select {
+			case s := <-ch:
+				bids[s.i] = s.bid
+			case <-ctx.Done():
+				// The negotiation deadline passed without the remaining
+				// providers' bids: their zero bids rank them last and the
+				// negotiation proceeds with the live bidders (paper's
+				// "always bid" preserved).
+				stalled = len(providers) - got
+				break collect
+			}
 		}
 	}
+	c.mu.Lock()
+	c.stats.Messages += int64(2 * len(bids)) // CFP + bid per contacted provider
+	c.stats.FanoutStalls += int64(stalled)
+	c.mu.Unlock()
 	return bids, providers
 }
 
@@ -797,9 +836,12 @@ func (c *Client) add(counter *int64, n int64) {
 	c.mu.Unlock()
 }
 
-func (c *Client) nextRequestID() ids.RequestID {
+// nextRequestID mints the client's next request ID and adds one to
+// counter, a field of c.stats, in the same section.
+func (c *Client) nextRequestID(counter *int64) ids.RequestID {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.reqSeq++
+	*counter++
 	return ids.NewRequestID(c.incarnation, c.id, c.reqSeq)
 }

@@ -256,7 +256,7 @@ func TestRequestIDsOfIncarnationsNeverCollide(t *testing.T) {
 				t.Fatal(err)
 			}
 			for range 1000 {
-				id := c.nextRequestID()
+				id := c.nextRequestID(&c.stats.Requests)
 				if other, dup := seen[id]; dup {
 					t.Fatalf("incarnations %d and %d both minted %v", other, inc, id)
 				}
@@ -274,7 +274,7 @@ func TestRequestIDsOfIncarnationsNeverCollide(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if id := c.nextRequestID(); id != 3<<40|1 {
+	if id := c.nextRequestID(&c.stats.Requests); id != 3<<40|1 {
 		t.Fatalf("incarnation 0 minted %v, want %v", id, ids.RequestID(3<<40|1))
 	}
 	for _, id := range []ids.DFSCID{-1, 4096} {

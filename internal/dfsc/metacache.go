@@ -1,6 +1,7 @@
 package dfsc
 
 import (
+	"slices"
 	"sync"
 	"time"
 
@@ -23,6 +24,8 @@ type MetaCache struct {
 	ttl     time.Duration
 	now     func() time.Time
 	entries map[ids.FileID]metaEntry
+
+	hits int64 // Get's hits, its client's Stats.MetaHits
 }
 
 type metaEntry struct {
@@ -49,22 +52,21 @@ func (c *MetaCache) SetClock(now func() time.Time) {
 	c.mu.Unlock()
 }
 
-// Get returns the live lease for file, if any. Expired entries are
-// dropped on the way out. The returned slice is a copy.
+// Get returns the live lease for file, if any, counting a hit. Expired
+// entries are dropped on the way out. The returned slice is a copy.
 func (c *MetaCache) Get(file ids.FileID) ([]ids.RMID, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.entries[file]
+	if ok && c.now().After(e.expires) {
+		delete(c.entries, file)
+		ok = false
+	}
 	if !ok {
 		return nil, false
 	}
-	if c.now().After(e.expires) {
-		delete(c.entries, file)
-		return nil, false
-	}
-	out := make([]ids.RMID, len(e.holders))
-	copy(out, e.holders)
-	return out, true
+	c.hits++
+	return slices.Clone(e.holders), true
 }
 
 // Put leases file's holder set for one TTL. Empty sets are not cached —

@@ -3,6 +3,7 @@ package dfsc
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -87,8 +88,6 @@ func TestLeaseHitSkipsMM(t *testing.T) {
 		map[ids.RMID]units.BytesPerSec{1: units.Mbps(18), 2: units.Mbps(18)},
 		map[ids.FileID][]ids.RMID{0: {1, 2}})
 	counting := &countingMapper{Mapper: h.mapper}
-	reg := telemetry.NewRegistry()
-	met := NewMetrics(reg)
 	c, err := New(Options{
 		ID:        1,
 		Mapper:    counting,
@@ -99,7 +98,7 @@ func TestLeaseHitSkipsMM(t *testing.T) {
 		Scenario:  qos.Soft,
 		Rand:      rng.New(5),
 		MetaTTL:   time.Minute,
-		Metrics:   met,
+		Metrics:   NewMetrics(telemetry.NewRegistry()),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -125,8 +124,8 @@ func TestLeaseHitSkipsMM(t *testing.T) {
 	if got := c.Stats().Messages - msgsAfterFirst; got >= msgsAfterFirst {
 		t.Fatalf("leased access spent %d messages, want fewer than the cold %d", got, msgsAfterFirst)
 	}
-	if met.MetaHits.Value() != 1 || met.MetaMisses.Value() != 1 {
-		t.Fatalf("hits/misses = %d/%d, want 1/1", met.MetaHits.Value(), met.MetaMisses.Value())
+	if st := c.Stats(); st.MetaHits != 1 || st.MetaMisses != 1 {
+		t.Fatalf("hits/misses = %d/%d, want 1/1", st.MetaHits, st.MetaMisses)
 	}
 
 	// Past the TTL the next access re-resolves.
@@ -146,8 +145,8 @@ func TestLeaseHitSkipsMM(t *testing.T) {
 	if counting.lookups != 3 {
 		t.Fatalf("failover lookup did not query the MM (%d lookups)", counting.lookups)
 	}
-	if met.MetaInvalidated.Value() != 1 {
-		t.Fatalf("MetaInvalidated = %d, want 1", met.MetaInvalidated.Value())
+	if got := c.Stats().MetaInvalidated; got != 1 {
+		t.Fatalf("MetaInvalidated = %d, want 1", got)
 	}
 }
 
@@ -203,20 +202,21 @@ func TestLookupErrorTaxonomy(t *testing.T) {
 		if out.OK {
 			t.Fatalf("%s: access succeeded through a failing mapper", tc.class)
 		}
-		if got := met.LookupErrors.With(tc.class).Value(); got != 1 {
-			t.Fatalf("%s bucket = %d, want 1", tc.class, got)
+		series := fmt.Sprintf("dfsqos_dfsc_lookup_errors_total{class=%q}", tc.class)
+		if got := scrapeDFSC(t, reg)[series]; got != 1 {
+			t.Fatalf("%s bucket = %v, want 1", tc.class, got)
 		}
 		// A probe goes through the same typed lookup.
 		if out := c.Probe(0); out.OK || !strings.HasPrefix(out.Reason, "metadata lookup failed: ") {
 			t.Fatalf("%s: probe %+v, want a metadata lookup failure", tc.class, out)
 		}
-		if got := met.LookupErrors.With(tc.class).Value(); got != 2 {
-			t.Fatalf("%s bucket = %d after the probe, want 2", tc.class, got)
+		if got := scrapeDFSC(t, reg)[series]; got != 2 {
+			t.Fatalf("%s bucket = %v after the probe, want 2", tc.class, got)
 		}
 		if st := c.Stats(); st.NoReplica != 0 {
 			t.Fatalf("%s: %d failure(s) counted as no replica", tc.class, st.NoReplica)
 		}
-		if got := classifyLookupErr(tc.err); got != tc.class {
+		if got := lookupClasses[classifyLookupErr(tc.err)]; got != tc.class {
 			t.Fatalf("classifyLookupErr(%v) = %q, want %q", tc.err, got, tc.class)
 		}
 	}

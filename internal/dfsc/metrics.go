@@ -6,132 +6,100 @@ import (
 	"dfsqos/internal/telemetry"
 )
 
-// Metrics instruments the client side of the three-phase flow:
-// negotiation latency (exploration + CFP fan-out + open), fan-out stalls
-// (providers that missed the bid deadline and degraded to zero bids),
-// and selection outcomes. Nil in Options means no-op, so the
-// discrete-event simulation pays nothing observable.
+// Metrics instruments the client side of the three-phase flow. Its
+// counters are read from the Stats of every client it is bound to, at
+// scrape time, so a request writes none of them; clients sharing one
+// Metrics sum into its series. Only the latency histograms, which have no
+// other record, are observed as requests run. Nil in Options means no
+// telemetry, so the discrete-event simulation binds nothing.
 type Metrics struct {
 	// NegotiationLatency observes the wall-clock seconds from request
-	// start to open outcome
-	// (dfsqos_dfsc_negotiation_latency_seconds). It is nil under a nil
-	// registry, and then no negotiation reads the wall clock: the DES's
-	// negotiations take no virtual time, and it collects nothing.
+	// start to open outcome (dfsqos_dfsc_negotiation_latency_seconds). It
+	// is nil under a nil registry, and then no negotiation reads the wall
+	// clock: the DES's negotiations take no virtual time.
 	NegotiationLatency *telemetry.Histogram
-	// FanoutStalls counts providers whose bid missed the negotiation
-	// deadline and were synthesized as last-ranked zero bids
-	// (dfsqos_dfsc_fanout_stalls_total).
-	FanoutStalls *telemetry.Counter
-	// Admitted / Failed / NoReplica count request outcomes
-	// (dfsqos_dfsc_requests_total{outcome}).
-	Admitted  *telemetry.Counter
-	Failed    *telemetry.Counter
-	NoReplica *telemetry.Counter
-	// Fallbacks counts refusals by a ranked RM — a firm read's open, or
-	// any step of a write — before a lower-ranked one (or none) admitted
-	// the request (dfsqos_dfsc_open_fallbacks_total).
-	Fallbacks *telemetry.Counter
-	// Failovers counts mid-stream reads successfully re-admitted on
-	// another replica after their serving RM died
-	// (dfsqos_dfsc_failovers_total).
-	Failovers *telemetry.Counter
-	// FailoverLatency observes the seconds from the failover decision to
-	// the replacement reservation being admitted
-	// (dfsqos_dfsc_failover_latency_seconds).
-	FailoverLatency *telemetry.Histogram
-	// StripeReads counts read handles opened — one per ReadStriped, one per
-	// fsapi open (dfsqos_dfsc_stripe_reads_total); StripeLanes counts the
-	// lanes they admitted (dfsqos_dfsc_stripe_lanes_total), so lanes/reads
-	// is the effective stripe width.
-	StripeReads *telemetry.Counter
-	StripeLanes *telemetry.Counter
-	// StripeFirstByte observes, once per read handle, the seconds from the
-	// OpenRead (or ReadStriped) call to the committer's first successful write
-	// (dfsqos_dfsc_stripe_first_byte_seconds): a stream's start-up delay —
-	// negotiation plus the first verified segment.
-	StripeFirstByte *telemetry.Histogram
-	// Segments counts data-plane segments committed to readers
-	// (dfsqos_dfsc_segments_total).
-	Segments *telemetry.Counter
-	// HedgesFired / HedgesWon count slow-lane hedges by outcome
-	// (dfsqos_dfsc_hedges_total{outcome}): fired when a lagging lane's
-	// range was re-issued to another replica, won when the hedge beat the
-	// original copy (first-writer-wins).
-	HedgesFired *telemetry.Counter
-	HedgesWon   *telemetry.Counter
-	// LaneFailovers counts stripe lanes re-admitted on another replica
-	// after their RM died mid-range (dfsqos_dfsc_lane_failovers_total).
-	LaneFailovers *telemetry.Counter
-	// LookupErrors counts metadata lookups that failed in transport, by
-	// error class (dfsqos_dfsc_lookup_errors_total{class}): "remote" means
-	// the MM answered with an error over a healthy connection, "timeout" a
-	// deadline overrun (slow MM), "conn" an unusable connection (dead MM),
-	// "other" anything unclassified — so dashboards distinguish a slow MM
-	// from a dead one.
-	LookupErrors *telemetry.CounterVec
-	// OversubAdmits counts admitted lanes funded past the winning RM's
-	// assured headroom, i.e. admissions riding the RM's advertised
-	// oversubscription ratio (dfsqos_dfsc_oversub_admits_total).
-	OversubAdmits *telemetry.Counter
-	// MetaHits / MetaMisses / MetaInvalidated count metadata lease-cache
-	// outcomes (dfsqos_dfsc_metacache_total{outcome}): "hit" opens that
-	// skipped the MM on a live lease, "miss" opens that paid the lookup,
-	// "invalidated" leases dropped because the cached replica set failed
-	// the client (failover re-resolution).
-	MetaHits        *telemetry.Counter
-	MetaMisses      *telemetry.Counter
-	MetaInvalidated *telemetry.Counter
+	// FailoverLatency observes the seconds from a failover decision to the
+	// replacement's admission (dfsqos_dfsc_failover_latency_seconds), and
+	// StripeFirstByte, once per read handle, those from the OpenRead (or
+	// ReadStriped) call to the first byte at the writer: negotiation plus
+	// the first verified segment (dfsqos_dfsc_stripe_first_byte_seconds).
+	FailoverLatency, StripeFirstByte *telemetry.Histogram
+
+	counts []countSeries
 }
 
+// countSeries is one counter series and the Stats count it reads.
+type countSeries struct {
+	series *telemetry.CounterFunc
+	count  func(*Stats) int64
+}
+
+// noMetrics is the sink of a client built without Metrics: its histograms
+// are never exported, and it has no series to bind.
+var noMetrics = NewMetrics(nil)
+
 // NewMetrics registers the DFSC metric families on reg (nil reg yields a
-// live no-op sink, with no negotiation-latency histogram at all).
+// sink that keeps nothing, with no negotiation-latency histogram at all).
 func NewMetrics(reg *telemetry.Registry) *Metrics {
-	outcomes := reg.NewCounterVec("dfsqos_dfsc_requests_total",
-		"Access attempts by outcome.", "outcome")
-	hedges := reg.NewCounterVec("dfsqos_dfsc_hedges_total",
-		"Slow-lane hedges by outcome (fired/won).", "outcome")
-	metacache := reg.NewCounterVec("dfsqos_dfsc_metacache_total",
+	outcomes := reg.NewCounterFuncVec("dfsqos_dfsc_requests_total", "Access attempts by outcome.", "outcome")
+	hedges := reg.NewCounterFuncVec("dfsqos_dfsc_hedges_total", "Slow-lane hedges by outcome (fired/won).", "outcome")
+	metacache := reg.NewCounterFuncVec("dfsqos_dfsc_metacache_total",
 		"Metadata lease-cache outcomes (hit/miss/invalidated).", "outcome")
+	lookupErrors := reg.NewCounterFuncVec("dfsqos_dfsc_lookup_errors_total",
+		"Metadata lookups failed in transport, by error class.", "class")
+	count := func(name, help string, n func(*Stats) int64) countSeries {
+		return countSeries{reg.NewCounterFunc(name, help), n}
+	}
 	m := &Metrics{
-		FanoutStalls: reg.NewCounter("dfsqos_dfsc_fanout_stalls_total",
-			"Providers that missed the bid deadline (degraded to zero bids)."),
-		Admitted:  outcomes.With("admitted"),
-		Failed:    outcomes.With("failed"),
-		NoReplica: outcomes.With("no_replica"),
-		Fallbacks: reg.NewCounter("dfsqos_dfsc_open_fallbacks_total",
-			"Firm opens and writes refused by a ranked RM, falling through to the next."),
-		Failovers: reg.NewCounter("dfsqos_dfsc_failovers_total",
-			"Mid-stream reads re-admitted on another replica after RM failure."),
 		FailoverLatency: reg.NewHistogram("dfsqos_dfsc_failover_latency_seconds",
-			"Seconds from failover decision to replacement admission.",
-			telemetry.DefBuckets),
-		StripeReads: reg.NewCounter("dfsqos_dfsc_stripe_reads_total",
-			"Striped (K-wide) reads started."),
-		StripeLanes: reg.NewCounter("dfsqos_dfsc_stripe_lanes_total",
-			"Stripe lanes admitted across striped reads."),
+			"Seconds from failover decision to replacement admission.", telemetry.DefBuckets),
 		StripeFirstByte: reg.NewHistogram("dfsqos_dfsc_stripe_first_byte_seconds",
-			"Seconds from a striped read's start to its first byte at the writer.",
-			telemetry.DefBuckets),
-		Segments: reg.NewCounter("dfsqos_dfsc_segments_total",
-			"Data-plane segments committed to readers."),
-		OversubAdmits: reg.NewCounter("dfsqos_dfsc_oversub_admits_total",
-			"Lanes admitted past the winning RM's assured headroom (oversubscription-funded)."),
-		HedgesFired: hedges.With("fired"),
-		HedgesWon:   hedges.With("won"),
-		LaneFailovers: reg.NewCounter("dfsqos_dfsc_lane_failovers_total",
-			"Stripe lanes re-admitted on another replica after RM failure."),
-		LookupErrors: reg.NewCounterVec("dfsqos_dfsc_lookup_errors_total",
-			"Metadata lookups failed in transport, by error class.", "class"),
-		MetaHits:        metacache.With("hit"),
-		MetaMisses:      metacache.With("miss"),
-		MetaInvalidated: metacache.With("invalidated"),
+			"Seconds from a striped read's start to its first byte at the writer.", telemetry.DefBuckets),
+		counts: []countSeries{
+			count("dfsqos_dfsc_fanout_stalls_total", "Providers that missed the bid deadline (degraded to zero bids).",
+				func(s *Stats) int64 { return s.FanoutStalls }),
+			{outcomes.With("admitted"), func(s *Stats) int64 { return s.Admitted }},
+			{outcomes.With("failed"), func(s *Stats) int64 { return s.Failed - s.NoReplica }},
+			{outcomes.With("no_replica"), func(s *Stats) int64 { return s.NoReplica }},
+			count("dfsqos_dfsc_open_fallbacks_total",
+				"Firm opens and writes refused by a ranked RM, falling through to the next.",
+				func(s *Stats) int64 { return s.Fallbacks }),
+			count("dfsqos_dfsc_failovers_total", "Mid-stream reads re-admitted on another replica after RM failure.",
+				func(s *Stats) int64 { return s.Failovers }),
+			count("dfsqos_dfsc_stripe_reads_total", "Striped (K-wide) reads started.",
+				func(s *Stats) int64 { return s.StripeReads }),
+			count("dfsqos_dfsc_stripe_lanes_total", "Stripe lanes admitted across striped reads.",
+				func(s *Stats) int64 { return s.StripeLanes }),
+			count("dfsqos_dfsc_segments_total", "Data-plane segments committed to readers.",
+				func(s *Stats) int64 { return s.Segments }),
+			count("dfsqos_dfsc_oversub_admits_total",
+				"Lanes admitted past the winning RM's assured headroom (oversubscription-funded).",
+				func(s *Stats) int64 { return s.Oversubscribed }),
+			{hedges.With("fired"), func(s *Stats) int64 { return s.Hedges }},
+			{hedges.With("won"), func(s *Stats) int64 { return s.HedgesWon }},
+			{metacache.With("hit"), func(s *Stats) int64 { return s.MetaHits }},
+			{metacache.With("miss"), func(s *Stats) int64 { return s.MetaMisses }},
+			{metacache.With("invalidated"), func(s *Stats) int64 { return s.MetaInvalidated }},
+		},
+	}
+	for class, label := range lookupClasses {
+		m.counts = append(m.counts, countSeries{lookupErrors.With(label), func(s *Stats) int64 { return s.LookupErrors[class] }})
 	}
 	if reg != nil {
 		m.NegotiationLatency = reg.NewHistogram("dfsqos_dfsc_negotiation_latency_seconds",
-			"Three-phase negotiation latency (MM query, CFP fan-out, open).",
-			telemetry.DefBuckets)
+			"Three-phase negotiation latency (MM query, CFP fan-out, open).", telemetry.DefBuckets)
 	}
 	return m
+}
+
+// bind points every counter series at c's Stats.
+func (m *Metrics) bind(c *Client) {
+	for _, s := range m.counts {
+		s.series.Bind(func() uint64 {
+			st := c.Stats()
+			return uint64(s.count(&st))
+		})
+	}
 }
 
 // timeNegotiation starts timing one negotiation and returns the func that

@@ -115,7 +115,6 @@ func TestNegotiationTable(t *testing.T) {
 		wantReason string
 		wantCode   ecnp.Refusal // of the failure outcome
 		wantStats  Stats
-		wantStalls uint64
 	}{
 		{
 			name:      "duplicate holder ids are contacted once",
@@ -123,7 +122,7 @@ func TestNegotiationTable(t *testing.T) {
 			providers: []scriptProvider{{id: 1, rem: mbps(10)}, {id: 2, rem: mbps(30)}},
 			policy:    selection.RemOnly, scenario: qos.Firm, lanes: 1,
 			wantCFPs: []ids.RMID{1, 2}, wantOpens: []ids.RMID{2}, wantRMs: []ids.RMID{2},
-			wantStats: Stats{Requests: 1, Messages: 2 + 2*2 + 2},
+			wantStats: Stats{Requests: 1, Admitted: 1, Messages: 2 + 2*2 + 2},
 		},
 		{
 			name:      "adjacent duplicates in an ordered list",
@@ -131,7 +130,7 @@ func TestNegotiationTable(t *testing.T) {
 			providers: []scriptProvider{{id: 1, rem: mbps(10)}, {id: 2, rem: mbps(5)}, {id: 3, rem: mbps(30)}},
 			policy:    selection.RemOnly, scenario: qos.Soft, lanes: 1,
 			wantCFPs: []ids.RMID{1, 2, 3}, wantOpens: []ids.RMID{3}, wantRMs: []ids.RMID{3},
-			wantStats: Stats{Requests: 1, Messages: 2 + 2*3 + 2},
+			wantStats: Stats{Requests: 1, Admitted: 1, Messages: 2 + 2*3 + 2},
 		},
 		{
 			name:      "unresolvable RM in the middle is skipped and not counted",
@@ -139,7 +138,7 @@ func TestNegotiationTable(t *testing.T) {
 			providers: []scriptProvider{{id: 1, rem: mbps(10)}, {id: 3, rem: mbps(30)}},
 			policy:    selection.RemOnly, scenario: qos.Firm, lanes: 1,
 			wantCFPs: []ids.RMID{1, 3}, wantOpens: []ids.RMID{3}, wantRMs: []ids.RMID{3},
-			wantStats: Stats{Requests: 1, Messages: 2 + 2*2 + 2},
+			wantStats: Stats{Requests: 1, Admitted: 1, Messages: 2 + 2*2 + 2},
 		},
 		{
 			name:      "nothing resolvable",
@@ -156,7 +155,7 @@ func TestNegotiationTable(t *testing.T) {
 				{id: 1, rem: mbps(20)}, {id: 2, rem: mbps(30), refuse: firmCap}, {id: 3, rem: mbps(10)}},
 			policy: selection.RemOnly, scenario: qos.Firm, lanes: 1,
 			wantCFPs: []ids.RMID{1, 2, 3}, wantOpens: []ids.RMID{2, 1}, wantRMs: []ids.RMID{1},
-			wantStats: Stats{Requests: 1, Messages: 2 + 2*3 + 2*2},
+			wantStats: Stats{Requests: 1, Admitted: 1, Fallbacks: 1, Messages: 2 + 2*3 + 2*2},
 		},
 		{
 			name:    "firm falls through to the third-ranked bidder, which is oversubscribed",
@@ -166,7 +165,7 @@ func TestNegotiationTable(t *testing.T) {
 				{id: 3, rem: mbps(10), ceil: mbps(40)}},
 			policy: selection.RemOnly, scenario: qos.Firm, lanes: 1,
 			wantCFPs: []ids.RMID{1, 2, 3}, wantOpens: []ids.RMID{2, 1, 3}, wantRMs: []ids.RMID{3},
-			wantStats: Stats{Requests: 1, Messages: 2 + 2*3 + 2*3, Oversubscribed: 1},
+			wantStats: Stats{Requests: 1, Admitted: 1, Fallbacks: 2, Messages: 2 + 2*3 + 2*3, Oversubscribed: 1},
 		},
 		{
 			name:    "firm refused by every bidder",
@@ -176,7 +175,7 @@ func TestNegotiationTable(t *testing.T) {
 			policy: selection.RemOnly, scenario: qos.Firm, lanes: 1,
 			wantCFPs: []ids.RMID{1, 2, 3}, wantOpens: []ids.RMID{2, 1, 3},
 			wantReason: "insufficient bandwidth", wantCode: firmCap,
-			wantStats: Stats{Requests: 1, Failed: 1, Messages: 2 + 2*3 + 2*3},
+			wantStats: Stats{Requests: 1, Failed: 1, Fallbacks: 3, Messages: 2 + 2*3 + 2*3},
 		},
 		{
 			// The text and the code both say it was the tenant's quota,
@@ -188,7 +187,7 @@ func TestNegotiationTable(t *testing.T) {
 			policy: selection.RemOnly, scenario: qos.Firm, lanes: 1,
 			wantCFPs: []ids.RMID{1, 2}, wantOpens: []ids.RMID{2, 1},
 			wantReason: "tenant over its bandwidth quota", wantCode: overQuota,
-			wantStats: Stats{Requests: 1, Failed: 1, Messages: 2 + 2*2 + 2*2},
+			wantStats: Stats{Requests: 1, Failed: 1, Fallbacks: 2, Messages: 2 + 2*2 + 2*2},
 		},
 		{
 			name:    "equal scores keep candidate order",
@@ -197,7 +196,7 @@ func TestNegotiationTable(t *testing.T) {
 				{id: 1, rem: mbps(20), refuse: firmCap}, {id: 2, rem: mbps(20)}, {id: 3, rem: mbps(20), refuse: firmCap}},
 			policy: selection.RemOnly, scenario: qos.Firm, lanes: 1,
 			wantCFPs: []ids.RMID{1, 2, 3}, wantOpens: []ids.RMID{3, 1, 2}, wantRMs: []ids.RMID{2},
-			wantStats: Stats{Requests: 1, Messages: 2 + 2*3 + 2*3},
+			wantStats: Stats{Requests: 1, Admitted: 1, Fallbacks: 2, Messages: 2 + 2*3 + 2*3},
 		},
 		{
 			name:    "two lanes take the two best bidders, one past its assured headroom",
@@ -206,7 +205,7 @@ func TestNegotiationTable(t *testing.T) {
 				{id: 1, rem: mbps(20), ceil: mbps(40)}, {id: 2, rem: mbps(30)}, {id: 3, rem: mbps(10)}},
 			policy: selection.RemOnly, scenario: qos.Soft, lanes: 2,
 			wantCFPs: []ids.RMID{1, 2, 3}, wantOpens: []ids.RMID{2, 1}, wantRMs: []ids.RMID{2, 1},
-			wantStats: Stats{Requests: 2, Messages: 2 + 2*3 + 2*2, Oversubscribed: 1},
+			wantStats: Stats{Requests: 2, Admitted: 2, Messages: 2 + 2*3 + 2*2, Oversubscribed: 1},
 		},
 		{
 			name: "broadcast CNP: every RM gets a CFP, only holders are ranked",
@@ -216,7 +215,7 @@ func TestNegotiationTable(t *testing.T) {
 				{id: 4, rem: mbps(30), holds: true, refuse: firmCap}, {id: 5, rem: mbps(70)}},
 			policy: selection.RemOnly, scenario: qos.Firm, broadcast: true, lanes: 1,
 			wantCFPs: []ids.RMID{1, 2, 3, 4, 5}, wantOpens: []ids.RMID{4, 2}, wantRMs: []ids.RMID{2},
-			wantStats: Stats{Requests: 1, Messages: 2 + 2*5 + 2*2},
+			wantStats: Stats{Requests: 1, Admitted: 1, Fallbacks: 1, Messages: 2 + 2*5 + 2*2},
 		},
 		{
 			name: "broadcast CNP: an unregistered id and a repeat in the resource list",
@@ -225,7 +224,7 @@ func TestNegotiationTable(t *testing.T) {
 				{id: 1, rem: mbps(90)}, {id: 2, rem: mbps(10), holds: true}, {id: 3, rem: mbps(20), holds: true}},
 			policy: selection.RemOnly, scenario: qos.Soft, broadcast: true, lanes: 1,
 			wantCFPs: []ids.RMID{1, 2, 3}, wantOpens: []ids.RMID{3}, wantRMs: []ids.RMID{3},
-			wantStats: Stats{Requests: 1, Messages: 2 + 2*3 + 2},
+			wantStats: Stats{Requests: 1, Admitted: 1, Messages: 2 + 2*3 + 2},
 		},
 		{
 			name: "broadcast CNP: nobody holds the file",
@@ -248,7 +247,7 @@ func TestNegotiationTable(t *testing.T) {
 			policy: selection.Random, scenario: qos.Firm, lanes: 1,
 			wantCFPs: []ids.RMID{1, 2, 3, 4}, wantOpens: randomWalkOfFour,
 			wantReason: "insufficient bandwidth", wantCode: firmCap,
-			wantStats: Stats{Requests: 1, Failed: 1, Messages: 2 + 2*4 + 2*4},
+			wantStats: Stats{Requests: 1, Failed: 1, Fallbacks: 4, Messages: 2 + 2*4 + 2*4},
 		},
 		{
 			name:    "concurrent fan-out: the stalled best bidder ranks last on a zero bid",
@@ -259,8 +258,7 @@ func TestNegotiationTable(t *testing.T) {
 			policy: selection.RemOnly, scenario: qos.Firm, lanes: 1,
 			fanout:   Fanout{Concurrent: true, BidTimeout: 150 * time.Millisecond},
 			wantCFPs: []ids.RMID{1, 2, 3}, wantOpens: []ids.RMID{3, 1, 2}, wantRMs: []ids.RMID{2},
-			wantStats:  Stats{Requests: 1, Messages: 2 + 2*3 + 2*3},
-			wantStalls: 1,
+			wantStats: Stats{Requests: 1, Admitted: 1, Fallbacks: 2, FanoutStalls: 1, Messages: 2 + 2*3 + 2*3},
 		},
 		{
 			name:    "concurrent fan-out without a stall equals the serial one",
@@ -270,7 +268,7 @@ func TestNegotiationTable(t *testing.T) {
 			policy: selection.RemOnly, scenario: qos.Firm, lanes: 1,
 			fanout:   Fanout{Concurrent: true, BidTimeout: 5 * time.Second},
 			wantCFPs: []ids.RMID{1, 2, 3}, wantOpens: []ids.RMID{2, 1}, wantRMs: []ids.RMID{1},
-			wantStats: Stats{Requests: 1, Messages: 2 + 2*3 + 2*2},
+			wantStats: Stats{Requests: 1, Admitted: 1, Fallbacks: 1, Messages: 2 + 2*3 + 2*2},
 		},
 	}
 
@@ -293,7 +291,7 @@ func TestNegotiationTable(t *testing.T) {
 				}
 				dir.Set(p.id, p)
 			}
-			met := NewMetrics(telemetry.NewRegistry())
+			reg := telemetry.NewRegistry()
 			c, err := New(Options{
 				ID:           1,
 				Mapper:       listMapper{holders: tc.holders, all: tc.all},
@@ -305,7 +303,7 @@ func TestNegotiationTable(t *testing.T) {
 				Rand:         rng.New(5),
 				BroadcastCNP: tc.broadcast,
 				Fanout:       tc.fanout,
-				Metrics:      met,
+				Metrics:      NewMetrics(reg),
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -344,8 +342,8 @@ func TestNegotiationTable(t *testing.T) {
 			if st := c.Stats(); st != tc.wantStats {
 				t.Errorf("stats %+v, want %+v", st, tc.wantStats)
 			}
-			if got := met.FanoutStalls.Value(); got != tc.wantStalls {
-				t.Errorf("fan-out stalls %d, want %d", got, tc.wantStalls)
+			if got := scrapeDFSC(t, reg)["dfsqos_dfsc_fanout_stalls_total"]; got != float64(tc.wantStats.FanoutStalls) {
+				t.Errorf("fan-out stalls %v, want %d", got, tc.wantStats.FanoutStalls)
 			}
 		})
 	}

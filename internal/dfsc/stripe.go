@@ -453,16 +453,16 @@ func (c *Client) OpenRead(rs RangeStreamer, file ids.FileID, cfg StripeConfig) (
 	if cfg.Backoff <= 0 {
 		cfg.Backoff = 50 * time.Millisecond
 	}
-	c.met.StripeReads.Inc()
 	r := &Reader{c: c, rs: rs, file: file, size: int64(c.cat.File(file).Size), cfg: cfg, opened: time.Now()}
 	if r.size == 0 {
+		c.add(&c.stats.StripeReads, 1)
 		return r, nil
 	}
 
 	// One root span covers the handle: every segment and negotiation hangs
 	// off it. Negotiations run under this plain context, ranges under a
 	// cancellable child (run): a cancellable control call costs a callback.
-	r.root = c.tracer.StartRoot(c.nextRequestID(), "dfsc.stripe").SetFile(file)
+	r.root = c.tracer.StartRoot(c.nextRequestID(&c.stats.StripeReads), "dfsc.stripe").SetFile(file)
 	r.ctx = trace.NewContext(context.Background(), r.root.Context())
 	st := borrowStripeRun(cfg.Width)
 	held, fail := c.negotiateLanes(r.ctx, nil, workload.OpRead, file, st.exclude, cfg.Width)
@@ -475,7 +475,7 @@ func (c *Client) OpenRead(rs RangeStreamer, file ids.FileID, cfg StripeConfig) (
 		}
 		return nil, fmt.Errorf("dfsc: read %v: %s", file, fail.Reason)
 	}
-	c.met.StripeLanes.Add(uint64(len(held)))
+	c.add(&c.stats.StripeLanes, int64(len(held)))
 	st.res.RMs = make([]ids.RMID, 0, len(held))
 	for _, h := range held {
 		st.res.RMs = append(st.res.RMs, h.out.RM)
@@ -617,7 +617,6 @@ func (r *Reader) run(w io.Writer, base, n int64) (ReadResult, error) {
 		st.commit++
 		st.cond.Broadcast() // the commit window advanced
 		st.mu.Unlock()
-		c.met.Segments.Inc()
 		c.add(&c.stats.Segments, 1)
 		_, werr := w.Write(data)
 		if werr == nil {
@@ -707,7 +706,6 @@ func (c *Client) fetch(ctx context.Context, st *stripeRun, rs RangeStreamer, fil
 		lio.w.buf = st.getBufLocked()
 		if hedge {
 			st.res.Hedges++
-			c.met.HedgesFired.Inc()
 			c.add(&c.stats.Hedges, 1)
 		}
 		st.mu.Unlock()
@@ -733,7 +731,6 @@ func (c *Client) fetch(ctx context.Context, st *stripeRun, rs RangeStreamer, fil
 				*sl = stripeSlot{state: slotDone, rm: out.RM, hedged: hedge, data: lio.w.buf}
 				if hedge {
 					st.res.HedgesWon++
-					c.met.HedgesWon.Inc()
 					c.add(&c.stats.HedgesWon, 1)
 				}
 				seg.SetOutcome("ok")
@@ -805,8 +802,6 @@ func (c *Client) fetch(ctx context.Context, st *stripeRun, rs RangeStreamer, fil
 		st.res.Failovers++
 		st.res.RMs = append(st.res.RMs, repl[0].out.RM)
 		st.mu.Unlock()
-		c.met.Failovers.Inc()
-		c.met.LaneFailovers.Inc()
 		c.met.FailoverLatency.Observe(time.Since(start).Seconds())
 		c.add(&c.stats.Failovers, 1)
 	}

@@ -24,7 +24,6 @@ import (
 // them: the package path below internal/, then the type, then the method.
 // "Might be useful" is not a reason.
 var exportAllowlist = map[string]string{
-	"blkio.Controller.Stats":        "item 9: GET /state reports each RM's assured and borrowed bytes from it",
 	"blkio.WithClock":               "item 7(c): the live glue's virtual clock reaches the throttle through it",
 	"blkio.WithSleep":               "item 7(c): the virtual clock's sleep, beside WithClock",
 	"dfsc.Client.MetaCache":         "item 7(c): the way to a client's lease cache and its clock hook",

@@ -69,6 +69,7 @@ type RMNode struct {
 	peers  *Directory
 	loops  *loops
 	once   sync.Once
+	bound  telemetry.Bindings // its RM's, disk's and tenants' series
 }
 
 // StartRM starts the RM spec describes in the paper's order: provision
@@ -99,11 +100,7 @@ func (n *RMNode) start(spec RMSpec) error {
 	if n.Disk == nil {
 		// The blkio group caps both read and write at the RM's capacity,
 		// as the paper's loop-device/cgroup binding does.
-		ctrl := blkio.NewController()
-		if reg != nil {
-			ctrl.SetMetrics(blkio.NewMetrics(reg))
-		}
-		if n.Disk, err = vdisk.New(spec.Storage, ctrl, fmt.Sprintf("vm%d", spec.ID), spec.Capacity, spec.Capacity); err != nil {
+		if n.Disk, err = vdisk.New(spec.Storage, blkio.NewController(), fmt.Sprintf("vm%d", spec.ID), spec.Capacity, spec.Capacity); err != nil {
 			return err
 		}
 		for f, meta := range files {
@@ -111,6 +108,13 @@ func (n *RMNode) start(spec RMSpec) error {
 				return fmt.Errorf("provisioning %v: %w", f, err)
 			}
 		}
+	}
+
+	if reg != nil {
+		// A disk this RM inherited reports to the node that serves it now.
+		blkMet := blkio.NewMetrics(reg)
+		n.Disk.Controller().SetMetrics(blkMet)
+		n.bound.Add(blkMet.Unbind)
 	}
 
 	if n.mapper, err = DialMMConfig(spec.MM, spec.MMRep, cfg); err != nil {
@@ -122,11 +126,15 @@ func (n *RMNode) start(spec RMSpec) error {
 	var ledger *tenant.Ledger
 	if len(spec.Tenants) > 0 {
 		ledger = tenant.NewLedger()
-		ledger.SetMetrics(tenant.NewMetrics(reg))
+		tenMet := tenant.NewMetrics(reg)
+		ledger.SetMetrics(tenMet)
+		n.bound.Add(tenMet.Unbind)
 		for t, q := range spec.Tenants {
 			ledger.Set(t, q)
 		}
 	}
+	rmMet := rm.NewMetrics(reg)
+	n.bound.Add(rmMet.Unbind)
 	node, err := rm.New(rm.Options{
 		Info:        ecnp.RMInfo{ID: spec.ID, Capacity: spec.Capacity, StorageBytes: spec.Storage},
 		Scheduler:   spec.Sched,
@@ -139,7 +147,7 @@ func (n *RMNode) start(spec RMSpec) error {
 		// replication rate scaled to wall time.
 		Copier: &Copier{disk: n.Disk, dir: n.peers, scale: spec.Sched.scale,
 			metrics: NewCopierMetrics(reg), tracer: spec.Tracer},
-		Metrics: rm.NewMetrics(reg),
+		Metrics: rmMet,
 		Oversub: spec.Oversub,
 		Tenants: ledger,
 		// The TTL is wall time; the RM's clock runs Sched's virtual seconds.
@@ -199,7 +207,8 @@ func (n *RMNode) start(spec RMSpec) error {
 }
 
 // Close stops the RM's loops, then its server, then its peer directory
-// and mapper. It is idempotent, and may follow a kill.
+// and mapper, and takes its state out of the registry's series. It is
+// idempotent, and may follow a kill.
 func (n *RMNode) Close() {
 	n.once.Do(func() {
 		n.loops.stop()
@@ -212,6 +221,7 @@ func (n *RMNode) Close() {
 		if n.mapper != nil {
 			n.mapper.Close()
 		}
+		n.bound.Unbind()
 	})
 }
 

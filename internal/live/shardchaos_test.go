@@ -176,8 +176,7 @@ func TestShardChaosKillShardMidWorkload(t *testing.T) {
 
 	// The lease cache and the successor walk both fired, and the lookup
 	// that failed over is joined to its access in one trace.
-	met := dfsc.NewMetrics(sc.reg)
-	if met.MetaHits.Value() == 0 {
+	if client.Stats().MetaHits == 0 {
 		t.Fatal("no lease hits during the outage")
 	}
 	if sc.smMet.Retries.Value() == 0 {

@@ -43,7 +43,7 @@ func scrapeRM(t *testing.T, reg *telemetry.Registry) map[string]float64 {
 
 // rmSeries is what every dfsqos_rm_* series of a registry the RMs rms are
 // bound to must read: the sum of their Stats, ledgers, reservations,
-// storage and file tables, and their common oversubscription ratio.
+// storage and file tables and oversubscription ratios.
 func rmSeries(rms ...*RM) map[string]float64 {
 	want := make(map[string]float64)
 	for _, r := range rms {
@@ -70,7 +70,7 @@ func rmSeries(rms ...*RM) map[string]float64 {
 			want[fmt.Sprintf("dfsqos_rm_refusals_total{reason=%q}", why.Label())] += float64(st.Refusals[why])
 		}
 		want["dfsqos_rm_remaining_bandwidth_bytes_per_second"] += float64(r.led.Remaining())
-		want["dfsqos_rm_oversub_ratio"] = r.led.Oversub()
+		want["dfsqos_rm_oversub_ratio"] += r.led.Oversub()
 		r.mu.Unlock()
 	}
 	return want

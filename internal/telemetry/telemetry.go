@@ -29,6 +29,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -201,16 +202,15 @@ func (h *Histogram) Quantile(q float64) float64 {
 // the sources bound to it. A component that already keeps a count, under
 // its own lock, binds a source that reads it there instead of mirroring
 // every change into an atomic, so its hot path writes no telemetry at
-// all. Several sources bound under one name sum, which is how two
-// components of one process that share a registry expose their total. A
-// source stays bound for the registry's life, and it must not call back
-// into the registry.
+// all. Sources bound under one name sum: the total of the components of
+// one process that share a registry. A source stays bound until the func
+// Bind returned runs (see Bindings); it must not call into the registry.
 //
 // A nil *Func is the no-op mode, as a nil *Registry is: binding to it
 // keeps nothing.
 type Func[T uint64 | float64] struct {
 	mu   sync.Mutex
-	srcs []func() T
+	srcs []*func() T // never edited in place: value reads it unlocked
 }
 
 // CounterFunc is a counter read from its sources at exposition time.
@@ -219,26 +219,66 @@ type CounterFunc = Func[uint64]
 // GaugeFunc is a gauge read from its sources at exposition time.
 type GaugeFunc = Func[float64]
 
-// Bind adds fn as a source of f.
-func (f *Func[T]) Bind(fn func() T) {
+// Bind adds read as a source of f and returns the func that removes it
+// again.
+func (f *Func[T]) Bind(read func() T) (unbind func()) {
 	if f == nil {
-		return
+		return func() {}
 	}
+	src := &read
 	f.mu.Lock()
-	f.srcs = append(f.srcs, fn)
+	f.srcs = append(f.srcs, src)
 	f.mu.Unlock()
+	return func() {
+		f.mu.Lock()
+		defer f.mu.Unlock()
+		if i := slices.Index(f.srcs, src); i >= 0 {
+			f.srcs = append(f.srcs[:i:i], f.srcs[i+1:]...) // a new array
+		}
+	}
 }
 
-// value calls every source, outside f's lock, and returns their sum.
-func (f *Func[T]) value() T {
+// value calls every source, outside f's lock, and returns their sum;
+// bound is false when f has none.
+func (f *Func[T]) value() (sum T, bound bool) {
 	f.mu.Lock()
 	srcs := f.srcs
 	f.mu.Unlock()
-	var sum T
-	for _, fn := range srcs {
-		sum += fn()
+	for _, read := range srcs {
+		sum += (*read)()
 	}
-	return sum
+	return sum, len(srcs) > 0
+}
+
+// Bindings holds the unbind funcs of the sources one owner bound, so that
+// its series leave the registry's sums together when it stops. A source
+// added after Unbind is removed at once: a stopped owner leaves nothing
+// behind. The zero value is ready to use.
+type Bindings struct {
+	mu     sync.Mutex
+	unbind []func()
+	done   bool
+}
+
+// Add keeps unbind, the result of a Bind, for Unbind.
+func (b *Bindings) Add(unbind func()) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.done {
+		unbind()
+		return
+	}
+	b.unbind = append(b.unbind, unbind)
+}
+
+// Unbind removes every source added to b. It is idempotent.
+func (b *Bindings) Unbind() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for _, fn := range b.unbind {
+		fn()
+	}
+	b.unbind, b.done = nil, true
 }
 
 // vec is a family of metrics partitioned by label values; mk makes a
@@ -311,23 +351,22 @@ func (v *vec[M]) sorted() []*vecChild[M] {
 // CounterVec is a family of Counters partitioned by label values.
 type CounterVec struct{ vec[*Counter] }
 
-// GaugeVec is a family of Gauges partitioned by label values.
-type GaugeVec struct{ vec[*Gauge] }
+// FuncVec is a family of Funcs partitioned by label values.
+type FuncVec[T uint64 | float64] struct{ vec[*Func[T]] }
 
 // CounterFuncVec is a family of CounterFuncs partitioned by label values.
-type CounterFuncVec struct{ vec[*CounterFunc] }
+type CounterFuncVec = FuncVec[uint64]
+
+// GaugeFuncVec is a family of GaugeFuncs partitioned by label values.
+type GaugeFuncVec = FuncVec[float64]
 
 // With returns (creating on first use) the Counter for the given label
 // values, which must match the vector's label names in number.
 func (v *CounterVec) With(values ...string) *Counter { return v.with(values) }
 
-// With returns (creating on first use) the Gauge for the given label
-// values.
-func (v *GaugeVec) With(values ...string) *Gauge { return v.with(values) }
-
-// With returns (creating on first use) the CounterFunc for the given label
-// values. Nil-safe: a nil vector returns a nil CounterFunc.
-func (v *CounterFuncVec) With(values ...string) *CounterFunc {
+// With returns (creating on first use) the Func for the given label
+// values. Nil-safe: a nil vector returns a nil Func.
+func (v *FuncVec[T]) With(values ...string) *Func[T] {
 	if v == nil {
 		return nil
 	}
@@ -355,46 +394,57 @@ func appendVecKey(b []byte, labels, values []string) []byte {
 	return b
 }
 
-// metricKind tags a registered family.
-type metricKind int
+// metric is a registered family's series: it renders its own sample
+// lines.
+type metric interface {
+	write(b *strings.Builder, name string)
+}
 
-const (
-	kindCounter metricKind = iota
-	kindGauge
-	kindHistogram
-	kindCounterVec
-	kindGaugeVec
-	kindCounterFunc
-	kindGaugeFunc
-	kindCounterFuncVec
-)
+func (c *Counter) write(b *strings.Builder, name string) {
+	fmt.Fprintf(b, "%s %d\n", name, c.Value())
+}
 
-func (k metricKind) String() string {
-	switch k {
-	case kindCounter, kindCounterVec, kindCounterFunc, kindCounterFuncVec:
-		return "counter"
-	case kindGauge, kindGaugeVec, kindGaugeFunc:
-		return "gauge"
-	case kindHistogram:
-		return "histogram"
+func (g *Gauge) write(b *strings.Builder, name string) {
+	fmt.Fprintf(b, "%s %s\n", name, formatFloat(g.Value()))
+}
+
+// write renders cumulative le-buckets plus _sum and _count.
+func (h *Histogram) write(b *strings.Builder, name string) {
+	cum := uint64(0)
+	for i, bound := range h.bounds {
+		cum += h.buckets[i].Load()
+		fmt.Fprintf(b, "%s_bucket{le=%q} %d\n", name, formatFloat(bound), cum)
 	}
-	return "untyped"
+	cum += h.buckets[len(h.bounds)].Load()
+	fmt.Fprintf(b, "%s_bucket{le=\"+Inf\"} %d\n", name, cum)
+	fmt.Fprintf(b, "%s_sum %s\n", name, formatFloat(h.Sum()))
+	fmt.Fprintf(b, "%s_count %d\n", name, h.Count())
+}
+
+func (v *CounterVec) write(b *strings.Builder, name string) {
+	for _, c := range v.sorted() {
+		fmt.Fprintf(b, "%s{%s} %d\n", name, renderLabels(v.labels, c.values), c.metric.Value())
+	}
+}
+
+func (f *Func[T]) write(b *strings.Builder, name string) {
+	v, _ := f.value()
+	fmt.Fprintf(b, "%s %s\n", name, formatValue(v))
+}
+
+// write leaves out a child with no source bound: its owner has stopped.
+func (v *FuncVec[T]) write(b *strings.Builder, name string) {
+	for _, c := range v.sorted() {
+		if x, ok := c.metric.value(); ok {
+			fmt.Fprintf(b, "%s{%s} %s\n", name, renderLabels(v.labels, c.values), formatValue(x))
+		}
+	}
 }
 
 // family is one registered metric family.
 type family struct {
-	name string
-	help string
-	kind metricKind
-
-	counter *Counter
-	gauge   *Gauge
-	hist    *Histogram
-	cvec    *CounterVec
-	gvec    *GaugeVec
-	cfunc   *CounterFunc
-	gfunc   *GaugeFunc
-	cfvec   *CounterFuncVec
+	name, help, typ string // typ: counter, gauge or histogram
+	m               metric
 }
 
 // Registry holds metric families and renders them in the Prometheus text
@@ -437,34 +487,32 @@ func validName(s string) bool {
 	return true
 }
 
-// lookup returns the existing family (checking kind) or registers a new
-// one built by mk. Caller-side nil receivers short-circuit before this.
-func (r *Registry) lookup(name, help string, kind metricKind, mk func() *family) *family {
+// register returns the metric registered under name, which must be an M
+// (a vector with as many labels), or registers the one mk makes. Callers
+// short-circuit a nil registry before this.
+func register[M metric](r *Registry, name, help, typ string, labels []string, mk func() M) M {
 	if !validName(name) {
 		panic(fmt.Sprintf("telemetry: invalid metric name %q", name))
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if f, ok := r.families[name]; ok {
-		if f.kind != kind {
-			panic(fmt.Sprintf("telemetry: %s already registered as %s, not %s", name, f.kind, kind))
+		m, ok := f.m.(M)
+		if !ok {
+			panic(fmt.Sprintf("telemetry: %s already registered as %T, not %T", name, f.m, m))
 		}
-		return f
+		if v, ok := f.m.(interface{ labelNames() []string }); ok && len(v.labelNames()) != len(labels) {
+			panic(fmt.Sprintf("telemetry: %s re-registered with labels %v, had %v", name, labels, v.labelNames()))
+		}
+		return m
 	}
-	f := mk()
-	f.name, f.help, f.kind = name, help, kind
-	r.families[name] = f
+	m := mk()
+	r.families[name] = &family{name: name, help: help, typ: typ, m: m}
 	r.order = append(r.order, name)
-	return f
+	return m
 }
 
-// checkLabels panics when a vector family is asked for again with another
-// number of labels than it was registered with.
-func checkLabels(name string, had, asked []string) {
-	if len(had) != len(asked) {
-		panic(fmt.Sprintf("telemetry: %s re-registered with labels %v, had %v", name, asked, had))
-	}
-}
+func (v *vec[M]) labelNames() []string { return v.labels }
 
 // NewCounter returns the registered Counter with the given name,
 // creating it on first use. Safe on a nil registry (returns an
@@ -473,9 +521,7 @@ func (r *Registry) NewCounter(name, help string) *Counter {
 	if r == nil {
 		return &Counter{}
 	}
-	return r.lookup(name, help, kindCounter, func() *family {
-		return &family{counter: &Counter{}}
-	}).counter
+	return register(r, name, help, "counter", nil, func() *Counter { return &Counter{} })
 }
 
 // NewGauge returns the registered Gauge with the given name.
@@ -483,9 +529,7 @@ func (r *Registry) NewGauge(name, help string) *Gauge {
 	if r == nil {
 		return &Gauge{}
 	}
-	return r.lookup(name, help, kindGauge, func() *family {
-		return &family{gauge: &Gauge{}}
-	}).gauge
+	return register(r, name, help, "gauge", nil, func() *Gauge { return &Gauge{} })
 }
 
 // NewHistogram returns the registered Histogram with the given name and
@@ -496,9 +540,7 @@ func (r *Registry) NewHistogram(name, help string, bounds []float64) *Histogram 
 	if r == nil {
 		return newHistogram(bounds)
 	}
-	return r.lookup(name, help, kindHistogram, func() *family {
-		return &family{hist: newHistogram(bounds)}
-	}).hist
+	return register(r, name, help, "histogram", nil, func() *Histogram { return newHistogram(bounds) })
 }
 
 // NewCounterVec returns the registered CounterVec with the given name and
@@ -508,56 +550,47 @@ func (r *Registry) NewCounterVec(name, help string, labels ...string) *CounterVe
 	if r == nil {
 		return mk()
 	}
-	f := r.lookup(name, help, kindCounterVec, func() *family { return &family{cvec: mk()} })
-	checkLabels(name, f.cvec.labels, labels)
-	return f.cvec
-}
-
-// NewGaugeVec returns the registered GaugeVec with the given name and
-// label names.
-func (r *Registry) NewGaugeVec(name, help string, labels ...string) *GaugeVec {
-	mk := func() *GaugeVec { return &GaugeVec{newVec(labels, func() *Gauge { return &Gauge{} })} }
-	if r == nil {
-		return mk()
-	}
-	f := r.lookup(name, help, kindGaugeVec, func() *family { return &family{gvec: mk()} })
-	checkLabels(name, f.gvec.labels, labels)
-	return f.gvec
+	return register(r, name, help, "counter", labels, mk)
 }
 
 // NewCounterFunc returns the registered CounterFunc with the given name,
 // creating it on first use. A nil registry returns nil.
 func (r *Registry) NewCounterFunc(name, help string) *CounterFunc {
-	if r == nil {
-		return nil
-	}
-	return r.lookup(name, help, kindCounterFunc, func() *family {
-		return &family{cfunc: &CounterFunc{}}
-	}).cfunc
+	return newFunc[uint64](r, name, help, "counter")
 }
 
 // NewGaugeFunc returns the registered GaugeFunc with the given name. A nil
 // registry returns nil.
 func (r *Registry) NewGaugeFunc(name, help string) *GaugeFunc {
-	if r == nil {
-		return nil
-	}
-	return r.lookup(name, help, kindGaugeFunc, func() *family {
-		return &family{gfunc: &GaugeFunc{}}
-	}).gfunc
+	return newFunc[float64](r, name, help, "gauge")
 }
 
 // NewCounterFuncVec returns the registered CounterFuncVec with the given
 // name and label names. A nil registry returns nil.
 func (r *Registry) NewCounterFuncVec(name, help string, labels ...string) *CounterFuncVec {
+	return newFuncVec[uint64](r, name, help, "counter", labels)
+}
+
+// NewGaugeFuncVec returns the registered GaugeFuncVec with the given name
+// and label names. A nil registry returns nil.
+func (r *Registry) NewGaugeFuncVec(name, help string, labels ...string) *GaugeFuncVec {
+	return newFuncVec[float64](r, name, help, "gauge", labels)
+}
+
+func newFunc[T uint64 | float64](r *Registry, name, help, typ string) *Func[T] {
 	if r == nil {
 		return nil
 	}
-	f := r.lookup(name, help, kindCounterFuncVec, func() *family {
-		return &family{cfvec: &CounterFuncVec{newVec(labels, func() *CounterFunc { return &CounterFunc{} })}}
+	return register(r, name, help, typ, nil, func() *Func[T] { return &Func[T]{} })
+}
+
+func newFuncVec[T uint64 | float64](r *Registry, name, help, typ string, labels []string) *FuncVec[T] {
+	if r == nil {
+		return nil
+	}
+	return register(r, name, help, typ, labels, func() *FuncVec[T] {
+		return &FuncVec[T]{newVec(labels, func() *Func[T] { return &Func[T]{} })}
 	})
-	checkLabels(name, f.cfvec.labels, labels)
-	return f.cfvec
 }
 
 // ContentType is the exposition-format content type Prometheus expects.
@@ -584,51 +617,13 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		if f.help != "" {
 			fmt.Fprintf(&b, "# HELP %s %s\n", f.name, escapeHelp(f.help))
 		}
-		fmt.Fprintf(&b, "# TYPE %s %s\n", f.name, f.kind)
-		switch f.kind {
-		case kindCounter:
-			fmt.Fprintf(&b, "%s %d\n", f.name, f.counter.Value())
-		case kindGauge:
-			fmt.Fprintf(&b, "%s %s\n", f.name, formatFloat(f.gauge.Value()))
-		case kindCounterFunc:
-			fmt.Fprintf(&b, "%s %d\n", f.name, f.cfunc.value())
-		case kindGaugeFunc:
-			fmt.Fprintf(&b, "%s %s\n", f.name, formatFloat(f.gfunc.value()))
-		case kindHistogram:
-			writeHistogram(&b, f.name, "", f.hist)
-		case kindCounterVec:
-			for _, c := range f.cvec.sorted() {
-				fmt.Fprintf(&b, "%s{%s} %d\n", f.name, renderLabels(f.cvec.labels, c.values), c.metric.Value())
-			}
-		case kindGaugeVec:
-			for _, c := range f.gvec.sorted() {
-				fmt.Fprintf(&b, "%s{%s} %s\n", f.name, renderLabels(f.gvec.labels, c.values), formatFloat(c.metric.Value()))
-			}
-		case kindCounterFuncVec:
-			for _, c := range f.cfvec.sorted() {
-				fmt.Fprintf(&b, "%s{%s} %d\n", f.name, renderLabels(f.cfvec.labels, c.values), c.metric.value())
-			}
-		}
+		fmt.Fprintf(&b, "# TYPE %s %s\n", f.name, f.typ)
+		f.m.write(&b, f.name)
 		if _, err := io.WriteString(w, b.String()); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// writeHistogram renders cumulative le-buckets plus _sum and _count.
-// extraLabels, when non-empty, is a pre-rendered "k=\"v\"" list to merge
-// into the bucket lines.
-func writeHistogram(b *strings.Builder, name, extraLabels string, h *Histogram) {
-	cum := uint64(0)
-	for i, bound := range h.bounds {
-		cum += h.buckets[i].Load()
-		fmt.Fprintf(b, "%s_bucket{%sle=%q} %d\n", name, extraLabels, formatFloat(bound), cum)
-	}
-	cum += h.buckets[len(h.bounds)].Load()
-	fmt.Fprintf(b, "%s_bucket{%sle=\"+Inf\"} %d\n", name, extraLabels, cum)
-	fmt.Fprintf(b, "%s_sum %s\n", name, formatFloat(h.Sum()))
-	fmt.Fprintf(b, "%s_count %d\n", name, h.Count())
 }
 
 // renderLabels renders `k1="v1",k2="v2"` with exposition-format escaping.
@@ -659,6 +654,15 @@ func escapeHelp(s string) string {
 	s = strings.ReplaceAll(s, `\`, `\\`)
 	s = strings.ReplaceAll(s, "\n", `\n`)
 	return s
+}
+
+// formatValue renders a Func's value: a count as an integer, a gauge as
+// formatFloat does.
+func formatValue[T uint64 | float64](v T) string {
+	if n, ok := any(v).(uint64); ok {
+		return strconv.FormatUint(n, 10)
+	}
+	return formatFloat(float64(v))
 }
 
 // formatFloat renders a float the way Prometheus text format expects.

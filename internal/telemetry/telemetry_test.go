@@ -176,12 +176,10 @@ func TestNilRegistryIsNoOp(t *testing.T) {
 	g := reg.NewGauge("dfsqos_nop_gauge", "")
 	h := reg.NewHistogram("dfsqos_nop_seconds", "", nil)
 	cv := reg.NewCounterVec("dfsqos_nop_vec_total", "", "k")
-	gv := reg.NewGaugeVec("dfsqos_nop_gvec", "", "k")
 	c.Inc()
 	g.Set(1)
 	h.Observe(1)
 	cv.With("v").Inc()
-	gv.With("v").Set(2)
 	if c.Value() != 1 || g.Value() != 1 || h.Count() != 1 {
 		t.Fatal("nil-registry metrics must still record")
 	}
@@ -359,10 +357,55 @@ func TestFuncSeriesKindsAndNilRegistry(t *testing.T) {
 	none.NewCounterFunc("dfsqos_nop_func_total", "").Bind(func() uint64 { return 1 })
 	none.NewGaugeFunc("dfsqos_nop_func", "").Bind(func() float64 { return 1 })
 	none.NewCounterFuncVec("dfsqos_nop_func_vec_total", "", "k").With("v").Bind(func() uint64 { return 1 })
+	none.NewGaugeFuncVec("dfsqos_nop_gfunc_vec", "", "k").With("v").Bind(func() float64 { return 1 })()
 }
 
-// Binding while another goroutine scrapes is safe: each scrape reads the
-// sources bound by then.
+// An unbound source leaves its series' sum, a vector child left with no
+// source leaves the exposition, and Bindings removes its sources together,
+// and one added after its Unbind at once.
+func TestUnbindRemovesSources(t *testing.T) {
+	reg := NewRegistry()
+	opens := reg.NewCounterFunc("dfsqos_test_opens_total", "Opens.")
+	free := reg.NewGaugeFuncVec("dfsqos_test_free_bytes", "Free bytes.", "disk")
+	var node Bindings
+	node.Add(opens.Bind(func() uint64 { return 3 }))
+	node.Add(free.With("a").Bind(func() float64 { return 1.5 }))
+	other := opens.Bind(func() uint64 { return 4 })
+	free.With("b").Bind(func() float64 { return 2 })
+	want := func(what, body string) {
+		t.Helper()
+		var b strings.Builder
+		if err := reg.WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		if b.String() != body {
+			t.Errorf("%s:\n%s\nwant\n%s", what, b.String(), body)
+		}
+	}
+	want("all bound", `# HELP dfsqos_test_opens_total Opens.
+# TYPE dfsqos_test_opens_total counter
+dfsqos_test_opens_total 7
+# HELP dfsqos_test_free_bytes Free bytes.
+# TYPE dfsqos_test_free_bytes gauge
+dfsqos_test_free_bytes{disk="a"} 1.5
+dfsqos_test_free_bytes{disk="b"} 2
+`)
+	node.Unbind()
+	node.Unbind()
+	node.Add(free.With("c").Bind(func() float64 { return 9 }))
+	other()
+	other()
+	want("node and other unbound", `# HELP dfsqos_test_opens_total Opens.
+# TYPE dfsqos_test_opens_total counter
+dfsqos_test_opens_total 0
+# HELP dfsqos_test_free_bytes Free bytes.
+# TYPE dfsqos_test_free_bytes gauge
+dfsqos_test_free_bytes{disk="b"} 2
+`)
+}
+
+// Binding and unbinding while another goroutine scrapes is safe: each
+// scrape reads the sources bound by then.
 func TestFuncBindWhileScraping(t *testing.T) {
 	reg := NewRegistry()
 	c := reg.NewCounterFunc("dfsqos_race_func_total", "")
@@ -373,6 +416,7 @@ func TestFuncBindWhileScraping(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 200; i++ {
 			c.Bind(func() uint64 { return 1 })
+			c.Bind(func() uint64 { return 5 })() // bound, then unbound
 			vec.With(string(rune('a' + i%4))).Bind(func() uint64 { return 1 })
 		}
 	}()

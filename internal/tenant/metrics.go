@@ -3,107 +3,75 @@ package tenant
 import (
 	"dfsqos/internal/ids"
 	"dfsqos/internal/telemetry"
-	"dfsqos/internal/units"
 )
 
 // Metrics is the per-tenant telemetry surface, labelled by tenant so one
-// scrape shows who is consuming what — the PR 2 label plumbing the
-// ROADMAP promised would make per-tenant observability "nearly free".
-// Build one with NewMetrics and attach it via Ledger.SetMetrics (the RM
-// daemons do); a nil *Metrics is a no-op sink.
+// scrape shows who is consuming what. Every series reads its tenant's
+// ledger row at scrape time, under the ledger lock: a row is bound when
+// the ledger attached to m creates it, so admissions and releases write
+// no telemetry. Build one with NewMetrics, attach it via Ledger.SetMetrics
+// (the RM daemons do), and take the ledger out of its series again with
+// Unbind; a nil *Metrics is a no-op sink.
 type Metrics struct {
-	// ReservedBandwidth gauges each tenant's reserved bandwidth in
-	// flight (dfsqos_tenant_reserved_bandwidth_bytes_per_second{tenant}).
-	ReservedBandwidth *telemetry.GaugeVec
-	// Streams gauges each tenant's open reservations
-	// (dfsqos_tenant_streams{tenant}).
-	Streams *telemetry.GaugeVec
-	// StoredBytes gauges each tenant's charged replica bytes
-	// (dfsqos_tenant_stored_bytes{tenant}).
-	StoredBytes *telemetry.GaugeVec
-	// Admissions counts quota-checked reservations granted
-	// (dfsqos_tenant_admissions_total{tenant}).
-	Admissions *telemetry.CounterVec
-	// Rejections counts typed over-quota refusals, both dimensions
-	// (dfsqos_tenant_rejections_total{tenant}).
-	Rejections *telemetry.CounterVec
-	// BidClamps counts CFP bids clamped down to the tenant's remaining
-	// bandwidth quota (dfsqos_tenant_bid_clamps_total{tenant}).
-	BidClamps *telemetry.CounterVec
-	// ChargedBytes counts bytes charged against byte quotas
-	// (dfsqos_tenant_charged_bytes_total{tenant}).
-	ChargedBytes *telemetry.CounterVec
+	// The row's gauges and counts, one family each, labelled tenant.
+	bandwidth, streams, stored              *telemetry.GaugeFuncVec
+	admissions, rejections, clamps, charged *telemetry.CounterFuncVec
+
+	bound telemetry.Bindings
 }
 
 // NewMetrics registers the tenant metric families on reg (nil reg yields
-// live no-op instruments, the PR 2 contract).
+// a sink that keeps nothing).
 func NewMetrics(reg *telemetry.Registry) *Metrics {
 	return &Metrics{
-		ReservedBandwidth: reg.NewGaugeVec("dfsqos_tenant_reserved_bandwidth_bytes_per_second",
+		bandwidth: reg.NewGaugeFuncVec("dfsqos_tenant_reserved_bandwidth_bytes_per_second",
 			"Reserved bandwidth in flight per tenant.", "tenant"),
-		Streams: reg.NewGaugeVec("dfsqos_tenant_streams",
+		streams: reg.NewGaugeFuncVec("dfsqos_tenant_streams",
 			"Open QoS reservations per tenant.", "tenant"),
-		StoredBytes: reg.NewGaugeVec("dfsqos_tenant_stored_bytes",
+		stored: reg.NewGaugeFuncVec("dfsqos_tenant_stored_bytes",
 			"Stored replica bytes charged per tenant.", "tenant"),
-		Admissions: reg.NewCounterVec("dfsqos_tenant_admissions_total",
+		admissions: reg.NewCounterFuncVec("dfsqos_tenant_admissions_total",
 			"Quota-checked reservations granted per tenant.", "tenant"),
-		Rejections: reg.NewCounterVec("dfsqos_tenant_rejections_total",
+		rejections: reg.NewCounterFuncVec("dfsqos_tenant_rejections_total",
 			"Over-quota refusals per tenant (bandwidth or bytes).", "tenant"),
-		BidClamps: reg.NewCounterVec("dfsqos_tenant_bid_clamps_total",
+		clamps: reg.NewCounterFuncVec("dfsqos_tenant_bid_clamps_total",
 			"Bids clamped to the tenant's remaining bandwidth quota.", "tenant"),
-		ChargedBytes: reg.NewCounterVec("dfsqos_tenant_charged_bytes_total",
+		charged: reg.NewCounterFuncVec("dfsqos_tenant_charged_bytes_total",
 			"Bytes charged against tenant byte quotas.", "tenant"),
 	}
 }
 
-// Clamped counts one bid clamped to the tenant's remaining quota.
-func (m *Metrics) Clamped(t ids.TenantID) {
-	if m == nil {
-		return
-	}
-	m.BidClamps.With(t.String()).Inc()
-}
-
-func (m *Metrics) admitted(t ids.TenantID, bw units.BytesPerSec, streams int) {
-	if m == nil {
-		return
-	}
+// bind points t's series at row a of l, each read under l.mu.
+func (m *Metrics) bind(l *Ledger, t ids.TenantID, a *acct) {
 	label := t.String()
-	m.Admissions.With(label).Inc()
-	m.ReservedBandwidth.With(label).Set(float64(bw))
-	m.Streams.With(label).Set(float64(streams))
+	gauge := func(vec *telemetry.GaugeFuncVec, v func() float64) {
+		m.bound.Add(vec.With(label).Bind(locked(l, v)))
+	}
+	count := func(vec *telemetry.CounterFuncVec, n *uint64) {
+		m.bound.Add(vec.With(label).Bind(locked(l, func() uint64 { return *n })))
+	}
+	gauge(m.bandwidth, func() float64 { return float64(a.bandwidth) })
+	gauge(m.streams, func() float64 { return float64(a.streams) })
+	gauge(m.stored, func() float64 { return float64(a.bytes) })
+	count(m.admissions, &a.admissions)
+	count(m.rejections, &a.rejections)
+	count(m.clamps, &a.clamps)
+	count(m.charged, &a.charged)
 }
 
-func (m *Metrics) released(t ids.TenantID, bw units.BytesPerSec, streams int) {
-	if m == nil {
-		return
+// locked wraps read to run under l.mu.
+func locked[T any](l *Ledger, read func() T) func() T {
+	return func() T {
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		return read()
 	}
-	label := t.String()
-	m.ReservedBandwidth.With(label).Set(float64(bw))
-	m.Streams.With(label).Set(float64(streams))
 }
 
-func (m *Metrics) rejected(t ids.TenantID) {
-	if m == nil {
-		return
+// Unbind takes every ledger row bound to m out of its series, and any the
+// ledger creates later: a stopped node's tenants leave the registry's sums.
+func (m *Metrics) Unbind() {
+	if m != nil {
+		m.bound.Unbind()
 	}
-	m.Rejections.With(t.String()).Inc()
-}
-
-func (m *Metrics) bytesCharged(t ids.TenantID, n, total int64) {
-	if m == nil {
-		return
-	}
-	label := t.String()
-	if n > 0 {
-		m.ChargedBytes.With(label).Add(uint64(n))
-	}
-	m.StoredBytes.With(label).Set(float64(total))
-}
-
-func (m *Metrics) bytesReleased(t ids.TenantID, total int64) {
-	if m == nil {
-		return
-	}
-	m.StoredBytes.With(t.String()).Set(float64(total))
 }

@@ -95,12 +95,15 @@ func (e *OverQuotaError) Unwrap() error {
 	return ecnp.ErrTenantBandwidth
 }
 
-// acct is one tenant's ledger row: the declared quota plus live usage.
+// acct is one tenant's ledger row: the declared quota, live usage, and
+// the counts of what the ledger decided for the tenant.
 type acct struct {
 	quota     Quota
 	bandwidth units.BytesPerSec // reserved bandwidth in flight
 	bytes     int64             // stored bytes charged
 	streams   int               // open reservations
+
+	admissions, rejections, clamps, charged uint64 // charged in bytes
 }
 
 // Ledger tracks per-tenant quota and usage for one RM. The zero value
@@ -119,14 +122,21 @@ func NewLedger() *Ledger {
 	return &Ledger{accts: make(map[ids.TenantID]*acct)}
 }
 
-// SetMetrics attaches the per-tenant telemetry sink (nil detaches).
+// SetMetrics attaches the per-tenant telemetry sink: every row, those the
+// ledger holds and those it creates later, is bound to m's series (see
+// Metrics.Unbind). Nil attaches none.
 func (l *Ledger) SetMetrics(m *Metrics) {
 	if l == nil {
 		return
 	}
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	l.met = m
-	l.mu.Unlock()
+	if m != nil {
+		for t, a := range l.accts {
+			m.bind(l, t, a)
+		}
+	}
 }
 
 // Set declares or replaces one tenant's quota. Usage already accrued is
@@ -148,6 +158,9 @@ func (l *Ledger) acct(t ids.TenantID) *acct {
 	if a == nil {
 		a = &acct{quota: Unlimited}
 		l.accts[t] = a
+		if l.met != nil {
+			l.met.bind(l, t, a)
+		}
 	}
 	return a
 }
@@ -164,19 +177,16 @@ func (l *Ledger) ReserveBandwidth(t ids.TenantID, rate units.BytesPerSec) error 
 	l.mu.Lock()
 	a := l.acct(t)
 	if lim := a.quota.Bandwidth; lim >= 0 && a.bandwidth+rate > lim {
+		a.rejections++
 		err := &OverQuotaError{Tenant: t, Dim: "bandwidth",
 			Requested: float64(rate), Used: float64(a.bandwidth), Limit: float64(lim)}
-		met := l.met
 		l.mu.Unlock()
-		met.rejected(t)
 		return err
 	}
 	a.bandwidth += rate
 	a.streams++
-	bw, streams := a.bandwidth, a.streams
-	met := l.met
+	a.admissions++
 	l.mu.Unlock()
-	met.admitted(t, bw, streams)
 	return nil
 }
 
@@ -195,10 +205,7 @@ func (l *Ledger) ReleaseBandwidth(t ids.TenantID, rate units.BytesPerSec) {
 	if a.streams > 0 {
 		a.streams--
 	}
-	bw, streams := a.bandwidth, a.streams
-	met := l.met
 	l.mu.Unlock()
-	met.released(t, bw, streams)
 }
 
 // ChargeBytes atomically charges n stored bytes against the tenant's
@@ -211,18 +218,17 @@ func (l *Ledger) ChargeBytes(t ids.TenantID, n int64) error {
 	l.mu.Lock()
 	a := l.acct(t)
 	if lim := a.quota.Bytes; lim >= 0 && a.bytes+n > lim {
+		a.rejections++
 		err := &OverQuotaError{Tenant: t, Dim: "bytes",
 			Requested: float64(n), Used: float64(a.bytes), Limit: float64(lim)}
-		met := l.met
 		l.mu.Unlock()
-		met.rejected(t)
 		return err
 	}
 	a.bytes += n
-	total := a.bytes
-	met := l.met
+	if n > 0 {
+		a.charged += uint64(n)
+	}
 	l.mu.Unlock()
-	met.bytesCharged(t, n, total)
 	return nil
 }
 
@@ -238,10 +244,7 @@ func (l *Ledger) ReleaseBytes(t ids.TenantID, n int64) {
 	if a.bytes < 0 {
 		a.bytes = 0
 	}
-	total := a.bytes
-	met := l.met
 	l.mu.Unlock()
-	met.bytesReleased(t, total)
 }
 
 // RemainingBandwidth reports how much more bandwidth the tenant may
@@ -283,16 +286,15 @@ func (l *Ledger) Share(t ids.TenantID, capacity units.BytesPerSec) float64 {
 	return (float64(a.bandwidth) / float64(capacity)) / a.quota.weight()
 }
 
-// Clamped records that a CFP bid was clamped down to the tenant's
-// remaining bandwidth quota (telemetry only; no ledger state changes).
+// Clamped counts a CFP bid clamped down to the tenant's remaining
+// bandwidth quota; no usage changes.
 func (l *Ledger) Clamped(t ids.TenantID) {
 	if l == nil || !t.Valid() {
 		return
 	}
 	l.mu.Lock()
-	met := l.met
+	l.acct(t).clamps++
 	l.mu.Unlock()
-	met.Clamped(t)
 }
 
 // Usage is one tenant's ledger snapshot.

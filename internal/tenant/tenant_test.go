@@ -2,6 +2,10 @@ package tenant
 
 import (
 	"errors"
+	"fmt"
+	"maps"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -230,34 +234,160 @@ func TestMetricsFlow(t *testing.T) {
 	}
 	l.ReleaseBytes(1, 10)
 	l.ReleaseBandwidth(1, 100)
-	m.Clamped(1)
-	label := ids.TenantID(1).String()
-	if got := m.Admissions.With(label).Value(); got != 1 {
-		t.Fatalf("admissions = %d", got)
+	l.Clamped(1)
+	got := scrapeTenant(t, reg)
+	series := func(name string) float64 { return got[name+`{tenant="tenant1"}`] }
+	if got := series("dfsqos_tenant_admissions_total"); got != 1 {
+		t.Fatalf("admissions = %v", got)
 	}
-	if got := m.Rejections.With(label).Value(); got != 1 {
-		t.Fatalf("rejections = %d", got)
+	if got := series("dfsqos_tenant_rejections_total"); got != 1 {
+		t.Fatalf("rejections = %v", got)
 	}
-	if got := m.BidClamps.With(label).Value(); got != 1 {
-		t.Fatalf("clamps = %d", got)
+	if got := series("dfsqos_tenant_bid_clamps_total"); got != 1 {
+		t.Fatalf("clamps = %v", got)
 	}
-	if got := m.ChargedBytes.With(label).Value(); got != 60 {
-		t.Fatalf("charged bytes = %d", got)
+	if got := series("dfsqos_tenant_charged_bytes_total"); got != 60 {
+		t.Fatalf("charged bytes = %v", got)
 	}
-	if got := m.StoredBytes.With(label).Value(); got != 50 {
+	if got := series("dfsqos_tenant_stored_bytes"); got != 50 {
 		t.Fatalf("stored bytes gauge = %v", got)
 	}
-	if got := m.ReservedBandwidth.With(label).Value(); got != 0 {
+	if got := series("dfsqos_tenant_reserved_bandwidth_bytes_per_second"); got != 0 {
 		t.Fatalf("reserved bandwidth gauge = %v", got)
 	}
 	// Nil metrics receivers are safe no-ops.
 	var nilm *Metrics
-	nilm.Clamped(1)
-	nilm.admitted(1, 0, 0)
-	nilm.released(1, 0, 0)
-	nilm.rejected(1)
-	nilm.bytesCharged(1, 1, 1)
-	nilm.bytesReleased(1, 0)
+	nilm.Unbind()
+	NewLedger().SetMetrics(nilm)
+}
+
+// scrapeTenant renders reg and returns its dfsqos_tenant_* series, keyed
+// by name and labels as the exposition spells them.
+func scrapeTenant(t *testing.T, reg *telemetry.Registry) map[string]float64 {
+	t.Helper()
+	var b strings.Builder
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]float64)
+	for _, line := range strings.Split(b.String(), "\n") {
+		if !strings.HasPrefix(line, "dfsqos_tenant_") {
+			continue
+		}
+		i := strings.LastIndexByte(line, ' ')
+		v, err := strconv.ParseFloat(line[i+1:], 64)
+		if err != nil {
+			t.Fatalf("series %q: %v", line, err)
+		}
+		out[line[:i]] = v
+	}
+	return out
+}
+
+// tenantSeries is what every dfsqos_tenant_* series of a registry the
+// ledgers ls are attached to must read: each tenant's rows, summed over
+// the ledgers.
+func tenantSeries(ls ...*Ledger) map[string]float64 {
+	want := make(map[string]float64)
+	for _, l := range ls {
+		l.mu.Lock()
+		for tn, a := range l.accts {
+			for name, v := range map[string]float64{
+				"dfsqos_tenant_reserved_bandwidth_bytes_per_second": float64(a.bandwidth),
+				"dfsqos_tenant_streams":                             float64(a.streams),
+				"dfsqos_tenant_stored_bytes":                        float64(a.bytes),
+				"dfsqos_tenant_admissions_total":                    float64(a.admissions),
+				"dfsqos_tenant_rejections_total":                    float64(a.rejections),
+				"dfsqos_tenant_bid_clamps_total":                    float64(a.clamps),
+				"dfsqos_tenant_charged_bytes_total":                 float64(a.charged),
+			} {
+				want[fmt.Sprintf("%s{tenant=%q}", name, tn.String())] += v
+			}
+		}
+		l.mu.Unlock()
+	}
+	return want
+}
+
+// After admissions, refusals on both axes, byte charges and releases and
+// clamped bids on two ledgers sharing one registry, each dfsqos_tenant_*
+// series reads the ledgers' rows, summed per tenant, including a row
+// created after the ledger was attached; a ledger taken out with Unbind
+// leaves the sums, and a row it creates afterwards stays out.
+func TestMetricsReadTheLedgerAtScrapeTime(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	a, b := NewLedger(), NewLedger()
+	a.Set(1, Quota{Bandwidth: 100, Bytes: 1000})
+	ma := NewMetrics(reg)
+	a.SetMetrics(ma) // binds the row Set made
+	b.SetMetrics(NewMetrics(reg))
+	b.Set(1, Quota{Bandwidth: 50, Bytes: NoLimit})
+	if got, want := scrapeTenant(t, reg), tenantSeries(a, b); !maps.Equal(got, want) {
+		t.Fatalf("at start: %v, want %v", got, want)
+	}
+
+	for _, l := range []*Ledger{a, b} {
+		for i := 0; i < 3; i++ {
+			l.ReserveBandwidth(1, 30) // the third is over b's quota
+		}
+		l.ReleaseBandwidth(1, 30)
+		l.ChargeBytes(1, 700)
+		l.ChargeBytes(1, 700) // over a's quota
+		l.ReleaseBytes(1, 200)
+		l.Clamped(1)
+		l.ReserveBandwidth(2, 10) // tenant 2's row is made here, bound as made
+		l.ChargeBytes(2, 5)
+	}
+	ua, ub := *a.accts[1], *b.accts[1]
+	if ua.admissions != 3 || ua.rejections != 1 || ua.clamps != 1 || ua.charged != 700 ||
+		ub.admissions != 1 || ub.rejections != 2 || ub.charged != 1400 {
+		t.Fatalf("the script did not move every count: %+v, %+v", ua, ub)
+	}
+	if got, want := scrapeTenant(t, reg), tenantSeries(a, b); !maps.Equal(got, want) {
+		t.Fatalf("after the script: %v, want %v", got, want)
+	}
+
+	ma.Unbind()
+	a.ReserveBandwidth(3, 1) // a row made after Unbind is not bound
+	if got, want := scrapeTenant(t, reg), tenantSeries(b); !maps.Equal(got, want) {
+		t.Fatalf("after Unbind: %v, want %v", got, want)
+	}
+}
+
+// A scrape runs concurrently with admissions, releases and new rows (run
+// under -race).
+func TestMetricsScrapeDuringAdmissions(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	l := NewLedger()
+	l.SetMetrics(NewMetrics(reg))
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 300; i++ {
+				tn := ids.TenantID(1 + (w*300+i)%7)
+				l.ReserveBandwidth(tn, 10)
+				l.ChargeBytes(tn, 3)
+				l.Clamped(tn)
+				if i%2 == 0 {
+					l.ReleaseBandwidth(tn, 10)
+				}
+			}
+		}(w)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 50; i++ {
+			scrapeTenant(t, reg)
+		}
+	}()
+	wg.Wait()
+	<-done
+	if got, want := scrapeTenant(t, reg), tenantSeries(l); !maps.Equal(got, want) {
+		t.Fatalf("after the race: %v, want %v", got, want)
+	}
 }
 
 func TestParseQuotas(t *testing.T) {
