@@ -124,14 +124,16 @@ scenarios-tenant:
 # written file lives in), the access pattern's arrival sort (and its
 # per-range sort-and-merge) against a stable comparison sort and the
 # guided CDF sampler against a whole-table binary search, and the replica
-# placement's holder-list edits against the insertion-order reference, a
-# short randomized run on top of its seeded corpus — enough to catch
+# placement's holder-list edits against the insertion-order reference and
+# an RM's bid occupation bias against its per-CFP recomputation, a short
+# randomized run on top of its seeded corpus — enough to catch
 # decoder panics, round-trip divergence, an event fired out of (time,
 # sequence) order, a segment layout that gaps, overlaps or overruns, a
 # synthesized byte that moved, a stored byte that reads back other than it
 # was written, a request sorted out of its stable arrival order, a
-# popularity draw that picks another rank and a lent holder list that an
-# edit changed, without CI-hostile runtimes.
+# popularity draw that picks another rank, a lent holder list that an
+# edit changed and a bid that kept a stale bias, without CI-hostile
+# runtimes.
 # Targets must run one at a time (go test allows a single -fuzz pattern
 # per invocation).
 FUZZ_TIME ?= 10s
@@ -146,6 +148,7 @@ fuzz-smoke:
 	$(GO) test ./internal/workload/ -run '^$$' -fuzz '^FuzzSortByArrival$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/rng/ -run '^$$' -fuzz '^FuzzCDFIndex$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/catalog/ -run '^$$' -fuzz '^FuzzPlacementEdits$$' -fuzztime $(FUZZ_TIME)
+	$(GO) test ./internal/rm/ -run '^$$' -fuzz '^FuzzBidOccupationBias$$' -fuzztime $(FUZZ_TIME)
 
 # docs runs the documentation-consistency suite (internal/docscheck):
 # every flag the daemons register and every dfsqos_* telemetry series

@@ -72,7 +72,7 @@ func BenchmarkCollectBidsConcurrent(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			bids, providers := c.collectBids(ctx, ids16, cfp, bidBuf[:0], provBuf[:0])
+			bids, providers, _ := c.collectBids(ctx, ids16, cfp, bidBuf[:0], provBuf[:0])
 			if len(bids) != holders || len(providers) != holders {
 				b.Fatalf("collected %d bids from %d providers", len(bids), len(providers))
 			}

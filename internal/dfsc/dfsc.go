@@ -438,6 +438,11 @@ func (c *Client) negotiateLanes(ctx context.Context, dst []grant, op workload.Op
 	// file, in which case the request skips the MM entirely. A write, and
 	// a read under plain-CNP broadcast, has no matchmaker to ask: the CFP
 	// goes to every registered RM.
+	//
+	// The request's phase-1 and phase-2 messages and stalled bidders are
+	// tallied here and counted in the one c.mu section that next runs:
+	// the ranking's, a probe's, or the failure's.
+	var sent tally
 	candidates := candBuf[:0]
 	fromLease := false
 	lookupSp := c.tracer.StartChild(sp.Context(), "dfsc.lookup").SetFile(file)
@@ -447,15 +452,18 @@ func (c *Client) negotiateLanes(ctx context.Context, dst []grant, op workload.Op
 		for _, info := range rms {
 			candidates = append(candidates, info.ID)
 		}
-		c.add(&c.stats.Messages, 2) // resource-list fetch + reply
+		sent.messages = 2 // resource-list fetch + reply
 		lookupSp.SetOutcome("ok").End()
 	} else {
 		var lookupErr error
 		candidates, fromLease, lookupErr = c.lookupHolders(
 			trace.NewContext(ctx, lookupSp.Context()), file, len(exclude) > 0)
+		if !fromLease {
+			sent.messages = 2 // query + reply
+		}
 		if lookupErr != nil {
 			lookupSp.SetOutcome("error").End()
-			return c.fail(sp, fromLease, "lookup-error", Outcome{Request: req, File: file,
+			return c.fail(sp, fromLease, sent, "lookup-error", Outcome{Request: req, File: file,
 				Reason: fmt.Sprintf("metadata lookup failed: %v", lookupErr)})
 		}
 		if fromLease {
@@ -476,11 +484,14 @@ func (c *Client) negotiateLanes(ctx context.Context, dst []grant, op workload.Op
 		candidates = kept
 	}
 	if len(candidates) == 0 {
-		return c.fail(sp, fromLease, "no-replica", Outcome{Request: req, File: file, Reason: "no replica registered"})
+		return c.fail(sp, fromLease, sent, "no-replica", Outcome{Request: req, File: file, Reason: "no replica registered"})
 	}
 	if op == workload.OpMeta {
 		// A probe is phase 1 alone: the MM's answer is the request.
-		c.add(&c.stats.Completed, 1)
+		c.mu.Lock()
+		c.stats.Completed++
+		c.stats.Messages += sent.messages
+		c.mu.Unlock()
 		sp.SetOutcome("ok")
 		return nil, Outcome{Request: req, File: file, RM: candidates[0], OK: true}
 	}
@@ -496,8 +507,10 @@ func (c *Client) negotiateLanes(ctx context.Context, dst []grant, op workload.Op
 		Tenant:      c.tenant,
 	}
 	bidSp := c.tracer.StartChild(sp.Context(), "dfsc.bid").SetFile(file).SetRequest(req)
-	bids, providers := c.collectBids(trace.NewContext(ctx, bidSp.Context()), candidates, cfp, bidBuf[:0], provBuf[:0])
+	bids, providers, stalled := c.collectBids(trace.NewContext(ctx, bidSp.Context()), candidates, cfp, bidBuf[:0], provBuf[:0])
 	bidSp.SetOutcome("ok").End()
+	sent.messages += int64(2 * len(bids)) // CFP + bid per contacted provider
+	sent.stalls = int64(stalled)
 	if c.broadcast && op == workload.OpRead {
 		// A CNP provider without the file refuses; its CFP and refusal
 		// are the redundant traffic ECNP eliminates.
@@ -511,7 +524,7 @@ func (c *Client) negotiateLanes(ctx context.Context, dst []grant, op workload.Op
 		bids, providers = bids[:kept], providers[:kept]
 	}
 	if len(bids) == 0 {
-		return c.fail(sp, fromLease, "no-rm", Outcome{Request: req, File: file, Reason: "no reachable RM"})
+		return c.fail(sp, fromLease, sent, "no-rm", Outcome{Request: req, File: file, Reason: "no reachable RM"})
 	}
 
 	// Rank the bidders: policy order, or a uniform shuffle for (0,0,0).
@@ -521,6 +534,8 @@ func (c *Client) negotiateLanes(ctx context.Context, dst []grant, op workload.Op
 	c.mu.Lock()
 	order := selection.TopK(orderBuf[:0], c.policy, bids, len(bids), c.src)
 	firm := c.scen.IsFirm()
+	c.stats.Messages += sent.messages
+	c.stats.FanoutStalls += sent.stalls
 	c.mu.Unlock()
 
 	// Phase 3 — data communication: open on the ranked winners until k
@@ -567,7 +582,7 @@ func (c *Client) negotiateLanes(ctx context.Context, dst []grant, op workload.Op
 				// the widening but the admitted lanes stand.
 				break
 			}
-			return c.fail(sp, fromLease, "error", Outcome{Request: req, File: file, Code: res.Code, Reason: res.Reason})
+			return c.fail(sp, fromLease, tally{}, "error", Outcome{Request: req, File: file, Code: res.Code, Reason: res.Reason})
 		}
 		openSp.SetOutcome("admitted").End()
 		grants = append(grants, grant{
@@ -579,7 +594,7 @@ func (c *Client) negotiateLanes(ctx context.Context, dst []grant, op workload.Op
 		sp.SetRM(grants[len(dst)].out.RM).SetOutcome("admitted")
 		return grants, Outcome{}
 	}
-	return c.fail(sp, fromLease, "exhausted", Outcome{Request: req, File: file, Code: last.Code, Reason: last.Reason})
+	return c.fail(sp, fromLease, tally{}, "exhausted", Outcome{Request: req, File: file, Code: last.Code, Reason: last.Reason})
 }
 
 // admit runs phase 3 on the bidder of bid: one open, a write's as much
@@ -610,15 +625,21 @@ func (c *Client) admit(ctx context.Context, openSp *trace.Span, p ecnp.Provider,
 	return res
 }
 
-// fail counts one failed request — in Stats and on its span, whose
-// outcome is why — and returns out as its failure. Every failure of the
-// flow returns through it. A lease that routed the request is dropped:
-// the cached set sent the client at replicas that refused or died, so the
-// next attempt must re-resolve from the MM.
-func (c *Client) fail(sp *trace.Span, fromLease bool, why string, out Outcome) ([]grant, Outcome) {
+// tally is what a request has sent and not yet counted in Stats: its
+// messages and its bidders that missed the fan-out deadline.
+type tally struct{ messages, stalls int64 }
+
+// fail counts one failed request — in Stats, with what it sent, and on
+// its span, whose outcome is why — and returns out as its failure. Every
+// failure of the flow returns through it. A lease that routed the request
+// is dropped: the cached set sent the client at replicas that refused or
+// died, so the next attempt must re-resolve from the MM.
+func (c *Client) fail(sp *trace.Span, fromLease bool, sent tally, why string, out Outcome) ([]grant, Outcome) {
 	dropped := fromLease && c.meta.Invalidate(out.File)
 	c.mu.Lock()
 	c.stats.Failed++
+	c.stats.Messages += sent.messages
+	c.stats.FanoutStalls += sent.stalls
 	if why == "no-replica" {
 		c.stats.NoReplica++
 	}
@@ -637,7 +658,8 @@ func (c *Client) fail(sp *trace.Span, fromLease bool, why string, out Outcome) (
 // when offered, so transport failures surface typed and counted by class
 // instead of masquerading as "no replica". A failover re-negotiation
 // (failover true) invalidates the file's lease first: the cached replica
-// set just failed the client, so replaying it would be wrong.
+// set just failed the client, so replaying it would be wrong. The
+// query's two messages are its caller's to count.
 func (c *Client) lookupHolders(ctx context.Context, file ids.FileID, failover bool) (holders []ids.RMID, fromLease bool, err error) {
 	dropped := false
 	if c.meta != nil {
@@ -652,18 +674,19 @@ func (c *Client) lookupHolders(ctx context.Context, file ids.FileID, failover bo
 	} else {
 		holders = c.mapper.Lookup(file)
 	}
-	c.mu.Lock()
-	c.stats.Messages += 2 // query + reply
-	if c.meta != nil {
-		c.stats.MetaMisses++
-		if dropped {
-			c.stats.MetaInvalidated++
+	if c.meta != nil || err != nil {
+		c.mu.Lock()
+		if c.meta != nil {
+			c.stats.MetaMisses++
+			if dropped {
+				c.stats.MetaInvalidated++
+			}
 		}
+		if err != nil {
+			c.stats.LookupErrors[classifyLookupErr(err)]++
+		}
+		c.mu.Unlock()
 	}
-	if err != nil {
-		c.stats.LookupErrors[classifyLookupErr(err)]++
-	}
-	c.mu.Unlock()
 	if err != nil {
 		return nil, false, err
 	}
@@ -677,82 +700,78 @@ func (c *Client) lookupHolders(ctx context.Context, file ids.FileID, failover bo
 // bid per contacted provider to bids, in candidate order, with the
 // providers appended index-aligned beside them to providers: providers[i]
 // answered bids[i]. Both come in empty, in the caller's buffers. A
-// repeated id is contacted once and an unresolvable one is skipped. Each
-// contacted provider counts a CFP+bid pair of messages.
+// repeated candidate id is contacted once and an unresolvable one is
+// skipped. It also returns how many providers missed the deadline; the
+// caller counts that and a CFP+bid pair of messages per contacted
+// provider.
 //
-// Serial mode (the default) calls each provider in turn — the
-// deterministic shape the discrete-event simulation requires; providers
-// implementing ecnp.CtxBidder still receive ctx so a trace span attached
-// to it rides the CFP to the RM. Concurrent mode hands one job per
-// provider to the client's bid workers (see bidWorkers: every CFP runs at
-// once, on goroutines kept from earlier negotiations) and waits at most
+// Serial mode (the default) calls each provider in turn as the candidate
+// loop reaches it and appends its bid — the deterministic shape the
+// discrete-event simulation requires; providers implementing
+// ecnp.CtxBidder still receive ctx so a trace span attached to it rides
+// the CFP to the RM. Concurrent mode hands one job per provider to the
+// client's bid workers (see bidWorkers: every CFP runs at once, on
+// goroutines kept from earlier negotiations) and waits at most
 // BidTimeout: providers implementing ecnp.CtxBidder receive the shared
 // negotiation context, so their network round trip is cut off at the
 // deadline too; laggards are abandoned (their workers drain into a
 // buffered channel, bounded by the transport's own call deadline) and
-// contribute a synthesized zero bid that ranks last — the paper's
-// always-bid deviation preserved by degradation instead of blocking the
-// open.
-func (c *Client) collectBids(ctx context.Context, candidates []ids.RMID, cfp ecnp.CFP, bids []selection.Bid, providers []ecnp.Provider) ([]selection.Bid, []ecnp.Provider) {
-	// Until its provider answers, a bid is the zero bid: the slot's RM is
-	// what later candidates are checked against, and what a provider that
-	// misses the deadline is left with. The MM hands out ids in ascending
-	// order, so a candidate above the last one kept cannot be a repeat and
-	// the whole resource list (broadcast CNP, a write) is checked in one
-	// pass; only a list that steps backwards is searched.
+// keep the zero bid their slot holds until an answer lands, which ranks
+// last — the paper's always-bid deviation preserved by degradation
+// instead of blocking the open.
+func (c *Client) collectBids(ctx context.Context, candidates []ids.RMID, cfp ecnp.CFP, bids []selection.Bid, providers []ecnp.Provider) ([]selection.Bid, []ecnp.Provider, int) {
+	// The MM hands out ids in ascending order, so while the candidates
+	// ascend a candidate cannot repeat an earlier one and the whole
+	// resource list (broadcast CNP, a write) is checked in one pass; only
+	// a list that steps backwards is searched.
+	serial := !c.fanout.Concurrent
 	bids = slices.Grow(bids, len(candidates))
 	providers = slices.Grow(providers, len(candidates))
 	ascending := true
-	for _, id := range candidates {
-		above := len(bids) == 0 || (ascending && id > bids[len(bids)-1].RM)
-		if !above && bidIndex(bids, id) >= 0 {
+	for i, id := range candidates {
+		if i > 0 && id <= candidates[i-1] {
+			ascending = false
+		}
+		if !ascending && slices.Contains(candidates[:i], id) {
 			continue
 		}
-		if p, ok := c.dir.Provider(id); ok {
-			bids = append(bids, ecnp.ZeroBid(id, cfp))
-			providers = append(providers, p)
-			ascending = ascending && above
+		p, ok := c.dir.Provider(id)
+		if !ok {
+			continue
 		}
+		if serial {
+			bids = append(bids, handleCFP(ctx, p, cfp))
+		} else {
+			bids = append(bids, ecnp.ZeroBid(id, cfp))
+		}
+		providers = append(providers, p)
 	}
-	if len(bids) == 0 {
-		return nil, nil
+	if serial || len(bids) == 0 {
+		return bids, providers, 0
 	}
 
-	stalled := 0
-	if !c.fanout.Concurrent {
-		for i, p := range providers {
-			bids[i] = handleCFP(ctx, p, cfp)
-		}
-	} else {
-		if c.fanout.BidTimeout > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, c.fanout.BidTimeout)
-			defer cancel()
-		}
-		ch := make(chan bidSlot, len(providers)) // buffered: abandoned bidders never block a worker
-		for i, p := range providers {
-			c.workers.submit(bidJob{ctx: ctx, p: p, cfp: cfp, slot: i, reply: ch})
-		}
-	collect:
-		for got := 0; got < len(providers); got++ {
-			select {
-			case s := <-ch:
-				bids[s.i] = s.bid
-			case <-ctx.Done():
-				// The negotiation deadline passed without the remaining
-				// providers' bids: their zero bids rank them last and the
-				// negotiation proceeds with the live bidders (paper's
-				// "always bid" preserved).
-				stalled = len(providers) - got
-				break collect
-			}
+	if c.fanout.BidTimeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, c.fanout.BidTimeout)
+		defer cancel()
+	}
+	ch := make(chan bidSlot, len(providers)) // buffered: abandoned bidders never block a worker
+	for i, p := range providers {
+		c.workers.submit(bidJob{ctx: ctx, p: p, cfp: cfp, slot: i, reply: ch})
+	}
+	for got := 0; got < len(providers); got++ {
+		select {
+		case s := <-ch:
+			bids[s.i] = s.bid
+		case <-ctx.Done():
+			// The negotiation deadline passed without the remaining
+			// providers' bids: their zero bids rank them last and the
+			// negotiation proceeds with the live bidders (paper's
+			// "always bid" preserved).
+			return bids, providers, len(providers) - got
 		}
 	}
-	c.mu.Lock()
-	c.stats.Messages += int64(2 * len(bids)) // CFP + bid per contacted provider
-	c.stats.FanoutStalls += int64(stalled)
-	c.mu.Unlock()
-	return bids, providers
+	return bids, providers, 0
 }
 
 // handleCFP sends one CFP, with ctx when the provider can carry it.
@@ -763,10 +782,9 @@ func handleCFP(ctx context.Context, p ecnp.Provider, cfp ecnp.CFP) selection.Bid
 	return p.HandleCFP(cfp)
 }
 
-// bidIndex returns the position of rm's bid, or -1. Bid lists are a
-// file's replica holders — a handful — except while a resource-wide
-// fan-out is being collected, where the ascending-order shortcut in
-// collectBids keeps this off the common path.
+// bidIndex returns the position of rm's bid, or -1: phase 3's search for
+// a ranked winner among a handful of bids, a file's replica holders, or a
+// resource-wide fan-out's.
 func bidIndex(bids []selection.Bid, rm ids.RMID) int {
 	for i := range bids {
 		if bids[i].RM == rm {

@@ -1,6 +1,8 @@
 package dfsc
 
 import (
+	"context"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -227,5 +229,61 @@ func TestSerialFanoutUnchanged(t *testing.T) {
 	st := c.Stats()
 	if st.Messages != 2+2*2+2 {
 		t.Fatalf("messages = %d, want 8 (query+reply, 2×(CFP+bid), open+result)", st.Messages)
+	}
+}
+
+// namingProvider bids under whatever RM id it is told to name, which need
+// not be its own, and appends its own id to a shared log on each CFP.
+type namingProvider struct {
+	stallProvider
+	names ids.RMID
+	log   *[]ids.RMID
+}
+
+func (p *namingProvider) HandleCFP(cfp ecnp.CFP) selection.Bid {
+	*p.log = append(*p.log, p.id)
+	return selection.Bid{RM: p.names, Rem: units.Mbps(float64(p.id)), Req: cfp.Bitrate, HasReplica: true}
+}
+
+// TestSerialFanoutContactsEachCandidateOnce drives the serial fan-out
+// over a candidate list with repeats, a backward step and an unknown id:
+// each provider gets one CFP, in the order its id first appears, and
+// providers[i] is the one that answered bids[i]. Two providers bid under
+// other RMs' ids, one of them a later candidate's; de-duplication follows
+// the candidate ids, so that candidate is still contacted.
+func TestSerialFanoutContactsEachCandidateOnce(t *testing.T) {
+	var got []ids.RMID
+	dir := new(ecnp.StaticDirectory)
+	for id, names := range map[ids.RMID]ids.RMID{1: 1, 2: 5, 3: 3, 4: 1, 5: 5} {
+		dir.Set(id, &namingProvider{stallProvider: stallProvider{id: id}, names: names, log: &got})
+	}
+	cfg := catalog.DefaultConfig()
+	cfg.NumFiles = 4
+	cat, err := catalog.Generate(cfg, rng.New(9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := New(Options{
+		ID: 1, Mapper: listMapper{}, Directory: dir,
+		Scheduler: ecnp.SimScheduler{S: simtime.NewScheduler()}, Catalog: cat,
+		Policy: selection.RemOnly, Scenario: qos.Soft, Rand: rng.New(5),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	candidates := []ids.RMID{1, 3, 2, 3, 9, 5, 1, 4, 2, 5}
+	want := []ids.RMID{1, 3, 2, 5, 4}
+	bids, providers, stalled := c.collectBids(context.Background(), candidates,
+		ecnp.CFP{Request: 1, File: 0, Bitrate: units.Mbps(1), DurationSec: 60}, nil, nil)
+	if !slices.Equal(got, want) {
+		t.Fatalf("CFPs reached %v, want %v", got, want)
+	}
+	if stalled != 0 || len(bids) != len(want) || len(providers) != len(want) {
+		t.Fatalf("%d bids from %d providers, %d stalled; want %d, %d, 0", len(bids), len(providers), stalled, len(want), len(want))
+	}
+	for i, id := range want {
+		if p := providers[i].(*namingProvider); p.id != id || bids[i].Rem != units.Mbps(float64(id)) {
+			t.Errorf("slot %d: provider %v answered a bid of %v, want provider %v's", i, p.id, bids[i].Rem, id)
+		}
 	}
 }

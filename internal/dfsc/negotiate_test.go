@@ -2,6 +2,7 @@ package dfsc
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"sync"
 	"testing"
@@ -352,3 +353,164 @@ func TestNegotiationTable(t *testing.T) {
 // randomWalkOfFour is the order in which a client seeded rng.New(5) opens
 // four refusing bidders under the random policy.
 var randomWalkOfFour = []ids.RMID{1, 3, 4, 2}
+
+// TestNegotiationExitCounts pins the messages, stalls and the rest of the
+// client's counts at every exit of negotiateLanes, so moving where a
+// count is taken cannot change what it reads: a lookup that fails, finds
+// nothing or is a probe; a fan-out that reaches nobody, the last with a
+// stalled bidder; a soft refusal, a firm exhaustion and an admitted read,
+// each also routed by a metadata lease; and an admitted write.
+func TestNegotiationExitCounts(t *testing.T) {
+	mbps := units.Mbps
+	const firmCap = ecnp.ErrFirmCapacity
+	three := []scriptProvider{{id: 1, rem: mbps(10)}, {id: 2, rem: mbps(30)}, {id: 3, rem: mbps(20)}}
+	cases := []struct {
+		name      string
+		mapper    ecnp.Mapper
+		lease     []ids.RMID // a live metadata lease for the file, when set
+		providers []scriptProvider
+		op        workload.Op
+		scenario  qos.Scenario
+		broadcast bool
+		fanout    Fanout
+		wantOK    bool
+		wantStats Stats
+	}{
+		{
+			name:      "lookup error",
+			mapper:    &failingMapper{err: errors.New("mm down")},
+			providers: three, op: workload.OpRead, scenario: qos.Soft,
+			wantStats: Stats{Requests: 1, Failed: 1, Messages: 2, LookupErrors: [4]int64{3: 1}},
+		},
+		{
+			name:      "no replica",
+			mapper:    listMapper{},
+			providers: three, op: workload.OpRead, scenario: qos.Soft,
+			wantStats: Stats{Requests: 1, Failed: 1, NoReplica: 1, Messages: 2},
+		},
+		{
+			name:      "no reachable RM",
+			mapper:    listMapper{holders: []ids.RMID{7, 8}},
+			providers: three, op: workload.OpRead, scenario: qos.Soft,
+			wantStats: Stats{Requests: 1, Failed: 1, Messages: 2},
+		},
+		{
+			name:   "no reachable RM after a broadcast whose holder stalled",
+			mapper: listMapper{all: []ids.RMID{1, 2}},
+			providers: []scriptProvider{
+				{id: 1, rem: mbps(10)}, {id: 2, rem: mbps(30), holds: true, stall: time.Second}},
+			op: workload.OpRead, scenario: qos.Soft, broadcast: true,
+			fanout:    Fanout{Concurrent: true, BidTimeout: 100 * time.Millisecond},
+			wantStats: Stats{Requests: 1, Failed: 1, FanoutStalls: 1, Messages: 2 + 2*2},
+		},
+		{
+			name:      "probe",
+			mapper:    listMapper{holders: []ids.RMID{3, 1}},
+			providers: three, op: workload.OpMeta, scenario: qos.Soft, wantOK: true,
+			wantStats: Stats{Requests: 1, Completed: 1, Messages: 2},
+		},
+		{
+			name:      "probe on a lease",
+			mapper:    listMapper{},
+			lease:     []ids.RMID{3, 1},
+			providers: three, op: workload.OpMeta, scenario: qos.Soft, wantOK: true,
+			wantStats: Stats{Requests: 1, Completed: 1, MetaHits: 1},
+		},
+		{
+			name:   "soft refusal",
+			mapper: listMapper{holders: []ids.RMID{1, 2, 3}},
+			providers: []scriptProvider{
+				{id: 1, rem: mbps(10)}, {id: 2, rem: mbps(30), refuse: ecnp.ErrTenantBandwidth}, {id: 3, rem: mbps(20)}},
+			op: workload.OpRead, scenario: qos.Soft,
+			wantStats: Stats{Requests: 1, Failed: 1, Messages: 2 + 2*3 + 2},
+		},
+		{
+			name:   "soft refusal on a lease",
+			mapper: listMapper{},
+			lease:  []ids.RMID{1, 2, 3},
+			providers: []scriptProvider{
+				{id: 1, rem: mbps(10)}, {id: 2, rem: mbps(30), refuse: ecnp.ErrTenantBandwidth}, {id: 3, rem: mbps(20)}},
+			op: workload.OpRead, scenario: qos.Soft,
+			wantStats: Stats{Requests: 1, Failed: 1, MetaHits: 1, MetaInvalidated: 1, Messages: 2*3 + 2},
+		},
+		{
+			name:   "firm exhaustion",
+			mapper: listMapper{holders: []ids.RMID{1, 2}},
+			providers: []scriptProvider{
+				{id: 1, rem: mbps(10), refuse: firmCap}, {id: 2, rem: mbps(30), refuse: firmCap}},
+			op: workload.OpRead, scenario: qos.Firm,
+			wantStats: Stats{Requests: 1, Failed: 1, Fallbacks: 2, Messages: 2 + 2*2 + 2*2},
+		},
+		{
+			name:      "admitted read",
+			mapper:    listMapper{holders: []ids.RMID{1, 2, 3}},
+			providers: three, op: workload.OpRead, scenario: qos.Firm, wantOK: true,
+			wantStats: Stats{Requests: 1, Admitted: 1, Messages: 2 + 2*3 + 2},
+		},
+		{
+			name:      "admitted read on a lease",
+			mapper:    listMapper{},
+			lease:     []ids.RMID{1, 2, 3},
+			providers: three, op: workload.OpRead, scenario: qos.Firm, wantOK: true,
+			wantStats: Stats{Requests: 1, Admitted: 1, MetaHits: 1, Messages: 2*3 + 2},
+		},
+		{
+			name:   "admitted write",
+			mapper: listMapper{all: []ids.RMID{1, 2, 3}},
+			providers: []scriptProvider{
+				{id: 1, rem: mbps(10)}, {id: 2, rem: mbps(30), refuse: ecnp.ErrAlreadyStored}, {id: 3, rem: mbps(20)}},
+			op: workload.OpWrite, scenario: qos.Soft, wantOK: true,
+			wantStats: Stats{Requests: 1, Admitted: 1, Fallbacks: 1, Messages: 2 + 2*3 + 2*2},
+		},
+	}
+
+	cfg := catalog.DefaultConfig()
+	cfg.NumFiles = 4
+	cat, err := catalog.Generate(cfg, rng.New(9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			log := &callLog{cfps: make(map[ids.RMID]int)}
+			dir := new(ecnp.StaticDirectory)
+			for i := range tc.providers {
+				p := &tc.providers[i]
+				p.log = log
+				if !tc.broadcast {
+					p.holds = true
+				}
+				dir.Set(p.id, p)
+			}
+			opt := Options{
+				ID:           1,
+				Mapper:       tc.mapper,
+				Directory:    dir,
+				Scheduler:    ecnp.SimScheduler{S: simtime.NewScheduler()},
+				Catalog:      cat,
+				Policy:       selection.RemOnly,
+				Scenario:     tc.scenario,
+				Rand:         rng.New(5),
+				BroadcastCNP: tc.broadcast,
+				Fanout:       tc.fanout,
+			}
+			if tc.lease != nil {
+				opt.MetaTTL = time.Hour
+			}
+			c, err := New(opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.lease != nil {
+				c.MetaCache().Put(0, tc.lease)
+			}
+			lanes, out := c.negotiateLanes(context.Background(), nil, tc.op, 0, nil, 1)
+			if ok := len(lanes) > 0 || out.OK; ok != tc.wantOK {
+				t.Errorf("succeeded = %v, want %v (%+v)", ok, tc.wantOK, out)
+			}
+			if st := c.Stats(); st != tc.wantStats {
+				t.Errorf("stats %+v, want %+v", st, tc.wantStats)
+			}
+		})
+	}
+}

@@ -112,7 +112,7 @@ func TestRestartLeavesOnlyLiveNodesInTheSeries(t *testing.T) {
 		Holders: map[ids.FileID][]ids.RMID{0: {1, 2}, 1: {1}, 2: {2}},
 		Rand:    rng.New(13),
 		RM: RMSpec{Registry: reg, Tenants: map[ids.TenantID]tenant.Quota{
-			1: {Bandwidth: units.Mbps(60), Bytes: tenant.NoLimit}}}, // above capacity: no bid clamped
+			1: {Bandwidth: units.Mbps(45), Bytes: tenant.NoLimit}}}, // far below: no clamp counted
 	})
 	client, err := dfsc.New(dfsc.Options{ID: 1, Mapper: lc.Mapper, Directory: lc.Dir, Scheduler: lc.Sched,
 		Catalog: lc.Catalog, Policy: selection.RemOnly, Scenario: qos.Firm, Rand: rng.New(7), Tenant: 1})

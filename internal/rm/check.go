@@ -67,8 +67,8 @@ func (r *RM) Check(firm bool) error {
 	}
 
 	var stored units.Size
-	for _, meta := range r.files {
-		stored += meta.Size
+	for _, e := range r.files {
+		stored += e.meta.Size
 	}
 	for _, in := range r.incomings {
 		stored += in.meta.Size

@@ -15,6 +15,7 @@ package rm
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 
 	"dfsqos/internal/ecnp"
@@ -40,6 +41,21 @@ type FileMeta struct {
 	// replication-created copies, which are system-initiated and never
 	// charged.
 	Tenant ids.TenantID
+}
+
+// heldFile is one entry of an RM's file table: the file's metadata and
+// its occupation bias, kept with the mean occupation time avg it was
+// computed at. The bias is a pure function of the file's fixed duration
+// and that mean, so HandleCFP recomputes it only when the mean has moved.
+type heldFile struct {
+	meta FileMeta
+	avg  float64 // NaN until the first CFP computes bias
+	bias float64
+}
+
+// newHeldFile returns a table entry for meta with no bias computed yet.
+func newHeldFile(meta FileMeta) heldFile {
+	return heldFile{meta: meta, avg: math.NaN()}
 }
 
 // Stats counts notable RM events for metrics and experiments.
@@ -101,7 +117,7 @@ type RM struct {
 	repCfg  replication.Config
 	copier  DataCopier
 
-	files       map[ids.FileID]FileMeta
+	files       map[ids.FileID]heldFile
 	sumDur      float64    // Σ DurationSec over files (occupation-time aggregate)
 	storageUsed units.Size // Σ Size over files + in-flight incoming replicas
 	counts      map[ids.FileID]int64
@@ -215,7 +231,7 @@ func New(opt Options) (*RM, error) {
 		repCfg:        opt.Replication,
 		gcCfg:         opt.GC,
 		copier:        opt.Copier,
-		files:         make(map[ids.FileID]FileMeta, len(opt.Files)),
+		files:         make(map[ids.FileID]heldFile, len(opt.Files)),
 		counts:        make(map[ids.FileID]int64),
 		active:        make(map[ids.RequestID]reservation),
 		leaseTTL:      opt.LeaseTTLSec,
@@ -229,7 +245,7 @@ func New(opt Options) (*RM, error) {
 		}
 	}
 	for f, meta := range opt.Files {
-		r.files[f] = meta
+		r.files[f] = newHeldFile(meta)
 		r.sumDur += meta.DurationSec
 		r.storageUsed += meta.Size
 	}
@@ -353,6 +369,11 @@ func (r *RM) TenantUsage() []tenant.Usage {
 func (r *RM) HasFile(f ids.FileID) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	return r.holdsLocked(f)
+}
+
+// holdsLocked reports whether f is in the file table. Caller holds r.mu.
+func (r *RM) holdsLocked(f ids.FileID) bool {
 	_, ok := r.files[f]
 	return ok
 }
@@ -376,11 +397,6 @@ func (r *RM) HandleCFP(cfp ecnp.CFP) selection.Bid {
 	r.stats.CFPs++
 	now := r.sched.Now()
 
-	meta, known := r.files[cfp.File]
-	tOcp := cfp.DurationSec
-	if known {
-		tOcp = meta.DurationSec
-	}
 	// The request frequency feeds the replication agent's busiest-file
 	// ranking; the utilization history is recorded at Open time, when the
 	// file is actually accessed on this RM.
@@ -390,6 +406,17 @@ func (r *RM) HandleCFP(cfp ecnp.CFP) selection.Bid {
 	if n := len(r.files); n > 0 {
 		tOcpAvg = r.sumDur / float64(n)
 	}
+	// A held file's bias is recomputed only when T_ocp_avg has moved since
+	// its entry last computed it; a file the RM does not hold (a write, a
+	// plain-CNP broadcast) is scored at the CFP's duration.
+	e, known := r.files[cfp.File]
+	switch {
+	case !known:
+		e.bias = selection.OccupationBias(cfp.DurationSec, tOcpAvg)
+	case e.avg != tOcpAvg:
+		e.avg, e.bias = tOcpAvg, selection.OccupationBias(e.meta.DurationSec, tOcpAvg)
+		r.files[cfp.File] = e
+	}
 	assured := r.led.Remaining()
 	if assured < 0 {
 		assured = 0
@@ -398,7 +425,7 @@ func (r *RM) HandleCFP(cfp ecnp.CFP) selection.Bid {
 		RM:          r.info.ID,
 		Rem:         r.led.Remaining(),
 		Trend:       r.hist.Trend(now, r.led.Allocated()),
-		OccBias:     selection.OccupationBias(tOcp, tOcpAvg),
+		OccBias:     e.bias,
 		Req:         cfp.Bitrate,
 		HasReplica:  known,
 		Assured:     assured,
@@ -407,16 +434,17 @@ func (r *RM) HandleCFP(cfp ecnp.CFP) selection.Bid {
 	}
 	// A quota-capped tenant cannot be promised more than its remaining
 	// allowance: clamp the floors the bid advertises so the requester's
-	// admission math never plans on bandwidth Open would refuse.
+	// admission math never plans on bandwidth Open would refuse. The clamp
+	// is counted only once the allowance is below the request's bitrate,
+	// when the quota, not the disk, bounds what the tenant can open.
 	if rem, capped := r.tenants.RemainingBandwidth(cfp.Tenant); capped {
-		clamped := false
 		if bid.Assured > rem {
-			bid.Assured, clamped = rem, true
+			bid.Assured = rem
 		}
 		if bid.Ceil > rem {
-			bid.Ceil, clamped = rem, true
+			bid.Ceil = rem
 		}
-		if clamped {
+		if rem < cfp.Bitrate {
 			r.tenants.Clamped(cfp.Tenant)
 		}
 	}
@@ -457,7 +485,7 @@ func (r *RM) Open(req ecnp.OpenRequest) ecnp.OpenResult {
 	held := reservation{rate: req.Bitrate, lastActivity: now, tenant: req.Tenant, serial: r.admissions}
 	r.active[req.Request] = held
 	if write {
-		r.files[req.File] = FileMeta{Bitrate: req.Bitrate, Size: req.SizeBytes, DurationSec: req.DurationSec, Tenant: req.Tenant}
+		r.files[req.File] = newHeldFile(FileMeta{Bitrate: req.Bitrate, Size: req.SizeBytes, DurationSec: req.DurationSec, Tenant: req.Tenant})
 		r.sumDur += req.DurationSec
 		r.storageUsed += req.SizeBytes
 	} else {
@@ -514,10 +542,10 @@ func (r *RM) Open(req ecnp.OpenRequest) ecnp.OpenResult {
 func (r *RM) admitLocked(req ecnp.OpenRequest, write bool) ecnp.OpenResult {
 	var why ecnp.Refusal
 	_, dup := r.active[req.Request]
-	switch _, stored := r.files[req.File]; {
+	switch {
 	case dup:
 		why = ecnp.ErrDuplicateRequest
-	case write && (stored || r.incomingFiles[req.File] > 0):
+	case write && (r.holdsLocked(req.File) || r.incomingFiles[req.File] > 0):
 		why = ecnp.ErrAlreadyStored
 	case write && r.info.StorageBytes > 0 && r.storageUsed+req.SizeBytes > r.info.StorageBytes:
 		why = ecnp.ErrDiskFull
@@ -566,12 +594,12 @@ func (r *RM) releaseLocked(request ids.RequestID, res reservation, now simtime.T
 // dropFileLocked deletes f from the table, returning its storage and its
 // tenant's byte charge, and reports whether f was held. Caller holds r.mu.
 func (r *RM) dropFileLocked(f ids.FileID) bool {
-	meta, ok := r.files[f]
+	e, ok := r.files[f]
 	if ok {
 		delete(r.files, f)
-		r.sumDur -= meta.DurationSec
-		r.storageUsed -= meta.Size
-		r.tenants.ReleaseBytes(meta.Tenant, int64(meta.Size))
+		r.sumDur -= e.meta.DurationSec
+		r.storageUsed -= e.meta.Size
+		r.tenants.ReleaseBytes(e.meta.Tenant, int64(e.meta.Size))
 	}
 	return ok
 }
@@ -684,8 +712,7 @@ func (r *RM) SweepLeases(now simtime.Time) int {
 // OfferReplica implements ecnp.Provider (the destination endpoint).
 func (r *RM) OfferReplica(offer ecnp.ReplicaOffer) bool {
 	r.mu.Lock()
-	_, has := r.files[offer.File]
-	hasReplica := has || r.incomingFiles[offer.File] > 0
+	hasReplica := r.holdsLocked(offer.File) || r.incomingFiles[offer.File] > 0
 	ok := replication.DestinationDecision(
 		hasReplica,
 		r.led.Remaining(),
@@ -748,8 +775,8 @@ func (r *RM) finishReplica(rep ids.ReplicationID, committed, onDisk bool) {
 	}
 	commitOK := false
 	if committed {
-		if _, dup := r.files[in.file]; !dup {
-			r.files[in.file] = in.meta
+		if !r.holdsLocked(in.file) {
+			r.files[in.file] = newHeldFile(in.meta)
 			r.sumDur += in.meta.DurationSec
 			commitOK = true
 		}
@@ -759,7 +786,7 @@ func (r *RM) finishReplica(rep ids.ReplicationID, committed, onDisk bool) {
 		r.storageUsed -= in.meta.Size
 	}
 	var remove func(ids.FileID)
-	if _, held := r.files[in.file]; !held && onDisk {
+	if !r.holdsLocked(in.file) && onDisk {
 		remove = r.remove
 	}
 	if remove == nil {
@@ -787,10 +814,10 @@ func (r *RM) collectGarbage() {
 		return
 	}
 	victims := make([]replication.Victim, 0, len(r.files))
-	for f, meta := range r.files {
+	for f, e := range r.files {
 		victims = append(victims, replication.Victim{
 			File:   f,
-			Size:   meta.Size,
+			Size:   e.meta.Size,
 			Count:  r.counts[f],
 			Pinned: r.outgoingFiles[f] > 0,
 		})
@@ -872,7 +899,7 @@ func (r *RM) replicationDueLocked(now simtime.Time) bool {
 	// request counts covering BusyCoverage of the total.
 	fcs := r.fileCounts[:0]
 	for f, c := range r.counts {
-		if _, stored := r.files[f]; stored {
+		if r.holdsLocked(f) {
 			fcs = append(fcs, replication.FileCount{File: f, Count: c})
 		}
 	}
@@ -893,7 +920,8 @@ type candidateAppender interface {
 // at least one copy was started. Its caller holds agentBusy.
 func (r *RM) tryReplicateFile(now simtime.Time, f ids.FileID, self ids.RMID) bool {
 	r.mu.Lock()
-	meta, stored := r.files[f]
+	e, stored := r.files[f]
+	meta := e.meta
 	outgoing := r.outgoingFiles[f] > 0
 	cfg := r.repCfg
 	r.mu.Unlock()

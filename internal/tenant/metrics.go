@@ -35,7 +35,7 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 		rejections: reg.NewCounterFuncVec("dfsqos_tenant_rejections_total",
 			"Over-quota refusals per tenant (bandwidth or bytes).", "tenant"),
 		clamps: reg.NewCounterFuncVec("dfsqos_tenant_bid_clamps_total",
-			"Bids clamped to the tenant's remaining bandwidth quota.", "tenant"),
+			"CFPs answered with the tenant's remaining bandwidth quota below the request's bitrate.", "tenant"),
 		charged: reg.NewCounterFuncVec("dfsqos_tenant_charged_bytes_total",
 			"Bytes charged against tenant byte quotas.", "tenant"),
 	}

@@ -286,8 +286,8 @@ func (l *Ledger) Share(t ids.TenantID, capacity units.BytesPerSec) float64 {
 	return (float64(a.bandwidth) / float64(capacity)) / a.quota.weight()
 }
 
-// Clamped counts a CFP bid clamped down to the tenant's remaining
-// bandwidth quota; no usage changes.
+// Clamped counts a CFP answered while the tenant's remaining bandwidth
+// quota was below the request's bitrate; no usage changes.
 func (l *Ledger) Clamped(t ids.TenantID) {
 	if l == nil || !t.Valid() {
 		return
