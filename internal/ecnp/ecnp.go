@@ -184,7 +184,8 @@ type Mapper interface {
 	// eligible RMs" answered to a requester's query.
 	Lookup(file ids.FileID) []ids.RMID
 	// RMsWithout returns registered RMs holding no replica of file — the
-	// candidate destination list for dynamic replication.
+	// candidate destination list for dynamic replication — in ascending
+	// RM order.
 	RMsWithout(file ids.FileID) []ids.RMID
 	// AddReplica records that rm now holds file: an RM registering the
 	// file a write-open stored on it.

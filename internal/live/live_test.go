@@ -15,6 +15,7 @@ import (
 
 	"dfsqos/internal/dfsc"
 	"dfsqos/internal/ecnp"
+	"dfsqos/internal/faults"
 	"dfsqos/internal/ids"
 	"dfsqos/internal/mm"
 	"dfsqos/internal/qos"
@@ -158,11 +159,32 @@ func TestLiveReplicationOverTCP(t *testing.T) {
 	rm1.Close(1)
 }
 
-// TestLiveWalkEndsAtReplicaCap: a source RM whose MM is across TCP stops
-// its destination walk at the first ErrReplicaCap, as it does in process.
-// RM1 holds a file already at Rep(1,2)'s cap with two other holders, and
-// three RMs are candidates; one replication attempt asks the MM once and
-// is refused once, where a walk blind to the code would ask per candidate.
+// kindCounter is a fault injector that injects nothing and counts, by
+// message kind, the requests a server handles.
+type kindCounter struct {
+	mu    sync.Mutex
+	kinds map[string]int
+}
+
+func (k *kindCounter) Decide(_ faults.Point, kind string) faults.Decision {
+	k.mu.Lock()
+	k.kinds[kind]++
+	k.mu.Unlock()
+	return faults.Proceed
+}
+
+func (k *kindCounter) count(kind wire.Kind) int {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	return k.kinds[kind.String()]
+}
+
+// TestLiveWalkEndsAtReplicaCap: a source RM whose MM is across TCP reads
+// the replica count, and a count at the cap ends the attempt as it does
+// in process. RM1 holds a file already at Rep(1,2)'s cap with two other
+// holders, and three RMs are candidates; one replication attempt asks the
+// MM for the count and the candidates, and for no reservation and no
+// resource list: its peers are not resolved, let alone dialled.
 func TestLiveWalkEndsAtReplicaCap(t *testing.T) {
 	cfg := replication.DefaultConfig(replication.Rep(1, 2))
 	caps := []units.BytesPerSec{units.Mbps(5)}
@@ -188,10 +210,29 @@ func TestLiveWalkEndsAtReplicaCap(t *testing.T) {
 	}
 	defer rm1.Close(1)
 	meta := lc.Catalog.File(0)
+	served := &kindCounter{kinds: make(map[string]int)}
+	lc.MM.setFaults(served)
 	rm1.HandleCFP(ecnp.CFP{Request: 2, File: 0, Bitrate: meta.Bitrate, DurationSec: meta.DurationSec})
+	lc.MM.setFaults(nil)
 
-	if n := met.Refused[ecnp.ErrReplicaCap].Value(); n != 1 {
-		t.Fatalf("one attempt on a capped file raised the cap refusals by %d, want 1", n)
+	if n := met.Refused[ecnp.ErrReplicaCap].Value(); n != 0 {
+		t.Fatalf("one attempt on a capped file raised the cap refusals by %d, want 0", n)
+	}
+	if st := lc.Node(1).Stats(); st.RepCapped != 1 || st.RepTriggers != 0 {
+		t.Fatalf("RepCapped = %d, RepTriggers = %d; want 1 and 0", st.RepCapped, st.RepTriggers)
+	}
+	for _, tc := range []struct {
+		kind wire.Kind
+		want int
+	}{
+		{wire.KindReplicaCount, 1},
+		{wire.KindRMsWithout, 1},
+		{wire.KindBeginReplication, 0},
+		{wire.KindRMs, 0},
+	} {
+		if got := served.count(tc.kind); got != tc.want {
+			t.Errorf("the MM served %d %v request(s) during the attempt, want %d", got, tc.kind, tc.want)
+		}
 	}
 	if got := lc.Mapper.ReplicaCount(0); got != 3 {
 		t.Fatalf("replica count = %d, want 3 untouched", got)

@@ -64,6 +64,7 @@ func liveNodeSeries(l *Local) map[string]float64 {
 			`dfsqos_rm_replica_offers_total{decision="accepted"}`: float64(st.OffersAccepted),
 			`dfsqos_rm_replica_offers_total{decision="rejected"}`: float64(st.OffersRejected),
 			"dfsqos_rm_replication_triggers_total":                float64(st.RepTriggers),
+			"dfsqos_rm_replication_capped_total":                  float64(st.RepCapped),
 			"dfsqos_rm_replication_transfers_total":               float64(st.RepTransfers),
 			"dfsqos_rm_replication_migrations_total":              float64(st.RepMigrations),
 			"dfsqos_rm_gc_evictions_total":                        float64(st.GCEvictions),

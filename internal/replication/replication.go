@@ -226,6 +226,21 @@ func (d DestStrategy) Order(candidates []ids.RMID, capacity func(ids.RMID) units
 	return out
 }
 
+// Skip makes the draws Order(candidates, capacity, src, sc) makes and
+// builds no order: an attempt that will start no copy still leaves src
+// where Order would (DESIGN §6, the RNG-stream rule). Random and LBF draw
+// one permutation of len(candidates), which Skip draws without writing it
+// and without asking a capacity. Weighted's draws depend on the
+// capacities of the candidates it has picked so far, so Skip runs Order.
+func (d DestStrategy) Skip(candidates []ids.RMID, capacity func(ids.RMID) units.BytesPerSec, src *rng.Source, sc *Scratch) {
+	switch d {
+	case DestRandom, DestLBF:
+		src.SkipPerm(len(candidates))
+	default:
+		d.Order(candidates, capacity, src, sc)
+	}
+}
+
 // resize returns s with length n, allocating only when n outgrows it.
 func resize[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
 

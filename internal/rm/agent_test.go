@@ -90,11 +90,11 @@ func TestConcurrentCFPsRunOneAgent(t *testing.T) {
 // TestReplicationAttemptAtCapAllocations is one access of a saturated RM
 // whose hot file already counts N_MAXR + 1 replicas, at the flash-crowd
 // scenario's scale (256 RMs registered, in-process MM, static directory,
-// DestRandom): the agent asks for candidates, draws its order over 247 of
-// them and is refused at the first. 98 % of that scenario's attempts are
-// this one. It allocates nothing, on either in-process MM: the agent lists
-// candidates into a buffer it keeps, and a decision that changes nothing
-// copies no registration record.
+// DestRandom): the agent asks for candidates, reads the count that says
+// the file is at its cap, makes the draws Order would over 247 of them and
+// stops, asking the MM for no reservation. 98 % of that scenario's
+// attempts are this one. It allocates nothing, on either in-process MM:
+// the agent lists candidates into a buffer it keeps and builds no order.
 func TestReplicationAttemptAtCapAllocations(t *testing.T) {
 	if testenv.RaceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
@@ -114,15 +114,17 @@ func TestReplicationAttemptAtCapAllocations(t *testing.T) {
 			src := h.rms[1]
 			cfp := ecnp.CFP{Request: 1, File: 0, Bitrate: units.Mbps(2), DurationSec: 100}
 			src.HandleCFP(cfp) // grow the agent's buffers
-			counter.begins = 0
 			const runs = 100
 			if avg := testing.AllocsPerRun(runs, func() { src.HandleCFP(cfp) }); avg != 0 {
-				t.Errorf("a refused replication attempt allocates %v times, want 0", avg)
+				t.Errorf("a capped replication attempt allocates %v times, want 0", avg)
 			}
 			// AllocsPerRun makes one warm-up call beside the runs it counts.
-			if st := src.Stats(); counter.begins != runs+1 || st.RepTriggers != 0 {
-				t.Fatalf("%d attempts made %d reservations and %d triggers; want one refused reservation each",
-					runs+1, counter.begins, st.RepTriggers)
+			if st := src.Stats(); counter.begins != 0 || st.RepTriggers != 0 || st.RepCapped != runs+2 {
+				t.Fatalf("%d attempts made %d reservations, %d triggers and %d capped; want 0, 0 and %d",
+					runs+2, counter.begins, st.RepTriggers, st.RepCapped, runs+2)
+			}
+			if got := counter.ReplicaCount(0); got != 9 {
+				t.Fatalf("replica count = %d, want 9 untouched", got)
 			}
 		})
 	}

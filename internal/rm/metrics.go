@@ -51,6 +51,8 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 			countOf(offers.With("rejected"), func(s *Stats) int64 { return s.OffersRejected }),
 			count("dfsqos_rm_replication_triggers_total", "Replication triggers that produced at least one transfer.",
 				func(s *Stats) int64 { return s.RepTriggers }),
+			count("dfsqos_rm_replication_capped_total", "Replication attempts that found the file at its replica cap and asked no reservation.",
+				func(s *Stats) int64 { return s.RepCapped }),
 			count("dfsqos_rm_replication_transfers_total", "Replica copies committed as source.",
 				func(s *Stats) int64 { return s.RepTransfers }),
 			count("dfsqos_rm_replication_migrations_total", "Own-replica deletions after exceeding N_MAXR.",

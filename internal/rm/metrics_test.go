@@ -56,6 +56,7 @@ func rmSeries(rms ...*RM) map[string]float64 {
 			`dfsqos_rm_replica_offers_total{decision="accepted"}`: st.OffersAccepted,
 			`dfsqos_rm_replica_offers_total{decision="rejected"}`: st.OffersRejected,
 			"dfsqos_rm_replication_triggers_total":                st.RepTriggers,
+			"dfsqos_rm_replication_capped_total":                  st.RepCapped,
 			"dfsqos_rm_replication_transfers_total":               st.RepTransfers,
 			"dfsqos_rm_replication_migrations_total":              st.RepMigrations,
 			"dfsqos_rm_gc_evictions_total":                        st.GCEvictions,

@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"dfsqos/internal/ecnp"
@@ -63,6 +64,7 @@ type Stats struct {
 	CFPs           int64                   // CFPs received
 	Opens          int64                   // accesses admitted
 	RepTriggers    int64                   // replication triggers that produced ≥1 transfer
+	RepCapped      int64                   // replication attempts on a file whose replica count is at its cap
 	RepTransfers   int64                   // replica copies completed (as source)
 	RepMigrations  int64                   // own-replica deletions after exceeding N_MAXR
 	OffersAccepted int64                   // incoming offers accepted (as destination)
@@ -455,13 +457,19 @@ func (r *RM) HandleCFP(cfp ecnp.CFP) selection.Bid {
 	self := r.info.ID
 	r.mu.Unlock()
 
+	var capped int64
 	for _, f := range r.busiest {
-		if r.tryReplicateFile(now, f, self) {
+		a := r.tryReplicateFile(now, f, self)
+		if a == attemptCapped {
+			capped++
+		}
+		if a == attemptStarted {
 			break
 		}
 	}
 	r.mu.Lock()
 	r.agentBusy = false
+	r.stats.RepCapped += capped
 	r.mu.Unlock()
 	return bid
 }
@@ -916,9 +924,18 @@ type candidateAppender interface {
 	AppendRMsWithout(dst []ids.RMID, file ids.FileID) []ids.RMID
 }
 
-// tryReplicateFile attempts one replication of file f; it reports whether
-// at least one copy was started. Its caller holds agentBusy.
-func (r *RM) tryReplicateFile(now simtime.Time, f ids.FileID, self ids.RMID) bool {
+// attempt is what one replication attempt came to.
+type attempt int
+
+const (
+	attemptNone    attempt = iota // no copy started
+	attemptCapped                 // none could start: the file counts its cap
+	attemptStarted                // at least one copy started
+)
+
+// tryReplicateFile attempts one replication of file f. Its caller holds
+// agentBusy.
+func (r *RM) tryReplicateFile(now simtime.Time, f ids.FileID, self ids.RMID) attempt {
 	r.mu.Lock()
 	e, stored := r.files[f]
 	meta := e.meta
@@ -926,47 +943,18 @@ func (r *RM) tryReplicateFile(now simtime.Time, f ids.FileID, self ids.RMID) boo
 	cfg := r.repCfg
 	r.mu.Unlock()
 	if !stored || outgoing {
-		return false
+		return attemptNone
 	}
 	if !cfg.SourceEligible(meta.Bitrate) {
-		return false
+		return attemptNone
 	}
 	nCur := r.mapper.ReplicaCount(f)
 	if nCur < 1 {
-		return false
+		return attemptNone
 	}
 	want, migrate := cfg.Strategy.Plan(nCur)
 	if want < 1 {
-		return false
-	}
-	// The candidates are the ids the directory can reach, self excluded.
-	// How many there are fixes what Order draws, so the filter stays as it
-	// is (DESIGN §6, the RNG-stream rule); no registration record is read
-	// for it, and only the capacity-reading strategies resolve any.
-	all := r.candidates[:0]
-	if am, ok := r.mapper.(candidateAppender); ok {
-		all = am.AppendRMsWithout(all, f)
-	} else {
-		all = append(all, r.mapper.RMsWithout(f)...)
-	}
-	cands := all[:0]
-	for _, id := range all {
-		if id == self {
-			continue
-		}
-		if _, ok := r.dir.Provider(id); ok {
-			cands = append(cands, id)
-		}
-	}
-	r.candidates = cands
-	if len(cands) == 0 {
-		return false
-	}
-	order := cfg.Dest.Order(cands, r.peerCapacity, r.src, &r.destScratch)
-
-	type started struct {
-		rep ids.ReplicationID
-		dst ecnp.Provider
+		return attemptNone
 	}
 	// The MM enforces the replica cap atomically, so concurrent sources of
 	// the same file cannot overshoot N_MAXR. A migrating plan may hold one
@@ -974,6 +962,37 @@ func (r *RM) tryReplicateFile(now simtime.Time, f ids.FileID, self ids.RMID) boo
 	maxTotal := cfg.Strategy.NMaxR
 	if migrate {
 		maxTotal++
+	}
+	// The candidates are the ids the MM lists, in ascending order, self
+	// excluded. How many there are fixes what Order draws (DESIGN §6, the
+	// RNG-stream rule); the walk skips an id the directory cannot
+	// resolve, so none is resolved before it.
+	cands := r.candidates[:0]
+	if am, ok := r.mapper.(candidateAppender); ok {
+		cands = am.AppendRMsWithout(cands, f)
+	} else {
+		cands = append(cands, r.mapper.RMsWithout(f)...)
+	}
+	if i, found := slices.BinarySearch(cands, self); found {
+		cands = slices.Delete(cands, i, i+1)
+	}
+	r.candidates = cands
+	if len(cands) == 0 {
+		return attemptNone
+	}
+	// Candidates exclude the file's holders and pending destinations, so
+	// at the cap every reservation would be refused: the attempt makes
+	// the draws Order would and stops. A count gone stale (another source
+	// over TCP) is caught by the walk's ErrReplicaCap below.
+	if maxTotal > 0 && nCur >= maxTotal {
+		cfg.Dest.Skip(cands, r.peerCapacity, r.src, &r.destScratch)
+		return attemptCapped
+	}
+	order := cfg.Dest.Order(cands, r.peerCapacity, r.src, &r.destScratch)
+
+	type started struct {
+		rep ids.ReplicationID
+		dst ecnp.Provider
 	}
 	var transfers []started
 	for _, dstID := range order {
@@ -1012,7 +1031,7 @@ func (r *RM) tryReplicateFile(now simtime.Time, f ids.FileID, self ids.RMID) boo
 		}
 	}
 	if len(transfers) == 0 {
-		return false
+		return attemptNone
 	}
 
 	// Commit the source side: reserve the transfer bandwidth, mark the
@@ -1054,7 +1073,7 @@ func (r *RM) tryReplicateFile(now simtime.Time, f ids.FileID, self ids.RMID) boo
 			r.completeTransfer(r.sched.Now(), f, tr.rep, tr.dst, state, doMigrate, err == nil)
 		}()
 	}
-	return true
+	return attemptStarted
 }
 
 // transferGroup tracks one trigger's outstanding copies.

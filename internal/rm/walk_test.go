@@ -1,6 +1,7 @@
 package rm
 
 import (
+	"slices"
 	"testing"
 
 	"dfsqos/internal/ecnp"
@@ -72,9 +73,10 @@ func walkHarnessWrapped(t testing.TB, strat replication.Strategy, nRMs int, wrap
 	return h
 }
 
-// TestWalkEndsAtReplicaCap: the replica cap is a fact about the file, so
-// an attempt on a file at its cap asks the MM once, not once per
-// candidate destination.
+// TestWalkEndsAtReplicaCap: the replica cap is a fact about the file,
+// and the count the agent reads before its walk already says the file is
+// at it, so an attempt on a capped file asks the MM for no reservation:
+// it makes its draws and stops, and the RM counts it.
 func TestWalkEndsAtReplicaCap(t *testing.T) {
 	// Rep(1,2) with three holders: N_MAXR plus the one replica a migrating
 	// plan may hold on top of it. Six more RMs are candidates.
@@ -85,9 +87,11 @@ func TestWalkEndsAtReplicaCap(t *testing.T) {
 	}
 	for attempt := 1; attempt <= 3; attempt++ {
 		src.HandleCFP(ecnp.CFP{Request: ids.RequestID(attempt), File: 0, Bitrate: units.Mbps(2), DurationSec: 100})
-		if counter.begins != attempt {
-			t.Fatalf("after %d attempt(s) on a capped file: %d BeginReplication calls, want %d (one per attempt)",
-				attempt, counter.begins, attempt)
+		if counter.begins != 0 {
+			t.Fatalf("after %d attempt(s) on a capped file: %d BeginReplication calls, want 0", attempt, counter.begins)
+		}
+		if st := src.Stats(); st.RepCapped != int64(attempt) {
+			t.Fatalf("after %d attempt(s) on a capped file: RepCapped = %d, want %d", attempt, st.RepCapped, attempt)
 		}
 	}
 	if st := src.Stats(); st.RepTriggers != 0 {
@@ -139,5 +143,75 @@ func TestWalkKeepsTransferStartedBeforeCap(t *testing.T) {
 	// Source, the landed copy and the other source's pending reservation.
 	if got := h.mapper.ReplicaCount(0); got != 3 {
 		t.Fatalf("replica count = %d, want the cap 3", got)
+	}
+}
+
+// resolvingDirectory records the ids an RM asks its directory to resolve.
+type resolvingDirectory struct {
+	ecnp.Directory
+	asked []ids.RMID
+}
+
+func (d *resolvingDirectory) Provider(id ids.RMID) (ecnp.Provider, bool) {
+	d.asked = append(d.asked, id)
+	return d.Directory.Provider(id)
+}
+
+// TestWalkSkipsUnresolvableCandidate: the MM lists RMs the source's
+// directory cannot resolve (over TCP, one not dialled yet or gone). They
+// stay candidates, so the draws are over everything the MM listed, and the
+// walk passes over them to the one it can reach, where the copy starts.
+func TestWalkSkipsUnresolvableCandidate(t *testing.T) {
+	h, counter := walkHarness(t, replication.Rep(1, 8), 32)
+	for id := ids.RMID(3); id <= 32; id++ {
+		h.dir.Set(id, nil)
+	}
+	dir := &resolvingDirectory{Directory: h.dir}
+	src := h.rms[1]
+	src.SetDirectory(dir)
+	src.HandleCFP(ecnp.CFP{Request: 1, File: 0, Bitrate: units.Mbps(2), DurationSec: 100})
+
+	if counter.begins != 1 {
+		t.Fatalf("%d BeginReplication calls, want 1: only RM2 is reachable", counter.begins)
+	}
+	if st := src.Stats(); st.RepTriggers != 1 || st.RepCapped != 0 {
+		t.Fatalf("RepTriggers = %d, RepCapped = %d; want 1 and 0", st.RepTriggers, st.RepCapped)
+	}
+	if n := len(dir.asked); n < 2 || dir.asked[n-1] != 2 {
+		t.Fatalf("the walk resolved %v; want unreachable ids passed over before RM2", dir.asked)
+	}
+	// Only the walk resolves: no id is asked for twice.
+	seen := make(map[ids.RMID]bool)
+	for _, id := range dir.asked {
+		if seen[id] {
+			t.Fatalf("the attempt resolved %v; %v twice", dir.asked, id)
+		}
+		seen[id] = true
+	}
+	h.sched.Run()
+	if !h.rms[2].HasFile(0) {
+		t.Fatal("RM2 does not hold the copy")
+	}
+	if got := h.mapper.Lookup(0); len(got) != 2 {
+		t.Fatalf("holders %v, want RM1 and RM2", got)
+	}
+}
+
+// TestCandidatesExcludeSelf: an MM that has lost the source's own replica
+// (say, one restarted and not yet told) lists the source among the RMs
+// without the file. The source is still no candidate of its own copy, so
+// the draws are over the other RMs.
+func TestCandidatesExcludeSelf(t *testing.T) {
+	h, _ := walkHarness(t, replication.Rep(1, 8), 9, 2)
+	if err := h.mapper.RemoveReplica(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	src := h.rms[1]
+	src.HandleCFP(ecnp.CFP{Request: 1, File: 0, Bitrate: units.Mbps(2), DurationSec: 100})
+	if st := src.Stats(); st.RepTriggers != 1 {
+		t.Fatalf("RepTriggers = %d, want 1", st.RepTriggers)
+	}
+	if got, want := src.candidates, []ids.RMID{3, 4, 5, 6, 7, 8, 9}; !slices.Equal(got, want) {
+		t.Fatalf("candidates %v, want %v", got, want)
 	}
 }

@@ -128,6 +128,19 @@ func TestPermIntoMatchesPerm(t *testing.T) {
 	}
 }
 
+func TestSkipPermMatchesPerm(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 5, 247} {
+		for seed := uint64(0); seed < 50; seed++ {
+			ref, skip := New(seed), New(seed)
+			refPerm(ref, n)
+			skip.SkipPerm(n)
+			if *skip != *ref {
+				t.Fatalf("n=%d seed %d: SkipPerm left the source where a %d-permutation did not", n, seed, n)
+			}
+		}
+	}
+}
+
 func TestPermIntoAllocatesNothing(t *testing.T) {
 	s, buf := New(5), make([]int, 247)
 	if a := testing.AllocsPerRun(100, func() { s.PermInto(buf) }); a != 0 {

@@ -171,6 +171,15 @@ func (s *Source) PermInto(buf []int) []int {
 	return buf
 }
 
+// SkipPerm makes the draws PermInto makes over a buffer of n and writes
+// nothing: Intn(i+1) for i = n-1 down to 1. It leaves s where
+// PermInto(make([]int, n)) would.
+func (s *Source) SkipPerm(n int) {
+	for i := n - 1; i > 0; i-- {
+		s.Intn(i + 1)
+	}
+}
+
 // Exp draws from the negative exponential distribution with the given mean,
 // implementing the paper's NET arrival model f(x) = −β·ln U with U ∈ (0,1).
 func (s *Source) Exp(mean float64) float64 {

@@ -35,10 +35,12 @@ var (
 
 // TestDESRequestCost is the DES's cost witness, run at full scale and
 // seed 1. The work a run does is pinned exactly: its requests, failures
-// and replications (its outcome), the events it fires and the
-// control-plane messages its clients exchange. The heap objects it
-// allocates per request are pinned from above, counted in the event loop
-// alone, from the first arrival's dispatch to the last one's.
+// and replications (its outcome), the events it fires, the control-plane
+// messages its clients exchange and the replication attempts that found
+// their file at its cap, each of which makes its draws and asks the MM
+// for no reservation. The heap objects it allocates per request are
+// pinned from above, counted in the event loop alone, from the first
+// arrival's dispatch to the last one's.
 //
 // What a request still allocates is, on both shapes, the close records a
 // client makes while its closes in flight grow, and map growth in the
@@ -62,10 +64,11 @@ func TestDESRequestCost(t *testing.T) {
 		requests, failed, replications int64
 		events                         uint64
 		messages                       int64
+		capped                         int64
 		maxObjects                     float64
 	}{
-		{costSteady, 200_513, 0, 0, 384_144, 2_005_130, 0.15},
-		{costFlash, 13_382, 3_552, 92, 20_635, 207_296, 0.90},
+		{costSteady, 200_513, 0, 0, 384_144, 2_005_130, 0, 0.15},
+		{costFlash, 13_382, 3_552, 92, 20_635, 207_296, 7_972, 0.90},
 	} {
 		t.Run(tc.spec.Name, func(t *testing.T) {
 			d, err := configure(tc.spec, Options{Seed: 1})
@@ -103,6 +106,13 @@ func TestDESRequestCost(t *testing.T) {
 			}
 			if res.Events != tc.events || res.Messages != tc.messages {
 				t.Errorf("events %d, messages %d; want %d, %d", res.Events, res.Messages, tc.events, tc.messages)
+			}
+			var capped int64
+			for _, st := range res.RMStats {
+				capped += st.RepCapped
+			}
+			if capped != tc.capped {
+				t.Errorf("%d replication attempts on a file at its cap, want %d", capped, tc.capped)
 			}
 			perRequest := float64(to-from) / float64(arrivals-1)
 			t.Logf("%d requests: %.4f events, %.3f messages and %.4f heap objects per request",
