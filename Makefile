@@ -53,7 +53,7 @@ chaos-mm:
 
 # daemons-smoke runs the three binaries together on loopback: one mmd with
 # its monitor and RM liveness, two rmd with heartbeats and leases, then
-# `dfsc -n 3`; it waits for mmd's /stats to report both RMs live and checks
+# `dfsc -n 3`; it waits for mmd's /metrics to read both RMs live and checks
 # that all three accesses were admitted. It then replays a `workloadgen`
 # pattern through `dfsc -replay` (the paper's request scheduler), which
 # must exit 0 having sent every generated request, and a hand-written

@@ -169,17 +169,17 @@ func run(args []string, stdout io.Writer) error {
 	sched := live.NewWallScheduler(*scale)
 	defer sched.RunPending()
 
-	// Every client shares the mapper, directory, registry and tracer:
-	// client 1, which the monitor serves, and one per pattern DFSC. They
-	// share one incarnation too, drawn afresh for this process, so their
-	// request IDs differ from those of any other dfsc process, running or
-	// killed, whose reservations an RM may still hold.
+	// One client per pattern DFSC, all sharing the mapper, directory,
+	// registry and tracer. They share one incarnation too, drawn afresh
+	// for this process, so their request IDs differ from those of any
+	// other dfsc process, running or killed, whose reservations an RM may
+	// still hold.
 	var incarnation [4]byte
 	if _, err := crand.Read(incarnation[:]); err != nil {
 		return err
 	}
 	met := dfsc.NewMetrics(reg)
-	clients := map[ids.DFSCID]*dfsc.Client{1: nil}
+	clients := make(map[ids.DFSCID]*dfsc.Client)
 	for _, r := range pattern.Requests {
 		clients[r.DFSC] = nil
 	}
@@ -208,12 +208,12 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 	if *monAddr != "" {
-		monSrv, bound, err := monitor.Serve(*monAddr, monitor.NewDFSCHandler(clients[1], reg, tracer))
+		monSrv, bound, err := monitor.Serve(*monAddr, monitor.NewHandler(reg, tracer))
 		if err != nil {
 			return err
 		}
 		defer monitor.Shutdown(monSrv, 3*time.Second)
-		log.Printf("dfsc: stats at http://%s/stats, metrics at http://%s/metrics, traces at http://%s/traces", bound, bound, bound)
+		log.Printf("dfsc: metrics at http://%s/metrics, traces at http://%s/traces", bound, bound)
 	}
 	if *dbgAddr != "" {
 		dbgSrv, bound, err := monitor.Serve(*dbgAddr, monitor.NewDebugHandler(tracer))

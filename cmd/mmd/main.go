@@ -58,7 +58,7 @@ func main() {
 	tracer := trace.New(trace.Options{Actor: "mm", RingSize: *traceN, Registry: reg})
 	// Two deployment shapes: a shard-group member (-peers) serving one
 	// slice of the keyspace and mirroring to successors over TCP, or the
-	// paper's single MM. Either answers /stats with liveness.
+	// paper's single MM. Either reports its liveness tables on /metrics.
 	var peers []string
 	if *peersS != "" {
 		peers = strings.Split(*peersS, ",")
@@ -84,12 +84,12 @@ func main() {
 	log.Printf("mmd: listening on %s; group %v (index %d, replication %d, shard beat %v); RM heartbeat %v (0: liveness off), dead after %d misses; faults %q",
 		node.Server.Addr(), peers, *shardIx, *rep, *beatIv, *hbIv, *misses, *faultsS)
 	if *monAddr != "" {
-		monSrv, bound, err := monitor.Serve(*monAddr, monitor.NewMMHandler(node.Manager, reg, tracer))
+		monSrv, bound, err := monitor.Serve(*monAddr, monitor.NewHandler(reg, tracer))
 		if err != nil {
 			fail(err)
 		}
 		defer monitor.Shutdown(monSrv, shutdownTimeout)
-		log.Printf("mmd: stats at http://%s/stats, metrics at http://%s/metrics, traces at http://%s/traces", bound, bound, bound)
+		log.Printf("mmd: metrics at http://%s/metrics, traces at http://%s/traces", bound, bound)
 	}
 	if *dbgAddr != "" {
 		dbgSrv, bound, err := monitor.Serve(*dbgAddr, monitor.NewDebugHandler(tracer))

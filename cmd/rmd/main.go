@@ -128,12 +128,12 @@ func main() {
 	log.Printf("rmd: %v (%v, %d files, %v) listening on %s, registered at %s; heartbeat %v, lease TTL %v, stream QoS %v (ceiling %.2f× capacity), %d tenant quota(s), faults %q",
 		rmID, capacity, len(held), strat, node.Server.Addr(), *mmAddr, *hbIv, *leaseTT, *sqos, *sceil, len(quotas), *faultsS)
 	if *monAddr != "" {
-		monSrv, bound, err := monitor.Serve(*monAddr, monitor.NewRMHandler(node.Server.Node(), node.Disk, sched, reg, tracer))
+		monSrv, bound, err := monitor.Serve(*monAddr, monitor.NewHandler(reg, tracer))
 		if err != nil {
 			fail(err)
 		}
 		defer monitor.Shutdown(monSrv, shutdownTimeout)
-		log.Printf("rmd: %v stats at http://%s/stats, metrics at http://%s/metrics, traces at http://%s/traces", rmID, bound, bound, bound)
+		log.Printf("rmd: %v metrics at http://%s/metrics, traces at http://%s/traces", rmID, bound, bound)
 	}
 	if *dbgAddr != "" {
 		dbgSrv, bound, err := monitor.Serve(*dbgAddr, monitor.NewDebugHandler(tracer))

@@ -248,9 +248,6 @@ func New(opt Options) (*Client, error) {
 	return c, nil
 }
 
-// ID returns the client's identifier.
-func (c *Client) ID() ids.DFSCID { return c.id }
-
 // MetaCache exposes the metadata lease cache (nil when MetaTTL was zero);
 // tests drive its clock through it.
 func (c *Client) MetaCache() *MetaCache { return c.meta }

@@ -14,6 +14,7 @@ import (
 	"dfsqos/internal/rng"
 	"dfsqos/internal/selection"
 	"dfsqos/internal/simtime"
+	"dfsqos/internal/telemetry"
 	"dfsqos/internal/units"
 )
 
@@ -24,6 +25,7 @@ type harness struct {
 	dir     *ecnp.StaticDirectory
 	rms     map[ids.RMID]*rm.RM
 	catalog *catalog.Catalog
+	reg     *telemetry.Registry // every RM's series, summed
 }
 
 func newHarness(t testing.TB, caps map[ids.RMID]units.BytesPerSec, holders map[ids.FileID][]ids.RMID) *harness {
@@ -40,6 +42,7 @@ func newHarness(t testing.TB, caps map[ids.RMID]units.BytesPerSec, holders map[i
 		dir:     new(ecnp.StaticDirectory),
 		rms:     make(map[ids.RMID]*rm.RM),
 		catalog: cat,
+		reg:     telemetry.NewRegistry(),
 	}
 	adapter := ecnp.SimScheduler{S: h.sched}
 	master := rng.New(11)
@@ -62,6 +65,7 @@ func newHarness(t testing.TB, caps map[ids.RMID]units.BytesPerSec, holders map[i
 			Replication: replication.DefaultConfig(replication.Static()),
 			Rand:        master.Split(id.String()),
 			Files:       fileSets[id],
+			Metrics:     rm.NewMetrics(h.reg),
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -1,6 +1,7 @@
 package dfsc
 
 import (
+	"strings"
 	"testing"
 
 	"dfsqos/internal/ecnp"
@@ -64,7 +65,7 @@ func TestStoreFailsWhenAllFullFirm(t *testing.T) {
 		map[ids.RMID]units.BytesPerSec{1: units.Mbps(18)},
 		nil)
 	h.rms[1].Open(ecnp.OpenRequest{Request: 900, Bitrate: units.Mbps(17.9), DurationSec: 10000})
-	storage := h.rms[1].StorageUsed()
+	storage := h.storageUsed(t)
 	c := h.client(t, selection.RemOnly, qos.Firm)
 	out := c.Store(5)
 	if out.OK {
@@ -75,9 +76,9 @@ func TestStoreFailsWhenAllFullFirm(t *testing.T) {
 	if n := h.mapper.ReplicaCount(5); n != 0 {
 		t.Fatalf("MM shows %d replicas of a failed store", n)
 	}
-	if h.rms[1].HasFile(5) || h.rms[1].StorageUsed() != storage {
+	if used := h.storageUsed(t); h.rms[1].HasFile(5) || used != storage {
 		t.Fatalf("RM1 holds file5 %v, storage %v after the refused write, want false, %v",
-			h.rms[1].HasFile(5), h.rms[1].StorageUsed(), storage)
+			h.rms[1].HasFile(5), used, storage)
 	}
 	// Once bandwidth frees, the same write succeeds there.
 	h.rms[1].Close(900)
@@ -145,4 +146,21 @@ func TestBroadcastCNPSameOutcomeMoreMessages(t *testing.T) {
 	if msgsC != 10 {
 		t.Fatalf("CNP messages = %d, want 10", msgsC)
 	}
+}
+
+// storageUsed reads the harness RMs' committed and in-flight replica
+// bytes, summed, off their series.
+func (h *harness) storageUsed(t *testing.T) string {
+	t.Helper()
+	var b strings.Builder
+	if err := h.reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(b.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, "dfsqos_rm_storage_used_bytes "); ok {
+			return v
+		}
+	}
+	t.Fatalf("exposition has no dfsqos_rm_storage_used_bytes:\n%s", b.String())
+	return ""
 }

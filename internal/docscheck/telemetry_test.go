@@ -11,11 +11,11 @@ import (
 
 // stateViewPackages keep every count they export as state of their own —
 // a client's Stats, an RM's Stats and tables, a disk throttle's Stats, a
-// tenant ledger's rows — and bind it to telemetry Func series read at
-// scrape time, so no event is counted twice. Their non-test code may
-// observe histograms, which have no other record, but may not write a
-// counter or a gauge.
-var stateViewPackages = []string{"blkio", "dfsc", "rm", "tenant"}
+// tenant ledger's rows, an MM's liveness tables and counts — and bind it
+// to telemetry Func series read at scrape time, so no event is counted
+// twice. Their non-test code may observe histograms, which have no other
+// record, but may not write a counter or a gauge.
+var stateViewPackages = []string{"blkio", "dfsc", "mm", "rm", "tenant"}
 
 // writtenMetrics are the telemetry types whose methods write a copy of a
 // count.
@@ -70,8 +70,8 @@ func writtenMetricUses(l *moduleLoad, pkgs []string) []string {
 
 // TestWrittenMetricScanTeeth runs the scan over a module whose rm package
 // increments a Counter, observes a Histogram and binds a CounterFunc, and
-// whose mm package increments a Counter too: it must flag the rm
-// increment alone.
+// whose transport package, which the scan leaves out, increments a
+// Counter too: it must flag the rm increment alone.
 func TestWrittenMetricScanTeeth(t *testing.T) {
 	l := loadSynth(t, map[string]string{
 		"go.mod": "module synth\n\ngo 1.22\n",
@@ -108,11 +108,11 @@ func (r *RM) Open() {
 
 func (r *RM) Bind() { r.series.Bind(func() uint64 { return uint64(r.opens) }) }
 `,
-		"internal/mm/mm.go": `package mm
+		"internal/transport/transport.go": `package transport
 
 import "synth/internal/telemetry"
 
-func Lookup(c *telemetry.Counter) { c.Inc() }
+func Call(c *telemetry.Counter) { c.Inc() }
 `,
 	})
 	hits := writtenMetricUses(l, stateViewPackages)

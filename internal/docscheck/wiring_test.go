@@ -26,7 +26,7 @@ var mmServerCallers = map[string]string{
 	"bench/micro.go":                   "the MM lookup micro-benchmark serves a bare Manager over TCP",
 	"internal/live/node.go":            "live.StartMM, the one metadata-plane start-up mmd and live.Local run",
 	"internal/live/live_test.go":       "TestLiveReplicationRefusalText and TestMMServerEncodesLentHoldersWhileReplicasChange serve a bare Manager they fill by hand",
-	"internal/live/shardgroup_test.go": "tcpGroup moves shard liveness by hand with no beat loop, and a /stats test drives one member's clock",
+	"internal/live/shardgroup_test.go": "tcpGroup moves shard liveness by hand with no beat loop, and TestMMShardStatsReportDeadRM drives one member's clock with no sweep before its scrape",
 }
 
 // daemonForbidden are the calls a daemon leaves to live.StartRM and

@@ -3,6 +3,7 @@ package live
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -196,6 +197,12 @@ var (
 	mmLive  = MMSpec{HeartbeatInterval: 20 * time.Millisecond}
 )
 
+// listed reports whether m's resource list, which names its live RMs
+// alone, names id.
+func listed(m *mm.Manager, id ids.RMID) bool {
+	return slices.ContainsFunc(m.RMs(), func(info ecnp.RMInfo) bool { return info.ID == id })
+}
+
 // TestChaosCrashRestartLiveness drives the full death-and-rebirth cycle
 // through heartbeats over real TCP: a killed RM drops out of the MM's
 // routing surfaces within the miss threshold, and a restart on a fresh
@@ -207,11 +214,11 @@ func TestChaosCrashRestartLiveness(t *testing.T) {
 		MM:      mmLive,
 		RM:      rmBeats,
 	})
-	waitFor(t, "both RMs live", func() bool { return lc.Manager.LiveCount() == 2 })
+	waitFor(t, "both RMs live", func() bool { return len(lc.Manager.RMs()) == 2 })
 
 	// Crash RM 2: heartbeats stop, server socket closes.
 	lc.KillRM(2)
-	waitFor(t, "RM2 declared dead", func() bool { return !lc.Manager.Alive(2) })
+	waitFor(t, "RM2 declared dead", func() bool { return !listed(lc.Manager, 2) })
 
 	// The corpse is gone from every routing answer — over the wire too.
 	if rms := lc.Mapper.RMs(); len(rms) != 1 || rms[0].ID != 1 {
@@ -232,12 +239,10 @@ func TestChaosCrashRestartLiveness(t *testing.T) {
 	if err := lc.Restart(2, ""); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "RM2 revived", func() bool { return lc.Manager.Alive(2) })
-	if got := lc.Manager.Epoch(2); got != 1 {
-		t.Fatalf("epoch after crash-restart = %d, want 1", got)
-	}
-	if got := lc.Manager.Epoch(1); got != 0 {
-		t.Fatalf("survivor's epoch = %d, want 0", got)
+	waitFor(t, "RM2 revived", func() bool { return listed(lc.Manager, 2) })
+	// RM2's revival is the one the MM counts: the survivor never died.
+	if got := seriesValue(t, lc.reg, `dfsqos_mm_rm_transitions_total{direction="live"}`); got != 1 {
+		t.Fatalf("%v revivals after one crash-restart, want 1", got)
 	}
 	waitFor(t, "Lookup heals", func() bool { return len(lc.Mapper.Lookup(0)) == 2 })
 }
@@ -254,7 +259,7 @@ func TestLivenessKilledRMStopsBeating(t *testing.T) {
 		RM:      rmBeats,
 		Faults:  map[ids.RMID]string{1: "rm.handle:match=Open:count=1:action=kill"},
 	})
-	waitFor(t, "both RMs live", func() bool { return lc.Manager.LiveCount() == 2 })
+	waitFor(t, "both RMs live", func() bool { return len(lc.Manager.RMs()) == 2 })
 	cli, ok := lc.Dir.RMClient(1)
 	if !ok {
 		t.Fatal("RM1 unreachable")
@@ -263,10 +268,12 @@ func TestLivenessKilledRMStopsBeating(t *testing.T) {
 	if res := cli.Open(ecnp.OpenRequest{Request: 1, File: 0, Bitrate: meta.Bitrate, DurationSec: meta.DurationSec}); res.OK {
 		t.Fatal("the open that kills RM1 was admitted")
 	}
-	deaths := mm.NewMetrics(lc.reg).Deaths
-	waitFor(t, "the killed RM1 counted dead", func() bool { return deaths.Value() > 0 })
-	if lc.Manager.Alive(1) || deaths.Value() != 1 {
-		t.Fatalf("RM1 alive %v after %d death(s), want dead after 1", lc.Manager.Alive(1), deaths.Value())
+	deaths := func() float64 {
+		return seriesValue(t, lc.reg, `dfsqos_mm_rm_transitions_total{direction="dead"}`)
+	}
+	waitFor(t, "the killed RM1 counted dead", func() bool { return deaths() > 0 })
+	if n := deaths(); listed(lc.Manager, 1) || n != 1 {
+		t.Fatalf("RM1 alive %v after %v death(s), want dead after 1", listed(lc.Manager, 1), n)
 	}
 	if hs := lc.Manager.Lookup(0); len(hs) != 1 || hs[0] != 2 {
 		t.Fatalf("Lookup(0) = %v, want [RM2]", hs)
@@ -302,8 +309,9 @@ func TestLivenessKilledShardStopsBeating(t *testing.T) {
 			})
 		}
 	}
-	met := mm.NewMetrics(reg)
-	waitFor(t, "the takeover of the killed member's keyspace", func() bool { return met.HandoffTakeover.Value() > 0 })
+	waitFor(t, "the takeover of the killed member's keyspace", func() bool {
+		return seriesValue(t, reg, `dfsqos_mm_shard_handoff_entries_total{direction="takeover"}`) > 0
+	})
 }
 
 // TestLivenessSingleMMSweepsSilentRM: the single MM sweeps its RM table on
@@ -321,7 +329,7 @@ func TestLivenessGroupMemberSweepsSilentRM(t *testing.T) {
 
 // testSweepsSilentRM arms RM liveness through the spec, then skews the RM
 // table's clock an hour past the RM's registration: the node's own loop
-// must count it dead and leave the live gauge equal to LiveCount.
+// must count it dead, and the live gauge read 0.
 func testSweepsSilentRM(t *testing.T, group bool) {
 	lc := startLocal(t, LocalSpec{
 		Catalog:    testCatalog(t, 23, 1, 1, 5, 10),
@@ -336,12 +344,14 @@ func testSweepsSilentRM(t *testing.T, group bool) {
 	}
 	var skew atomic.Int64 // the RM table's clock runs this far ahead
 	m.SetClock(func() time.Time { return time.Now().Add(time.Duration(skew.Load())) })
-	met := mm.NewMetrics(nil)
-	m.SetMetrics(met)
+	reg := telemetry.NewRegistry() // the skewed table's series alone
+	m.SetMetrics(mm.NewMetrics(reg))
 	skew.Store(int64(time.Hour))
-	waitFor(t, "the silent RM counted dead", func() bool { return met.Deaths.Value() == 1 })
-	if live := m.LiveCount(); live != 0 || met.LiveRMs.Value() != float64(live) {
-		t.Fatalf("live RMs %d, gauge %v: want 0 and the gauge equal", live, met.LiveRMs.Value())
+	waitFor(t, "the silent RM counted dead", func() bool {
+		return seriesValue(t, reg, `dfsqos_mm_rm_transitions_total{direction="dead"}`) == 1
+	})
+	if live := seriesValue(t, reg, "dfsqos_mm_live_rms"); live != 0 {
+		t.Fatalf("live RMs gauge %v, want 0", live)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"dfsqos/internal/ids"
 	"dfsqos/internal/replication"
 	"dfsqos/internal/rng"
+	"dfsqos/internal/telemetry"
 	"dfsqos/internal/units"
 	"dfsqos/internal/wire"
 )
@@ -140,23 +141,26 @@ func TestLiveWriteOpen(t *testing.T) {
 	}
 }
 
-// wantNothingStored fails t unless RM1 holds nothing of file: no file, the
-// storage and reservations it had before (used, zero), no MM holder and
-// no bytes on its disk.
-func wantNothingStored(t *testing.T, lc *Local, file ids.FileID, used units.Size) {
+// wantNothingStored fails t unless RM1 holds nothing of file: no file, no
+// storage and no reservations (RM1, which reports onto reg, starts empty),
+// no MM holder and no bytes on its disk.
+func wantNothingStored(t *testing.T, lc *Local, reg *telemetry.Registry, file ids.FileID) {
 	t.Helper()
 	node := lc.Node(1)
 	if node.HasFile(file) {
 		t.Errorf("RM1 holds %v after a failed write", file)
 	}
-	if got := node.StorageUsed(); got != used {
-		t.Errorf("RM1 storage %v after a failed write, want %v", got, used)
+	if got := seriesValue(t, reg, "dfsqos_rm_storage_used_bytes"); got != 0 {
+		t.Errorf("RM1 storage %v after a failed write, want 0", got)
 	}
 	if n := node.ActiveReservations(); n != 0 {
 		t.Errorf("RM1 holds %d reservation(s) after a failed write", n)
 	}
 	if hs := lc.Mapper.Lookup(file); len(hs) != 0 {
 		t.Errorf("the MM maps %v on %v after a failed write", file, hs)
+	}
+	if _, err := lc.Disk(1).Stat(FileName(file)); err == nil {
+		t.Errorf("RM1's disk holds %v after a failed write", file)
 	}
 }
 
@@ -165,35 +169,40 @@ func wantNothingStored(t *testing.T, lc *Local, file ids.FileID, used units.Size
 // vdisk as well as to the RM's accounting, so a write of just over half
 // the disk then fits.
 func TestLiveAbortedOfferFreesItsDiskBytes(t *testing.T) {
+	reg := telemetry.NewRegistry()
 	lc := startLiveCluster(t, LocalSpec{
 		Caps: []units.BytesPerSec{units.Mbps(50)},
+		RM:   RMSpec{Registry: reg},
 	})
 	cli, ok := lc.Dir.RMClient(1)
 	if !ok {
 		t.Fatal("RM1 unreachable")
 	}
 	disk := lc.Disk(1)
-	if disk.Used() != 0 || lc.Node(1).StorageUsed() != 0 {
-		t.Fatalf("RM1 starts with %v on its disk and %v accounted, want an empty RM", disk.Used(), lc.Node(1).StorageUsed())
+	if n, used := lc.Node(1).NumFiles(), seriesValue(t, reg, "dfsqos_rm_storage_used_bytes"); n != 0 || used != 0 {
+		t.Fatalf("RM1 starts with %d file(s) and %v bytes accounted, want an empty RM", n, used)
 	}
 	half := disk.Capacity() / 2
 	offer := ecnp.ReplicaOffer{Replication: 7, File: 6, SizeBytes: half, Bitrate: units.Mbps(1), DurationSec: 60, Rate: units.Mbps(1), Source: 2}
 	if !cli.OfferReplica(offer) {
 		t.Fatal("offer refused")
 	}
-	if disk.Used() != half {
-		t.Fatalf("disk holds %v after the accepted offer, want %v", disk.Used(), half)
+	if size, err := disk.Stat(FileName(6)); err != nil || size != half {
+		t.Fatalf("disk holds %v (%v) of the accepted offer, want %v", size, err, half)
 	}
 	cli.FinishReplica(7, false)
-	if got := disk.Used(); got != 0 {
-		t.Fatalf("disk holds %v after the offer was aborted, want 0", got)
+	if _, err := disk.Stat(FileName(6)); err == nil {
+		t.Fatal("disk still holds the aborted offer")
+	}
+	if got := seriesValue(t, reg, "dfsqos_rm_storage_used_bytes"); got != 0 {
+		t.Fatalf("RM1 accounts %v bytes after the offer was aborted, want 0", got)
 	}
 	if res := cli.Open(ecnp.OpenRequest{Request: 1, File: 7, Bitrate: units.Mbps(1), SizeBytes: half + units.MB, DurationSec: 60}); !res.OK {
 		t.Fatalf("write-open of just over half the disk after the abort: %s", res.Reason)
 	}
 	cli.Close(1)
-	if got := disk.Used(); got != half+units.MB {
-		t.Fatalf("disk holds %v after the write, want %v", got, half+units.MB)
+	if size, err := disk.Stat(FileName(7)); err != nil || size != half+units.MB {
+		t.Fatalf("disk holds %v (%v) of the write, want %v", size, err, half+units.MB)
 	}
 }
 
@@ -203,15 +212,16 @@ func TestLiveAbortedOfferFreesItsDiskBytes(t *testing.T) {
 // disk, and it must be refused as disk full with nothing of it left
 // behind.
 func TestLiveWriteFailingProvisionStoresNothing(t *testing.T) {
+	reg := telemetry.NewRegistry()
 	lc := startLiveCluster(t, LocalSpec{
 		Caps: []units.BytesPerSec{units.Mbps(50)},
+		RM:   RMSpec{Registry: reg},
 	})
 	cli, ok := lc.Dir.RMClient(1)
 	if !ok {
 		t.Fatal("RM1 unreachable")
 	}
-	used := lc.Node(1).StorageUsed()
-	free := lc.Disk(1).Capacity() - lc.Disk(1).Used()
+	free := lc.Disk(1).Capacity() // RM1 holds nothing
 	if err := lc.Disk(1).Provision("stray", free/2); err != nil {
 		t.Fatal(err)
 	}
@@ -219,10 +229,7 @@ func TestLiveWriteFailingProvisionStoresNothing(t *testing.T) {
 	if res.OK || res.Code != ecnp.ErrDiskFull {
 		t.Fatalf("write-open past the disk: %+v, want %s", res, ecnp.ErrDiskFull.Label())
 	}
-	wantNothingStored(t, lc, 7, used)
-	if _, err := lc.Disk(1).Stat(FileName(7)); err == nil {
-		t.Error("the disk holds the refused file")
-	}
+	wantNothingStored(t, lc, reg, 7)
 }
 
 // TestLiveWriteUnregisteredStoresNothing: the MM refuses to register the
@@ -230,25 +237,22 @@ func TestLiveWriteFailingProvisionStoresNothing(t *testing.T) {
 // and leaves nothing on the RM or its disk; once the MM answers, the
 // same write succeeds.
 func TestLiveWriteUnregisteredStoresNothing(t *testing.T) {
+	reg := telemetry.NewRegistry()
 	lc := startLiveCluster(t, LocalSpec{
 		Caps: []units.BytesPerSec{units.Mbps(50)},
 		MM:   MMSpec{Faults: "mm.handle:match=AddReplica:count=1:action=error"},
+		RM:   RMSpec{Registry: reg},
 	})
 	cli, ok := lc.Dir.RMClient(1)
 	if !ok {
 		t.Fatal("RM1 unreachable")
 	}
-	used := lc.Node(1).StorageUsed()
-	diskUsed := lc.Disk(1).Used()
 	meta := lc.Catalog.File(3)
 	write := ecnp.OpenRequest{Request: 1, File: 3, Bitrate: meta.Bitrate, SizeBytes: meta.Size, DurationSec: meta.DurationSec}
 	if res := cli.Open(write); res.OK {
 		t.Fatal("write-open admitted although the MM refused its registration")
 	}
-	wantNothingStored(t, lc, 3, used)
-	if got := lc.Disk(1).Used(); got != diskUsed {
-		t.Errorf("disk holds %v after a failed write, want %v", got, diskUsed)
-	}
+	wantNothingStored(t, lc, reg, 3)
 	if res := cli.Open(write); !res.OK {
 		t.Fatalf("write-open once the MM answers: %s", res.Reason)
 	}

@@ -8,12 +8,13 @@ import (
 )
 
 // Test helpers for the external live_test package: a Local whose cleanup
-// fails the test on a leaked reservation, the catalog generator and the
-// poll helper.
+// fails the test on a leaked reservation, the catalog generator, the poll
+// helper and the one-series scrape.
 var (
-	StartLocal = startLocal
-	GenCatalog = testCatalog
-	WaitFor    = waitFor
+	StartLocal  = startLocal
+	GenCatalog  = testCatalog
+	WaitFor     = waitFor
+	SeriesValue = seriesValue
 )
 
 // setFaults replaces a server's fault injector with a script a test

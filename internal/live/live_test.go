@@ -23,6 +23,7 @@ import (
 	"dfsqos/internal/rng"
 	"dfsqos/internal/selection"
 	"dfsqos/internal/simtime"
+	"dfsqos/internal/telemetry"
 	"dfsqos/internal/tenant"
 	"dfsqos/internal/units"
 	"dfsqos/internal/wire"
@@ -196,8 +197,8 @@ func TestLiveWalkEndsAtReplicaCap(t *testing.T) {
 		Holders: map[ids.FileID][]ids.RMID{0: {1, 2, 3}},
 		RM:      RMSpec{Replication: cfg},
 	})
-	met := mm.NewMetrics(nil)
-	lc.Manager.SetMetrics(met)
+	reg := telemetry.NewRegistry()
+	lc.Manager.SetMetrics(mm.NewMetrics(reg))
 	if got := len(lc.Mapper.RMsWithout(0)); got != 3 {
 		t.Fatalf("%d candidate destinations, want 3", got)
 	}
@@ -215,8 +216,8 @@ func TestLiveWalkEndsAtReplicaCap(t *testing.T) {
 	rm1.HandleCFP(ecnp.CFP{Request: 2, File: 0, Bitrate: meta.Bitrate, DurationSec: meta.DurationSec})
 	lc.MM.setFaults(nil)
 
-	if n := met.Refused[ecnp.ErrReplicaCap].Value(); n != 0 {
-		t.Fatalf("one attempt on a capped file raised the cap refusals by %d, want 0", n)
+	if n := seriesValue(t, reg, `dfsqos_mm_replication_refusals_total{reason="cap"}`); n != 0 {
+		t.Fatalf("one attempt on a capped file raised the cap refusals by %v, want 0", n)
 	}
 	if st := lc.Node(1).Stats(); st.RepCapped != 1 || st.RepTriggers != 0 {
 		t.Fatalf("RepCapped = %d, RepTriggers = %d; want 1 and 0", st.RepCapped, st.RepTriggers)
@@ -487,7 +488,7 @@ func TestLiveServedErrorsEndStreams(t *testing.T) {
 	}
 
 	disk := lc.Server(1).disk
-	if err := disk.Provision("filler", disk.Capacity()-disk.Used()-1024); err != nil {
+	if err := disk.Provision("filler", disk.Capacity()-1024); err != nil { // RM1 holds nothing yet
 		t.Fatal(err)
 	}
 	payload := bytes.Repeat([]byte("overflow"), 1024)

@@ -73,7 +73,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 
 	// Scrape the shared registry through a real monitor endpoint, as a
 	// Prometheus server would scrape an rmd.
-	mon := httptest.NewServer(monitor.NewRMHandler(lc.Node(1), lc.Disk(1), lc.Sched, reg, nil))
+	mon := httptest.NewServer(monitor.NewHandler(reg, nil))
 	defer mon.Close()
 	scrape := func() string {
 		t.Helper()

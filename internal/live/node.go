@@ -255,6 +255,7 @@ type MMNode struct {
 	Shard  *MMShard
 	Server *MMServer
 
+	met   *mm.Metrics // its liveness tables' and counts' series
 	loops *loops
 	once  sync.Once
 }
@@ -279,6 +280,7 @@ func (n *MMNode) start(spec MMSpec) error {
 	if err != nil {
 		return err
 	}
+	n.met = mm.NewMetrics(reg)
 	var mapper ecnp.Mapper
 	if len(spec.Peers) > 0 {
 		s, err := NewMMShard(spec.Index, len(spec.Peers), spec.Replication,
@@ -292,11 +294,11 @@ func (n *MMNode) start(spec MMSpec) error {
 		if spec.Verbose {
 			s.SetLogger(logf)
 		}
-		s.SetMetrics(mm.NewMetrics(reg))
+		s.SetMetrics(n.met)
 		n.Shard, n.Manager, mapper = s, s.Manager, s
 	} else {
 		n.Manager = mm.New()
-		n.Manager.SetMetrics(mm.NewMetrics(reg))
+		n.Manager.SetMetrics(n.met)
 		mapper = n.Manager
 	}
 	rmLive := mm.LivenessConfig{HeartbeatInterval: spec.HeartbeatInterval, MissThreshold: spec.LivenessMisses}
@@ -327,8 +329,8 @@ func (n *MMNode) start(spec MMSpec) error {
 
 // Close stops the node's loop, then its server, then — in a group — its
 // peer stubs and the heals its beats started: with the server and loop
-// down, no beat can start another. It is idempotent, and may follow a
-// kill.
+// down, no beat can start another. Last it takes its state out of the
+// registry's series. It is idempotent, and may follow a kill.
 func (n *MMNode) Close() {
 	n.once.Do(func() {
 		n.loops.stop()
@@ -338,6 +340,7 @@ func (n *MMNode) Close() {
 		if n.Shard != nil {
 			n.Shard.ClosePeers()
 		}
+		n.met.Unbind()
 	})
 }
 

@@ -28,7 +28,6 @@ type shardCluster struct {
 	ring   *mm.Ring
 	reg    *telemetry.Registry
 	tracer *trace.Tracer
-	mmMet  *mm.Metrics
 	smMet  *live.MMRouteMetrics
 }
 
@@ -49,12 +48,17 @@ func startShardCluster(t *testing.T, caps []units.BytesPerSec, holders map[ids.F
 		}),
 		reg:    reg,
 		tracer: tracer,
-		mmMet:  mm.NewMetrics(reg),
 		smMet:  live.NewMMRouteMetrics(reg),
 	}
 	sc.ring = mm.NewRing(len(sc.Shards))
 	sc.Mapper.SetMetrics(sc.smMet)
 	return sc
+}
+
+// handoff reads the members' handoff entries adopted in direction.
+func (sc *shardCluster) handoff(t *testing.T, direction string) float64 {
+	t.Helper()
+	return live.SeriesValue(t, sc.reg, fmt.Sprintf("dfsqos_mm_shard_handoff_entries_total{direction=%q}", direction))
 }
 
 // reviveShard resurrects member i as a fresh, empty process on its old
@@ -171,7 +175,7 @@ func TestShardChaosKillShardMidWorkload(t *testing.T) {
 		})
 	}
 	live.WaitFor(t, "takeover handoff entries", func() bool {
-		return sc.mmMet.HandoffTakeover.Value() > 0
+		return sc.handoff(t, "takeover") > 0
 	})
 
 	// The lease cache and the successor walk both fired, and the lookup
@@ -202,7 +206,7 @@ func TestShardChaosKillShardMidWorkload(t *testing.T) {
 	}
 
 	// Resurrect the member as an empty process on its old address: peers
-	// see its beats, bump its epoch, and push its keyspace back.
+	// see its beats, count its revival, and push its keyspace back.
 	sc.reviveShard(t, victim)
 	for i, s := range sc.Shards {
 		if i == victim {
@@ -210,16 +214,19 @@ func TestShardChaosKillShardMidWorkload(t *testing.T) {
 		}
 		sh := s
 		live.WaitFor(t, fmt.Sprintf("shard %d revives %d", i, victim), func() bool {
-			return sh.Health().Alive(victim) && sh.Health().Epoch(victim) == 1
+			return sh.Health().Alive(victim)
 		})
 	}
+	live.WaitFor(t, "each survivor counts the revival", func() bool {
+		return live.SeriesValue(t, sc.reg, `dfsqos_mm_shard_transitions_total{direction="live"}`) >= float64(len(sc.Shards)-1)
+	})
 	live.WaitFor(t, "heal handoff repopulates the revived shard", func() bool {
 		return len(sc.Shards[victim].Manager.Lookup(coldFile)) == 2
 	})
 	// The revived member counts what it adopted once the whole batch is
 	// in, so the count can trail the first entry by a moment.
 	live.WaitFor(t, "heal handoff entries counted", func() bool {
-		return sc.mmMet.HandoffHeal.Value() > 0
+		return sc.handoff(t, "heal") > 0
 	})
 	// The revived shard serves its keyspace again, end to end.
 	if hs := sc.Mapper.Lookup(coldFile); len(hs) != 2 {
@@ -310,7 +317,7 @@ func TestShardChaosLeaseExpiryDuringHandoff(t *testing.T) {
 	if hs, ok := client.MetaCache().Get(0); !ok || len(hs) != 1 || hs[0] != 2 {
 		t.Fatalf("post-TTL lease = %v/%v, want re-resolved [2]", hs, ok)
 	}
-	if sc.mmMet.HandoffTakeover.Value() == 0 {
+	if sc.handoff(t, "takeover") == 0 {
 		t.Fatal("no takeover handoff ran during the lease window")
 	}
 }

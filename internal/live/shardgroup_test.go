@@ -1,10 +1,7 @@
 package live_test
 
 import (
-	"encoding/json"
 	"fmt"
-	"net/http"
-	"net/http/httptest"
 	"slices"
 	"strings"
 	"testing"
@@ -15,7 +12,6 @@ import (
 	"dfsqos/internal/ids"
 	"dfsqos/internal/live"
 	"dfsqos/internal/mm"
-	"dfsqos/internal/monitor"
 	"dfsqos/internal/rng"
 	"dfsqos/internal/telemetry"
 	"dfsqos/internal/transport"
@@ -345,13 +341,16 @@ func TestShardChaosHandoffDropped(t *testing.T) {
 }
 
 // TestMMShardStatsReportDeadRM: mmd -peers serves a shard-group member,
-// and its /stats must report an RM that stopped heartbeating as dead,
-// from the member's own liveness table.
+// and its /metrics must report an RM that stopped heartbeating as dead
+// from the member's own liveness table, read at the scrape: no sweep runs
+// between the RM's silence and the scrape.
 func TestMMShardStatsReportDeadRM(t *testing.T) {
 	s, err := live.NewMMShard(0, 2, 2, mm.LivenessConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	reg := telemetry.NewRegistry()
+	s.SetMetrics(mm.NewMetrics(reg))
 	now := time.Unix(1000, 0)
 	s.Manager.SetClock(func() time.Time { return now })
 	s.SetLiveness(mm.LivenessConfig{HeartbeatInterval: time.Second, MissThreshold: 3})
@@ -366,20 +365,18 @@ func TestMMShardStatsReportDeadRM(t *testing.T) {
 	}
 	now = now.Add(2 * time.Second) // RM 1 silent for 4s > 3 × 1s
 
-	rec := httptest.NewRecorder()
-	monitor.NewMMHandler(s, nil, nil).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/stats", nil))
-	var st monitor.MMStats
-	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
-		t.Fatal(err)
+	if rms := s.RMs(); len(rms) != 1 || rms[0].ID != 2 {
+		t.Fatalf("live resource list %v: want RM 2 alone", rms)
 	}
-	alive := map[string]bool{}
-	for _, r := range st.RMs {
-		alive[r.ID] = r.Alive
-	}
-	if len(alive) != 2 || alive[ids.RMID(1).String()] || !alive[ids.RMID(2).String()] {
-		t.Fatalf("/stats rows %+v: want RM 1 dead and RM 2 alive", st.RMs)
-	}
-	if st.LiveRMs != 1 {
-		t.Fatalf("/stats liveRMs = %d, want 1", st.LiveRMs)
+	text := expose(t, reg)
+	for _, want := range []string{
+		"dfsqos_mm_live_rms 1",
+		"dfsqos_mm_registered_rms 2",
+		"dfsqos_mm_heartbeats_total 1",
+		`dfsqos_mm_rm_transitions_total{direction="dead"} 0`, // no sweep latched it
+	} {
+		if !strings.Contains(text, want+"\n") {
+			t.Fatalf("exposition missing %q:\n%s", want, text)
+		}
 	}
 }

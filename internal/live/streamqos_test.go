@@ -118,7 +118,7 @@ func TestChaosLeaseReclaimRemovesStreamQoSGroup(t *testing.T) {
 	if err := cli.Keepalive(1); err != nil {
 		t.Fatalf("survivor keepalive: %v", err)
 	}
-	sweep := renewed.Add(simtime.Duration(lc.Node(1).LeaseTTL()))
+	sweep := renewed.Add(simtime.Duration(leaseTTL.Seconds() * lc.Sched.scale)) // RM1's virtual TTL
 	for lc.Sched.Now() < sweep {
 		time.Sleep(10 * time.Millisecond)
 	}

@@ -7,6 +7,30 @@ import (
 	"dfsqos/internal/ids"
 )
 
+// LiveCount returns the number of currently-live registered RMs.
+func (m *Manager) LiveCount() int { return m.live.LiveCount() }
+
+// Alive reports whether id is registered and within its liveness window.
+func (m *Manager) Alive(id ids.RMID) bool { return m.live.Alive(id) }
+
+// LiveCount returns the number of live slots.
+func (t *Liveness[K]) LiveCount() int {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.liveLocked(t.now())
+}
+
+// Epoch returns k's revival epoch: how many times it has come back from
+// the dead (0 for a continuously-live slot or an unknown key).
+func (t *Liveness[K]) Epoch(k K) uint64 {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	if s := t.slotLocked(k); s != nil {
+		return s.epoch
+	}
+	return 0
+}
+
 // SetLiveness arms RM failure detection on every shard (the resource
 // list, and therefore the liveness table, is replicated).
 func (m *ShardedManager) SetLiveness(cfg LivenessConfig) {

@@ -5,8 +5,6 @@ import (
 	"slices"
 	"sync"
 	"time"
-
-	"dfsqos/internal/telemetry"
 )
 
 // LivenessConfig arms beat expiry on a liveness table: a slot that has not
@@ -38,13 +36,13 @@ func (c LivenessConfig) Deadline() time.Duration {
 // members. A slot is dead while it is marked down or, with expiry armed,
 // silent past the deadline.
 //
-// Reads (Alive, Epoch, LiveCount) change nothing. Sweep latches the slots
-// that died since the last sweep, in ascending key order, counting each
-// death once, and refreshes the live gauge; a caller sweeps on a ticker.
-// A Beat that finds its slot dead revives it: the death is counted if no
-// sweep saw it, then the revival, and the slot's epoch goes up. Stamp
-// refreshes a slot with no revival, and SetDown marks one down or revives
-// it outright.
+// Reads (Alive, and the counts the MM's series read at a scrape: slots,
+// live slots, deaths and revivals) change nothing. Sweep latches the
+// slots that died since the last sweep, in ascending key order, counting
+// each death once; a caller sweeps on a ticker. A Beat that finds its
+// slot dead revives it: the death is counted if no sweep saw it, then the
+// revival, and the slot's epoch goes up. Stamp refreshes a slot with no
+// revival, and SetDown marks one down or revives it outright.
 //
 // Slots sit in one slice ascending by key and are found by binary search,
 // so a key's value — an RM ID off the wire — never sizes an allocation.
@@ -57,8 +55,8 @@ type Liveness[K ~int | ~int32] struct {
 	now    func() time.Time
 	slots  []liveSlot[K]
 	downs  int // slots marked down
-	series func(*Metrics) liveSeries
-	met    liveSeries
+	// deaths and revivals count the transitions, each death once.
+	deaths, revivals uint64
 }
 
 type liveSlot[K ~int | ~int32] struct {
@@ -71,23 +69,8 @@ type liveSlot[K ~int | ~int32] struct {
 	down    bool // explicit down mark: dead whatever the beats say
 }
 
-// liveSeries is where a table reports: its live gauge, its transition
-// counters, and (RM table only) the registered gauge.
-type liveSeries struct {
-	live, registered *telemetry.Gauge
-	deaths, revivals *telemetry.Counter
-}
-
-func rmSeries(met *Metrics) liveSeries {
-	return liveSeries{live: met.LiveRMs, registered: met.RegisteredRMs, deaths: met.Deaths, revivals: met.Revivals}
-}
-
-func shardSeries(met *Metrics) liveSeries {
-	return liveSeries{live: met.LiveShards, deaths: met.ShardDeaths, revivals: met.ShardRevivals}
-}
-
-func newLiveness[K ~int | ~int32](cfg LivenessConfig, series func(*Metrics) liveSeries, met *Metrics) *Liveness[K] {
-	t := &Liveness[K]{now: time.Now, series: series, met: series(met)}
+func newLiveness[K ~int | ~int32](cfg LivenessConfig) *Liveness[K] {
+	t := &Liveness[K]{now: time.Now}
 	t.setConfig(cfg)
 	return t
 }
@@ -97,7 +80,7 @@ func newLiveness[K ~int | ~int32](cfg LivenessConfig, series func(*Metrics) live
 // zero cfg disables beat expiry: only SetDown kills a shard, which is how
 // the in-process group and the DES drive it.
 func NewShardLiveness(n int, cfg LivenessConfig) *Liveness[int] {
-	t := newLiveness[int](cfg, shardSeries, NewMetrics(nil))
+	t := newLiveness[int](cfg)
 	for i := range n {
 		t.add(i)
 	}
@@ -113,18 +96,6 @@ func (t *Liveness[K]) SetClock(now func() time.Time) {
 	t.mu.Lock()
 	t.now = now
 	t.mu.Unlock()
-}
-
-// SetMetrics routes the table's gauges and transition counters to met's
-// series for its kind (default: no-op).
-func (t *Liveness[K]) SetMetrics(met *Metrics) {
-	if met == nil {
-		met = NewMetrics(nil)
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.met = t.series(met)
-	t.refreshLocked(t.now())
 }
 
 func (t *Liveness[K]) setConfig(cfg LivenessConfig) {
@@ -144,7 +115,6 @@ func (t *Liveness[K]) add(k K) {
 	i, found := slices.BinarySearchFunc(t.slots, k, cmpKey[K])
 	if !found {
 		t.slots = slices.Insert(t.slots, i, liveSlot[K]{key: k, last: t.now()})
-		t.refreshLocked(t.now())
 	}
 }
 
@@ -170,7 +140,7 @@ func (t *Liveness[K]) latchLocked(s *liveSlot[K]) bool {
 		return false
 	}
 	s.latched = true
-	t.met.deaths.Inc()
+	t.deaths++
 	return true
 }
 
@@ -181,16 +151,7 @@ func (t *Liveness[K]) reviveLocked(s *liveSlot[K], now time.Time) {
 	s.last = now
 	s.epoch++
 	s.latched = false
-	t.met.revivals.Inc()
-	t.refreshLocked(now)
-}
-
-// refreshLocked re-derives the gauges. Caller holds t.mu for writing.
-func (t *Liveness[K]) refreshLocked(now time.Time) {
-	if t.met.registered != nil {
-		t.met.registered.Set(float64(len(t.slots)))
-	}
-	t.met.live.Set(float64(t.liveLocked(now)))
+	t.revivals++
 }
 
 func (t *Liveness[K]) liveLocked(now time.Time) int {
@@ -237,9 +198,8 @@ func (t *Liveness[K]) Stamp(k K) {
 		return
 	}
 	s.last = t.now()
-	if s.latched && !s.down {
+	if !s.down {
 		s.latched = false
-		t.refreshLocked(s.last)
 	}
 }
 
@@ -260,7 +220,6 @@ func (t *Liveness[K]) SetDown(k K, down bool) (transitioned bool) {
 	if down {
 		t.downs++
 		t.latchLocked(s)
-		t.refreshLocked(now)
 	} else {
 		t.downs--
 		t.reviveLocked(s, now)
@@ -268,8 +227,8 @@ func (t *Liveness[K]) SetDown(k K, down bool) (transitioned bool) {
 	return true
 }
 
-// Sweep latches the slots that died since the last sweep, refreshes the
-// gauges and returns the newly dead keys in ascending order.
+// Sweep latches the slots that died since the last sweep and returns the
+// newly dead keys in ascending order.
 func (t *Liveness[K]) Sweep() []K {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -280,7 +239,6 @@ func (t *Liveness[K]) Sweep() []K {
 			newly = append(newly, s.key)
 		}
 	}
-	t.refreshLocked(now)
 	return newly
 }
 
@@ -292,22 +250,18 @@ func (t *Liveness[K]) Alive(k K) bool {
 	return s != nil && !t.deadLocked(s, t.now())
 }
 
-// Epoch returns k's revival epoch: how many times it has come back from
-// the dead (0 for a continuously-live slot or an unknown key).
-func (t *Liveness[K]) Epoch(k K) uint64 {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if s := t.slotLocked(k); s != nil {
-		return s.epoch
-	}
-	return 0
+// liveCounts is what a table publishes: its slots, the live ones, and
+// the transitions it has counted.
+type liveCounts struct {
+	slots, live      int
+	deaths, revivals uint64
 }
 
-// LiveCount returns the number of live slots.
-func (t *Liveness[K]) LiveCount() int {
+// counts reads the table's liveCounts at now.
+func (t *Liveness[K]) counts() liveCounts {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return t.liveLocked(t.now())
+	return liveCounts{len(t.slots), t.liveLocked(t.now()), t.deaths, t.revivals}
 }
 
 // keepLive returns the entries of s whose key is alive, appended to dst:

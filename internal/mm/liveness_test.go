@@ -106,7 +106,7 @@ func TestEpochBumpsOnlyOnRevival(t *testing.T) {
 	if err := m.RegisterRM(info(1), nil); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.Epoch(1); got != 0 {
+	if got := m.live.Epoch(1); got != 0 {
 		t.Fatalf("first registration epoch = %d, want 0", got)
 	}
 	// In-window beats leave the epoch alone.
@@ -114,7 +114,7 @@ func TestEpochBumpsOnlyOnRevival(t *testing.T) {
 	if err := m.Heartbeat(1); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.Epoch(1); got != 0 {
+	if got := m.live.Epoch(1); got != 0 {
 		t.Fatalf("in-window beat bumped epoch to %d", got)
 	}
 	// Silence past the deadline, then a beat: one revival.
@@ -125,7 +125,7 @@ func TestEpochBumpsOnlyOnRevival(t *testing.T) {
 	if err := m.Heartbeat(1); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.Epoch(1); got != 1 {
+	if got := m.live.Epoch(1); got != 1 {
 		t.Fatalf("epoch after revival = %d, want 1", got)
 	}
 	if !m.Alive(1) {
@@ -137,7 +137,7 @@ func TestEpochBumpsOnlyOnRevival(t *testing.T) {
 	if err := m.RegisterRM(info(1), nil); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.Epoch(1); got != 2 {
+	if got := m.live.Epoch(1); got != 2 {
 		t.Fatalf("epoch after re-registration revival = %d, want 2", got)
 	}
 }
@@ -221,7 +221,7 @@ func TestShardedLivenessFansOut(t *testing.T) {
 		t.Fatal(err)
 	}
 	clk.Advance(time.Second)
-	if m.Alive(1) {
+	if m.canonical().Alive(1) {
 		t.Fatal("sharded RM alive after 1s of silence")
 	}
 	// Every shard must agree the RM is dead (each shard filters its own
@@ -239,10 +239,10 @@ func TestShardedLivenessFansOut(t *testing.T) {
 			t.Fatalf("heartbeat did not heal file %v's shard: %v", f, hs)
 		}
 	}
-	if got := m.Epoch(1); got != 1 {
+	if got := m.canonical().live.Epoch(1); got != 1 {
 		t.Fatalf("sharded epoch = %d, want 1", got)
 	}
-	if got := m.LiveCount(); got != 1 {
+	if got := m.canonical().LiveCount(); got != 1 {
 		t.Fatalf("sharded LiveCount = %d, want 1", got)
 	}
 	if err := m.Validate(); err != nil {
@@ -250,10 +250,9 @@ func TestShardedLivenessFansOut(t *testing.T) {
 	}
 }
 
-// TestLivenessSweepCountsSilentRMDeath: an RM that falls silent drops out of every
-// answer at once, but reads latch nothing; the first sweep past the
-// deadline counts the death once and brings the live gauge down to the
-// number of live RMs.
+// TestLivenessSweepCountsSilentRMDeath: an RM that falls silent drops out
+// of every answer, and of the live gauge, at once, but reads latch
+// nothing; the first sweep past the deadline counts the death once.
 func TestLivenessSweepCountsSilentRMDeath(t *testing.T) {
 	clk := newFakeClock()
 	reg := telemetry.NewRegistry()
@@ -268,12 +267,18 @@ func TestLivenessSweepCountsSilentRMDeath(t *testing.T) {
 	if len(m.RMs()) != 0 || len(m.Lookup(7)) != 0 || m.Alive(1) || m.LiveCount() != 0 {
 		t.Fatal("a silent RM is still answered")
 	}
-	if text := exposition(t, reg); !strings.Contains(text, `dfsqos_mm_rm_transitions_total{direction="dead"} 0`) {
-		t.Fatalf("a read latched the death:\n%s", text)
+	text := exposition(t, reg)
+	for _, want := range []string{
+		`dfsqos_mm_rm_transitions_total{direction="dead"} 0`,
+		`dfsqos_mm_live_rms 0`,
+	} {
+		if !strings.Contains(text, want) {
+			t.Fatalf("exposition missing %q before any sweep:\n%s", want, text)
+		}
 	}
 	m.Sweep()
 	m.Sweep()
-	text := exposition(t, reg)
+	text = exposition(t, reg)
 	for _, want := range []string{
 		`dfsqos_mm_rm_transitions_total{direction="dead"} 1`,
 		`dfsqos_mm_live_rms 0`,
@@ -286,12 +291,11 @@ func TestLivenessSweepCountsSilentRMDeath(t *testing.T) {
 }
 
 // liveUse is one use of the liveness table: the RM table a Manager keeps,
-// or a shard group's. build makes a table over keys on clk with cfg,
-// reporting to met's series; unknown are keys the table has no slot for.
+// or a shard group's. build makes a table over keys on clk with cfg;
+// unknown are keys the table has no slot for.
 type liveUse[K ~int | ~int32] struct {
 	keys, unknown []K
-	series        func(*Metrics) liveSeries
-	build         func(t *testing.T, cfg LivenessConfig, clk *fakeClock, met *Metrics) *Liveness[K]
+	build         func(t *testing.T, cfg LivenessConfig, clk *fakeClock) *Liveness[K]
 }
 
 // rmUse builds the table through a Manager's registrations; one RM has the
@@ -299,12 +303,10 @@ type liveUse[K ~int | ~int32] struct {
 var rmUse = liveUse[ids.RMID]{
 	keys:    []ids.RMID{1, 7, math.MaxInt32},
 	unknown: []ids.RMID{0, 2, math.MaxInt32 - 1},
-	series:  rmSeries,
-	build: func(t *testing.T, cfg LivenessConfig, clk *fakeClock, met *Metrics) *Liveness[ids.RMID] {
+	build: func(t *testing.T, cfg LivenessConfig, clk *fakeClock) *Liveness[ids.RMID] {
 		m := New()
 		m.SetClock(clk.Now)
 		m.SetLiveness(cfg)
-		m.SetMetrics(met)
 		for _, id := range []ids.RMID{math.MaxInt32, 7, 1} {
 			if err := m.RegisterRM(info(id), nil); err != nil {
 				t.Fatal(err)
@@ -317,14 +319,12 @@ var rmUse = liveUse[ids.RMID]{
 var shardUse = liveUse[int]{
 	keys:    []int{0, 1, 2},
 	unknown: []int{-1, 3, 9},
-	series:  shardSeries,
-	build: func(_ *testing.T, cfg LivenessConfig, clk *fakeClock, met *Metrics) *Liveness[int] {
+	build: func(_ *testing.T, cfg LivenessConfig, clk *fakeClock) *Liveness[int] {
 		h := NewShardLiveness(3, cfg)
 		h.SetClock(clk.Now)
 		for i := range 3 {
 			h.Stamp(i) // on the fake clock
 		}
-		h.SetMetrics(met)
 		return h
 	},
 }
@@ -338,23 +338,22 @@ func TestLivenessTable(t *testing.T) {
 func livenessCases[K ~int | ~int32](t *testing.T, u liveUse[K]) {
 	cfg := LivenessConfig{HeartbeatInterval: time.Second, MissThreshold: 3}
 	k0, k1, k2 := u.keys[0], u.keys[1], u.keys[2]
-	setup := func(t *testing.T, cfg LivenessConfig) (*Liveness[K], *fakeClock, liveSeries) {
+	setup := func(t *testing.T, cfg LivenessConfig) (*Liveness[K], *fakeClock) {
 		clk := newFakeClock()
-		met := NewMetrics(nil)
-		return u.build(t, cfg, clk, met), clk, u.series(met)
+		return u.build(t, cfg, clk), clk
 	}
 
 	// With expiry off nothing dies of silence and a sweep finds nothing.
 	t.Run("off", func(t *testing.T) {
-		h, clk, met := setup(t, LivenessConfig{})
+		h, clk := setup(t, LivenessConfig{})
 		clk.Advance(time.Hour)
 		for _, k := range u.keys {
 			if !h.Alive(k) {
 				t.Fatalf("%v dead with expiry off", k)
 			}
 		}
-		if newly := h.Sweep(); newly != nil || h.LiveCount() != 3 || met.live.Value() != 3 {
-			t.Fatalf("Sweep = %v, live %d, gauge %v: want nil, 3, 3", newly, h.LiveCount(), met.live.Value())
+		if newly := h.Sweep(); newly != nil || h.LiveCount() != 3 || h.counts().live != 3 {
+			t.Fatalf("Sweep = %v, live %d, gauge %v: want nil, 3, 3", newly, h.LiveCount(), h.counts().live)
 		}
 	})
 
@@ -362,7 +361,7 @@ func livenessCases[K ~int | ~int32](t *testing.T, u liveUse[K]) {
 	// without latching, the sweep latches it once, and the next beat
 	// revives it with an epoch bump; in-window beats bump nothing.
 	t.Run("expiry", func(t *testing.T) {
-		h, clk, met := setup(t, cfg)
+		h, clk := setup(t, cfg)
 		clk.Advance(cfg.Deadline())
 		if newly := h.Sweep(); newly != nil {
 			t.Fatalf("Sweep at the deadline = %v", newly)
@@ -373,9 +372,9 @@ func livenessCases[K ~int | ~int32](t *testing.T, u liveUse[K]) {
 			t.Fatalf("in-window beat bumped the epoch to %d", h.Epoch(k1))
 		}
 		clk.Advance(time.Millisecond)
-		if h.Alive(k0) || !h.Alive(k1) || h.LiveCount() != 2 || met.deaths.Value() != 0 {
+		if h.Alive(k0) || !h.Alive(k1) || h.LiveCount() != 2 || h.counts().deaths != 0 {
 			t.Fatalf("alive %v/%v live %d deaths %d: want false/true, 2, 0 (reads never latch)",
-				h.Alive(k0), h.Alive(k1), h.LiveCount(), met.deaths.Value())
+				h.Alive(k0), h.Alive(k1), h.LiveCount(), h.counts().deaths)
 		}
 		if newly := h.Sweep(); !slices.Equal(newly, []K{k0}) {
 			t.Fatalf("Sweep = %v, want [%v]", newly, k0)
@@ -383,8 +382,8 @@ func livenessCases[K ~int | ~int32](t *testing.T, u liveUse[K]) {
 		if newly := h.Sweep(); newly != nil {
 			t.Fatalf("death re-latched: %v", newly)
 		}
-		if met.deaths.Value() != 1 || met.live.Value() != 2 {
-			t.Fatalf("deaths %d gauge %v after the sweep, want 1 and 2", met.deaths.Value(), met.live.Value())
+		if h.counts().deaths != 1 || h.counts().live != 2 {
+			t.Fatalf("deaths %d gauge %v after the sweep, want 1 and 2", h.counts().deaths, h.counts().live)
 		}
 		if !h.Beat(k0) {
 			t.Fatal("beat did not report revival")
@@ -395,20 +394,20 @@ func livenessCases[K ~int | ~int32](t *testing.T, u liveUse[K]) {
 		if h.Epoch(k0) != 1 || h.Epoch(k1) != 0 {
 			t.Fatalf("epochs = %d/%d, want 1/0", h.Epoch(k0), h.Epoch(k1))
 		}
-		if met.deaths.Value() != 1 || met.revivals.Value() != 1 || met.live.Value() != 3 {
-			t.Fatalf("deaths %d revivals %d gauge %v, want 1, 1, 3", met.deaths.Value(), met.revivals.Value(), met.live.Value())
+		if h.counts().deaths != 1 || h.counts().revivals != 1 || h.counts().live != 3 {
+			t.Fatalf("deaths %d revivals %d gauge %v, want 1, 1, 3", h.counts().deaths, h.counts().revivals, h.counts().live)
 		}
 	})
 
 	// A death no sweep saw is counted by the beat that revives it.
 	t.Run("unswept death", func(t *testing.T) {
-		h, clk, met := setup(t, cfg)
+		h, clk := setup(t, cfg)
 		clk.Advance(cfg.Deadline() + time.Millisecond)
 		if !h.Beat(k0) || h.Epoch(k0) != 1 {
 			t.Fatalf("epoch %d after a reviving beat, want 1", h.Epoch(k0))
 		}
-		if met.deaths.Value() != 1 || met.revivals.Value() != 1 {
-			t.Fatalf("deaths %d revivals %d, want 1 and 1", met.deaths.Value(), met.revivals.Value())
+		if h.counts().deaths != 1 || h.counts().revivals != 1 {
+			t.Fatalf("deaths %d revivals %d, want 1 and 1", h.counts().deaths, h.counts().revivals)
 		}
 	})
 
@@ -416,28 +415,28 @@ func livenessCases[K ~int | ~int32](t *testing.T, u liveUse[K]) {
 	// override a down mark (a partitioned shard is down even if its
 	// process still beacons), and a revival bumps the epoch.
 	t.Run("down", func(t *testing.T) {
-		h, _, met := setup(t, LivenessConfig{})
+		h, _ := setup(t, LivenessConfig{})
 		if !h.SetDown(k1, true) {
 			t.Fatal("first SetDown(down) did not transition")
 		}
 		if h.SetDown(k1, true) {
 			t.Fatal("repeated SetDown(down) transitioned again")
 		}
-		if h.Alive(k1) || h.LiveCount() != 2 || met.live.Value() != 2 {
-			t.Fatalf("alive %v live %d gauge %v after the kill", h.Alive(k1), h.LiveCount(), met.live.Value())
+		if h.Alive(k1) || h.LiveCount() != 2 || h.counts().live != 2 {
+			t.Fatalf("alive %v live %d gauge %v after the kill", h.Alive(k1), h.LiveCount(), h.counts().live)
 		}
 		if h.Beat(k1) || h.Alive(k1) {
 			t.Fatal("a beat revived a slot marked down")
 		}
-		if met.deaths.Value() != 1 {
-			t.Fatalf("deaths = %d, want 1", met.deaths.Value())
+		if h.counts().deaths != 1 {
+			t.Fatalf("deaths = %d, want 1", h.counts().deaths)
 		}
 		if !h.SetDown(k1, false) || h.SetDown(k1, false) {
 			t.Fatal("revive did not transition exactly once")
 		}
-		if !h.Alive(k1) || h.Epoch(k1) != 1 || met.revivals.Value() != 1 || met.live.Value() != 3 {
+		if !h.Alive(k1) || h.Epoch(k1) != 1 || h.counts().revivals != 1 || h.counts().live != 3 {
 			t.Fatalf("alive %v epoch %d revivals %d gauge %v after revival, want true, 1, 1, 3",
-				h.Alive(k1), h.Epoch(k1), met.revivals.Value(), met.live.Value())
+				h.Alive(k1), h.Epoch(k1), h.counts().revivals, h.counts().live)
 		}
 	})
 
@@ -445,7 +444,7 @@ func livenessCases[K ~int | ~int32](t *testing.T, u liveUse[K]) {
 	// epoch bump or transition, a latched one heals silently (so a later
 	// death latches again), and a down mark stays.
 	t.Run("stamp", func(t *testing.T) {
-		h, clk, met := setup(t, cfg)
+		h, clk := setup(t, cfg)
 		clk.Advance(cfg.Deadline() + time.Millisecond)
 		h.Stamp(k0)
 		if !h.Alive(k0) || h.Epoch(k0) != 0 {
@@ -455,9 +454,9 @@ func livenessCases[K ~int | ~int32](t *testing.T, u liveUse[K]) {
 			t.Fatalf("Sweep = %v, want only the unstamped [%v %v]", newly, k1, k2)
 		}
 		h.Stamp(k1)
-		if !h.Alive(k1) || h.Epoch(k1) != 0 || met.revivals.Value() != 0 {
+		if !h.Alive(k1) || h.Epoch(k1) != 0 || h.counts().revivals != 0 {
 			t.Fatalf("latched slot did not heal silently: alive %v epoch %d revivals %d",
-				h.Alive(k1), h.Epoch(k1), met.revivals.Value())
+				h.Alive(k1), h.Epoch(k1), h.counts().revivals)
 		}
 		clk.Advance(cfg.Deadline() + time.Millisecond)
 		if newly := h.Sweep(); !slices.Equal(newly, []K{k0, k1}) {
@@ -472,15 +471,15 @@ func livenessCases[K ~int | ~int32](t *testing.T, u liveUse[K]) {
 
 	// Keys without a slot are inert.
 	t.Run("unknown", func(t *testing.T) {
-		h, _, met := setup(t, cfg)
+		h, _ := setup(t, cfg)
 		for _, k := range u.unknown {
 			h.Stamp(k)
 			if h.Alive(k) || h.Beat(k) || h.SetDown(k, true) || h.Epoch(k) != 0 {
 				t.Fatalf("unknown key %v was not inert", k)
 			}
 		}
-		if h.LiveCount() != 3 || met.deaths.Value() != 0 {
-			t.Fatalf("live %d deaths %d after unknown keys, want 3 and 0", h.LiveCount(), met.deaths.Value())
+		if h.LiveCount() != 3 || h.counts().deaths != 0 {
+			t.Fatalf("live %d deaths %d after unknown keys, want 3 and 0", h.LiveCount(), h.counts().deaths)
 		}
 	})
 }
@@ -505,11 +504,10 @@ func TestLivenessMatchesReference(t *testing.T) {
 		for seed := uint64(0); seed < seeds; seed++ {
 			src := rng.New(seed)
 			clk := newFakeClock()
-			met, refMet := NewMetrics(nil), NewMetrics(nil)
+			refMet := new(refMetrics)
 			m := New()
 			m.SetClock(clk.Now)
 			m.SetLiveness(cfg)
-			m.SetMetrics(met)
 			ref := newRefRMLiveness(cfg, clk.Now, refMet)
 			var unlatched uint64 // reference revivals of deaths it never latched
 			revive := func(id ids.RMID) {
@@ -535,17 +533,21 @@ func TestLivenessMatchesReference(t *testing.T) {
 				case op < 6:
 					advance(src, clk)
 				default:
-					ref.LiveCount()
+					refLive := ref.LiveCount()
 					m.Sweep()
-					if got, want := met.Deaths.Value(), refMet.Deaths.Value()+unlatched; got != want {
+					c := m.live.counts()
+					if got, want := c.deaths, refMet.deaths.Value()+unlatched; got != want {
 						t.Fatalf("seed %d step %d: deaths %d, reference %d", seed, step, got, want)
 					}
-					if got, want := met.Revivals.Value(), refMet.Revivals.Value(); got != want {
+					if got, want := c.revivals, refMet.revivals.Value(); got != want {
 						t.Fatalf("seed %d step %d: revivals %d, reference %d", seed, step, got, want)
 					}
-					if live := float64(m.LiveCount()); met.LiveRMs.Value() != live || met.RegisteredRMs.Value() != float64(len(ref.rms)) {
-						t.Fatalf("seed %d step %d: gauges live %v registered %v, want %v and %d",
-							seed, step, met.LiveRMs.Value(), met.RegisteredRMs.Value(), live, len(ref.rms))
+					if got, want := m.heartbeats.Load(), refMet.heartbeats.Value(); got != want {
+						t.Fatalf("seed %d step %d: heartbeats %d, reference %d", seed, step, got, want)
+					}
+					if c.live != refLive || c.slots != len(ref.rms) {
+						t.Fatalf("seed %d step %d: live %d registered %d, reference %d and %d",
+							seed, step, c.live, c.slots, refLive, len(ref.rms))
 					}
 				}
 				live := 0
@@ -554,9 +556,9 @@ func TestLivenessMatchesReference(t *testing.T) {
 					if alive {
 						live++
 					}
-					if m.Alive(id) != alive || m.Epoch(id) != ref.Epoch(id) {
+					if m.Alive(id) != alive || m.live.Epoch(id) != ref.Epoch(id) {
 						t.Fatalf("seed %d step %d: %v alive %v epoch %d, reference %v and %d",
-							seed, step, id, m.Alive(id), m.Epoch(id), alive, ref.Epoch(id))
+							seed, step, id, m.Alive(id), m.live.Epoch(id), alive, ref.Epoch(id))
 					}
 				}
 				if m.LiveCount() != live {
@@ -574,10 +576,9 @@ func TestLivenessMatchesReference(t *testing.T) {
 			if seed%4 == 0 {
 				cfg = LivenessConfig{} // explicit marks only
 			}
-			met, refMet := NewMetrics(nil), NewMetrics(nil)
+			refMet := new(refMetrics)
 			h := NewShardLiveness(n, cfg)
 			h.SetClock(clk.Now)
-			h.SetMetrics(met)
 			ref := newRefShardHealth(n, cfg)
 			ref.SetClock(clk.Now)
 			ref.SetMetrics(refMet)
@@ -610,14 +611,18 @@ func TestLivenessMatchesReference(t *testing.T) {
 					if got, want := h.Sweep(), ref.Sweep(); !slices.Equal(got, want) {
 						t.Fatalf("seed %d step %d: Sweep = %v, reference %v", seed, step, got, want)
 					}
-					if got, want := met.ShardDeaths.Value(), refMet.ShardDeaths.Value()+unlatched; got != want {
+					c := h.counts()
+					if got, want := c.deaths, refMet.deaths.Value()+unlatched; got != want {
 						t.Fatalf("seed %d step %d: deaths %d, reference %d", seed, step, got, want)
 					}
-					if got, want := met.ShardRevivals.Value(), refMet.ShardRevivals.Value(); got != want {
+					if got, want := c.revivals, refMet.revivals.Value(); got != want {
 						t.Fatalf("seed %d step %d: revivals %d, reference %d", seed, step, got, want)
 					}
-					if live := float64(h.LiveCount()); met.LiveShards.Value() != live {
-						t.Fatalf("seed %d step %d: gauge %v, live count %v", seed, step, met.LiveShards.Value(), live)
+					ref.mu.Lock()
+					refLive := ref.liveCountLocked(clk.Now())
+					ref.mu.Unlock()
+					if c.live != refLive {
+						t.Fatalf("seed %d step %d: live %d, reference %d", seed, step, c.live, refLive)
 					}
 				}
 				for k := -1; k <= n; k++ {
@@ -637,10 +642,10 @@ func TestLivenessMatchesReference(t *testing.T) {
 	})
 }
 
-// With expiry off, registration scans no slot, so the gauges after
-// every new slot, and every live count, must still be what a scan of
-// every slot reads: stamps going stale, beats, slots marked down and
-// revived, with expiry armed and not.
+// With expiry off, registration scans no slot, so the counts the gauges
+// read after every new slot, and every live count, must still be what a
+// scan of every slot reads: stamps going stale, beats, slots marked down
+// and revived, with expiry armed and not.
 func TestRegistrationGaugesMatchAScan(t *testing.T) {
 	for seed := uint64(0); seed < 60; seed++ {
 		src := rng.New(seed)
@@ -649,8 +654,7 @@ func TestRegistrationGaugesMatchAScan(t *testing.T) {
 		if seed%3 == 0 {
 			cfg = LivenessConfig{}
 		}
-		met := NewMetrics(nil)
-		tbl := newLiveness[ids.RMID](cfg, rmSeries, met)
+		tbl := newLiveness[ids.RMID](cfg)
 		tbl.SetClock(clk.Now)
 		for step := range 300 {
 			id := ids.RMID(src.Intn(100))
@@ -674,9 +678,9 @@ func TestRegistrationGaugesMatchAScan(t *testing.T) {
 			if got := tbl.LiveCount(); got != live {
 				t.Fatalf("seed %d step %d: live count %d, a scan reads %d", seed, step, got, live)
 			}
-			if len(tbl.slots) > slots && (met.LiveRMs.Value() != float64(live) || met.RegisteredRMs.Value() != float64(len(tbl.slots))) {
-				t.Fatalf("seed %d step %d: registering %v left gauges live %v registered %v, a scan reads %d and %d",
-					seed, step, id, met.LiveRMs.Value(), met.RegisteredRMs.Value(), live, len(tbl.slots))
+			if c := tbl.counts(); len(tbl.slots) > slots && (c.live != live || c.slots != len(tbl.slots)) {
+				t.Fatalf("seed %d step %d: registering %v left counts live %d registered %d, a scan reads %d and %d",
+					seed, step, id, c.live, c.slots, live, len(tbl.slots))
 			}
 		}
 	}

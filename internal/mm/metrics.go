@@ -6,111 +6,91 @@ import (
 )
 
 // Metrics is the Metadata Manager's telemetry surface: the size and
-// health of the global resource list (the liveness layer's live-RM gauge
-// is the headline number) plus the reconciliation and heartbeat
-// counters. Nil means no-op, so the DES and pre-liveness deployments pay
-// a few uncollected atomic ops and nothing else.
+// health of the global resource list (the live-RM gauge is the headline
+// number), the heartbeat, reconciliation and refusal counts, and a shard
+// group member's view of its group. Its series are read at scrape time
+// from the state the MM keeps — its liveness tables and the counts of its
+// Manager and ShardMember — so the MM writes no telemetry on any path.
+//
+// Build one with NewMetrics and attach it with Manager.SetMetrics or
+// ShardMember.SetMetrics; Unbind takes the MM out of its series again when
+// its node stops. Nil means no telemetry at all, as in the DES. One daemon
+// hosts one MM; MMs of one process that share a registry sum into the
+// series.
 type Metrics struct {
-	// RegisteredRMs gauges the resource-list size including dead entries
-	// (dfsqos_mm_registered_rms).
-	RegisteredRMs *telemetry.Gauge
-	// LiveRMs gauges the RMs within their liveness window as of the last
-	// sweep, registration or reviving beat (dfsqos_mm_live_rms). With
-	// liveness disabled it equals RegisteredRMs.
-	LiveRMs *telemetry.Gauge
-	// Heartbeats counts accepted liveness beacons
-	// (dfsqos_mm_heartbeats_total).
-	Heartbeats *telemetry.Counter
-	// Deaths counts RMs crossing their miss threshold, once per death: at
-	// the sweep that latches it, or at the beat that revives an RM no
-	// sweep saw dead (dfsqos_mm_rm_transitions_total{direction="dead"}).
-	Deaths *telemetry.Counter
-	// Revivals counts dead RMs healed by a heartbeat or re-registration
-	// (dfsqos_mm_rm_transitions_total{direction="live"}).
-	Revivals *telemetry.Counter
-	// ReconciledReplicas counts stale replica-map entries pruned during
-	// RM re-registration (dfsqos_mm_reconciled_replicas_total).
-	ReconciledReplicas *telemetry.Counter
-	// Refused counts refused BeginReplication calls by which limit was
-	// hit (dfsqos_mm_replication_refusals_total{reason}): one child per
-	// code BeginReplication returns, resolved here, so a refusal is one
-	// atomic add with no label lookup on the path.
-	Refused [ecnp.NumRefusals]*telemetry.Counter
+	manager []source[*Manager]
+	member  []source[*ShardMember]
+	bound   telemetry.Bindings
+}
 
-	// Shard-group telemetry (inert on a single-MM deployment).
+// source binds one series to what it reads of an owner, returning the
+// unbind.
+type source[O any] func(o O) (unbind func())
 
-	// LiveShards gauges the metadata shards currently considered live
-	// (dfsqos_mm_live_shards). Equals the shard count until a shard dies.
-	LiveShards *telemetry.Gauge
-	// ShardDeaths counts shards observed crossing their beat deadline or
-	// killed outright (dfsqos_mm_shard_transitions_total{direction="dead"}).
-	ShardDeaths *telemetry.Counter
-	// ShardRevivals counts dead shards healed by a beat or revive
-	// (dfsqos_mm_shard_transitions_total{direction="live"}).
-	ShardRevivals *telemetry.Counter
-	// ShardBeats counts shard-to-shard liveness beacons accepted
-	// (dfsqos_mm_shard_beats_total).
-	ShardBeats *telemetry.Counter
-	// ShardMirrorsOK / ShardMirrorsFailed count replica-map mutations
-	// mirrored to successor shards, by outcome
-	// (dfsqos_mm_shard_mirrors_total{outcome="ok"|"error"}).
-	ShardMirrorsOK     *telemetry.Counter
-	ShardMirrorsFailed *telemetry.Counter
-	// HandoffTakeover / HandoffHeal count replica-map entries moved by the
-	// shard handoff protocol, by direction: "takeover" re-replicates a dead
-	// shard's keyspace to its successor, "heal" pushes it back after
-	// revival (dfsqos_mm_shard_handoff_entries_total{direction}).
-	HandoffTakeover *telemetry.Counter
-	HandoffHeal     *telemetry.Counter
+// reads is the source whose series reads read(o) at scrape time.
+func reads[O any, T uint64 | float64](series *telemetry.Func[T], read func(O) T) source[O] {
+	return func(o O) func() { return series.Bind(func() T { return read(o) }) }
 }
 
 // NewMetrics registers the MM metric families on reg (nil reg yields a
-// live no-op sink).
+// sink that keeps nothing).
 func NewMetrics(reg *telemetry.Registry) *Metrics {
-	transitions := reg.NewCounterVec("dfsqos_mm_rm_transitions_total",
+	transitions := reg.NewCounterFuncVec("dfsqos_mm_rm_transitions_total",
 		"RM liveness transitions observed by the MM, by direction.", "direction")
-	shardTransitions := reg.NewCounterVec("dfsqos_mm_shard_transitions_total",
+	shardTransitions := reg.NewCounterFuncVec("dfsqos_mm_shard_transitions_total",
 		"MM shard liveness transitions observed by the shard group, by direction.", "direction")
-	mirrors := reg.NewCounterVec("dfsqos_mm_shard_mirrors_total",
+	mirrors := reg.NewCounterFuncVec("dfsqos_mm_shard_mirrors_total",
 		"Replica-map mutations mirrored to successor shards, by outcome.", "outcome")
-	handoff := reg.NewCounterVec("dfsqos_mm_shard_handoff_entries_total",
+	handoff := reg.NewCounterFuncVec("dfsqos_mm_shard_handoff_entries_total",
 		"Replica-map entries moved by the shard handoff protocol, by direction.", "direction")
-	refusals := reg.NewCounterVec("dfsqos_mm_replication_refusals_total",
+	refusals := reg.NewCounterFuncVec("dfsqos_mm_replication_refusals_total",
 		"BeginReplication calls the MM refused, by the limit that was hit.", "reason")
+	rms := func(m *Manager) liveCounts { return m.live.counts() }
+	shards := func(s *ShardMember) liveCounts { return s.health.counts() }
 	met := &Metrics{
-		RegisteredRMs: reg.NewGauge("dfsqos_mm_registered_rms",
-			"RMs in the global resource list, live or dead."),
-		LiveRMs: reg.NewGauge("dfsqos_mm_live_rms",
-			"Registered RMs currently within their liveness window."),
-		Heartbeats: reg.NewCounter("dfsqos_mm_heartbeats_total",
-			"Liveness beacons accepted from registered RMs."),
-		Deaths:   transitions.With("dead"),
-		Revivals: transitions.With("live"),
-		ReconciledReplicas: reg.NewCounter("dfsqos_mm_reconciled_replicas_total",
-			"Stale replica-map entries pruned during RM re-registration."),
-		LiveShards: reg.NewGauge("dfsqos_mm_live_shards",
-			"Metadata shards currently within their liveness window."),
-		ShardDeaths:   shardTransitions.With("dead"),
-		ShardRevivals: shardTransitions.With("live"),
-		ShardBeats: reg.NewCounter("dfsqos_mm_shard_beats_total",
-			"Shard-to-shard liveness beacons accepted."),
-		ShardMirrorsOK:     mirrors.With("ok"),
-		ShardMirrorsFailed: mirrors.With("error"),
-		HandoffTakeover:    handoff.With("takeover"),
-		HandoffHeal:        handoff.With("heal"),
+		manager: []source[*Manager]{
+			reads(reg.NewGaugeFunc("dfsqos_mm_registered_rms", "RMs in the global resource list, live or dead."),
+				func(m *Manager) float64 { return float64(rms(m).slots) }),
+			reads(reg.NewGaugeFunc("dfsqos_mm_live_rms", "Registered RMs currently within their liveness window."),
+				func(m *Manager) float64 { return float64(rms(m).live) }),
+			reads(reg.NewCounterFunc("dfsqos_mm_heartbeats_total", "Liveness beacons accepted from registered RMs."),
+				func(m *Manager) uint64 { return m.heartbeats.Load() }),
+			reads(transitions.With("dead"), func(m *Manager) uint64 { return rms(m).deaths }),
+			reads(transitions.With("live"), func(m *Manager) uint64 { return rms(m).revivals }),
+			reads(reg.NewCounterFunc("dfsqos_mm_reconciled_replicas_total", "Stale replica-map entries pruned during RM re-registration."),
+				func(m *Manager) uint64 { return m.counts().reconciled }),
+		},
+		member: []source[*ShardMember]{
+			reads(reg.NewGaugeFunc("dfsqos_mm_live_shards", "Metadata shards currently within their liveness window."),
+				func(s *ShardMember) float64 { return float64(shards(s).live) }),
+			reads(shardTransitions.With("dead"), func(s *ShardMember) uint64 { return shards(s).deaths }),
+			reads(shardTransitions.With("live"), func(s *ShardMember) uint64 { return shards(s).revivals }),
+			reads(reg.NewCounterFunc("dfsqos_mm_shard_beats_total", "Shard-to-shard liveness beacons accepted."),
+				func(s *ShardMember) uint64 { return s.beats.Load() }),
+			reads(mirrors.With("ok"), func(s *ShardMember) uint64 { return s.mirrorsOK.Load() }),
+			reads(mirrors.With("error"), func(s *ShardMember) uint64 { return s.mirrorsFailed.Load() }),
+			reads(handoff.With("takeover"), func(s *ShardMember) uint64 { return s.takeoverEntries.Load() }),
+			reads(handoff.With("heal"), func(s *ShardMember) uint64 { return s.healEntries.Load() }),
+		},
 	}
 	for why := ecnp.ErrReplicaCap; why <= ecnp.ErrUnregisteredRM; why++ {
-		met.Refused[why] = refusals.With(why.Label())
+		met.manager = append(met.manager, reads(refusals.With(why.Label()),
+			func(m *Manager) uint64 { return m.counts().refused[why] }))
 	}
 	return met
 }
 
-// refusalsOnly returns a no-op sink that shares met's refusal counters. A
-// refusal is counted by the one shard that validates the write, whichever
-// that is, so unlike the RM gauges it is not multiplied by the shard
-// count and every shard of an in-process group may report it.
-func (met *Metrics) refusalsOnly() *Metrics {
-	out := NewMetrics(nil)
-	out.Refused = met.Refused
-	return out
+// bind points every source of srcs at o.
+func bind[O any](met *Metrics, o O, srcs []source[O]) {
+	for _, read := range srcs {
+		met.bound.Add(read(o))
+	}
+}
+
+// Unbind takes every Manager and ShardMember attached to met out of its
+// series: a stopped node's state leaves the registry's sums.
+func (met *Metrics) Unbind() {
+	if met != nil {
+		met.bound.Unbind()
+	}
 }

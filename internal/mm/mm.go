@@ -14,6 +14,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dfsqos/internal/catalog"
@@ -41,19 +42,28 @@ type Manager struct {
 	// revives a dead RM bumps its epoch, so observers can tell "still the
 	// same incarnation" from "came back".
 	live *Liveness[ids.RMID]
+	// counted is what the manager's write paths count, under mu.
+	counted managerCounts
+	// heartbeats counts accepted beacons. Heartbeat holds mu only to
+	// read, so it is an atomic of its own.
+	heartbeats atomic.Uint64
+}
 
-	met *Metrics
+// managerCounts is what a Manager counts under its lock: the stale
+// replica entries re-registrations pruned, and the BeginReplication calls
+// it refused, by code.
+type managerCounts struct {
+	reconciled uint64
+	refused    [ecnp.NumRefusals]uint64
 }
 
 // New returns an empty Metadata Manager.
 func New() *Manager {
-	met := NewMetrics(nil)
 	return &Manager{
 		rms:       make(map[ids.RMID]ecnp.RMInfo),
 		placement: catalog.NewPlacement(),
 		pending:   make(map[ids.FileID]map[ids.RMID]bool),
-		live:      newLiveness[ids.RMID](LivenessConfig{}, rmSeries, met),
-		met:       met,
+		live:      newLiveness[ids.RMID](LivenessConfig{}),
 	}
 }
 
@@ -74,15 +84,19 @@ func (m *Manager) SetLiveness(cfg LivenessConfig) { m.live.setConfig(cfg) }
 // fake clock for determinism). nil restores time.Now.
 func (m *Manager) SetClock(now func() time.Time) { m.live.SetClock(now) }
 
-// SetMetrics routes MM telemetry (default: no-op).
+// SetMetrics binds met's resource-list series to the manager's state
+// (see Metrics); nil binds nothing.
 func (m *Manager) SetMetrics(met *Metrics) {
-	if met == nil {
-		met = NewMetrics(nil)
+	if met != nil {
+		bind(met, m, met.manager)
 	}
-	m.mu.Lock()
-	m.met = met
-	m.mu.Unlock()
-	m.live.SetMetrics(met)
+}
+
+// counts reads what the manager counts under its lock.
+func (m *Manager) counts() managerCounts {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	return m.counted
 }
 
 // Heartbeat records a liveness beacon from id. An unknown RM is refused —
@@ -95,24 +109,14 @@ func (m *Manager) Heartbeat(id ids.RMID) error {
 	if _, ok := m.rms[id]; !ok {
 		return fmt.Errorf("mm: heartbeat from unregistered %v", id)
 	}
-	m.met.Heartbeats.Inc()
+	m.heartbeats.Add(1)
 	m.live.Beat(id)
 	return nil
 }
 
-// Sweep latches the RMs that died since the last sweep and refreshes the
-// live gauge. A daemon with liveness armed calls it every beat interval.
+// Sweep latches the RMs that died since the last sweep, counting each
+// death. A daemon with liveness armed calls it every beat interval.
 func (m *Manager) Sweep() { m.live.Sweep() }
-
-// Epoch returns id's liveness epoch: how many times the MM has seen it
-// come back from the dead (0 for a continuously-live RM).
-func (m *Manager) Epoch(id ids.RMID) uint64 { return m.live.Epoch(id) }
-
-// LiveCount returns the number of currently-live registered RMs.
-func (m *Manager) LiveCount() int { return m.live.LiveCount() }
-
-// Alive reports whether id is registered and within its liveness window.
-func (m *Manager) Alive(id ids.RMID) bool { return m.live.Alive(id) }
 
 // RegisterRM implements ecnp.Mapper. Registering an already-known RM
 // refreshes its info, resets its liveness state (a crashed RM that comes
@@ -152,7 +156,7 @@ func (m *Manager) RegisterRM(info ecnp.RMInfo, files []ids.FileID) error {
 				continue
 			}
 			if err := m.placement.Remove(f, info.ID); err == nil {
-				m.met.ReconciledReplicas.Inc()
+				m.counted.reconciled++
 			}
 		}
 	}
@@ -248,8 +252,8 @@ func (m *Manager) RemoveReplica(file ids.FileID, rm ids.RMID) error {
 }
 
 // BeginReplication implements ecnp.Mapper. A refusal is one of the ecnp
-// sentinels and one counter increment: the source-side agent asks on
-// every access of an RM under B_TH, so a refusal formats nothing.
+// sentinels, counted under the lock the call holds: the source-side agent
+// asks on every access of an RM under B_TH, so a refusal formats nothing.
 func (m *Manager) BeginReplication(file ids.FileID, rm ids.RMID, maxTotal int) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -265,7 +269,7 @@ func (m *Manager) BeginReplication(file ids.FileID, rm ids.RMID, maxTotal int) e
 		why = ecnp.ErrReplicaCap
 	}
 	if why != 0 {
-		m.met.Refused[why].Inc()
+		m.counted.refused[why]++
 		return why
 	}
 	if m.pending[file] == nil {
@@ -314,8 +318,8 @@ func (m *Manager) RMs() []ecnp.RMInfo {
 	return keepLive(m.live, out[:0], out, func(info ecnp.RMInfo) ids.RMID { return info.ID })
 }
 
-// AllRMs returns every registered RM regardless of liveness (diagnostics
-// and the monitor's resource-list page, which annotates aliveness).
+// AllRMs returns every registered RM regardless of liveness: the resource
+// list a shard handoff teaches its receiver.
 func (m *Manager) AllRMs() []ecnp.RMInfo {
 	m.mu.RLock()
 	defer m.mu.RUnlock()

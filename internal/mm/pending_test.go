@@ -2,6 +2,7 @@ package mm
 
 import (
 	"errors"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -95,6 +96,24 @@ func exposition(t *testing.T, reg *telemetry.Registry) string {
 		t.Fatal(err)
 	}
 	return sb.String()
+}
+
+// seriesValue reads one series, named with its labels as the exposition
+// spells them, off reg's exposition.
+func seriesValue(t *testing.T, reg *telemetry.Registry, series string) float64 {
+	t.Helper()
+	text := exposition(t, reg)
+	for _, line := range strings.Split(text, "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("series %q: %v", line, err)
+			}
+			return f
+		}
+	}
+	t.Fatalf("exposition has no %s:\n%s", series, text)
+	return 0
 }
 
 func TestBeginReplicationEnforcesCap(t *testing.T) {

@@ -11,7 +11,15 @@ import (
 	"time"
 
 	"dfsqos/internal/ids"
+	"dfsqos/internal/telemetry"
 )
+
+// refMetrics is the telemetry the reference models write as they go, the
+// oracle for the counts the table keeps. The table's live and registered
+// counts are checked against the models' own reads.
+type refMetrics struct {
+	deaths, revivals, heartbeats telemetry.Counter
+}
 
 // refRMLiveness is the reference model of the RM table: the Manager's
 // liveness fields and methods (registration reduced to its liveness part:
@@ -33,10 +41,10 @@ type refRMLiveness struct {
 	// death counter fires once per transition, not once per query.
 	deadSeen map[ids.RMID]bool
 
-	met *Metrics
+	met *refMetrics
 }
 
-func newRefRMLiveness(cfg LivenessConfig, now func() time.Time, met *Metrics) *refRMLiveness {
+func newRefRMLiveness(cfg LivenessConfig, now func() time.Time, met *refMetrics) *refRMLiveness {
 	return &refRMLiveness{
 		rms:      make(map[ids.RMID]bool),
 		liveCfg:  cfg,
@@ -75,7 +83,7 @@ func (m *refRMLiveness) aliveLocked(id ids.RMID, now time.Time, latch bool) bool
 	}
 	if latch && !m.deadSeen[id] {
 		m.deadSeen[id] = true
-		m.met.Deaths.Inc()
+		m.met.deaths.Inc()
 	}
 	return false
 }
@@ -90,17 +98,10 @@ func (m *refRMLiveness) reviveLocked(id ids.RMID, now time.Time) {
 		(m.deadSeen[id] || now.Sub(last) > m.liveCfg.Deadline()) {
 		m.epochs[id]++
 		delete(m.deadSeen, id)
-		m.met.Revivals.Inc()
+		m.met.revivals.Inc()
 	}
 	m.lastBeat[id] = now
-	m.refreshLiveGaugesLocked(now)
-}
-
-// refreshLiveGaugesLocked re-derives the registered/live gauges. Caller
-// holds m.mu.
-func (m *refRMLiveness) refreshLiveGaugesLocked(now time.Time) {
-	m.met.RegisteredRMs.Set(float64(len(m.rms)))
-	m.met.LiveRMs.Set(float64(m.latchLiveLocked(now)))
+	m.latchLiveLocked(now) // a revival reads the live count, latching what died
 }
 
 // latchLiveLocked counts live RMs, latching newly-observed deaths in
@@ -124,7 +125,7 @@ func (m *refRMLiveness) Heartbeat(id ids.RMID) bool {
 	if !m.rms[id] {
 		return false
 	}
-	m.met.Heartbeats.Inc()
+	m.met.heartbeats.Inc()
 	m.reviveLocked(id, m.now())
 	return true
 }
@@ -178,7 +179,7 @@ type refShardHealth struct {
 	epochs   []uint64
 	deadSeen []bool
 	down     []bool
-	met      *Metrics
+	met      *refMetrics
 }
 
 // newRefShardHealth tracks n shards. A zero cfg disables beat-expiry: only
@@ -192,13 +193,12 @@ func newRefShardHealth(n int, cfg LivenessConfig) *refShardHealth {
 		epochs:   make([]uint64, n),
 		deadSeen: make([]bool, n),
 		down:     make([]bool, n),
-		met:      NewMetrics(nil),
+		met:      new(refMetrics),
 	}
 	start := h.now()
 	for i := range h.lastBeat {
 		h.lastBeat[i] = start
 	}
-	h.met.LiveShards.Set(float64(n))
 	return h
 }
 
@@ -212,14 +212,13 @@ func (h *refShardHealth) SetClock(now func() time.Time) {
 	h.mu.Unlock()
 }
 
-// SetMetrics routes shard-transition telemetry (default: no-op).
-func (h *refShardHealth) SetMetrics(m *Metrics) {
+// SetMetrics routes the model's shard telemetry to m.
+func (h *refShardHealth) SetMetrics(m *refMetrics) {
 	if m == nil {
-		m = NewMetrics(nil)
+		m = new(refMetrics)
 	}
 	h.mu.Lock()
 	h.met = m
-	h.refreshGaugeLocked()
 	h.mu.Unlock()
 }
 
@@ -237,8 +236,7 @@ func (h *refShardHealth) Beat(i int) (revived bool) {
 	if wasDead && !h.down[i] {
 		h.epochs[i]++
 		h.deadSeen[i] = false
-		h.met.ShardRevivals.Inc()
-		h.refreshGaugeLocked()
+		h.met.revivals.Inc()
 		return true
 	}
 	return false
@@ -257,7 +255,6 @@ func (h *refShardHealth) Stamp(i int) {
 	h.lastBeat[i] = h.now()
 	if h.deadSeen[i] && !h.down[i] {
 		h.deadSeen[i] = false
-		h.refreshGaugeLocked()
 	}
 }
 
@@ -275,15 +272,14 @@ func (h *refShardHealth) SetDown(i int, down bool) (transitioned bool) {
 	if down {
 		if !h.deadSeen[i] {
 			h.deadSeen[i] = true
-			h.met.ShardDeaths.Inc()
+			h.met.deaths.Inc()
 		}
 	} else {
 		h.lastBeat[i] = h.now()
 		h.epochs[i]++
 		h.deadSeen[i] = false
-		h.met.ShardRevivals.Inc()
+		h.met.revivals.Inc()
 	}
-	h.refreshGaugeLocked()
 	return true
 }
 
@@ -323,12 +319,9 @@ func (h *refShardHealth) Sweep() []int {
 	for i := 0; i < h.n; i++ {
 		if h.deadLocked(i, now) && !h.deadSeen[i] {
 			h.deadSeen[i] = true
-			h.met.ShardDeaths.Inc()
+			h.met.deaths.Inc()
 			newly = append(newly, i)
 		}
-	}
-	if len(newly) > 0 {
-		h.refreshGaugeLocked()
 	}
 	return newly
 }
@@ -352,9 +345,4 @@ func (h *refShardHealth) liveCountLocked(now time.Time) int {
 		}
 	}
 	return live
-}
-
-// refreshGaugeLocked re-derives the live-shards gauge. Caller holds h.mu.
-func (h *refShardHealth) refreshGaugeLocked() {
-	h.met.LiveShards.Set(float64(h.liveCountLocked(h.now())))
 }

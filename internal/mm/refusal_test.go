@@ -2,22 +2,25 @@ package mm_test
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"dfsqos/internal/ecnp"
 	"dfsqos/internal/ids"
 	"dfsqos/internal/live"
 	"dfsqos/internal/mm"
+	"dfsqos/internal/telemetry"
 	"dfsqos/internal/units"
 )
 
 // shardGroup is a three-member, R = 2 shard group as one test sees it:
-// its mapper, a way to route its telemetry, and a way to make one
-// member's replica map diverge behind the group's back.
+// its mapper, its members' telemetry (nil for the in-process group, which
+// binds none), and a way to make one member's replica map diverge behind
+// the group's back.
 type shardGroup struct {
-	mapper     ecnp.Mapper
-	setMetrics func(*mm.Metrics)
-	member     func(i int) *mm.Manager
+	mapper ecnp.Mapper
+	reg    *telemetry.Registry
+	member func(i int) *mm.Manager
 }
 
 // TestShardedRefusalReasonsSurvive: the reason reaches the caller through
@@ -27,29 +30,24 @@ type shardGroup struct {
 func TestShardedRefusalReasonsSurvive(t *testing.T) {
 	t.Run("in-process", func(t *testing.T) {
 		m := mm.NewShardedReplicated(3, 2)
-		refusalsSurvive(t, shardGroup{mapper: m, setMetrics: m.SetMetrics, member: m.Shard})
+		refusalsSurvive(t, shardGroup{mapper: m, member: m.Shard})
 	})
 	t.Run("tcp", func(t *testing.T) {
-		l, err := live.NewLocal(live.LocalSpec{ShardGroup: true})
+		reg := telemetry.NewRegistry()
+		l, err := live.NewLocal(live.LocalSpec{ShardGroup: true, MM: live.MMSpec{Registry: reg}})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer l.Close()
 		refusalsSurvive(t, shardGroup{
 			mapper: l.Mapper,
-			setMetrics: func(met *mm.Metrics) {
-				for _, s := range l.Shards {
-					s.SetMetrics(met)
-				}
-			},
+			reg:    reg,
 			member: func(i int) *mm.Manager { return l.Shards[i].Manager },
 		})
 	})
 }
 
 func refusalsSurvive(t *testing.T, g shardGroup) {
-	met := mm.NewMetrics(nil)
-	g.setMetrics(met)
 	for id := ids.RMID(1); id <= 3; id++ {
 		var files []ids.FileID
 		if id == 1 {
@@ -60,8 +58,7 @@ func refusalsSurvive(t *testing.T, g shardGroup) {
 		}
 	}
 
-	// Between them the six files are validated by more than one shard,
-	// shard 0 (which carries the group's other RM telemetry) or not.
+	// Between them the six files are validated by more than one shard.
 	ring := mm.NewRing(3)
 	primaries := map[int]bool{}
 	for f := ids.FileID(0); f < 6; f++ {
@@ -79,9 +76,16 @@ func refusalsSurvive(t *testing.T, g shardGroup) {
 	if len(primaries) < 2 {
 		t.Fatalf("all six files validate on one shard (%v): pick files that spread", primaries)
 	}
-	// Counted once each, by whichever shard validated the write.
-	if n := met.Refused[ecnp.ErrReplicaCap].Value(); n != 6 {
-		t.Fatalf("%d cap refusals counted after six over three shards", n)
+	// Counted once each, by whichever shard validated the write: the
+	// members' series sum to six.
+	if g.reg != nil {
+		var text strings.Builder
+		if err := g.reg.WritePrometheus(&text); err != nil {
+			t.Fatal(err)
+		}
+		if want := `dfsqos_mm_replication_refusals_total{reason="cap"} 6`; !strings.Contains(text.String(), want) {
+			t.Fatalf("exposition missing %q after six refusals over three shards:\n%s", want, text.String())
+		}
 	}
 
 	// Make the mirror owner of file 0 diverge: it alone believes RM3

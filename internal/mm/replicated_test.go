@@ -5,16 +5,21 @@ import (
 	"testing"
 
 	"dfsqos/internal/ids"
-	"dfsqos/internal/telemetry"
 )
+
+// memberSum sums what read counts over every member of m.
+func memberSum(m *ShardedManager, read func(*ShardMember) uint64) (n uint64) {
+	for _, s := range m.members {
+		n += read(s)
+	}
+	return n
+}
 
 // TestReplicatedWritesMirrorToOwners checks the R-way write path: every
 // registered mapping lands on each live member of its owner set, reads
 // come from the first live owner, and the mirror counter ticks.
 func TestReplicatedWritesMirrorToOwners(t *testing.T) {
 	m := NewShardedReplicated(3, 2)
-	reg := telemetry.NewRegistry()
-	m.SetMetrics(NewMetrics(reg))
 	files := make([]ids.FileID, 60)
 	for i := range files {
 		files[i] = ids.FileID(i)
@@ -49,7 +54,7 @@ func TestReplicatedWritesMirrorToOwners(t *testing.T) {
 			t.Fatalf("shard %d sees %d holders after mirrored AddReplica, want 2", o, got)
 		}
 	}
-	if m.met.ShardMirrorsOK.Value() == 0 {
+	if memberSum(m, func(s *ShardMember) uint64 { return s.mirrorsOK.Load() }) == 0 {
 		t.Fatal("no mirror writes counted")
 	}
 	if err := m.Validate(); err != nil {
@@ -63,8 +68,6 @@ func TestReplicatedWritesMirrorToOwners(t *testing.T) {
 // mirroring, and revival heals the corpse back to full ownership.
 func TestReplicatedKillShardFailsOver(t *testing.T) {
 	m := NewShardedReplicated(3, 2)
-	reg := telemetry.NewRegistry()
-	m.SetMetrics(NewMetrics(reg))
 	files := make([]ids.FileID, 90)
 	for i := range files {
 		files[i] = ids.FileID(i)
@@ -118,7 +121,7 @@ func TestReplicatedKillShardFailsOver(t *testing.T) {
 	if err := m.Validate(); err != nil {
 		t.Fatalf("validate during outage: %v", err)
 	}
-	if got := m.met.HandoffTakeover.Value(); got == 0 {
+	if got := memberSum(m, func(s *ShardMember) uint64 { return s.takeoverEntries.Load() }); got == 0 {
 		t.Fatal("takeover entries not counted")
 	}
 
@@ -148,7 +151,7 @@ func TestReplicatedKillShardFailsOver(t *testing.T) {
 	if err := m.Validate(); err != nil {
 		t.Fatalf("validate after heal: %v", err)
 	}
-	if got := m.met.HandoffHeal.Value(); got == 0 {
+	if got := memberSum(m, func(s *ShardMember) uint64 { return s.healEntries.Load() }); got == 0 {
 		t.Fatal("heal entries not counted")
 	}
 }

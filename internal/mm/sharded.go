@@ -27,7 +27,6 @@ import (
 // TCP group member, never this.
 type ShardedManager struct {
 	members []*ShardMember
-	met     *Metrics
 }
 
 // NewSharded returns a distributed manager over n shards with no
@@ -50,7 +49,6 @@ func NewShardedReplicated(n, r int) *ShardedManager {
 			s.SetPeer(j, p)
 		}
 	}
-	m.SetMetrics(nil)
 	return m
 }
 
@@ -175,12 +173,6 @@ func (m *ShardedManager) RMs() []ecnp.RMInfo {
 	return m.canonical().RMs()
 }
 
-// AllRMs returns every registered RM regardless of liveness (lowest-index
-// live shard is canonical).
-func (m *ShardedManager) AllRMs() []ecnp.RMInfo {
-	return m.canonical().AllRMs()
-}
-
 // SetClock overrides the wall-clock source on every shard and on the
 // shard liveness table (tests).
 func (m *ShardedManager) SetClock(now func() time.Time) {
@@ -188,26 +180,6 @@ func (m *ShardedManager) SetClock(now func() time.Time) {
 		s.Manager.SetClock(now)
 	}
 	m.Health().SetClock(now)
-}
-
-// SetMetrics routes MM telemetry. Shard 0 carries the RM gauges (the
-// resource list is replicated, so any shard's view is canonical); the
-// other shards keep no-op sinks so per-incident counters are not
-// multiplied by the shard count — except the replication refusals, which
-// only the shard validating a write counts. Every member reports the
-// shard-group counters (mirrors, handoffs) to met, and the shared
-// liveness table its transitions.
-func (m *ShardedManager) SetMetrics(met *Metrics) {
-	if met == nil {
-		met = NewMetrics(nil)
-	}
-	m.met = met
-	for i, s := range m.members {
-		s.SetMetrics(met)
-		if i > 0 {
-			s.Manager.SetMetrics(met.refusalsOnly())
-		}
-	}
 }
 
 // Heartbeat fans an RM's liveness beacon to every live shard so each
@@ -222,15 +194,6 @@ func (m *ShardedManager) Heartbeat(id ids.RMID) error {
 	}
 	return nil
 }
-
-// Epoch returns id's liveness epoch (lowest-index live shard is canonical).
-func (m *ShardedManager) Epoch(id ids.RMID) uint64 { return m.canonical().Epoch(id) }
-
-// LiveCount returns the live-RM count (lowest-index live shard is canonical).
-func (m *ShardedManager) LiveCount() int { return m.canonical().LiveCount() }
-
-// Alive reports the canonical shard's view of id's liveness.
-func (m *ShardedManager) Alive(id ids.RMID) bool { return m.canonical().Alive(id) }
 
 // KillShard marks shard i dead and has every live member run the
 // takeover handoff, restoring R live replicas of i's keyspace (with R = 1

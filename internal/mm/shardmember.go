@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"dfsqos/internal/ecnp"
 	"dfsqos/internal/ids"
@@ -67,11 +68,14 @@ type ShardMember struct {
 	health *Liveness[int]
 
 	mu    sync.Mutex
-	met   *Metrics
 	peers []ShardPeer // ring-index aligned; nil at own index / unset
 	logf  func(string, ...any)
 
 	heals sync.WaitGroup // heal handoffs HeardFrom started
+
+	// What the member counts: peer beats accepted, mirrors sent by
+	// outcome, and handoff entries adopted by push direction.
+	beats, mirrorsOK, mirrorsFailed, takeoverEntries, healEntries atomic.Uint64
 }
 
 // NewShardMember builds member index of the group laid out by ring, with
@@ -84,7 +88,6 @@ func NewShardMember(index int, ring *Ring, rep int, health *Liveness[int]) *Shar
 		ring:    ring,
 		rep:     max(1, min(rep, ring.Shards())),
 		health:  health,
-		met:     NewMetrics(nil),
 		peers:   make([]ShardPeer, ring.Shards()),
 		logf:    func(string, ...any) {},
 	}
@@ -107,18 +110,14 @@ func (s *ShardMember) SetPeer(i int, p ShardPeer) {
 	s.mu.Unlock()
 }
 
-// SetMetrics routes all of the member's telemetry to met: the local
-// manager's RM series, the liveness view's transitions and the
-// shard-group counters it reports (beats, mirrors, handoff entries).
+// SetMetrics binds every series of met to the member's state: the local
+// manager's resource list, the member's view of the group's liveness and
+// what it counts (beats, mirrors, handoff entries). Nil binds nothing.
 func (s *ShardMember) SetMetrics(met *Metrics) {
-	if met == nil {
-		met = NewMetrics(nil)
+	if met != nil {
+		s.Manager.SetMetrics(met)
+		bind(met, s, met.member)
 	}
-	s.mu.Lock()
-	s.met = met
-	s.mu.Unlock()
-	s.Manager.SetMetrics(met)
-	s.health.SetMetrics(met)
 }
 
 // SetLogger routes diagnostics (default: discard).
@@ -131,10 +130,10 @@ func (s *ShardMember) SetLogger(logf func(string, ...any)) {
 	s.mu.Unlock()
 }
 
-func (s *ShardMember) state() (*Metrics, func(string, ...any)) {
+func (s *ShardMember) logger() func(string, ...any) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.met, s.logf
+	return s.logf
 }
 
 func (s *ShardMember) peer(i int) ShardPeer {
@@ -205,7 +204,7 @@ func (s *ShardMember) write(err error, m wire.ShardMirror) error {
 	if err != nil {
 		return err
 	}
-	met, logf := s.state()
+	logf := s.logger()
 	for _, o := range s.owners(m.File) {
 		p := s.peer(o) // nil at the member's own index
 		if p == nil || !s.health.Alive(o) {
@@ -213,10 +212,10 @@ func (s *ShardMember) write(err error, m wire.ShardMirror) error {
 		}
 		err := p.ApplyMirror(m)
 		if err == nil {
-			met.ShardMirrorsOK.Inc()
+			s.mirrorsOK.Add(1)
 			continue
 		}
-		met.ShardMirrorsFailed.Inc()
+		s.mirrorsFailed.Add(1)
 		if !errors.Is(err, ErrShardUnreachable) {
 			return fmt.Errorf("mm: shard %d mirror: %w", o, err)
 		}
@@ -283,10 +282,9 @@ func (s *ShardMember) ApplyHandoff(h wire.ShardHandoff) (int, error) {
 			}
 		}
 	}
-	met, _ := s.state()
-	counter := met.HandoffTakeover
+	counter := &s.takeoverEntries
 	if h.Direction == "heal" {
-		counter = met.HandoffHeal
+		counter = &s.healEntries
 	}
 	counter.Add(uint64(adopted))
 	return adopted, err
@@ -298,8 +296,7 @@ func (s *ShardMember) PeerBeat(i int) error {
 	if i < 0 || i >= s.ring.Shards() || i == s.index {
 		return fmt.Errorf("mm: shard %d: bad peer beat from %d", s.index, i)
 	}
-	met, _ := s.state()
-	met.ShardBeats.Inc()
+	s.beats.Add(1)
 	s.HeardFrom(i)
 	return nil
 }
@@ -331,8 +328,7 @@ func (s *ShardMember) Sweep() {
 	s.health.Stamp(s.index)
 	for _, dead := range s.health.Sweep() {
 		if dead != s.index {
-			_, logf := s.state()
-			logf("mm: shard %d sweep: peer %d latched dead", s.index, dead)
+			s.logger()("mm: shard %d sweep: peer %d latched dead", s.index, dead)
 			s.Takeover(dead)
 		}
 	}
@@ -389,14 +385,13 @@ func (s *ShardMember) push(target int, direction string, entries []wire.ShardEnt
 	if p == nil {
 		return 0
 	}
-	_, logf := s.state()
 	n, err := p.ApplyHandoff(wire.ShardHandoff{
 		From:      int32(s.index),
 		Direction: direction,
 		Infos:     s.Manager.AllRMs(),
 		Entries:   entries,
 	})
-	logf("mm: shard %d handoff %s to %d: %d of %d entr(ies) adopted (err %v)", s.index, direction, target, n, len(entries), err)
+	s.logger()("mm: shard %d handoff %s to %d: %d of %d entr(ies) adopted (err %v)", s.index, direction, target, n, len(entries), err)
 	return n
 }
 

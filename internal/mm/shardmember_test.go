@@ -74,7 +74,7 @@ func TestReplicatedMembersBeatSweepAndHeal(t *testing.T) {
 			t.Fatalf("member %d's view after sweep: alive %v %v %v, want only 2 dead", i, h.Alive(0), h.Alive(1), h.Alive(2))
 		}
 	}
-	if met.HandoffTakeover.Value() == 0 {
+	if seriesValue(t, reg, `dfsqos_mm_shard_handoff_entries_total{direction="takeover"}`) == 0 {
 		t.Fatal("sweep latched shard 2 dead but no takeover entry was adopted")
 	}
 	for _, f := range files {
@@ -113,8 +113,9 @@ func TestReplicatedMembersBeatSweepAndHeal(t *testing.T) {
 	if got := members[0].Health().Epoch(2); got != 1 {
 		t.Fatalf("shard 2's epoch in member 0's view = %d, want 1", got)
 	}
-	if met.HandoffHeal.Value() == 0 || met.ShardBeats.Value() != 4 {
-		t.Fatalf("heal entries %d, beats %d: want some heal and 4 beats", met.HandoffHeal.Value(), met.ShardBeats.Value())
+	heal := seriesValue(t, reg, `dfsqos_mm_shard_handoff_entries_total{direction="heal"}`)
+	if beats := seriesValue(t, reg, "dfsqos_mm_shard_beats_total"); heal == 0 || beats != 4 {
+		t.Fatalf("heal entries %v, beats %v: want some heal and 4 beats", heal, beats)
 	}
 }
 

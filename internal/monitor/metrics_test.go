@@ -4,6 +4,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -18,6 +19,7 @@ import (
 	"dfsqos/internal/selection"
 	"dfsqos/internal/simtime"
 	"dfsqos/internal/telemetry"
+	"dfsqos/internal/units"
 )
 
 func scrape(t *testing.T, url string) (string, string) {
@@ -37,29 +39,54 @@ func scrape(t *testing.T, url string) (string, string) {
 	return string(body), resp.Header.Get("Content-Type")
 }
 
+// TestRMMetricsEndpoint: a series written on the registry reaches the
+// exposition, served with the exposition content type.
 func TestRMMetricsEndpoint(t *testing.T) {
-	node, sched := testRM(t)
 	reg := telemetry.NewRegistry()
 	reg.NewCounter("dfsqos_rm_cfps_total", "CFPs.").Add(7)
-	srv := httptest.NewServer(NewRMHandler(node, nil, sched, reg, nil))
+	srv := httptest.NewServer(NewHandler(reg, nil))
 	defer srv.Close()
 
 	body, ct := scrape(t, srv.URL+"/metrics")
 	if ct != telemetry.ContentType {
 		t.Fatalf("content type %q", ct)
 	}
-	if !strings.Contains(body, "dfsqos_rm_cfps_total 7") {
+	if !strings.Contains(body, "dfsqos_rm_cfps_total 7\n") {
 		t.Fatalf("missing counter in exposition:\n%s", body)
 	}
-	// /stats stays intact next to /metrics.
-	if body, _ := scrape(t, srv.URL+"/stats"); !strings.Contains(body, `"id"`) {
-		t.Fatalf("stats JSON broken:\n%s", body)
+}
+
+// TestRMStatsEndpoint: the RM state the removed /stats view reported is read
+// from the RM at the scrape: the one open admitted holds 2 of 18 Mbit/s, its
+// file and bytes, and the firm open past the remaining bandwidth is the one
+// refusal counted.
+func TestRMStatsEndpoint(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	node := testRM(t, reg)
+	node.Open(ecnp.OpenRequest{Request: 1, File: 0, Bitrate: units.Mbps(2), DurationSec: 100})
+	node.Open(ecnp.OpenRequest{Request: 2, File: 0, Bitrate: units.Mbps(20), DurationSec: 100, Firm: true})
+	srv := httptest.NewServer(NewHandler(reg, nil))
+	defer srv.Close()
+
+	body, _ := scrape(t, srv.URL+"/metrics")
+	gauge := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+	for _, want := range []string{
+		"dfsqos_rm_remaining_bandwidth_bytes_per_second " + gauge(float64(units.Mbps(16))),
+		"dfsqos_rm_active_streams 1",
+		"dfsqos_rm_admissions_total 1",
+		"dfsqos_rm_files 1",
+		"dfsqos_rm_storage_used_bytes " + gauge(float64(25*units.MB)),
+		`dfsqos_rm_refusals_total{reason="firm_capacity"} 1`,
+		`dfsqos_rm_refusals_total{reason="duplicate"} 0`,
+	} {
+		if !strings.Contains(body, want+"\n") {
+			t.Errorf("exposition missing %q:\n%s", want, body)
+		}
 	}
 }
 
 func TestNilRegistryMetricsEndpoint(t *testing.T) {
-	node, sched := testRM(t)
-	srv := httptest.NewServer(NewRMHandler(node, nil, sched, nil, nil))
+	srv := httptest.NewServer(NewHandler(nil, nil))
 	defer srv.Close()
 	body, ct := scrape(t, srv.URL+"/metrics")
 	if ct != telemetry.ContentType {
@@ -70,14 +97,37 @@ func TestNilRegistryMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// TestMMMetricsEndpoint: the MM's series are served once a manager binds
+// them, and not before.
 func TestMMMetricsEndpoint(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	reg.NewGauge("dfsqos_mm_rms", "Registered RMs.").Set(2)
-	srv := httptest.NewServer(NewMMHandler(mm.New(), reg, nil))
+	srv := httptest.NewServer(NewHandler(reg, nil))
+	defer srv.Close()
+	if body, _ := scrape(t, srv.URL+"/metrics"); strings.Contains(body, "dfsqos_mm_") {
+		t.Fatalf("unbound MM series in exposition:\n%s", body)
+	}
+	mm.New().SetMetrics(mm.NewMetrics(reg))
+	body, _ := scrape(t, srv.URL+"/metrics")
+	if !strings.Contains(body, "dfsqos_mm_registered_rms 0\n") {
+		t.Fatalf("bound MM series missing:\n%s", body)
+	}
+}
+
+// TestMMStatsEndpoint: the resource list the removed /stats view reported is
+// read from the MM at the scrape: two registered RMs, both live.
+func TestMMStatsEndpoint(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	mgr := mm.New()
+	mgr.SetMetrics(mm.NewMetrics(reg))
+	mgr.RegisterRM(ecnp.RMInfo{ID: 1, Capacity: units.Mbps(128), Addr: "10.0.0.1:9000"}, nil)
+	mgr.RegisterRM(ecnp.RMInfo{ID: 2, Capacity: units.Mbps(18), Addr: "10.0.0.2:9000"}, nil)
+	srv := httptest.NewServer(NewHandler(reg, nil))
 	defer srv.Close()
 	body, _ := scrape(t, srv.URL+"/metrics")
-	if !strings.Contains(body, "dfsqos_mm_rms 2") {
-		t.Fatalf("missing gauge:\n%s", body)
+	for _, want := range []string{"dfsqos_mm_registered_rms 2", "dfsqos_mm_live_rms 2"} {
+		if !strings.Contains(body, want+"\n") {
+			t.Fatalf("exposition missing %q:\n%s", want, body)
+		}
 	}
 }
 
@@ -106,14 +156,10 @@ func TestDFSCHandler(t *testing.T) {
 	}
 	client.Access(0) // no replica registered → counted failure
 
-	srv := httptest.NewServer(NewDFSCHandler(client, reg, nil))
+	srv := httptest.NewServer(NewHandler(reg, nil))
 	defer srv.Close()
 
-	body, _ := scrape(t, srv.URL+"/stats")
-	if !strings.Contains(body, `"id": "DFSC3"`) || !strings.Contains(body, `"noReplica": 1`) {
-		t.Fatalf("dfsc stats:\n%s", body)
-	}
-	body, _ = scrape(t, srv.URL+"/metrics")
+	body, _ := scrape(t, srv.URL+"/metrics")
 	for _, want := range []string{
 		`dfsqos_dfsc_requests_total{outcome="no_replica"} 1`,
 		"dfsqos_dfsc_negotiation_latency_seconds_count 1",

@@ -167,10 +167,10 @@ func sortByStart(recs []trace.Record) {
 	sort.Slice(recs, func(i, j int) bool { return recs[i].Start.Before(recs[j].Start) })
 }
 
-// AttachDebug mounts the debug surface — /traces and /debug/pprof/ — on
+// attachDebug mounts the debug surface — /traces and /debug/pprof/ — on
 // mux. The pprof handlers are the stdlib ones, registered explicitly so
 // the daemons never depend on http.DefaultServeMux.
-func AttachDebug(mux *http.ServeMux, tr *trace.Tracer) {
+func attachDebug(mux *http.ServeMux, tr *trace.Tracer) {
 	mux.HandleFunc("/traces", TraceHandler(tr))
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -185,6 +185,6 @@ func AttachDebug(mux *http.ServeMux, tr *trace.Tracer) {
 func NewDebugHandler(tr *trace.Tracer) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", healthz)
-	AttachDebug(mux, tr)
+	attachDebug(mux, tr)
 	return mux
 }

@@ -293,13 +293,6 @@ func (r *RM) SetDiskHooks(provision func(ids.FileID, units.Size) error, remove f
 	r.remove = remove
 }
 
-// StorageUsed returns the bytes of committed and in-flight replicas.
-func (r *RM) StorageUsed() units.Size {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.storageUsed
-}
-
 // SetDirectory wires the RM to its peers; it must be called before any
 // replication can run.
 func (r *RM) SetDirectory(dir ecnp.Directory) {
@@ -664,13 +657,6 @@ func (r *RM) Renew(request ids.RequestID) error {
 	res.lastActivity = r.sched.Now()
 	r.active[request] = res
 	return nil
-}
-
-// LeaseTTL returns the configured lease TTL in seconds (0: disabled).
-func (r *RM) LeaseTTL() float64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.leaseTTL
 }
 
 // ActiveReservations returns the number of admitted, unexpired accesses.

@@ -58,9 +58,6 @@ type Gauge struct {
 	bits atomic.Uint64
 }
 
-// Set replaces the value.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
 // Add adds d (negative to subtract) with a CAS loop.
 func (g *Gauge) Add(d float64) {
 	for {

@@ -10,6 +10,13 @@ import (
 	"dfsqos/internal/units"
 )
 
+// Used returns the bytes consumed by stored files.
+func (d *Disk) Used() units.Size {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	return d.used
+}
+
 // Write stores a private copy of data under name, charging the write
 // throttle; the caller may reuse its buffer afterwards.
 func (d *Disk) Write(ctx context.Context, name string, data []byte) error {

@@ -78,13 +78,6 @@ func (d *Disk) Controller() *blkio.Controller { return d.ctrl }
 // it entirely.
 func (d *Disk) DefaultGroup() *blkio.Group { return d.group }
 
-// Used returns the bytes consumed by stored files.
-func (d *Disk) Used() units.Size {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.used
-}
-
 // Provision creates a file with deterministic synthetic contents of the
 // given size without performing throttled writes (the corpus exists before
 // the experiment starts). It fails when the disk would overflow.

@@ -3,9 +3,9 @@
 #
 # Builds mmd, rmd, dfsc and workloadgen, starts one mmd (with its monitor
 # and RM liveness armed) and two rmd (monitors, heartbeats and 2 s leases
-# on), waits until the MM's /stats reports both RMs live, runs `dfsc -n 3`
-# and checks that all three accesses were admitted. Then it runs the
-# paper's request scheduler: `workloadgen` writes a 64-user pattern over
+# on), waits until the MM's /metrics reads `dfsqos_mm_live_rms 2`, runs
+# `dfsc -n 3` and checks that all three accesses were admitted. Then it
+# runs the paper's request scheduler: `workloadgen` writes a 64-user pattern over
 # the same catalog and `dfsc -replay` sends it to the same two rmd in
 # about 5 wall seconds; dfsc must exit 0 with as many requests in its
 # summary as workloadgen generated. Then a three-row pattern written here
@@ -70,7 +70,7 @@ CORPUS="-num-rms 2 -degree 2 -files 20"
 MMD=$!
 PIDS="$MMD"
 MM="$(await "$WORK/mmd.log" 's/.*mmd: listening on \([^ ;]*\).*/\1/p')" || fail "mmd never listened"
-MON="$(await "$WORK/mmd.log" 's|.*mmd: stats at http://\([^/]*\)/stats.*|\1|p')" || fail "mmd monitor never served"
+MON="$(await "$WORK/mmd.log" 's|.*mmd: metrics at http://\([^/]*\)/metrics.*|\1|p')" || fail "mmd monitor never served"
 
 RMDS=""
 RMMONS=""
@@ -80,7 +80,7 @@ for id in 1 2; do
         -heartbeat-interval 200ms -lease-ttl 2s 2>"$WORK/rmd$id.log" &
     RMDS="$RMDS $!"
     PIDS="$PIDS $!"
-    RMMONS="$RMMONS $(await "$WORK/rmd$id.log" 's|.*rmd: RM[0-9]* stats at http://\([^/]*\)/stats.*|\1|p')" ||
+    RMMONS="$RMMONS $(await "$WORK/rmd$id.log" 's|.*rmd: RM[0-9]* metrics at http://\([^/]*\)/metrics.*|\1|p')" ||
         fail "rmd $id monitor never served"
 done
 
@@ -94,9 +94,9 @@ released() {
 }
 
 i=0
-until curl -sf "http://$MON/stats" | grep -q '"liveRMs": *2'; do
+until curl -sf "http://$MON/metrics" | grep -q '^dfsqos_mm_live_rms 2$'; do
     i=$((i + 1))
-    [ $i -lt 100 ] || fail "mmd /stats never reported liveRMs 2"
+    [ $i -lt 100 ] || fail "mmd /metrics never read dfsqos_mm_live_rms 2"
     sleep 0.1
 done
 
