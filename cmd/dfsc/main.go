@@ -74,7 +74,7 @@ func run(args []string, stdout io.Writer) error {
 		maxFO    = fs.Int("max-failovers", 2, "replicas a -read may fail over to after its serving RM dies mid-stream")
 		stripeW  = fs.Int("stripe-width", 1, "replicas a -read stripes byte ranges across (1 = sequential single-RM read)")
 		hedgeAft = fs.Duration("hedge-after", 0, "re-issue a lagging stripe range to another lane after this long (0 disables hedging)")
-		monAddr  = fs.String("monitor", "", "HTTP stats/metrics address (e.g. 127.0.0.1:0); empty disables")
+		monAddr  = fs.String("monitor", "", "HTTP monitor address serving /healthz, /metrics, /traces and pprof (e.g. 127.0.0.1:0); empty disables")
 		dbgAddr  = fs.String("debug-addr", "", "standalone debug HTTP address (/traces + pprof); empty serves them on -monitor only")
 		traceN   = fs.Int("trace-ring", 4096, "span ring capacity for request tracing (rounded up to a power of two)")
 		sample   = fs.Float64("trace-sample", 1, "fraction of requests to trace (0 disables, 1 traces all)")

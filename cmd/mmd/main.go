@@ -38,7 +38,7 @@ func main() {
 		shardIx = flag.Int("shard-index", 0, "this daemon's ring index within a shard group (with -peers)")
 		peersS  = flag.String("peers", "", "comma-separated addresses of every shard-group member, ring-index aligned (enables shard-group mode)")
 		beatIv  = flag.Duration("shard-beat-interval", time.Second, "shard-to-shard heartbeat period in shard-group mode")
-		monAddr = flag.String("monitor", "", "HTTP stats address; empty disables")
+		monAddr = flag.String("monitor", "", "HTTP monitor address serving /healthz, /metrics, /traces and pprof; empty disables")
 		dbgAddr = flag.String("debug-addr", "", "standalone debug HTTP address (/traces + pprof); empty serves them on -monitor only")
 		traceN  = flag.Int("trace-ring", 4096, "span ring capacity for request tracing (rounded up to a power of two)")
 		verbose = flag.Bool("v", false, "log every connection error")

@@ -55,7 +55,7 @@ func main() {
 		repStr  = flag.String("rep", "static", `replication strategy: "static", "baseline" or "Rep(n,m)"`)
 		destStr = flag.String("dest", "random", "destination selection: random, lbf, weighted")
 		scale   = flag.Float64("scale", 1, "virtual seconds per wall second")
-		monAddr = flag.String("monitor", "", "HTTP stats address (e.g. 127.0.0.1:0); empty disables")
+		monAddr = flag.String("monitor", "", "HTTP monitor address serving /healthz, /metrics, /traces and pprof (e.g. 127.0.0.1:0); empty disables")
 		dbgAddr = flag.String("debug-addr", "", "standalone debug HTTP address (/traces + pprof); empty serves them on -monitor only")
 		traceN  = flag.Int("trace-ring", 4096, "span ring capacity for request tracing (rounded up to a power of two)")
 		verbose = flag.Bool("v", false, "log connection errors")

@@ -1,12 +1,14 @@
 // Livecluster: the full distributed file system over real TCP on
 // localhost — a Metadata Manager server, three Resource Manager servers
-// with blkio-throttled virtual disks, and a FUSE-style mount whose
-// callbacks drive the ECNP protocol over the network:
+// with blkio-throttled virtual disks, and a client reading through the
+// read handle that plays the paper's FUSE open/read/release callbacks
+// over the network:
 //
-//	readdir → MM resource query
-//	open    → CFP fan-out, bid scoring, bandwidth reservation
+//	open    → MM resource query, CFP fan-out, bid scoring, bandwidth
+//	          reservation (Client.OpenRead)
 //	read    → ranged, checksum-verified transfer under that reservation
-//	release → reservation returned
+//	          (Reader.ReadAt)
+//	release → reservation returned (Reader.Close)
 //
 //	go run ./examples/livecluster
 package main
@@ -19,7 +21,6 @@ import (
 
 	"dfsqos/internal/catalog"
 	"dfsqos/internal/dfsc"
-	"dfsqos/internal/fsapi"
 	"dfsqos/internal/ids"
 	"dfsqos/internal/invariants"
 	"dfsqos/internal/live"
@@ -41,7 +42,7 @@ func main() {
 
 	// 1. The MM starts first (paper Fig. 2). 2. Three RMs register, each
 	// with its own throttled virtual disk holding every clip. 3. The DFSC
-	// launches last, mounted through the FUSE-style surface.
+	// launches last.
 	master := rng.New(11)
 	caps := []units.BytesPerSec{units.Mbps(64), units.Mbps(24), units.Mbps(24)}
 	holders := make(map[ids.FileID][]ids.RMID)
@@ -69,29 +70,17 @@ func main() {
 		Rand: master.Split("client"),
 	})
 	check(err)
-	mount, err := fsapi.NewMount(fsapi.Options{
-		Client:       client,
-		Catalog:      cat,
-		Streamer:     lc.Dir,
-		ReplicaCount: lc.Mapper.ReplicaCount,
-	})
-	check(err)
-	defer mount.Destroy()
+	// The volume listing is the catalog.
+	fmt.Printf("\nvolume: %d files\n", cat.Len())
 
-	names, err := mount.Readdir()
-	check(err)
-	fmt.Printf("\nreaddir: %d files\n", len(names))
-
-	for _, name := range names[:3] {
-		info, err := mount.Getattr(name)
-		check(err)
-		h, err := mount.Open(name)
+	for _, f := range cat.Files()[:3] {
+		r, err := client.OpenRead(lc.Dir, f.ID, dfsc.StripeConfig{Width: 1, MaxFailovers: 2})
 		check(err)
 		start := time.Now()
 		chunk := make([]byte, 128*1024)
 		var off int64
 		for {
-			n, err := mount.Read(h, chunk, off)
+			n, err := r.ReadAt(chunk, off)
 			off += int64(n)
 			if err == io.EOF {
 				break
@@ -99,9 +88,9 @@ func main() {
 			check(err)
 		}
 		secs := time.Since(start).Seconds()
-		check(mount.Release(h))
+		check(r.Close())
 		fmt.Printf("open/read/release %s: %s in %.2fs (%.2f MB/s, %d replicas, bitrate %v)\n",
-			name, info.Size, secs, float64(off)/secs/1e6, info.Replicas, info.Bitrate)
+			f.Name, f.Size, secs, float64(off)/secs/1e6, lc.Mapper.ReplicaCount(f.ID), f.Bitrate)
 	}
 	if err := invariants.Check(invariants.System{RMs: lc.Serving(), AtRest: true}); err != nil {
 		log.Fatalf("invariants after the reads: %v", err)

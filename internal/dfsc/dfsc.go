@@ -14,12 +14,12 @@
 //
 // In the paper the client sits behind FUSE: the MM query is issued from the
 // readdir callback, CFP fan-out and selection from open, and the transfer
-// from read/write. Package fsapi binds those callbacks to this client.
-//
-// The open read handle is the read engine (stripe.go): OpenRead negotiates
-// a file's lanes once and holds them, every Reader.ReadAt is a ranged run
-// of the segment scheduler over them, and Close releases them. ReadStriped
-// is a handle opened for one whole-file run.
+// from read/write. The open read handle (Reader, stripe.go) is that
+// surface, and the read engine: OpenRead is open (the MM query, CFP
+// fan-out and selection, negotiated once and held), every Reader.ReadAt
+// is read, a ranged run of the segment scheduler over the lanes OpenRead
+// holds, and Close is release. ReadStriped is a handle opened for one
+// whole-file run.
 package dfsc
 
 import (

@@ -441,8 +441,12 @@ type Reader struct {
 
 // OpenRead opens file for reading through rs: it negotiates up to
 // cfg.Width lanes (see StripeConfig) and holds their reservations until
-// Close. An empty file holds none: there is nothing to stream.
+// Close. An empty file holds none: there is nothing to stream. A file
+// outside the catalog is an error, as is one no RM admits.
 func (c *Client) OpenRead(rs RangeStreamer, file ids.FileID, cfg StripeConfig) (*Reader, error) {
+	if file < 0 || int(file) >= c.cat.Len() {
+		return nil, fmt.Errorf("dfsc: read %v: no such file", file)
+	}
 	cfg.Width = max(cfg.Width, 1)
 	if cfg.SegmentBytes <= 0 {
 		cfg.SegmentBytes = 1 << 20

@@ -15,7 +15,6 @@ import (
 // internal/. A package only an example or a test imports is not on the
 // list: it is deleted, or a binary calls it.
 var packageAllowlist = map[string]string{
-	"fsapi":      "item 4: the idle-Mount re-negotiation test",
 	"invariants": "item 2: the DES fault schedule",
 }
 

@@ -20,17 +20,6 @@ func (t *Liveness[K]) LiveCount() int {
 	return t.liveLocked(t.now())
 }
 
-// Epoch returns k's revival epoch: how many times it has come back from
-// the dead (0 for a continuously-live slot or an unknown key).
-func (t *Liveness[K]) Epoch(k K) uint64 {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if s := t.slotLocked(k); s != nil {
-		return s.epoch
-	}
-	return 0
-}
-
 // SetLiveness arms RM failure detection on every shard (the resource
 // list, and therefore the liveness table, is replicated).
 func (m *ShardedManager) SetLiveness(cfg LivenessConfig) {

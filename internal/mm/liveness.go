@@ -41,8 +41,8 @@ func (c LivenessConfig) Deadline() time.Duration {
 // slots that died since the last sweep, in ascending key order, counting
 // each death once; a caller sweeps on a ticker. A Beat that finds its
 // slot dead revives it: the death is counted if no sweep saw it, then the
-// revival, and the slot's epoch goes up. Stamp refreshes a slot with no
-// revival, and SetDown marks one down or revives it outright.
+// revival. Stamp refreshes a slot with no revival, and SetDown marks one
+// down or revives it outright.
 //
 // Slots sit in one slice ascending by key and are found by binary search,
 // so a key's value — an RM ID off the wire — never sizes an allocation.
@@ -60,9 +60,8 @@ type Liveness[K ~int | ~int32] struct {
 }
 
 type liveSlot[K ~int | ~int32] struct {
-	key   K
-	last  time.Time // most recent beat or stamp
-	epoch uint64    // dead → live transitions
+	key  K
+	last time.Time // most recent beat or stamp
 	// latched marks a death already counted, so a death is counted once
 	// per incident however often it is seen.
 	latched bool
@@ -144,12 +143,11 @@ func (t *Liveness[K]) latchLocked(s *liveSlot[K]) bool {
 	return true
 }
 
-// reviveLocked brings dead s back at now: its death counted (once), its
-// epoch bumped, the revival counted. Caller holds t.mu for writing.
+// reviveLocked brings dead s back at now: its death counted (once), then
+// the revival. Caller holds t.mu for writing.
 func (t *Liveness[K]) reviveLocked(s *liveSlot[K], now time.Time) {
 	t.latchLocked(s)
 	s.last = now
-	s.epoch++
 	s.latched = false
 	t.revivals++
 }
@@ -186,8 +184,8 @@ func (t *Liveness[K]) Beat(k K) (revived bool) {
 	return false
 }
 
-// Stamp refreshes k's beacon without revival semantics: no epoch bump, no
-// transition counted. A group member stamps its own slot this way each
+// Stamp refreshes k's beacon without revival semantics: no transition
+// counted. A group member stamps its own slot this way each
 // sweep — a running process is definitionally alive, never "revived",
 // even when a stalled tick let its own deadline lapse.
 func (t *Liveness[K]) Stamp(k K) {
@@ -205,7 +203,7 @@ func (t *Liveness[K]) Stamp(k K) {
 
 // SetDown toggles k's explicit down mark (the in-process kill and
 // revive). Marking down counts the death; reviving restores the beat
-// stamp so expiry does not kill it again at once, bumps the epoch and
+// stamp so expiry does not kill it again at once, counts the revival and
 // reports true. Marking a down slot down again, reviving a slot that is
 // not down, or naming an unknown key reports false.
 func (t *Liveness[K]) SetDown(k K, down bool) (transitioned bool) {

@@ -98,7 +98,10 @@ func TestHeartbeatKeepsAliveMissedBeatsKill(t *testing.T) {
 	}
 }
 
-func TestEpochBumpsOnlyOnRevival(t *testing.T) {
+// TestRevivalCountsOnlyComebacks: a first registration and an in-window
+// beat count no revival; a beat after silence past the deadline counts
+// one, and a re-registration after a second silence another.
+func TestRevivalCountsOnlyComebacks(t *testing.T) {
 	clk := newFakeClock()
 	m := New()
 	m.SetClock(clk.Now)
@@ -106,16 +109,16 @@ func TestEpochBumpsOnlyOnRevival(t *testing.T) {
 	if err := m.RegisterRM(info(1), nil); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.live.Epoch(1); got != 0 {
-		t.Fatalf("first registration epoch = %d, want 0", got)
+	if got := m.live.counts().revivals; got != 0 {
+		t.Fatalf("first registration counted %d revival(s), want 0", got)
 	}
-	// In-window beats leave the epoch alone.
+	// In-window beats revive nothing.
 	clk.Advance(100 * time.Millisecond)
 	if err := m.Heartbeat(1); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.live.Epoch(1); got != 0 {
-		t.Fatalf("in-window beat bumped epoch to %d", got)
+	if got := m.live.counts().revivals; got != 0 {
+		t.Fatalf("in-window beat counted %d revival(s)", got)
 	}
 	// Silence past the deadline, then a beat: one revival.
 	clk.Advance(time.Second)
@@ -125,20 +128,23 @@ func TestEpochBumpsOnlyOnRevival(t *testing.T) {
 	if err := m.Heartbeat(1); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.live.Epoch(1); got != 1 {
-		t.Fatalf("epoch after revival = %d, want 1", got)
+	if got := m.live.counts().revivals; got != 1 {
+		t.Fatalf("%d revival(s) after the reviving beat, want 1", got)
 	}
 	if !m.Alive(1) {
 		t.Fatal("RM still dead after reviving beat")
 	}
 	// A second incident healed by re-registration (the crash-restart
-	// path) bumps again.
+	// path) counts again.
 	clk.Advance(time.Second)
+	if m.Alive(1) {
+		t.Fatal("RM alive 1s after the reviving beat")
+	}
 	if err := m.RegisterRM(info(1), nil); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.live.Epoch(1); got != 2 {
-		t.Fatalf("epoch after re-registration revival = %d, want 2", got)
+	if got := m.live.counts().revivals; got != 2 || !m.Alive(1) {
+		t.Fatalf("%d revival(s), alive %v after re-registration, want 2 and true", got, m.Alive(1))
 	}
 }
 
@@ -239,8 +245,8 @@ func TestShardedLivenessFansOut(t *testing.T) {
 			t.Fatalf("heartbeat did not heal file %v's shard: %v", f, hs)
 		}
 	}
-	if got := m.canonical().live.Epoch(1); got != 1 {
-		t.Fatalf("sharded epoch = %d, want 1", got)
+	if got := m.canonical().live.counts().revivals; got != 1 {
+		t.Fatalf("sharded revivals = %d, want 1", got)
 	}
 	if got := m.canonical().LiveCount(); got != 1 {
 		t.Fatalf("sharded LiveCount = %d, want 1", got)
@@ -359,7 +365,7 @@ func livenessCases[K ~int | ~int32](t *testing.T, u liveUse[K]) {
 
 	// A slot that stops beating crosses its deadline, reads see it dead
 	// without latching, the sweep latches it once, and the next beat
-	// revives it with an epoch bump; in-window beats bump nothing.
+	// revives it; in-window beats revive nothing.
 	t.Run("expiry", func(t *testing.T) {
 		h, clk := setup(t, cfg)
 		clk.Advance(cfg.Deadline())
@@ -368,8 +374,8 @@ func livenessCases[K ~int | ~int32](t *testing.T, u liveUse[K]) {
 		}
 		h.Beat(k1)
 		h.Beat(k2)
-		if h.Epoch(k1) != 0 {
-			t.Fatalf("in-window beat bumped the epoch to %d", h.Epoch(k1))
+		if h.counts().revivals != 0 {
+			t.Fatalf("in-window beats counted %d revival(s)", h.counts().revivals)
 		}
 		clk.Advance(time.Millisecond)
 		if h.Alive(k0) || !h.Alive(k1) || h.LiveCount() != 2 || h.counts().deaths != 0 {
@@ -391,8 +397,8 @@ func livenessCases[K ~int | ~int32](t *testing.T, u liveUse[K]) {
 		if h.Beat(k0) {
 			t.Fatal("second beat reported revival again")
 		}
-		if h.Epoch(k0) != 1 || h.Epoch(k1) != 0 {
-			t.Fatalf("epochs = %d/%d, want 1/0", h.Epoch(k0), h.Epoch(k1))
+		if !h.Alive(k0) || !h.Alive(k1) {
+			t.Fatalf("alive %v/%v after the reviving beat, want true/true", h.Alive(k0), h.Alive(k1))
 		}
 		if h.counts().deaths != 1 || h.counts().revivals != 1 || h.counts().live != 3 {
 			t.Fatalf("deaths %d revivals %d gauge %v, want 1, 1, 3", h.counts().deaths, h.counts().revivals, h.counts().live)
@@ -403,8 +409,8 @@ func livenessCases[K ~int | ~int32](t *testing.T, u liveUse[K]) {
 	t.Run("unswept death", func(t *testing.T) {
 		h, clk := setup(t, cfg)
 		clk.Advance(cfg.Deadline() + time.Millisecond)
-		if !h.Beat(k0) || h.Epoch(k0) != 1 {
-			t.Fatalf("epoch %d after a reviving beat, want 1", h.Epoch(k0))
+		if !h.Beat(k0) || !h.Alive(k0) {
+			t.Fatal("beat after the deadline did not revive the slot")
 		}
 		if h.counts().deaths != 1 || h.counts().revivals != 1 {
 			t.Fatalf("deaths %d revivals %d, want 1 and 1", h.counts().deaths, h.counts().revivals)
@@ -413,7 +419,7 @@ func livenessCases[K ~int | ~int32](t *testing.T, u liveUse[K]) {
 
 	// SetDown kills and revives, each transition once; beats never
 	// override a down mark (a partitioned shard is down even if its
-	// process still beacons), and a revival bumps the epoch.
+	// process still beacons).
 	t.Run("down", func(t *testing.T) {
 		h, _ := setup(t, LivenessConfig{})
 		if !h.SetDown(k1, true) {
@@ -434,29 +440,29 @@ func livenessCases[K ~int | ~int32](t *testing.T, u liveUse[K]) {
 		if !h.SetDown(k1, false) || h.SetDown(k1, false) {
 			t.Fatal("revive did not transition exactly once")
 		}
-		if !h.Alive(k1) || h.Epoch(k1) != 1 || h.counts().revivals != 1 || h.counts().live != 3 {
-			t.Fatalf("alive %v epoch %d revivals %d gauge %v after revival, want true, 1, 1, 3",
-				h.Alive(k1), h.Epoch(k1), h.counts().revivals, h.counts().live)
+		if !h.Alive(k1) || h.counts().revivals != 1 || h.counts().live != 3 {
+			t.Fatalf("alive %v revivals %d gauge %v after revival, want true, 1, 3",
+				h.Alive(k1), h.counts().revivals, h.counts().live)
 		}
 	})
 
 	// Stamp refreshes with no revival: a lapsed slot is alive again with no
-	// epoch bump or transition, a latched one heals silently (so a later
+	// transition counted, a latched one heals silently (so a later
 	// death latches again), and a down mark stays.
 	t.Run("stamp", func(t *testing.T) {
 		h, clk := setup(t, cfg)
 		clk.Advance(cfg.Deadline() + time.Millisecond)
 		h.Stamp(k0)
-		if !h.Alive(k0) || h.Epoch(k0) != 0 {
-			t.Fatalf("alive %v epoch %d after stamp, want true/0", h.Alive(k0), h.Epoch(k0))
+		if !h.Alive(k0) || h.counts().revivals != 0 {
+			t.Fatalf("alive %v revivals %d after stamp, want true/0", h.Alive(k0), h.counts().revivals)
 		}
 		if newly := h.Sweep(); !slices.Equal(newly, []K{k1, k2}) {
 			t.Fatalf("Sweep = %v, want only the unstamped [%v %v]", newly, k1, k2)
 		}
 		h.Stamp(k1)
-		if !h.Alive(k1) || h.Epoch(k1) != 0 || h.counts().revivals != 0 {
-			t.Fatalf("latched slot did not heal silently: alive %v epoch %d revivals %d",
-				h.Alive(k1), h.Epoch(k1), h.counts().revivals)
+		if !h.Alive(k1) || h.counts().revivals != 0 {
+			t.Fatalf("latched slot did not heal silently: alive %v revivals %d",
+				h.Alive(k1), h.counts().revivals)
 		}
 		clk.Advance(cfg.Deadline() + time.Millisecond)
 		if newly := h.Sweep(); !slices.Equal(newly, []K{k0, k1}) {
@@ -474,7 +480,7 @@ func livenessCases[K ~int | ~int32](t *testing.T, u liveUse[K]) {
 		h, _ := setup(t, cfg)
 		for _, k := range u.unknown {
 			h.Stamp(k)
-			if h.Alive(k) || h.Beat(k) || h.SetDown(k, true) || h.Epoch(k) != 0 {
+			if h.Alive(k) || h.Beat(k) || h.SetDown(k, true) || h.counts() != (liveCounts{slots: 3, live: 3}) {
 				t.Fatalf("unknown key %v was not inert", k)
 			}
 		}
@@ -486,8 +492,8 @@ func livenessCases[K ~int | ~int32](t *testing.T, u liveUse[K]) {
 
 // TestLivenessMatchesReference runs seeded programs against the table and
 // against the reference model of each use (reference_test.go), checking
-// Alive, Epoch and the live count after every step and the transition
-// counters after every sweep. The references latch by reading — the RM
+// Alive, revivals and the live count after every step and the deaths
+// after every sweep. The references latch by reading — the RM
 // table on LiveCount, Alive and every beat, the shard table on Sweep — so
 // the reference's latching read stands in for the sweep. One difference
 // is by design: a beat that revives a death no latch saw counts it on the
@@ -556,10 +562,14 @@ func TestLivenessMatchesReference(t *testing.T) {
 					if alive {
 						live++
 					}
-					if m.Alive(id) != alive || m.live.Epoch(id) != ref.Epoch(id) {
-						t.Fatalf("seed %d step %d: %v alive %v epoch %d, reference %v and %d",
-							seed, step, id, m.Alive(id), m.live.Epoch(id), alive, ref.Epoch(id))
+					if m.Alive(id) != alive {
+						t.Fatalf("seed %d step %d: %v alive %v, reference %v", seed, step, id, m.Alive(id), alive)
 					}
+				}
+				// Each step touches one RM, so matching revivals after
+				// every step match them RM by RM.
+				if got, want := m.live.counts().revivals, refMet.revivals.Value(); got != want {
+					t.Fatalf("seed %d step %d: revivals %d, reference %d", seed, step, got, want)
 				}
 				if m.LiveCount() != live {
 					t.Fatalf("seed %d step %d: live count %d, reference %d", seed, step, m.LiveCount(), live)
@@ -626,10 +636,14 @@ func TestLivenessMatchesReference(t *testing.T) {
 					}
 				}
 				for k := -1; k <= n; k++ {
-					if h.Alive(k) != ref.Alive(k) || h.Epoch(k) != ref.Epoch(k) {
-						t.Fatalf("seed %d step %d: shard %d alive %v epoch %d, reference %v and %d",
-							seed, step, k, h.Alive(k), h.Epoch(k), ref.Alive(k), ref.Epoch(k))
+					if h.Alive(k) != ref.Alive(k) {
+						t.Fatalf("seed %d step %d: shard %d alive %v, reference %v", seed, step, k, h.Alive(k), ref.Alive(k))
 					}
+				}
+				// Each step touches one shard, so matching revivals after
+				// every step match them shard by shard.
+				if got, want := h.counts().revivals, refMet.revivals.Value(); got != want {
+					t.Fatalf("seed %d step %d: revivals %d, reference %d", seed, step, got, want)
 				}
 				ref.mu.Lock()
 				live := ref.liveCountLocked(clk.Now())

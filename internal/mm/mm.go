@@ -39,8 +39,7 @@ type Manager struct {
 	pending map[ids.FileID]map[ids.RMID]bool
 	// live is the RM liveness table: a slot per registered RM, inert
 	// unless SetLiveness arms expiry. A re-registration or heartbeat that
-	// revives a dead RM bumps its epoch, so observers can tell "still the
-	// same incarnation" from "came back".
+	// finds its RM dead revives it and counts the revival.
 	live *Liveness[ids.RMID]
 	// counted is what the manager's write paths count, under mu.
 	counted managerCounts
@@ -120,7 +119,7 @@ func (m *Manager) Sweep() { m.live.Sweep() }
 
 // RegisterRM implements ecnp.Mapper. Registering an already-known RM
 // refreshes its info, resets its liveness state (a crashed RM that comes
-// back starts a fresh epoch) and RECONCILES the reported file list: files
+// back is revived) and RECONCILES the reported file list: files
 // the MM still attributes to this RM but the RM no longer reports are
 // pruned from the replica map instead of lingering as stale entries that
 // would route requests at a replica that is gone. (The placement layer

@@ -3,7 +3,7 @@ package mm
 // The two liveness tables Liveness replaced, kept as the reference model
 // TestLivenessMatchesReference checks it against: the Manager's RM
 // liveness methods and the shard group's ShardHealth, with their bodies
-// as they were.
+// as they were less the per-key revival epoch, which no reader kept.
 
 import (
 	"slices"
@@ -33,10 +33,6 @@ type refRMLiveness struct {
 	liveCfg  LivenessConfig
 	now      func() time.Time
 	lastBeat map[ids.RMID]time.Time
-	// epochs counts each RM's dead→live transitions; a heartbeat or
-	// registration that revives a dead RM bumps its epoch, so observers
-	// can distinguish "still the same incarnation" from "came back".
-	epochs map[ids.RMID]uint64
 	// deadSeen marks RMs already observed (and counted) as dead, so the
 	// death counter fires once per transition, not once per query.
 	deadSeen map[ids.RMID]bool
@@ -50,7 +46,6 @@ func newRefRMLiveness(cfg LivenessConfig, now func() time.Time, met *refMetrics)
 		liveCfg:  cfg,
 		now:      now,
 		lastBeat: make(map[ids.RMID]time.Time),
-		epochs:   make(map[ids.RMID]uint64),
 		deadSeen: make(map[ids.RMID]bool),
 		met:      met,
 	}
@@ -89,14 +84,12 @@ func (m *refRMLiveness) aliveLocked(id ids.RMID, now time.Time, latch bool) bool
 }
 
 // reviveLocked stamps a fresh beat for id and, when the RM had actually
-// died (latched by a query, or silently — detected by timestamp), bumps
-// its liveness epoch. A first registration or an in-window beat leaves
-// the epoch alone: epoch 0 means "never seen dead". Caller holds m.mu
-// for writing.
+// died (latched by a query, or silently — detected by timestamp), counts
+// the revival. A first registration or an in-window beat counts none.
+// Caller holds m.mu for writing.
 func (m *refRMLiveness) reviveLocked(id ids.RMID, now time.Time) {
 	if last, known := m.lastBeat[id]; known && m.liveCfg.Enabled() &&
 		(m.deadSeen[id] || now.Sub(last) > m.liveCfg.Deadline()) {
-		m.epochs[id]++
 		delete(m.deadSeen, id)
 		m.met.revivals.Inc()
 	}
@@ -130,14 +123,6 @@ func (m *refRMLiveness) Heartbeat(id ids.RMID) bool {
 	return true
 }
 
-// Epoch returns id's liveness epoch: how many times the MM has seen it
-// come back from the dead (0 for a continuously-live RM).
-func (m *refRMLiveness) Epoch(id ids.RMID) uint64 {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.epochs[id]
-}
-
 // LiveCount returns the number of currently-live registered RMs.
 func (m *refRMLiveness) LiveCount() int {
 	m.mu.Lock()
@@ -159,7 +144,7 @@ func (m *refRMLiveness) Alive(id ids.RMID) bool {
 // group's liveness table as it stood before it and the Manager's RM
 // liveness merged into Liveness. A shard that has not beaten within the
 // configured deadline is dead, a beat (or an explicit revive) heals it
-// and bumps its revival epoch, and every transition is latched so
+// and counts the revival, and every transition is latched so
 // counters fire exactly once per incident.
 //
 // Two drivers feed it. The live deployment beats through Beat from the
@@ -176,7 +161,6 @@ type refShardHealth struct {
 	// beaten is alive until the first Sweep past its deadline (it gets a
 	// free stamp at construction, matching the RM registration grace).
 	lastBeat []time.Time
-	epochs   []uint64
 	deadSeen []bool
 	down     []bool
 	met      *refMetrics
@@ -190,7 +174,6 @@ func newRefShardHealth(n int, cfg LivenessConfig) *refShardHealth {
 		cfg:      cfg,
 		now:      time.Now,
 		lastBeat: make([]time.Time, n),
-		epochs:   make([]uint64, n),
 		deadSeen: make([]bool, n),
 		down:     make([]bool, n),
 		met:      new(refMetrics),
@@ -234,7 +217,6 @@ func (h *refShardHealth) Beat(i int) (revived bool) {
 	wasDead := h.deadLocked(i, h.now())
 	h.lastBeat[i] = h.now()
 	if wasDead && !h.down[i] {
-		h.epochs[i]++
 		h.deadSeen[i] = false
 		h.met.revivals.Inc()
 		return true
@@ -242,8 +224,8 @@ func (h *refShardHealth) Beat(i int) (revived bool) {
 	return false
 }
 
-// Stamp refreshes shard i's beacon without revival semantics: no epoch
-// bump, no transition counter. A group member stamps its own slot this
+// Stamp refreshes shard i's beacon without revival semantics: no
+// transition counter. A group member stamps its own slot this
 // way each sweep — a running process is definitionally alive, never
 // "revived", even when a stalled beat tick let its own deadline lapse.
 func (h *refShardHealth) Stamp(i int) {
@@ -260,7 +242,7 @@ func (h *refShardHealth) Stamp(i int) {
 
 // SetDown toggles shard i's explicit down mark (the in-process kill and
 // revive). Reviving restores the beat stamp so beat-expiry does not
-// immediately re-kill it, bumps the epoch and reports true; marking an
+// immediately re-kill it, counts the revival and reports true; marking an
 // already-down shard (or reviving a live one) reports false.
 func (h *refShardHealth) SetDown(i int, down bool) (transitioned bool) {
 	h.mu.Lock()
@@ -276,7 +258,6 @@ func (h *refShardHealth) SetDown(i int, down bool) (transitioned bool) {
 		}
 	} else {
 		h.lastBeat[i] = h.now()
-		h.epochs[i]++
 		h.deadSeen[i] = false
 		h.met.revivals.Inc()
 	}
@@ -324,17 +305,6 @@ func (h *refShardHealth) Sweep() []int {
 		}
 	}
 	return newly
-}
-
-// Epoch returns shard i's revival epoch: how many times it has come back
-// from the dead (0 for a continuously-live shard).
-func (h *refShardHealth) Epoch(i int) uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if i < 0 || i >= h.n {
-		return 0
-	}
-	return h.epochs[i]
 }
 
 func (h *refShardHealth) liveCountLocked(now time.Time) int {

@@ -126,7 +126,7 @@ func TestReplicatedKillShardFailsOver(t *testing.T) {
 	}
 
 	// Revival heals: the shard re-owns its keyspace — including the write
-	// it missed — and bumps its epoch.
+	// it missed — and counts one revival.
 	healed := m.ReviveShard(victim)
 	if healed == 0 {
 		t.Fatal("heal handoff moved nothing")
@@ -134,8 +134,8 @@ func TestReplicatedKillShardFailsOver(t *testing.T) {
 	if m.ReviveShard(victim) != 0 {
 		t.Fatal("re-reviving a live shard healed again")
 	}
-	if m.Health().Epoch(victim) != 1 {
-		t.Fatalf("victim epoch = %d, want 1", m.Health().Epoch(victim))
+	if got := m.Health().counts().revivals; got != 1 || !m.Health().Alive(victim) {
+		t.Fatalf("%d revival(s), victim alive %v, want 1 and true", got, m.Health().Alive(victim))
 	}
 	if hs := m.Shard(victim).Lookup(files[0]); len(hs) != 2 {
 		t.Fatalf("revived shard sees %v for %v, want the missed write too", hs, files[0])

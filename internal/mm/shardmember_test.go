@@ -92,6 +92,7 @@ func TestReplicatedMembersBeatSweepAndHeal(t *testing.T) {
 	// heals it asynchronously.
 	members[2] = member(2)
 	connect()
+	revived := members[0].Health().counts().revivals
 	members[0].PeerBeat(2)
 	members[1].PeerBeat(2)
 	deadline := time.Now().Add(5 * time.Second)
@@ -110,8 +111,8 @@ func TestReplicatedMembersBeatSweepAndHeal(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if got := members[0].Health().Epoch(2); got != 1 {
-		t.Fatalf("shard 2's epoch in member 0's view = %d, want 1", got)
+	if got := members[0].Health().counts().revivals - revived; got != 1 || !members[0].Health().Alive(2) {
+		t.Fatalf("shard 2's beat counted %d revival(s) in member 0's view, alive %v, want 1 and true", got, members[0].Health().Alive(2))
 	}
 	heal := seriesValue(t, reg, `dfsqos_mm_shard_handoff_entries_total{direction="heal"}`)
 	if beats := seriesValue(t, reg, "dfsqos_mm_shard_beats_total"); heal == 0 || beats != 4 {

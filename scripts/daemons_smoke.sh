@@ -4,8 +4,11 @@
 # Builds mmd, rmd, dfsc and workloadgen, starts one mmd (with its monitor
 # and RM liveness armed) and two rmd (monitors, heartbeats and 2 s leases
 # on), waits until the MM's /metrics reads `dfsqos_mm_live_rms 2`, runs
-# `dfsc -n 3` and checks that all three accesses were admitted. Then it
-# runs the paper's request scheduler: `workloadgen` writes a 64-user pattern over
+# `dfsc -n 3` and checks that all three accesses were admitted. Then
+# `dfsc -read -stripe-width 2 -n 3` streams three files across both rmd
+# (each holds every file at -degree 2) through the client's read engine:
+# it must exit 0 and log `checksum ok` once for each admitted read. Then
+# it runs the paper's request scheduler: `workloadgen` writes a 64-user pattern over
 # the same catalog and `dfsc -replay` sends it to the same two rmd in
 # about 5 wall seconds; dfsc must exit 0 with as many requests in its
 # summary as workloadgen generated. Then a three-row pattern written here
@@ -105,6 +108,16 @@ done
 cat "$WORK/dfsc.out"
 grep -q ' 3 admitted' "$WORK/dfsc.out" || fail "dfsc did not admit all 3 accesses"
 released "dfsc -n 3"
+
+# The binary's read path: three whole-file reads striped over both rmd,
+# each verified against the file's checksum (about 3 s in all).
+# shellcheck disable=SC2086
+"$WORK/dfsc" -mm "$MM" $CORPUS -n 3 -gap 0 -read -stripe-width 2 \
+    >"$WORK/read.out" 2>"$WORK/read.log" || fail "dfsc -read exited $?"
+cat "$WORK/read.out"
+grep -q ' 3 admitted' "$WORK/read.out" || fail "dfsc -read did not admit all 3 reads"
+[ "$(grep -c 'checksum ok' "$WORK/read.log")" -eq 3 ] || fail "dfsc -read did not verify all 3 reads"
+released "dfsc -read"
 
 # 600 virtual seconds at -scale 120: the replay takes about 5 wall seconds.
 "$WORK/workloadgen" -users 64 -files 20 -horizon 600 -o "$WORK/pattern.json" 2>"$WORK/workloadgen.log" ||
