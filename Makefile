@@ -8,8 +8,9 @@
 # incidents over real TCP) plus the crash/liveness suites they build on;
 # `make daemons-smoke` runs mmd, two rmd, dfsc and a dfsc -replay of a
 # generated pattern together on loopback;
-# `make bench` runs the benchmark harness; `make docs` keeps
-# docs/OPERATIONS.md and the godoc surface in lock-step with the code.
+# `make bench` runs the benchmark harness; `make docs` holds the docs
+# (README, DESIGN, EXPERIMENTS, docs/*.md), the runbook's flag and metric
+# tables and the godoc surface to the code.
 
 GO ?= go
 
@@ -157,10 +158,15 @@ fuzz-smoke:
 # every flag the daemons register and every dfsqos_* telemetry series
 # the tree can construct must appear in docs/OPERATIONS.md, the
 # godoc-surface packages must document every exported symbol (the
-# revive-style comment-presence check, implemented on go/ast), and every
+# revive-style comment-presence check, implemented on go/ast), every
 # exported name under internal/ must have a non-test caller or an
 # allowlisted ROADMAP reason (the type-checked export scan,
-# TestEveryExportHasACaller).
+# TestEveryExportHasACaller), and every reference in README.md, DESIGN.md,
+# EXPERIMENTS.md and docs/*.md must resolve against the tree — each
+# backticked pkg.Name or pkg.Type.Member (test functions included), repo
+# path, markdown link and `make` target, and each DESIGN, ARCHITECTURE or
+# TENANCY §N citation there and in Go comments — while DESIGN §3 lists
+# exactly the packages under internal/ and cmd/ (TestDocReferencesResolve).
 docs:
 	$(GO) test -count=1 ./internal/docscheck/
 

@@ -207,22 +207,11 @@ func run(args []string, stdout io.Writer) error {
 			return err
 		}
 	}
-	if *monAddr != "" {
-		monSrv, bound, err := monitor.Serve(*monAddr, monitor.NewHandler(reg, tracer))
-		if err != nil {
-			return err
-		}
-		defer monitor.Shutdown(monSrv, 3*time.Second)
-		log.Printf("dfsc: metrics at http://%s/metrics, traces at http://%s/traces", bound, bound)
+	stopMonitor, err := monitor.Start("dfsc:", *monAddr, *dbgAddr, reg, tracer)
+	if err != nil {
+		return err
 	}
-	if *dbgAddr != "" {
-		dbgSrv, bound, err := monitor.Serve(*dbgAddr, monitor.NewDebugHandler(tracer))
-		if err != nil {
-			return err
-		}
-		defer monitor.Shutdown(dbgSrv, 3*time.Second)
-		log.Printf("dfsc: debug at http://%s/traces and http://%s/debug/pprof/", bound, bound)
-	}
+	defer stopMonitor()
 
 	// send runs one request through its DFSC's client and logs its
 	// outcome. A failure that no RM refused is a fault, and a fault makes

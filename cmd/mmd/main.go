@@ -28,9 +28,6 @@ import (
 	"dfsqos/internal/wire"
 )
 
-// shutdownTimeout bounds the monitor drain on SIGTERM.
-const shutdownTimeout = 3 * time.Second
-
 func main() {
 	var (
 		addr    = flag.String("addr", "127.0.0.1:7000", "listen address")
@@ -83,22 +80,11 @@ func main() {
 	}
 	log.Printf("mmd: listening on %s; group %v (index %d, replication %d, shard beat %v); RM heartbeat %v (0: liveness off), dead after %d misses; faults %q",
 		node.Server.Addr(), peers, *shardIx, *rep, *beatIv, *hbIv, *misses, *faultsS)
-	if *monAddr != "" {
-		monSrv, bound, err := monitor.Serve(*monAddr, monitor.NewHandler(reg, tracer))
-		if err != nil {
-			fail(err)
-		}
-		defer monitor.Shutdown(monSrv, shutdownTimeout)
-		log.Printf("mmd: metrics at http://%s/metrics, traces at http://%s/traces", bound, bound)
+	stopMonitor, err := monitor.Start("mmd:", *monAddr, *dbgAddr, reg, tracer)
+	if err != nil {
+		fail(err)
 	}
-	if *dbgAddr != "" {
-		dbgSrv, bound, err := monitor.Serve(*dbgAddr, monitor.NewDebugHandler(tracer))
-		if err != nil {
-			fail(err)
-		}
-		defer monitor.Shutdown(dbgSrv, shutdownTimeout)
-		log.Printf("mmd: debug at http://%s/traces and http://%s/debug/pprof/", bound, bound)
-	}
+	defer stopMonitor()
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

@@ -20,7 +20,6 @@ import (
 	"os/signal"
 	"strings"
 	"syscall"
-	"time"
 
 	"dfsqos/internal/catalog"
 	"dfsqos/internal/cluster"
@@ -36,9 +35,6 @@ import (
 	"dfsqos/internal/units"
 	"dfsqos/internal/wire"
 )
-
-// shutdownTimeout bounds the monitor drain on SIGTERM.
-const shutdownTimeout = 3 * time.Second
 
 func main() {
 	var (
@@ -127,22 +123,11 @@ func main() {
 	defer sched.Stop()
 	log.Printf("rmd: %v (%v, %d files, %v) listening on %s, registered at %s; heartbeat %v, lease TTL %v, stream QoS %v (ceiling %.2f× capacity), %d tenant quota(s), faults %q",
 		rmID, capacity, len(held), strat, node.Server.Addr(), *mmAddr, *hbIv, *leaseTT, *sqos, *sceil, len(quotas), *faultsS)
-	if *monAddr != "" {
-		monSrv, bound, err := monitor.Serve(*monAddr, monitor.NewHandler(reg, tracer))
-		if err != nil {
-			fail(err)
-		}
-		defer monitor.Shutdown(monSrv, shutdownTimeout)
-		log.Printf("rmd: %v metrics at http://%s/metrics, traces at http://%s/traces", rmID, bound, bound)
+	stopMonitor, err := monitor.Start(fmt.Sprintf("rmd: %v", rmID), *monAddr, *dbgAddr, reg, tracer)
+	if err != nil {
+		fail(err)
 	}
-	if *dbgAddr != "" {
-		dbgSrv, bound, err := monitor.Serve(*dbgAddr, monitor.NewDebugHandler(tracer))
-		if err != nil {
-			fail(err)
-		}
-		defer monitor.Shutdown(dbgSrv, shutdownTimeout)
-		log.Printf("rmd: %v debug at http://%s/traces and http://%s/debug/pprof/", rmID, bound, bound)
-	}
+	defer stopMonitor()
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

@@ -182,7 +182,7 @@ func TestShutdownDrainsAndReleasesListener(t *testing.T) {
 		<-release
 		w.Write([]byte("done"))
 	})
-	srv, addr, err := Serve("127.0.0.1:0", mux)
+	srv, addr, err := serve("127.0.0.1:0", mux)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestShutdownDrainsAndReleasesListener(t *testing.T) {
 	<-started
 
 	done := make(chan error, 1)
-	go func() { done <- Shutdown(srv, 2*time.Second) }()
+	go func() { done <- shutdown(srv, 2*time.Second) }()
 	// The in-flight request holds Shutdown open until the handler ends.
 	time.Sleep(50 * time.Millisecond)
 	close(release)
@@ -227,7 +227,7 @@ func TestShutdownForceClosesAfterDeadline(t *testing.T) {
 		case <-r.Context().Done():
 		}
 	})
-	srv, addr, err := Serve("127.0.0.1:0", mux)
+	srv, addr, err := serve("127.0.0.1:0", mux)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestShutdownForceClosesAfterDeadline(t *testing.T) {
 	}()
 	<-started
 
-	if err := Shutdown(srv, 20*time.Millisecond); err == nil {
+	if err := shutdown(srv, 20*time.Millisecond); err == nil {
 		t.Fatal("expected deadline error from Shutdown with a stuck handler")
 	}
 	if _, err := http.Get("http://" + addr + "/healthz"); err == nil {
@@ -248,7 +248,7 @@ func TestShutdownForceClosesAfterDeadline(t *testing.T) {
 }
 
 func TestShutdownNilServer(t *testing.T) {
-	if err := Shutdown(nil, time.Second); err != nil {
+	if err := shutdown(nil, time.Second); err != nil {
 		t.Fatal(err)
 	}
 }

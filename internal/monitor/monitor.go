@@ -20,6 +20,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"log"
 	"net"
 	"net/http"
 	"time"
@@ -53,9 +54,42 @@ func writeJSON(w http.ResponseWriter, v any) {
 	}
 }
 
-// Serve starts an HTTP server on addr with the handler and returns it
-// together with the bound address. Callers stop it with Server.Close.
-func Serve(addr string, h http.Handler) (*http.Server, string, error) {
+// shutdownTimeout bounds how long a stopping daemon waits for in-flight
+// scrapes to drain.
+const shutdownTimeout = 3 * time.Second
+
+// Start serves a daemon's monitor (NewHandler over reg and tr) on monAddr
+// and its debug surface alone (NewDebugHandler) on debugAddr, each only
+// when its address is set, and logs each bound address in a line that
+// begins with prefix. The stop it returns shuts both down, waiting up to
+// shutdownTimeout for in-flight scrapes.
+func Start(prefix, monAddr, debugAddr string, reg *telemetry.Registry, tr *trace.Tracer) (stop func(), err error) {
+	var mon, dbg *http.Server
+	stop = func() {
+		shutdown(mon, shutdownTimeout)
+		shutdown(dbg, shutdownTimeout)
+	}
+	if monAddr != "" {
+		var bound string
+		if mon, bound, err = serve(monAddr, NewHandler(reg, tr)); err != nil {
+			return nil, err
+		}
+		log.Printf("%s metrics at http://%s/metrics, traces at http://%s/traces", prefix, bound, bound)
+	}
+	if debugAddr != "" {
+		var bound string
+		if dbg, bound, err = serve(debugAddr, NewDebugHandler(tr)); err != nil {
+			stop()
+			return nil, err
+		}
+		log.Printf("%s debug at http://%s/traces and http://%s/debug/pprof/", prefix, bound, bound)
+	}
+	return stop, nil
+}
+
+// serve starts an HTTP server on addr with the handler and returns it
+// together with the bound address.
+func serve(addr string, h http.Handler) (*http.Server, string, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, "", fmt.Errorf("monitor: listen %s: %w", addr, err)
@@ -65,11 +99,11 @@ func Serve(addr string, h http.Handler) (*http.Server, string, error) {
 	return srv, ln.Addr().String(), nil
 }
 
-// Shutdown stops a server started by Serve, waiting up to timeout for
-// in-flight scrapes to drain before force-closing. The listener is gone
-// when Shutdown returns (no leaked socket across daemon SIGTERM), even
-// if a handler is still stuck past the deadline.
-func Shutdown(srv *http.Server, timeout time.Duration) error {
+// shutdown stops a server started by serve, if any, waiting up to
+// timeout for in-flight scrapes to drain before force-closing. The
+// listener is gone when shutdown returns (no leaked socket across daemon
+// SIGTERM), even if a handler is still stuck past the deadline.
+func shutdown(srv *http.Server, timeout time.Duration) error {
 	if srv == nil {
 		return nil
 	}

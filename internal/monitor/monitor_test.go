@@ -1,6 +1,8 @@
 package monitor
 
 import (
+	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -52,7 +54,7 @@ func TestHealthz(t *testing.T) {
 }
 
 func TestServeBindsAndCloses(t *testing.T) {
-	srv, addr, err := Serve("127.0.0.1:0", NewHandler(nil, nil))
+	srv, addr, err := serve("127.0.0.1:0", NewHandler(nil, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,4 +69,62 @@ func TestServeBindsAndCloses(t *testing.T) {
 	if _, err := http.Get("http://" + addr + "/healthz"); err == nil {
 		t.Fatal("server reachable after Close")
 	}
+}
+
+// TestStartServesBothAndStops starts the monitor and the standalone debug
+// surface the way the daemons do: each answers on its own address, stop
+// closes both, and a debug address that cannot be bound fails Start
+// without leaving the monitor listening.
+func TestStartServesBothAndStops(t *testing.T) {
+	get := func(url string) error {
+		resp, err := http.Get(url)
+		if err != nil {
+			return err
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			return fmt.Errorf("%s: status %d", url, resp.StatusCode)
+		}
+		return nil
+	}
+	monLn, dbgLn := freeAddr(t), freeAddr(t)
+	stop, err := Start("test:", monLn, dbgLn, telemetry.NewRegistry(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, url := range []string{"http://" + monLn + "/metrics", "http://" + dbgLn + "/debug/pprof/"} {
+		if err := get(url); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stop()
+	for _, addr := range []string{monLn, dbgLn} {
+		if err := get("http://" + addr + "/healthz"); err == nil {
+			t.Fatalf("%s still serving after stop", addr)
+		}
+	}
+
+	busy, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer busy.Close()
+	monAddr := freeAddr(t)
+	if _, err := Start("test:", monAddr, busy.Addr().String(), nil, nil); err == nil {
+		t.Fatal("Start on a bound debug address succeeded")
+	}
+	if err := get("http://" + monAddr + "/healthz"); err == nil {
+		t.Fatal("monitor left serving after Start failed")
+	}
+}
+
+// freeAddr returns a loopback address nothing listens on.
+func freeAddr(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	return ln.Addr().String()
 }
