@@ -34,7 +34,7 @@ race:
 
 # chaos replays the self-healing drills: deterministic fault scripts
 # (internal/faults) against live TCP deployments — mid-stream kill with
-# lane failover, crash-restart liveness epochs, a scripted kill that
+# lane failover, crash-restart liveness revivals, a scripted kill that
 # silences the whole RM process, scripted Open errors, lease-sweeper
 # keepalives — plus the older crash/redial suites.
 chaos:
@@ -126,16 +126,18 @@ scenarios-tenant:
 # per-range sort-and-merge) against a stable comparison sort and the
 # guided CDF sampler against a whole-table binary search, and the replica
 # placement's holder-list edits against the insertion-order reference,
-# an RM's bid occupation bias against its per-CFP recomputation and a
-# capped replication attempt's draw-only Skip against the destination
-# Order it stands in for, a short randomized run on top of its seeded
-# corpus — enough to catch decoder panics, round-trip divergence, an
-# event fired out of (time, sequence) order, a segment layout that gaps,
-# overlaps or overruns, a synthesized byte that moved, a stored byte that
-# reads back other than it was written, a request sorted out of its
-# stable arrival order, a popularity draw that picks another rank, a lent
-# holder list that an edit changed, a bid that kept a stale bias and a
-# skipped attempt that leaves the RM's random stream elsewhere, without
+# an RM's bid occupation bias against its per-CFP recomputation, an
+# RM's running busiest-file ranking against a full pass over every
+# file's count, and a capped replication attempt's draw-only Skip
+# against the destination Order it stands in for, a short randomized run
+# on top of its seeded corpus — enough to catch decoder panics,
+# round-trip divergence, an event fired out of (time, sequence) order, a
+# segment layout that gaps, overlaps or overruns, a synthesized byte that
+# moved, a stored byte that reads back other than it was written, a
+# request sorted out of its stable arrival order, a popularity draw that
+# picks another rank, a lent holder list that an edit changed, a bid that
+# kept a stale bias, a ranking that kept a dropped or overtaken file and
+# a skipped attempt that leaves the RM's random stream elsewhere, without
 # CI-hostile runtimes.
 # Targets must run one at a time (go test allows a single -fuzz pattern
 # per invocation).
@@ -152,6 +154,7 @@ fuzz-smoke:
 	$(GO) test ./internal/rng/ -run '^$$' -fuzz '^FuzzCDFIndex$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/catalog/ -run '^$$' -fuzz '^FuzzPlacementEdits$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/rm/ -run '^$$' -fuzz '^FuzzBidOccupationBias$$' -fuzztime $(FUZZ_TIME)
+	$(GO) test ./internal/rm/ -run '^$$' -fuzz '^FuzzBusiestRanking$$' -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/replication/ -run '^$$' -fuzz '^FuzzDestSkipMatchesOrder$$' -fuzztime $(FUZZ_TIME)
 
 # docs runs the documentation-consistency suite (internal/docscheck):

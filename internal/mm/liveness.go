@@ -282,6 +282,24 @@ func keepLive[K ~int | ~int32, E any](t *Liveness[K], dst, s []E, key func(E) K)
 	return out
 }
 
+// countLive returns how many keys of s are alive: len(s) with expiry off,
+// as keepLive keeps them all then.
+func countLive[K ~int | ~int32](t *Liveness[K], s []K) int {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	if t.expiry == 0 {
+		return len(s)
+	}
+	now := t.now()
+	n := 0
+	for _, k := range s {
+		if sl := t.slotLocked(k); sl != nil && !t.deadLocked(sl, now) {
+			n++
+		}
+	}
+	return n
+}
+
 // firstLive is the group's first-live-owner rule: the first key of walk,
 // skip excluded, that is alive or is self (-1: no self); -1 if none is.
 func (t *Liveness[K]) firstLive(walk []K, self, skip K) K {

@@ -226,6 +226,32 @@ func (m *Manager) AppendRMsWithout(dst []ids.RMID, file ids.FileID) []ids.RMID {
 	return dst[:start+len(keepLive(m.live, dst[start:start], dst[start:], rmKey))]
 }
 
+// CountRMsWithout returns how many RMs RMsWithout(file) lists, self left
+// out if it is among them: the number of candidates a capped replication
+// attempt draws over, counted without listing them. It costs a lookup of
+// the file's holders and pending destinations and a binary search for
+// each; with liveness expiry armed, also a pass over the resource list.
+func (m *Manager) CountRMsWithout(file ids.FileID, self ids.RMID) int {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	var buf [16]ids.RMID
+	excl := m.placement.AppendHolders(buf[:0], file)
+	for id := range m.pending[file] {
+		excl = append(excl, id)
+	}
+	excl = append(excl, self)
+	slices.Sort(excl)
+	// Of the excluded ids, keep the registered ones, each once: those are
+	// the ones the resource list holds and the answer leaves out.
+	listed := excl[:0]
+	for i, id := range excl {
+		if _, found := slices.BinarySearch(m.order, id); found && (i == 0 || id != excl[i-1]) {
+			listed = append(listed, id)
+		}
+	}
+	return countLive(m.live, m.order) - countLive(m.live, listed)
+}
+
 // AddReplica implements ecnp.Mapper.
 func (m *Manager) AddReplica(file ids.FileID, rm ids.RMID) error {
 	m.mu.Lock()

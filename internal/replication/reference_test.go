@@ -193,20 +193,32 @@ func TestOrderMatchesRecordForm(t *testing.T) {
 
 // skipMatchesOrder checks that Skip leaves a source seeded seed where
 // Order leaves it over the same candidates, and that under Random and LBF
-// it asks no capacity.
+// it asks no capacity and SkipCount over the count leaves it there too.
 func skipMatchesOrder(t *testing.T, d DestStrategy, cands []ids.RMID, capOf func(ids.RMID) units.BytesPerSec, seed uint64, sc *Scratch) {
 	t.Helper()
 	lookups := 0
 	capacity := func(id ids.RMID) units.BytesPerSec { lookups++; return capOf(id) }
-	ordered, skipped := rng.New(seed), rng.New(seed)
+	ordered, skipped, counted := rng.New(seed), rng.New(seed), rng.New(seed)
 	d.Order(cands, capOf, ordered, sc)
 	d.Skip(cands, capacity, skipped, sc)
-	if g, w := skipped.Uint64(), ordered.Uint64(); g != w {
+	want := ordered.Uint64()
+	if g := skipped.Uint64(); g != want {
 		t.Fatalf("%v, %d candidates, seed %d: Skip left the source at next word %#x, Order at %#x",
-			d, len(cands), seed, g, w)
+			d, len(cands), seed, g, want)
 	}
-	if d != DestWeighted && lookups != 0 {
+	if d.CountOnly() != (d != DestWeighted) {
+		t.Fatalf("%v: CountOnly = %v; only Weighted draws by capacity", d, d.CountOnly())
+	}
+	if !d.CountOnly() {
+		return
+	}
+	if lookups != 0 {
 		t.Fatalf("%v: Skip resolved %d capacities; it draws only a permutation", d, lookups)
+	}
+	d.SkipCount(len(cands), counted)
+	if g := counted.Uint64(); g != want {
+		t.Fatalf("%v, %d candidates, seed %d: SkipCount left the source at next word %#x, Order at %#x",
+			d, len(cands), seed, g, want)
 	}
 }
 

@@ -228,17 +228,31 @@ func (d DestStrategy) Order(candidates []ids.RMID, capacity func(ids.RMID) units
 
 // Skip makes the draws Order(candidates, capacity, src, sc) makes and
 // builds no order: an attempt that will start no copy still leaves src
-// where Order would (DESIGN §6, the RNG-stream rule). Random and LBF draw
-// one permutation of len(candidates), which Skip draws without writing it
-// and without asking a capacity. Weighted's draws depend on the
-// capacities of the candidates it has picked so far, so Skip runs Order.
+// where Order would (DESIGN §6, the RNG-stream rule). A CountOnly strategy
+// draws what SkipCount(len(candidates)) draws. Weighted's draws depend on
+// the capacities of the candidates it has picked so far, so Skip runs
+// Order.
 func (d DestStrategy) Skip(candidates []ids.RMID, capacity func(ids.RMID) units.BytesPerSec, src *rng.Source, sc *Scratch) {
-	switch d {
-	case DestRandom, DestLBF:
-		src.SkipPerm(len(candidates))
-	default:
-		d.Order(candidates, capacity, src, sc)
+	if d.CountOnly() {
+		d.SkipCount(len(candidates), src)
+		return
 	}
+	d.Order(candidates, capacity, src, sc)
+}
+
+// CountOnly reports whether what Order draws depends on the number of
+// candidates alone, so that Skip needs only that number: true for Random
+// and LBF, which draw one permutation of it.
+func (d DestStrategy) CountOnly() bool { return d == DestRandom || d == DestLBF }
+
+// SkipCount is Skip over n candidates for a CountOnly strategy: it draws
+// the permutation of n without writing it and asks no capacity. It panics
+// for any other strategy.
+func (d DestStrategy) SkipCount(n int, src *rng.Source) {
+	if !d.CountOnly() {
+		panic(fmt.Sprintf("replication: %v draws by capacity, not by count", d))
+	}
+	src.SkipPerm(n)
 }
 
 // resize returns s with length n, allocating only when n outgrows it.

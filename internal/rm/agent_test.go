@@ -90,11 +90,12 @@ func TestConcurrentCFPsRunOneAgent(t *testing.T) {
 // TestReplicationAttemptAtCapAllocations is one access of a saturated RM
 // whose hot file already counts N_MAXR + 1 replicas, at the flash-crowd
 // scenario's scale (256 RMs registered, in-process MM, static directory,
-// DestRandom): the agent asks for candidates, reads the count that says
-// the file is at its cap, makes the draws Order would over 247 of them and
-// stops, asking the MM for no reservation. 98 % of that scenario's
-// attempts are this one. It allocates nothing, on either in-process MM:
-// the agent lists candidates into a buffer it keeps and builds no order.
+// DestRandom): the agent reads the count that says the file is at its
+// cap, has the MM count the 247 candidates, makes the draws Order would
+// over them and stops, asking the MM for no reservation. 98 % of that
+// scenario's attempts are this one. It allocates nothing, on either
+// in-process MM: the agent ranks from its running top file, lists no
+// candidate and builds no order.
 func TestReplicationAttemptAtCapAllocations(t *testing.T) {
 	if testenv.RaceEnabled {
 		t.Skip("allocation counts are meaningless under -race")

@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"dfsqos/internal/ids"
+	"dfsqos/internal/replication"
 	"dfsqos/internal/units"
 )
 
@@ -19,7 +20,10 @@ import (
 //     ledger's own oversubscription ratio;
 //   - storage used is the committed replicas plus the inbound ones, and
 //     fits the disk;
-//   - each tenant's ledger row is that tenant's live reservations.
+//   - each tenant's ledger row is that tenant's live reservations;
+//   - the CFP count total is the sum of the held files' counts, no held
+//     file has a second count in counts, and, unless a drop has left it
+//     stale, the top file is the one a scan of the table ranks highest.
 //
 // Counts and bytes must be equal. Bandwidths are float sums taken in a
 // different order from the running totals they check, so they must agree
@@ -66,9 +70,20 @@ func (r *RM) Check(firm bool) error {
 		bad("reservations hold %v in firm mode, above capacity × oversub %v", reserved, limit)
 	}
 
-	var stored units.Size
-	for _, e := range r.files {
+	var (
+		stored   units.Size
+		requests int64
+		top      replication.FileCount
+	)
+	for f, e := range r.files {
 		stored += e.meta.Size
+		requests += e.count
+		if fc := (replication.FileCount{File: f, Count: e.count}); fc.Count > 0 && outranks(fc, top) {
+			top = fc
+		}
+		if _, ok := r.counts[f]; ok {
+			bad("held %v has a second count outside the table", f)
+		}
 	}
 	for _, in := range r.incomings {
 		stored += in.meta.Size
@@ -78,6 +93,13 @@ func (r *RM) Check(firm bool) error {
 	}
 	if r.info.StorageBytes > 0 && r.storageUsed > r.info.StorageBytes {
 		bad("storage %v exceeds disk %v", r.storageUsed, r.info.StorageBytes)
+	}
+
+	if requests != r.requests {
+		bad("CFP count total reads %d, held files hold %d", r.requests, requests)
+	}
+	if !r.topStale && top != r.top {
+		bad("busiest file reads %v with %d CFPs, the table's is %v with %d", r.top.File, r.top.Count, top.File, top.Count)
 	}
 
 	for _, row := range r.tenants.Snapshot() {

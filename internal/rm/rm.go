@@ -44,19 +44,16 @@ type FileMeta struct {
 	Tenant ids.TenantID
 }
 
-// heldFile is one entry of an RM's file table: the file's metadata and
-// its occupation bias, kept with the mean occupation time avg it was
-// computed at. The bias is a pure function of the file's fixed duration
-// and that mean, so HandleCFP recomputes it only when the mean has moved.
+// heldFile is one entry of an RM's file table: the file's metadata, the
+// CFPs the RM has received for it, and its occupation bias, kept with the
+// mean occupation time avg it was computed at. The bias is a pure function
+// of the file's fixed duration and that mean, so HandleCFP recomputes it
+// only when the mean has moved.
 type heldFile struct {
-	meta FileMeta
-	avg  float64 // NaN until the first CFP computes bias
-	bias float64
-}
-
-// newHeldFile returns a table entry for meta with no bias computed yet.
-func newHeldFile(meta FileMeta) heldFile {
-	return heldFile{meta: meta, avg: math.NaN()}
+	meta  FileMeta
+	count int64   // CFPs for the file, those before it was held included
+	avg   float64 // NaN until the first CFP computes bias
+	bias  float64
 }
 
 // Stats counts notable RM events for metrics and experiments.
@@ -122,8 +119,18 @@ type RM struct {
 	files       map[ids.FileID]heldFile
 	sumDur      float64    // Σ DurationSec over files (occupation-time aggregate)
 	storageUsed units.Size // Σ Size over files + in-flight incoming replicas
-	counts      map[ids.FileID]int64
-	gcCfg       replication.GCConfig
+	// counts holds the CFP counts of files not in the table; a held file's
+	// count is in its entry, and moves with it in and out (holdLocked,
+	// dropFileLocked).
+	counts map[ids.FileID]int64
+	// requests is Σ count over files, and top the held file with the
+	// highest count, the lowest ID among equal counts: the running
+	// busiest-file ranking. topStale is set when top leaves the table,
+	// until the agent's next full pass finds the new one.
+	requests int64
+	top      replication.FileCount
+	topStale bool
+	gcCfg    replication.GCConfig
 
 	active     map[ids.RequestID]reservation
 	admissions uint64  // the last reservation's serial
@@ -156,7 +163,7 @@ type RM struct {
 	// sources. The DES never calls HandleCFP concurrently on one RM and so
 	// never finds it set. The run that holds it owns src and the buffers
 	// below, which is what lets an attempt that starts nothing allocate
-	// nothing when its mapper is a candidateAppender.
+	// nothing when its mapper is a candidateLister.
 	agentBusy   bool
 	fileCounts  []replication.FileCount
 	busiest     []ids.FileID
@@ -247,8 +254,7 @@ func New(opt Options) (*RM, error) {
 		}
 	}
 	for f, meta := range opt.Files {
-		r.files[f] = newHeldFile(meta)
-		r.sumDur += meta.DurationSec
+		r.holdLocked(f, meta)
 		r.storageUsed += meta.Size
 	}
 	if opt.Info.StorageBytes > 0 && r.storageUsed > opt.Info.StorageBytes {
@@ -392,25 +398,29 @@ func (r *RM) HandleCFP(cfp ecnp.CFP) selection.Bid {
 	r.stats.CFPs++
 	now := r.sched.Now()
 
-	// The request frequency feeds the replication agent's busiest-file
-	// ranking; the utilization history is recorded at Open time, when the
-	// file is actually accessed on this RM.
-	r.counts[cfp.File]++
-
 	tOcpAvg := 0.0
 	if n := len(r.files); n > 0 {
 		tOcpAvg = r.sumDur / float64(n)
 	}
-	// A held file's bias is recomputed only when T_ocp_avg has moved since
-	// its entry last computed it; a file the RM does not hold (a write, a
-	// plain-CNP broadcast) is scored at the CFP's duration.
+	// The request frequency feeds the replication agent's busiest-file
+	// ranking; the utilization history is recorded at Open time, when the
+	// file is actually accessed on this RM. A held file's count is in its
+	// entry, which is stored back once with the bias; the bias is
+	// recomputed only when T_ocp_avg has moved since the entry last
+	// computed it. A file the RM does not hold (a write, a plain-CNP
+	// broadcast) is scored at the CFP's duration.
 	e, known := r.files[cfp.File]
-	switch {
-	case !known:
-		e.bias = selection.OccupationBias(cfp.DurationSec, tOcpAvg)
-	case e.avg != tOcpAvg:
-		e.avg, e.bias = tOcpAvg, selection.OccupationBias(e.meta.DurationSec, tOcpAvg)
+	if known {
+		e.count++
+		r.requests++
+		r.rankLocked(cfp.File, e.count)
+		if e.avg != tOcpAvg {
+			e.avg, e.bias = tOcpAvg, selection.OccupationBias(e.meta.DurationSec, tOcpAvg)
+		}
 		r.files[cfp.File] = e
+	} else {
+		r.counts[cfp.File]++
+		e.bias = selection.OccupationBias(cfp.DurationSec, tOcpAvg)
 	}
 	assured := r.led.Remaining()
 	if assured < 0 {
@@ -486,8 +496,7 @@ func (r *RM) Open(req ecnp.OpenRequest) ecnp.OpenResult {
 	held := reservation{rate: req.Bitrate, lastActivity: now, tenant: req.Tenant, serial: r.admissions}
 	r.active[req.Request] = held
 	if write {
-		r.files[req.File] = newHeldFile(FileMeta{Bitrate: req.Bitrate, Size: req.SizeBytes, DurationSec: req.DurationSec, Tenant: req.Tenant})
-		r.sumDur += req.DurationSec
+		r.holdLocked(req.File, FileMeta{Bitrate: req.Bitrate, Size: req.SizeBytes, DurationSec: req.DurationSec, Tenant: req.Tenant})
 		r.storageUsed += req.SizeBytes
 	} else {
 		r.admittedLocked(req, now)
@@ -592,17 +601,53 @@ func (r *RM) releaseLocked(request ids.RequestID, res reservation, now simtime.T
 	r.tenants.ReleaseBandwidth(res.tenant, res.rate)
 }
 
+// holdLocked enters f, which the table does not hold, with meta, and adds
+// it to the table's aggregates: its duration to sumDur, and the count it
+// gathered while not held to requests and the ranking. Storage is the
+// caller's: an incoming replica reserved it when it was offered. Caller
+// holds r.mu.
+func (r *RM) holdLocked(f ids.FileID, meta FileMeta) {
+	e := heldFile{meta: meta, count: r.counts[f], avg: math.NaN()}
+	if e.count > 0 {
+		delete(r.counts, f)
+	}
+	r.files[f] = e
+	r.sumDur += meta.DurationSec
+	r.requests += e.count
+	r.rankLocked(f, e.count)
+}
+
 // dropFileLocked deletes f from the table, returning its storage and its
-// tenant's byte charge, and reports whether f was held. Caller holds r.mu.
+// tenant's byte charge, its count to counts, and reports whether f was
+// held. Dropping the top file leaves the ranking stale. Caller holds r.mu.
 func (r *RM) dropFileLocked(f ids.FileID) bool {
 	e, ok := r.files[f]
 	if ok {
 		delete(r.files, f)
+		if e.count > 0 {
+			r.counts[f] = e.count
+		}
 		r.sumDur -= e.meta.DurationSec
+		r.requests -= e.count
+		r.topStale = r.topStale || f == r.top.File
 		r.storageUsed -= e.meta.Size
 		r.tenants.ReleaseBytes(e.meta.Tenant, int64(e.meta.Size))
 	}
 	return ok
+}
+
+// rankLocked makes held file f, now at count c, the top file if it
+// outranks the one there. Caller holds r.mu.
+func (r *RM) rankLocked(f ids.FileID, c int64) {
+	if fc := (replication.FileCount{File: f, Count: c}); outranks(fc, r.top) {
+		r.top = fc
+	}
+}
+
+// outranks reports whether a ranks above b among the busiest files: a
+// higher count, or an equal count and a lower file ID.
+func outranks(a, b replication.FileCount) bool {
+	return a.Count > b.Count || a.Count == b.Count && a.File < b.File
 }
 
 // refuseLocked counts a refusal by its code and returns the code.
@@ -770,8 +815,7 @@ func (r *RM) finishReplica(rep ids.ReplicationID, committed, onDisk bool) {
 	commitOK := false
 	if committed {
 		if !r.holdsLocked(in.file) {
-			r.files[in.file] = newHeldFile(in.meta)
-			r.sumDur += in.meta.DurationSec
+			r.holdLocked(in.file, in.meta)
 			commitOK = true
 		}
 	}
@@ -812,7 +856,7 @@ func (r *RM) collectGarbage() {
 		victims = append(victims, replication.Victim{
 			File:   f,
 			Size:   e.meta.Size,
-			Count:  r.counts[f],
+			Count:  e.count,
 			Pinned: r.outgoingFiles[f] > 0,
 		})
 	}
@@ -890,24 +934,39 @@ func (r *RM) replicationDueLocked(now simtime.Time) bool {
 	}
 	r.agentBusy = true
 	// Busiest-file candidate set N_BF: smallest prefix of this RM's
-	// request counts covering BusyCoverage of the total.
+	// request counts covering BusyCoverage of the total. When the top
+	// file alone covers it, that prefix is the top file, as
+	// BusiestCovering would find; otherwise, or with the top file
+	// dropped, a pass over the table ranks every counted file.
+	if !r.topStale && r.requests > 0 && float64(r.top.Count) >= cfg.BusyCoverage*float64(r.requests) {
+		r.busiest = append(r.busiest[:0], r.top.File)
+		return true
+	}
 	fcs := r.fileCounts[:0]
-	for f, c := range r.counts {
-		if r.holdsLocked(f) {
-			fcs = append(fcs, replication.FileCount{File: f, Count: c})
+	var top replication.FileCount
+	for f, e := range r.files {
+		if fc := (replication.FileCount{File: f, Count: e.count}); fc.Count > 0 {
+			fcs = append(fcs, fc)
+			if outranks(fc, top) {
+				top = fc
+			}
 		}
 	}
+	r.top, r.topStale = top, false
 	r.fileCounts = fcs
 	r.busiest = replication.BusiestCovering(fcs, cfg.BusyCoverage, r.busiest)
 	return true
 }
 
-// candidateAppender is optionally implemented by Mappers that list
-// replication candidates into memory the caller owns (the in-process
-// mm.Manager and mm.ShardedManager). The agent lists them into the buffer
-// it keeps; any other Mapper's RMsWithout answer is copied into it.
-type candidateAppender interface {
+// candidateLister is optionally implemented by Mappers that answer the
+// replication candidate query in process (mm.Manager and
+// mm.ShardedManager): AppendRMsWithout lists the candidates into the
+// buffer the agent keeps, and CountRMsWithout counts them, self left out,
+// for an attempt that needs only their number. Any other Mapper's
+// RMsWithout answer is copied into the buffer.
+type candidateLister interface {
 	AppendRMsWithout(dst []ids.RMID, file ids.FileID) []ids.RMID
+	CountRMsWithout(file ids.FileID, self ids.RMID) int
 }
 
 // attempt is what one replication attempt came to.
@@ -953,9 +1012,26 @@ func (r *RM) tryReplicateFile(now simtime.Time, f ids.FileID, self ids.RMID) att
 	// excluded. How many there are fixes what Order draws (DESIGN §6, the
 	// RNG-stream rule); the walk skips an id the directory cannot
 	// resolve, so none is resolved before it.
+	//
+	// Candidates exclude the file's holders and pending destinations, so
+	// at the cap every reservation would be refused: the attempt makes
+	// the draws Order would and stops. A count gone stale (another source
+	// over TCP) is caught by the walk's ErrReplicaCap below. Under a
+	// CountOnly strategy those draws need only the number of candidates,
+	// which an in-process MM counts without listing them.
+	capped := maxTotal > 0 && nCur >= maxTotal
+	lister, inProcess := r.mapper.(candidateLister)
+	if capped && inProcess && cfg.Dest.CountOnly() {
+		n := lister.CountRMsWithout(f, self)
+		if n == 0 {
+			return attemptNone
+		}
+		cfg.Dest.SkipCount(n, r.src)
+		return attemptCapped
+	}
 	cands := r.candidates[:0]
-	if am, ok := r.mapper.(candidateAppender); ok {
-		cands = am.AppendRMsWithout(cands, f)
+	if inProcess {
+		cands = lister.AppendRMsWithout(cands, f)
 	} else {
 		cands = append(cands, r.mapper.RMsWithout(f)...)
 	}
@@ -966,11 +1042,7 @@ func (r *RM) tryReplicateFile(now simtime.Time, f ids.FileID, self ids.RMID) att
 	if len(cands) == 0 {
 		return attemptNone
 	}
-	// Candidates exclude the file's holders and pending destinations, so
-	// at the cap every reservation would be refused: the attempt makes
-	// the draws Order would and stops. A count gone stale (another source
-	// over TCP) is caught by the walk's ErrReplicaCap below.
-	if maxTotal > 0 && nCur >= maxTotal {
+	if capped {
 		cfg.Dest.Skip(cands, r.peerCapacity, r.src, &r.destScratch)
 		return attemptCapped
 	}

@@ -30,12 +30,17 @@ func (c *countingMapper) RMsWithout(file ids.FileID) []ids.RMID {
 	return c.Mapper.RMsWithout(file)
 }
 
-// AppendRMsWithout forwards the form the agent asks an in-process MM for,
-// with the same step ahead; a countingMapper without it would hand the
-// agent only the allocating RMsWithout.
+// AppendRMsWithout and CountRMsWithout forward the forms the agent asks an
+// in-process MM for, with the same step ahead; a countingMapper without
+// them would hand the agent only the allocating RMsWithout.
 func (c *countingMapper) AppendRMsWithout(dst []ids.RMID, file ids.FileID) []ids.RMID {
 	c.stepAhead()
-	return c.Mapper.(candidateAppender).AppendRMsWithout(dst, file)
+	return c.Mapper.(candidateLister).AppendRMsWithout(dst, file)
+}
+
+func (c *countingMapper) CountRMsWithout(file ids.FileID, self ids.RMID) int {
+	c.stepAhead()
+	return c.Mapper.(candidateLister).CountRMsWithout(file, self)
 }
 
 func (c *countingMapper) stepAhead() {

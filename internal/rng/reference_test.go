@@ -141,6 +141,52 @@ func TestSkipPermMatchesPerm(t *testing.T) {
 	}
 }
 
+// inverse returns the inverse of odd a modulo 2^64 by Newton's
+// iteration: each step doubles the bits that are right.
+func inverse(a uint64) uint64 {
+	x := a // right in the low 3 bits for any odd a
+	for i := 0; i < 5; i++ {
+		x *= 2 - a*x
+	}
+	return x
+}
+
+// TestSkipPermRejectionBranch sets a source's state so that its next word
+// is rejected by the first draw of a 7-permutation, Intn(7): Lemire's low
+// word falls under 2^64 mod 7. A random state reaches that branch of
+// Intn(n) with probability (2^64 mod n)/2^64, under 2^-56 for every n up
+// to 247, so TestSkipPermMatchesPerm never does. The output rotl(s1*5, 7)*9 is invertible, so s1 can be chosen
+// for the word wanted.
+func TestSkipPermRejectionBranch(t *testing.T) {
+	const n = 7
+	un := uint64(n)
+	v := inverse(un) // v*7 ≡ 1 (mod 2^64): the low word is 1, under -7%7 = 2
+	if _, lo := bits.Mul64(v, un); lo >= -un%un {
+		t.Fatalf("low word %d is not under %d", lo, -un%un)
+	}
+	for seed := uint64(0); seed < 5; seed++ {
+		s := New(seed)
+		s.s.s1 = bits.RotateLeft64(v*inverse(9), -7) * inverse(5)
+		if probe := *s; probe.Uint64() != v {
+			t.Fatalf("seed %d: the state does not give the word %#x", seed, v)
+		}
+		// Intn(7) rejects that word and takes the next: two words drawn.
+		intn, two := *s, *s
+		intn.Intn(n)
+		two.Uint64()
+		two.Uint64()
+		if intn != two {
+			t.Fatalf("seed %d: Intn(%d) did not reject the word %#x", seed, n, v)
+		}
+		perm, skip := *s, *s
+		perm.PermInto(make([]int, n))
+		skip.SkipPerm(n)
+		if g, w := skip.Uint64(), perm.Uint64(); g != w {
+			t.Fatalf("seed %d: SkipPerm left the source at next word %#x, PermInto at %#x", seed, g, w)
+		}
+	}
+}
+
 func TestPermIntoAllocatesNothing(t *testing.T) {
 	s, buf := New(5), make([]int, 247)
 	if a := testing.AllocsPerRun(100, func() { s.PermInto(buf) }); a != 0 {
@@ -163,7 +209,7 @@ func refHashName(name string) uint64 {
 }
 
 func refSplit(s *Source, name string) *Source {
-	mix := s.s[0] ^ rotl(s.s[2], 17) ^ refHashName(name)
+	mix := s.s.s0 ^ rotl(s.s.s2, 17) ^ refHashName(name)
 	return New(mix)
 }
 

@@ -53,8 +53,12 @@ func (n Name) Add(s string) Name {
 // It is not safe for concurrent use; split one Source per goroutine or per
 // simulation actor instead of sharing.
 type Source struct {
-	s [4]uint64
+	s state
 }
+
+// state is the generator's four words. It is a struct, not an array, so
+// a copy in locals can live in registers.
+type state struct{ s0, s1, s2, s3 uint64 }
 
 // New returns a Source seeded from seed via splitmix64, as recommended by
 // the xoshiro authors (avoids correlated low-entropy states).
@@ -66,13 +70,11 @@ func New(seed uint64) *Source {
 
 func (s *Source) seed(seed uint64) {
 	sm := seed
-	for i := range s.s {
-		s.s[i] = splitmix64(&sm)
-	}
+	s.s = state{splitmix64(&sm), splitmix64(&sm), splitmix64(&sm), splitmix64(&sm)}
 	// An all-zero state would be a fixed point; splitmix64 of any seed
 	// cannot produce four zero outputs, but guard anyway.
-	if s.s[0]|s.s[1]|s.s[2]|s.s[3] == 0 {
-		s.s[0] = 0x9e3779b97f4a7c15
+	if s.s == (state{}) {
+		s.s.s0 = 0x9e3779b97f4a7c15
 	}
 }
 
@@ -92,26 +94,34 @@ func (s *Source) Split(name string) *Source {
 // was folded from. It reads s before it writes dst, so dst may be s.
 func (s *Source) SplitInto(dst *Source, n Name) {
 	h := uint64(n)
-	dst.seed(s.s[0] ^ rotl(s.s[2], 17) ^ splitmix64(&h))
+	dst.seed(s.s.s0 ^ rotl(s.s.s2, 17) ^ splitmix64(&h))
 }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 
-// Uint64 returns the next 64 random bits. The state steps in locals,
-// which keeps Uint64 within the compiler's inlining budget: a draw of
-// Intn makes no call for its bits.
+// Uint64 returns the next 64 random bits. The state steps by value
+// through step, which keeps Uint64 within the compiler's inlining budget:
+// a draw of Intn makes no call for its bits.
 func (s *Source) Uint64() uint64 {
-	s0, s1, s2, s3 := s.s[0], s.s[1], s.s[2], s.s[3]
-	result := bits.RotateLeft64(s1*5, 7) * 9
-	t := s1 << 17
-	s2 ^= s0
-	s3 ^= s1
-	s1 ^= s2
-	s0 ^= s3
-	s2 ^= t
-	s3 = bits.RotateLeft64(s3, 45)
-	s.s = [4]uint64{s0, s1, s2, s3}
-	return result
+	v, next := s.s.step()
+	s.s = next
+	return v
+}
+
+// step is the one xoshiro256** generator body: it returns x's output and
+// the state after it. Uint64 steps a Source's state through it, and
+// SkipPerm steps a copy held in locals, so a run of draws keeps the state
+// in registers and stores it once.
+func (x state) step() (uint64, state) {
+	v := bits.RotateLeft64(x.s1*5, 7) * 9
+	t := x.s1 << 17
+	x.s2 ^= x.s0
+	x.s3 ^= x.s1
+	x.s1 ^= x.s2
+	x.s0 ^= x.s3
+	x.s2 ^= t
+	x.s3 = bits.RotateLeft64(x.s3, 45)
+	return v, x
 }
 
 // Float64 returns a uniform value in [0, 1) with 53 bits of precision.
@@ -172,12 +182,22 @@ func (s *Source) PermInto(buf []int) []int {
 }
 
 // SkipPerm makes the draws PermInto makes over a buffer of n and writes
-// nothing: Intn(i+1) for i = n-1 down to 1. It leaves s where
-// PermInto(make([]int, n)) would.
+// nothing: Intn(i+1) for i = n-1 down to 1, each with Intn's rejection
+// test. It leaves s where PermInto(make([]int, n)) would. The state stays
+// in locals across the draws and is stored once.
 func (s *Source) SkipPerm(n int) {
+	x := s.s
+	var v uint64
 	for i := n - 1; i > 0; i-- {
-		s.Intn(i + 1)
+		un := uint64(i + 1)
+		for {
+			v, x = x.step()
+			if _, lo := bits.Mul64(v, un); lo >= un || lo >= -un%un {
+				break
+			}
+		}
 	}
+	s.s = x
 }
 
 // Exp draws from the negative exponential distribution with the given mean,

@@ -1,8 +1,8 @@
 // Package wire frames the ECNP protocol messages for TCP transport: each
 // frame is a 4-byte big-endian body length, a 1-byte codec tag, and the
-// body. One tag exists (1): a fixed big-endian layout per message kind
-// behind a flags byte that announces the optional tenant and request-trace
-// slots; codec.go lists every layout. Frames are independent (no state
+// body. One tag exists, 5 (CodecBinary): a fixed big-endian layout per
+// message kind behind a flags byte that announces the optional tenant and
+// request-trace slots; codec.go lists every layout. Frames are independent (no state
 // crosses from one to the next), so a connection can be taken over after
 // any message boundary and a corrupted frame cannot poison the decoding of
 // the next. A frame-size cap bounds memory against malformed peers.
