@@ -132,6 +132,13 @@ func (t *Liveness[K]) deadLocked(s *liveSlot[K], now time.Time) bool {
 	return s.down || (t.expiry > 0 && now.Sub(s.last) > t.expiry)
 }
 
+// aliveLocked reports whether k has a slot and it is live at now. Caller
+// holds t.mu.
+func (t *Liveness[K]) aliveLocked(k K, now time.Time) bool {
+	s := t.slotLocked(k)
+	return s != nil && !t.deadLocked(s, now)
+}
+
 // latchLocked counts s's death unless it already was. Caller holds t.mu
 // for writing.
 func (t *Liveness[K]) latchLocked(s *liveSlot[K]) bool {
@@ -244,8 +251,7 @@ func (t *Liveness[K]) Sweep() []K {
 func (t *Liveness[K]) Alive(k K) bool {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	s := t.slotLocked(k)
-	return s != nil && !t.deadLocked(s, t.now())
+	return t.aliveLocked(k, t.now())
 }
 
 // liveCounts is what a table publishes: its slots, the live ones, and
@@ -275,29 +281,47 @@ func keepLive[K ~int | ~int32, E any](t *Liveness[K], dst, s []E, key func(E) K)
 	now := t.now()
 	out := dst
 	for _, e := range s {
-		if sl := t.slotLocked(key(e)); sl != nil && !t.deadLocked(sl, now) {
+		if t.aliveLocked(key(e), now) {
 			out = append(out, e)
 		}
 	}
 	return out
 }
 
-// countLive returns how many keys of s are alive: len(s) with expiry off,
-// as keepLive keeps them all then.
-func countLive[K ~int | ~int32](t *Liveness[K], s []K) int {
+// countLiveWithout returns how many keys of s are not in skip and are
+// alive: the length of keepLive's answer over s less skip. Both are
+// sorted; skip may repeat a key or hold one s lacks. It binary-searches s
+// for each key of skip and, with expiry off, counts the runs between them
+// by their lengths, visiting no key of s.
+func countLiveWithout[K ~int | ~int32](t *Liveness[K], s, skip []K) int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	if t.expiry == 0 {
-		return len(s)
+	var now time.Time
+	if t.expiry != 0 {
+		now = t.now()
 	}
-	now := t.now()
-	n := 0
-	for _, k := range s {
-		if sl := t.slotLocked(k); sl != nil && !t.deadLocked(sl, now) {
-			n++
+	count := func(run []K) int {
+		if t.expiry == 0 {
+			return len(run)
 		}
+		n := 0
+		for _, k := range run {
+			if t.aliveLocked(k, now) {
+				n++
+			}
+		}
+		return n
 	}
-	return n
+	n := 0
+	for _, k := range skip {
+		i, found := slices.BinarySearch(s, k)
+		n += count(s[:i])
+		if found {
+			i++
+		}
+		s = s[i:]
+	}
+	return n + count(s)
 }
 
 // firstLive is the group's first-live-owner rule: the first key of walk,

@@ -206,11 +206,7 @@ func (m *Manager) AppendRMsWithout(dst []ids.RMID, file ids.FileID) []ids.RMID {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	var buf [16]ids.RMID
-	excl := m.placement.AppendHolders(buf[:0], file)
-	for id := range m.pending[file] {
-		excl = append(excl, id)
-	}
-	slices.Sort(excl)
+	excl := m.excludedLocked(buf[:0], file)
 	dst = slices.Grow(dst, len(m.order))
 	start := len(dst)
 	rest := m.order
@@ -235,21 +231,19 @@ func (m *Manager) CountRMsWithout(file ids.FileID, self ids.RMID) int {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	var buf [16]ids.RMID
-	excl := m.placement.AppendHolders(buf[:0], file)
+	return countLiveWithout(m.live, m.order, m.excludedLocked(append(buf[:0], self), file))
+}
+
+// excludedLocked appends to dst the RMs RMsWithout(file) leaves out, the
+// file's holders and pending destinations, and sorts dst. Caller holds
+// m.mu.
+func (m *Manager) excludedLocked(dst []ids.RMID, file ids.FileID) []ids.RMID {
+	dst = m.placement.AppendHolders(dst, file)
 	for id := range m.pending[file] {
-		excl = append(excl, id)
+		dst = append(dst, id)
 	}
-	excl = append(excl, self)
-	slices.Sort(excl)
-	// Of the excluded ids, keep the registered ones, each once: those are
-	// the ones the resource list holds and the answer leaves out.
-	listed := excl[:0]
-	for i, id := range excl {
-		if _, found := slices.BinarySearch(m.order, id); found && (i == 0 || id != excl[i-1]) {
-			listed = append(listed, id)
-		}
-	}
-	return countLive(m.live, m.order) - countLive(m.live, listed)
+	slices.Sort(dst)
+	return dst
 }
 
 // AddReplica implements ecnp.Mapper.

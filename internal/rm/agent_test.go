@@ -127,6 +127,10 @@ func TestReplicationAttemptAtCapAllocations(t *testing.T) {
 			if got := counter.ReplicaCount(0); got != 9 {
 				t.Fatalf("replica count = %d, want 9 untouched", got)
 			}
+			// A pass over the file table would leave its buffer set.
+			if src.fileCounts != nil {
+				t.Fatalf("the agent passed over the file table (%d files counted), want its running top file", len(src.fileCounts))
+			}
 		})
 	}
 }

@@ -22,8 +22,8 @@ import (
 //     fits the disk;
 //   - each tenant's ledger row is that tenant's live reservations;
 //   - the CFP count total is the sum of the held files' counts, no held
-//     file has a second count in counts, and, unless a drop has left it
-//     stale, the top file is the one a scan of the table ranks highest.
+//     file has a second count in counts, and the top file is the one a
+//     scan of the table ranks highest.
 //
 // Counts and bytes must be equal. Bandwidths are float sums taken in a
 // different order from the running totals they check, so they must agree
@@ -98,7 +98,7 @@ func (r *RM) Check(firm bool) error {
 	if requests != r.requests {
 		bad("CFP count total reads %d, held files hold %d", r.requests, requests)
 	}
-	if !r.topStale && top != r.top {
+	if top != r.top {
 		bad("busiest file reads %v with %d CFPs, the table's is %v with %d", r.top.File, r.top.Count, top.File, top.Count)
 	}
 

@@ -49,42 +49,8 @@ func FuzzBusiestRanking(f *testing.F) {
 			numFiles = 12
 			sentinel = ids.FileID(-1)
 		)
-		gc := replication.GCConfig{Enabled: true, HighWatermark: 0.5, LowWatermark: 0.3, MinReplicas: 1}
 		mapper := &flakyMapper{Manager: mm.New()}
-		seeded := map[ids.FileID]FileMeta{}
-		for f := ids.FileID(0); f < 4; f++ {
-			seeded[f] = fm(units.Mbps(1), float64(30+17*f))
-		}
-		cfg := replication.DefaultConfig(replication.Rep(1, 2))
-		r, err := New(Options{
-			Info:        ecnp.RMInfo{ID: 1, Capacity: units.Mbps(10), StorageBytes: 40 * units.MB},
-			Scheduler:   ecnp.SimScheduler{S: simtime.NewScheduler()},
-			Mapper:      mapper,
-			History:     history.DefaultConfig(),
-			Replication: cfg,
-			GC:          gc,
-			Rand:        rng.New(3),
-			Files:       seeded,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// A second holder of every file, so the collector and a migration
-		// may drop ours, and two RMs without any as candidates. The RM's
-		// directory resolves none of them, so no copy ever starts and no
-		// cooldown holds the agent back.
-		if err := mapper.RegisterRM(ecnp.RMInfo{ID: 2, Capacity: units.Mbps(100)}, []ids.FileID{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}); err != nil {
-			t.Fatal(err)
-		}
-		for id := ids.RMID(3); id <= 4; id++ {
-			if err := mapper.RegisterRM(ecnp.RMInfo{ID: id, Capacity: units.Mbps(100)}, nil); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := r.Register(); err != nil {
-			t.Fatal(err)
-		}
-		r.SetDirectory(new(ecnp.StaticDirectory))
+		r := newRankingRM(t, mapper)
 		var (
 			counts    = map[ids.FileID]int64{}
 			req       ids.RequestID
@@ -92,7 +58,6 @@ func FuzzBusiestRanking(f *testing.F) {
 			reps      []ids.ReplicationID
 			saturated bool
 		)
-		const saturator = ids.RequestID(1 << 40)
 		for i := 0; i+1 < len(ops); i += 2 {
 			op, arg := ops[i], int(ops[i+1])
 			f := ids.FileID(arg % numFiles)
@@ -143,8 +108,8 @@ func FuzzBusiestRanking(f *testing.F) {
 			case 10: // the disk saturates, or the saturating stream ends
 				if saturated {
 					r.Close(saturator)
-				} else if res := r.Open(ecnp.OpenRequest{Request: saturator, File: 0, Bitrate: units.Mbps(9), DurationSec: 1e6}); !res.OK {
-					t.Fatalf("op %d: saturating open refused: %s", i/2, res.Reason)
+				} else {
+					saturate(t, r)
 				}
 				saturated = !saturated
 			}
@@ -153,4 +118,94 @@ func FuzzBusiestRanking(f *testing.F) {
 			}
 		}
 	})
+}
+
+// newRankingRM returns RM 1, holding files 0 to 3 and collecting garbage,
+// registered with mapper beside RM 2, which holds every file from 0 to 11,
+// so the collector and a migration may drop RM 1's copy, and RMs 3 and 4,
+// which hold none and are the agent's candidates. The RM's directory
+// resolves none of them, so no copy ever starts and no cooldown holds the
+// agent back.
+func newRankingRM(t testing.TB, mapper *flakyMapper) *RM {
+	t.Helper()
+	seeded := map[ids.FileID]FileMeta{}
+	for f := ids.FileID(0); f < 4; f++ {
+		seeded[f] = fm(units.Mbps(1), float64(30+17*f))
+	}
+	r, err := New(Options{
+		Info:        ecnp.RMInfo{ID: 1, Capacity: units.Mbps(10), StorageBytes: 40 * units.MB},
+		Scheduler:   ecnp.SimScheduler{S: simtime.NewScheduler()},
+		Mapper:      mapper,
+		History:     history.DefaultConfig(),
+		Replication: replication.DefaultConfig(replication.Rep(1, 2)),
+		GC:          replication.GCConfig{Enabled: true, HighWatermark: 0.5, LowWatermark: 0.3, MinReplicas: 1},
+		Rand:        rng.New(3),
+		Files:       seeded,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mapper.RegisterRM(ecnp.RMInfo{ID: 2, Capacity: units.Mbps(100)}, []ids.FileID{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}); err != nil {
+		t.Fatal(err)
+	}
+	for id := ids.RMID(3); id <= 4; id++ {
+		if err := mapper.RegisterRM(ecnp.RMInfo{ID: id, Capacity: units.Mbps(100)}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := r.Register(); err != nil {
+		t.Fatal(err)
+	}
+	r.SetDirectory(new(ecnp.StaticDirectory))
+	return r
+}
+
+// saturator is the request saturate opens.
+const saturator = ids.RequestID(1 << 40)
+
+// saturate opens a 9 Mbit/s stream on the RM's 10 Mbit/s disk, which puts
+// it under B_TH: from then on every CFP runs the agent unless a copy is
+// incoming. Closing saturator ends it.
+func saturate(t testing.TB, r *RM) {
+	t.Helper()
+	if res := r.Open(ecnp.OpenRequest{Request: saturator, File: 0, Bitrate: units.Mbps(9), DurationSec: 1e6}); !res.OK {
+		t.Fatalf("saturating open refused: %s", res.Reason)
+	}
+}
+
+// TestBusiestFromRunningTop runs the agent on a saturated RM. While one
+// file covers the coverage target alone, each run ranks it from the
+// running top without a pass over the table, which leaves the pass's
+// buffer nil. A migration that drops the top file ranks the table again
+// at once, and a run whose top file does not cover the target passes
+// over the table.
+func TestBusiestFromRunningTop(t *testing.T) {
+	r := newRankingRM(t, &flakyMapper{Manager: mm.New()})
+	saturate(t, r)
+	cfp := func(f ids.FileID, want []ids.FileID, pass bool) {
+		t.Helper()
+		r.mu.Lock()
+		r.fileCounts = nil
+		r.mu.Unlock()
+		r.HandleCFP(ecnp.CFP{File: f, Bitrate: units.Mbps(1), DurationSec: 30})
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		if !slices.Equal(r.busiest, want) {
+			t.Fatalf("CFP for %v: busiest %v, want %v", f, r.busiest, want)
+		}
+		if passed := r.fileCounts != nil; passed != pass {
+			t.Fatalf("CFP for %v: the run passed over the table = %v, want %v", f, passed, pass)
+		}
+	}
+	cfp(0, []ids.FileID{0}, false)
+	cfp(1, []ids.FileID{0}, false)
+	cfp(0, []ids.FileID{0}, false)
+	cfp(2, []ids.FileID{0}, false) // counts 2, 1, 1: file 0 covers half
+	r.migrateOut(0)
+	cfp(1, []ids.FileID{1}, false) // counts 2, 1
+	cfp(2, []ids.FileID{1}, false) // counts 2, 2: the lower ID ranks first
+	cfp(3, []ids.FileID{1, 2}, true)
+	if err := r.Check(false); err != nil {
+		t.Fatal(err)
+	}
 }

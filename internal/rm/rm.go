@@ -48,7 +48,8 @@ type FileMeta struct {
 // CFPs the RM has received for it, and its occupation bias, kept with the
 // mean occupation time avg it was computed at. The bias is a pure function
 // of the file's fixed duration and that mean, so HandleCFP recomputes it
-// only when the mean has moved.
+// only when the mean has moved. The table holds entries by pointer, so a
+// CFP edits its file's entry in place with one map lookup.
 type heldFile struct {
 	meta  FileMeta
 	count int64   // CFPs for the file, those before it was held included
@@ -116,7 +117,7 @@ type RM struct {
 	repCfg  replication.Config
 	copier  DataCopier
 
-	files       map[ids.FileID]heldFile
+	files       map[ids.FileID]*heldFile
 	sumDur      float64    // Σ DurationSec over files (occupation-time aggregate)
 	storageUsed units.Size // Σ Size over files + in-flight incoming replicas
 	// counts holds the CFP counts of files not in the table; a held file's
@@ -125,12 +126,9 @@ type RM struct {
 	counts map[ids.FileID]int64
 	// requests is Σ count over files, and top the held file with the
 	// highest count, the lowest ID among equal counts: the running
-	// busiest-file ranking. topStale is set when top leaves the table,
-	// until the agent's next full pass finds the new one.
+	// busiest-file ranking.
 	requests int64
 	top      replication.FileCount
-	topStale bool
-	gcCfg    replication.GCConfig
 
 	active     map[ids.RequestID]reservation
 	admissions uint64  // the last reservation's serial
@@ -169,6 +167,12 @@ type RM struct {
 	busiest     []ids.FileID
 	candidates  []ids.RMID
 	destScratch replication.Scratch
+
+	// gcCfg is read only by the collector, so it sits last: the fields a
+	// CFP and an Open touch (counts, the ranking, active, admissions)
+	// then share one cache line, and a request, which finds its RM's
+	// struct cold when there are many RMs, misses once for them.
+	gcCfg replication.GCConfig
 }
 
 // Options configures a new RM.
@@ -240,7 +244,7 @@ func New(opt Options) (*RM, error) {
 		repCfg:        opt.Replication,
 		gcCfg:         opt.GC,
 		copier:        opt.Copier,
-		files:         make(map[ids.FileID]heldFile, len(opt.Files)),
+		files:         make(map[ids.FileID]*heldFile, len(opt.Files)),
 		counts:        make(map[ids.FileID]int64),
 		active:        make(map[ids.RequestID]reservation),
 		leaseTTL:      opt.LeaseTTLSec,
@@ -405,10 +409,11 @@ func (r *RM) HandleCFP(cfp ecnp.CFP) selection.Bid {
 	// The request frequency feeds the replication agent's busiest-file
 	// ranking; the utilization history is recorded at Open time, when the
 	// file is actually accessed on this RM. A held file's count is in its
-	// entry, which is stored back once with the bias; the bias is
-	// recomputed only when T_ocp_avg has moved since the entry last
-	// computed it. A file the RM does not hold (a write, a plain-CNP
-	// broadcast) is scored at the CFP's duration.
+	// entry; its bias is recomputed only when T_ocp_avg has moved since the
+	// entry last computed it. A file the RM does not hold (a write, a
+	// plain-CNP broadcast) is counted in counts and scored at the CFP's
+	// duration.
+	var bias float64
 	e, known := r.files[cfp.File]
 	if known {
 		e.count++
@@ -417,10 +422,10 @@ func (r *RM) HandleCFP(cfp ecnp.CFP) selection.Bid {
 		if e.avg != tOcpAvg {
 			e.avg, e.bias = tOcpAvg, selection.OccupationBias(e.meta.DurationSec, tOcpAvg)
 		}
-		r.files[cfp.File] = e
+		bias = e.bias
 	} else {
 		r.counts[cfp.File]++
-		e.bias = selection.OccupationBias(cfp.DurationSec, tOcpAvg)
+		bias = selection.OccupationBias(cfp.DurationSec, tOcpAvg)
 	}
 	assured := r.led.Remaining()
 	if assured < 0 {
@@ -430,7 +435,7 @@ func (r *RM) HandleCFP(cfp ecnp.CFP) selection.Bid {
 		RM:          r.info.ID,
 		Rem:         r.led.Remaining(),
 		Trend:       r.hist.Trend(now, r.led.Allocated()),
-		OccBias:     e.bias,
+		OccBias:     bias,
 		Req:         cfp.Bitrate,
 		HasReplica:  known,
 		Assured:     assured,
@@ -607,7 +612,7 @@ func (r *RM) releaseLocked(request ids.RequestID, res reservation, now simtime.T
 // caller's: an incoming replica reserved it when it was offered. Caller
 // holds r.mu.
 func (r *RM) holdLocked(f ids.FileID, meta FileMeta) {
-	e := heldFile{meta: meta, count: r.counts[f], avg: math.NaN()}
+	e := &heldFile{meta: meta, count: r.counts[f], avg: math.NaN()}
 	if e.count > 0 {
 		delete(r.counts, f)
 	}
@@ -619,7 +624,7 @@ func (r *RM) holdLocked(f ids.FileID, meta FileMeta) {
 
 // dropFileLocked deletes f from the table, returning its storage and its
 // tenant's byte charge, its count to counts, and reports whether f was
-// held. Dropping the top file leaves the ranking stale. Caller holds r.mu.
+// held. Dropping the top file ranks the table again. Caller holds r.mu.
 func (r *RM) dropFileLocked(f ids.FileID) bool {
 	e, ok := r.files[f]
 	if ok {
@@ -629,7 +634,9 @@ func (r *RM) dropFileLocked(f ids.FileID) bool {
 		}
 		r.sumDur -= e.meta.DurationSec
 		r.requests -= e.count
-		r.topStale = r.topStale || f == r.top.File
+		if f == r.top.File {
+			r.rerankLocked()
+		}
 		r.storageUsed -= e.meta.Size
 		r.tenants.ReleaseBytes(e.meta.Tenant, int64(e.meta.Size))
 	}
@@ -641,6 +648,15 @@ func (r *RM) dropFileLocked(f ids.FileID) bool {
 func (r *RM) rankLocked(f ids.FileID, c int64) {
 	if fc := (replication.FileCount{File: f, Count: c}); outranks(fc, r.top) {
 		r.top = fc
+	}
+}
+
+// rerankLocked finds the top file by a pass over the table. Caller holds
+// r.mu.
+func (r *RM) rerankLocked() {
+	r.top = replication.FileCount{}
+	for f, e := range r.files {
+		r.rankLocked(f, e.count)
 	}
 }
 
@@ -936,23 +952,18 @@ func (r *RM) replicationDueLocked(now simtime.Time) bool {
 	// Busiest-file candidate set N_BF: smallest prefix of this RM's
 	// request counts covering BusyCoverage of the total. When the top
 	// file alone covers it, that prefix is the top file, as
-	// BusiestCovering would find; otherwise, or with the top file
-	// dropped, a pass over the table ranks every counted file.
-	if !r.topStale && r.requests > 0 && float64(r.top.Count) >= cfg.BusyCoverage*float64(r.requests) {
+	// BusiestCovering would find; otherwise a pass over the table ranks
+	// every counted file.
+	if r.requests > 0 && float64(r.top.Count) >= cfg.BusyCoverage*float64(r.requests) {
 		r.busiest = append(r.busiest[:0], r.top.File)
 		return true
 	}
 	fcs := r.fileCounts[:0]
-	var top replication.FileCount
 	for f, e := range r.files {
-		if fc := (replication.FileCount{File: f, Count: e.count}); fc.Count > 0 {
-			fcs = append(fcs, fc)
-			if outranks(fc, top) {
-				top = fc
-			}
+		if e.count > 0 {
+			fcs = append(fcs, replication.FileCount{File: f, Count: e.count})
 		}
 	}
-	r.top, r.topStale = top, false
 	r.fileCounts = fcs
 	r.busiest = replication.BusiestCovering(fcs, cfg.BusyCoverage, r.busiest)
 	return true
@@ -983,13 +994,14 @@ const (
 func (r *RM) tryReplicateFile(now simtime.Time, f ids.FileID, self ids.RMID) attempt {
 	r.mu.Lock()
 	e, stored := r.files[f]
-	meta := e.meta
 	outgoing := r.outgoingFiles[f] > 0
 	cfg := r.repCfg
-	r.mu.Unlock()
 	if !stored || outgoing {
+		r.mu.Unlock()
 		return attemptNone
 	}
+	meta := e.meta
+	r.mu.Unlock()
 	if !cfg.SourceEligible(meta.Bitrate) {
 		return attemptNone
 	}

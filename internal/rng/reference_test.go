@@ -155,8 +155,11 @@ func inverse(a uint64) uint64 {
 // is rejected by the first draw of a 7-permutation, Intn(7): Lemire's low
 // word falls under 2^64 mod 7. A random state reaches that branch of
 // Intn(n) with probability (2^64 mod n)/2^64, under 2^-56 for every n up
-// to 247, so TestSkipPermMatchesPerm never does. The output rotl(s1*5, 7)*9 is invertible, so s1 can be chosen
-// for the word wanted.
+// to 247, so TestSkipPermMatchesPerm never does. The output
+// rotl(s1*5, 7)*9 is invertible, so s1 can be chosen for the word wanted.
+// Intn and SkipPerm try each draw through the one rejection test,
+// state.lemire; the test checks each takes the branch, from a Source and
+// from locals.
 func TestSkipPermRejectionBranch(t *testing.T) {
 	const n = 7
 	un := uint64(n)

@@ -100,28 +100,23 @@ func (s *Source) SplitInto(dst *Source, n Name) {
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 
 // Uint64 returns the next 64 random bits. The state steps by value
-// through step, which keeps Uint64 within the compiler's inlining budget:
-// a draw of Intn makes no call for its bits.
+// through output and next, which keeps Uint64 within the compiler's
+// inlining budget.
 func (s *Source) Uint64() uint64 {
-	v, next := s.s.step()
-	s.s = next
+	v := s.s.output()
+	s.s = s.s.next()
 	return v
 }
 
-// step is the one xoshiro256** generator body: it returns x's output and
-// the state after it. Uint64 steps a Source's state through it, and
-// SkipPerm steps a copy held in locals, so a run of draws keeps the state
-// in registers and stores it once.
-func (x state) step() (uint64, state) {
-	v := bits.RotateLeft64(x.s1*5, 7) * 9
-	t := x.s1 << 17
-	x.s2 ^= x.s0
-	x.s3 ^= x.s1
-	x.s1 ^= x.s2
-	x.s0 ^= x.s3
-	x.s2 ^= t
-	x.s3 = bits.RotateLeft64(x.s3, 45)
-	return v, x
+// output and next are the one xoshiro256** generator body: the 64 bits
+// state x yields, and the state after it. Uint64 steps a Source's state
+// through them, and SkipPerm, through lemire, a copy held in locals, so a
+// run of draws keeps the state in registers and stores it once.
+func (x state) output() uint64 { return bits.RotateLeft64(x.s1*5, 7) * 9 }
+
+func (x state) next() state {
+	s2, s3 := x.s2^x.s0, x.s3^x.s1
+	return state{x.s0 ^ s3, x.s1 ^ s2, s2 ^ x.s1<<17, bits.RotateLeft64(s3, 45)}
 }
 
 // Float64 returns a uniform value in [0, 1) with 53 bits of precision.
@@ -146,15 +141,25 @@ func (s *Source) Intn(n int) int {
 	if n <= 0 {
 		panic("rng: Intn with non-positive n")
 	}
-	// Lemire's multiply-shift rejection method: unbiased and fast.
 	un := uint64(n)
 	for {
-		v := s.Uint64()
-		hi, lo := bits.Mul64(v, un)
-		if lo >= un || lo >= -un%un {
-			return int(hi)
+		v, next, ok := s.s.lemire(un)
+		s.s = next
+		if ok {
+			return int(v)
 		}
 	}
+}
+
+// lemire is one try of Intn's draw from x over [0, un), by Lemire's
+// multiply-shift rejection method (unbiased and fast): it returns the
+// draw, the state after it, and whether the draw stands; one that falls in
+// the rejected band must be tried again. Intn steps a Source's state
+// through it, and SkipPerm a copy held in locals. It has no loop, so it
+// fits the inlining budget and SkipPerm makes no call per draw.
+func (x state) lemire(un uint64) (uint64, state, bool) {
+	hi, lo := bits.Mul64(x.output(), un)
+	return hi, x.next(), lo >= un || lo >= -un%un
 }
 
 // Shuffle pseudo-randomly permutes n elements via the provided swap func
@@ -187,14 +192,9 @@ func (s *Source) PermInto(buf []int) []int {
 // in locals across the draws and is stored once.
 func (s *Source) SkipPerm(n int) {
 	x := s.s
-	var v uint64
 	for i := n - 1; i > 0; i-- {
-		un := uint64(i + 1)
-		for {
-			v, x = x.step()
-			if _, lo := bits.Mul64(v, un); lo >= un || lo >= -un%un {
-				break
-			}
+		for ok := false; !ok; {
+			_, x, ok = x.lemire(uint64(i + 1))
 		}
 	}
 	s.s = x
