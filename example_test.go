@@ -180,17 +180,17 @@ func Example_videostream() {
 	//
 	// soft real-time over-allocate ratio (static replication)
 	//    users     (0,0,0)     (1,0,0)
-	//       64      0.208%      0.000%
-	//      128      5.291%      0.000%
-	//      192     12.488%      0.005%
-	//      256     25.267%      2.150%
+	//       64      0.065%      0.000%
+	//      128      4.849%      0.000%
+	//      192     12.590%      0.005%
+	//      256     22.577%      2.150%
 	//
 	// firm real-time fail rate at 256 users
 	// replication      (0,0,0)     (1,0,0)
-	// static           11.684%      3.982%
-	// Rep(3,8)          6.168%      0.881%
-	// Rep(1,8)          6.299%      0.881%
-	// Rep(1,3)          6.756%      3.949%
+	// static           10.672%      3.982%
+	// Rep(3,8)          5.711%      1.208%
+	// Rep(1,8)          6.625%      0.816%
+	// Rep(1,3)          5.548%      2.219%
 	//
 	// The paper's conclusion reproduces: (1,0,0) beats random selection,
 	// and dynamic replication beats static replicas; Rep(1,3) stays close
@@ -277,35 +277,35 @@ func Example_hotspot() {
 	//     3300s |########################################!!!!!!!| 119.6%
 	//     3600s |####################################### |  99.1%
 	//
-	// === Rep(1,3) (aggregate over-allocate 0.463%, 127 replications, 127 migrations)
+	// === Rep(1,3) (aggregate over-allocate 0.375%, 123 replications, 123 migrations)
 	// RM1 (max 128.0 Mbit/s):
 	//        0s |                                        |   0.0%
 	//      300s |####################                    |  52.5%
 	//      600s |#####################                   |  54.1%
-	//      900s |#####################                   |  53.5%
-	//     1200s |#############################           |  74.8%
-	//     1500s |##############################          |  76.7%
-	//     1800s |##########################              |  65.2%
-	//     2100s |###########################             |  68.3%
-	//     2400s |#############################           |  73.7%
-	//     2700s |##################################      |  86.6%
-	//     3000s |#############################           |  72.5%
-	//     3300s |############################            |  71.4%
-	//     3600s |############################            |  71.5%
+	//      900s |#########################               |  63.5%
+	//     1200s |############################            |  70.6%
+	//     1500s |############################            |  71.2%
+	//     1800s |#########################               |  62.7%
+	//     2100s |###########################             |  69.5%
+	//     2400s |##############################          |  77.0%
+	//     2700s |##############################          |  76.2%
+	//     3000s |################################        |  82.3%
+	//     3300s |################################        |  82.2%
+	//     3600s |######################################  |  96.0%
 	// RM2 (max 19.0 Mbit/s):
 	//        0s |                                        |   0.0%
 	//      300s |######################                  |  56.5%
 	//      600s |################################        |  81.4%
-	//      900s |###############################         |  79.3%
-	//     1200s |##############################          |  76.6%
-	//     1500s |####################################    |  92.3%
-	//     1800s |##############################          |  75.4%
-	//     2100s |###########################             |  69.0%
-	//     2400s |################################        |  80.6%
-	//     2700s |##########################              |  66.3%
-	//     3000s |#############################           |  72.9%
-	//     3300s |###############################         |  79.1%
-	//     3600s |################################        |  82.0%
+	//      900s |#############################           |  73.9%
+	//     1200s |###################################     |  88.3%
+	//     1500s |####################                    |  52.2%
+	//     1800s |################################        |  82.0%
+	//     2100s |####################################    |  92.0%
+	//     2400s |########################                |  62.2%
+	//     2700s |###########################             |  69.3%
+	//     3000s |###########################             |  68.0%
+	//     3300s |########################                |  60.7%
+	//     3600s |####################################    |  90.1%
 	//
 	// Under static replicas RM2 pins at (or beyond) its 19 Mbit/s while
 	// RM1 idles; Rep(1,3) migrates the busiest files onto RM1's headroom.

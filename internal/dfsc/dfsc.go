@@ -154,6 +154,11 @@ type Client struct {
 	// closes is the free list of close records (see scheduleClose).
 	closes *closeRecord
 	stats  Stats
+
+	// jitter is sleepJittered's stream, split from src at New, so src is
+	// only ever read: each random-policy ranking splits its own child of
+	// it, keyed by the request.
+	jitter rng.Source
 }
 
 // Options configures a new client.
@@ -203,6 +208,9 @@ type Options struct {
 	Incarnation uint32
 }
 
+// jitterStream names the stream of a client's backoff jitter.
+var jitterStream = rng.NameOf("dfsc/jitter")
+
 // New constructs a client.
 func New(opt Options) (*Client, error) {
 	if opt.Mapper == nil || opt.Directory == nil || opt.Scheduler == nil || opt.Catalog == nil || opt.Rand == nil {
@@ -242,6 +250,7 @@ func New(opt Options) (*Client, error) {
 
 		incarnation: opt.Incarnation,
 	}
+	opt.Rand.SplitInto(&c.jitter, jitterStream)
 	if opt.Metrics != nil {
 		opt.Metrics.bind(c)
 	}
@@ -524,12 +533,12 @@ func (c *Client) negotiateLanes(ctx context.Context, dst []grant, op workload.Op
 		return c.fail(sp, fromLease, sent, "no-rm", Outcome{Request: req, File: file, Reason: "no reachable RM"})
 	}
 
-	// Rank the bidders: policy order, or a uniform shuffle for (0,0,0).
-	// The full order is kept (selection.TopK with k = all) — phase 3 cuts
-	// it off once k lanes are admitted, so refusals can still fall
-	// through to lower-ranked bidders.
+	// Rank the bidders: policy order, or a uniform shuffle for (0,0,0)
+	// keyed by the request. The full order is kept (selection.TopK with
+	// k = all) — phase 3 cuts it off once k lanes are admitted, so
+	// refusals can still fall through to lower-ranked bidders.
+	order := selection.TopK(orderBuf[:0], c.policy, bids, len(bids), c.src, uint64(req))
 	c.mu.Lock()
-	order := selection.TopK(orderBuf[:0], c.policy, bids, len(bids), c.src)
 	firm := c.scen.IsFirm()
 	c.stats.Messages += sent.messages
 	c.stats.FanoutStalls += sent.stalls

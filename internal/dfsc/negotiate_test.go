@@ -237,9 +237,9 @@ func TestNegotiationTable(t *testing.T) {
 			wantStats: Stats{Requests: 1, Failed: 1, Messages: 2 + 2*2},
 		},
 		{
-			// The order is rng.New(5)'s shuffle of four bidders; the
-			// client must draw exactly once per negotiation whatever the
-			// bookkeeping looks like.
+			// The order is the shuffle of four bidders drawn from the
+			// request's child of rng.New(5), whatever the bookkeeping
+			// looks like.
 			name:    "random policy walks its shuffle",
 			holders: []ids.RMID{1, 2, 3, 4},
 			providers: []scriptProvider{
@@ -351,8 +351,8 @@ func TestNegotiationTable(t *testing.T) {
 }
 
 // randomWalkOfFour is the order in which a client seeded rng.New(5) opens
-// four refusing bidders under the random policy.
-var randomWalkOfFour = []ids.RMID{1, 3, 4, 2}
+// four refusing bidders under the random policy, on its first request.
+var randomWalkOfFour = []ids.RMID{4, 2, 3, 1}
 
 // TestNegotiationExitCounts pins the messages, stalls and the rest of the
 // client's counts at every exit of negotiateLanes, so moving where a

@@ -812,10 +812,10 @@ func (c *Client) fetch(ctx context.Context, st *stripeRun, rs RangeStreamer, fil
 }
 
 // sleepJittered sleeps for base scaled uniformly into [0.5, 1.5), drawn
-// from the client's seeded stream so chaos runs stay reproducible.
+// from the client's seeded jitter stream so chaos runs stay reproducible.
 func (c *Client) sleepJittered(base time.Duration) {
 	c.mu.Lock()
-	f := c.src.Float64()
+	f := c.jitter.Float64()
 	c.mu.Unlock()
 	time.Sleep(time.Duration(float64(base) * (0.5 + f)))
 }

@@ -17,13 +17,11 @@ import (
 //
 //	for id in $(qosbench -list); do qosbench -quick -exp $id -csv internal/experiments/testdata; done
 //
-// table4 and table5 on the commit before the replication walk learned to
-// stop at the replica cap, so they hold what the per-candidate walk
-// decided; the others on the commit before the refused replication
-// attempt stopped allocating. Every cell and point is a function of the
-// seed alone, so a change meant to move only what a run costs leaves them
-// alone. A change that is meant to move them regenerates the files with
-// the same command and says why.
+// on the commit that keyed each replication attempt's and each random
+// ranking's draws by the decision (DESIGN §6, the RNG-stream rule). Every
+// cell and point is a function of the seed alone, so a change meant to
+// move only what a run costs leaves them alone. A change that is meant to
+// move them regenerates the files with the same command and says why.
 func TestDynamicReplicationTablesGolden(t *testing.T) {
 	for _, id := range append(IDs(), AblationIDs()...) {
 		t.Run(id, func(t *testing.T) {

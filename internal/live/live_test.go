@@ -184,8 +184,8 @@ func (k *kindCounter) count(kind wire.Kind) int {
 // the replica count, and a count at the cap ends the attempt as it does
 // in process. RM1 holds a file already at Rep(1,2)'s cap with two other
 // holders, and three RMs are candidates; one replication attempt asks the
-// MM for the count and the candidates, and for no reservation and no
-// resource list: its peers are not resolved, let alone dialled.
+// MM for the count alone, one round trip: no candidates, no reservation
+// and no resource list, so its peers are not resolved, let alone dialled.
 func TestLiveWalkEndsAtReplicaCap(t *testing.T) {
 	cfg := replication.DefaultConfig(replication.Rep(1, 2))
 	caps := []units.BytesPerSec{units.Mbps(5)}
@@ -227,7 +227,7 @@ func TestLiveWalkEndsAtReplicaCap(t *testing.T) {
 		want int
 	}{
 		{wire.KindReplicaCount, 1},
-		{wire.KindRMsWithout, 1},
+		{wire.KindRMsWithout, 0},
 		{wire.KindBeginReplication, 0},
 		{wire.KindRMs, 0},
 	} {

@@ -288,42 +288,6 @@ func keepLive[K ~int | ~int32, E any](t *Liveness[K], dst, s []E, key func(E) K)
 	return out
 }
 
-// countLiveWithout returns how many keys of s are not in skip and are
-// alive: the length of keepLive's answer over s less skip. Both are
-// sorted; skip may repeat a key or hold one s lacks. It binary-searches s
-// for each key of skip and, with expiry off, counts the runs between them
-// by their lengths, visiting no key of s.
-func countLiveWithout[K ~int | ~int32](t *Liveness[K], s, skip []K) int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	var now time.Time
-	if t.expiry != 0 {
-		now = t.now()
-	}
-	count := func(run []K) int {
-		if t.expiry == 0 {
-			return len(run)
-		}
-		n := 0
-		for _, k := range run {
-			if t.aliveLocked(k, now) {
-				n++
-			}
-		}
-		return n
-	}
-	n := 0
-	for _, k := range skip {
-		i, found := slices.BinarySearch(s, k)
-		n += count(s[:i])
-		if found {
-			i++
-		}
-		s = s[i:]
-	}
-	return n + count(s)
-}
-
 // firstLive is the group's first-live-owner rule: the first key of walk,
 // skip excluded, that is alive or is self (-1: no self); -1 if none is.
 func (t *Liveness[K]) firstLive(walk []K, self, skip K) K {

@@ -206,7 +206,11 @@ func (m *Manager) AppendRMsWithout(dst []ids.RMID, file ids.FileID) []ids.RMID {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	var buf [16]ids.RMID
-	excl := m.excludedLocked(buf[:0], file)
+	excl := m.placement.AppendHolders(buf[:0], file)
+	for id := range m.pending[file] {
+		excl = append(excl, id)
+	}
+	slices.Sort(excl)
 	dst = slices.Grow(dst, len(m.order))
 	start := len(dst)
 	rest := m.order
@@ -220,30 +224,6 @@ func (m *Manager) AppendRMsWithout(dst []ids.RMID, file ids.FileID) []ids.RMID {
 	}
 	dst = append(dst, rest...)
 	return dst[:start+len(keepLive(m.live, dst[start:start], dst[start:], rmKey))]
-}
-
-// CountRMsWithout returns how many RMs RMsWithout(file) lists, self left
-// out if it is among them: the number of candidates a capped replication
-// attempt draws over, counted without listing them. It costs a lookup of
-// the file's holders and pending destinations and a binary search for
-// each; with liveness expiry armed, also a pass over the resource list.
-func (m *Manager) CountRMsWithout(file ids.FileID, self ids.RMID) int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	var buf [16]ids.RMID
-	return countLiveWithout(m.live, m.order, m.excludedLocked(append(buf[:0], self), file))
-}
-
-// excludedLocked appends to dst the RMs RMsWithout(file) leaves out, the
-// file's holders and pending destinations, and sorts dst. Caller holds
-// m.mu.
-func (m *Manager) excludedLocked(dst []ids.RMID, file ids.FileID) []ids.RMID {
-	dst = m.placement.AppendHolders(dst, file)
-	for id := range m.pending[file] {
-		dst = append(dst, id)
-	}
-	slices.Sort(dst)
-	return dst
 }
 
 // AddReplica implements ecnp.Mapper.

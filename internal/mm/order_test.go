@@ -112,8 +112,7 @@ func TestResourceListStaysOrdered(t *testing.T) {
 // TestRefusedReplicationAllocatesNothing: the calls the source-side agent
 // makes on every access of an RM under B_TH cost what they decide — the
 // refusal is a preallocated value, the candidate list is its result slice
-// and nothing else, and nothing at all in a buffer the caller keeps or
-// when the candidates are only counted.
+// and nothing else, and nothing at all in a buffer the caller keeps.
 func TestRefusedReplicationAllocatesNothing(t *testing.T) {
 	if testenv.RaceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
@@ -140,12 +139,5 @@ func TestRefusedReplicationAllocatesNothing(t *testing.T) {
 		}
 	}); got != 0 {
 		t.Errorf("AppendRMsWithout into a grown buffer: %v allocs, want 0", got)
-	}
-	if got := testing.AllocsPerRun(100, func() {
-		if n := m.CountRMsWithout(0, 300); n != 248 {
-			t.Fatalf("CountRMsWithout: %d candidates, want 248", n)
-		}
-	}); got != 0 {
-		t.Errorf("CountRMsWithout: %v allocs, want 0", got)
 	}
 }

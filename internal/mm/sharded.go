@@ -139,15 +139,6 @@ func (m *ShardedManager) AppendRMsWithout(dst []ids.RMID, file ids.FileID) []ids
 	return dst
 }
 
-// CountRMsWithout counts what AppendRMsWithout would append, self left
-// out, as Manager.CountRMsWithout does; a fully-dead owner set counts 0.
-func (m *ShardedManager) CountRMsWithout(file ids.FileID, self ids.RMID) int {
-	if s := m.serving(file); s != nil {
-		return s.CountRMsWithout(file, self)
-	}
-	return 0
-}
-
 // AddReplica implements ecnp.Mapper.
 func (m *ShardedManager) AddReplica(file ids.FileID, rm ids.RMID) error {
 	return m.write(file, func(s *ShardMember) error { return s.AddReplica(file, rm) })

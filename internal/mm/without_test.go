@@ -57,82 +57,6 @@ type livenessMapper interface {
 	SetClock(func() time.Time)
 	Heartbeat(ids.RMID) error
 	AppendRMsWithout([]ids.RMID, ids.FileID) []ids.RMID
-	CountRMsWithout(ids.FileID, ids.RMID) int
-}
-
-// listedLessSelf is what CountRMsWithout(file, self) must answer: the
-// length of the listed answer, less self if it is listed.
-func listedLessSelf(m livenessMapper, file ids.FileID, self ids.RMID) int {
-	list := m.AppendRMsWithout(nil, file)
-	if slices.Contains(list, self) {
-		return len(list) - 1
-	}
-	return len(list)
-}
-
-// TestCountRMsWithoutMatchesList: the count a capped replication attempt
-// asks for is len(AppendRMsWithout) less self, on both in-process MM
-// shapes, with liveness off and armed, with pending destinations, with a
-// dead RM, and with self listed (an RM without the file), not listed (a
-// holder, a pending destination, the dead RM) or not registered at all.
-func TestCountRMsWithoutMatchesList(t *testing.T) {
-	managers := map[string]func() livenessMapper{
-		"Manager":                func() livenessMapper { return New() },
-		"ShardedReplicated(4,2)": func() livenessMapper { return NewShardedReplicated(4, 2) },
-	}
-	for name, build := range managers {
-		for _, live := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%s/liveness=%v", name, live), func(t *testing.T) {
-				const file, dead = ids.FileID(0), ids.RMID(5)
-				m := build()
-				clk := newFakeClock()
-				m.SetClock(clk.Now)
-				if live {
-					m.SetLiveness(livenessCfg())
-				}
-				for id := ids.RMID(1); id <= 9; id++ {
-					var files []ids.FileID
-					if id <= 2 {
-						files = []ids.FileID{file}
-					}
-					if err := m.RegisterRM(info(id), files); err != nil {
-						t.Fatal(err)
-					}
-				}
-				check := func(stage string, listed int) {
-					t.Helper()
-					if got := len(m.AppendRMsWithout(nil, file)); got != listed {
-						t.Fatalf("%s: %d RMs listed, want %d", stage, got, listed)
-					}
-					for _, self := range []ids.RMID{1, 3, 4, dead, 42} {
-						if got, want := m.CountRMsWithout(file, self), listedLessSelf(m, file, self); got != want {
-							t.Fatalf("%s: CountRMsWithout(%v, %v) = %d, the list less self %d", stage, file, self, got, want)
-						}
-					}
-				}
-				check("holders only", 7)
-				if err := m.BeginReplication(file, 3, 0); err != nil {
-					t.Fatal(err)
-				}
-				check("a pending destination", 6)
-				// Every RM but one beats past the deadline, which kills it
-				// when liveness is armed.
-				clk.Advance(2 * livenessCfg().Deadline())
-				for id := ids.RMID(1); id <= 9; id++ {
-					if id != dead {
-						if err := m.Heartbeat(id); err != nil {
-							t.Fatal(err)
-						}
-					}
-				}
-				if live {
-					check("a dead RM", 5)
-				} else {
-					check("a silent RM, liveness off", 6)
-				}
-			})
-		}
-	}
 }
 
 // TestRMsWithoutMatchesPerRMModel drives random replica-map programs and
@@ -233,10 +157,6 @@ func TestRMsWithoutMatchesPerRMModel(t *testing.T) {
 							if got == nil || !slices.Equal(got, want) {
 								t.Fatalf("seed %d step %d (%s %v %v): RMsWithout(%v) = %v, per-RM model %v",
 									seed, step, op, f, rm, file, got, want)
-							}
-							if got, want := m.CountRMsWithout(file, rm), listedLessSelf(m, file, rm); got != want {
-								t.Fatalf("seed %d step %d: CountRMsWithout(%v, %v) = %d, the list less self %d",
-									seed, step, file, rm, got, want)
 							}
 							// The append form keeps what dst held and
 							// filters only what it appended.

@@ -191,93 +191,6 @@ func TestOrderMatchesRecordForm(t *testing.T) {
 	}
 }
 
-// skipMatchesOrder checks that Skip leaves a source seeded seed where
-// Order leaves it over the same candidates, and that under Random and LBF
-// it asks no capacity and SkipCount over the count leaves it there too.
-func skipMatchesOrder(t *testing.T, d DestStrategy, cands []ids.RMID, capOf func(ids.RMID) units.BytesPerSec, seed uint64, sc *Scratch) {
-	t.Helper()
-	lookups := 0
-	capacity := func(id ids.RMID) units.BytesPerSec { lookups++; return capOf(id) }
-	ordered, skipped, counted := rng.New(seed), rng.New(seed), rng.New(seed)
-	d.Order(cands, capOf, ordered, sc)
-	d.Skip(cands, capacity, skipped, sc)
-	want := ordered.Uint64()
-	if g := skipped.Uint64(); g != want {
-		t.Fatalf("%v, %d candidates, seed %d: Skip left the source at next word %#x, Order at %#x",
-			d, len(cands), seed, g, want)
-	}
-	if d.CountOnly() != (d != DestWeighted) {
-		t.Fatalf("%v: CountOnly = %v; only Weighted draws by capacity", d, d.CountOnly())
-	}
-	if !d.CountOnly() {
-		return
-	}
-	if lookups != 0 {
-		t.Fatalf("%v: Skip resolved %d capacities; it draws only a permutation", d, lookups)
-	}
-	d.SkipCount(len(cands), counted)
-	if g := counted.Uint64(); g != want {
-		t.Fatalf("%v, %d candidates, seed %d: SkipCount left the source at next word %#x, Order at %#x",
-			d, len(cands), seed, g, want)
-	}
-}
-
-// TestDestSkipMatchesOrder: for every strategy, candidate count and
-// capacity shape, over 100 seeds, Skip makes the draws Order makes.
-func TestDestSkipMatchesOrder(t *testing.T) {
-	var sc Scratch
-	for _, d := range []DestStrategy{DestRandom, DestLBF, DestWeighted} {
-		for _, shape := range capacityShapes {
-			for _, n := range []int{0, 1, 2, 247} {
-				t.Run(fmt.Sprintf("%v/%s/n%d", d, shape.name, n), func(t *testing.T) {
-					for seed := uint64(0); seed < 100; seed++ {
-						gen := rng.New(seed ^ 0xfeed)
-						cands := make([]ids.RMID, n)
-						caps := make(map[ids.RMID]units.BytesPerSec, n)
-						for i := range cands {
-							cands[i] = ids.RMID(1 + i)
-							caps[cands[i]] = shape.of(i, gen)
-						}
-						skipMatchesOrder(t, d, cands, func(id ids.RMID) units.BytesPerSec { return caps[id] }, seed, &sc)
-					}
-				})
-			}
-		}
-	}
-}
-
-// FuzzDestSkipMatchesOrder drives Skip against Order: strategy picks the
-// strategy, seed the RM's stream, and each byte of capacities is one
-// candidate's capacity in Mbit/s, so a zero byte is a candidate without
-// capacity and an all-zero run is Weighted's Intn fallback.
-func FuzzDestSkipMatchesOrder(f *testing.F) {
-	some := make([]byte, 247)
-	for i := range some {
-		some[i] = byte(i % 3 * 10)
-	}
-	for d := range byte(3) {
-		f.Add(d, uint64(1), []byte{})
-		f.Add(d, uint64(2), []byte{0})
-		f.Add(d, uint64(3), []byte{100, 0})
-		f.Add(d, uint64(4), []byte{0, 0})
-		f.Add(d, uint64(5), some)
-		f.Add(d, uint64(6), make([]byte, 247))
-	}
-	var sc Scratch
-	f.Fuzz(func(t *testing.T, strategy byte, seed uint64, capacities []byte) {
-		if len(capacities) > 1024 {
-			capacities = capacities[:1024]
-		}
-		d := DestStrategy(strategy % 3)
-		cands := make([]ids.RMID, len(capacities))
-		for i := range cands {
-			cands[i] = ids.RMID(1 + i)
-		}
-		capOf := func(id ids.RMID) units.BytesPerSec { return units.Mbps(float64(capacities[id-1])) }
-		skipMatchesOrder(t, d, cands, capOf, seed, &sc)
-	})
-}
-
 func TestOrderWarmScratchAllocatesNothing(t *testing.T) {
 	cands := make([]ids.RMID, 247)
 	for i := range cands {

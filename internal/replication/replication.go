@@ -179,8 +179,9 @@ type Scratch struct {
 // Candidates are ids, not registration records: capacity is asked once per
 // candidate by the two strategies that read it, and never by DestRandom.
 // The result lives in sc and is valid until sc's next Order. What is drawn
-// from src depends only on d, len(candidates) and the capacities — the
-// RNG-stream rule (DESIGN §6) holds every caller to that.
+// from src depends only on d, len(candidates) and the capacities; a caller
+// that keys src by the decision (DESIGN §6, the RNG-stream rule) fixes
+// the order by the key and those alone.
 func (d DestStrategy) Order(candidates []ids.RMID, capacity func(ids.RMID) units.BytesPerSec, src *rng.Source, sc *Scratch) []ids.RMID {
 	n := len(candidates)
 	sc.idx, sc.caps, sc.order = resize(sc.idx, n), resize(sc.caps, n), resize(sc.order, n)
@@ -224,35 +225,6 @@ func (d DestStrategy) Order(candidates []ids.RMID, capacity func(ids.RMID) units
 		panic(fmt.Sprintf("replication: unknown strategy %v", d))
 	}
 	return out
-}
-
-// Skip makes the draws Order(candidates, capacity, src, sc) makes and
-// builds no order: an attempt that will start no copy still leaves src
-// where Order would (DESIGN §6, the RNG-stream rule). A CountOnly strategy
-// draws what SkipCount(len(candidates)) draws. Weighted's draws depend on
-// the capacities of the candidates it has picked so far, so Skip runs
-// Order.
-func (d DestStrategy) Skip(candidates []ids.RMID, capacity func(ids.RMID) units.BytesPerSec, src *rng.Source, sc *Scratch) {
-	if d.CountOnly() {
-		d.SkipCount(len(candidates), src)
-		return
-	}
-	d.Order(candidates, capacity, src, sc)
-}
-
-// CountOnly reports whether what Order draws depends on the number of
-// candidates alone, so that Skip needs only that number: true for Random
-// and LBF, which draw one permutation of it.
-func (d DestStrategy) CountOnly() bool { return d == DestRandom || d == DestLBF }
-
-// SkipCount is Skip over n candidates for a CountOnly strategy: it draws
-// the permutation of n without writing it and asks no capacity. It panics
-// for any other strategy.
-func (d DestStrategy) SkipCount(n int, src *rng.Source) {
-	if !d.CountOnly() {
-		panic(fmt.Sprintf("replication: %v draws by capacity, not by count", d))
-	}
-	src.SkipPerm(n)
 }
 
 // resize returns s with length n, allocating only when n outgrows it.

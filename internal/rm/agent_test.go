@@ -90,12 +90,11 @@ func TestConcurrentCFPsRunOneAgent(t *testing.T) {
 // TestReplicationAttemptAtCapAllocations is one access of a saturated RM
 // whose hot file already counts N_MAXR + 1 replicas, at the flash-crowd
 // scenario's scale (256 RMs registered, in-process MM, static directory,
-// DestRandom): the agent reads the count that says the file is at its
-// cap, has the MM count the 247 candidates, makes the draws Order would
-// over them and stops, asking the MM for no reservation. 98 % of that
+// DestRandom): the agent reads the count that says the file is at its cap
+// and stops. That count is the one mapper call it makes: it asks for no
+// candidates and no reservation, and draws nothing. Most of that
 // scenario's attempts are this one. It allocates nothing, on either
-// in-process MM: the agent ranks from its running top file, lists no
-// candidate and builds no order.
+// in-process MM: the agent ranks from its running top file.
 func TestReplicationAttemptAtCapAllocations(t *testing.T) {
 	if testenv.RaceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
@@ -123,6 +122,10 @@ func TestReplicationAttemptAtCapAllocations(t *testing.T) {
 			if st := src.Stats(); counter.begins != 0 || st.RepTriggers != 0 || st.RepCapped != runs+2 {
 				t.Fatalf("%d attempts made %d reservations, %d triggers and %d capped; want 0, 0 and %d",
 					runs+2, counter.begins, st.RepTriggers, st.RepCapped, runs+2)
+			}
+			if counter.calls != runs+2 || counter.counts != runs+2 {
+				t.Fatalf("%d capped attempts made %d mapper calls, %d of them ReplicaCount; want one each, ReplicaCount",
+					runs+2, counter.calls, counter.counts)
 			}
 			if got := counter.ReplicaCount(0); got != 9 {
 				t.Fatalf("replica count = %d, want 9 untouched", got)

@@ -159,9 +159,9 @@ type RM struct {
 	// agent and the rest answer their bids without it — two can no longer
 	// both read srcActive == 0 after the lock is released and both become
 	// sources. The DES never calls HandleCFP concurrently on one RM and so
-	// never finds it set. The run that holds it owns src and the buffers
-	// below, which is what lets an attempt that starts nothing allocate
-	// nothing when its mapper is a candidateLister.
+	// never finds it set. The run that holds it owns the buffers below,
+	// which is what lets an attempt that starts nothing allocate nothing
+	// when its mapper is a candidateLister.
 	agentBusy   bool
 	fileCounts  []replication.FileCount
 	busiest     []ids.FileID
@@ -173,6 +173,13 @@ type RM struct {
 	// then share one cache line, and a request, which finds its RM's
 	// struct cold when there are many RMs, misses once for them.
 	gcCfg replication.GCConfig
+
+	// agentRuns counts the agent's triggered runs, however each ended: an
+	// attempt's stream is split from src by its run and its file, and src
+	// itself is never drawn from. Only the agent touches it, so it sits
+	// after gcCfg and leaves the offsets of the fields a request touches
+	// as they were.
+	agentRuns uint64
 }
 
 // Options configures a new RM.
@@ -184,8 +191,8 @@ type Options struct {
 	Replication replication.Config
 	// GC configures cold-replica deletion (zero value: disabled).
 	GC replication.GCConfig
-	// Rand is this RM's private random stream (tie-breaking, destination
-	// sampling).
+	// Rand is this RM's private random stream: the parent each replication
+	// attempt splits its destination draws from. Nothing draws from it.
 	Rand *rng.Source
 	// Copier optionally moves real bytes during replication (live mode).
 	Copier DataCopier
@@ -949,6 +956,7 @@ func (r *RM) replicationDueLocked(now simtime.Time) bool {
 		return false
 	}
 	r.agentBusy = true
+	r.agentRuns++
 	// Busiest-file candidate set N_BF: smallest prefix of this RM's
 	// request counts covering BusyCoverage of the total. When the top
 	// file alone covers it, that prefix is the top file, as
@@ -972,12 +980,10 @@ func (r *RM) replicationDueLocked(now simtime.Time) bool {
 // candidateLister is optionally implemented by Mappers that answer the
 // replication candidate query in process (mm.Manager and
 // mm.ShardedManager): AppendRMsWithout lists the candidates into the
-// buffer the agent keeps, and CountRMsWithout counts them, self left out,
-// for an attempt that needs only their number. Any other Mapper's
-// RMsWithout answer is copied into the buffer.
+// buffer the agent keeps. Any other Mapper's RMsWithout answer is copied
+// into the buffer.
 type candidateLister interface {
 	AppendRMsWithout(dst []ids.RMID, file ids.FileID) []ids.RMID
-	CountRMsWithout(file ids.FileID, self ids.RMID) int
 }
 
 // attempt is what one replication attempt came to.
@@ -988,6 +994,12 @@ const (
 	attemptCapped                 // none could start: the file counts its cap
 	attemptStarted                // at least one copy started
 )
+
+// attemptStream names the streams replication attempts draw from. Each
+// attempt's is keyed by its agent run and its file (DESIGN §6, the
+// RNG-stream rule), so an attempt that draws nothing moves no other's
+// draws.
+var attemptStream = rng.NameOf("rm/replication-attempt")
 
 // tryReplicateFile attempts one replication of file f. Its caller holds
 // agentBusy.
@@ -1020,29 +1032,19 @@ func (r *RM) tryReplicateFile(now simtime.Time, f ids.FileID, self ids.RMID) att
 	if migrate {
 		maxTotal++
 	}
-	// The candidates are the ids the MM lists, in ascending order, self
-	// excluded. How many there are fixes what Order draws (DESIGN §6, the
-	// RNG-stream rule); the walk skips an id the directory cannot
-	// resolve, so none is resolved before it.
-	//
 	// Candidates exclude the file's holders and pending destinations, so
-	// at the cap every reservation would be refused: the attempt makes
-	// the draws Order would and stops. A count gone stale (another source
-	// over TCP) is caught by the walk's ErrReplicaCap below. Under a
-	// CountOnly strategy those draws need only the number of candidates,
-	// which an in-process MM counts without listing them.
-	capped := maxTotal > 0 && nCur >= maxTotal
-	lister, inProcess := r.mapper.(candidateLister)
-	if capped && inProcess && cfg.Dest.CountOnly() {
-		n := lister.CountRMsWithout(f, self)
-		if n == 0 {
-			return attemptNone
-		}
-		cfg.Dest.SkipCount(n, r.src)
+	// at the cap every reservation would be refused: the attempt stops
+	// here, with no candidate query and no draw. A count gone stale
+	// (another source over TCP) is caught by the walk's ErrReplicaCap
+	// below.
+	if maxTotal > 0 && nCur >= maxTotal {
 		return attemptCapped
 	}
+	// The candidates are the ids the MM lists, in ascending order, self
+	// excluded. The walk skips an id the directory cannot resolve, so none
+	// is resolved before it.
 	cands := r.candidates[:0]
-	if inProcess {
+	if lister, ok := r.mapper.(candidateLister); ok {
 		cands = lister.AppendRMsWithout(cands, f)
 	} else {
 		cands = append(cands, r.mapper.RMsWithout(f)...)
@@ -1054,11 +1056,9 @@ func (r *RM) tryReplicateFile(now simtime.Time, f ids.FileID, self ids.RMID) att
 	if len(cands) == 0 {
 		return attemptNone
 	}
-	if capped {
-		cfg.Dest.Skip(cands, r.peerCapacity, r.src, &r.destScratch)
-		return attemptCapped
-	}
-	order := cfg.Dest.Order(cands, r.peerCapacity, r.src, &r.destScratch)
+	var src rng.Source
+	r.src.SplitInto(&src, attemptStream.AddUint64(r.agentRuns).AddUint64(uint64(f)))
+	order := cfg.Dest.Order(cands, r.peerCapacity, &src, &r.destScratch)
 
 	type started struct {
 		rep ids.ReplicationID

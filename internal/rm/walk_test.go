@@ -11,36 +11,53 @@ import (
 	"dfsqos/internal/units"
 )
 
-// countingMapper counts the reservations an RM asks its mapper for and can
-// run a step ahead of the candidate query, standing in for another source
-// that acts between this RM's ReplicaCount and its destination walk.
+// countingMapper counts the calls a replication attempt makes on its
+// mapper, the replica counts and reservations among them, and can run a
+// step ahead of the candidate query, standing in for another source that
+// acts between this RM's ReplicaCount and its destination walk. It wraps
+// every method an attempt calls. When nextCount is set, the next
+// ReplicaCount answers it instead of the MM.
 type countingMapper struct {
 	ecnp.Mapper
-	begins        int
-	beforeWithout func()
+	calls, counts, begins int
+	beforeWithout         func()
+	nextCount             *int
+}
+
+func (c *countingMapper) ReplicaCount(file ids.FileID) int {
+	c.calls++
+	c.counts++
+	if n := c.nextCount; n != nil {
+		c.nextCount = nil
+		return *n
+	}
+	return c.Mapper.ReplicaCount(file)
 }
 
 func (c *countingMapper) BeginReplication(file ids.FileID, rm ids.RMID, maxTotal int) error {
+	c.calls++
 	c.begins++
 	return c.Mapper.BeginReplication(file, rm, maxTotal)
 }
 
+func (c *countingMapper) EndReplication(file ids.FileID, rm ids.RMID, commit bool) error {
+	c.calls++
+	return c.Mapper.EndReplication(file, rm, commit)
+}
+
 func (c *countingMapper) RMsWithout(file ids.FileID) []ids.RMID {
+	c.calls++
 	c.stepAhead()
 	return c.Mapper.RMsWithout(file)
 }
 
-// AppendRMsWithout and CountRMsWithout forward the forms the agent asks an
-// in-process MM for, with the same step ahead; a countingMapper without
-// them would hand the agent only the allocating RMsWithout.
+// AppendRMsWithout forwards the form the agent asks an in-process MM for,
+// with the same step ahead; a countingMapper without it would hand the
+// agent only the allocating RMsWithout.
 func (c *countingMapper) AppendRMsWithout(dst []ids.RMID, file ids.FileID) []ids.RMID {
+	c.calls++
 	c.stepAhead()
 	return c.Mapper.(candidateLister).AppendRMsWithout(dst, file)
-}
-
-func (c *countingMapper) CountRMsWithout(file ids.FileID, self ids.RMID) int {
-	c.stepAhead()
-	return c.Mapper.(candidateLister).CountRMsWithout(file, self)
 }
 
 func (c *countingMapper) stepAhead() {
@@ -80,8 +97,8 @@ func walkHarnessWrapped(t testing.TB, strat replication.Strategy, nRMs int, wrap
 
 // TestWalkEndsAtReplicaCap: the replica cap is a fact about the file,
 // and the count the agent reads before its walk already says the file is
-// at it, so an attempt on a capped file asks the MM for no reservation:
-// it makes its draws and stops, and the RM counts it.
+// at it, so an attempt on a capped file asks the MM for no candidates and
+// no reservation: it stops, and the RM counts it.
 func TestWalkEndsAtReplicaCap(t *testing.T) {
 	// Rep(1,2) with three holders: N_MAXR plus the one replica a migrating
 	// plan may hold on top of it. Six more RMs are candidates.
@@ -92,8 +109,9 @@ func TestWalkEndsAtReplicaCap(t *testing.T) {
 	}
 	for attempt := 1; attempt <= 3; attempt++ {
 		src.HandleCFP(ecnp.CFP{Request: ids.RequestID(attempt), File: 0, Bitrate: units.Mbps(2), DurationSec: 100})
-		if counter.begins != 0 {
-			t.Fatalf("after %d attempt(s) on a capped file: %d BeginReplication calls, want 0", attempt, counter.begins)
+		if counter.begins != 0 || counter.calls != counter.counts {
+			t.Fatalf("after %d attempt(s) on a capped file: %d mapper calls, %d BeginReplication; want ReplicaCount alone",
+				attempt, counter.calls, counter.begins)
 		}
 		if st := src.Stats(); st.RepCapped != int64(attempt) {
 			t.Fatalf("after %d attempt(s) on a capped file: RepCapped = %d, want %d", attempt, st.RepCapped, attempt)
@@ -218,5 +236,56 @@ func TestCandidatesExcludeSelf(t *testing.T) {
 	}
 	if got, want := src.candidates, []ids.RMID{3, 4, 5, 6, 7, 8, 9}; !slices.Equal(got, want) {
 		t.Fatalf("candidates %v, want %v", got, want)
+	}
+}
+
+// TestCappedAttemptMovesNoOtherDraw: an attempt draws its destination
+// order from a stream keyed by its agent run and its file, so an attempt
+// that stops at the cap, and draws nothing, leaves a later attempt's
+// order as it was, and the RM's own stream is never drawn from. Two twin
+// sources each make three agent runs on a file none of whose 31
+// candidates the directory resolves, so an uncapped run walks its whole
+// order and starts nothing. The middle run reads the count at the cap on
+// one twin, and a count of 0, which ends an attempt before any draw, on
+// the other.
+func TestCappedAttemptMovesNoOtherDraw(t *testing.T) {
+	runs := func(middle int, wantCapped int64) [][]ids.RMID {
+		h, counter := walkHarness(t, replication.Rep(1, 8), 32)
+		for id := ids.RMID(2); id <= 32; id++ {
+			h.dir.Set(id, nil)
+		}
+		dir := &resolvingDirectory{Directory: h.dir}
+		src := h.rms[1]
+		src.SetDirectory(dir)
+		parent := *src.src
+		var orders [][]ids.RMID
+		for run := 1; run <= 3; run++ {
+			if run == 2 {
+				counter.nextCount = &middle
+			}
+			dir.asked = nil
+			src.HandleCFP(ecnp.CFP{Request: ids.RequestID(run), File: 0, Bitrate: units.Mbps(2), DurationSec: 100})
+			orders = append(orders, dir.asked)
+		}
+		if *src.src != parent {
+			t.Fatal("three agent runs drew from the RM's own stream")
+		}
+		if st := src.Stats(); st.RepTriggers != 0 || st.RepCapped != wantCapped {
+			t.Fatalf("middle count %d: RepTriggers = %d, RepCapped = %d", middle, st.RepTriggers, st.RepCapped)
+		}
+		return orders
+	}
+	// Rep(1,8) at 9 replicas migrates, so its cap is 9.
+	capped, none := runs(9, 1), runs(0, 0)
+	for run, o := range capped {
+		if want := 31 * (1 - run%2); len(o) != want || len(none[run]) != want {
+			t.Fatalf("run %d walked %d and %d candidates, want %d", run+1, len(o), len(none[run]), want)
+		}
+		if !slices.Equal(o, none[run]) {
+			t.Fatalf("run %d walked %v after a capped attempt, %v after none", run+1, o, none[run])
+		}
+	}
+	if slices.Equal(capped[0], capped[2]) {
+		t.Fatalf("runs 1 and 3 walked one order %v; each run keys its own", capped[0])
 	}
 }

@@ -128,19 +128,6 @@ func TestPermIntoMatchesPerm(t *testing.T) {
 	}
 }
 
-func TestSkipPermMatchesPerm(t *testing.T) {
-	for _, n := range []int{0, 1, 2, 5, 247} {
-		for seed := uint64(0); seed < 50; seed++ {
-			ref, skip := New(seed), New(seed)
-			refPerm(ref, n)
-			skip.SkipPerm(n)
-			if *skip != *ref {
-				t.Fatalf("n=%d seed %d: SkipPerm left the source where a %d-permutation did not", n, seed, n)
-			}
-		}
-	}
-}
-
 // inverse returns the inverse of odd a modulo 2^64 by Newton's
 // iteration: each step doubles the bits that are right.
 func inverse(a uint64) uint64 {
@@ -151,16 +138,13 @@ func inverse(a uint64) uint64 {
 	return x
 }
 
-// TestSkipPermRejectionBranch sets a source's state so that its next word
-// is rejected by the first draw of a 7-permutation, Intn(7): Lemire's low
-// word falls under 2^64 mod 7. A random state reaches that branch of
-// Intn(n) with probability (2^64 mod n)/2^64, under 2^-56 for every n up
-// to 247, so TestSkipPermMatchesPerm never does. The output
-// rotl(s1*5, 7)*9 is invertible, so s1 can be chosen for the word wanted.
-// Intn and SkipPerm try each draw through the one rejection test,
-// state.lemire; the test checks each takes the branch, from a Source and
-// from locals.
-func TestSkipPermRejectionBranch(t *testing.T) {
+// TestIntnRejectionBranch sets a source's state so that its next word is
+// rejected by Intn(7): Lemire's low word falls under 2^64 mod 7. A random
+// state reaches that branch of Intn(n) with probability (2^64 mod n)/2^64,
+// under 2^-56 for every n up to 247, so TestIntnStreamUnchanged never
+// does. The output rotl(s1*5, 7)*9 is invertible, so s1 can be chosen for
+// the word wanted.
+func TestIntnRejectionBranch(t *testing.T) {
 	const n = 7
 	un := uint64(n)
 	v := inverse(un) // v*7 ≡ 1 (mod 2^64): the low word is 1, under -7%7 = 2
@@ -174,18 +158,14 @@ func TestSkipPermRejectionBranch(t *testing.T) {
 			t.Fatalf("seed %d: the state does not give the word %#x", seed, v)
 		}
 		// Intn(7) rejects that word and takes the next: two words drawn.
-		intn, two := *s, *s
-		intn.Intn(n)
-		two.Uint64()
-		two.Uint64()
-		if intn != two {
-			t.Fatalf("seed %d: Intn(%d) did not reject the word %#x", seed, n, v)
+		intn, ref, two := *s, *s, *s
+		if g, w := intn.Intn(n), refIntn(&ref, n); g != w {
+			t.Fatalf("seed %d: Intn(%d) = %d after the rejected word, the reference %d", seed, n, g, w)
 		}
-		perm, skip := *s, *s
-		perm.PermInto(make([]int, n))
-		skip.SkipPerm(n)
-		if g, w := skip.Uint64(), perm.Uint64(); g != w {
-			t.Fatalf("seed %d: SkipPerm left the source at next word %#x, PermInto at %#x", seed, g, w)
+		two.Uint64()
+		two.Uint64()
+		if intn != two || ref != two {
+			t.Fatalf("seed %d: Intn(%d) did not reject the word %#x", seed, n, v)
 		}
 	}
 }

@@ -9,8 +9,10 @@
 // which order they are created. A stream's Name may be folded a piece at
 // a time (NameOf, then Add) and its child written into a Source the
 // caller holds (SplitInto), so deriving many streams that share a prefix
-// formats and allocates nothing per stream. CDF samples a rank from a
-// cumulative table through a guide table; Zipf draws with it.
+// formats and allocates nothing per stream; AddUint64 folds an integer
+// key, so a stream keyed by a counter or an ID is derived the same way.
+// CDF samples a rank from a cumulative table through a guide table; Zipf
+// draws with it.
 package rng
 
 import (
@@ -45,6 +47,17 @@ func NameOf(s string) Name { return nameOffset.Add(s) }
 func (n Name) Add(s string) Name {
 	for i := 0; i < len(s); i++ {
 		n = (n ^ Name(s[i])) * namePrime
+	}
+	return n
+}
+
+// AddUint64 returns the state after reading v's eight bytes, least
+// significant first, on from n: a decision keyed by integers folds them
+// with no formatting.
+func (n Name) AddUint64(v uint64) Name {
+	for i := 0; i < 8; i++ {
+		n = (n ^ Name(byte(v))) * namePrime
+		v >>= 8
 	}
 	return n
 }
@@ -109,9 +122,7 @@ func (s *Source) Uint64() uint64 {
 }
 
 // output and next are the one xoshiro256** generator body: the 64 bits
-// state x yields, and the state after it. Uint64 steps a Source's state
-// through them, and SkipPerm, through lemire, a copy held in locals, so a
-// run of draws keeps the state in registers and stores it once.
+// state x yields, and the state after it.
 func (x state) output() uint64 { return bits.RotateLeft64(x.s1*5, 7) * 9 }
 
 func (x state) next() state {
@@ -124,42 +135,20 @@ func (s *Source) Float64() float64 {
 	return float64(s.Uint64()>>11) / (1 << 53)
 }
 
-// OpenFloat64 returns a uniform value in the open interval (0, 1),
-// suitable as the U term of the paper's NET equation f(x) = −β·ln U,
-// where U = 0 would yield an infinite inter-arrival time.
-func (s *Source) OpenFloat64() float64 {
-	for {
-		v := s.Float64()
-		if v > 0 {
-			return v
-		}
-	}
-}
-
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.
 func (s *Source) Intn(n int) int {
 	if n <= 0 {
 		panic("rng: Intn with non-positive n")
 	}
+	// Lemire's multiply-shift rejection method: unbiased and fast. A
+	// word whose low product falls in the rejected band is drawn again.
 	un := uint64(n)
 	for {
-		v, next, ok := s.s.lemire(un)
-		s.s = next
-		if ok {
-			return int(v)
+		hi, lo := bits.Mul64(s.Uint64(), un)
+		if lo >= un || lo >= -un%un {
+			return int(hi)
 		}
 	}
-}
-
-// lemire is one try of Intn's draw from x over [0, un), by Lemire's
-// multiply-shift rejection method (unbiased and fast): it returns the
-// draw, the state after it, and whether the draw stands; one that falls in
-// the rejected band must be tried again. Intn steps a Source's state
-// through it, and SkipPerm a copy held in locals. It has no loop, so it
-// fits the inlining budget and SkipPerm makes no call per draw.
-func (x state) lemire(un uint64) (uint64, state, bool) {
-	hi, lo := bits.Mul64(x.output(), un)
-	return hi, x.next(), lo >= un || lo >= -un%un
 }
 
 // Shuffle pseudo-randomly permutes n elements via the provided swap func
@@ -186,27 +175,19 @@ func (s *Source) PermInto(buf []int) []int {
 	return buf
 }
 
-// SkipPerm makes the draws PermInto makes over a buffer of n and writes
-// nothing: Intn(i+1) for i = n-1 down to 1, each with Intn's rejection
-// test. It leaves s where PermInto(make([]int, n)) would. The state stays
-// in locals across the draws and is stored once.
-func (s *Source) SkipPerm(n int) {
-	x := s.s
-	for i := n - 1; i > 0; i-- {
-		for ok := false; !ok; {
-			_, x, ok = x.lemire(uint64(i + 1))
-		}
-	}
-	s.s = x
-}
-
 // Exp draws from the negative exponential distribution with the given mean,
-// implementing the paper's NET arrival model f(x) = −β·ln U with U ∈ (0,1).
+// implementing the paper's NET arrival model f(x) = −β·ln U with U ∈ (0,1):
+// a U of 0, which would yield an infinite inter-arrival time, is drawn
+// again.
 func (s *Source) Exp(mean float64) float64 {
 	if mean <= 0 {
 		panic("rng: Exp with non-positive mean")
 	}
-	return -mean * math.Log(s.OpenFloat64())
+	var u float64
+	for u == 0 {
+		u = s.Float64()
+	}
+	return -mean * math.Log(u)
 }
 
 // NormFloat64 draws a standard normal value via the Marsaglia polar method.

@@ -1,6 +1,7 @@
 package rng
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"sort"
@@ -416,15 +417,12 @@ func TestIntnBoundsProperty(t *testing.T) {
 	}
 }
 
-// Property: OpenFloat64 never returns 0, so Exp never returns +Inf.
-func TestOpenFloat64Property(t *testing.T) {
+// Property: Exp never returns +Inf or a negative value.
+func TestExpFiniteProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		s := New(seed)
-		for i := 0; i < 50; i++ {
-			if s.OpenFloat64() <= 0 {
-				return false
-			}
-			if math.IsInf(s.Exp(300), 1) {
+		for i := 0; i < 100; i++ {
+			if x := s.Exp(300); math.IsInf(x, 1) || x < 0 {
 				return false
 			}
 		}
@@ -432,6 +430,45 @@ func TestOpenFloat64Property(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestExpRedrawsZero: a U of 0 is drawn again, so Exp returns a finite
+// value and consumes the next word too. The state is set so that its next
+// word has no bit above the eleven Float64 drops.
+func TestExpRedrawsZero(t *testing.T) {
+	for seed := uint64(0); seed < 5; seed++ {
+		s := New(seed)
+		s.s.s1 = 0 // output(s) = rotl(0*5, 7)*9 = 0
+		if probe := *s; probe.Float64() != 0 {
+			t.Fatalf("seed %d: the state does not give a zero word", seed)
+		}
+		exp, two := *s, *s
+		x := exp.Exp(1)
+		two.Uint64()
+		u := two.Float64()
+		if want := -math.Log(u); x != want || exp != two {
+			t.Fatalf("seed %d: Exp over a zero word = %v, want %v from the next word", seed, x, want)
+		}
+	}
+}
+
+// AddUint64 folds v's bytes, least significant first, as Add folds a
+// string of them, so an integer key names the stream that string would.
+func TestAddUint64MatchesAdd(t *testing.T) {
+	for _, v := range []uint64{0, 1, 0xff, 0x100, 1<<32 + 7, 0x0123456789abcdef, math.MaxUint64} {
+		for _, prefix := range []string{"", "rm/attempt"} {
+			le := binary.LittleEndian.AppendUint64(nil, v)
+			if got, want := NameOf(prefix).AddUint64(v), NameOf(prefix).Add(string(le)); got != want {
+				t.Fatalf("%q + %#x: AddUint64 = %#x, Add of its bytes %#x", prefix, v, got, want)
+			}
+		}
+	}
+	if a := testing.AllocsPerRun(100, func() {
+		var child Source
+		New(1).SplitInto(&child, NameOf("").AddUint64(7).AddUint64(9))
+	}); a != 0 {
+		t.Fatalf("SplitInto over an integer key: %v allocs, want 0", a)
 	}
 }
 

@@ -36,9 +36,9 @@ var (
 // TestDESRequestCost is the DES's cost witness, run at full scale and
 // seed 1. The work a run does is pinned exactly: its requests, failures
 // and replications (its outcome), the events it fires, the control-plane
-// messages its clients exchange and the replication attempts that found
-// their file at its cap, each of which makes its draws and asks the MM
-// for no reservation. The heap objects it allocates per request are
+// messages its clients exchange and the replication attempts that read
+// their file's count at its cap, each of which asks the MM for that
+// count alone. The heap objects it allocates per request are
 // pinned from above, counted in the event loop alone, from the first
 // arrival's dispatch to the last one's.
 //
@@ -68,7 +68,7 @@ func TestDESRequestCost(t *testing.T) {
 		maxObjects                     float64
 	}{
 		{costSteady, 200_513, 0, 0, 384_144, 2_005_130, 0, 0.15},
-		{costFlash, 13_382, 3_552, 92, 20_635, 207_296, 7_972, 0.90},
+		{costFlash, 13_382, 3_111, 90, 20_927, 204_424, 10_686, 0.90},
 	} {
 		t.Run(tc.spec.Name, func(t *testing.T) {
 			d, err := configure(tc.spec, Options{Seed: 1})

@@ -203,14 +203,18 @@ func appendRank(dst []ids.RMID, p Policy, bids []Bid) []ids.RMID {
 	return dst
 }
 
+// shuffleStream names the streams the random policy's shuffles draw from.
+var shuffleStream = rng.NameOf("selection/shuffle")
+
 // TopK appends up to k bidders to dst in admission order and returns the
 // extended slice: the Rank order for a scored policy, a uniform shuffle
 // of the full bid list for the random policy (so a short list is still an
 // unbiased sample, not a prefix of input order). Fewer than k bids appends
 // them all — the striped reader admits what exists and degrades its
-// width. k ≤ 0 appends nothing. src is only consulted for the random
-// policy.
-func TopK(dst []ids.RMID, p Policy, bids []Bid, k int, src *rng.Source) []ids.RMID {
+// width. k ≤ 0 appends nothing. The shuffle draws from the child of src
+// keyed by key, the request's ID, so one request's draws move no other's
+// and src is only read; a scored policy derives no child.
+func TopK(dst []ids.RMID, p Policy, bids []Bid, k int, src *rng.Source, key uint64) []ids.RMID {
 	if k <= 0 || len(bids) == 0 {
 		return dst
 	}
@@ -221,7 +225,9 @@ func TopK(dst []ids.RMID, p Policy, bids []Bid, k int, src *rng.Source) []ids.RM
 			dst = append(dst, b.RM)
 		}
 		order := dst[n:]
-		src.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+		var shuffle rng.Source
+		src.SplitInto(&shuffle, shuffleStream.AddUint64(key))
+		shuffle.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 	} else {
 		dst = appendRank(dst, p, bids)
 	}

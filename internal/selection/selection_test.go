@@ -2,6 +2,7 @@ package selection
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -304,36 +305,37 @@ func TestTopKScoredPrefix(t *testing.T) {
 		{RM: 2, Rem: units.BytesPerSec(30)},
 		{RM: 3, Rem: units.BytesPerSec(20)},
 	}
-	got := TopK(nil, RemOnly, bids, 2, rng.New(1))
+	got := TopK(nil, RemOnly, bids, 2, rng.New(1), 0)
 	if len(got) != 2 || got[0] != 2 || got[1] != 3 {
 		t.Fatalf("TopK = %v, want [2 3] (Rank prefix)", got)
 	}
 	// k beyond the bid count returns everything in rank order.
-	all := TopK(nil, RemOnly, bids, 10, rng.New(1))
+	all := TopK(nil, RemOnly, bids, 10, rng.New(1), 0)
 	if len(all) != 3 || all[0] != 2 || all[1] != 3 || all[2] != 1 {
 		t.Fatalf("TopK over-wide = %v, want [2 3 1]", all)
 	}
 	// The bidders are appended after what dst holds.
-	if got := TopK([]ids.RMID{9}, RemOnly, bids, 2, rng.New(1)); len(got) != 3 || got[0] != 9 || got[1] != 2 || got[2] != 3 {
+	if got := TopK([]ids.RMID{9}, RemOnly, bids, 2, rng.New(1), 0); len(got) != 3 || got[0] != 9 || got[1] != 2 || got[2] != 3 {
 		t.Fatalf("TopK after [9] = %v, want [9 2 3]", got)
 	}
-	if TopK(nil, RemOnly, bids, 0, rng.New(1)) != nil {
+	if TopK(nil, RemOnly, bids, 0, rng.New(1), 0) != nil {
 		t.Fatal("TopK with k=0 must be nil")
 	}
-	if TopK(nil, RemOnly, nil, 3, rng.New(1)) != nil {
+	if TopK(nil, RemOnly, nil, 3, rng.New(1), 0) != nil {
 		t.Fatal("TopK with no bids must be nil")
 	}
 }
 
 func TestTopKRandomIsUnbiasedSample(t *testing.T) {
 	// Under the random policy the first slot of a k=1 TopK must be
-	// uniform over all bidders, not biased toward input order.
+	// uniform over all bidders, not biased toward input order, across
+	// the requests that key it.
 	bids := []Bid{{RM: 1}, {RM: 2}, {RM: 3}, {RM: 4}}
 	src := rng.New(99)
 	counts := map[ids.RMID]int{}
 	const trials = 4000
 	for i := 0; i < trials; i++ {
-		got := TopK(nil, Random, bids, 1, src)
+		got := TopK(nil, Random, bids, 1, src, uint64(i))
 		if len(got) != 1 {
 			t.Fatalf("TopK = %v, want one RM", got)
 		}
@@ -344,5 +346,30 @@ func TestTopKRandomIsUnbiasedSample(t *testing.T) {
 		if math.Abs(float64(n)-want) > want/2 {
 			t.Errorf("RM %v drawn %d times, want ~%.0f", rm, n, want)
 		}
+	}
+}
+
+// TestTopKRandomKeyedByRequest: the random policy's order is a function
+// of the parent stream and the request key alone. A request's order does
+// not depend on the shuffles made before it, and src is never drawn from.
+func TestTopKRandomKeyedByRequest(t *testing.T) {
+	bids := make([]Bid, 16)
+	for i := range bids {
+		bids[i] = Bid{RM: ids.RMID(i + 1)}
+	}
+	src := rng.New(5)
+	before := *src
+	first := TopK(nil, Random, bids, len(bids), src, 42)
+	for key := uint64(0); key < 8; key++ {
+		TopK(nil, Random, bids, len(bids), src, key)
+	}
+	if again := TopK(nil, Random, bids, len(bids), src, 42); !slices.Equal(again, first) {
+		t.Fatalf("request 42 ranked %v after other requests, %v before them", again, first)
+	}
+	if *src != before {
+		t.Fatal("the random policy drew from the parent stream")
+	}
+	if other := TopK(nil, Random, bids, len(bids), src, 43); slices.Equal(other, first) {
+		t.Fatalf("requests 42 and 43 ranked one order %v", first)
 	}
 }
